@@ -42,7 +42,7 @@ fn mean_ns_per_shot(mut run: impl FnMut() -> Counts) -> f64 {
 
 fn main() {
     let (device, plan) = trajectory_job();
-    let host_threads = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
+    let host_threads = qucp_sim::core_budget();
 
     // Smoke check before timing: for either kernel, sharded counts must
     // not depend on the worker count.

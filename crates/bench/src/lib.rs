@@ -656,7 +656,7 @@ pub fn fleet_shootout(
 /// [`fleet_shootout`] with the planning and sharding seams exposed:
 /// `plan_memo` toggles whole-plan memoization ([`PlanMemo::Never`] is
 /// the every-batch-replans ablation), `sharding` +
-/// `device_groups` run execution on per-group scoped workers. All
+/// `device_groups` run execution as per-group fan-out tasks. All
 /// configurations must produce bit-identical drained reports (asserted
 /// by the `fleet_shootout` bin and the `integration_fleet` suite).
 ///

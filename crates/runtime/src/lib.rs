@@ -48,15 +48,43 @@
 //!    head's effective strategy; partition pressure shrinks the batch
 //!    from the tail. Every committed decision is recorded as an
 //!    [`Event::BatchRouted`] carrying the winning score.
-//! 4. **Execute** — every program of the planned batch runs on the
-//!    pipeline backend in its own scoped thread (or serially under
-//!    [`ExecutionMode::Serial`]); per-program seeds derive from
-//!    `(seed, batch index, program index)` only, so concurrent and
-//!    serial execution agree **bit-for-bit**. Large jobs additionally
+//! 4. **Execute** — the programs of the planned batch run on the
+//!    pipeline backend through the workspace's one fan-out helper
+//!    (`qucp_sim::run_indexed`). **The fan-out rule:** the dispatching
+//!    thread claims programs itself off a shared index; helper threads
+//!    join it only when the process has more than one core to offer
+//!    (read once per process) *and* the batch's estimated work — shots
+//!    × routed gates, summed over its programs — gives every worker
+//!    at least the helper's spawn floor (8 192 shot-events, 80 µs and
+//!    up): one worker per floor of work, however the work is cut. A
+//!    batch of one-shot or eight-shot jobs therefore costs zero thread
+//!    spawns and runs as a plain loop; a batch of 8192-shot jobs on a
+//!    multi-core host runs one program per core.
+//!    [`ExecutionMode::Serial`] is the same call with a budget of one
+//!    thread. The same helper, under the same rule, runs the device
+//!    groups of [`DispatchSharding::Grouped`], the candidates of
+//!    best-k speculation (work = the service's own measured mean
+//!    planning time) and the shards of a sharded shot loop (work =
+//!    the whole job's shots × scheduled events, so an 8192-shot job
+//!    keeps its threads on a ten-gate circuit too). Per-program seeds
+//!    derive from `(seed, batch index, program index)` only, so
+//!    concurrent and serial execution agree **bit-for-bit**.
+//!    **Prepared replay:**
+//!    what a program needs before its first shot — the simulator's
+//!    event stream, error probabilities and ideal states, and the
+//!    noiseless reference it is scored against — is a pure function of
+//!    the plan, so the backend keeps it on the
+//!    [`PlannedWorkload`](qucp_core::pipeline::PlannedWorkload) the
+//!    plan cache already shares: a plan-cache hit is an execution
+//!    set-up hit too, and replaying a cached plan runs only the shots,
+//!    the counts and the JSD. The slots fill on a plan's second
+//!    execution, so a plan that never hits the cache retains nothing;
+//!    the prepared state is dropped with its plan entry on an epoch
+//!    bump and is never seed- or shot-dependent. Large jobs additionally
 //!    get *intra-program* shot sharding
 //!    ([`ServiceBuilder::shot_parallelism`], [`ShotParallelism`]):
-//!    each program's trajectory loop splits its shots over worker
-//!    threads, deterministic in the shard count and independent of the
+//!    each program's trajectory loop splits its shots into shards,
+//!    deterministic in the shard count and independent of the
 //!    thread count. Each job may override the service default
 //!    ([`JobRequest::shot_parallelism`]), and
 //!    [`ShotParallelism::Auto`] picks the shard count from the job's
@@ -121,14 +149,18 @@
 //! | batch removal | O(n·k) retain | offset bump (front run) or one compaction pass |
 //! | recalibrate / drift epoch bump | O(cache) invalidation | unchanged |
 //! | batch planning | partition + map + merge per batch | O(1) plan-cache hit ([`PlanMemo::EpochKeyed`], repeat shapes) |
-//! | batch execution | one global serial loop | per-group scoped workers ([`DispatchSharding::Grouped`]), merged in batch order |
+//! | execution set-up per program | ALAP schedule + event sort + three statevector passes | the first two executions of a plan only (the second fills the slots); a replayed plan then pays a calibration compare and an `Arc` clone (prepared replay) |
+//! | threads per batch | one spawn per program | none under two spawn floors of batch work or on one core; otherwise one worker per floor up to the cores, the caller being one of them |
+//! | batch execution | one global serial loop | per-group fan-out tasks ([`DispatchSharding::Grouped`]), merged in batch order |
 //!
 //! Both paths are observationally equivalent — identical dispatch
 //! order, events and reports on any submission/tick interleaving,
 //! pinned by the `integration_fleet` equivalence proptest.
 //!
 //! **Best-k speculative planning** ([`ServiceBuilder::best_k`]) plans
-//! the head batch on the top-k routing candidates concurrently. The
+//! the head batch on the top-k routing candidates through the fan-out
+//! helper (concurrently once the service's measured planning time per
+//! candidate, times the candidates, pays for a helper). The
 //! determinism rule: *the committed winner is always the first
 //! candidate in `(score, free time, registration index)` order whose
 //! plan succeeds* — exactly the sequential winner; speculation

@@ -87,7 +87,7 @@
 //! Each device belongs to a **dispatch group** (default: group 0).
 //! Groups are the unit of execution parallelism under
 //! [`DispatchSharding::Grouped`](crate::DispatchSharding): staged
-//! batches are executed by one scoped worker per group, then merged
+//! batches are executed as one fan-out task per group, then merged
 //! back in global batch order, so the sharded schedule is bit-for-bit
 //! the serial one. Assign groups at build time via
 //! [`ServiceBuilder::device_groups`](crate::ServiceBuilder::device_groups)
@@ -145,7 +145,7 @@ pub struct DeviceRegistry {
     by_width: Vec<(usize, usize)>,
     /// Per-device dispatch group, parallel to `devices`; every device
     /// starts in group 0. Groups never influence scheduling decisions —
-    /// only which scoped worker executes a staged batch under
+    /// only which fan-out task executes a staged batch under
     /// [`DispatchSharding::Grouped`](crate::DispatchSharding).
     groups: Vec<usize>,
 }

@@ -16,12 +16,15 @@ use crate::service::{JobRequest, Service};
 /// How the programs of a planned batch are executed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ExecutionMode {
-    /// One scoped thread per program (the default).
+    /// The programs fan out over the process's cores whenever their
+    /// work pays for helper threads (the default; light batches and
+    /// one-core hosts run inline, like [`ExecutionMode::Serial`]).
     #[default]
     Concurrent,
-    /// In program order on the calling thread. Exists to assert that
-    /// concurrent execution is deterministic: both modes must produce
-    /// bit-for-bit identical reports.
+    /// In program order on the calling thread: the same fan-out call
+    /// with a budget of one. Exists to assert that concurrent execution
+    /// is deterministic: both modes must produce bit-for-bit identical
+    /// reports.
     Serial,
 }
 

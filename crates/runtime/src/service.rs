@@ -16,7 +16,10 @@ use qucp_core::threshold::{parallel_count_for_threshold, solo_efs_scores};
 use qucp_core::{best_partition, strategy, CoreError, ParallelConfig, PartitionPolicy};
 use qucp_core::{ProgramResult, Strategy};
 use qucp_device::{Calibration, CrosstalkModel, Device, DriftEvent, DriftModel};
-use qucp_sim::{ExecutionConfig, ShotParallelism, TrajectoryKernel};
+use qucp_sim::{
+    core_budget, run_indexed, run_indexed_within, ExecutionConfig, ShotParallelism,
+    TrajectoryKernel, WORK_UNIT_NS,
+};
 
 use crate::event::{Event, EventLog, EventObserver, ShrinkReason};
 use crate::job::{Job, JobResult};
@@ -303,10 +306,10 @@ pub enum DispatchSharding {
     Single,
     /// Stage every dispatchable batch, then execute per device
     /// **group** ([`DeviceRegistry`] groups, see
-    /// [`ServiceBuilder::device_groups`]): one `std::thread::scope`
-    /// worker per non-empty group runs its group's batches in batch
-    /// order, and the results merge back deterministically in global
-    /// batch order. After an *execution* error (exotic backend
+    /// [`ServiceBuilder::device_groups`]): one fan-out task per
+    /// non-empty group runs its group's batches in batch order (on
+    /// helper threads where the staged work pays for them), and the
+    /// results merge back deterministically in global batch order. After an *execution* error (exotic backend
     /// failures only — planning errors surface identically in both
     /// modes) the service should be discarded in either mode.
     Grouped,
@@ -556,9 +559,9 @@ impl ServiceBuilder {
         self
     }
 
-    /// Plans the head batch on the top-`k` routing candidates
-    /// concurrently (`std::thread::scope`) instead of walking them one
-    /// at a time. Deterministic by construction: the committed winner
+    /// Plans the head batch on the top-`k` routing candidates up
+    /// front (concurrently where the planning work pays for helper
+    /// threads) instead of walking them one at a time. Deterministic by construction: the committed winner
     /// is always the **first** candidate in `(score, free time,
     /// registration)` order whose plan succeeds — exactly the `k = 1`
     /// sequential winner; speculation precomputes outcomes, it never
@@ -693,6 +696,7 @@ impl ServiceBuilder {
             default_strategy_fp,
             exec_ns: 0,
             plan_ns: 0,
+            plans_timed: 0,
         })
     }
 }
@@ -786,6 +790,9 @@ pub struct Service {
     /// (mapping/partitioning in [`plan_gated_members`]); under best-k
     /// speculation the per-thread durations are summed.
     plan_ns: u64,
+    /// How many planning runs `plan_ns` sums (their mean sizes the
+    /// speculation fan-out).
+    plans_timed: u64,
 }
 
 impl std::fmt::Debug for Service {
@@ -1445,25 +1452,17 @@ impl Service {
     /// Under [`DispatchSharding::Single`] each batch finishes before
     /// the next one stages, reproducing the seed loop exactly; under
     /// [`DispatchSharding::Grouped`] all batches stage first, each
-    /// device group's batches execute on their own scoped worker, and
+    /// device group's batches execute as one fan-out task, and
     /// the finishes replay in global batch order — bit-for-bit the same
     /// observable sequence, because no staging decision ever reads an
     /// execution result (completion times are plan-derived).
     fn dispatch_until(&mut self, limit: f64) -> Result<(), RuntimeError> {
+        let mode = self.cfg.mode;
         match self.sharding {
             DispatchSharding::Single => {
                 while let Some(staged) = self.stage_one(limit, 0)? {
                     let exec_started = std::time::Instant::now();
-                    let results = execute_members(
-                        &staged.pipeline,
-                        &staged.device,
-                        &staged.plan,
-                        &staged.shots,
-                        staged.batch_seed,
-                        self.cfg.mode,
-                        &staged.parallelism,
-                        &staged.kernels,
-                    );
+                    let results = staged.execute(mode);
                     self.exec_ns = self
                         .exec_ns
                         .saturating_add(exec_started.elapsed().as_nanos() as u64);
@@ -1489,55 +1488,31 @@ impl Service {
                         }
                     }
                 }
-                // Execute per group: one worker per non-empty group,
-                // each running its own batches in batch order.
-                let mode = self.cfg.mode;
+                // Execute per group: one fan-out task per non-empty
+                // group, each running its own batches in batch order.
                 let mut by_group: std::collections::BTreeMap<usize, Vec<usize>> =
                     std::collections::BTreeMap::new();
                 for (i, batch) in staged.iter().enumerate() {
                     by_group.entry(batch.group).or_default().push(i);
                 }
+                let groups: Vec<Vec<usize>> = by_group.into_values().collect();
+                let work: u64 = staged.iter().map(StagedBatch::work).sum();
+                let executed = run_indexed(groups.len(), work, |g| {
+                    groups[g]
+                        .iter()
+                        .map(|&i| {
+                            let started = std::time::Instant::now();
+                            let results = staged[i].execute(mode);
+                            (i, results, started.elapsed().as_nanos() as u64)
+                        })
+                        .collect::<Vec<_>>()
+                });
                 let mut slots: Vec<Option<Result<Vec<ProgramResult>, RuntimeError>>> =
                     staged.iter().map(|_| None).collect();
-                let mut exec_ns = 0u64;
-                std::thread::scope(|scope| {
-                    let staged = &staged;
-                    let handles: Vec<_> = by_group
-                        .values()
-                        .map(|indices| {
-                            scope.spawn(move || {
-                                indices
-                                    .iter()
-                                    .map(|&i| {
-                                        let b = &staged[i];
-                                        let started = std::time::Instant::now();
-                                        let r = execute_members(
-                                            &b.pipeline,
-                                            &b.device,
-                                            &b.plan,
-                                            &b.shots,
-                                            b.batch_seed,
-                                            mode,
-                                            &b.parallelism,
-                                            &b.kernels,
-                                        );
-                                        (i, r, started.elapsed().as_nanos() as u64)
-                                    })
-                                    .collect::<Vec<_>>()
-                            })
-                        })
-                        .collect();
-                    for handle in handles {
-                        let outcomes = handle
-                            .join()
-                            .unwrap_or_else(|p| std::panic::resume_unwind(p));
-                        for (i, result, ns) in outcomes {
-                            exec_ns = exec_ns.saturating_add(ns);
-                            slots[i] = Some(result);
-                        }
-                    }
-                });
-                self.exec_ns = self.exec_ns.saturating_add(exec_ns);
+                for (i, results, ns) in executed.into_iter().flatten() {
+                    self.exec_ns = self.exec_ns.saturating_add(ns);
+                    slots[i] = Some(results);
+                }
                 // Deterministic merge: finish in global batch order,
                 // surfacing the first batch-order execution error
                 // (matching which error the serial loop would report).
@@ -2084,10 +2059,14 @@ impl Service {
             head_strategy,
             members,
         );
-        self.plan_ns = self
-            .plan_ns
-            .saturating_add(plan_started.elapsed().as_nanos() as u64);
+        self.record_planning(plan_started.elapsed().as_nanos() as u64);
         self.memoize_plan(d, fp, fresh)
+    }
+
+    /// Books one timed [`plan_gated_members`] run.
+    fn record_planning(&mut self, ns: u64) {
+        self.plan_ns = self.plan_ns.saturating_add(ns);
+        self.plans_timed += 1;
     }
 
     /// The plan-cache key of one candidate's batch: device epoch, gate
@@ -2165,11 +2144,10 @@ impl Service {
     /// Cap probes and packs run **sequentially in ranked order** — they
     /// mutate the route cache, and a deterministic mutation order keeps
     /// the cache stream reproducible. Planning (the expensive part) then
-    /// runs concurrently under `std::thread::scope`: it is a pure
-    /// function of (device, circuits, strategy), so concurrency can
-    /// change wall-clock only, never an outcome. Losing candidates'
-    /// probes stay in the route cache and warm later dispatches.
-    #[allow(clippy::too_many_arguments)]
+    /// fans out through [`run_indexed`]: it is a pure function of
+    /// (device, circuits, strategy), so concurrency can change
+    /// wall-clock only, never an outcome. Losing candidates' probes
+    /// stay in the route cache and warm later dispatches.
     #[allow(clippy::too_many_arguments)]
     fn speculate(
         &mut self,
@@ -2190,7 +2168,8 @@ impl Service {
             Ready {
                 d: usize,
                 pack: CandidatePack,
-                members: PlanMembers,
+                /// Taken by the one fan-out task that plans it.
+                members: std::sync::Mutex<Option<PlanMembers>>,
                 fp: Option<u64>,
             },
             Done(SpecOutcome),
@@ -2251,7 +2230,7 @@ impl Service {
                                     Prep::Ready {
                                         d,
                                         pack,
-                                        members,
+                                        members: std::sync::Mutex::new(Some(members)),
                                         fp,
                                     }
                                 }
@@ -2273,83 +2252,50 @@ impl Service {
         let gate = self.efs_gate;
         let optimize = self.cfg.optimize;
         let registry = &self.registry;
-        struct FreshSlot {
-            d: usize,
-            fp: Option<u64>,
-            pack: CandidatePack,
-            gated: Result<GatedPlan, RuntimeError>,
-        }
-        enum RawSlot {
-            Done(SpecOutcome),
-            Fresh(Box<FreshSlot>),
-        }
-        let (raw, plan_ns) = std::thread::scope(|scope| {
-            let slots: Vec<_> = preps
-                .into_iter()
-                .map(|prep| match prep {
-                    Prep::Done(outcome) => Ok(RawSlot::Done(outcome)),
-                    Prep::Ready {
-                        d,
-                        pack,
+        // The fan-out's work estimate is measured, not guessed: this
+        // service's own mean planning time per candidate still to plan.
+        // Before the first measurement it is zero — the candidates plan
+        // inline, and that takes the measurement.
+        let ready = preps.iter().filter(|p| matches!(p, Prep::Ready { .. }));
+        let work = ready.count() as u64 * (self.plan_ns / self.plans_timed.max(1) / WORK_UNIT_NS);
+        let planned = run_indexed(preps.len(), work, |i| match &preps[i] {
+            Prep::Ready { d, members, .. } => {
+                let members = members.lock().expect("no planner panics holding it").take();
+                members.map(|members| {
+                    let plan_started = std::time::Instant::now();
+                    let gated = plan_gated_members(
+                        pipeline,
+                        registry.device_at(*d),
+                        batch_index,
+                        gate,
+                        optimize,
+                        head_strategy,
                         members,
-                        fp,
-                    } => {
-                        let device = registry.device_at(d);
-                        Err(Box::new((
-                            d,
-                            fp,
-                            pack,
-                            scope.spawn(move || {
-                                let plan_started = std::time::Instant::now();
-                                let gated = plan_gated_members(
-                                    pipeline,
-                                    device,
-                                    batch_index,
-                                    gate,
-                                    optimize,
-                                    head_strategy,
-                                    members,
-                                );
-                                (gated, plan_started.elapsed().as_nanos() as u64)
-                            }),
-                        )))
-                    }
+                    );
+                    (gated, plan_started.elapsed().as_nanos() as u64)
                 })
-                .collect();
-            let mut plan_ns = 0u64;
-            let raw: Vec<RawSlot> = slots
-                .into_iter()
-                .map(|slot| match slot {
-                    Ok(done) => done,
-                    Err(pending) => {
-                        let (d, fp, pack, handle) = *pending;
-                        let (gated, elapsed) = handle
-                            .join()
-                            .unwrap_or_else(|p| std::panic::resume_unwind(p));
-                        plan_ns = plan_ns.saturating_add(elapsed);
-                        RawSlot::Fresh(Box::new(FreshSlot { d, fp, pack, gated }))
-                    }
-                })
-                .collect();
-            (raw, plan_ns)
+            }
+            Prep::Done(_) => None,
         });
-        self.plan_ns = self.plan_ns.saturating_add(plan_ns);
-        // Memoization runs after the scope, again in ranked order: the
+        // Memoization runs after the fan-out, in ranked order: the
         // cache sees the same insertion sequence the sequential path
         // would produce for these candidates.
-        raw.into_iter()
-            .map(|slot| {
-                Some(match slot {
-                    RawSlot::Done(outcome) => outcome,
-                    RawSlot::Fresh(fresh) => {
-                        let FreshSlot { d, fp, pack, gated } = *fresh;
-                        let plan = self.memoize_plan(d, fp, gated);
-                        SpecOutcome::Planned {
-                            pack,
-                            plan: Box::new(plan),
-                        }
-                    }
-                })
+        preps
+            .into_iter()
+            .zip(planned)
+            .map(|(prep, planned)| match (prep, planned) {
+                (Prep::Done(outcome), _) => Some(outcome),
+                (Prep::Ready { d, pack, fp, .. }, Some((gated, plan_ns))) => {
+                    self.record_planning(plan_ns);
+                    let plan = self.memoize_plan(d, fp, gated);
+                    Some(SpecOutcome::Planned {
+                        pack,
+                        plan: Box::new(plan),
+                    })
+                }
+                // Unreachable (every ready candidate is planned once);
+                // the ranked walk then plans this one itself.
+                (Prep::Ready { .. }, None) => None,
             })
             .collect()
     }
@@ -2660,8 +2606,8 @@ struct GatedPlan {
 /// execution and the event/statistics fold still pending
 /// ([`Service::finish_batch`]). Holds everything execution needs by
 /// value (or behind [`Arc`][std::sync::Arc]), so
-/// [`DispatchSharding::Grouped`] workers can run batches from `&self`
-/// references across scoped threads.
+/// [`DispatchSharding::Grouped`] tasks can run batches from `&self`
+/// references across the fan-out's threads.
 struct StagedBatch {
     device_index: usize,
     /// The device's dispatch group — the unit of execution parallelism
@@ -2752,7 +2698,7 @@ fn replay_plan(
 ///
 /// A free function on purpose: its only inputs are the pre-resolved
 /// members and shared device/pipeline state, so best-k speculation can
-/// run one invocation per candidate on scoped threads.
+/// run one invocation per candidate as fan-out tasks.
 ///
 /// The shrink loop re-plans from cached per-member state: the circuits
 /// are cloned and peephole-optimized **once**, the per-member
@@ -2917,57 +2863,48 @@ fn worst_excess_position(excesses: &[f64]) -> usize {
     pos
 }
 
-/// Executes every program of a planned batch, one scoped thread per
-/// program (or serially under [`ExecutionMode::Serial`]), program `i`'s
-/// shot budget spread per `parallelism[i]` (the job's effective mode:
-/// its per-request override or the service default). Results come back
-/// in program order regardless of thread scheduling.
-#[allow(clippy::too_many_arguments)]
-fn execute_members(
-    pipeline: &Pipeline,
-    device: &Device,
-    plan: &PlannedWorkload,
-    shots: &[usize],
-    batch_seed: u64,
-    mode: ExecutionMode,
-    parallelism: &[ShotParallelism],
-    kernels: &[TrajectoryKernel],
-) -> Result<Vec<ProgramResult>, RuntimeError> {
-    let exec_for = |pos: usize| ExecutionConfig {
-        shots: shots[pos],
-        seed: batch_seed,
-        parallelism: parallelism[pos],
-        kernel: kernels[pos],
-        ..ParallelConfig::default().execution
-    };
-    match mode {
-        ExecutionMode::Serial => (0..shots.len())
-            .map(|pos| {
-                pipeline
-                    .backend
-                    .run_program(device, plan, pos, &exec_for(pos))
-                    .map_err(RuntimeError::Core)
-            })
-            .collect(),
-        ExecutionMode::Concurrent => {
-            let backend = &pipeline.backend;
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = (0..shots.len())
-                    .map(|pos| {
-                        let exec = exec_for(pos);
-                        scope.spawn(move || backend.run_program(device, plan, pos, &exec))
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| {
-                        h.join()
-                            .unwrap_or_else(|p| std::panic::resume_unwind(p))
-                            .map_err(RuntimeError::Core)
-                    })
-                    .collect()
-            })
-        }
+impl StagedBatch {
+    /// Executes every program of the batch through the fan-out helper
+    /// — inline unless the batch's work pays for helper threads, and
+    /// always inline under [`ExecutionMode::Serial`] (a budget of one)
+    /// — program `i`'s shot budget spread per `parallelism[i]` (the
+    /// job's effective mode: its per-request override or the service
+    /// default). Results come back in program order regardless of
+    /// thread scheduling. On failure the error is the first in program
+    /// order under either mode, and the programs after it still run
+    /// (their results are dropped) — `Serial` does not short-circuit.
+    fn execute(&self, mode: ExecutionMode) -> Result<Vec<ProgramResult>, RuntimeError> {
+        let budget = match mode {
+            ExecutionMode::Serial => 1,
+            ExecutionMode::Concurrent => core_budget(),
+        };
+        run_indexed_within(budget, self.shots.len(), self.work(), |pos| {
+            let exec = ExecutionConfig {
+                shots: self.shots[pos],
+                seed: self.batch_seed,
+                parallelism: self.parallelism[pos],
+                kernel: self.kernels[pos],
+                ..ParallelConfig::default().execution
+            };
+            self.pipeline
+                .backend
+                .run_program(&self.device, &self.plan, pos, &exec)
+                .map_err(RuntimeError::Core)
+        })
+        .into_iter()
+        .collect()
+    }
+
+    /// The batch's execution work in the fan-out helper's unit: shots
+    /// times routed gates (a stand-in for scheduled events), summed
+    /// over its programs.
+    fn work(&self) -> u64 {
+        let routed = self.plan.mapped.iter().map(|m| m.circuit.gate_count());
+        self.shots
+            .iter()
+            .zip(routed)
+            .map(|(&shots, gates)| (shots as u64).saturating_mul(gates as u64))
+            .sum()
     }
 }
 

@@ -26,14 +26,16 @@
 
 use std::error::Error;
 use std::fmt;
+use std::sync::OnceLock;
 
 use qucp_circuit::{schedule, Circuit, Gate};
-use qucp_device::{Calibration, Device, Link};
+use qucp_device::{Device, Link};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use crate::alias::AliasTable;
 use crate::counts::Counts;
+use crate::fanout::{core_budget, run_indexed_within};
 use crate::state::Statevector;
 
 /// How the trajectory loop spreads a job's shots over worker threads.
@@ -59,13 +61,14 @@ pub enum ShotParallelism {
     #[default]
     Serial,
     /// Split the shot budget into `shards` deterministic RNG streams
-    /// executed by up to `threads` scoped workers.
+    /// executed by up to `threads` workers (the caller among them;
+    /// helpers join only when a shard's work pays for a thread).
     Sharded {
         /// Number of independent shard streams (0 is treated as 1).
         /// Fixing `shards` fixes the counts; choose it once per
         /// workload, not per machine.
         shards: usize,
-        /// Worker-thread cap (0 = all available cores). Affects only
+        /// Worker cap (0 = the process's core budget). Affects only
         /// wall-clock time, never the counts.
         threads: usize,
     },
@@ -405,8 +408,7 @@ pub fn noiseless_probabilities(circuit: &Circuit) -> Vec<f64> {
 /// The deterministic noiseless outcome of a circuit, if it has one
 /// (probability above 0.999).
 pub fn ideal_outcome(circuit: &Circuit) -> Option<usize> {
-    let (idx, p) = Statevector::from_circuit(circuit).argmax();
-    (p > 0.999).then_some(idx)
+    Statevector::from_circuit(circuit).deterministic_outcome()
 }
 
 /// Samples `shots` outcomes from the noiseless circuit.
@@ -597,13 +599,20 @@ pub(crate) fn build_plan(
 /// this many amplitudes (2^21 amps ≈ 32 MiB of `Complex`).
 const SNAPSHOT_AMP_LIMIT: usize = 1 << 21;
 
+/// Retention gate for [`PrefixSnapshots`] inside a [`PreparedJob`]:
+/// snapshots of at most this many amplitudes (2^12 amps = 64 KiB) are
+/// kept with the prepared job and shared by every later run; larger
+/// ones are rebuilt by each run and dropped with it, exactly as before
+/// prepared jobs existed — a memory gate, never a behaviour gate.
+const RETAINED_SNAPSHOT_AMP_LIMIT: usize = 1 << 12;
+
 /// Memory gate for the per-stream single-error outcome cache: enabled
 /// only while its worst-case size `events · 16 · 2^n` stays at or
 /// below this many table entries.
 const SINGLE_ERROR_CACHE_LIMIT: usize = 1 << 22;
 
-/// Ideal prefix states of a job's event stream, built once per job for
-/// the [`TrajectoryKernel::SurvivalSkip`] kernel: `states[k]` is the
+/// Ideal prefix states of a job's event stream, built for the
+/// [`TrajectoryKernel::SurvivalSkip`] kernel: `states[k]` is the
 /// state after the first `k` *gate* events applied ideally, which is
 /// exactly the replay state right before any event position whose
 /// clean prefix contains `k` gates. Error shots restore the snapshot
@@ -620,28 +629,39 @@ pub(crate) struct PrefixSnapshots {
 }
 
 impl PrefixSnapshots {
-    /// Builds the snapshots, or `None` when the stream's snapshot
-    /// storage would exceed [`SNAPSHOT_AMP_LIMIT`] (replay then starts
-    /// from `|0…0⟩` as before — a speed gate, never a behaviour gate).
-    fn build(circuit: &Circuit, plan: &TrajectoryPlan) -> Option<Self> {
-        let n = circuit.width();
+    /// Amplitudes the snapshots of a `width`-qubit stream with `plan`'s
+    /// gate events hold, or `None` when the count overflows.
+    fn amps(width: usize, plan: &TrajectoryPlan) -> Option<usize> {
         let gate_events = plan
             .events
             .iter()
             .filter(|(_, _, ev)| matches!(ev, Event::Gate { .. }))
             .count();
-        if (gate_events + 1).checked_shl(n as u32)? > SNAPSHOT_AMP_LIMIT {
+        (gate_events + 1).checked_shl(width as u32)
+    }
+
+    /// Builds the snapshots, or `None` when the stream's snapshot
+    /// storage would exceed `amp_limit` (replay then starts from
+    /// `|0…0⟩` — a speed gate, never a behaviour gate).
+    fn build(
+        width: usize,
+        gates: &[Gate],
+        plan: &TrajectoryPlan,
+        amp_limit: usize,
+    ) -> Option<Self> {
+        let amps = Self::amps(width, plan)?;
+        if amps > amp_limit {
             return None;
         }
-        let mut states = Vec::with_capacity(gate_events + 1);
+        let mut states = Vec::with_capacity(amps >> width);
         let mut gates_before = Vec::with_capacity(plan.events.len());
-        let mut sv = Statevector::zero_state(n);
+        let mut sv = Statevector::zero_state(width);
         states.push(sv.clone());
         let mut k = 0u32;
         for &(_, _, ev) in &plan.events {
             gates_before.push(k);
             if let Event::Gate { index } = ev {
-                sv.apply(&circuit.gates()[index]);
+                sv.apply(&gates[index]);
                 states.push(sv.clone());
                 k += 1;
             }
@@ -704,6 +724,10 @@ pub fn run_noisy(
 /// *serialization* (the CNA baseline delays conflicting CNOTs, which
 /// stretches the schedule).
 ///
+/// Exactly [`PreparedJob::prepare`] followed by one
+/// [`PreparedJob::run`]; callers that execute the same mapped job more
+/// than once keep the [`PreparedJob`] instead.
+///
 /// # Errors
 ///
 /// Returns a [`SimError`] if the layout is malformed or a two-qubit gate
@@ -716,75 +740,251 @@ pub fn run_noisy_with_idle(
     tail_idle: &[f64],
     cfg: &ExecutionConfig,
 ) -> Result<Counts, SimError> {
-    let plan = build_plan(circuit, layout, device, scaling, tail_idle, cfg)?;
-    let ideal = Statevector::from_circuit(circuit);
-    // The alias table answers SurvivalSkip's clean shots in O(1) and
-    // the prefix snapshots let its error shots resume at their first
-    // error; the Replay kernel keeps its bit-pinned paths instead.
-    let (alias, snapshots) = match cfg.kernel {
-        TrajectoryKernel::SurvivalSkip => (
-            Some(AliasTable::from_statevector(&ideal)),
-            PrefixSnapshots::build(circuit, &plan),
-        ),
-        TrajectoryKernel::Replay => (None, None),
-    };
-    // Prefix survival products over the per-qubit readout errors, so
-    // SurvivalSkip jumps straight to the next flipped bit instead of
-    // drawing one Bernoulli per measured qubit.
-    let readout_survival = match cfg.kernel {
-        TrajectoryKernel::SurvivalSkip if cfg.readout_noise => {
-            let cal = device.calibration();
-            let mut surv = Vec::with_capacity(layout.len() + 1);
+    Ok(PreparedJob::prepare(circuit, layout, device, scaling, tail_idle, cfg)?.run(circuit, cfg))
+}
+
+/// The seed- and shot-independent part of a noisy execution, built
+/// once and run any number of times.
+///
+/// Everything here is a pure function of the mapped job, the device
+/// calibration and the three noise flags: the validated layout, the
+/// ALAP event stream with its effective error probabilities and
+/// survival products, the mapped ideal state and the per-qubit readout
+/// flip probabilities — and, built lazily the first time a
+/// [`TrajectoryKernel::SurvivalSkip`] run asks, the clean-shot alias
+/// table, the readout survival products and the prefix snapshots.
+/// Nothing depends on `seed`, `shots`, `parallelism` or `kernel`, so
+/// one prepared job serves every run of the same mapped job under the
+/// same calibration and noise flags, bit-for-bit what
+/// [`run_noisy_with_idle`] computes from scratch. The circuit itself
+/// is not copied: [`PreparedJob::run`] takes it again.
+///
+/// What is kept is bounded: prefix snapshots above 64 KiB are rebuilt
+/// by each run instead of retained, and [`PreparedJob::retained_bytes`]
+/// tells a caching owner what keeping the job costs.
+///
+/// ```
+/// use qucp_circuit::Circuit;
+/// use qucp_device::ibm;
+/// use qucp_sim::{run_noisy, ExecutionConfig, NoiseScaling, PreparedJob};
+///
+/// # fn main() -> Result<(), qucp_sim::SimError> {
+/// let mut bell = Circuit::new(2);
+/// bell.h(0).cx(0, 1);
+/// let dev = ibm::toronto();
+/// let scaling = NoiseScaling::uniform(2);
+/// let cfg = ExecutionConfig::default().with_shots(256);
+/// let prepared = PreparedJob::prepare(&bell, &[0, 1], &dev, &scaling, &[], &cfg)?;
+/// // Every run equals the from-scratch execution of its config.
+/// for seed in [1, 2] {
+///     let cfg = cfg.with_seed(seed);
+///     assert_eq!(prepared.run(&bell, &cfg), run_noisy(&bell, &[0, 1], &dev, &scaling, &cfg)?);
+/// }
+/// # Ok(())
+/// # }
+/// ```
+#[derive(Debug)]
+pub struct PreparedJob {
+    plan: TrajectoryPlan,
+    ideal: Statevector,
+    /// Readout flip probability of each local qubit (the calibrated
+    /// readout error of the physical qubit carrying it).
+    readout_p: Vec<f64>,
+    /// The noise flags the job was prepared under.
+    noise: NoiseFlags,
+    survival: OnceLock<SurvivalTables>,
+}
+
+/// The SurvivalSkip kernel's share of a [`PreparedJob`].
+#[derive(Debug)]
+struct SurvivalTables {
+    /// O(1) clean-shot sampler over the mapped ideal distribution.
+    alias: AliasTable,
+    /// Ideal prefix states for first-error replay resumption, kept
+    /// only up to [`RETAINED_SNAPSHOT_AMP_LIMIT`].
+    snapshots: Option<PrefixSnapshots>,
+    /// Prefix survival products over the per-qubit readout errors
+    /// (length `width + 1`), so the kernel jumps straight to the next
+    /// flipped bit; `None` with readout noise off.
+    readout_survival: Option<Vec<f64>>,
+}
+
+/// The noise channels of an [`ExecutionConfig`]: all of a config a
+/// [`PreparedJob`] depends on.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct NoiseFlags {
+    gate: bool,
+    readout: bool,
+    idle: bool,
+}
+
+impl NoiseFlags {
+    fn of(cfg: &ExecutionConfig) -> Self {
+        NoiseFlags {
+            gate: cfg.gate_noise,
+            readout: cfg.readout_noise,
+            idle: cfg.idle_noise,
+        }
+    }
+}
+
+impl PreparedJob {
+    /// Validates the mapped job and builds its run-independent state.
+    /// Of `cfg` only the three noise flags are read.
+    ///
+    /// # Errors
+    ///
+    /// Returns a [`SimError`] if the layout is malformed or a two-qubit
+    /// gate is not executable on the topology.
+    pub fn prepare(
+        circuit: &Circuit,
+        layout: &[usize],
+        device: &Device,
+        scaling: &NoiseScaling,
+        tail_idle: &[f64],
+        cfg: &ExecutionConfig,
+    ) -> Result<Self, SimError> {
+        let plan = build_plan(circuit, layout, device, scaling, tail_idle, cfg)?;
+        let cal = device.calibration();
+        Ok(PreparedJob {
+            plan,
+            ideal: Statevector::from_circuit(circuit),
+            readout_p: layout.iter().map(|&phys| cal.readout_error(phys)).collect(),
+            noise: NoiseFlags::of(cfg),
+            survival: OnceLock::new(),
+        })
+    }
+
+    /// Qubits of the mapped job.
+    fn width(&self) -> usize {
+        self.readout_p.len()
+    }
+
+    /// Whether this job was prepared under `cfg`'s noise flags — the
+    /// only part of a config a prepared job depends on.
+    pub fn matches(&self, cfg: &ExecutionConfig) -> bool {
+        self.noise == NoiseFlags::of(cfg)
+    }
+
+    /// An upper bound on the heap bytes this job keeps alive, the
+    /// lazily built SurvivalSkip tables included whether or not they
+    /// exist yet.
+    pub fn retained_bytes(&self) -> usize {
+        use std::mem::size_of;
+        let outcomes = self.ideal.amplitudes().len();
+        let snapshot_amps = PrefixSnapshots::amps(self.width(), &self.plan)
+            .filter(|&amps| amps <= RETAINED_SNAPSHOT_AMP_LIMIT)
+            .unwrap_or(0);
+        self.plan.events.len() * (size_of::<(f64, u8, Event)>() + size_of::<f64>())
+            + self.plan.error_p.len() * size_of::<f64>()
+            + 2 * self.width() * size_of::<f64>()
+            // Ideal state, alias table (threshold + alias per outcome).
+            + outcomes * (size_of::<crate::math::Complex>() + size_of::<f64>() + size_of::<u32>())
+            + snapshot_amps * size_of::<crate::math::Complex>()
+    }
+
+    /// Runs `cfg.shots` trajectories of `circuit` — the circuit the job
+    /// was prepared from — from `cfg.seed` under `cfg.kernel` and
+    /// `cfg.parallelism`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `circuit` has another width or gate count than the
+    /// prepared one, or if `cfg`'s noise flags differ from the ones the
+    /// job was prepared under ([`PreparedJob::matches`]): the event
+    /// stream and error probabilities were fixed by them.
+    pub fn run(&self, circuit: &Circuit, cfg: &ExecutionConfig) -> Counts {
+        assert_eq!(
+            (circuit.width(), circuit.gate_count()),
+            (self.width(), self.plan.error_p.len()),
+            "run with a circuit other than the prepared one"
+        );
+        let gates = circuit.gates();
+        assert!(
+            self.matches(cfg),
+            "prepared under {:?}, run under {:?}",
+            self.noise,
+            NoiseFlags::of(cfg)
+        );
+        // The Replay kernel keeps its bit-pinned paths and needs none
+        // of the tables.
+        let tables = match cfg.kernel {
+            TrajectoryKernel::SurvivalSkip => {
+                Some(self.survival.get_or_init(|| self.tables(gates)))
+            }
+            TrajectoryKernel::Replay => None,
+        };
+        // Snapshots past the retention gate live for this run only.
+        let rebuilt = match tables {
+            Some(t) if t.snapshots.is_none() => {
+                PrefixSnapshots::build(self.width(), gates, &self.plan, SNAPSHOT_AMP_LIMIT)
+            }
+            _ => None,
+        };
+        let job = TrajectoryJob {
+            width: self.width(),
+            gates,
+            readout_p: &self.readout_p,
+            plan: &self.plan,
+            ideal: &self.ideal,
+            alias: tables.map(|t| &t.alias),
+            snapshots: tables
+                .and_then(|t| t.snapshots.as_ref())
+                .or(rebuilt.as_ref()),
+            readout_survival: tables.and_then(|t| t.readout_survival.as_deref()),
+            cfg,
+        };
+        match cfg.parallelism.resolve(cfg.shots) {
+            ShotParallelism::Serial => job.run_stream(cfg.shots, cfg.seed),
+            ShotParallelism::Sharded { shards, threads } => job.run_sharded(shards, threads),
+            ShotParallelism::Auto => unreachable!("Auto resolves to Sharded"),
+        }
+    }
+
+    /// Builds the SurvivalSkip tables (deterministic, no RNG).
+    fn tables(&self, gates: &[Gate]) -> SurvivalTables {
+        let readout_survival = self.noise.readout.then(|| {
+            let mut surv = Vec::with_capacity(self.width() + 1);
             let mut s = 1.0f64;
             surv.push(s);
-            for &phys in layout {
-                s *= 1.0 - cal.readout_error(phys);
+            for &p in &self.readout_p {
+                s *= 1.0 - p;
                 surv.push(s);
             }
-            Some(surv)
+            surv
+        });
+        SurvivalTables {
+            alias: AliasTable::from_statevector(&self.ideal),
+            snapshots: PrefixSnapshots::build(
+                self.width(),
+                gates,
+                &self.plan,
+                RETAINED_SNAPSHOT_AMP_LIMIT,
+            ),
+            readout_survival,
         }
-        _ => None,
-    };
-    let job = TrajectoryJob {
-        circuit,
-        layout,
-        cal: device.calibration(),
-        plan: &plan,
-        ideal: &ideal,
-        alias: alias.as_ref(),
-        snapshots: snapshots.as_ref(),
-        readout_survival: readout_survival.as_deref(),
-        cfg,
-    };
-    Ok(match cfg.parallelism.resolve(cfg.shots) {
-        ShotParallelism::Serial => job.run_stream(cfg.shots, cfg.seed),
-        ShotParallelism::Sharded { shards, threads } => job.run_sharded(shards, threads),
-        ShotParallelism::Auto => unreachable!("Auto resolves to Sharded"),
-    })
+    }
 }
 
 /// Everything a trajectory stream shares with every other stream of the
-/// same job: the mapped circuit, the pre-built [`TrajectoryPlan`], the
-/// cached ideal state and the calibration. Plain shared references —
-/// the plan is built **once** per job and read concurrently by every
-/// shard worker.
+/// same run: views into the [`PreparedJob`] plus the run's config.
+/// Plain shared references, read concurrently by every shard worker.
 #[derive(Clone, Copy)]
 struct TrajectoryJob<'a> {
-    circuit: &'a Circuit,
-    layout: &'a [usize],
-    cal: &'a Calibration,
+    width: usize,
+    gates: &'a [Gate],
+    /// Readout flip probability per local qubit.
+    readout_p: &'a [f64],
     plan: &'a TrajectoryPlan,
     ideal: &'a Statevector,
-    /// O(1) clean-shot sampler, built once per job for the
-    /// SurvivalSkip kernel (`None` under Replay).
+    /// O(1) clean-shot sampler (`None` under Replay).
     alias: Option<&'a AliasTable>,
-    /// Ideal prefix states for first-error replay resumption, built
-    /// once per job for the SurvivalSkip kernel (`None` under Replay
-    /// or past the snapshot memory gate).
+    /// Ideal prefix states for first-error replay resumption (`None`
+    /// under Replay or past the snapshot memory gate).
     snapshots: Option<&'a PrefixSnapshots>,
-    /// Prefix survival products over the layout's readout errors
-    /// (length `width + 1`), `Some` only for the SurvivalSkip kernel
-    /// with readout noise on.
+    /// Prefix survival products over the readout errors (length
+    /// `width + 1`), `Some` only for the SurvivalSkip kernel with
+    /// readout noise on.
     readout_survival: Option<&'a [f64]>,
     cfg: &'a ExecutionConfig,
 }
@@ -798,16 +998,16 @@ impl TrajectoryJob<'_> {
     /// state allocates nothing.
     fn run_stream(&self, shots: usize, seed: u64) -> Counts {
         let mut rng = StdRng::seed_from_u64(seed);
-        let mut counts = Counts::new(self.circuit.width());
+        let mut counts = Counts::new(self.width);
         match self.cfg.kernel {
             TrajectoryKernel::Replay => {
-                let mut scratch = ShotScratch::new(self.circuit.width());
+                let mut scratch = ShotScratch::new(self.width);
                 for _ in 0..shots {
                     counts.record(self.run_shot(&mut rng, &mut scratch));
                 }
             }
             TrajectoryKernel::SurvivalSkip => {
-                let mut scratch = ShotScratch::for_survival(self.circuit.width(), self.plan);
+                let mut scratch = ShotScratch::for_survival(self.width, self.plan);
                 for _ in 0..shots {
                     counts.record(self.run_shot_survival(&mut rng, &mut scratch));
                 }
@@ -951,14 +1151,14 @@ impl TrajectoryJob<'_> {
         let Some(surv) = self.readout_survival else {
             return self.apply_readout(measured, rng);
         };
-        let width = self.layout.len();
+        let width = self.width;
         let tail = surv[width];
         let mut from = 0usize;
         while from < width {
             let s_from = surv[from];
             if s_from <= f64::MIN_POSITIVE {
-                for (q, &phys) in self.layout.iter().enumerate().skip(from) {
-                    if rng.gen_bool(self.cal.readout_error(phys)) {
+                for (q, &p) in self.readout_p.iter().enumerate().skip(from) {
+                    if rng.gen_bool(p) {
                         measured ^= 1 << q;
                     }
                 }
@@ -982,7 +1182,7 @@ impl TrajectoryJob<'_> {
     /// [`apply_gate_error`] realizes, drawn up front so the error is
     /// fully typed before the outcome stage picks its path.
     fn draw_gate_error_code(&self, index: usize, rng: &mut StdRng) -> u8 {
-        if self.circuit.gates()[index].is_two_qubit() {
+        if self.gates[index].is_two_qubit() {
             rng.gen_range(1..16) as u8
         } else {
             pauli_code(random_pauli(rng))
@@ -1096,11 +1296,11 @@ impl TrajectoryJob<'_> {
         for (pos, &(_, _, ev)) in self.plan.events.iter().enumerate().skip(start) {
             match ev {
                 Event::Gate { index } => {
-                    sv.apply(&self.circuit.gates()[index]);
+                    sv.apply(&self.gates[index]);
                     if let Some(&&(epos, code)) = pending.peek() {
                         if epos == pos {
                             pending.next();
-                            apply_typed_gate_error(sv, &self.circuit.gates()[index], code);
+                            apply_typed_gate_error(sv, &self.gates[index], code);
                         }
                     }
                 }
@@ -1129,10 +1329,10 @@ impl TrajectoryJob<'_> {
         for (pos, &(_, _, ev)) in events.iter().enumerate() {
             match ev {
                 Event::Gate { index } => {
-                    sv.apply(&self.circuit.gates()[index]);
+                    sv.apply(&self.gates[index]);
                     if gate_err.peek() == Some(&&pos) {
                         gate_err.next();
-                        apply_gate_error(sv, &self.circuit.gates()[index], rng);
+                        apply_gate_error(sv, &self.gates[index], rng);
                     }
                 }
                 Event::Idle { q, .. } => {
@@ -1148,11 +1348,11 @@ impl TrajectoryJob<'_> {
         sv.sample(rng)
     }
 
-    /// Flips each measured bit with its physical qubit's readout error.
+    /// Flips each measured bit with its qubit's readout error.
     fn apply_readout(&self, mut measured: usize, rng: &mut StdRng) -> usize {
         if self.cfg.readout_noise {
-            for (q, &phys) in self.layout.iter().enumerate() {
-                if rng.gen_bool(self.cal.readout_error(phys)) {
+            for (q, &p) in self.readout_p.iter().enumerate() {
+                if rng.gen_bool(p) {
                     measured ^= 1 << q;
                 }
             }
@@ -1162,8 +1362,8 @@ impl TrajectoryJob<'_> {
 
     /// Sharded execution: the shot budget splits into `shards` streams
     /// (as even as possible, earlier shards take the remainder), shard
-    /// `s` is seeded with [`derive_shard_seed`]`(seed, s)`, workers
-    /// claim shards off a shared counter, and the per-shard counts
+    /// `s` is seeded with [`derive_shard_seed`]`(seed, s)`, the shards
+    /// fan out through [`run_indexed_within`] and the per-shard counts
     /// merge **in shard order** — so the result is a pure function of
     /// `(seed, shards)`, independent of `threads` and of scheduling.
     ///
@@ -1175,64 +1375,28 @@ impl TrajectoryJob<'_> {
         let shards = shards.max(1);
         let shots = self.cfg.shots;
         let (base, rem) = (shots / shards, shots % shards);
-        let shard_shots = |s: usize| base + usize::from(s < rem);
         // Every shard past `active` is empty (base == 0 means only the
         // first `rem` shards got the remainder shot).
         let active = if base == 0 { rem } else { shards };
-
-        let threads = if threads == 0 {
-            std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
-        } else {
-            threads
-        };
-        let threads = threads.min(active).max(1);
-
-        let mut partials: Vec<(usize, Counts)> = if threads == 1 {
-            (0..active)
-                .map(|s| {
-                    (
-                        s,
-                        self.run_stream(shard_shots(s), derive_shard_seed(self.cfg.seed, s)),
-                    )
-                })
-                .collect()
-        } else {
-            let next = std::sync::atomic::AtomicUsize::new(0);
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = (0..threads)
-                    .map(|_| {
-                        let next = &next;
-                        scope.spawn(move || {
-                            let mut done: Vec<(usize, Counts)> = Vec::new();
-                            loop {
-                                let s = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                                if s >= active {
-                                    break done;
-                                }
-                                done.push((
-                                    s,
-                                    self.run_stream(
-                                        shard_shots(s),
-                                        derive_shard_seed(self.cfg.seed, s),
-                                    ),
-                                ));
-                            }
-                        })
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .flat_map(|h| h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
-                    .collect()
-            })
-        };
-        partials.sort_unstable_by_key(|&(s, _)| s);
-        let mut counts = Counts::new(self.circuit.width());
-        for (_, partial) in &partials {
+        let budget = if threads == 0 { core_budget() } else { threads };
+        let partials = run_indexed_within(budget, active, run_work(shots, self.plan), |s| {
+            self.run_stream(
+                base + usize::from(s < rem),
+                derive_shard_seed(self.cfg.seed, s),
+            )
+        });
+        let mut counts = Counts::new(self.width);
+        for partial in &partials {
             counts.merge(partial);
         }
         counts
     }
+}
+
+/// A whole run's work in the fan-out helper's unit: shots times
+/// scheduled events, however the shots are sharded.
+fn run_work(shots: usize, plan: &TrajectoryPlan) -> u64 {
+    (shots as u64).saturating_mul(plan.events.len() as u64)
 }
 
 /// Reusable per-stream scratch of the trajectory hot loop.
@@ -1967,6 +2131,170 @@ mod tests {
         assert!(matches!(e, SimError::LayoutMismatch { .. }));
     }
 
+    /// A 4-qubit, 24-gate job: deep enough that an 8-shard split of
+    /// 16 384 shots clears the fan-out's spawn floor, so explicit
+    /// thread counts really run on helper threads.
+    fn ladder() -> Circuit {
+        let mut c = Circuit::new(4);
+        for _ in 0..4 {
+            c.h(0).cx(0, 1).cx(1, 2).cx(2, 3).rz(3, 0.3).x(1);
+        }
+        c
+    }
+
+    #[test]
+    fn prepared_replay_equals_fresh_execution() {
+        // One prepared job, run under every kernel x parallelism pair,
+        // several seeds and shot budgets, in an order that builds the
+        // SurvivalSkip tables midway: every run must equal the
+        // from-scratch execution of the same config bit for bit.
+        let dev = line_device(4, 0.03, 0.02);
+        let c = ladder();
+        let layout = [0, 1, 2, 3];
+        let scaling = NoiseScaling::uniform(c.gate_count());
+        let tail = [0.0, 250.0, 0.0, 0.0];
+        let base = ExecutionConfig::default();
+        let prepared = PreparedJob::prepare(&c, &layout, &dev, &scaling, &tail, &base).unwrap();
+        let modes = [
+            ShotParallelism::Serial,
+            ShotParallelism::Sharded {
+                shards: 8,
+                threads: 1,
+            },
+            ShotParallelism::Sharded {
+                shards: 8,
+                threads: 2,
+            },
+            ShotParallelism::Sharded {
+                shards: 8,
+                threads: 4,
+            },
+            ShotParallelism::Auto,
+        ];
+        for (shots, seed) in [(1, 3), (700, 11), (16_384, 0xC0FFEE)] {
+            for kernel in [TrajectoryKernel::Replay, TrajectoryKernel::SurvivalSkip] {
+                let mut sharded = Vec::new();
+                for mode in modes {
+                    let cfg = base
+                        .with_shots(shots)
+                        .with_seed(seed)
+                        .with_kernel(kernel)
+                        .with_parallelism(mode);
+                    let fresh = run_noisy_with_idle(&c, &layout, &dev, &scaling, &tail, &cfg);
+                    let replayed = prepared.run(&c, &cfg);
+                    assert_eq!(replayed, fresh.unwrap(), "{kernel:?} {mode:?} {shots}");
+                    assert_eq!(replayed, prepared.run(&c, &cfg), "replay is repeatable");
+                    if matches!(mode, ShotParallelism::Sharded { .. }) {
+                        sharded.push(replayed);
+                    }
+                }
+                // Thread counts never change sharded counts.
+                assert!(sharded.windows(2).all(|w| w[0] == w[1]));
+            }
+        }
+    }
+
+    #[test]
+    fn paper_sized_auto_job_on_a_small_circuit_still_earns_helpers() {
+        // 8192 shots under Auto are 16 shards of 512: on a one-round
+        // ladder no single shard clears the spawn floor, the job does
+        // many times over — so it must fill a multi-core budget, while
+        // the same circuit at one or eight shots stays on the caller.
+        use crate::fanout::{workers_for, SPAWN_WORK_FLOOR};
+        let dev = line_device(4, 0.03, 0.02);
+        let mut c = Circuit::new(4);
+        c.h(0).cx(0, 1).cx(1, 2).cx(2, 3).rz(3, 0.3).x(1);
+        let cfg = ExecutionConfig::default();
+        let scaling = NoiseScaling::uniform(c.gate_count());
+        let prepared =
+            PreparedJob::prepare(&c, &[0, 1, 2, 3], &dev, &scaling, &[0.0; 4], &cfg).unwrap();
+        let ShotParallelism::Sharded { shards, .. } = ShotParallelism::Auto.resolve(8192) else {
+            panic!("Auto resolves to a sharded split");
+        };
+        assert!(run_work(8192 / shards, &prepared.plan) < SPAWN_WORK_FLOOR);
+        for budget in [2, 4] {
+            let work = run_work(8192, &prepared.plan);
+            assert_eq!(workers_for(budget, shards, work), budget);
+        }
+        for shots in [1, 8] {
+            assert_eq!(workers_for(8, shots, run_work(shots, &prepared.plan)), 1);
+        }
+    }
+
+    #[test]
+    fn prepared_job_is_keyed_on_the_noise_flags() {
+        let dev = line_device(2, 0.05, 0.02);
+        let cfg = ExecutionConfig::default().with_shots(50);
+        let prepared =
+            PreparedJob::prepare(&bell(), &[0, 1], &dev, &NoiseScaling::uniform(2), &[], &cfg)
+                .unwrap();
+        // Shots, seed, kernel and parallelism are free per run.
+        assert!(prepared.matches(
+            &cfg.with_shots(9)
+                .with_seed(1)
+                .with_kernel(TrajectoryKernel::SurvivalSkip)
+                .with_parallelism(ShotParallelism::Auto)
+        ));
+        for flip in 0..3 {
+            let mut other = cfg;
+            match flip {
+                0 => other.gate_noise = false,
+                1 => other.readout_noise = false,
+                _ => other.idle_noise = false,
+            }
+            assert!(!prepared.matches(&other));
+            let refused = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                prepared.run(&bell(), &other)
+            }));
+            assert!(refused.is_err(), "flag {flip} must not replay");
+        }
+        // Nor does another circuit run on this job's event stream.
+        let mut longer = bell();
+        longer.x(0);
+        let refused =
+            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| prepared.run(&longer, &cfg)));
+        assert!(refused.is_err());
+    }
+
+    #[test]
+    fn prepared_job_retains_a_bounded_amount() {
+        let dev = line_device(10, 0.02, 0.01);
+        let cfg = ExecutionConfig::default()
+            .with_shots(64)
+            .with_kernel(TrajectoryKernel::SurvivalSkip);
+        // 10 qubits x 28 gate events: 29 * 2^10 snapshot amplitudes,
+        // past the retention gate — rebuilt per run, never kept.
+        let mut wide = Circuit::new(10);
+        for _ in 0..3 {
+            wide.h(0);
+            for q in 1..10 {
+                wide.cx(q - 1, q);
+            }
+        }
+        let layout = trivial_layout(10);
+        let scaling = NoiseScaling::uniform(wide.gate_count());
+        let prepared = PreparedJob::prepare(&wide, &layout, &dev, &scaling, &[], &cfg).unwrap();
+        let before = prepared.retained_bytes();
+        let counts = prepared.run(&wide, &cfg);
+        assert_eq!(
+            counts,
+            run_noisy(&wide, &layout, &dev, &scaling, &cfg).unwrap()
+        );
+        let tables = prepared.survival.get().expect("SurvivalSkip built them");
+        assert!(tables.snapshots.is_none());
+        assert_eq!(prepared.retained_bytes(), before, "the bound is shape-only");
+        // State + alias table dominate: 2^10 * 28 B, plus the stream.
+        assert!(before < 64 * 1024, "retains {before} B");
+
+        // A small job keeps its snapshots and counts them in the bound.
+        let small =
+            PreparedJob::prepare(&bell(), &[0, 1], &dev, &NoiseScaling::uniform(2), &[], &cfg)
+                .unwrap();
+        small.run(&bell(), &cfg);
+        assert!(small.survival.get().expect("built").snapshots.is_some());
+        assert!(small.retained_bytes() < 1024);
+    }
+
     #[test]
     fn kernel_builders_and_default() {
         assert_eq!(TrajectoryKernel::default(), TrajectoryKernel::Replay);
@@ -2013,6 +2341,7 @@ mod tests {
         assert_send_sync::<SimError>();
         assert_send_sync::<Circuit>();
         assert_send_sync::<Device>();
+        assert_send_sync::<PreparedJob>();
     }
 
     #[test]

@@ -21,10 +21,23 @@
 //! [`run_ideal`], …) is a free function over `Send + Sync` inputs
 //! ([`ExecutionConfig`] is `Copy`; circuits, devices and
 //! [`NoiseScaling`] are plain data) with no interior mutability or
-//! global state — each call owns its RNG, seeded from the config. The
+//! global state — each call owns its RNG, seeded from the config. A
+//! [`PreparedJob`] — the seed- and shot-independent half of
+//! [`run_noisy_with_idle`], kept by callers that run one mapped job
+//! many times — is `Send + Sync` too and shared by reference. The
 //! `qucp-runtime` batch scheduler relies on this to execute the
-//! programs of a batch concurrently, one thread per program; a
-//! compile-time assertion in this crate's tests pins the guarantee.
+//! programs of a batch concurrently; a compile-time assertion in this
+//! crate's tests pins the guarantee.
+//!
+//! ## Fan-out
+//!
+//! Every parallel loop of the workspace is one call to
+//! [`run_indexed`]: the caller claims tasks off an atomic index
+//! itself, helper threads join only when the process's core budget
+//! ([`core_budget`], read once) exceeds one and the fan-out's
+//! estimated total work gives each worker a [`SPAWN_WORK_FLOOR`] of
+//! it, results return in index order and a task panic resumes on the
+//! caller.
 //!
 //! ## Shot-sharded parallelism
 //!
@@ -32,7 +45,7 @@
 //! and [`ExecutionConfig::parallelism`] exploits that:
 //! [`ShotParallelism::Sharded`] splits the shot budget into a fixed
 //! number of *shards*, each an independent sequential RNG stream,
-//! executed by scoped worker threads. [`ShotParallelism::Auto`] picks
+//! fanned out over worker threads. [`ShotParallelism::Auto`] picks
 //! the shard count from the shot budget itself
 //! ([`auto_shard_count`]: one shard per 512 shots, capped at 32) so
 //! callers need not hand-tune the split — the resolution depends only
@@ -112,6 +125,7 @@ mod alias;
 mod counts;
 pub mod density;
 mod executor;
+mod fanout;
 pub mod math;
 pub mod metrics;
 mod state;
@@ -123,8 +137,9 @@ pub use density::{apply_readout_confusion, exact_probabilities, DensityMatrix};
 pub use executor::{
     auto_shard_count, clean_shot_probability, derive_shard_seed, gate_durations, ideal_outcome,
     noiseless_probabilities, run_ideal, run_noisy, run_noisy_with_idle, trivial_layout,
-    ExecutionConfig, NoiseScaling, ShotParallelism, SimError, TrajectoryKernel, AUTO_MAX_SHARDS,
-    AUTO_SHOTS_PER_SHARD,
+    ExecutionConfig, NoiseScaling, PreparedJob, ShotParallelism, SimError, TrajectoryKernel,
+    AUTO_MAX_SHARDS, AUTO_SHOTS_PER_SHARD,
 };
+pub use fanout::{core_budget, run_indexed, run_indexed_within, SPAWN_WORK_FLOOR, WORK_UNIT_NS};
 pub use state::Statevector;
 pub use unitaries::single_qubit_matrix;

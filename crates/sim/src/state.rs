@@ -252,6 +252,13 @@ impl Statevector {
         best
     }
 
+    /// The outcome this state yields with near certainty (probability
+    /// above 0.999), if it has one.
+    pub fn deterministic_outcome(&self) -> Option<usize> {
+        let (idx, p) = self.argmax();
+        (p > 0.999).then_some(idx)
+    }
+
     /// Fidelity `|⟨self|other⟩|²` with another state.
     ///
     /// # Panics

@@ -119,6 +119,9 @@ proptest! {
     /// same tickets from every tick and drains a bit-identical report
     /// to the [`PlanMemo::Never`] ablation — replayed plans equal fresh
     /// plans, and epoch-keyed invalidation never serves a stale one.
+    /// Every job draws its own kernel and shot-parallelism override, so
+    /// the prepared simulator state a cached plan replays is pinned
+    /// equal to the state a fresh plan rebuilds, bit for bit.
     #[test]
     fn cached_plans_match_fresh_plans_under_drift(
         n in 3usize..8,
@@ -127,7 +130,19 @@ proptest! {
         interval in prop_oneof![Just(40_000.0), Just(250_000.0)],
         split_frac in 0f64..1.0,
         horizons in proptest::collection::vec(0.0f64..2e6, 1usize..4),
+        overrides in proptest::collection::vec(0u8..6, 8),
     ) {
+        let request = |i: usize, job: &qucp_runtime::Job| {
+            let mut req = JobRequest::from_job(job);
+            if overrides[i] % 2 == 1 {
+                req = req.with_trajectory_kernel(qucp_runtime::TrajectoryKernel::SurvivalSkip);
+            }
+            match overrides[i] / 2 {
+                1 => req.with_shot_parallelism(ShotParallelism::Sharded { shards: 3, threads: 2 }),
+                2 => req.with_shot_parallelism(ShotParallelism::Auto),
+                _ => req,
+            }
+        };
         let build = |memo: PlanMemo| {
             let walk = GaussianWalk::new(seed ^ 0xCAFE, interval);
             let builder = aware_fleet_builder(seed).plan_memo(memo).drift(walk);
@@ -144,9 +159,9 @@ proptest! {
         let jobs = synthetic_jobs(n, 300.0, 64, 0xD21F7);
         let split = ((n as f64) * split_frac) as usize;
 
-        for job in &jobs[..split] {
-            let a = cached.submit(JobRequest::from_job(job)).expect("cached submit");
-            let b = fresh.submit(JobRequest::from_job(job)).expect("fresh submit");
+        for (i, job) in jobs.iter().enumerate().take(split) {
+            let a = cached.submit(request(i, job)).expect("cached submit");
+            let b = fresh.submit(request(i, job)).expect("fresh submit");
             prop_assert_eq!(a, b);
         }
         for &t in &horizons {
@@ -156,9 +171,9 @@ proptest! {
             );
             prop_assert_eq!(cached.tick(t).expect("cached tick"), fresh.tick(t).expect("fresh tick"));
         }
-        for job in &jobs[split..] {
-            let a = cached.submit(JobRequest::from_job(job)).expect("cached submit");
-            let b = fresh.submit(JobRequest::from_job(job)).expect("fresh submit");
+        for (i, job) in jobs.iter().enumerate().skip(split) {
+            let a = cached.submit(request(i, job)).expect("cached submit");
+            let b = fresh.submit(request(i, job)).expect("fresh submit");
             prop_assert_eq!(a, b);
         }
         let a = cached.run_until_drained().expect("cached drain");

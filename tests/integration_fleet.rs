@@ -10,7 +10,7 @@ use qucp_circuit::library;
 use qucp_core::strategy;
 use qucp_runtime::{
     Backfill, CalibrationAware, DispatchSharding, Event, ExecutionMode, Fifo, JobRequest, PlanMemo,
-    QueueIndexing, Service, ServiceReport, ShortestJobFirst,
+    QueueIndexing, Service, ServiceReport, ShortestJobFirst, ShotParallelism, TrajectoryKernel,
 };
 
 const NAMES: [&str; 6] = [
@@ -33,11 +33,12 @@ fn policy_service(indexing: QueueIndexing, policy: u8, best_k: usize) -> Service
         PlanMemo::default(),
         DispatchSharding::Single,
         None,
+        ExecutionMode::default(),
     )
 }
 
-/// [`policy_service`] with the planning-memoization and
-/// dispatch-sharding seams exposed.
+/// [`policy_service`] with the planning-memoization, dispatch-sharding
+/// and execution-mode seams exposed.
 fn dispatch_service(
     indexing: QueueIndexing,
     policy: u8,
@@ -45,6 +46,7 @@ fn dispatch_service(
     plan_memo: PlanMemo,
     sharding: DispatchSharding,
     groups: Option<usize>,
+    mode: ExecutionMode,
 ) -> Service {
     let mut builder = Service::builder()
         .registry(qucp_bench::skewed_fleet())
@@ -54,7 +56,8 @@ fn dispatch_service(
         .queue_indexing(indexing)
         .best_k(best_k)
         .plan_memo(plan_memo)
-        .dispatch_sharding(sharding);
+        .dispatch_sharding(sharding)
+        .mode(mode);
     if let Some(groups) = groups {
         builder = builder.device_groups(groups);
     }
@@ -69,15 +72,29 @@ fn dispatch_service(
 /// Materializes one random job spec into a request; `ov` exercises the
 /// per-job strategy-override seam (1 = a genuinely different strategy,
 /// 2 = an explicit override equal to the service default — the interned
-/// fast path).
-fn request_of(i: usize, arrival: f64, name: usize, shots: usize, ov: u8) -> JobRequest {
+/// fast path) and `exec` the per-job execution overrides (bit 0 picks
+/// the SurvivalSkip kernel, the rest no / sharded / auto shot
+/// parallelism), so jobs replaying one cached plan run it under
+/// different kernels and shard splits.
+fn request_of(i: usize, arrival: f64, name: usize, shots: usize, ov: u8, exec: u8) -> JobRequest {
     let mut circuit = library::by_name(NAMES[name % NAMES.len()])
         .expect("library benchmark must exist")
         .circuit();
     circuit.set_name(format!("{}#{i}", NAMES[name % NAMES.len()]));
-    let req = JobRequest::new(circuit, arrival)
+    let mut req = JobRequest::new(circuit, arrival)
         .with_id(i as u64)
         .with_shots(shots);
+    if exec % 2 == 1 {
+        req = req.with_trajectory_kernel(TrajectoryKernel::SurvivalSkip);
+    }
+    req = match exec / 2 {
+        1 => req.with_shot_parallelism(ShotParallelism::Sharded {
+            shards: 3,
+            threads: 2,
+        }),
+        2 => req.with_shot_parallelism(ShotParallelism::Auto),
+        _ => req,
+    };
     match ov {
         1 => req.with_strategy(strategy::cna()),
         2 => req.with_strategy(strategy::qucp(4.0)),
@@ -96,7 +113,7 @@ proptest! {
     #[test]
     fn queue_paths_are_observationally_equivalent(
         jobs in proptest::collection::vec(
-            (0u16..400, 0usize..6, 1usize..3, 0u8..3),
+            (0u16..400, 0usize..6, 1usize..3, 0u8..3, 0u8..6),
             1usize..14,
         ),
         policy in 0u8..3,
@@ -109,9 +126,9 @@ proptest! {
         let reqs: Vec<JobRequest> = jobs
             .iter()
             .enumerate()
-            .map(|(i, &(gap, name, shots, ov))| {
+            .map(|(i, &(gap, name, shots, ov, exec))| {
                 t += f64::from(gap);
-                request_of(i, t, name, shots, ov)
+                request_of(i, t, name, shots, ov, exec)
             })
             .collect();
         let split = ((reqs.len() as f64) * split_frac) as usize;
@@ -145,33 +162,52 @@ proptest! {
     /// policy, any plan-memoization mode, any submit/tick interleaving)
     /// produce exactly the single loop's tickets from every tick and a
     /// bit-identical final report — staging stays sequential, execution
-    /// shards, and the finish pass merges in global batch order.
+    /// shards, and the finish pass merges in global batch order. Each
+    /// side draws its own plan-memoization and execution mode, and
+    /// every job its own kernel and shot-parallelism override: prepared
+    /// state replayed from a cached plan equals state rebuilt for a
+    /// fresh one (`PlanMemo::Never`) under every fan-out shape, on
+    /// either loop.
     #[test]
     fn sharded_dispatch_matches_the_single_loop(
         jobs in proptest::collection::vec(
-            (0u16..400, 0usize..6, 1usize..3, 0u8..3),
+            (0u16..400, 0usize..6, 1usize..3, 0u8..3, 0u8..6),
             1usize..14,
         ),
         policy in 0u8..3,
-        memo in 0u8..2,
+        memos in (0u8..2, 0u8..2),
+        serials in (0u8..2, 0u8..2),
         groups in 1usize..5,
         split_frac in 0f64..1.0,
         tick_gap in 0f64..5e5,
     ) {
-        let plan_memo = if memo == 0 { PlanMemo::EpochKeyed } else { PlanMemo::Never };
+        let memo_of = |m: u8| if m == 0 { PlanMemo::EpochKeyed } else { PlanMemo::Never };
+        let mode_of = |s: u8| if s == 0 { ExecutionMode::Concurrent } else { ExecutionMode::Serial };
         let mut single = dispatch_service(
-            QueueIndexing::Indexed, policy, 1, plan_memo, DispatchSharding::Single, None,
+            QueueIndexing::Indexed,
+            policy,
+            1,
+            memo_of(memos.0),
+            DispatchSharding::Single,
+            None,
+            mode_of(serials.0),
         );
         let mut sharded = dispatch_service(
-            QueueIndexing::Indexed, policy, 1, plan_memo, DispatchSharding::Grouped, Some(groups),
+            QueueIndexing::Indexed,
+            policy,
+            1,
+            memo_of(memos.1),
+            DispatchSharding::Grouped,
+            Some(groups),
+            mode_of(serials.1),
         );
         let mut t = 0.0;
         let reqs: Vec<JobRequest> = jobs
             .iter()
             .enumerate()
-            .map(|(i, &(gap, name, shots, ov))| {
+            .map(|(i, &(gap, name, shots, ov, exec))| {
                 t += f64::from(gap);
-                request_of(i, t, name, shots, ov)
+                request_of(i, t, name, shots, ov, exec)
             })
             .collect();
         let split = ((reqs.len() as f64) * split_frac) as usize;
