@@ -3,9 +3,8 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use qucp_bench::combo_circuits;
-use qucp_core::{allocate_partitions, candidate_partitions, strategy, PartitionPolicy};
+use qucp_core::{allocate_partitions, strategy, PartitionPolicy};
 use qucp_device::ibm;
-use std::collections::BTreeSet;
 use std::hint::black_box;
 
 fn bench_candidates(c: &mut Criterion) {
@@ -14,8 +13,10 @@ fn bench_candidates(c: &mut Criterion) {
     for (name, device) in [("toronto", ibm::toronto()), ("manhattan", ibm::manhattan())] {
         for size in [3usize, 5] {
             group.bench_with_input(BenchmarkId::new(name, size), &size, |b, &size| {
-                let empty = BTreeSet::new();
-                b.iter(|| black_box(candidate_partitions(&device, size, &empty)))
+                // The growth kernel itself: `candidate_partitions` on an
+                // idle chip would only read the device's region atlas.
+                let free = vec![false; device.num_qubits()];
+                b.iter(|| black_box(device.grow_regions(size, &free)))
             });
         }
     }

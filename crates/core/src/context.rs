@@ -51,22 +51,51 @@ pub fn build_context(
     serialize: bool,
 ) -> WorkloadContext {
     // Per-program schedules, ALAP-aligned to the common end time.
-    let mut schedules: Vec<Vec<ScheduledGate>> = Vec::with_capacity(programs.len());
+    let mut schedules = Vec::with_capacity(programs.len());
     let mut makespans = Vec::with_capacity(programs.len());
     for p in programs {
         let durations = gate_durations(&p.circuit, &p.layout, device);
         let sched = alap_schedule_with(&p.circuit, |i, _| durations[i]);
         makespans.push(sched.makespan());
-        schedules.push(sched.entries().to_vec());
+        schedules.push(sched);
     }
     let makespan = makespans.iter().copied().fold(0.0, f64::max);
-    // Align all programs to finish together.
-    for (entries, &m) in schedules.iter_mut().zip(&makespans) {
-        let shift = makespan - m;
-        for e in entries.iter_mut() {
-            e.start += shift;
-        }
-    }
+    // Only two-qubit gates can conflict: keep those, shifted so all
+    // programs finish together, each with the physical link it drives.
+    let two_qubit: Vec<Vec<(ScheduledGate, Link)>> = programs
+        .iter()
+        .zip(&schedules)
+        .map(|(p, sched)| {
+            let shift = makespan - sched.makespan();
+            let gates = p.circuit.gates();
+            sched
+                .entries()
+                .iter()
+                .filter(|e| gates[e.gate_index].is_two_qubit())
+                .map(|e| {
+                    let qs = gates[e.gate_index].qubits();
+                    let qs = qs.as_slice();
+                    let mut aligned = *e;
+                    aligned.start += shift;
+                    (aligned, Link::new(p.layout[qs[0]], p.layout[qs[1]]))
+                })
+                .collect()
+        })
+        .collect();
+    // The distinct links each program drives: a program pair with no
+    // one-hop pair among them has nothing to scan.
+    let driven: Vec<Vec<Link>> = two_qubit
+        .iter()
+        .map(|entries| {
+            let mut links: Vec<Link> = entries.iter().map(|&(_, l)| l).collect();
+            links.sort_unstable();
+            links.dedup();
+            links
+        })
+        .collect();
+    let topo = device.topology();
+    // Disjoint partitions never share a qubit; checked all the same.
+    let one_hop = |a: Link, b: Link| !a.shares_qubit(&b) && topo.link_distance(a, b) == 1;
 
     let mut scalings: Vec<NoiseScaling> = programs
         .iter()
@@ -75,33 +104,17 @@ pub fn build_context(
     let mut extra_delay = vec![0.0f64; programs.len()];
     let mut conflict_count = 0usize;
 
-    let link_of = |p: &MappedProgram, gate_index: usize| -> Option<Link> {
-        let g = &p.circuit.gates()[gate_index];
-        if !g.is_two_qubit() {
-            return None;
-        }
-        let qs = g.qubits();
-        let qs = qs.as_slice();
-        Some(Link::new(p.layout[qs[0]], p.layout[qs[1]]))
-    };
-
     for i in 0..programs.len() {
         for j in i + 1..programs.len() {
-            for ei in &schedules[i] {
-                let Some(li) = link_of(&programs[i], ei.gate_index) else {
-                    continue;
-                };
-                for ej in &schedules[j] {
-                    let Some(lj) = link_of(&programs[j], ej.gate_index) else {
-                        continue;
-                    };
-                    if !ei.overlaps(ej) {
-                        continue;
-                    }
-                    if li.shares_qubit(&lj) {
-                        continue; // disjoint partitions guarantee this
-                    }
-                    if device.topology().link_distance(li, lj) != 1 {
+            let adjacent = driven[i]
+                .iter()
+                .any(|&li| driven[j].iter().any(|&lj| one_hop(li, lj)));
+            if !adjacent {
+                continue;
+            }
+            for &(ei, li) in &two_qubit[i] {
+                for &(ej, lj) in &two_qubit[j] {
+                    if !ei.overlaps(&ej) || !one_hop(li, lj) {
                         continue;
                     }
                     conflict_count += 1;
@@ -223,6 +236,159 @@ mod tests {
         };
         let ctx = build_context(&dev, &[p1, p2], false);
         assert_eq!(ctx.conflict_count, 0, "staggered gates should not overlap");
+    }
+
+    /// The merge as it was: every schedule entry of every program pair
+    /// visited, the driven link re-derived per visit. The oracle for
+    /// [`build_context`]'s pruned scan.
+    fn full_scan_context(
+        device: &Device,
+        programs: &[MappedProgram],
+        serialize: bool,
+    ) -> WorkloadContext {
+        let mut schedules: Vec<Vec<ScheduledGate>> = Vec::with_capacity(programs.len());
+        let mut makespans = Vec::with_capacity(programs.len());
+        for p in programs {
+            let durations = gate_durations(&p.circuit, &p.layout, device);
+            let sched = alap_schedule_with(&p.circuit, |i, _| durations[i]);
+            makespans.push(sched.makespan());
+            schedules.push(sched.entries().to_vec());
+        }
+        let makespan = makespans.iter().copied().fold(0.0, f64::max);
+        for (entries, &m) in schedules.iter_mut().zip(&makespans) {
+            let shift = makespan - m;
+            for e in entries.iter_mut() {
+                e.start += shift;
+            }
+        }
+        let mut scalings: Vec<NoiseScaling> = programs
+            .iter()
+            .map(|p| NoiseScaling::uniform(p.circuit.gate_count()))
+            .collect();
+        let mut extra_delay = vec![0.0f64; programs.len()];
+        let mut conflict_count = 0usize;
+        let link_of = |p: &MappedProgram, gate_index: usize| -> Option<Link> {
+            let g = &p.circuit.gates()[gate_index];
+            if !g.is_two_qubit() {
+                return None;
+            }
+            let qs = g.qubits();
+            let qs = qs.as_slice();
+            Some(Link::new(p.layout[qs[0]], p.layout[qs[1]]))
+        };
+        for i in 0..programs.len() {
+            for j in i + 1..programs.len() {
+                for ei in &schedules[i] {
+                    let Some(li) = link_of(&programs[i], ei.gate_index) else {
+                        continue;
+                    };
+                    for ej in &schedules[j] {
+                        let Some(lj) = link_of(&programs[j], ej.gate_index) else {
+                            continue;
+                        };
+                        if !ei.overlaps(ej)
+                            || li.shares_qubit(&lj)
+                            || device.topology().link_distance(li, lj) != 1
+                        {
+                            continue;
+                        }
+                        conflict_count += 1;
+                        if serialize {
+                            let overlap = (ei.end().min(ej.end())) - (ei.start.max(ej.start));
+                            extra_delay[j] += overlap;
+                        } else {
+                            let gamma = device.crosstalk().gamma(li, lj);
+                            scalings[i].amplify(ei.gate_index, gamma);
+                            scalings[j].amplify(ej.gate_index, gamma);
+                        }
+                    }
+                }
+            }
+        }
+        let tail_idle: Vec<Vec<f64>> = programs
+            .iter()
+            .zip(&extra_delay)
+            .map(|(p, &d)| vec![d; p.circuit.width()])
+            .collect();
+        WorkloadContext {
+            scalings,
+            tail_idle,
+            conflict_count,
+            makespan,
+            serial_runtime: makespans.iter().sum(),
+            program_makespans: makespans,
+        }
+    }
+
+    /// Every float of a context as its bit pattern.
+    fn context_bits(ctx: &WorkloadContext, programs: &[MappedProgram]) -> Vec<u64> {
+        let mut bits = vec![
+            ctx.conflict_count as u64,
+            ctx.makespan.to_bits(),
+            ctx.serial_runtime.to_bits(),
+        ];
+        bits.extend(ctx.program_makespans.iter().map(|m| m.to_bits()));
+        bits.extend(ctx.tail_idle.iter().flatten().map(|d| d.to_bits()));
+        for (scaling, p) in ctx.scalings.iter().zip(programs) {
+            bits.extend((0..p.circuit.gate_count()).map(|g| scaling.factor(g).to_bits()));
+        }
+        bits
+    }
+
+    #[test]
+    fn pruned_scan_equals_the_full_scan_on_random_mapped_workloads() {
+        use crate::mapping::map_program;
+        use crate::partition::{allocate_partitions, PartitionPolicy};
+        use crate::CrosstalkTreatment;
+        use qucp_device::ibm;
+        use rand::{rngs::StdRng, Rng, SeedableRng};
+
+        let dev = ibm::toronto();
+        let mut rng = StdRng::seed_from_u64(0xC0DE);
+        let mut conflicts = 0;
+        for case in 0..60 {
+            // Two to four random programs, dense in two-qubit gates,
+            // packed next to each other by the calibration-blind policy
+            // on even cases and spread by QuCP's on odd ones.
+            let circuits: Vec<Circuit> = (0..rng.gen_range(2..5))
+                .map(|_| {
+                    let width = rng.gen_range(2..6);
+                    let mut c = Circuit::new(width);
+                    for _ in 0..rng.gen_range(1..30) {
+                        let a = rng.gen_range(0..width);
+                        let b = (a + rng.gen_range(1..width)) % width;
+                        if rng.gen_bool(0.6) {
+                            c.cx(a, b);
+                        } else {
+                            c.h(a);
+                        }
+                    }
+                    c
+                })
+                .collect();
+            let refs: Vec<&Circuit> = circuits.iter().collect();
+            let policy = if case % 2 == 0 {
+                PartitionPolicy::TopologyGreedy
+            } else {
+                PartitionPolicy::NoiseAware(CrosstalkTreatment::Sigma(4.0))
+            };
+            let mapped: Vec<MappedProgram> = allocate_partitions(&dev, &refs, &policy)
+                .unwrap()
+                .iter()
+                .map(|a| map_program(&dev, &a.qubits, &circuits[a.program_index]))
+                .collect();
+            for serialize in [false, true] {
+                let pruned = build_context(&dev, &mapped, serialize);
+                let full = full_scan_context(&dev, &mapped, serialize);
+                assert_eq!(
+                    context_bits(&pruned, &mapped),
+                    context_bits(&full, &mapped),
+                    "case {case}, serialize {serialize}"
+                );
+                conflicts += pruned.conflict_count;
+            }
+        }
+        assert!(conflicts > 100, "the cases must exercise the charged path");
     }
 
     #[test]

@@ -13,7 +13,7 @@
 use std::collections::BTreeMap;
 
 use qucp_circuit::Circuit;
-use qucp_device::{Device, Link, LinkPair};
+use qucp_device::{Device, Link, LinkPair, Region};
 
 /// Gate-count statistics of a program, the `#2q`/`#1q` of Eq. (1).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -85,15 +85,37 @@ pub fn efs(
     allocated_links: &[Link],
     treatment: &CrosstalkTreatment,
 ) -> EfsBreakdown {
+    region_efs(
+        device,
+        &device.region(partition),
+        stats,
+        allocated_links,
+        treatment,
+    )
+}
+
+/// [`efs`] of an already measured [`Region`]: with nothing allocated
+/// the score is a few operations on the region's error sums; otherwise
+/// only the CNOT term is recomputed, link by link, with its crosstalk
+/// inflation.
+pub(crate) fn region_efs(
+    device: &Device,
+    region: &Region,
+    stats: &CircuitStats,
+    allocated_links: &[Link],
+    treatment: &CrosstalkTreatment,
+) -> EfsBreakdown {
     let topo = device.topology();
     let cal = device.calibration();
-    let links = topo.links_within(partition);
+    let links = region.links();
     let mut crosstalk_pairs = Vec::new();
     let avg2q = if links.is_empty() {
         0.0
+    } else if allocated_links.is_empty() {
+        region.cx_error_sum() / links.len() as f64
     } else {
         let mut total = 0.0;
-        for &l in &links {
+        for &l in links {
             let mut e = cal.cx_error(l);
             let mut worst = 1.0f64;
             for &al in allocated_links {
@@ -108,9 +130,8 @@ pub fn efs(
         }
         total / links.len() as f64
     };
-    let avg1q =
-        partition.iter().map(|&q| cal.sq_error(q)).sum::<f64>() / partition.len().max(1) as f64;
-    let readout_sum: f64 = partition.iter().map(|&q| cal.readout_error(q)).sum();
+    let avg1q = region.sq_error_sum() / region.qubits().len().max(1) as f64;
+    let readout_sum = region.readout_error_sum();
     EfsBreakdown {
         score: avg2q * stats.two_qubit as f64 + avg1q * stats.single_qubit as f64 + readout_sum,
         avg_two_qubit_error: avg2q,

@@ -70,13 +70,28 @@ pub fn local_topology(device: &Device, partition: &[usize]) -> Topology {
 /// wire quality — subgraph degree, then readout error — when it has no
 /// placed partner yet).
 pub fn initial_mapping(device: &Device, partition: &[usize], circuit: &Circuit) -> Vec<usize> {
+    initial_mapping_on(
+        device,
+        partition,
+        &local_topology(device, partition),
+        circuit,
+    )
+}
+
+/// [`initial_mapping`] on an already built partition-local topology
+/// (`topo` must be `local_topology(device, partition)`).
+pub(crate) fn initial_mapping_on(
+    device: &Device,
+    partition: &[usize],
+    topo: &Topology,
+    circuit: &Circuit,
+) -> Vec<usize> {
     let k = partition.len();
     assert_eq!(
         circuit.width(),
         k,
         "partition size must equal program width"
     );
-    let topo = local_topology(device, partition);
     let cal = device.calibration();
     let weights = circuit.interaction_graph();
     let mut total_weight = vec![0usize; k];
@@ -171,8 +186,27 @@ pub fn route(
     initial: &[usize],
     link_penalty: impl Fn(Link) -> f64,
 ) -> MappedProgram {
+    route_on(
+        device,
+        partition,
+        &local_topology(device, partition),
+        circuit,
+        initial,
+        link_penalty,
+    )
+}
+
+/// [`route`] on an already built partition-local topology (`topo` must
+/// be `local_topology(device, partition)`).
+pub(crate) fn route_on(
+    device: &Device,
+    partition: &[usize],
+    topo: &Topology,
+    circuit: &Circuit,
+    initial: &[usize],
+    link_penalty: impl Fn(Link) -> f64,
+) -> MappedProgram {
     let k = partition.len();
-    let topo = local_topology(device, partition);
     let cal = device.calibration();
     let mut pi: Vec<usize> = initial.to_vec(); // logical -> wire
     let mut routed = Circuit::with_name(k, circuit.name());
@@ -236,8 +270,9 @@ pub fn route(
 
 /// Convenience: initial mapping + routing with no link penalty.
 pub fn map_program(device: &Device, partition: &[usize], circuit: &Circuit) -> MappedProgram {
-    let initial = initial_mapping(device, partition, circuit);
-    route(device, partition, circuit, &initial, |_| 0.0)
+    let topo = local_topology(device, partition);
+    let initial = initial_mapping_on(device, partition, &topo, circuit);
+    route_on(device, partition, &topo, circuit, &initial, |_| 0.0)
 }
 
 #[cfg(test)]

@@ -7,13 +7,32 @@
 //! candidate scoring: CNA-style topology-greedy ignores calibration;
 //! QuCloud-style scoring maximizes "fidelity degree" (link fidelity sums)
 //! without readout or crosstalk terms.
+//!
+//! ## Where the candidates come from
+//!
+//! The growth itself lives with the chip
+//! ([`Device::grow_regions`]). The first program of every allocation —
+//! and so the only program of every solo probe ([`best_partition`],
+//! [`solo_efs_scores`](crate::solo_efs_scores), the `k = 1` baseline of
+//! [`efs_difference`](crate::efs_difference)) — is placed on an *idle*
+//! chip, whose candidates are a pure function of the topology, the
+//! calibration and the program's width. Those are read from the
+//! device's region atlas ([`Device::idle_regions`]): grown once per
+//! calibration snapshot, with their induced links and EFS error sums,
+//! emptied by any mutable borrow of the calibration, retaining at most
+//! one region per qubit per requested width, and no part of the
+//! device's `PartialEq`/`Debug` value. Scoring an idle candidate is
+//! then a handful of floating-point operations, bit-identical to
+//! summing the calibration entries afresh. Only the later programs of a
+//! multi-program allocation, which must grow around the qubits already
+//! taken, pay for growth per call.
 
 use std::collections::BTreeSet;
 
 use qucp_circuit::Circuit;
-use qucp_device::{Device, Link};
+use qucp_device::{Device, Link, Region};
 
-use crate::efs::{efs, CircuitStats, CrosstalkTreatment, EfsBreakdown};
+use crate::efs::{region_efs, CircuitStats, CrosstalkTreatment, EfsBreakdown};
 use crate::error::CoreError;
 
 /// Candidate-scoring policy of the partitioner.
@@ -49,10 +68,10 @@ impl Allocation {
     }
 }
 
-/// Grows connected candidate regions of `size` qubits from every free
-/// seed. Neighbour additions are ranked compactness-first (most links
-/// back into the region — the QuMC growth heuristic, which keeps
-/// routing cheap), then by connecting-link reliability, then readout.
+/// The connected candidate regions of `size` qubits that avoid the
+/// `allocated` qubits: one grown from every free seed
+/// ([`Device::grow_regions`]), read from the device's region atlas when
+/// nothing is allocated.
 ///
 /// Returns deduplicated candidates (each sorted ascending).
 pub fn candidate_partitions(
@@ -60,63 +79,20 @@ pub fn candidate_partitions(
     size: usize,
     allocated: &BTreeSet<usize>,
 ) -> Vec<Vec<usize>> {
-    let topo = device.topology();
-    let cal = device.calibration();
-    let mut seen = BTreeSet::new();
-    let mut out = Vec::new();
-    for seed in 0..topo.num_qubits() {
-        if allocated.contains(&seed) {
-            continue;
-        }
-        let mut region = vec![seed];
-        while region.len() < size {
-            // Frontier: free neighbours of the region, scored by
-            // (links into region desc, connecting link error asc,
-            // readout asc, index asc).
-            let mut best: Option<(usize, f64, f64, usize)> = None;
-            for &q in &region {
-                for &nb in topo.neighbors(q) {
-                    if allocated.contains(&nb) || region.contains(&nb) {
-                        continue;
-                    }
-                    let mut into_region = 0usize;
-                    let mut link_err = f64::INFINITY;
-                    for &r in &region {
-                        if topo.has_link(r, nb) {
-                            into_region += 1;
-                            link_err = link_err.min(cal.cx_error(Link::new(r, nb)));
-                        }
-                    }
-                    let better = match best {
-                        None => true,
-                        Some((bi, be, bro, bnb)) => {
-                            (
-                                std::cmp::Reverse(into_region),
-                                link_err,
-                                cal.readout_error(nb),
-                                nb,
-                            ) < (std::cmp::Reverse(bi), be, bro, bnb)
-                        }
-                    };
-                    if better {
-                        best = Some((into_region, link_err, cal.readout_error(nb), nb));
-                    }
-                }
-            }
-            match best {
-                Some((_, _, _, nb)) => region.push(nb),
-                None => break,
+    let grown;
+    let regions = if allocated.is_empty() {
+        device.idle_regions(size)
+    } else {
+        let mut blocked = vec![false; device.num_qubits()];
+        for &q in allocated {
+            if let Some(flag) = blocked.get_mut(q) {
+                *flag = true;
             }
         }
-        if region.len() == size {
-            let mut sorted = region.clone();
-            sorted.sort_unstable();
-            if seen.insert(sorted.clone()) {
-                out.push(sorted);
-            }
-        }
-    }
-    out
+        grown = device.grow_regions(size, &blocked);
+        &grown
+    };
+    regions.iter().map(|r| r.qubits().to_vec()).collect()
 }
 
 /// Allocates disjoint partitions for `programs` under `policy`.
@@ -148,86 +124,89 @@ pub fn allocate_partitions(
         std::cmp::Reverse((programs[i].width(), programs[i].cx_count(), usize::MAX - i))
     });
 
-    let mut allocated_qubits: BTreeSet<usize> = BTreeSet::new();
+    let mut blocked = vec![false; device.num_qubits()];
     let mut allocated_links: Vec<Link> = Vec::new();
     let mut result: Vec<Option<Allocation>> = vec![None; programs.len()];
 
-    for &pi in &order {
+    for (placed, &pi) in order.iter().enumerate() {
         let program = programs[pi];
         let stats = CircuitStats::of(program);
         let size = program.width();
-        let candidates = candidate_partitions(device, size, &allocated_qubits);
+        let grown;
+        let candidates: &[Region] = if placed == 0 {
+            device.idle_regions(size)
+        } else {
+            grown = device.grow_regions(size, &blocked);
+            &grown
+        };
         if candidates.is_empty() {
             return Err(CoreError::PartitionUnavailable { program: pi, size });
         }
-        let chosen = match policy {
+        let score = |c: &Region, treatment: &CrosstalkTreatment| {
+            region_efs(device, c, &stats, &allocated_links, treatment)
+        };
+        let (region, breakdown) = match policy {
             PartitionPolicy::NoiseAware(treatment) => candidates
-                .into_iter()
-                .map(|c| {
-                    let b = efs(device, &c, &stats, &allocated_links, treatment);
-                    (c, b)
-                })
+                .iter()
+                .map(|c| (c, score(c, treatment)))
                 // `total_cmp` sorts NaN scores last, so a candidate
                 // poisoned by a NaN calibration reading loses to every
                 // finite-scored one instead of panicking the allocator.
-                .min_by(|a, b| a.1.score.total_cmp(&b.1.score).then_with(|| a.0.cmp(&b.0)))
+                .min_by(|a, b| {
+                    a.1.score
+                        .total_cmp(&b.1.score)
+                        .then_with(|| a.0.qubits().cmp(b.0.qubits()))
+                })
                 .expect("candidates not empty"),
             PartitionPolicy::TopologyGreedy => {
                 // First region in qubit-index order, calibration-blind.
                 let c = candidates
-                    .into_iter()
-                    .min_by(|a, b| a.cmp(b))
+                    .iter()
+                    .min_by(|a, b| a.qubits().cmp(b.qubits()))
                     .expect("candidates not empty");
-                let b = efs(
-                    device,
-                    &c,
-                    &stats,
-                    &allocated_links,
-                    &CrosstalkTreatment::None,
-                );
-                (c, b)
+                (c, score(c, &CrosstalkTreatment::None))
             }
-            PartitionPolicy::FidelityDegree => candidates
-                .into_iter()
-                .map(|c| {
-                    let links = device.topology().links_within(&c);
-                    let fidelity: f64 = links
-                        .iter()
-                        .map(|&l| 1.0 - device.calibration().cx_error(l))
-                        .sum();
-                    // `total_cmp` orders NaN *above* +∞, which would
-                    // make a NaN-poisoned region win this maximization;
-                    // demote it to −∞ so it loses to every finite
-                    // candidate, mirroring the NaN-loses behaviour of
-                    // the NoiseAware minimization above.
-                    let fidelity = if fidelity.is_nan() {
-                        f64::NEG_INFINITY
-                    } else {
-                        fidelity
-                    };
-                    let b = efs(
-                        device,
-                        &c,
-                        &stats,
-                        &allocated_links,
-                        &CrosstalkTreatment::None,
-                    );
-                    (c, b, fidelity)
-                })
-                .max_by(|a, b| a.2.total_cmp(&b.2).then_with(|| b.0.cmp(&a.0)))
-                .map(|(c, b, _)| (c, b))
-                .expect("candidates not empty"),
+            PartitionPolicy::FidelityDegree => {
+                let c = candidates
+                    .iter()
+                    .map(|c| {
+                        let fidelity: f64 = c
+                            .links()
+                            .iter()
+                            .map(|&l| 1.0 - device.calibration().cx_error(l))
+                            .sum();
+                        // `total_cmp` orders NaN *above* +∞, which would
+                        // make a NaN-poisoned region win this
+                        // maximization; demote it to −∞ so it loses to
+                        // every finite candidate, mirroring the
+                        // NaN-loses behaviour of the NoiseAware
+                        // minimization above.
+                        let fidelity = if fidelity.is_nan() {
+                            f64::NEG_INFINITY
+                        } else {
+                            fidelity
+                        };
+                        (c, fidelity)
+                    })
+                    .max_by(|a, b| {
+                        a.1.total_cmp(&b.1)
+                            .then_with(|| b.0.qubits().cmp(a.0.qubits()))
+                    })
+                    .map(|(c, _)| c)
+                    .expect("candidates not empty");
+                (c, score(c, &CrosstalkTreatment::None))
+            }
         };
-        let (qubits, breakdown) = chosen;
-        for &q in &qubits {
-            allocated_qubits.insert(q);
-        }
-        allocated_links.extend(device.topology().links_within(&qubits));
-        result[pi] = Some(Allocation {
+        let allocation = Allocation {
             program_index: pi,
-            qubits,
+            qubits: region.qubits().to_vec(),
             efs: breakdown,
-        });
+        };
+        for &q in region.qubits() {
+            blocked[q] = true;
+        }
+        allocated_links.extend_from_slice(region.links());
+        result[pi] = Some(allocation);
     }
     Ok(result.into_iter().map(Option::unwrap).collect())
 }
@@ -260,7 +239,7 @@ pub fn best_partition(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use qucp_device::{ibm, Calibration, CrosstalkModel, Topology};
+    use qucp_device::{ibm, Calibration, CrosstalkModel, LinkPair, NoiseProfile, Topology};
 
     fn line_device() -> Device {
         let t = Topology::line(8);
@@ -462,6 +441,350 @@ mod tests {
             assert!(allocs[0].efs.score.is_finite(), "{policy:?}");
             assert!(!allocs[0].qubits.contains(&0), "{policy:?}");
         }
+    }
+
+    /// The allocator as it was before the region atlas: candidate
+    /// growth with set and list membership tests re-run for every
+    /// program, and the EFS summed from the calibration entries for
+    /// every candidate. Kept verbatim as the oracle the atlas-backed
+    /// allocator must match bit for bit.
+    mod oracle {
+        use super::super::*;
+        use qucp_device::LinkPair;
+
+        pub fn candidate_partitions(
+            device: &Device,
+            size: usize,
+            allocated: &BTreeSet<usize>,
+        ) -> Vec<Vec<usize>> {
+            let topo = device.topology();
+            let cal = device.calibration();
+            let mut seen = BTreeSet::new();
+            let mut out = Vec::new();
+            for seed in 0..topo.num_qubits() {
+                if allocated.contains(&seed) {
+                    continue;
+                }
+                let mut region = vec![seed];
+                while region.len() < size {
+                    let mut best: Option<(usize, f64, f64, usize)> = None;
+                    for &q in &region {
+                        for &nb in topo.neighbors(q) {
+                            if allocated.contains(&nb) || region.contains(&nb) {
+                                continue;
+                            }
+                            let mut into_region = 0usize;
+                            let mut link_err = f64::INFINITY;
+                            for &r in &region {
+                                if topo.has_link(r, nb) {
+                                    into_region += 1;
+                                    link_err = link_err.min(cal.cx_error(Link::new(r, nb)));
+                                }
+                            }
+                            let better = match best {
+                                None => true,
+                                Some((bi, be, bro, bnb)) => {
+                                    (
+                                        std::cmp::Reverse(into_region),
+                                        link_err,
+                                        cal.readout_error(nb),
+                                        nb,
+                                    ) < (std::cmp::Reverse(bi), be, bro, bnb)
+                                }
+                            };
+                            if better {
+                                best = Some((into_region, link_err, cal.readout_error(nb), nb));
+                            }
+                        }
+                    }
+                    match best {
+                        Some((_, _, _, nb)) => region.push(nb),
+                        None => break,
+                    }
+                }
+                if region.len() == size {
+                    let mut sorted = region.clone();
+                    sorted.sort_unstable();
+                    if seen.insert(sorted.clone()) {
+                        out.push(sorted);
+                    }
+                }
+            }
+            out
+        }
+
+        fn efs(
+            device: &Device,
+            partition: &[usize],
+            stats: &CircuitStats,
+            allocated_links: &[Link],
+            treatment: &CrosstalkTreatment,
+        ) -> EfsBreakdown {
+            let topo = device.topology();
+            let cal = device.calibration();
+            let links = topo.links_within(partition);
+            let mut crosstalk_pairs = Vec::new();
+            let avg2q = if links.is_empty() {
+                0.0
+            } else {
+                let mut total = 0.0;
+                for &l in &links {
+                    let mut e = cal.cx_error(l);
+                    let mut worst = 1.0f64;
+                    for &al in allocated_links {
+                        if !l.shares_qubit(&al) && topo.link_distance(l, al) == 1 {
+                            let pair = LinkPair::new(l, al);
+                            crosstalk_pairs.push(pair);
+                            worst = worst.max(treatment.factor(pair));
+                        }
+                    }
+                    e *= worst;
+                    total += e;
+                }
+                total / links.len() as f64
+            };
+            let avg1q = partition.iter().map(|&q| cal.sq_error(q)).sum::<f64>()
+                / partition.len().max(1) as f64;
+            let readout_sum: f64 = partition.iter().map(|&q| cal.readout_error(q)).sum();
+            EfsBreakdown {
+                score: avg2q * stats.two_qubit as f64
+                    + avg1q * stats.single_qubit as f64
+                    + readout_sum,
+                avg_two_qubit_error: avg2q,
+                avg_single_qubit_error: avg1q,
+                readout_sum,
+                crosstalk_pairs,
+            }
+        }
+
+        pub fn allocate_partitions(
+            device: &Device,
+            programs: &[&Circuit],
+            policy: &PartitionPolicy,
+        ) -> Result<Vec<Allocation>, CoreError> {
+            for (i, p) in programs.iter().enumerate() {
+                if p.width() > device.num_qubits() {
+                    return Err(CoreError::ProgramTooWide {
+                        program: i,
+                        width: p.width(),
+                        device: device.num_qubits(),
+                    });
+                }
+            }
+            let mut order: Vec<usize> = (0..programs.len()).collect();
+            order.sort_by_key(|&i| {
+                std::cmp::Reverse((programs[i].width(), programs[i].cx_count(), usize::MAX - i))
+            });
+            let mut allocated_qubits: BTreeSet<usize> = BTreeSet::new();
+            let mut allocated_links: Vec<Link> = Vec::new();
+            let mut result: Vec<Option<Allocation>> = vec![None; programs.len()];
+            for &pi in &order {
+                let program = programs[pi];
+                let stats = CircuitStats::of(program);
+                let size = program.width();
+                let candidates = candidate_partitions(device, size, &allocated_qubits);
+                if candidates.is_empty() {
+                    return Err(CoreError::PartitionUnavailable { program: pi, size });
+                }
+                let none = CrosstalkTreatment::None;
+                let (qubits, breakdown) = match policy {
+                    PartitionPolicy::NoiseAware(treatment) => candidates
+                        .into_iter()
+                        .map(|c| {
+                            let b = efs(device, &c, &stats, &allocated_links, treatment);
+                            (c, b)
+                        })
+                        .min_by(|a, b| a.1.score.total_cmp(&b.1.score).then_with(|| a.0.cmp(&b.0)))
+                        .expect("candidates not empty"),
+                    PartitionPolicy::TopologyGreedy => {
+                        let c = candidates
+                            .into_iter()
+                            .min_by(|a, b| a.cmp(b))
+                            .expect("candidates not empty");
+                        let b = efs(device, &c, &stats, &allocated_links, &none);
+                        (c, b)
+                    }
+                    PartitionPolicy::FidelityDegree => candidates
+                        .into_iter()
+                        .map(|c| {
+                            let links = device.topology().links_within(&c);
+                            let fidelity: f64 = links
+                                .iter()
+                                .map(|&l| 1.0 - device.calibration().cx_error(l))
+                                .sum();
+                            let fidelity = if fidelity.is_nan() {
+                                f64::NEG_INFINITY
+                            } else {
+                                fidelity
+                            };
+                            let b = efs(device, &c, &stats, &allocated_links, &none);
+                            (c, b, fidelity)
+                        })
+                        .max_by(|a, b| a.2.total_cmp(&b.2).then_with(|| b.0.cmp(&a.0)))
+                        .map(|(c, b, _)| (c, b))
+                        .expect("candidates not empty"),
+                };
+                for &q in &qubits {
+                    allocated_qubits.insert(q);
+                }
+                allocated_links.extend(device.topology().links_within(&qubits));
+                result[pi] = Some(Allocation {
+                    program_index: pi,
+                    qubits,
+                    efs: breakdown,
+                });
+            }
+            Ok(result.into_iter().map(Option::unwrap).collect())
+        }
+    }
+
+    /// An allocation outcome with every float as its bit pattern, so
+    /// NaN scores and signed zeros compare exactly.
+    fn bits(outcome: &Result<Vec<Allocation>, CoreError>) -> String {
+        match outcome {
+            Err(e) => format!("{e:?}"),
+            Ok(allocs) => allocs
+                .iter()
+                .map(|a| {
+                    format!(
+                        "{} {:?} {:x} {:x} {:x} {:x} {:?}\n",
+                        a.program_index,
+                        a.qubits,
+                        a.efs.score.to_bits(),
+                        a.efs.avg_two_qubit_error.to_bits(),
+                        a.efs.avg_single_qubit_error.to_bits(),
+                        a.efs.readout_sum.to_bits(),
+                        a.efs.crosstalk_pairs,
+                    )
+                })
+                .collect(),
+        }
+    }
+
+    fn policies() -> [PartitionPolicy; 4] {
+        let measured = [
+            (LinkPair::new(Link::new(0, 1), Link::new(2, 3)), 6.0),
+            (LinkPair::new(Link::new(1, 2), Link::new(3, 4)), 2.5),
+        ];
+        [
+            PartitionPolicy::NoiseAware(CrosstalkTreatment::Sigma(4.0)),
+            PartitionPolicy::NoiseAware(CrosstalkTreatment::Measured(
+                measured.into_iter().collect(),
+            )),
+            PartitionPolicy::TopologyGreedy,
+            PartitionPolicy::FidelityDegree,
+        ]
+    }
+
+    /// A chip of one of three topology classes under a seeded
+    /// calibration: `style` 0 draws every error from the continuous
+    /// synthetic profile, 1 from a three-value palette (ties
+    /// everywhere), 2 from the palette plus NaN (the growth and scoring
+    /// comparators turn partial).
+    fn arb_device(topology: usize, style: usize, seed: u64) -> Device {
+        use rand::{rngs::StdRng, Rng, SeedableRng};
+        let topo = match topology {
+            0 => Topology::line(9),
+            1 => Topology::grid(3, 4),
+            _ => ibm::toronto_topology(),
+        };
+        let mut cal = Calibration::synthesize(&topo, seed, &NoiseProfile::default());
+        if style > 0 {
+            let palette = [0.01, 0.02, 0.03, f64::NAN];
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut draw = || palette[rng.gen_range(0..2 + style)];
+            for (_, e) in cal.cx_errors_mut() {
+                *e = draw();
+            }
+            for e in cal.readout_errors_mut() {
+                *e = draw();
+            }
+            for e in cal.sq_errors_mut() {
+                *e = draw() / 50.0;
+            }
+        }
+        Device::new("arb", topo, cal, CrosstalkModel::none())
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(96))]
+
+        #[test]
+        fn atlas_backed_allocation_equals_the_regrowing_oracle(
+            topology in 0usize..3,
+            style in 0usize..3,
+            seed in 0u64..1_000_000,
+            shapes in proptest::collection::vec((1usize..6, 0usize..12), 1..5),
+        ) {
+            let dev = arb_device(topology, style, seed);
+            let programs: Vec<Circuit> = shapes
+                .iter()
+                .map(|&(w, cx)| program(w, if w > 1 { cx } else { 0 }))
+                .collect();
+            let refs: Vec<&Circuit> = programs.iter().collect();
+            for policy in policies() {
+                let expected = bits(&oracle::allocate_partitions(&dev, &refs, &policy));
+                // Cold atlas, warm atlas, and a clone sharing it.
+                for device in [&dev, &dev, &dev.clone()] {
+                    proptest::prop_assert_eq!(
+                        bits(&allocate_partitions(device, &refs, &policy)),
+                        expected.clone()
+                    );
+                }
+            }
+            // Growth around taken qubits, against the oracle's.
+            let taken: BTreeSet<usize> = shapes.iter().map(|&(w, cx)| (w * 7 + cx) % 9).collect();
+            for size in 1..6 {
+                for allocated in [BTreeSet::new(), taken.clone()] {
+                    proptest::prop_assert_eq!(
+                        candidate_partitions(&dev, size, &allocated),
+                        oracle::candidate_partitions(&dev, size, &allocated)
+                    );
+                }
+            }
+        }
+    }
+
+    /// The allocation a device constructed from scratch with `dev`'s
+    /// current parts would produce.
+    fn fresh_allocation(dev: &Device, refs: &[&Circuit], policy: &PartitionPolicy) -> String {
+        let fresh = Device::new(
+            dev.name(),
+            dev.topology().clone(),
+            dev.calibration().clone(),
+            dev.crosstalk().clone(),
+        );
+        bits(&oracle::allocate_partitions(&fresh, refs, policy))
+    }
+
+    #[test]
+    fn a_calibration_edit_changes_the_next_allocation_like_a_fresh_device() {
+        let (a, b) = (program(3, 8), program(3, 5));
+        let refs = [&a, &b];
+        let policy = PartitionPolicy::NoiseAware(CrosstalkTreatment::Sigma(4.0));
+        let mut dev = line_device();
+        let warm = bits(&allocate_partitions(&dev, &refs, &policy));
+        assert_eq!(warm, fresh_allocation(&dev, &refs, &policy));
+
+        // Spoil the best region's readout on a clone: the clone
+        // re-grows, the original keeps answering from its own atlas.
+        let mut twin = dev.clone();
+        twin.calibration_mut().set_readout_error(6, 0.4);
+        let moved = bits(&allocate_partitions(&twin, &refs, &policy));
+        assert_ne!(moved, warm);
+        assert_eq!(moved, fresh_allocation(&twin, &refs, &policy));
+        assert_eq!(bits(&allocate_partitions(&dev, &refs, &policy)), warm);
+
+        // The same edit on the original, through either mutable route.
+        dev.calibration_mut().set_readout_error(6, 0.4);
+        assert_eq!(bits(&allocate_partitions(&dev, &refs, &policy)), moved);
+        dev.calibration_state_mut().0.set_readout_error(6, 0.02);
+        assert_eq!(bits(&allocate_partitions(&dev, &refs, &policy)), warm);
+        dev.calibration_state_mut().0.set_readout_error(5, f64::NAN);
+        assert_eq!(
+            bits(&allocate_partitions(&dev, &refs, &policy)),
+            fresh_allocation(&dev, &refs, &policy)
+        );
     }
 
     #[test]

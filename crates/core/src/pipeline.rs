@@ -36,7 +36,7 @@ use qucp_sim::{metrics, ExecutionConfig, PreparedJob, Statevector};
 use crate::context::{build_context, WorkloadContext};
 use crate::error::CoreError;
 use crate::executor::{ParallelConfig, ParallelOutcome, ProgramResult, WorkloadPlan};
-use crate::mapping::{initial_mapping, route, MappedProgram};
+use crate::mapping::{initial_mapping_on, local_topology, route_on, MappedProgram};
 use crate::partition::{allocate_partitions, Allocation, PartitionPolicy};
 use crate::strategy::Strategy;
 
@@ -307,6 +307,16 @@ impl PlannedWorkload {
 
 /// The QuMC-style EFS partitioner behind QuCP and every baseline
 /// (policies differ only in candidate scoring).
+///
+/// Keeps no state of its own. The candidates of the first program it
+/// places — a pure function of the device's topology, its calibration
+/// and the program's width — come from the device's region atlas
+/// ([`Device::idle_regions`]): grown once per calibration snapshot,
+/// emptied by any mutable borrow of the calibration, at most one region
+/// per qubit per requested width, shared by clones of the device and
+/// ignored by its `PartialEq`/`Debug`. Two calls on equal devices
+/// therefore return equal allocations whatever either device has been
+/// asked before.
 #[derive(Debug, Clone, PartialEq)]
 pub struct EfsPartitioner {
     /// Candidate-scoring policy.
@@ -341,17 +351,24 @@ impl Router for ReliabilityRouter {
     ) -> Vec<MappedProgram> {
         // Gate-level crosstalk penalty (CNA): routing avoids links with
         // strong γ partners inside *other* partitions.
-        let all_links: Vec<Vec<Link>> = allocations
-            .iter()
-            .map(|a| device.topology().links_within(&a.qubits))
-            .collect();
+        let all_links: Vec<Vec<Link>> = if self.crosstalk_aware {
+            allocations
+                .iter()
+                .map(|a| device.topology().links_within(&a.qubits))
+                .collect()
+        } else {
+            Vec::new()
+        };
 
         allocations
             .iter()
             .enumerate()
             .map(|(i, alloc)| {
                 let circuit = &programs[alloc.program_index];
-                let initial = initial_mapping(device, &alloc.qubits, circuit);
+                // Placement and routing walk the same partition-local
+                // graph: built (all-pairs distances included) once.
+                let local = local_topology(device, &alloc.qubits);
+                let initial = initial_mapping_on(device, &alloc.qubits, &local, circuit);
                 if self.crosstalk_aware {
                     let other_links: Vec<Link> = all_links
                         .iter()
@@ -362,7 +379,7 @@ impl Router for ReliabilityRouter {
                     let topo = device.topology();
                     let xtalk = device.crosstalk();
                     let cal = device.calibration();
-                    route(device, &alloc.qubits, circuit, &initial, |l| {
+                    route_on(device, &alloc.qubits, &local, circuit, &initial, |l| {
                         let mut worst = 1.0f64;
                         for &ol in &other_links {
                             if !l.shares_qubit(&ol) && topo.link_distance(l, ol) == 1 {
@@ -372,7 +389,7 @@ impl Router for ReliabilityRouter {
                         (worst - 1.0) * cal.cx_error(l)
                     })
                 } else {
-                    route(device, &alloc.qubits, circuit, &initial, |_| 0.0)
+                    route_on(device, &alloc.qubits, &local, circuit, &initial, |_| 0.0)
                 }
             })
             .collect()
@@ -513,6 +530,49 @@ impl Pipeline {
         }
     }
 
+    /// Runs stage 1 alone: one [`Allocation`] per program, nothing
+    /// routed. Everything a fidelity gate reads — each member's EFS
+    /// score on the chip it would share — is known here, so a caller
+    /// that may still drop members decides on allocations and pays for
+    /// [`complete`](Pipeline::complete) once, for the set that stays.
+    /// With [`EfsPartitioner`] the first placement and every solo probe
+    /// read the device's region atlas (see [`crate::partition`]).
+    ///
+    /// # Errors
+    ///
+    /// Propagates partitioning failures
+    /// ([`CoreError::PartitionUnavailable`],
+    /// [`CoreError::ProgramTooWide`]).
+    pub fn allocate(
+        &self,
+        device: &Device,
+        programs: &[Circuit],
+    ) -> Result<Vec<Allocation>, CoreError> {
+        let refs: Vec<&Circuit> = programs.iter().collect();
+        self.partitioner.partition(device, &refs)
+    }
+
+    /// Runs stages 2–3 on an allocated workload: routes every program
+    /// inside its region and merges the schedules.
+    /// `plan(device, programs, false)` is
+    /// `complete(device, programs, allocate(device, &programs)?)`.
+    pub fn complete(
+        &self,
+        device: &Device,
+        programs: Vec<Circuit>,
+        allocations: Vec<Allocation>,
+    ) -> PlannedWorkload {
+        let mapped = self.router.route_all(device, &programs, &allocations);
+        let context = self.merger.merge(device, &mapped);
+        PlannedWorkload {
+            programs,
+            allocations,
+            mapped,
+            context,
+            prepared: PreparedSlots::default(),
+        }
+    }
+
     /// Runs stages 1–2 only: optimize, partition and route, skipping
     /// the schedule merge. Plan-only callers (threshold explorers,
     /// ablation benches) use this to avoid paying the cross-program
@@ -529,14 +589,8 @@ impl Pipeline {
         programs: &[Circuit],
         optimize: bool,
     ) -> Result<WorkloadPlan, CoreError> {
-        let mut optimized: Vec<Circuit> = programs.to_vec();
-        if optimize {
-            for c in &mut optimized {
-                c.cancel_adjacent_inverses();
-            }
-        }
-        let refs: Vec<&Circuit> = optimized.iter().collect();
-        let allocations = self.partitioner.partition(device, &refs)?;
+        let optimized = optimized(programs, optimize);
+        let allocations = self.allocate(device, &optimized)?;
         let mapped = self.router.route_all(device, &optimized, &allocations);
         Ok((optimized, allocations, mapped))
     }
@@ -555,15 +609,9 @@ impl Pipeline {
         programs: &[Circuit],
         optimize: bool,
     ) -> Result<PlannedWorkload, CoreError> {
-        let (optimized, allocations, mapped) = self.plan_unmerged(device, programs, optimize)?;
-        let context = self.merger.merge(device, &mapped);
-        Ok(PlannedWorkload {
-            programs: optimized,
-            allocations,
-            mapped,
-            context,
-            prepared: PreparedSlots::default(),
-        })
+        let optimized = optimized(programs, optimize);
+        let allocations = self.allocate(device, &optimized)?;
+        Ok(self.complete(device, optimized, allocations))
     }
 
     /// Executes an already planned workload serially (program order).
@@ -597,6 +645,18 @@ impl Pipeline {
         let plan = self.plan(device, programs, cfg.optimize)?;
         self.execute_plan(device, &plan, cfg)
     }
+}
+
+/// The circuits a plan is made for: copies of `programs`, peephole
+/// optimized on request.
+fn optimized(programs: &[Circuit], optimize: bool) -> Vec<Circuit> {
+    let mut optimized = programs.to_vec();
+    if optimize {
+        for c in &mut optimized {
+            c.cancel_adjacent_inverses();
+        }
+    }
+    optimized
 }
 
 /// Builds the workload-level outcome from per-program results (shared

@@ -4,6 +4,7 @@
 use crate::calibration::Calibration;
 use crate::crosstalk::CrosstalkModel;
 use crate::link::Link;
+use crate::region::RegionAtlas;
 use crate::topology::Topology;
 
 /// A NISQ device model.
@@ -14,12 +15,25 @@ use crate::topology::Topology;
 /// assert_eq!(dev.num_qubits(), 27);
 /// assert_eq!(dev.topology().num_links(), 28);
 /// ```
+///
+/// Besides its value — name, topology, calibration, crosstalk — a
+/// device carries the *region atlas* of its current calibration
+/// snapshot: the idle-chip candidate regions partitioners keep asking
+/// for, grown once and shared by clones. The atlas is a pure function
+/// of the topology and the calibration, is replaced by an empty one
+/// whenever the calibration is borrowed mutably, and is ignored by
+/// `PartialEq` and `Debug`; see
+/// [`idle_regions`](Device::idle_regions) for the full contract.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Device {
     name: String,
     topology: Topology,
     calibration: Calibration,
     crosstalk: CrosstalkModel,
+    /// Idle-chip regions of `calibration` (see
+    /// [`idle_regions`](Device::idle_regions)); every `&mut` route to
+    /// `calibration` must reset it.
+    atlas: RegionAtlas,
 }
 
 impl Device {
@@ -41,6 +55,7 @@ impl Device {
         );
         Device {
             name: name.into(),
+            atlas: RegionAtlas::empty(topology.num_qubits()),
             topology,
             calibration,
             crosstalk,
@@ -62,9 +77,17 @@ impl Device {
         &self.calibration
     }
 
-    /// Mutable access to the calibration (tests and what-if experiments).
+    /// Mutable access to the calibration (recalibration, tests and
+    /// what-if experiments). Empties the region atlas first, whether or
+    /// not the caller goes on to change anything.
     pub fn calibration_mut(&mut self) -> &mut Calibration {
+        self.atlas = RegionAtlas::empty(self.topology.num_qubits());
         &mut self.calibration
+    }
+
+    /// The region atlas of the current calibration snapshot.
+    pub(crate) fn atlas(&self) -> &RegionAtlas {
+        &self.atlas
     }
 
     /// The crosstalk ground truth.
@@ -81,8 +104,10 @@ impl Device {
     /// Simultaneous mutable access to the calibration and the
     /// crosstalk ground truth — the borrow a
     /// [`DriftModel`](crate::DriftModel) step needs, since it perturbs
-    /// both in one pass.
+    /// both in one pass. Empties the region atlas first, like
+    /// [`calibration_mut`](Device::calibration_mut).
     pub fn calibration_state_mut(&mut self) -> (&mut Calibration, &mut CrosstalkModel) {
+        self.atlas = RegionAtlas::empty(self.topology.num_qubits());
         (&mut self.calibration, &mut self.crosstalk)
     }
 

@@ -29,6 +29,7 @@ mod device;
 mod drift;
 pub mod ibm;
 mod link;
+mod region;
 mod topology;
 
 pub use calibration::{Calibration, NoiseProfile};
@@ -36,4 +37,5 @@ pub use crosstalk::{CrosstalkModel, CrosstalkProfile};
 pub use device::Device;
 pub use drift::{interval_steps, splitmix64, DriftEvent, DriftModel, GaussianWalk};
 pub use link::{Link, LinkPair};
+pub use region::Region;
 pub use topology::{Topology, UNREACHABLE};

@@ -2700,11 +2700,19 @@ fn replay_plan(
 /// members and shared device/pipeline state, so best-k speculation can
 /// run one invocation per candidate as fan-out tasks.
 ///
-/// The shrink loop re-plans from cached per-member state: the circuits
-/// are cloned and peephole-optimized **once**, the per-member
-/// thresholds are resolved once, and the solo-best EFS baselines are
-/// probed once on the first successful plan; each shrink step merely
-/// removes the evicted member's entry from every cache.
+/// The shrink loop runs on **allocation alone** — the gate reads
+/// nothing but each member's allocated EFS score, and a placement
+/// failure is the allocator's — so routing and the schedule merge run
+/// exactly once, for the member set that survives
+/// ([`Pipeline::allocate`], then [`Pipeline::complete`]). Its
+/// per-member state is cached: the circuits are cloned and
+/// peephole-optimized **once**, the per-member thresholds are resolved
+/// once, and the solo-best EFS baselines are probed once on the first
+/// successful allocation; each shrink step merely removes the evicted
+/// member's entry from every cache. With [`qucp_core::EfsPartitioner`]
+/// the first placement of every allocation and every solo baseline are
+/// read from the device's region atlas
+/// ([`Device::idle_regions`]) instead of re-grown.
 fn plan_gated_members(
     pipeline: &Pipeline,
     device: &Device,
@@ -2718,7 +2726,7 @@ fn plan_gated_members(
     // the batch) and never shrink (a placement failure is terminal), so
     // it skips the gate machinery entirely. `plan(optimize)` clones and
     // optimizes internally, which is equivalent to the general path's
-    // pre-optimize-then-`plan(false)` sequence.
+    // pre-optimize-then-allocate sequence.
     if members.seqs.len() == 1 {
         return match pipeline.plan(device, &members.circuits, optimize) {
             Ok(plan) => Ok(GatedPlan {
@@ -2738,9 +2746,8 @@ fn plan_gated_members(
     }
     let device_name = device.name().to_string();
     if optimize {
-        // Pre-optimized here exactly once; the pipeline is then asked
-        // not to optimize again, which is equivalent to the
-        // per-iteration pass it used to run on fresh clones.
+        // Pre-optimized here exactly once: every allocation below and
+        // the final plan see the optimized circuits.
         for c in &mut members.circuits {
             c.cancel_adjacent_inverses();
         }
@@ -2750,17 +2757,16 @@ fn plan_gated_members(
     let mut trace: Vec<(usize, ShrinkReason)> = Vec::new();
     let mut solo_cache: Option<Vec<f64>> = None;
     loop {
-        match pipeline.plan(device, &members.circuits, false) {
-            Ok(plan) => {
+        match pipeline.allocate(device, &members.circuits) {
+            Ok(allocations) => {
                 if gated && members.seqs.len() > 1 && members.thresholds.iter().any(Option::is_some)
                 {
-                    // The plan already allocated the joint partitions;
-                    // only the solo baselines need probing
-                    // (deduplicated, cached across shrink iterations —
-                    // evictions remove the matching cache entry, so
-                    // indices stay aligned).
+                    // The joint partitions are allocated; only the solo
+                    // baselines need probing (deduplicated, cached
+                    // across shrink iterations — evictions remove the
+                    // matching cache entry, so indices stay aligned).
                     if solo_cache.is_none() {
-                        let refs: Vec<&Circuit> = plan.programs.iter().collect();
+                        let refs: Vec<&Circuit> = members.circuits.iter().collect();
                         solo_cache = Some(
                             solo_efs_scores(device, &refs, head_strategy)
                                 .map_err(RuntimeError::Core)?,
@@ -2768,7 +2774,7 @@ fn plan_gated_members(
                     }
                     let solo = solo_cache.as_ref().expect("just filled");
                     let mut excesses = vec![0.0; members.seqs.len()];
-                    for alloc in &plan.allocations {
+                    for alloc in &allocations {
                         excesses[alloc.program_index] =
                             (alloc.efs.score - solo[alloc.program_index]).max(0.0);
                     }
@@ -2802,7 +2808,7 @@ fn plan_gated_members(
                     }
                 }
                 return Ok(GatedPlan {
-                    plan,
+                    plan: pipeline.complete(device, members.circuits.clone(), allocations),
                     members,
                     shrinks,
                     trace,
@@ -2914,6 +2920,7 @@ mod tests {
     use crate::job::synthetic_jobs;
     use crate::policy::{Backfill, ShortestJobFirst};
     use qucp_device::ibm;
+    use std::sync::atomic::{AtomicUsize, Ordering};
 
     fn fifo_service(max_parallel: usize) -> Service {
         Service::builder()
@@ -3729,5 +3736,149 @@ mod tests {
             "the epoch bump drops the device's plans"
         );
         assert_eq!(after.plan_invalidated, before.plan_entries);
+    }
+
+    /// A pipeline whose stage-2 and stage-3 objects count their calls.
+    fn counting_pipeline(strategy: &Strategy) -> (Pipeline, std::sync::Arc<[AtomicUsize; 2]>) {
+        use qucp_core::context::WorkloadContext;
+        use qucp_core::{Allocation, MappedProgram, Router, ScheduleMerger};
+        struct Counting<S>(S, std::sync::Arc<[AtomicUsize; 2]>);
+        impl Router for Counting<Box<dyn Router>> {
+            fn route_all(
+                &self,
+                device: &Device,
+                programs: &[Circuit],
+                allocations: &[Allocation],
+            ) -> Vec<MappedProgram> {
+                self.1[0].fetch_add(1, Ordering::Relaxed);
+                self.0.route_all(device, programs, allocations)
+            }
+        }
+        impl ScheduleMerger for Counting<Box<dyn ScheduleMerger>> {
+            fn merge(&self, device: &Device, mapped: &[MappedProgram]) -> WorkloadContext {
+                self.1[1].fetch_add(1, Ordering::Relaxed);
+                self.0.merge(device, mapped)
+            }
+        }
+        let calls = std::sync::Arc::new([AtomicUsize::new(0), AtomicUsize::new(0)]);
+        let mut pipeline = Pipeline::from_strategy(strategy);
+        pipeline.router = Box::new(Counting(pipeline.router, calls.clone()));
+        pipeline.merger = Box::new(Counting(pipeline.merger, calls.clone()));
+        (pipeline, calls)
+    }
+
+    /// The shrink loop as it was: one full [`Pipeline::plan`] per
+    /// attempt, the gate reading the plan's allocations. Returns the
+    /// plan, the surviving ids and the eviction trace.
+    fn replanning_gate(
+        pipeline: &Pipeline,
+        device: &Device,
+        gate: EfsGate,
+        head_strategy: &Strategy,
+        mut members: PlanMembers,
+    ) -> (PlannedWorkload, Vec<u64>, Vec<(usize, ShrinkReason)>) {
+        let mut trace = Vec::new();
+        loop {
+            let evict = match pipeline.plan(device, &members.circuits, false) {
+                Ok(plan) => {
+                    let refs: Vec<&Circuit> = plan.programs.iter().collect();
+                    let solo = solo_efs_scores(device, &refs, head_strategy).unwrap();
+                    let mut excesses = vec![0.0; members.ids.len()];
+                    for a in &plan.allocations {
+                        excesses[a.program_index] = (a.efs.score - solo[a.program_index]).max(0.0);
+                    }
+                    let violated = members
+                        .thresholds
+                        .iter()
+                        .zip(&excesses)
+                        .any(|(t, &e)| t.is_some_and(|t| e > t));
+                    if members.ids.len() == 1 || !violated {
+                        return (plan, members.ids, trace);
+                    }
+                    trace.push((
+                        match gate {
+                            EfsGate::BatchWorstExcess => worst_excess_position(&excesses),
+                            _ => members.ids.len() - 1,
+                        },
+                        ShrinkReason::FidelityGate,
+                    ));
+                    trace.last().expect("just pushed").0
+                }
+                Err(_) => {
+                    trace.push((members.ids.len() - 1, ShrinkReason::PartitionFailure));
+                    members.ids.len() - 1
+                }
+            };
+            members.seqs.remove(evict);
+            members.ids.remove(evict);
+            members.circuits.remove(evict);
+            members.shapes.remove(evict);
+            members.thresholds.remove(evict);
+        }
+    }
+
+    #[test]
+    fn a_batch_that_shrinks_k_times_routes_and_merges_once() {
+        let lib = |name: &str| qucp_circuit::library::by_name(name).unwrap().circuit();
+        let strategy = strategy::qucp(4.0);
+        // Melbourne's 15 qubits cannot host four 5-qubit programs (two
+        // placement failures), and the tolerances below cannot all be
+        // met by what fits (fidelity evictions).
+        let device = ibm::melbourne();
+        let circuits = vec![
+            lib("alu-v0_27"),
+            lib("qec"),
+            lib("fredkin"),
+            lib("alu-v0_27"),
+            lib("variation"),
+            lib("qec"),
+        ];
+        for gate in [EfsGate::Batch, EfsGate::BatchWorstExcess] {
+            let members = || PlanMembers {
+                seqs: (0..circuits.len()).collect(),
+                ids: (100..100 + circuits.len() as u64).collect(),
+                shapes: circuits.iter().map(circuit_shape_fingerprint).collect(),
+                circuits: circuits.clone(),
+                thresholds: vec![None, Some(0.02), Some(1e-4), Some(0.5), None, None],
+            };
+            let (reference, reference_calls) = counting_pipeline(&strategy);
+            let (plan, ids, trace) =
+                replanning_gate(&reference, &device, gate, &strategy, members());
+            let reasons: Vec<ShrinkReason> = trace.iter().map(|&(_, r)| r).collect();
+            assert!(
+                reasons.contains(&ShrinkReason::PartitionFailure),
+                "{gate:?}"
+            );
+            assert!(reasons.contains(&ShrinkReason::FidelityGate), "{gate:?}");
+            let successful_plans = 1 + reasons
+                .iter()
+                .filter(|&&r| r == ShrinkReason::FidelityGate)
+                .count();
+            assert!(successful_plans >= 3, "{gate:?}: {trace:?}");
+            assert_eq!(reference_calls[0].load(Ordering::Relaxed), successful_plans);
+
+            let (pipeline, calls) = counting_pipeline(&strategy);
+            let gated =
+                plan_gated_members(&pipeline, &device, 7, gate, false, &strategy, members())
+                    .unwrap();
+            assert_eq!(calls[0].load(Ordering::Relaxed), 1, "route_all, {gate:?}");
+            assert_eq!(calls[1].load(Ordering::Relaxed), 1, "merge, {gate:?}");
+            assert_eq!(gated.plan, plan, "{gate:?}");
+            assert_eq!(gated.trace, trace, "{gate:?}");
+            assert_eq!(gated.members.ids, ids, "{gate:?}");
+            // The events are the trace bound to the dropped ids.
+            let mut live: Vec<u64> = members().ids;
+            let events: Vec<Event> = trace
+                .iter()
+                .map(|&(evict, reason)| Event::BatchShrunk {
+                    batch_index: 7,
+                    device: device.name().to_string(),
+                    dropped_job_id: live.remove(evict),
+                    remaining: live.len(),
+                    reason,
+                })
+                .collect();
+            assert_eq!(gated.shrinks, events, "{gate:?}");
+        }
     }
 }
