@@ -1,0 +1,249 @@
+//! Generators for the differential suite: job requests with every
+//! per-job override, service configurations over every policy axis,
+//! and `submit / tick / advance_dispatch / advance_drift / recalibrate /
+//! take_result / drain` interleavings on a shared simulated clock.
+
+use proptest::collection::vec;
+use proptest::prelude::*;
+use qucp_core::strategy;
+use qucp_device::GaussianWalk;
+use qucp_runtime::{EfsGate, JobRequest, RoutingChoice, ShotParallelism, TrajectoryKernel};
+
+use super::{circuit, Config, Drift, Fleet, Op, Policy};
+
+/// Small library circuits, two wide GHZ chains only the larger chips
+/// admit, and (rarely) one nothing admits — the typed-error path.
+const CIRCUITS: [&str; 10] = [
+    "bell",
+    "fredkin",
+    "linearsolver",
+    "variation",
+    "alu-v0_27",
+    "qec",
+    "ghz9",
+    "ghz13",
+    "ghz18",
+    "ghz30",
+];
+
+const PRESSURE: f64 = 2e-6;
+
+fn routing() -> impl Strategy<Value = RoutingChoice> {
+    prop_oneof![
+        Just(RoutingChoice::EarliestFree),
+        Just(RoutingChoice::CalibrationAware {
+            pressure_per_ns: PRESSURE
+        }),
+    ]
+}
+
+/// A job of at most `max_shots` shots ([`interleaving`] stamps the
+/// arrival). Most jobs are small and carry few overrides, so batches
+/// form; every override axis still shows up in every few jobs.
+pub fn job(max_shots: usize) -> impl Strategy<Value = JobRequest> {
+    let shape = (0usize..256, 0u64..12, 0..=max_shots);
+    let planning = (0u8..12, 0u8..12, 0u8..8);
+    let execution = (0u8..6, 0u8..10);
+    (shape, planning, execution).prop_map(|(shape, planning, execution)| {
+        let (name, id, shots) = shape;
+        // Three draws in four are the six small circuits; one in 256
+        // is `ghz30`, which wedges the queue behind a typed error.
+        let name = match name {
+            0..192 => CIRCUITS[name % 6],
+            192..255 => CIRCUITS[6 + name % 3],
+            _ => CIRCUITS[9],
+        };
+        let mut req = JobRequest::new(circuit(name, format!("job{id}")), 0.0);
+        // Ids above 8 stay service-assigned; small ones may collide.
+        if id < 8 {
+            req = req.with_id(id);
+        }
+        // Zero shots means "the service default".
+        if shots > 0 {
+            req = req.with_shots(shots);
+        }
+        let (strat, threshold, route) = planning;
+        req.strategy = match strat {
+            0 => Some(strategy::cna()),
+            1 => Some(strategy::multiqc()),
+            // An explicit override equal to the suite's usual default.
+            2 => Some(strategy::qucp(4.0)),
+            _ => None,
+        };
+        req.fidelity_threshold = match threshold {
+            0 => Some(0.0),
+            1 => Some(0.1),
+            2 => Some(0.4),
+            3 => Some(1e9),
+            _ => None,
+        };
+        req.routing = match route {
+            0 => Some(RoutingChoice::EarliestFree),
+            1 => Some(RoutingChoice::CalibrationAware {
+                pressure_per_ns: PRESSURE,
+            }),
+            2 => Some(RoutingChoice::CalibrationAware {
+                pressure_per_ns: 0.0,
+            }),
+            _ => None,
+        };
+        let (kernel, shards) = execution;
+        req.trajectory_kernel = match kernel {
+            0 => Some(TrajectoryKernel::SurvivalSkip),
+            1 => Some(TrajectoryKernel::Replay),
+            _ => None,
+        };
+        req.shot_parallelism = match shards {
+            0 => Some(ShotParallelism::Sharded {
+                shards: 3,
+                threads: 2,
+            }),
+            1 => Some(ShotParallelism::Auto),
+            2 => Some(ShotParallelism::sharded(4)),
+            3 => Some(ShotParallelism::Serial),
+            _ => None,
+        };
+        req
+    })
+}
+
+/// A configuration over every axis both schedulers implement, plus
+/// production's speculation width.
+pub fn config() -> impl Strategy<Value = Config> {
+    let fleet = prop_oneof![
+        Just(Fleet::Skewed),
+        Just(Fleet::Skewed),
+        Just(Fleet::MelbourneToronto),
+        Just(Fleet::Mega(5)),
+        Just(Fleet::Toronto),
+    ];
+    let policy = prop_oneof![
+        Just(Policy::Fifo),
+        (0usize..4).prop_map(Policy::Backfill),
+        Just(Policy::ShortestJobFirst),
+    ];
+    let gate = prop_oneof![
+        Just(EfsGate::HeadOnly),
+        Just(EfsGate::Batch),
+        Just(EfsGate::BatchWorstExcess),
+    ];
+    let threshold = prop_oneof![
+        Just(None),
+        Just(None),
+        Just(Some(0.0)),
+        Just(Some(0.1)),
+        Just(Some(0.4)),
+    ];
+    let drift = prop_oneof![
+        Just(Drift::None),
+        (0u64..1000, 0u8..2, 0u8..2).prop_map(|(seed, fast, recal)| {
+            let walk = GaussianWalk::new(seed, if fast == 0 { 40_000.0 } else { 250_000.0 });
+            Drift::Walk(match recal {
+                0 => walk,
+                _ => walk.with_recalibration_every(3),
+            })
+        }),
+    ];
+    let capacity = prop_oneof![Just(None), Just(None), (0usize..40).prop_map(Some)];
+    let scheduling = (fleet, policy, routing(), gate, threshold);
+    let execution = (0u64..1000, 0u8..2, 0u8..3, 0u8..2);
+    let knobs = (0usize..6, drift, capacity, 0u8..2, 0u8..4);
+    (scheduling, execution, knobs).prop_map(|(scheduling, execution, knobs)| {
+        let (fleet, policy, routing, gate, threshold) = scheduling;
+        let (seed, optimize, sharded, survival) = execution;
+        let (max_parallel, drift, event_capacity, speculate, cna) = knobs;
+        Config {
+            fleet,
+            policy,
+            routing,
+            gate,
+            threshold,
+            strategy: match cna {
+                0 => strategy::cna(),
+                _ => strategy::qucp(4.0),
+            },
+            // 1 (dedicated), 2, 3, 4, 4 or 6.
+            max_parallel: [1, 2, 3, 4, 4, 6][max_parallel],
+            seed,
+            optimize: optimize == 1,
+            shot_parallelism: match sharded {
+                0 => ShotParallelism::sharded(2),
+                _ => ShotParallelism::Serial,
+            },
+            kernel: match survival {
+                0 => TrajectoryKernel::SurvivalSkip,
+                _ => TrajectoryKernel::Replay,
+            },
+            drift,
+            event_capacity,
+            best_k: if speculate == 1 { 3 } else { 1 },
+            ..Config::default()
+        }
+    })
+}
+
+/// Up to `max_ops` ops on one simulated clock. Jobs are submitted
+/// ahead of time and out of order — arriving now, within a batch
+/// makespan, or a few makespans out — so queues build, batches pack
+/// and ticks reveal arrivals progressively; ticks and drift advances
+/// move the clock by up to a few makespans or drift intervals.
+pub fn interleaving(max_ops: usize, max_shots: usize) -> impl Strategy<Value = Vec<Op>> {
+    let op = prop_oneof![
+        job(max_shots).prop_map(Op::Submit),
+        job(max_shots).prop_map(Op::Submit),
+        job(max_shots).prop_map(Op::Submit),
+        job(max_shots).prop_map(Op::Submit),
+        job(max_shots).prop_map(Op::Submit),
+        job(max_shots).prop_map(Op::Submit),
+        Just(Op::Tick(3_000.0)),
+        Just(Op::Tick(30_000.0)),
+        Just(Op::AdvanceDispatch(3_000.0)),
+        Just(Op::AdvanceDrift(300_000.0)),
+        (0usize..4, 0usize..3, 0u8..8).prop_map(|(device, foreign, scale)| Op::Recalibrate {
+            device,
+            // Mostly a same-chip rescale; sometimes a neighbour's
+            // snapshot (a swap between twins, a typed mismatch between
+            // strangers); sometimes poisoned.
+            donor: device + foreign / 2,
+            scale: match scale {
+                0 => f64::NAN,
+                s => 0.5 + f64::from(s) * 0.25,
+            },
+        }),
+        (0usize..64).prop_map(Op::TakeResult),
+        (0usize..64).prop_map(Op::TakeResult),
+        Just(Op::Drain),
+    ];
+    // A clock-moving op arrives holding its largest step; `frac` and
+    // the case's `pace` scale it and the running clock replaces it. A
+    // slow pace keeps the chips busy past most ticks, so the queue runs
+    // deep and the final drain packs it; a `plain` case also drops the
+    // overrides that keep jobs out of each other's batches and never
+    // drains mid-run.
+    let pace = prop_oneof![Just(1.0), Just(0.1), Just(0.0)];
+    let steps = vec((0.0..1.0f64, 0usize..4, op), 1..=max_ops);
+    (pace, 0u8..2, steps).prop_map(|(pace, plain, steps)| {
+        let mut now = 0.0;
+        let mut step = |max: f64, frac: f64| {
+            now += max * frac;
+            now
+        };
+        (steps.into_iter())
+            .map(|(frac, ahead, op)| match op {
+                Op::Submit(mut req) => {
+                    let ahead = [0.0, 0.0, 5_000.0, 40_000.0][ahead] * pace;
+                    req.arrival = step(0.0, 0.0) + frac * ahead;
+                    if plain == 1 {
+                        (req.strategy, req.fidelity_threshold) = (None, None);
+                    }
+                    Op::Submit(req)
+                }
+                Op::Tick(max) => Op::Tick(step(max * pace, frac)),
+                Op::AdvanceDispatch(max) => Op::AdvanceDispatch(step(max * pace, frac)),
+                Op::AdvanceDrift(max) => Op::AdvanceDrift(step(max, frac)),
+                Op::Drain if plain == 1 => Op::Tick(step(0.0, 0.0)),
+                op => op,
+            })
+            .collect()
+    })
+}

@@ -1,0 +1,450 @@
+//! A deliberately naive model of `qucp_runtime::Service`: the oracle of
+//! the differential suite (`tests/integration_reference.rs`).
+//!
+//! It states the scheduler's *decisions* — which job heads a batch, how
+//! the EFS threshold sizes it, which member a shrink drops, who waits —
+//! with none of production's mechanisms: the queue is a `Vec` re-sorted
+//! per step, the earliest-free device is an O(D) scan, every probe and
+//! every plan is computed from scratch (the shrink loop re-runs
+//! `Pipeline::plan` per attempt), one batch is dispatched at a time and
+//! its programs run inline in program order, on the public API only.
+//! What production caches, indexes or threads must agree bit for bit.
+//! Calibration ageing is [`LiveFleet`]'s part, accounting [`Ledger`]'s.
+
+use qucp_core::pipeline::{Pipeline, PlannedWorkload};
+use qucp_core::threshold::{parallel_count_for_threshold, solo_efs_scores};
+use qucp_core::{best_partition, CoreError, ParallelConfig, Strategy};
+use qucp_device::Calibration;
+use qucp_runtime::{
+    AdmissionPolicy, BatchBudget, BatchReport, DeviceId, DeviceRegistry, EfsGate, Event,
+    JobRequest, JobResult, JobTicket, JobView, RouteQuery, RoutingPolicy, RuntimeError,
+    ServiceReport, ShrinkReason,
+};
+use qucp_sim::ExecutionConfig;
+
+use super::fleet::LiveFleet;
+use super::ledger::{queue_report, Ledger};
+use super::Config;
+
+/// A queued job: the request plus what `submit` resolved.
+struct Queued {
+    ticket: JobTicket,
+    shots: usize,
+    skips: usize,
+    req: JobRequest,
+}
+
+pub struct ReferenceScheduler {
+    cfg: Config,
+    policy: Box<dyn AdmissionPolicy>,
+    routing: Box<dyn RoutingPolicy>,
+    fleet: LiveFleet,
+    /// Per-device clocks and accounting, by registration index.
+    ledgers: Vec<Ledger>,
+    /// Pending jobs in submission order.
+    queue: Vec<Queued>,
+    batches: Vec<BatchReport>,
+    results: Vec<Option<JobResult>>,
+    claimed: Vec<bool>,
+    unreported: Vec<(f64, JobTicket)>,
+    /// Every event emitted; a capacity bound only truncates reads.
+    events: Vec<Event>,
+}
+
+/// A placement failure rejects a candidate chip or a batch tail on behalf
+/// of job `job_id`; any other planning error is fatal.
+fn rejected(job_id: u64, source: CoreError) -> Result<RuntimeError, RuntimeError> {
+    match source {
+        CoreError::PartitionUnavailable { .. } | CoreError::ProgramTooWide { .. } => {
+            Ok(RuntimeError::JobUnplaceable { job_id, source })
+        }
+        e => Err(RuntimeError::Core(e)),
+    }
+}
+
+impl ReferenceScheduler {
+    pub fn new(cfg: &Config) -> Self {
+        let fleet = LiveFleet::new(cfg.fleet.build(), cfg.drift.boxed());
+        ReferenceScheduler {
+            policy: cfg.policy.boxed(),
+            routing: Box::new(cfg.routing),
+            ledgers: vec![Ledger::default(); fleet.ids().len()],
+            fleet,
+            cfg: cfg.clone(),
+            queue: Vec::new(),
+            batches: Vec::new(),
+            results: Vec::new(),
+            claimed: Vec::new(),
+            unreported: Vec::new(),
+            events: Vec::new(),
+        }
+    }
+
+    pub fn registry(&self) -> &DeviceRegistry {
+        self.fleet.registry()
+    }
+
+    pub fn pending_len(&self) -> usize {
+        self.queue.len()
+    }
+
+    /// The retained log: everything, or the most recent `capacity`.
+    pub fn events(&self) -> &[Event] {
+        let keep = self.cfg.event_capacity.unwrap_or(usize::MAX);
+        &self.events[self.events.len().saturating_sub(keep)..]
+    }
+
+    /// Admits a job, taken as valid: input validation is no scheduling
+    /// decision and is unit-tested where it lives.
+    pub fn submit(&mut self, req: JobRequest) -> Result<JobTicket, RuntimeError> {
+        let seq = self.results.len();
+        let id = req.id.unwrap_or(seq as u64);
+        let shots = req.shots.unwrap_or(self.cfg.default_shots);
+        self.events.push(Event::JobSubmitted {
+            job_id: id,
+            seq,
+            arrival: req.arrival,
+            width: req.circuit.width(),
+            shots,
+        });
+        let ticket = JobTicket { seq, id };
+        self.queue.push(Queued {
+            ticket,
+            shots,
+            skips: 0,
+            req,
+        });
+        self.results.push(None);
+        self.claimed.push(false);
+        Ok(ticket)
+    }
+
+    pub fn tick(&mut self, now: f64) -> Result<Vec<JobTicket>, RuntimeError> {
+        self.advance_dispatch(now)?;
+        let (mut done, waiting): (Vec<_>, Vec<_>) =
+            self.unreported.iter().partition(|&&(c, _)| c <= now);
+        self.unreported = waiting;
+        done.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.seq.cmp(&b.1.seq)));
+        Ok(done.into_iter().map(|(_, t)| t).collect())
+    }
+
+    pub fn advance_dispatch(&mut self, now: f64) -> Result<(), RuntimeError> {
+        while self.dispatch_one(now)? {}
+        Ok(())
+    }
+
+    pub fn run_until_drained(&mut self) -> Result<ServiceReport, RuntimeError> {
+        self.advance_dispatch(f64::INFINITY)?;
+        self.unreported.clear();
+        let devices = self.fleet.registry().iter().map(|(_, device)| device);
+        let (stats, per_device) = queue_report(devices.zip(&self.ledgers), self.results.len());
+        Ok(ServiceReport {
+            stats,
+            per_device,
+            batches: self.batches.clone(),
+            job_results: (self.results.iter())
+                .map(|r| r.clone().expect("a drained scheduler has every result"))
+                .collect(),
+            events: self.events().to_vec(),
+            dropped_events: self.events.len() - self.events().len(),
+        })
+    }
+
+    pub fn take_result(&mut self, ticket: &JobTicket) -> Option<JobResult> {
+        let result = self.results.get(ticket.seq)?.clone()?;
+        (!std::mem::replace(&mut self.claimed[ticket.seq], true)).then_some(result)
+    }
+
+    /// The jobs arrived by `now` in FIFO `(arrival, submission)` order: queue
+    /// positions and the policy's views; `head` decides joinability.
+    fn arrived(&self, now: f64, head: Option<&Strategy>) -> (Vec<usize>, Vec<JobView>) {
+        let arrival = |q: usize| self.queue[q].req.arrival;
+        let mut at: Vec<usize> = (0..self.queue.len()).collect();
+        at.retain(|&q| arrival(q) <= now);
+        // Stable, and the queue is in submission order: ties keep it.
+        at.sort_by(|&a, &b| arrival(a).total_cmp(&arrival(b)));
+        let view = |&q: &usize| {
+            let job = &self.queue[q];
+            let (width, depth) = (job.req.circuit.width(), job.req.circuit.depth());
+            let strategy = job.req.strategy.as_ref().unwrap_or(&self.cfg.strategy);
+            JobView {
+                id: job.ticket.id,
+                seq: job.ticket.seq,
+                arrival: job.req.arrival,
+                width,
+                gates: job.req.circuit.gate_count(),
+                depth,
+                area: width * depth,
+                shots: job.shots,
+                skips: job.skips,
+                joinable: head.is_none_or(|h| strategy == h),
+            }
+        };
+        let views = at.iter().map(view).collect();
+        (at, views)
+    }
+
+    /// Dispatches the next batch if it can start by `limit`.
+    fn dispatch_one(&mut self, limit: f64) -> Result<bool, RuntimeError> {
+        let arrivals = self.queue.iter().map(|job| job.req.arrival);
+        let Some(first_arrival) = arrivals.min_by(f64::total_cmp) else {
+            return Ok(false);
+        };
+        // The head is chosen at the earliest-free chip's horizon.
+        let clock = |d: DeviceId| self.ledgers[d.index()].clock;
+        let ids = self.fleet.ids().iter().copied();
+        let earliest = ids.min_by(|&a, &b| clock(a).total_cmp(&clock(b)));
+        let horizon = clock(earliest.expect("fleet is non-empty")).max(first_arrival);
+        let (at, views) = self.arrived(horizon, None);
+        let head_q = at[self.policy.choose_head(&views)];
+        let head = &self.queue[head_q];
+        let (head_id, head_arrival) = (head.ticket.id, head.req.arrival);
+        let circuit = head.req.circuit.clone();
+        let strategy = (head.req.strategy.clone()).unwrap_or_else(|| self.cfg.strategy.clone());
+        let threshold = head.req.fidelity_threshold.or(self.cfg.threshold);
+        let head_routing = head.req.routing;
+        let route: &dyn RoutingPolicy = match &head_routing {
+            Some(choice) => choice,
+            None => self.routing.as_ref(),
+        };
+
+        // Rank the admitting chips by (score, free time, registration);
+        // with none, probe the widest so the placement error surfaces.
+        let admitting: Vec<DeviceId> = self.fleet.registry().admitting(circuit.width()).collect();
+        let probe_widest = admitting.is_empty();
+        let mut ranked: Vec<(f64, f64, DeviceId)> = Vec::new();
+        let starts = admitting.iter().map(|&d| clock(d).max(head_arrival));
+        let best_start = starts.fold(f64::INFINITY, f64::min);
+        for &d in &admitting {
+            let device = self.fleet.get(d);
+            let partition_score = match route.wants_partition_score() {
+                true => best_partition(device, &circuit, &strategy.partition).ok(),
+                false => None,
+            };
+            let score = route.score(&RouteQuery {
+                device,
+                device_index: d.index(),
+                free_at: clock(d),
+                start: clock(d).max(head_arrival),
+                best_start,
+                head_width: circuit.width(),
+                head_cx_count: circuit.cx_count(),
+                partition_score: partition_score.map(|a| a.efs.score),
+            });
+            ranked.push((score, clock(d), d));
+        }
+        ranked.sort_by(|a, b| (a.0.total_cmp(&b.0).then(a.1.total_cmp(&b.1))).then(a.2.cmp(&b.2)));
+        if probe_widest {
+            let widest = self.fleet.registry().widest().expect("fleet is non-empty");
+            ranked.push((f64::INFINITY, clock(widest), widest));
+        }
+
+        let (pipeline, batch_index) = (Pipeline::from_strategy(&strategy), self.batches.len());
+        let mut last_rejection = None;
+        for &(score, _, d) in &ranked {
+            let start = self.ledgers[d.index()].clock.max(head_arrival);
+            if start > limit {
+                // Head of line across the fleet: never fall through to
+                // a lower-ranked chip because the preferred one is busy.
+                return Ok(false);
+            }
+            let device = self.fleet.get(d).clone();
+            // The head-only gate caps the batch at the copies of the
+            // head circuit that stay within its threshold (Fig. 4).
+            let mut cap = Ok(self.cfg.max_parallel);
+            if let (EfsGate::HeadOnly, Some(t), false) = (self.cfg.gate, threshold, probe_widest) {
+                cap = parallel_count_for_threshold(&device, &circuit, t, cap.unwrap(), &strategy);
+            }
+            let cap = match cap {
+                Ok(cap) => cap.max(1),
+                Err(e) => {
+                    last_rejection = Some(rejected(head_id, e)?);
+                    continue;
+                }
+            };
+            let (at, views) = self.arrived(start, Some(&strategy));
+            let head_pos = at.iter().position(|&q| q == head_q);
+            let head_pos = head_pos.expect("the head has arrived");
+            let budget = BatchBudget {
+                qubits: device.num_qubits(),
+                max_members: cap,
+            };
+            let picks = match probe_widest {
+                true => vec![head_pos],
+                false => self.policy.pack(&views, head_pos, &budget),
+            };
+            let mut members: Vec<usize> = picks.iter().map(|&p| at[p]).collect();
+            let planned = self.plan_gated(&pipeline, d, batch_index, &strategy, &mut members);
+            let (plan, shrinks) = match planned {
+                Ok(planned) => planned,
+                Err(e @ RuntimeError::JobUnplaceable { .. }) => {
+                    last_rejection = Some(e);
+                    continue;
+                }
+                Err(e) => return Err(e),
+            };
+
+            let name = device.name().to_string();
+            let makespan = plan.context.makespan;
+            let completion = start + makespan;
+            let job_ids: Vec<u64> = members.iter().map(|&q| self.queue[q].ticket.id).collect();
+            self.events.push(Event::BatchRouted {
+                batch_index,
+                device: name.clone(),
+                policy: route.name().to_string(),
+                score,
+                start,
+                candidates: ranked.len(),
+            });
+            self.events.extend(shrinks);
+            self.events.push(Event::BatchPlanned {
+                batch_index,
+                device: name.clone(),
+                job_ids: job_ids.clone(),
+                start,
+                makespan,
+            });
+            // Every arrived job a committed later pick jumped over was
+            // overtaken once (jobs wider than this chip are exempt).
+            let committed = picks.iter().filter(|&&p| members.contains(&at[p]));
+            let last_pick = committed.copied().max().unwrap_or(head_pos);
+            for (&q, view) in at.iter().zip(&views).take(last_pick) {
+                if view.width <= device.num_qubits() && !members.contains(&q) {
+                    self.queue[q].skips += 1;
+                }
+            }
+            // Execute inline, in program order.
+            let seed = (self.cfg.seed)
+                .wrapping_add(0xD1B5_4A32_D192_ED03u64.wrapping_mul(batch_index as u64 + 1));
+            let ledger = &mut self.ledgers[d.index()];
+            for (pos, &q) in members.iter().enumerate() {
+                let job = &self.queue[q];
+                let exec = ExecutionConfig {
+                    shots: job.shots,
+                    seed,
+                    parallelism: (job.req.shot_parallelism).unwrap_or(self.cfg.shot_parallelism),
+                    kernel: job.req.trajectory_kernel.unwrap_or(self.cfg.kernel),
+                    ..ParallelConfig::default().execution
+                };
+                let result = (pipeline.backend)
+                    .run_program(&device, &plan, pos, &exec)
+                    .map_err(RuntimeError::Core)?;
+                let (waiting, turnaround) = (start - job.req.arrival, completion - job.req.arrival);
+                self.events.push(Event::JobCompleted {
+                    job_id: job.ticket.id,
+                    seq: job.ticket.seq,
+                    batch_index,
+                    completion,
+                    turnaround,
+                });
+                self.unreported.push((completion, job.ticket));
+                let qubit_time =
+                    job.req.circuit.width() as f64 * plan.context.program_makespans[pos];
+                ledger.serve(waiting, turnaround, qubit_time);
+                self.results[job.ticket.seq] = Some(JobResult {
+                    job_id: job.ticket.id,
+                    batch_index,
+                    start,
+                    completion,
+                    waiting,
+                    turnaround,
+                    result,
+                });
+            }
+            ledger.close_batch(completion, makespan);
+            self.batches.push(BatchReport {
+                batch_index,
+                device: name,
+                job_ids,
+                start,
+                completion,
+                makespan,
+                used_qubits: plan.used_qubits(),
+                conflict_count: plan.context.conflict_count,
+            });
+            let served: Vec<JobTicket> = members.iter().map(|&q| self.queue[q].ticket).collect();
+            self.queue.retain(|job| !served.contains(&job.ticket));
+            return Ok(true);
+        }
+        Err(last_rejection.expect("every candidate was rejected as unplaceable"))
+    }
+
+    /// Plans `members` (queue positions, head first) on device `d`,
+    /// re-planning from scratch after every eviction: the tail on a
+    /// placement failure; the tail or the worst-excess member when the
+    /// batch gate finds a member over its threshold.
+    fn plan_gated(
+        &self,
+        pipeline: &Pipeline,
+        d: DeviceId,
+        batch_index: usize,
+        head_strategy: &Strategy,
+        members: &mut Vec<usize>,
+    ) -> Result<(PlannedWorkload, Vec<Event>), RuntimeError> {
+        let device = self.fleet.get(d);
+        let gated = matches!(self.cfg.gate, EfsGate::Batch | EfsGate::BatchWorstExcess);
+        let mut shrinks = Vec::new();
+        loop {
+            let job = |&q: &usize| &self.queue[q];
+            let circuits: Vec<_> = members.iter().map(|q| job(q).req.circuit.clone()).collect();
+            let thresholds: Vec<Option<f64>> = (members.iter())
+                .map(|q| job(q).req.fidelity_threshold.or(self.cfg.threshold))
+                .collect();
+            let (evict, reason) = match pipeline.plan(device, &circuits, self.cfg.optimize) {
+                Ok(plan) => {
+                    let mut over = false;
+                    let mut excess = vec![0.0; members.len()];
+                    if gated && members.len() > 1 && thresholds.iter().any(Option::is_some) {
+                        let programs: Vec<_> = plan.programs.iter().collect();
+                        let solo = solo_efs_scores(device, &programs, head_strategy)
+                            .map_err(RuntimeError::Core)?;
+                        for a in &plan.allocations {
+                            let i = a.program_index;
+                            excess[i] = (a.efs.score - solo[i]).max(0.0);
+                            over |= thresholds[i].is_some_and(|t| excess[i] > t);
+                        }
+                    }
+                    if !over {
+                        return Ok((plan, shrinks));
+                    }
+                    // The plain batch gate drops the tail; worst-excess
+                    // the largest excess among the riders, ties to the tail.
+                    let evict = match self.cfg.gate {
+                        EfsGate::BatchWorstExcess => (1..members.len())
+                            .max_by(|&a, &b| excess[a].total_cmp(&excess[b]).then(a.cmp(&b)))
+                            .expect("a gated batch has riders"),
+                        _ => members.len() - 1,
+                    };
+                    (evict, ShrinkReason::FidelityGate)
+                }
+                Err(e) => {
+                    let rejection = rejected(job(&members[0]).ticket.id, e)?;
+                    if members.len() == 1 {
+                        return Err(rejection);
+                    }
+                    (members.len() - 1, ShrinkReason::PartitionFailure)
+                }
+            };
+            let dropped = members.remove(evict);
+            shrinks.push(Event::BatchShrunk {
+                batch_index,
+                device: device.name().to_string(),
+                dropped_job_id: job(&dropped).ticket.id,
+                remaining: members.len(),
+                reason,
+            });
+        }
+    }
+
+    pub fn recalibrate(&mut self, d: DeviceId, cal: Calibration) -> Result<u64, RuntimeError> {
+        let (epoch, event) = self.fleet.recalibrate(d, cal)?;
+        self.events.push(event);
+        Ok(epoch)
+    }
+
+    pub fn advance_drift(&mut self, now: f64) -> Result<usize, RuntimeError> {
+        let (events, bumps) = self.fleet.advance_drift(now);
+        self.events.extend(events);
+        bumps
+    }
+}
