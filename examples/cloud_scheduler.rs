@@ -1,4 +1,4 @@
-//! Cloud-queue scenario, four times over: the *analytical* model of
+//! Cloud-queue scenario, five times over: the *analytical* model of
 //! Sec. I/II-A (abstract durations), the **event-driven service**
 //! runtime serving the same kind of burst through the staged QuCP
 //! pipeline (dedicated vs. multi-programmed, same `QueueStats`
@@ -7,7 +7,9 @@
 //! situation `Backfill` and `ShortestJobFirst` exist for — and a
 //! **routing shoot-out** on a two-chip fleet whose calibrations differ
 //! ~3×, where `CalibrationAware` routing must beat `EarliestFree` on
-//! delivered fidelity at bounded turnaround cost — then the streaming
+//! delivered fidelity at bounded turnaround cost, and the **live
+//! fleet**: calibrations drift between two bursts and every epoch bump
+//! drops the drifted chip's cached probes and plans — then the streaming
 //! side of the same service: per-ticket result claims (`take_result`,
 //! exactly-once, drain-invariant) and per-job routing overrides that
 //! steer individual submissions without touching the fleet default.
@@ -225,48 +227,47 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         aware.cache.misses,
     );
 
-    // --- the live fleet: calibration drift flips the chips ------------------
+    // --- the live fleet: calibrations drift between two bursts --------------
     //
-    // The fleet is not frozen: between the two bursts a deterministic
-    // seesaw drift anneals the noisy twin to good while the good chip
-    // degrades ~3.4x. Epoch-aware cache invalidation re-probes the
-    // current calibration and re-routes the second burst; the
-    // stale-cache ablation keeps chasing the chip it remembers as good.
-    println!("\nCalibration drift (seesaw flip between two 9-job bursts), CalibrationAware:\n");
-    println!(
-        "{:<14} {:>14} {:>14} {:>14} {:>14}",
-        "cache mode", "EFS pre-drift", "EFS post-drift", "JSD post-drift", "invalidations"
-    );
-    let drift_aware = qucp_bench::drift_shootout(
-        qucp_runtime::CacheInvalidation::EpochAware,
-        ExecutionMode::Concurrent,
-    );
-    let drift_stale = qucp_bench::drift_shootout(
-        qucp_runtime::CacheInvalidation::Never,
-        ExecutionMode::Concurrent,
-    );
-    for (label, o) in [("epoch-aware", &drift_aware), ("stale cache", &drift_stale)] {
-        println!(
-            "{label:<14} {:>14.4} {:>14.4} {:>14.4} {:>14}",
-            o.mean_efs_before, o.mean_efs_after, o.mean_jsd_after, o.cache.invalidated,
-        );
+    // The fleet is not frozen: a seeded random walk ages every chip's
+    // error rates as simulated time advances. Each step that changes a
+    // chip bumps its calibration epoch and drops that chip's cached
+    // probes and plans, so the second burst is routed and planned
+    // against the calibrations it will actually run on.
+    println!("\nCalibration drift between two 9-job bursts, CalibrationAware:\n");
+    let mut live = Service::builder()
+        .registry(qucp_bench::skewed_fleet())
+        .strategy(strategy::qucp(4.0))
+        .routing(CalibrationAware::default())
+        .drift(qucp_runtime::GaussianWalk::new(0xD21F7, 50_000.0))
+        .max_parallel(3)
+        .default_shots(256)
+        .seed(0x5EED)
+        .build()?;
+    let burst = synthetic_jobs(9, 400.0, 256, 0xF1EE7);
+    for job in &burst {
+        live.submit(JobRequest::from_job(job))?;
     }
-    assert!(
-        drift_aware.mean_efs_after < drift_stale.mean_efs_after
-            && drift_aware.mean_jsd_after < drift_stale.mean_jsd_after,
-        "epoch-aware invalidation must win under drift"
-    );
+    live.run_until_drained()?;
+    let warm = live.route_cache_stats();
+    let bumps = live.advance_drift(150_000.0)?;
+    let aged = live.route_cache_stats();
+    for job in &burst {
+        live.submit(JobRequest::new(job.circuit.clone(), job.arrival + 1e7).with_id(job.id + 100))?;
+    }
+    let report = live.run_until_drained()?;
+    let mean_efs = |jobs: &[qucp_runtime::JobResult]| {
+        jobs.iter().map(|r| r.result.efs).sum::<f64>() / jobs.len() as f64
+    };
     println!(
-        "\nEpoch-aware invalidation win on the post-drift burst: EFS -{:.1}%, JSD -{:.1}% \
-         ({} epoch bumps, post-drift jobs on annealed twin: {} vs {})",
-        100.0 * (drift_stale.mean_efs_after - drift_aware.mean_efs_after)
-            / drift_stale.mean_efs_after,
-        100.0 * (drift_stale.mean_jsd_after - drift_aware.mean_jsd_after)
-            / drift_stale.mean_jsd_after,
-        drift_aware.epoch_bumps,
-        drift_aware.fresh_jobs_per_device[0].1,
-        drift_stale.fresh_jobs_per_device[0].1,
+        "{bumps} epoch bumps dropped {} cached probes and {} cached plans; \
+         mean EFS {:.4} before the drift, {:.4} after",
+        aged.invalidated - warm.invalidated,
+        aged.plan_invalidated - warm.plan_invalidated,
+        mean_efs(&report.job_results[..burst.len()]),
+        mean_efs(&report.job_results[burst.len()..]),
     );
+    assert!(bumps > 0 && aged.plan_entries == 0, "every chip drifted");
 
     // --- streaming retrieval + per-job routing overrides --------------------
     //

@@ -11,9 +11,8 @@ use proptest::prelude::*;
 use qucp_core::strategy;
 use qucp_device::{ibm, DriftModel, GaussianWalk};
 use qucp_runtime::{
-    synthetic_jobs, Backfill, CacheInvalidation, CalibrationAware, CalibrationFault, Fifo,
-    JobRequest, PlanMemo, RuntimeError, Service, ServiceBuilder, ServiceReport, ShortestJobFirst,
-    ShotParallelism,
+    synthetic_jobs, Backfill, CalibrationAware, CalibrationFault, Fifo, JobRequest, PlanMemo,
+    RuntimeError, Service, ServiceBuilder, ServiceReport, ShortestJobFirst, ShotParallelism,
 };
 use qucp_sim::auto_shard_count;
 
@@ -381,25 +380,6 @@ fn recalibration_swap_reroutes_the_next_burst() {
         service.event_log().recalibrations(),
         vec![("ibmq_toronto_noisy", 1), ("ibmq_toronto", 1)]
     );
-}
-
-/// The drift shoot-out's acceptance bar at test scale: with the seesaw
-/// drift enabled, epoch-aware cache invalidation strictly beats the
-/// stale cache on post-drift delivered fidelity, deterministically.
-#[test]
-fn epoch_aware_invalidation_beats_stale_cache_under_drift() {
-    use qucp_runtime::ExecutionMode;
-    let aware = qucp_bench::drift_shootout(CacheInvalidation::EpochAware, ExecutionMode::Serial);
-    let stale = qucp_bench::drift_shootout(CacheInvalidation::Never, ExecutionMode::Serial);
-    assert_eq!(
-        (aware.mean_efs_before, aware.mean_jsd_before),
-        (stale.mean_efs_before, stale.mean_jsd_before),
-        "pre-drift behaviour must not depend on the cache mode"
-    );
-    assert!(aware.mean_efs_after < stale.mean_efs_after);
-    assert!(aware.mean_jsd_after < stale.mean_jsd_after);
-    assert!(aware.cache.invalidated > 0);
-    assert_eq!(stale.cache.invalidated, 0);
 }
 
 /// Per-job `ShotParallelism` overrides are thread-count invariant: the

@@ -5,7 +5,7 @@
 //! mega-fleet fixture's serial == concurrent determinism.
 
 use proptest::prelude::*;
-use qucp_bench::{fleet_shootout, fleet_shootout_with, EXPERIMENT_SEED};
+use qucp_bench::EXPERIMENT_SEED;
 use qucp_circuit::library;
 use qucp_core::strategy;
 use qucp_runtime::{
@@ -268,42 +268,6 @@ proptest! {
         let sequential = run(1);
         prop_assert_eq!(&run(k), &sequential);
     }
-}
-
-/// The mega-fleet fixture preserves the service's core determinism
-/// contract: serial and concurrent execution drain a Poisson burst to
-/// bit-identical reports, on both queue paths.
-#[test]
-fn mega_fleet_drain_is_deterministic_across_modes_and_paths() {
-    let (_, concurrent) = fleet_shootout(8, 60, QueueIndexing::Indexed, ExecutionMode::Concurrent);
-    let (_, serial) = fleet_shootout(8, 60, QueueIndexing::Indexed, ExecutionMode::Serial);
-    assert_eq!(concurrent, serial);
-    let (_, linear_serial) = fleet_shootout(8, 60, QueueIndexing::Linear, ExecutionMode::Serial);
-    assert_eq!(concurrent, linear_serial);
-    // Plan memoization and sharded dispatch are schedule-invariant too.
-    let (no_memo, no_memo_report) = fleet_shootout_with(
-        8,
-        60,
-        QueueIndexing::Indexed,
-        ExecutionMode::Concurrent,
-        PlanMemo::Never,
-        DispatchSharding::Single,
-        None,
-    );
-    assert_eq!(concurrent, no_memo_report);
-    assert_eq!(no_memo.plan_hit_rate, 0.0);
-    let (sharded, sharded_report) = fleet_shootout_with(
-        8,
-        60,
-        QueueIndexing::Indexed,
-        ExecutionMode::Concurrent,
-        PlanMemo::EpochKeyed,
-        DispatchSharding::Grouped,
-        Some(3),
-    );
-    assert_eq!(concurrent, sharded_report);
-    // The six-shape library stream must actually hit the plan cache.
-    assert!(sharded.plan_hit_rate > 0.0);
 }
 
 /// The bounded event log: a capacity keeps only the most recent events
