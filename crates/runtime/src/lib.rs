@@ -137,8 +137,8 @@
 //! (O(100) devices, O(100k) queued jobs), not just the two-chip
 //! experiments. Per-operation costs, with `n` pending jobs, `A`
 //! admitting devices and `D` fleet devices (the "seed path" column is
-//! preserved verbatim behind [`QueueIndexing::Linear`] as the ablation
-//! baseline of the `fleet_shootout` bench):
+//! what the first runtime did, and what the differential suite's
+//! reference scheduler still does):
 //!
 //! | operation | seed path | indexed path (default) |
 //! |---|---|---|
@@ -152,10 +152,6 @@
 //! | execution set-up per program | ALAP schedule + event sort + three statevector passes | the first two executions of a plan only (the second fills the slots); a replayed plan then pays a calibration compare and an `Arc` clone (prepared replay) |
 //! | threads per batch | one spawn per program | none under two spawn floors of batch work or on one core; otherwise one worker per floor up to the cores, the caller being one of them |
 //! | batch execution | one global serial loop | per-group fan-out tasks ([`DispatchSharding::Grouped`]), merged in batch order |
-//!
-//! Both paths are observationally equivalent — identical dispatch
-//! order, events and reports on any submission/tick interleaving,
-//! pinned by the `integration_fleet` equivalence proptest.
 //!
 //! **Best-k speculative planning** ([`ServiceBuilder::best_k`]) plans
 //! the head batch on the top-k routing candidates through the fan-out
@@ -260,7 +256,6 @@ mod service;
 pub use campaign::{run_campaign, CampaignDriver, CampaignRun, CampaignStats};
 pub use event::{Event, EventLog, EventObserver, ShrinkReason};
 pub use job::{skewed_jobs, synthetic_jobs, Job, JobResult};
-pub use pending::QueueIndexing;
 pub use policy::{AdmissionPolicy, Backfill, BatchBudget, Fifo, JobView, ShortestJobFirst};
 pub use registry::{
     CalibrationAware, DeviceId, DeviceRegistry, EarliestFree, RouteQuery, RoutingChoice,

@@ -1,40 +1,31 @@
-//! The pending-job store: the seed's linear `Vec` path and the indexed
-//! scale-out path behind one seam.
+//! The pending-job store: the service's queue of admitted, not yet
+//! dispatched jobs.
 //!
-//! The service used to keep pending jobs in a bare `Vec<Pending>` and
-//! rebuild the policy-facing [`JobView`] vector from scratch on every
-//! dispatch step — fine at tens of jobs, ruinous under the heavy-traffic
-//! regime the paper's cloud argument assumes (Sec. I: "millions of
-//! users"). [`PendingStore`] hides the queue behind a small API with two
-//! interchangeable implementations:
-//!
-//! - [`QueueIndexing::Linear`] is the seed path, kept bit-for-bit as the
-//!   ablation baseline the `fleet_shootout` bench quantifies against:
-//!   O(n) insert, O(n) seq lookup, a full O(n) view rebuild per
-//!   `prepare`.
-//! - [`QueueIndexing::Indexed`] (the default) maintains a persistent
-//!   FIFO-sorted [`JobView`] mirror incrementally: O(log n) insert
-//!   position (amortized-append for in-order arrivals), an O(1)
-//!   seq→job map, O(log n) arrived-prefix binding per dispatch step,
-//!   and dead-prefix removal so draining the queue front is an offset
-//!   bump instead of a memmove.
-//!
-//! Both paths produce **identical observable behaviour** — dispatch
-//! order, reports, events — which the `integration_fleet` equivalence
-//! proptest pins down. The only intentional difference is cost.
+//! Under the heavy-traffic regime the paper's cloud argument assumes
+//! (Sec. I: "millions of users") the queue must not be rebuilt or
+//! scanned per dispatch step, so [`PendingStore`] maintains a persistent
+//! FIFO-sorted [`JobView`] mirror incrementally: O(log n) insert
+//! position (amortized-append for in-order arrivals), an O(1) seq→job
+//! map, O(log n) arrived-prefix binding per dispatch step, and
+//! dead-prefix removal so draining the queue front is an offset bump
+//! instead of a memmove. What it must answer — FIFO `(arrival,
+//! submission)` order, the arrived window, joinability — is stated
+//! without any of this by the reference scheduler of the differential
+//! suite (`tests/support/reference.rs`), which re-sorts a `Vec` per
+//! step.
 //!
 //! ## Joinable-flag maintenance
 //!
 //! A [`JobView`]'s `joinable` flag depends on the *head strategy* of the
 //! dispatch step being prepared, so it cannot be precomputed once. The
-//! indexed store interns each distinct per-job strategy override into a
-//! small key table (key 0 = the service default, including overrides
-//! that compare equal to it, matching the seed's value-equality rule)
-//! and counts live override jobs. The common no-override case then skips
-//! flag maintenance entirely: every flag is `true` and stays `true`.
-//! Only while override jobs are live does `prepare` rewrite the arrived
-//! prefix — O(arrived) — and a `flags_dirty` bit restores the all-true
-//! invariant once the last override leaves the queue.
+//! store interns each distinct per-job strategy override into a small
+//! key table (key 0 = the service default, including overrides that
+//! compare equal to it — value equality) and counts live override jobs.
+//! The common no-override case then skips flag maintenance entirely:
+//! every flag is `true` and stays `true`. Only while override jobs are
+//! live does `prepare` rewrite the arrived prefix — O(arrived) — and a
+//! `flags_dirty` bit restores the all-true invariant once the last
+//! override leaves the queue.
 
 use std::collections::HashMap;
 
@@ -73,25 +64,6 @@ pub(crate) struct Pending {
     pub(crate) skips: usize,
 }
 
-/// How the service stores its pending queue.
-///
-/// Both modes are observationally equivalent — identical dispatch
-/// order, reports and events on any submission/tick sequence; they
-/// differ only in asymptotic cost. See the crate docs' complexity
-/// table.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum QueueIndexing {
-    /// The scale-out default: an incrementally-maintained FIFO mirror
-    /// with O(log n) insert binding, an O(1) seq→job map, and
-    /// dead-prefix removal.
-    #[default]
-    Indexed,
-    /// The seed's `Vec` path — O(n) everything — kept as the ablation
-    /// baseline the `fleet_shootout` bench measures the indexed path
-    /// against.
-    Linear,
-}
-
 fn view_of(p: &Pending) -> JobView {
     JobView {
         id: p.id,
@@ -107,34 +79,15 @@ fn view_of(p: &Pending) -> JobView {
     }
 }
 
-/// The seed queue: jobs in a FIFO-sorted `Vec`, views rebuilt from
-/// scratch on every [`LinearStore::prepare`].
+/// The service's pending queue: an O(1) seq→job map plus a persistent
+/// FIFO-sorted [`JobView`] mirror maintained incrementally.
+///
+/// Call discipline: [`PendingStore::prepare`] binds the arrived window
+/// and joinable flags for a given `now`/head strategy;
+/// [`PendingStore::arrived`] and [`PendingStore::position_of`] must then
+/// be called with that same `now` before the next `prepare`.
 #[derive(Debug)]
-pub(crate) struct LinearStore {
-    jobs: Vec<Pending>,
-    /// The arrived prefix rebuilt by the latest `prepare` (the seed
-    /// allocated a fresh `Vec` per call; reusing the buffer keeps the
-    /// rebuild cost without the allocator traffic).
-    scratch: Vec<JobView>,
-    default: Strategy,
-}
-
-impl LinearStore {
-    fn prepare(&mut self, now: f64, head_strategy: Option<&Strategy>) {
-        self.scratch.clear();
-        for p in self.jobs.iter().take_while(|p| p.arrival <= now) {
-            let mut view = view_of(p);
-            view.joinable =
-                head_strategy.is_none_or(|s| p.strategy.as_ref().unwrap_or(&self.default) == s);
-            self.scratch.push(view);
-        }
-    }
-}
-
-/// The indexed queue: an O(1) seq→job map plus a persistent FIFO-sorted
-/// [`JobView`] mirror maintained incrementally.
-#[derive(Debug)]
-pub(crate) struct IndexedStore {
+pub(crate) struct PendingStore {
     /// O(1) seq → job storage.
     jobs: HashMap<usize, Pending>,
     /// FIFO mirror of every pending job, sorted by `(arrival, seq)`
@@ -157,7 +110,19 @@ pub(crate) struct IndexedStore {
     flags_dirty: bool,
 }
 
-impl IndexedStore {
+impl PendingStore {
+    pub(crate) fn new(default: Strategy) -> Self {
+        PendingStore {
+            jobs: HashMap::new(),
+            views: Vec::new(),
+            keys: Vec::new(),
+            head: 0,
+            interned: vec![default],
+            overrides: 0,
+            flags_dirty: false,
+        }
+    }
+
     fn strategy_key(&mut self, strategy: &Option<Strategy>) -> u32 {
         match strategy {
             None => 0,
@@ -181,13 +146,14 @@ impl IndexedStore {
         (live.get(pos)?.seq == seq).then_some(pos)
     }
 
-    fn insert(&mut self, p: Pending) {
+    /// Admits a job, keeping FIFO `(arrival, submission)` order.
+    pub(crate) fn insert(&mut self, p: Pending) {
         let key = self.strategy_key(&p.strategy);
         if key != 0 {
             self.overrides += 1;
         }
         let view = view_of(&p);
-        // Same tie rule as the seed: after every job with
+        // The tie rule: after every job with
         // `arrival <= p.arrival` (equal arrivals keep submission order,
         // so the mirror stays `(arrival, seq)`-sorted).
         let rel = self.views[self.head..]
@@ -198,7 +164,10 @@ impl IndexedStore {
         self.jobs.insert(p.seq, p);
     }
 
-    fn prepare(&mut self, now: f64, head_strategy: Option<&Strategy>) {
+    /// Binds the arrived window for `now`, computing each arrived
+    /// view's `joinable` flag against `head_strategy` (`None` = every
+    /// arrived job is joinable, the head-selection pass).
+    pub(crate) fn prepare(&mut self, now: f64, head_strategy: Option<&Strategy>) {
         if self.overrides > 0 {
             let end = self.views[self.head..].partition_point(|v| v.arrival <= now);
             match head_strategy {
@@ -232,7 +201,8 @@ impl IndexedStore {
         }
     }
 
-    fn remove_members(&mut self, seqs: &[usize]) {
+    /// Removes a committed batch's members.
+    pub(crate) fn remove_members(&mut self, seqs: &[usize]) {
         let mut positions: Vec<usize> = Vec::with_capacity(seqs.len());
         for &seq in seqs {
             let Some(p) = self.jobs.remove(&seq) else {
@@ -286,45 +256,9 @@ impl IndexedStore {
     }
 }
 
-/// The service's pending queue behind the linear/indexed seam.
-///
-/// Call discipline: [`PendingStore::prepare`] binds the arrived window
-/// and joinable flags for a given `now`/head strategy;
-/// [`PendingStore::arrived`] and [`PendingStore::position_of`] must then
-/// be called with that same `now` before the next `prepare`.
-#[derive(Debug)]
-pub(crate) enum PendingStore {
-    /// The seed `Vec` path (ablation baseline).
-    Linear(LinearStore),
-    /// The incrementally-indexed path (default).
-    Indexed(IndexedStore),
-}
-
 impl PendingStore {
-    pub(crate) fn new(indexing: QueueIndexing, default: Strategy) -> Self {
-        match indexing {
-            QueueIndexing::Linear => PendingStore::Linear(LinearStore {
-                jobs: Vec::new(),
-                scratch: Vec::new(),
-                default,
-            }),
-            QueueIndexing::Indexed => PendingStore::Indexed(IndexedStore {
-                jobs: HashMap::new(),
-                views: Vec::new(),
-                keys: Vec::new(),
-                head: 0,
-                interned: vec![default],
-                overrides: 0,
-                flags_dirty: false,
-            }),
-        }
-    }
-
     pub(crate) fn len(&self) -> usize {
-        match self {
-            PendingStore::Linear(s) => s.jobs.len(),
-            PendingStore::Indexed(s) => s.views.len() - s.head,
-        }
+        self.views.len() - self.head
     }
 
     pub(crate) fn is_empty(&self) -> bool {
@@ -333,97 +267,40 @@ impl PendingStore {
 
     /// Arrival of the earliest pending job (`None` when empty).
     pub(crate) fn first_arrival(&self) -> Option<f64> {
-        match self {
-            PendingStore::Linear(s) => s.jobs.first().map(|p| p.arrival),
-            PendingStore::Indexed(s) => s.views.get(s.head).map(|v| v.arrival),
-        }
-    }
-
-    /// Admits a job, keeping FIFO `(arrival, submission)` order.
-    pub(crate) fn insert(&mut self, p: Pending) {
-        match self {
-            PendingStore::Linear(s) => {
-                let pos = s.jobs.partition_point(|q| {
-                    q.arrival.total_cmp(&p.arrival) != std::cmp::Ordering::Greater
-                });
-                s.jobs.insert(pos, p);
-            }
-            PendingStore::Indexed(s) => s.insert(p),
-        }
+        self.views.get(self.head).map(|v| v.arrival)
     }
 
     /// The stored job with submission index `seq`.
     pub(crate) fn get(&self, seq: usize) -> Option<&Pending> {
-        match self {
-            PendingStore::Linear(s) => s.jobs.iter().find(|p| p.seq == seq),
-            PendingStore::Indexed(s) => s.jobs.get(&seq),
-        }
-    }
-
-    /// Binds the arrived window for `now`, computing each arrived
-    /// view's `joinable` flag against `head_strategy` (`None` = every
-    /// arrived job is joinable, the head-selection pass).
-    pub(crate) fn prepare(&mut self, now: f64, head_strategy: Option<&Strategy>) {
-        match self {
-            PendingStore::Linear(s) => s.prepare(now, head_strategy),
-            PendingStore::Indexed(s) => s.prepare(now, head_strategy),
-        }
+        self.jobs.get(&seq)
     }
 
     /// The policy-facing views of all jobs arrived by `now`, in FIFO
     /// order, with flags from the latest [`PendingStore::prepare`].
     pub(crate) fn arrived(&self, now: f64) -> &[JobView] {
-        match self {
-            PendingStore::Linear(s) => &s.scratch,
-            PendingStore::Indexed(s) => {
-                let live = &s.views[s.head..];
-                let end = live.partition_point(|v| v.arrival <= now);
-                &live[..end]
-            }
-        }
+        let live = &self.views[self.head..];
+        let end = live.partition_point(|v| v.arrival <= now);
+        &live[..end]
     }
 
-    /// Index of job `seq` in the arrived window (its `(arrival, seq)`
-    /// key locates it in O(log n) on the indexed path).
+    /// Index of job `seq` in the arrived window; its `(arrival, seq)`
+    /// key locates it in O(log n).
     pub(crate) fn position_of(&self, arrival: f64, seq: usize) -> Option<usize> {
-        match self {
-            PendingStore::Linear(s) => s.scratch.iter().position(|v| v.seq == seq),
-            PendingStore::Indexed(s) => {
-                let _ = arrival;
-                s.live_position(arrival, seq)
-            }
-        }
+        self.live_position(arrival, seq)
     }
 
     /// Bumps a job's overtake counter (backfill starvation accounting).
     pub(crate) fn bump_skip(&mut self, seq: usize) {
-        match self {
-            PendingStore::Linear(s) => {
-                if let Some(p) = s.jobs.iter_mut().find(|p| p.seq == seq) {
-                    p.skips += 1;
-                }
-            }
-            PendingStore::Indexed(s) => {
-                let Some(p) = s.jobs.get_mut(&seq) else {
-                    debug_assert!(false, "bumping job seq {seq} not in the store");
-                    return;
-                };
-                p.skips += 1;
-                let arrival = p.arrival;
-                let rel = s
-                    .live_position(arrival, seq)
-                    .expect("mirror entry exists for every stored job");
-                s.views[s.head + rel].skips += 1;
-            }
-        }
-    }
-
-    /// Removes a committed batch's members.
-    pub(crate) fn remove_members(&mut self, seqs: &[usize]) {
-        match self {
-            PendingStore::Linear(s) => s.jobs.retain(|p| !seqs.contains(&p.seq)),
-            PendingStore::Indexed(s) => s.remove_members(seqs),
-        }
+        let Some(p) = self.jobs.get_mut(&seq) else {
+            debug_assert!(false, "bumping job seq {seq} not in the store");
+            return;
+        };
+        p.skips += 1;
+        let arrival = p.arrival;
+        let rel = self
+            .live_position(arrival, seq)
+            .expect("mirror entry exists for every stored job");
+        self.views[self.head + rel].skips += 1;
     }
 }
 
@@ -456,103 +333,100 @@ mod tests {
         }
     }
 
-    fn stores() -> [PendingStore; 2] {
-        let default = strategy::qucp(strategy::DEFAULT_SIGMA);
-        [
-            PendingStore::new(QueueIndexing::Linear, default.clone()),
-            PendingStore::new(QueueIndexing::Indexed, default),
-        ]
+    fn store() -> PendingStore {
+        PendingStore::new(strategy::qucp(strategy::DEFAULT_SIGMA))
     }
 
+    /// Both insert paths — the in-order append and the mid-queue
+    /// insert of a late submission with an early arrival — keep the
+    /// mirror FIFO-sorted.
     #[test]
     fn both_paths_keep_fifo_order_under_out_of_order_arrivals() {
-        for mut store in stores() {
-            // Arrivals 30, 10, 20, 10: ties keep submission order.
-            for (seq, arrival) in [(0, 30.0), (1, 10.0), (2, 20.0), (3, 10.0)] {
-                store.insert(pending(seq, arrival, None));
-            }
-            store.prepare(f64::INFINITY, None);
-            let order: Vec<usize> = store.arrived(f64::INFINITY).iter().map(|v| v.seq).collect();
-            assert_eq!(order, vec![1, 3, 2, 0]);
-            assert_eq!(store.first_arrival(), Some(10.0));
-            // The arrived window respects `now`.
-            store.prepare(15.0, None);
-            let early: Vec<usize> = store.arrived(15.0).iter().map(|v| v.seq).collect();
-            assert_eq!(early, vec![1, 3]);
+        let mut store = store();
+        // Arrivals 30, 10, 20, 10: ties keep submission order.
+        for (seq, arrival) in [(0, 30.0), (1, 10.0), (2, 20.0), (3, 10.0)] {
+            store.insert(pending(seq, arrival, None));
         }
+        store.prepare(f64::INFINITY, None);
+        let order: Vec<usize> = store.arrived(f64::INFINITY).iter().map(|v| v.seq).collect();
+        assert_eq!(order, vec![1, 3, 2, 0]);
+        assert_eq!(store.first_arrival(), Some(10.0));
+        // The arrived window respects `now`.
+        store.prepare(15.0, None);
+        let early: Vec<usize> = store.arrived(15.0).iter().map(|v| v.seq).collect();
+        assert_eq!(early, vec![1, 3]);
     }
 
+    /// A job is stored twice, in the seq→job map and in the sorted
+    /// mirror; a skip bump must reach it by both paths.
     #[test]
     fn position_and_skip_bump_agree_between_paths() {
-        for mut store in stores() {
-            for (seq, arrival) in [(0, 0.0), (1, 1.0), (2, 2.0)] {
-                store.insert(pending(seq, arrival, None));
-            }
-            store.prepare(f64::INFINITY, None);
-            assert_eq!(store.position_of(1.0, 1), Some(1));
-            store.bump_skip(1);
-            store.bump_skip(1);
-            store.prepare(f64::INFINITY, None);
-            assert_eq!(store.arrived(f64::INFINITY)[1].skips, 2);
-            assert_eq!(store.get(1).unwrap().skips, 2);
+        let mut store = store();
+        for (seq, arrival) in [(0, 0.0), (1, 1.0), (2, 2.0)] {
+            store.insert(pending(seq, arrival, None));
         }
+        store.prepare(f64::INFINITY, None);
+        assert_eq!(store.position_of(1.0, 1), Some(1));
+        store.bump_skip(1);
+        store.bump_skip(1);
+        store.prepare(f64::INFINITY, None);
+        assert_eq!(store.arrived(f64::INFINITY)[1].skips, 2);
+        assert_eq!(store.get(1).unwrap().skips, 2);
     }
 
     #[test]
     fn removal_compacts_and_preserves_survivors() {
-        for mut store in stores() {
-            for seq in 0..6 {
-                store.insert(pending(seq, seq as f64, None));
-            }
-            // Scattered removal first (mid-queue), then a front drain.
-            store.remove_members(&[1, 3]);
-            assert_eq!(store.len(), 4);
-            store.prepare(f64::INFINITY, None);
-            let order: Vec<usize> = store.arrived(f64::INFINITY).iter().map(|v| v.seq).collect();
-            assert_eq!(order, vec![0, 2, 4, 5]);
-            store.remove_members(&[0, 2]);
-            store.prepare(f64::INFINITY, None);
-            let order: Vec<usize> = store.arrived(f64::INFINITY).iter().map(|v| v.seq).collect();
-            assert_eq!(order, vec![4, 5]);
-            assert!(store.get(1).is_none());
-            assert!(store.get(4).is_some());
+        let mut store = store();
+        for seq in 0..6 {
+            store.insert(pending(seq, seq as f64, None));
         }
+        // Scattered removal first (mid-queue), then a front drain.
+        store.remove_members(&[1, 3]);
+        assert_eq!(store.len(), 4);
+        store.prepare(f64::INFINITY, None);
+        let order: Vec<usize> = store.arrived(f64::INFINITY).iter().map(|v| v.seq).collect();
+        assert_eq!(order, vec![0, 2, 4, 5]);
+        store.remove_members(&[0, 2]);
+        store.prepare(f64::INFINITY, None);
+        let order: Vec<usize> = store.arrived(f64::INFINITY).iter().map(|v| v.seq).collect();
+        assert_eq!(order, vec![4, 5]);
+        assert!(store.get(1).is_none());
+        assert!(store.get(4).is_some());
     }
 
     #[test]
     fn joinable_flags_follow_head_strategy_and_recover() {
         let default = strategy::qucp(strategy::DEFAULT_SIGMA);
         let other = strategy::cna();
-        for mut store in stores() {
-            store.insert(pending(0, 0.0, None));
-            store.insert(pending(1, 1.0, Some(other.clone())));
-            // An override equal to the default interns to the default
-            // key — value equality, like the seed's comparison.
-            store.insert(pending(2, 2.0, Some(default.clone())));
+        let mut store = store();
+        store.insert(pending(0, 0.0, None));
+        store.insert(pending(1, 1.0, Some(other.clone())));
+        // An override equal to the default interns to the default
+        // key — value equality, like the seed's comparison.
+        store.insert(pending(2, 2.0, Some(default.clone())));
 
-            store.prepare(f64::INFINITY, Some(&other));
-            let flags: Vec<bool> = store
-                .arrived(f64::INFINITY)
-                .iter()
-                .map(|v| v.joinable)
-                .collect();
-            assert_eq!(flags, vec![false, true, false]);
+        store.prepare(f64::INFINITY, Some(&other));
+        let flags: Vec<bool> = store
+            .arrived(f64::INFINITY)
+            .iter()
+            .map(|v| v.joinable)
+            .collect();
+        assert_eq!(flags, vec![false, true, false]);
 
-            store.prepare(f64::INFINITY, Some(&default));
-            let flags: Vec<bool> = store
-                .arrived(f64::INFINITY)
-                .iter()
-                .map(|v| v.joinable)
-                .collect();
-            assert_eq!(flags, vec![true, false, true]);
+        store.prepare(f64::INFINITY, Some(&default));
+        let flags: Vec<bool> = store
+            .arrived(f64::INFINITY)
+            .iter()
+            .map(|v| v.joinable)
+            .collect();
+        assert_eq!(flags, vec![true, false, true]);
 
-            // Once the only true-override job leaves, the all-true
-            // invariant recovers even on the fast path.
-            store.remove_members(&[1]);
-            store.prepare(f64::INFINITY, None);
-            assert!(store.arrived(f64::INFINITY).iter().all(|v| v.joinable));
-            store.prepare(f64::INFINITY, Some(&default));
-            assert!(store.arrived(f64::INFINITY).iter().all(|v| v.joinable));
-        }
+        // Once the only true-override job leaves, the all-true
+        // invariant recovers even on the fast path.
+        store.remove_members(&[1]);
+        store.prepare(f64::INFINITY, None);
+        assert!(store.arrived(f64::INFINITY).iter().all(|v| v.joinable));
+        store.prepare(f64::INFINITY, Some(&default));
+        assert!(store.arrived(f64::INFINITY).iter().all(|v| v.joinable));
     }
 }

@@ -577,12 +577,8 @@ impl RoutingPolicy for RoutingChoice {
 /// Keys are device clocks mapped through the standard total-order bit
 /// trick, so the ordering is exactly `f64::total_cmp` — including the
 /// `-0.0 < +0.0` edge — and ties break on the registration index,
-/// matching the linear scan's first-strict-minimum rule bit-for-bit.
-/// The index lives behind the same seam as the pending queue
-/// ([`QueueIndexing`](crate::QueueIndexing)): the `Indexed` path keeps
-/// one, the `Linear` ablation path keeps the seed scan, and the
-/// `integration_fleet` equivalence proptests pin both paths to
-/// identical observable behaviour.
+/// matching a linear scan's first-strict-minimum rule bit-for-bit (the
+/// scan is how the differential suite's reference scheduler answers).
 #[derive(Debug, Clone, Default)]
 pub(crate) struct ClockIndex {
     /// `(total-order key of clock, device index)`, ascending.

@@ -23,7 +23,7 @@ use qucp_sim::{
 
 use crate::event::{Event, EventLog, EventObserver, ShrinkReason};
 use crate::job::{Job, JobResult};
-use crate::pending::{Pending, PendingStore, QueueIndexing};
+use crate::pending::{Pending, PendingStore};
 use crate::policy::{AdmissionPolicy, BatchBudget, Fifo};
 use crate::registry::{
     ClockIndex, DeviceId, DeviceRegistry, EarliestFree, RouteQuery, RoutingChoice, RoutingPolicy,
@@ -296,8 +296,7 @@ pub enum PlanMemo {
 /// measurement outcomes. Both modes run the same staging pass; they
 /// differ only in when execution happens. Serial == sharded bit-for-bit
 /// (tickets, events, drained report), pinned by the fleet equivalence
-/// proptests the same way [`QueueIndexing::Linear`] vs
-/// [`QueueIndexing::Indexed`] is.
+/// proptests.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum DispatchSharding {
     /// The default: stage and execute one batch at a time on the
@@ -327,7 +326,6 @@ pub struct ServiceBuilder {
     observers: Vec<Box<dyn EventObserver>>,
     drift: Option<Box<dyn DriftModel>>,
     invalidation: CacheInvalidation,
-    queue_indexing: QueueIndexing,
     event_capacity: Option<usize>,
     best_k: usize,
     plan_memo: PlanMemo,
@@ -373,7 +371,6 @@ impl ServiceBuilder {
             observers: Vec::new(),
             drift: None,
             invalidation: CacheInvalidation::default(),
-            queue_indexing: QueueIndexing::default(),
             event_capacity: None,
             best_k: 1,
             plan_memo: PlanMemo::default(),
@@ -533,19 +530,6 @@ impl ServiceBuilder {
         self
     }
 
-    /// Chooses the pending-queue implementation. The
-    /// [`QueueIndexing::Indexed`] default and the
-    /// [`QueueIndexing::Linear`] seed path are observationally
-    /// equivalent — identical dispatch order, reports and events on any
-    /// submission/tick sequence (pinned by the equivalence proptest) —
-    /// the linear path exists as the ablation baseline the
-    /// `fleet_shootout` bench quantifies against.
-    #[must_use]
-    pub fn queue_indexing(mut self, indexing: QueueIndexing) -> Self {
-        self.queue_indexing = indexing;
-        self
-    }
-
     /// Bounds the retained event log (see the [`EventLog`] capacity
     /// contract): `None` — the default — retains every event for the
     /// service's lifetime, bit-for-bit the prior behaviour;
@@ -649,14 +633,8 @@ impl ServiceBuilder {
                 .collect()
         });
         let drift_steps = vec![0u64; self.registry.len()];
-        // The clock index rides the same seam as the pending queue:
-        // the indexed path keeps a keyed priority structure over device
-        // clocks, the linear ablation path keeps the seed's O(D) scan.
-        // Both answer identically (pinned by the fleet equivalence
-        // proptests).
-        let clock_index = (self.queue_indexing == QueueIndexing::Indexed)
-            .then(|| ClockIndex::new(self.registry.len()));
-        let pending = PendingStore::new(self.queue_indexing, self.strategy.clone());
+        let clock_index = ClockIndex::new(self.registry.len());
+        let pending = PendingStore::new(self.strategy.clone());
         let mut registry = self.registry;
         if let Some(groups) = self.device_groups {
             registry.assign_groups_round_robin(groups);
@@ -734,8 +712,7 @@ pub struct Service {
     default_shots: usize,
     registry: DeviceRegistry,
     states: Vec<DeviceState>,
-    /// FIFO-sorted (arrival, seq) queue of admitted jobs, behind the
-    /// linear/indexed seam (see [`QueueIndexing`]).
+    /// FIFO-sorted (arrival, seq) queue of admitted jobs.
     pending: PendingStore,
     next_seq: usize,
     batches: Vec<BatchReport>,
@@ -751,10 +728,8 @@ pub struct Service {
     claimed: Vec<bool>,
     /// Completed tickets not yet handed out by [`Service::tick`].
     unreported: Vec<(f64, JobTicket)>,
-    /// Keyed priority index over device clocks (`None` on the
-    /// [`QueueIndexing::Linear`] ablation path, which keeps the seed's
-    /// O(D) min scan).
-    clock_index: Option<ClockIndex>,
+    /// Keyed priority index over device clocks.
+    clock_index: ClockIndex,
     /// Cross-batch memo of the pure planning probes (see [`RouteCache`]).
     route_cache: RouteCache,
     log: EventLog,
@@ -1327,7 +1302,7 @@ impl Service {
         });
         // Ties on arrival keep submission order: every existing job
         // with the same arrival has a smaller seq and stays in front
-        // (the store's insert rule, identical on both queue paths).
+        // (the store's insert rule).
         let width = request.circuit.width();
         let gates = request.circuit.gate_count();
         let depth = request.circuit.depth();
@@ -1568,27 +1543,10 @@ impl Service {
         // the admission horizon at which the head is selected. Head
         // choice is the *admission* policy's business and always
         // happens at this horizon; the *routing* policy only ranks the
-        // admitting candidates afterwards. The indexed path answers
-        // from the clock index in O(log D); the linear ablation path
-        // keeps the seed's O(D) min scan — both pick the same device
-        // (total_cmp order, first strict minimum), pinned by the fleet
-        // equivalence proptests. The full (clock, index) sort this used
-        // to do is unnecessary, because the ranked candidates below
-        // sort by a total key of their own.
-        let d0 = match &self.clock_index {
-            Some(index) => index.min_device(),
-            None => {
-                let mut d0 = 0;
-                for d in 1..self.registry.len() {
-                    if self.states[d].clock.total_cmp(&self.states[d0].clock)
-                        == std::cmp::Ordering::Less
-                    {
-                        d0 = d;
-                    }
-                }
-                d0
-            }
-        };
+        // admitting candidates afterwards. The clock index answers in
+        // O(log D): total_cmp order, lowest registration index among
+        // ties.
+        let d0 = self.clock_index.min_device();
         let now0 = self.states[d0].clock.max(t_min);
         self.pending.prepare(now0, None);
         let (head_seq, head_arrival) = {
@@ -1913,9 +1871,7 @@ impl Service {
             let state = &mut self.states[d];
             let old_clock = state.clock;
             state.clock = completion;
-            if let Some(index) = &mut self.clock_index {
-                index.update(d, old_clock, completion);
-            }
+            self.clock_index.update(d, old_clock, completion);
             self.pending.remove_members(&members.seqs);
 
             // Starvation accounting: every arrived candidate that an

@@ -1,8 +1,7 @@
-//! Fleet scale-out integration suite (PR 8): pins the observational
-//! equivalence of the indexed and linear queue paths on random
-//! submit/tick interleavings, the best-k speculative planner's
-//! winner-determinism rule, the bounded event log's contract, and the
-//! mega-fleet fixture's serial == concurrent determinism.
+//! Fleet scale-out integration suite (PR 8): the best-k speculative
+//! planner's winner-determinism rule and the bounded event log's
+//! contract. (Queue-index, plan-cache and thread-order equivalence are
+//! pinned by `integration_reference.rs`.)
 
 use proptest::prelude::*;
 use qucp_bench::EXPERIMENT_SEED;
@@ -10,7 +9,7 @@ use qucp_circuit::library;
 use qucp_core::strategy;
 use qucp_runtime::{
     Backfill, CalibrationAware, DispatchSharding, Event, ExecutionMode, Fifo, JobRequest, PlanMemo,
-    QueueIndexing, Service, ServiceReport, ShortestJobFirst, ShotParallelism, TrajectoryKernel,
+    Service, ServiceReport, ShortestJobFirst, ShotParallelism, TrajectoryKernel,
 };
 
 const NAMES: [&str; 6] = [
@@ -22,25 +21,11 @@ const NAMES: [&str; 6] = [
     "qec",
 ];
 
-/// Builds a shoot-out service on the skewed two-Toronto fleet with the
-/// given queue path and admission policy (0 = FIFO, 1 = backfill,
-/// 2 = shortest-job-first).
-fn policy_service(indexing: QueueIndexing, policy: u8, best_k: usize) -> Service {
-    dispatch_service(
-        indexing,
-        policy,
-        best_k,
-        PlanMemo::default(),
-        DispatchSharding::Single,
-        None,
-        ExecutionMode::default(),
-    )
-}
-
-/// [`policy_service`] with the planning-memoization, dispatch-sharding
-/// and execution-mode seams exposed.
+/// A service on the skewed two-Toronto fleet under the given admission
+/// policy (0 = FIFO, 1 = backfill, 2 = shortest-job-first) with the
+/// planning-memoization, dispatch-sharding and execution-mode seams
+/// exposed.
 fn dispatch_service(
-    indexing: QueueIndexing,
     policy: u8,
     best_k: usize,
     plan_memo: PlanMemo,
@@ -53,7 +38,6 @@ fn dispatch_service(
         .strategy(strategy::qucp(4.0))
         .max_parallel(3)
         .seed(EXPERIMENT_SEED)
-        .queue_indexing(indexing)
         .best_k(best_k)
         .plan_memo(plan_memo)
         .dispatch_sharding(sharding)
@@ -105,58 +89,6 @@ fn request_of(i: usize, arrival: f64, name: usize, shots: usize, ov: u8, exec: u
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
-    /// The tentpole equivalence: on any random job stream (arrival
-    /// gaps, shapes, shot budgets, strategy overrides), any admission
-    /// policy, and any submit/tick interleaving, the indexed store
-    /// dispatches exactly like the seed's linear `Vec` path — same
-    /// tickets from every tick, same final report bit for bit.
-    #[test]
-    fn queue_paths_are_observationally_equivalent(
-        jobs in proptest::collection::vec(
-            (0u16..400, 0usize..6, 1usize..3, 0u8..3, 0u8..6),
-            1usize..14,
-        ),
-        policy in 0u8..3,
-        split_frac in 0f64..1.0,
-        tick_gap in 0f64..5e5,
-    ) {
-        let mut indexed = policy_service(QueueIndexing::Indexed, policy, 1);
-        let mut linear = policy_service(QueueIndexing::Linear, policy, 1);
-        let mut t = 0.0;
-        let reqs: Vec<JobRequest> = jobs
-            .iter()
-            .enumerate()
-            .map(|(i, &(gap, name, shots, ov, exec))| {
-                t += f64::from(gap);
-                request_of(i, t, name, shots, ov, exec)
-            })
-            .collect();
-        let split = ((reqs.len() as f64) * split_frac) as usize;
-
-        for req in &reqs[..split] {
-            let a = indexed.submit(req.clone()).expect("indexed submit");
-            let b = linear.submit(req.clone()).expect("linear submit");
-            prop_assert_eq!(a, b);
-        }
-        let t1 = t * 0.5 + tick_gap;
-        prop_assert_eq!(
-            indexed.tick(t1).expect("indexed tick"),
-            linear.tick(t1).expect("linear tick")
-        );
-        for req in &reqs[split..] {
-            let a = indexed.submit(req.clone()).expect("indexed submit");
-            let b = linear.submit(req.clone()).expect("linear submit");
-            prop_assert_eq!(a, b);
-        }
-        prop_assert_eq!(
-            indexed.tick(t1 + tick_gap).expect("indexed tick"),
-            linear.tick(t1 + tick_gap).expect("linear tick")
-        );
-        let a = indexed.run_until_drained().expect("indexed drain");
-        let b = linear.run_until_drained().expect("linear drain");
-        prop_assert_eq!(a, b);
-    }
-
     /// The sharded-dispatch equivalence: per-group execution workers
     /// ([`DispatchSharding::Grouped`], any group count, any admission
     /// policy, any plan-memoization mode, any submit/tick interleaving)
@@ -184,7 +116,6 @@ proptest! {
         let memo_of = |m: u8| if m == 0 { PlanMemo::EpochKeyed } else { PlanMemo::Never };
         let mode_of = |s: u8| if s == 0 { ExecutionMode::Concurrent } else { ExecutionMode::Serial };
         let mut single = dispatch_service(
-            QueueIndexing::Indexed,
             policy,
             1,
             memo_of(memos.0),
@@ -193,7 +124,6 @@ proptest! {
             mode_of(serials.0),
         );
         let mut sharded = dispatch_service(
-            QueueIndexing::Indexed,
             policy,
             1,
             memo_of(memos.1),
