@@ -148,7 +148,7 @@
 //! | dispatch step: admitting devices | O(D) filter | O(log D) + A width-bucket suffix |
 //! | batch removal | O(n·k) retain | offset bump (front run) or one compaction pass |
 //! | recalibrate / drift epoch bump | O(cache) invalidation | unchanged |
-//! | batch planning | partition + map + merge per batch | O(1) plan-cache hit ([`PlanMemo::EpochKeyed`], repeat shapes) |
+//! | batch planning | partition + map + merge per batch | O(1) plan-cache hit (repeat shapes at one calibration epoch) |
 //! | execution set-up per program | ALAP schedule + event sort + three statevector passes | the first two executions of a plan only (the second fills the slots); a replayed plan then pays a calibration compare and an `Arc` clone (prepared replay) |
 //! | threads per batch | one spawn per program | none under two spawn floors of batch work or on one core; otherwise one worker per floor up to the cores, the caller being one of them |
 //! | batch execution | one global serial loop | per-group fan-out tasks ([`DispatchSharding::Grouped`]), merged in batch order |
@@ -266,7 +266,7 @@ pub use scheduler::{
     RuntimeError,
 };
 pub use service::{
-    CacheInvalidation, DeviceReport, DispatchSharding, EfsGate, JobRequest, JobTicket, PlanMemo,
+    CacheInvalidation, DeviceReport, DispatchSharding, EfsGate, JobRequest, JobTicket,
     RouteCacheStats, Service, ServiceBuilder, ServiceReport, MAX_DRIFT_STEPS_PER_ADVANCE,
 };
 

@@ -45,8 +45,7 @@
 //!   eviction trace), keyed by *(device **epoch**, ordered member
 //!   shape fingerprints, effective strategy, gate mode/threshold
 //!   bits)*. A hit replays the cached plan clone-free and skips
-//!   partitioning, mapping and merging entirely (see
-//!   [`PlanMemo`](crate::PlanMemo)).
+//!   partitioning, mapping and merging entirely.
 //!
 //! The fleet is *live*: calibrations mutate after build, through
 //! [`Service::recalibrate`](crate::Service::recalibrate) (a fresh

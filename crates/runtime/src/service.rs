@@ -257,35 +257,6 @@ pub enum CacheInvalidation {
     Never,
 }
 
-/// Whether the service memoizes whole committed *plans* across batches.
-///
-/// Plan entries are keyed by *(device, calibration epoch, ordered
-/// member circuit shapes, strategy, gate mode/optimize bits[, member
-/// thresholds])* — every input planning consults — so a replayed plan
-/// is **bit-identical** to what a fresh partition + map + merge pass
-/// would produce (only stale program *names* need re-binding, which the
-/// dispatch loop does for both paths). The two modes therefore produce
-/// identical tickets, events and reports on any submission/tick/drift
-/// sequence; `Never` exists as the ablation baseline the
-/// `fleet_shootout` bench quantifies against, mirroring
-/// [`CacheInvalidation::Never`].
-///
-/// Note the epoch lives **in the key**, not just in the invalidation
-/// protocol: even under [`CacheInvalidation::Never`] (which skips the
-/// garbage collection) a post-bump dispatch can never replay a
-/// stale-epoch plan — stale routing is an acceptable ablation, stale
-/// *execution plans* never are.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum PlanMemo {
-    /// The default: memoize committed plans per calibration epoch; a
-    /// hit skips the whole gated planning pass and replays the cached
-    /// plan clone-free (shared behind an `Arc`).
-    #[default]
-    EpochKeyed,
-    /// Plan every batch from scratch — the ablation baseline.
-    Never,
-}
-
 /// How the service runs the execution half of its dispatch loop.
 ///
 /// Dispatch decisions (head choice, routing, packing, planning) never
@@ -328,7 +299,6 @@ pub struct ServiceBuilder {
     invalidation: CacheInvalidation,
     event_capacity: Option<usize>,
     best_k: usize,
-    plan_memo: PlanMemo,
     sharding: DispatchSharding,
     device_groups: Option<usize>,
 }
@@ -373,7 +343,6 @@ impl ServiceBuilder {
             invalidation: CacheInvalidation::default(),
             event_capacity: None,
             best_k: 1,
-            plan_memo: PlanMemo::default(),
             sharding: DispatchSharding::default(),
             device_groups: None,
         }
@@ -561,19 +530,6 @@ impl ServiceBuilder {
         self
     }
 
-    /// Chooses whether committed plans are memoized across batches (see
-    /// [`PlanMemo`]). The [`PlanMemo::EpochKeyed`] default replays a
-    /// cached plan whenever a batch with the same ordered member shapes
-    /// dispatches to the same device at the same calibration epoch —
-    /// observationally identical to replanning, pinned by the plan-memo
-    /// equivalence proptest; [`PlanMemo::Never`] is the replan-always
-    /// ablation the `fleet_shootout` bench quantifies against.
-    #[must_use]
-    pub fn plan_memo(mut self, memo: PlanMemo) -> Self {
-        self.plan_memo = memo;
-        self
-    }
-
     /// Chooses how the dispatch loop executes staged batches (see
     /// [`DispatchSharding`]). [`DispatchSharding::Grouped`] runs one
     /// worker per device group; configure the grouping with
@@ -668,7 +624,6 @@ impl ServiceBuilder {
             baselines,
             invalidation: self.invalidation,
             best_k: self.best_k.max(1),
-            plan_memo: self.plan_memo,
             sharding: self.sharding,
             plan_cfg_fp,
             default_strategy_fp,
@@ -748,8 +703,6 @@ pub struct Service {
     invalidation: CacheInvalidation,
     /// Top-k speculative planning width (1 = sequential).
     best_k: usize,
-    /// Whether committed plans are memoized across batches.
-    plan_memo: PlanMemo,
     /// Serial or per-group-sharded batch execution.
     sharding: DispatchSharding,
     /// Fingerprint of the immutable plan-key bits (EFS gate mode +
@@ -799,12 +752,9 @@ pub struct RouteCacheStats {
     /// [`CacheInvalidation::Never`]).
     pub invalidated: usize,
     /// Whole-plan cache hits: batches whose committed plan was replayed
-    /// from memo instead of re-derived (always 0 under
-    /// [`PlanMemo::Never`]).
+    /// from memo instead of re-derived.
     pub plan_hits: usize,
-    /// Whole-plan cache misses: batches planned fresh with memoization
-    /// enabled (always 0 under [`PlanMemo::Never`], which does not
-    /// consult the cache at all).
+    /// Whole-plan cache misses: batches planned fresh and memoized.
     pub plan_misses: usize,
     /// Whole-plan entries currently cached.
     pub plan_entries: usize,
@@ -1605,12 +1555,10 @@ impl Service {
         // The head's effective-strategy fingerprint keys the plan
         // cache; the common no-override case reads the fingerprint
         // computed once at build.
-        let strategy_fp = match self.plan_memo {
-            PlanMemo::Never => 0,
-            PlanMemo::EpochKeyed if head_has_strategy_override => {
-                strategy_fingerprint(&head_strategy)
-            }
-            PlanMemo::EpochKeyed => self.default_strategy_fp,
+        let strategy_fp = if head_has_strategy_override {
+            strategy_fingerprint(&head_strategy)
+        } else {
+            self.default_strategy_fp
         };
         let (candidates, route_scores): (Vec<usize>, Vec<f64>) = if probe_widest {
             let widest = self.registry.widest().expect("fleet is non-empty").index();
@@ -1979,9 +1927,7 @@ impl Service {
     /// Plans one candidate's batch through the plan cache: a hit
     /// replays the memoized outcome against the current members
     /// (re-binding shrink events and unplaceable errors to current job
-    /// ids), a miss plans fresh and memoizes. Under [`PlanMemo::Never`]
-    /// the cache is bypassed entirely — every batch pays the fresh
-    /// planning cost the `fleet_shootout` ablation measures.
+    /// ids), a miss plans fresh and memoizes.
     fn plan_batch(
         &mut self,
         pipeline: &Pipeline,
@@ -1991,20 +1937,17 @@ impl Service {
         strategy_fp: u64,
         members: PlanMembers,
     ) -> Result<PlannedParts, RuntimeError> {
-        let fp = (self.plan_memo == PlanMemo::EpochKeyed)
-            .then(|| self.plan_fingerprint(d, strategy_fp, &members));
-        if let Some(fp) = fp {
-            if let Some(entry) = self.route_cache.plans.get(&(d, fp)).cloned() {
-                self.route_cache.plan_hits += 1;
-                return replay_plan(
-                    entry,
-                    batch_index,
-                    self.registry.device_at(d).name(),
-                    members,
-                );
-            }
-            self.route_cache.plan_misses += 1;
+        let fp = self.plan_fingerprint(d, strategy_fp, &members);
+        if let Some(entry) = self.route_cache.plans.get(&(d, fp)).cloned() {
+            self.route_cache.plan_hits += 1;
+            return replay_plan(
+                entry,
+                batch_index,
+                self.registry.device_at(d).name(),
+                members,
+            );
         }
+        self.route_cache.plan_misses += 1;
         let plan_started = std::time::Instant::now();
         let fresh = plan_gated_members(
             pipeline,
@@ -2053,41 +1996,37 @@ impl Service {
         h.finish()
     }
 
-    /// Folds a fresh planning outcome into the plan cache (when `fp` is
-    /// set) and converts it to the shared-plan form the commit path
+    /// Folds a fresh planning outcome into the plan cache under key
+    /// `fp` and converts it to the shared-plan form the commit path
     /// consumes. `Ok` and `JobUnplaceable` outcomes are memoized —
     /// planning is deterministic either way — hard `Core` errors are
     /// not.
     fn memoize_plan(
         &mut self,
         d: usize,
-        fp: Option<u64>,
+        fp: u64,
         fresh: Result<GatedPlan, RuntimeError>,
     ) -> Result<PlannedParts, RuntimeError> {
         match fresh {
             Ok(gated) => {
                 let plan = std::sync::Arc::new(gated.plan);
-                if let Some(fp) = fp {
-                    self.route_cache.plans.insert(
-                        (d, fp),
-                        PlanEntry {
-                            trace: gated.trace,
-                            outcome: Ok(std::sync::Arc::clone(&plan)),
-                        },
-                    );
-                }
+                self.route_cache.plans.insert(
+                    (d, fp),
+                    PlanEntry {
+                        trace: gated.trace,
+                        outcome: Ok(std::sync::Arc::clone(&plan)),
+                    },
+                );
                 Ok((plan, gated.members, gated.shrinks))
             }
             Err(RuntimeError::JobUnplaceable { job_id, source }) => {
-                if let Some(fp) = fp {
-                    self.route_cache.plans.insert(
-                        (d, fp),
-                        PlanEntry {
-                            trace: Vec::new(),
-                            outcome: Err(source.clone()),
-                        },
-                    );
-                }
+                self.route_cache.plans.insert(
+                    (d, fp),
+                    PlanEntry {
+                        trace: Vec::new(),
+                        outcome: Err(source.clone()),
+                    },
+                );
                 Err(RuntimeError::JobUnplaceable { job_id, source })
             }
             Err(e) => Err(e),
@@ -2126,7 +2065,7 @@ impl Service {
                 pack: CandidatePack,
                 /// Taken by the one fan-out task that plans it.
                 members: std::sync::Mutex<Option<PlanMembers>>,
-                fp: Option<u64>,
+                fp: u64,
             },
             Done(SpecOutcome),
         }
@@ -2161,11 +2100,8 @@ impl Service {
                             // hit/miss counters and lookup sequence are
                             // deterministic regardless of how the
                             // planning workers below interleave.
-                            let fp = (self.plan_memo == PlanMemo::EpochKeyed)
-                                .then(|| self.plan_fingerprint(d, strategy_fp, &members));
-                            let cached =
-                                fp.and_then(|fp| self.route_cache.plans.get(&(d, fp)).cloned());
-                            match cached {
+                            let fp = self.plan_fingerprint(d, strategy_fp, &members);
+                            match self.route_cache.plans.get(&(d, fp)).cloned() {
                                 Some(entry) => {
                                     self.route_cache.plan_hits += 1;
                                     let replayed = replay_plan(
@@ -2180,9 +2116,7 @@ impl Service {
                                     })
                                 }
                                 None => {
-                                    if fp.is_some() {
-                                        self.route_cache.plan_misses += 1;
-                                    }
+                                    self.route_cache.plan_misses += 1;
                                     Prep::Ready {
                                         d,
                                         pack,
@@ -3606,40 +3540,6 @@ mod tests {
             "each miss memoizes exactly one entry"
         );
         assert_eq!(stats.plan_invalidated, 0);
-    }
-
-    #[test]
-    fn plan_memo_never_skips_the_cache_entirely() {
-        let bell = qucp_circuit::library::by_name("bell").unwrap().circuit();
-        let run = |memo: PlanMemo| {
-            let mut service = Service::builder()
-                .device(ibm::toronto())
-                .strategy(strategy::qucp(4.0))
-                .max_parallel(2)
-                .seed(42)
-                .plan_memo(memo)
-                .build()
-                .unwrap();
-            for i in 0..4u64 {
-                service
-                    .submit(JobRequest::new(bell.clone(), i as f64 * 100.0).with_id(i))
-                    .unwrap();
-            }
-            let report = service.run_until_drained().unwrap();
-            (report, service.route_cache_stats())
-        };
-        let (memoized_report, memoized) = run(PlanMemo::EpochKeyed);
-        let (fresh_report, fresh) = run(PlanMemo::Never);
-        assert_eq!(
-            memoized_report, fresh_report,
-            "memoization must be observationally invisible"
-        );
-        assert_eq!(
-            (fresh.plan_hits, fresh.plan_misses, fresh.plan_entries),
-            (0, 0, 0),
-            "the ablation never consults or fills the plan cache"
-        );
-        assert!(memoized.plan_hits >= 1);
     }
 
     #[test]

@@ -1,20 +1,23 @@
 //! Integration tests for the live-fleet refactor: frozen-fleet
 //! equivalence under zero drift (property), typed rejection of poisoned
 //! recalibrations, epoch-aware re-routing after a recalibration flips
-//! the fleet's quality ordering, the drift shoot-out's payoff at test
-//! scale, the per-job shot-parallelism overrides (thread-count
+//! the fleet's quality ordering, the per-job shot-parallelism
+//! overrides (thread-count
 //! invariance, `Auto` resolution), and the whole-plan cache's
 //! epoch-keyed invalidation under drift (only the bumped device's plan
 //! entries drop; cached plans replay bit-for-bit the fresh planner).
+
+mod support;
 
 use proptest::prelude::*;
 use qucp_core::strategy;
 use qucp_device::{ibm, DriftModel, GaussianWalk};
 use qucp_runtime::{
-    synthetic_jobs, Backfill, CalibrationAware, CalibrationFault, Fifo, JobRequest, PlanMemo,
-    RuntimeError, Service, ServiceBuilder, ServiceReport, ShortestJobFirst, ShotParallelism,
+    synthetic_jobs, CalibrationAware, CalibrationFault, JobRequest, RoutingChoice, RuntimeError,
+    Service, ServiceBuilder, ServiceReport, ShotParallelism,
 };
 use qucp_sim::auto_shard_count;
+use support::{assert_matches_reference, Config, Drift, Fleet, Op, Policy};
 
 /// A [`GaussianWalk`] confined to the device with the given salt: every
 /// other device's steps report "nothing changed", so only one chip's
@@ -114,13 +117,13 @@ proptest! {
 
     /// Whole-plan memoization is observationally invisible under live
     /// drift: on any admission policy and any random submit/tick/drift
-    /// interleaving, a [`PlanMemo::EpochKeyed`] service hands out the
-    /// same tickets from every tick and drains a bit-identical report
-    /// to the [`PlanMemo::Never`] ablation — replayed plans equal fresh
-    /// plans, and epoch-keyed invalidation never serves a stale one.
-    /// Every job draws its own kernel and shot-parallelism override, so
-    /// the prepared simulator state a cached plan replays is pinned
-    /// equal to the state a fresh plan rebuilds, bit for bit.
+    /// interleaving, the service — which replays cached plans and
+    /// prepared simulator state — hands out the same tickets from every
+    /// tick and drains a bit-identical report to the reference
+    /// scheduler, which plans every batch fresh: replayed plans equal
+    /// fresh plans, and epoch-keyed invalidation never serves a stale
+    /// one. Every job draws its own kernel and shot-parallelism
+    /// override.
     #[test]
     fn cached_plans_match_fresh_plans_under_drift(
         n in 3usize..8,
@@ -131,58 +134,37 @@ proptest! {
         horizons in proptest::collection::vec(0.0f64..2e6, 1usize..4),
         overrides in proptest::collection::vec(0u8..6, 8),
     ) {
-        let request = |i: usize, job: &qucp_runtime::Job| {
+        let request = |(i, job): (usize, &qucp_runtime::Job)| {
             let mut req = JobRequest::from_job(job);
             if overrides[i] % 2 == 1 {
                 req = req.with_trajectory_kernel(qucp_runtime::TrajectoryKernel::SurvivalSkip);
             }
-            match overrides[i] / 2 {
+            Op::Submit(match overrides[i] / 2 {
                 1 => req.with_shot_parallelism(ShotParallelism::Sharded { shards: 3, threads: 2 }),
                 2 => req.with_shot_parallelism(ShotParallelism::Auto),
                 _ => req,
-            }
+            })
         };
-        let build = |memo: PlanMemo| {
-            let walk = GaussianWalk::new(seed ^ 0xCAFE, interval);
-            let builder = aware_fleet_builder(seed).plan_memo(memo).drift(walk);
-            match policy {
-                0 => builder.policy(Fifo),
-                1 => builder.policy(Backfill::default()),
-                _ => builder.policy(ShortestJobFirst),
-            }
-            .build()
-            .expect("build")
+        let cfg = Config {
+            fleet: Fleet::Skewed,
+            routing: RoutingChoice::CalibrationAware {
+                pressure_per_ns: CalibrationAware::DEFAULT_PRESSURE_PER_NS,
+            },
+            policy: [Policy::Fifo, Policy::Backfill(4), Policy::ShortestJobFirst][policy as usize],
+            drift: Drift::Walk(GaussianWalk::new(seed ^ 0xCAFE, interval)),
+            default_shots: 64,
+            seed,
+            ..Config::default()
         };
-        let mut cached = build(PlanMemo::EpochKeyed);
-        let mut fresh = build(PlanMemo::Never);
         let jobs = synthetic_jobs(n, 300.0, 64, 0xD21F7);
         let split = ((n as f64) * split_frac) as usize;
-
-        for (i, job) in jobs.iter().enumerate().take(split) {
-            let a = cached.submit(request(i, job)).expect("cached submit");
-            let b = fresh.submit(request(i, job)).expect("fresh submit");
-            prop_assert_eq!(a, b);
-        }
+        let mut ops: Vec<Op> = jobs.iter().enumerate().take(split).map(request).collect();
         for &t in &horizons {
-            prop_assert_eq!(
-                cached.advance_drift(t).expect("cached advance"),
-                fresh.advance_drift(t).expect("fresh advance")
-            );
-            prop_assert_eq!(cached.tick(t).expect("cached tick"), fresh.tick(t).expect("fresh tick"));
+            ops.extend([Op::AdvanceDrift(t), Op::Tick(t)]);
         }
-        for (i, job) in jobs.iter().enumerate().skip(split) {
-            let a = cached.submit(request(i, job)).expect("cached submit");
-            let b = fresh.submit(request(i, job)).expect("fresh submit");
-            prop_assert_eq!(a, b);
-        }
-        let a = cached.run_until_drained().expect("cached drain");
-        let b = fresh.run_until_drained().expect("fresh drain");
-        prop_assert_eq!(a, b);
-        // The ablation never consults the plan cache; the memoized side
-        // must have actually exercised it.
-        let stats = fresh.route_cache_stats();
-        prop_assert_eq!((stats.plan_hits, stats.plan_misses, stats.plan_entries), (0, 0, 0));
-        let stats = cached.route_cache_stats();
+        ops.extend(jobs.iter().enumerate().skip(split).map(request));
+        let run = assert_matches_reference(&ops, &cfg);
+        let stats = run.service.route_cache_stats();
         prop_assert!(stats.plan_hits + stats.plan_misses > 0);
     }
 }

@@ -8,8 +8,8 @@ use qucp_bench::EXPERIMENT_SEED;
 use qucp_circuit::library;
 use qucp_core::strategy;
 use qucp_runtime::{
-    Backfill, CalibrationAware, DispatchSharding, Event, ExecutionMode, Fifo, JobRequest, PlanMemo,
-    Service, ServiceReport, ShortestJobFirst, ShotParallelism, TrajectoryKernel,
+    Backfill, CalibrationAware, DispatchSharding, Event, ExecutionMode, Fifo, JobRequest, Service,
+    ServiceReport, ShortestJobFirst, ShotParallelism, TrajectoryKernel,
 };
 
 const NAMES: [&str; 6] = [
@@ -23,12 +23,10 @@ const NAMES: [&str; 6] = [
 
 /// A service on the skewed two-Toronto fleet under the given admission
 /// policy (0 = FIFO, 1 = backfill, 2 = shortest-job-first) with the
-/// planning-memoization, dispatch-sharding and execution-mode seams
-/// exposed.
+/// dispatch-sharding and execution-mode seams exposed.
 fn dispatch_service(
     policy: u8,
     best_k: usize,
-    plan_memo: PlanMemo,
     sharding: DispatchSharding,
     groups: Option<usize>,
     mode: ExecutionMode,
@@ -39,7 +37,6 @@ fn dispatch_service(
         .max_parallel(3)
         .seed(EXPERIMENT_SEED)
         .best_k(best_k)
-        .plan_memo(plan_memo)
         .dispatch_sharding(sharding)
         .mode(mode);
     if let Some(groups) = groups {
@@ -91,15 +88,12 @@ proptest! {
 
     /// The sharded-dispatch equivalence: per-group execution workers
     /// ([`DispatchSharding::Grouped`], any group count, any admission
-    /// policy, any plan-memoization mode, any submit/tick interleaving)
-    /// produce exactly the single loop's tickets from every tick and a
-    /// bit-identical final report — staging stays sequential, execution
-    /// shards, and the finish pass merges in global batch order. Each
-    /// side draws its own plan-memoization and execution mode, and
-    /// every job its own kernel and shot-parallelism override: prepared
-    /// state replayed from a cached plan equals state rebuilt for a
-    /// fresh one (`PlanMemo::Never`) under every fan-out shape, on
-    /// either loop.
+    /// policy, any submit/tick interleaving) produce exactly the single
+    /// loop's tickets from every tick and a bit-identical final report
+    /// — staging stays sequential, execution shards, and the finish
+    /// pass merges in global batch order. Each side draws its own
+    /// execution mode, and every job its own kernel and
+    /// shot-parallelism override.
     #[test]
     fn sharded_dispatch_matches_the_single_loop(
         jobs in proptest::collection::vec(
@@ -107,18 +101,15 @@ proptest! {
             1usize..14,
         ),
         policy in 0u8..3,
-        memos in (0u8..2, 0u8..2),
         serials in (0u8..2, 0u8..2),
         groups in 1usize..5,
         split_frac in 0f64..1.0,
         tick_gap in 0f64..5e5,
     ) {
-        let memo_of = |m: u8| if m == 0 { PlanMemo::EpochKeyed } else { PlanMemo::Never };
         let mode_of = |s: u8| if s == 0 { ExecutionMode::Concurrent } else { ExecutionMode::Serial };
         let mut single = dispatch_service(
             policy,
             1,
-            memo_of(memos.0),
             DispatchSharding::Single,
             None,
             mode_of(serials.0),
@@ -126,7 +117,6 @@ proptest! {
         let mut sharded = dispatch_service(
             policy,
             1,
-            memo_of(memos.1),
             DispatchSharding::Grouped,
             Some(groups),
             mode_of(serials.1),
