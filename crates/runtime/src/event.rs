@@ -96,8 +96,8 @@ pub enum Event {
     /// [`Service::recalibrate`](crate::Service::recalibrate), a drift
     /// step that moved values, or a drift-scheduled recalibration
     /// reset. Every such event corresponds to exactly one calibration
-    /// **epoch bump** (and, under the default epoch-aware cache mode,
-    /// one per-device invalidation of the cross-batch planning cache).
+    /// **epoch bump** (and one per-device invalidation of the
+    /// cross-batch planning cache).
     DeviceRecalibrated {
         /// Name of the device whose calibration changed.
         device: String,

@@ -112,10 +112,8 @@
 //!   for exactly one epoch: a bump drops the bumped device's entries
 //!   (only its — invalidation is per device) and emits
 //!   [`Event::DeviceRecalibrated`], so the next dispatch re-probes the
-//!   *current* calibration. [`CacheInvalidation::Never`] disables the
-//!   protocol as the stale-cache ablation the `drift_shootout` bench
-//!   quantifies: on a fleet whose quality ordering flips under drift,
-//!   epoch-aware invalidation wins delivered EFS/JSD decisively.
+//!   *current* calibration: on a fleet whose quality ordering flips
+//!   under drift, the next burst follows the flip.
 //! - **Recalibration** — [`Service::recalibrate`] installs a fresh
 //!   [`Calibration`](qucp_device::Calibration) snapshot. Snapshots are
 //!   validated first (finite entries, matching qubit count, full link
@@ -266,8 +264,8 @@ pub use scheduler::{
     RuntimeError,
 };
 pub use service::{
-    CacheInvalidation, DeviceReport, DispatchSharding, EfsGate, JobRequest, JobTicket,
-    RouteCacheStats, Service, ServiceBuilder, ServiceReport, MAX_DRIFT_STEPS_PER_ADVANCE,
+    DeviceReport, DispatchSharding, EfsGate, JobRequest, JobTicket, RouteCacheStats, Service,
+    ServiceBuilder, ServiceReport, MAX_DRIFT_STEPS_PER_ADVANCE,
 };
 
 // The shot-parallelism mode travels with the runtime config; re-export

@@ -69,17 +69,12 @@
 //! pre-live-fleet runtime: epochs stay 0 and entries never invalidate.
 //! The two kinds differ in one deliberate way: probe entries are keyed
 //! by device *index* and dropped eagerly on the bump, while plan
-//! entries carry the epoch **inside their key**, so a stale plan can
-//! never replay even under
-//! [`CacheInvalidation::Never`](crate::CacheInvalidation::Never) — for
-//! plans the eager drop is garbage collection, not correctness.
-//! Invalidations of both kinds are observable via
+//! entries carry the epoch **inside their key** as well, so a stale
+//! plan could not replay even if a drop were missed — for plans the
+//! eager drop is garbage collection. Invalidations of both kinds are
+//! observable via
 //! [`Service::route_cache_stats`](crate::Service::route_cache_stats)
-//! (`invalidated` / `plan_invalidated`), and
-//! [`CacheInvalidation::Never`](crate::CacheInvalidation::Never)
-//! disables the drop protocol as an ablation (stale-cache *routing*,
-//! the baseline the `drift_shootout` bench beats — plan replay stays
-//! calibration-correct regardless, per the epoch-in-key rule above).
+//! (`invalidated` / `plan_invalidated`).
 //!
 //! ## Device groups and sharded dispatch
 //!

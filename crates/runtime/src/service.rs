@@ -239,24 +239,6 @@ struct DeviceState {
 /// deterministic noise trajectory.
 pub const MAX_DRIFT_STEPS_PER_ADVANCE: u64 = 100_000;
 
-/// How the cross-batch planning cache reacts to calibration-epoch
-/// bumps.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum CacheInvalidation {
-    /// The default protocol: an epoch bump drops every cached probe of
-    /// the bumped device, so the next dispatch re-probes against the
-    /// current calibration. A frozen fleet never bumps, so this mode
-    /// is bit-for-bit the pre-live-fleet behaviour.
-    #[default]
-    EpochAware,
-    /// Never invalidate — cached probes survive recalibrations and
-    /// drift, so routing keeps ranking chips by **stale** calibration
-    /// data while execution uses the live values. Exists as the
-    /// ablation baseline the `drift_shootout` bench quantifies against;
-    /// do not use it in production configurations.
-    Never,
-}
-
 /// How the service runs the execution half of its dispatch loop.
 ///
 /// Dispatch decisions (head choice, routing, packing, planning) never
@@ -296,7 +278,6 @@ pub struct ServiceBuilder {
     default_shots: usize,
     observers: Vec<Box<dyn EventObserver>>,
     drift: Option<Box<dyn DriftModel>>,
-    invalidation: CacheInvalidation,
     event_capacity: Option<usize>,
     best_k: usize,
     sharding: DispatchSharding,
@@ -314,7 +295,6 @@ impl std::fmt::Debug for ServiceBuilder {
             .field("efs_gate", &self.efs_gate)
             .field("default_shots", &self.default_shots)
             .field("drift", &self.drift)
-            .field("invalidation", &self.invalidation)
             .finish_non_exhaustive()
     }
 }
@@ -340,7 +320,6 @@ impl ServiceBuilder {
             default_shots: 1024,
             observers: Vec::new(),
             drift: None,
-            invalidation: CacheInvalidation::default(),
             event_capacity: None,
             best_k: 1,
             sharding: DispatchSharding::default(),
@@ -487,18 +466,6 @@ impl ServiceBuilder {
         self
     }
 
-    /// Chooses how the cross-batch planning cache reacts to
-    /// calibration-epoch bumps. The default
-    /// [`CacheInvalidation::EpochAware`] drops a device's cached probes
-    /// whenever its calibration changes;
-    /// [`CacheInvalidation::Never`] is the stale-cache ablation used by
-    /// the drift shoot-out.
-    #[must_use]
-    pub fn cache_invalidation(mut self, invalidation: CacheInvalidation) -> Self {
-        self.invalidation = invalidation;
-        self
-    }
-
     /// Bounds the retained event log (see the [`EventLog`] capacity
     /// contract): `None` — the default — retains every event for the
     /// service's lifetime, bit-for-bit the prior behaviour;
@@ -622,7 +589,6 @@ impl ServiceBuilder {
             drift: self.drift,
             drift_steps,
             baselines,
-            invalidation: self.invalidation,
             best_k: self.best_k.max(1),
             sharding: self.sharding,
             plan_cfg_fp,
@@ -699,8 +665,6 @@ pub struct Service {
     /// explicit [`Service::recalibrate`] moves the baseline too — the
     /// newest official snapshot is what a reset restores.
     baselines: Option<Vec<(Calibration, CrosstalkModel)>>,
-    /// How the route cache reacts to epoch bumps.
-    invalidation: CacheInvalidation,
     /// Top-k speculative planning width (1 = sequential).
     best_k: usize,
     /// Serial or per-group-sharded batch execution.
@@ -748,8 +712,7 @@ pub struct RouteCacheStats {
     /// Entries currently cached.
     pub entries: usize,
     /// Entries dropped by calibration-epoch invalidations (0 on a
-    /// frozen fleet, and always 0 under
-    /// [`CacheInvalidation::Never`]).
+    /// frozen fleet).
     pub invalidated: usize,
     /// Whole-plan cache hits: batches whose committed plan was replayed
     /// from memo instead of re-derived.
@@ -759,9 +722,8 @@ pub struct RouteCacheStats {
     /// Whole-plan entries currently cached.
     pub plan_entries: usize,
     /// Whole-plan entries dropped by calibration-epoch invalidations.
-    /// Epochs also live in the plan *key*, so this is pure garbage
-    /// collection — a stale-epoch plan can never replay even under
-    /// [`CacheInvalidation::Never`].
+    /// The epoch is also part of the plan *key*, so a stale-epoch plan
+    /// could not replay even if a drop were missed.
     pub plan_invalidated: usize,
 }
 
@@ -771,10 +733,8 @@ pub struct RouteCacheStats {
 /// *(device, circuit shape, partition policy[, threshold])* **at a
 /// fixed calibration epoch**: an entry is valid for exactly one epoch
 /// of its device, and the service drops a device's entries whenever
-/// its epoch bumps (recalibration or a changing drift step) under the
-/// default [`CacheInvalidation::EpochAware`] protocol. A frozen fleet
-/// never bumps, so its entries live for the service's lifetime —
-/// bit-for-bit the pre-live-fleet behaviour.
+/// its epoch bumps (recalibration or a changing drift step). A frozen
+/// fleet never bumps, so its entries live for the service's lifetime.
 #[derive(Debug, Default)]
 struct RouteCache {
     /// Solo-best EFS partition score of a circuit shape on a device;
@@ -925,11 +885,10 @@ impl Service {
     /// shape, partition policy[, threshold])* and are valid for exactly
     /// one calibration **epoch** of their device: a
     /// [`Service::recalibrate`] or a changing [`Service::advance_drift`]
-    /// step bumps the device's epoch and (under the default
-    /// [`CacheInvalidation::EpochAware`] mode) drops that device's
-    /// entries, counted in [`RouteCacheStats::invalidated`]. On a
-    /// frozen fleet epochs never bump and entries live for the
-    /// service's lifetime.
+    /// step bumps the device's epoch and drops that device's entries,
+    /// counted in [`RouteCacheStats::invalidated`] (plans:
+    /// [`RouteCacheStats::plan_invalidated`]). On a frozen fleet epochs
+    /// never bump and entries live for the service's lifetime.
     pub fn route_cache_stats(&self) -> RouteCacheStats {
         RouteCacheStats {
             hits: self.route_cache.hits,
@@ -957,8 +916,7 @@ impl Service {
     /// missing link entries is rejected with a typed error and the
     /// device, its epoch and the planning cache are left exactly as
     /// they were. On success the device's calibration epoch bumps, the
-    /// device's cached planning probes are dropped (under
-    /// [`CacheInvalidation::EpochAware`]), an
+    /// device's cached planning probes and plans are dropped, an
     /// [`Event::DeviceRecalibrated`] is emitted, and — when a drift
     /// model is attached — the new snapshot becomes the baseline that
     /// drift-scheduled recalibration resets restore. Returns the new
@@ -1012,9 +970,8 @@ impl Service {
     /// [`DriftEvent::Drift`] steps perturb the calibration state,
     /// [`DriftEvent::Recalibrate`] steps restore the device's baseline
     /// snapshot. Each step that actually changes a device bumps its
-    /// calibration epoch, drops its cached planning probes (under the
-    /// default [`CacheInvalidation::EpochAware`] mode) and emits an
-    /// [`Event::DeviceRecalibrated`]; no-op steps (zero-sigma walks, or
+    /// calibration epoch, drops its cached planning probes and plans
+    /// and emits an [`Event::DeviceRecalibrated`]; no-op steps (zero-sigma walks, or
     /// resets of an undrifted device) leave epoch, cache and telemetry
     /// untouched, so a zero-drift service stays bit-for-bit a frozen
     /// one. Returns the number of epoch bumps.
@@ -1068,7 +1025,6 @@ impl Service {
                 continue;
             }
             let id = DeviceId::from_index(index);
-            let mut device_bumped = false;
             for step in applied + 1..=target {
                 let new_epoch = match model.event_at(step) {
                     // Applied against a scratch copy so a model that
@@ -1100,9 +1056,6 @@ impl Service {
                             // device stays at `step - 1` so a fixed
                             // model could resume exactly there.
                             self.drift_steps[index] = step - 1;
-                            if device_bumped && self.invalidation == CacheInvalidation::EpochAware {
-                                self.route_cache.invalidate_device(index);
-                            }
                             continue 'devices;
                         }
                         epoch
@@ -1128,19 +1081,15 @@ impl Service {
                     }
                 };
                 if let Some(epoch) = new_epoch {
-                    // One telemetry event per epoch bump; the cache
-                    // drop is coalesced to once per device below (no
-                    // dispatch can repopulate it mid-advance).
+                    // After a device's first bump of this advance its
+                    // cache entries are gone and no dispatch can bring
+                    // any back mid-advance: later drops find nothing.
                     let device = self.registry.device_at(index).name().to_string();
-                    self.emit(Event::DeviceRecalibrated { device, epoch });
-                    device_bumped = true;
+                    self.bump_epoch(index, device, epoch);
                     bumps += 1;
                 }
             }
             self.drift_steps[index] = target;
-            if device_bumped && self.invalidation == CacheInvalidation::EpochAware {
-                self.route_cache.invalidate_device(index);
-            }
         }
         self.drift = Some(model);
         match fault {
@@ -1149,12 +1098,12 @@ impl Service {
         }
     }
 
-    /// The epoch-bump fanout: per-device cache invalidation (under the
-    /// epoch-aware mode) plus telemetry.
+    /// The epoch-bump fanout, shared by explicit recalibrations and
+    /// drift steps: the device's cached probes and plans are dropped —
+    /// they were computed against a calibration that no longer exists —
+    /// and the bump is logged.
     fn bump_epoch(&mut self, device_index: usize, device_name: String, epoch: u64) {
-        if self.invalidation == CacheInvalidation::EpochAware {
-            self.route_cache.invalidate_device(device_index);
-        }
+        self.route_cache.invalidate_device(device_index);
         self.emit(Event::DeviceRecalibrated {
             device: device_name,
             epoch,
@@ -3159,6 +3108,24 @@ mod tests {
         let c = partition_policy_fingerprint(&strategy::multiqc().partition);
         assert_ne!(a, b);
         assert_ne!(a, c);
+        // The plan key carries the calibration epoch: a recalibrated
+        // device never shares a key with its former self, whether or
+        // not the eager drop on the bump ran.
+        let mut service = fifo_service(2);
+        let members = PlanMembers {
+            seqs: vec![0],
+            ids: vec![0],
+            shapes: vec![circuit_shape_fingerprint(&bell)],
+            circuits: vec![bell],
+            thresholds: Vec::new(),
+        };
+        let before = service.plan_fingerprint(0, 7, &members);
+        assert_eq!(before, service.plan_fingerprint(0, 7, &members));
+        let snapshot = ibm::toronto().calibration().clone();
+        service
+            .recalibrate(DeviceId::from_index(0), snapshot)
+            .unwrap();
+        assert_ne!(before, service.plan_fingerprint(0, 7, &members));
     }
 
     #[test]
@@ -3187,13 +3154,12 @@ mod tests {
         assert!(service.event_log().recalibrations().is_empty());
     }
 
-    fn aware_two_chip_service(invalidation: CacheInvalidation) -> Service {
+    fn aware_two_chip_service() -> Service {
         Service::builder()
             .device(ibm::melbourne())
             .device(ibm::toronto())
             .strategy(strategy::qucp(4.0))
             .routing(crate::registry::CalibrationAware::default())
-            .cache_invalidation(invalidation)
             .max_parallel(2)
             .default_shots(16)
             .seed(8)
@@ -3203,7 +3169,7 @@ mod tests {
 
     #[test]
     fn recalibration_bumps_epoch_invalidates_cache_and_emits_event() {
-        let mut service = aware_two_chip_service(CacheInvalidation::EpochAware);
+        let mut service = aware_two_chip_service();
         submit_all(&mut service, 4);
         service.run_until_drained().unwrap();
         let warm = service.route_cache_stats();
@@ -3237,24 +3203,8 @@ mod tests {
     }
 
     #[test]
-    fn stale_cache_mode_survives_recalibration() {
-        let mut service = aware_two_chip_service(CacheInvalidation::Never);
-        submit_all(&mut service, 4);
-        service.run_until_drained().unwrap();
-        let warm = service.route_cache_stats();
-        let mel = DeviceId::from_index(0);
-        let fresh = ibm::melbourne().calibration().clone();
-        service.recalibrate(mel, fresh).unwrap();
-        // Epoch and telemetry still move — only the cache stays stale.
-        assert_eq!(service.device_epoch(mel), 1);
-        let stats = service.route_cache_stats();
-        assert_eq!(stats.entries, warm.entries);
-        assert_eq!(stats.invalidated, 0);
-    }
-
-    #[test]
     fn invalid_recalibrations_are_rejected_typed_without_side_effects() {
-        let mut service = aware_two_chip_service(CacheInvalidation::EpochAware);
+        let mut service = aware_two_chip_service();
         submit_all(&mut service, 4);
         service.run_until_drained().unwrap();
         let warm = service.route_cache_stats();
