@@ -9,16 +9,11 @@
 //! decisions (the property tests use this to check the backfill
 //! starvation bound).
 //!
-//! ## Emission order under sharded dispatch
-//!
 //! A batch's event block (`BatchRouted`, any `BatchShrunk`s,
 //! `BatchPlanned`, the `JobCompleted`s) is *buffered at staging time*
-//! and emitted contiguously when the batch finishes — always in global
-//! batch order, under both
-//! [`DispatchSharding`](crate::DispatchSharding) modes. Per-group
-//! execution workers therefore never interleave into the log: the
-//! sharded event stream is bit-for-bit the single-loop stream, and
-//! observers see events exactly once, in that same order.
+//! and emitted contiguously when the batch finishes, in batch order:
+//! execution threads never interleave into the log, and observers see
+//! every event exactly once, in log order.
 
 /// Why a planned batch lost its tail member.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -61,9 +61,8 @@
 //!    spawns and runs as a plain loop; a batch of 8192-shot jobs on a
 //!    multi-core host runs one program per core.
 //!    [`ExecutionMode::Serial`] is the same call with a budget of one
-//!    thread. The same helper, under the same rule, runs the device
-//!    groups of [`DispatchSharding::Grouped`], the candidates of
-//!    best-k speculation (work = the service's own measured mean
+//!    thread. The same helper, under the same rule, runs the
+//!    candidates of best-k speculation (work = the service's own measured mean
 //!    planning time) and the shards of a sharded shot loop (work =
 //!    the whole job's shots × scheduled events, so an 8192-shot job
 //!    keeps its threads on a ten-gate circuit too). Per-program seeds
@@ -149,7 +148,6 @@
 //! | batch planning | partition + map + merge per batch | O(1) plan-cache hit (repeat shapes at one calibration epoch) |
 //! | execution set-up per program | ALAP schedule + event sort + three statevector passes | the first two executions of a plan only (the second fills the slots); a replayed plan then pays a calibration compare and an `Arc` clone (prepared replay) |
 //! | threads per batch | one spawn per program | none under two spawn floors of batch work or on one core; otherwise one worker per floor up to the cores, the caller being one of them |
-//! | batch execution | one global serial loop | per-group fan-out tasks ([`DispatchSharding::Grouped`]), merged in batch order |
 //!
 //! **Best-k speculative planning** ([`ServiceBuilder::best_k`]) plans
 //! the head batch on the top-k routing candidates through the fan-out
@@ -264,8 +262,8 @@ pub use scheduler::{
     RuntimeError,
 };
 pub use service::{
-    DeviceReport, DispatchSharding, EfsGate, JobRequest, JobTicket, RouteCacheStats, Service,
-    ServiceBuilder, ServiceReport, MAX_DRIFT_STEPS_PER_ADVANCE,
+    DeviceReport, EfsGate, JobRequest, JobTicket, RouteCacheStats, Service, ServiceBuilder,
+    ServiceReport, MAX_DRIFT_STEPS_PER_ADVANCE,
 };
 
 // The shot-parallelism mode travels with the runtime config; re-export

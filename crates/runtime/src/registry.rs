@@ -75,17 +75,6 @@
 //! observable via
 //! [`Service::route_cache_stats`](crate::Service::route_cache_stats)
 //! (`invalidated` / `plan_invalidated`).
-//!
-//! ## Device groups and sharded dispatch
-//!
-//! Each device belongs to a **dispatch group** (default: group 0).
-//! Groups are the unit of execution parallelism under
-//! [`DispatchSharding::Grouped`](crate::DispatchSharding): staged
-//! batches are executed as one fan-out task per group, then merged
-//! back in global batch order, so the sharded schedule is bit-for-bit
-//! the serial one. Assign groups at build time via
-//! [`ServiceBuilder::device_groups`](crate::ServiceBuilder::device_groups)
-//! (round-robin) or per device with [`DeviceRegistry::set_group`].
 
 use std::fmt;
 
@@ -137,11 +126,6 @@ pub struct DeviceRegistry {
     /// (recalibration never resizes a chip), so the index never goes
     /// stale.
     by_width: Vec<(usize, usize)>,
-    /// Per-device dispatch group, parallel to `devices`; every device
-    /// starts in group 0. Groups never influence scheduling decisions —
-    /// only which fan-out task executes a staged batch under
-    /// [`DispatchSharding::Grouped`](crate::DispatchSharding).
-    groups: Vec<usize>,
 }
 
 impl DeviceRegistry {
@@ -157,7 +141,6 @@ impl DeviceRegistry {
             devices: vec![device],
             epochs: vec![0],
             by_width: vec![(width, 0)],
-            groups: vec![0],
         }
     }
 
@@ -170,58 +153,7 @@ impl DeviceRegistry {
         self.by_width.insert(pos, entry);
         self.devices.push(device);
         self.epochs.push(0);
-        self.groups.push(0);
         DeviceId(index)
-    }
-
-    /// The device's dispatch group (0 unless assigned).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `id` came from a different registry and is out of
-    /// range.
-    pub fn group(&self, id: DeviceId) -> usize {
-        self.groups[id.0]
-    }
-
-    /// Assigns the device to a dispatch group. Groups partition
-    /// *execution* only — scheduling decisions (admission, routing,
-    /// planning) are group-blind, which is what keeps
-    /// [`DispatchSharding::Grouped`](crate::DispatchSharding)
-    /// bit-identical to the single loop.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `id` came from a different registry and is out of
-    /// range.
-    pub fn set_group(&mut self, id: DeviceId, group: usize) {
-        self.groups[id.0] = group;
-    }
-
-    /// The number of distinct dispatch groups in use (1 for a fleet
-    /// that never assigned groups — every device in group 0; 0 for an
-    /// empty registry).
-    pub fn group_count(&self) -> usize {
-        let mut seen: Vec<usize> = self.groups.clone();
-        seen.sort_unstable();
-        seen.dedup();
-        seen.len()
-    }
-
-    /// Spreads the fleet across `n` dispatch groups round-robin by
-    /// registration index (device `i` joins group `i % n`). `n` is
-    /// clamped to at least 1.
-    pub fn assign_groups_round_robin(&mut self, n: usize) {
-        let n = n.max(1);
-        for (i, group) in self.groups.iter_mut().enumerate() {
-            *group = i % n;
-        }
-    }
-
-    /// The dispatch group of the device at a registration index — the
-    /// dispatch loop's internal indexed accessor.
-    pub(crate) fn group_of(&self, index: usize) -> usize {
-        self.groups[index]
     }
 
     /// The device's calibration epoch: 0 at registration, bumped once

@@ -239,34 +239,6 @@ struct DeviceState {
 /// deterministic noise trajectory.
 pub const MAX_DRIFT_STEPS_PER_ADVANCE: u64 = 100_000;
 
-/// How the service runs the execution half of its dispatch loop.
-///
-/// Dispatch decisions (head choice, routing, packing, planning) never
-/// depend on execution *results* — a batch's completion time is
-/// `start + plan.context.makespan`, a pure planning output — so the
-/// loop splits into a sequential *staging* pass (all decisions, queue
-/// and clock mutations) and per-batch *execution* that only fills in
-/// measurement outcomes. Both modes run the same staging pass; they
-/// differ only in when execution happens. Serial == sharded bit-for-bit
-/// (tickets, events, drained report), pinned by the fleet equivalence
-/// proptests.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum DispatchSharding {
-    /// The default: stage and execute one batch at a time on the
-    /// calling thread — the seed loop's behaviour.
-    #[default]
-    Single,
-    /// Stage every dispatchable batch, then execute per device
-    /// **group** ([`DeviceRegistry`] groups, see
-    /// [`ServiceBuilder::device_groups`]): one fan-out task per
-    /// non-empty group runs its group's batches in batch order (on
-    /// helper threads where the staged work pays for them), and the
-    /// results merge back deterministically in global batch order. After an *execution* error (exotic backend
-    /// failures only — planning errors surface identically in both
-    /// modes) the service should be discarded in either mode.
-    Grouped,
-}
-
 /// Builds a [`Service`]; validation happens in [`ServiceBuilder::build`].
 pub struct ServiceBuilder {
     registry: DeviceRegistry,
@@ -280,8 +252,6 @@ pub struct ServiceBuilder {
     drift: Option<Box<dyn DriftModel>>,
     event_capacity: Option<usize>,
     best_k: usize,
-    sharding: DispatchSharding,
-    device_groups: Option<usize>,
 }
 
 impl std::fmt::Debug for ServiceBuilder {
@@ -322,8 +292,6 @@ impl ServiceBuilder {
             drift: None,
             event_capacity: None,
             best_k: 1,
-            sharding: DispatchSharding::default(),
-            device_groups: None,
         }
     }
 
@@ -497,31 +465,6 @@ impl ServiceBuilder {
         self
     }
 
-    /// Chooses how the dispatch loop executes staged batches (see
-    /// [`DispatchSharding`]). [`DispatchSharding::Grouped`] runs one
-    /// worker per device group; configure the grouping with
-    /// [`ServiceBuilder::device_groups`] (or
-    /// [`DeviceRegistry::set_group`] before handing the registry over).
-    /// Both modes are observationally equivalent, pinned by the sharded
-    /// equivalence proptest.
-    #[must_use]
-    pub fn dispatch_sharding(mut self, sharding: DispatchSharding) -> Self {
-        self.sharding = sharding;
-        self
-    }
-
-    /// Splits the fleet into `groups` dispatch groups round-robin by
-    /// registration index (group = index mod `groups`, clamped to at
-    /// least 1), overriding any grouping already present on the
-    /// registry. Groups only matter under
-    /// [`DispatchSharding::Grouped`], where each group's batches
-    /// execute on their own worker thread.
-    #[must_use]
-    pub fn device_groups(mut self, groups: usize) -> Self {
-        self.device_groups = Some(groups.max(1));
-        self
-    }
-
     /// Validates the configuration and builds the service.
     ///
     /// # Errors
@@ -558,10 +501,6 @@ impl ServiceBuilder {
         let drift_steps = vec![0u64; self.registry.len()];
         let clock_index = ClockIndex::new(self.registry.len());
         let pending = PendingStore::new(self.strategy.clone());
-        let mut registry = self.registry;
-        if let Some(groups) = self.device_groups {
-            registry.assign_groups_round_robin(groups);
-        }
         // Plan-cache key components that never change over the
         // service's lifetime, fingerprinted once here instead of once
         // per dispatch.
@@ -574,7 +513,7 @@ impl ServiceBuilder {
             cfg: self.cfg,
             efs_gate: self.efs_gate,
             default_shots: self.default_shots,
-            registry,
+            registry: self.registry,
             states,
             pending,
             next_seq: 0,
@@ -590,7 +529,6 @@ impl ServiceBuilder {
             drift_steps,
             baselines,
             best_k: self.best_k.max(1),
-            sharding: self.sharding,
             plan_cfg_fp,
             default_strategy_fp,
             exec_ns: 0,
@@ -667,8 +605,6 @@ pub struct Service {
     baselines: Option<Vec<(Calibration, CrosstalkModel)>>,
     /// Top-k speculative planning width (1 = sequential).
     best_k: usize,
-    /// Serial or per-group-sharded batch execution.
-    sharding: DispatchSharding,
     /// Fingerprint of the immutable plan-key bits (EFS gate mode +
     /// optimize flag), computed once at build.
     plan_cfg_fp: u64,
@@ -1316,90 +1252,24 @@ impl Service {
         Ok(self.drained_report())
     }
 
-    /// Dispatches every batch that can start at or before `limit`.
-    ///
-    /// The loop is split into a **staging** pass ([`Service::stage_one`]
-    /// — every scheduling decision and queue/clock mutation, batch
-    /// events buffered) and a **finishing** pass
-    /// ([`Service::finish_batch`] — execution results folded into
-    /// results, statistics and the event log, always in batch order).
-    /// Under [`DispatchSharding::Single`] each batch finishes before
-    /// the next one stages, reproducing the seed loop exactly; under
-    /// [`DispatchSharding::Grouped`] all batches stage first, each
-    /// device group's batches execute as one fan-out task, and
-    /// the finishes replay in global batch order — bit-for-bit the same
-    /// observable sequence, because no staging decision ever reads an
-    /// execution result (completion times are plan-derived).
+    /// Dispatches every batch that can start at or before `limit`, one
+    /// at a time: a **staging** pass ([`Service::stage_one`] — every
+    /// scheduling decision and queue/clock mutation, batch events
+    /// buffered), execution, and a **finishing** pass
+    /// ([`Service::finish_batch`] — results folded into the result
+    /// store, statistics and the event log). No staging decision reads
+    /// an execution result (completion times are plan-derived).
     fn dispatch_until(&mut self, limit: f64) -> Result<(), RuntimeError> {
         let mode = self.cfg.mode;
-        match self.sharding {
-            DispatchSharding::Single => {
-                while let Some(staged) = self.stage_one(limit, 0)? {
-                    let exec_started = std::time::Instant::now();
-                    let results = staged.execute(mode);
-                    self.exec_ns = self
-                        .exec_ns
-                        .saturating_add(exec_started.elapsed().as_nanos() as u64);
-                    self.finish_batch(staged, results?);
-                }
-                Ok(())
-            }
-            DispatchSharding::Grouped => {
-                // Stage everything first: admission, routing and
-                // planning decisions are inherently sequential (each
-                // reads the queue/clock state the previous one wrote).
-                // A staging error behaves like the serial loop's: the
-                // batches staged before it still execute and finish.
-                let mut staged: Vec<StagedBatch> = Vec::new();
-                let mut stage_err: Option<RuntimeError> = None;
-                loop {
-                    match self.stage_one(limit, staged.len()) {
-                        Ok(Some(batch)) => staged.push(batch),
-                        Ok(None) => break,
-                        Err(e) => {
-                            stage_err = Some(e);
-                            break;
-                        }
-                    }
-                }
-                // Execute per group: one fan-out task per non-empty
-                // group, each running its own batches in batch order.
-                let mut by_group: std::collections::BTreeMap<usize, Vec<usize>> =
-                    std::collections::BTreeMap::new();
-                for (i, batch) in staged.iter().enumerate() {
-                    by_group.entry(batch.group).or_default().push(i);
-                }
-                let groups: Vec<Vec<usize>> = by_group.into_values().collect();
-                let work: u64 = staged.iter().map(StagedBatch::work).sum();
-                let executed = run_indexed(groups.len(), work, |g| {
-                    groups[g]
-                        .iter()
-                        .map(|&i| {
-                            let started = std::time::Instant::now();
-                            let results = staged[i].execute(mode);
-                            (i, results, started.elapsed().as_nanos() as u64)
-                        })
-                        .collect::<Vec<_>>()
-                });
-                let mut slots: Vec<Option<Result<Vec<ProgramResult>, RuntimeError>>> =
-                    staged.iter().map(|_| None).collect();
-                for (i, results, ns) in executed.into_iter().flatten() {
-                    self.exec_ns = self.exec_ns.saturating_add(ns);
-                    slots[i] = Some(results);
-                }
-                // Deterministic merge: finish in global batch order,
-                // surfacing the first batch-order execution error
-                // (matching which error the serial loop would report).
-                for (batch, slot) in staged.into_iter().zip(slots) {
-                    let results = slot.expect("every staged batch was executed")?;
-                    self.finish_batch(batch, results);
-                }
-                match stage_err {
-                    Some(e) => Err(e),
-                    None => Ok(()),
-                }
-            }
+        while let Some(staged) = self.stage_one(limit)? {
+            let exec_started = std::time::Instant::now();
+            let results = staged.execute(mode);
+            self.exec_ns = self
+                .exec_ns
+                .saturating_add(exec_started.elapsed().as_nanos() as u64);
+            self.finish_batch(staged, results?);
         }
+        Ok(())
     }
 
     /// Emits an event to every observer and the log.
@@ -1425,15 +1295,8 @@ impl Service {
     /// planning through the plan cache), every queue/clock mutation,
     /// and the batch's full event block — buffered on the returned
     /// [`StagedBatch`], not yet emitted. Execution and the event/stat
-    /// fold happen in [`Service::finish_batch`]. `in_flight` is the
-    /// number of staged-but-unfinished batches, so `batch_index` stays
-    /// dense while [`DispatchSharding::Grouped`] defers the
-    /// [`BatchReport`] pushes.
-    fn stage_one(
-        &mut self,
-        limit: f64,
-        in_flight: usize,
-    ) -> Result<Option<StagedBatch>, RuntimeError> {
+    /// fold happen in [`Service::finish_batch`].
+    fn stage_one(&mut self, limit: f64) -> Result<Option<StagedBatch>, RuntimeError> {
         let Some(t_min) = self.pending.first_arrival() else {
             return Ok(None);
         };
@@ -1567,7 +1430,7 @@ impl Service {
         // so each dispatch builds one for the head's effective strategy
         // rather than fighting the borrow checker over a cached copy.
         let pipeline = Pipeline::from_strategy(&head_strategy);
-        let batch_index = self.batches.len() + in_flight;
+        let batch_index = self.batches.len();
 
         // Best-k speculation: precompute the top-k candidates' pack and
         // plan outcomes (planning concurrently) before walking the
@@ -1798,10 +1661,8 @@ impl Service {
                     self.pending.bump_skip(seq);
                 }
             }
-            let group = self.registry.group_of(d);
             return Ok(Some(StagedBatch {
                 device_index: d,
-                group,
                 batch_index,
                 device,
                 pipeline,
@@ -1828,9 +1689,8 @@ impl Service {
     /// The finish half of one batch dispatch: emits the batch's
     /// buffered event block, folds the execution results into the
     /// per-job result store and per-device statistics, and records the
-    /// [`BatchReport`]. Always called in global batch order — under
-    /// both sharding modes — so the event log and every floating-point
-    /// accumulation sequence are bit-identical to the serial loop's.
+    /// [`BatchReport`]. Called in batch order, so the event log and
+    /// every floating-point accumulation sequence are deterministic.
     fn finish_batch(&mut self, staged: StagedBatch, results: Vec<ProgramResult>) {
         for event in staged.events {
             self.emit(event);
@@ -2444,14 +2304,10 @@ struct GatedPlan {
 /// mutation applied, and the batch's full event block buffered — with
 /// execution and the event/statistics fold still pending
 /// ([`Service::finish_batch`]). Holds everything execution needs by
-/// value (or behind [`Arc`][std::sync::Arc]), so
-/// [`DispatchSharding::Grouped`] tasks can run batches from `&self`
-/// references across the fan-out's threads.
+/// value (or behind [`Arc`][std::sync::Arc]), so the fan-out's threads
+/// run its programs from a `&self` reference.
 struct StagedBatch {
     device_index: usize,
-    /// The device's dispatch group — the unit of execution parallelism
-    /// under [`DispatchSharding::Grouped`].
-    group: usize,
     batch_index: usize,
     device: Device,
     pipeline: Pipeline,

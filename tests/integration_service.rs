@@ -8,6 +8,8 @@
 // The equivalence suite intentionally exercises the deprecated wrapper.
 #![allow(deprecated)]
 
+mod support;
+
 use proptest::prelude::*;
 use qucp_core::strategy;
 use qucp_device::ibm;
@@ -423,57 +425,39 @@ fn sharded_service_reports_are_thread_count_invariant() {
 /// Batches heavy enough to pay for helper threads several times over
 /// (2048 shots times a few dozen routed gates per program, 512-shot
 /// shards) really run on them where the host has cores to spare — and
-/// the report is still the serial loop's, bit for bit, under both
-/// dispatch shardings, both kernels and a sharded shot loop, on first
+/// every ticket, result and report is still the serial loop's, bit for
+/// bit: the reference scheduler runs every program inline in program
+/// order, under both kernels and a sharded shot loop, on first
 /// execution and on plan-cache replays alike.
 #[test]
 fn heavy_batches_fan_out_and_match_the_serial_loop() {
-    use qucp_runtime::{DispatchSharding, TrajectoryKernel};
+    use qucp_runtime::TrajectoryKernel;
+    use support::{assert_matches_reference, Config, Fleet, Op};
     let jobs = synthetic_jobs(6, 250.0, 2048, 0xFA70);
-    let run = |mode: ExecutionMode, sharding: DispatchSharding| {
-        let mut service = Service::builder()
-            .device(ibm::toronto())
-            .device(ibm::melbourne())
-            .strategy(strategy::qucp(4.0))
-            .max_parallel(3)
-            .seed(17)
-            .mode(mode)
-            .dispatch_sharding(sharding)
-            .device_groups(2)
-            .build()
-            .expect("build");
-        // Every burst after the first finds its jobs already arrived,
-        // so the bursts batch alike and the later ones replay plans.
-        for burst in 0..5u64 {
-            for (i, job) in jobs.iter().enumerate() {
-                let mut req = JobRequest::from_job(job).with_id(burst * 100 + job.id);
-                if i % 2 == 1 {
-                    req = req.with_trajectory_kernel(TrajectoryKernel::SurvivalSkip);
-                }
-                if i % 3 == 0 {
-                    req = req.with_shot_parallelism(ShotParallelism::sharded(4));
-                }
-                service.submit(req).expect("submit");
+    // Every burst after the first finds its jobs already arrived, so
+    // the bursts batch alike and the later ones replay plans.
+    let mut ops = Vec::new();
+    for burst in 0..5u64 {
+        for (i, job) in jobs.iter().enumerate() {
+            let mut req = JobRequest::from_job(job).with_id(burst * 100 + job.id);
+            if i % 2 == 1 {
+                req = req.with_trajectory_kernel(TrajectoryKernel::SurvivalSkip);
             }
-            service.run_until_drained().expect("drain");
+            if i % 3 == 0 {
+                req = req.with_shot_parallelism(ShotParallelism::sharded(4));
+            }
+            ops.push(Op::Submit(req));
         }
-        assert!(service.route_cache_stats().plan_hits > 0);
-        service.run_until_drained().expect("final report")
+        ops.push(Op::Drain);
+    }
+    let cfg = Config {
+        fleet: Fleet::MelbourneToronto,
+        seed: 17,
+        ..Config::default()
     };
-    let reference = run(ExecutionMode::Serial, DispatchSharding::Single);
-    assert_eq!(reference.job_results.len(), 30);
-    assert_eq!(
-        run(ExecutionMode::Concurrent, DispatchSharding::Single),
-        reference
-    );
-    assert_eq!(
-        run(ExecutionMode::Concurrent, DispatchSharding::Grouped),
-        reference
-    );
-    assert_eq!(
-        run(ExecutionMode::Serial, DispatchSharding::Grouped),
-        reference
-    );
+    let run = assert_matches_reference(&ops, &cfg);
+    assert!(run.service.route_cache_stats().plan_hits > 0);
+    assert_eq!(run.report.expect("drained").job_results.len(), 30);
 }
 
 proptest! {
