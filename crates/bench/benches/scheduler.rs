@@ -1,6 +1,6 @@
 //! Criterion benchmark: service-runtime throughput (jobs served per
-//! second of wall clock) at 1/2/4-way packing, the concurrency gain of
-//! threaded batch execution, and an admission-policy comparison on a
+//! second of wall clock) at 1/2/4-way packing and an
+//! admission-policy comparison on a
 //! skewed-arrival workload (wide GHZ jobs blocking the FIFO head of
 //! line).
 //!
@@ -15,8 +15,8 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use qucp_core::strategy;
 use qucp_device::ibm;
 use qucp_runtime::{
-    skewed_jobs, synthetic_jobs, AdmissionPolicy, Backfill, ExecutionMode, Fifo, Job, JobRequest,
-    Service, ServiceReport, ShortestJobFirst,
+    skewed_jobs, synthetic_jobs, AdmissionPolicy, Backfill, Fifo, Job, JobRequest, Service,
+    ServiceReport, ShortestJobFirst,
 };
 use std::hint::black_box;
 
@@ -25,7 +25,6 @@ fn serve(
     policy: impl AdmissionPolicy + 'static,
     device: qucp_device::Device,
     max_parallel: usize,
-    mode: ExecutionMode,
 ) -> ServiceReport {
     let mut service = Service::builder()
         .device(device)
@@ -33,7 +32,6 @@ fn serve(
         .policy(policy)
         .max_parallel(max_parallel)
         .seed(0xBE7C)
-        .mode(mode)
         .build()
         .expect("build");
     for job in jobs {
@@ -49,48 +47,18 @@ fn bench_scheduler(c: &mut Criterion) {
 
     for k in [1usize, 2, 4] {
         group.bench_with_input(BenchmarkId::new("throughput", k), &k, |b, &k| {
-            b.iter(|| {
-                black_box(serve(
-                    &jobs,
-                    Fifo,
-                    ibm::toronto(),
-                    k,
-                    ExecutionMode::Concurrent,
-                ))
-            })
+            b.iter(|| black_box(serve(&jobs, Fifo, ibm::toronto(), k)))
         });
     }
 
-    // Concurrency gain at fixed packing: serial vs threaded batches.
-    group.bench_function("serial_4way", |b| {
-        b.iter(|| black_box(serve(&jobs, Fifo, ibm::toronto(), 4, ExecutionMode::Serial)))
-    });
     group.finish();
 
     // Admission policies on a skewed burst: every third job a
     // 13-qubit GHZ chain that monopolises the 15-qubit Melbourne chip.
     let skewed = skewed_jobs(12, 13, 50.0, 128, 7);
-    let fifo = serve(
-        &skewed,
-        Fifo,
-        ibm::melbourne(),
-        3,
-        ExecutionMode::Concurrent,
-    );
-    let backfill = serve(
-        &skewed,
-        Backfill { max_overtakes: 2 },
-        ibm::melbourne(),
-        3,
-        ExecutionMode::Concurrent,
-    );
-    let sjf = serve(
-        &skewed,
-        ShortestJobFirst,
-        ibm::melbourne(),
-        3,
-        ExecutionMode::Concurrent,
-    );
+    let fifo = serve(&skewed, Fifo, ibm::melbourne(), 3);
+    let backfill = serve(&skewed, Backfill { max_overtakes: 2 }, ibm::melbourne(), 3);
+    let sjf = serve(&skewed, ShortestJobFirst, ibm::melbourne(), 3);
     eprintln!(
         "skewed-arrival simulated mean turnaround (ns): \
          FIFO {:.0} | Backfill {:.0} ({:.2}x) | SJF {:.0} ({:.2}x)",
@@ -103,15 +71,7 @@ fn bench_scheduler(c: &mut Criterion) {
     let mut skew_group = c.benchmark_group("scheduler_skewed");
     skew_group.sample_size(10);
     skew_group.bench_function("fifo_3way", |b| {
-        b.iter(|| {
-            black_box(serve(
-                &skewed,
-                Fifo,
-                ibm::melbourne(),
-                3,
-                ExecutionMode::Concurrent,
-            ))
-        })
+        b.iter(|| black_box(serve(&skewed, Fifo, ibm::melbourne(), 3)))
     });
     skew_group.bench_function("backfill_3way", |b| {
         b.iter(|| {
@@ -120,20 +80,11 @@ fn bench_scheduler(c: &mut Criterion) {
                 Backfill { max_overtakes: 2 },
                 ibm::melbourne(),
                 3,
-                ExecutionMode::Concurrent,
             ))
         })
     });
     skew_group.bench_function("sjf_3way", |b| {
-        b.iter(|| {
-            black_box(serve(
-                &skewed,
-                ShortestJobFirst,
-                ibm::melbourne(),
-                3,
-                ExecutionMode::Concurrent,
-            ))
-        })
+        b.iter(|| black_box(serve(&skewed, ShortestJobFirst, ibm::melbourne(), 3)))
     });
     skew_group.finish();
 }

@@ -4,14 +4,14 @@
 //! the CI smoke check of the routing seam — it **asserts** the
 //! calibration-aware policy's delivered-fidelity win (mean EFS and mean
 //! JSD) at bounded turnaround cost, and that both policies route
-//! deterministically (serial == concurrent execution, bit for bit).
+//! deterministically (two runs agree bit for bit).
 //!
 //! ```text
 //! cargo run --release -p qucp-bench --bin routing_shootout
 //! ```
 
 use qucp_bench::{routing_shootout, ShootoutOutcome};
-use qucp_runtime::{CalibrationAware, EarliestFree, ExecutionMode};
+use qucp_runtime::{CalibrationAware, EarliestFree};
 
 /// Turnaround slack the fidelity win may cost: the calibration-aware
 /// policy concentrates load on the good chip, so it trades some queueing
@@ -32,19 +32,11 @@ fn main() {
     println!("routing shoot-out: 18 jobs on [ibmq_toronto_noisy, ibmq_toronto]\n");
 
     // Determinism first: the routing decisions and the delivered results
-    // must not depend on per-batch thread scheduling.
-    let earliest = routing_shootout(EarliestFree, ExecutionMode::Concurrent);
-    let aware = routing_shootout(CalibrationAware::default(), ExecutionMode::Concurrent);
-    assert_eq!(
-        earliest,
-        routing_shootout(EarliestFree, ExecutionMode::Serial),
-        "earliest-free routing must be serial == concurrent"
-    );
-    assert_eq!(
-        aware,
-        routing_shootout(CalibrationAware::default(), ExecutionMode::Serial),
-        "calibration-aware routing must be serial == concurrent"
-    );
+    // must not depend on how the batches' programs were threaded.
+    let earliest = routing_shootout(EarliestFree);
+    let aware = routing_shootout(CalibrationAware::default());
+    assert_eq!(earliest, routing_shootout(EarliestFree));
+    assert_eq!(aware, routing_shootout(CalibrationAware::default()));
 
     print_outcome(&earliest);
     print_outcome(&aware);

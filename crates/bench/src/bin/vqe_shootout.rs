@@ -15,7 +15,7 @@
 //!
 //! Doubles as the CI smoke check of the campaign seam — it **asserts**:
 //!
-//! - the Service campaign is serial == concurrent **bit-for-bit**
+//! - the Service campaign is reproducible **bit-for-bit**
 //!   (identical [`CampaignRun`]s, energies and scheduling stats);
 //! - all three paths land on the same grid-minimum energy within a
 //!   noise tolerance, and within chemical-accuracy scale of the
@@ -37,7 +37,7 @@
 
 use qucp_core::{execute_parallel, strategy, ParallelConfig};
 use qucp_device::{Calibration, CrosstalkModel, Device, Topology};
-use qucp_runtime::{run_campaign, CampaignStats, ExecutionMode, Service};
+use qucp_runtime::{run_campaign, CampaignStats, Service};
 use qucp_sim::{noiseless_probabilities, ExecutionConfig};
 use qucp_vqe::{
     group_energy, group_energy_exact, h2_exact_ground_energy, h2_hamiltonian, measurement_circuit,
@@ -77,12 +77,11 @@ fn quiet_device() -> Device {
     Device::new("quiet-3x4", topo, cal, CrosstalkModel::none())
 }
 
-fn service(mode: ExecutionMode, max_parallel: usize) -> Service {
+fn service(max_parallel: usize) -> Service {
     Service::builder()
         .device(quiet_device())
         .strategy(strategy::qucp(4.0))
         .max_parallel(max_parallel)
-        .mode(mode)
         .seed(SEED)
         // Keep the ansatz structure untouched, as the direct runner does.
         .optimize(false)
@@ -103,7 +102,7 @@ struct PathOutcome {
 
 fn run_service_path(label: &'static str, shots: usize, max_parallel: usize) -> PathOutcome {
     let started = std::time::Instant::now();
-    let mut svc = service(ExecutionMode::Concurrent, max_parallel);
+    let mut svc = service(max_parallel);
     let run = run_campaign(&mut svc, VqeCampaign::h2(THETA_POINTS, REPS, shots))
         .expect("vqe campaign must drain");
     let elapsed = started.elapsed().as_secs_f64();
@@ -208,16 +207,12 @@ fn main() {
     // Determinism first: the Service campaign must not depend on
     // per-batch thread scheduling.
     {
-        let run = |mode| {
-            let mut svc = service(mode, 4);
+        let run = || {
+            let mut svc = service(4);
             run_campaign(&mut svc, VqeCampaign::h2(THETA_POINTS, REPS, shots))
                 .expect("vqe campaign must drain")
         };
-        assert_eq!(
-            run(ExecutionMode::Concurrent),
-            run(ExecutionMode::Serial),
-            "vqe campaign must be serial == concurrent bit-for-bit"
-        );
+        assert_eq!(run(), run(), "vqe campaign must be reproducible");
     }
 
     let multi = run_service_path("multiprogrammed", shots, 4);

@@ -232,25 +232,20 @@ pub struct ShootoutOutcome {
 }
 
 /// Runs the routing shoot-out burst (18 small library jobs, 1024 shots)
-/// on the [`skewed_fleet`] under `routing` and `mode`, and reduces the
-/// drained report to the delivered-fidelity metrics. Deterministic:
-/// serial and concurrent execution produce identical outcomes.
+/// on the [`skewed_fleet`] under `routing`, and reduces the drained
+/// report to the delivered-fidelity metrics. Deterministic.
 ///
 /// # Panics
 ///
 /// Panics if the service rejects the fixture workload (a runtime
 /// regression).
-pub fn routing_shootout(
-    routing: impl qucp_runtime::RoutingPolicy + 'static,
-    mode: qucp_runtime::ExecutionMode,
-) -> ShootoutOutcome {
+pub fn routing_shootout(routing: impl qucp_runtime::RoutingPolicy + 'static) -> ShootoutOutcome {
     use qucp_runtime::{JobRequest, Service};
     let mut service = Service::builder()
         .registry(skewed_fleet())
         .strategy(qucp_core::strategy::qucp(4.0))
         .routing(routing)
         .max_parallel(3)
-        .mode(mode)
         .seed(EXPERIMENT_SEED)
         .build()
         .expect("shoot-out service must build");

@@ -35,12 +35,11 @@
 //!   by mid-stream claims (claim flags, not eviction — see
 //!   [`Service::take_result`]).
 //! - A campaign is deterministic end to end: the service's
-//!   serial == concurrent guarantee covers every batch it dispatches,
+//!   thread-count-independence guarantee covers every batch it dispatches,
 //!   and the loop adds no nondeterminism of its own (arrival stamping
 //!   and result ordering are pure functions of the submissions). The
 //!   same driver on the same service configuration folds bit-identical
-//!   results in [`ExecutionMode::Serial`](crate::ExecutionMode) and
-//!   [`ExecutionMode::Concurrent`](crate::ExecutionMode).
+//!   results however many threads the host offers.
 
 use crate::job::JobResult;
 use crate::scheduler::RuntimeError;

@@ -59,9 +59,7 @@
 //!    up): one worker per floor of work, however the work is cut. A
 //!    batch of one-shot or eight-shot jobs therefore costs zero thread
 //!    spawns and runs as a plain loop; a batch of 8192-shot jobs on a
-//!    multi-core host runs one program per core.
-//!    [`ExecutionMode::Serial`] is the same call with a budget of one
-//!    thread. The same helper, under the same rule, runs the
+//!    multi-core host runs one program per core. The same helper, under the same rule, runs the
 //!    candidates of best-k speculation (work = the service's own measured mean
 //!    planning time) and the shards of a sharded shot loop (work =
 //!    the whole job's shots × scheduled events, so an 8192-shot job
@@ -258,8 +256,7 @@ pub use registry::{
     RoutingPolicy,
 };
 pub use scheduler::{
-    BatchReport, BatchScheduler, CalibrationFault, ExecutionMode, RunReport, RuntimeConfig,
-    RuntimeError,
+    BatchReport, BatchScheduler, CalibrationFault, RunReport, RuntimeConfig, RuntimeError,
 };
 pub use service::{
     DeviceReport, EfsGate, JobRequest, JobTicket, RouteCacheStats, Service, ServiceBuilder,

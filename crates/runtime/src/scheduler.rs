@@ -13,21 +13,6 @@ use qucp_sim::{ShotParallelism, TrajectoryKernel};
 use crate::job::{Job, JobResult};
 use crate::service::{JobRequest, Service};
 
-/// How the programs of a planned batch are executed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ExecutionMode {
-    /// The programs fan out over the process's cores whenever their
-    /// work pays for helper threads (the default; light batches and
-    /// one-core hosts run inline, like [`ExecutionMode::Serial`]).
-    #[default]
-    Concurrent,
-    /// In program order on the calling thread: the same fan-out call
-    /// with a budget of one. Exists to assert that concurrent execution
-    /// is deterministic: both modes must produce bit-for-bit identical
-    /// reports.
-    Serial,
-}
-
 /// Base runtime configuration shared by the [`Service`] (as builder
 /// defaults) and the legacy [`BatchScheduler`].
 #[derive(Debug, Clone, PartialEq)]
@@ -42,11 +27,9 @@ pub struct RuntimeConfig {
     pub seed: u64,
     /// Run the cancellation peephole pass before mapping.
     pub optimize: bool,
-    /// Concurrent or serial per-batch execution.
-    pub mode: ExecutionMode,
     /// Intra-program shot parallelism: how each program's trajectory
     /// loop spreads its shots over worker threads, layered *under* the
-    /// per-batch concurrency of [`ExecutionMode`]. Sharded counts are
+    /// per-batch fan-out over programs. Sharded counts are
     /// deterministic in the shard count, never the thread count; the
     /// serial default keeps every report bit-for-bit identical to the
     /// pre-sharding runtime.
@@ -69,7 +52,6 @@ impl Default for RuntimeConfig {
             fidelity_threshold: None,
             seed: 0x5EED,
             optimize: true,
-            mode: ExecutionMode::Concurrent,
             shot_parallelism: ShotParallelism::Serial,
             trajectory_kernel: TrajectoryKernel::Replay,
         }
@@ -347,23 +329,18 @@ mod tests {
     use qucp_core::strategy;
     use qucp_device::ibm;
 
-    fn quick_cfg(max_parallel: usize, mode: ExecutionMode) -> RuntimeConfig {
+    fn quick_cfg(max_parallel: usize) -> RuntimeConfig {
         RuntimeConfig {
             max_parallel,
             fidelity_threshold: None,
             seed: 42,
             optimize: true,
-            mode,
             ..RuntimeConfig::default()
         }
     }
 
-    fn sched(max_parallel: usize, mode: ExecutionMode) -> BatchScheduler {
-        BatchScheduler::new(
-            ibm::toronto(),
-            strategy::qucp(4.0),
-            quick_cfg(max_parallel, mode),
-        )
+    fn sched(max_parallel: usize) -> BatchScheduler {
+        BatchScheduler::new(ibm::toronto(), strategy::qucp(4.0), quick_cfg(max_parallel))
     }
 
     fn small_jobs(n: usize) -> Vec<Job> {
@@ -373,7 +350,7 @@ mod tests {
     #[test]
     fn serves_every_job_exactly_once() {
         let jobs = small_jobs(8);
-        let report = sched(3, ExecutionMode::Concurrent).run(&jobs).unwrap();
+        let report = sched(3).run(&jobs).unwrap();
         assert_eq!(report.job_results.len(), 8);
         for (i, r) in report.job_results.iter().enumerate() {
             assert_eq!(r.job_id, i as u64);
@@ -388,32 +365,24 @@ mod tests {
     #[test]
     fn dedicated_mode_runs_one_job_per_batch() {
         let jobs = small_jobs(5);
-        let report = sched(1, ExecutionMode::Concurrent).run(&jobs).unwrap();
+        let report = sched(1).run(&jobs).unwrap();
         assert_eq!(report.stats.batches, 5);
         assert!(report.batches.iter().all(|b| b.job_ids.len() == 1));
     }
 
     #[test]
-    fn concurrent_equals_serial_bit_for_bit() {
-        let jobs = small_jobs(9);
-        let conc = sched(4, ExecutionMode::Concurrent).run(&jobs).unwrap();
-        let serial = sched(4, ExecutionMode::Serial).run(&jobs).unwrap();
-        assert_eq!(conc, serial);
-    }
-
-    #[test]
     fn concurrent_run_is_reproducible() {
         let jobs = small_jobs(10);
-        let a = sched(4, ExecutionMode::Concurrent).run(&jobs).unwrap();
-        let b = sched(4, ExecutionMode::Concurrent).run(&jobs).unwrap();
+        let a = sched(4).run(&jobs).unwrap();
+        let b = sched(4).run(&jobs).unwrap();
         assert_eq!(a, b);
     }
 
     #[test]
     fn packing_beats_dedicated_turnaround() {
         let jobs = small_jobs(12);
-        let solo = sched(1, ExecutionMode::Concurrent).run(&jobs).unwrap();
-        let packed = sched(4, ExecutionMode::Concurrent).run(&jobs).unwrap();
+        let solo = sched(1).run(&jobs).unwrap();
+        let packed = sched(4).run(&jobs).unwrap();
         assert!(
             packed.stats.mean_turnaround < solo.stats.mean_turnaround,
             "packed {} !< dedicated {}",
@@ -427,7 +396,7 @@ mod tests {
     #[test]
     fn zero_parallel_is_rejected() {
         let jobs = small_jobs(2);
-        let err = sched(0, ExecutionMode::Concurrent).run(&jobs).unwrap_err();
+        let err = sched(0).run(&jobs).unwrap_err();
         assert!(matches!(err, RuntimeError::ZeroParallel));
     }
 
@@ -435,7 +404,7 @@ mod tests {
     fn oversized_job_is_unplaceable() {
         let mut jobs = small_jobs(1);
         jobs[0].circuit = qucp_circuit::Circuit::new(64);
-        let err = sched(2, ExecutionMode::Concurrent).run(&jobs).unwrap_err();
+        let err = sched(2).run(&jobs).unwrap_err();
         assert!(matches!(
             err,
             RuntimeError::JobUnplaceable { job_id: 0, .. }
@@ -446,7 +415,7 @@ mod tests {
     fn oversized_job_is_unplaceable_with_threshold_gate_too() {
         // The threshold probe runs before packing; the error contract
         // must not change when the gate is on.
-        let mut cfg = quick_cfg(4, ExecutionMode::Concurrent);
+        let mut cfg = quick_cfg(4);
         cfg.fidelity_threshold = Some(0.1);
         let mut jobs = small_jobs(1);
         jobs[0].circuit = qucp_circuit::Circuit::new(64);
@@ -461,7 +430,7 @@ mod tests {
 
     #[test]
     fn fidelity_threshold_zero_degenerates_to_dedicated() {
-        let mut cfg = quick_cfg(4, ExecutionMode::Concurrent);
+        let mut cfg = quick_cfg(4);
         cfg.fidelity_threshold = Some(0.0);
         let s = BatchScheduler::new(ibm::toronto(), strategy::qucp(4.0), cfg);
         // A homogeneous burst: every batch head admits exactly one copy
@@ -477,7 +446,7 @@ mod tests {
         let mut jobs = small_jobs(2);
         // Second job arrives long after the first batch would finish.
         jobs[1].arrival = 1e9;
-        let report = sched(4, ExecutionMode::Concurrent).run(&jobs).unwrap();
+        let report = sched(4).run(&jobs).unwrap();
         assert_eq!(report.stats.batches, 2);
         assert_eq!(report.job_results[1].waiting, 0.0);
         assert!(report.batches[1].start >= 1e9);
@@ -487,7 +456,7 @@ mod tests {
     fn zero_shot_jobs_are_rejected_with_typed_error() {
         let mut jobs = small_jobs(1);
         jobs[0].shots = 0;
-        let err = sched(2, ExecutionMode::Concurrent).run(&jobs).unwrap_err();
+        let err = sched(2).run(&jobs).unwrap_err();
         assert!(matches!(err, RuntimeError::ZeroShots));
     }
 
@@ -495,7 +464,7 @@ mod tests {
     fn non_finite_arrivals_are_rejected_with_typed_error() {
         let mut jobs = small_jobs(1);
         jobs[0].arrival = f64::NAN;
-        let err = sched(2, ExecutionMode::Concurrent).run(&jobs).unwrap_err();
+        let err = sched(2).run(&jobs).unwrap_err();
         assert!(matches!(err, RuntimeError::NonFiniteTime { .. }));
     }
 }

@@ -16,10 +16,7 @@ use qucp_core::threshold::{parallel_count_for_threshold, solo_efs_scores};
 use qucp_core::{best_partition, strategy, CoreError, ParallelConfig, PartitionPolicy};
 use qucp_core::{ProgramResult, Strategy};
 use qucp_device::{Calibration, CrosstalkModel, Device, DriftEvent, DriftModel};
-use qucp_sim::{
-    core_budget, run_indexed, run_indexed_within, ExecutionConfig, ShotParallelism,
-    TrajectoryKernel, WORK_UNIT_NS,
-};
+use qucp_sim::{run_indexed, ExecutionConfig, ShotParallelism, TrajectoryKernel, WORK_UNIT_NS};
 
 use crate::event::{Event, EventLog, EventObserver, ShrinkReason};
 use crate::job::{Job, JobResult};
@@ -28,7 +25,7 @@ use crate::policy::{AdmissionPolicy, BatchBudget, Fifo};
 use crate::registry::{
     ClockIndex, DeviceId, DeviceRegistry, EarliestFree, RouteQuery, RoutingChoice, RoutingPolicy,
 };
-use crate::scheduler::{BatchReport, CalibrationFault, ExecutionMode, RuntimeConfig, RuntimeError};
+use crate::scheduler::{BatchReport, CalibrationFault, RuntimeConfig, RuntimeError};
 
 /// How the EFS fidelity-threshold gate sizes a batch.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -378,17 +375,10 @@ impl ServiceBuilder {
         self
     }
 
-    /// Concurrent or serial per-batch execution.
-    #[must_use]
-    pub fn mode(mut self, mode: ExecutionMode) -> Self {
-        self.cfg.mode = mode;
-        self
-    }
-
     /// Intra-program shot parallelism for every executed program (see
-    /// [`ShotParallelism`]); layered under the per-batch concurrency of
-    /// [`ServiceBuilder::mode`]. The serial default keeps reports
-    /// bit-for-bit identical to the pre-sharding runtime.
+    /// [`ShotParallelism`]); layered under the per-batch fan-out over
+    /// programs. The serial default keeps reports bit-for-bit identical
+    /// to the pre-sharding runtime.
     #[must_use]
     pub fn shot_parallelism(mut self, parallelism: ShotParallelism) -> Self {
         self.cfg.shot_parallelism = parallelism;
@@ -1260,10 +1250,9 @@ impl Service {
     /// store, statistics and the event log). No staging decision reads
     /// an execution result (completion times are plan-derived).
     fn dispatch_until(&mut self, limit: f64) -> Result<(), RuntimeError> {
-        let mode = self.cfg.mode;
         while let Some(staged) = self.stage_one(limit)? {
             let exec_started = std::time::Instant::now();
-            let results = staged.execute(mode);
+            let results = staged.execute();
             self.exec_ns = self
                 .exec_ns
                 .saturating_add(exec_started.elapsed().as_nanos() as u64);
@@ -2566,20 +2555,15 @@ fn worst_excess_position(excesses: &[f64]) -> usize {
 
 impl StagedBatch {
     /// Executes every program of the batch through the fan-out helper
-    /// — inline unless the batch's work pays for helper threads, and
-    /// always inline under [`ExecutionMode::Serial`] (a budget of one)
-    /// — program `i`'s shot budget spread per `parallelism[i]` (the
-    /// job's effective mode: its per-request override or the service
+    /// — inline unless the batch's work pays for helper threads —
+    /// program `i`'s shot budget spread per `parallelism[i]` (the job's
+    /// effective mode: its per-request override or the service
     /// default). Results come back in program order regardless of
     /// thread scheduling. On failure the error is the first in program
-    /// order under either mode, and the programs after it still run
-    /// (their results are dropped) — `Serial` does not short-circuit.
-    fn execute(&self, mode: ExecutionMode) -> Result<Vec<ProgramResult>, RuntimeError> {
-        let budget = match mode {
-            ExecutionMode::Serial => 1,
-            ExecutionMode::Concurrent => core_budget(),
-        };
-        run_indexed_within(budget, self.shots.len(), self.work(), |pos| {
+    /// order, and the programs after it still run (their results are
+    /// dropped).
+    fn execute(&self) -> Result<Vec<ProgramResult>, RuntimeError> {
+        run_indexed(self.shots.len(), self.work(), |pos| {
             let exec = ExecutionConfig {
                 shots: self.shots[pos],
                 seed: self.batch_seed,

@@ -136,15 +136,14 @@ mod tests {
     use qucp_circuit::library;
     use qucp_core::strategy;
     use qucp_device::ibm;
-    use qucp_runtime::{run_campaign, ExecutionMode, Service};
+    use qucp_runtime::{run_campaign, Service};
 
-    fn service(mode: ExecutionMode) -> Service {
+    fn service() -> Service {
         Service::builder()
             .device(ibm::manhattan())
             .strategy(strategy::qucp(4.0))
             .default_shots(2048)
             .seed(11)
-            .mode(mode)
             // Folded circuits must survive untouched (see module docs).
             .optimize(false)
             .build()
@@ -154,14 +153,14 @@ mod tests {
     #[test]
     fn ladder_is_mode_invariant_and_mitigates() {
         let circuit = library::by_name("fredkin").unwrap().circuit();
-        let run = |mode| {
-            let mut svc = service(mode);
+        let run = || {
+            let mut svc = service();
             let campaign = ZneCampaign::new(circuit.clone(), vec![1.0, 1.5, 2.0, 2.5], 11, 2048);
             run_campaign(&mut svc, campaign).unwrap()
         };
-        let serial = run(ExecutionMode::Serial);
-        let concurrent = run(ExecutionMode::Concurrent);
-        assert_eq!(serial, concurrent, "campaign must be mode-invariant");
+        // Deterministic whatever threads the fan-out helper finds.
+        let serial = run();
+        assert_eq!(serial, run(), "campaign must be reproducible");
         assert_eq!(serial.output.samples.len(), 4);
         assert_eq!(serial.stats.rounds, 1);
         assert_eq!(serial.stats.jobs, 4);

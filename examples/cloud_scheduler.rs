@@ -22,8 +22,8 @@ use qucp_core::queue::{simulate_queue, synthetic_workload};
 use qucp_core::strategy;
 use qucp_device::ibm;
 use qucp_runtime::{
-    skewed_jobs, synthetic_jobs, AdmissionPolicy, Backfill, CalibrationAware, EarliestFree,
-    ExecutionMode, Fifo, Job, JobRequest, Service, ServiceReport, ShortestJobFirst,
+    skewed_jobs, synthetic_jobs, AdmissionPolicy, Backfill, CalibrationAware, EarliestFree, Fifo,
+    Job, JobRequest, Service, ServiceReport, ShortestJobFirst,
 };
 
 fn serve(
@@ -187,21 +187,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "{:<18} {:>10} {:>10} {:>14} {:>12} {:>12}",
         "routing", "mean EFS", "mean JSD", "turnaround ns", "noisy jobs", "good jobs"
     );
-    // Serial == concurrent bit-for-bit: routing is deterministic.
-    fn shoot<R: qucp_runtime::RoutingPolicy + Copy + 'static>(
-        routing: R,
-    ) -> qucp_bench::ShootoutOutcome {
-        let serial = qucp_bench::routing_shootout(routing, ExecutionMode::Serial);
-        let concurrent = qucp_bench::routing_shootout(routing, ExecutionMode::Concurrent);
-        assert_eq!(
-            serial, concurrent,
-            "{} routing must be deterministic",
-            concurrent.policy
-        );
-        concurrent
-    }
-    let earliest = shoot(EarliestFree);
-    let aware = shoot(CalibrationAware::default());
+    let earliest = qucp_bench::routing_shootout(EarliestFree);
+    let aware = qucp_bench::routing_shootout(CalibrationAware::default());
     for o in [&earliest, &aware] {
         println!(
             "{:<18} {:>10.4} {:>10.4} {:>14.0} {:>12} {:>12}",

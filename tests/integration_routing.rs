@@ -8,8 +8,8 @@ use proptest::prelude::*;
 use qucp_core::strategy;
 use qucp_device::ibm;
 use qucp_runtime::{
-    synthetic_jobs, CalibrationAware, EarliestFree, Event, ExecutionMode, JobRequest,
-    RoutingPolicy, RuntimeConfig, Service, ServiceReport,
+    synthetic_jobs, CalibrationAware, EarliestFree, Event, JobRequest, RoutingPolicy,
+    RuntimeConfig, Service, ServiceReport,
 };
 
 /// Drains `jobs` through a FIFO service with the given routing policy.
@@ -48,7 +48,6 @@ fn earliest_free_routing_reproduces_pr2_golden_snapshot() {
         fidelity_threshold: None,
         seed: 77,
         optimize: true,
-        mode: ExecutionMode::Concurrent,
         ..RuntimeConfig::default()
     };
 
@@ -141,13 +140,12 @@ fn calibration_aware_routing_is_deterministic() {
         fleet
     };
     let jobs = synthetic_jobs(8, 200.0, 64, 0xDE7);
-    let run = |mode: ExecutionMode| {
+    let run = || {
         let mut service = Service::builder()
             .registry(fleet())
             .strategy(strategy::qucp(4.0))
             .routing(CalibrationAware::default())
             .max_parallel(3)
-            .mode(mode)
             .seed(21)
             .build()
             .expect("build");
@@ -156,9 +154,7 @@ fn calibration_aware_routing_is_deterministic() {
         }
         service.run_until_drained().expect("drain")
     };
-    let concurrent = run(ExecutionMode::Concurrent);
-    assert_eq!(concurrent, run(ExecutionMode::Concurrent));
-    assert_eq!(concurrent, run(ExecutionMode::Serial));
+    assert_eq!(run(), run());
 }
 
 /// The cross-batch cache never changes scheduling: draining two

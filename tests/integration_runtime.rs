@@ -20,7 +20,7 @@ use qucp_bench::combo_circuits;
 use qucp_circuit::library;
 use qucp_core::{execute_parallel, plan_workload, strategy, ParallelConfig, Pipeline, Strategy};
 use qucp_device::ibm;
-use qucp_runtime::{synthetic_jobs, BatchScheduler, ExecutionMode, Job, RuntimeConfig};
+use qucp_runtime::{synthetic_jobs, BatchScheduler, Job, RuntimeConfig};
 use qucp_sim::ExecutionConfig;
 
 fn all_strategies(device: &qucp_device::Device) -> Vec<Strategy> {
@@ -86,13 +86,12 @@ fn driver_outcome_still_reproducible() {
     assert_eq!(a, b);
 }
 
-fn runtime_cfg(max_parallel: usize, mode: ExecutionMode) -> RuntimeConfig {
+fn runtime_cfg(max_parallel: usize) -> RuntimeConfig {
     RuntimeConfig {
         max_parallel,
         fidelity_threshold: None,
         seed: 77,
         optimize: true,
-        mode,
         ..RuntimeConfig::default()
     }
 }
@@ -106,20 +105,12 @@ fn acceptance_workload() -> Vec<Job> {
 #[test]
 fn batch_scheduler_beats_dedicated_on_toronto() {
     let jobs = acceptance_workload();
-    let dedicated = BatchScheduler::new(
-        ibm::toronto(),
-        strategy::qucp(4.0),
-        runtime_cfg(1, ExecutionMode::Concurrent),
-    )
-    .run(&jobs)
-    .expect("dedicated run");
-    let packed = BatchScheduler::new(
-        ibm::toronto(),
-        strategy::qucp(4.0),
-        runtime_cfg(4, ExecutionMode::Concurrent),
-    )
-    .run(&jobs)
-    .expect("packed run");
+    let dedicated = BatchScheduler::new(ibm::toronto(), strategy::qucp(4.0), runtime_cfg(1))
+        .run(&jobs)
+        .expect("dedicated run");
+    let packed = BatchScheduler::new(ibm::toronto(), strategy::qucp(4.0), runtime_cfg(4))
+        .run(&jobs)
+        .expect("packed run");
 
     assert_eq!(dedicated.job_results.len(), 12);
     assert_eq!(packed.job_results.len(), 12);
@@ -134,21 +125,18 @@ fn batch_scheduler_beats_dedicated_on_toronto() {
     assert!(packed.stats.mean_throughput > dedicated.stats.mean_throughput);
 }
 
-/// Concurrent batch execution is deterministic: it equals the serial
-/// mode bit-for-bit and is reproducible run-to-run.
+/// Concurrent batch execution is deterministic: reproducible
+/// run-to-run (and equal to the reference scheduler's inline loop —
+/// `integration_reference.rs`).
 #[test]
 fn concurrent_batches_are_deterministic() {
     let jobs = acceptance_workload();
-    let make = |mode| {
-        BatchScheduler::new(ibm::toronto(), strategy::qucp(4.0), runtime_cfg(4, mode))
+    let make = || {
+        BatchScheduler::new(ibm::toronto(), strategy::qucp(4.0), runtime_cfg(4))
             .run(&jobs)
             .expect("run")
     };
-    let conc_a = make(ExecutionMode::Concurrent);
-    let conc_b = make(ExecutionMode::Concurrent);
-    let serial = make(ExecutionMode::Serial);
-    assert_eq!(conc_a, conc_b, "concurrent run not reproducible");
-    assert_eq!(conc_a, serial, "concurrent diverges from serial");
+    assert_eq!(make(), make(), "concurrent run not reproducible");
 }
 
 /// The runtime works under every paper strategy, not just QuCP.
@@ -158,13 +146,9 @@ fn runtime_serves_all_strategies() {
     let jobs = synthetic_jobs(6, 300.0, 128, 5);
     for strat in all_strategies(&device) {
         let name = strat.name.clone();
-        let report = BatchScheduler::new(
-            device.clone(),
-            strat,
-            runtime_cfg(3, ExecutionMode::Concurrent),
-        )
-        .run(&jobs)
-        .unwrap_or_else(|e| panic!("{name} runtime failed: {e}"));
+        let report = BatchScheduler::new(device.clone(), strat, runtime_cfg(3))
+            .run(&jobs)
+            .unwrap_or_else(|e| panic!("{name} runtime failed: {e}"));
         assert_eq!(report.job_results.len(), 6, "{name}");
     }
 }
@@ -175,7 +159,7 @@ fn runtime_serves_all_strategies() {
 fn fidelity_threshold_controls_packing() {
     let jobs = acceptance_workload();
     let run = |threshold| {
-        let mut cfg = runtime_cfg(4, ExecutionMode::Concurrent);
+        let mut cfg = runtime_cfg(4);
         cfg.fidelity_threshold = Some(threshold);
         BatchScheduler::new(ibm::toronto(), strategy::qucp(4.0), cfg)
             .run(&jobs)

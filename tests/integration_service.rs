@@ -14,9 +14,8 @@ use proptest::prelude::*;
 use qucp_core::strategy;
 use qucp_device::ibm;
 use qucp_runtime::{
-    skewed_jobs, synthetic_jobs, Backfill, BatchScheduler, EfsGate, ExecutionMode, Fifo, Job,
-    JobRequest, RuntimeConfig, Service, ServiceReport, ShortestJobFirst, ShotParallelism,
-    ShrinkReason,
+    skewed_jobs, synthetic_jobs, Backfill, BatchScheduler, EfsGate, Fifo, Job, JobRequest,
+    RuntimeConfig, Service, ServiceReport, ShortestJobFirst, ShotParallelism, ShrinkReason,
 };
 
 fn runtime_cfg(max_parallel: usize, fidelity_threshold: Option<f64>) -> RuntimeConfig {
@@ -25,7 +24,6 @@ fn runtime_cfg(max_parallel: usize, fidelity_threshold: Option<f64>) -> RuntimeC
         fidelity_threshold,
         seed: 77,
         optimize: true,
-        mode: ExecutionMode::Concurrent,
         ..RuntimeConfig::default()
     }
 }
@@ -377,18 +375,16 @@ fn worst_excess_gate_matches_batch_gate_when_threshold_is_loose() {
 }
 
 /// Intra-program shot sharding at the service level: the drained
-/// report is bit-for-bit identical whatever the worker-thread count,
-/// and whatever the per-batch execution mode — determinism stacks.
+/// report is bit-for-bit identical whatever the worker-thread count.
 #[test]
 fn sharded_service_reports_are_thread_count_invariant() {
     let jobs = synthetic_jobs(6, 250.0, 512, 0x51AD);
-    let run = |threads: usize, mode: ExecutionMode| {
+    let run = |threads: usize| {
         let mut service = Service::builder()
             .device(ibm::toronto())
             .strategy(strategy::qucp(4.0))
             .max_parallel(3)
             .seed(9)
-            .mode(mode)
             .shot_parallelism(ShotParallelism::Sharded { shards: 4, threads })
             .build()
             .expect("build");
@@ -397,11 +393,10 @@ fn sharded_service_reports_are_thread_count_invariant() {
         }
         service.run_until_drained().expect("drain")
     };
-    let reference = run(1, ExecutionMode::Concurrent);
+    let reference = run(1);
     for threads in [2, 4] {
-        assert_eq!(run(threads, ExecutionMode::Concurrent), reference);
+        assert_eq!(run(threads), reference);
     }
-    assert_eq!(run(4, ExecutionMode::Serial), reference);
     // Sharded execution actually changes the sampled trajectories
     // relative to the serial stream (different, equally valid sample).
     let serial = drain(
@@ -411,7 +406,6 @@ fn sharded_service_reports_are_thread_count_invariant() {
             fidelity_threshold: None,
             seed: 9,
             optimize: true,
-            mode: ExecutionMode::Concurrent,
             ..RuntimeConfig::default()
         },
         "fifo",
