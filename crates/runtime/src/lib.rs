@@ -203,11 +203,6 @@
 //! Observers are unaffected either way — they see every event at
 //! emission time.
 //!
-//! The legacy one-shot [`BatchScheduler::run`] survives as a deprecated
-//! veneer over `Service` + [`Fifo`] + a single device and reproduces
-//! the seed scheduler's output bit-for-bit — the PR-1 equivalence tests
-//! pin the redesign.
-//!
 //! ```
 //! use qucp_circuit::library;
 //! use qucp_core::strategy;
@@ -255,9 +250,7 @@ pub use registry::{
     CalibrationAware, DeviceId, DeviceRegistry, EarliestFree, RouteQuery, RoutingChoice,
     RoutingPolicy,
 };
-pub use scheduler::{
-    BatchReport, BatchScheduler, CalibrationFault, RunReport, RuntimeConfig, RuntimeError,
-};
+pub use scheduler::{BatchReport, CalibrationFault, RuntimeConfig, RuntimeError};
 pub use service::{
     DeviceReport, EfsGate, JobRequest, JobTicket, RouteCacheStats, Service, ServiceBuilder,
     ServiceReport, MAX_DRIFT_STEPS_PER_ADVANCE,

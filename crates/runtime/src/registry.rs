@@ -134,7 +134,7 @@ impl DeviceRegistry {
         DeviceRegistry::default()
     }
 
-    /// A registry holding a single device (the legacy wrapper's case).
+    /// A registry holding a single device.
     pub fn single(device: Device) -> Self {
         let width = device.num_qubits();
         DeviceRegistry {

@@ -1,20 +1,15 @@
-//! Shared runtime configuration and error types, plus the legacy
-//! one-shot [`BatchScheduler`] — now a thin deprecated wrapper over the
-//! event-driven [`Service`](crate::Service).
+//! Shared runtime configuration, error and batch-report types of the
+//! scheduling [`Service`](crate::Service).
 
 use std::error::Error;
 use std::fmt;
 
-use qucp_core::queue::QueueStats;
-use qucp_core::{CoreError, Strategy};
-use qucp_device::Device;
+use qucp_core::CoreError;
 use qucp_sim::{ShotParallelism, TrajectoryKernel};
 
-use crate::job::{Job, JobResult};
-use crate::service::{JobRequest, Service};
-
-/// Base runtime configuration shared by the [`Service`] (as builder
-/// defaults) and the legacy [`BatchScheduler`].
+/// Base runtime configuration of a [`Service`](crate::Service) (the
+/// builder's defaults; see
+/// [`ServiceBuilder::config`](crate::ServiceBuilder::config)).
 #[derive(Debug, Clone, PartialEq)]
 pub struct RuntimeConfig {
     /// Hard cap on jobs per batch (1 = dedicated mode).
@@ -238,94 +233,13 @@ pub struct BatchReport {
     pub conflict_count: usize,
 }
 
-/// The complete outcome of serving a job stream (legacy shape; the
-/// [`ServiceReport`](crate::ServiceReport) adds per-device stats and
-/// the event log).
-#[derive(Debug, Clone, PartialEq)]
-pub struct RunReport {
-    /// Queue statistics, directly comparable with
-    /// [`simulate_queue`](qucp_core::queue::simulate_queue) (times in
-    /// ns).
-    pub stats: QueueStats,
-    /// Every dispatched batch, in order.
-    pub batches: Vec<BatchReport>,
-    /// Per-job results, in input order.
-    pub job_results: Vec<JobResult>,
-}
-
-/// The legacy one-shot entry point: FIFO service of a pre-collected job
-/// slice on a single device.
-///
-/// Since the service redesign this is a compatibility veneer: it pins
-/// the refactor by reproducing the seed scheduler's output bit-for-bit
-/// through `Service` + `Fifo` + a single registered device. New code
-/// should build a [`Service`](crate::Service) directly.
-#[derive(Debug)]
-pub struct BatchScheduler {
-    device: Device,
-    strategy: Strategy,
-    cfg: RuntimeConfig,
-}
-
-impl BatchScheduler {
-    /// Creates a scheduler for `device` running every batch under
-    /// `strategy`.
-    pub fn new(device: Device, strategy: Strategy, cfg: RuntimeConfig) -> Self {
-        BatchScheduler {
-            device,
-            strategy,
-            cfg,
-        }
-    }
-
-    /// The device this scheduler dispatches to.
-    pub fn device(&self) -> &Device {
-        &self.device
-    }
-
-    /// Serves `jobs` to completion and reports queue statistics plus
-    /// per-job results, exactly as the pre-service scheduler did:
-    /// strict FIFO admission, head-only EFS gate, one device.
-    ///
-    /// Deterministic: the report depends only on the jobs and the
-    /// configuration (including seed), never on thread timing.
-    ///
-    /// # Errors
-    ///
-    /// [`RuntimeError::ZeroParallel`] on a zero batch cap;
-    /// [`RuntimeError::JobUnplaceable`] when a job cannot run even in a
-    /// dedicated batch; [`RuntimeError::Core`] on backend failures. The
-    /// service-era validations also apply: zero-shot jobs and
-    /// non-finite arrivals are rejected with typed errors instead of
-    /// misbehaving downstream.
-    #[deprecated(
-        since = "0.1.0",
-        note = "build a qucp_runtime::Service (ServiceBuilder) instead; this wrapper only covers \
-                FIFO admission on a single device"
-    )]
-    pub fn run(&self, jobs: &[Job]) -> Result<RunReport, RuntimeError> {
-        let mut service = Service::builder()
-            .device(self.device.clone())
-            .strategy(self.strategy.clone())
-            .config(self.cfg.clone())
-            .build()?;
-        for job in jobs {
-            service.submit(JobRequest::from_job(job))?;
-        }
-        let report = service.run_until_drained()?;
-        Ok(RunReport {
-            stats: report.stats,
-            batches: report.batches,
-            job_results: report.job_results,
-        })
-    }
-}
-
+/// The scheduler's basic decisions — packing, the head-only threshold
+/// gate, arrival order, typed rejections — on one Toronto under FIFO.
 #[cfg(test)]
-#[allow(deprecated)]
 mod tests {
     use super::*;
-    use crate::job::synthetic_jobs;
+    use crate::job::{synthetic_jobs, Job};
+    use crate::service::{JobRequest, Service, ServiceReport};
     use qucp_core::strategy;
     use qucp_device::ibm;
 
@@ -339,8 +253,21 @@ mod tests {
         }
     }
 
-    fn sched(max_parallel: usize) -> BatchScheduler {
-        BatchScheduler::new(ibm::toronto(), strategy::qucp(4.0), quick_cfg(max_parallel))
+    /// Serves `jobs` FIFO on one Toronto under `cfg`.
+    fn serve(cfg: RuntimeConfig, jobs: &[Job]) -> Result<ServiceReport, RuntimeError> {
+        let mut service = Service::builder()
+            .device(ibm::toronto())
+            .strategy(strategy::qucp(4.0))
+            .config(cfg)
+            .build()?;
+        for job in jobs {
+            service.submit(JobRequest::from_job(job))?;
+        }
+        service.run_until_drained()
+    }
+
+    fn run(max_parallel: usize, jobs: &[Job]) -> Result<ServiceReport, RuntimeError> {
+        serve(quick_cfg(max_parallel), jobs)
     }
 
     fn small_jobs(n: usize) -> Vec<Job> {
@@ -350,7 +277,7 @@ mod tests {
     #[test]
     fn serves_every_job_exactly_once() {
         let jobs = small_jobs(8);
-        let report = sched(3).run(&jobs).unwrap();
+        let report = run(3, &jobs).unwrap();
         assert_eq!(report.job_results.len(), 8);
         for (i, r) in report.job_results.iter().enumerate() {
             assert_eq!(r.job_id, i as u64);
@@ -365,7 +292,7 @@ mod tests {
     #[test]
     fn dedicated_mode_runs_one_job_per_batch() {
         let jobs = small_jobs(5);
-        let report = sched(1).run(&jobs).unwrap();
+        let report = run(1, &jobs).unwrap();
         assert_eq!(report.stats.batches, 5);
         assert!(report.batches.iter().all(|b| b.job_ids.len() == 1));
     }
@@ -373,16 +300,16 @@ mod tests {
     #[test]
     fn concurrent_run_is_reproducible() {
         let jobs = small_jobs(10);
-        let a = sched(4).run(&jobs).unwrap();
-        let b = sched(4).run(&jobs).unwrap();
+        let a = run(4, &jobs).unwrap();
+        let b = run(4, &jobs).unwrap();
         assert_eq!(a, b);
     }
 
     #[test]
     fn packing_beats_dedicated_turnaround() {
         let jobs = small_jobs(12);
-        let solo = sched(1).run(&jobs).unwrap();
-        let packed = sched(4).run(&jobs).unwrap();
+        let solo = run(1, &jobs).unwrap();
+        let packed = run(4, &jobs).unwrap();
         assert!(
             packed.stats.mean_turnaround < solo.stats.mean_turnaround,
             "packed {} !< dedicated {}",
@@ -396,7 +323,7 @@ mod tests {
     #[test]
     fn zero_parallel_is_rejected() {
         let jobs = small_jobs(2);
-        let err = sched(0).run(&jobs).unwrap_err();
+        let err = run(0, &jobs).unwrap_err();
         assert!(matches!(err, RuntimeError::ZeroParallel));
     }
 
@@ -404,7 +331,7 @@ mod tests {
     fn oversized_job_is_unplaceable() {
         let mut jobs = small_jobs(1);
         jobs[0].circuit = qucp_circuit::Circuit::new(64);
-        let err = sched(2).run(&jobs).unwrap_err();
+        let err = run(2, &jobs).unwrap_err();
         assert!(matches!(
             err,
             RuntimeError::JobUnplaceable { job_id: 0, .. }
@@ -419,9 +346,7 @@ mod tests {
         cfg.fidelity_threshold = Some(0.1);
         let mut jobs = small_jobs(1);
         jobs[0].circuit = qucp_circuit::Circuit::new(64);
-        let err = BatchScheduler::new(ibm::toronto(), strategy::qucp(4.0), cfg)
-            .run(&jobs)
-            .unwrap_err();
+        let err = serve(cfg, &jobs).unwrap_err();
         assert!(matches!(
             err,
             RuntimeError::JobUnplaceable { job_id: 0, .. }
@@ -432,12 +357,11 @@ mod tests {
     fn fidelity_threshold_zero_degenerates_to_dedicated() {
         let mut cfg = quick_cfg(4);
         cfg.fidelity_threshold = Some(0.0);
-        let s = BatchScheduler::new(ibm::toronto(), strategy::qucp(4.0), cfg);
         // A homogeneous burst: every batch head admits exactly one copy
         // under a zero threshold (paper: "when the fidelity threshold is
         // zero … only one circuit is executed each time").
         let jobs = small_jobs(4);
-        let report = s.run(&jobs).unwrap();
+        let report = serve(cfg, &jobs).unwrap();
         assert_eq!(report.stats.batches, 4);
     }
 
@@ -446,7 +370,7 @@ mod tests {
         let mut jobs = small_jobs(2);
         // Second job arrives long after the first batch would finish.
         jobs[1].arrival = 1e9;
-        let report = sched(4).run(&jobs).unwrap();
+        let report = run(4, &jobs).unwrap();
         assert_eq!(report.stats.batches, 2);
         assert_eq!(report.job_results[1].waiting, 0.0);
         assert!(report.batches[1].start >= 1e9);
@@ -456,7 +380,7 @@ mod tests {
     fn zero_shot_jobs_are_rejected_with_typed_error() {
         let mut jobs = small_jobs(1);
         jobs[0].shots = 0;
-        let err = sched(2).run(&jobs).unwrap_err();
+        let err = run(2, &jobs).unwrap_err();
         assert!(matches!(err, RuntimeError::ZeroShots));
     }
 
@@ -464,7 +388,7 @@ mod tests {
     fn non_finite_arrivals_are_rejected_with_typed_error() {
         let mut jobs = small_jobs(1);
         jobs[0].arrival = f64::NAN;
-        let err = sched(2).run(&jobs).unwrap_err();
+        let err = run(2, &jobs).unwrap_err();
         assert!(matches!(err, RuntimeError::NonFiniteTime { .. }));
     }
 }

@@ -33,8 +33,7 @@ pub enum EfsGate {
     /// The seed scheduler's behaviour (and the paper's Fig. 4
     /// experiment): before packing, probe how many *copies of the
     /// head-of-line circuit* stay within the threshold and cap the
-    /// batch width at that count. Kept as the default for bit-for-bit
-    /// parity with `BatchScheduler::run`.
+    /// batch width at that count.
     #[default]
     HeadOnly,
     /// Evaluate the *actual heterogeneous batch*: after packing, every
@@ -163,7 +162,7 @@ impl JobRequest {
         self
     }
 
-    /// The legacy [`Job`] as a request (caller id and shots pinned).
+    /// A [`Job`] as a request (caller id and shots pinned).
     pub fn from_job(job: &Job) -> Self {
         JobRequest::new(job.circuit.clone(), job.arrival)
             .with_id(job.id)
@@ -196,7 +195,7 @@ pub struct DeviceReport {
 #[derive(Debug, Clone, PartialEq)]
 pub struct ServiceReport {
     /// Fleet-wide queue statistics, comparable with the analytical
-    /// model and the legacy `RunReport`.
+    /// model ([`simulate_queue`](qucp_core::queue::simulate_queue)).
     pub stats: QueueStats,
     /// Per-device breakdown, in registration order.
     pub per_device: Vec<DeviceReport>,

@@ -1,5 +1,5 @@
 //! Cross-crate integration tests for the staged-pipeline refactor and
-//! the `qucp-runtime` batch scheduler.
+//! the `qucp-runtime` scheduling service.
 //!
 //! The equivalence suite pins the refactor contract: the trait-based
 //! pipeline must reproduce the original `execute_parallel` outcomes
@@ -7,20 +7,12 @@
 //! runtime suite pins the acceptance criteria: a ≥ 12-job workload on
 //! `ibm::toronto()` executes end-to-end with concurrent batches,
 //! deterministically, and beats dedicated (1-way) turnaround.
-//!
-//! Since the service redesign, `BatchScheduler::run` is a deprecated
-//! wrapper over `Service` + `Fifo` + one device; this suite keeps
-//! exercising it on purpose — it pins the refactor's bit-for-bit
-//! compatibility contract (see also `integration_service.rs`).
-
-// The runtime suite intentionally exercises the deprecated wrapper.
-#![allow(deprecated)]
 
 use qucp_bench::combo_circuits;
 use qucp_circuit::library;
 use qucp_core::{execute_parallel, plan_workload, strategy, ParallelConfig, Pipeline, Strategy};
 use qucp_device::ibm;
-use qucp_runtime::{synthetic_jobs, BatchScheduler, Job, RuntimeConfig};
+use qucp_runtime::{synthetic_jobs, Job, JobRequest, RuntimeConfig, Service, ServiceReport};
 use qucp_sim::ExecutionConfig;
 
 fn all_strategies(device: &qucp_device::Device) -> Vec<Strategy> {
@@ -96,6 +88,24 @@ fn runtime_cfg(max_parallel: usize) -> RuntimeConfig {
     }
 }
 
+/// Serves `jobs` FIFO on one `device` under `strategy` and `cfg`.
+fn serve(
+    device: qucp_device::Device,
+    strategy: Strategy,
+    cfg: RuntimeConfig,
+    jobs: &[Job],
+) -> Result<ServiceReport, qucp_runtime::RuntimeError> {
+    let mut service = Service::builder()
+        .device(device)
+        .strategy(strategy)
+        .config(cfg)
+        .build()?;
+    for job in jobs {
+        service.submit(JobRequest::from_job(job))?;
+    }
+    service.run_until_drained()
+}
+
 fn acceptance_workload() -> Vec<Job> {
     synthetic_jobs(12, 300.0, 256, 0xACCE)
 }
@@ -105,12 +115,10 @@ fn acceptance_workload() -> Vec<Job> {
 #[test]
 fn batch_scheduler_beats_dedicated_on_toronto() {
     let jobs = acceptance_workload();
-    let dedicated = BatchScheduler::new(ibm::toronto(), strategy::qucp(4.0), runtime_cfg(1))
-        .run(&jobs)
-        .expect("dedicated run");
-    let packed = BatchScheduler::new(ibm::toronto(), strategy::qucp(4.0), runtime_cfg(4))
-        .run(&jobs)
-        .expect("packed run");
+    let dedicated =
+        serve(ibm::toronto(), strategy::qucp(4.0), runtime_cfg(1), &jobs).expect("dedicated run");
+    let packed =
+        serve(ibm::toronto(), strategy::qucp(4.0), runtime_cfg(4), &jobs).expect("packed run");
 
     assert_eq!(dedicated.job_results.len(), 12);
     assert_eq!(packed.job_results.len(), 12);
@@ -131,11 +139,7 @@ fn batch_scheduler_beats_dedicated_on_toronto() {
 #[test]
 fn concurrent_batches_are_deterministic() {
     let jobs = acceptance_workload();
-    let make = || {
-        BatchScheduler::new(ibm::toronto(), strategy::qucp(4.0), runtime_cfg(4))
-            .run(&jobs)
-            .expect("run")
-    };
+    let make = || serve(ibm::toronto(), strategy::qucp(4.0), runtime_cfg(4), &jobs).expect("run");
     assert_eq!(make(), make(), "concurrent run not reproducible");
 }
 
@@ -146,8 +150,7 @@ fn runtime_serves_all_strategies() {
     let jobs = synthetic_jobs(6, 300.0, 128, 5);
     for strat in all_strategies(&device) {
         let name = strat.name.clone();
-        let report = BatchScheduler::new(device.clone(), strat, runtime_cfg(3))
-            .run(&jobs)
+        let report = serve(device.clone(), strat, runtime_cfg(3), &jobs)
             .unwrap_or_else(|e| panic!("{name} runtime failed: {e}"));
         assert_eq!(report.job_results.len(), 6, "{name}");
     }
@@ -161,9 +164,7 @@ fn fidelity_threshold_controls_packing() {
     let run = |threshold| {
         let mut cfg = runtime_cfg(4);
         cfg.fidelity_threshold = Some(threshold);
-        BatchScheduler::new(ibm::toronto(), strategy::qucp(4.0), cfg)
-            .run(&jobs)
-            .expect("run")
+        serve(ibm::toronto(), strategy::qucp(4.0), cfg, &jobs).expect("run")
     };
     let strict = run(0.0);
     let loose = run(1e9);

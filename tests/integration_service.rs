@@ -1,12 +1,8 @@
 //! Integration tests for the event-driven `qucp-runtime` service API:
-//! the bit-for-bit Fifo equivalence contract against the legacy
-//! `BatchScheduler::run`, job-conservation properties for every
+//! the golden FIFO snapshot, job-conservation properties for every
 //! admission policy, the backfill starvation bound (reconstructed from
 //! the telemetry event log), multi-device dispatch, and the
 //! heterogeneous-batch EFS gate.
-
-// The equivalence suite intentionally exercises the deprecated wrapper.
-#![allow(deprecated)]
 
 mod support;
 
@@ -14,8 +10,8 @@ use proptest::prelude::*;
 use qucp_core::strategy;
 use qucp_device::ibm;
 use qucp_runtime::{
-    skewed_jobs, synthetic_jobs, Backfill, BatchScheduler, EfsGate, Fifo, Job, JobRequest,
-    RuntimeConfig, Service, ServiceReport, ShortestJobFirst, ShotParallelism, ShrinkReason,
+    skewed_jobs, synthetic_jobs, Backfill, EfsGate, Fifo, Job, JobRequest, RuntimeConfig, Service,
+    ServiceReport, ShortestJobFirst, ShotParallelism, ShrinkReason,
 };
 
 fn runtime_cfg(max_parallel: usize, fidelity_threshold: Option<f64>) -> RuntimeConfig {
@@ -52,40 +48,10 @@ fn drain(
     service.run_until_drained().expect("drain")
 }
 
-/// Acceptance: `Service` + `Fifo` + a single device reproduces the
-/// legacy `BatchScheduler::run` output bit-for-bit on the PR-1
-/// equivalence workloads, with and without the head-only EFS gate.
-#[test]
-fn service_fifo_single_device_matches_batch_scheduler_bit_for_bit() {
-    let jobs = synthetic_jobs(12, 300.0, 256, 0xACCE);
-    for max_parallel in [1usize, 4] {
-        for threshold in [None, Some(0.0), Some(1e9)] {
-            let cfg = runtime_cfg(max_parallel, threshold);
-            let legacy = BatchScheduler::new(ibm::toronto(), strategy::qucp(4.0), cfg.clone())
-                .run(&jobs)
-                .expect("legacy run");
-            let report = drain(&jobs, cfg, "fifo", ibm::toronto());
-            assert_eq!(
-                report.stats, legacy.stats,
-                "k={max_parallel} t={threshold:?}"
-            );
-            assert_eq!(
-                report.batches, legacy.batches,
-                "k={max_parallel} t={threshold:?}"
-            );
-            assert_eq!(
-                report.job_results, legacy.job_results,
-                "k={max_parallel} t={threshold:?}"
-            );
-        }
-    }
-}
-
 /// Golden snapshot of the seed scheduler's FIFO decisions, frozen at
-/// the service redesign. `BatchScheduler::run` is now a wrapper over
-/// `Service`, so the bit-for-bit test above pins the two *entry points*
-/// against each other but cannot by itself detect a drift common to
-/// both; this test freezes the absolute behaviour — exact batch
+/// the service redesign: the differential suite pins production against
+/// the reference scheduler but cannot by itself detect a drift common
+/// to both; this test freezes the absolute behaviour — exact batch
 /// memberships (pure integer scheduling decisions) and queue statistics
 /// (tight tolerance, the runtime is deterministic) — so any change to
 /// the FIFO path is loud.
