@@ -1417,42 +1417,43 @@ impl Service {
         // Assembling a pipeline is cheap (it boxes four stage objects),
         // so each dispatch builds one for the head's effective strategy
         // rather than fighting the borrow checker over a cached copy.
-        let pipeline = Pipeline::from_strategy(&head_strategy);
-        let batch_index = self.batches.len();
+        let head = HeadContext {
+            seq: head_seq,
+            id: head_id,
+            arrival: head_arrival,
+            pipeline: Pipeline::from_strategy(&head_strategy),
+            circuit: head_circuit,
+            strategy: head_strategy,
+            strategy_fp,
+            threshold: head_threshold,
+            shape,
+            policy_fp,
+            probe_widest,
+            batch_index: self.batches.len(),
+        };
+        let batch_index = head.batch_index;
 
-        // Best-k speculation: precompute the top-k candidates' pack and
+        // Best-k speculation: prepare the top-k candidates' pack and
         // plan outcomes (planning concurrently) before walking the
-        // ranking. The walk below consumes precomputed outcomes for
-        // ranks < k and falls back to the inline sequential path beyond
-        // — either way the committed winner is the first ranked
-        // candidate whose plan succeeds.
+        // ranking. The walk below consumes them for ranks < k and plans
+        // one candidate at a time beyond — the same routine either way,
+        // and the committed winner is the first ranked candidate whose
+        // plan succeeds.
         let k = if !probe_widest && self.best_k > 1 && candidates.len() > 1 {
             self.best_k.min(candidates.len())
         } else {
             1
         };
-        let mut spec: Vec<Option<SpecOutcome>> = if k > 1 {
-            self.speculate(
-                &candidates[..k],
-                &pipeline,
-                head_seq,
-                head_arrival,
-                head_id,
-                &head_circuit,
-                &head_strategy,
-                strategy_fp,
-                head_threshold,
-                shape,
-                policy_fp,
-                batch_index,
-            )
+        let mut speculated: Vec<Option<CandidateOutcome>> = if k > 1 {
+            let outcomes = self.speculate(&head, &candidates[..k]);
+            outcomes.into_iter().map(Some).collect()
         } else {
             Vec::new()
         };
 
         let mut last_unplaceable: Option<RuntimeError> = None;
         for (rank, &d) in candidates.iter().enumerate() {
-            let start = self.states[d].clock.max(head_arrival);
+            let start = self.states[d].clock.max(head.arrival);
             if start > limit {
                 // Head-of-line across the fleet: when the policy's
                 // preferred viable candidate cannot start by `limit`,
@@ -1465,73 +1466,17 @@ impl Service {
                 // for this and lower ranks are discarded unseen.
                 return Ok(None);
             }
-            let outcome = match spec.get_mut(rank).and_then(Option::take) {
+            let outcome = match speculated.get_mut(rank).and_then(Option::take) {
                 Some(outcome) => outcome,
-                None => {
-                    // Sequential path: the k = 1 default, and every
-                    // rank beyond the speculation window.
-                    //
-                    // Head-only EFS gate (legacy Fig. 4 behaviour):
-                    // probe the admissible copy count of the head
-                    // circuit before packing, memoized across batches
-                    // per (device, shape, threshold).
-                    let cap_probe = match (self.efs_gate, head_threshold) {
-                        (EfsGate::HeadOnly, Some(threshold)) if !probe_widest => self
-                            .cached_head_cap(
-                                d,
-                                &head_circuit,
-                                threshold,
-                                &head_strategy,
-                                shape,
-                                policy_fp,
-                            )
-                            .map(|c| c.max(1)),
-                        _ => Ok(self.cfg.max_parallel),
-                    };
-                    match cap_probe {
-                        Ok(cap) => {
-                            let qubits = self.registry.device_at(d).num_qubits();
-                            let pack = self.pack_candidate(
-                                d,
-                                qubits,
-                                cap,
-                                head_seq,
-                                head_arrival,
-                                &head_strategy,
-                                probe_widest,
-                            )?;
-                            let members = self.plan_members(&pack.picks_seqs)?;
-                            let plan = self.plan_batch(
-                                &pipeline,
-                                d,
-                                batch_index,
-                                &head_strategy,
-                                strategy_fp,
-                                members,
-                            );
-                            SpecOutcome::Planned {
-                                pack,
-                                plan: Box::new(plan),
-                            }
-                        }
-                        Err(
-                            e @ (CoreError::PartitionUnavailable { .. }
-                            | CoreError::ProgramTooWide { .. }),
-                        ) => SpecOutcome::Unplaceable(RuntimeError::JobUnplaceable {
-                            job_id: head_id,
-                            source: e,
-                        }),
-                        Err(e) => return Err(RuntimeError::Core(e)),
-                    }
-                }
+                None => self.plan_candidate(&head, d),
             };
             let (pack, planned) = match outcome {
-                SpecOutcome::Unplaceable(e) => {
+                CandidateOutcome::Unplaceable(e) => {
                     last_unplaceable = Some(e);
                     continue;
                 }
-                SpecOutcome::Failed(e) => return Err(e),
-                SpecOutcome::Planned { pack, plan } => match *plan {
+                CandidateOutcome::Failed(e) => return Err(e),
+                CandidateOutcome::Planned { pack, plan } => match *plan {
                     Ok(planned) => (pack, planned),
                     Err(e @ RuntimeError::JobUnplaceable { .. }) => {
                         last_unplaceable = Some(e);
@@ -1653,7 +1598,7 @@ impl Service {
                 device_index: d,
                 batch_index,
                 device,
-                pipeline,
+                pipeline: head.pipeline,
                 plan,
                 start,
                 completion,
@@ -1719,44 +1664,6 @@ impl Service {
         let state = &mut self.states[staged.device_index];
         state.busy_time += staged.makespan;
         state.batches += 1;
-    }
-
-    /// Plans one candidate's batch through the plan cache: a hit
-    /// replays the memoized outcome against the current members
-    /// (re-binding shrink events and unplaceable errors to current job
-    /// ids), a miss plans fresh and memoizes.
-    fn plan_batch(
-        &mut self,
-        pipeline: &Pipeline,
-        d: usize,
-        batch_index: usize,
-        head_strategy: &Strategy,
-        strategy_fp: u64,
-        members: PlanMembers,
-    ) -> Result<PlannedParts, RuntimeError> {
-        let fp = self.plan_fingerprint(d, strategy_fp, &members);
-        if let Some(entry) = self.route_cache.plans.get(&(d, fp)).cloned() {
-            self.route_cache.plan_hits += 1;
-            return replay_plan(
-                entry,
-                batch_index,
-                self.registry.device_at(d).name(),
-                members,
-            );
-        }
-        self.route_cache.plan_misses += 1;
-        let plan_started = std::time::Instant::now();
-        let fresh = plan_gated_members(
-            pipeline,
-            self.registry.device_at(d),
-            batch_index,
-            self.efs_gate,
-            self.cfg.optimize,
-            head_strategy,
-            members,
-        );
-        self.record_planning(plan_started.elapsed().as_nanos() as u64);
-        self.memoize_plan(d, fp, fresh)
     }
 
     /// Books one timed [`plan_gated_members`] run.
@@ -1830,159 +1737,156 @@ impl Service {
         }
     }
 
-    /// Phase one of best-k speculation: probe, pack and plan the top-k
-    /// ranked candidates before the ranked walk consumes them.
-    ///
-    /// Cap probes and packs run **sequentially in ranked order** — they
-    /// mutate the route cache, and a deterministic mutation order keeps
-    /// the cache stream reproducible. Planning (the expensive part) then
-    /// fans out through [`run_indexed`]: it is a pure function of
-    /// (device, circuits, strategy), so concurrency can change
-    /// wall-clock only, never an outcome. Losing candidates' probes
-    /// stay in the route cache and warm later dispatches.
-    #[allow(clippy::too_many_arguments)]
-    fn speculate(
-        &mut self,
-        ranked: &[usize],
-        pipeline: &Pipeline,
-        head_seq: usize,
-        head_arrival: f64,
-        head_id: u64,
-        head_circuit: &Circuit,
-        head_strategy: &Strategy,
-        strategy_fp: u64,
-        head_threshold: Option<f64>,
-        shape: u64,
-        policy_fp: u64,
-        batch_index: usize,
-    ) -> Vec<Option<SpecOutcome>> {
-        enum Prep {
-            Ready {
-                d: usize,
-                pack: CandidatePack,
-                /// Taken by the one fan-out task that plans it.
-                members: std::sync::Mutex<Option<PlanMembers>>,
-                fp: u64,
-            },
-            Done(SpecOutcome),
-        }
-        let mut preps: Vec<Prep> = Vec::with_capacity(ranked.len());
-        for &d in ranked {
-            let cap_probe = match (self.efs_gate, head_threshold) {
-                (EfsGate::HeadOnly, Some(threshold)) => self
-                    .cached_head_cap(d, head_circuit, threshold, head_strategy, shape, policy_fp)
-                    .map(|c| c.max(1)),
-                _ => Ok(self.cfg.max_parallel),
-            };
-            let prep = match cap_probe {
-                Ok(cap) => {
-                    let qubits = self.registry.device_at(d).num_qubits();
-                    match self
-                        .pack_candidate(
-                            d,
-                            qubits,
-                            cap,
-                            head_seq,
-                            head_arrival,
-                            head_strategy,
-                            false,
-                        )
-                        .and_then(|pack| {
-                            let members = self.plan_members(&pack.picks_seqs)?;
-                            Ok((pack, members))
-                        }) {
-                        Ok((pack, members)) => {
-                            // The plan cache is consulted here, on the
-                            // main thread in ranked order, so the
-                            // hit/miss counters and lookup sequence are
-                            // deterministic regardless of how the
-                            // planning workers below interleave.
-                            let fp = self.plan_fingerprint(d, strategy_fp, &members);
-                            match self.route_cache.plans.get(&(d, fp)).cloned() {
-                                Some(entry) => {
-                                    self.route_cache.plan_hits += 1;
-                                    let replayed = replay_plan(
-                                        entry,
-                                        batch_index,
-                                        self.registry.device_at(d).name(),
-                                        members,
-                                    );
-                                    Prep::Done(SpecOutcome::Planned {
-                                        pack,
-                                        plan: Box::new(replayed),
-                                    })
-                                }
-                                None => {
-                                    self.route_cache.plan_misses += 1;
-                                    Prep::Ready {
-                                        d,
-                                        pack,
-                                        members: std::sync::Mutex::new(Some(members)),
-                                        fp,
-                                    }
-                                }
-                            }
-                        }
-                        Err(e) => Prep::Done(SpecOutcome::Failed(e)),
-                    }
+    /// The one candidate-preparation routine: everything about one
+    /// candidate device that must happen on the dispatching thread, in
+    /// ranked order — the head-only cap probe, the pack, and the
+    /// plan-cache lookup, each of which mutates the route cache or its
+    /// counters. A cache hit replays the memoized outcome against the
+    /// current members (re-binding shrink events and unplaceable
+    /// errors to current job ids) and the candidate is done; a miss
+    /// leaves it [`Prepared::Ready`] for [`plan_prepared`], which is a
+    /// pure function and may run anywhere, and
+    /// [`Service::conclude_candidate`].
+    fn prepare_candidate(&mut self, head: &HeadContext, d: usize) -> Prepared {
+        // Head-only EFS gate (Fig. 4): probe the admissible copy count
+        // of the head circuit before packing, memoized across batches
+        // per (device, shape, threshold).
+        let cap_probe = match (self.efs_gate, head.threshold) {
+            (EfsGate::HeadOnly, Some(threshold)) if !head.probe_widest => {
+                self.cached_head_cap(head, d, threshold).map(|c| c.max(1))
+            }
+            _ => Ok(self.cfg.max_parallel),
+        };
+        let cap = match cap_probe {
+            Ok(cap) => cap,
+            Err(
+                e @ (CoreError::PartitionUnavailable { .. } | CoreError::ProgramTooWide { .. }),
+            ) => {
+                return Prepared::Done(CandidateOutcome::Unplaceable(
+                    RuntimeError::JobUnplaceable {
+                        job_id: head.id,
+                        source: e,
+                    },
+                ))
+            }
+            Err(e) => return Prepared::Done(CandidateOutcome::Failed(RuntimeError::Core(e))),
+        };
+        let packed = self.pack_candidate(head, d, cap).and_then(|pack| {
+            let members = self.plan_members(&pack.picks_seqs)?;
+            Ok((pack, members))
+        });
+        let (pack, members) = match packed {
+            Ok(packed) => packed,
+            Err(e) => return Prepared::Done(CandidateOutcome::Failed(e)),
+        };
+        let fp = self.plan_fingerprint(d, head.strategy_fp, &members);
+        match self.route_cache.plans.get(&(d, fp)).cloned() {
+            Some(entry) => {
+                self.route_cache.plan_hits += 1;
+                let device_name = self.registry.device_at(d).name();
+                let replayed = replay_plan(entry, head.batch_index, device_name, members);
+                Prepared::Done(CandidateOutcome::Planned {
+                    pack,
+                    plan: Box::new(replayed),
+                })
+            }
+            None => {
+                self.route_cache.plan_misses += 1;
+                Prepared::Ready {
+                    d,
+                    pack,
+                    members,
+                    fp,
                 }
-                Err(
-                    e @ (CoreError::PartitionUnavailable { .. } | CoreError::ProgramTooWide { .. }),
-                ) => Prep::Done(SpecOutcome::Unplaceable(RuntimeError::JobUnplaceable {
-                    job_id: head_id,
-                    source: e,
-                })),
-                Err(e) => Prep::Done(SpecOutcome::Failed(RuntimeError::Core(e))),
-            };
-            preps.push(prep);
+            }
         }
-        let gate = self.efs_gate;
-        let optimize = self.cfg.optimize;
-        let registry = &self.registry;
+    }
+
+    /// Books and memoizes a ready candidate's fresh plan.
+    fn conclude_candidate(
+        &mut self,
+        d: usize,
+        pack: CandidatePack,
+        fp: u64,
+        (gated, plan_ns): (Result<GatedPlan, RuntimeError>, u64),
+    ) -> CandidateOutcome {
+        self.record_planning(plan_ns);
+        CandidateOutcome::Planned {
+            pack,
+            plan: Box::new(self.memoize_plan(d, fp, gated)),
+        }
+    }
+
+    /// One candidate, start to finish on the dispatching thread: the
+    /// ranked walk's k = 1 default and every rank beyond a speculation
+    /// window.
+    fn plan_candidate(&mut self, head: &HeadContext, d: usize) -> CandidateOutcome {
+        match self.prepare_candidate(head, d) {
+            Prepared::Done(outcome) => outcome,
+            Prepared::Ready {
+                d,
+                pack,
+                members,
+                fp,
+            } => {
+                let device = self.registry.device_at(d);
+                let planned =
+                    plan_prepared(head, device, self.efs_gate, self.cfg.optimize, members);
+                self.conclude_candidate(d, pack, fp, planned)
+            }
+        }
+    }
+
+    /// Best-k speculation: the same preparation for the top-k ranked
+    /// candidates, in ranked order, before the ranked walk consumes
+    /// them — with the fresh planning of the cache misses (the
+    /// expensive part) fanned out through [`run_indexed`] in between:
+    /// concurrency can change wall-clock only, never an outcome.
+    /// Memoization follows in ranked order again, so the cache sees the
+    /// insertion sequence the one-at-a-time path would produce for
+    /// these candidates. Losing candidates' probes and plans stay
+    /// cached and warm later dispatches.
+    fn speculate(&mut self, head: &HeadContext, ranked: &[usize]) -> Vec<CandidateOutcome> {
+        /// A ready candidate's members, taken by the one fan-out task
+        /// that plans it.
+        type Slot = std::sync::Mutex<Option<PlanMembers>>;
+        let mut slots: Vec<(usize, Slot)> = Vec::new();
+        let mut preps: Vec<Result<(usize, CandidatePack, u64), CandidateOutcome>> = Vec::new();
+        for &d in ranked {
+            preps.push(match self.prepare_candidate(head, d) {
+                Prepared::Done(outcome) => Err(outcome),
+                Prepared::Ready {
+                    d,
+                    pack,
+                    members,
+                    fp,
+                } => {
+                    slots.push((d, std::sync::Mutex::new(Some(members))));
+                    Ok((d, pack, fp))
+                }
+            });
+        }
+        let (gate, optimize, registry) = (self.efs_gate, self.cfg.optimize, &self.registry);
         // The fan-out's work estimate is measured, not guessed: this
         // service's own mean planning time per candidate still to plan.
         // Before the first measurement it is zero — the candidates plan
         // inline, and that takes the measurement.
-        let ready = preps.iter().filter(|p| matches!(p, Prep::Ready { .. }));
-        let work = ready.count() as u64 * (self.plan_ns / self.plans_timed.max(1) / WORK_UNIT_NS);
-        let planned = run_indexed(preps.len(), work, |i| match &preps[i] {
-            Prep::Ready { d, members, .. } => {
-                let members = members.lock().expect("no planner panics holding it").take();
-                members.map(|members| {
-                    let plan_started = std::time::Instant::now();
-                    let gated = plan_gated_members(
-                        pipeline,
-                        registry.device_at(*d),
-                        batch_index,
-                        gate,
-                        optimize,
-                        head_strategy,
-                        members,
-                    );
-                    (gated, plan_started.elapsed().as_nanos() as u64)
-                })
-            }
-            Prep::Done(_) => None,
+        let work = slots.len() as u64 * (self.plan_ns / self.plans_timed.max(1) / WORK_UNIT_NS);
+        let planned = run_indexed(slots.len(), work, |i| {
+            let (d, slot) = &slots[i];
+            let members = slot.lock().expect("no planner panics holding it").take();
+            let members = members.expect("every ready candidate is planned once");
+            plan_prepared(head, registry.device_at(*d), gate, optimize, members)
         });
-        // Memoization runs after the fan-out, in ranked order: the
-        // cache sees the same insertion sequence the sequential path
-        // would produce for these candidates.
+        let mut planned = planned.into_iter();
         preps
             .into_iter()
-            .zip(planned)
-            .map(|(prep, planned)| match (prep, planned) {
-                (Prep::Done(outcome), _) => Some(outcome),
-                (Prep::Ready { d, pack, fp, .. }, Some((gated, plan_ns))) => {
-                    self.record_planning(plan_ns);
-                    let plan = self.memoize_plan(d, fp, gated);
-                    Some(SpecOutcome::Planned {
-                        pack,
-                        plan: Box::new(plan),
-                    })
+            .map(|prep| match prep {
+                Err(outcome) => outcome,
+                Ok((d, pack, fp)) => {
+                    let planned = planned.next().expect("one plan per ready candidate");
+                    self.conclude_candidate(d, pack, fp, planned)
                 }
-                // Unreachable (every ready candidate is planned once);
-                // the ranked walk then plans this one itself.
-                (Prep::Ready { .. }, None) => None,
             })
             .collect()
     }
@@ -1992,29 +1896,25 @@ impl Service {
     /// copy out everything the commit path needs (so packs for several
     /// speculative candidates can coexist — each `prepare` rebinds the
     /// store's joinable flags).
-    #[allow(clippy::too_many_arguments)]
     fn pack_candidate(
         &mut self,
+        head: &HeadContext,
         d: usize,
-        qubits: usize,
         cap: usize,
-        head_seq: usize,
-        head_arrival: f64,
-        head_strategy: &Strategy,
-        probe_widest: bool,
     ) -> Result<CandidatePack, RuntimeError> {
-        let start = self.states[d].clock.max(head_arrival);
-        self.pending.prepare(start, Some(head_strategy));
+        let qubits = self.registry.device_at(d).num_qubits();
+        let start = self.states[d].clock.max(head.arrival);
+        self.pending.prepare(start, Some(&head.strategy));
         let arrived = self.pending.arrived(start);
         let head_pos = self
             .pending
-            .position_of(head_arrival, head_seq)
-            .ok_or(RuntimeError::QueueCorrupted { seq: head_seq })?;
+            .position_of(head.arrival, head.seq)
+            .ok_or(RuntimeError::QueueCorrupted { seq: head.seq })?;
         let budget = BatchBudget {
             qubits,
             max_members: cap,
         };
-        let picks = if probe_widest {
+        let picks = if head.probe_widest {
             vec![head_pos]
         } else {
             self.policy.pack(arrived, head_pos, &budget)
@@ -2100,14 +2000,16 @@ impl Service {
     /// threshold).
     fn cached_head_cap(
         &mut self,
+        head: &HeadContext,
         device_index: usize,
-        circuit: &Circuit,
         threshold: f64,
-        strategy: &Strategy,
-        shape: u64,
-        policy_fp: u64,
     ) -> Result<usize, CoreError> {
-        let key = (device_index, shape, policy_fp, threshold.to_bits());
+        let key = (
+            device_index,
+            head.shape,
+            head.policy_fp,
+            threshold.to_bits(),
+        );
         if let Some(cached) = self.route_cache.head_cap.get(&key) {
             self.route_cache.hits += 1;
             return cached.clone();
@@ -2115,10 +2017,10 @@ impl Service {
         self.route_cache.misses += 1;
         let result = parallel_count_for_threshold(
             self.registry.device_at(device_index),
-            circuit,
+            &head.circuit,
             threshold,
             self.cfg.max_parallel,
-            strategy,
+            &head.strategy,
         );
         self.route_cache.head_cap.insert(key, result.clone());
         result
@@ -2256,8 +2158,49 @@ struct PlanMembers {
 /// buffered shrink events.
 type PlannedParts = (std::sync::Arc<PlannedWorkload>, PlanMembers, Vec<Event>);
 
-/// One speculative candidate's precomputed dispatch outcome.
-enum SpecOutcome {
+/// What one dispatch step knows about the batch head, fixed before any
+/// candidate device is prepared: everything
+/// [`Service::prepare_candidate`] and [`plan_prepared`] read besides
+/// the candidate itself.
+struct HeadContext {
+    seq: usize,
+    id: u64,
+    arrival: f64,
+    circuit: Circuit,
+    /// The head's effective strategy: it decides joinability, plans the
+    /// batch and parameterizes the probes.
+    strategy: Strategy,
+    pipeline: Pipeline,
+    /// Plan-cache key component of `strategy`.
+    strategy_fp: u64,
+    /// The head's effective EFS threshold (the head-only gate's input).
+    threshold: Option<f64>,
+    /// Probe-cache key components (0 when no probing path runs).
+    shape: u64,
+    policy_fp: u64,
+    /// No device admits the head: the widest is probed, head alone, so
+    /// the precise placement error surfaces.
+    probe_widest: bool,
+    batch_index: usize,
+}
+
+/// One candidate device after [`Service::prepare_candidate`].
+enum Prepared {
+    /// Packed, and its batch missed the plan cache: to be planned
+    /// fresh under key `fp`.
+    Ready {
+        d: usize,
+        pack: CandidatePack,
+        members: PlanMembers,
+        fp: u64,
+    },
+    /// Decided without planning: rejected by the cap probe, failed, or
+    /// replayed from the plan cache.
+    Done(CandidateOutcome),
+}
+
+/// One candidate device's dispatch outcome.
+enum CandidateOutcome {
     /// The head-cap probe rejected the candidate; the ranked walk falls
     /// past it exactly like the sequential path.
     Unplaceable(RuntimeError),
@@ -2363,6 +2306,29 @@ fn replay_plan(
             Ok((plan, members, shrinks))
         }
     }
+}
+
+/// Plans a [`Prepared::Ready`] candidate's members fresh, timed (ns):
+/// a pure function of its arguments, so best-k speculation runs one
+/// call per candidate as fan-out tasks.
+fn plan_prepared(
+    head: &HeadContext,
+    device: &Device,
+    gate: EfsGate,
+    optimize: bool,
+    members: PlanMembers,
+) -> (Result<GatedPlan, RuntimeError>, u64) {
+    let plan_started = std::time::Instant::now();
+    let gated = plan_gated_members(
+        &head.pipeline,
+        device,
+        head.batch_index,
+        gate,
+        optimize,
+        &head.strategy,
+        members,
+    );
+    (gated, plan_started.elapsed().as_nanos() as u64)
 }
 
 /// Plans `members` on `device`, shrinking while the partitioner cannot
