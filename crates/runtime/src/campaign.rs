@@ -53,7 +53,7 @@ use crate::service::{JobRequest, Service};
 /// groups for SRB) and must be deterministic: `next_batch` and `fold`
 /// may depend only on the construction parameters and the results
 /// folded so far, never on wall-clock time or thread identity — the
-/// campaign's serial == concurrent guarantee rests on it.
+/// campaign's determinism guarantee rests on it.
 pub trait CampaignDriver {
     /// What the campaign produces once no batches remain.
     type Output;

@@ -65,7 +65,8 @@
 //!    the whole job's shots × scheduled events, so an 8192-shot job
 //!    keeps its threads on a ten-gate circuit too). Per-program seeds
 //!    derive from `(seed, batch index, program index)` only, so
-//!    concurrent and serial execution agree **bit-for-bit**.
+//!    results are **bit-for-bit** the same however many threads ran
+//!    them.
 //!    **Prepared replay:**
 //!    what a program needs before its first shot — the simulator's
 //!    event stream, error probabilities and ideal states, and the
@@ -124,28 +125,35 @@
 //!   actually changes values. A zero-sigma walk never bumps an epoch,
 //!   so a drift-free service stays **bit-for-bit** the frozen-fleet
 //!   runtime (property-tested), and drift itself is a pure function of
-//!   `(model, step, device)` — serial == concurrent still holds.
+//!   `(model, step, device)` — results stay independent of threading.
 //!
-//! ## Scale: the indexed queue and best-k speculation
+//! ## Scale: what an operation costs
 //!
 //! The dispatch loop is built for the paper's heavy-traffic regime
 //! (O(100) devices, O(100k) queued jobs), not just the two-chip
-//! experiments. Per-operation costs, with `n` pending jobs, `A`
-//! admitting devices and `D` fleet devices (the "seed path" column is
-//! what the first runtime did, and what the differential suite's
-//! reference scheduler still does):
+//! experiments. There is one path — no mode, queue implementation or
+//! cache policy to select — and these are its per-operation costs, with
+//! `n` pending jobs, `A` admitting devices and `D` fleet devices:
 //!
-//! | operation | seed path | indexed path (default) |
-//! |---|---|---|
-//! | submit (queue insert) | O(n) scan + insert | O(log n) position, amortized append for in-order arrivals |
-//! | seq → job lookup | O(n) scan | O(1) hash map |
-//! | dispatch step: arrived views | O(n) rebuild per candidate | O(log n) prefix bind (O(arrived) flag pass only while per-job strategy overrides are live) |
-//! | dispatch step: admitting devices | O(D) filter | O(log D) + A width-bucket suffix |
-//! | batch removal | O(n·k) retain | offset bump (front run) or one compaction pass |
-//! | recalibrate / drift epoch bump | O(cache) invalidation | unchanged |
-//! | batch planning | partition + map + merge per batch | O(1) plan-cache hit (repeat shapes at one calibration epoch) |
-//! | execution set-up per program | ALAP schedule + event sort + three statevector passes | the first two executions of a plan only (the second fills the slots); a replayed plan then pays a calibration compare and an `Arc` clone (prepared replay) |
-//! | threads per batch | one spawn per program | none under two spawn floors of batch work or on one core; otherwise one worker per floor up to the cores, the caller being one of them |
+//! | operation | cost |
+//! |---|---|
+//! | submit (queue insert) | O(gates) shape fingerprint, O(log n) position, amortized append for in-order arrivals |
+//! | seq → job lookup | O(1) hash map |
+//! | dispatch step: earliest-free device | O(log D) clock index |
+//! | dispatch step: arrived views | O(log n) prefix bind (O(arrived) flag pass only while per-job strategy overrides are live) |
+//! | dispatch step: admitting devices | O(log D) + A width-bucket suffix |
+//! | routing / head-only gate probes | one partition probe per (device, circuit shape, partition policy[, threshold]) per calibration epoch, then a cache hit |
+//! | batch planning | partition + map + merge on a plan-cache miss; O(1) on a hit (repeat member shapes at one calibration epoch) |
+//! | batch removal | offset bump (front run) or one compaction pass |
+//! | recalibrate / drift epoch bump | one pass over the cache, dropping the bumped device's probes and plans |
+//! | execution set-up per program | ALAP schedule + event sort + three statevector passes on the first two executions of a plan (the second fills the slots); a replayed plan then pays a calibration compare and an `Arc` clone (prepared replay) |
+//! | threads per batch | none under two spawn floors of batch work or on one core; otherwise one worker per floor up to the cores, the caller being one of them |
+//!
+//! What every one of those mechanisms must *answer* is stated without
+//! them by the reference scheduler of the differential suite
+//! (`tests/support/reference.rs`: a re-sorted `Vec`, linear scans, no
+//! cache, one thread), and `tests/integration_reference.rs` holds the
+//! service to it bit for bit.
 //!
 //! **Best-k speculative planning** ([`ServiceBuilder::best_k`]) plans
 //! the head batch on the top-k routing candidates through the fan-out
@@ -183,9 +191,8 @@
 //!   batch of [`JobRequest`]s; [`run_campaign`] owns the
 //!   generate → submit-batch → await-results → fold loop (arrival
 //!   stamping, `+∞` ticks, exactly-once claims, [`CampaignStats`]
-//!   accounting). Campaigns inherit the service's serial == concurrent
-//!   bit-for-bit determinism; the loop adds no nondeterminism of its
-//!   own.
+//!   accounting). Campaigns inherit the service's bit-for-bit
+//!   determinism; the loop adds no nondeterminism of its own.
 //!
 //! Per-job **routing overrides** ([`JobRequest::with_routing`],
 //! [`RoutingChoice`]) let a campaign route its measurement circuits by

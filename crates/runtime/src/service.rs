@@ -2095,7 +2095,7 @@ impl Service {
     /// Cumulative wall-clock nanoseconds this service spent *executing*
     /// batches (the trajectory simulation inside
     /// [`Service::tick`]/[`Service::run_until_drained`]), as opposed to
-    /// dispatch-loop bookkeeping. The `fleet_shootout` bench subtracts
+    /// dispatch-loop bookkeeping. The benchmark (`perfbench/`) subtracts
     /// this from end-to-end wall time to isolate scheduler overhead.
     pub fn execution_time_ns(&self) -> u64 {
         self.exec_ns
@@ -2106,9 +2106,9 @@ impl Service {
     /// workload cost, like execution, not queue bookkeeping. Under
     /// best-k speculation the concurrent per-candidate durations are
     /// summed, so this can exceed the wall time the planning stage
-    /// actually occupied. The `fleet_shootout` bench subtracts this
-    /// (with [`Service::execution_time_ns`]) from end-to-end wall time
-    /// to isolate the dispatch loop itself.
+    /// actually occupied. The benchmark subtracts this (with
+    /// [`Service::execution_time_ns`]) from end-to-end wall time to
+    /// isolate the dispatch loop itself.
     pub fn planning_time_ns(&self) -> u64 {
         self.plan_ns
     }
