@@ -1,0 +1,306 @@
+//! [`ServiceBuilder`]: the service's configuration surface and its
+//! validation.
+
+use qucp_core::{strategy, Strategy};
+use qucp_device::{Device, DriftModel};
+use qucp_sim::{ShotParallelism, TrajectoryKernel};
+
+use super::route_cache::{plan_cfg_fingerprint, strategy_fingerprint, RouteCache};
+use super::{DeviceState, EfsGate, Service};
+use crate::event::{EventLog, EventObserver};
+use crate::pending::PendingStore;
+use crate::policy::{AdmissionPolicy, Fifo};
+use crate::registry::{ClockIndex, DeviceRegistry, EarliestFree, RoutingPolicy};
+use crate::scheduler::{RuntimeConfig, RuntimeError};
+
+/// Builds a [`Service`]; validation happens in [`ServiceBuilder::build`].
+pub struct ServiceBuilder {
+    registry: DeviceRegistry,
+    strategy: Strategy,
+    policy: Box<dyn AdmissionPolicy>,
+    routing: Box<dyn RoutingPolicy>,
+    cfg: RuntimeConfig,
+    efs_gate: EfsGate,
+    default_shots: usize,
+    observers: Vec<Box<dyn EventObserver>>,
+    drift: Option<Box<dyn DriftModel>>,
+    event_capacity: Option<usize>,
+    best_k: usize,
+}
+
+impl std::fmt::Debug for ServiceBuilder {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("ServiceBuilder")
+            .field("devices", &self.registry.len())
+            .field("strategy", &self.strategy.name)
+            .field("policy", &self.policy)
+            .field("routing", &self.routing)
+            .field("cfg", &self.cfg)
+            .field("efs_gate", &self.efs_gate)
+            .field("default_shots", &self.default_shots)
+            .field("drift", &self.drift)
+            .finish_non_exhaustive()
+    }
+}
+
+impl Default for ServiceBuilder {
+    fn default() -> Self {
+        ServiceBuilder::new()
+    }
+}
+
+impl ServiceBuilder {
+    /// A builder with an empty fleet, QuCP strategy, FIFO admission,
+    /// earliest-free routing, the default [`RuntimeConfig`], the
+    /// head-only EFS gate, and 1024 default shots.
+    pub fn new() -> Self {
+        ServiceBuilder {
+            registry: DeviceRegistry::new(),
+            strategy: strategy::qucp(strategy::DEFAULT_SIGMA),
+            policy: Box::new(Fifo),
+            routing: Box::new(EarliestFree),
+            cfg: RuntimeConfig::default(),
+            efs_gate: EfsGate::default(),
+            default_shots: 1024,
+            observers: Vec::new(),
+            drift: None,
+            event_capacity: None,
+            best_k: 1,
+        }
+    }
+
+    /// Registers a device (repeatable; registration order breaks
+    /// routing ties).
+    #[must_use]
+    pub fn device(mut self, device: Device) -> Self {
+        self.registry.register(device);
+        self
+    }
+
+    /// Replaces the whole fleet at once.
+    #[must_use]
+    pub fn registry(mut self, registry: DeviceRegistry) -> Self {
+        self.registry = registry;
+        self
+    }
+
+    /// Sets the default execution strategy.
+    #[must_use]
+    pub fn strategy(mut self, strategy: Strategy) -> Self {
+        self.strategy = strategy;
+        self
+    }
+
+    /// Sets the admission policy.
+    #[must_use]
+    pub fn policy(mut self, policy: impl AdmissionPolicy + 'static) -> Self {
+        self.policy = Box::new(policy);
+        self
+    }
+
+    /// Sets the routing policy deciding which admitting device each
+    /// batch dispatches to. [`EarliestFree`] (the default) is
+    /// bit-for-bit the pre-seam dispatch rule;
+    /// [`CalibrationAware`](crate::CalibrationAware) routes by the head
+    /// circuit's calibration quality blended with queue pressure.
+    #[must_use]
+    pub fn routing(mut self, policy: impl RoutingPolicy + 'static) -> Self {
+        self.routing = Box::new(policy);
+        self
+    }
+
+    /// Replaces the base runtime configuration wholesale.
+    #[must_use]
+    pub fn config(mut self, cfg: RuntimeConfig) -> Self {
+        self.cfg = cfg;
+        self
+    }
+
+    /// Caps the co-schedule width.
+    #[must_use]
+    pub fn max_parallel(mut self, max_parallel: usize) -> Self {
+        self.cfg.max_parallel = max_parallel;
+        self
+    }
+
+    /// Sets the default EFS fidelity threshold (`None` disables the
+    /// gate for jobs without their own override).
+    #[must_use]
+    pub fn fidelity_threshold(mut self, threshold: Option<f64>) -> Self {
+        self.cfg.fidelity_threshold = threshold;
+        self
+    }
+
+    /// Chooses how the threshold gate evaluates a batch.
+    #[must_use]
+    pub fn efs_gate(mut self, gate: EfsGate) -> Self {
+        self.efs_gate = gate;
+        self
+    }
+
+    /// Sets the base RNG seed.
+    #[must_use]
+    pub fn seed(mut self, seed: u64) -> Self {
+        self.cfg.seed = seed;
+        self
+    }
+
+    /// Enables or disables the cancellation peephole pass.
+    #[must_use]
+    pub fn optimize(mut self, optimize: bool) -> Self {
+        self.cfg.optimize = optimize;
+        self
+    }
+
+    /// Intra-program shot parallelism for every executed program (see
+    /// [`ShotParallelism`]); layered under the per-batch fan-out over
+    /// programs. The serial default keeps reports bit-for-bit identical
+    /// to the pre-sharding runtime.
+    #[must_use]
+    pub fn shot_parallelism(mut self, parallelism: ShotParallelism) -> Self {
+        self.cfg.shot_parallelism = parallelism;
+        self
+    }
+
+    /// Trajectory kernel for every executed program (see
+    /// [`TrajectoryKernel`]); individual jobs may override it via
+    /// [`JobRequest::with_trajectory_kernel`](crate::JobRequest::with_trajectory_kernel). The [`Replay`]
+    /// default keeps reports bit-for-bit identical to the
+    /// pre-kernel-selection runtime.
+    ///
+    /// [`Replay`]: TrajectoryKernel::Replay
+    #[must_use]
+    pub fn trajectory_kernel(mut self, kernel: TrajectoryKernel) -> Self {
+        self.cfg.trajectory_kernel = kernel;
+        self
+    }
+
+    /// Default shot budget for requests without an override.
+    #[must_use]
+    pub fn default_shots(mut self, shots: usize) -> Self {
+        self.default_shots = shots;
+        self
+    }
+
+    /// Registers a telemetry observer (repeatable); observers see every
+    /// [`Event`](crate::Event) in emission order.
+    #[must_use]
+    pub fn observer(mut self, observer: impl EventObserver + 'static) -> Self {
+        self.observers.push(Box::new(observer));
+        self
+    }
+
+    /// Attaches a fleet-wide calibration [`DriftModel`]: every device
+    /// ages along its own deterministic trajectory (salted by
+    /// registration index) as the caller advances simulated time with
+    /// [`Service::advance_drift`]. Without a model the fleet stays
+    /// frozen — `advance_drift` is then a no-op.
+    #[must_use]
+    pub fn drift(mut self, model: impl DriftModel + 'static) -> Self {
+        self.drift = Some(Box::new(model));
+        self
+    }
+
+    /// Bounds the retained event log (see the [`EventLog`] capacity
+    /// contract): `None` — the default — retains every event for the
+    /// service's lifetime, bit-for-bit the prior behaviour;
+    /// `Some(capacity)` keeps only the `capacity` most-recent events
+    /// live and counts the rest in
+    /// [`ServiceReport::dropped_events`](crate::ServiceReport::dropped_events). Observers see every event at
+    /// emission time regardless of the bound.
+    #[must_use]
+    pub fn event_capacity(mut self, capacity: Option<usize>) -> Self {
+        self.event_capacity = capacity;
+        self
+    }
+
+    /// Plans the head batch on the top-`k` routing candidates up
+    /// front (concurrently where the planning work pays for helper
+    /// threads) instead of walking them one at a time. Deterministic by construction: the committed winner
+    /// is always the **first** candidate in `(score, free time,
+    /// registration)` order whose plan succeeds — exactly the `k = 1`
+    /// sequential winner; speculation precomputes outcomes, it never
+    /// reorders them. Losing candidates' planning probes still land in
+    /// the route cache (warming later dispatches), which is the only
+    /// observable difference: with `k > 1` the
+    /// [`RouteCacheStats`](crate::RouteCacheStats) counters may run ahead of the sequential
+    /// schedule. Values are clamped to at least 1; the default 1
+    /// disables speculation.
+    #[must_use]
+    pub fn best_k(mut self, k: usize) -> Self {
+        self.best_k = k.max(1);
+        self
+    }
+
+    /// Validates the configuration and builds the service.
+    ///
+    /// # Errors
+    ///
+    /// [`RuntimeError::NoDevices`] on an empty fleet,
+    /// [`RuntimeError::ZeroParallel`] on a zero batch cap,
+    /// [`RuntimeError::ZeroShots`] on a zero default shot budget,
+    /// [`RuntimeError::InvalidThreshold`] on a NaN, infinite or
+    /// negative default threshold.
+    pub fn build(self) -> Result<Service, RuntimeError> {
+        if self.registry.is_empty() {
+            return Err(RuntimeError::NoDevices);
+        }
+        if self.cfg.max_parallel == 0 {
+            return Err(RuntimeError::ZeroParallel);
+        }
+        if self.default_shots == 0 {
+            return Err(RuntimeError::ZeroShots);
+        }
+        if let Some(t) = self.cfg.fidelity_threshold {
+            if !t.is_finite() || t < 0.0 {
+                return Err(RuntimeError::InvalidThreshold { value: t });
+            }
+        }
+        let states = vec![DeviceState::default(); self.registry.len()];
+        // Baseline snapshots are the reset targets of drift-scheduled
+        // recalibrations; only a drifting fleet pays for the clones.
+        let baselines = self.drift.is_some().then(|| {
+            self.registry
+                .iter()
+                .map(|(_, d)| (d.calibration().clone(), d.crosstalk().clone()))
+                .collect()
+        });
+        let drift_steps = vec![0u64; self.registry.len()];
+        let clock_index = ClockIndex::new(self.registry.len());
+        let pending = PendingStore::new(self.strategy.clone());
+        // Plan-cache key components that never change over the
+        // service's lifetime, fingerprinted once here instead of once
+        // per dispatch.
+        let plan_cfg_fp = plan_cfg_fingerprint(self.efs_gate, self.cfg.optimize);
+        let default_strategy_fp = strategy_fingerprint(&self.strategy);
+        Ok(Service {
+            strategy: self.strategy,
+            policy: self.policy,
+            routing: self.routing,
+            cfg: self.cfg,
+            efs_gate: self.efs_gate,
+            default_shots: self.default_shots,
+            registry: self.registry,
+            states,
+            pending,
+            next_seq: 0,
+            batches: Vec::new(),
+            results: Vec::new(),
+            claimed: Vec::new(),
+            unreported: Vec::new(),
+            clock_index,
+            route_cache: RouteCache::default(),
+            log: EventLog::with_capacity_limit(self.event_capacity),
+            observers: self.observers,
+            drift: self.drift,
+            drift_steps,
+            baselines,
+            best_k: self.best_k.max(1),
+            plan_cfg_fp,
+            default_strategy_fp,
+            exec_ns: 0,
+            plan_ns: 0,
+            plans_timed: 0,
+        })
+    }
+}

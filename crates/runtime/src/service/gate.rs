@@ -1,0 +1,224 @@
+//! The planning shrink loop: plan a packed batch, evicting members
+//! while the partitioner cannot place it or the EFS gate finds one over
+//! its threshold.
+
+use qucp_circuit::Circuit;
+use qucp_core::pipeline::{Pipeline, PlannedWorkload};
+use qucp_core::threshold::solo_efs_scores;
+use qucp_core::{CoreError, Strategy};
+use qucp_device::Device;
+
+use super::EfsGate;
+use crate::event::{Event, ShrinkReason};
+use crate::scheduler::RuntimeError;
+
+/// Per-member planning inputs, pre-resolved from the pending store so
+/// [`plan_gated_members`] can run without touching the service (off the
+/// main thread when speculating). The planning loop mutates its copy in
+/// place as members are evicted, so the returned `seqs`/`ids` are the
+/// committed batch.
+pub(super) struct PlanMembers {
+    pub(super) seqs: Vec<usize>,
+    pub(super) ids: Vec<u64>,
+    pub(super) circuits: Vec<Circuit>,
+    /// Per-member circuit-shape fingerprints (copied from the pending
+    /// store) — the ordered structural identity that keys the plan
+    /// cache.
+    pub(super) shapes: Vec<u64>,
+    /// Effective per-member thresholds; resolved only in the batch-gate
+    /// modes (empty otherwise, matching the sequential path's laziness).
+    pub(super) thresholds: Vec<Option<f64>>,
+}
+
+/// A successful gated planning pass: the plan, the surviving members,
+/// the buffered shrink events, and the eviction `trace` that reproduces
+/// them — `(position, reason)` per eviction, in order. The trace is
+/// what the plan cache memoizes: replaying it against a future batch
+/// with the same shape fingerprints re-derives the shrink events (bound
+/// to the *current* job ids) without re-running the partitioner.
+pub(super) struct GatedPlan {
+    pub(super) plan: PlannedWorkload,
+    pub(super) members: PlanMembers,
+    pub(super) shrinks: Vec<Event>,
+    pub(super) trace: Vec<(usize, ShrinkReason)>,
+}
+
+/// Plans `members` on `device`, shrinking while the partitioner cannot
+/// place the batch (tail eviction) and — in [`EfsGate::Batch`] /
+/// [`EfsGate::BatchWorstExcess`] mode — while any member's EFS excess
+/// exceeds its own effective threshold (tail or worst-excess eviction
+/// respectively). Returns the plan, the surviving members, and the
+/// buffered shrink events (recorded by the caller only if the batch
+/// actually commits on `device` — a failed candidate must leave no
+/// trace, or log replays would see phantom shrinks for a batch that was
+/// eventually planned elsewhere).
+///
+/// `head_strategy` is the effective strategy of `members.seqs[0]` (the
+/// head, which no eviction rule can remove): it parameterizes the
+/// solo-EFS baselines exactly as the sequential path always has.
+///
+/// A free function on purpose: its only inputs are the pre-resolved
+/// members and shared device/pipeline state, so best-k speculation can
+/// run one invocation per candidate as fan-out tasks.
+///
+/// The shrink loop runs on **allocation alone** — the gate reads
+/// nothing but each member's allocated EFS score, and a placement
+/// failure is the allocator's — so routing and the schedule merge run
+/// exactly once, for the member set that survives
+/// ([`Pipeline::allocate`], then [`Pipeline::complete`]). Its
+/// per-member state is cached: the circuits are cloned and
+/// peephole-optimized **once**, the per-member thresholds are resolved
+/// once, and the solo-best EFS baselines are probed once on the first
+/// successful allocation; each shrink step merely removes the evicted
+/// member's entry from every cache. With [`qucp_core::EfsPartitioner`]
+/// the first placement of every allocation and every solo baseline are
+/// read from the device's region atlas
+/// ([`Device::idle_regions`]) instead of re-grown.
+pub(super) fn plan_gated_members(
+    pipeline: &Pipeline,
+    device: &Device,
+    batch_index: usize,
+    gate: EfsGate,
+    optimize: bool,
+    head_strategy: &Strategy,
+    mut members: PlanMembers,
+) -> Result<GatedPlan, RuntimeError> {
+    // Solo fast path: a one-job batch can never gate (the head anchors
+    // the batch) and never shrink (a placement failure is terminal), so
+    // it skips the gate machinery entirely. `plan(optimize)` clones and
+    // optimizes internally, which is equivalent to the general path's
+    // pre-optimize-then-allocate sequence.
+    if members.seqs.len() == 1 {
+        return match pipeline.plan(device, &members.circuits, optimize) {
+            Ok(plan) => Ok(GatedPlan {
+                plan,
+                members,
+                shrinks: Vec::new(),
+                trace: Vec::new(),
+            }),
+            Err(
+                e @ (CoreError::PartitionUnavailable { .. } | CoreError::ProgramTooWide { .. }),
+            ) => Err(RuntimeError::JobUnplaceable {
+                job_id: members.ids[0],
+                source: e,
+            }),
+            Err(e) => Err(RuntimeError::Core(e)),
+        };
+    }
+    let device_name = device.name().to_string();
+    if optimize {
+        // Pre-optimized here exactly once: every allocation below and
+        // the final plan see the optimized circuits.
+        for c in &mut members.circuits {
+            c.cancel_adjacent_inverses();
+        }
+    }
+    let gated = matches!(gate, EfsGate::Batch | EfsGate::BatchWorstExcess);
+    let mut shrinks: Vec<Event> = Vec::new();
+    let mut trace: Vec<(usize, ShrinkReason)> = Vec::new();
+    let mut solo_cache: Option<Vec<f64>> = None;
+    loop {
+        match pipeline.allocate(device, &members.circuits) {
+            Ok(allocations) => {
+                if gated && members.seqs.len() > 1 && members.thresholds.iter().any(Option::is_some)
+                {
+                    // The joint partitions are allocated; only the solo
+                    // baselines need probing (deduplicated, cached
+                    // across shrink iterations — evictions remove the
+                    // matching cache entry, so indices stay aligned).
+                    if solo_cache.is_none() {
+                        let refs: Vec<&Circuit> = members.circuits.iter().collect();
+                        solo_cache = Some(
+                            solo_efs_scores(device, &refs, head_strategy)
+                                .map_err(RuntimeError::Core)?,
+                        );
+                    }
+                    let solo = solo_cache.as_ref().expect("just filled");
+                    let mut excesses = vec![0.0; members.seqs.len()];
+                    for alloc in &allocations {
+                        excesses[alloc.program_index] =
+                            (alloc.efs.score - solo[alloc.program_index]).max(0.0);
+                    }
+                    let violated = members
+                        .thresholds
+                        .iter()
+                        .zip(&excesses)
+                        .any(|(t, &e)| t.is_some_and(|t| e > t));
+                    if violated {
+                        let evict = match gate {
+                            EfsGate::BatchWorstExcess => worst_excess_position(&excesses),
+                            _ => members.seqs.len() - 1,
+                        };
+                        members.seqs.remove(evict);
+                        let dropped_id = members.ids.remove(evict);
+                        members.circuits.remove(evict);
+                        members.shapes.remove(evict);
+                        members.thresholds.remove(evict);
+                        if let Some(cache) = solo_cache.as_mut() {
+                            cache.remove(evict);
+                        }
+                        trace.push((evict, ShrinkReason::FidelityGate));
+                        shrinks.push(Event::BatchShrunk {
+                            batch_index,
+                            device: device_name.clone(),
+                            dropped_job_id: dropped_id,
+                            remaining: members.seqs.len(),
+                            reason: ShrinkReason::FidelityGate,
+                        });
+                        continue;
+                    }
+                }
+                return Ok(GatedPlan {
+                    plan: pipeline.complete(device, members.circuits.clone(), allocations),
+                    members,
+                    shrinks,
+                    trace,
+                });
+            }
+            Err(
+                e @ (CoreError::PartitionUnavailable { .. } | CoreError::ProgramTooWide { .. }),
+            ) => {
+                if members.seqs.len() == 1 {
+                    return Err(RuntimeError::JobUnplaceable {
+                        job_id: members.ids[0],
+                        source: e,
+                    });
+                }
+                trace.push((members.seqs.len() - 1, ShrinkReason::PartitionFailure));
+                members.seqs.pop().expect("len > 1");
+                let dropped_id = members.ids.pop().expect("len > 1");
+                members.circuits.pop();
+                members.shapes.pop();
+                if gated {
+                    members.thresholds.pop();
+                }
+                if let Some(cache) = solo_cache.as_mut() {
+                    cache.pop();
+                }
+                shrinks.push(Event::BatchShrunk {
+                    batch_index,
+                    device: device_name.clone(),
+                    dropped_job_id: dropped_id,
+                    remaining: members.seqs.len(),
+                    reason: ShrinkReason::PartitionFailure,
+                });
+            }
+            Err(e) => return Err(RuntimeError::Core(e)),
+        }
+    }
+}
+
+/// The position the worst-excess gate evicts: the member with the
+/// largest EFS excess among the non-head members (the head anchors the
+/// batch), ties resolved toward the tail.
+pub(super) fn worst_excess_position(excesses: &[f64]) -> usize {
+    let mut pos = excesses.len() - 1;
+    let mut best = f64::NEG_INFINITY;
+    for (i, &e) in excesses.iter().enumerate().skip(1) {
+        if e >= best {
+            best = e;
+            pos = i;
+        }
+    }
+    pos
+}

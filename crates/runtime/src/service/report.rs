@@ -1,0 +1,111 @@
+//! The drained [`ServiceReport`] and how it is folded from the
+//! per-device accounting.
+
+use qucp_core::queue::QueueStats;
+
+use super::Service;
+use crate::event::Event;
+use crate::job::JobResult;
+use crate::scheduler::BatchReport;
+
+/// Per-device queue statistics of a drained service.
+#[derive(Debug, Clone, PartialEq)]
+pub struct DeviceReport {
+    /// Device name.
+    pub device: String,
+    /// Jobs the device served.
+    pub jobs: usize,
+    /// Queue statistics over those jobs (waiting/turnaround means,
+    /// device-clock makespan, utilization-weighted throughput).
+    pub stats: QueueStats,
+}
+
+/// The complete outcome of a drained service.
+#[derive(Debug, Clone, PartialEq)]
+pub struct ServiceReport {
+    /// Fleet-wide queue statistics, comparable with the analytical
+    /// model ([`simulate_queue`](qucp_core::queue::simulate_queue)).
+    pub stats: QueueStats,
+    /// Per-device breakdown, in registration order.
+    pub per_device: Vec<DeviceReport>,
+    /// Every dispatched batch, in dispatch order.
+    pub batches: Vec<BatchReport>,
+    /// Per-job results, in submission order.
+    pub job_results: Vec<JobResult>,
+    /// The retained telemetry log (every event ever emitted under the
+    /// default unbounded [`ServiceBuilder::event_capacity`](crate::ServiceBuilder::event_capacity); only the
+    /// most recent `capacity` under a bound).
+    pub events: Vec<Event>,
+    /// Events the [`ServiceBuilder::event_capacity`](crate::ServiceBuilder::event_capacity) bound dropped from
+    /// the retained log (always 0 when unbounded). Observers saw every
+    /// event regardless.
+    pub dropped_events: usize,
+}
+
+impl Service {
+    /// The report of a drained service (all results present).
+    pub(super) fn drained_report(&self) -> ServiceReport {
+        debug_assert!(self.pending.is_empty());
+        let n = self.next_seq.max(1) as f64;
+        let total_wait: f64 = self.states.iter().map(|s| s.total_wait).sum();
+        let total_turnaround: f64 = self.states.iter().map(|s| s.total_turnaround).sum();
+        let busy_qubit_time: f64 = self.states.iter().map(|s| s.busy_qubit_time).sum();
+        let weighted_busy: f64 = self
+            .states
+            .iter()
+            .enumerate()
+            .map(|(i, s)| s.busy_time * self.registry.device_at(i).num_qubits() as f64)
+            .sum();
+        let makespan = self
+            .states
+            .iter()
+            .map(|s| s.clock)
+            .fold(0.0f64, |a, b| a.max(b));
+        let stats = QueueStats {
+            mean_waiting: total_wait / n,
+            mean_turnaround: total_turnaround / n,
+            makespan,
+            mean_throughput: if weighted_busy > 0.0 {
+                busy_qubit_time / weighted_busy
+            } else {
+                0.0
+            },
+            batches: self.batches.len(),
+        };
+        let per_device = self
+            .states
+            .iter()
+            .enumerate()
+            .map(|(i, s)| {
+                let device = self.registry.device_at(i);
+                DeviceReport {
+                    device: device.name().to_string(),
+                    jobs: s.jobs,
+                    stats: QueueStats {
+                        mean_waiting: s.total_wait / (s.jobs.max(1) as f64),
+                        mean_turnaround: s.total_turnaround / (s.jobs.max(1) as f64),
+                        makespan: s.clock,
+                        mean_throughput: if s.busy_time > 0.0 {
+                            s.busy_qubit_time / (s.busy_time * device.num_qubits() as f64)
+                        } else {
+                            0.0
+                        },
+                        batches: s.batches,
+                    },
+                }
+            })
+            .collect();
+        ServiceReport {
+            stats,
+            per_device,
+            batches: self.batches.clone(),
+            job_results: self
+                .results
+                .iter()
+                .map(|r| r.clone().expect("drained service has every result"))
+                .collect(),
+            events: self.log.events().to_vec(),
+            dropped_events: self.log.dropped(),
+        }
+    }
+}

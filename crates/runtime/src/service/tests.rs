@@ -1,0 +1,940 @@
+use super::gate::{plan_gated_members, worst_excess_position, PlanMembers};
+use super::route_cache::partition_policy_fingerprint;
+use super::*;
+use crate::event::ShrinkReason;
+use crate::job::synthetic_jobs;
+use crate::policy::{Backfill, ShortestJobFirst};
+use crate::registry::DeviceId;
+use crate::scheduler::CalibrationFault;
+use qucp_circuit::Circuit;
+use qucp_core::pipeline::{Pipeline, PlannedWorkload};
+use qucp_core::strategy;
+use qucp_core::threshold::solo_efs_scores;
+use qucp_device::{ibm, Device};
+use qucp_sim::{ShotParallelism, TrajectoryKernel};
+use std::sync::atomic::{AtomicUsize, Ordering};
+
+fn fifo_service(max_parallel: usize) -> Service {
+    Service::builder()
+        .device(ibm::toronto())
+        .strategy(strategy::qucp(4.0))
+        .max_parallel(max_parallel)
+        .seed(42)
+        .build()
+        .unwrap()
+}
+
+fn submit_all(service: &mut Service, n: usize) -> Vec<JobTicket> {
+    synthetic_jobs(n, 200.0, 128, 7)
+        .iter()
+        .map(|j| service.submit(JobRequest::from_job(j)).unwrap())
+        .collect()
+}
+
+#[test]
+fn drained_service_serves_every_job() {
+    let mut service = fifo_service(3);
+    let tickets = submit_all(&mut service, 8);
+    let report = service.run_until_drained().unwrap();
+    assert_eq!(report.job_results.len(), 8);
+    for (ticket, r) in tickets.iter().zip(&report.job_results) {
+        assert_eq!(r.job_id, ticket.id);
+        assert_eq!(service.result(*ticket).unwrap(), r);
+    }
+    assert_eq!(service.event_log().completed_ids().len(), 8);
+    assert_eq!(report.per_device.len(), 1);
+    assert_eq!(report.per_device[0].jobs, 8);
+}
+
+#[test]
+fn tick_reports_completions_incrementally() {
+    let mut service = fifo_service(2);
+    let tickets = submit_all(&mut service, 4);
+    // Nothing can have completed before the first arrival.
+    assert!(service.tick(0.0).unwrap().len() <= tickets.len());
+    let mut seen: Vec<JobTicket> = Vec::new();
+    let mut t = 0.0;
+    while seen.len() < 4 {
+        t += 50_000.0;
+        seen.extend(service.tick(t).unwrap());
+        assert!(t < 1e12, "tick never drained");
+    }
+    assert_eq!(seen.len(), 4);
+    // Every ticket reported exactly once.
+    let mut ids: Vec<usize> = seen.iter().map(|t| t.seq).collect();
+    ids.sort_unstable();
+    assert_eq!(ids, vec![0, 1, 2, 3]);
+    // Draining afterwards reports nothing new.
+    assert!(service.tick(f64::INFINITY).unwrap().is_empty());
+}
+
+#[test]
+fn incremental_ticks_match_one_shot_drain() {
+    let jobs = synthetic_jobs(6, 300.0, 128, 11);
+    let run = |ticked: bool| {
+        let mut service = fifo_service(3);
+        for j in &jobs {
+            service.submit(JobRequest::from_job(j)).unwrap();
+        }
+        if ticked {
+            let mut t = 0.0;
+            for _ in 0..200 {
+                t += 10_000.0;
+                service.tick(t).unwrap();
+            }
+        }
+        service.run_until_drained().unwrap()
+    };
+    assert_eq!(run(false), run(true));
+}
+
+#[test]
+fn builder_validation_rejects_bad_configs() {
+    assert!(matches!(
+        Service::builder().build().unwrap_err(),
+        RuntimeError::NoDevices
+    ));
+    assert!(matches!(
+        Service::builder()
+            .device(ibm::toronto())
+            .max_parallel(0)
+            .build()
+            .unwrap_err(),
+        RuntimeError::ZeroParallel
+    ));
+    assert!(matches!(
+        Service::builder()
+            .device(ibm::toronto())
+            .default_shots(0)
+            .build()
+            .unwrap_err(),
+        RuntimeError::ZeroShots
+    ));
+    assert!(matches!(
+        Service::builder()
+            .device(ibm::toronto())
+            .fidelity_threshold(Some(f64::NAN))
+            .build()
+            .unwrap_err(),
+        RuntimeError::InvalidThreshold { .. }
+    ));
+    assert!(matches!(
+        Service::builder()
+            .device(ibm::toronto())
+            .fidelity_threshold(Some(-0.5))
+            .build()
+            .unwrap_err(),
+        RuntimeError::InvalidThreshold { .. }
+    ));
+}
+
+#[test]
+fn submit_validation_rejects_bad_requests() {
+    let mut service = fifo_service(2);
+    let bell = qucp_circuit::library::by_name("bell").unwrap().circuit();
+    assert!(matches!(
+        service
+            .submit(JobRequest::new(bell.clone(), f64::NAN))
+            .unwrap_err(),
+        RuntimeError::NonFiniteTime { .. }
+    ));
+    assert!(matches!(
+        service
+            .submit(JobRequest::new(bell.clone(), f64::INFINITY))
+            .unwrap_err(),
+        RuntimeError::NonFiniteTime { .. }
+    ));
+    assert!(matches!(
+        service
+            .submit(JobRequest::new(bell.clone(), 0.0).with_shots(0))
+            .unwrap_err(),
+        RuntimeError::ZeroShots
+    ));
+    assert!(matches!(
+        service
+            .submit(JobRequest::new(bell.clone(), 0.0).with_fidelity_threshold(-1.0))
+            .unwrap_err(),
+        RuntimeError::InvalidThreshold { .. }
+    ));
+    assert!(matches!(
+        service
+            .submit(JobRequest::new(qucp_circuit::Circuit::new(0), 0.0))
+            .unwrap_err(),
+        RuntimeError::EmptyCircuit
+    ));
+    // A rejected submission leaves no trace.
+    assert_eq!(service.pending_len(), 0);
+    assert!(service.event_log().is_empty());
+}
+
+#[test]
+fn per_job_shots_override_applies() {
+    let mut service = fifo_service(2);
+    let bell = qucp_circuit::library::by_name("bell").unwrap().circuit();
+    service
+        .submit(JobRequest::new(bell.clone(), 0.0).with_shots(64))
+        .unwrap();
+    service.submit(JobRequest::new(bell, 0.0)).unwrap();
+    let report = service.run_until_drained().unwrap();
+    assert_eq!(report.job_results[0].result.counts.shots(), 64);
+    assert_eq!(report.job_results[1].result.counts.shots(), 1024);
+}
+
+#[test]
+fn per_job_strategy_split_batches() {
+    let mut service = fifo_service(4);
+    let bell = qucp_circuit::library::by_name("bell").unwrap().circuit();
+    // Four simultaneous arrivals, the second under a different
+    // strategy: it cannot share the head's batch.
+    for i in 0..4 {
+        let mut req = JobRequest::new(bell.clone(), 0.0).with_id(i);
+        if i == 1 {
+            req = req.with_strategy(strategy::multiqc());
+        }
+        service.submit(req).unwrap();
+    }
+    let report = service.run_until_drained().unwrap();
+    assert_eq!(report.job_results.len(), 4);
+    for batch in &report.batches {
+        assert!(
+            batch.job_ids == vec![1] || !batch.job_ids.contains(&1),
+            "strategy-override job shared batch {:?}",
+            batch.job_ids
+        );
+    }
+    assert!(report.stats.batches >= 2);
+}
+
+#[test]
+fn backfill_and_sjf_conserve_jobs() {
+    for policy in ["backfill", "sjf"] {
+        let mut builder = Service::builder()
+            .device(ibm::toronto())
+            .max_parallel(3)
+            .seed(9);
+        builder = match policy {
+            "backfill" => builder.policy(Backfill::default()),
+            _ => builder.policy(ShortestJobFirst),
+        };
+        let mut service = builder.build().unwrap();
+        let tickets = submit_all(&mut service, 9);
+        let report = service.run_until_drained().unwrap();
+        assert_eq!(report.job_results.len(), 9, "{policy}");
+        let mut served: Vec<u64> = report
+            .batches
+            .iter()
+            .flat_map(|b| b.job_ids.iter().copied())
+            .collect();
+        served.sort_unstable();
+        let mut expected: Vec<u64> = tickets.iter().map(|t| t.id).collect();
+        expected.sort_unstable();
+        assert_eq!(served, expected, "{policy}");
+    }
+}
+
+#[test]
+fn tick_neg_infinity_is_a_noop_and_only_nan_is_rejected() {
+    // The time contract is asymmetric: submit requires finite
+    // arrivals (pinned elsewhere), tick only rejects NaN. −∞ is a
+    // valid horizon by which nothing can start or complete.
+    let mut service = fifo_service(2);
+    submit_all(&mut service, 3);
+    let done = service.tick(f64::NEG_INFINITY).unwrap();
+    assert!(done.is_empty());
+    assert_eq!(service.pending_len(), 3, "−∞ must not dispatch anything");
+    assert!(service.event_log().planned_batches().is_empty());
+    assert!(matches!(
+        service.tick(f64::NAN).unwrap_err(),
+        RuntimeError::NonFiniteTime { .. }
+    ));
+    // +∞ drains; the earlier −∞ tick must not have disturbed state.
+    let done = service.tick(f64::INFINITY).unwrap();
+    assert_eq!(done.len(), 3);
+    assert!(service.tick(f64::NEG_INFINITY).unwrap().is_empty());
+}
+
+#[test]
+fn earliest_free_routing_skips_partition_probes() {
+    // The default policy never asks for partition scores, so the
+    // routing path must not populate the solo cache — keeping the
+    // default dispatch exactly as cheap as before the seam.
+    let mut service = fifo_service(2);
+    submit_all(&mut service, 4);
+    service.run_until_drained().unwrap();
+    let stats = service.route_cache_stats();
+    assert_eq!(stats.hits + stats.misses, 0);
+    assert_eq!(stats.entries, 0);
+    assert_eq!(service.routing_name(), "EarliestFree");
+    // Every committed batch still records its routing decision.
+    assert_eq!(
+        service.event_log().routed().len(),
+        service.event_log().planned_batches().len()
+    );
+}
+
+#[test]
+fn head_only_gate_probes_are_cached_across_batches() {
+    // Four identical-shape jobs under a head-only threshold force
+    // one probe per (device, shape, threshold) — every subsequent
+    // batch hits the memo, and the schedule is unchanged by it.
+    let run = |jobs: usize| {
+        let mut service = Service::builder()
+            .device(ibm::toronto())
+            .strategy(strategy::qucp(4.0))
+            .max_parallel(2)
+            .fidelity_threshold(Some(0.05))
+            .default_shots(32)
+            .seed(3)
+            .build()
+            .unwrap();
+        let bell = qucp_circuit::library::by_name("bell").unwrap().circuit();
+        for i in 0..jobs {
+            let mut c = bell.clone();
+            c.set_name(format!("bell#{i}"));
+            service
+                .submit(JobRequest::new(c, 0.0).with_id(i as u64))
+                .unwrap();
+        }
+        let report = service.run_until_drained().unwrap();
+        (report, service.route_cache_stats())
+    };
+    let (report, stats) = run(6);
+    assert_eq!(report.job_results.len(), 6);
+    assert!(report.stats.batches >= 2, "several batches must dispatch");
+    assert_eq!(stats.misses, 1, "one probe per (device, shape, threshold)");
+    assert_eq!(stats.hits, report.stats.batches - 1);
+    // The memoized run must schedule exactly like a shorter burst
+    // scaled up: batch memberships are a pure function of the jobs.
+    let (short, _) = run(2);
+    assert_eq!(
+        report.batches[0].job_ids, short.batches[0].job_ids,
+        "cache must not change scheduling decisions"
+    );
+}
+
+#[test]
+fn calibration_aware_caches_solo_scores_per_device_and_shape() {
+    let mut service = Service::builder()
+        .device(ibm::melbourne())
+        .device(ibm::toronto())
+        .strategy(strategy::qucp(4.0))
+        .routing(crate::registry::CalibrationAware::default())
+        .max_parallel(2)
+        .default_shots(16)
+        .seed(8)
+        .build()
+        .unwrap();
+    assert_eq!(service.routing_name(), "CalibrationAware");
+    let bell = qucp_circuit::library::by_name("bell").unwrap().circuit();
+    for i in 0..6u64 {
+        let mut c = bell.clone();
+        c.set_name(format!("bell#{i}"));
+        service.submit(JobRequest::new(c, 0.0).with_id(i)).unwrap();
+    }
+    let report = service.run_until_drained().unwrap();
+    assert_eq!(report.job_results.len(), 6);
+    let stats = service.route_cache_stats();
+    // One solo probe per (device, shape): two devices, one shape.
+    assert_eq!(stats.misses, 2);
+    assert!(stats.hits > 0, "repeat dispatches must hit the memo");
+    assert_eq!(stats.entries, 2);
+}
+
+#[test]
+fn shape_fingerprint_ignores_names_but_not_gates() {
+    let bell = qucp_circuit::library::by_name("bell").unwrap().circuit();
+    let mut renamed = bell.clone();
+    renamed.set_name("other");
+    assert_eq!(
+        circuit_shape_fingerprint(&bell),
+        circuit_shape_fingerprint(&renamed)
+    );
+    let mut grown = bell.clone();
+    grown.h(0);
+    assert_ne!(
+        circuit_shape_fingerprint(&bell),
+        circuit_shape_fingerprint(&grown)
+    );
+    // Distinct partition policies never share cache entries.
+    let a = partition_policy_fingerprint(&strategy::qucp(4.0).partition);
+    let b = partition_policy_fingerprint(&strategy::qucp(8.0).partition);
+    let c = partition_policy_fingerprint(&strategy::multiqc().partition);
+    assert_ne!(a, b);
+    assert_ne!(a, c);
+    // The plan key carries the calibration epoch: a recalibrated
+    // device never shares a key with its former self, whether or
+    // not the eager drop on the bump ran.
+    let mut service = fifo_service(2);
+    let members = PlanMembers {
+        seqs: vec![0],
+        ids: vec![0],
+        shapes: vec![circuit_shape_fingerprint(&bell)],
+        circuits: vec![bell],
+        thresholds: Vec::new(),
+    };
+    let before = service.plan_fingerprint(0, 7, &members);
+    assert_eq!(before, service.plan_fingerprint(0, 7, &members));
+    let snapshot = ibm::toronto().calibration().clone();
+    service
+        .recalibrate(DeviceId::from_index(0), snapshot)
+        .unwrap();
+    assert_ne!(before, service.plan_fingerprint(0, 7, &members));
+}
+
+#[test]
+fn worst_excess_position_skips_head_and_ties_to_tail() {
+    // The head's excess never makes it evictable.
+    assert_eq!(worst_excess_position(&[9.0, 1.0, 5.0]), 2);
+    assert_eq!(worst_excess_position(&[0.0, 5.0, 1.0]), 1);
+    // Ties resolve toward the tail (tail-shrink parity on uniform
+    // excesses).
+    assert_eq!(worst_excess_position(&[0.0, 2.0, 2.0]), 2);
+    assert_eq!(worst_excess_position(&[3.0, 0.0]), 1);
+}
+
+#[test]
+fn advance_drift_without_model_is_a_noop_and_rejects_nonfinite() {
+    let mut service = fifo_service(2);
+    submit_all(&mut service, 2);
+    assert_eq!(service.advance_drift(1e9).unwrap(), 0);
+    assert_eq!(service.device_epoch(DeviceId::from_index(0)), 0);
+    for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+        assert!(matches!(
+            service.advance_drift(bad).unwrap_err(),
+            RuntimeError::NonFiniteTime { .. }
+        ));
+    }
+    assert!(service.event_log().recalibrations().is_empty());
+}
+
+fn aware_two_chip_service() -> Service {
+    Service::builder()
+        .device(ibm::melbourne())
+        .device(ibm::toronto())
+        .strategy(strategy::qucp(4.0))
+        .routing(crate::registry::CalibrationAware::default())
+        .max_parallel(2)
+        .default_shots(16)
+        .seed(8)
+        .build()
+        .unwrap()
+}
+
+#[test]
+fn recalibration_bumps_epoch_invalidates_cache_and_emits_event() {
+    let mut service = aware_two_chip_service();
+    submit_all(&mut service, 4);
+    service.run_until_drained().unwrap();
+    let warm = service.route_cache_stats();
+    // Every shape was probed on both chips: half the entries belong
+    // to each device.
+    assert!(
+        warm.entries >= 2 && warm.entries.is_multiple_of(2),
+        "{warm:?}"
+    );
+    assert_eq!(warm.invalidated, 0);
+
+    let mel = DeviceId::from_index(0);
+    let fresh = ibm::melbourne().calibration().clone();
+    let epoch = service.recalibrate(mel, fresh).unwrap();
+    assert_eq!(epoch, 1);
+    assert_eq!(service.device_epoch(mel), 1);
+    assert_eq!(service.device_epoch(DeviceId::from_index(1)), 0);
+    let stats = service.route_cache_stats();
+    // Only Melbourne's entries dropped; Toronto's survive.
+    assert_eq!(stats.entries, warm.entries / 2);
+    assert_eq!(stats.invalidated, warm.entries / 2);
+    assert_eq!(
+        service.event_log().recalibrations(),
+        vec![(ibm::melbourne().name(), 1)]
+    );
+    // The next same-shape dispatch re-probes the recalibrated chip.
+    submit_all(&mut service, 2);
+    service.run_until_drained().unwrap();
+    assert!(service.route_cache_stats().entries > stats.entries);
+    assert!(service.route_cache_stats().misses > warm.misses);
+}
+
+#[test]
+fn invalid_recalibrations_are_rejected_typed_without_side_effects() {
+    let mut service = aware_two_chip_service();
+    submit_all(&mut service, 4);
+    service.run_until_drained().unwrap();
+    let warm = service.route_cache_stats();
+    let mel = DeviceId::from_index(0);
+
+    // NaN entries must not reach the device or the cache.
+    let mut poisoned = ibm::melbourne().calibration().clone();
+    poisoned.set_readout_error(3, f64::NAN);
+    let err = service.recalibrate(mel, poisoned).unwrap_err();
+    assert!(matches!(
+        err,
+        RuntimeError::InvalidCalibration {
+            fault: crate::scheduler::CalibrationFault::NonFinite,
+            ..
+        }
+    ));
+
+    // Wrong qubit count.
+    let wrong = ibm::toronto().calibration().clone();
+    assert!(matches!(
+        service.recalibrate(mel, wrong).unwrap_err(),
+        RuntimeError::InvalidCalibration {
+            fault: crate::scheduler::CalibrationFault::QubitCountMismatch { .. },
+            ..
+        }
+    ));
+
+    // Right qubit count, wrong link set.
+    let line = qucp_device::Topology::line(ibm::melbourne().num_qubits());
+    let uncovering = Calibration::uniform(&line, 0.02, 3e-4, 0.03);
+    assert!(matches!(
+        service.recalibrate(mel, uncovering).unwrap_err(),
+        RuntimeError::InvalidCalibration {
+            fault: crate::scheduler::CalibrationFault::MissingLinks,
+            ..
+        }
+    ));
+
+    // No side effects: epoch, cache and telemetry untouched.
+    assert_eq!(service.device_epoch(mel), 0);
+    assert_eq!(service.route_cache_stats(), warm);
+    assert!(service.event_log().recalibrations().is_empty());
+}
+
+#[test]
+fn drift_steps_bump_epochs_and_recalibration_resets_restore_baseline() {
+    let baseline = ibm::toronto().calibration().clone();
+    let mut service = Service::builder()
+        .device(ibm::toronto())
+        .strategy(strategy::qucp(4.0))
+        .drift(qucp_device::GaussianWalk::new(3, 1000.0).with_recalibration_every(4))
+        .max_parallel(2)
+        .seed(42)
+        .build()
+        .unwrap();
+    let tor = DeviceId::from_index(0);
+    // Three drift steps: three bumps, calibration has moved.
+    assert_eq!(service.advance_drift(3000.0).unwrap(), 3);
+    assert_eq!(service.device_epoch(tor), 3);
+    assert_ne!(service.registry().get(tor).calibration(), &baseline);
+    // Step 4 is the recalibration reset: back to baseline.
+    assert_eq!(service.advance_drift(4000.0).unwrap(), 1);
+    assert_eq!(service.device_epoch(tor), 4);
+    assert_eq!(service.registry().get(tor).calibration(), &baseline);
+    // Time never runs backwards; replaying an old horizon is a noop.
+    assert_eq!(service.advance_drift(2000.0).unwrap(), 0);
+    assert_eq!(service.device_epoch(tor), 4);
+    // Telemetry recorded one event per bump, epochs ascending.
+    assert_eq!(
+        service
+            .event_log()
+            .recalibrations()
+            .iter()
+            .map(|&(_, e)| e)
+            .collect::<Vec<_>>(),
+        vec![1, 2, 3, 4]
+    );
+}
+
+#[test]
+fn poisoning_drift_steps_are_rolled_back_with_a_typed_error() {
+    // A misbehaving model (no clamps) writing NaN must hit the same
+    // gate as an explicit NaN recalibration: typed error, step
+    // rolled back, nothing bumped or emitted.
+    #[derive(Debug)]
+    struct PoisonDrift;
+    impl DriftModel for PoisonDrift {
+        fn steps_at(&self, now: f64) -> u64 {
+            qucp_device::interval_steps(now, 1000.0)
+        }
+        fn apply_step(
+            &self,
+            _step: u64,
+            _salt: u64,
+            calibration: &mut Calibration,
+            _crosstalk: &mut CrosstalkModel,
+        ) -> bool {
+            calibration.set_readout_error(0, f64::NAN);
+            true
+        }
+    }
+    let mut service = Service::builder()
+        .device(ibm::toronto())
+        .strategy(strategy::qucp(4.0))
+        .drift(PoisonDrift)
+        .max_parallel(2)
+        .seed(42)
+        .build()
+        .unwrap();
+    let baseline = ibm::toronto().calibration().clone();
+    let err = service.advance_drift(3000.0).unwrap_err();
+    assert!(matches!(
+        err,
+        RuntimeError::InvalidCalibration {
+            fault: CalibrationFault::NonFinite,
+            ..
+        }
+    ));
+    let tor = DeviceId::from_index(0);
+    assert_eq!(service.device_epoch(tor), 0, "poisoned step must not bump");
+    assert_eq!(service.registry().get(tor).calibration(), &baseline);
+    assert!(service.event_log().recalibrations().is_empty());
+}
+
+#[test]
+fn runaway_drift_horizons_are_refused_not_truncated() {
+    // A clock-unit mismatch (e.g. seconds against a nanosecond
+    // interval) must fail loudly with state untouched, never spin
+    // through quadrillions of steps or silently skip some.
+    let mut service = Service::builder()
+        .device(ibm::toronto())
+        .strategy(strategy::qucp(4.0))
+        .drift(qucp_device::GaussianWalk::new(3, 1.0))
+        .max_parallel(2)
+        .seed(42)
+        .build()
+        .unwrap();
+    let horizon = (MAX_DRIFT_STEPS_PER_ADVANCE + 1) as f64;
+    let err = service.advance_drift(horizon).unwrap_err();
+    assert!(matches!(
+        err,
+        RuntimeError::DriftHorizonTooFar {
+            steps,
+            max: MAX_DRIFT_STEPS_PER_ADVANCE,
+        } if steps == MAX_DRIFT_STEPS_PER_ADVANCE + 1
+    ));
+    assert_eq!(service.device_epoch(DeviceId::from_index(0)), 0);
+    assert!(service.event_log().recalibrations().is_empty());
+    // The refusal is recoverable (the model is restored) and the
+    // bound is per advance: bounded hops still make progress.
+    assert!(service.advance_drift(10.0).unwrap() > 0);
+    assert!(service.advance_drift(60.0).unwrap() > 0);
+}
+
+#[test]
+fn per_job_shot_parallelism_override_applies() {
+    // Two identical jobs in one service, one overriding to sharded:
+    // the override job's counts must match a service whose *default*
+    // is sharded, the other job must match the serial default.
+    let bell = qucp_circuit::library::by_name("bell").unwrap().circuit();
+    let run = |default: ShotParallelism, with_override: bool| {
+        let mut service = Service::builder()
+            .device(ibm::toronto())
+            .strategy(strategy::qucp(4.0))
+            .shot_parallelism(default)
+            .max_parallel(1)
+            .default_shots(256)
+            .seed(7)
+            .build()
+            .unwrap();
+        for i in 0..2u64 {
+            let mut req = JobRequest::new(bell.clone(), 0.0).with_id(i);
+            if with_override && i == 0 {
+                req = req.with_shot_parallelism(ShotParallelism::sharded(4));
+            }
+            service.submit(req).unwrap();
+        }
+        service.run_until_drained().unwrap()
+    };
+    let mixed = run(ShotParallelism::Serial, true);
+    let all_serial = run(ShotParallelism::Serial, false);
+    let all_sharded = run(ShotParallelism::sharded(4), false);
+    assert_eq!(
+        mixed.job_results[0].result.counts, all_sharded.job_results[0].result.counts,
+        "override job runs sharded"
+    );
+    assert_eq!(
+        mixed.job_results[1].result.counts, all_serial.job_results[1].result.counts,
+        "non-override job keeps the service default"
+    );
+    assert_ne!(
+        mixed.job_results[0].result.counts, all_serial.job_results[0].result.counts,
+        "the override must actually change the sample"
+    );
+}
+
+#[test]
+fn per_job_trajectory_kernel_override_applies() {
+    // Two identical jobs in one service, one overriding to the
+    // survival-skip kernel: the override job's counts must match a
+    // service whose *default* is survival-skip, the other job must
+    // match the replay default.
+    let bell = qucp_circuit::library::by_name("bell").unwrap().circuit();
+    let run = |default: TrajectoryKernel, with_override: bool| {
+        let mut service = Service::builder()
+            .device(ibm::toronto())
+            .strategy(strategy::qucp(4.0))
+            .trajectory_kernel(default)
+            .max_parallel(1)
+            .default_shots(256)
+            .seed(7)
+            .build()
+            .unwrap();
+        for i in 0..2u64 {
+            let mut req = JobRequest::new(bell.clone(), 0.0).with_id(i);
+            if with_override && i == 0 {
+                req = req.with_trajectory_kernel(TrajectoryKernel::SurvivalSkip);
+            }
+            service.submit(req).unwrap();
+        }
+        service.run_until_drained().unwrap()
+    };
+    let mixed = run(TrajectoryKernel::Replay, true);
+    let all_replay = run(TrajectoryKernel::Replay, false);
+    let all_survival = run(TrajectoryKernel::SurvivalSkip, false);
+    assert_eq!(
+        mixed.job_results[0].result.counts, all_survival.job_results[0].result.counts,
+        "override job runs the survival-skip kernel"
+    );
+    assert_eq!(
+        mixed.job_results[1].result.counts, all_replay.job_results[1].result.counts,
+        "non-override job keeps the service default"
+    );
+    assert_ne!(
+        mixed.job_results[0].result.counts, all_replay.job_results[0].result.counts,
+        "the override must actually change the sample"
+    );
+}
+
+#[test]
+fn observer_sees_every_logged_event() {
+    use std::sync::{Arc, Mutex};
+    let seen = Arc::new(Mutex::new(0usize));
+    let seen_in = Arc::clone(&seen);
+    let mut service = Service::builder()
+        .device(ibm::toronto())
+        .max_parallel(2)
+        .observer(move |_: &Event| *seen_in.lock().unwrap() += 1)
+        .build()
+        .unwrap();
+    submit_all(&mut service, 4);
+    service.run_until_drained().unwrap();
+    assert_eq!(*seen.lock().unwrap(), service.events().len());
+    assert!(service.events().len() >= 4 + 4); // submissions + completions
+}
+
+#[test]
+fn plan_cache_replays_repeated_batches_and_counts_lookups() {
+    let bell = qucp_circuit::library::by_name("bell").unwrap().circuit();
+    let mut service = fifo_service(2);
+    // Four identical jobs, packed two per batch: the second batch's
+    // member shapes fingerprint-match the first, so its committed
+    // plan replays from the cache.
+    for i in 0..4u64 {
+        service
+            .submit(JobRequest::new(bell.clone(), i as f64 * 100.0).with_id(i))
+            .unwrap();
+    }
+    let report = service.run_until_drained().unwrap();
+    let stats = service.route_cache_stats();
+    assert!(stats.plan_misses >= 1, "the first batch must plan fresh");
+    assert!(
+        stats.plan_hits >= 1,
+        "identical batches must replay: {stats:?}"
+    );
+    assert_eq!(
+        stats.plan_hits + stats.plan_misses,
+        report.stats.batches,
+        "every dispatched batch does exactly one plan-cache lookup"
+    );
+    assert_eq!(
+        stats.plan_entries, stats.plan_misses,
+        "each miss memoizes exactly one entry"
+    );
+    assert_eq!(stats.plan_invalidated, 0);
+}
+
+#[test]
+fn memoized_unplaceable_outcome_replays_from_the_cache() {
+    let mut service = fifo_service(2);
+    // 64 qubits cannot run alone on the 27-qubit Toronto; the
+    // failed plan is memoized like a committed one.
+    let wide = qucp_circuit::Circuit::new(64);
+    service
+        .submit(JobRequest::new(wide, 0.0).with_id(7))
+        .unwrap();
+    let err = service.run_until_drained().unwrap_err();
+    assert!(matches!(
+        err,
+        RuntimeError::JobUnplaceable { job_id: 7, .. }
+    ));
+    let stats = service.route_cache_stats();
+    assert_eq!((stats.plan_hits, stats.plan_misses), (0, 1));
+    // The job stays queued; retrying replays the memoized failure
+    // (a hit, not a second fresh plan) re-bound to the batch head.
+    let err = service.run_until_drained().unwrap_err();
+    assert!(matches!(
+        err,
+        RuntimeError::JobUnplaceable { job_id: 7, .. }
+    ));
+    let stats = service.route_cache_stats();
+    assert_eq!((stats.plan_hits, stats.plan_misses), (1, 1));
+}
+
+#[test]
+fn recalibration_drops_plan_entries_with_the_probes() {
+    let bell = qucp_circuit::library::by_name("bell").unwrap().circuit();
+    let mut service = fifo_service(2);
+    for i in 0..2u64 {
+        service
+            .submit(JobRequest::new(bell.clone(), i as f64 * 100.0).with_id(i))
+            .unwrap();
+    }
+    service.run_until_drained().unwrap();
+    let before = service.route_cache_stats();
+    assert!(before.plan_entries >= 1);
+    let (id, snapshot) = {
+        let (id, d) = service.registry().iter().next().unwrap();
+        (id, d.calibration().clone())
+    };
+    service.recalibrate(id, snapshot).unwrap();
+    let after = service.route_cache_stats();
+    assert_eq!(
+        after.plan_entries, 0,
+        "the epoch bump drops the device's plans"
+    );
+    assert_eq!(after.plan_invalidated, before.plan_entries);
+}
+
+/// A pipeline whose stage-2 and stage-3 objects count their calls.
+fn counting_pipeline(strategy: &Strategy) -> (Pipeline, std::sync::Arc<[AtomicUsize; 2]>) {
+    use qucp_core::context::WorkloadContext;
+    use qucp_core::{Allocation, MappedProgram, Router, ScheduleMerger};
+    struct Counting<S>(S, std::sync::Arc<[AtomicUsize; 2]>);
+    impl Router for Counting<Box<dyn Router>> {
+        fn route_all(
+            &self,
+            device: &Device,
+            programs: &[Circuit],
+            allocations: &[Allocation],
+        ) -> Vec<MappedProgram> {
+            self.1[0].fetch_add(1, Ordering::Relaxed);
+            self.0.route_all(device, programs, allocations)
+        }
+    }
+    impl ScheduleMerger for Counting<Box<dyn ScheduleMerger>> {
+        fn merge(&self, device: &Device, mapped: &[MappedProgram]) -> WorkloadContext {
+            self.1[1].fetch_add(1, Ordering::Relaxed);
+            self.0.merge(device, mapped)
+        }
+    }
+    let calls = std::sync::Arc::new([AtomicUsize::new(0), AtomicUsize::new(0)]);
+    let mut pipeline = Pipeline::from_strategy(strategy);
+    pipeline.router = Box::new(Counting(pipeline.router, calls.clone()));
+    pipeline.merger = Box::new(Counting(pipeline.merger, calls.clone()));
+    (pipeline, calls)
+}
+
+/// The shrink loop as it was: one full [`Pipeline::plan`] per
+/// attempt, the gate reading the plan's allocations. Returns the
+/// plan, the surviving ids and the eviction trace.
+fn replanning_gate(
+    pipeline: &Pipeline,
+    device: &Device,
+    gate: EfsGate,
+    head_strategy: &Strategy,
+    mut members: PlanMembers,
+) -> (PlannedWorkload, Vec<u64>, Vec<(usize, ShrinkReason)>) {
+    let mut trace = Vec::new();
+    loop {
+        let evict = match pipeline.plan(device, &members.circuits, false) {
+            Ok(plan) => {
+                let refs: Vec<&Circuit> = plan.programs.iter().collect();
+                let solo = solo_efs_scores(device, &refs, head_strategy).unwrap();
+                let mut excesses = vec![0.0; members.ids.len()];
+                for a in &plan.allocations {
+                    excesses[a.program_index] = (a.efs.score - solo[a.program_index]).max(0.0);
+                }
+                let violated = members
+                    .thresholds
+                    .iter()
+                    .zip(&excesses)
+                    .any(|(t, &e)| t.is_some_and(|t| e > t));
+                if members.ids.len() == 1 || !violated {
+                    return (plan, members.ids, trace);
+                }
+                trace.push((
+                    match gate {
+                        EfsGate::BatchWorstExcess => worst_excess_position(&excesses),
+                        _ => members.ids.len() - 1,
+                    },
+                    ShrinkReason::FidelityGate,
+                ));
+                trace.last().expect("just pushed").0
+            }
+            Err(_) => {
+                trace.push((members.ids.len() - 1, ShrinkReason::PartitionFailure));
+                members.ids.len() - 1
+            }
+        };
+        members.seqs.remove(evict);
+        members.ids.remove(evict);
+        members.circuits.remove(evict);
+        members.shapes.remove(evict);
+        members.thresholds.remove(evict);
+    }
+}
+
+#[test]
+fn a_batch_that_shrinks_k_times_routes_and_merges_once() {
+    let lib = |name: &str| qucp_circuit::library::by_name(name).unwrap().circuit();
+    let strategy = strategy::qucp(4.0);
+    // Melbourne's 15 qubits cannot host four 5-qubit programs (two
+    // placement failures), and the tolerances below cannot all be
+    // met by what fits (fidelity evictions).
+    let device = ibm::melbourne();
+    let circuits = vec![
+        lib("alu-v0_27"),
+        lib("qec"),
+        lib("fredkin"),
+        lib("alu-v0_27"),
+        lib("variation"),
+        lib("qec"),
+    ];
+    for gate in [EfsGate::Batch, EfsGate::BatchWorstExcess] {
+        let members = || PlanMembers {
+            seqs: (0..circuits.len()).collect(),
+            ids: (100..100 + circuits.len() as u64).collect(),
+            shapes: circuits.iter().map(circuit_shape_fingerprint).collect(),
+            circuits: circuits.clone(),
+            thresholds: vec![None, Some(0.02), Some(1e-4), Some(0.5), None, None],
+        };
+        let (reference, reference_calls) = counting_pipeline(&strategy);
+        let (plan, ids, trace) = replanning_gate(&reference, &device, gate, &strategy, members());
+        let reasons: Vec<ShrinkReason> = trace.iter().map(|&(_, r)| r).collect();
+        assert!(
+            reasons.contains(&ShrinkReason::PartitionFailure),
+            "{gate:?}"
+        );
+        assert!(reasons.contains(&ShrinkReason::FidelityGate), "{gate:?}");
+        let successful_plans = 1 + reasons
+            .iter()
+            .filter(|&&r| r == ShrinkReason::FidelityGate)
+            .count();
+        assert!(successful_plans >= 3, "{gate:?}: {trace:?}");
+        assert_eq!(reference_calls[0].load(Ordering::Relaxed), successful_plans);
+
+        let (pipeline, calls) = counting_pipeline(&strategy);
+        let gated =
+            plan_gated_members(&pipeline, &device, 7, gate, false, &strategy, members()).unwrap();
+        assert_eq!(calls[0].load(Ordering::Relaxed), 1, "route_all, {gate:?}");
+        assert_eq!(calls[1].load(Ordering::Relaxed), 1, "merge, {gate:?}");
+        assert_eq!(gated.plan, plan, "{gate:?}");
+        assert_eq!(gated.trace, trace, "{gate:?}");
+        assert_eq!(gated.members.ids, ids, "{gate:?}");
+        // The events are the trace bound to the dropped ids.
+        let mut live: Vec<u64> = members().ids;
+        let events: Vec<Event> = trace
+            .iter()
+            .map(|&(evict, reason)| Event::BatchShrunk {
+                batch_index: 7,
+                device: device.name().to_string(),
+                dropped_job_id: live.remove(evict),
+                remaining: live.len(),
+                reason,
+            })
+            .collect();
+        assert_eq!(gated.shrinks, events, "{gate:?}");
+    }
+}
