@@ -136,9 +136,10 @@ impl PendingStore {
         }
     }
 
-    /// Live-window position of the `(arrival, seq)` key, by binary
-    /// search over the sorted mirror.
-    fn live_position(&self, arrival: f64, seq: usize) -> Option<usize> {
+    /// Index of job `seq` in the live (and so in any arrived) window:
+    /// its `(arrival, seq)` key locates it in O(log n) by binary search
+    /// over the sorted mirror.
+    pub(crate) fn position_of(&self, arrival: f64, seq: usize) -> Option<usize> {
         let live = &self.views[self.head..];
         let pos = live.partition_point(|v| {
             v.arrival.total_cmp(&arrival).then(v.seq.cmp(&seq)) == std::cmp::Ordering::Less
@@ -210,7 +211,7 @@ impl PendingStore {
                 continue;
             };
             let rel = self
-                .live_position(p.arrival, seq)
+                .position_of(p.arrival, seq)
                 .expect("mirror entry exists for every stored job");
             let abs = self.head + rel;
             if self.keys[abs] != 0 {
@@ -283,12 +284,6 @@ impl PendingStore {
         &live[..end]
     }
 
-    /// Index of job `seq` in the arrived window; its `(arrival, seq)`
-    /// key locates it in O(log n).
-    pub(crate) fn position_of(&self, arrival: f64, seq: usize) -> Option<usize> {
-        self.live_position(arrival, seq)
-    }
-
     /// Bumps a job's overtake counter (backfill starvation accounting).
     pub(crate) fn bump_skip(&mut self, seq: usize) {
         let Some(p) = self.jobs.get_mut(&seq) else {
@@ -298,7 +293,7 @@ impl PendingStore {
         p.skips += 1;
         let arrival = p.arrival;
         let rel = self
-            .live_position(arrival, seq)
+            .position_of(arrival, seq)
             .expect("mirror entry exists for every stored job");
         self.views[self.head + rel].skips += 1;
     }

@@ -216,11 +216,10 @@ impl Service {
         } else {
             1
         };
-        let mut speculated: Vec<Option<CandidateOutcome>> = if k > 1 {
-            let outcomes = self.speculate(&head, &candidates[..k]);
-            outcomes.into_iter().map(Some).collect()
+        let mut speculated = if k > 1 {
+            self.speculate(&head, &candidates[..k]).into_iter()
         } else {
-            Vec::new()
+            Vec::new().into_iter()
         };
 
         let mut last_unplaceable: Option<RuntimeError> = None;
@@ -238,7 +237,8 @@ impl Service {
                 // for this and lower ranks are discarded unseen.
                 return Ok(None);
             }
-            let outcome = match speculated.get_mut(rank).and_then(Option::take) {
+            // Ranks are visited in order, one outcome each.
+            let outcome = match speculated.next() {
                 Some(outcome) => outcome,
                 None => self.plan_candidate(&head, d),
             };
@@ -499,12 +499,7 @@ impl Service {
             }
             None => {
                 self.route_cache.plan_misses += 1;
-                Prepared::Ready {
-                    d,
-                    pack,
-                    members,
-                    fp,
-                }
+                Prepared::Ready { pack, members, fp }
             }
         }
     }
@@ -530,12 +525,7 @@ impl Service {
     fn plan_candidate(&mut self, head: &HeadContext, d: usize) -> CandidateOutcome {
         match self.prepare_candidate(head, d) {
             Prepared::Done(outcome) => outcome,
-            Prepared::Ready {
-                d,
-                pack,
-                members,
-                fp,
-            } => {
+            Prepared::Ready { pack, members, fp } => {
                 let device = self.registry.device_at(d);
                 let planned =
                     plan_prepared(head, device, self.efs_gate, self.cfg.optimize, members);
@@ -562,12 +552,7 @@ impl Service {
         for &d in ranked {
             preps.push(match self.prepare_candidate(head, d) {
                 Prepared::Done(outcome) => Err(outcome),
-                Prepared::Ready {
-                    d,
-                    pack,
-                    members,
-                    fp,
-                } => {
+                Prepared::Ready { pack, members, fp } => {
                     slots.push((d, std::sync::Mutex::new(Some(members))));
                     Ok((d, pack, fp))
                 }
@@ -730,7 +715,6 @@ enum Prepared {
     /// Packed, and its batch missed the plan cache: to be planned
     /// fresh under key `fp`.
     Ready {
-        d: usize,
         pack: CandidatePack,
         members: PlanMembers,
         fp: u64,

@@ -158,7 +158,10 @@ fn a_poisoning_drift_step_is_rolled_back_mid_advance() {
         Op::AdvanceDrift(7000.0),
     ];
     let run = assert_matches_reference(&ops, &cfg);
-    let epochs: Vec<u64> = (run.service.registry().iter())
+    let epochs: Vec<u64> = run
+        .service
+        .registry()
+        .iter()
         .map(|(id, _)| run.service.device_epoch(id))
         .collect();
     assert_eq!(epochs, [7, 2]);
@@ -183,7 +186,8 @@ fn seesaw_drift_flips_the_skewed_fleet_between_two_bursts() {
         ..Config::default()
     };
     let burst = synthetic_jobs(9, 400.0, 32, 0xF1EE7);
-    let mut ops: Vec<Op> = (burst.iter())
+    let mut ops: Vec<Op> = burst
+        .iter()
         .map(|j| Op::Submit(JobRequest::from_job(j)))
         .collect();
     ops.extend([Op::Drain, Op::AdvanceDrift(150_000.0)]);
@@ -215,7 +219,8 @@ fn a_bounded_event_log_is_the_full_log_truncated() {
         event_capacity: Some(5),
         ..Config::default()
     };
-    let mut ops: Vec<Op> = (synthetic_jobs(8, 300.0, 8, 7).iter())
+    let mut ops: Vec<Op> = synthetic_jobs(8, 300.0, 8, 7)
+        .iter()
         .map(|j| Op::Submit(JobRequest::from_job(j)))
         .collect();
     ops.insert(4, Op::Tick(600.0));

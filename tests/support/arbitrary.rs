@@ -228,7 +228,8 @@ pub fn interleaving(max_ops: usize, max_shots: usize) -> impl Strategy<Value = V
             now += max * frac;
             now
         };
-        (steps.into_iter())
+        steps
+            .into_iter()
             .map(|(frac, ahead, op)| match op {
                 Op::Submit(mut req) => {
                     let ahead = [0.0, 0.0, 5_000.0, 40_000.0][ahead] * pace;

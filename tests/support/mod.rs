@@ -14,7 +14,7 @@ pub mod reference;
 
 use qucp_circuit::{library, Circuit};
 use qucp_core::{strategy, Strategy};
-use qucp_device::{ibm, Calibration, CrosstalkModel, DriftModel, GaussianWalk};
+use qucp_device::{ibm, Calibration, CrosstalkModel, Device, DriftModel, GaussianWalk};
 use qucp_runtime::{
     AdmissionPolicy, Backfill, CalibrationAware, DeviceId, DeviceRegistry, EarliestFree, EfsGate,
     Fifo, JobRequest, JobTicket, RoutingChoice, Service, ServiceReport, ShortestJobFirst,
@@ -40,22 +40,20 @@ pub enum Fleet {
 
 impl Fleet {
     pub fn build(self) -> DeviceRegistry {
-        let mut fleet = DeviceRegistry::new();
+        let of = |devices: Vec<Device>| {
+            let mut fleet = DeviceRegistry::new();
+            for device in devices {
+                fleet.register(device);
+            }
+            fleet
+        };
         match self {
-            Fleet::Melbourne => {
-                fleet.register(ibm::melbourne());
-            }
-            Fleet::Toronto => {
-                fleet.register(ibm::toronto());
-            }
-            Fleet::MelbourneToronto => {
-                fleet.register(ibm::melbourne());
-                fleet.register(ibm::toronto());
-            }
-            Fleet::Skewed => return qucp_bench::skewed_fleet(),
-            Fleet::Mega(n) => return qucp_bench::mega_fleet(n, qucp_bench::EXPERIMENT_SEED),
+            Fleet::Melbourne => of(vec![ibm::melbourne()]),
+            Fleet::Toronto => of(vec![ibm::toronto()]),
+            Fleet::MelbourneToronto => of(vec![ibm::melbourne(), ibm::toronto()]),
+            Fleet::Skewed => qucp_bench::skewed_fleet(),
+            Fleet::Mega(n) => qucp_bench::mega_fleet(n, qucp_bench::EXPERIMENT_SEED),
         }
-        fleet
     }
 }
 
@@ -321,23 +319,26 @@ pub fn assert_matches_reference(ops: &[Op], cfg: &Config) -> Outcome {
             .0
     };
     for (i, op) in ops.iter().chain([&Op::Drain]).enumerate() {
-        let at = format!("op {i} {op:?} of {ops:?} under {cfg:?}");
+        // Formatted only when an assertion fails.
+        let at = || format!("op {i} {op:?} of {ops:?} under {cfg:?}");
         match op {
             Op::Submit(req) => {
                 let ticket = service.submit(req.clone());
-                assert_eq!(ticket, reference.submit(req.clone()), "{at}");
+                assert_eq!(ticket, reference.submit(req.clone()), "{}", at());
                 tickets.extend(ticket);
             }
-            Op::Tick(now) => assert_eq!(service.tick(*now), reference.tick(*now), "{at}"),
+            Op::Tick(now) => assert_eq!(service.tick(*now), reference.tick(*now), "{}", at()),
             Op::AdvanceDispatch(now) => assert_eq!(
                 service.advance_dispatch(*now),
                 reference.advance_dispatch(*now),
-                "{at}"
+                "{}",
+                at()
             ),
             Op::AdvanceDrift(now) => assert_eq!(
                 service.advance_drift(*now),
                 reference.advance_drift(*now),
-                "{at}"
+                "{}",
+                at()
             ),
             Op::Recalibrate {
                 device: target,
@@ -353,7 +354,8 @@ pub fn assert_matches_reference(ops: &[Op], cfg: &Config) -> Outcome {
                 assert_eq!(
                     service.recalibrate(target, snapshot.clone()),
                     reference.recalibrate(target, snapshot),
-                    "{at}"
+                    "{}",
+                    at()
                 );
             }
             Op::TakeResult(which) => {
@@ -361,19 +363,20 @@ pub fn assert_matches_reference(ops: &[Op], cfg: &Config) -> Outcome {
                     assert_eq!(
                         service.take_result(ticket),
                         reference.take_result(ticket),
-                        "{at}"
+                        "{}",
+                        at()
                     );
                 }
             }
             Op::Drain => {
                 let drained = service.run_until_drained();
-                assert_eq!(drained, reference.run_until_drained(), "{at}");
+                assert_eq!(drained, reference.run_until_drained(), "{}", at());
                 report = drained.ok();
             }
         }
-        assert_eq!(service.events(), reference.events(), "{at}");
-        assert_eq!(service.pending_len(), reference.pending_len(), "{at}");
-        assert_eq!(service.registry(), reference.registry(), "{at}");
+        assert_eq!(service.events(), reference.events(), "{}", at());
+        assert_eq!(service.pending_len(), reference.pending_len(), "{}", at());
+        assert_eq!(service.registry(), reference.registry(), "{}", at());
     }
     Outcome { service, report }
 }

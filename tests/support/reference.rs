@@ -4,11 +4,9 @@
 //! It states the scheduler's *decisions* — which job heads a batch, how
 //! the EFS threshold sizes it, which member a shrink drops, who waits —
 //! with none of production's mechanisms: the queue is a `Vec` re-sorted
-//! per step, the earliest-free device is an O(D) scan, every probe and
-//! every plan is computed from scratch (the shrink loop re-runs
-//! `Pipeline::plan` per attempt), one batch is dispatched at a time and
-//! its programs run inline in program order, on the public API only.
-//! What production caches, indexes or threads must agree bit for bit.
+//! per step, the earliest-free device an O(D) scan, every probe and plan
+//! computed from scratch (the shrink loop re-runs `Pipeline::plan`), one
+//! batch at a time, programs inline in program order, public API only.
 //! Calibration ageing is [`LiveFleet`]'s part, accounting [`Ledger`]'s.
 
 use qucp_core::pipeline::{Pipeline, PlannedWorkload};
@@ -138,13 +136,13 @@ impl ReferenceScheduler {
         self.unreported.clear();
         let devices = self.fleet.registry().iter().map(|(_, device)| device);
         let (stats, per_device) = queue_report(devices.zip(&self.ledgers), self.results.len());
+        let results = self.results.iter().cloned();
+        let results = results.map(|r| r.expect("a drained scheduler has every result"));
         Ok(ServiceReport {
             stats,
             per_device,
             batches: self.batches.clone(),
-            job_results: (self.results.iter())
-                .map(|r| r.clone().expect("a drained scheduler has every result"))
-                .collect(),
+            job_results: results.collect(),
             events: self.events().to_vec(),
             dropped_events: self.events.len() - self.events().len(),
         })
@@ -200,7 +198,8 @@ impl ReferenceScheduler {
         let head = &self.queue[head_q];
         let (head_id, head_arrival) = (head.ticket.id, head.req.arrival);
         let circuit = head.req.circuit.clone();
-        let strategy = (head.req.strategy.clone()).unwrap_or_else(|| self.cfg.strategy.clone());
+        let strategy = head.req.strategy.as_ref();
+        let strategy = strategy.unwrap_or(&self.cfg.strategy).clone();
         let threshold = head.req.fidelity_threshold.or(self.cfg.threshold);
         let head_routing = head.req.routing;
         let route: &dyn RoutingPolicy = match &head_routing {
@@ -251,10 +250,12 @@ impl ReferenceScheduler {
             let device = self.fleet.get(d).clone();
             // The head-only gate caps the batch at the copies of the
             // head circuit that stay within its threshold (Fig. 4).
-            let mut cap = Ok(self.cfg.max_parallel);
-            if let (EfsGate::HeadOnly, Some(t), false) = (self.cfg.gate, threshold, probe_widest) {
-                cap = parallel_count_for_threshold(&device, &circuit, t, cap.unwrap(), &strategy);
-            }
+            let max = self.cfg.max_parallel;
+            let head_only = self.cfg.gate == EfsGate::HeadOnly && !probe_widest;
+            let cap = match threshold.filter(|_| head_only) {
+                Some(t) => parallel_count_for_threshold(&device, &circuit, t, max, &strategy),
+                None => Ok(max),
+            };
             let cap = match cap {
                 Ok(cap) => cap.max(1),
                 Err(e) => {
@@ -314,21 +315,21 @@ impl ReferenceScheduler {
                 }
             }
             // Execute inline, in program order.
-            let seed = (self.cfg.seed)
-                .wrapping_add(0xD1B5_4A32_D192_ED03u64.wrapping_mul(batch_index as u64 + 1));
+            let stride = 0xD1B5_4A32_D192_ED03u64.wrapping_mul(batch_index as u64 + 1);
+            let seed = self.cfg.seed.wrapping_add(stride);
             let ledger = &mut self.ledgers[d.index()];
             for (pos, &q) in members.iter().enumerate() {
                 let job = &self.queue[q];
+                let (parallelism, kernel) = (job.req.shot_parallelism, job.req.trajectory_kernel);
                 let exec = ExecutionConfig {
                     shots: job.shots,
                     seed,
-                    parallelism: (job.req.shot_parallelism).unwrap_or(self.cfg.shot_parallelism),
-                    kernel: job.req.trajectory_kernel.unwrap_or(self.cfg.kernel),
+                    parallelism: parallelism.unwrap_or(self.cfg.shot_parallelism),
+                    kernel: kernel.unwrap_or(self.cfg.kernel),
                     ..ParallelConfig::default().execution
                 };
-                let result = (pipeline.backend)
-                    .run_program(&device, &plan, pos, &exec)
-                    .map_err(RuntimeError::Core)?;
+                let result = pipeline.backend.run_program(&device, &plan, pos, &exec);
+                let result = result.map_err(RuntimeError::Core)?;
                 let (waiting, turnaround) = (start - job.req.arrival, completion - job.req.arrival);
                 self.events.push(Event::JobCompleted {
                     job_id: job.ticket.id,
@@ -387,9 +388,8 @@ impl ReferenceScheduler {
         loop {
             let job = |&q: &usize| &self.queue[q];
             let circuits: Vec<_> = members.iter().map(|q| job(q).req.circuit.clone()).collect();
-            let thresholds: Vec<Option<f64>> = (members.iter())
-                .map(|q| job(q).req.fidelity_threshold.or(self.cfg.threshold))
-                .collect();
+            let threshold = |q| job(q).req.fidelity_threshold.or(self.cfg.threshold);
+            let thresholds: Vec<Option<f64>> = members.iter().map(threshold).collect();
             let (evict, reason) = match pipeline.plan(device, &circuits, self.cfg.optimize) {
                 Ok(plan) => {
                     let mut over = false;
