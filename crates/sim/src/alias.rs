@@ -3,10 +3,13 @@
 //! [`Statevector::sample`](crate::Statevector::sample) walks the dense
 //! probability CDF linearly — O(2^n) per shot. That walk is pinned
 //! bit-for-bit by every tuned-seed test, so it cannot change; but the
-//! paths that are *not* bit-pinned to it (the [`SurvivalSkip`] clean-shot
-//! fast path and [`run_ideal`]) sample the same cached distribution
-//! thousands of times per job, and for those an [`AliasTable`] built
-//! once per job answers each draw in constant time.
+//! paths that are *not* bit-pinned to it (the [`SurvivalSkip`] clean and
+//! single-error shots and [`run_ideal`]) sample one distribution many
+//! times per job, and for those an [`AliasTable`] answers each draw in
+//! constant time. The clean-shot table is built once per prepared job;
+//! a single-error table is built by the trajectory evaluator, once per
+//! distinct `(position, Pauli)` pattern of a run, at the tree node
+//! whose final state it samples — no stream keeps a table cache.
 //!
 //! One `f64` uniform per sample: the draw is split into a bucket index
 //! (the integer part of `u · n`) and an intra-bucket coin (the

@@ -8,14 +8,21 @@
 //! relaxation/dephasing errors derived from T1/T2; readout flips each
 //! measured bit with the qubit's readout error.
 //!
-//! Two per-shot algorithms sample that model (see [`TrajectoryKernel`]):
-//! the historical [`Replay`](TrajectoryKernel::Replay) stream draws one
-//! Bernoulli per event, while
-//! [`SurvivalSkip`](TrajectoryKernel::SurvivalSkip) jumps straight to
-//! the next error event through the plan's prefix survival products and
-//! answers clean shots from a per-job [`AliasTable`] in O(1). Both
-//! sample the identical distribution; they differ only in which RNG
-//! stream realizes it.
+//! No draw of that model depends on the quantum state, so a run has two
+//! passes: [`draw`] walks each RNG stream once and fixes every shot's
+//! typed error pattern, outcome uniform and readout flips, answering
+//! clean shots on the spot; [`evaluate`] sorts the error shots by
+//! pattern and walks them as a prefix tree, evolving each distinct error
+//! prefix once instead of once per shot — the same operations in the
+//! same order as a per-shot replay, so the same counts bit for bit.
+//!
+//! A [`TrajectoryKernel`] is how the pattern is drawn plus how a uniform
+//! maps to an outcome: [`Replay`](TrajectoryKernel::Replay) draws one
+//! Bernoulli per event and walks CDFs,
+//! [`SurvivalSkip`](TrajectoryKernel::SurvivalSkip) jumps to the next
+//! error through the plan's prefix survival products and answers clean
+//! and single-error shots from [`AliasTable`]s. Same distribution,
+//! different RNG stream; evaluation is shared.
 //!
 //! Crosstalk enters through a per-gate [`NoiseScaling`]: the parallel
 //! executor in `qucp-core` inspects the *merged* schedule of all
@@ -36,18 +43,29 @@ use rand::{Rng, SeedableRng};
 use crate::alias::AliasTable;
 use crate::counts::Counts;
 use crate::fanout::{core_budget, run_indexed_within};
-use crate::state::Statevector;
+use crate::math::Complex;
+use crate::state::{kernel, Statevector};
 
-/// How the trajectory loop spreads a job's shots over worker threads.
+#[cfg(test)]
+mod differential;
+mod draw;
+mod evaluate;
+#[cfg(test)]
+mod oracle;
+
+/// How a job's shots are cut into RNG streams and spread over worker
+/// threads.
 ///
 /// ## Determinism contract
 ///
-/// Sharded counts depend only on `(seed, shards)` and the job itself —
-/// **never** on `threads`: shard `s` draws every trajectory from its
-/// own `StdRng` seeded with [`derive_shard_seed`]`(seed, s)`, and the
-/// per-shard counts are merged in shard order after all workers join.
-/// Running the same job with 1, 2 or 8 workers is bit-for-bit
-/// identical; only wall-clock time changes.
+/// Shards fix the *draw streams*: shard `s` draws every shot's error
+/// pattern, outcome uniform and readout flips from its own `StdRng`
+/// seeded with [`derive_shard_seed`]`(seed, s)`. The shards' error
+/// shots are joined in shard order and evaluated together, once; a
+/// shot's outcome is a function of what its stream drew and of the job,
+/// so sharded counts depend only on `(seed, shards)` and the job —
+/// **never** on `threads`, which draw and evaluation fan out over: 1, 2
+/// or 8 workers are bit-for-bit identical, only wall-clock time changes.
 ///
 /// [`ShotParallelism::Serial`] (the default) is the historical
 /// single-stream path and stays bit-for-bit identical to every release
@@ -62,7 +80,7 @@ pub enum ShotParallelism {
     Serial,
     /// Split the shot budget into `shards` deterministic RNG streams
     /// executed by up to `threads` workers (the caller among them;
-    /// helpers join only when a shard's work pays for a thread).
+    /// helpers join only when the run's work pays for them).
     Sharded {
         /// Number of independent shard streams (0 is treated as 1).
         /// Fixing `shards` fixes the counts; choose it once per
@@ -126,10 +144,10 @@ pub const AUTO_MAX_SHARDS: usize = 32;
 /// The shard count [`ShotParallelism::Auto`] picks for a job of
 /// `shots`: `clamp(shots / AUTO_SHOTS_PER_SHARD, 1, AUTO_MAX_SHARDS)`.
 ///
-/// The heuristic keeps every shard busy enough to amortize its scratch
+/// The heuristic keeps every shard busy enough to amortize its stream
 /// setup (at least [`AUTO_SHOTS_PER_SHARD`] = 512 shots per shard, so
 /// small jobs run 1 shard ≈ serially) while bounding the split (at most
-/// [`AUTO_MAX_SHARDS`] = 32 shards, past which merge overhead and
+/// [`AUTO_MAX_SHARDS`] = 32 shards, past which join overhead and
 /// diminishing stream lengths dominate). It deliberately ignores the
 /// machine's core count: shards determine the counts, so they must be
 /// a pure function of the job, never of the host.
@@ -160,11 +178,14 @@ pub fn derive_shard_seed(seed: u64, shard: usize) -> u64 {
     splitmix64(splitmix64(seed).wrapping_add(0x9E37_79B9_7F4A_7C15u64.wrapping_mul(shard as u64)))
 }
 
-/// Which per-shot algorithm the trajectory loop runs.
-///
-/// Both kernels sample the *same* noise model — the distribution of
-/// counts is identical — but they advance the RNG differently, so each
-/// kernel realizes its own (equally valid) trajectory stream.
+/// How a shot's randomness is drawn and mapped to an outcome: a kernel
+/// is a *pattern sampler* (which RNG draws decide where a shot's errors
+/// fall and what Paulis they are) plus an *outcome sampler* (how the
+/// shot's one outcome uniform selects a basis state of its final
+/// distribution, and how its readout flips are drawn). Evolving states
+/// is not part of a kernel: both share one prefix-tree evaluator, and
+/// both sample the *same* noise model — each realizes its own (equally
+/// valid) trajectory stream.
 ///
 /// ## Determinism contract
 ///
@@ -176,9 +197,10 @@ pub fn derive_shard_seed(seed: u64, shard: usize) -> u64 {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum TrajectoryKernel {
     /// The historical stream (the default): one Bernoulli draw per
-    /// scheduled event decides whether that event errors, clean shots
-    /// sample the cached ideal state through the linear CDF walk.
-    /// Bit-for-bit identical to every release before kernels existed.
+    /// scheduled event decides whether that event errors, then one type
+    /// draw per gate error; every outcome is picked by the linear CDF
+    /// walk, readout draws one Bernoulli per measured qubit. Bit-for-bit
+    /// identical to every release before kernels existed.
     #[default]
     Replay,
     /// Survival-skip sampling: one uniform draw plus a binary search
@@ -186,7 +208,9 @@ pub enum TrajectoryKernel {
     /// next error event — O(#errors · log E) RNG work per shot instead
     /// of O(E) — and a shot whose first draw lands past the last event
     /// is clean without touching the stream. Clean shots sample the
-    /// per-job [`AliasTable`] in O(1) from a single uniform.
+    /// per-job [`AliasTable`] in O(1), single-error shots the alias
+    /// table of their pattern's distribution, shots with more errors
+    /// walk the CDF; readout jumps from flipped bit to flipped bit.
     SurvivalSkip,
 }
 
@@ -480,6 +504,19 @@ fn event_error_p(ev: Event, error_p: &[f64]) -> f64 {
     }
 }
 
+/// Prefix survival products `[1, 1 − p₀, (1 − p₀)(1 − p₁), …]` of
+/// independent error chances, what the SurvivalSkip kernel jumps through.
+fn prefix_survival(chances: impl ExactSizeIterator<Item = f64>) -> Vec<f64> {
+    let mut survival = Vec::with_capacity(chances.len() + 1);
+    let mut s = 1.0f64;
+    survival.push(s);
+    for p in chances {
+        s *= 1.0 - p;
+        survival.push(s);
+    }
+    survival
+}
+
 /// Builds the shared trajectory plan (see [`TrajectoryPlan`]).
 pub(crate) fn build_plan(
     circuit: &Circuit,
@@ -579,14 +616,7 @@ pub(crate) fn build_plan(
         })
         .collect();
 
-    // Prefix survival products for the SurvivalSkip kernel's CDF.
-    let mut survival = Vec::with_capacity(events.len() + 1);
-    let mut s = 1.0f64;
-    survival.push(s);
-    for &(_, _, ev) in &events {
-        s *= 1.0 - event_error_p(ev, &error_p);
-        survival.push(s);
-    }
+    let survival = prefix_survival(events.iter().map(|&(_, _, ev)| event_error_p(ev, &error_p)));
     Ok(TrajectoryPlan {
         events,
         error_p,
@@ -594,83 +624,31 @@ pub(crate) fn build_plan(
     })
 }
 
-/// Memory gate for [`PrefixSnapshots`]: build them only while the
-/// total snapshot storage `(gate_events + 1) · 2^n` stays at or below
-/// this many amplitudes (2^21 amps ≈ 32 MiB of `Complex`).
-const SNAPSHOT_AMP_LIMIT: usize = 1 << 21;
+/// The evaluator's one width-proportional memory bound: the amplitudes
+/// all levels of one worker's pool may hold together (32 MiB), never
+/// fewer than two levels — the root and one branch. A tree is about
+/// `log(shots) / log(branching) + 1` levels deep, so only registers of
+/// 17 qubits and more can meet it; past it a subtree is finished one
+/// pattern at a time from a copy of its deepest shared state. A memory
+/// gate, never a behaviour gate.
+const LEVEL_POOL_AMP_LIMIT: usize = 1 << 21;
 
-/// Retention gate for [`PrefixSnapshots`] inside a [`PreparedJob`]:
-/// snapshots of at most this many amplitudes (2^12 amps = 64 KiB) are
-/// kept with the prepared job and shared by every later run; larger
-/// ones are rebuilt by each run and dropped with it, exactly as before
-/// prepared jobs existed — a memory gate, never a behaviour gate.
-const RETAINED_SNAPSHOT_AMP_LIMIT: usize = 1 << 12;
+/// See [`single_error_alias`].
+const SINGLE_ERROR_ALIAS_LIMIT: usize = 1 << 22;
 
-/// Memory gate for the per-stream single-error outcome cache: enabled
-/// only while its worst-case size `events · 16 · 2^n` stays at or
-/// below this many table entries.
-const SINGLE_ERROR_CACHE_LIMIT: usize = 1 << 22;
-
-/// Ideal prefix states of a job's event stream, built for the
-/// [`TrajectoryKernel::SurvivalSkip`] kernel: `states[k]` is the
-/// state after the first `k` *gate* events applied ideally, which is
-/// exactly the replay state right before any event position whose
-/// clean prefix contains `k` gates. Error shots restore the snapshot
-/// at their first error event instead of re-simulating the prefix —
-/// bit-for-bit the state a from-zero replay would reach, since the
-/// same gates are applied in the same order.
-#[derive(Debug, Clone)]
-pub(crate) struct PrefixSnapshots {
-    /// `states[k]`: ideal state after the first `k` gate events.
-    states: Vec<Statevector>,
-    /// Per event position, the number of gate events strictly before
-    /// it — the index into `states` of the state preceding that event.
-    gates_before: Vec<u32>,
-}
-
-impl PrefixSnapshots {
-    /// Amplitudes the snapshots of a `width`-qubit stream with `plan`'s
-    /// gate events hold, or `None` when the count overflows.
-    fn amps(width: usize, plan: &TrajectoryPlan) -> Option<usize> {
-        let gate_events = plan
-            .events
-            .iter()
-            .filter(|(_, _, ev)| matches!(ev, Event::Gate { .. }))
-            .count();
-        (gate_events + 1).checked_shl(width as u32)
-    }
-
-    /// Builds the snapshots, or `None` when the stream's snapshot
-    /// storage would exceed `amp_limit` (replay then starts from
-    /// `|0…0⟩` — a speed gate, never a behaviour gate).
-    fn build(
-        width: usize,
-        gates: &[Gate],
-        plan: &TrajectoryPlan,
-        amp_limit: usize,
-    ) -> Option<Self> {
-        let amps = Self::amps(width, plan)?;
-        if amps > amp_limit {
-            return None;
-        }
-        let mut states = Vec::with_capacity(amps >> width);
-        let mut gates_before = Vec::with_capacity(plan.events.len());
-        let mut sv = Statevector::zero_state(width);
-        states.push(sv.clone());
-        let mut k = 0u32;
-        for &(_, _, ev) in &plan.events {
-            gates_before.push(k);
-            if let Event::Gate { index } = ev {
-                sv.apply(&gates[index]);
-                states.push(sv.clone());
-                k += 1;
-            }
-        }
-        Some(PrefixSnapshots {
-            states,
-            gates_before,
-        })
-    }
+/// Sampler selection for [`TrajectoryKernel::SurvivalSkip`] shots with
+/// exactly one error: while `events · 16 · 2^width` stays at or below
+/// [`SINGLE_ERROR_ALIAS_LIMIT`] the shot's uniform is mapped through
+/// the alias table of its final distribution, past it through the
+/// linear CDF walk — a different outcome for the same uniform. The
+/// predicate once gated a per-stream table cache by its worst-case
+/// size; the cache is gone, but which side a job falls on is part of
+/// its pinned stream, so the rule stays, a pure function of the job's
+/// shape (12 qubits × 80 events is already past it).
+fn single_error_alias(events: usize, width: usize) -> bool {
+    (events * 16)
+        .checked_shl(width as u32)
+        .is_some_and(|n| n <= SINGLE_ERROR_ALIAS_LIMIT)
 }
 
 /// The probability that one shot of the mapped job draws *no* gate or
@@ -752,16 +730,16 @@ pub fn run_noisy_with_idle(
 /// survival products, the mapped ideal state and the per-qubit readout
 /// flip probabilities — and, built lazily the first time a
 /// [`TrajectoryKernel::SurvivalSkip`] run asks, the clean-shot alias
-/// table, the readout survival products and the prefix snapshots.
-/// Nothing depends on `seed`, `shots`, `parallelism` or `kernel`, so
-/// one prepared job serves every run of the same mapped job under the
-/// same calibration and noise flags, bit-for-bit what
-/// [`run_noisy_with_idle`] computes from scratch. The circuit itself
-/// is not copied: [`PreparedJob::run`] takes it again.
+/// table and the readout survival products. Nothing depends on `seed`,
+/// `shots`, `parallelism` or `kernel`, so one prepared job serves every
+/// run of the same mapped job under the same calibration and noise
+/// flags, bit-for-bit what [`run_noisy_with_idle`] computes from
+/// scratch. The circuit itself is not copied: [`PreparedJob::run`]
+/// takes it again.
 ///
-/// What is kept is bounded: prefix snapshots above 64 KiB are rebuilt
-/// by each run instead of retained, and [`PreparedJob::retained_bytes`]
-/// tells a caching owner what keeping the job costs.
+/// No intermediate state is kept (a run's evaluator walks the event
+/// stream forward from `|0…0⟩` and drops its states with the run);
+/// [`PreparedJob::retained_bytes`] says what keeping the job costs.
 ///
 /// ```
 /// use qucp_circuit::Circuit;
@@ -800,9 +778,6 @@ pub struct PreparedJob {
 struct SurvivalTables {
     /// O(1) clean-shot sampler over the mapped ideal distribution.
     alias: AliasTable,
-    /// Ideal prefix states for first-error replay resumption, kept
-    /// only up to [`RETAINED_SNAPSHOT_AMP_LIMIT`].
-    snapshots: Option<PrefixSnapshots>,
     /// Prefix survival products over the per-qubit readout errors
     /// (length `width + 1`), so the kernel jumps straight to the next
     /// flipped bit; `None` with readout noise off.
@@ -866,21 +841,18 @@ impl PreparedJob {
         self.noise == NoiseFlags::of(cfg)
     }
 
-    /// An upper bound on the heap bytes this job keeps alive, the
-    /// lazily built SurvivalSkip tables included whether or not they
-    /// exist yet.
+    /// An upper bound on the heap bytes this job keeps alive: the event
+    /// stream with its error and survival products, the readout
+    /// products, the ideal state and the clean-shot alias table — the
+    /// lazy SurvivalSkip tables included whether or not they exist yet.
     pub fn retained_bytes(&self) -> usize {
         use std::mem::size_of;
         let outcomes = self.ideal.amplitudes().len();
-        let snapshot_amps = PrefixSnapshots::amps(self.width(), &self.plan)
-            .filter(|&amps| amps <= RETAINED_SNAPSHOT_AMP_LIMIT)
-            .unwrap_or(0);
         self.plan.events.len() * (size_of::<(f64, u8, Event)>() + size_of::<f64>())
             + self.plan.error_p.len() * size_of::<f64>()
             + 2 * self.width() * size_of::<f64>()
             // Ideal state, alias table (threshold + alias per outcome).
-            + outcomes * (size_of::<crate::math::Complex>() + size_of::<f64>() + size_of::<u32>())
-            + snapshot_amps * size_of::<crate::math::Complex>()
+            + outcomes * (size_of::<Complex>() + size_of::<f64>() + size_of::<u32>())
     }
 
     /// Runs `cfg.shots` trajectories of `circuit` — the circuit the job
@@ -894,81 +866,60 @@ impl PreparedJob {
     /// job was prepared under ([`PreparedJob::matches`]): the event
     /// stream and error probabilities were fixed by them.
     pub fn run(&self, circuit: &Circuit, cfg: &ExecutionConfig) -> Counts {
+        self.run_within(circuit, cfg, LEVEL_POOL_AMP_LIMIT)
+    }
+
+    /// [`PreparedJob::run`] with every evaluator's level pool bounded
+    /// to `pool_amps` amplitudes (the tests force the two-level minimum;
+    /// the bound moves memory and time, never a count).
+    fn run_within(&self, circuit: &Circuit, cfg: &ExecutionConfig, pool_amps: usize) -> Counts {
         assert_eq!(
             (circuit.width(), circuit.gate_count()),
             (self.width(), self.plan.error_p.len()),
             "run with a circuit other than the prepared one"
         );
-        let gates = circuit.gates();
         assert!(
             self.matches(cfg),
             "prepared under {:?}, run under {:?}",
             self.noise,
             NoiseFlags::of(cfg)
         );
-        // The Replay kernel keeps its bit-pinned paths and needs none
-        // of the tables.
-        let tables = match cfg.kernel {
-            TrajectoryKernel::SurvivalSkip => {
-                Some(self.survival.get_or_init(|| self.tables(gates)))
-            }
-            TrajectoryKernel::Replay => None,
-        };
-        // Snapshots past the retention gate live for this run only.
-        let rebuilt = match tables {
-            Some(t) if t.snapshots.is_none() => {
-                PrefixSnapshots::build(self.width(), gates, &self.plan, SNAPSHOT_AMP_LIMIT)
-            }
-            _ => None,
-        };
+        let events = self.plan.events.len();
+        assert!(events < 1 << 28, "{events} events overflow a packed error");
+        // The Replay kernel keeps its bit-pinned samplers and needs
+        // none of the tables.
+        let tables = (cfg.kernel == TrajectoryKernel::SurvivalSkip).then(|| self.tables());
         let job = TrajectoryJob {
             width: self.width(),
-            gates,
+            gates: circuit.gates(),
             readout_p: &self.readout_p,
             plan: &self.plan,
             ideal: &self.ideal,
-            alias: tables.map(|t| &t.alias),
-            snapshots: tables
-                .and_then(|t| t.snapshots.as_ref())
-                .or(rebuilt.as_ref()),
-            readout_survival: tables.and_then(|t| t.readout_survival.as_deref()),
+            tables,
+            alias_single_errors: tables.is_some() && single_error_alias(events, self.width()),
+            max_levels: (pool_amps >> self.width()).max(2),
             cfg,
         };
         match cfg.parallelism.resolve(cfg.shots) {
-            ShotParallelism::Serial => job.run_stream(cfg.shots, cfg.seed),
+            ShotParallelism::Serial => job.evaluate(job.draw(cfg.shots, cfg.seed), 1),
             ShotParallelism::Sharded { shards, threads } => job.run_sharded(shards, threads),
             ShotParallelism::Auto => unreachable!("Auto resolves to Sharded"),
         }
     }
 
-    /// Builds the SurvivalSkip tables (deterministic, no RNG).
-    fn tables(&self, gates: &[Gate]) -> SurvivalTables {
-        let readout_survival = self.noise.readout.then(|| {
-            let mut surv = Vec::with_capacity(self.width() + 1);
-            let mut s = 1.0f64;
-            surv.push(s);
-            for &p in &self.readout_p {
-                s *= 1.0 - p;
-                surv.push(s);
-            }
-            surv
-        });
-        SurvivalTables {
+    /// The SurvivalSkip tables, built on first use (deterministic, no
+    /// RNG).
+    fn tables(&self) -> &SurvivalTables {
+        self.survival.get_or_init(|| SurvivalTables {
             alias: AliasTable::from_statevector(&self.ideal),
-            snapshots: PrefixSnapshots::build(
-                self.width(),
-                gates,
-                &self.plan,
-                RETAINED_SNAPSHOT_AMP_LIMIT,
-            ),
-            readout_survival,
-        }
+            readout_survival: (self.noise.readout)
+                .then(|| prefix_survival(self.readout_p.iter().copied())),
+        })
     }
 }
 
-/// Everything a trajectory stream shares with every other stream of the
-/// same run: views into the [`PreparedJob`] plus the run's config.
-/// Plain shared references, read concurrently by every shard worker.
+/// Everything the streams and evaluators of one run share: views into
+/// the [`PreparedJob`] plus the run's config, read by every worker.
 #[derive(Clone, Copy)]
 struct TrajectoryJob<'a> {
     width: usize,
@@ -977,400 +928,27 @@ struct TrajectoryJob<'a> {
     readout_p: &'a [f64],
     plan: &'a TrajectoryPlan,
     ideal: &'a Statevector,
-    /// O(1) clean-shot sampler (`None` under Replay).
-    alias: Option<&'a AliasTable>,
-    /// Ideal prefix states for first-error replay resumption (`None`
-    /// under Replay or past the snapshot memory gate).
-    snapshots: Option<&'a PrefixSnapshots>,
-    /// Prefix survival products over the readout errors (length
-    /// `width + 1`), `Some` only for the SurvivalSkip kernel with
-    /// readout noise on.
-    readout_survival: Option<&'a [f64]>,
+    /// The SurvivalSkip kernel's clean-shot and readout samplers;
+    /// `None` under `Replay`, which walks the ideal state's CDF and
+    /// flips readout bits one Bernoulli per qubit.
+    tables: Option<&'a SurvivalTables>,
+    /// Whether single-error shots sample their node's alias table
+    /// (`SurvivalSkip` under [`single_error_alias`]) or walk its CDF.
+    alias_single_errors: bool,
+    /// Levels one evaluator's pool may hold (at least 2).
+    max_levels: usize,
     cfg: &'a ExecutionConfig,
 }
 
 impl TrajectoryJob<'_> {
-    /// Runs one sequential stream of `shots` trajectories from `seed`.
-    ///
-    /// This is the hot loop. All per-shot scratch (the error-pattern
-    /// buffers and the replay statevector) lives in a [`ShotScratch`]
-    /// allocated once per stream and reused across shots, so steady
-    /// state allocates nothing.
-    fn run_stream(&self, shots: usize, seed: u64) -> Counts {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let mut counts = Counts::new(self.width);
-        match self.cfg.kernel {
-            TrajectoryKernel::Replay => {
-                let mut scratch = ShotScratch::new(self.width);
-                for _ in 0..shots {
-                    counts.record(self.run_shot(&mut rng, &mut scratch));
-                }
-            }
-            TrajectoryKernel::SurvivalSkip => {
-                let mut scratch = ShotScratch::for_survival(self.width, self.plan);
-                for _ in 0..shots {
-                    counts.record(self.run_shot_survival(&mut rng, &mut scratch));
-                }
-            }
-        }
-        counts
-    }
-
-    /// One trajectory: pre-draw the error pattern, sample the cached
-    /// ideal state when it is empty (the dominant fast path), otherwise
-    /// replay the event stream on the scratch state, then flip readout
-    /// bits.
-    fn run_shot(&self, rng: &mut StdRng, scratch: &mut ShotScratch) -> usize {
-        let TrajectoryPlan {
-            events, error_p, ..
-        } = self.plan;
-        let cfg = self.cfg;
-        scratch.gate_errors.clear();
-        scratch.idle_errors.clear();
-        for (pos, &(_, _, ev)) in events.iter().enumerate() {
-            match ev {
-                Event::Gate { index } => {
-                    if cfg.gate_noise && error_p[index] > 0.0 && rng.gen_bool(error_p[index]) {
-                        scratch.gate_errors.push(pos);
-                    }
-                }
-                Event::Idle {
-                    relax_p, dephase_p, ..
-                } => {
-                    // Pauli-twirled thermal noise: X/Y each with
-                    // p_relax/4, Z with p_dephase/2.
-                    let px = relax_p / 4.0;
-                    let py = relax_p / 4.0;
-                    let pz = dephase_p / 2.0;
-                    let u: f64 = rng.gen();
-                    if u < px {
-                        scratch.idle_errors.push((pos, Pauli::X));
-                    } else if u < px + py {
-                        scratch.idle_errors.push((pos, Pauli::Y));
-                    } else if u < px + py + pz {
-                        scratch.idle_errors.push((pos, Pauli::Z));
-                    }
-                }
-            }
-        }
-
-        let outcome = if scratch.gate_errors.is_empty() && scratch.idle_errors.is_empty() {
-            self.ideal.sample(rng)
-        } else {
-            self.replay_errors(rng, scratch)
-        };
-        self.apply_readout(outcome, rng)
-    }
-
-    /// One survival-skip trajectory: jump from error to error through
-    /// the plan's prefix survival CDF (one uniform + binary search per
-    /// error, one final uniform to certify the clean tail), drawing
-    /// each error's Pauli type on the spot. Clean shots sample the
-    /// per-job alias table in O(1); single-error shots sample a cached
-    /// per-`(position, type)` outcome distribution in O(1); only
-    /// multi-error shots replay the stream, and they resume from the
-    /// prefix snapshot at their first error. Readout bits flip last.
-    ///
-    /// Same distribution as [`TrajectoryJob::run_shot`], different RNG
-    /// stream: the per-event Bernoulli draws collapse into per-error
-    /// draws, so the two kernels pin different (equally valid) counts.
-    fn run_shot_survival(&self, rng: &mut StdRng, scratch: &mut ShotScratch) -> usize {
-        let TrajectoryPlan {
-            events, survival, ..
-        } = self.plan;
-        scratch.typed_errors.clear();
-        let tail = *survival.last().expect("survival is never empty");
-        let mut from = 0usize;
-        while from < events.len() {
-            let s_from = survival[from];
-            if s_from <= f64::MIN_POSITIVE {
-                // The prefix product underflowed: conditional jump
-                // probabilities are no longer representable, so finish
-                // the stream with per-event Bernoulli draws.
-                self.sample_errors_linear(from, rng, scratch);
-                break;
-            }
-            // target is uniform on (0, s_from]; the first error sits at
-            // the event whose survival prefix first drops below it:
-            // P(error at i) = (survival[i] − survival[i+1]) / s_from,
-            // P(no further error) = tail / s_from — exactly the Replay
-            // model's conditional distribution given a clean prefix.
-            let u: f64 = rng.gen();
-            let target = (1.0 - u) * s_from;
-            if tail >= target {
-                break;
-            }
-            let pos = from + survival[from + 1..].partition_point(|&s| s >= target);
-            let code = match events[pos].2 {
-                Event::Gate { index } => self.draw_gate_error_code(index, rng),
-                Event::Idle {
-                    relax_p, dephase_p, ..
-                } => {
-                    // Pauli type conditioned on the window erroring:
-                    // X/Y each with p_relax/4, Z with p_dephase/2.
-                    let px = relax_p / 4.0;
-                    let py = relax_p / 4.0;
-                    let pz = dephase_p / 2.0;
-                    let v: f64 = rng.gen::<f64>() * (px + py + pz);
-                    if v < px {
-                        1
-                    } else if v < px + py {
-                        2
-                    } else {
-                        3
-                    }
-                }
-            };
-            scratch.typed_errors.push((pos, code));
-            from = pos + 1;
-        }
-
-        let outcome = match scratch.typed_errors.len() {
-            0 => match self.alias {
-                Some(table) => table.sample_with(rng),
-                None => self.ideal.sample(rng),
-            },
-            1 => {
-                let (pos, code) = scratch.typed_errors[0];
-                self.single_error_outcome(pos, code, rng, scratch)
-            }
-            _ => self.replay_typed(rng, scratch),
-        };
-        self.apply_readout_skip(outcome, rng)
-    }
-
-    /// Survival-skip readout: jump from flipped bit to flipped bit
-    /// through the prefix survival products over the layout's readout
-    /// errors — typically one uniform draw per shot instead of one
-    /// Bernoulli per measured qubit. Falls back to the per-qubit walk
-    /// when the products are unavailable or underflow.
-    fn apply_readout_skip(&self, mut measured: usize, rng: &mut StdRng) -> usize {
-        if !self.cfg.readout_noise {
-            return measured;
-        }
-        let Some(surv) = self.readout_survival else {
-            return self.apply_readout(measured, rng);
-        };
-        let width = self.width;
-        let tail = surv[width];
-        let mut from = 0usize;
-        while from < width {
-            let s_from = surv[from];
-            if s_from <= f64::MIN_POSITIVE {
-                for (q, &p) in self.readout_p.iter().enumerate().skip(from) {
-                    if rng.gen_bool(p) {
-                        measured ^= 1 << q;
-                    }
-                }
-                break;
-            }
-            let u: f64 = rng.gen();
-            let target = (1.0 - u) * s_from;
-            if tail >= target {
-                break;
-            }
-            let q = from + surv[from + 1..].partition_point(|&s| s >= target);
-            measured ^= 1 << q;
-            from = q + 1;
-        }
-        measured
-    }
-
-    /// Draws the Pauli code of a gate error at gate `index`: uniform
-    /// over X/Y/Z for a one-qubit gate, uniform over the 15 non-identity
-    /// two-qubit Paulis otherwise — the same conditional distribution
-    /// [`apply_gate_error`] realizes, drawn up front so the error is
-    /// fully typed before the outcome stage picks its path.
-    fn draw_gate_error_code(&self, index: usize, rng: &mut StdRng) -> u8 {
-        if self.gates[index].is_two_qubit() {
-            rng.gen_range(1..16) as u8
-        } else {
-            pauli_code(random_pauli(rng))
-        }
-    }
-
-    /// Per-event Bernoulli error sampling over `events[from..]`,
-    /// appending typed draws to the scratch error pattern — the Replay
-    /// model, used as the SurvivalSkip fallback once the survival
-    /// prefix underflows (pathologically long / noisy streams only).
-    fn sample_errors_linear(&self, from: usize, rng: &mut StdRng, scratch: &mut ShotScratch) {
-        let TrajectoryPlan {
-            events, error_p, ..
-        } = self.plan;
-        for (pos, &(_, _, ev)) in events.iter().enumerate().skip(from) {
-            match ev {
-                Event::Gate { index } => {
-                    if error_p[index] > 0.0 && rng.gen_bool(error_p[index]) {
-                        let code = self.draw_gate_error_code(index, rng);
-                        scratch.typed_errors.push((pos, code));
-                    }
-                }
-                Event::Idle {
-                    relax_p, dephase_p, ..
-                } => {
-                    let px = relax_p / 4.0;
-                    let py = relax_p / 4.0;
-                    let pz = dephase_p / 2.0;
-                    let u: f64 = rng.gen();
-                    if u < px {
-                        scratch.typed_errors.push((pos, 1));
-                    } else if u < px + py {
-                        scratch.typed_errors.push((pos, 2));
-                    } else if u < px + py + pz {
-                        scratch.typed_errors.push((pos, 3));
-                    }
-                }
-            }
-        }
-    }
-
-    /// The outcome of a shot whose only error is `code` at event
-    /// `pos`, via the per-stream single-error cache: the output
-    /// distribution of such a shot is a pure function of `(pos, code)`,
-    /// so it is evolved once (deterministically, no RNG) into an alias
-    /// table and every later hit samples it with one uniform — O(1),
-    /// exactly the RNG advance a replay's final sample would cost.
-    fn single_error_outcome(
-        &self,
-        pos: usize,
-        code: u8,
-        rng: &mut StdRng,
-        scratch: &mut ShotScratch,
-    ) -> usize {
-        if scratch.single_error_tables.is_empty() {
-            // Cache disabled by the memory gate: replay instead.
-            return self.replay_typed(rng, scratch);
-        }
-        let slot = pos * 16 + code as usize;
-        if scratch.single_error_tables[slot].is_none() {
-            let sv = &mut scratch.state;
-            let start = self.load_prefix(sv, pos);
-            self.evolve_typed(sv, &[(pos, code)], start);
-            scratch.single_error_tables[slot] =
-                Some(AliasTable::from_probabilities(&sv.probabilities()));
-        }
-        scratch.single_error_tables[slot]
-            .as_ref()
-            .expect("just built")
-            .sample_with(rng)
-    }
-
-    /// Replays the stream with the shot's pre-typed error pattern,
-    /// resuming from the prefix snapshot at the first error, and
-    /// samples the resulting state (the one RNG draw of this path).
-    fn replay_typed(&self, rng: &mut StdRng, scratch: &mut ShotScratch) -> usize {
-        let ShotScratch {
-            state,
-            typed_errors,
-            ..
-        } = scratch;
-        let first = typed_errors.first().map_or(0, |&(pos, _)| pos);
-        let start = self.load_prefix(state, first);
-        self.evolve_typed(state, typed_errors, start);
-        state.sample(rng)
-    }
-
-    /// Loads the replay state preceding event `pos` into `sv` and
-    /// returns the event position to resume from: the prefix snapshot
-    /// (resume at `pos`) when snapshots exist, `|0…0⟩` (resume at 0)
-    /// otherwise.
-    fn load_prefix(&self, sv: &mut Statevector, pos: usize) -> usize {
-        match self.snapshots {
-            Some(snap) => {
-                sv.copy_from(&snap.states[snap.gates_before[pos] as usize]);
-                pos
-            }
-            None => {
-                sv.reset_zero();
-                0
-            }
-        }
-    }
-
-    /// Walks `events[start..]` on `sv`, applying every gate and the
-    /// pre-typed errors of `errors` (ascending event positions) at
-    /// their events. Consumes no RNG — shared by the multi-error
-    /// replay and the deterministic single-error cache build.
-    fn evolve_typed(&self, sv: &mut Statevector, errors: &[(usize, u8)], start: usize) {
-        let mut pending = errors.iter().peekable();
-        for (pos, &(_, _, ev)) in self.plan.events.iter().enumerate().skip(start) {
-            match ev {
-                Event::Gate { index } => {
-                    sv.apply(&self.gates[index]);
-                    if let Some(&&(epos, code)) = pending.peek() {
-                        if epos == pos {
-                            pending.next();
-                            apply_typed_gate_error(sv, &self.gates[index], code);
-                        }
-                    }
-                }
-                Event::Idle { q, .. } => {
-                    if let Some(&&(epos, code)) = pending.peek() {
-                        if epos == pos {
-                            pending.next();
-                            apply_pauli(sv, q, int_pauli(code as usize));
-                        }
-                    }
-                }
-            }
-        }
-    }
-
-    /// Replays the event stream on the scratch state, injecting the
-    /// shot's pre-drawn error pattern, and samples the resulting state.
-    /// Shared by both kernels (gate-error Pauli types are drawn here,
-    /// in stream order, under both).
-    fn replay_errors(&self, rng: &mut StdRng, scratch: &mut ShotScratch) -> usize {
-        let TrajectoryPlan { events, .. } = self.plan;
-        let sv = &mut scratch.state;
-        sv.reset_zero();
-        let mut gate_err = scratch.gate_errors.iter().peekable();
-        let mut idle_err = scratch.idle_errors.iter().peekable();
-        for (pos, &(_, _, ev)) in events.iter().enumerate() {
-            match ev {
-                Event::Gate { index } => {
-                    sv.apply(&self.gates[index]);
-                    if gate_err.peek() == Some(&&pos) {
-                        gate_err.next();
-                        apply_gate_error(sv, &self.gates[index], rng);
-                    }
-                }
-                Event::Idle { q, .. } => {
-                    if let Some(&&(epos, pauli)) = idle_err.peek() {
-                        if epos == pos {
-                            idle_err.next();
-                            apply_pauli(sv, q, pauli);
-                        }
-                    }
-                }
-            }
-        }
-        sv.sample(rng)
-    }
-
-    /// Flips each measured bit with its qubit's readout error.
-    fn apply_readout(&self, mut measured: usize, rng: &mut StdRng) -> usize {
-        if self.cfg.readout_noise {
-            for (q, &p) in self.readout_p.iter().enumerate() {
-                if rng.gen_bool(p) {
-                    measured ^= 1 << q;
-                }
-            }
-        }
-        measured
-    }
-
     /// Sharded execution: the shot budget splits into `shards` streams
     /// (as even as possible, earlier shards take the remainder), shard
-    /// `s` is seeded with [`derive_shard_seed`]`(seed, s)`, the shards
-    /// fan out through [`run_indexed_within`] and the per-shard counts
-    /// merge **in shard order** — so the result is a pure function of
-    /// `(seed, shards)`, independent of `threads` and of scheduling.
-    ///
-    /// When `shards > shots` the tail shards carry zero shots; they are
-    /// skipped outright (no seed stream is built, no worker spins up
-    /// for them) — merging an empty shard is a no-op, so the counts
-    /// stay bit-for-bit those of the full shard sweep.
+    /// `s` draws from [`derive_shard_seed`]`(seed, s)`, the draws fan
+    /// out through [`run_indexed_within`], join **in shard order** and
+    /// are evaluated once, over all shards — a pure function of `(seed,
+    /// shards)`, independent of `threads` and of scheduling. Shards
+    /// past the shot count carry no shot and are skipped outright: an
+    /// empty shard draws nothing.
     fn run_sharded(&self, shards: usize, threads: usize) -> Counts {
         let shards = shards.max(1);
         let shots = self.cfg.shots;
@@ -1379,17 +957,18 @@ impl TrajectoryJob<'_> {
         // first `rem` shards got the remainder shot).
         let active = if base == 0 { rem } else { shards };
         let budget = if threads == 0 { core_budget() } else { threads };
-        let partials = run_indexed_within(budget, active, run_work(shots, self.plan), |s| {
-            self.run_stream(
+        let streams = run_indexed_within(budget, active, run_work(shots, self.plan), |s| {
+            self.draw(
                 base + usize::from(s < rem),
                 derive_shard_seed(self.cfg.seed, s),
             )
         });
-        let mut counts = Counts::new(self.width);
-        for partial in &partials {
-            counts.merge(partial);
-        }
-        counts
+        let mut streams = streams.into_iter();
+        let Some(mut drawn) = streams.next() else {
+            return Counts::new(self.width);
+        };
+        streams.for_each(|later| drawn.append(later));
+        self.evaluate(drawn, budget)
     }
 }
 
@@ -1397,54 +976,6 @@ impl TrajectoryJob<'_> {
 /// scheduled events, however the shots are sharded.
 fn run_work(shots: usize, plan: &TrajectoryPlan) -> u64 {
     (shots as u64).saturating_mul(plan.events.len() as u64)
-}
-
-/// Reusable per-stream scratch of the trajectory hot loop.
-struct ShotScratch {
-    /// Event positions whose gate draws an error this shot (Replay).
-    gate_errors: Vec<usize>,
-    /// Event positions whose idle window draws a Pauli this shot
-    /// (Replay).
-    idle_errors: Vec<(usize, Pauli)>,
-    /// `(event position, Pauli code)` error pattern of the shot, in
-    /// ascending position order (SurvivalSkip; codes are 1–15
-    /// two-qubit indices for two-qubit gates, 1–3 X/Y/Z otherwise).
-    typed_errors: Vec<(usize, u8)>,
-    /// Replay statevector for shots that drew at least one error.
-    state: Statevector,
-    /// Lazily built single-error outcome distributions, indexed by
-    /// `position · 16 + code` (SurvivalSkip; empty when the memory
-    /// gate disabled the cache). Each table is a pure function of the
-    /// job, so per-stream rebuilding can never change a count.
-    single_error_tables: Vec<Option<AliasTable>>,
-}
-
-impl ShotScratch {
-    fn new(width: usize) -> Self {
-        ShotScratch {
-            gate_errors: Vec::new(),
-            idle_errors: Vec::new(),
-            typed_errors: Vec::new(),
-            state: Statevector::zero_state(width),
-            single_error_tables: Vec::new(),
-        }
-    }
-
-    /// Scratch for a SurvivalSkip stream: same buffers plus the
-    /// single-error cache, sized `events · 16` slots unless the
-    /// worst-case table storage would exceed
-    /// [`SINGLE_ERROR_CACHE_LIMIT`] entries (then disabled).
-    fn for_survival(width: usize, plan: &TrajectoryPlan) -> Self {
-        let mut scratch = ShotScratch::new(width);
-        let slots = plan.events.len() * 16;
-        if slots
-            .checked_shl(width as u32)
-            .is_some_and(|n| n <= SINGLE_ERROR_CACHE_LIMIT)
-        {
-            scratch.single_error_tables = vec![None; slots];
-        }
-        scratch
-    }
 }
 
 fn validate_layout(circuit: &Circuit, layout: &[usize], device: &Device) -> Result<(), SimError> {
@@ -1485,85 +1016,37 @@ fn validate_layout(circuit: &Circuit, layout: &[usize], device: &Device) -> Resu
     Ok(())
 }
 
-/// A single-qubit Pauli error.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Pauli {
-    X,
-    Y,
-    Z,
+/// A uniformly random Pauli as its X/Y/Z code 1–3 (an `i32` draw, the
+/// width every pinned stream has always consumed).
+fn random_pauli(rng: &mut impl Rng) -> u8 {
+    rng.gen_range(0..3i32) as u8 + 1
 }
 
-fn random_pauli(rng: &mut impl Rng) -> Pauli {
-    match rng.gen_range(0..3) {
-        0 => Pauli::X,
-        1 => Pauli::Y,
-        _ => Pauli::Z,
-    }
-}
-
-fn apply_pauli(sv: &mut Statevector, q: usize, pauli: Pauli) {
-    let gate = match pauli {
-        Pauli::X => Gate::X(q),
-        Pauli::Y => Gate::Y(q),
-        Pauli::Z => Gate::Z(q),
+/// Applies the Pauli with X/Y/Z code `code` to qubit `q`.
+fn apply_pauli(amps: &mut [Complex], q: usize, code: u8) {
+    let gate = match code {
+        1 => Gate::X(q),
+        2 => Gate::Y(q),
+        _ => Gate::Z(q),
     };
-    sv.apply(&gate);
+    kernel::apply(amps, &gate);
 }
 
-/// Applies a depolarizing-style error after `gate`: a uniformly random
-/// non-identity Pauli on a one-qubit gate's operand, or a uniformly
-/// random non-identity two-qubit Pauli on both operands.
-fn apply_gate_error(sv: &mut Statevector, gate: &Gate, rng: &mut impl Rng) {
+/// Applies a depolarizing-style error after `gate`: `code` is a 1–3
+/// X/Y/Z code on a one-qubit gate's operand, or a 1–15 two-qubit Pauli
+/// index (base-4 digit pair, identity-identity excluded) on both.
+fn apply_typed_gate_error(amps: &mut [Complex], gate: &Gate, code: u8) {
     let qs = gate.qubits();
     let qs = qs.as_slice();
     if qs.len() == 1 {
-        apply_pauli(sv, qs[0], random_pauli(rng));
+        apply_pauli(amps, qs[0], code);
     } else {
-        // Uniform over the 15 non-identity two-qubit Paulis.
-        let k = rng.gen_range(1..16);
-        let (a, b) = (k / 4, k % 4);
+        let (a, b) = (code / 4, code % 4);
         if a > 0 {
-            apply_pauli(sv, qs[0], int_pauli(a));
+            apply_pauli(amps, qs[0], a);
         }
         if b > 0 {
-            apply_pauli(sv, qs[1], int_pauli(b));
-        }
-    }
-}
-
-fn int_pauli(i: usize) -> Pauli {
-    match i {
-        1 => Pauli::X,
-        2 => Pauli::Y,
-        _ => Pauli::Z,
-    }
-}
-
-/// The 1–3 code of a single-qubit Pauli (inverse of [`int_pauli`]).
-fn pauli_code(p: Pauli) -> u8 {
-    match p {
-        Pauli::X => 1,
-        Pauli::Y => 2,
-        Pauli::Z => 3,
-    }
-}
-
-/// Applies a pre-typed gate error: `code` is a 1–3 X/Y/Z index for a
-/// one-qubit gate, or a 1–15 two-qubit Pauli index (base-4 digit pair,
-/// identity-identity excluded) for a two-qubit gate — the same error
-/// algebra as [`apply_gate_error`], with the type drawn by the caller.
-fn apply_typed_gate_error(sv: &mut Statevector, gate: &Gate, code: u8) {
-    let qs = gate.qubits();
-    let qs = qs.as_slice();
-    if qs.len() == 1 {
-        apply_pauli(sv, qs[0], int_pauli(code as usize));
-    } else {
-        let (a, b) = ((code / 4) as usize, (code % 4) as usize);
-        if a > 0 {
-            apply_pauli(sv, qs[0], int_pauli(a));
-        }
-        if b > 0 {
-            apply_pauli(sv, qs[1], int_pauli(b));
+            apply_pauli(amps, qs[1], b);
         }
     }
 }
@@ -1989,6 +1472,71 @@ mod tests {
         assert_eq!(pairs, vec![(0, 124), (1, 11), (2, 11), (3, 154)]);
     }
 
+    /// `ghz(5)` plus a `cp`/`swap` layer on a noisy 5-qubit line at
+    /// 2 000 shots: 43 % error shots, a good share of them with several
+    /// errors, two-qubit-gate errors among them.
+    fn wide_pin_counts(kernel: TrajectoryKernel, parallelism: ShotParallelism) -> Vec<usize> {
+        let dev = line_device(5, 0.04, 0.02);
+        let mut c = qucp_circuit::library::ghz(5);
+        c.cp(0, 1, 0.7).swap(1, 2).cp(2, 3, -0.4).swap(3, 4).h(2);
+        let cfg = ExecutionConfig::default()
+            .with_shots(2000)
+            .with_seed(0xC0FFEE)
+            .with_kernel(kernel)
+            .with_parallelism(parallelism);
+        let scaling = NoiseScaling::uniform(c.gate_count());
+        let counts = run_noisy(&c, &trivial_layout(5), &dev, &scaling, &cfg).unwrap();
+        (0..32).map(|outcome| counts.count(outcome)).collect()
+    }
+
+    // The four pins below were generated by the per-shot loop of the
+    // revision before the prefix-tree evaluator (every outcome 0..32 in
+    // order).
+
+    #[test]
+    fn wide_replay_serial_counts_pinned_bit_for_bit() {
+        assert_eq!(
+            wide_pin_counts(TrajectoryKernel::Replay, ShotParallelism::Serial),
+            [
+                302, 32, 30, 15, 332, 36, 21, 28, 31, 5, 10, 24, 34, 5, 8, 29, 26, 9, 9, 21, 29, 6,
+                5, 29, 25, 38, 39, 367, 33, 32, 47, 343
+            ]
+        );
+    }
+
+    #[test]
+    fn wide_replay_sharded_counts_pinned_bit_for_bit() {
+        assert_eq!(
+            wide_pin_counts(TrajectoryKernel::Replay, ShotParallelism::sharded(4)),
+            [
+                355, 28, 44, 24, 313, 36, 31, 24, 21, 6, 8, 27, 35, 9, 9, 23, 35, 1, 4, 29, 27, 6,
+                5, 22, 29, 44, 38, 358, 29, 32, 35, 313
+            ]
+        );
+    }
+
+    #[test]
+    fn wide_survival_skip_serial_counts_pinned_bit_for_bit() {
+        assert_eq!(
+            wide_pin_counts(TrajectoryKernel::SurvivalSkip, ShotParallelism::Serial),
+            [
+                339, 37, 45, 27, 308, 38, 44, 30, 27, 7, 8, 34, 22, 8, 6, 32, 29, 6, 6, 20, 27, 4,
+                4, 23, 22, 39, 39, 343, 36, 36, 37, 317
+            ]
+        );
+    }
+
+    #[test]
+    fn wide_survival_skip_sharded_counts_pinned_bit_for_bit() {
+        assert_eq!(
+            wide_pin_counts(TrajectoryKernel::SurvivalSkip, ShotParallelism::sharded(4)),
+            [
+                329, 32, 43, 18, 336, 31, 39, 23, 27, 5, 6, 23, 25, 6, 5, 24, 33, 8, 7, 24, 31, 7,
+                6, 30, 23, 44, 37, 350, 25, 32, 39, 332
+            ]
+        );
+    }
+
     #[test]
     fn survival_skip_counts_independent_of_thread_count() {
         // The (seed, shards) purity contract holds per kernel: the
@@ -2262,8 +1810,7 @@ mod tests {
         let cfg = ExecutionConfig::default()
             .with_shots(64)
             .with_kernel(TrajectoryKernel::SurvivalSkip);
-        // 10 qubits x 28 gate events: 29 * 2^10 snapshot amplitudes,
-        // past the retention gate — rebuilt per run, never kept.
+        // 10 qubits x 28 gate events.
         let mut wide = Circuit::new(10);
         for _ in 0..3 {
             wide.h(0);
@@ -2280,18 +1827,15 @@ mod tests {
             counts,
             run_noisy(&wide, &layout, &dev, &scaling, &cfg).unwrap()
         );
-        let tables = prepared.survival.get().expect("SurvivalSkip built them");
-        assert!(tables.snapshots.is_none());
+        assert!(prepared.survival.get().is_some(), "SurvivalSkip built them");
         assert_eq!(prepared.retained_bytes(), before, "the bound is shape-only");
         // State + alias table dominate: 2^10 * 28 B, plus the stream.
         assert!(before < 64 * 1024, "retains {before} B");
 
-        // A small job keeps its snapshots and counts them in the bound.
         let small =
             PreparedJob::prepare(&bell(), &[0, 1], &dev, &NoiseScaling::uniform(2), &[], &cfg)
                 .unwrap();
         small.run(&bell(), &cfg);
-        assert!(small.survival.get().expect("built").snapshots.is_some());
         assert!(small.retained_bytes() < 1024);
     }
 

@@ -1,0 +1,370 @@
+//! The differential suite: the draw/evaluate engine == the per-shot
+//! oracle ([`super::oracle`]), every count of every run, over random
+//! mapped jobs × both kernels × every shot mode × the three noise flags
+//! × few and many shots × worker budgets, plus named cases so that a
+//! regression names itself.
+
+use std::cell::Cell;
+
+use proptest::prelude::*;
+use qucp_circuit::{Circuit, Gate};
+use qucp_device::{Calibration, CrosstalkModel, Device, NoiseProfile, Topology};
+
+use super::{
+    oracle, single_error_alias, trivial_layout, Event, ExecutionConfig, NoiseScaling, PreparedJob,
+    ShotParallelism, TrajectoryKernel,
+};
+
+thread_local! {
+    /// Gates applied and level pools allocated by this thread's
+    /// evaluators (bumped by `evaluate.rs` in test builds): work is
+    /// counted with them, not with the wall clock.
+    pub(super) static GATES_APPLIED: Cell<u64> = const { Cell::new(0) };
+    pub(super) static POOLS_ALLOCATED: Cell<u64> = const { Cell::new(0) };
+}
+
+const KERNELS: [TrajectoryKernel; 2] = [TrajectoryKernel::Replay, TrajectoryKernel::SurvivalSkip];
+
+/// A mapped job (trivial layout) with the part of a config that is not
+/// swept: noise flags, shots, seed.
+#[derive(Debug)]
+struct Case {
+    device: Device,
+    circuit: Circuit,
+    scaling: NoiseScaling,
+    tail_idle: Vec<f64>,
+    cfg: ExecutionConfig,
+}
+
+impl Case {
+    fn prepare(&self) -> PreparedJob {
+        let layout = trivial_layout(self.circuit.width());
+        PreparedJob::prepare(
+            &self.circuit,
+            &layout,
+            &self.device,
+            &self.scaling,
+            &self.tail_idle,
+            &self.cfg,
+        )
+        .expect("the case is executable on its device")
+    }
+
+    /// Asserts engine == oracle under `kernel` and `parallelism`.
+    fn check(&self, prepared: &PreparedJob, kernel: TrajectoryKernel, mode: ShotParallelism) {
+        let cfg = self.cfg.with_kernel(kernel).with_parallelism(mode);
+        assert_eq!(
+            prepared.run(&self.circuit, &cfg),
+            oracle::run(prepared, &self.circuit, &cfg),
+            "{kernel:?} {mode:?} on {self:?}"
+        );
+    }
+}
+
+/// Line and grid chips with a synthesized (uneven) calibration whose
+/// gate, readout and idle errors range from none to heavy.
+fn chip(shape: usize, seed: u64, noise: (f64, f64, f64)) -> Device {
+    let topology = match shape {
+        0 => Topology::line(2),
+        1 => Topology::line(3),
+        2 => Topology::line(5),
+        3 => Topology::grid(2, 2),
+        _ => Topology::grid(2, 3),
+    };
+    let (cx, readout, coherence_ns) = noise;
+    let profile = NoiseProfile {
+        cx_error: (0.0, cx.max(1e-9)),
+        sq_error: (0.0, (cx / 4.0).max(1e-9)),
+        readout_error: (0.0, readout.max(1e-9)),
+        t1: (coherence_ns, 2.0 * coherence_ns),
+        t2: (coherence_ns / 2.0, 2.0 * coherence_ns),
+        ..NoiseProfile::default()
+    };
+    let calibration = Calibration::synthesize(&topology, seed, &profile);
+    Device::new("chip", topology, calibration, CrosstalkModel::none())
+}
+
+/// One- and two-qubit gates, the latter on coupling links only.
+fn gate(device: &Device, kind: usize, at: usize, angle: f64) -> Gate {
+    let links = device.topology().links();
+    let q = at % device.num_qubits();
+    let (a, b) = links[at % links.len()].endpoints();
+    match kind {
+        0 => Gate::H(q),
+        1 => Gate::X(q),
+        2 => Gate::Sx(q),
+        3 => Gate::T(q),
+        4 => Gate::Ry(q, angle),
+        5 => Gate::U(q, angle, 0.3, -angle),
+        6 => Gate::Cx(a, b),
+        7 => Gate::Cx(b, a),
+        8 => Gate::Cz(a, b),
+        9 => Gate::Cp(b, a, angle),
+        _ => Gate::Swap(a, b),
+    }
+}
+
+fn arb_case() -> impl Strategy<Value = Case> {
+    let device = (0usize..5, 0u64..1 << 20);
+    // Coherence from 2 µs (an idle window errs every few shots) up.
+    let noise = (0.0..0.3f64, 0.0..0.2f64, 2_000.0..200_000.0f64);
+    let gates = proptest::collection::vec((0usize..11, 0usize..64, -3.2..3.2f64), 0..28);
+    let run = (0usize..8, 0usize..4, 0u64..1 << 20, 0.0..4_000.0f64);
+    (device, noise, gates, run).prop_map(|((shape, cal_seed), noise, gates, run)| {
+        let device = chip(shape, cal_seed, noise);
+        let mut circuit = Circuit::new(device.num_qubits());
+        for (kind, at, angle) in gates {
+            circuit.push(gate(&device, kind, at, angle));
+        }
+        let (flags, shots, seed, tail) = run;
+        let mut scaling = NoiseScaling::uniform(circuit.gate_count());
+        if circuit.gate_count() > 0 {
+            // One crosstalk-amplified gate, as the parallel executor
+            // would hand over.
+            scaling.amplify(seed as usize % circuit.gate_count(), 3.0);
+        }
+        Case {
+            tail_idle: (0..circuit.width())
+                .map(|q| tail * (q % 2) as f64)
+                .collect(),
+            cfg: ExecutionConfig {
+                shots: [1, 8, 300, 2048][shots],
+                seed,
+                gate_noise: flags & 1 != 0,
+                readout_noise: flags & 2 != 0,
+                idle_noise: flags & 4 != 0,
+                ..ExecutionConfig::default()
+            },
+            device,
+            circuit,
+            scaling,
+        }
+    })
+}
+
+/// Every shot mode under both kernels; the level bound at its minimum
+/// once per kernel.
+fn engine_matches_the_oracle(case: &Case) {
+    let prepared = case.prepare();
+    for kernel in KERNELS {
+        case.check(&prepared, kernel, ShotParallelism::Serial);
+        case.check(&prepared, kernel, ShotParallelism::Auto);
+        for shards in [1, 3, 16] {
+            for threads in [1, 2, 4] {
+                case.check(
+                    &prepared,
+                    kernel,
+                    ShotParallelism::Sharded { shards, threads },
+                );
+            }
+        }
+        let cfg = case.cfg.with_kernel(kernel);
+        assert_eq!(
+            prepared.run_within(&case.circuit, &cfg, 0),
+            prepared.run(&case.circuit, &cfg),
+            "{kernel:?}, two levels, on {case:?}"
+        );
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    #[test]
+    fn engine_matches_the_per_shot_oracle(case in arb_case()) {
+        engine_matches_the_oracle(&case);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(640))]
+
+    /// The same property at CI depth (`cargo test --release -p
+    /// qucp-sim -- --ignored`).
+    #[test]
+    #[ignore = "long run; a CI step"]
+    fn engine_matches_the_per_shot_oracle_at_depth(case in arb_case()) {
+        engine_matches_the_oracle(&case);
+    }
+}
+
+/// A hand-built case on a uniform line chip.
+fn line_case(circuit: Circuit, cx_error: f64, readout_error: f64, cfg: ExecutionConfig) -> Case {
+    let topology = Topology::line(circuit.width());
+    let calibration = Calibration::uniform(&topology, cx_error, cx_error / 10.0, readout_error);
+    Case {
+        device: Device::new("line", topology, calibration, CrosstalkModel::none()),
+        scaling: NoiseScaling::uniform(circuit.gate_count()),
+        tail_idle: Vec::new(),
+        circuit,
+        cfg,
+    }
+}
+
+/// `h(0)` and a CNOT chain repeated until the circuit has `gates` gates.
+fn ladder(width: usize, gates: usize) -> Circuit {
+    let mut c = Circuit::new(width);
+    let mut layer = (0..width).cycle();
+    while c.gate_count() < gates {
+        match layer.next() {
+            Some(0) => c.h(0),
+            Some(q) => c.cx(q - 1, q),
+            None => unreachable!("cycle never ends"),
+        };
+    }
+    c
+}
+
+/// What this thread's evaluators did while `run` ran: gates applied,
+/// level pools allocated.
+fn probe<T>(run: impl FnOnce() -> T) -> (T, u64, u64) {
+    let before = (GATES_APPLIED.get(), POOLS_ALLOCATED.get());
+    let out = run();
+    (
+        out,
+        GATES_APPLIED.get() - before.0,
+        POOLS_ALLOCATED.get() - before.1,
+    )
+}
+
+#[test]
+fn an_all_clean_stream_allocates_no_state() {
+    // Every noise channel off: no shot draws an error, under either
+    // kernel, so no evaluator is built. The same job with noise on
+    // builds exactly one (Serial runs on the calling thread).
+    let mut cfg = ExecutionConfig::default().with_shots(300).with_seed(9);
+    let noisy = line_case(ladder(4, 12), 0.05, 0.02, cfg);
+    (cfg.gate_noise, cfg.idle_noise, cfg.readout_noise) = (false, false, false);
+    let clean = line_case(ladder(4, 12), 0.05, 0.02, cfg);
+    for kernel in KERNELS {
+        let prepared = clean.prepare();
+        let (_, gates, pools) = probe(|| clean.check(&prepared, kernel, ShotParallelism::Serial));
+        assert_eq!((gates, pools), (0, 0), "{kernel:?}");
+        let prepared = noisy.prepare();
+        let (_, gates, pools) = probe(|| noisy.check(&prepared, kernel, ShotParallelism::Serial));
+        assert!(
+            gates > 0 && pools == 1,
+            "{kernel:?}: {gates} gates, {pools} pools"
+        );
+    }
+}
+
+#[test]
+fn identical_patterns_apply_every_gate_once() {
+    // Gate noise off, one idle window, T1 so long that the window can
+    // only dephase: every error shot draws the pattern [(window, Z)].
+    // The tree is the root and one child that inherits its buffer, so
+    // the whole run applies each of the three gates once.
+    let topology = Topology::line(3);
+    let profile = NoiseProfile {
+        t1: (1e30, 2e30),
+        t2: (400.0, 401.0),
+        ..NoiseProfile::default()
+    };
+    let mut cfg = ExecutionConfig::default().with_shots(300).with_seed(4);
+    cfg.gate_noise = false;
+    let mut circuit = Circuit::new(3);
+    circuit.h(0).cx(0, 1).cx(1, 2);
+    let case = Case {
+        device: Device::new(
+            "dephasing",
+            topology.clone(),
+            Calibration::synthesize(&topology, 1, &profile),
+            CrosstalkModel::none(),
+        ),
+        scaling: NoiseScaling::uniform(3),
+        tail_idle: Vec::new(),
+        circuit,
+        cfg,
+    };
+    let prepared = case.prepare();
+    let is_idle = |(_, _, ev): &(f64, u8, Event)| matches!(ev, Event::Idle { .. });
+    assert_eq!(
+        prepared.plan.events.iter().filter(|e| is_idle(e)).count(),
+        1
+    );
+    let clean = *prepared.plan.survival.last().unwrap();
+    assert!(
+        (0.3..0.9).contains(&clean),
+        "clean-shot probability {clean}"
+    );
+    for kernel in KERNELS {
+        let (_, gates, pools) = probe(|| case.check(&prepared, kernel, ShotParallelism::Serial));
+        assert_eq!((gates, pools), (3, 1), "{kernel:?}");
+    }
+}
+
+#[test]
+fn capped_errors_with_an_underflowing_survival_prefix() {
+    // 600 CNOTs amplified to the 0.75 cap: 0.25^600 underflows, so
+    // SurvivalSkip finishes every shot through its linear fallback and
+    // a shot carries ~450 errors.
+    let mut cfg = ExecutionConfig::default().with_shots(12).with_seed(21);
+    cfg.idle_noise = false;
+    let mut case = line_case(ladder(2, 600), 0.3, 0.02, cfg);
+    for gate in 0..600 {
+        case.scaling.amplify(gate, 1e9);
+    }
+    let prepared = case.prepare();
+    assert_eq!(*prepared.plan.survival.last().unwrap(), 0.0);
+    for kernel in KERNELS {
+        case.check(&prepared, kernel, ShotParallelism::Serial);
+        case.check(&prepared, kernel, ShotParallelism::sharded(5));
+    }
+}
+
+#[test]
+fn more_shards_than_shots() {
+    let cfg = ExecutionConfig::default().with_shots(10).with_seed(2);
+    let case = line_case(ladder(3, 9), 0.2, 0.05, cfg);
+    let prepared = case.prepare();
+    for kernel in KERNELS {
+        for shards in [11, 64, 1000] {
+            case.check(&prepared, kernel, ShotParallelism::sharded(shards));
+        }
+    }
+}
+
+#[test]
+fn both_sides_of_the_single_error_alias_rule() {
+    // Ten qubits, idle noise off (events == gates): 256 events sit on
+    // the rule's limit (alias table), 257 past it (CDF walk). Low gate
+    // error, so most error shots carry one error and meet the rule.
+    assert!(single_error_alias(256, 10) && !single_error_alias(257, 10));
+    let mut cfg = ExecutionConfig::default().with_shots(160).with_seed(33);
+    cfg.idle_noise = false;
+    for gates in [256, 257] {
+        let case = line_case(ladder(10, gates), 0.004, 0.01, cfg);
+        let prepared = case.prepare();
+        assert_eq!(prepared.plan.events.len(), gates);
+        for kernel in KERNELS {
+            case.check(&prepared, kernel, ShotParallelism::Serial);
+            case.check(&prepared, kernel, ShotParallelism::sharded(3));
+        }
+    }
+}
+
+#[test]
+fn two_levels_give_the_counts_of_an_unbounded_pool() {
+    // A branching tree (2 000 shots, four in ten with errors, many
+    // shared prefixes) under the minimum bound, root + one branch:
+    // same counts, more gate applications than the unbounded walk,
+    // fewer than a replay per shot.
+    let cfg = ExecutionConfig::default().with_shots(2000).with_seed(8);
+    let case = line_case(ladder(5, 20), 0.03, 0.02, cfg);
+    let prepared = case.prepare();
+    for kernel in KERNELS {
+        let cfg = cfg.with_kernel(kernel);
+        let expected = oracle::run(&prepared, &case.circuit, &cfg);
+        let (free, free_gates, _) = probe(|| prepared.run(&case.circuit, &cfg));
+        let (bounded, bounded_gates, _) = probe(|| prepared.run_within(&case.circuit, &cfg, 0));
+        assert_eq!(free, expected, "{kernel:?}");
+        assert_eq!(bounded, expected, "{kernel:?}");
+        let error_shots = (2000.0 * (1.0 - prepared.plan.survival.last().unwrap())) as u64;
+        assert!(
+            free_gates < bounded_gates && bounded_gates < error_shots * 20,
+            "{kernel:?}: {free_gates} unbounded, {bounded_gates} at two levels, \
+             {error_shots} error shots of 20 gates"
+        );
+    }
+}

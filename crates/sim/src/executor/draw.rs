@@ -1,0 +1,288 @@
+//! The draw pass: one sequential walk over a stream's `StdRng` fixes
+//! everything random about every shot — the typed error pattern, the
+//! outcome uniform and the readout flips — before any state is touched.
+
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
+
+use super::{random_pauli, Event, TrajectoryJob, TrajectoryKernel, TrajectoryPlan};
+use crate::counts::Counts;
+
+/// One error of a shot's pattern, packed `position · 16 + code` so that
+/// patterns compare as plain integer slices: the event position (below
+/// 2^28, `PreparedJob::run` checks) and the Pauli it suffers — 1–3 for
+/// X/Y/Z on a one-qubit gate or an idle window, a 1–15 base-4 digit
+/// pair on a two-qubit gate.
+pub(super) type ErrorKey = u32;
+
+fn pack(pos: usize, code: u8) -> ErrorKey {
+    (pos as ErrorKey) << 4 | ErrorKey::from(code)
+}
+
+pub(super) fn unpack(key: ErrorKey) -> (usize, u8) {
+    ((key >> 4) as usize, (key & 0xF) as u8)
+}
+
+/// Code of a `Replay` gate error whose type is not drawn yet (no typed
+/// error carries it: Pauli codes start at 1).
+const UNTYPED: u8 = 0;
+
+/// A shot that drew at least one error, waiting for its state.
+#[derive(Clone, Copy)]
+pub(super) struct ErrorShot {
+    /// The uniform that picks the outcome from the shot's final state.
+    pub u: f64,
+    /// Where the shot's pattern starts in the stream's arena.
+    pub start: usize,
+    /// Errors in the pattern (at least one), ascending by position.
+    pub len: u32,
+    /// Readout flips, XOR-ed onto the sampled outcome.
+    pub mask: u32,
+}
+
+/// What the draw pass of one stream leaves behind.
+pub(super) struct Drawn {
+    /// The clean shots, resolved on the spot.
+    pub counts: Counts,
+    /// The error shots, in draw order.
+    pub shots: Vec<ErrorShot>,
+    /// The arena the error shots' patterns live in.
+    pub patterns: Vec<ErrorKey>,
+}
+
+impl Drawn {
+    /// Appends a later stream's draws: counts merge, the shots move
+    /// behind this stream's with their patterns.
+    pub(super) fn append(&mut self, later: Drawn) {
+        self.counts.merge(&later.counts);
+        let base = self.patterns.len();
+        self.patterns.extend_from_slice(&later.patterns);
+        self.shots.extend(later.shots.iter().map(|shot| ErrorShot {
+            start: shot.start + base,
+            ..*shot
+        }));
+    }
+}
+
+/// The Pauli code an idle window's uniform `u` selects, if any: X and Y
+/// each with `relax_p / 4`, Z with `dephase_p / 2` (Pauli-twirled
+/// thermal noise).
+fn idle_pauli(u: f64, relax_p: f64, dephase_p: f64) -> Option<u8> {
+    let px = relax_p / 4.0;
+    let py = relax_p / 4.0;
+    let pz = dephase_p / 2.0;
+    if u < px {
+        Some(1)
+    } else if u < px + py {
+        Some(2)
+    } else if u < px + py + pz {
+        Some(3)
+    } else {
+        None
+    }
+}
+
+/// Jumps from hit to hit through the prefix survival products `surv`
+/// of `surv.len() - 1` independent chances: one uniform + binary search
+/// per hit, one last uniform to certify the clean tail. With `target`
+/// uniform on `(0, surv[from]]` the next hit sits where the prefix
+/// first drops below it — `P(hit at i) = (surv[i] − surv[i+1]) /
+/// surv[from]`, `P(none) = tail / surv[from]`, the per-chance Bernoulli
+/// model given a clean prefix. Returns the position from which the
+/// products have underflowed and the caller draws per chance, if any.
+fn survival_jumps(
+    surv: &[f64],
+    rng: &mut StdRng,
+    mut hit: impl FnMut(usize, &mut StdRng),
+) -> Option<usize> {
+    let chances = surv.len() - 1;
+    let tail = surv[chances];
+    let mut from = 0usize;
+    while from < chances {
+        let s_from = surv[from];
+        if s_from <= f64::MIN_POSITIVE {
+            return Some(from);
+        }
+        let u: f64 = rng.gen();
+        let target = (1.0 - u) * s_from;
+        if tail >= target {
+            break;
+        }
+        let pos = from + surv[from + 1..].partition_point(|&s| s >= target);
+        hit(pos, rng);
+        from = pos + 1;
+    }
+    None
+}
+
+impl TrajectoryJob<'_> {
+    /// Draws one sequential stream of `shots` trajectories from `seed`:
+    /// per shot the kernel's error pattern, the outcome uniform, the
+    /// readout flips. A clean shot is recorded at once, an error shot
+    /// kept for [`TrajectoryJob::evaluate`]. Patterns are drawn straight
+    /// into the arena; nothing is allocated before the first error.
+    pub(super) fn draw(&self, shots: usize, seed: u64) -> Drawn {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut counts = Counts::new(self.width);
+        let (mut errors, mut patterns) = (Vec::new(), Vec::new());
+        for left in (1..=shots).rev() {
+            let start = patterns.len();
+            match self.cfg.kernel {
+                TrajectoryKernel::Replay => self.draw_replay(&mut rng, &mut patterns),
+                TrajectoryKernel::SurvivalSkip => self.draw_survival(&mut rng, &mut patterns),
+            }
+            let u: f64 = rng.gen();
+            let mask = self.readout_mask(&mut rng);
+            let len = patterns.len() - start;
+            if len == 0 {
+                let ideal = match self.tables {
+                    Some(tables) => tables.alias.sample(u),
+                    None => self.ideal.sample_at(u),
+                };
+                counts.record(ideal ^ mask);
+                continue;
+            }
+            if errors.capacity() == 0 {
+                // Both buffers are sized once, for what the later shots
+                // should draw (a shot's errors ≤ min(Σ −ln(1 − p_e), events)).
+                let clean = *self.plan.survival.last().expect("survival is never empty");
+                let mean = (-clean.ln()).min(self.plan.events.len() as f64);
+                let later = (left - 1) as f64;
+                errors.reserve_exact(1 + (later * (1.0 - clean)).ceil() as usize);
+                patterns.reserve_exact((later * mean).ceil() as usize);
+            }
+            errors.push(ErrorShot {
+                u,
+                start,
+                len: len as u32,
+                mask: mask as u32,
+            });
+        }
+        let shots = errors;
+        Drawn {
+            counts,
+            shots,
+            patterns,
+        }
+    }
+
+    /// One draw per event of `events[from..]` in stream order: a
+    /// Bernoulli per noisy gate, one uniform per idle window (it also
+    /// fixes the Pauli). A gate error is `typed` on the spot or [`UNTYPED`].
+    fn draw_per_event(
+        &self,
+        from: usize,
+        typed: bool,
+        rng: &mut StdRng,
+        arena: &mut Vec<ErrorKey>,
+    ) {
+        let TrajectoryPlan {
+            events, error_p, ..
+        } = self.plan;
+        for (pos, &(_, _, ev)) in events.iter().enumerate().skip(from) {
+            let code = match ev {
+                Event::Gate { index } => (error_p[index] > 0.0 && rng.gen_bool(error_p[index]))
+                    .then(|| {
+                        if typed {
+                            self.draw_gate_error_code(index, rng)
+                        } else {
+                            UNTYPED
+                        }
+                    }),
+                Event::Idle {
+                    relax_p, dephase_p, ..
+                } => idle_pauli(rng.gen(), relax_p, dephase_p),
+            };
+            if let Some(code) = code {
+                arena.push(pack(pos, code));
+            }
+        }
+    }
+
+    /// `Replay`'s pattern: one draw per event, then one type draw per
+    /// *gate* error in ascending position.
+    fn draw_replay(&self, rng: &mut StdRng, arena: &mut Vec<ErrorKey>) {
+        let start = arena.len();
+        self.draw_per_event(0, false, rng, arena);
+        for key in &mut arena[start..] {
+            let (pos, code) = unpack(*key);
+            if code != UNTYPED {
+                continue;
+            }
+            let Event::Gate { index } = self.plan.events[pos].2 else {
+                unreachable!("only gate errors wait for their type");
+            };
+            let code = if self.gates[index].is_two_qubit() {
+                // Uniform over the 15 non-identity two-qubit Paulis,
+                // drawn as a `usize`: the vendored sampler consumes the
+                // stream differently per integer width, and this is the
+                // width the pinned Replay stream has always drawn
+                // (SurvivalSkip's is `i32`, see `draw_gate_error_code`).
+                rng.gen_range(1..16usize) as u8
+            } else {
+                random_pauli(rng)
+            };
+            *key = pack(pos, code);
+        }
+    }
+
+    /// `SurvivalSkip`'s pattern: jump from error to error through the
+    /// plan's survival products, drawing each error's Pauli on the spot;
+    /// once the products underflow (pathologically long or noisy streams
+    /// only) the rest is drawn per event. [`TrajectoryJob::draw_replay`]'s
+    /// distribution, another RNG stream.
+    fn draw_survival(&self, rng: &mut StdRng, arena: &mut Vec<ErrorKey>) {
+        let underflow = survival_jumps(&self.plan.survival, rng, |pos, rng| {
+            let code = match self.plan.events[pos].2 {
+                Event::Gate { index } => self.draw_gate_error_code(index, rng),
+                Event::Idle {
+                    relax_p, dephase_p, ..
+                } => {
+                    // The Pauli conditioned on the window erroring;
+                    // rounding can land the scaled draw on the total,
+                    // which is a Z like everything past X and Y.
+                    let total = relax_p / 4.0 + relax_p / 4.0 + dephase_p / 2.0;
+                    idle_pauli(rng.gen::<f64>() * total, relax_p, dephase_p).unwrap_or(3)
+                }
+            };
+            arena.push(pack(pos, code));
+        });
+        if let Some(from) = underflow {
+            self.draw_per_event(from, true, rng, arena);
+        }
+    }
+
+    /// The Pauli code of a `SurvivalSkip` error at gate `index`: uniform
+    /// over X/Y/Z or over the 15 non-identity two-qubit Paulis — drawn
+    /// as an `i32`, the width this kernel's pinned stream always used.
+    fn draw_gate_error_code(&self, index: usize, rng: &mut StdRng) -> u8 {
+        if self.gates[index].is_two_qubit() {
+            rng.gen_range(1..16i32) as u8
+        } else {
+            random_pauli(rng)
+        }
+    }
+
+    /// The readout flips of one shot as an XOR mask over the measured
+    /// bits: `SurvivalSkip` jumps from flipped bit to flipped bit through
+    /// its readout survival products — typically one uniform per shot;
+    /// `Replay`, and both past an underflow, draw a Bernoulli per qubit.
+    fn readout_mask(&self, rng: &mut StdRng) -> usize {
+        let mut mask = 0usize;
+        if !self.cfg.readout_noise {
+            return mask;
+        }
+        let per_qubit_from = match self.tables.and_then(|t| t.readout_survival.as_deref()) {
+            Some(surv) => survival_jumps(surv, rng, |q, _| mask ^= 1 << q),
+            None => Some(0),
+        };
+        // Without an underflow the jumps covered every qubit.
+        let from = per_qubit_from.unwrap_or(self.width);
+        for (q, &p) in self.readout_p.iter().enumerate().skip(from) {
+            if rng.gen_bool(p) {
+                mask ^= 1 << q;
+            }
+        }
+        mask
+    }
+}

@@ -1,0 +1,200 @@
+//! The evaluate pass: the drawn error shots, sorted by pattern, are the
+//! leaves of a prefix tree, and a depth-first walk evolves each distinct
+//! error prefix once instead of once per shot (Li, Ding & Xie,
+//! "Eliminating redundant computation in noisy quantum computing
+//! simulation", DAC 2020 — exact for this noise model), by the same
+//! gates and Paulis in the same order as a per-shot replay from `|0…0⟩`.
+
+use super::draw::{unpack, Drawn, ErrorKey, ErrorShot};
+use super::{apply_pauli, apply_typed_gate_error, run_work, Event, TrajectoryJob};
+use crate::alias::AliasTable;
+use crate::counts::Counts;
+use crate::fanout::{run_indexed_within, workers_for};
+use crate::math::Complex;
+use crate::state::kernel;
+
+impl TrajectoryJob<'_> {
+    /// Resolves the error shots of `drawn` into its counts on at most
+    /// `budget` workers: the sorted shots are cut into one contiguous
+    /// run per worker, each walked as a prefix tree of its own (own level
+    /// pool, counts merged). A shot's outcome is a function of its own
+    /// pattern, uniform and mask, so no cut or worker count moves a count.
+    pub(super) fn evaluate(&self, drawn: Drawn, budget: usize) -> Counts {
+        let (mut counts, mut shots, patterns) = (drawn.counts, drawn.shots, drawn.patterns);
+        if shots.is_empty() {
+            return counts;
+        }
+        let pattern = |shot: &ErrorShot| &patterns[shot.start..shot.start + shot.len as usize];
+        // In place; equal patterns may land in any order (counts commute).
+        shots.sort_unstable_by(|a, b| pattern(a).cmp(pattern(b)));
+        let work = run_work(shots.len(), self.plan);
+        let workers = workers_for(budget, shots.len(), work);
+        if workers == 1 {
+            // Straight into the clean shots' counts: a one-task fan-out
+            // would allocate a result vector and a second histogram.
+            Evaluator::walk(self, &patterns, &shots, &mut counts);
+            return counts;
+        }
+        let runs: Vec<&[ErrorShot]> = shots.chunks(shots.len().div_ceil(workers)).collect();
+        let partials = run_indexed_within(budget, runs.len(), work, |w| {
+            let mut partial = Counts::new(self.width);
+            Evaluator::walk(self, &patterns, runs[w], &mut partial);
+            partial
+        });
+        for partial in &partials {
+            counts.merge(partial);
+        }
+        counts
+    }
+}
+
+/// One worker's walk over a sorted run of error shots.
+struct Evaluator<'a> {
+    job: &'a TrajectoryJob<'a>,
+    patterns: &'a [ErrorKey],
+    /// The level stack in one allocation, `2^width` amplitudes a level:
+    /// level 0 is the root, which walks the ideal event stream forward
+    /// once; a deeper level holds the error prefix its subtree shares.
+    pool: Vec<Complex>,
+    counts: &'a mut Counts,
+}
+
+impl<'a> Evaluator<'a> {
+    /// Evaluates `shots` (sorted, not empty) from `|0…0⟩` into `counts`.
+    fn walk(
+        job: &'a TrajectoryJob<'a>,
+        patterns: &'a [ErrorKey],
+        shots: &[ErrorShot],
+        counts: &'a mut Counts,
+    ) {
+        #[cfg(test)]
+        super::differential::POOLS_ALLOCATED.with(|n| n.set(n.get() + 1));
+        let dim = 1usize << job.width;
+        // One shot stays in the root's buffer, more almost always fork once.
+        let mut pool = Vec::with_capacity(dim * shots.len().min(2));
+        pool.resize(dim, Complex::zero());
+        pool[0] = Complex::one();
+        let mut evaluator = Evaluator {
+            job,
+            patterns,
+            pool,
+            counts,
+        };
+        evaluator.node(shots, 0, 0, 0);
+    }
+
+    fn level(&mut self, level: usize) -> &mut [Complex] {
+        let dim = 1usize << self.job.width;
+        &mut self.pool[level * dim..(level + 1) * dim]
+    }
+
+    /// Walks the subtree of `shots`, which share their first `depth`
+    /// errors; `level` holds that prefix's state right before event
+    /// `cursor`. Children are visited in ascending `(position, code)`:
+    /// the node's state advances through the child's event, is copied
+    /// one level down and struck with the child's Pauli there. The last
+    /// child of a node no shot ends at inherits the node's buffer instead
+    /// (a lone error shot, however many errors, uses one state). Shots
+    /// ending at the node are sampled from its final state, last.
+    fn node(&mut self, mut shots: &[ErrorShot], mut depth: usize, level: usize, mut cursor: usize) {
+        let patterns = self.patterns;
+        let pattern = |shot: &ErrorShot| &patterns[shot.start..shot.start + shot.len as usize];
+        loop {
+            let (done, mut rest) =
+                shots.split_at(shots.partition_point(|shot| shot.len as usize == depth));
+            let mut heir = None;
+            while let Some(first) = rest.first() {
+                let key = patterns[first.start + depth];
+                let (group, later) =
+                    rest.split_at(rest.partition_point(|shot| patterns[shot.start + depth] == key));
+                let next = unpack(key).0 + 1;
+                self.advance(level, cursor, next);
+                cursor = next;
+                if done.is_empty() && later.is_empty() {
+                    self.strike(level, key);
+                    heir = Some(group);
+                } else if level + 2 < self.job.max_levels {
+                    self.fork(level, key);
+                    self.node(group, depth + 1, level + 1, cursor);
+                } else {
+                    // The level bound: the child may not fork again, so
+                    // it gets the group one run of equal patterns at a
+                    // time — a chain, which lives in one buffer — each
+                    // from a fresh copy of this deepest shared state.
+                    for run in group.chunk_by(|a, b| pattern(a) == pattern(b)) {
+                        self.fork(level, key);
+                        self.node(run, depth + 1, level + 1, cursor);
+                    }
+                }
+                rest = later;
+            }
+            match heir {
+                Some(group) => {
+                    shots = group;
+                    depth += 1;
+                }
+                None => {
+                    self.advance(level, cursor, self.job.plan.events.len());
+                    return self.sample(level, done, depth);
+                }
+            }
+        }
+    }
+
+    /// Applies the ideal gates of events `from..to` to `level`.
+    fn advance(&mut self, level: usize, from: usize, to: usize) {
+        let job = self.job;
+        let amps = self.level(level);
+        for &(_, _, ev) in &job.plan.events[from..to] {
+            if let Event::Gate { index } = ev {
+                kernel::apply(amps, &job.gates[index]);
+                #[cfg(test)]
+                super::differential::GATES_APPLIED.with(|n| n.set(n.get() + 1));
+            }
+        }
+    }
+
+    /// Applies the error `key` to `level`, which has just advanced
+    /// through the error's event.
+    fn strike(&mut self, level: usize, key: ErrorKey) {
+        let job = self.job;
+        let amps = self.level(level);
+        let (pos, code) = unpack(key);
+        match job.plan.events[pos].2 {
+            Event::Gate { index } => apply_typed_gate_error(amps, &job.gates[index], code),
+            Event::Idle { q, .. } => apply_pauli(amps, q, code),
+        }
+    }
+
+    /// Copies `level` one level down and strikes the copy with `key`.
+    fn fork(&mut self, level: usize, key: ErrorKey) {
+        let dim = 1usize << self.job.width;
+        let (from, to) = (level * dim, (level + 1) * dim);
+        if self.pool.len() == to {
+            self.pool.extend_from_within(from..to);
+        } else {
+            self.pool.copy_within(from..to, to);
+        }
+        self.strike(level + 1, key);
+    }
+
+    /// Samples the shots whose pattern ends at this node from `level`'s
+    /// final state, each with its recorded uniform: through the node's
+    /// alias table for `SurvivalSkip` single-error shots under
+    /// [`single_error_alias`](super::single_error_alias), else the CDF.
+    fn sample(&mut self, level: usize, shots: &[ErrorShot], depth: usize) {
+        let dim = 1usize << self.job.width;
+        let amps = &self.pool[level * dim..(level + 1) * dim];
+        let table = (depth == 1 && self.job.alias_single_errors).then(|| {
+            let probabilities: Vec<f64> = amps.iter().map(|a| a.norm_sqr()).collect();
+            AliasTable::from_probabilities(&probabilities)
+        });
+        for shot in shots {
+            let outcome = match &table {
+                Some(table) => table.sample(shot.u),
+                None => kernel::sample_at(amps, shot.u),
+            };
+            self.counts.record(outcome ^ shot.mask as usize);
+        }
+    }
+}

@@ -2,8 +2,9 @@
 //! return their results in index order, on the calling thread alone
 //! unless extra threads pay for themselves.
 //!
-//! Every parallel site of the workspace — the shards of one job's shot
-//! budget, the programs of one batch, the device groups of one
+//! Every parallel site of the workspace — the draw streams of one
+//! job's shards and the runs of its sorted error shots under
+//! evaluation, the programs of one batch, the device groups of one
 //! dispatch pass, the candidates of one best-k speculation — is a call
 //! to [`run_indexed`] (or [`run_indexed_within`] when the caller caps
 //! the workers itself). The rule is the same everywhere:

@@ -39,13 +39,25 @@
 //! it, results return in index order and a task panic resumes on the
 //! caller.
 //!
+//! ## Draw, then evaluate
+//!
+//! No random draw of the noise model depends on the quantum state, so
+//! a run first *draws* every shot — typed error pattern, outcome
+//! uniform, readout flips — in one pass per RNG stream, answering clean
+//! shots on the spot, and then *evaluates* the error shots together:
+//! sorted by pattern they form a prefix tree, and a depth-first walk
+//! evolves each distinct error prefix once instead of once per shot,
+//! by the same operations in the same order as a per-shot replay —
+//! every count is bit for bit what earlier releases produced.
+//!
 //! ## Shot-sharded parallelism
 //!
 //! A single job's Monte-Carlo trajectories are embarrassingly parallel,
 //! and [`ExecutionConfig::parallelism`] exploits that:
 //! [`ShotParallelism::Sharded`] splits the shot budget into a fixed
-//! number of *shards*, each an independent sequential RNG stream,
-//! fanned out over worker threads. [`ShotParallelism::Auto`] picks
+//! number of *shards*, each an independent sequential RNG stream; the
+//! draws fan out over worker threads, and so does the one evaluation
+//! over all shards' error shots. [`ShotParallelism::Auto`] picks
 //! the shard count from the shot budget itself
 //! ([`auto_shard_count`]: one shard per 512 shots, capped at 32) so
 //! callers need not hand-tune the split — the resolution depends only
@@ -63,18 +75,19 @@
 //!
 //! ## Trajectory kernels
 //!
-//! [`ExecutionConfig::kernel`] selects the per-shot algorithm. Both
-//! kernels sample the identical noise model — only the RNG stream that
-//! realizes it differs:
+//! [`ExecutionConfig::kernel`] selects how a shot's randomness is drawn
+//! and mapped to an outcome; evaluation is shared. Both kernels sample
+//! the identical noise model — only the RNG stream that realizes it
+//! differs:
 //!
 //! - [`TrajectoryKernel::Replay`] (default): one Bernoulli draw per
-//!   scheduled event; clean shots sample the cached ideal state through
-//!   the linear CDF walk. Bit-for-bit the historical stream.
+//!   scheduled event; every outcome is picked by the linear CDF walk
+//!   over the shot's final state. Bit-for-bit the historical stream.
 //! - [`TrajectoryKernel::SurvivalSkip`]: one uniform draw + binary
 //!   search over the plan's prefix survival products jumps straight to
-//!   the next error event, and clean shots sample a per-job
-//!   Walker/Vose [`AliasTable`] in O(1) — per-shot work proportional
-//!   to the number of *errors*, not the number of events.
+//!   the next error event, and clean and single-error shots sample
+//!   Walker/Vose [`AliasTable`]s in O(1) — RNG work per shot
+//!   proportional to the number of *errors*, not the number of events.
 //!
 //! ## Determinism contract (kernel × parallelism)
 //!
@@ -85,22 +98,12 @@
 //! | | [`Replay`](TrajectoryKernel::Replay) | [`SurvivalSkip`](TrajectoryKernel::SurvivalSkip) |
 //! |---|---|---|
 //! | [`Serial`](ShotParallelism::Serial) | the historical pre-sharding stream, pinned bit-for-bit across releases | one pinned stream per `(job, seed)`, fewer draws per shot |
-//! | [`Sharded`](ShotParallelism::Sharded) | pure in `(seed, shards)` via [`derive_shard_seed`], merged in shard order | same shard seeds, same merge — pure in `(seed, shards)` |
+//! | [`Sharded`](ShotParallelism::Sharded) | pure in `(seed, shards)` via [`derive_shard_seed`], joined in shard order | same shard seeds, same join — pure in `(seed, shards)` |
 //! | [`Auto`](ShotParallelism::Auto) | equals `Sharded` at [`auto_shard_count`]`(shots)` exactly | equals `Sharded` at [`auto_shard_count`]`(shots)` exactly |
 //!
 //! Switching any of kernel, shard count, or seed selects a different
 //! (equally valid) sample of the same distribution; switching threads
 //! never does.
-//!
-//! **Shard-RNG derivation.** Shard `s` of a job seeded with `seed`
-//! seeds its `StdRng` with [`derive_shard_seed`]`(seed, s)` — the
-//! `s + 1`-th output of a SplitMix64 generator started at the *mixed*
-//! base seed `splitmix64(seed)`. Mixing the base seed first keeps the
-//! shard streams of co-scheduled programs disjoint even though their
-//! per-program seeds are golden-ratio strides of one batch seed; the
-//! SplitMix64 finalizer then decorrelates the per-shard ChaCha12
-//! streams, all without touching the vendored `rand` internals that
-//! the tuned calibration thresholds depend on.
 //!
 //! ```
 //! use qucp_circuit::Circuit;

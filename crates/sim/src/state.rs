@@ -44,28 +44,9 @@ impl Statevector {
     }
 
     /// Resets the state to `|0…0⟩` in place, keeping the allocation.
-    ///
-    /// The trajectory hot loop re-simulates error shots from scratch;
-    /// resetting a scratch state instead of allocating a fresh one keeps
-    /// that loop allocation-free.
     pub fn reset_zero(&mut self) {
-        for a in &mut self.amps {
-            *a = Complex::zero();
-        }
+        self.amps.fill(Complex::zero());
         self.amps[0] = Complex::one();
-    }
-
-    /// Overwrites this state with `other` in place, keeping the
-    /// allocation — the snapshot-restore primitive of the trajectory
-    /// hot loop (error shots resume from a cached ideal prefix state
-    /// instead of re-simulating from `|0…0⟩`).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the two states have different widths.
-    pub fn copy_from(&mut self, other: &Statevector) {
-        assert_eq!(self.n, other.n, "statevector width mismatch");
-        self.amps.copy_from_slice(&other.amps);
     }
 
     /// Runs `circuit` from `|0…0⟩` and returns the final state.
@@ -93,128 +74,36 @@ impl Statevector {
     ///
     /// Panics if the gate's qubits are out of range.
     pub fn apply(&mut self, gate: &Gate) {
-        match *gate {
-            Gate::Cx(c, t) => self.apply_cx(c, t),
-            Gate::Cz(a, b) => self.apply_cz(a, b),
-            Gate::Cp(a, b, theta) => self.apply_cp(a, b, theta),
-            Gate::Swap(a, b) => self.apply_swap(a, b),
-            ref g => {
-                let q = g.qubits().as_slice()[0];
-                self.apply_single(q, &single_qubit_matrix(g));
-            }
-        }
+        kernel::apply(&mut self.amps, gate);
     }
 
     /// Applies a 2×2 unitary to qubit `q`.
-    ///
-    /// The sweep is branch-free: amplitude pairs `(base, base | 1<<q)`
-    /// are visited as contiguous strided blocks (no per-index bit test),
-    /// in the same ascending pair order — and therefore with bit-for-bit
-    /// the same floating-point results — as the historical masked loop.
     ///
     /// # Panics
     ///
     /// Panics if `q` is out of range.
     pub fn apply_single(&mut self, q: usize, m: &Mat2) {
-        assert!(q < self.n, "qubit {q} out of range");
-        let bit = 1usize << q;
-        let (m00, m01) = (m[0][0], m[0][1]);
-        let (m10, m11) = (m[1][0], m[1][1]);
-        for block in self.amps.chunks_exact_mut(bit << 1) {
-            let (lo, hi) = block.split_at_mut(bit);
-            for (a, b) in lo.iter_mut().zip(hi.iter_mut()) {
-                let (x, y) = (*a, *b);
-                *a = m00 * x + m01 * y;
-                *b = m10 * x + m11 * y;
-            }
-        }
+        kernel::apply_single(&mut self.amps, q, m);
     }
 
     /// Applies CNOT with the given control and target.
-    ///
-    /// Branch-free: the indices with the control bit set split into
-    /// contiguous runs of `min(control, target)`-strided amplitudes
-    /// whose target-flipped partners are swapped run-at-a-time.
     pub fn apply_cx(&mut self, control: usize, target: usize) {
-        assert!(control < self.n && target < self.n && control != target);
-        let cb = 1usize << control;
-        let tb = 1usize << target;
-        if control > target {
-            for block in self.amps.chunks_exact_mut(cb << 1) {
-                // The upper half has the control bit set; swap its
-                // target-bit pairs.
-                for pair in block[cb..].chunks_exact_mut(tb << 1) {
-                    let (lo, hi) = pair.split_at_mut(tb);
-                    lo.swap_with_slice(hi);
-                }
-            }
-        } else {
-            for block in self.amps.chunks_exact_mut(tb << 1) {
-                let (lo, hi) = block.split_at_mut(tb);
-                // Swap the control-set runs of the target-clear half
-                // with the matching runs of the target-set half.
-                for (l, h) in lo
-                    .chunks_exact_mut(cb << 1)
-                    .zip(hi.chunks_exact_mut(cb << 1))
-                {
-                    l[cb..].swap_with_slice(&mut h[cb..]);
-                }
-            }
-        }
+        kernel::apply_cx(&mut self.amps, control, target);
     }
 
     /// Applies CZ.
-    ///
-    /// Branch-free: amplitudes with both bits set are visited as
-    /// contiguous strided runs and negated in place.
     pub fn apply_cz(&mut self, a: usize, b: usize) {
-        assert!(a < self.n && b < self.n && a != b);
-        let lo_bit = 1usize << a.min(b);
-        let hi_bit = 1usize << a.max(b);
-        for block in self.amps.chunks_exact_mut(hi_bit << 1) {
-            for run in block[hi_bit..].chunks_exact_mut(lo_bit << 1) {
-                for amp in &mut run[lo_bit..] {
-                    *amp = -*amp;
-                }
-            }
-        }
+        kernel::apply_cz(&mut self.amps, a, b);
     }
 
     /// Applies a controlled phase of angle `theta`.
-    ///
-    /// Branch-free, same sweep as [`Statevector::apply_cz`].
     pub fn apply_cp(&mut self, a: usize, b: usize, theta: f64) {
-        assert!(a < self.n && b < self.n && a != b);
-        let phase = Complex::cis(theta);
-        let lo_bit = 1usize << a.min(b);
-        let hi_bit = 1usize << a.max(b);
-        for block in self.amps.chunks_exact_mut(hi_bit << 1) {
-            for run in block[hi_bit..].chunks_exact_mut(lo_bit << 1) {
-                for amp in &mut run[lo_bit..] {
-                    *amp *= phase;
-                }
-            }
-        }
+        kernel::apply_cp(&mut self.amps, a, b, theta);
     }
 
     /// Applies SWAP.
-    ///
-    /// Branch-free: the `|…1…0…⟩`/`|…0…1…⟩` partner pairs form matching
-    /// contiguous runs in the two halves of each high-bit block and are
-    /// exchanged run-at-a-time.
     pub fn apply_swap(&mut self, a: usize, b: usize) {
-        assert!(a < self.n && b < self.n && a != b);
-        let lo_bit = 1usize << a.min(b);
-        let hi_bit = 1usize << a.max(b);
-        for block in self.amps.chunks_exact_mut(hi_bit << 1) {
-            let (lo_half, hi_half) = block.split_at_mut(hi_bit);
-            for (l, h) in lo_half
-                .chunks_exact_mut(lo_bit << 1)
-                .zip(hi_half.chunks_exact_mut(lo_bit << 1))
-            {
-                l[lo_bit..].swap_with_slice(&mut h[..lo_bit]);
-            }
-        }
+        kernel::apply_swap(&mut self.amps, a, b);
     }
 
     /// Measurement probabilities of every basis state.
@@ -227,17 +116,17 @@ impl Statevector {
         self.amps.iter().map(|a| a.norm_sqr()).sum()
     }
 
-    /// Samples one measurement outcome (a basis-state index).
+    /// Samples one measurement outcome (a basis-state index),
+    /// advancing `rng` by exactly one `f64` draw.
     pub fn sample(&self, rng: &mut impl Rng) -> usize {
-        let u: f64 = rng.gen();
-        let mut acc = 0.0;
-        for (idx, amp) in self.amps.iter().enumerate() {
-            acc += amp.norm_sqr();
-            if u < acc {
-                return idx;
-            }
-        }
-        self.amps.len() - 1
+        self.sample_at(rng.gen())
+    }
+
+    /// The outcome the uniform draw `u ∈ [0, 1)` selects: the first
+    /// basis state at which the running sum of probabilities exceeds
+    /// `u` (the linear CDF walk every tuned-seed test is pinned to).
+    pub fn sample_at(&self, u: f64) -> usize {
+        kernel::sample_at(&self.amps, u)
     }
 
     /// The most probable outcome and its probability.
@@ -271,6 +160,139 @@ impl Statevector {
             ip += a.conj() * *b;
         }
         ip.norm_sqr()
+    }
+}
+
+/// The gate and sampling kernels over a bare amplitude slice of length
+/// `2^n`: what [`Statevector`] wraps, and what the trajectory evaluator
+/// runs on the levels of its amplitude pool.
+pub(crate) mod kernel {
+    use super::{single_qubit_matrix, Complex, Gate, Mat2};
+
+    /// Qubits of a `2^n`-amplitude slice.
+    fn width(amps: &[Complex]) -> usize {
+        amps.len().trailing_zeros() as usize
+    }
+
+    /// [`Statevector::apply`](super::Statevector::apply) on a slice.
+    pub(crate) fn apply(amps: &mut [Complex], gate: &Gate) {
+        match *gate {
+            Gate::Cx(c, t) => apply_cx(amps, c, t),
+            Gate::Cz(a, b) => apply_cz(amps, a, b),
+            Gate::Cp(a, b, theta) => apply_cp(amps, a, b, theta),
+            Gate::Swap(a, b) => apply_swap(amps, a, b),
+            ref g => {
+                let q = g.qubits().as_slice()[0];
+                apply_single(amps, q, &single_qubit_matrix(g));
+            }
+        }
+    }
+
+    /// The sweep is branch-free: amplitude pairs `(base, base | 1<<q)`
+    /// are visited as contiguous strided blocks (no per-index bit test),
+    /// in the same ascending pair order — and therefore with bit-for-bit
+    /// the same floating-point results — as the historical masked loop.
+    pub(crate) fn apply_single(amps: &mut [Complex], q: usize, m: &Mat2) {
+        assert!(q < width(amps), "qubit {q} out of range");
+        let bit = 1usize << q;
+        let (m00, m01) = (m[0][0], m[0][1]);
+        let (m10, m11) = (m[1][0], m[1][1]);
+        for block in amps.chunks_exact_mut(bit << 1) {
+            let (lo, hi) = block.split_at_mut(bit);
+            for (a, b) in lo.iter_mut().zip(hi.iter_mut()) {
+                let (x, y) = (*a, *b);
+                *a = m00 * x + m01 * y;
+                *b = m10 * x + m11 * y;
+            }
+        }
+    }
+
+    /// Branch-free: the indices with the control bit set split into
+    /// contiguous runs of `min(control, target)`-strided amplitudes
+    /// whose target-flipped partners are swapped run-at-a-time.
+    pub(crate) fn apply_cx(amps: &mut [Complex], control: usize, target: usize) {
+        let n = width(amps);
+        assert!(control < n && target < n && control != target);
+        let cb = 1usize << control;
+        let tb = 1usize << target;
+        if control > target {
+            for block in amps.chunks_exact_mut(cb << 1) {
+                // The upper half has the control bit set; swap its
+                // target-bit pairs.
+                for pair in block[cb..].chunks_exact_mut(tb << 1) {
+                    let (lo, hi) = pair.split_at_mut(tb);
+                    lo.swap_with_slice(hi);
+                }
+            }
+        } else {
+            for block in amps.chunks_exact_mut(tb << 1) {
+                let (lo, hi) = block.split_at_mut(tb);
+                // Swap the control-set runs of the target-clear half
+                // with the matching runs of the target-set half.
+                for (l, h) in lo
+                    .chunks_exact_mut(cb << 1)
+                    .zip(hi.chunks_exact_mut(cb << 1))
+                {
+                    l[cb..].swap_with_slice(&mut h[cb..]);
+                }
+            }
+        }
+    }
+
+    /// Multiplies every amplitude with both bits set by `phase`,
+    /// visiting them as contiguous strided runs (branch-free).
+    fn phase_both_set(amps: &mut [Complex], a: usize, b: usize, phase: impl Fn(&mut Complex)) {
+        let n = width(amps);
+        assert!(a < n && b < n && a != b);
+        let lo_bit = 1usize << a.min(b);
+        let hi_bit = 1usize << a.max(b);
+        for block in amps.chunks_exact_mut(hi_bit << 1) {
+            for run in block[hi_bit..].chunks_exact_mut(lo_bit << 1) {
+                run[lo_bit..].iter_mut().for_each(&phase);
+            }
+        }
+    }
+
+    /// Negates the amplitudes with both bits set.
+    pub(crate) fn apply_cz(amps: &mut [Complex], a: usize, b: usize) {
+        phase_both_set(amps, a, b, |amp| *amp = -*amp);
+    }
+
+    /// Same sweep as [`apply_cz`], multiplying by `e^{iθ}`.
+    pub(crate) fn apply_cp(amps: &mut [Complex], a: usize, b: usize, theta: f64) {
+        let phase = Complex::cis(theta);
+        phase_both_set(amps, a, b, |amp| *amp *= phase);
+    }
+
+    /// Branch-free: the `|…1…0…⟩`/`|…0…1…⟩` partner pairs form matching
+    /// contiguous runs in the two halves of each high-bit block and are
+    /// exchanged run-at-a-time.
+    pub(crate) fn apply_swap(amps: &mut [Complex], a: usize, b: usize) {
+        let n = width(amps);
+        assert!(a < n && b < n && a != b);
+        let lo_bit = 1usize << a.min(b);
+        let hi_bit = 1usize << a.max(b);
+        for block in amps.chunks_exact_mut(hi_bit << 1) {
+            let (lo_half, hi_half) = block.split_at_mut(hi_bit);
+            for (l, h) in lo_half
+                .chunks_exact_mut(lo_bit << 1)
+                .zip(hi_half.chunks_exact_mut(lo_bit << 1))
+            {
+                l[lo_bit..].swap_with_slice(&mut h[..lo_bit]);
+            }
+        }
+    }
+
+    /// [`Statevector::sample_at`](super::Statevector::sample_at) on a slice.
+    pub(crate) fn sample_at(amps: &[Complex], u: f64) -> usize {
+        let mut acc = 0.0;
+        for (idx, amp) in amps.iter().enumerate() {
+            acc += amp.norm_sqr();
+            if u < acc {
+                return idx;
+            }
+        }
+        amps.len() - 1
     }
 }
 
@@ -405,6 +427,26 @@ mod tests {
         }
         let frac = ones as f64 / shots as f64;
         assert!((frac - 0.5).abs() < 0.02, "frac = {frac}");
+    }
+
+    #[test]
+    fn sample_is_sample_at_of_one_f64_draw() {
+        let mut c = Circuit::new(3);
+        c.h(0).cx(0, 1).ry(2, 0.9);
+        let sv = Statevector::from_circuit(&c);
+        let mut rng = StdRng::seed_from_u64(5);
+        let mut mirror = StdRng::seed_from_u64(5);
+        for _ in 0..200 {
+            assert_eq!(sv.sample(&mut rng), sv.sample_at(mirror.gen::<f64>()));
+        }
+        // Exactly one f64 per sample: the two streams are still in step.
+        assert_eq!(rng.gen::<u64>(), mirror.gen::<u64>());
+        // The walk returns the first outcome whose cumulative
+        // probability exceeds u, and the last one past the total.
+        let half = Statevector::from_circuit(Circuit::new(1).h(0));
+        assert_eq!(half.sample_at(0.0), 0);
+        assert_eq!(half.sample_at(0.75), 1);
+        assert_eq!(half.sample_at(1.5), 1);
     }
 
     #[test]
