@@ -30,7 +30,7 @@
 use std::sync::{Arc, Mutex};
 
 use qucp_circuit::Circuit;
-use qucp_device::{Calibration, Device, Link};
+use qucp_device::{Calibration, Device, Link, SnapshotToken};
 use qucp_sim::{metrics, ExecutionConfig, PreparedJob, Statevector};
 
 use crate::context::{build_context, WorkloadContext};
@@ -128,8 +128,12 @@ pub trait Backend: Send + Sync {
 /// [`Pipeline::plan`] call would produce. Only the `name` carried by
 /// each program (and thus by [`ProgramResult::name`]) is stale under
 /// replay; replaying callers must re-bind result names to the current
-/// batch members. The runtime's plan cache builds on this contract and
-/// checks it with [`PlannedWorkload::replayable_for`].
+/// batch members. Nothing on the plan can check that contract — after
+/// optimization its programs are no longer the members' circuits — so
+/// shape equality is the **replaying caller's** guarantee: the runtime's
+/// plan cache replays an entry only under a key that holds the members'
+/// interned shapes, and two circuits share an interned shape only after
+/// a gate-by-gate comparison.
 ///
 /// ## Prepared replay
 ///
@@ -152,7 +156,11 @@ pub trait Backend: Send + Sync {
 /// * record the calibration and noise flags they were built under, and
 ///   are rebuilt, never replayed, when either differs — executing one
 ///   plan under two calibrations or two flag sets equals executing two
-///   fresh plans, bit for bit;
+///   fresh plans, bit for bit. The calibration is recognised by
+///   *identity* first ([`Device::snapshot_token`]: the device, or a
+///   clone of it, has not lent its calibration out mutably since), and
+///   compared by value only when that fails, so an equal-valued twin
+///   device still replays;
 /// * hold at most [`PREPARED_RETAIN_BYTES`] per program: a program
 ///   whose prepared state would be larger is prepared per execution,
 ///   as if the slot did not exist;
@@ -214,10 +222,42 @@ struct PreparedCache {
     /// benchmark's `plan_churn` +8.5 % `peak_rss_mb` and +3.2 %
     /// `alloc_kb_per_job` for state nobody replays.
     executed: Vec<bool>,
-    /// The calibration every filled slot was built under.
-    calibration: Option<Calibration>,
+    /// The calibration every filled slot was built under: its value,
+    /// and the identity of the snapshot last seen holding that value.
+    built_under: Option<(SnapshotToken, Calibration)>,
     /// One slot per program, grown on demand.
     programs: Vec<Option<Arc<PreparedProgram>>>,
+}
+
+#[cfg(test)]
+thread_local! {
+    /// How often this thread compared two calibrations by value to
+    /// recognise a snapshot.
+    static VALUE_COMPARISONS: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+}
+
+impl PreparedCache {
+    /// Whether the filled slots were built under `device`'s current
+    /// calibration. The snapshot's identity answers for the device the
+    /// slots last met (every execution of a cached plan, in the
+    /// runtime); any other device — or that one after a mutable borrow
+    /// of its calibration — is compared by value, and on a match
+    /// becomes the snapshot to recognise next time.
+    fn was_built_under(&mut self, device: &Device) -> bool {
+        let Some((token, calibration)) = &mut self.built_under else {
+            return false;
+        };
+        if token.is_current(device) {
+            return true;
+        }
+        #[cfg(test)]
+        VALUE_COMPARISONS.with(|n| n.set(n.get() + 1));
+        let same = calibration == device.calibration();
+        if same {
+            *token = device.snapshot_token();
+        }
+        same
+    }
 }
 
 impl PreparedSlots {
@@ -234,8 +274,8 @@ impl PreparedSlots {
         device: &Device,
         exec: &ExecutionConfig,
     ) -> Option<Arc<PreparedProgram>> {
-        let cache = self.lock();
-        if cache.calibration.as_ref() != Some(device.calibration()) {
+        let mut cache = self.lock();
+        if !cache.was_built_under(device) {
             return None;
         }
         let slot = cache.programs.get(index)?.as_ref()?;
@@ -254,8 +294,8 @@ impl PreparedSlots {
         if !std::mem::replace(&mut cache.executed[index], true) {
             return;
         }
-        if cache.calibration.as_ref() != Some(device.calibration()) {
-            cache.calibration = Some(device.calibration().clone());
+        if !cache.was_built_under(device) {
+            cache.built_under = Some((device.snapshot_token(), device.calibration().clone()));
             cache.programs.clear();
         }
         if cache.programs.len() <= index {
@@ -287,21 +327,6 @@ impl PlannedWorkload {
     /// Total physical qubits claimed by the workload.
     pub fn used_qubits(&self) -> usize {
         self.allocations.iter().map(|a| a.qubits.len()).sum()
-    }
-
-    /// Whether this plan is structurally consistent with replaying for
-    /// `programs`: one plan program per member, widths aligned. A cheap
-    /// sanity gate for replay callers (the full shape equality is the
-    /// cache key's responsibility — optimization may have shrunk the
-    /// planned gate sequences, so gate counts are deliberately not
-    /// compared).
-    pub fn replayable_for(&self, programs: &[&Circuit]) -> bool {
-        self.programs.len() == programs.len()
-            && self
-                .programs
-                .iter()
-                .zip(programs)
-                .all(|(planned, current)| planned.width() == current.width())
     }
 }
 
@@ -856,6 +881,59 @@ mod tests {
         pipe.execute_plan(&drifted, &plan, &quick_cfg()).unwrap();
         assert!(plan.prepared.get(0, &drifted, &exec).is_some());
         assert!(plan.prepared.get(0, &dev, &exec).is_none());
+    }
+
+    /// How many calibration value comparisons `f` makes on this thread.
+    fn value_comparisons(f: impl FnOnce()) -> usize {
+        let before = VALUE_COMPARISONS.with(std::cell::Cell::get);
+        f();
+        VALUE_COMPARISONS.with(std::cell::Cell::get) - before
+    }
+
+    #[test]
+    fn prepared_slots_know_their_snapshot_by_identity_and_fall_back_to_its_value() {
+        let (pipe, mut dev, _, plan) = replay_fixture();
+        let cfg = quick_cfg();
+        let exec = cfg.execution;
+        // A clone's slots start empty: what a fresh plan produces.
+        let fresh = |device: &Device| pipe.execute_plan(device, &plan.clone(), &cfg).unwrap();
+        let replays = |device: &Device| {
+            let held = plan.prepared.get(0, device, &exec).is_some();
+            assert_eq!(
+                pipe.execute_plan(device, &plan, &cfg).unwrap(),
+                fresh(device)
+            );
+            held
+        };
+        // Filling (the second execution) compares nothing: there is no
+        // calibration on record yet.
+        assert_eq!(value_comparisons(|| assert!(!replays(&dev))), 0);
+        assert_eq!(value_comparisons(|| assert!(!replays(&dev))), 0);
+        // The device and a clone of it (one shared atlas) replay on the
+        // snapshot's identity alone.
+        let clone = dev.clone();
+        assert_eq!(value_comparisons(|| assert!(replays(&dev))), 0);
+        assert_eq!(value_comparisons(|| assert!(replays(&clone))), 0);
+        // An equal-valued twin built separately replays through the
+        // value comparison, once: it is then the snapshot on record.
+        let twin = ibm::toronto();
+        assert_eq!(twin, dev);
+        assert!(value_comparisons(|| assert!(replays(&twin))) > 0);
+        assert_eq!(value_comparisons(|| assert!(replays(&twin))), 0);
+        assert!(value_comparisons(|| assert!(replays(&dev))) > 0);
+        // A mutable borrow that writes nothing ends the identity, not
+        // the value: the slots fall back and still replay.
+        dev.calibration_mut();
+        assert!(value_comparisons(|| assert!(replays(&dev))) > 0);
+        assert_eq!(value_comparisons(|| assert!(replays(&dev))), 0);
+        // One that writes never replays what was built before it...
+        dev.calibration_mut().set_readout_error(0, 0.31);
+        assert!(value_comparisons(|| assert!(!replays(&dev))) > 0);
+        assert_ne!(fresh(&dev), fresh(&twin));
+        // ...and once refilled under the edit, the edit is what the
+        // slots know: the clone taken before it compares and rebuilds.
+        assert!(replays(&dev));
+        assert!(value_comparisons(|| assert!(!replays(&clone))) > 0);
     }
 
     #[test]

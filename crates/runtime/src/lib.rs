@@ -39,11 +39,16 @@
 //!    well-calibrated chip wins until its backlog outweighs its quality
 //!    edge. The expensive partition/candidate probes behind routing and
 //!    the head-only EFS gate are **memoized across batches** per
-//!    *(device, circuit shape, partition policy)* — a stream of
-//!    similar jobs pays the candidate growth once per chip; entries
-//!    are valid for one **calibration epoch** of their device and are
-//!    dropped when that epoch bumps (see [`Service::route_cache_stats`]
-//!    and the live-fleet section below). The batch then runs through
+//!    *(device, circuit shape, strategy)* — a stream of similar jobs
+//!    pays the candidate growth once per chip; entries are valid for
+//!    one **calibration epoch** of their device and are dropped when
+//!    that epoch bumps (see [`Service::route_cache_stats`] and the
+//!    live-fleet section below). A *shape* is a circuit's width and
+//!    exact gate sequence (angles by bit pattern, name excluded),
+//!    interned once at submit: cache keys hold the interned handles,
+//!    and two circuits share a handle only after their gate sequences
+//!    compared equal, so no entry is ever replayed on the strength of
+//!    a hash. The batch then runs through
 //!    the staged [`Pipeline`](qucp_core::pipeline::Pipeline) of the
 //!    head's effective strategy; partition pressure shrinks the batch
 //!    from the tail. Every committed decision is recorded as an
@@ -137,16 +142,17 @@
 //!
 //! | operation | cost |
 //! |---|---|
-//! | submit (queue insert) | O(gates) shape fingerprint, O(log n) position, amortized append for in-order arrivals |
+//! | submit (queue insert) | O(gates) shape interning (encode, one keyed hash, one word-for-word comparison with the known shape; no allocation unless the shape is new), O(log n) position, amortized append for in-order arrivals |
 //! | seq → job lookup | O(1) hash map |
 //! | dispatch step: earliest-free device | O(log D) clock index |
 //! | dispatch step: arrived views | O(log n) prefix bind (O(arrived) flag pass only while per-job strategy overrides are live) |
 //! | dispatch step: admitting devices | O(log D) + A width-bucket suffix |
-//! | routing / head-only gate probes | one partition probe per (device, circuit shape, partition policy[, threshold]) per calibration epoch, then a cache hit |
-//! | batch planning | partition + map + merge on a plan-cache miss; O(1) on a hit (repeat member shapes at one calibration epoch) |
+//! | routing / head-only gate probes | one partition probe per (device, circuit shape, strategy[, threshold]) per calibration epoch, then a cache hit |
+//! | batch planning | partition + map + merge on a plan-cache miss (the only path that clones the members' circuits); on a hit (repeat member shapes at one calibration epoch) one lookup under the literal key *(device, epoch, gate mode, optimize, strategy key, member shape handles, threshold bits)* — O(members) handle copies — and a borrowed replay of the entry's shrink trace |
+//! | staging and execution | the batch's device is borrowed from the registry, never cloned |
 //! | batch removal | offset bump (front run) or one compaction pass |
-//! | recalibrate / drift epoch bump | one pass over the cache, dropping the bumped device's probes and plans |
-//! | execution set-up per program | ALAP schedule + event sort + three statevector passes on the first two executions of a plan (the second fills the slots); a replayed plan then pays a calibration compare and an `Arc` clone (prepared replay) |
+//! | recalibrate / drift epoch bump | one pass over the cache, dropping the bumped device's probes and plans, and one over the shape table, dropping the shapes nothing holds any more |
+//! | execution set-up per program | ALAP schedule + event sort + three statevector passes on the first two executions of a plan (the second fills the slots); a replayed plan then pays a pointer comparison (is this still the calibration snapshot the slots were filled under?) and an `Arc` clone (prepared replay) |
 //! | threads per batch | none under two spawn floors of batch work or on one core; otherwise one worker per floor up to the cores, the caller being one of them |
 //!
 //! What every one of those mechanisms must *answer* is stated without
@@ -248,6 +254,7 @@ mod policy;
 mod registry;
 mod scheduler;
 mod service;
+mod shape;
 
 pub use campaign::{run_campaign, CampaignDriver, CampaignRun, CampaignStats};
 pub use event::{Event, EventLog, EventObserver, ShrinkReason};

@@ -14,18 +14,27 @@
 //! suite (`tests/support/reference.rs`), which re-sorts a `Vec` per
 //! step.
 //!
-//! ## Joinable-flag maintenance
+//! ## The strategy table and its two readers
 //!
-//! A [`JobView`]'s `joinable` flag depends on the *head strategy* of the
-//! dispatch step being prepared, so it cannot be precomputed once. The
-//! store interns each distinct per-job strategy override into a small
-//! key table (key 0 = the service default, including overrides that
-//! compare equal to it — value equality) and counts live override jobs.
-//! The common no-override case then skips flag maintenance entirely:
-//! every flag is `true` and stays `true`. Only while override jobs are
-//! live does `prepare` rewrite the arrived prefix — O(arrived) — and a
-//! `flags_dirty` bit restores the all-true invariant once the last
-//! override leaves the queue.
+//! The store interns each distinct effective strategy into a small key
+//! table ([`PendingStore::strategy_key`]: key 0 = the service default,
+//! including overrides that compare equal to it — value equality); a
+//! job carries its key, not a strategy. Two things read the key:
+//!
+//! * **Joinable-flag maintenance.** A [`JobView`]'s `joinable` flag
+//!   depends on the *head strategy* of the dispatch step being
+//!   prepared, so it cannot be precomputed once. The store counts live
+//!   override jobs, and the common no-override case skips flag
+//!   maintenance entirely: every flag is `true` and stays `true`. Only
+//!   while override jobs are live does `prepare` rewrite the arrived
+//!   prefix — O(arrived) key comparisons — and a `flags_dirty` bit
+//!   restores the all-true invariant once the last override leaves the
+//!   queue.
+//! * **The planning caches.** The head's key is the strategy component
+//!   of every plan and probe cache key (`service/route_cache.rs`): two
+//!   batches share a cache entry only if their heads' strategies are
+//!   the same table entry, which is the very equality that lets their
+//!   jobs share a batch.
 
 use std::collections::HashMap;
 
@@ -35,6 +44,7 @@ use qucp_sim::{ShotParallelism, TrajectoryKernel};
 
 use crate::policy::JobView;
 use crate::registry::RoutingChoice;
+use crate::shape::Shape;
 
 /// A pending (admitted but not yet dispatched) job.
 #[derive(Debug, Clone)]
@@ -48,13 +58,15 @@ pub(crate) struct Pending {
     pub(crate) gates: usize,
     /// Cached `circuit.depth()` (O(gates) to recompute).
     pub(crate) depth: usize,
-    /// Cached circuit-shape fingerprint (width + exact gate sequence,
-    /// name excluded) — the plan/probe cache key component, computed
-    /// once at submit instead of once per dispatch the job is probed.
-    pub(crate) shape: u64,
+    /// The circuit's interned shape (width + exact gate sequence, name
+    /// excluded) — the plan/probe cache key component, interned once at
+    /// submit instead of hashed once per dispatch the job is probed.
+    pub(crate) shape: Shape,
     pub(crate) shots: usize,
     pub(crate) arrival: f64,
-    pub(crate) strategy: Option<Strategy>,
+    /// The job's effective strategy, as its
+    /// [`PendingStore::strategy_key`] (0 = the service default).
+    pub(crate) strategy_key: u32,
     pub(crate) fidelity_threshold: Option<f64>,
     pub(crate) shot_parallelism: Option<ShotParallelism>,
     pub(crate) trajectory_kernel: Option<TrajectoryKernel>,
@@ -123,17 +135,25 @@ impl PendingStore {
         }
     }
 
-    fn strategy_key(&mut self, strategy: &Option<Strategy>) -> u32 {
+    /// The table key of a job's strategy override, interning it on
+    /// first sight (`None` and overrides equal to the default are 0).
+    pub(crate) fn strategy_key(&mut self, strategy: Option<Strategy>) -> u32 {
         match strategy {
             None => 0,
-            Some(s) => match self.interned.iter().position(|x| x == s) {
+            Some(s) => match self.interned.iter().position(|x| *x == s) {
                 Some(i) => i as u32,
                 None => {
-                    self.interned.push(s.clone());
+                    self.interned.push(s);
                     (self.interned.len() - 1) as u32
                 }
             },
         }
+    }
+
+    /// The strategy behind a key handed out by
+    /// [`PendingStore::strategy_key`].
+    pub(crate) fn strategy(&self, key: u32) -> &Strategy {
+        &self.interned[key as usize]
     }
 
     /// Index of job `seq` in the live (and so in any arrived) window:
@@ -149,7 +169,7 @@ impl PendingStore {
 
     /// Admits a job, keeping FIFO `(arrival, submission)` order.
     pub(crate) fn insert(&mut self, p: Pending) {
-        let key = self.strategy_key(&p.strategy);
+        let key = p.strategy_key;
         if key != 0 {
             self.overrides += 1;
         }
@@ -166,18 +186,13 @@ impl PendingStore {
     }
 
     /// Binds the arrived window for `now`, computing each arrived
-    /// view's `joinable` flag against `head_strategy` (`None` = every
-    /// arrived job is joinable, the head-selection pass).
-    pub(crate) fn prepare(&mut self, now: f64, head_strategy: Option<&Strategy>) {
+    /// view's `joinable` flag against the head's strategy key (`None` =
+    /// every arrived job is joinable, the head-selection pass).
+    pub(crate) fn prepare(&mut self, now: f64, head_key: Option<u32>) {
         if self.overrides > 0 {
             let end = self.views[self.head..].partition_point(|v| v.arrival <= now);
-            match head_strategy {
-                Some(s) => {
-                    let hk = self
-                        .interned
-                        .iter()
-                        .position(|x| x == s)
-                        .map_or(u32::MAX, |i| i as u32);
+            match head_key {
+                Some(hk) => {
                     let keys = &self.keys[self.head..];
                     for (i, v) in self.views[self.head..][..end].iter_mut().enumerate() {
                         v.joinable = keys[i] == hk;
@@ -305,7 +320,7 @@ mod tests {
     use qucp_circuit::Circuit;
     use qucp_core::strategy;
 
-    fn pending(seq: usize, arrival: f64, strategy_override: Option<Strategy>) -> Pending {
+    fn pending(seq: usize, arrival: f64, strategy_key: u32) -> Pending {
         let mut circuit = Circuit::new(2);
         circuit.h(0);
         circuit.cx(0, 1);
@@ -315,11 +330,11 @@ mod tests {
             width: circuit.width(),
             gates: circuit.gate_count(),
             depth: circuit.depth(),
-            shape: 0,
+            shape: crate::shape::ShapeTable::default().intern(&circuit),
             circuit,
             shots: 64,
             arrival,
-            strategy: strategy_override,
+            strategy_key,
             fidelity_threshold: None,
             shot_parallelism: None,
             trajectory_kernel: None,
@@ -340,7 +355,7 @@ mod tests {
         let mut store = store();
         // Arrivals 30, 10, 20, 10: ties keep submission order.
         for (seq, arrival) in [(0, 30.0), (1, 10.0), (2, 20.0), (3, 10.0)] {
-            store.insert(pending(seq, arrival, None));
+            store.insert(pending(seq, arrival, 0));
         }
         store.prepare(f64::INFINITY, None);
         let order: Vec<usize> = store.arrived(f64::INFINITY).iter().map(|v| v.seq).collect();
@@ -358,7 +373,7 @@ mod tests {
     fn position_and_skip_bump_agree_between_paths() {
         let mut store = store();
         for (seq, arrival) in [(0, 0.0), (1, 1.0), (2, 2.0)] {
-            store.insert(pending(seq, arrival, None));
+            store.insert(pending(seq, arrival, 0));
         }
         store.prepare(f64::INFINITY, None);
         assert_eq!(store.position_of(1.0, 1), Some(1));
@@ -373,7 +388,7 @@ mod tests {
     fn removal_compacts_and_preserves_survivors() {
         let mut store = store();
         for seq in 0..6 {
-            store.insert(pending(seq, seq as f64, None));
+            store.insert(pending(seq, seq as f64, 0));
         }
         // Scattered removal first (mid-queue), then a front drain.
         store.remove_members(&[1, 3]);
@@ -394,13 +409,18 @@ mod tests {
         let default = strategy::qucp(strategy::DEFAULT_SIGMA);
         let other = strategy::cna();
         let mut store = store();
-        store.insert(pending(0, 0.0, None));
-        store.insert(pending(1, 1.0, Some(other.clone())));
+        store.insert(pending(0, 0.0, 0));
+        let other_key = store.strategy_key(Some(other.clone()));
+        assert_eq!((other_key, store.strategy(other_key)), (1, &other));
+        assert_eq!(store.strategy_key(Some(other)), 1, "interned once");
+        store.insert(pending(1, 1.0, other_key));
         // An override equal to the default interns to the default
         // key — value equality, like the seed's comparison.
-        store.insert(pending(2, 2.0, Some(default.clone())));
+        let default_key = store.strategy_key(Some(default));
+        assert_eq!(default_key, store.strategy_key(None));
+        store.insert(pending(2, 2.0, default_key));
 
-        store.prepare(f64::INFINITY, Some(&other));
+        store.prepare(f64::INFINITY, Some(other_key));
         let flags: Vec<bool> = store
             .arrived(f64::INFINITY)
             .iter()
@@ -408,7 +428,7 @@ mod tests {
             .collect();
         assert_eq!(flags, vec![false, true, false]);
 
-        store.prepare(f64::INFINITY, Some(&default));
+        store.prepare(f64::INFINITY, Some(0));
         let flags: Vec<bool> = store
             .arrived(f64::INFINITY)
             .iter()
@@ -421,7 +441,7 @@ mod tests {
         store.remove_members(&[1]);
         store.prepare(f64::INFINITY, None);
         assert!(store.arrived(f64::INFINITY).iter().all(|v| v.joinable));
-        store.prepare(f64::INFINITY, Some(&default));
+        store.prepare(f64::INFINITY, Some(0));
         assert!(store.arrived(f64::INFINITY).iter().all(|v| v.joinable));
     }
 }

@@ -37,15 +37,23 @@
 //!
 //! - **Probe entries** — the partition probes behind
 //!   [`CalibrationAware`] and the head-only EFS gate, keyed by
-//!   *(device, circuit shape, partition policy[, threshold])*. A
-//!   stream of same-shape jobs pays the candidate growth once per chip
-//!   instead of once per batch.
+//!   *(device, head circuit shape, head strategy[, threshold bits])*.
+//!   A stream of same-shape jobs pays the candidate growth once per
+//!   chip instead of once per batch.
 //! - **Plan entries** — entire committed batch plans (the
 //!   [`PlannedWorkload`](qucp_core::pipeline::PlannedWorkload) plus its
-//!   eviction trace), keyed by *(device **epoch**, ordered member
-//!   shape fingerprints, effective strategy, gate mode/threshold
-//!   bits)*. A hit replays the cached plan clone-free and skips
-//!   partitioning, mapping and merging entirely.
+//!   eviction trace), keyed by *(device, **epoch**, gate mode,
+//!   optimize flag, head strategy, ordered member shapes, member
+//!   threshold bits)*. A hit replays the cached plan clone-free and
+//!   skips partitioning, mapping and merging entirely.
+//!
+//! The keys are those tuples themselves, compared by equality: a
+//! *shape* is the handle a circuit's width and gate sequence were
+//! interned to at submit (shared only after a gate-for-gate
+//! comparison, dropped with its last pending job and cache key), a
+//! *strategy* is its key in the pending store's strategy table (0 =
+//! the service default). No entry is found by a hash of a `Debug`
+//! rendering, and none is replayed because two hashes agreed.
 //!
 //! The fleet is *live*: calibrations mutate after build, through
 //! [`Service::recalibrate`](crate::Service::recalibrate) (a fresh

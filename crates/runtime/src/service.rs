@@ -27,16 +27,16 @@ pub use self::report::{DeviceReport, ServiceReport};
 pub use self::request::{EfsGate, JobRequest, JobTicket};
 pub use self::route_cache::RouteCacheStats;
 
-use qucp_core::Strategy;
 use qucp_device::{Calibration, CrosstalkModel, DriftModel};
 
-use self::route_cache::{circuit_shape_fingerprint, RouteCache};
+use self::route_cache::RouteCache;
 use crate::event::{Event, EventLog, EventObserver};
 use crate::job::JobResult;
 use crate::pending::{Pending, PendingStore};
 use crate::policy::AdmissionPolicy;
 use crate::registry::{ClockIndex, DeviceRegistry, RoutingPolicy};
 use crate::scheduler::{BatchReport, RuntimeConfig, RuntimeError};
+use crate::shape::ShapeTable;
 
 /// Per-device runtime state (the registry holds only the static fleet).
 #[derive(Debug, Clone, Default)]
@@ -75,7 +75,6 @@ struct DeviceState {
 /// # }
 /// ```
 pub struct Service {
-    strategy: Strategy,
     policy: Box<dyn AdmissionPolicy>,
     routing: Box<dyn RoutingPolicy>,
     cfg: RuntimeConfig,
@@ -83,8 +82,11 @@ pub struct Service {
     default_shots: usize,
     registry: DeviceRegistry,
     states: Vec<DeviceState>,
-    /// FIFO-sorted (arrival, seq) queue of admitted jobs.
+    /// FIFO-sorted (arrival, seq) queue of admitted jobs; also the
+    /// strategy table (key 0 = the service default strategy).
     pending: PendingStore,
+    /// Interner of the submitted circuits' shapes (see [`ShapeTable`]).
+    shapes: ShapeTable,
     next_seq: usize,
     batches: Vec<BatchReport>,
     /// Results by submission index; `None` until the job's batch ran.
@@ -117,12 +119,6 @@ pub struct Service {
     baselines: Option<Vec<(Calibration, CrosstalkModel)>>,
     /// Top-k speculative planning width (1 = sequential).
     best_k: usize,
-    /// Fingerprint of the immutable plan-key bits (EFS gate mode +
-    /// optimize flag), computed once at build.
-    plan_cfg_fp: u64,
-    /// Fingerprint of the service's default strategy; overridden heads
-    /// fingerprint their own strategy per dispatch.
-    default_strategy_fp: u64,
     /// Cumulative wall-clock nanoseconds spent *executing* batches
     /// (trajectory simulation), as opposed to dispatch bookkeeping.
     exec_ns: u64,
@@ -139,7 +135,7 @@ impl std::fmt::Debug for Service {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Service")
             .field("devices", &self.registry.len())
-            .field("strategy", &self.strategy.name)
+            .field("strategy", &self.pending.strategy(0).name)
             .field("policy", &self.policy)
             .field("routing", &self.routing)
             .field("cfg", &self.cfg)
@@ -266,10 +262,11 @@ impl Service {
         let width = request.circuit.width();
         let gates = request.circuit.gate_count();
         let depth = request.circuit.depth();
-        // The shape fingerprint keys every plan/probe cache lookup the
-        // job will ever be part of; hashing once at submit (O(gates),
-        // like the depth above) beats re-hashing per dispatch.
-        let shape = circuit_shape_fingerprint(&request.circuit);
+        // The shape keys every plan/probe cache lookup the job will
+        // ever be part of; interning once at submit (O(gates), like the
+        // depth above) makes each of those lookups a handle comparison.
+        let shape = self.shapes.intern(&request.circuit);
+        let strategy_key = self.pending.strategy_key(request.strategy);
         self.pending.insert(Pending {
             seq,
             id,
@@ -280,7 +277,7 @@ impl Service {
             shape,
             shots,
             arrival: request.arrival,
-            strategy: request.strategy,
+            strategy_key,
             fidelity_threshold: request.fidelity_threshold,
             shot_parallelism: request.shot_parallelism,
             trajectory_kernel: request.trajectory_kernel,

@@ -5,13 +5,14 @@ use qucp_core::{strategy, Strategy};
 use qucp_device::{Device, DriftModel};
 use qucp_sim::{ShotParallelism, TrajectoryKernel};
 
-use super::route_cache::{plan_cfg_fingerprint, strategy_fingerprint, RouteCache};
+use super::route_cache::RouteCache;
 use super::{DeviceState, EfsGate, Service};
 use crate::event::{EventLog, EventObserver};
 use crate::pending::PendingStore;
 use crate::policy::{AdmissionPolicy, Fifo};
 use crate::registry::{ClockIndex, DeviceRegistry, EarliestFree, RoutingPolicy};
 use crate::scheduler::{RuntimeConfig, RuntimeError};
+use crate::shape::ShapeTable;
 
 /// Builds a [`Service`]; validation happens in [`ServiceBuilder::build`].
 pub struct ServiceBuilder {
@@ -267,14 +268,7 @@ impl ServiceBuilder {
         });
         let drift_steps = vec![0u64; self.registry.len()];
         let clock_index = ClockIndex::new(self.registry.len());
-        let pending = PendingStore::new(self.strategy.clone());
-        // Plan-cache key components that never change over the
-        // service's lifetime, fingerprinted once here instead of once
-        // per dispatch.
-        let plan_cfg_fp = plan_cfg_fingerprint(self.efs_gate, self.cfg.optimize);
-        let default_strategy_fp = strategy_fingerprint(&self.strategy);
         Ok(Service {
-            strategy: self.strategy,
             policy: self.policy,
             routing: self.routing,
             cfg: self.cfg,
@@ -282,7 +276,8 @@ impl ServiceBuilder {
             default_shots: self.default_shots,
             registry: self.registry,
             states,
-            pending,
+            pending: PendingStore::new(self.strategy),
+            shapes: ShapeTable::default(),
             next_seq: 0,
             batches: Vec::new(),
             results: Vec::new(),
@@ -296,8 +291,6 @@ impl ServiceBuilder {
             drift_steps,
             baselines,
             best_k: self.best_k.max(1),
-            plan_cfg_fp,
-            default_strategy_fp,
             exec_ns: 0,
             plan_ns: 0,
             plans_timed: 0,

@@ -9,9 +9,7 @@ use qucp_device::Device;
 use qucp_sim::{run_indexed, ExecutionConfig, ShotParallelism, TrajectoryKernel, WORK_UNIT_NS};
 
 use super::gate::{plan_gated_members, GatedPlan, PlanMembers};
-use super::route_cache::{
-    partition_policy_fingerprint, replay_plan, strategy_fingerprint, PlannedParts,
-};
+use super::route_cache::{replay_plan, PlanKey, PlannedParts};
 use super::{EfsGate, JobTicket, Service};
 use crate::event::Event;
 use crate::job::JobResult;
@@ -19,6 +17,7 @@ use crate::pending::Pending;
 use crate::policy::BatchBudget;
 use crate::registry::{RouteQuery, RoutingChoice, RoutingPolicy};
 use crate::scheduler::{BatchReport, RuntimeError};
+use crate::shape::Shape;
 
 impl Service {
     /// Dispatches every batch that can start at or before `limit`, one
@@ -31,7 +30,9 @@ impl Service {
     pub(super) fn dispatch_until(&mut self, limit: f64) -> Result<(), RuntimeError> {
         while let Some(staged) = self.stage_one(limit)? {
             let exec_started = std::time::Instant::now();
-            let results = staged.execute();
+            // Nothing between staging and here can touch the registry,
+            // so this is the device the batch was planned on.
+            let results = staged.execute(self.registry.device_at(staged.device_index));
             self.exec_ns = self
                 .exec_ns
                 .saturating_add(exec_started.elapsed().as_nanos() as u64);
@@ -44,7 +45,7 @@ impl Service {
     /// vanished from the store is an internal invariant violation
     /// surfaced as a typed [`RuntimeError::QueueCorrupted`] instead of
     /// a panic.
-    fn pending_by_seq(&self, seq: usize) -> Result<&Pending, RuntimeError> {
+    pub(super) fn pending_by_seq(&self, seq: usize) -> Result<&Pending, RuntimeError> {
         self.pending
             .get(seq)
             .ok_or(RuntimeError::QueueCorrupted { seq })
@@ -76,21 +77,10 @@ impl Service {
             let head_pos0 = self.policy.choose_head(arrived0);
             (arrived0[head_pos0].seq, arrived0[head_pos0].arrival)
         };
-        let head = self.pending_by_seq(head_seq)?;
-        let head_width = head.width;
-        let head_shape = head.shape;
-        let head_circuit = head.circuit.clone();
-        let head_id = head.id;
-        let head_has_strategy_override = head.strategy.is_some();
-        let head_strategy = head
-            .strategy
-            .clone()
-            .unwrap_or_else(|| self.strategy.clone());
-        let head_threshold = head.fidelity_threshold.or(self.cfg.fidelity_threshold);
-        // The head's routing override (if any) routes this batch; a
-        // `Copy` value so the ranked loop below can keep calling
-        // `&mut self` probe helpers.
-        let head_routing: Option<RoutingChoice> = head.routing;
+        let p = self.pending_by_seq(head_seq)?;
+        let head_width = p.width;
+        // The head's routing override (if any) routes this batch.
+        let head_routing: Option<RoutingChoice> = p.routing;
 
         // Rank the admitting candidates with the routing policy; if
         // none admits the head, probe the widest chip so the precise
@@ -105,43 +95,41 @@ impl Service {
             .iter()
             .map(|&(_, d)| d)
             .collect();
-        let probe_widest = admitting.is_empty();
-        // Cache keys cost an O(gates) hash of the head circuit, so they
-        // are only computed when a probing path will consult the cache
-        // — the default EarliestFree/no-threshold dispatch stays
-        // exactly as cheap as before the routing seam.
-        let wants_score = match &head_routing {
-            Some(choice) => choice.wants_partition_score(),
-            None => self.routing.wants_partition_score(),
+        // Assembling a pipeline is cheap (it boxes four stage objects),
+        // so each dispatch builds one for the head's effective strategy
+        // rather than fighting the borrow checker over a cached copy.
+        let strategy = self.pending.strategy(p.strategy_key).clone();
+        let head = HeadContext {
+            seq: head_seq,
+            id: p.id,
+            arrival: head_arrival,
+            pipeline: Pipeline::from_strategy(&strategy),
+            circuit: p.circuit.clone(),
+            strategy,
+            strategy_key: p.strategy_key,
+            threshold: p.fidelity_threshold.or(self.cfg.fidelity_threshold),
+            shape: p.shape.clone(),
+            probe_widest: admitting.is_empty(),
+            batch_index: self.batches.len(),
         };
-        let gate_probes =
-            !probe_widest && self.efs_gate == EfsGate::HeadOnly && head_threshold.is_some();
-        let (shape, policy_fp) = if wants_score || gate_probes {
-            (
-                head_shape,
-                partition_policy_fingerprint(&head_strategy.partition),
-            )
-        } else {
-            (0, 0)
-        };
-        // The head's effective-strategy fingerprint keys the plan
-        // cache; the common no-override case reads the fingerprint
-        // computed once at build.
-        let strategy_fp = if head_has_strategy_override {
-            strategy_fingerprint(&head_strategy)
-        } else {
-            self.default_strategy_fp
-        };
-        let (candidates, route_scores): (Vec<usize>, Vec<f64>) = if probe_widest {
+        let batch_index = head.batch_index;
+        let (candidates, route_scores): (Vec<usize>, Vec<f64>) = if head.probe_widest {
             let widest = self.registry.widest().expect("fleet is non-empty").index();
             (vec![widest], vec![f64::INFINITY])
         } else {
+            // Only a policy that asks pays for the partition probes:
+            // the default EarliestFree dispatch never touches the solo
+            // cache.
+            let wants_score = match &head_routing {
+                Some(choice) => choice.wants_partition_score(),
+                None => self.routing.wants_partition_score(),
+            };
             let starts: Vec<f64> = admitting
                 .iter()
-                .map(|&d| self.states[d].clock.max(head_arrival))
+                .map(|&d| self.states[d].clock.max(head.arrival))
                 .collect();
             let best_start = starts.iter().copied().fold(f64::INFINITY, f64::min);
-            let head_cx_count = head_circuit.cx_count();
+            let head_cx_count = head.circuit.cx_count();
             // (score, free time, registration index): scores compare
             // with `total_cmp` (NaN sorts last) and ties always fall
             // back to the earliest-free order, so any policy routes
@@ -149,13 +137,7 @@ impl Service {
             let mut ranked: Vec<(f64, f64, usize)> = Vec::with_capacity(admitting.len());
             for (i, &d) in admitting.iter().enumerate() {
                 let partition_score = if wants_score {
-                    self.cached_solo_score(
-                        d,
-                        &head_circuit,
-                        &head_strategy.partition,
-                        shape,
-                        policy_fp,
-                    )
+                    self.cached_solo_score(&head, d)
                 } else {
                     None
                 };
@@ -186,32 +168,13 @@ impl Service {
             )
         };
 
-        // Assembling a pipeline is cheap (it boxes four stage objects),
-        // so each dispatch builds one for the head's effective strategy
-        // rather than fighting the borrow checker over a cached copy.
-        let head = HeadContext {
-            seq: head_seq,
-            id: head_id,
-            arrival: head_arrival,
-            pipeline: Pipeline::from_strategy(&head_strategy),
-            circuit: head_circuit,
-            strategy: head_strategy,
-            strategy_fp,
-            threshold: head_threshold,
-            shape,
-            policy_fp,
-            probe_widest,
-            batch_index: self.batches.len(),
-        };
-        let batch_index = head.batch_index;
-
         // Best-k speculation: prepare the top-k candidates' pack and
         // plan outcomes (planning concurrently) before walking the
         // ranking. The walk below consumes them for ranks < k and plans
         // one candidate at a time beyond — the same routine either way,
         // and the committed winner is the first ranked candidate whose
         // plan succeeds.
-        let k = if !probe_widest && self.best_k > 1 && candidates.len() > 1 {
+        let k = if !head.probe_widest && self.best_k > 1 && candidates.len() > 1 {
             self.best_k.min(candidates.len())
         } else {
             1
@@ -257,18 +220,19 @@ impl Service {
                     Err(e) => return Err(e),
                 },
             };
-            let (plan, members, shrinks) = planned;
+            let (plan, member_seqs, shrinks) = planned;
             debug_assert_eq!(pack.start.to_bits(), start.to_bits());
 
-            // Cloned so the staging below can take `&mut self`; one
-            // clone per dispatch, dwarfed by the batch's trajectories.
-            let device = self.registry.device_at(d).clone();
+            // Borrowed, not cloned: everything staged below touches
+            // the queue, the clocks and the statistics, never the
+            // registry.
+            let device = self.registry.device_at(d);
             // The routing decision is recorded only for the device the
             // batch actually commits on (failed candidates leave no
             // trace, like their shrink events).
             // The recorded policy is the *effective* one: the head's
             // override when present, the service default otherwise.
-            let mut events: Vec<Event> = Vec::with_capacity(2 + shrinks.len() + members.seqs.len());
+            let mut events: Vec<Event> = Vec::with_capacity(2 + shrinks.len() + member_seqs.len());
             events.push(Event::BatchRouted {
                 batch_index,
                 device: device.name().to_string(),
@@ -286,7 +250,7 @@ impl Service {
             // out of the pending store before the members are removed.
             let makespan = plan.context.makespan;
             let completion = start + makespan;
-            let n = members.seqs.len();
+            let n = member_seqs.len();
             let mut shots: Vec<usize> = Vec::with_capacity(n);
             let mut parallelism: Vec<ShotParallelism> = Vec::with_capacity(n);
             let mut kernels: Vec<TrajectoryKernel> = Vec::with_capacity(n);
@@ -295,7 +259,7 @@ impl Service {
             let mut widths: Vec<usize> = Vec::with_capacity(n);
             let mut waits: Vec<f64> = Vec::with_capacity(n);
             let mut turnarounds: Vec<f64> = Vec::with_capacity(n);
-            for &s in &members.seqs {
+            for &s in &member_seqs {
                 let p = self.pending_by_seq(s)?;
                 shots.push(p.shots);
                 parallelism.push(p.shot_parallelism.unwrap_or(self.cfg.shot_parallelism));
@@ -313,7 +277,7 @@ impl Service {
                 start,
                 makespan,
             });
-            for (pos, &seq) in members.seqs.iter().enumerate() {
+            for (pos, &seq) in member_seqs.iter().enumerate() {
                 events.push(Event::JobCompleted {
                     job_id: job_ids[pos],
                     seq,
@@ -337,7 +301,7 @@ impl Service {
             let old_clock = state.clock;
             state.clock = completion;
             self.clock_index.update(d, old_clock, completion);
-            self.pending.remove_members(&members.seqs);
+            self.pending.remove_members(&member_seqs);
 
             // Starvation accounting: every arrived candidate that an
             // admitted later candidate jumped over was overtaken once.
@@ -350,7 +314,7 @@ impl Service {
                 .picks_seqs
                 .iter()
                 .copied()
-                .filter(|s| members.seqs.contains(s))
+                .filter(|s| member_seqs.contains(s))
                 .collect();
             let last_admitted_pos = pack
                 .picks
@@ -369,14 +333,13 @@ impl Service {
             return Ok(Some(StagedBatch {
                 device_index: d,
                 batch_index,
-                device,
                 pipeline: head.pipeline,
                 plan,
                 start,
                 completion,
                 makespan,
                 batch_seed: derive_batch_seed(self.cfg.seed, batch_index),
-                member_seqs: members.seqs,
+                member_seqs,
                 job_ids,
                 names,
                 widths,
@@ -425,7 +388,11 @@ impl Service {
         }
         self.batches.push(BatchReport {
             batch_index: staged.batch_index,
-            device: staged.device.name().to_string(),
+            device: self
+                .registry
+                .device_at(staged.device_index)
+                .name()
+                .to_string(),
             job_ids: staged.job_ids,
             start: staged.start,
             completion: staged.completion,
@@ -479,43 +446,42 @@ impl Service {
             Err(e) => return Prepared::Done(CandidateOutcome::Failed(RuntimeError::Core(e))),
         };
         let packed = self.pack_candidate(head, d, cap).and_then(|pack| {
-            let members = self.plan_members(&pack.picks_seqs)?;
-            Ok((pack, members))
+            let key = self.plan_key(d, head.strategy_key, &pack.picks_seqs)?;
+            Ok((pack, key))
         });
-        let (pack, members) = match packed {
+        let (pack, key) = match packed {
             Ok(packed) => packed,
             Err(e) => return Prepared::Done(CandidateOutcome::Failed(e)),
         };
-        let fp = self.plan_fingerprint(d, head.strategy_fp, &members);
-        match self.route_cache.plans.get(&(d, fp)).cloned() {
-            Some(entry) => {
-                self.route_cache.plan_hits += 1;
-                let device_name = self.registry.device_at(d).name();
-                let replayed = replay_plan(entry, head.batch_index, device_name, members);
-                Prepared::Done(CandidateOutcome::Planned {
-                    pack,
-                    plan: Box::new(replayed),
-                })
-            }
-            None => {
-                self.route_cache.plan_misses += 1;
-                Prepared::Ready { pack, members, fp }
-            }
+        if let Some(entry) = self.route_cache.plans.get(&key) {
+            self.route_cache.plan_hits += 1;
+            let device_name = self.registry.device_at(d).name();
+            let seqs = pack.picks_seqs.clone();
+            let replayed = replay_plan(entry, head, device_name, &self.pending, seqs);
+            return Prepared::Done(CandidateOutcome::Planned {
+                pack,
+                plan: Box::new(replayed),
+            });
+        }
+        self.route_cache.plan_misses += 1;
+        // Only a miss pays for the members' circuits.
+        match self.plan_members(&pack.picks_seqs) {
+            Ok(members) => Prepared::Ready { pack, members, key },
+            Err(e) => Prepared::Done(CandidateOutcome::Failed(e)),
         }
     }
 
     /// Books and memoizes a ready candidate's fresh plan.
     fn conclude_candidate(
         &mut self,
-        d: usize,
         pack: CandidatePack,
-        fp: u64,
+        key: PlanKey,
         (gated, plan_ns): (Result<GatedPlan, RuntimeError>, u64),
     ) -> CandidateOutcome {
         self.record_planning(plan_ns);
         CandidateOutcome::Planned {
             pack,
-            plan: Box::new(self.memoize_plan(d, fp, gated)),
+            plan: Box::new(self.memoize_plan(key, gated)),
         }
     }
 
@@ -525,11 +491,11 @@ impl Service {
     fn plan_candidate(&mut self, head: &HeadContext, d: usize) -> CandidateOutcome {
         match self.prepare_candidate(head, d) {
             Prepared::Done(outcome) => outcome,
-            Prepared::Ready { pack, members, fp } => {
+            Prepared::Ready { pack, members, key } => {
                 let device = self.registry.device_at(d);
                 let planned =
                     plan_prepared(head, device, self.efs_gate, self.cfg.optimize, members);
-                self.conclude_candidate(d, pack, fp, planned)
+                self.conclude_candidate(pack, key, planned)
             }
         }
     }
@@ -548,13 +514,13 @@ impl Service {
         /// that plans it.
         type Slot = std::sync::Mutex<Option<PlanMembers>>;
         let mut slots: Vec<(usize, Slot)> = Vec::new();
-        let mut preps: Vec<Result<(usize, CandidatePack, u64), CandidateOutcome>> = Vec::new();
+        let mut preps: Vec<Result<(CandidatePack, PlanKey), CandidateOutcome>> = Vec::new();
         for &d in ranked {
             preps.push(match self.prepare_candidate(head, d) {
                 Prepared::Done(outcome) => Err(outcome),
-                Prepared::Ready { pack, members, fp } => {
+                Prepared::Ready { pack, members, key } => {
                     slots.push((d, std::sync::Mutex::new(Some(members))));
-                    Ok((d, pack, fp))
+                    Ok((pack, key))
                 }
             });
         }
@@ -575,9 +541,9 @@ impl Service {
             .into_iter()
             .map(|prep| match prep {
                 Err(outcome) => outcome,
-                Ok((d, pack, fp)) => {
+                Ok((pack, key)) => {
                     let planned = planned.next().expect("one plan per ready candidate");
-                    self.conclude_candidate(d, pack, fp, planned)
+                    self.conclude_candidate(pack, key, planned)
                 }
             })
             .collect()
@@ -596,7 +562,7 @@ impl Service {
     ) -> Result<CandidatePack, RuntimeError> {
         let qubits = self.registry.device_at(d).num_qubits();
         let start = self.states[d].clock.max(head.arrival);
-        self.pending.prepare(start, Some(&head.strategy));
+        self.pending.prepare(start, Some(head.strategy_key));
         let arrived = self.pending.arrived(start);
         let head_pos = self
             .pending
@@ -627,38 +593,27 @@ impl Service {
         })
     }
 
-    /// Pre-resolves the per-member planning inputs from the store, so
+    /// Resolves the per-member planning inputs from the store, so
     /// planning itself ([`plan_gated_members`]) runs without touching
     /// the service — off the main thread when speculating.
     fn plan_members(&self, seqs: &[usize]) -> Result<PlanMembers, RuntimeError> {
+        let gated = self.efs_gate.reads_member_thresholds();
         let mut ids = Vec::with_capacity(seqs.len());
         let mut circuits = Vec::with_capacity(seqs.len());
-        let mut shapes = Vec::with_capacity(seqs.len());
+        // Resolved only in the batch-gate modes, like the plan key's.
+        let mut thresholds = Vec::with_capacity(if gated { seqs.len() } else { 0 });
         for &s in seqs {
             let p = self.pending_by_seq(s)?;
             ids.push(p.id);
             circuits.push(p.circuit.clone());
-            shapes.push(p.shape);
-        }
-        let gated = matches!(self.efs_gate, EfsGate::Batch | EfsGate::BatchWorstExcess);
-        let thresholds = if gated {
-            let mut thresholds = Vec::with_capacity(seqs.len());
-            for &s in seqs {
-                thresholds.push(
-                    self.pending_by_seq(s)?
-                        .fidelity_threshold
-                        .or(self.cfg.fidelity_threshold),
-                );
+            if gated {
+                thresholds.push(p.fidelity_threshold.or(self.cfg.fidelity_threshold));
             }
-            thresholds
-        } else {
-            Vec::new()
-        };
+        }
         Ok(PlanMembers {
             seqs: seqs.to_vec(),
             ids,
             circuits,
-            shapes,
             thresholds,
         })
     }
@@ -697,13 +652,13 @@ pub(super) struct HeadContext {
     /// batch and parameterizes the probes.
     pub(super) strategy: Strategy,
     pub(super) pipeline: Pipeline,
-    /// Plan-cache key component of `strategy`.
-    pub(super) strategy_fp: u64,
+    /// The store's key of `strategy`: the strategy component of every
+    /// plan and probe cache key, and the joinability filter.
+    pub(super) strategy_key: u32,
     /// The head's effective EFS threshold (the head-only gate's input).
     pub(super) threshold: Option<f64>,
-    /// Probe-cache key components (0 when no probing path runs).
-    pub(super) shape: u64,
-    pub(super) policy_fp: u64,
+    /// The head circuit's shape (the probe caches' key component).
+    pub(super) shape: Shape,
     /// No device admits the head: the widest is probed, head alone, so
     /// the precise placement error surfaces.
     pub(super) probe_widest: bool,
@@ -713,11 +668,11 @@ pub(super) struct HeadContext {
 /// One candidate device after [`Service::prepare_candidate`].
 enum Prepared {
     /// Packed, and its batch missed the plan cache: to be planned
-    /// fresh under key `fp`.
+    /// fresh and memoized under `key`.
     Ready {
         pack: CandidatePack,
         members: PlanMembers,
-        fp: u64,
+        key: PlanKey,
     },
     /// Decided without planning: rejected by the cap probe, failed, or
     /// replayed from the plan cache.
@@ -746,13 +701,14 @@ enum CandidateOutcome {
 /// One staged batch: every scheduling decision made, every queue/clock
 /// mutation applied, and the batch's full event block buffered — with
 /// execution and the event/statistics fold still pending
-/// ([`Service::finish_batch`]). Holds everything execution needs by
-/// value (or behind [`Arc`][std::sync::Arc]), so the fan-out's threads
-/// run its programs from a `&self` reference.
+/// ([`Service::finish_batch`]). Holds everything execution needs but
+/// the device by value (or behind [`Arc`][std::sync::Arc]), so the
+/// fan-out's threads run its programs from a `&self` reference; the
+/// device stays in the registry, which nothing touches between staging
+/// and finishing.
 struct StagedBatch {
     device_index: usize,
     batch_index: usize,
-    device: Device,
     pipeline: Pipeline,
     plan: std::sync::Arc<PlannedWorkload>,
     start: f64,
@@ -813,7 +769,7 @@ impl StagedBatch {
     /// thread scheduling. On failure the error is the first in program
     /// order, and the programs after it still run (their results are
     /// dropped).
-    fn execute(&self) -> Result<Vec<ProgramResult>, RuntimeError> {
+    fn execute(&self, device: &Device) -> Result<Vec<ProgramResult>, RuntimeError> {
         run_indexed(self.shots.len(), self.work(), |pos| {
             let exec = ExecutionConfig {
                 shots: self.shots[pos],
@@ -824,7 +780,7 @@ impl StagedBatch {
             };
             self.pipeline
                 .backend
-                .run_program(&self.device, &self.plan, pos, &exec)
+                .run_program(device, &self.plan, pos, &exec)
                 .map_err(RuntimeError::Core)
         })
         .into_iter()

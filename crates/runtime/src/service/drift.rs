@@ -218,9 +218,12 @@ impl Service {
     /// The epoch-bump fanout, shared by explicit recalibrations and
     /// drift steps: the device's cached probes and plans are dropped —
     /// they were computed against a calibration that no longer exists —
-    /// and the bump is logged.
+    /// with the shapes only their keys still held, and the bump is
+    /// logged.
     fn bump_epoch(&mut self, device_index: usize, device_name: String, epoch: u64) {
-        self.route_cache.invalidate_device(device_index);
+        if self.route_cache.invalidate_device(device_index) > 0 {
+            self.shapes.sweep();
+        }
         self.emit(Event::DeviceRecalibrated {
             device: device_name,
             epoch,

@@ -12,19 +12,15 @@ use super::EfsGate;
 use crate::event::{Event, ShrinkReason};
 use crate::scheduler::RuntimeError;
 
-/// Per-member planning inputs, pre-resolved from the pending store so
-/// [`plan_gated_members`] can run without touching the service (off the
-/// main thread when speculating). The planning loop mutates its copy in
-/// place as members are evicted, so the returned `seqs`/`ids` are the
-/// committed batch.
+/// Per-member planning inputs, resolved from the pending store on a
+/// plan-cache miss so [`plan_gated_members`] can run without touching
+/// the service (off the main thread when speculating). The planning
+/// loop mutates its copy in place as members are evicted, so the
+/// returned `seqs`/`ids` are the committed batch.
 pub(super) struct PlanMembers {
     pub(super) seqs: Vec<usize>,
     pub(super) ids: Vec<u64>,
     pub(super) circuits: Vec<Circuit>,
-    /// Per-member circuit-shape fingerprints (copied from the pending
-    /// store) — the ordered structural identity that keys the plan
-    /// cache.
-    pub(super) shapes: Vec<u64>,
     /// Effective per-member thresholds; resolved only in the batch-gate
     /// modes (empty otherwise, matching the sequential path's laziness).
     pub(super) thresholds: Vec<Option<f64>>,
@@ -34,8 +30,8 @@ pub(super) struct PlanMembers {
 /// the buffered shrink events, and the eviction `trace` that reproduces
 /// them — `(position, reason)` per eviction, in order. The trace is
 /// what the plan cache memoizes: replaying it against a future batch
-/// with the same shape fingerprints re-derives the shrink events (bound
-/// to the *current* job ids) without re-running the partitioner.
+/// with the same plan key re-derives the shrink events (bound to the
+/// *current* job ids) without re-running the partitioner.
 pub(super) struct GatedPlan {
     pub(super) plan: PlannedWorkload,
     pub(super) members: PlanMembers,
@@ -113,7 +109,7 @@ pub(super) fn plan_gated_members(
             c.cancel_adjacent_inverses();
         }
     }
-    let gated = matches!(gate, EfsGate::Batch | EfsGate::BatchWorstExcess);
+    let gated = gate.reads_member_thresholds();
     let mut shrinks: Vec<Event> = Vec::new();
     let mut trace: Vec<(usize, ShrinkReason)> = Vec::new();
     let mut solo_cache: Option<Vec<f64>> = None;
@@ -152,7 +148,6 @@ pub(super) fn plan_gated_members(
                         members.seqs.remove(evict);
                         let dropped_id = members.ids.remove(evict);
                         members.circuits.remove(evict);
-                        members.shapes.remove(evict);
                         members.thresholds.remove(evict);
                         if let Some(cache) = solo_cache.as_mut() {
                             cache.remove(evict);
@@ -188,7 +183,6 @@ pub(super) fn plan_gated_members(
                 members.seqs.pop().expect("len > 1");
                 let dropped_id = members.ids.pop().expect("len > 1");
                 members.circuits.pop();
-                members.shapes.pop();
                 if gated {
                     members.thresholds.pop();
                 }

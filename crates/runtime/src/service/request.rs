@@ -11,7 +11,7 @@ use crate::job::Job;
 use crate::registry::RoutingChoice;
 
 /// How the EFS fidelity-threshold gate sizes a batch.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum EfsGate {
     /// The seed scheduler's behaviour (and the paper's Fig. 4
     /// experiment): before packing, probe how many *copies of the
@@ -34,6 +34,15 @@ pub enum EfsGate {
     /// matching tail-shrink when excesses are uniform. Partition
     /// failures still shrink from the tail in every mode.
     BatchWorstExcess,
+}
+
+impl EfsGate {
+    /// Whether the gate evaluates the packed members against their own
+    /// thresholds — the modes in which a member's threshold is an input
+    /// of planning (and so of the plan-cache key).
+    pub(super) fn reads_member_thresholds(self) -> bool {
+        matches!(self, EfsGate::Batch | EfsGate::BatchWorstExcess)
+    }
 }
 
 /// A streaming job submission: the circuit plus optional per-job

@@ -1,15 +1,15 @@
 use super::gate::{plan_gated_members, worst_excess_position, PlanMembers};
-use super::route_cache::partition_policy_fingerprint;
 use super::*;
 use crate::event::ShrinkReason;
 use crate::job::synthetic_jobs;
 use crate::policy::{Backfill, ShortestJobFirst};
 use crate::registry::DeviceId;
 use crate::scheduler::CalibrationFault;
+use crate::shape::ShapeTable;
 use qucp_circuit::Circuit;
 use qucp_core::pipeline::{Pipeline, PlannedWorkload};
-use qucp_core::strategy;
 use qucp_core::threshold::solo_efs_scores;
+use qucp_core::{strategy, Strategy};
 use qucp_device::{ibm, Device};
 use qucp_sim::{ShotParallelism, TrajectoryKernel};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -341,44 +341,168 @@ fn calibration_aware_caches_solo_scores_per_device_and_shape() {
 }
 
 #[test]
-fn shape_fingerprint_ignores_names_but_not_gates() {
+fn colliding_shapes_get_their_own_plans() {
+    // Two different circuits of one width, back to back on one chip,
+    // in a service whose structural hash is constant: the hash
+    // nominates the first circuit's shape for the second, and only the
+    // gate-by-gate comparison keeps the second batch off the first
+    // batch's plan.
     let bell = qucp_circuit::library::by_name("bell").unwrap().circuit();
-    let mut renamed = bell.clone();
-    renamed.set_name("other");
-    assert_eq!(
-        circuit_shape_fingerprint(&bell),
-        circuit_shape_fingerprint(&renamed)
-    );
-    let mut grown = bell.clone();
-    grown.h(0);
-    assert_ne!(
-        circuit_shape_fingerprint(&bell),
-        circuit_shape_fingerprint(&grown)
-    );
-    // Distinct partition policies never share cache entries.
-    let a = partition_policy_fingerprint(&strategy::qucp(4.0).partition);
-    let b = partition_policy_fingerprint(&strategy::qucp(8.0).partition);
-    let c = partition_policy_fingerprint(&strategy::multiqc().partition);
-    assert_ne!(a, b);
-    assert_ne!(a, c);
-    // The plan key carries the calibration epoch: a recalibrated
-    // device never shares a key with its former self, whether or
-    // not the eager drop on the bump ran.
-    let mut service = fifo_service(2);
-    let members = PlanMembers {
-        seqs: vec![0],
-        ids: vec![0],
-        shapes: vec![circuit_shape_fingerprint(&bell)],
-        circuits: vec![bell],
-        thresholds: Vec::new(),
+    let mut flipped = Circuit::new(bell.width());
+    flipped.x(0).x(1).cx(1, 0);
+    let circuits = [&bell, &flipped, &bell, &flipped];
+    let run = |colliding: bool| {
+        let mut service = fifo_service(1);
+        if colliding {
+            service.shapes = ShapeTable::colliding();
+        }
+        for (id, circuit) in circuits.into_iter().enumerate() {
+            let request = JobRequest::new(circuit.clone(), id as f64).with_id(id as u64);
+            service.submit(request.with_shots(256)).unwrap();
+        }
+        (service.run_until_drained().unwrap(), service)
     };
-    let before = service.plan_fingerprint(0, 7, &members);
-    assert_eq!(before, service.plan_fingerprint(0, 7, &members));
+    let (report, service) = run(true);
+    // Each shape planned once — both misses — and replayed once.
+    let stats = service.route_cache_stats();
+    assert_eq!((stats.plan_misses, stats.plan_hits), (2, 2), "{stats:?}");
+    assert_eq!(stats.plan_entries, 2);
+    // What an honest hash schedules and measures, bit for bit...
+    assert_eq!(report, run(false).0);
+    // ...which is what the uncached reference does: every batch (one
+    // job each here, batch `i` serving job `i`) planned from scratch
+    // and run under its batch seed.
+    let device = ibm::toronto();
+    let pipeline = Pipeline::from_strategy(&strategy::qucp(4.0));
+    for (i, (circuit, served)) in circuits.into_iter().zip(&report.job_results).enumerate() {
+        assert_eq!((served.job_id, served.batch_index), (i as u64, i));
+        let plan = pipeline
+            .plan(&device, std::slice::from_ref(circuit), service.cfg.optimize)
+            .unwrap();
+        let exec = qucp_sim::ExecutionConfig::default()
+            .with_shots(256)
+            .with_seed(super::dispatch::derive_batch_seed(service.cfg.seed, i));
+        let fresh = pipeline.backend.run_program(&device, &plan, 0, &exec);
+        assert_eq!(served.result, fresh.unwrap(), "job {i}");
+    }
+    // The two circuits really do measure differently.
+    assert_ne!(
+        report.job_results[0].result.counts,
+        report.job_results[1].result.counts
+    );
+}
+
+#[test]
+fn the_plan_key_tells_apart_everything_planning_reads() {
+    use qucp_core::efs::CrosstalkTreatment;
+    use qucp_core::PartitionPolicy;
+    use qucp_device::{Link, LinkPair};
+    let bell = qucp_circuit::library::by_name("bell").unwrap().circuit();
+    let fredkin = qucp_circuit::library::by_name("fredkin").unwrap().circuit();
+    let measured = |gamma: f64| {
+        let near = LinkPair::new(Link::new(0, 1), Link::new(2, 3));
+        let far = LinkPair::new(Link::new(4, 7), Link::new(10, 12));
+        strategy::qumc([(near, 2.5), (far, gamma)].into_iter().collect())
+    };
+    let mut service = fifo_service(2);
+    service.efs_gate = EfsGate::Batch;
+    let mut submit = |circuit: &Circuit, threshold: Option<f64>, strategy: Option<Strategy>| {
+        let mut request = JobRequest::new(circuit.clone(), 0.0);
+        (request.fidelity_threshold, request.strategy) = (threshold, strategy);
+        service.submit(request).unwrap().seq
+    };
+    let a = submit(&bell, Some(0.1), None);
+    let b = submit(&fredkin, None, None);
+    let a_again = submit(&bell, Some(0.1), None);
+    let a_looser = submit(&bell, Some(f64::from_bits(0.1f64.to_bits() + 1)), None);
+    let sigma4 = submit(&bell, None, Some(strategy::qucp(4.0)));
+    let sigma8 = submit(&bell, None, Some(strategy::qucp(8.0)));
+    let qumc = submit(&bell, None, Some(measured(3.0)));
+    let qumc_again = submit(&bell, None, Some(measured(3.0)));
+    let qumc_off_by_one = submit(&bell, None, Some(measured(3.5)));
+    let strategy_key =
+        |service: &Service, seq: usize| service.pending.get(seq).unwrap().strategy_key;
+    let key = |service: &Service, strategy: u32, seqs: &[usize]| {
+        service.plan_key(0, strategy, seqs).unwrap()
+    };
+
+    // Same inputs, same key — a renamed copy included — and the same
+    // bucket of the map.
+    let base = key(&service, 0, &[a, b]);
+    assert_eq!(base, key(&service, 0, &[a_again, b]));
+    let held: std::collections::HashSet<_> = [base.clone()].into();
+    assert!(held.contains(&key(&service, 0, &[a_again, b])));
+    // Member order, one member's shape, one member's threshold bits.
+    assert_ne!(base, key(&service, 0, &[b, a]));
+    assert_ne!(base, key(&service, 0, &[a, a_again]));
+    assert_ne!(base, key(&service, 0, &[a_looser, b]));
+    // The head's strategy: the service default is σ = 4, so that
+    // override is the default's key; σ = 8 is not, and a measured map
+    // is its own key down to one entry.
+    assert_eq!(strategy_key(&service, sigma4), 0);
+    let keys = [sigma8, qumc, qumc_off_by_one].map(|seq| strategy_key(&service, seq));
+    assert_eq!(strategy_key(&service, qumc_again), keys[1]);
+    assert!(keys.iter().all(|&k| k != 0) && keys[0] != keys[1] && keys[1] != keys[2]);
+    assert_ne!(base, key(&service, keys[0], &[a, b]));
+    assert_ne!(
+        key(&service, keys[1], &[a, b]),
+        key(&service, keys[2], &[a, b])
+    );
+    assert!(matches!(
+        &service.pending.strategy(keys[2]).partition,
+        PartitionPolicy::NoiseAware(CrosstalkTreatment::Measured(map)) if map.len() == 2
+    ));
+    // Gate mode and optimize flag (fixed per service; flipped in place
+    // here so nothing else differs).
+    service.efs_gate = EfsGate::BatchWorstExcess;
+    assert_ne!(base, key(&service, 0, &[a, b]));
+    service.efs_gate = EfsGate::Batch;
+    service.cfg.optimize = !service.cfg.optimize;
+    assert_ne!(base, key(&service, 0, &[a, b]));
+    service.cfg.optimize = !service.cfg.optimize;
+    assert_eq!(base, key(&service, 0, &[a, b]));
+    // Outside the batch-gate modes thresholds are no input of planning.
+    service.efs_gate = EfsGate::HeadOnly;
+    assert_eq!(key(&service, 0, &[a, b]), key(&service, 0, &[a_looser, b]));
+    service.efs_gate = EfsGate::Batch;
+    // The calibration epoch: a recalibrated device never shares a key
+    // with its former self, whether or not the eager drop on the bump
+    // ran.
     let snapshot = ibm::toronto().calibration().clone();
     service
         .recalibrate(DeviceId::from_index(0), snapshot)
         .unwrap();
-    assert_ne!(before, service.plan_fingerprint(0, 7, &members));
+    assert_ne!(base, key(&service, 0, &[a, b]));
+}
+
+#[test]
+fn shapes_die_with_their_last_job_and_cache_entry() {
+    // A VQE sweep's worth of distinct angles through a two-chip fleet
+    // under calibration-aware routing, so plan and probe keys both
+    // hold shapes.
+    let mut service = aware_two_chip_service();
+    for i in 0..500u32 {
+        let mut ansatz = Circuit::new(2);
+        ansatz.ry(0, f64::from(i) * 1e-3).cx(0, 1);
+        service
+            .submit(JobRequest::new(ansatz, f64::from(i)).with_shots(1))
+            .unwrap();
+    }
+    assert_eq!(service.shapes.len(), 500);
+    service.run_until_drained().unwrap();
+    let warm = service.route_cache_stats();
+    assert!(warm.plan_entries > 0 && warm.entries > 0, "{warm:?}");
+    assert!(service.shapes.len() > 0, "the cache keys hold their shapes");
+    let snapshots: Vec<_> = service.registry().iter().collect();
+    let snapshots = snapshots
+        .into_iter()
+        .map(|(id, d)| (id, d.calibration().clone()));
+    for (id, calibration) in snapshots.collect::<Vec<_>>() {
+        service.recalibrate(id, calibration).unwrap();
+    }
+    let cold = service.route_cache_stats();
+    assert_eq!((cold.plan_entries, cold.entries), (0, 0));
+    assert_eq!(service.shapes.len(), 0);
 }
 
 #[test]
@@ -719,7 +843,7 @@ fn plan_cache_replays_repeated_batches_and_counts_lookups() {
     let bell = qucp_circuit::library::by_name("bell").unwrap().circuit();
     let mut service = fifo_service(2);
     // Four identical jobs, packed two per batch: the second batch's
-    // member shapes fingerprint-match the first, so its committed
+    // member shapes are the first's, key for key, so its committed
     // plan replays from the cache.
     for i in 0..4u64 {
         service
@@ -871,7 +995,6 @@ fn replanning_gate(
         members.seqs.remove(evict);
         members.ids.remove(evict);
         members.circuits.remove(evict);
-        members.shapes.remove(evict);
         members.thresholds.remove(evict);
     }
 }
@@ -896,7 +1019,6 @@ fn a_batch_that_shrinks_k_times_routes_and_merges_once() {
         let members = || PlanMembers {
             seqs: (0..circuits.len()).collect(),
             ids: (100..100 + circuits.len() as u64).collect(),
-            shapes: circuits.iter().map(circuit_shape_fingerprint).collect(),
             circuits: circuits.clone(),
             thresholds: vec![None, Some(0.02), Some(1e-4), Some(0.5), None, None],
         };

@@ -240,7 +240,7 @@ fn drift_epoch_bump_drops_only_the_bumped_devices_plan_entries() {
     );
 
     // Bumping the loaded chip: its entries drop, and the next burst
-    // carries a new-epoch fingerprint — it must re-plan from scratch,
+    // carries the new epoch in its plan key — it must re-plan from scratch,
     // never replay a stale plan.
     let (before, after, end) = run(1);
     assert!(

@@ -13,7 +13,9 @@
 mod support;
 
 use proptest::prelude::*;
-use qucp_device::GaussianWalk;
+use qucp_core::efs::CrosstalkTreatment;
+use qucp_core::{strategy, PartitionPolicy};
+use qucp_device::{ibm, GaussianWalk};
 use qucp_runtime::{
     synthetic_jobs, EfsGate, Event, JobRequest, RoutingChoice, RuntimeError, ShrinkReason,
 };
@@ -129,6 +131,54 @@ fn a_twice_shrunk_batch_replays_with_current_ids() {
         let replayed: Vec<_> = first.iter().map(|&(id, r)| (id + 100, r)).collect();
         assert_eq!(shrunk(replayed_at), replayed, "{gate:?}");
     }
+}
+
+/// QuMC's `Measured` treatment — as the service default (Toronto's
+/// ground-truth map) and as a per-job override whose map differs in one
+/// entry — through the probe caches (calibration-aware routing, the
+/// head-only gate) and the plan cache: the second burst is served from
+/// memo, and neither strategy from the other's entries.
+#[test]
+fn measured_crosstalk_strategies_run_through_the_plan_and_probe_caches() {
+    let qumc = strategy::qumc_with_ground_truth(&ibm::toronto());
+    let PartitionPolicy::NoiseAware(CrosstalkTreatment::Measured(map)) = &qumc.partition else {
+        panic!("QuMC partitions by a measured map");
+    };
+    let mut off_by_one = map.clone();
+    *off_by_one.values_mut().next().expect("strong pairs exist") *= 8.0;
+    let off_by_one = strategy::qumc(off_by_one);
+    // Jobs 2 and 5 plan under the other map and so ride alone: bell
+    // and qec each head a batch under either strategy.
+    let names = ["bell", "fredkin", "bell", "qec", "variation", "qec"];
+    let burst = |base: u64, arrival: f64| {
+        let off_by_one = off_by_one.clone();
+        names.iter().enumerate().map(move |(i, name)| {
+            let id = base + i as u64;
+            let mut req = JobRequest::new(circuit(name, format!("{name}#{id}")), arrival);
+            req.strategy = (i % 3 == 2).then(|| off_by_one.clone());
+            Op::Submit(req.with_id(id))
+        })
+    };
+    let ops: Vec<Op> = (burst(0, 0.0).chain([Op::Drain]))
+        .chain(burst(100, 1e7))
+        .collect();
+    let cfg = Config {
+        fleet: Fleet::Skewed,
+        routing: RoutingChoice::CalibrationAware {
+            pressure_per_ns: 2e-6,
+        },
+        strategy: qumc,
+        threshold: Some(0.4),
+        ..Config::default()
+    };
+    let run = assert_matches_reference(&ops, &cfg);
+    let stats = run.service.route_cache_stats();
+    assert!(stats.plan_hits > 0 && stats.hits > 0, "{stats:?}");
+    // Per (head shape, strategy) pair one solo score on each chip and
+    // one head cap on the chip that took the batch; keyed by shape
+    // alone, the two maps would share half of these.
+    assert_eq!((stats.entries, stats.misses), (4 * 3, 4 * 3), "{stats:?}");
+    assert_eq!((stats.plan_misses, stats.plan_hits), (4, 4), "{stats:?}");
 }
 
 /// A drift model that writes a NaN at step 3 of one device: the advance
