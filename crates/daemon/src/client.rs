@@ -5,7 +5,10 @@
 //! speaks the versioned protocol: `connect` performs the handshake,
 //! after which each method is one request/response exchange. The
 //! client is strictly synchronous; one outstanding request at a time.
+//! Requests are encoded into one scratch buffer the client keeps, so a
+//! call makes no heap request of its own on the way out.
 
+use std::net::{TcpStream, ToSocketAddrs};
 use std::os::unix::net::UnixStream;
 use std::path::Path;
 
@@ -13,7 +16,7 @@ use qucp_runtime::{JobRequest, JobResult, JobTicket, ServiceReport};
 
 use crate::proto::{Fault, Request, Response, PROTOCOL_VERSION};
 use crate::transport::{StreamTransport, Transport};
-use crate::wire::WireError;
+use crate::wire::{release_large_scratch, WireError};
 
 /// A client-side failure: transport/decoding trouble, a typed server
 /// fault, or a response of the wrong shape.
@@ -54,12 +57,26 @@ impl From<WireError> for ClientError {
 pub struct Client<T: Transport> {
     transport: T,
     version: u16,
+    /// The encoded request of the call in flight, reused by the next.
+    scratch: Vec<u8>,
 }
 
 impl Client<StreamTransport<UnixStream>> {
     /// Connects to a daemon's unix socket and performs the handshake.
     pub fn connect_unix(path: impl AsRef<Path>) -> Result<Self, ClientError> {
         let stream = UnixStream::connect(path).map_err(WireError::from)?;
+        Client::connect(StreamTransport::new(stream))
+    }
+}
+
+impl Client<StreamTransport<TcpStream>> {
+    /// Connects to a daemon's TCP address and performs the handshake.
+    /// Sets `TCP_NODELAY`: the exchange is strictly request → response,
+    /// so Nagle's algorithm has nothing to coalesce and only ever
+    /// delays a frame.
+    pub fn connect_tcp(addr: impl ToSocketAddrs) -> Result<Self, ClientError> {
+        let stream = TcpStream::connect(addr).map_err(WireError::from)?;
+        stream.set_nodelay(true).map_err(WireError::from)?;
         Client::connect(StreamTransport::new(stream))
     }
 }
@@ -73,11 +90,17 @@ impl<T: Transport> Client<T> {
 
     /// Handshakes advertising an explicit version — the test hook for
     /// exercising negotiation (and rejection) paths.
-    pub fn connect_with_version(mut transport: T, version: u16) -> Result<Self, ClientError> {
-        let reply = transport.call(&Request::Hello { version }.encode())?;
-        match Response::decode(&reply)? {
-            Response::HelloAck { version } => Ok(Client { transport, version }),
-            Response::Error(fault) => Err(ClientError::Fault(fault)),
+    pub fn connect_with_version(transport: T, version: u16) -> Result<Self, ClientError> {
+        let mut client = Client {
+            transport,
+            version,
+            scratch: Vec::new(),
+        };
+        match client.call(&Request::Hello { version })? {
+            Response::HelloAck { version } => {
+                client.version = version;
+                Ok(client)
+            }
             _ => Err(ClientError::UnexpectedResponse {
                 expected: "HelloAck",
             }),
@@ -90,8 +113,10 @@ impl<T: Transport> Client<T> {
     }
 
     fn call(&mut self, request: &Request) -> Result<Response, ClientError> {
-        let reply = self.transport.call(&request.encode())?;
-        match Response::decode(&reply)? {
+        request.encode_into(&mut self.scratch);
+        let reply = self.transport.call(&self.scratch);
+        release_large_scratch(&mut self.scratch);
+        match Response::decode(&reply?)? {
             Response::Error(fault) => Err(ClientError::Fault(fault)),
             response => Ok(response),
         }
@@ -173,5 +198,96 @@ impl<T: Transport> Client<T> {
             Response::Report(report) => Ok(*report),
             _ => Err(ClientError::UnexpectedResponse { expected: "Report" }),
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::server::ServerSession;
+    use crate::transport::oracle::{framed, read_frame};
+    use qucp_circuit::{Circuit, Gate};
+    use qucp_runtime::Service;
+    use std::io::{self, IoSlice, Read, Write};
+    use std::sync::atomic::AtomicBool;
+    use std::sync::{Arc, Mutex};
+
+    /// A stream double with a real session behind it, counting calls.
+    /// A write must carry one whole request frame — that is the
+    /// property under test — and its response is handed over whole by
+    /// the next `read`.
+    struct Loopback {
+        session: ServerSession,
+        response: Vec<u8>,
+        reads: usize,
+        writes: usize,
+    }
+
+    impl Write for Loopback {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.write_vectored(&[IoSlice::new(buf)])
+        }
+        fn write_vectored(&mut self, bufs: &[IoSlice<'_>]) -> io::Result<usize> {
+            self.writes += 1;
+            let written: Vec<u8> = bufs.iter().flat_map(|b| b.iter().copied()).collect();
+            let mut bytes = &written[..];
+            let request = read_frame(&mut bytes)
+                .expect("header and payload leave in one write")
+                .expect("not EOF");
+            assert!(bytes.is_empty(), "exactly one frame per write");
+            self.response = framed(&self.session.handle_frame(&request));
+            Ok(written.len())
+        }
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    impl Read for Loopback {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            self.reads += 1;
+            let response = std::mem::take(&mut self.response);
+            buf[..response.len()].copy_from_slice(&response);
+            Ok(response.len())
+        }
+    }
+
+    /// The client half of the counting check (the server half is in
+    /// `server.rs`): one write and one `read` per call.
+    #[test]
+    fn a_call_costs_one_write_and_one_read_when_the_response_arrives_whole() {
+        let service = Service::builder()
+            .device(qucp_device::ibm::melbourne())
+            .default_shots(8)
+            .seed(7)
+            .build()
+            .expect("build service");
+        let stream = Loopback {
+            session: ServerSession::new(
+                Arc::new(Mutex::new(service)),
+                Arc::new(AtomicBool::new(false)),
+            ),
+            response: Vec::new(),
+            reads: 0,
+            writes: 0,
+        };
+        let calls = |client: &Client<StreamTransport<Loopback>>| {
+            let stream = client.transport.get_ref();
+            (stream.writes, stream.reads)
+        };
+        let mut bell = Circuit::with_name(2, "bell");
+        bell.try_push(Gate::H(0)).unwrap();
+        bell.try_push(Gate::Cx(0, 1)).unwrap();
+
+        let mut client = Client::connect(StreamTransport::new(stream)).expect("handshake");
+        assert_eq!(calls(&client), (1, 1), "Hello");
+        let ticket = client.submit(JobRequest::new(bell, 0.0)).expect("submit");
+        assert_eq!(calls(&client), (2, 2), "Submit");
+        assert_eq!(client.tick(f64::INFINITY).expect("tick"), vec![ticket]);
+        assert_eq!(calls(&client), (3, 3), "Tick");
+        assert!(client.take_result(ticket).expect("take").is_some());
+        assert_eq!(calls(&client), (4, 4), "TakeResult");
+        client.cache_stats().expect("cache stats");
+        assert_eq!(calls(&client), (5, 5), "CacheStats");
     }
 }

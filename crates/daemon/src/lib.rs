@@ -47,14 +47,58 @@
 //! handshake earns a `HandshakeRequired` fault. Within a version,
 //! enum tag numbers are frozen; new variants only append.
 //!
+//! # What a round trip costs
+//!
+//! One exchange — a request frame out, a response frame back — costs
+//! what the protocol needs and no more, on a unix socket and on TCP
+//! alike:
+//!
+//! - **Four syscalls.** Each side sends a frame with one vectored
+//!   write (header and payload together: one segment on TCP, where
+//!   both ends also set `TCP_NODELAY`) and receives it with one `read`
+//!   into a buffer it keeps, when the frame arrives whole. A frame
+//!   that arrives in pieces, or stalls, costs one `read` per piece and
+//!   loses nothing; several frames that arrive together cost one
+//!   `read` between them.
+//! - **Two wake-ups.** The request wakes the connection's one server
+//!   thread, which reads it, handles it under the service lock and
+//!   writes the response itself; the response wakes the client. There
+//!   is no second thread and no queue between handling and sending.
+//! - **One allocation for framing and codec**: the response `Vec` that
+//!   [`Transport::call`] returns. The client encodes into a scratch
+//!   buffer it keeps ([`Request::encode_into`]); the server decodes
+//!   the request straight out of its read buffer and encodes the
+//!   response into a scratch buffer of its own
+//!   ([`ServerSession::handle_frame_into`]). A scratch buffer that one
+//!   large message grew past 64 KiB is released after that message.
+//!   What remains is the messages themselves — the circuit a `Submit`
+//!   decodes into, the counts a result carries.
+//!
+//! Three properties come with that shape rather than with extra code:
+//!
+//! - **Responses leave in request order.** A client may write several
+//!   requests before it reads; the answers come back in that order.
+//! - **Backpressure instead of a queue.** The daemon holds at most one
+//!   unsent response per connection. A peer that stops reading stops
+//!   being read once its socket fills, and its own writes then block;
+//!   other connections are served meanwhile, and shutdown gives such a
+//!   peer half a second, not forever.
+//! - **A transport error ends the client.** After a failed exchange
+//!   the late response could still arrive and be taken for the next
+//!   call's answer, so a [`StreamTransport`] that has failed once
+//!   answers every further call with [`WireError::Io`]; reconnect to
+//!   go on. (A request refused for its size before a byte was sent
+//!   breaks nothing.)
+//!
 //! # Structure
 //!
 //! - [`wire`] — bounds-checked encoding primitives.
 //! - [`proto`] — the message catalog and typed ser/de.
-//! - [`transport`] — framing over byte streams; the [`Transport`]
-//!   trait.
+//! - [`transport`] — framing over byte streams: the one frame writer,
+//!   the one buffered [`FrameReader`]; the [`Transport`] trait.
 //! - [`server`] — [`ServerSession`] (pure protocol handler), the
-//!   socket accept loop, the wall-clock driver.
+//!   socket accept loop (one thread per connection), the wall-clock
+//!   driver.
 //! - [`client`] — the blocking [`Client`] handle.
 //! - [`mock`] — [`MockTransport`]: the whole protocol with no sockets
 //!   or threads.
@@ -75,7 +119,5 @@ pub use proto::{
     MIN_SUPPORTED_VERSION, PROTOCOL_VERSION,
 };
 pub use server::{Daemon, DaemonConfig, DaemonHandle, ServerSession};
-pub use transport::{
-    read_frame, write_frame, FrameProgress, FrameReader, StreamTransport, Transport,
-};
+pub use transport::{write_frame, FrameProgress, FrameReader, StreamTransport, Transport};
 pub use wire::{Decoder, Encoder, WireError, MAX_FRAME_LEN};

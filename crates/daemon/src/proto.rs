@@ -1186,7 +1186,16 @@ mod resp_tag {
 impl Request {
     /// Encodes the request as one frame payload (tag byte + body).
     pub fn encode(&self) -> Vec<u8> {
-        let mut e = Encoder::new();
+        let mut out = Vec::new();
+        self.encode_into(&mut out);
+        out
+    }
+
+    /// [`encode`](Self::encode) into a buffer the caller keeps: `out`'s
+    /// contents are replaced, its capacity is reused.
+    pub fn encode_into(&self, out: &mut Vec<u8>) {
+        out.clear();
+        let mut e = Encoder::appending_to(std::mem::take(out));
         match self {
             Request::Hello { version } => {
                 e.u8(req_tag::HELLO);
@@ -1214,7 +1223,7 @@ impl Request {
             }
             Request::CacheStats => e.u8(req_tag::CACHE_STATS),
         }
-        e.finish()
+        *out = e.finish();
     }
 
     /// Decodes one frame payload, rejecting trailing bytes.
@@ -1255,7 +1264,16 @@ impl Request {
 impl Response {
     /// Encodes the response as one frame payload (tag byte + body).
     pub fn encode(&self) -> Vec<u8> {
-        let mut e = Encoder::new();
+        let mut out = Vec::new();
+        self.encode_into(&mut out);
+        out
+    }
+
+    /// [`encode`](Self::encode) into a buffer the caller keeps: `out`'s
+    /// contents are replaced, its capacity is reused.
+    pub fn encode_into(&self, out: &mut Vec<u8>) {
+        out.clear();
+        let mut e = Encoder::appending_to(std::mem::take(out));
         match self {
             Response::HelloAck { version } => {
                 e.u8(resp_tag::HELLO_ACK);
@@ -1297,7 +1315,7 @@ impl Response {
                 put_route_cache_stats(&mut e, stats);
             }
         }
-        e.finish()
+        *out = e.finish();
     }
 
     /// Decodes one frame payload, rejecting trailing bytes.

@@ -3,9 +3,25 @@
 //!
 //! The protocol brain is [`ServerSession::handle_frame`] — one request
 //! payload in, one response payload out, no I/O. The socket server
-//! wraps it in per-connection reader/writer threads; the mock
-//! transport calls it directly; both therefore exercise the *same*
-//! code path, which is what makes the mock tests trustworthy.
+//! wraps it in one thread per connection; the mock transport calls it
+//! directly; both therefore exercise the *same* code path, which is
+//! what makes the mock tests trustworthy.
+//!
+//! # One thread per connection
+//!
+//! A connection's thread reads a request, handles it and writes the
+//! response itself, on the stream the request came from, before it
+//! reads again. Three things follow by construction rather than by
+//! bookkeeping. Responses leave in request order. A peer that stops
+//! reading stops being read: once its socket is full the response
+//! write blocks, the loop handles nothing more for it, and the
+//! peer's own writes fill up in turn — the socket's buffers are the
+//! only queue, and they are bounded. And a `Shutdown`'s report is on
+//! the wire before the loop can notice the flag it raised. The thread
+//! keeps two buffers for its whole life, the [`FrameReader`]'s and one
+//! response scratch, so a routine exchange makes no heap request for
+//! framing or encoding (see the crate docs, "What a round trip
+//! costs").
 //!
 //! All connections share one [`Service`] behind a mutex, so the
 //! daemon's observable behaviour is a serialization of the clients'
@@ -17,7 +33,6 @@ use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::mpsc;
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::thread;
 use std::time::{Duration, Instant};
@@ -25,8 +40,8 @@ use std::time::{Duration, Instant};
 use qucp_runtime::Service;
 
 use crate::proto::{negotiate, Fault, Request, Response, MIN_SUPPORTED_VERSION, PROTOCOL_VERSION};
-use crate::transport::{write_frame, FrameProgress, FrameReader};
-use crate::wire::WireError;
+use crate::transport::{write_frame_with, FrameProgress, FrameReader};
+use crate::wire::{release_large_scratch, WireError};
 
 /// Tuning knobs for a spawned daemon.
 #[derive(Debug, Clone)]
@@ -91,6 +106,12 @@ impl ServerSession {
     /// yields an encoded [`Fault`] frame, never a panic.
     pub fn handle_frame(&mut self, payload: &[u8]) -> Vec<u8> {
         self.handle(payload).encode()
+    }
+
+    /// [`handle_frame`](Self::handle_frame) into a buffer the caller
+    /// keeps: `response`'s contents are replaced, its capacity reused.
+    pub fn handle_frame_into(&mut self, payload: &[u8], response: &mut Vec<u8>) {
+        self.handle(payload).encode_into(response);
     }
 
     fn handle(&mut self, payload: &[u8]) -> Response {
@@ -189,9 +210,12 @@ trait Listener: Send + 'static {
     fn poll_accept(&self) -> io::Result<Option<Self::Conn>>;
 }
 
-trait Connection: Read + Write + Send + Sized + 'static {
-    fn duplicate(&self) -> io::Result<Self>;
-    fn set_read_timeout_on(&self, timeout: Option<Duration>) -> io::Result<()>;
+trait Connection: Read + Write + Send + 'static {
+    /// Makes both directions wake up every [`POLL_INTERVAL`] — a
+    /// timeout is how a blocked read or write gets to look at the
+    /// shutdown flag, never an error — and, where the transport would
+    /// otherwise hold a small frame back, turns that off.
+    fn prepare(&self) -> io::Result<()>;
 }
 
 impl Listener for UnixListener {
@@ -206,11 +230,9 @@ impl Listener for UnixListener {
 }
 
 impl Connection for UnixStream {
-    fn duplicate(&self) -> io::Result<Self> {
-        self.try_clone()
-    }
-    fn set_read_timeout_on(&self, timeout: Option<Duration>) -> io::Result<()> {
-        self.set_read_timeout(timeout)
+    fn prepare(&self) -> io::Result<()> {
+        self.set_read_timeout(Some(POLL_INTERVAL))?;
+        self.set_write_timeout(Some(POLL_INTERVAL))
     }
 }
 
@@ -226,17 +248,26 @@ impl Listener for TcpListener {
 }
 
 impl Connection for TcpStream {
-    fn duplicate(&self) -> io::Result<Self> {
-        self.try_clone()
-    }
-    fn set_read_timeout_on(&self, timeout: Option<Duration>) -> io::Result<()> {
-        self.set_read_timeout(timeout)
+    fn prepare(&self) -> io::Result<()> {
+        self.set_read_timeout(Some(POLL_INTERVAL))?;
+        self.set_write_timeout(Some(POLL_INTERVAL))?;
+        // A response is one write and the peer is waiting for it:
+        // Nagle's algorithm has nothing to coalesce, it can only hold
+        // the segment back for the peer's delayed ACK.
+        self.set_nodelay(true)
     }
 }
 
-/// How often a blocked connection read wakes up to check the shutdown
-/// flag, and how often the accept loop polls.
+/// How often a blocked connection read or write wakes up to check the
+/// shutdown flag, and how often the accept loop polls.
 const POLL_INTERVAL: Duration = Duration::from_millis(20);
+
+/// Once shutdown is requested, how many write timeouts in a row a
+/// response may sit without the peer taking a single byte before the
+/// connection is given up (half a second). Not one: the peer that sent
+/// `Shutdown` is owed its report, and on a loaded host it can be off
+/// the CPU for longer than one [`POLL_INTERVAL`].
+const STALLED_WRITE_POLLS: u32 = 25;
 
 /// A running daemon: accept loop, connection threads, optional
 /// wall-clock driver. Obtained from [`Daemon::spawn_unix`] /
@@ -391,11 +422,11 @@ fn accept_loop<L: Listener>(listener: L, service: Arc<Mutex<Service>>, shutdown:
     let mut connections: Vec<thread::JoinHandle<()>> = Vec::new();
     while !shutdown.load(Ordering::SeqCst) {
         match listener.poll_accept() {
-            Ok(Some(conn)) => {
+            Ok(Some(mut conn)) => {
                 let session = ServerSession::new(Arc::clone(&service), Arc::clone(&shutdown));
                 let shutdown = Arc::clone(&shutdown);
                 connections.push(thread::spawn(move || {
-                    connection_loop(conn, session, shutdown)
+                    connection_loop(&mut conn, session, &shutdown)
                 }));
             }
             Ok(None) => thread::sleep(POLL_INTERVAL),
@@ -410,41 +441,27 @@ fn accept_loop<L: Listener>(listener: L, service: Arc<Mutex<Service>>, shutdown:
     }
 }
 
-/// Per-connection reader loop plus a dedicated writer thread: the
-/// reader decodes and handles frames, the writer serializes responses
-/// back. Any transport error ends the connection; the daemon lives on.
-fn connection_loop<C: Connection>(conn: C, mut session: ServerSession, shutdown: Arc<AtomicBool>) {
-    // The periodic read timeout is what lets the loop notice shutdown
-    // while idle; a timeout is not an error.
-    if conn.set_read_timeout_on(Some(POLL_INTERVAL)).is_err() {
+/// One connection, start to finish, on the calling thread: read a
+/// request, handle it, write its response, repeat (see the module
+/// docs). Any transport error ends the connection; the daemon lives
+/// on.
+fn connection_loop<C: Connection>(conn: &mut C, mut session: ServerSession, shutdown: &AtomicBool) {
+    if conn.prepare().is_err() {
         return;
     }
-    let writer = match conn.duplicate() {
-        Ok(w) => w,
-        Err(_) => return,
-    };
-    let (tx, rx) = mpsc::channel::<Vec<u8>>();
-    let writer_thread = thread::spawn(move || {
-        let mut writer = writer;
-        while let Ok(payload) = rx.recv() {
-            if write_frame(&mut writer, &payload).is_err() {
-                break;
-            }
-        }
-    });
-
-    // The frame reader's fill state survives read timeouts, so a
-    // frame that stalls mid-transfer (slow peer, loaded host) resumes
-    // where it stopped instead of desyncing the stream.
-    let mut reader = conn;
+    // The reader's fill state survives read timeouts, so a frame that
+    // stalls mid-transfer (slow peer, loaded host) resumes where it
+    // stopped instead of desyncing the stream.
     let mut frames = FrameReader::new();
+    let mut response = Vec::new();
     loop {
-        match frames.poll(&mut reader) {
-            Ok(FrameProgress::Frame(payload)) => {
-                let response = session.handle_frame(&payload);
-                if tx.send(response).is_err() {
+        match frames.poll_borrowed(conn) {
+            Ok(FrameProgress::Frame(request)) => {
+                session.handle_frame_into(&request, &mut response);
+                if write_response(conn, &response, shutdown).is_err() {
                     break;
                 }
+                release_large_scratch(&mut response);
             }
             Ok(FrameProgress::Eof) => break, // peer hung up cleanly
             Ok(FrameProgress::Pending) => {
@@ -455,8 +472,28 @@ fn connection_loop<C: Connection>(conn: C, mut session: ServerSession, shutdown:
             Err(_) => break, // malformed framing or hard I/O error
         }
     }
-    drop(tx);
-    let _ = writer_thread.join();
+}
+
+/// Writes one response frame, resuming across write timeouts from the
+/// byte it reached. While the daemon runs a full socket is waited out
+/// for as long as it takes — the peer is not reading, so nothing else
+/// is done for it either. After shutdown is requested the write goes
+/// on while the peer takes bytes and is given up after
+/// [`STALLED_WRITE_POLLS`] timeouts without one.
+fn write_response(
+    conn: &mut impl Write,
+    response: &[u8],
+    shutdown: &AtomicBool,
+) -> Result<(), WireError> {
+    let (mut reached, mut idle_polls) = (0, 0);
+    write_frame_with(conn, response, |_, sent| {
+        if sent > reached || !shutdown.load(Ordering::SeqCst) {
+            (reached, idle_polls) = (sent, 0);
+        } else {
+            idle_polls += 1;
+        }
+        idle_polls < STALLED_WRITE_POLLS
+    })
 }
 
 /// The wall-clock driver: every `cadence`, fold monotonic elapsed
@@ -484,5 +521,187 @@ fn driver_loop(
         if service.advance_dispatch(now).is_err() {
             errors.fetch_add(1, Ordering::SeqCst);
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::transport::oracle::{framed, read_frame};
+    use qucp_circuit::{Circuit, Gate};
+    use qucp_runtime::{JobRequest, JobTicket};
+    use std::collections::VecDeque;
+
+    fn session(shutdown: &Arc<AtomicBool>) -> ServerSession {
+        let service = Service::builder()
+            .device(qucp_device::ibm::melbourne())
+            .default_shots(8)
+            .seed(7)
+            .build()
+            .expect("build service");
+        ServerSession::new(Arc::new(Mutex::new(service)), Arc::clone(shutdown))
+    }
+
+    /// A connection double that counts: each `read` hands over the
+    /// next request frame whole (then EOF), each write call is kept on
+    /// its own.
+    struct CountingConn {
+        requests: VecDeque<Vec<u8>>,
+        reads: usize,
+        writes: Vec<Vec<u8>>,
+    }
+
+    impl Read for CountingConn {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            self.reads += 1;
+            let Some(frame) = self.requests.pop_front() else {
+                return Ok(0);
+            };
+            buf[..frame.len()].copy_from_slice(&frame);
+            Ok(frame.len())
+        }
+    }
+
+    impl Write for CountingConn {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.write_vectored(&[io::IoSlice::new(buf)])
+        }
+        fn write_vectored(&mut self, bufs: &[io::IoSlice<'_>]) -> io::Result<usize> {
+            let bytes: Vec<u8> = bufs.iter().flat_map(|b| b.iter().copied()).collect();
+            let written = bytes.len();
+            self.writes.push(bytes);
+            Ok(written)
+        }
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    impl Connection for CountingConn {
+        fn prepare(&self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    /// One of the three checks for any change to the frame path (with
+    /// the chunking proptest in `transport.rs` and `daemon_loop`'s
+    /// socket == replay gate): what the protocol needs is one `read`
+    /// and one write per exchange on this side.
+    #[test]
+    fn a_request_that_arrives_whole_costs_one_read_and_its_response_one_write() {
+        let mut bell = Circuit::with_name(2, "bell");
+        bell.try_push(Gate::H(0)).unwrap();
+        bell.try_push(Gate::Cx(0, 1)).unwrap();
+        let ticket = JobTicket { seq: 0, id: 5 };
+        let requests = [
+            Request::Hello {
+                version: PROTOCOL_VERSION,
+            },
+            Request::Submit(Box::new(JobRequest::new(bell, 0.0).with_id(ticket.id))),
+            Request::Tick { now: f64::INFINITY },
+            Request::TakeResult { ticket },
+            Request::CacheStats,
+        ];
+        let mut conn = CountingConn {
+            requests: requests.iter().map(|r| framed(&r.encode())).collect(),
+            reads: 0,
+            writes: Vec::new(),
+        };
+        let shutdown = Arc::new(AtomicBool::new(false));
+        connection_loop(&mut conn, session(&shutdown), &shutdown);
+
+        assert_eq!(conn.reads, requests.len() + 1, "one per request, one EOF");
+        assert_eq!(conn.writes.len(), requests.len(), "one per response");
+        let responses: Vec<Response> = conn
+            .writes
+            .iter()
+            .map(|written| {
+                let mut bytes = &written[..];
+                let payload = read_frame(&mut bytes).expect("a frame").expect("not EOF");
+                assert!(bytes.is_empty(), "exactly one frame per write");
+                Response::decode(&payload).expect("decodes")
+            })
+            .collect();
+        assert!(
+            matches!(
+                &responses[..],
+                [
+                    Response::HelloAck { .. },
+                    Response::Ticket(t),
+                    Response::Completed(done),
+                    Response::Taken(Some(_)),
+                    Response::CacheStats(_),
+                ] if *t == ticket && done[..] == [ticket]
+            ),
+            "in request order: {responses:?}"
+        );
+    }
+
+    /// A peer that takes `step` bytes between write timeouts (none at
+    /// all for `step == 0`), and can raise the shutdown flag itself at
+    /// a chosen timeout.
+    struct SlowPeer<'a> {
+        step: usize,
+        timed_out_last: bool,
+        timeouts: u32,
+        taken: Vec<u8>,
+        raise: Option<(u32, &'a AtomicBool)>,
+    }
+
+    impl<'a> SlowPeer<'a> {
+        fn new(step: usize, raise: Option<(u32, &'a AtomicBool)>) -> Self {
+            SlowPeer {
+                step,
+                timed_out_last: false,
+                timeouts: 0,
+                taken: Vec::new(),
+                raise,
+            }
+        }
+    }
+
+    impl Write for SlowPeer<'_> {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            if self.step == 0 || !self.timed_out_last {
+                self.timed_out_last = true;
+                self.timeouts += 1;
+                if let Some((at, flag)) = self.raise {
+                    if self.timeouts == at {
+                        flag.store(true, Ordering::SeqCst);
+                    }
+                }
+                return Err(io::ErrorKind::TimedOut.into());
+            }
+            self.timed_out_last = false;
+            let n = self.step.min(buf.len());
+            self.taken.extend_from_slice(&buf[..n]);
+            Ok(n)
+        }
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn a_blocked_response_waits_out_a_running_daemon_and_is_given_up_after_shutdown() {
+        // Nothing is ever taken. Forty timeouts pass with the daemon
+        // running; the flag goes up during the fortieth, which is the
+        // first of the STALLED_WRITE_POLLS the write is then allowed.
+        let shutdown = AtomicBool::new(false);
+        let mut peer = SlowPeer::new(0, Some((40, &shutdown)));
+        assert!(matches!(
+            write_response(&mut peer, b"report", &shutdown).unwrap_err(),
+            WireError::Io { .. }
+        ));
+        assert_eq!(peer.timeouts, 39 + STALLED_WRITE_POLLS);
+        assert!(peer.taken.is_empty());
+
+        // A peer that takes one byte between timeouts is slow, not
+        // gone: shutdown or not, it gets its whole frame.
+        let shutdown = AtomicBool::new(true);
+        let report = vec![7u8; 10 * STALLED_WRITE_POLLS as usize];
+        let mut peer = SlowPeer::new(1, None);
+        write_response(&mut peer, &report, &shutdown).expect("progress is not a stall");
+        assert_eq!(peer.taken, framed(&report));
     }
 }

@@ -114,6 +114,20 @@ impl From<std::io::Error> for WireError {
     }
 }
 
+/// A reused encode buffer keeps its capacity from message to message
+/// up to this size; past it the memory goes back after the message is
+/// sent, so one multi-megabyte report pins nothing on an idle
+/// connection.
+const SCRATCH_RETAIN_LEN: usize = 64 * 1024;
+
+/// Applies [`SCRATCH_RETAIN_LEN`] to a scratch buffer whose message
+/// has been sent.
+pub(crate) fn release_large_scratch(buf: &mut Vec<u8>) {
+    if buf.capacity() > SCRATCH_RETAIN_LEN {
+        *buf = Vec::new();
+    }
+}
+
 /// Appends wire-encoded fields to a growable byte buffer.
 #[derive(Debug, Default)]
 pub struct Encoder {
@@ -124,6 +138,13 @@ impl Encoder {
     /// An empty encoder.
     pub fn new() -> Self {
         Encoder::default()
+    }
+
+    /// An encoder that appends to `buf`, keeping the capacity it has —
+    /// how a connection's scratch buffer is written again and again
+    /// without a heap request.
+    pub fn appending_to(buf: Vec<u8>) -> Self {
+        Encoder { buf }
     }
 
     /// The encoded bytes.

@@ -9,16 +9,20 @@
 //! **bit-identical** to driving the same `Service` in process with the
 //! same simulated clock.
 
+use std::io::{ErrorKind, Write};
+use std::os::unix::net::UnixStream;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
+use std::time::{Duration, Instant};
 
 use proptest::prelude::*;
 use qucp_circuit::{Circuit, Gate};
 use qucp_core::queue::QueueStats;
 use qucp_core::{CrosstalkTreatment, PartitionPolicy, ProgramResult, Strategy as ExecStrategy};
 use qucp_daemon::{
-    Client, ClientError, Daemon, DaemonConfig, Fault, MockTransport, Request, Response,
-    ServerSession, Transport, WireError, WireRuntimeError, MIN_SUPPORTED_VERSION, PROTOCOL_VERSION,
+    Client, ClientError, Daemon, DaemonConfig, Fault, FrameReader, MockTransport, Request,
+    Response, ServerSession, Transport, WireError, WireRuntimeError, MIN_SUPPORTED_VERSION,
+    PROTOCOL_VERSION,
 };
 use qucp_device::{ibm, Link, LinkPair};
 use qucp_runtime::{
@@ -823,14 +827,261 @@ fn report_is_bit_identical_across_in_process_mock_and_socket() {
     handle.request_shutdown();
     handle.join();
 
+    // The same over loopback TCP, the other front door.
+    let (handle, addr) = Daemon::spawn_tcp(
+        "127.0.0.1:0",
+        fleet(),
+        DaemonConfig {
+            driver_cadence: None,
+        },
+    )
+    .expect("spawn");
+    let mut tcp_client = Client::connect_tcp(addr).expect("connect");
+    let via_tcp = drive_client(&mut tcp_client, workload(6));
+    handle.request_shutdown();
+    handle.join();
+
     assert!(!in_process.job_results.is_empty(), "workload ran");
     assert_eq!(via_mock, in_process, "mock transport report differs");
     assert_eq!(via_socket, in_process, "socket report differs");
+    assert_eq!(via_tcp, in_process, "TCP report differs");
     // Bit-level identity, stronger than PartialEq: the encoded frames
     // match byte for byte.
-    let encode = |r: &ServiceReport| Response::Report(Box::new(r.clone())).encode();
-    assert_eq!(encode(&via_mock), encode(&in_process));
-    assert_eq!(encode(&via_socket), encode(&in_process));
+    assert_eq!(encode_report(&via_mock), encode_report(&in_process));
+    assert_eq!(encode_report(&via_socket), encode_report(&in_process));
+    assert_eq!(encode_report(&via_tcp), encode_report(&in_process));
+}
+
+fn encode_report(report: &ServiceReport) -> Vec<u8> {
+    Response::Report(Box::new(report.clone())).encode()
+}
+
+// ---------------------------------------------------------------------------
+// The frame path on real sockets: one write and one read per frame on
+// each side, one thread per connection (see "What a round trip costs"
+// in the daemon's crate docs).
+// ---------------------------------------------------------------------------
+
+/// A daemon whose clock only client requests move.
+fn spawn_unix(tag: &str) -> (qucp_daemon::DaemonHandle, std::path::PathBuf) {
+    let path = socket_path(tag);
+    let config = DaemonConfig {
+        driver_cadence: None,
+    };
+    let handle = Daemon::spawn_unix(&path, fleet(), config).expect("spawn");
+    (handle, path)
+}
+
+/// `header ‖ payload`.
+fn framed(payload: &[u8]) -> Vec<u8> {
+    let mut bytes = Vec::new();
+    qucp_daemon::write_frame(&mut bytes, payload).expect("fits a frame");
+    bytes
+}
+
+/// Reads one response frame off a raw stream.
+fn next_response(frames: &mut FrameReader, stream: &mut UnixStream) -> Response {
+    let payload = frames
+        .read_frame(stream)
+        .expect("a frame")
+        .expect("the daemon answers before it hangs up");
+    Response::decode(&payload).expect("decodes")
+}
+
+/// A raw connection that has shaken hands.
+fn raw_connection(path: &std::path::Path) -> (UnixStream, FrameReader) {
+    let mut stream = UnixStream::connect(path).expect("connect");
+    let mut frames = FrameReader::new();
+    let hello = Request::Hello {
+        version: PROTOCOL_VERSION,
+    };
+    stream.write_all(&framed(&hello.encode())).expect("hello");
+    match next_response(&mut frames, &mut stream) {
+        Response::HelloAck { .. } => (stream, frames),
+        other => panic!("expected HelloAck, got {other:?}"),
+    }
+}
+
+/// Nagle's algorithm and a frame sent as two segments cost a loopback
+/// echo 88 ms; one write per frame and `TCP_NODELAY` on both ends make
+/// it microseconds. A bar a thousand times the expected time, so a
+/// loaded host cannot trip it.
+#[test]
+fn a_hundred_echoes_over_loopback_tcp_finish_within_a_second() {
+    let config = DaemonConfig {
+        driver_cadence: None,
+    };
+    let (handle, addr) = Daemon::spawn_tcp("127.0.0.1:0", fleet(), config).expect("spawn");
+    let mut client = Client::connect_tcp(addr).expect("connect");
+    let started = Instant::now();
+    for _ in 0..100 {
+        client.cache_stats().expect("echo");
+    }
+    let elapsed = started.elapsed();
+    handle.request_shutdown();
+    handle.join();
+    assert!(
+        elapsed < Duration::from_secs(1),
+        "100 echoes took {elapsed:?}"
+    );
+}
+
+/// Inline writes make the socket the only queue: a peer that sends and
+/// never reads fills it, the daemon stops reading that peer, and the
+/// peer's own writes block — while other connections are served, and
+/// without holding up shutdown.
+#[test]
+fn a_peer_that_never_reads_is_not_read_either_and_pins_nothing_past_shutdown() {
+    let request = framed(&Request::CacheStats.encode());
+    // Bytes offered per write.
+    let chunk = 800 * request.len();
+
+    // What a socket takes in with nobody reading, in writes this size.
+    let absorbed = {
+        let (mut tx, _rx) = UnixStream::pair().expect("socket pair");
+        tx.set_nonblocking(true).expect("nonblocking");
+        let unread = vec![0u8; chunk];
+        let mut total = 0;
+        loop {
+            match tx.write(&unread) {
+                Ok(n) => total += n,
+                Err(e) if e.kind() == ErrorKind::WouldBlock => break total,
+                Err(e) => panic!("socket pair write: {e}"),
+            }
+        }
+    };
+    // Bounded, and several times what the daemon can legitimately hold
+    // for this peer: one socket buffer, its 16 KiB read buffer, and the
+    // few requests it answered before its own writes blocked.
+    let tape = request.repeat(4 * absorbed / request.len() + 4 * 16 * 1024);
+
+    let (handle, path) = spawn_unix("stalled-peer");
+    let (mut raw, _frames) = raw_connection(&path);
+    raw.set_nonblocking(true).expect("nonblocking");
+    let mut sent = 0;
+    let mut last_progress = Instant::now();
+    while sent < tape.len() {
+        match raw.write(&tape[sent..tape.len().min(sent + chunk)]) {
+            Ok(n) => {
+                sent += n;
+                last_progress = Instant::now();
+            }
+            // Full for a moment, or for good?
+            Err(e) if e.kind() == ErrorKind::WouldBlock => {
+                if last_progress.elapsed() > Duration::from_millis(500) {
+                    break;
+                }
+                std::thread::sleep(Duration::from_millis(5));
+            }
+            Err(e) => panic!("tape write: {e}"),
+        }
+    }
+    assert!(
+        sent < tape.len(),
+        "the daemon took the whole tape ({sent} bytes, {absorbed} fit a socket) \
+         from a peer that reads nothing"
+    );
+
+    // Someone else is served meanwhile.
+    let mut other = Client::connect_unix(&path).expect("connect");
+    other.cache_stats().expect("served beside the stalled peer");
+
+    // The stalled peer is still connected and still not reading.
+    let started = Instant::now();
+    handle.request_shutdown();
+    handle.join();
+    let elapsed = started.elapsed();
+    assert!(
+        elapsed < Duration::from_secs(2),
+        "shutdown took {elapsed:?}"
+    );
+    drop(raw);
+}
+
+#[test]
+fn a_handshake_and_a_hundred_requests_in_one_write_are_answered_in_order() {
+    let (handle, path) = spawn_unix("one-write");
+    let mut stream = UnixStream::connect(&path).expect("connect");
+    let hello = Request::Hello {
+        version: PROTOCOL_VERSION,
+    };
+    let mut bytes = framed(&hello.encode());
+    for i in 0..100 {
+        let submit = Request::Submit(Box::new(bell_request(0.0).with_id(1000 + i)));
+        bytes.extend(framed(&submit.encode()));
+    }
+    assert!(bytes.len() > 2 * 1024, "more than a frame or two");
+    let written = stream.write(&bytes).expect("write");
+    assert_eq!(written, bytes.len(), "one write call took it all");
+
+    let mut frames = FrameReader::new();
+    match next_response(&mut frames, &mut stream) {
+        Response::HelloAck { .. } => {}
+        other => panic!("expected HelloAck, got {other:?}"),
+    }
+    for i in 0..100 {
+        match next_response(&mut frames, &mut stream) {
+            Response::Ticket(ticket) => {
+                assert_eq!((ticket.seq, ticket.id), (i, 1000 + i as u64));
+            }
+            other => panic!("expected ticket {i}, got {other:?}"),
+        }
+    }
+    handle.request_shutdown();
+    handle.join();
+}
+
+/// The daemon's reads time out every 20 ms to look at the shutdown
+/// flag; a frame that is still arriving must survive that, wherever it
+/// was cut.
+#[test]
+fn a_request_dribbled_across_read_timeouts_is_answered() {
+    let (handle, path) = spawn_unix("dribble");
+    let (mut stream, mut frames) = raw_connection(&path);
+    let bytes = framed(&Request::Tick { now: 1_000.0 }.encode());
+    assert_eq!(bytes.len(), 4 + 9);
+    for (i, byte) in bytes.iter().enumerate() {
+        // Inside the header, then inside the payload.
+        if i == 2 || i == 8 {
+            std::thread::sleep(Duration::from_millis(60));
+        }
+        stream.write_all(&[*byte]).expect("one byte");
+    }
+    match next_response(&mut frames, &mut stream) {
+        Response::Completed(done) => assert!(done.is_empty()),
+        other => panic!("expected Completed, got {other:?}"),
+    }
+    handle.request_shutdown();
+    handle.join();
+}
+
+/// A report several read buffers long takes the large-frame path on
+/// the client and many partial writes on the daemon.
+#[test]
+fn a_drain_report_several_read_buffers_long_round_trips_bit_for_bit() {
+    let jobs = || (0..240).map(|i| bell_request(i as f64));
+    let mut service = fleet();
+    for job in jobs() {
+        service.submit(job).expect("submit");
+    }
+    let in_process = service.run_until_drained().expect("drain");
+    assert!(
+        encode_report(&in_process).len() >= 64 * 1024,
+        "only {} bytes",
+        encode_report(&in_process).len()
+    );
+
+    let (handle, path) = spawn_unix("big-report");
+    let mut client = Client::connect_unix(&path).expect("connect");
+    for job in jobs() {
+        client.submit(job).expect("submit");
+    }
+    let via_socket = client.drain().expect("drain");
+    // The connection is still in step after the large frame.
+    client.cache_stats().expect("echo");
+    handle.request_shutdown();
+    handle.join();
+    assert_eq!(encode_report(&via_socket), encode_report(&in_process));
 }
 
 /// `advance_dispatch` (what the wall-clock driver calls) must leave
