@@ -1,8 +1,9 @@
 //! # qucp-bench
 //!
-//! Shared fixtures for the experiment-regeneration binaries and the
-//! Criterion benchmarks: the exact benchmark combinations of the
-//! paper's figures and the standard experiment configurations.
+//! Shared fixtures for the experiment-regeneration binaries, the
+//! examples and the integration tests: the exact benchmark combinations
+//! of the paper's figures, the standard experiment configurations and
+//! the scheduler fleets and job streams.
 //!
 //! Regenerate any paper artifact with, e.g.:
 //!
@@ -76,98 +77,6 @@ pub const PAPER_SHOTS: usize = 8192;
 
 /// The workspace-wide experiment seed.
 pub const EXPERIMENT_SEED: u64 = 20220314;
-
-/// The trajectory-engine benchmark job: an 8-qubit GHZ chain planned
-/// solo on IBM Q Toronto by the QuCP pipeline. Shared between the
-/// Criterion `trajectory` bench and the `trajectory` bin so both
-/// measure exactly the same mapped job.
-///
-/// # Panics
-///
-/// Panics if the GHZ chain cannot be planned on Toronto (which would
-/// be a pipeline regression).
-pub fn trajectory_job() -> (qucp_device::Device, qucp_core::pipeline::PlannedWorkload) {
-    use qucp_core::pipeline::Pipeline;
-    use qucp_core::strategy;
-    let device = qucp_device::ibm::toronto();
-    let ghz = library::ghz(8);
-    let plan = Pipeline::from_strategy(&strategy::qucp(4.0))
-        .plan(&device, &[ghz], true)
-        .expect("GHZ-8 must plan on Toronto");
-    (device, plan)
-}
-
-/// Runs program 0 of a [`trajectory_job`] plan under `parallelism`
-/// with [`PAPER_SHOTS`] shots on the default
-/// [`Replay`](qucp_sim::TrajectoryKernel::Replay) kernel.
-///
-/// # Panics
-///
-/// Panics if the mapped job is rejected by the simulator.
-pub fn run_trajectory_job(
-    device: &qucp_device::Device,
-    plan: &qucp_core::pipeline::PlannedWorkload,
-    parallelism: qucp_sim::ShotParallelism,
-) -> qucp_sim::Counts {
-    run_trajectory_job_with_kernel(
-        device,
-        plan,
-        parallelism,
-        qucp_sim::TrajectoryKernel::Replay,
-    )
-}
-
-/// [`run_trajectory_job`] with an explicit trajectory kernel — the
-/// benchmark's kernel dimension.
-///
-/// # Panics
-///
-/// Panics if the mapped job is rejected by the simulator.
-pub fn run_trajectory_job_with_kernel(
-    device: &qucp_device::Device,
-    plan: &qucp_core::pipeline::PlannedWorkload,
-    parallelism: qucp_sim::ShotParallelism,
-    kernel: qucp_sim::TrajectoryKernel,
-) -> qucp_sim::Counts {
-    let exec = qucp_sim::ExecutionConfig::default()
-        .with_shots(PAPER_SHOTS)
-        .with_seed(EXPERIMENT_SEED)
-        .with_parallelism(parallelism)
-        .with_kernel(kernel);
-    let mapped = &plan.mapped[0];
-    qucp_sim::run_noisy_with_idle(
-        &mapped.circuit,
-        &mapped.layout,
-        device,
-        &plan.context.scalings[0],
-        &plan.context.tail_idle[0],
-        &exec,
-    )
-    .expect("mapped GHZ job must simulate")
-}
-
-/// The clean-shot probability of the [`trajectory_job`] workload — the
-/// fraction of trajectories the `SurvivalSkip` kernel answers from the
-/// cached ideal state (see [`qucp_sim::clean_shot_probability`]).
-///
-/// # Panics
-///
-/// Panics if the mapped job is rejected by the simulator.
-pub fn trajectory_clean_shot_fraction(
-    device: &qucp_device::Device,
-    plan: &qucp_core::pipeline::PlannedWorkload,
-) -> f64 {
-    let mapped = &plan.mapped[0];
-    qucp_sim::clean_shot_probability(
-        &mapped.circuit,
-        &mapped.layout,
-        device,
-        &plan.context.scalings[0],
-        &plan.context.tail_idle[0],
-        &qucp_sim::ExecutionConfig::default(),
-    )
-    .expect("mapped GHZ job must simulate")
-}
 
 /// Calibration seed of the [`noisy_toronto_twin`].
 pub const NOISY_TWIN_SEED: u64 = 2700;
@@ -363,11 +272,6 @@ pub fn poisson_jobs(n: usize, mean_gap_ns: f64, shots: usize, seed: u64) -> Vec<
         })
         .collect()
 }
-
-/// Mean Poisson inter-arrival gap of the heavy-traffic workload (ns).
-/// Far below per-batch service time, so the queue backs up and the
-/// dispatch loop operates deep in the heavy-traffic regime.
-pub const FLEET_MEAN_GAP_NS: f64 = 100.0;
 
 #[cfg(test)]
 mod tests {

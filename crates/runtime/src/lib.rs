@@ -64,15 +64,14 @@
 //!    up): one worker per floor of work, however the work is cut. A
 //!    batch of one-shot or eight-shot jobs therefore costs zero thread
 //!    spawns and runs as a plain loop; a batch of 8192-shot jobs on a
-//!    multi-core host runs one program per core. The same helper, under the same rule, runs the
-//!    candidates of best-k speculation (work = the service's own measured mean
-//!    planning time) and the shards of a sharded shot loop (work =
-//!    the whole job's shots × scheduled events, so an 8192-shot job
+//!    multi-core host runs one program per core. The same helper,
+//!    under the same rule, runs the shards of a sharded shot loop (work
+//!    = the whole job's shots × scheduled events, so an 8192-shot job
 //!    keeps its threads on a ten-gate circuit too). Per-program seeds
 //!    derive from `(seed, batch index, program index)` only, so
 //!    results are **bit-for-bit** the same however many threads ran
 //!    them.
-//!    **Prepared replay:**
+//!    **Replay of prepared state:**
 //!    what a program needs before its first shot — the simulator's
 //!    event stream, error probabilities and ideal states, and the
 //!    noiseless reference it is scored against — is a pure function of
@@ -153,27 +152,13 @@
 //! | batch removal | offset bump (front run) or one compaction pass |
 //! | recalibrate / drift epoch bump | one pass over the cache, dropping the bumped device's probes and plans, and one over the shape table, dropping the shapes nothing holds any more |
 //! | execution set-up per program | ALAP schedule + event sort + three statevector passes on the first two executions of a plan (the second fills the slots); a replayed plan then pays a pointer comparison (is this still the calibration snapshot the slots were filled under?) and an `Arc` clone (prepared replay) |
-//! | threads per batch | none under two spawn floors of batch work or on one core; otherwise one worker per floor up to the cores, the caller being one of them |
+//! | threads per batch | staging (routing, packing, planning): none, ever — one candidate at a time on the dispatching thread; execution: none under two spawn floors of batch work or on one core, otherwise one worker per floor up to the cores and the programs, the caller being one of them |
 //!
 //! What every one of those mechanisms must *answer* is stated without
 //! them by the reference scheduler of the differential suite
 //! (`tests/support/reference.rs`: a re-sorted `Vec`, linear scans, no
 //! cache, one thread), and `tests/integration_reference.rs` holds the
 //! service to it bit for bit.
-//!
-//! **Best-k speculative planning** ([`ServiceBuilder::best_k`]) plans
-//! the head batch on the top-k routing candidates through the fan-out
-//! helper (concurrently once the service's measured planning time per
-//! candidate, times the candidates, pays for a helper). The
-//! determinism rule: *the committed winner is always the first
-//! candidate in `(score, free time, registration index)` order whose
-//! plan succeeds* — exactly the sequential winner; speculation
-//! precomputes outcomes, it never reorders them, and a speculative hard
-//! error surfaces only when the ranked walk actually reaches its
-//! candidate. Losing candidates' probe results stay in the route cache
-//! (warming later dispatches), so with `k > 1` the
-//! [`RouteCacheStats`] counters may run ahead of the sequential
-//! schedule — the only observable difference.
 //!
 //! ## Campaigns and mid-stream result delivery
 //!

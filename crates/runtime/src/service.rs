@@ -117,18 +117,12 @@ pub struct Service {
     /// explicit [`Service::recalibrate`] moves the baseline too — the
     /// newest official snapshot is what a reset restores.
     baselines: Option<Vec<(Calibration, CrosstalkModel)>>,
-    /// Top-k speculative planning width (1 = sequential).
-    best_k: usize,
     /// Cumulative wall-clock nanoseconds spent *executing* batches
     /// (trajectory simulation), as opposed to dispatch bookkeeping.
     exec_ns: u64,
     /// Cumulative wall-clock nanoseconds spent *planning* batches
-    /// (mapping/partitioning in [`plan_gated_members`]); under best-k
-    /// speculation the per-thread durations are summed.
+    /// (mapping/partitioning in [`plan_gated_members`]).
     plan_ns: u64,
-    /// How many planning runs `plan_ns` sums (their mean sizes the
-    /// speculation fan-out).
-    plans_timed: u64,
 }
 
 impl std::fmt::Debug for Service {
@@ -393,12 +387,11 @@ impl Service {
 
     /// Cumulative wall-clock nanoseconds this service spent *planning*
     /// batches (mapping/partitioning of the gated batch members) —
-    /// workload cost, like execution, not queue bookkeeping. Under
-    /// best-k speculation the concurrent per-candidate durations are
-    /// summed, so this can exceed the wall time the planning stage
-    /// actually occupied. The benchmark subtracts this (with
-    /// [`Service::execution_time_ns`]) from end-to-end wall time to
-    /// isolate the dispatch loop itself.
+    /// workload cost, like execution, not queue bookkeeping. Planning
+    /// runs one candidate at a time on the dispatching thread, so this
+    /// is exactly the wall time planning occupied. The benchmark
+    /// subtracts this (with [`Service::execution_time_ns`]) from
+    /// end-to-end wall time to isolate the dispatch loop itself.
     pub fn planning_time_ns(&self) -> u64 {
         self.plan_ns
     }

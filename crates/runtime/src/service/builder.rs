@@ -26,7 +26,6 @@ pub struct ServiceBuilder {
     observers: Vec<Box<dyn EventObserver>>,
     drift: Option<Box<dyn DriftModel>>,
     event_capacity: Option<usize>,
-    best_k: usize,
 }
 
 impl std::fmt::Debug for ServiceBuilder {
@@ -66,7 +65,6 @@ impl ServiceBuilder {
             observers: Vec::new(),
             drift: None,
             event_capacity: None,
-            best_k: 1,
         }
     }
 
@@ -215,24 +213,6 @@ impl ServiceBuilder {
         self
     }
 
-    /// Plans the head batch on the top-`k` routing candidates up
-    /// front (concurrently where the planning work pays for helper
-    /// threads) instead of walking them one at a time. Deterministic by construction: the committed winner
-    /// is always the **first** candidate in `(score, free time,
-    /// registration)` order whose plan succeeds — exactly the `k = 1`
-    /// sequential winner; speculation precomputes outcomes, it never
-    /// reorders them. Losing candidates' planning probes still land in
-    /// the route cache (warming later dispatches), which is the only
-    /// observable difference: with `k > 1` the
-    /// [`RouteCacheStats`](crate::RouteCacheStats) counters may run ahead of the sequential
-    /// schedule. Values are clamped to at least 1; the default 1
-    /// disables speculation.
-    #[must_use]
-    pub fn best_k(mut self, k: usize) -> Self {
-        self.best_k = k.max(1);
-        self
-    }
-
     /// Validates the configuration and builds the service.
     ///
     /// # Errors
@@ -290,10 +270,8 @@ impl ServiceBuilder {
             drift: self.drift,
             drift_steps,
             baselines,
-            best_k: self.best_k.max(1),
             exec_ns: 0,
             plan_ns: 0,
-            plans_timed: 0,
         })
     }
 }

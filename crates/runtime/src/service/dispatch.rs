@@ -1,15 +1,15 @@
-//! The dispatch loop: stage the next batch (head choice, routing,
-//! candidate preparation through the plan cache, commit), execute it,
+//! The dispatch loop: stage the next batch (head choice, routing, the
+//! ranked candidate walk through the plan cache, commit), execute it,
 //! and fold its results.
 
 use qucp_circuit::Circuit;
 use qucp_core::pipeline::{Pipeline, PlannedWorkload};
 use qucp_core::{CoreError, ParallelConfig, ProgramResult, Strategy};
 use qucp_device::Device;
-use qucp_sim::{run_indexed, ExecutionConfig, ShotParallelism, TrajectoryKernel, WORK_UNIT_NS};
+use qucp_sim::{run_indexed, ExecutionConfig, ShotParallelism, TrajectoryKernel};
 
-use super::gate::{plan_gated_members, GatedPlan, PlanMembers};
-use super::route_cache::{replay_plan, PlanKey, PlannedParts};
+use super::gate::{plan_gated_members, PlanMembers};
+use super::route_cache::{replay_plan, PlannedParts};
 use super::{EfsGate, JobTicket, Service};
 use crate::event::Event;
 use crate::job::JobResult;
@@ -168,23 +168,8 @@ impl Service {
             )
         };
 
-        // Best-k speculation: prepare the top-k candidates' pack and
-        // plan outcomes (planning concurrently) before walking the
-        // ranking. The walk below consumes them for ranks < k and plans
-        // one candidate at a time beyond — the same routine either way,
-        // and the committed winner is the first ranked candidate whose
-        // plan succeeds.
-        let k = if !head.probe_widest && self.best_k > 1 && candidates.len() > 1 {
-            self.best_k.min(candidates.len())
-        } else {
-            1
-        };
-        let mut speculated = if k > 1 {
-            self.speculate(&head, &candidates[..k]).into_iter()
-        } else {
-            Vec::new().into_iter()
-        };
-
+        // The ranked walk: the committed winner is the first ranked
+        // candidate whose plan succeeds.
         let mut last_unplaceable: Option<RuntimeError> = None;
         for (rank, &d) in candidates.iter().enumerate() {
             let start = self.states[d].clock.max(head.arrival);
@@ -196,31 +181,17 @@ impl Service {
                 // finite-horizon tick sequence must stay a prefix of
                 // the drain schedule, and planning failures (which are
                 // horizon-independent) are the only way down the
-                // ranking. Speculative outcomes (hard errors included)
-                // for this and lower ranks are discarded unseen.
+                // ranking.
                 return Ok(None);
             }
-            // Ranks are visited in order, one outcome each.
-            let outcome = match speculated.next() {
-                Some(outcome) => outcome,
-                None => self.plan_candidate(&head, d),
-            };
-            let (pack, planned) = match outcome {
-                CandidateOutcome::Unplaceable(e) => {
+            let (pack, (plan, member_seqs, shrinks)) = match self.plan_candidate(&head, d) {
+                Ok(planned) => planned,
+                Err(e @ RuntimeError::JobUnplaceable { .. }) => {
                     last_unplaceable = Some(e);
                     continue;
                 }
-                CandidateOutcome::Failed(e) => return Err(e),
-                CandidateOutcome::Planned { pack, plan } => match *plan {
-                    Ok(planned) => (pack, planned),
-                    Err(e @ RuntimeError::JobUnplaceable { .. }) => {
-                        last_unplaceable = Some(e);
-                        continue;
-                    }
-                    Err(e) => return Err(e),
-                },
+                Err(e) => return Err(e),
             };
-            let (plan, member_seqs, shrinks) = planned;
             debug_assert_eq!(pack.start.to_bits(), start.to_bits());
 
             // Borrowed, not cloned: everything staged below touches
@@ -405,23 +376,19 @@ impl Service {
         state.batches += 1;
     }
 
-    /// Books one timed [`plan_gated_members`] run.
-    fn record_planning(&mut self, ns: u64) {
-        self.plan_ns = self.plan_ns.saturating_add(ns);
-        self.plans_timed += 1;
-    }
-
-    /// The one candidate-preparation routine: everything about one
-    /// candidate device that must happen on the dispatching thread, in
-    /// ranked order — the head-only cap probe, the pack, and the
-    /// plan-cache lookup, each of which mutates the route cache or its
-    /// counters. A cache hit replays the memoized outcome against the
-    /// current members (re-binding shrink events and unplaceable
-    /// errors to current job ids) and the candidate is done; a miss
-    /// leaves it [`Prepared::Ready`] for [`plan_prepared`], which is a
-    /// pure function and may run anywhere, and
-    /// [`Service::conclude_candidate`].
-    fn prepare_candidate(&mut self, head: &HeadContext, d: usize) -> Prepared {
+    /// One candidate device, start to finish: the head-only cap probe,
+    /// the pack, and the plan-cache lookup — a hit replays the memoized
+    /// outcome against the current members (re-binding shrink events
+    /// and unplaceable errors to current job ids), a miss plans the
+    /// members fresh, timed, and memoizes the outcome. A candidate the
+    /// head cannot be placed on — by the cap probe or by planning — is
+    /// a [`RuntimeError::JobUnplaceable`], which the ranked walk falls
+    /// past; every other error ends the dispatch.
+    fn plan_candidate(
+        &mut self,
+        head: &HeadContext,
+        d: usize,
+    ) -> Result<(CandidatePack, PlannedParts), RuntimeError> {
         // Head-only EFS gate (Fig. 4): probe the admissible copy count
         // of the head circuit before packing, memoized across batches
         // per (device, shape, threshold).
@@ -436,124 +403,46 @@ impl Service {
             Err(
                 e @ (CoreError::PartitionUnavailable { .. } | CoreError::ProgramTooWide { .. }),
             ) => {
-                return Prepared::Done(CandidateOutcome::Unplaceable(
-                    RuntimeError::JobUnplaceable {
-                        job_id: head.id,
-                        source: e,
-                    },
-                ))
+                return Err(RuntimeError::JobUnplaceable {
+                    job_id: head.id,
+                    source: e,
+                })
             }
-            Err(e) => return Prepared::Done(CandidateOutcome::Failed(RuntimeError::Core(e))),
+            Err(e) => return Err(RuntimeError::Core(e)),
         };
-        let packed = self.pack_candidate(head, d, cap).and_then(|pack| {
-            let key = self.plan_key(d, head.strategy_key, &pack.picks_seqs)?;
-            Ok((pack, key))
-        });
-        let (pack, key) = match packed {
-            Ok(packed) => packed,
-            Err(e) => return Prepared::Done(CandidateOutcome::Failed(e)),
-        };
+        let pack = self.pack_candidate(head, d, cap)?;
+        let key = self.plan_key(d, head.strategy_key, &pack.picks_seqs)?;
+        let device = self.registry.device_at(d);
         if let Some(entry) = self.route_cache.plans.get(&key) {
             self.route_cache.plan_hits += 1;
-            let device_name = self.registry.device_at(d).name();
             let seqs = pack.picks_seqs.clone();
-            let replayed = replay_plan(entry, head, device_name, &self.pending, seqs);
-            return Prepared::Done(CandidateOutcome::Planned {
-                pack,
-                plan: Box::new(replayed),
-            });
+            let planned = replay_plan(entry, head, device.name(), &self.pending, seqs)?;
+            return Ok((pack, planned));
         }
         self.route_cache.plan_misses += 1;
         // Only a miss pays for the members' circuits.
-        match self.plan_members(&pack.picks_seqs) {
-            Ok(members) => Prepared::Ready { pack, members, key },
-            Err(e) => Prepared::Done(CandidateOutcome::Failed(e)),
-        }
-    }
-
-    /// Books and memoizes a ready candidate's fresh plan.
-    fn conclude_candidate(
-        &mut self,
-        pack: CandidatePack,
-        key: PlanKey,
-        (gated, plan_ns): (Result<GatedPlan, RuntimeError>, u64),
-    ) -> CandidateOutcome {
-        self.record_planning(plan_ns);
-        CandidateOutcome::Planned {
-            pack,
-            plan: Box::new(self.memoize_plan(key, gated)),
-        }
-    }
-
-    /// One candidate, start to finish on the dispatching thread: the
-    /// ranked walk's k = 1 default and every rank beyond a speculation
-    /// window.
-    fn plan_candidate(&mut self, head: &HeadContext, d: usize) -> CandidateOutcome {
-        match self.prepare_candidate(head, d) {
-            Prepared::Done(outcome) => outcome,
-            Prepared::Ready { pack, members, key } => {
-                let device = self.registry.device_at(d);
-                let planned =
-                    plan_prepared(head, device, self.efs_gate, self.cfg.optimize, members);
-                self.conclude_candidate(pack, key, planned)
-            }
-        }
-    }
-
-    /// Best-k speculation: the same preparation for the top-k ranked
-    /// candidates, in ranked order, before the ranked walk consumes
-    /// them — with the fresh planning of the cache misses (the
-    /// expensive part) fanned out through [`run_indexed`] in between:
-    /// concurrency can change wall-clock only, never an outcome.
-    /// Memoization follows in ranked order again, so the cache sees the
-    /// insertion sequence the one-at-a-time path would produce for
-    /// these candidates. Losing candidates' probes and plans stay
-    /// cached and warm later dispatches.
-    fn speculate(&mut self, head: &HeadContext, ranked: &[usize]) -> Vec<CandidateOutcome> {
-        /// A ready candidate's members, taken by the one fan-out task
-        /// that plans it.
-        type Slot = std::sync::Mutex<Option<PlanMembers>>;
-        let mut slots: Vec<(usize, Slot)> = Vec::new();
-        let mut preps: Vec<Result<(CandidatePack, PlanKey), CandidateOutcome>> = Vec::new();
-        for &d in ranked {
-            preps.push(match self.prepare_candidate(head, d) {
-                Prepared::Done(outcome) => Err(outcome),
-                Prepared::Ready { pack, members, key } => {
-                    slots.push((d, std::sync::Mutex::new(Some(members))));
-                    Ok((pack, key))
-                }
-            });
-        }
-        let (gate, optimize, registry) = (self.efs_gate, self.cfg.optimize, &self.registry);
-        // The fan-out's work estimate is measured, not guessed: this
-        // service's own mean planning time per candidate still to plan.
-        // Before the first measurement it is zero — the candidates plan
-        // inline, and that takes the measurement.
-        let work = slots.len() as u64 * (self.plan_ns / self.plans_timed.max(1) / WORK_UNIT_NS);
-        let planned = run_indexed(slots.len(), work, |i| {
-            let (d, slot) = &slots[i];
-            let members = slot.lock().expect("no planner panics holding it").take();
-            let members = members.expect("every ready candidate is planned once");
-            plan_prepared(head, registry.device_at(*d), gate, optimize, members)
-        });
-        let mut planned = planned.into_iter();
-        preps
-            .into_iter()
-            .map(|prep| match prep {
-                Err(outcome) => outcome,
-                Ok((pack, key)) => {
-                    let planned = planned.next().expect("one plan per ready candidate");
-                    self.conclude_candidate(pack, key, planned)
-                }
-            })
-            .collect()
+        let members = self.plan_members(&pack.picks_seqs)?;
+        let plan_started = std::time::Instant::now();
+        let gated = plan_gated_members(
+            &head.pipeline,
+            device,
+            head.batch_index,
+            self.efs_gate,
+            self.cfg.optimize,
+            &head.strategy,
+            members,
+        );
+        self.plan_ns = self
+            .plan_ns
+            .saturating_add(plan_started.elapsed().as_nanos() as u64);
+        let planned = self.memoize_plan(key, gated)?;
+        Ok((pack, planned))
     }
 
     /// One candidate device's admission pass: bind the arrived window
     /// at this candidate's start horizon, run the policy's pack, and
-    /// copy out everything the commit path needs (so packs for several
-    /// speculative candidates can coexist — each `prepare` rebinds the
-    /// store's joinable flags).
+    /// copy out everything the commit path needs (the pack outlives the
+    /// borrow of the store, which the commit path mutates).
     fn pack_candidate(
         &mut self,
         head: &HeadContext,
@@ -595,7 +484,7 @@ impl Service {
 
     /// Resolves the per-member planning inputs from the store, so
     /// planning itself ([`plan_gated_members`]) runs without touching
-    /// the service — off the main thread when speculating.
+    /// the service.
     fn plan_members(&self, seqs: &[usize]) -> Result<PlanMembers, RuntimeError> {
         let gated = self.efs_gate.reads_member_thresholds();
         let mut ids = Vec::with_capacity(seqs.len());
@@ -620,9 +509,9 @@ impl Service {
 }
 
 /// Everything the commit path needs from one candidate's admission
-/// pass, copied out of the pending store so several speculative packs
-/// can coexist (each [`PendingStore::prepare`] rebinds the store's
-/// joinable flags to one candidate's horizon).
+/// pass, copied out of the pending store (whose arrived window is bound
+/// to this candidate's horizon only until the next
+/// [`PendingStore::prepare`]).
 struct CandidatePack {
     /// The batch's start on this candidate (device clock vs head
     /// arrival).
@@ -640,9 +529,8 @@ struct CandidatePack {
 }
 
 /// What one dispatch step knows about the batch head, fixed before any
-/// candidate device is prepared: everything
-/// [`Service::prepare_candidate`] and [`plan_prepared`] read besides
-/// the candidate itself.
+/// candidate device is planned: everything
+/// [`Service::plan_candidate`] reads besides the candidate itself.
 pub(super) struct HeadContext {
     pub(super) seq: usize,
     pub(super) id: u64,
@@ -663,39 +551,6 @@ pub(super) struct HeadContext {
     /// the precise placement error surfaces.
     pub(super) probe_widest: bool,
     pub(super) batch_index: usize,
-}
-
-/// One candidate device after [`Service::prepare_candidate`].
-enum Prepared {
-    /// Packed, and its batch missed the plan cache: to be planned
-    /// fresh and memoized under `key`.
-    Ready {
-        pack: CandidatePack,
-        members: PlanMembers,
-        key: PlanKey,
-    },
-    /// Decided without planning: rejected by the cap probe, failed, or
-    /// replayed from the plan cache.
-    Done(CandidateOutcome),
-}
-
-/// One candidate device's dispatch outcome.
-enum CandidateOutcome {
-    /// The head-cap probe rejected the candidate; the ranked walk falls
-    /// past it exactly like the sequential path.
-    Unplaceable(RuntimeError),
-    /// A hard error — surfaced only if the ranked walk actually reaches
-    /// this candidate, so speculation never changes which error a run
-    /// reports.
-    Failed(RuntimeError),
-    /// The candidate packed; `plan` holds its (possibly failed) plan
-    /// (boxed — a planned workload is large, the other variants are
-    /// not). The walk commits the first ranked `Planned` whose plan
-    /// succeeded.
-    Planned {
-        pack: CandidatePack,
-        plan: Box<Result<PlannedParts, RuntimeError>>,
-    },
 }
 
 /// One staged batch: every scheduling decision made, every queue/clock
@@ -728,29 +583,6 @@ struct StagedBatch {
     waits: Vec<f64>,
     turnarounds: Vec<f64>,
     events: Vec<Event>,
-}
-
-/// Plans a [`Prepared::Ready`] candidate's members fresh, timed (ns):
-/// a pure function of its arguments, so best-k speculation runs one
-/// call per candidate as fan-out tasks.
-fn plan_prepared(
-    head: &HeadContext,
-    device: &Device,
-    gate: EfsGate,
-    optimize: bool,
-    members: PlanMembers,
-) -> (Result<GatedPlan, RuntimeError>, u64) {
-    let plan_started = std::time::Instant::now();
-    let gated = plan_gated_members(
-        &head.pipeline,
-        device,
-        head.batch_index,
-        gate,
-        optimize,
-        &head.strategy,
-        members,
-    );
-    (gated, plan_started.elapsed().as_nanos() as u64)
 }
 
 /// Per-batch seed derivation: a distinct odd stride keeps batch streams

@@ -14,9 +14,8 @@ use crate::scheduler::RuntimeError;
 
 /// Per-member planning inputs, resolved from the pending store on a
 /// plan-cache miss so [`plan_gated_members`] can run without touching
-/// the service (off the main thread when speculating). The planning
-/// loop mutates its copy in place as members are evicted, so the
-/// returned `seqs`/`ids` are the committed batch.
+/// the service. The planning loop mutates its copy in place as members
+/// are evicted, so the returned `seqs`/`ids` are the committed batch.
 pub(super) struct PlanMembers {
     pub(super) seqs: Vec<usize>,
     pub(super) ids: Vec<u64>,
@@ -54,8 +53,8 @@ pub(super) struct GatedPlan {
 /// solo-EFS baselines exactly as the sequential path always has.
 ///
 /// A free function on purpose: its only inputs are the pre-resolved
-/// members and shared device/pipeline state, so best-k speculation can
-/// run one invocation per candidate as fan-out tasks.
+/// members and shared device/pipeline state — what the plan key names —
+/// so its outcome can be memoized and replayed.
 ///
 /// The shrink loop runs on **allocation alone** — the gate reads
 /// nothing but each member's allocated EFS score, and a placement

@@ -3,11 +3,10 @@
 //! unless extra threads pay for themselves.
 //!
 //! Every parallel site of the workspace — the draw streams of one
-//! job's shards and the runs of its sorted error shots under
-//! evaluation, the programs of one batch, the device groups of one
-//! dispatch pass, the candidates of one best-k speculation — is a call
-//! to [`run_indexed`] (or [`run_indexed_within`] when the caller caps
-//! the workers itself). The rule is the same everywhere:
+//! job's shards, the runs of its sorted error shots under evaluation
+//! and the programs of one batch — is a call to [`run_indexed`] (or
+//! [`run_indexed_within`] when the caller caps the workers itself). The
+//! rule is the same everywhere:
 //!
 //! * the **caller works too**: it claims tasks off the same atomic
 //!   index as the helpers, so a fan-out over `w` workers spawns `w − 1`

@@ -2,8 +2,9 @@
 //! `take_result` exactly-once contract (None before completion, Some
 //! once, None after; the drained report unchanged by any claim
 //! schedule), proptests over random claim/tick interleavings crossed
-//! with every admission policy, the campaign loop's determinism, and
-//! the per-job routing-override pins
+//! with every admission policy, the campaign loop's determinism, the
+//! multiprogrammed VQE campaign's batch and makespan win at equal
+//! energies, and the per-job routing-override pins
 //! (no override == explicit default override == bit-identical report;
 //! an all-jobs override == the same policy set service-wide).
 
@@ -223,6 +224,119 @@ fn campaign_loop_is_mode_invariant_and_accounts_correctly() {
     // Rounds arrive at the campaign clock, so the makespan is the last
     // round's completion and every fold saw a full batch.
     assert!(serial.output.iter().all(|&t| t > 0.0));
+}
+
+// ---------------------------------------------------------------------------
+// The VQE campaign: multiprogramming pays, at equal energies.
+// ---------------------------------------------------------------------------
+
+/// The multiprogramming claim on an application: the H2 VQE θ grid
+/// (Table III row (a): 8 points, two commuting measurement groups per
+/// point) driven as a campaign through a service with batching headroom
+/// takes half the scheduler batches and about half the simulated
+/// makespan of the same campaign on a `max_parallel = 1` service, and
+/// both estimate the same energies as the pre-service baseline — every
+/// measurement circuit through `execute_parallel` one at a time.
+/// Everything here is simulated and bit-stable, so the scheduling
+/// numbers are pinned to what the retired `vqe_shootout --smoke` bin
+/// printed at its last commit.
+///
+/// The accuracy bar — the grid minimum within 16 mHa of the noiseless
+/// one on this chip — is `perfbench`'s `sim_campaigns` gate
+/// (`ENERGY_TOL_HA`, reported as `vqe.energy_error_mha`) and is not
+/// repeated here.
+#[test]
+fn multiprogrammed_vqe_campaign_halves_batches_and_makespan_at_equal_energies() {
+    use qucp_core::{execute_parallel, strategy, ParallelConfig};
+    use qucp_device::{Calibration, CrosstalkModel, Device, Topology};
+    use qucp_sim::ExecutionConfig;
+    use qucp_vqe::{group_energy, h2_hamiltonian, VqeCampaign};
+
+    const THETA_POINTS: usize = 8;
+    const REPS: usize = 2;
+    const SHOTS: usize = 4096;
+    const SEED: u64 = qucp_bench::EXPERIMENT_SEED;
+    /// Shot-noise tolerance for cross-path energy agreement (Ha): the
+    /// three paths draw different noise realizations, so they agree
+    /// only statistically; on the quiet chip the spread is well under
+    /// this.
+    const AGREE_TOL: f64 = 0.05;
+
+    // A quiet 12-qubit chip: wide enough to co-schedule both groups of
+    // a round, calibrated ~30× better than the IBM fixtures so the
+    // agreement bar measures the campaign seam, not device noise.
+    let quiet_device = || {
+        let topo = Topology::grid(3, 4);
+        let cal = Calibration::uniform(&topo, 1e-3, 1e-5, 2e-3);
+        Device::new("quiet-3x4", topo, cal, CrosstalkModel::none())
+    };
+    let campaign = |max_parallel: usize| {
+        let mut service = Service::builder()
+            .device(quiet_device())
+            .strategy(strategy::qucp(4.0))
+            .max_parallel(max_parallel)
+            .seed(SEED)
+            // Keep the ansatz structure untouched, as the direct path does.
+            .optimize(false)
+            .build()
+            .expect("build service");
+        run_campaign(&mut service, VqeCampaign::h2(THETA_POINTS, REPS, SHOTS))
+            .expect("vqe campaign drains")
+    };
+
+    let multi = campaign(4);
+    assert_eq!(multi, campaign(4), "vqe campaign must be reproducible");
+    let serial = campaign(1);
+    assert_eq!(serial, campaign(1), "vqe campaign must be reproducible");
+
+    // The same circuits, one at a time through the core pipeline.
+    let (device, h) = (quiet_device(), h2_hamiltonian());
+    let groups = h.commuting_groups();
+    let mut grid = VqeCampaign::h2(THETA_POINTS, REPS, SHOTS);
+    let direct: Vec<f64> = (0..THETA_POINTS)
+        .map(|ti| {
+            let round = grid.next_batch(ti).expect("one round per θ point");
+            let energies = round
+                .iter()
+                .zip(&groups)
+                .enumerate()
+                .map(|(gi, (job, group))| {
+                    let seed = SEED.wrapping_add((ti * groups.len() + gi) as u64 * 101);
+                    let cfg = ParallelConfig {
+                        execution: ExecutionConfig::default().with_shots(SHOTS).with_seed(seed),
+                        optimize: false,
+                    };
+                    let circuits = std::slice::from_ref(&job.circuit);
+                    let out = execute_parallel(&device, circuits, &strategy::qucp(4.0), &cfg)
+                        .expect("direct vqe circuit runs");
+                    group_energy(&h, group, &out.programs[0].counts)
+                });
+            energies.sum()
+        })
+        .collect();
+
+    // Equal energies: all three paths estimate the same grid.
+    for (label, other) in [("serialized", &serial.output.energies), ("direct", &direct)] {
+        assert_eq!(other.len(), THETA_POINTS);
+        for (ti, (&a, &b)) in multi.output.energies.iter().zip(other).enumerate() {
+            assert!(
+                (a - b).abs() < AGREE_TOL,
+                "θ point {ti}: multiprogrammed {a} vs {label} {b} beyond {AGREE_TOL} Ha"
+            );
+        }
+    }
+
+    // Multiprogramming pays: one batch per round instead of one per
+    // job, and a strictly shorter simulated campaign.
+    let (ms, ss) = (&multi.stats, &serial.stats);
+    assert_eq!((ms.rounds, ms.jobs), (THETA_POINTS, 2 * THETA_POINTS));
+    assert_eq!((ss.rounds, ss.jobs), (ms.rounds, ms.jobs));
+    assert!(ms.batches < ss.batches);
+    assert_eq!((ms.batches, ss.batches), (8, 16));
+    assert!(ms.makespan < ss.makespan);
+    assert_eq!((ms.makespan, ss.makespan), (6760.0, 13240.0));
+    let mean_turnaround = |s: &qucp_runtime::CampaignStats| s.total_turnaround / s.jobs as f64;
+    assert_eq!((mean_turnaround(ms), mean_turnaround(ss)), (845.0, 1232.5));
 }
 
 // ---------------------------------------------------------------------------

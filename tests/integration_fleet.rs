@@ -1,49 +1,10 @@
-//! Fleet scale-out integration suite (PR 8): the best-k speculative
-//! planner's winner-determinism rule and the bounded event log's
+//! Fleet scale-out integration suite (PR 8): the bounded event log's
 //! contract. (Queue-index, plan-cache and thread-order equivalence are
 //! pinned by `integration_reference.rs`.)
 
-use proptest::prelude::*;
 use qucp_bench::EXPERIMENT_SEED;
 use qucp_core::strategy;
-use qucp_runtime::{CalibrationAware, Event, JobRequest, Service, ServiceReport};
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(8))]
-
-    /// The best-k determinism rule: speculative planning over the top-k
-    /// routing candidates commits exactly the sequential (k = 1)
-    /// winner — identical reports, including the `BatchRouted` device
-    /// sequence, on the skewed fleet where calibration-aware ranking
-    /// genuinely has two candidates to choose from. Only route-cache
-    /// counters may differ (they are not part of the report).
-    #[test]
-    fn best_k_commits_the_sequential_winner(
-        n in 3usize..10,
-        seed in 0u64..1000,
-        k in 2usize..5,
-    ) {
-        let run = |k: usize| -> ServiceReport {
-            let mut service = Service::builder()
-                .registry(qucp_bench::skewed_fleet())
-                .strategy(strategy::qucp(4.0))
-                .routing(CalibrationAware::default())
-                .max_parallel(3)
-                .seed(EXPERIMENT_SEED)
-                .best_k(k)
-                .build()
-                .expect("best-k service must build");
-            for job in qucp_runtime::synthetic_jobs(n, 400.0, 16, seed) {
-                service
-                    .submit(JobRequest::from_job(&job))
-                    .expect("fixture job must submit");
-            }
-            service.run_until_drained().expect("best-k drain")
-        };
-        let sequential = run(1);
-        prop_assert_eq!(&run(k), &sequential);
-    }
-}
+use qucp_runtime::{Event, JobRequest, Service, ServiceReport};
 
 /// The bounded event log: a capacity keeps only the most recent events
 /// and counts the overflow in `ServiceReport::dropped_events`, while

@@ -5,10 +5,10 @@
 //! interleavings × every policy axis, plus named deterministic cases so
 //! a regression names itself.
 //!
-//! The reference has no queue index, no route or plan cache, no
-//! speculation and no threads, so a stale cache entry, a wrong plan
-//! replay, a queue-index slip or a thread-order dependence each make
-//! production diverge from it.
+//! The reference has no queue index, no route or plan cache and no
+//! threads, so a stale cache entry, a wrong plan replay, a queue-index
+//! slip or a thread-order dependence each make production diverge from
+//! it.
 
 mod support;
 

@@ -2,9 +2,11 @@
 //! `EarliestFree` bit-for-bit contract against the PR-2 golden
 //! scheduling snapshot, the earliest-free fallback on tied
 //! `CalibrationAware` scores, admission-safety properties of the
-//! router, and the cross-batch partition-probe cache.
+//! router, the cross-batch partition-probe cache, and the pinned
+//! calibration-aware delivered-fidelity win on the skewed fleet.
 
 use proptest::prelude::*;
+use qucp_bench::routing_shootout;
 use qucp_core::strategy;
 use qucp_device::ibm;
 use qucp_runtime::{
@@ -204,6 +206,52 @@ fn cached_probes_do_not_change_routing_decisions() {
         assert_eq!(shifted, b.job_ids);
         assert_eq!(a.used_qubits, b.used_qubits);
     }
+}
+
+/// The routing claim: on the skewed two-chip fleet (a well-calibrated
+/// IBM Q Toronto and its ~3×-noisier twin, the noisy one registered
+/// first) calibration-aware routing delivers better fidelity than
+/// earliest-free at bounded turnaround cost, by steering the load to
+/// the good chip. Everything here is simulated and bit-stable, so the
+/// values are pinned to what the retired `routing_shootout` bin printed
+/// at its last commit.
+#[test]
+fn calibration_aware_routing_wins_delivered_fidelity_on_the_skewed_fleet() {
+    /// Turnaround slack the fidelity win may cost: concentrating load
+    /// on the good chip trades some queueing for fidelity — but never
+    /// more than this factor over earliest-free.
+    const MAX_TURNAROUND_RATIO: f64 = 3.0;
+    let close = |a: f64, b: f64| (a - b).abs() < 1e-6 * b.abs().max(1.0);
+    let split = |noisy: usize, good: usize| {
+        vec![
+            ("ibmq_toronto_noisy".to_string(), noisy),
+            ("ibmq_toronto".to_string(), good),
+        ]
+    };
+
+    // Both policies route deterministically: two runs agree bit for bit.
+    let earliest = routing_shootout(EarliestFree);
+    let aware = routing_shootout(CalibrationAware::default());
+    assert_eq!(earliest, routing_shootout(EarliestFree));
+    assert_eq!(aware, routing_shootout(CalibrationAware::default()));
+
+    // Better delivered fidelity (execution-free EFS and sampled JSD)...
+    assert!(aware.mean_efs < earliest.mean_efs);
+    assert!(aware.mean_jsd < earliest.mean_jsd);
+    assert!(close(earliest.mean_efs, 0.511050) && close(aware.mean_efs, 0.316868));
+    assert!(close(earliest.mean_jsd, 0.187834) && close(aware.mean_jsd, 0.152929));
+    // ...at bounded turnaround cost (1.97x)...
+    assert!(aware.mean_turnaround / earliest.mean_turnaround <= MAX_TURNAROUND_RATIO);
+    assert!(close(earliest.mean_turnaround, 31470.1) && close(aware.mean_turnaround, 62028.0));
+    // ...by overcoming registration order: every job lands on the good
+    // chip, where earliest-free splits the burst across both...
+    assert_eq!(earliest.per_device_jobs, split(8, 10));
+    assert_eq!(aware.per_device_jobs, split(0, 18));
+    // ...and repeat dispatches reuse the cached partition probes, which
+    // earliest-free never asks for.
+    assert!(aware.cache.hits > 0);
+    assert_eq!((aware.cache.hits, aware.cache.misses), (8, 6));
+    assert_eq!((earliest.cache.hits, earliest.cache.misses), (0, 0));
 }
 
 proptest! {

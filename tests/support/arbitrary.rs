@@ -107,8 +107,7 @@ pub fn job(max_shots: usize) -> impl Strategy<Value = JobRequest> {
     })
 }
 
-/// A configuration over every axis both schedulers implement, plus
-/// production's speculation width.
+/// A configuration over every axis both schedulers implement.
 pub fn config() -> impl Strategy<Value = Config> {
     let fleet = prop_oneof![
         Just(Fleet::Skewed),
@@ -147,11 +146,11 @@ pub fn config() -> impl Strategy<Value = Config> {
     let capacity = prop_oneof![Just(None), Just(None), (0usize..40).prop_map(Some)];
     let scheduling = (fleet, policy, routing(), gate, threshold);
     let execution = (0u64..1000, 0u8..2, 0u8..3, 0u8..2);
-    let knobs = (0usize..6, drift, capacity, 0u8..2, 0u8..4);
+    let knobs = (0usize..6, drift, capacity, 0u8..4);
     (scheduling, execution, knobs).prop_map(|(scheduling, execution, knobs)| {
         let (fleet, policy, routing, gate, threshold) = scheduling;
         let (seed, optimize, sharded, survival) = execution;
-        let (max_parallel, drift, event_capacity, speculate, cna) = knobs;
+        let (max_parallel, drift, event_capacity, cna) = knobs;
         Config {
             fleet,
             policy,
@@ -176,7 +175,6 @@ pub fn config() -> impl Strategy<Value = Config> {
             },
             drift,
             event_capacity,
-            best_k: if speculate == 1 { 3 } else { 1 },
             ..Config::default()
         }
     })

@@ -187,8 +187,6 @@ pub struct Config {
     pub kernel: TrajectoryKernel,
     pub drift: Drift,
     pub event_capacity: Option<usize>,
-    /// Production only: the reference has no speculation to configure.
-    pub best_k: usize,
 }
 
 impl Default for Config {
@@ -208,7 +206,6 @@ impl Default for Config {
             kernel: TrajectoryKernel::Replay,
             drift: Drift::None,
             event_capacity: None,
-            best_k: 1,
         }
     }
 }
@@ -227,8 +224,7 @@ impl Config {
             .optimize(self.optimize)
             .shot_parallelism(self.shot_parallelism)
             .trajectory_kernel(self.kernel)
-            .event_capacity(self.event_capacity)
-            .best_k(self.best_k);
+            .event_capacity(self.event_capacity);
         let builder = match self.policy {
             Policy::Fifo => builder.policy(Fifo),
             Policy::Backfill(max_overtakes) => builder.policy(Backfill { max_overtakes }),
