@@ -273,19 +273,20 @@ pub fn exact_probabilities(
 ) -> Result<Vec<f64>, SimError> {
     let plan = build_plan(circuit, layout, device, scaling, &[], cfg)?;
     let mut rho = DensityMatrix::zero_state(circuit.width());
-    for &(_, _, ev) in &plan.events {
+    for &ev in &plan.events {
         match ev {
-            Event::Gate { index } => {
-                let gate = &circuit.gates()[index];
+            Event::Gate { index, .. } => {
+                let gate = &circuit.gates()[index as usize];
                 rho.apply(gate);
-                rho.gate_error_channel(gate, plan.error_p[index]);
+                rho.gate_error_channel(gate, plan.error_p[index as usize]);
             }
             Event::Idle {
                 q,
                 relax_p,
                 dephase_p,
+                ..
             } => {
-                rho.pauli_channel(q, relax_p / 4.0, relax_p / 4.0, dephase_p / 2.0);
+                rho.pauli_channel(q as usize, relax_p / 4.0, relax_p / 4.0, dephase_p / 2.0);
             }
         }
     }

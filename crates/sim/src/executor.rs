@@ -43,8 +43,9 @@ use rand::{Rng, SeedableRng};
 use crate::alias::AliasTable;
 use crate::counts::Counts;
 use crate::fanout::{core_budget, run_indexed_within};
-use crate::math::Complex;
-use crate::state::{kernel, Statevector};
+use crate::math::{Complex, Mat2};
+use crate::state::kernel::{self, narrow, Op};
+use crate::state::Statevector;
 
 #[cfg(test)]
 mod differential;
@@ -455,22 +456,86 @@ pub fn run_ideal(circuit: &Circuit, shots: usize, seed: u64) -> Counts {
 /// Shared (crate-internal) with the exact density-matrix evaluator in
 /// [`crate::density`], which walks the identical stream so that the two
 /// simulation paths implement the *same* noise model.
+///
+/// An event carries what the draw pass compares its random word with,
+/// fixed once by [`build_plan`] (see [`gate_threshold`] and
+/// [`idle_thresholds`]). It is the 48 bytes it was when it carried its
+/// sort keys `(time, kind)` instead, which nothing read after the sort.
 #[derive(Debug, Clone, Copy)]
 pub(crate) enum Event {
     /// Apply gate `index`, then (maybe) its error.
     Gate {
         /// Gate position in the circuit.
-        index: usize,
+        index: u32,
+        /// The gate errs iff the shot's next `u64` is below this;
+        /// `None` for an error probability of zero, which draws nothing.
+        threshold: Option<u64>,
     },
     /// Idle decoherence window on local qubit `q`.
     Idle {
         /// Local qubit that idles.
-        q: usize,
+        q: u32,
         /// Pauli-twirled relaxation probability of the window.
         relax_p: f64,
         /// Pauli-twirled dephasing probability of the window.
         dephase_p: f64,
+        /// The window suffers X, Y or Z iff the top 53 bits of the
+        /// shot's next `u64` are below the first, second or third of
+        /// these (the first that holds).
+        thresholds: [u64; 3],
     },
+}
+
+/// 2^64, the scale of `rand`'s fixed-point Bernoulli.
+const BERNOULLI_SCALE: f64 = 2.0 * (1u64 << 63) as f64;
+
+/// What `Rng::gen_bool(p)` compares its `u64` with, for `p` in
+/// `[0, 1)`: a Bernoulli draw is `next_u64() < bernoulli_threshold(p)`.
+fn bernoulli_threshold(p: f64) -> u64 {
+    (p * BERNOULLI_SCALE) as u64
+}
+
+/// The draw of a gate whose capped error probability is `p` (at most
+/// 0.75): a gate that cannot err consumes no random word — the rule of
+/// every pinned stream — and any other compares one with `gen_bool`'s
+/// threshold, which may be 0 for a tiny `p` (a word consumed, no error).
+pub(crate) fn gate_threshold(p: f64) -> Option<u64> {
+    (p > 0.0).then(|| bernoulli_threshold(p))
+}
+
+/// The cumulative X, X + Y, X + Y + Z probabilities of an idle window
+/// (X and Y each `relax_p / 4`, Z `dephase_p / 2`: Pauli-twirled
+/// thermal noise), the sums taken in this order in `f64`.
+pub(crate) fn idle_cumulative(relax_p: f64, dephase_p: f64) -> [f64; 3] {
+    let px = relax_p / 4.0;
+    let py = relax_p / 4.0;
+    let pz = dephase_p / 2.0;
+    [px, px + py, px + py + pz]
+}
+
+/// [`idle_cumulative`] in the integer domain of `Rng::gen::<f64>()`,
+/// which returns `k · 2^-53` for the top 53 bits `k` of a `u64`:
+/// `k · 2^-53 < x ⇔ k < x · 2^53 ⇔ k < ⌈x · 2^53⌉`, exactly — scaling
+/// by a power of two does not round, and `k` is an integer. (A NaN or
+/// negative `x` becomes 0, below which no `k` lies, as no uniform lies
+/// below `x`.)
+pub(crate) fn idle_thresholds(relax_p: f64, dephase_p: f64) -> [u64; 3] {
+    idle_cumulative(relax_p, dephase_p).map(|x| (x * (1u64 << 53) as f64).ceil() as u64)
+}
+
+/// The draw of a readout flip of probability `p`, by `gen_bool`'s
+/// rules: `p == 1` flips without consuming a word (`None`); any other
+/// `p`, zero included, consumes one and compares it.
+///
+/// # Panics
+///
+/// Panics, as `gen_bool` does, if `p` is outside `[0, 1]`.
+pub(crate) fn readout_threshold(p: f64) -> Option<u64> {
+    if (0.0..1.0).contains(&p) {
+        return Some(bernoulli_threshold(p));
+    }
+    assert!(p == 1.0, "p={p} is outside range [0.0, 1.0]");
+    None
 }
 
 /// The deterministic part of a noisy execution: the time-ordered event
@@ -479,8 +544,8 @@ pub(crate) enum Event {
 /// [`TrajectoryKernel::SurvivalSkip`] kernel binary-searches.
 #[derive(Debug, Clone)]
 pub(crate) struct TrajectoryPlan {
-    /// `(time, kind, event)` sorted by time with idles before gates.
-    pub events: Vec<(f64, u8, Event)>,
+    /// The events in stream order: by time, idles before gates.
+    pub events: Vec<Event>,
     /// Per-gate error probabilities after scaling, capped at 0.75.
     pub error_p: Vec<f64>,
     /// Prefix survival products over the event stream, length
@@ -497,7 +562,7 @@ pub(crate) struct TrajectoryPlan {
 /// `p_x + p_y + p_z = relax_p/2 + dephase_p/2` of an idle window.
 fn event_error_p(ev: Event, error_p: &[f64]) -> f64 {
     match ev {
-        Event::Gate { index } => error_p[index],
+        Event::Gate { index, .. } => error_p[index as usize],
         Event::Idle {
             relax_p, dephase_p, ..
         } => relax_p / 2.0 + dephase_p / 2.0,
@@ -530,93 +595,97 @@ pub(crate) fn build_plan(
     let cal = device.calibration();
 
     // Durations come from the one shared model (`gate_durations`, also
-    // used by the qucp-core overlap scheduler); only the base error
-    // probabilities are computed here.
+    // used by the qucp-core overlap scheduler); only the error
+    // probabilities are computed here: the calibrated base error with
+    // crosstalk scaling, capped.
     let durations = gate_durations(circuit, layout, device);
-    let mut base_error = Vec::with_capacity(circuit.gate_count());
-    for g in circuit.gates() {
-        let qs = g.qubits();
-        let qs = qs.as_slice();
-        match g {
-            Gate::Swap(..) => {
-                let e = cal.cx_error(Link::new(layout[qs[0]], layout[qs[1]]));
-                base_error.push(1.0 - (1.0 - e).powi(3));
-            }
-            g if g.is_two_qubit() => {
-                base_error.push(cal.cx_error(Link::new(layout[qs[0]], layout[qs[1]])));
-            }
-            _ => {
-                base_error.push(cal.sq_error(layout[qs[0]]));
-            }
-        }
-    }
-
-    // ALAP schedule (the paper's policy) and its idle windows.
-    let sched = schedule::alap_schedule_with(circuit, |i, _| durations[i]);
-
-    let mut events: Vec<(f64, u8, Event)> = Vec::new();
-    for e in sched.entries() {
-        events.push((
-            e.start,
-            1,
-            Event::Gate {
-                index: e.gate_index,
-            },
-        ));
-    }
-    if cfg.idle_noise {
-        for (q, windows) in sched.idle_windows(circuit).into_iter().enumerate() {
-            let phys = layout[q];
-            let t1 = cal.t1(phys);
-            let t2 = cal.t2(phys);
-            for (a, b) in windows {
-                let tau = b - a;
-                let relax_p = 1.0 - (-tau / t1).exp();
-                let dephase_p = 1.0 - (-tau / t2).exp();
-                events.push((
-                    b,
-                    0,
-                    Event::Idle {
-                        q,
-                        relax_p,
-                        dephase_p,
-                    },
-                ));
-            }
-        }
-        for (q, &tau) in tail_idle.iter().enumerate() {
-            if tau > 0.0 && q < circuit.width() {
-                let phys = layout[q];
-                let relax_p = 1.0 - (-tau / cal.t1(phys)).exp();
-                let dephase_p = 1.0 - (-tau / cal.t2(phys)).exp();
-                events.push((
-                    sched.makespan() + tau,
-                    0,
-                    Event::Idle {
-                        q,
-                        relax_p,
-                        dephase_p,
-                    },
-                ));
-            }
-        }
-    }
-    events.sort_by(|x, y| x.0.total_cmp(&y.0).then(x.1.cmp(&y.1)));
-
-    // Effective per-gate error probabilities with crosstalk scaling.
-    let error_p: Vec<f64> = base_error
+    let error_p: Vec<f64> = circuit
+        .gates()
         .iter()
         .enumerate()
-        .map(|(i, &e)| {
-            if cfg.gate_noise {
-                (e * scaling.factor(i)).min(0.75)
-            } else {
-                0.0
+        .map(|(i, g)| {
+            if !cfg.gate_noise {
+                return 0.0;
             }
+            let qs = g.qubits();
+            let qs = qs.as_slice();
+            let base = match g {
+                Gate::Swap(..) => {
+                    let e = cal.cx_error(Link::new(layout[qs[0]], layout[qs[1]]));
+                    1.0 - (1.0 - e).powi(3)
+                }
+                g if g.is_two_qubit() => cal.cx_error(Link::new(layout[qs[0]], layout[qs[1]])),
+                _ => cal.sq_error(layout[qs[0]]),
+            };
+            (base * scaling.factor(i)).min(0.75)
         })
         .collect();
 
-    let survival = prefix_survival(events.iter().map(|&(_, _, ev)| event_error_p(ev, &error_p)));
+    // ALAP schedule (the paper's policy) and its idle windows.
+    let sched = schedule::alap_schedule_with(circuit, |i, _| durations[i]);
+    let windows = if cfg.idle_noise {
+        sched.idle_windows(circuit)
+    } else {
+        Vec::new()
+    };
+    let tails = || {
+        let tails = tail_idle.iter().take(circuit.width()).enumerate();
+        tails.filter(|&(_, &tau)| cfg.idle_noise && tau > 0.0)
+    };
+
+    // The stream is sorted as 24-byte slots — `(time, kind)` and what
+    // the event is built from — and the events, draw thresholds
+    // included, are built once, in stream order.
+    #[derive(Clone, Copy)]
+    struct Slot {
+        time: f64,
+        /// Length of an idle window (kind 0, sorts before a gate).
+        tau: f64,
+        /// The local qubit of a window, the index of a gate (kind 1).
+        which: u32,
+        kind: u8,
+    }
+    let count =
+        sched.entries().len() + windows.iter().map(Vec::len).sum::<usize>() + tails().count();
+    let mut slots: Vec<Slot> = Vec::with_capacity(count);
+    slots.extend(sched.entries().iter().map(|e| Slot {
+        time: e.start,
+        tau: 0.0,
+        which: narrow(e.gate_index),
+        kind: 1,
+    }));
+    let window = |q: usize, time: f64, tau: f64| Slot {
+        time,
+        tau,
+        which: narrow(q),
+        kind: 0,
+    };
+    for (q, windows) in windows.iter().enumerate() {
+        slots.extend(windows.iter().map(|&(a, b)| window(q, b, b - a)));
+    }
+    slots.extend(tails().map(|(q, &tau)| window(q, sched.makespan() + tau, tau)));
+    slots.sort_by(|x, y| x.time.total_cmp(&y.time).then(x.kind.cmp(&y.kind)));
+
+    let events = slots.iter().map(|slot| match slot.kind {
+        1 => Event::Gate {
+            index: slot.which,
+            threshold: gate_threshold(error_p[slot.which as usize]),
+        },
+        _ => {
+            let phys = layout[slot.which as usize];
+            let relax_p = 1.0 - (-slot.tau / cal.t1(phys)).exp();
+            let dephase_p = 1.0 - (-slot.tau / cal.t2(phys)).exp();
+            Event::Idle {
+                q: slot.which,
+                relax_p,
+                dephase_p,
+                thresholds: idle_thresholds(relax_p, dephase_p),
+            }
+        }
+    });
+    let events: Vec<Event> = events.collect();
+
+    let survival = prefix_survival(events.iter().map(|&ev| event_error_p(ev, &error_p)));
     Ok(TrajectoryPlan {
         events,
         error_p,
@@ -730,7 +799,17 @@ pub fn run_noisy_with_idle(
 /// survival products, the mapped ideal state and the per-qubit readout
 /// flip probabilities — and, built lazily the first time a
 /// [`TrajectoryKernel::SurvivalSkip`] run asks, the clean-shot alias
-/// table and the readout survival products. Nothing depends on `seed`,
+/// table and the readout survival products.
+///
+/// `prepare` is a compiler: what a run would otherwise derive per shot
+/// or per gate application is fixed here, once. Every event carries the
+/// integer threshold(s) its random word is compared with, every
+/// measured qubit its readout threshold, and every gate is an op — its
+/// matrix or phase evaluated, its kernel picked from the exact zeros
+/// and ones of that matrix (see the crate docs, "Compiled once"). A run
+/// draws words and runs ops; it evaluates no `sin`, converts no
+/// probability and builds no matrix, and replaying a kept job allocates
+/// nothing for them. Nothing depends on `seed`,
 /// `shots`, `parallelism` or `kernel`, so one prepared job serves every
 /// run of the same mapped job under the same calibration and noise
 /// flags, bit-for-bit what [`run_noisy_with_idle`] computes from
@@ -764,10 +843,17 @@ pub fn run_noisy_with_idle(
 #[derive(Debug)]
 pub struct PreparedJob {
     plan: TrajectoryPlan,
+    /// Gate `i` of the circuit, compiled: `ops[i]`, with the matrices
+    /// of the gates that have no exact structure in `mats`.
+    ops: Vec<Op>,
+    mats: Vec<Mat2>,
     ideal: Statevector,
     /// Readout flip probability of each local qubit (the calibrated
     /// readout error of the physical qubit carrying it).
     readout_p: Vec<f64>,
+    /// [`readout_threshold`] of each local qubit; empty when the job
+    /// was prepared with readout noise off.
+    readout_draw: Vec<Option<u64>>,
     /// The noise flags the job was prepared under.
     noise: NoiseFlags,
     survival: OnceLock<SurvivalTables>,
@@ -811,6 +897,11 @@ impl PreparedJob {
     ///
     /// Returns a [`SimError`] if the layout is malformed or a two-qubit
     /// gate is not executable on the topology.
+    ///
+    /// # Panics
+    ///
+    /// Panics if readout noise is on and a readout error of the layout
+    /// is outside `[0, 1]` (the first shot's readout draw used to).
     pub fn prepare(
         circuit: &Circuit,
         layout: &[usize],
@@ -820,11 +911,26 @@ impl PreparedJob {
         cfg: &ExecutionConfig,
     ) -> Result<Self, SimError> {
         let plan = build_plan(circuit, layout, device, scaling, tail_idle, cfg)?;
+        let mut mats = Vec::new();
+        let compiled = circuit
+            .gates()
+            .iter()
+            .map(|g| kernel::compile(g, &mut mats));
+        let ops: Vec<Op> = compiled.collect();
         let cal = device.calibration();
+        let readout_p: Vec<f64> = layout.iter().map(|&phys| cal.readout_error(phys)).collect();
+        let readout_draw = if cfg.readout_noise {
+            readout_p.iter().map(|&p| readout_threshold(p)).collect()
+        } else {
+            Vec::new()
+        };
         Ok(PreparedJob {
             plan,
-            ideal: Statevector::from_circuit(circuit),
-            readout_p: layout.iter().map(|&phys| cal.readout_error(phys)).collect(),
+            ideal: Statevector::from_ops(circuit.width(), &ops, &mats),
+            ops,
+            mats,
+            readout_p,
+            readout_draw,
             noise: NoiseFlags::of(cfg),
             survival: OnceLock::new(),
         })
@@ -842,15 +948,19 @@ impl PreparedJob {
     }
 
     /// An upper bound on the heap bytes this job keeps alive: the event
-    /// stream with its error and survival products, the readout
-    /// products, the ideal state and the clean-shot alias table — the
-    /// lazy SurvivalSkip tables included whether or not they exist yet.
+    /// stream (draw thresholds included) with its error and survival
+    /// products, the compiled gates and their matrices, the readout
+    /// probabilities, thresholds and products, the ideal state and the
+    /// clean-shot alias table — the lazy SurvivalSkip tables included
+    /// whether or not they exist yet.
     pub fn retained_bytes(&self) -> usize {
         use std::mem::size_of;
         let outcomes = self.ideal.amplitudes().len();
-        self.plan.events.len() * (size_of::<(f64, u8, Event)>() + size_of::<f64>())
+        self.plan.events.len() * (size_of::<Event>() + size_of::<f64>())
             + self.plan.error_p.len() * size_of::<f64>()
-            + 2 * self.width() * size_of::<f64>()
+            + self.ops.len() * size_of::<Op>()
+            + self.mats.capacity() * size_of::<Mat2>()
+            + self.width() * (2 * size_of::<f64>() + size_of::<Option<u64>>())
             // Ideal state, alias table (threshold + alias per outcome).
             + outcomes * (size_of::<Complex>() + size_of::<f64>() + size_of::<u32>())
     }
@@ -892,7 +1002,9 @@ impl PreparedJob {
         let job = TrajectoryJob {
             width: self.width(),
             gates: circuit.gates(),
-            readout_p: &self.readout_p,
+            ops: &self.ops,
+            mats: &self.mats,
+            readout_draw: &self.readout_draw,
             plan: &self.plan,
             ideal: &self.ideal,
             tables,
@@ -924,8 +1036,11 @@ impl PreparedJob {
 struct TrajectoryJob<'a> {
     width: usize,
     gates: &'a [Gate],
-    /// Readout flip probability per local qubit.
-    readout_p: &'a [f64],
+    /// `gates`, compiled, and the matrices of the unstructured ones.
+    ops: &'a [Op],
+    mats: &'a [Mat2],
+    /// Readout draw threshold per local qubit (see [`readout_threshold`]).
+    readout_draw: &'a [Option<u64>],
     plan: &'a TrajectoryPlan,
     ideal: &'a Statevector,
     /// The SurvivalSkip kernel's clean-shot and readout samplers;
@@ -1022,14 +1137,25 @@ fn random_pauli(rng: &mut impl Rng) -> u8 {
     rng.gen_range(0..3i32) as u8 + 1
 }
 
-/// Applies the Pauli with X/Y/Z code `code` to qubit `q`.
+/// Applies the Pauli with X/Y/Z code `code` to qubit `q`: a half swap,
+/// `[[0, -i], [i, 0]]` or a sign flip of the upper halves.
 fn apply_pauli(amps: &mut [Complex], q: usize, code: u8) {
-    let gate = match code {
-        1 => Gate::X(q),
-        2 => Gate::Y(q),
-        _ => Gate::Z(q),
+    let q = narrow(q);
+    let op = match code {
+        1 => Op::Flip { q },
+        2 => Op::Cross {
+            q,
+            d0: 0.0,
+            b01: -1.0,
+            b10: 1.0,
+            d1: 0.0,
+        },
+        _ => Op::Phase {
+            q,
+            d: Complex::real(-1.0),
+        },
     };
-    kernel::apply(amps, &gate);
+    kernel::run(amps, &op, &[]);
 }
 
 /// Applies a depolarizing-style error after `gate`: `code` is a 1–3
@@ -1829,7 +1955,18 @@ mod tests {
         );
         assert!(prepared.survival.get().is_some(), "SurvivalSkip built them");
         assert_eq!(prepared.retained_bytes(), before, "the bound is shape-only");
-        // State + alias table dominate: 2^10 * 28 B, plus the stream.
+        // State + alias table dominate: 2^10 * 28 B. The stream: an
+        // event with its draw thresholds is the 48 bytes the event with
+        // its sort keys was, a compiled gate 40, beside 8 of survival
+        // and 8 of error probability; a qubit's readout 8 + 8 + 16.
+        use std::mem::size_of;
+        assert_eq!((size_of::<Event>(), size_of::<Op>()), (48, 40));
+        let (events, gates) = (prepared.plan.events.len(), wide.gate_count());
+        assert_eq!((events, gates), (42, 30), "30 gates and 12 idle windows");
+        assert_eq!(
+            before,
+            (1 << 10) * 28 + events * (48 + 8) + gates * (8 + 40) + 10 * 32
+        );
         assert!(before < 64 * 1024, "retains {before} B");
 
         let small =
@@ -1837,6 +1974,44 @@ mod tests {
                 .unwrap();
         small.run(&bell(), &cfg);
         assert!(small.retained_bytes() < 1024);
+    }
+
+    #[test]
+    fn pauli_strikes_equal_the_general_kernel() {
+        // X, Y and Z as the evaluator strikes them — a half swap, the
+        // cross kernel, a sign flip — against their matrices through
+        // the general 2x2 product: equal up to the sign of a zero, and
+        // bit-equal in every probability.
+        use crate::unitaries::single_qubit_matrix;
+        let mut rng = StdRng::seed_from_u64(0x5EED_0024);
+        for n in 1..=6usize {
+            for q in 0..n {
+                for sparse in [false, true] {
+                    let mut part = || match rng.gen_range(0..4u32) {
+                        0 if sparse => 0.0,
+                        1 if sparse => -0.0,
+                        _ => rng.gen_range(-1.0..1.0),
+                    };
+                    let state: Vec<Complex> =
+                        (0..1 << n).map(|_| Complex::new(part(), part())).collect();
+                    for (code, gate) in [(1, Gate::X(q)), (2, Gate::Y(q)), (3, Gate::Z(q))] {
+                        let mut expected = state.clone();
+                        kernel::apply_single(&mut expected, q, &single_qubit_matrix(&gate));
+                        let mut got = state.clone();
+                        apply_pauli(&mut got, q, code);
+                        assert_eq!(got, expected, "{gate:?} on {n} qubits");
+                        let bits = |amps: &[Complex]| -> Vec<u64> {
+                            amps.iter().map(|a| a.norm_sqr().to_bits()).collect()
+                        };
+                        assert_eq!(bits(&got), bits(&expected), "{gate:?} on {n} qubits");
+                        // A one-qubit gate's error is that Pauli on its operand.
+                        let mut typed = state.clone();
+                        apply_typed_gate_error(&mut typed, &Gate::H(q), code);
+                        assert_eq!(typed, got);
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -62,7 +62,9 @@ impl Case {
 }
 
 /// Line and grid chips with a synthesized (uneven) calibration whose
-/// gate, readout and idle errors range from none to heavy.
+/// gate, readout and idle errors range from none to heavy; three chips
+/// in eight read qubit 0 flipped with certainty, never flip their last
+/// qubit, or both (the two readout draws without a threshold compare).
 fn chip(shape: usize, seed: u64, noise: (f64, f64, f64)) -> Device {
     let topology = match shape {
         0 => Topology::line(2),
@@ -80,7 +82,13 @@ fn chip(shape: usize, seed: u64, noise: (f64, f64, f64)) -> Device {
         t2: (coherence_ns / 2.0, 2.0 * coherence_ns),
         ..NoiseProfile::default()
     };
-    let calibration = Calibration::synthesize(&topology, seed, &profile);
+    let mut calibration = Calibration::synthesize(&topology, seed, &profile);
+    if matches!(seed % 8, 0 | 2) {
+        calibration.set_readout_error(0, 1.0);
+    }
+    if matches!(seed % 8, 1 | 2) {
+        calibration.set_readout_error(topology.num_qubits() - 1, 0.0);
+    }
     Device::new("chip", topology, calibration, CrosstalkModel::none())
 }
 
@@ -278,7 +286,7 @@ fn identical_patterns_apply_every_gate_once() {
         cfg,
     };
     let prepared = case.prepare();
-    let is_idle = |(_, _, ev): &(f64, u8, Event)| matches!(ev, Event::Idle { .. });
+    let is_idle = |ev: &Event| matches!(ev, Event::Idle { .. });
     assert_eq!(
         prepared.plan.events.iter().filter(|e| is_idle(e)).count(),
         1
@@ -310,6 +318,27 @@ fn capped_errors_with_an_underflowing_survival_prefix() {
     for kernel in KERNELS {
         case.check(&prepared, kernel, ShotParallelism::Serial);
         case.check(&prepared, kernel, ShotParallelism::sharded(5));
+    }
+}
+
+#[test]
+fn certain_and_impossible_readout_flips() {
+    // A readout error of exactly 1 flips without consuming a word, one
+    // of exactly 0 consumes a word and never flips: both are part of
+    // the stream, under the per-qubit draws of `Replay` and under the
+    // jumps of `SurvivalSkip` (whose products reach 0 at the first).
+    let cfg = ExecutionConfig::default().with_shots(400).with_seed(6);
+    let mut case = line_case(ladder(4, 9), 0.05, 0.3, cfg);
+    let readout = case.device.calibration_mut();
+    readout.set_readout_error(1, 1.0);
+    readout.set_readout_error(2, 0.0);
+    let prepared = case.prepare();
+    for kernel in KERNELS {
+        let cfg = cfg.with_kernel(kernel);
+        let counts = prepared.run(&case.circuit, &cfg);
+        // Bit 1 reads flipped in every shot of an (almost) GHZ state.
+        assert_eq!(counts, oracle::run(&prepared, &case.circuit, &cfg));
+        case.check(&prepared, kernel, ShotParallelism::sharded(3));
     }
 }
 

@@ -1,12 +1,22 @@
 //! The draw pass: one sequential walk over a stream's `StdRng` fixes
 //! everything random about every shot — the typed error pattern, the
 //! outcome uniform and the readout flips — before any state is touched.
+//!
+//! A per-event or per-qubit draw is one random word compared with a
+//! threshold the prepared job fixed (`super::gate_threshold`,
+//! `super::idle_thresholds`, `super::readout_threshold`): the words
+//! consumed and the patterns drawn are those of the Bernoulli and
+//! uniform draws of `rand` the thresholds were taken from, and nothing
+//! here converts a probability.
 
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::{Rng, RngCore, SeedableRng};
 
-use super::{random_pauli, Event, TrajectoryJob, TrajectoryKernel, TrajectoryPlan};
+use super::{idle_cumulative, random_pauli, Event, TrajectoryJob, TrajectoryKernel};
 use crate::counts::Counts;
+
+#[cfg(test)]
+mod tests;
 
 /// One error of a shot's pattern, packed `position · 16 + code` so that
 /// patterns compare as plain integer slices: the event position (below
@@ -64,22 +74,28 @@ impl Drawn {
     }
 }
 
-/// The Pauli code an idle window's uniform `u` selects, if any: X and Y
-/// each with `relax_p / 4`, Z with `dephase_p / 2` (Pauli-twirled
-/// thermal noise).
-fn idle_pauli(u: f64, relax_p: f64, dephase_p: f64) -> Option<u8> {
-    let px = relax_p / 4.0;
-    let py = relax_p / 4.0;
-    let pz = dephase_p / 2.0;
-    if u < px {
-        Some(1)
-    } else if u < px + py {
-        Some(2)
-    } else if u < px + py + pz {
-        Some(3)
-    } else {
-        None
-    }
+/// The Pauli code an idle window's draw selects, if any: the first of
+/// X, Y, Z (1–3) whose cumulative bound exceeds `draw` — a uniform
+/// against the window's cumulative probabilities, or the 53 bits it was
+/// made from against its integer thresholds.
+fn idle_pauli<T: PartialOrd>(draw: T, cumulative: [T; 3]) -> Option<u8> {
+    (1..=3)
+        .zip(cumulative)
+        .find_map(|(code, bound)| (draw < bound).then_some(code))
+}
+
+/// Whether a gate errs: never, and without a draw, when it has no
+/// threshold (an error probability of zero); else iff the next word is
+/// below it.
+fn gate_errs(threshold: Option<u64>, rng: &mut impl RngCore) -> bool {
+    threshold.is_some_and(|t| rng.next_u64() < t)
+}
+
+/// Whether a readout bit flips: always, and without a draw, when it has
+/// no threshold (a flip probability of one); else iff the next word is
+/// below it.
+fn readout_flips(threshold: Option<u64>, rng: &mut impl RngCore) -> bool {
+    threshold.is_none_or(|t| rng.next_u64() < t)
 }
 
 /// Jumps from hit to hit through the prefix survival products `surv`
@@ -167,8 +183,10 @@ impl TrajectoryJob<'_> {
     }
 
     /// One draw per event of `events[from..]` in stream order: a
-    /// Bernoulli per noisy gate, one uniform per idle window (it also
-    /// fixes the Pauli). A gate error is `typed` on the spot or [`UNTYPED`].
+    /// Bernoulli per noisy gate (one `u64` below the gate's threshold),
+    /// one uniform per idle window (the top 53 bits of one `u64`; it
+    /// also fixes the Pauli). A gate error is `typed` on the spot or
+    /// [`UNTYPED`].
     fn draw_per_event(
         &self,
         from: usize,
@@ -176,22 +194,16 @@ impl TrajectoryJob<'_> {
         rng: &mut StdRng,
         arena: &mut Vec<ErrorKey>,
     ) {
-        let TrajectoryPlan {
-            events, error_p, ..
-        } = self.plan;
-        for (pos, &(_, _, ev)) in events.iter().enumerate().skip(from) {
-            let code = match ev {
-                Event::Gate { index } => (error_p[index] > 0.0 && rng.gen_bool(error_p[index]))
-                    .then(|| {
-                        if typed {
-                            self.draw_gate_error_code(index, rng)
-                        } else {
-                            UNTYPED
-                        }
-                    }),
-                Event::Idle {
-                    relax_p, dephase_p, ..
-                } => idle_pauli(rng.gen(), relax_p, dephase_p),
+        for (pos, ev) in self.plan.events.iter().enumerate().skip(from) {
+            let code = match *ev {
+                Event::Gate { index, threshold } => gate_errs(threshold, rng).then(|| {
+                    if typed {
+                        self.draw_gate_error_code(index as usize, rng)
+                    } else {
+                        UNTYPED
+                    }
+                }),
+                Event::Idle { thresholds, .. } => idle_pauli(rng.next_u64() >> 11, thresholds),
             };
             if let Some(code) = code {
                 arena.push(pack(pos, code));
@@ -209,10 +221,10 @@ impl TrajectoryJob<'_> {
             if code != UNTYPED {
                 continue;
             }
-            let Event::Gate { index } = self.plan.events[pos].2 else {
+            let Event::Gate { index, .. } = self.plan.events[pos] else {
                 unreachable!("only gate errors wait for their type");
             };
-            let code = if self.gates[index].is_two_qubit() {
+            let code = if self.gates[index as usize].is_two_qubit() {
                 // Uniform over the 15 non-identity two-qubit Paulis,
                 // drawn as a `usize`: the vendored sampler consumes the
                 // stream differently per integer width, and this is the
@@ -233,16 +245,16 @@ impl TrajectoryJob<'_> {
     /// distribution, another RNG stream.
     fn draw_survival(&self, rng: &mut StdRng, arena: &mut Vec<ErrorKey>) {
         let underflow = survival_jumps(&self.plan.survival, rng, |pos, rng| {
-            let code = match self.plan.events[pos].2 {
-                Event::Gate { index } => self.draw_gate_error_code(index, rng),
+            let code = match self.plan.events[pos] {
+                Event::Gate { index, .. } => self.draw_gate_error_code(index as usize, rng),
                 Event::Idle {
                     relax_p, dephase_p, ..
                 } => {
                     // The Pauli conditioned on the window erroring;
                     // rounding can land the scaled draw on the total,
                     // which is a Z like everything past X and Y.
-                    let total = relax_p / 4.0 + relax_p / 4.0 + dephase_p / 2.0;
-                    idle_pauli(rng.gen::<f64>() * total, relax_p, dephase_p).unwrap_or(3)
+                    let cumulative = idle_cumulative(relax_p, dephase_p);
+                    idle_pauli(rng.gen::<f64>() * cumulative[2], cumulative).unwrap_or(3)
                 }
             };
             arena.push(pack(pos, code));
@@ -266,7 +278,8 @@ impl TrajectoryJob<'_> {
     /// The readout flips of one shot as an XOR mask over the measured
     /// bits: `SurvivalSkip` jumps from flipped bit to flipped bit through
     /// its readout survival products — typically one uniform per shot;
-    /// `Replay`, and both past an underflow, draw a Bernoulli per qubit.
+    /// `Replay`, and both past an underflow, draw a Bernoulli per qubit
+    /// (a certain flip draws nothing).
     fn readout_mask(&self, rng: &mut StdRng) -> usize {
         let mut mask = 0usize;
         if !self.cfg.readout_noise {
@@ -278,8 +291,8 @@ impl TrajectoryJob<'_> {
         };
         // Without an underflow the jumps covered every qubit.
         let from = per_qubit_from.unwrap_or(self.width);
-        for (q, &p) in self.readout_p.iter().enumerate().skip(from) {
-            if rng.gen_bool(p) {
+        for (q, draw) in self.readout_draw.iter().enumerate().skip(from) {
+            if readout_flips(*draw, rng) {
                 mask ^= 1 << q;
             }
         }

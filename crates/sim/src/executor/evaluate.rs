@@ -56,6 +56,9 @@ struct Evaluator<'a> {
     /// level 0 is the root, which walks the ideal event stream forward
     /// once; a deeper level holds the error prefix its subtree shares.
     pool: Vec<Complex>,
+    /// The running probability sums of the node being sampled, when
+    /// several shots end there; requested by the first such node.
+    cdf: Vec<f64>,
     counts: &'a mut Counts,
 }
 
@@ -78,6 +81,7 @@ impl<'a> Evaluator<'a> {
             job,
             patterns,
             pool,
+            cdf: Vec::new(),
             counts,
         };
         evaluator.node(shots, 0, 0, 0);
@@ -145,9 +149,9 @@ impl<'a> Evaluator<'a> {
     fn advance(&mut self, level: usize, from: usize, to: usize) {
         let job = self.job;
         let amps = self.level(level);
-        for &(_, _, ev) in &job.plan.events[from..to] {
-            if let Event::Gate { index } = ev {
-                kernel::apply(amps, &job.gates[index]);
+        for ev in &job.plan.events[from..to] {
+            if let Event::Gate { index, .. } = *ev {
+                kernel::run(amps, &job.ops[index as usize], job.mats);
                 #[cfg(test)]
                 super::differential::GATES_APPLIED.with(|n| n.set(n.get() + 1));
             }
@@ -160,9 +164,11 @@ impl<'a> Evaluator<'a> {
         let job = self.job;
         let amps = self.level(level);
         let (pos, code) = unpack(key);
-        match job.plan.events[pos].2 {
-            Event::Gate { index } => apply_typed_gate_error(amps, &job.gates[index], code),
-            Event::Idle { q, .. } => apply_pauli(amps, q, code),
+        match job.plan.events[pos] {
+            Event::Gate { index, .. } => {
+                apply_typed_gate_error(amps, &job.gates[index as usize], code);
+            }
+            Event::Idle { q, .. } => apply_pauli(amps, q as usize, code),
         }
     }
 
@@ -181,20 +187,28 @@ impl<'a> Evaluator<'a> {
     /// Samples the shots whose pattern ends at this node from `level`'s
     /// final state, each with its recorded uniform: through the node's
     /// alias table for `SurvivalSkip` single-error shots under
-    /// [`single_error_alias`](super::single_error_alias), else the CDF.
+    /// [`single_error_alias`](super::single_error_alias), else the CDF
+    /// — walked for a lone shot, written out once and binary-searched
+    /// when several shots would walk the same sums.
     fn sample(&mut self, level: usize, shots: &[ErrorShot], depth: usize) {
         let dim = 1usize << self.job.width;
         let amps = &self.pool[level * dim..(level + 1) * dim];
-        let table = (depth == 1 && self.job.alias_single_errors).then(|| {
+        let mut record =
+            |shot: &ErrorShot, outcome: usize| self.counts.record(outcome ^ shot.mask as usize);
+        if depth == 1 && self.job.alias_single_errors {
             let probabilities: Vec<f64> = amps.iter().map(|a| a.norm_sqr()).collect();
-            AliasTable::from_probabilities(&probabilities)
-        });
-        for shot in shots {
-            let outcome = match &table {
-                Some(table) => table.sample(shot.u),
-                None => kernel::sample_at(amps, shot.u),
-            };
-            self.counts.record(outcome ^ shot.mask as usize);
+            let table = AliasTable::from_probabilities(&probabilities);
+            shots
+                .iter()
+                .for_each(|shot| record(shot, table.sample(shot.u)));
+        } else if let [shot] = shots {
+            record(shot, kernel::sample_at(amps, shot.u));
+        } else {
+            kernel::running_sums(amps, &mut self.cdf);
+            let sums = &self.cdf;
+            shots
+                .iter()
+                .for_each(|shot| record(shot, kernel::sample_sums(sums, shot.u)));
         }
     }
 }

@@ -16,7 +16,22 @@ use super::{
 use crate::alias::AliasTable;
 use crate::counts::Counts;
 use crate::state::Statevector;
+use crate::unitaries::single_qubit_matrix;
 use qucp_circuit::{Circuit, Gate};
+
+/// The parent's gate application: every one-qubit gate through the
+/// general 2×2 kernel, its matrix (and a `Cp`'s phase) evaluated per
+/// application. What the compiled, structure-specialised kernels of
+/// `state::kernel` are compared with.
+fn apply_gate(sv: &mut Statevector, gate: &Gate) {
+    match *gate {
+        Gate::Cx(c, t) => sv.apply_cx(c, t),
+        Gate::Cz(a, b) => sv.apply_cz(a, b),
+        Gate::Cp(a, b, theta) => sv.apply_cp(a, b, theta),
+        Gate::Swap(a, b) => sv.apply_swap(a, b),
+        ref g => sv.apply_single(g.qubits().as_slice()[0], &single_qubit_matrix(g)),
+    }
+}
 
 /// Runs `cfg` on `prepared` through the per-shot loop, inline on the
 /// calling thread (thread counts never changed a count).
@@ -80,7 +95,7 @@ impl PrefixSnapshots {
         let gate_events = plan
             .events
             .iter()
-            .filter(|(_, _, ev)| matches!(ev, Event::Gate { .. }))
+            .filter(|ev| matches!(ev, Event::Gate { .. }))
             .count();
         (gate_events + 1).checked_shl(width as u32)
     }
@@ -103,10 +118,11 @@ impl PrefixSnapshots {
         let mut sv = Statevector::zero_state(width);
         states.push(sv.clone());
         let mut k = 0u32;
-        for &(_, _, ev) in &plan.events {
+        for &ev in &plan.events {
             gates_before.push(k);
-            if let Event::Gate { index } = ev {
-                sv.apply(&gates[index]);
+            if let Event::Gate { index, .. } = ev {
+                let index = index as usize;
+                apply_gate(&mut sv, &gates[index]);
                 states.push(sv.clone());
                 k += 1;
             }
@@ -179,9 +195,10 @@ impl TrajectoryJob<'_> {
         let cfg = self.cfg;
         scratch.gate_errors.clear();
         scratch.idle_errors.clear();
-        for (pos, &(_, _, ev)) in events.iter().enumerate() {
+        for (pos, &ev) in events.iter().enumerate() {
             match ev {
-                Event::Gate { index } => {
+                Event::Gate { index, .. } => {
+                    let index = index as usize;
                     if cfg.gate_noise && error_p[index] > 0.0 && rng.gen_bool(error_p[index]) {
                         scratch.gate_errors.push(pos);
                     }
@@ -253,8 +270,8 @@ impl TrajectoryJob<'_> {
                 break;
             }
             let pos = from + survival[from + 1..].partition_point(|&s| s >= target);
-            let code = match events[pos].2 {
-                Event::Gate { index } => self.draw_gate_error_code(index, rng),
+            let code = match events[pos] {
+                Event::Gate { index, .. } => self.draw_gate_error_code(index as usize, rng),
                 Event::Idle {
                     relax_p, dephase_p, ..
                 } => {
@@ -349,9 +366,10 @@ impl TrajectoryJob<'_> {
         let TrajectoryPlan {
             events, error_p, ..
         } = self.plan;
-        for (pos, &(_, _, ev)) in events.iter().enumerate().skip(from) {
+        for (pos, &ev) in events.iter().enumerate().skip(from) {
             match ev {
-                Event::Gate { index } => {
+                Event::Gate { index, .. } => {
+                    let index = index as usize;
                     if error_p[index] > 0.0 && rng.gen_bool(error_p[index]) {
                         let code = self.draw_gate_error_code(index, rng);
                         scratch.typed_errors.push((pos, code));
@@ -445,10 +463,11 @@ impl TrajectoryJob<'_> {
     /// replay and the deterministic single-error cache build.
     fn evolve_typed(&self, sv: &mut Statevector, errors: &[(usize, u8)], start: usize) {
         let mut pending = errors.iter().peekable();
-        for (pos, &(_, _, ev)) in self.plan.events.iter().enumerate().skip(start) {
+        for (pos, &ev) in self.plan.events.iter().enumerate().skip(start) {
             match ev {
-                Event::Gate { index } => {
-                    sv.apply(&self.gates[index]);
+                Event::Gate { index, .. } => {
+                    let index = index as usize;
+                    apply_gate(sv, &self.gates[index]);
                     if let Some(&&(epos, code)) = pending.peek() {
                         if epos == pos {
                             pending.next();
@@ -460,7 +479,7 @@ impl TrajectoryJob<'_> {
                     if let Some(&&(epos, code)) = pending.peek() {
                         if epos == pos {
                             pending.next();
-                            apply_pauli(sv, q, int_pauli(code as usize));
+                            apply_pauli(sv, q as usize, int_pauli(code as usize));
                         }
                     }
                 }
@@ -478,10 +497,11 @@ impl TrajectoryJob<'_> {
         sv.reset_zero();
         let mut gate_err = scratch.gate_errors.iter().peekable();
         let mut idle_err = scratch.idle_errors.iter().peekable();
-        for (pos, &(_, _, ev)) in events.iter().enumerate() {
+        for (pos, &ev) in events.iter().enumerate() {
             match ev {
-                Event::Gate { index } => {
-                    sv.apply(&self.gates[index]);
+                Event::Gate { index, .. } => {
+                    let index = index as usize;
+                    apply_gate(sv, &self.gates[index]);
                     if gate_err.peek() == Some(&&pos) {
                         gate_err.next();
                         apply_gate_error(sv, &self.gates[index], rng);
@@ -491,7 +511,7 @@ impl TrajectoryJob<'_> {
                     if let Some(&&(epos, pauli)) = idle_err.peek() {
                         if epos == pos {
                             idle_err.next();
-                            apply_pauli(sv, q, pauli);
+                            apply_pauli(sv, q as usize, pauli);
                         }
                     }
                 }
@@ -618,7 +638,7 @@ fn apply_pauli(sv: &mut Statevector, q: usize, pauli: Pauli) {
         Pauli::Y => Gate::Y(q),
         Pauli::Z => Gate::Z(q),
     };
-    sv.apply(&gate);
+    apply_gate(sv, &gate);
 }
 
 /// Applies a depolarizing-style error after `gate`: a uniformly random

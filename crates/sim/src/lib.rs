@@ -50,6 +50,42 @@
 //! by the same operations in the same order as a per-shot replay —
 //! every count is bit for bit what earlier releases produced.
 //!
+//! ### Compiled once
+//!
+//! Neither pass derives anything a job already knows:
+//! [`PreparedJob::prepare`] is a compiler, and a shot costs its random
+//! words, an error branch its arithmetic.
+//!
+//! - **Draw thresholds.** Per event, in stream order, `prepare` stores
+//!   what the draw pass compares a random word with: for a noisy gate
+//!   the 64-bit fixed-point threshold `rand`'s Bernoulli would compute
+//!   from its probability on every draw (a gate that cannot err draws
+//!   nothing); for an idle window the three cumulative Pauli
+//!   probabilities as integers `⌈x · 2^53⌉`, against the top 53 bits of
+//!   one word — `rand`'s uniform `f64` is exactly those bits times
+//!   `2^-53`, so the compare is the `f64` compare; per measured qubit
+//!   the readout threshold (a certain flip consumes no word, an
+//!   impossible one consumes one). Same words, same order, same
+//!   patterns; the thresholds sit where an event's sort keys sat, so a
+//!   prepared job is no bigger.
+//! - **Ops.** Each gate's matrix or phase is evaluated once, and the
+//!   kernel is picked from the *stored* entries: which are exactly
+//!   `0.0`, exactly `1.0`, purely real or imaginary. A structured
+//!   kernel (half swap, `diag(1, d)`, `diag(d0, d1)`, all-real, real
+//!   diagonal with imaginary off-diagonal) is the general 2×2 complex
+//!   product with the terms dropped that multiply a stored zero. The
+//!   complex product is four plain multiplies, never fused, and `x +
+//!   0·y` is `x`: each amplitude equals the general kernel's up to the
+//!   sign of a zero, so every probability, every running sum, every
+//!   sampled outcome — every count — is the same bit for bit. The
+//!   general kernel still runs for matrices without exact structure
+//!   (`U`, `Sx`, `Sxdg`) and is the per-shot test oracle's only kernel.
+//!   An error's Pauli is struck the same way: a half swap, the cross
+//!   kernel, a sign flip.
+//! - **One CDF per node.** When several shots end at a node of the
+//!   tree, the running sums their CDF walks would each recompute are
+//!   written out once and bisected per shot.
+//!
 //! ## Shot-sharded parallelism
 //!
 //! A single job's Monte-Carlo trajectories are embarrassingly parallel,

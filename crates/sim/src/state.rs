@@ -51,9 +51,29 @@ impl Statevector {
 
     /// Runs `circuit` from `|0…0⟩` and returns the final state.
     pub fn from_circuit(circuit: &Circuit) -> Self {
+        let mut mats = Vec::new();
         let mut sv = Statevector::zero_state(circuit.width());
         for g in circuit.gates() {
-            sv.apply(g);
+            sv.apply_reusing(g, &mut mats);
+        }
+        sv
+    }
+
+    /// [`Statevector::apply`] with the side vector of the gate's
+    /// compilation handed in, to be reused from gate to gate.
+    fn apply_reusing(&mut self, gate: &Gate, mats: &mut Vec<Mat2>) {
+        mats.clear();
+        let op = kernel::compile(gate, mats);
+        kernel::run(&mut self.amps, &op, mats);
+    }
+
+    /// Runs compiled `ops` (with their matrix side vector) from
+    /// `|0…0⟩` on `n` qubits: [`Statevector::from_circuit`] of the
+    /// circuit they were compiled from.
+    pub(crate) fn from_ops(n: usize, ops: &[kernel::Op], mats: &[Mat2]) -> Self {
+        let mut sv = Statevector::zero_state(n);
+        for op in ops {
+            kernel::run(&mut sv.amps, op, mats);
         }
         sv
     }
@@ -74,7 +94,7 @@ impl Statevector {
     ///
     /// Panics if the gate's qubits are out of range.
     pub fn apply(&mut self, gate: &Gate) {
-        kernel::apply(&mut self.amps, gate);
+        self.apply_reusing(gate, &mut Vec::new());
     }
 
     /// Applies a 2×2 unitary to qubit `q`.
@@ -98,7 +118,7 @@ impl Statevector {
 
     /// Applies a controlled phase of angle `theta`.
     pub fn apply_cp(&mut self, a: usize, b: usize, theta: f64) {
-        kernel::apply_cp(&mut self.amps, a, b, theta);
+        kernel::apply_cp(&mut self.amps, a, b, Complex::cis(theta));
     }
 
     /// Applies SWAP.
@@ -166,45 +186,251 @@ impl Statevector {
 /// The gate and sampling kernels over a bare amplitude slice of length
 /// `2^n`: what [`Statevector`] wraps, and what the trajectory evaluator
 /// runs on the levels of its amplitude pool.
+///
+/// A gate is **compiled once** ([`compile`]: the matrix or phase is
+/// evaluated, and the kernel is picked from the *stored* entries —
+/// which are exactly `0.0`, which exactly `1.0`, which purely real or
+/// imaginary; never from the gate's name) and **run any number of
+/// times** ([`run`], the only dispatch). A structured kernel computes
+/// the general 2×2 product with the terms left out that multiply a
+/// stored `0.0` (or are `1.0 · x`). `Complex`'s product is four plain
+/// multiplies and no fused multiply-add, and adding a product with
+/// `±0.0` returns the other summand, so every amplitude a structured
+/// kernel writes equals the general kernel's **up to the sign of a
+/// zero** — and `norm_sqr`, every running probability sum and every
+/// sampled outcome bit for bit (the test
+/// `structured_kernels_equal_the_general_kernel` holds that over every
+/// gate kind, qubit and register size).
 pub(crate) mod kernel {
     use super::{single_qubit_matrix, Complex, Gate, Mat2};
+
+    /// One compiled gate: the kernel its matrix's structure allows,
+    /// with the constants the kernel multiplies by.
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    pub(crate) enum Op {
+        /// `[[0, 1], [1, 0]]`: the two halves of every pair trade
+        /// places (`X`).
+        Flip {
+            q: u32,
+        },
+        /// `diag(1, d)` (`I Z S Sdg T Tdg P`, a rotation by 0).
+        Phase {
+            q: u32,
+            d: Complex,
+        },
+        /// `diag(d0, d1)` (`Rz`).
+        Diagonal {
+            q: u32,
+            d0: Complex,
+            d1: Complex,
+        },
+        /// Four real entries (`H`, `Ry`).
+        Real {
+            q: u32,
+            m: [[f64; 2]; 2],
+        },
+        /// `[[d0, i·b01], [i·b10, d1]]`: a real diagonal and an
+        /// imaginary off-diagonal (`Rx`, `Y`).
+        Cross {
+            q: u32,
+            d0: f64,
+            b01: f64,
+            b10: f64,
+            d1: f64,
+        },
+        /// No exact structure (`U`, `Sx`, `Sxdg`): matrix `mat` of the
+        /// side vector, through [`apply_single`].
+        General {
+            q: u32,
+            mat: u32,
+        },
+        Cx {
+            control: u32,
+            target: u32,
+        },
+        Cz {
+            a: u32,
+            b: u32,
+        },
+        /// Controlled phase, its `e^{iθ}` evaluated.
+        Cp {
+            a: u32,
+            b: u32,
+            phase: Complex,
+        },
+        Swap {
+            a: u32,
+            b: u32,
+        },
+    }
 
     /// Qubits of a `2^n`-amplitude slice.
     fn width(amps: &[Complex]) -> usize {
         amps.len().trailing_zeros() as usize
     }
 
-    /// [`Statevector::apply`](super::Statevector::apply) on a slice.
-    pub(crate) fn apply(amps: &mut [Complex], gate: &Gate) {
+    /// A qubit (or gate) index as the 32-bit field of an [`Op`] or an
+    /// event.
+    pub(crate) fn narrow(index: usize) -> u32 {
+        u32::try_from(index).expect("qubit and gate indices fit 32 bits")
+    }
+
+    /// Compiles `gate`. A matrix without structure goes to `mats`, the
+    /// side vector [`run`] is handed again (it keeps an [`Op`] at 40
+    /// bytes where the matrix alone is 64).
+    pub(crate) fn compile(gate: &Gate, mats: &mut Vec<Mat2>) -> Op {
         match *gate {
-            Gate::Cx(c, t) => apply_cx(amps, c, t),
-            Gate::Cz(a, b) => apply_cz(amps, a, b),
-            Gate::Cp(a, b, theta) => apply_cp(amps, a, b, theta),
-            Gate::Swap(a, b) => apply_swap(amps, a, b),
+            Gate::Cx(c, t) => Op::Cx {
+                control: narrow(c),
+                target: narrow(t),
+            },
+            Gate::Cz(a, b) => Op::Cz {
+                a: narrow(a),
+                b: narrow(b),
+            },
+            Gate::Cp(a, b, theta) => Op::Cp {
+                a: narrow(a),
+                b: narrow(b),
+                phase: Complex::cis(theta),
+            },
+            Gate::Swap(a, b) => Op::Swap {
+                a: narrow(a),
+                b: narrow(b),
+            },
             ref g => {
-                let q = g.qubits().as_slice()[0];
-                apply_single(amps, q, &single_qubit_matrix(g));
+                let q = narrow(g.qubits().as_slice()[0]);
+                compile_matrix(q, single_qubit_matrix(g), mats)
             }
         }
     }
 
-    /// The sweep is branch-free: amplitude pairs `(base, base | 1<<q)`
-    /// are visited as contiguous strided blocks (no per-index bit test),
-    /// in the same ascending pair order — and therefore with bit-for-bit
-    /// the same floating-point results — as the historical masked loop.
-    pub(crate) fn apply_single(amps: &mut [Complex], q: usize, m: &Mat2) {
+    /// The kernel the entries of `m` allow on qubit `q`, decided by
+    /// exact comparison (`==` takes `-0.0` for `0.0`: both annihilate
+    /// a product).
+    fn compile_matrix(q: u32, m: Mat2, mats: &mut Vec<Mat2>) -> Op {
+        let [[m00, m01], [m10, m11]] = m;
+        let (zero, one) = (Complex::zero(), Complex::one());
+        if m01 == zero && m10 == zero {
+            if m00 == one {
+                Op::Phase { q, d: m11 }
+            } else {
+                Op::Diagonal {
+                    q,
+                    d0: m00,
+                    d1: m11,
+                }
+            }
+        } else if m00 == zero && m11 == zero && m01 == one && m10 == one {
+            Op::Flip { q }
+        } else if [m00, m01, m10, m11].iter().all(|z| z.im == 0.0) {
+            Op::Real {
+                q,
+                m: [[m00.re, m01.re], [m10.re, m11.re]],
+            }
+        } else if m00.im == 0.0 && m11.im == 0.0 && m01.re == 0.0 && m10.re == 0.0 {
+            Op::Cross {
+                q,
+                d0: m00.re,
+                b01: m01.im,
+                b10: m10.im,
+                d1: m11.re,
+            }
+        } else {
+            mats.push(m);
+            Op::General {
+                q,
+                mat: u32::try_from(mats.len() - 1).expect("fewer than 2^32 matrices"),
+            }
+        }
+    }
+
+    /// Applies `op` to `amps`; `mats` is the side vector `op` was
+    /// compiled into.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a qubit of `op` is out of range.
+    pub(crate) fn run(amps: &mut [Complex], op: &Op, mats: &[Mat2]) {
+        match *op {
+            Op::Flip { q } => {
+                let bit = pair_bit(amps, q as usize);
+                for block in amps.chunks_exact_mut(bit << 1) {
+                    let (lo, hi) = block.split_at_mut(bit);
+                    lo.swap_with_slice(hi);
+                }
+            }
+            Op::Phase { q, d } => {
+                let bit = pair_bit(amps, q as usize);
+                for block in amps.chunks_exact_mut(bit << 1) {
+                    for b in &mut block[bit..] {
+                        *b = d * *b;
+                    }
+                }
+            }
+            Op::Diagonal { q, d0, d1 } => pairs(amps, q as usize, |a, b| {
+                *a = d0 * *a;
+                *b = d1 * *b;
+            }),
+            Op::Real { q, m } => pairs(amps, q as usize, |a, b| {
+                let (x, y) = (*a, *b);
+                *a = Complex::new(
+                    m[0][0] * x.re + m[0][1] * y.re,
+                    m[0][0] * x.im + m[0][1] * y.im,
+                );
+                *b = Complex::new(
+                    m[1][0] * x.re + m[1][1] * y.re,
+                    m[1][0] * x.im + m[1][1] * y.im,
+                );
+            }),
+            Op::Cross {
+                q,
+                d0,
+                b01,
+                b10,
+                d1,
+            } => pairs(amps, q as usize, |a, b| {
+                let (x, y) = (*a, *b);
+                *a = Complex::new(d0 * x.re - b01 * y.im, d0 * x.im + b01 * y.re);
+                *b = Complex::new(d1 * y.re - b10 * x.im, b10 * x.re + d1 * y.im);
+            }),
+            Op::General { q, mat } => apply_single(amps, q as usize, &mats[mat as usize]),
+            Op::Cx { control, target } => apply_cx(amps, control as usize, target as usize),
+            Op::Cz { a, b } => apply_cz(amps, a as usize, b as usize),
+            Op::Cp { a, b, phase } => apply_cp(amps, a as usize, b as usize, phase),
+            Op::Swap { a, b } => apply_swap(amps, a as usize, b as usize),
+        }
+    }
+
+    /// The stride between the two amplitudes of a pair on qubit `q`.
+    fn pair_bit(amps: &[Complex], q: usize) -> usize {
         assert!(q < width(amps), "qubit {q} out of range");
-        let bit = 1usize << q;
-        let (m00, m01) = (m[0][0], m[0][1]);
-        let (m10, m11) = (m[1][0], m[1][1]);
+        1usize << q
+    }
+
+    /// Hands `f` every amplitude pair `(base, base | 1 << q)`. The sweep
+    /// is branch-free: the pairs are visited as contiguous strided
+    /// blocks (no per-index bit test), in ascending order.
+    #[inline(always)]
+    fn pairs(amps: &mut [Complex], q: usize, f: impl Fn(&mut Complex, &mut Complex)) {
+        let bit = pair_bit(amps, q);
         for block in amps.chunks_exact_mut(bit << 1) {
             let (lo, hi) = block.split_at_mut(bit);
             for (a, b) in lo.iter_mut().zip(hi.iter_mut()) {
-                let (x, y) = (*a, *b);
-                *a = m00 * x + m01 * y;
-                *b = m10 * x + m11 * y;
+                f(a, b);
             }
         }
+    }
+
+    /// The general 2×2 product on qubit `q`: what every structured
+    /// kernel is a pruning of, and the per-shot oracle's one kernel.
+    pub(crate) fn apply_single(amps: &mut [Complex], q: usize, m: &Mat2) {
+        let (m00, m01) = (m[0][0], m[0][1]);
+        let (m10, m11) = (m[1][0], m[1][1]);
+        pairs(amps, q, |a, b| {
+            let (x, y) = (*a, *b);
+            *a = m00 * x + m01 * y;
+            *b = m10 * x + m11 * y;
+        });
     }
 
     /// Branch-free: the indices with the control bit set split into
@@ -258,9 +484,8 @@ pub(crate) mod kernel {
         phase_both_set(amps, a, b, |amp| *amp = -*amp);
     }
 
-    /// Same sweep as [`apply_cz`], multiplying by `e^{iθ}`.
-    pub(crate) fn apply_cp(amps: &mut [Complex], a: usize, b: usize, theta: f64) {
-        let phase = Complex::cis(theta);
+    /// Same sweep as [`apply_cz`], multiplying by `phase`.
+    pub(crate) fn apply_cp(amps: &mut [Complex], a: usize, b: usize, phase: Complex) {
         phase_both_set(amps, a, b, |amp| *amp *= phase);
     }
 
@@ -293,6 +518,23 @@ pub(crate) mod kernel {
             }
         }
         amps.len() - 1
+    }
+
+    /// Writes the running sums [`sample_at`] walks — the same additions
+    /// in the same order — over `sums`.
+    pub(crate) fn running_sums(amps: &[Complex], sums: &mut Vec<f64>) {
+        sums.clear();
+        let mut acc = 0.0;
+        sums.extend(amps.iter().map(|amp| {
+            acc += amp.norm_sqr();
+            acc
+        }));
+    }
+
+    /// [`sample_at`] on the [`running_sums`] of a state: they never
+    /// decrease, so the first one above `u` is found by bisection.
+    pub(crate) fn sample_sums(sums: &[f64], u: f64) -> usize {
+        sums.partition_point(|&acc| acc <= u).min(sums.len() - 1)
     }
 }
 
@@ -447,6 +689,302 @@ mod tests {
         assert_eq!(half.sample_at(0.0), 0);
         assert_eq!(half.sample_at(0.75), 1);
         assert_eq!(half.sample_at(1.5), 1);
+    }
+
+    /// The 16 one-qubit gate kinds on qubit `q`, the parametrised ones
+    /// at `angle`.
+    fn one_qubit_gates(q: usize, angle: f64) -> [Gate; 16] {
+        [
+            Gate::I(q),
+            Gate::X(q),
+            Gate::Y(q),
+            Gate::Z(q),
+            Gate::H(q),
+            Gate::S(q),
+            Gate::Sdg(q),
+            Gate::T(q),
+            Gate::Tdg(q),
+            Gate::Sx(q),
+            Gate::Sxdg(q),
+            Gate::Rx(q, angle),
+            Gate::Ry(q, angle),
+            Gate::Rz(q, angle),
+            Gate::P(q, angle),
+            Gate::U(q, angle, 0.3 - angle, 2.0 * angle),
+        ]
+    }
+
+    /// A random unnormalised state: `dense`, or with about half of the
+    /// real and imaginary parts exactly `0.0` or `-0.0`.
+    fn random_state(n: usize, dense: bool, rng: &mut StdRng) -> Statevector {
+        let part = |rng: &mut StdRng| match rng.gen_range(0..4u32) {
+            0 if !dense => 0.0,
+            1 if !dense => -0.0,
+            _ => rng.gen_range(-1.0..1.0),
+        };
+        let amps = (0..1usize << n)
+            .map(|_| Complex::new(part(rng), part(rng)))
+            .collect();
+        Statevector { n, amps }
+    }
+
+    /// `==` on amplitudes (`f64`'s: `-0.0 == 0.0`, which is the claim)
+    /// and bit equality on every probability and on their sum.
+    fn assert_equal_up_to_the_sign_of_a_zero(
+        got: &Statevector,
+        expected: &Statevector,
+        what: &str,
+    ) {
+        assert_eq!(got.amps, expected.amps, "{what}");
+        let bits = |sv: &Statevector| -> Vec<u64> {
+            let probabilities = sv.amps.iter().map(|a| a.norm_sqr().to_bits());
+            probabilities.chain([sv.norm_sqr().to_bits()]).collect()
+        };
+        assert_eq!(bits(got), bits(expected), "{what}");
+    }
+
+    #[test]
+    fn structured_kernels_equal_the_general_kernel() {
+        // Every one-qubit gate kind x every qubit of a 1-6 qubit
+        // register x dense and sparse states x angles with and without
+        // exact structure: the compiled op == the general 2x2 product
+        // with the gate's matrix.
+        use std::f64::consts::PI;
+        let mut rng = StdRng::seed_from_u64(0x5EED_0021);
+        for n in 1..=6 {
+            for q in 0..n {
+                for round in 0..6 {
+                    let angle = match round {
+                        0 => 0.0,
+                        1 => PI,
+                        2 => -PI / 2.0,
+                        3 => 2.0 * PI,
+                        _ => rng.gen_range(-7.0..7.0),
+                    };
+                    for gate in one_qubit_gates(q, angle) {
+                        let state = random_state(n, round % 2 == 0, &mut rng);
+                        let mut expected = state.clone();
+                        expected.apply_single(q, &single_qubit_matrix(&gate));
+                        let mut got = state.clone();
+                        let mut mats = Vec::new();
+                        let op = kernel::compile(&gate, &mut mats);
+                        kernel::run(&mut got.amps, &op, &mats);
+                        let what = format!("{gate:?} as {op:?} on {n} qubits");
+                        assert_equal_up_to_the_sign_of_a_zero(&got, &expected, &what);
+                        // `Statevector::apply` is the same two calls.
+                        let mut applied = state;
+                        applied.apply(&gate);
+                        assert_eq!(applied, got, "{what}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn compiled_two_qubit_gates_equal_their_kernels() {
+        // `Cp` keeps its phase: the compiled op == the kernel handed a
+        // fresh `cis`; the three others carry nothing but their qubits.
+        let mut rng = StdRng::seed_from_u64(0x5EED_0022);
+        for n in 2..=5 {
+            for a in 0..n {
+                for b in (0..n).filter(|&b| b != a) {
+                    let theta = rng.gen_range(-7.0..7.0);
+                    let state = random_state(n, a % 2 == 0, &mut rng);
+                    // Each gate's kernel, called directly (`apply_cp`
+                    // evaluates a fresh `cis`).
+                    let direct = |sv: &mut Statevector, gate: &Gate| match *gate {
+                        Gate::Cx(c, t) => sv.apply_cx(c, t),
+                        Gate::Cz(a, b) => sv.apply_cz(a, b),
+                        Gate::Cp(a, b, theta) => sv.apply_cp(a, b, theta),
+                        Gate::Swap(a, b) => sv.apply_swap(a, b),
+                        _ => unreachable!("two-qubit gates only"),
+                    };
+                    let gates = [
+                        Gate::Cx(a, b),
+                        Gate::Cz(a, b),
+                        Gate::Cp(a, b, theta),
+                        Gate::Swap(a, b),
+                    ];
+                    for gate in gates {
+                        let mut expected = state.clone();
+                        direct(&mut expected, &gate);
+                        let mut got = state.clone();
+                        let mut mats = Vec::new();
+                        let op = kernel::compile(&gate, &mut mats);
+                        kernel::run(&mut got.amps, &op, &mats);
+                        assert!(mats.is_empty());
+                        let what = format!("{gate:?} on {n} qubits");
+                        assert_equal_up_to_the_sign_of_a_zero(&got, &expected, &what);
+                    }
+                }
+            }
+        }
+    }
+
+    /// `gate` compiled, with the matrices it left in the side vector.
+    fn compiled(gate: Gate) -> (kernel::Op, usize) {
+        let mut mats = Vec::new();
+        (kernel::compile(&gate, &mut mats), mats.len())
+    }
+
+    #[test]
+    fn x_compiles_to_the_flip() {
+        assert_eq!(compiled(Gate::X(3)), (kernel::Op::Flip { q: 3 }, 0));
+    }
+
+    #[test]
+    fn phase_gates_compile_to_the_phase_kernel() {
+        use kernel::Op::Phase;
+        let i = Complex::i();
+        assert_eq!(
+            compiled(Gate::I(0)).0,
+            Phase {
+                q: 0,
+                d: Complex::one()
+            }
+        );
+        assert_eq!(
+            compiled(Gate::Z(1)).0,
+            Phase {
+                q: 1,
+                d: -Complex::one()
+            }
+        );
+        assert_eq!(compiled(Gate::S(2)).0, Phase { q: 2, d: i });
+        assert_eq!(compiled(Gate::Sdg(2)).0, Phase { q: 2, d: -i });
+        for gate in [Gate::T(0), Gate::Tdg(0), Gate::P(0, 0.9), Gate::P(0, 0.0)] {
+            assert!(
+                matches!(compiled(gate), (Phase { q: 0, .. }, 0)),
+                "{gate:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn rz_of_pi_compiles_to_the_diagonal_kernel() {
+        // cos(π/2) is 6e-17 in `f64`, not 0: the entries are not purely
+        // imaginary, and nothing but the stored zeros is used.
+        let (op, mats) = compiled(Gate::Rz(0, std::f64::consts::PI));
+        let kernel::Op::Diagonal { q: 0, d0, d1 } = op else {
+            panic!("Rz(π) compiled to {op:?}");
+        };
+        assert!(d0.re != 0.0 && d1.re != 0.0 && mats == 0);
+        assert!(matches!(
+            compiled(Gate::Rz(4, 0.3)).0,
+            kernel::Op::Diagonal { q: 4, .. }
+        ));
+    }
+
+    #[test]
+    fn h_and_ry_compile_to_the_real_kernel() {
+        let h = std::f64::consts::FRAC_1_SQRT_2;
+        assert_eq!(
+            compiled(Gate::H(2)),
+            (
+                kernel::Op::Real {
+                    q: 2,
+                    m: [[h, h], [h, -h]]
+                },
+                0
+            )
+        );
+        let (c, s) = (0.35f64.cos(), 0.35f64.sin());
+        assert_eq!(
+            compiled(Gate::Ry(1, 0.7)).0,
+            kernel::Op::Real {
+                q: 1,
+                m: [[c, -s], [s, c]]
+            }
+        );
+    }
+
+    #[test]
+    fn rx_and_y_compile_to_the_cross_kernel() {
+        let (c, s) = (0.15f64.cos(), 0.15f64.sin());
+        assert_eq!(
+            compiled(Gate::Rx(5, 0.3)),
+            (
+                kernel::Op::Cross {
+                    q: 5,
+                    d0: c,
+                    b01: -s,
+                    b10: -s,
+                    d1: c
+                },
+                0
+            )
+        );
+        assert_eq!(
+            compiled(Gate::Y(0)).0,
+            kernel::Op::Cross {
+                q: 0,
+                d0: 0.0,
+                b01: -1.0,
+                b10: 1.0,
+                d1: 0.0
+            }
+        );
+    }
+
+    #[test]
+    fn u_and_sx_compile_to_the_general_kernel() {
+        let mut mats = Vec::new();
+        let gates = [Gate::U(1, 0.4, 1.3, -0.6), Gate::Sx(0), Gate::Sxdg(2)];
+        for (at, gate) in gates.iter().enumerate() {
+            let op = kernel::compile(gate, &mut mats);
+            let q = gate.qubits().as_slice()[0] as u32;
+            assert_eq!(op, kernel::Op::General { q, mat: at as u32 }, "{gate:?}");
+            assert_eq!(mats[at], single_qubit_matrix(gate));
+        }
+    }
+
+    #[test]
+    fn a_rotation_by_zero_compiles_to_what_its_matrix_says() {
+        // Ry(0) is [[1, -0], [0, 1]] numerically — a diagonal with a
+        // leading one, not "a real matrix because it is an Ry".
+        let identity = kernel::Op::Phase {
+            q: 0,
+            d: Complex::one(),
+        };
+        assert_eq!(compiled(Gate::Ry(0, 0.0)).0, identity);
+        assert_eq!(compiled(Gate::Rx(0, 0.0)).0, identity);
+        // U(0, 0, 0) likewise; U(π, 0, π) is X up to rounding only.
+        assert_eq!(compiled(Gate::U(0, 0.0, 0.0, 0.0)), (identity, 0));
+        assert!(matches!(
+            compiled(Gate::U(0, std::f64::consts::PI, 0.0, std::f64::consts::PI)),
+            (kernel::Op::General { .. }, 1)
+        ));
+    }
+
+    #[test]
+    fn bisected_running_sums_sample_like_the_walk() {
+        // Sparse and dense states, uniforms on, between and past the
+        // sums: the first index whose running sum exceeds `u`, or the
+        // last index.
+        let mut rng = StdRng::seed_from_u64(0x5EED_0023);
+        let mut sums = Vec::new();
+        for n in 1..=6 {
+            for dense in [true, false] {
+                let state = random_state(n, dense, &mut rng);
+                kernel::running_sums(&state.amps, &mut sums);
+                assert_eq!(sums.len(), state.amps.len());
+                assert_eq!(sums.last().unwrap().to_bits(), state.norm_sqr().to_bits());
+                let total = *sums.last().unwrap();
+                let edges: Vec<f64> = sums
+                    .iter()
+                    .flat_map(|&s| [s, s.next_down(), s.next_up()])
+                    .collect();
+                let inside = (0..200).map(|_| rng.gen_range(0.0..1.0) * total);
+                for u in edges.into_iter().chain(inside).chain([0.0, total * 2.0]) {
+                    assert_eq!(
+                        kernel::sample_sums(&sums, u),
+                        kernel::sample_at(&state.amps, u),
+                        "u = {u} on {state:?}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]
