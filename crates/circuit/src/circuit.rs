@@ -52,6 +52,12 @@ impl Circuit {
         &self.name
     }
 
+    /// Consumes the circuit, keeping its name: the report of a job
+    /// whose circuit is spent takes the string instead of copying it.
+    pub fn into_name(self) -> String {
+        self.name
+    }
+
     /// Renames the circuit in place.
     pub fn set_name(&mut self, name: impl Into<String>) {
         self.name = name.into();

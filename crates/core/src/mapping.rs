@@ -42,9 +42,7 @@ impl MappedProgram {
                     logical |= 1 << lq;
                 }
             }
-            for _ in 0..n {
-                out.record(logical);
-            }
+            out.record_many(logical, n);
         }
         out
     }
@@ -427,6 +425,44 @@ mod tests {
         let logical = mapped.to_logical_counts(&counts);
         // Logical 0 reads wire 1 (=0), logical 1 reads wire 0 (=1).
         assert_eq!(logical.count(0b10), 1);
+    }
+
+    /// One `record_many` per entry is the shot-by-shot loop it
+    /// replaced, for any wire permutation, and the result keeps the
+    /// canonical form the wire codec rebuilds.
+    #[test]
+    fn to_logical_counts_equals_recording_shot_by_shot() {
+        use rand::{rngs::StdRng, seq::SliceRandom, Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(0x10c1);
+        for _ in 0..100 {
+            let width = rng.gen_range(1..=5usize);
+            let mut final_mapping: Vec<usize> = (0..width).collect();
+            final_mapping.shuffle(&mut rng);
+            let mapped = MappedProgram {
+                circuit: Circuit::new(width),
+                layout: (0..width).collect(),
+                initial_mapping: (0..width).collect(),
+                final_mapping,
+                swap_count: 0,
+            };
+            let mut counts = Counts::new(width);
+            for _ in 0..rng.gen_range(0..10usize) {
+                counts.record_many(
+                    rng.gen_range(0..1usize << width),
+                    rng.gen_range(1..300usize),
+                );
+            }
+            let mut looped = Counts::new(width);
+            for (outcome, n) in counts.iter() {
+                let logical = (0..width)
+                    .filter(|&lq| outcome >> mapped.final_mapping[lq] & 1 == 1)
+                    .fold(0usize, |acc, lq| acc | 1 << lq);
+                (0..n).for_each(|_| looped.record(logical));
+            }
+            let logical = mapped.to_logical_counts(&counts);
+            assert_eq!(logical, looped);
+            assert_eq!(Counts::from_entries(width, logical.iter()), Some(logical));
+        }
     }
 
     #[test]

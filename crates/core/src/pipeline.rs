@@ -504,7 +504,7 @@ impl Backend for SimulatorBackend {
             ..*exec
         };
         let counts = mp.to_logical_counts(&prepared.job.run(&mp.circuit, &exec));
-        let jsd = metrics::jsd(&counts.distribution(), &prepared.ideal);
+        let jsd = metrics::jsd_counts(&counts, &prepared.ideal);
         let pst = prepared
             .ideal_outcome
             .map(|target| counts.probability(target));

@@ -14,12 +14,25 @@
 //! suite (`tests/support/reference.rs`), which re-sorts a `Vec` per
 //! step.
 //!
-//! ## The strategy table and its two readers
+//! ## Who owns a job, when
+//!
+//! From `submit` until its batch commits a job is one [`Pending`]
+//! record owned by the store, circuit included; dispatch reads it in
+//! place (head choice and packing off the [`JobView`] mirror, cache
+//! keys and probe misses through [`PendingStore::get`]) and copies
+//! nothing out of it — only a plan-cache miss clones the members'
+//! circuits, into the plan it builds. When the batch commits,
+//! [`PendingStore::take_members`] hands the records over **by value**:
+//! the staged batch keeps what execution and the report need (the
+//! circuit's name moved out of it, not copied) and the rest is dropped
+//! there.
+//!
+//! ## The strategy table and its three readers
 //!
 //! The store interns each distinct effective strategy into a small key
 //! table ([`PendingStore::strategy_key`]: key 0 = the service default,
 //! including overrides that compare equal to it — value equality); a
-//! job carries its key, not a strategy. Two things read the key:
+//! job carries its key, not a strategy. Three things read the key:
 //!
 //! * **Joinable-flag maintenance.** A [`JobView`]'s `joinable` flag
 //!   depends on the *head strategy* of the dispatch step being
@@ -35,16 +48,40 @@
 //!   batches share a cache entry only if their heads' strategies are
 //!   the same table entry, which is the very equality that lets their
 //!   jobs share a batch.
+//! * **Dispatch.** An entry is the strategy *and* the staged pipeline
+//!   assembled from it, once, behind one [`Arc`]
+//!   ([`StrategyEntry`]): a dispatch step and the batch it stages hold
+//!   the head's entry by reference count, so no dispatch clones a
+//!   strategy or boxes a pipeline stage.
 
 use std::collections::HashMap;
+use std::sync::Arc;
 
 use qucp_circuit::Circuit;
+use qucp_core::pipeline::Pipeline;
 use qucp_core::Strategy;
 use qucp_sim::{ShotParallelism, TrajectoryKernel};
 
 use crate::policy::JobView;
 use crate::registry::RoutingChoice;
+use crate::scheduler::RuntimeError;
 use crate::shape::Shape;
+
+/// One interned strategy with the pipeline assembled from it.
+#[derive(Debug)]
+pub(crate) struct StrategyEntry {
+    pub(crate) strategy: Strategy,
+    pub(crate) pipeline: Pipeline,
+}
+
+impl StrategyEntry {
+    fn new(strategy: Strategy) -> Arc<Self> {
+        Arc::new(StrategyEntry {
+            pipeline: Pipeline::from_strategy(&strategy),
+            strategy,
+        })
+    }
+}
 
 /// A pending (admitted but not yet dispatched) job.
 #[derive(Debug, Clone)]
@@ -58,6 +95,9 @@ pub(crate) struct Pending {
     pub(crate) gates: usize,
     /// Cached `circuit.depth()` (O(gates) to recompute).
     pub(crate) depth: usize,
+    /// Cached `circuit.cx_count()`, what a routing query asks of the
+    /// head.
+    pub(crate) cx_count: usize,
     /// The circuit's interned shape (width + exact gate sequence, name
     /// excluded) — the plan/probe cache key component, interned once at
     /// submit instead of hashed once per dispatch the job is probed.
@@ -113,7 +153,7 @@ pub(crate) struct PendingStore {
     /// offset instead of shifting the vector.
     head: usize,
     /// Distinct strategies seen so far; slot 0 holds the default.
-    interned: Vec<Strategy>,
+    interned: Vec<Arc<StrategyEntry>>,
     /// Live jobs whose interned key is not 0. While 0, `prepare` skips
     /// joinable-flag maintenance entirely.
     overrides: usize,
@@ -129,7 +169,7 @@ impl PendingStore {
             views: Vec::new(),
             keys: Vec::new(),
             head: 0,
-            interned: vec![default],
+            interned: vec![StrategyEntry::new(default)],
             overrides: 0,
             flags_dirty: false,
         }
@@ -140,10 +180,10 @@ impl PendingStore {
     pub(crate) fn strategy_key(&mut self, strategy: Option<Strategy>) -> u32 {
         match strategy {
             None => 0,
-            Some(s) => match self.interned.iter().position(|x| *x == s) {
+            Some(s) => match self.interned.iter().position(|x| x.strategy == s) {
                 Some(i) => i as u32,
                 None => {
-                    self.interned.push(s);
+                    self.interned.push(StrategyEntry::new(s));
                     (self.interned.len() - 1) as u32
                 }
             },
@@ -153,6 +193,12 @@ impl PendingStore {
     /// The strategy behind a key handed out by
     /// [`PendingStore::strategy_key`].
     pub(crate) fn strategy(&self, key: u32) -> &Strategy {
+        &self.interned[key as usize].strategy
+    }
+
+    /// The shared entry behind a key: what a dispatch step holds of its
+    /// head's strategy.
+    pub(crate) fn strategy_entry(&self, key: u32) -> &Arc<StrategyEntry> {
         &self.interned[key as usize]
     }
 
@@ -217,12 +263,30 @@ impl PendingStore {
         }
     }
 
-    /// Removes a committed batch's members.
-    pub(crate) fn remove_members(&mut self, seqs: &[usize]) {
-        let mut positions: Vec<usize> = Vec::with_capacity(seqs.len());
+    /// Removes a committed batch's members and hands each stored job,
+    /// by value and in `seqs` order, to `member`, whose outputs it
+    /// returns. `positions` is the caller's buffer for the members'
+    /// mirror slots (cleared here, capacity kept).
+    ///
+    /// # Errors
+    ///
+    /// [`RuntimeError::QueueCorrupted`] naming the first `seq` the
+    /// store does not hold; the others are taken all the same (and
+    /// dropped), so map and mirror still agree. Dispatch resolves every
+    /// member through [`PendingStore::get`] for the plan key before it
+    /// commits, so it cannot see this error first.
+    pub(crate) fn take_members<T>(
+        &mut self,
+        seqs: &[usize],
+        positions: &mut Vec<usize>,
+        mut member: impl FnMut(Pending) -> T,
+    ) -> Result<Vec<T>, RuntimeError> {
+        positions.clear();
+        let mut members = Vec::with_capacity(seqs.len());
+        let mut missing = None;
         for &seq in seqs {
             let Some(p) = self.jobs.remove(&seq) else {
-                debug_assert!(false, "removing job seq {seq} not in the store");
+                missing.get_or_insert(seq);
                 continue;
             };
             let rel = self
@@ -233,9 +297,14 @@ impl PendingStore {
                 self.overrides -= 1;
             }
             positions.push(abs);
+            members.push(member(p));
         }
+        let taken = match missing {
+            None => Ok(members),
+            Some(seq) => Err(RuntimeError::QueueCorrupted { seq }),
+        };
         if positions.is_empty() {
-            return;
+            return taken;
         }
         positions.sort_unstable();
         let n = positions.len();
@@ -269,6 +338,7 @@ impl PendingStore {
             self.keys.drain(..self.head);
             self.head = 0;
         }
+        taken
     }
 }
 
@@ -330,6 +400,7 @@ mod tests {
             width: circuit.width(),
             gates: circuit.gate_count(),
             depth: circuit.depth(),
+            cx_count: circuit.cx_count(),
             shape: crate::shape::ShapeTable::default().intern(&circuit),
             circuit,
             shots: 64,
@@ -384,6 +455,14 @@ mod tests {
         assert_eq!(store.get(1).unwrap().skips, 2);
     }
 
+    /// Takes `seqs`, returning the taken jobs' seqs in the order handed
+    /// over.
+    fn take(store: &mut PendingStore, seqs: &[usize]) -> Vec<usize> {
+        store
+            .take_members(seqs, &mut Vec::new(), |p| p.seq)
+            .unwrap()
+    }
+
     #[test]
     fn removal_compacts_and_preserves_survivors() {
         let mut store = store();
@@ -391,12 +470,12 @@ mod tests {
             store.insert(pending(seq, seq as f64, 0));
         }
         // Scattered removal first (mid-queue), then a front drain.
-        store.remove_members(&[1, 3]);
+        take(&mut store, &[1, 3]);
         assert_eq!(store.len(), 4);
         store.prepare(f64::INFINITY, None);
         let order: Vec<usize> = store.arrived(f64::INFINITY).iter().map(|v| v.seq).collect();
         assert_eq!(order, vec![0, 2, 4, 5]);
-        store.remove_members(&[0, 2]);
+        take(&mut store, &[0, 2]);
         store.prepare(f64::INFINITY, None);
         let order: Vec<usize> = store.arrived(f64::INFINITY).iter().map(|v| v.seq).collect();
         assert_eq!(order, vec![4, 5]);
@@ -438,10 +517,147 @@ mod tests {
 
         // Once the only true-override job leaves, the all-true
         // invariant recovers even on the fast path.
-        store.remove_members(&[1]);
+        take(&mut store, &[1]);
         store.prepare(f64::INFINITY, None);
         assert!(store.arrived(f64::INFINITY).iter().all(|v| v.joinable));
         store.prepare(f64::INFINITY, Some(0));
         assert!(store.arrived(f64::INFINITY).iter().all(|v| v.joinable));
+    }
+
+    /// `remove_members` as it was before members were handed over by
+    /// value — the jobs dropped in the map, the same mirror surgery —
+    /// kept as the oracle of what [`PendingStore::take_members`] leaves
+    /// behind.
+    fn remove_members(store: &mut PendingStore, seqs: &[usize]) {
+        let mut positions: Vec<usize> = Vec::with_capacity(seqs.len());
+        for &seq in seqs {
+            let p = store.jobs.remove(&seq).unwrap();
+            let abs = store.head + store.position_of(p.arrival, seq).unwrap();
+            if store.keys[abs] != 0 {
+                store.overrides -= 1;
+            }
+            positions.push(abs);
+        }
+        positions.sort_unstable();
+        let n = positions.len();
+        if positions[0] == store.head && positions[n - 1] == store.head + n - 1 {
+            store.head += n;
+        } else {
+            let first = positions[0];
+            let mut next = 0;
+            let mut write = first;
+            for read in first..store.views.len() {
+                if next < n && positions[next] == read {
+                    next += 1;
+                    continue;
+                }
+                store.views[write] = store.views[read];
+                store.keys[write] = store.keys[read];
+                write += 1;
+            }
+            store.views.truncate(write);
+            store.keys.truncate(write);
+        }
+        if store.head > 0 && store.head * 2 >= store.views.len() {
+            store.views.drain(..store.head);
+            store.keys.drain(..store.head);
+            store.head = 0;
+        }
+    }
+
+    /// Everything a store holds but the jobs' payloads.
+    fn layout(store: &PendingStore) -> impl PartialEq + std::fmt::Debug {
+        let mut seqs: Vec<usize> = store.jobs.keys().copied().collect();
+        seqs.sort_unstable();
+        (
+            seqs,
+            store.views.clone(),
+            store.keys.clone(),
+            store.head,
+            store.overrides,
+            store.flags_dirty,
+        )
+    }
+
+    #[test]
+    fn take_members_hands_over_in_seqs_order_and_leaves_what_removal_left() {
+        // Front drains (the offset bump, twice, then the compaction at
+        // half the buffer), a middle removal, a removal in neither
+        // queue nor seq order, override members, the last jobs.
+        let batches: [&[usize]; 6] = [&[0, 1], &[2], &[5, 7], &[9, 4, 6], &[3], &[8, 10, 11]];
+        let fill = || {
+            let mut store = store();
+            let other = store.strategy_key(Some(strategy::cna()));
+            for seq in 0..12 {
+                let key = if seq % 5 == 4 { other } else { 0 };
+                // Arrivals run against submission order in pairs.
+                store.insert(pending(seq, (seq ^ 1) as f64, key));
+            }
+            store.prepare(f64::INFINITY, Some(other));
+            store
+        };
+        let (mut taken_from, mut removed_from) = (fill(), fill());
+        let mut positions = vec![usize::MAX; 3];
+        for seqs in batches {
+            let handed = taken_from
+                .take_members(seqs, &mut positions, |p| (p.seq, p.id, p.arrival))
+                .unwrap();
+            let expected: Vec<_> = seqs
+                .iter()
+                .map(|&seq| (seq, seq as u64, (seq ^ 1) as f64))
+                .collect();
+            assert_eq!(handed, expected);
+            remove_members(&mut removed_from, seqs);
+            assert_eq!(layout(&taken_from), layout(&removed_from), "after {seqs:?}");
+        }
+        assert!(taken_from.is_empty());
+    }
+
+    /// A seq the store does not hold is a typed error, and the members
+    /// around it leave map and mirror together.
+    #[test]
+    fn take_members_names_a_missing_seq_and_keeps_map_and_mirror_agreed() {
+        let mut store = store();
+        for seq in 0..4 {
+            store.insert(pending(seq, seq as f64, 0));
+        }
+        let taken = store.take_members(&[0, 9, 1], &mut Vec::new(), |p| p.seq);
+        assert!(matches!(
+            taken,
+            Err(RuntimeError::QueueCorrupted { seq: 9 })
+        ));
+        store.prepare(f64::INFINITY, None);
+        let order: Vec<usize> = store.arrived(f64::INFINITY).iter().map(|v| v.seq).collect();
+        assert_eq!(order, vec![2, 3]);
+        assert!(store.get(0).is_none() && store.get(1).is_none());
+    }
+
+    /// One table entry — one pipeline — per distinct strategy, shared by
+    /// reference count; a strategy unequal to itself gets a fresh entry
+    /// per submission, as its key always did.
+    #[test]
+    fn one_strategy_entry_per_distinct_strategy() {
+        let mut store = store();
+        let cna = store.strategy_key(Some(strategy::cna()));
+        let entry = Arc::clone(store.strategy_entry(cna));
+        for _ in 0..3 {
+            assert_eq!(store.strategy_key(Some(strategy::cna())), cna);
+            assert_eq!(
+                store.strategy_key(Some(strategy::qucp(strategy::DEFAULT_SIGMA))),
+                0
+            );
+        }
+        assert!(Arc::ptr_eq(&entry, store.strategy_entry(cna)));
+        assert_eq!(entry.strategy, strategy::cna());
+        assert_eq!(store.interned.len(), 2);
+        let nan = [
+            store.strategy_key(Some(strategy::qucp(f64::NAN))),
+            store.strategy_key(Some(strategy::qucp(f64::NAN))),
+        ];
+        assert_eq!(nan, [2, 3]);
+        assert!(!Arc::ptr_eq(
+            store.strategy_entry(nan[0]),
+            store.strategy_entry(nan[1])
+        ));
     }
 }

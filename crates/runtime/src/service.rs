@@ -29,6 +29,7 @@ pub use self::route_cache::RouteCacheStats;
 
 use qucp_device::{Calibration, CrosstalkModel, DriftModel};
 
+use self::dispatch::DispatchScratch;
 use self::route_cache::RouteCache;
 use crate::event::{Event, EventLog, EventObserver};
 use crate::job::JobResult;
@@ -105,6 +106,9 @@ pub struct Service {
     clock_index: ClockIndex,
     /// Cross-batch memo of the pure planning probes (see [`RouteCache`]).
     route_cache: RouteCache,
+    /// The dispatch loop's buffers (see [`DispatchScratch`]): taken for
+    /// the length of a staging step, put back after it.
+    scratch: DispatchScratch,
     log: EventLog,
     observers: Vec<Box<dyn EventObserver>>,
     /// The fleet-wide calibration drift process (`None` = frozen
@@ -256,6 +260,7 @@ impl Service {
         let width = request.circuit.width();
         let gates = request.circuit.gate_count();
         let depth = request.circuit.depth();
+        let cx_count = request.circuit.cx_count();
         // The shape keys every plan/probe cache lookup the job will
         // ever be part of; interning once at submit (O(gates), like the
         // depth above) makes each of those lookups a handle comparison.
@@ -268,6 +273,7 @@ impl Service {
             width,
             gates,
             depth,
+            cx_count,
             shape,
             shots,
             arrival: request.arrival,

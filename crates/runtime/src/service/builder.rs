@@ -5,6 +5,7 @@ use qucp_core::{strategy, Strategy};
 use qucp_device::{Device, DriftModel};
 use qucp_sim::{ShotParallelism, TrajectoryKernel};
 
+use super::dispatch::DispatchScratch;
 use super::route_cache::RouteCache;
 use super::{DeviceState, EfsGate, Service};
 use crate::event::{EventLog, EventObserver};
@@ -265,6 +266,7 @@ impl ServiceBuilder {
             unreported: Vec::new(),
             clock_index,
             route_cache: RouteCache::default(),
+            scratch: DispatchScratch::default(),
             log: EventLog::with_capacity_limit(self.event_capacity),
             observers: self.observers,
             drift: self.drift,

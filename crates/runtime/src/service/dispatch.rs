@@ -1,19 +1,36 @@
 //! The dispatch loop: stage the next batch (head choice, routing, the
 //! ranked candidate walk through the plan cache, commit), execute it,
 //! and fold its results.
+//!
+//! ## Who owns a member, when
+//!
+//! Until its batch commits a job is one `Pending` record in the store,
+//! and staging reads it there: the head's numbers are copied into a
+//! [`HeadContext`] (no circuit, the strategy entry by reference count),
+//! ranking, packing and the plan-key lookup fill the buffers of one
+//! [`DispatchScratch`] the service keeps, and a plan-cache hit shares
+//! the cached plan behind its `Arc`. [`Service::commit`] then takes
+//! the members out of the store **by value** and turns each into one
+//! [`Member`] of the [`StagedBatch`] — the circuit's name moved, the
+//! circuit dropped — which execution reads by reference and
+//! [`Service::finish_batch`] consumes: the name moves once more, into
+//! the job's result. What a steady-state batch still asks the heap for
+//! is what it keeps (its members, its events and their strings, its
+//! results) and the pack the admission policy returns.
 
-use qucp_circuit::Circuit;
-use qucp_core::pipeline::{Pipeline, PlannedWorkload};
-use qucp_core::{CoreError, ParallelConfig, ProgramResult, Strategy};
+use std::sync::Arc;
+
+use qucp_core::pipeline::PlannedWorkload;
+use qucp_core::{CoreError, ParallelConfig, ProgramResult};
 use qucp_device::Device;
 use qucp_sim::{run_indexed, ExecutionConfig, ShotParallelism, TrajectoryKernel};
 
-use super::gate::{plan_gated_members, PlanMembers};
-use super::route_cache::{replay_plan, PlannedParts};
+use super::gate::plan_gated_members;
+use super::route_cache::{replay_plan, PlanKey};
 use super::{EfsGate, JobTicket, Service};
 use crate::event::Event;
 use crate::job::JobResult;
-use crate::pending::Pending;
+use crate::pending::{Pending, StrategyEntry};
 use crate::policy::BatchBudget;
 use crate::registry::{RouteQuery, RoutingChoice, RoutingPolicy};
 use crate::scheduler::{BatchReport, RuntimeError};
@@ -58,6 +75,20 @@ impl Service {
     /// [`StagedBatch`], not yet emitted. Execution and the event/stat
     /// fold happen in [`Service::finish_batch`].
     fn stage_one(&mut self, limit: f64) -> Result<Option<StagedBatch>, RuntimeError> {
+        // Taken, not borrowed: staging calls `&mut self` methods
+        // while it fills the buffers.
+        let mut scratch = std::mem::take(&mut self.scratch);
+        let staged = self.stage_on(&mut scratch, limit);
+        self.scratch = scratch;
+        staged
+    }
+
+    /// [`Service::stage_one`] on the service's scratch buffers.
+    fn stage_on(
+        &mut self,
+        scratch: &mut DispatchScratch,
+        limit: f64,
+    ) -> Result<Option<StagedBatch>, RuntimeError> {
         let Some(t_min) = self.pending.first_arrival() else {
             return Ok(None);
         };
@@ -78,100 +109,42 @@ impl Service {
             (arrived0[head_pos0].seq, arrived0[head_pos0].arrival)
         };
         let p = self.pending_by_seq(head_seq)?;
-        let head_width = p.width;
-        // The head's routing override (if any) routes this batch.
-        let head_routing: Option<RoutingChoice> = p.routing;
 
-        // Rank the admitting candidates with the routing policy; if
-        // none admits the head, probe the widest chip so the precise
-        // placement error surfaces (matching the seed scheduler). The
-        // width-bucketed index hands back only the admitting devices —
-        // in (width, registration) order, which is fine: the ranked
-        // sort below uses the total key (score, free time,
+        // The width-bucketed index hands back only the admitting
+        // devices — in (width, registration) order, which is fine: the
+        // ranked sort uses the total key (score, free time,
         // registration), so candidate input order never matters.
-        let admitting: Vec<usize> = self
-            .registry
-            .admitting_bucket(head_width)
-            .iter()
-            .map(|&(_, d)| d)
-            .collect();
-        // Assembling a pipeline is cheap (it boxes four stage objects),
-        // so each dispatch builds one for the head's effective strategy
-        // rather than fighting the borrow checker over a cached copy.
-        let strategy = self.pending.strategy(p.strategy_key).clone();
+        scratch.admitting.clear();
+        scratch.admitting.extend(
+            self.registry
+                .admitting_bucket(p.width)
+                .iter()
+                .map(|&(_, d)| d),
+        );
         let head = HeadContext {
             seq: head_seq,
             id: p.id,
             arrival: head_arrival,
-            pipeline: Pipeline::from_strategy(&strategy),
-            circuit: p.circuit.clone(),
-            strategy,
+            width: p.width,
+            cx_count: p.cx_count,
+            routing: p.routing,
+            entry: Arc::clone(self.pending.strategy_entry(p.strategy_key)),
             strategy_key: p.strategy_key,
             threshold: p.fidelity_threshold.or(self.cfg.fidelity_threshold),
             shape: p.shape.clone(),
-            probe_widest: admitting.is_empty(),
+            probe_widest: scratch.admitting.is_empty(),
             batch_index: self.batches.len(),
         };
-        let batch_index = head.batch_index;
-        let (candidates, route_scores): (Vec<usize>, Vec<f64>) = if head.probe_widest {
-            let widest = self.registry.widest().expect("fleet is non-empty").index();
-            (vec![widest], vec![f64::INFINITY])
-        } else {
-            // Only a policy that asks pays for the partition probes:
-            // the default EarliestFree dispatch never touches the solo
-            // cache.
-            let wants_score = match &head_routing {
-                Some(choice) => choice.wants_partition_score(),
-                None => self.routing.wants_partition_score(),
-            };
-            let starts: Vec<f64> = admitting
-                .iter()
-                .map(|&d| self.states[d].clock.max(head.arrival))
-                .collect();
-            let best_start = starts.iter().copied().fold(f64::INFINITY, f64::min);
-            let head_cx_count = head.circuit.cx_count();
-            // (score, free time, registration index): scores compare
-            // with `total_cmp` (NaN sorts last) and ties always fall
-            // back to the earliest-free order, so any policy routes
-            // deterministically.
-            let mut ranked: Vec<(f64, f64, usize)> = Vec::with_capacity(admitting.len());
-            for (i, &d) in admitting.iter().enumerate() {
-                let partition_score = if wants_score {
-                    self.cached_solo_score(&head, d)
-                } else {
-                    None
-                };
-                let query = RouteQuery {
-                    device: self.registry.device_at(d),
-                    device_index: d,
-                    free_at: self.states[d].clock,
-                    start: starts[i],
-                    best_start,
-                    head_width,
-                    head_cx_count,
-                    partition_score,
-                };
-                let score = match &head_routing {
-                    Some(choice) => choice.score(&query),
-                    None => self.routing.score(&query),
-                };
-                ranked.push((score, self.states[d].clock, d));
-            }
-            ranked.sort_by(|a, b| {
-                a.0.total_cmp(&b.0)
-                    .then(a.1.total_cmp(&b.1))
-                    .then(a.2.cmp(&b.2))
-            });
-            (
-                ranked.iter().map(|r| r.2).collect(),
-                ranked.iter().map(|r| r.0).collect(),
-            )
-        };
+        self.rank_candidates(scratch, &head)?;
 
         // The ranked walk: the committed winner is the first ranked
-        // candidate whose plan succeeds.
-        let mut last_unplaceable: Option<RuntimeError> = None;
-        for (rank, &d) in candidates.iter().enumerate() {
+        // candidate whose plan succeeds. Every candidate that does not
+        // commit leaves its error here, and there is a candidate: the
+        // initial value is what an empty ranking — an empty fleet,
+        // which `rank_candidates` has refused — would mean.
+        let mut failure = RuntimeError::NoDevices;
+        for rank in 0..scratch.ranked.len() {
+            let d = scratch.ranked[rank].2;
             let start = self.states[d].clock.max(head.arrival);
             if start > limit {
                 // Head-of-line across the fleet: when the policy's
@@ -184,145 +157,215 @@ impl Service {
                 // ranking.
                 return Ok(None);
             }
-            let (pack, (plan, member_seqs, shrinks)) = match self.plan_candidate(&head, d) {
+            let (pack, plan, shrinks) = match self.plan_candidate(scratch, &head, d) {
                 Ok(planned) => planned,
                 Err(e @ RuntimeError::JobUnplaceable { .. }) => {
-                    last_unplaceable = Some(e);
+                    failure = e;
                     continue;
                 }
                 Err(e) => return Err(e),
             };
             debug_assert_eq!(pack.start.to_bits(), start.to_bits());
-
-            // Borrowed, not cloned: everything staged below touches
-            // the queue, the clocks and the statistics, never the
-            // registry.
-            let device = self.registry.device_at(d);
-            // The routing decision is recorded only for the device the
-            // batch actually commits on (failed candidates leave no
-            // trace, like their shrink events).
-            // The recorded policy is the *effective* one: the head's
-            // override when present, the service default otherwise.
-            let mut events: Vec<Event> = Vec::with_capacity(2 + shrinks.len() + member_seqs.len());
-            events.push(Event::BatchRouted {
-                batch_index,
-                device: device.name().to_string(),
-                policy: match &head_routing {
-                    Some(choice) => choice.name().to_string(),
-                    None => self.routing.name().to_string(),
-                },
-                score: route_scores[rank],
-                start,
-                candidates: candidates.len(),
-            });
-            events.extend(shrinks);
-
-            // Everything the execution and finish halves need, copied
-            // out of the pending store before the members are removed.
-            let makespan = plan.context.makespan;
-            let completion = start + makespan;
-            let n = member_seqs.len();
-            let mut shots: Vec<usize> = Vec::with_capacity(n);
-            let mut parallelism: Vec<ShotParallelism> = Vec::with_capacity(n);
-            let mut kernels: Vec<TrajectoryKernel> = Vec::with_capacity(n);
-            let mut job_ids: Vec<u64> = Vec::with_capacity(n);
-            let mut names: Vec<String> = Vec::with_capacity(n);
-            let mut widths: Vec<usize> = Vec::with_capacity(n);
-            let mut waits: Vec<f64> = Vec::with_capacity(n);
-            let mut turnarounds: Vec<f64> = Vec::with_capacity(n);
-            for &s in &member_seqs {
-                let p = self.pending_by_seq(s)?;
-                shots.push(p.shots);
-                parallelism.push(p.shot_parallelism.unwrap_or(self.cfg.shot_parallelism));
-                kernels.push(p.trajectory_kernel.unwrap_or(self.cfg.trajectory_kernel));
-                job_ids.push(p.id);
-                names.push(p.circuit.name().to_string());
-                widths.push(p.width);
-                waits.push(start - p.arrival);
-                turnarounds.push(completion - p.arrival);
-            }
-            events.push(Event::BatchPlanned {
-                batch_index,
-                device: device.name().to_string(),
-                job_ids: job_ids.clone(),
-                start,
-                makespan,
-            });
-            for (pos, &seq) in member_seqs.iter().enumerate() {
-                events.push(Event::JobCompleted {
-                    job_id: job_ids[pos],
-                    seq,
-                    batch_index,
-                    completion,
-                    turnaround: turnarounds[pos],
-                });
-                self.unreported.push((
-                    completion,
-                    JobTicket {
-                        seq,
-                        id: job_ids[pos],
-                    },
-                ));
-            }
-
-            // The scheduling state the *next* staging decision reads
-            // mutates now; statistics and the event fold wait for the
-            // finish pass.
-            let state = &mut self.states[d];
-            let old_clock = state.clock;
-            state.clock = completion;
-            self.clock_index.update(d, old_clock, completion);
-            self.pending.remove_members(&member_seqs);
-
-            // Starvation accounting: every arrived candidate that an
-            // admitted later candidate jumped over was overtaken once.
-            // Jobs wider than this whole chip are exempt — they could
-            // never have run here, their service is governed by a
-            // device that admits them, and turning them into barriers
-            // on chips they cannot use would cost throughput for no
-            // fairness gain.
-            let admitted: Vec<usize> = pack
-                .picks_seqs
-                .iter()
-                .copied()
-                .filter(|s| member_seqs.contains(s))
-                .collect();
-            let last_admitted_pos = pack
-                .picks
-                .iter()
-                .enumerate()
-                .filter(|&(j, _)| admitted.contains(&pack.picks_seqs[j]))
-                .map(|(_, &pos)| pos)
-                .max()
-                .unwrap_or(pack.head_pos);
-            for (i, &(seq, width)) in pack.pool.iter().enumerate() {
-                if i < last_admitted_pos && width <= device.num_qubits() && !admitted.contains(&seq)
-                {
-                    self.pending.bump_skip(seq);
-                }
-            }
-            return Ok(Some(StagedBatch {
-                device_index: d,
-                batch_index,
-                pipeline: head.pipeline,
-                plan,
-                start,
-                completion,
-                makespan,
-                batch_seed: derive_batch_seed(self.cfg.seed, batch_index),
-                member_seqs,
-                job_ids,
-                names,
-                widths,
-                shots,
-                parallelism,
-                kernels,
-                waits,
-                turnarounds,
-                events,
-            }));
+            return self
+                .commit(scratch, head, rank, pack, plan, shrinks)
+                .map(Some);
         }
-        Err(last_unplaceable.expect("every candidate device failed with an unplaceable error"))
+        Err(failure)
+    }
+
+    /// Ranks the admitting candidates of `scratch.admitting` with the
+    /// routing policy into `scratch.ranked`; if none admits the head,
+    /// the widest chip is the one candidate, so the precise placement
+    /// error surfaces (matching the seed scheduler).
+    ///
+    /// # Errors
+    ///
+    /// [`RuntimeError::NoDevices`] for a head nothing admits on an
+    /// empty fleet — which [`ServiceBuilder::build`](super::ServiceBuilder::build)
+    /// refuses to build and nothing can empty afterwards.
+    fn rank_candidates(
+        &mut self,
+        scratch: &mut DispatchScratch,
+        head: &HeadContext,
+    ) -> Result<(), RuntimeError> {
+        let DispatchScratch {
+            admitting, ranked, ..
+        } = scratch;
+        ranked.clear();
+        if head.probe_widest {
+            let widest = self.registry.widest().ok_or(RuntimeError::NoDevices)?;
+            let d = widest.index();
+            ranked.push((f64::INFINITY, self.states[d].clock, d));
+            return Ok(());
+        }
+        // Only a policy that asks pays for the partition probes:
+        // the default EarliestFree dispatch never touches the solo
+        // cache.
+        let wants_score = match &head.routing {
+            Some(choice) => choice.wants_partition_score(),
+            None => self.routing.wants_partition_score(),
+        };
+        let best_start = admitting
+            .iter()
+            .map(|&d| self.states[d].clock.max(head.arrival))
+            .fold(f64::INFINITY, f64::min);
+        // (score, free time, registration index): scores compare
+        // with `total_cmp` (NaN sorts last) and ties always fall
+        // back to the earliest-free order, so any policy routes
+        // deterministically.
+        for &d in admitting.iter() {
+            let partition_score = if wants_score {
+                self.cached_solo_score(head, d)?
+            } else {
+                None
+            };
+            let query = RouteQuery {
+                device: self.registry.device_at(d),
+                device_index: d,
+                free_at: self.states[d].clock,
+                start: self.states[d].clock.max(head.arrival),
+                best_start,
+                head_width: head.width,
+                head_cx_count: head.cx_count,
+                partition_score,
+            };
+            let score = match &head.routing {
+                Some(choice) => choice.score(&query),
+                None => self.routing.score(&query),
+            };
+            ranked.push((score, self.states[d].clock, d));
+        }
+        ranked.sort_by(|a, b| {
+            a.0.total_cmp(&b.0)
+                .then(a.1.total_cmp(&b.1))
+                .then(a.2.cmp(&b.2))
+        });
+        Ok(())
+    }
+
+    /// Commits the batch planned on candidate `rank`: takes its members
+    /// (`scratch.member_seqs`) out of the pending store, buffers the
+    /// batch's event block and applies every mutation the *next*
+    /// staging decision reads — the device clock, the queue, the
+    /// overtake counters. Statistics and the event fold wait for the
+    /// finish pass.
+    fn commit(
+        &mut self,
+        scratch: &mut DispatchScratch,
+        head: HeadContext,
+        rank: usize,
+        pack: CandidatePack,
+        plan: Arc<PlannedWorkload>,
+        shrinks: Vec<Event>,
+    ) -> Result<StagedBatch, RuntimeError> {
+        let (score, _, d) = scratch.ranked[rank];
+        let batch_index = head.batch_index;
+        let start = pack.start;
+        let makespan = plan.context.makespan;
+        let completion = start + makespan;
+
+        // The one fallible step, first: the store hands each member
+        // over and the batch keeps what execution and the report read.
+        let (parallelism, kernel) = (self.cfg.shot_parallelism, self.cfg.trajectory_kernel);
+        let members =
+            self.pending
+                .take_members(&scratch.member_seqs, &mut scratch.positions, |p| Member {
+                    seq: p.seq,
+                    id: p.id,
+                    width: p.width,
+                    shots: p.shots,
+                    parallelism: p.shot_parallelism.unwrap_or(parallelism),
+                    kernel: p.trajectory_kernel.unwrap_or(kernel),
+                    wait: start - p.arrival,
+                    turnaround: completion - p.arrival,
+                    name: p.circuit.into_name(),
+                })?;
+
+        // Borrowed, not cloned: everything staged below touches the
+        // queue, the clocks and the statistics, never the registry.
+        let device = self.registry.device_at(d);
+        // The routing decision is recorded only for the device the
+        // batch actually commits on (failed candidates leave no
+        // trace, like their shrink events).
+        // The recorded policy is the *effective* one: the head's
+        // override when present, the service default otherwise.
+        let mut events: Vec<Event> = Vec::with_capacity(2 + shrinks.len() + members.len());
+        events.push(Event::BatchRouted {
+            batch_index,
+            device: device.name().to_string(),
+            policy: match &head.routing {
+                Some(choice) => choice.name().to_string(),
+                None => self.routing.name().to_string(),
+            },
+            score,
+            start,
+            candidates: scratch.ranked.len(),
+        });
+        events.extend(shrinks);
+        events.push(Event::BatchPlanned {
+            batch_index,
+            device: device.name().to_string(),
+            job_ids: members.iter().map(|m| m.id).collect(),
+            start,
+            makespan,
+        });
+        for m in &members {
+            events.push(Event::JobCompleted {
+                job_id: m.id,
+                seq: m.seq,
+                batch_index,
+                completion,
+                turnaround: m.turnaround,
+            });
+            self.unreported.push((
+                completion,
+                JobTicket {
+                    seq: m.seq,
+                    id: m.id,
+                },
+            ));
+        }
+
+        let state = &mut self.states[d];
+        let old_clock = state.clock;
+        state.clock = completion;
+        self.clock_index.update(d, old_clock, completion);
+
+        // Starvation accounting: every arrived candidate that an
+        // admitted later candidate jumped over was overtaken once.
+        // Jobs wider than this whole chip are exempt — they could
+        // never have run here, their service is governed by a
+        // device that admits them, and turning them into barriers
+        // on chips they cannot use would cost throughput for no
+        // fairness gain. The admitted picks are the members: planning
+        // only ever drops picks.
+        let admitted = &scratch.member_seqs;
+        let last_admitted_pos = pack
+            .picks
+            .iter()
+            .zip(&scratch.picks_seqs)
+            .filter(|(_, seq)| admitted.contains(seq))
+            .map(|(&pos, _)| pos)
+            .max()
+            .unwrap_or(pack.head_pos);
+        let qubits = device.num_qubits();
+        for &(seq, width) in scratch.pool.iter().take(last_admitted_pos) {
+            if width <= qubits && !admitted.contains(&seq) {
+                self.pending.bump_skip(seq);
+            }
+        }
+        Ok(StagedBatch {
+            device_index: d,
+            batch_index,
+            entry: head.entry,
+            plan,
+            start,
+            completion,
+            makespan,
+            batch_seed: derive_batch_seed(self.cfg.seed, batch_index),
+            members,
+            events,
+        })
     }
 
     /// The finish half of one batch dispatch: emits the batch's
@@ -334,29 +377,32 @@ impl Service {
         for event in staged.events {
             self.emit(event);
         }
-        for (pos, (&seq, mut result)) in staged.member_seqs.iter().zip(results).enumerate() {
-            // Re-bind the result name to the *current* member: a
+        let mut job_ids = Vec::with_capacity(staged.members.len());
+        let state = &mut self.states[staged.device_index];
+        for (pos, (member, mut result)) in staged.members.into_iter().zip(results).enumerate() {
+            // The result is named after the *current* member: a
             // replayed plan carries the program names of the batch it
-            // was first planned for (a no-op on freshly planned
-            // batches — planning preserves names).
-            result.name.clear();
-            result.name.push_str(&staged.names[pos]);
-            let state = &mut self.states[staged.device_index];
+            // was first planned for (the same names on a freshly
+            // planned batch — planning preserves them).
+            result.name = member.name;
             state.jobs += 1;
-            state.total_wait += staged.waits[pos];
-            state.total_turnaround += staged.turnarounds[pos];
+            state.total_wait += member.wait;
+            state.total_turnaround += member.turnaround;
             state.busy_qubit_time +=
-                staged.widths[pos] as f64 * staged.plan.context.program_makespans[pos];
-            self.results[seq] = Some(JobResult {
-                job_id: staged.job_ids[pos],
+                member.width as f64 * staged.plan.context.program_makespans[pos];
+            self.results[member.seq] = Some(JobResult {
+                job_id: member.id,
                 batch_index: staged.batch_index,
                 start: staged.start,
                 completion: staged.completion,
-                waiting: staged.waits[pos],
-                turnaround: staged.turnarounds[pos],
+                waiting: member.wait,
+                turnaround: member.turnaround,
                 result,
             });
+            job_ids.push(member.id);
         }
+        state.busy_time += staged.makespan;
+        state.batches += 1;
         self.batches.push(BatchReport {
             batch_index: staged.batch_index,
             device: self
@@ -364,37 +410,38 @@ impl Service {
                 .device_at(staged.device_index)
                 .name()
                 .to_string(),
-            job_ids: staged.job_ids,
+            job_ids,
             start: staged.start,
             completion: staged.completion,
             makespan: staged.makespan,
             used_qubits: staged.plan.used_qubits(),
             conflict_count: staged.plan.context.conflict_count,
         });
-        let state = &mut self.states[staged.device_index];
-        state.busy_time += staged.makespan;
-        state.batches += 1;
     }
 
     /// One candidate device, start to finish: the head-only cap probe,
-    /// the pack, and the plan-cache lookup — a hit replays the memoized
-    /// outcome against the current members (re-binding shrink events
-    /// and unplaceable errors to current job ids), a miss plans the
-    /// members fresh, timed, and memoizes the outcome. A candidate the
-    /// head cannot be placed on — by the cap probe or by planning — is
-    /// a [`RuntimeError::JobUnplaceable`], which the ranked walk falls
+    /// the pack (left in `scratch.picks_seqs` / `scratch.pool`), and
+    /// the plan-cache lookup under a key built in the scratch's key
+    /// buffers — a hit replays the memoized outcome against the current
+    /// members (re-binding shrink events and unplaceable errors to
+    /// current job ids), a miss plans the members fresh, timed, and
+    /// memoizes the outcome. Either way the committed members end up in
+    /// `scratch.member_seqs`. A candidate the head cannot be placed on
+    /// — by the cap probe or by planning — is a
+    /// [`RuntimeError::JobUnplaceable`], which the ranked walk falls
     /// past; every other error ends the dispatch.
     fn plan_candidate(
         &mut self,
+        scratch: &mut DispatchScratch,
         head: &HeadContext,
         d: usize,
-    ) -> Result<(CandidatePack, PlannedParts), RuntimeError> {
+    ) -> Result<(CandidatePack, Arc<PlannedWorkload>, Vec<Event>), RuntimeError> {
         // Head-only EFS gate (Fig. 4): probe the admissible copy count
         // of the head circuit before packing, memoized across batches
         // per (device, shape, threshold).
         let cap_probe = match (self.efs_gate, head.threshold) {
             (EfsGate::HeadOnly, Some(threshold)) if !head.probe_widest => {
-                self.cached_head_cap(head, d, threshold).map(|c| c.max(1))
+                self.cached_head_cap(head, d, threshold)?.map(|c| c.max(1))
             }
             _ => Ok(self.cfg.max_parallel),
         };
@@ -410,41 +457,73 @@ impl Service {
             }
             Err(e) => return Err(RuntimeError::Core(e)),
         };
-        let pack = self.pack_candidate(head, d, cap)?;
-        let key = self.plan_key(d, head.strategy_key, &pack.picks_seqs)?;
+        let pack = self.pack_candidate(scratch, head, d, cap)?;
+        let mut key = self.plan_key(
+            d,
+            head.strategy_key,
+            &scratch.picks_seqs,
+            std::mem::take(&mut scratch.key_shapes),
+            std::mem::take(&mut scratch.key_thresholds),
+        )?;
+        let planned = self.replay_or_plan(scratch, head, d, &key);
+        // Emptied before they go back: a shape lives as long as a
+        // pending job or a cache key holds it, not a buffer.
+        key.shapes.clear();
+        key.thresholds.clear();
+        (scratch.key_shapes, scratch.key_thresholds) = (key.shapes, key.thresholds);
+        let (plan, shrinks) = planned?;
+        Ok((pack, plan, shrinks))
+    }
+
+    /// The plan-cache lookup of the pack in `scratch.picks_seqs` under
+    /// `key`, and the fresh plan on a miss — the only reader of the
+    /// members' circuits and the only place a key is cloned (into the
+    /// cache).
+    fn replay_or_plan(
+        &mut self,
+        scratch: &mut DispatchScratch,
+        head: &HeadContext,
+        d: usize,
+        key: &PlanKey,
+    ) -> Result<(Arc<PlannedWorkload>, Vec<Event>), RuntimeError> {
         let device = self.registry.device_at(d);
-        if let Some(entry) = self.route_cache.plans.get(&key) {
+        if let Some(entry) = self.route_cache.plans.get(key) {
             self.route_cache.plan_hits += 1;
-            let seqs = pack.picks_seqs.clone();
-            let planned = replay_plan(entry, head, device.name(), &self.pending, seqs)?;
-            return Ok((pack, planned));
+            scratch.member_seqs.clone_from(&scratch.picks_seqs);
+            let members = &mut scratch.member_seqs;
+            return replay_plan(entry, head, device.name(), &self.pending, members);
         }
         self.route_cache.plan_misses += 1;
-        // Only a miss pays for the members' circuits.
-        let members = self.plan_members(&pack.picks_seqs)?;
+        let members = self.plan_members(&scratch.picks_seqs)?;
         let plan_started = std::time::Instant::now();
         let gated = plan_gated_members(
-            &head.pipeline,
+            &head.entry.pipeline,
             device,
             head.batch_index,
             self.efs_gate,
             self.cfg.optimize,
-            &head.strategy,
+            &head.entry.strategy,
             members,
         );
         self.plan_ns = self
             .plan_ns
             .saturating_add(plan_started.elapsed().as_nanos() as u64);
-        let planned = self.memoize_plan(key, gated)?;
-        Ok((pack, planned))
+        let (plan, member_seqs, shrinks) = self.memoize_plan(key.clone(), gated)?;
+        scratch.member_seqs = member_seqs;
+        Ok((plan, shrinks))
     }
 
     /// One candidate device's admission pass: bind the arrived window
     /// at this candidate's start horizon, run the policy's pack, and
-    /// copy out everything the commit path needs (the pack outlives the
-    /// borrow of the store, which the commit path mutates).
+    /// copy into the scratch what the commit path needs of the window
+    /// (bound to this candidate's horizon only until the next
+    /// [`PendingStore::prepare`](crate::pending::PendingStore::prepare)):
+    /// the picks' submission indices (`picks_seqs`) and `(seq, width)`
+    /// of the window up to the last pick — the overtake-accounting
+    /// `pool`.
     fn pack_candidate(
         &mut self,
+        scratch: &mut DispatchScratch,
         head: &HeadContext,
         d: usize,
         cap: usize,
@@ -467,51 +546,51 @@ impl Service {
             self.policy.pack(arrived, head_pos, &budget)
         };
         debug_assert_eq!(picks.first(), Some(&head_pos), "head must lead the batch");
-        let picks_seqs: Vec<usize> = picks.iter().map(|&i| arrived[i].seq).collect();
+        scratch.picks_seqs.clear();
+        scratch
+            .picks_seqs
+            .extend(picks.iter().map(|&i| arrived[i].seq));
         let max_pick = picks.iter().copied().max().unwrap_or(head_pos);
-        let pool = arrived[..=max_pick]
-            .iter()
-            .map(|v| (v.seq, v.width))
-            .collect();
+        scratch.pool.clear();
+        scratch
+            .pool
+            .extend(arrived[..=max_pick].iter().map(|v| (v.seq, v.width)));
         Ok(CandidatePack {
             start,
             picks,
-            picks_seqs,
-            pool,
             head_pos,
-        })
-    }
-
-    /// Resolves the per-member planning inputs from the store, so
-    /// planning itself ([`plan_gated_members`]) runs without touching
-    /// the service.
-    fn plan_members(&self, seqs: &[usize]) -> Result<PlanMembers, RuntimeError> {
-        let gated = self.efs_gate.reads_member_thresholds();
-        let mut ids = Vec::with_capacity(seqs.len());
-        let mut circuits = Vec::with_capacity(seqs.len());
-        // Resolved only in the batch-gate modes, like the plan key's.
-        let mut thresholds = Vec::with_capacity(if gated { seqs.len() } else { 0 });
-        for &s in seqs {
-            let p = self.pending_by_seq(s)?;
-            ids.push(p.id);
-            circuits.push(p.circuit.clone());
-            if gated {
-                thresholds.push(p.fidelity_threshold.or(self.cfg.fidelity_threshold));
-            }
-        }
-        Ok(PlanMembers {
-            seqs: seqs.to_vec(),
-            ids,
-            circuits,
-            thresholds,
         })
     }
 }
 
-/// Everything the commit path needs from one candidate's admission
-/// pass, copied out of the pending store (whose arrived window is bound
-/// to this candidate's horizon only until the next
-/// [`PendingStore::prepare`]).
+/// The buffers one dispatch step fills and the next reuses, owned by
+/// the [`Service`]: ranking, packing, the plan-cache key and the
+/// members' removal run on memory requested once. Nothing in here
+/// outlives a step as a *value* — every buffer is cleared before it is
+/// read — only as capacity.
+#[derive(Debug, Default)]
+pub(super) struct DispatchScratch {
+    /// Registration indices of the devices admitting the head.
+    admitting: Vec<usize>,
+    /// The ranked candidates, best first: `(score, free time,
+    /// registration index)`.
+    ranked: Vec<(f64, f64, usize)>,
+    /// Submission indices of the current candidate's picks, head first.
+    picks_seqs: Vec<usize>,
+    /// `(seq, width)` of the current candidate's arrived window up to
+    /// its last pick.
+    pool: Vec<(usize, usize)>,
+    /// The [`PlanKey`]'s two vectors between lookups (empty).
+    key_shapes: Vec<Shape>,
+    key_thresholds: Vec<Option<u64>>,
+    /// The picks that survived planning: the batch's members.
+    member_seqs: Vec<usize>,
+    /// The members' slots in the pending store's mirror.
+    positions: Vec<usize>,
+}
+
+/// What the commit path needs from one candidate's admission pass
+/// besides the scratch's `picks_seqs` and `pool`.
 struct CandidatePack {
     /// The batch's start on this candidate (device clock vs head
     /// arrival).
@@ -519,11 +598,6 @@ struct CandidatePack {
     /// The policy's picks: positions into the candidate's arrived
     /// window, head first.
     picks: Vec<usize>,
-    /// The picks' submission indices, parallel to `picks`.
-    picks_seqs: Vec<usize>,
-    /// `(seq, width)` of the arrived window up to the last pick — the
-    /// overtake-accounting pool.
-    pool: Vec<(usize, usize)>,
     /// The head's position in the arrived window.
     head_pos: usize,
 }
@@ -531,17 +605,23 @@ struct CandidatePack {
 /// What one dispatch step knows about the batch head, fixed before any
 /// candidate device is planned: everything
 /// [`Service::plan_candidate`] reads besides the candidate itself.
+/// The head's circuit stays in the pending store — only a probe-cache
+/// miss reads it, there, by `seq`.
 pub(super) struct HeadContext {
     pub(super) seq: usize,
     pub(super) id: u64,
     pub(super) arrival: f64,
-    pub(super) circuit: Circuit,
-    /// The head's effective strategy: it decides joinability, plans the
-    /// batch and parameterizes the probes.
-    pub(super) strategy: Strategy,
-    pub(super) pipeline: Pipeline,
-    /// The store's key of `strategy`: the strategy component of every
-    /// plan and probe cache key, and the joinability filter.
+    pub(super) width: usize,
+    /// CNOT count of the head circuit (a routing query's input).
+    pub(super) cx_count: usize,
+    /// The head's routing override (if any) routes this batch.
+    pub(super) routing: Option<RoutingChoice>,
+    /// The head's effective strategy and its pipeline, shared with the
+    /// store's table: the strategy decides joinability, plans the batch
+    /// and parameterizes the probes.
+    pub(super) entry: Arc<StrategyEntry>,
+    /// The store's key of that strategy: the strategy component of
+    /// every plan and probe cache key, and the joinability filter.
     pub(super) strategy_key: u32,
     /// The head's effective EFS threshold (the head-only gate's input).
     pub(super) threshold: Option<f64>,
@@ -553,35 +633,44 @@ pub(super) struct HeadContext {
     pub(super) batch_index: usize,
 }
 
+/// One job of a staged batch: what execution and the finish pass read
+/// of it, taken out of its `Pending` record when the batch committed.
+struct Member {
+    seq: usize,
+    id: u64,
+    /// The circuit's name, moved out of the spent circuit and on into
+    /// the job's result: a replayed plan carries the names of the batch
+    /// it was first planned for.
+    name: String,
+    width: usize,
+    shots: usize,
+    /// The job's effective shot mode and kernel: its per-request
+    /// override or the service default.
+    parallelism: ShotParallelism,
+    kernel: TrajectoryKernel,
+    wait: f64,
+    turnaround: f64,
+}
+
 /// One staged batch: every scheduling decision made, every queue/clock
 /// mutation applied, and the batch's full event block buffered — with
 /// execution and the event/statistics fold still pending
-/// ([`Service::finish_batch`]). Holds everything execution needs but
-/// the device by value (or behind [`Arc`][std::sync::Arc]), so the
-/// fan-out's threads run its programs from a `&self` reference; the
-/// device stays in the registry, which nothing touches between staging
-/// and finishing.
+/// ([`Service::finish_batch`]). One self-contained record: the plan and
+/// the strategy entry behind their [`Arc`]s, the members by value — so
+/// the fan-out's threads run its programs from a `&self` reference;
+/// the device stays in the registry, which nothing touches between
+/// staging and finishing.
 struct StagedBatch {
     device_index: usize,
     batch_index: usize,
-    pipeline: Pipeline,
-    plan: std::sync::Arc<PlannedWorkload>,
+    entry: Arc<StrategyEntry>,
+    plan: Arc<PlannedWorkload>,
     start: f64,
     completion: f64,
     makespan: f64,
     batch_seed: u64,
-    member_seqs: Vec<usize>,
-    job_ids: Vec<u64>,
-    /// Current member circuit names, captured at stage time: a replayed
-    /// plan carries the names of the batch it was first planned for, so
-    /// the finish pass re-binds each result's name from here.
-    names: Vec<String>,
-    widths: Vec<usize>,
-    shots: Vec<usize>,
-    parallelism: Vec<ShotParallelism>,
-    kernels: Vec<TrajectoryKernel>,
-    waits: Vec<f64>,
-    turnarounds: Vec<f64>,
+    /// In program order of `plan`.
+    members: Vec<Member>,
     events: Vec<Event>,
 }
 
@@ -595,22 +684,23 @@ pub(crate) fn derive_batch_seed(base: u64, batch_index: usize) -> u64 {
 impl StagedBatch {
     /// Executes every program of the batch through the fan-out helper
     /// — inline unless the batch's work pays for helper threads —
-    /// program `i`'s shot budget spread per `parallelism[i]` (the job's
-    /// effective mode: its per-request override or the service
-    /// default). Results come back in program order regardless of
+    /// program `i`'s shot budget spread per its member's effective
+    /// mode. Results come back in program order regardless of
     /// thread scheduling. On failure the error is the first in program
     /// order, and the programs after it still run (their results are
     /// dropped).
     fn execute(&self, device: &Device) -> Result<Vec<ProgramResult>, RuntimeError> {
-        run_indexed(self.shots.len(), self.work(), |pos| {
+        run_indexed(self.members.len(), self.work(), |pos| {
+            let member = &self.members[pos];
             let exec = ExecutionConfig {
-                shots: self.shots[pos],
+                shots: member.shots,
                 seed: self.batch_seed,
-                parallelism: self.parallelism[pos],
-                kernel: self.kernels[pos],
+                parallelism: member.parallelism,
+                kernel: member.kernel,
                 ..ParallelConfig::default().execution
             };
-            self.pipeline
+            self.entry
+                .pipeline
                 .backend
                 .run_program(device, &self.plan, pos, &exec)
                 .map_err(RuntimeError::Core)
@@ -624,10 +714,10 @@ impl StagedBatch {
     /// over its programs.
     fn work(&self) -> u64 {
         let routed = self.plan.mapped.iter().map(|m| m.circuit.gate_count());
-        self.shots
+        self.members
             .iter()
             .zip(routed)
-            .map(|(&shots, gates)| (shots as u64).saturating_mul(gates as u64))
+            .map(|(member, gates)| (member.shots as u64).saturating_mul(gates as u64))
             .sum()
     }
 }

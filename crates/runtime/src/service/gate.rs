@@ -8,7 +8,7 @@ use qucp_core::threshold::solo_efs_scores;
 use qucp_core::{CoreError, Strategy};
 use qucp_device::Device;
 
-use super::EfsGate;
+use super::{EfsGate, Service};
 use crate::event::{Event, ShrinkReason};
 use crate::scheduler::RuntimeError;
 
@@ -23,6 +23,35 @@ pub(super) struct PlanMembers {
     /// Effective per-member thresholds; resolved only in the batch-gate
     /// modes (empty otherwise, matching the sequential path's laziness).
     pub(super) thresholds: Vec<Option<f64>>,
+}
+
+impl Service {
+    /// Resolves the per-member planning inputs from the store, so
+    /// planning itself ([`plan_gated_members`]) runs without touching
+    /// the service. This is where a plan-cache miss pays for the
+    /// members' circuits: the plan it builds owns its programs, and the
+    /// jobs stay pending until a candidate commits.
+    pub(super) fn plan_members(&self, seqs: &[usize]) -> Result<PlanMembers, RuntimeError> {
+        let gated = self.efs_gate.reads_member_thresholds();
+        let mut ids = Vec::with_capacity(seqs.len());
+        let mut circuits = Vec::with_capacity(seqs.len());
+        // Resolved only in the batch-gate modes, like the plan key's.
+        let mut thresholds = Vec::with_capacity(if gated { seqs.len() } else { 0 });
+        for &s in seqs {
+            let p = self.pending_by_seq(s)?;
+            ids.push(p.id);
+            circuits.push(p.circuit.clone());
+            if gated {
+                thresholds.push(p.fidelity_threshold.or(self.cfg.fidelity_threshold));
+            }
+        }
+        Ok(PlanMembers {
+            seqs: seqs.to_vec(),
+            ids,
+            circuits,
+            thresholds,
+        })
+    }
 }
 
 /// A successful gated planning pass: the plan, the surviving members,

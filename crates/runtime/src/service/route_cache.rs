@@ -165,16 +165,19 @@ impl Service {
     }
 
     /// The plan-cache key of the batch `seqs` (head first) on device
-    /// `d` under the head's `strategy` key.
+    /// `d` under the head's `strategy` key, built in the two (empty)
+    /// vectors handed in — the dispatch loop lends the same two to
+    /// every lookup and clones a key only into the cache.
     pub(super) fn plan_key(
         &self,
         d: usize,
         strategy: u32,
         seqs: &[usize],
+        mut shapes: Vec<Shape>,
+        mut thresholds: Vec<Option<u64>>,
     ) -> Result<PlanKey, RuntimeError> {
+        debug_assert!(shapes.is_empty() && thresholds.is_empty());
         let gated = self.efs_gate.reads_member_thresholds();
-        let mut shapes = Vec::with_capacity(seqs.len());
-        let mut thresholds = Vec::with_capacity(if gated { seqs.len() } else { 0 });
         for &s in seqs {
             let p = self.pending_by_seq(s)?;
             shapes.push(p.shape.clone());
@@ -228,34 +231,48 @@ impl Service {
 
     /// The head circuit's solo-best EFS partition score on a device,
     /// memoized across batches by (device, shape, strategy); `None`
-    /// records — and caches — "no placement on this chip".
+    /// records — and caches — "no placement on this chip". Only a miss
+    /// reads the circuit, in the pending store.
+    ///
+    /// # Errors
+    ///
+    /// [`RuntimeError::QueueCorrupted`] if a miss does not find the
+    /// head in the store.
     pub(super) fn cached_solo_score(
         &mut self,
         head: &HeadContext,
         device_index: usize,
-    ) -> Option<f64> {
+    ) -> Result<Option<f64>, RuntimeError> {
         let key = (device_index, head.shape.clone(), head.strategy_key);
         if let Some(&cached) = self.route_cache.solo.get(&key) {
             self.route_cache.hits += 1;
-            return cached;
+            return Ok(cached);
         }
         self.route_cache.misses += 1;
         let device = self.registry.device_at(device_index);
-        let score = best_partition(device, &head.circuit, &head.strategy.partition)
+        let circuit = &self.pending_by_seq(head.seq)?.circuit;
+        let score = best_partition(device, circuit, &head.entry.strategy.partition)
             .ok()
             .map(|alloc| alloc.efs.score);
         self.route_cache.solo.insert(key, score);
-        score
+        Ok(score)
     }
 
     /// The head-only EFS gate's admissible copy count on a device,
-    /// memoized across batches by (device, shape, strategy, threshold).
+    /// memoized across batches by (device, shape, strategy, threshold)
+    /// — the inner result, planning errors included. Only a miss reads
+    /// the circuit, in the pending store.
+    ///
+    /// # Errors
+    ///
+    /// [`RuntimeError::QueueCorrupted`] if a miss does not find the
+    /// head in the store.
     pub(super) fn cached_head_cap(
         &mut self,
         head: &HeadContext,
         device_index: usize,
         threshold: f64,
-    ) -> Result<usize, CoreError> {
+    ) -> Result<Result<usize, CoreError>, RuntimeError> {
         let key = (
             device_index,
             head.shape.clone(),
@@ -264,18 +281,18 @@ impl Service {
         );
         if let Some(cached) = self.route_cache.head_cap.get(&key) {
             self.route_cache.hits += 1;
-            return cached.clone();
+            return Ok(cached.clone());
         }
         self.route_cache.misses += 1;
         let result = parallel_count_for_threshold(
             self.registry.device_at(device_index),
-            &head.circuit,
+            &self.pending_by_seq(head.seq)?.circuit,
             threshold,
             self.cfg.max_parallel,
-            &head.strategy,
+            &head.entry.strategy,
         );
         self.route_cache.head_cap.insert(key, result.clone());
-        result
+        Ok(result)
     }
 }
 
@@ -286,20 +303,21 @@ impl Service {
 pub(super) type PlannedParts = (Arc<PlannedWorkload>, Vec<usize>, Vec<Event>);
 
 /// Replays a memoized plan entry against the current batch members
-/// `seqs` (head first): a memoized unplaceable outcome re-binds to the
-/// current head's job id, and a memoized plan re-applies the recorded
-/// eviction trace so the shrink events carry the *current* dropped job
-/// ids. The cached [`PlannedWorkload`] itself is shared untouched —
-/// replay is an `Arc` clone plus O(trace) bookkeeping, never a
-/// partitioner call, and it is the entry's [`PlanKey`] that vouches for
-/// the plan fitting these members.
+/// `seqs` (head first; the evicted ones are removed in place): a
+/// memoized unplaceable outcome re-binds to the current head's job id,
+/// and a memoized plan re-applies the recorded eviction trace so the
+/// shrink events carry the *current* dropped job ids. The cached
+/// [`PlannedWorkload`] itself is shared untouched — replay is an `Arc`
+/// clone plus O(trace) bookkeeping, never a partitioner call, and it is
+/// the entry's [`PlanKey`] that vouches for the plan fitting these
+/// members.
 pub(super) fn replay_plan(
     entry: &PlanEntry,
     head: &HeadContext,
     device_name: &str,
     pending: &PendingStore,
-    mut seqs: Vec<usize>,
-) -> Result<PlannedParts, RuntimeError> {
+    seqs: &mut Vec<usize>,
+) -> Result<(Arc<PlannedWorkload>, Vec<Event>), RuntimeError> {
     let plan = entry.outcome.as_ref().map_err(|source| {
         // The head is never evicted, so a whole-batch planning failure
         // is always attributed to it.
@@ -322,5 +340,5 @@ pub(super) fn replay_plan(
             reason,
         });
     }
-    Ok((Arc::clone(plan), seqs, shrinks))
+    Ok((Arc::clone(plan), shrinks))
 }

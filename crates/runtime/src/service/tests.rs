@@ -423,7 +423,9 @@ fn the_plan_key_tells_apart_everything_planning_reads() {
     let strategy_key =
         |service: &Service, seq: usize| service.pending.get(seq).unwrap().strategy_key;
     let key = |service: &Service, strategy: u32, seqs: &[usize]| {
-        service.plan_key(0, strategy, seqs).unwrap()
+        service
+            .plan_key(0, strategy, seqs, Vec::new(), Vec::new())
+            .unwrap()
     };
 
     // Same inputs, same key — a renamed copy included — and the same
@@ -894,6 +896,24 @@ fn memoized_unplaceable_outcome_replays_from_the_cache() {
     ));
     let stats = service.route_cache_stats();
     assert_eq!((stats.plan_hits, stats.plan_misses), (1, 1));
+}
+
+/// Staging never assumes a fleet it cannot see: with the registry
+/// emptied by hand (no public route does it — `build` refuses an empty
+/// fleet and nothing unregisters a chip) the head is admitted nowhere,
+/// the widest-chip probe finds no chip, and the dispatch ends in the
+/// typed error `build` would have given, where it used to `expect`.
+#[test]
+fn a_fleet_emptied_under_the_service_is_a_typed_error_not_a_panic() {
+    let mut service = fifo_service(2);
+    let bell = qucp_circuit::library::by_name("bell").unwrap().circuit();
+    service.submit(JobRequest::new(bell, 0.0)).unwrap();
+    service.registry = DeviceRegistry::new();
+    assert!(matches!(
+        service.run_until_drained(),
+        Err(RuntimeError::NoDevices)
+    ));
+    assert_eq!(service.pending_len(), 1);
 }
 
 #[test]

@@ -9,7 +9,9 @@
 //! constant time. The clean-shot table is built once per prepared job;
 //! a single-error table is built by the trajectory evaluator, once per
 //! distinct `(position, Pauli)` pattern of a run, at the tree node
-//! whose final state it samples — no stream keeps a table cache.
+//! whose final state it samples — no stream keeps a table cache, and
+//! the evaluator rebuilds its one table in place
+//! ([`AliasTable::rebuild`]) instead of requesting five vectors a node.
 //!
 //! One `f64` uniform per sample: the draw is split into a bucket index
 //! (the integer part of `u · n`) and an intra-bucket coin (the
@@ -46,6 +48,16 @@ pub struct AliasTable {
     alias: Vec<u32>,
 }
 
+/// The worklists of one [`AliasTable::rebuild`]: kept between rebuilds
+/// so a caller that builds a table per tree node requests their memory
+/// once.
+#[derive(Debug, Clone, Default)]
+pub struct AliasScratch {
+    scaled: Vec<f64>,
+    small: Vec<u32>,
+    large: Vec<u32>,
+}
+
 impl AliasTable {
     /// Builds the table from outcome weights (need not be normalized).
     ///
@@ -57,17 +69,49 @@ impl AliasTable {
     ///
     /// Panics if `weights` is empty (there is no outcome to sample).
     pub fn from_probabilities(weights: &[f64]) -> Self {
+        let mut table = AliasTable::unbuilt();
+        table.rebuild(weights, &mut AliasScratch::default());
+        table
+    }
+
+    /// A table over no outcome yet: [`AliasTable::rebuild`] it before
+    /// the first sample.
+    pub(crate) fn unbuilt() -> Self {
+        AliasTable {
+            prob: Vec::new(),
+            alias: Vec::new(),
+        }
+    }
+
+    /// Makes this the table [`AliasTable::from_probabilities`] builds
+    /// from `weights` — the same construction in the same order, so
+    /// [`AliasTable::sample`] answers every draw alike — in the buffers
+    /// the table and `scratch` already hold.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `weights` is empty (there is no outcome to sample).
+    pub fn rebuild(&mut self, weights: &[f64], scratch: &mut AliasScratch) {
         let n = weights.len();
         assert!(n > 0, "alias table needs at least one outcome");
         let total: f64 = weights.iter().sum();
-        let mut prob = vec![1.0f64; n];
-        let mut alias: Vec<u32> = (0..n as u32).collect();
+        let (prob, alias) = (&mut self.prob, &mut self.alias);
+        prob.clear();
+        prob.resize(n, 1.0f64);
+        alias.clear();
+        alias.extend(0..n as u32);
         if total > 0.0 && total.is_finite() {
-            let mut scaled: Vec<f64> = weights.iter().map(|&w| w * n as f64 / total).collect();
+            let AliasScratch {
+                scaled,
+                small,
+                large,
+            } = scratch;
+            scaled.clear();
+            scaled.extend(weights.iter().map(|&w| w * n as f64 / total));
             // Index-ordered worklists keep the construction a pure
             // function of the input.
-            let mut small: Vec<u32> = Vec::new();
-            let mut large: Vec<u32> = Vec::new();
+            small.clear();
+            large.clear();
             for (i, &s) in scaled.iter().enumerate() {
                 if s < 1.0 {
                     small.push(i as u32);
@@ -88,7 +132,6 @@ impl AliasTable {
             // Leftover buckets (floating-point residue) stay
             // self-aliased with threshold 1.
         }
-        AliasTable { prob, alias }
     }
 
     /// Builds the table from a statevector's measurement distribution.
@@ -179,6 +222,66 @@ mod tests {
         for k in 0..1000 {
             let u = k as f64 / 1000.0;
             assert_eq!(a.sample(u), b.sample(u));
+        }
+    }
+
+    /// The construction as it was written before tables could be
+    /// rebuilt in place (five fresh vectors per table), kept as the
+    /// oracle of [`AliasTable::rebuild`].
+    fn fresh_vectors_table(weights: &[f64]) -> AliasTable {
+        let n = weights.len();
+        let total: f64 = weights.iter().sum();
+        let mut prob = vec![1.0f64; n];
+        let mut alias: Vec<u32> = (0..n as u32).collect();
+        if total > 0.0 && total.is_finite() {
+            let mut scaled: Vec<f64> = weights.iter().map(|&w| w * n as f64 / total).collect();
+            let mut small: Vec<u32> = Vec::new();
+            let mut large: Vec<u32> = Vec::new();
+            for (i, &s) in scaled.iter().enumerate() {
+                if s < 1.0 {
+                    small.push(i as u32);
+                } else {
+                    large.push(i as u32);
+                }
+            }
+            while let (Some(s), Some(l)) = (small.pop(), large.pop()) {
+                prob[s as usize] = scaled[s as usize];
+                alias[s as usize] = l;
+                scaled[l as usize] = (scaled[l as usize] + scaled[s as usize]) - 1.0;
+                if scaled[l as usize] < 1.0 {
+                    small.push(l);
+                } else {
+                    large.push(l);
+                }
+            }
+        }
+        AliasTable { prob, alias }
+    }
+
+    /// A rebuilt table is the freshly built one, whatever it and the
+    /// scratch held before: longer, shorter and degenerate weights in a
+    /// row through one table.
+    #[test]
+    fn rebuild_equals_a_fresh_build() {
+        let mut rng = StdRng::seed_from_u64(11);
+        let mut table = AliasTable::unbuilt();
+        let mut scratch = AliasScratch::default();
+        for round in 0..200 {
+            let n = 1usize << rng.gen_range(0..6u32);
+            let mut weights: Vec<f64> = (0..n)
+                .map(|_| if rng.gen_bool(0.3) { 0.0 } else { rng.gen() })
+                .collect();
+            if round % 17 == 0 {
+                weights.fill(0.0);
+            }
+            table.rebuild(&weights, &mut scratch);
+            let fresh = fresh_vectors_table(&weights);
+            assert_eq!(table, fresh, "round {round}: {weights:?}");
+            assert_eq!(AliasTable::from_probabilities(&weights), fresh);
+            for k in 0..64 {
+                let u = k as f64 / 64.0;
+                assert_eq!(table.sample(u), fresh.sample(u));
+            }
         }
     }
 

@@ -71,13 +71,28 @@ impl Counts {
     ///
     /// Panics if `index` does not fit in the register width.
     pub fn record(&mut self, index: usize) {
+        self.record_many(index, 1);
+    }
+
+    /// Records `n` shots with outcome `index` in one map walk: the
+    /// result is that of calling [`Counts::record`] `n` times, so
+    /// `n == 0` records nothing (no entry, no range check).
+    ///
+    /// # Panics
+    ///
+    /// Panics, like [`Counts::record`], if `n > 0` and `index` does not
+    /// fit in the register width.
+    pub fn record_many(&mut self, index: usize, n: usize) {
+        if n == 0 {
+            return;
+        }
         assert!(
             index < (1usize << self.width),
             "outcome {index} out of range for {} qubits",
             self.width
         );
-        *self.map.entry(index).or_insert(0) += 1;
-        self.shots += 1;
+        *self.map.entry(index).or_insert(0) += n;
+        self.shots += n;
     }
 
     /// Register width in qubits.
@@ -201,6 +216,42 @@ mod tests {
     fn record_out_of_range_panics() {
         let mut c = Counts::new(2);
         c.record(4);
+    }
+
+    /// `record_many` is `record` repeated, zero counts included, and
+    /// both agree with a tally kept by hand (`from_entries`, which
+    /// records nothing itself, rebuilds the same canonical form).
+    #[test]
+    fn record_many_equals_the_looped_record() {
+        use rand::{rngs::StdRng, Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(0x5eed);
+        for _ in 0..200 {
+            let width = rng.gen_range(1..=5usize);
+            let (mut many, mut looped) = (Counts::new(width), Counts::new(width));
+            let mut tally = BTreeMap::new();
+            for _ in 0..rng.gen_range(0..12usize) {
+                let index = rng.gen_range(0..1usize << width);
+                let n = rng.gen_range(0..40usize);
+                many.record_many(index, n);
+                (0..n).for_each(|_| looped.record(index));
+                *tally.entry(index).or_insert(0) += n;
+            }
+            tally.retain(|_, n| *n > 0);
+            assert_eq!(many, looped);
+            assert_eq!(Counts::from_entries(width, tally), Some(many));
+        }
+        // Nothing recorded, nothing checked: the looped form never
+        // reaches `record`'s range assertion either.
+        let mut c = Counts::new(2);
+        c.record_many(4, 0);
+        assert_eq!(c, Counts::new(2));
+    }
+
+    #[test]
+    #[should_panic(expected = "out of range")]
+    fn record_many_out_of_range_panics() {
+        let mut c = Counts::new(2);
+        c.record_many(4, 3);
     }
 
     #[test]

@@ -7,7 +7,7 @@
 
 use super::draw::{unpack, Drawn, ErrorKey, ErrorShot};
 use super::{apply_pauli, apply_typed_gate_error, run_work, Event, TrajectoryJob};
-use crate::alias::AliasTable;
+use crate::alias::{AliasScratch, AliasTable};
 use crate::counts::Counts;
 use crate::fanout::{run_indexed_within, workers_for};
 use crate::math::Complex;
@@ -57,8 +57,14 @@ struct Evaluator<'a> {
     /// once; a deeper level holds the error prefix its subtree shares.
     pool: Vec<Complex>,
     /// The running probability sums of the node being sampled, when
-    /// several shots end there; requested by the first such node.
+    /// several shots end there — its plain probabilities at a node
+    /// sampled through `alias`; requested by the first such node.
     cdf: Vec<f64>,
+    /// The alias table of the single-error node being sampled, rebuilt
+    /// in place per node (a run has one such node per distinct
+    /// `(position, Pauli)` pattern), and its worklists.
+    alias: AliasTable,
+    alias_scratch: AliasScratch,
     counts: &'a mut Counts,
 }
 
@@ -82,6 +88,8 @@ impl<'a> Evaluator<'a> {
             patterns,
             pool,
             cdf: Vec::new(),
+            alias: AliasTable::unbuilt(),
+            alias_scratch: AliasScratch::default(),
             counts,
         };
         evaluator.node(shots, 0, 0, 0);
@@ -196,8 +204,10 @@ impl<'a> Evaluator<'a> {
         let mut record =
             |shot: &ErrorShot, outcome: usize| self.counts.record(outcome ^ shot.mask as usize);
         if depth == 1 && self.job.alias_single_errors {
-            let probabilities: Vec<f64> = amps.iter().map(|a| a.norm_sqr()).collect();
-            let table = AliasTable::from_probabilities(&probabilities);
+            self.cdf.clear();
+            self.cdf.extend(amps.iter().map(|a| a.norm_sqr()));
+            self.alias.rebuild(&self.cdf, &mut self.alias_scratch);
+            let table = &self.alias;
             shots
                 .iter()
                 .for_each(|shot| record(shot, table.sample(shot.u)));

@@ -170,7 +170,7 @@ pub mod metrics;
 mod state;
 mod unitaries;
 
-pub use alias::AliasTable;
+pub use alias::{AliasScratch, AliasTable};
 pub use counts::Counts;
 pub use density::{apply_readout_confusion, exact_probabilities, DensityMatrix};
 pub use executor::{

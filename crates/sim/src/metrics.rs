@@ -21,8 +21,15 @@ pub fn pst(counts: &Counts, expected: usize) -> f64 {
 /// Panics if the slices have different lengths.
 pub fn kl_divergence(p: &[f64], q: &[f64]) -> f64 {
     assert_eq!(p.len(), q.len(), "distribution length mismatch");
+    kl_terms(p.iter().copied().zip(q.iter().copied()))
+}
+
+/// The sum behind [`kl_divergence`] over `(p, q)` pairs in the order
+/// given: the one place its terms and its saturation rule are written,
+/// so the dense and the streaming JSD add the same floats.
+fn kl_terms(pairs: impl Iterator<Item = (f64, f64)>) -> f64 {
     let mut acc = 0.0;
-    for (&pi, &qi) in p.iter().zip(q) {
+    for (pi, qi) in pairs {
         if pi > 0.0 {
             if qi > 0.0 {
                 acc += pi * (pi / qi).log2();
@@ -44,6 +51,41 @@ pub fn jsd(p: &[f64], q: &[f64]) -> f64 {
     assert_eq!(p.len(), q.len(), "distribution length mismatch");
     let m: Vec<f64> = p.iter().zip(q).map(|(&a, &b)| 0.5 * (a + b)).collect();
     0.5 * kl_divergence(p, &m) + 0.5 * kl_divergence(q, &m)
+}
+
+/// [`jsd`] of the empirical distribution of `counts` against `q`,
+/// streamed off the sparse counts: the same terms in the same ascending
+/// outcome order as `jsd(&counts.distribution(), q)` — bit for bit the
+/// same value — without the dense vector and without the mixture
+/// vector. `D(P‖M)` has a term per recorded outcome only (an absent
+/// outcome has `p = 0`); `D(Q‖M)` walks `q` with the counts merged in.
+///
+/// # Panics
+///
+/// Panics if `q` does not have `2^width` entries.
+pub fn jsd_counts(counts: &Counts, q: &[f64]) -> f64 {
+    assert_eq!(
+        1usize << counts.width(),
+        q.len(),
+        "distribution length mismatch"
+    );
+    // Empty counts have no entry, so this divisor is never zero where
+    // it is used.
+    let shots = counts.shots() as f64;
+    let mixed = |p: f64, q: f64| 0.5 * (p + q);
+    let from_p = kl_terms(counts.iter().map(|(outcome, c)| {
+        let p = c as f64 / shots;
+        (p, mixed(p, q[outcome]))
+    }));
+    let mut recorded = counts.iter().peekable();
+    let from_q = kl_terms(q.iter().enumerate().map(|(outcome, &qi)| {
+        let p = match recorded.next_if(|&(recorded, _)| recorded == outcome) {
+            Some((_, c)) => c as f64 / shots,
+            None => 0.0,
+        };
+        (qi, mixed(p, qi))
+    }));
+    0.5 * from_p + 0.5 * from_q
 }
 
 /// Total variation distance `½ Σ |p - q|`.
@@ -70,6 +112,7 @@ pub fn hellinger_fidelity(p: &[f64], q: &[f64]) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn pst_from_counts() {
@@ -124,6 +167,72 @@ mod tests {
         assert!((jsd(&p, &q) - jsd(&q, &p)).abs() < 1e-15);
         let v = jsd(&p, &q);
         assert!(v > 0.0 && v < 1.0);
+    }
+
+    /// An ideal distribution with exact zeros (a deterministic
+    /// circuit's has one non-zero entry) and counts over a few outcomes
+    /// — none at all in one case out of five — some of them where the
+    /// ideal is zero.
+    fn arb_counts_and_ideal() -> impl Strategy<Value = (Counts, Vec<f64>)> {
+        (1..=5usize).prop_flat_map(|width| {
+            let dim = 1usize << width;
+            let ideal = proptest::collection::vec((0..3u8, 0.0..1.0f64), dim).prop_map(|cells| {
+                let weights: Vec<f64> = cells
+                    .iter()
+                    .map(|&(kind, w)| if kind == 0 { 0.0 } else { w })
+                    .collect();
+                let total: f64 = weights.iter().sum();
+                if total > 0.0 {
+                    weights.iter().map(|w| w / total).collect()
+                } else {
+                    weights
+                }
+            });
+            let entries = proptest::collection::vec((0..dim, 1..500usize), 0..8);
+            (0..5u8, entries, ideal).prop_map(move |(empty, entries, ideal)| {
+                let mut counts = Counts::new(width);
+                if empty != 0 {
+                    for (outcome, n) in entries {
+                        counts.record_many(outcome, n);
+                    }
+                }
+                (counts, ideal)
+            })
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn streaming_jsd_is_the_dense_jsd_bit_for_bit(case in arb_counts_and_ideal()) {
+            let (counts, ideal) = case;
+            prop_assert_eq!(
+                jsd_counts(&counts, &ideal).to_bits(),
+                jsd(&counts.distribution(), &ideal).to_bits()
+            );
+        }
+    }
+
+    /// The saturation rule is the dense one's too: an ideal that is
+    /// negative where a shot landed makes the mixture non-positive.
+    #[test]
+    fn streaming_jsd_saturates_where_the_dense_jsd_does() {
+        let mut counts = Counts::new(1);
+        counts.record(0);
+        for ideal in [[-1.0, 2.0], [-3.0, 4.0], [f64::NAN, 1.0], [0.0, 1.0]] {
+            assert_eq!(
+                jsd_counts(&counts, &ideal).to_bits(),
+                jsd(&counts.distribution(), &ideal).to_bits(),
+                "{ideal:?}"
+            );
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "length mismatch")]
+    fn streaming_jsd_checks_the_width() {
+        jsd_counts(&Counts::new(2), &[0.5, 0.5]);
     }
 
     #[test]
