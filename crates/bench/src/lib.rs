@@ -1,19 +1,27 @@
 //! # qucp-bench
 //!
-//! Shared fixtures for the experiment-regeneration binaries, the
-//! examples and the integration tests: the exact benchmark combinations
-//! of the paper's figures, the standard experiment configurations and
-//! the scheduler fleets and job streams.
-//!
-//! Regenerate any paper artifact with, e.g.:
+//! The reproduction of the paper, run through the system that is
+//! benchmarked: [`repro`] holds every table, figure and ablation as a
+//! function of a shot budget plus the claim ledger (`REPRO.json`), and
+//! [`runner`] the one way they run a parallel workload — jobs and
+//! campaigns submitted at t = 0 to a
+//! [`Service`](qucp_runtime::Service) and drained. The one binary
+//! prints them:
 //!
 //! ```text
-//! cargo run --release -p qucp-bench --bin table1
-//! cargo run --release -p qucp-bench --bin fig3
+//! cargo run --release -p qucp-bench --bin repro                # every section
+//! cargo run --release -p qucp-bench --bin repro -- fig3 table3 # some sections
+//! cargo run --release -p qucp-bench --bin repro -- --ledger    # REPRO.json
 //! ```
+//!
+//! The crate root keeps the shared fixtures — the exact benchmark
+//! combinations of the paper's figures, the scheduler fleets and job
+//! streams — and hosts the repository's examples and integration tests.
 
 #![warn(missing_docs)]
 
+pub mod repro;
+pub mod runner;
 pub mod srb_campaign;
 
 use qucp_circuit::{library, Circuit};

@@ -92,5 +92,5 @@ pub use sabre::{route_sabre, SabreOptions};
 pub use strategy::{Strategy, DEFAULT_SIGMA};
 pub use threshold::{
     batch_efs_difference, batch_efs_excesses, efs_difference, parallel_count_for_threshold,
-    solo_efs_scores, threshold_sweep, ThresholdPoint,
+    solo_efs_scores,
 };

@@ -11,7 +11,6 @@ use qucp_circuit::Circuit;
 use qucp_device::Device;
 
 use crate::error::CoreError;
-use crate::executor::{execute_parallel, ParallelConfig};
 use crate::partition::allocate_partitions;
 use crate::strategy::Strategy;
 
@@ -156,68 +155,10 @@ pub fn batch_efs_difference(
     Ok(excesses.iter().sum::<f64>() / circuits.len() as f64)
 }
 
-/// One point of the Fig. 4 sweep.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ThresholdPoint {
-    /// The fidelity threshold applied.
-    pub threshold: f64,
-    /// Number of simultaneous copies admitted.
-    pub parallel_count: usize,
-    /// Hardware throughput achieved.
-    pub throughput: f64,
-    /// Mean PST of the copies (deterministic benchmarks).
-    pub mean_pst: Option<f64>,
-    /// Mean JSD of the copies.
-    pub mean_jsd: f64,
-    /// EFS difference estimate that admitted this count.
-    pub efs_difference: f64,
-}
-
-/// Sweeps fidelity thresholds, executing the admitted number of copies
-/// at every point (the paper's Fig. 4 experiment).
-///
-/// # Errors
-///
-/// Propagates partition and simulation failures.
-pub fn threshold_sweep(
-    device: &Device,
-    circuit: &Circuit,
-    thresholds: &[f64],
-    k_max: usize,
-    strategy: &Strategy,
-    cfg: &ParallelConfig,
-) -> Result<Vec<ThresholdPoint>, CoreError> {
-    let mut out = Vec::with_capacity(thresholds.len());
-    for &threshold in thresholds {
-        let k = parallel_count_for_threshold(device, circuit, threshold, k_max, strategy)?;
-        let copies: Vec<Circuit> = (0..k)
-            .map(|i| {
-                let mut c = circuit.clone();
-                c.set_name(format!("{}#{}", circuit.name(), i));
-                c
-            })
-            .collect();
-        let outcome = execute_parallel(device, &copies, strategy, cfg)?;
-        let diff = if k == 1 {
-            0.0
-        } else {
-            efs_difference(device, circuit, k, strategy)?
-        };
-        out.push(ThresholdPoint {
-            threshold,
-            parallel_count: k,
-            throughput: outcome.throughput,
-            mean_pst: outcome.mean_pst(),
-            mean_jsd: outcome.mean_jsd(),
-            efs_difference: diff,
-        });
-    }
-    Ok(out)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::executor::{execute_parallel, ParallelConfig};
     use crate::strategy;
     use qucp_circuit::library;
     use qucp_device::ibm;
@@ -300,17 +241,27 @@ mod tests {
 
     #[test]
     fn sweep_reports_throughput_growth() {
+        // What the Fig. 4 sweep does at each threshold: execute the
+        // admitted number of copies (the service's head-only gate does
+        // this per batch; `qucp-bench`'s `repro fig4` prints it).
         let dev = ibm::manhattan();
         let c = library::by_name("4mod5-v1_22").unwrap().circuit();
+        let s = strategy::qucp(4.0);
         let cfg = ParallelConfig {
             execution: ExecutionConfig::default().with_shots(256),
             optimize: true,
         };
-        let points = threshold_sweep(&dev, &c, &[0.0, 1e9], 4, &strategy::qucp(4.0), &cfg).unwrap();
-        assert_eq!(points.len(), 2);
-        assert_eq!(points[0].parallel_count, 1);
-        assert_eq!(points[1].parallel_count, 4);
-        assert!(points[1].throughput > points[0].throughput);
-        assert!(points[0].mean_pst.is_some());
+        let points: Vec<_> = [0.0, 1e9]
+            .iter()
+            .map(|&threshold| {
+                let k = parallel_count_for_threshold(&dev, &c, threshold, 4, &s).unwrap();
+                let out = execute_parallel(&dev, &vec![c.clone(); k], &s, &cfg).unwrap();
+                (k, out)
+            })
+            .collect();
+        assert_eq!(points[0].0, 1);
+        assert_eq!(points[1].0, 4);
+        assert!(points[1].1.throughput > points[0].1.throughput);
+        assert!(points[0].1.mean_pst().is_some());
     }
 }

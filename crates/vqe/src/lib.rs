@@ -4,9 +4,13 @@
 //! Sec. IV-C: the parity-mapped H2 Hamiltonian (five Pauli terms),
 //! qubit-wise-commuting measurement grouping (PG), the RyRz
 //! hardware-efficient ansatz, energy estimation from counts, an exact
-//! Hermitian eigensolver for the theory reference, and the
-//! Table III / Fig. 5 experiment runner comparing independent (PG)
-//! against parallel (QuCP + PG) measurement execution.
+//! Hermitian eigensolver for the theory reference, and
+//! [`VqeCampaign`]: the θ grid's measurement circuits as a
+//! [`CampaignDriver`](qucp_runtime::CampaignDriver) on a
+//! [`Service`](qucp_runtime::Service). Table III / Fig. 5 are that one
+//! campaign on two services — independent (PG, `max_parallel = 1`)
+//! against parallel (QuCP + PG, `max_parallel ≥ nc`) — which
+//! `qucp-bench`'s `repro table3` prints.
 //!
 //! ```
 //! use qucp_vqe::{h2_hamiltonian, ground_state_energy};
@@ -23,20 +27,16 @@
 mod ansatz;
 mod campaign;
 mod eigen;
-mod error;
 mod hamiltonian;
 mod measurement;
 mod pauli;
-mod runner;
 
 pub use ansatz::{hardware_efficient, parameter_count, tied_ansatz};
 pub use campaign::{VqeCampaign, VqeCampaignOutput};
 pub use eigen::{dense_matrix, ground_state_energy, hermitian_eigenvalues};
-pub use error::VqeError;
 pub use hamiltonian::{h2_exact_ground_energy, h2_hamiltonian, Hamiltonian};
 pub use measurement::{
     expectation_from_counts, expectation_from_probabilities, group_energy, group_energy_exact,
     measurement_circuit,
 };
 pub use pauli::{group_commuting, ParsePauliError, PauliOp, PauliString};
-pub use runner::{run_h2_experiment, VqeExperiment, VqePoint, VqeReport};

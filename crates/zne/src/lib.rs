@@ -2,8 +2,13 @@
 //!
 //! Digital zero-noise extrapolation (Sec. IV-D of the paper): unitary
 //! folding à la Mitiq's `fold_gates_at_random`, the Linear / Polynomial
-//! / Richardson extrapolation factories, and the Fig. 6 comparison of
-//! unmitigated execution, independent ZNE, and QuCP-parallel ZNE.
+//! / Richardson extrapolation factories, tensored readout mitigation,
+//! and [`ZneCampaign`]: the folded ladder of one benchmark as a
+//! [`CampaignDriver`](qucp_runtime::CampaignDriver) on a
+//! [`Service`](qucp_runtime::Service). Fig. 6's three processes are
+//! that one campaign on two services (`max_parallel = 1` for the
+//! baseline rung and independent ZNE, `≥` the ladder length for
+//! QuCP + ZNE), which `qucp-bench`'s `repro fig6` prints.
 //!
 //! ```
 //! use qucp_circuit::library;
@@ -25,10 +30,8 @@ mod campaign;
 mod extrapolation;
 mod folding;
 mod readout;
-mod runner;
 
-pub use campaign::{ZneCampaign, ZneCampaignOutput};
+pub use campaign::{z_observable, z_observable_exact, ZneCampaign, ZneCampaignOutput};
 pub use extrapolation::{standard_factories, ExtrapolationError, Factory};
 pub use folding::{achieved_scale, fold_gates_at_random, fold_global, scale_ladder};
 pub use readout::{mitigate_counts, mitigate_distribution, ReadoutError};
-pub use runner::{run_zne_comparison, z_observable, z_observable_exact, ZneExperiment, ZneOutcome};

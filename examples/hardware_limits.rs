@@ -1,15 +1,16 @@
 //! Hardware-limits scenario (paper Sec. IV-B / Fig. 4): how many copies
 //! of a circuit can IBM Q 65 Manhattan run at once before fidelity
-//! collapses? Sweeps the fidelity threshold that gates admission.
+//! collapses? Six copies queue with a per-job fidelity threshold; the
+//! service's head-only EFS gate decides how many share the first batch.
 //!
 //! ```text
 //! cargo run --release -p qucp-bench --example hardware_limits
 //! ```
 
 use qucp_circuit::library;
-use qucp_core::{efs_difference, strategy, threshold_sweep, ParallelConfig};
+use qucp_core::{efs_difference, strategy};
 use qucp_device::ibm;
-use qucp_sim::ExecutionConfig;
+use qucp_runtime::{JobRequest, Service};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let device = ibm::manhattan();
@@ -30,21 +31,30 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
 
     // Thresholds spanning the admission range.
-    let thresholds = [0.0, 0.01, 0.03, 0.05, 0.08, 0.50];
-    let cfg = ParallelConfig {
-        execution: ExecutionConfig::default().with_shots(4096),
-        optimize: true,
-    };
-    let points = threshold_sweep(&device, &circuit, &thresholds, 6, &strat, &cfg)?;
-
     println!("\nthreshold  copies  throughput  avg PST");
-    for p in &points {
+    for threshold in [0.0, 0.01, 0.03, 0.05, 0.08, 0.50] {
+        let mut service = Service::builder()
+            .device(device.clone())
+            .strategy(strat.clone())
+            .max_parallel(6)
+            .default_shots(4096)
+            .build()?;
+        for _ in 0..6 {
+            let job = JobRequest::new(circuit.clone(), 0.0).with_fidelity_threshold(threshold);
+            service.submit(job)?;
+        }
+        let report = service.run_until_drained()?;
+        // The head batch is what the gate admitted; the rest follow.
+        let head = &report.batches[0];
+        let psts: Vec<f64> = (report.job_results.iter())
+            .filter(|r| r.batch_index == 0)
+            .filter_map(|r| r.result.pst)
+            .collect();
         println!(
-            "{:>9.3}  {:>6}  {:>9.1}%  {:>7.3}",
-            p.threshold,
-            p.parallel_count,
-            100.0 * p.throughput,
-            p.mean_pst.unwrap_or(f64::NAN)
+            "{threshold:>9.3}  {:>6}  {:>9.1}%  {:>7.3}",
+            head.job_ids.len(),
+            100.0 * head.used_qubits as f64 / device.num_qubits() as f64,
+            psts.iter().sum::<f64>() / psts.len() as f64
         );
     }
     println!("\nPick the threshold where the PST you can tolerate meets the");

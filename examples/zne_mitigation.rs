@@ -1,6 +1,7 @@
 //! Error-mitigation scenario (paper Sec. IV-D): zero-noise extrapolation
 //! with the folded circuits executed in one parallel batch via QuCP,
-//! reducing the ZNE job overhead to a single execution.
+//! reducing the ZNE job overhead to a single execution. One
+//! `ZneCampaign` on two services: fold by fold, then the ladder at once.
 //!
 //! ```text
 //! cargo run --release -p qucp-bench --example zne_mitigation
@@ -9,15 +10,16 @@
 use qucp_circuit::library;
 use qucp_core::strategy;
 use qucp_device::ibm;
-use qucp_zne::{fold_gates_at_random, run_zne_comparison, scale_ladder, ZneExperiment};
+use qucp_runtime::{run_campaign, Service};
+use qucp_zne::{fold_gates_at_random, scale_ladder, ZneCampaign};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let device = ibm::manhattan();
     let circuit = library::by_name("fredkin").unwrap().circuit();
     println!("benchmark: {circuit}");
 
     // Show the folded ladder.
-    for &s in &scale_ladder(4, 0.5) {
+    let ladder = scale_ladder(4, 0.5);
+    for &s in &ladder {
         let folded = fold_gates_at_random(&circuit, s, 1);
         println!(
             "  scale {s:.1}: {} gates ({} CNOTs)",
@@ -25,29 +27,30 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             folded.cx_count()
         );
     }
-
-    let exp = ZneExperiment {
-        shots: 8192,
-        seed: 3,
-        strategy: strategy::qucp(4.0),
-        ..ZneExperiment::default()
-    };
-    let out = run_zne_comparison(&device, &circuit, &exp)?;
-
     println!();
-    println!("ideal <Z...Z>                 : {:+.4}", out.ideal);
-    println!("absolute error, no mitigation : {:.4}", out.baseline_error);
-    println!(
-        "absolute error, QuCP+ZNE      : {:.4}  (winner: {}, {} circuits in ONE job)",
-        out.parallel_error, out.parallel_factory, out.num_circuits
-    );
-    println!(
-        "absolute error, serial ZNE    : {:.4}  (winner: {}, {} separate jobs)",
-        out.independent_error, out.independent_factory, out.num_circuits
-    );
-    println!(
-        "\nQuCP+ZNE cuts the unmitigated error {:.1}x while keeping the job count at 1.",
-        out.baseline_error / out.parallel_error.max(1e-9)
-    );
+
+    let campaign = ZneCampaign::new(circuit, ladder.clone(), 3, 8192);
+    for (process, max_parallel) in [("serial ZNE", 1), ("QuCP+ZNE  ", ladder.len())] {
+        let mut service = Service::builder()
+            .device(ibm::manhattan())
+            .strategy(strategy::qucp(4.0))
+            .max_parallel(max_parallel)
+            .seed(3)
+            // The peephole would cancel the folds back to scale 1.
+            .optimize(false)
+            .build()?;
+        let run = run_campaign(&mut service, campaign.clone())?;
+        let out = run.output;
+        // The scale-1 rung is the unfolded circuit: no mitigation.
+        let unmitigated = (out.ideal - out.samples[0].1).abs();
+        let winner = out
+            .factory
+            .map_or_else(|e| e.to_string(), |f| f.to_string());
+        println!(
+            "{process}: ideal {:+.4}, |error| {unmitigated:.4} unmitigated -> {:.4} mitigated \
+             ({winner}), {} folds in {} job(s)",
+            out.ideal, out.error, run.stats.jobs, run.stats.batches
+        );
+    }
     Ok(())
 }

@@ -1,24 +1,46 @@
 //! Integration tests asserting the *shape* of every paper experiment at
-//! reduced scale: who wins, what grows, where the structure lands.
+//! reduced scale — who wins, what grows, where the structure lands —
+//! through the same `qucp_bench::repro` sections the `repro` binary
+//! prints, and the committed claim ledger they produce at full scale.
 
-use qucp_bench::combo_circuits;
+use std::io::sink;
+
+use qucp_bench::repro::{self, Claim};
+use qucp_bench::runner::{threshold_ladder, zne};
 use qucp_circuit::library;
-use qucp_core::{
-    efs_difference, parallel_count_for_threshold, strategy, threshold_sweep, ParallelConfig,
-};
+use qucp_core::{efs_difference, parallel_count_for_threshold, strategy};
 use qucp_device::ibm;
-use qucp_sim::ExecutionConfig;
 use qucp_srb::{srb_groups, srb_overhead};
-use qucp_vqe::{run_h2_experiment, VqeExperiment};
-use qucp_zne::{run_zne_comparison, ZneExperiment};
+
+/// The claim `id` of a section's ledger rows.
+fn claim<'a>(claims: &'a [Claim], id: &str) -> &'a Claim {
+    claims
+        .iter()
+        .find(|c| c.id == id)
+        .unwrap_or_else(|| panic!("no claim `{id}`"))
+}
+
+fn assert_passes(claims: &[Claim], ids: &[&str]) {
+    for id in ids {
+        let c = claim(claims, id);
+        assert!(
+            c.passes(),
+            "{id}: paper {}, ours {}",
+            c.paper,
+            c.ours_text()
+        );
+    }
+}
 
 #[test]
 fn table1_shape() {
     // Overheads grow with chip size; the job formula matches the paper.
+    let claims = repro::table1(0, &mut sink()).unwrap();
+    assert!(claims.iter().all(Claim::passes), "{claims:?}");
     let toronto = srb_overhead(&ibm::toronto(), 5);
     let manhattan = srb_overhead(&ibm::manhattan(), 5);
-    assert_eq!(toronto.links, 28);
-    assert_eq!(manhattan.links, 72);
+    assert_eq!(claim(&claims, "table1.toronto_links").ours, 28.0);
+    assert_eq!(claim(&claims, "table1.manhattan_links").ours, 72.0);
     assert_eq!(toronto.jobs, 3 * toronto.groups * 5);
     assert_eq!(manhattan.jobs, 3 * manhattan.groups * 5);
     assert!(manhattan.jobs >= toronto.jobs);
@@ -31,54 +53,22 @@ fn table1_shape() {
 fn sigma_four_matches_qumc_quality() {
     // The sigma-tuning claim at experiment scale: with sigma = 4, QuCP's
     // chosen partitions are never next to strongly coupled links, like
-    // QuMC's (checked through the accepted-crosstalk-pairs count).
-    let device = ibm::toronto();
-    let programs = combo_circuits(&["adder", "fred", "alu"]);
-    let (_, qucp_allocs, _) =
-        qucp_core::plan_workload(&device, &programs, &strategy::qucp(4.0), true).unwrap();
-    for a in &qucp_allocs {
-        assert!(
-            a.efs.crosstalk_pairs.is_empty(),
-            "sigma=4 should avoid one-hop adjacency on an idle Toronto"
-        );
-    }
+    // QuMC's (checked through the accepted-crosstalk-pairs count), and
+    // their ground-truth quality is QuMC's to within 2 %.
+    let claims = repro::sigma(0, &mut sink()).unwrap();
+    assert_eq!(claim(&claims, "sigma4.strong_crosstalk_pairs").ours, 0.0);
+    assert!(claims.iter().all(Claim::passes), "{claims:?}");
 }
 
 #[test]
 fn fig3_shape_qucp_beats_cna_on_aggregate() {
-    // Reduced Fig. 3: two representative combos, fewer shots. QuCP must
-    // beat CNA on aggregate (the paper's headline result).
-    let device = ibm::toronto();
-    let cfg = ParallelConfig {
-        execution: ExecutionConfig::default()
-            .with_shots(2048)
-            .with_seed(20220314),
-        optimize: true,
-    };
-    let combos = [["adder", "4mod", "alu"], ["4mod", "fred", "alu"]];
-    let mut qucp_total = 0.0;
-    let mut cna_total = 0.0;
-    for combo in &combos {
-        let programs = combo_circuits(combo);
-        qucp_total += execute_parallel_pst(&device, &programs, &strategy::qucp(4.0), &cfg);
-        cna_total += execute_parallel_pst(&device, &programs, &strategy::cna(), &cfg);
+    // Reduced Fig. 3: fewer shots. QuCP must beat CNA on aggregate (the
+    // paper's headline result), on JSD and on PST.
+    let claims = repro::fig3(1024, &mut sink()).unwrap();
+    for id in ["fig3a.jsd_gain", "fig3b.pst_gain"] {
+        let gain = claim(&claims, id).ours;
+        assert!(gain > 0.0, "{id}: QuCP should beat CNA, gain {gain} %");
     }
-    assert!(
-        qucp_total > cna_total,
-        "QuCP aggregate PST {qucp_total} should beat CNA {cna_total}"
-    );
-}
-
-fn execute_parallel_pst(
-    device: &qucp_device::Device,
-    programs: &[qucp_circuit::Circuit],
-    strat: &qucp_core::Strategy,
-    cfg: &ParallelConfig,
-) -> f64 {
-    qucp_core::execute_parallel(device, programs, strat, cfg)
-        .expect("run")
-        .mean_pst()
-        .expect("deterministic benchmarks")
 }
 
 #[test]
@@ -102,68 +92,68 @@ fn fig4_shape_threshold_monotone() {
         parallel_count_for_threshold(&device, &circuit, f64::INFINITY, 6, &strat).unwrap(),
         6
     );
-    // Sweep: throughput strictly grows with the admitted count.
-    let cfg = ParallelConfig {
-        execution: ExecutionConfig::default().with_shots(256),
-        optimize: true,
-    };
-    let points = threshold_sweep(&device, &circuit, &[0.0, 0.05, 1e9], 6, &strat, &cfg).unwrap();
-    assert!(points
-        .windows(2)
-        .all(|w| w[0].parallel_count <= w[1].parallel_count));
+    // The service's head-only gate admits exactly those counts, and
+    // throughput grows with the admitted count.
+    let points = threshold_ladder(&circuit, &[0.0, 0.05, 1e9], 6, 256, 1);
+    assert_eq!((points[0].copies, points[2].copies), (1, 6));
+    assert!(points.windows(2).all(|w| w[0].copies <= w[1].copies));
     assert!(points
         .windows(2)
         .all(|w| w[0].throughput <= w[1].throughput + 1e-12));
+    // The section's ladder lands on the paper's throughputs exactly.
+    let claims = repro::fig4(64, &mut sink()).unwrap();
+    assert_passes(
+        &claims,
+        &["fig4.throughput_one_copy", "fig4.throughput_six_copies"],
+    );
 }
 
 #[test]
 fn table3_shape_vqe() {
-    let device = ibm::manhattan();
-    let exp = VqeExperiment {
-        theta_points: 8,
-        reps: 2,
-        shots: 2048,
-        seed: 4242,
-        strategy: strategy::qucp(4.0),
-    };
-    let report = run_h2_experiment(&device, &exp).unwrap();
-    // Structure: nc = 16, throughputs 3.1% and 49.2%.
-    assert_eq!(report.nc, 16);
-    assert!((report.pg_throughput - 2.0 / 65.0).abs() < 1e-12);
-    assert!((report.parallel_throughput - 32.0 / 65.0).abs() < 1e-12);
-    // Error regime: both processes land within ~15% of the baseline
-    // minimum (the paper reports <10% on hardware).
-    assert!(report.delta_base_pg() < 15.0);
-    assert!(report.delta_base_parallel() < 20.0);
-    // The variational principle anchors the exact value below everything.
-    assert!(report.exact <= report.sim_min + 1e-9);
+    let claims = repro::table3(1024, &mut sink()).unwrap();
+    // Structure: nc = 16 / 20 / 24 at 49.2 / 61.5 / 73.8 %, 3.1 % alone.
+    assert_passes(
+        &claims,
+        &[
+            "table3.throughput_pg",
+            "table3a.throughput_qucp_pg",
+            "table3b.throughput_qucp_pg",
+            "table3c.throughput_qucp_pg",
+        ],
+    );
+    // Error regime: the parallel process lands within ~20% of the
+    // baseline minimum at reduced shots (the paper reports <10% on
+    // hardware, which the ledger holds it to at 8192 shots).
+    for id in [
+        "table3a.de_base_qucp_pg",
+        "table3b.de_base_qucp_pg",
+        "table3c.de_base_qucp_pg",
+    ] {
+        assert!(claim(&claims, id).ours < 20.0, "{id}");
+    }
 }
 
 #[test]
 fn fig6_shape_zne() {
-    // Reduced Fig. 6 on two benchmarks: mitigation (either form) must
-    // beat the unmitigated baseline on aggregate.
-    let device = ibm::manhattan();
+    // Reduced Fig. 6: mitigation (either form) must beat the unmitigated
+    // baseline on aggregate. QuCP+ZNE over the section's eight
+    // benchmarks and three seeds — its margin is thin (1.2x), and one
+    // benchmark at one seed is a draw of which factory lands closest.
+    let claims = repro::fig6(2048, &mut sink()).unwrap();
+    let reduction = claim(&claims, "fig6.mean_reduction").ours;
+    assert!(
+        reduction > 1.0,
+        "QuCP+ZNE should beat baseline: {reduction}x"
+    );
+    // Independent ZNE on two benchmarks.
     let mut baseline = 0.0;
-    let mut parallel = 0.0;
     let mut independent = 0.0;
     for name in ["fredkin", "alu-v0_27"] {
         let circuit = library::by_name(name).unwrap().circuit();
-        let exp = ZneExperiment {
-            shots: 2048,
-            seed: 99,
-            strategy: strategy::qucp(4.0),
-            ..ZneExperiment::default()
-        };
-        let out = run_zne_comparison(&device, &circuit, &exp).unwrap();
-        baseline += out.baseline_error;
-        parallel += out.parallel_error;
-        independent += out.independent_error;
+        let arms = zne(&circuit, 2048, 99);
+        baseline += arms.baseline_error();
+        independent += arms.independent.output.error;
     }
-    assert!(
-        parallel < baseline,
-        "QuCP+ZNE {parallel} should beat baseline {baseline}"
-    );
     assert!(
         independent < baseline,
         "ZNE {independent} should beat baseline {baseline}"
@@ -179,4 +169,77 @@ fn queue_motivation_shape() {
     assert!(packed.mean_waiting < solo.mean_waiting);
     assert!(packed.makespan < solo.makespan);
     assert!(packed.mean_throughput > solo.mean_throughput);
+    // The same motivation served: Melbourne at 26.7 % and 53.3 %, the
+    // pair's runtime halved.
+    let claims = repro::queue(64, &mut sink()).unwrap();
+    assert!(claims.iter().all(Claim::passes), "{claims:?}");
+}
+
+/// The string literals of a JSON document whose values are all strings.
+fn json_strings(text: &str) -> Vec<String> {
+    let mut strings = Vec::new();
+    let mut chars = text.chars();
+    while let Some(c) = chars.next() {
+        if c != '"' {
+            continue;
+        }
+        let mut s = String::new();
+        loop {
+            match chars.next().expect("unterminated string") {
+                '"' => break,
+                '\\' => s.push(chars.next().expect("dangling escape")),
+                c => s.push(c),
+            }
+        }
+        strings.push(s);
+    }
+    strings
+}
+
+#[test]
+fn the_committed_ledger_has_every_claim_passing() {
+    // `REPRO.json` is what `repro --ledger` printed at 8192 shots; CI
+    // regenerates and diffs it. Here: its shape, and that no committed
+    // verdict is a failure.
+    let text = include_str!("../REPRO.json");
+    let strings = json_strings(text);
+    let keys = ["id", "paper", "ours", "rule", "verdict"];
+    assert_eq!(
+        strings.len() % (2 * keys.len()),
+        0,
+        "rows of five string fields"
+    );
+    let rows: Vec<Vec<&str>> = strings
+        .chunks(2 * keys.len())
+        .map(|row| {
+            let (names, values): (Vec<_>, Vec<_>) = row
+                .chunks(2)
+                .map(|kv| (kv[0].as_str(), kv[1].as_str()))
+                .unzip();
+            assert_eq!(names, keys);
+            values
+        })
+        .collect();
+    assert!(rows.len() >= 15, "only {} claim rows", rows.len());
+    let mut ids: Vec<&str> = rows.iter().map(|r| r[0]).collect();
+    ids.sort_unstable();
+    ids.dedup();
+    assert_eq!(ids.len(), rows.len(), "claim ids must be unique");
+    for row in &rows {
+        assert_eq!(
+            row[4], "pass",
+            "claim {} is committed as {}",
+            row[0], row[4]
+        );
+    }
+    for section in [
+        "sec2a", "table1", "table2", "sigma4", "fig3a", "fig3b", "fig4", "table3a", "fig6",
+    ] {
+        assert!(
+            ids.iter().any(|id| id.starts_with(section)),
+            "no {section} claim"
+        );
+    }
+    // The file is the ledger's own rendering: one row a line.
+    assert_eq!(text.lines().count(), rows.len() + 2);
 }
