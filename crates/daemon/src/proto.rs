@@ -185,6 +185,12 @@ impl std::fmt::Display for Fault {
 
 impl std::error::Error for Fault {}
 
+impl From<RuntimeError> for Fault {
+    fn from(e: RuntimeError) -> Self {
+        Fault::Runtime((&e).into())
+    }
+}
+
 /// The wire projection of [`RuntimeError`]: every service-level variant
 /// survives typed; planning/backend errors (`CoreError`) are flattened
 /// to their rendered message, which keeps the protocol stable while

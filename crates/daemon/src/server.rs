@@ -152,12 +152,12 @@ impl ServerSession {
                 }
                 match service.submit(*job) {
                     Ok(ticket) => Response::Ticket(ticket),
-                    Err(e) => Response::Error(Fault::Runtime((&e).into())),
+                    Err(e) => Response::Error(e.into()),
                 }
             }
             Request::Tick { now } => match lock_service(&self.service).tick(now) {
                 Ok(tickets) => Response::Completed(tickets),
-                Err(e) => Response::Error(Fault::Runtime((&e).into())),
+                Err(e) => Response::Error(e.into()),
             },
             Request::Report { ticket } => Response::JobReport(
                 lock_service(&self.service)
@@ -172,7 +172,7 @@ impl ServerSession {
             ),
             Request::Drain => match lock_service(&self.service).run_until_drained() {
                 Ok(report) => Response::Report(Box::new(report)),
-                Err(e) => Response::Error(Fault::Runtime((&e).into())),
+                Err(e) => Response::Error(e.into()),
             },
             Request::Events => Response::Events(lock_service(&self.service).events().to_vec()),
             Request::CacheStats => {
@@ -193,7 +193,7 @@ impl ServerSession {
                 };
                 match drained {
                     Ok(report) => Response::Report(Box::new(report)),
-                    Err(e) => Response::Error(Fault::Runtime((&e).into())),
+                    Err(e) => Response::Error(e.into()),
                 }
             }
         }
