@@ -44,8 +44,15 @@
 //! `HelloAck` with `min(client, server)` — both sides then speak that
 //! version — or an `UnsupportedVersion` fault when the client
 //! predates [`MIN_SUPPORTED_VERSION`]. Any other request before the
-//! handshake earns a `HandshakeRequired` fault. Within a version,
-//! enum tag numbers are frozen; new variants only append.
+//! handshake earns a `HandshakeRequired` fault. Tag numbers are
+//! **append-only**: each enum's tags are one numbered list in
+//! [`proto`], a new variant is one line at the end of that list with
+//! the next free number (and a new protocol version), and a number,
+//! once given, is never moved or reused. A struct's fields travel in
+//! the order of its one field list; a field added to it must be an
+//! optional tail its decoder can do without (`RouteCacheStats`).
+//! `crates/daemon/tests/golden_frames.rs` holds every version-3 frame
+//! as committed bytes, so a list edited in place fails a test.
 //!
 //! # What a round trip costs
 //!
@@ -92,8 +99,19 @@
 //!
 //! # Structure
 //!
-//! - [`wire`] — bounds-checked encoding primitives.
-//! - [`proto`] — the message catalog and typed ser/de.
+//! - [`wire`] — bounds-checked encoding primitives; the [`Wire`]
+//!   trait (`put`, `get`, and `MIN_BYTES`, the fewest bytes a value
+//!   takes, which bounds every sequence length before anything is
+//!   reserved) with its impls for scalars, strings, options, vectors,
+//!   boxes and pairs; and the two macros that write a struct's impl
+//!   from its field list and an enum's from its tag list.
+//! - [`proto`] — the message catalog, and one layout declaration per
+//!   type that crosses the wire: a field list, a tag list, or — where
+//!   the decoder validates what it read (a circuit's gates, a link
+//!   pair, counts, a measured-crosstalk map, the optional tail of the
+//!   cache counters, the handshake magic) — a hand-written [`Wire`]
+//!   impl. The runtime's error travels as itself
+//!   ([`WireRuntimeError`] is `RuntimeError<String>`).
 //! - [`transport`] — framing over byte streams: the one frame writer,
 //!   the one buffered [`FrameReader`]; the [`Transport`] trait.
 //! - [`server`] — [`ServerSession`] (pure protocol handler), the
@@ -115,9 +133,9 @@ pub mod wire;
 pub use client::{Client, ClientError};
 pub use mock::MockTransport;
 pub use proto::{
-    negotiate, Fault, Request, Response, WireCalibrationFault, WireRuntimeError, MAGIC,
-    MIN_SUPPORTED_VERSION, PROTOCOL_VERSION,
+    negotiate, Fault, Request, Response, WireRuntimeError, MAGIC, MIN_SUPPORTED_VERSION,
+    PROTOCOL_VERSION,
 };
 pub use server::{Daemon, DaemonConfig, DaemonHandle, ServerSession};
 pub use transport::{write_frame, FrameProgress, FrameReader, StreamTransport, Transport};
-pub use wire::{Decoder, Encoder, WireError, MAX_FRAME_LEN};
+pub use wire::{Decoder, Encoder, Wire, WireError, MAX_FRAME_LEN};

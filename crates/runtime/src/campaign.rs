@@ -41,8 +41,8 @@
 //!   same driver on the same service configuration folds bit-identical
 //!   results however many threads the host offers.
 
+use crate::error::RuntimeError;
 use crate::job::JobResult;
-use crate::scheduler::RuntimeError;
 use crate::service::{JobRequest, Service};
 
 /// An iterative job source: a pure function from prior results to the

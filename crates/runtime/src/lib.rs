@@ -255,16 +255,19 @@
 #![warn(missing_debug_implementations)]
 
 mod campaign;
+mod config;
+mod error;
 mod event;
 mod job;
 mod pending;
 mod policy;
 mod registry;
-mod scheduler;
 mod service;
 mod shape;
 
 pub use campaign::{run_campaign, CampaignDriver, CampaignRun, CampaignStats};
+pub use config::RuntimeConfig;
+pub use error::{CalibrationFault, RuntimeError};
 pub use event::{Event, EventLog, EventObserver, ShrinkReason};
 pub use job::{skewed_jobs, synthetic_jobs, Job, JobResult};
 pub use policy::{AdmissionPolicy, Backfill, BatchBudget, Fifo, JobView, ShortestJobFirst};
@@ -272,10 +275,9 @@ pub use registry::{
     CalibrationAware, DeviceId, DeviceRegistry, EarliestFree, RouteQuery, RoutingChoice,
     RoutingPolicy,
 };
-pub use scheduler::{BatchReport, CalibrationFault, RuntimeConfig, RuntimeError};
 pub use service::{
-    DeviceReport, EfsGate, JobRequest, JobTicket, RouteCacheStats, Service, ServiceBuilder,
-    ServiceReport, MAX_DRIFT_STEPS_PER_ADVANCE,
+    BatchReport, DeviceReport, EfsGate, JobRequest, JobTicket, RouteCacheStats, Service,
+    ServiceBuilder, ServiceReport, MAX_DRIFT_STEPS_PER_ADVANCE,
 };
 
 // The shot-parallelism mode travels with the runtime config; re-export
@@ -286,3 +288,9 @@ pub use qucp_sim::{ShotParallelism, TrajectoryKernel};
 // `Service::advance_drift`; re-export them so live-fleet callers need
 // not depend on `qucp-device` directly.
 pub use qucp_device::{DriftEvent, DriftModel, GaussianWalk};
+
+// The `scheduler::tests::*` ids are part of the regression floor, so
+// the module path outlives the file it once named.
+#[cfg(test)]
+#[path = "service/decisions.rs"]
+mod scheduler;

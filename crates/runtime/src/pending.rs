@@ -62,9 +62,9 @@ use qucp_core::pipeline::Pipeline;
 use qucp_core::Strategy;
 use qucp_sim::{ShotParallelism, TrajectoryKernel};
 
+use crate::error::RuntimeError;
 use crate::policy::JobView;
 use crate::registry::RoutingChoice;
-use crate::scheduler::RuntimeError;
 use crate::shape::Shape;
 
 /// One interned strategy with the pipeline assembled from it.

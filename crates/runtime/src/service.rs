@@ -23,7 +23,7 @@ mod tests;
 
 pub use self::builder::ServiceBuilder;
 pub use self::drift::MAX_DRIFT_STEPS_PER_ADVANCE;
-pub use self::report::{DeviceReport, ServiceReport};
+pub use self::report::{BatchReport, DeviceReport, ServiceReport};
 pub use self::request::{EfsGate, JobRequest, JobTicket};
 pub use self::route_cache::RouteCacheStats;
 
@@ -31,12 +31,13 @@ use qucp_device::{Calibration, CrosstalkModel, DriftModel};
 
 use self::dispatch::DispatchScratch;
 use self::route_cache::RouteCache;
+use crate::config::RuntimeConfig;
+use crate::error::RuntimeError;
 use crate::event::{Event, EventLog, EventObserver};
 use crate::job::JobResult;
 use crate::pending::{Pending, PendingStore};
 use crate::policy::AdmissionPolicy;
 use crate::registry::{ClockIndex, DeviceRegistry, RoutingPolicy};
-use crate::scheduler::{BatchReport, RuntimeConfig, RuntimeError};
 use crate::shape::ShapeTable;
 
 /// Per-device runtime state (the registry holds only the static fleet).

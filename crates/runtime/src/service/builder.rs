@@ -8,11 +8,12 @@ use qucp_sim::{ShotParallelism, TrajectoryKernel};
 use super::dispatch::DispatchScratch;
 use super::route_cache::RouteCache;
 use super::{DeviceState, EfsGate, Service};
+use crate::config::RuntimeConfig;
+use crate::error::RuntimeError;
 use crate::event::{EventLog, EventObserver};
 use crate::pending::PendingStore;
 use crate::policy::{AdmissionPolicy, Fifo};
 use crate::registry::{ClockIndex, DeviceRegistry, EarliestFree, RoutingPolicy};
-use crate::scheduler::{RuntimeConfig, RuntimeError};
 use crate::shape::ShapeTable;
 
 /// Builds a [`Service`]; validation happens in [`ServiceBuilder::build`].

@@ -21,19 +21,19 @@
 use std::sync::Arc;
 
 use qucp_core::pipeline::PlannedWorkload;
-use qucp_core::{CoreError, ParallelConfig, ProgramResult};
+use qucp_core::{ParallelConfig, ProgramResult};
 use qucp_device::Device;
 use qucp_sim::{run_indexed, ExecutionConfig, ShotParallelism, TrajectoryKernel};
 
 use super::gate::plan_gated_members;
 use super::route_cache::{replay_plan, PlanKey};
-use super::{EfsGate, JobTicket, Service};
+use super::{BatchReport, EfsGate, JobTicket, Service};
+use crate::error::RuntimeError;
 use crate::event::Event;
 use crate::job::JobResult;
 use crate::pending::{Pending, StrategyEntry};
 use crate::policy::BatchBudget;
 use crate::registry::{RouteQuery, RoutingChoice, RoutingPolicy};
-use crate::scheduler::{BatchReport, RuntimeError};
 use crate::shape::Shape;
 
 impl Service {
@@ -445,18 +445,7 @@ impl Service {
             }
             _ => Ok(self.cfg.max_parallel),
         };
-        let cap = match cap_probe {
-            Ok(cap) => cap,
-            Err(
-                e @ (CoreError::PartitionUnavailable { .. } | CoreError::ProgramTooWide { .. }),
-            ) => {
-                return Err(RuntimeError::JobUnplaceable {
-                    job_id: head.id,
-                    source: e,
-                })
-            }
-            Err(e) => return Err(RuntimeError::Core(e)),
-        };
+        let cap = cap_probe.map_err(|e| RuntimeError::from_planning(head.id, e))?;
         let pack = self.pack_candidate(scratch, head, d, cap)?;
         let mut key = self.plan_key(
             d,

@@ -4,9 +4,9 @@
 use qucp_device::{Calibration, DriftEvent};
 
 use super::Service;
+use crate::error::{CalibrationFault, RuntimeError};
 use crate::event::Event;
 use crate::registry::DeviceId;
-use crate::scheduler::{CalibrationFault, RuntimeError};
 
 /// The most drift steps one [`Service::advance_drift`] call may apply
 /// per device. A fleet that drifts hourly stays under this bound for

@@ -5,12 +5,12 @@
 use qucp_circuit::Circuit;
 use qucp_core::pipeline::{Pipeline, PlannedWorkload};
 use qucp_core::threshold::solo_efs_scores;
-use qucp_core::{CoreError, Strategy};
+use qucp_core::Strategy;
 use qucp_device::Device;
 
 use super::{EfsGate, Service};
+use crate::error::RuntimeError;
 use crate::event::{Event, ShrinkReason};
-use crate::scheduler::RuntimeError;
 
 /// Per-member planning inputs, resolved from the pending store on a
 /// plan-cache miss so [`plan_gated_members`] can run without touching
@@ -113,21 +113,15 @@ pub(super) fn plan_gated_members(
     // optimizes internally, which is equivalent to the general path's
     // pre-optimize-then-allocate sequence.
     if members.seqs.len() == 1 {
-        return match pipeline.plan(device, &members.circuits, optimize) {
-            Ok(plan) => Ok(GatedPlan {
-                plan,
-                members,
-                shrinks: Vec::new(),
-                trace: Vec::new(),
-            }),
-            Err(
-                e @ (CoreError::PartitionUnavailable { .. } | CoreError::ProgramTooWide { .. }),
-            ) => Err(RuntimeError::JobUnplaceable {
-                job_id: members.ids[0],
-                source: e,
-            }),
-            Err(e) => Err(RuntimeError::Core(e)),
-        };
+        let plan = pipeline
+            .plan(device, &members.circuits, optimize)
+            .map_err(|e| RuntimeError::from_planning(members.ids[0], e))?;
+        return Ok(GatedPlan {
+            plan,
+            members,
+            shrinks: Vec::new(),
+            trace: Vec::new(),
+        });
     }
     let device_name = device.name().to_string();
     if optimize {
@@ -198,14 +192,13 @@ pub(super) fn plan_gated_members(
                     trace,
                 });
             }
-            Err(
-                e @ (CoreError::PartitionUnavailable { .. } | CoreError::ProgramTooWide { .. }),
-            ) => {
-                if members.seqs.len() == 1 {
-                    return Err(RuntimeError::JobUnplaceable {
-                        job_id: members.ids[0],
-                        source: e,
-                    });
+            Err(e) => {
+                // A placement failure evicts the tail while there is one
+                // to evict; with the head alone it is the head's, and any
+                // other planning error ends the pass.
+                match RuntimeError::from_planning(members.ids[0], e) {
+                    RuntimeError::JobUnplaceable { .. } if members.seqs.len() > 1 => {}
+                    e => return Err(e),
                 }
                 trace.push((members.seqs.len() - 1, ShrinkReason::PartitionFailure));
                 members.seqs.pop().expect("len > 1");
@@ -225,7 +218,6 @@ pub(super) fn plan_gated_members(
                     reason: ShrinkReason::PartitionFailure,
                 });
             }
-            Err(e) => return Err(RuntimeError::Core(e)),
         }
     }
 }

@@ -6,7 +6,27 @@ use qucp_core::queue::QueueStats;
 use super::Service;
 use crate::event::Event;
 use crate::job::JobResult;
-use crate::scheduler::BatchReport;
+
+/// One dispatched batch of a run.
+#[derive(Debug, Clone, PartialEq)]
+pub struct BatchReport {
+    /// Batch position in dispatch order.
+    pub batch_index: usize,
+    /// Name of the device that executed the batch.
+    pub device: String,
+    /// Ids of the jobs the batch carried, in program order.
+    pub job_ids: Vec<u64>,
+    /// Simulated start time (ns).
+    pub start: f64,
+    /// Simulated completion time (ns): start + merged makespan.
+    pub completion: f64,
+    /// Merged-schedule makespan of the batch (ns).
+    pub makespan: f64,
+    /// Physical qubits the batch occupied.
+    pub used_qubits: usize,
+    /// Cross-program one-hop CNOT overlaps in the merged schedule.
+    pub conflict_count: usize,
+}
 
 /// Per-device queue statistics of a drained service.
 #[derive(Debug, Clone, PartialEq)]

@@ -19,10 +19,10 @@ use qucp_core::{best_partition, CoreError};
 use super::dispatch::HeadContext;
 use super::gate::GatedPlan;
 use super::{EfsGate, Service};
+use crate::error::RuntimeError;
 use crate::event::{Event, ShrinkReason};
 use crate::pending::PendingStore;
 use crate::registry::DeviceId;
-use crate::scheduler::RuntimeError;
 use crate::shape::Shape;
 
 /// Observable statistics of the service's cross-batch planning cache.

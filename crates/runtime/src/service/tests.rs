@@ -1,10 +1,10 @@
 use super::gate::{plan_gated_members, worst_excess_position, PlanMembers};
 use super::*;
+use crate::error::CalibrationFault;
 use crate::event::ShrinkReason;
 use crate::job::synthetic_jobs;
 use crate::policy::{Backfill, ShortestJobFirst};
 use crate::registry::DeviceId;
-use crate::scheduler::CalibrationFault;
 use crate::shape::ShapeTable;
 use qucp_circuit::Circuit;
 use qucp_core::pipeline::{Pipeline, PlannedWorkload};
@@ -596,7 +596,7 @@ fn invalid_recalibrations_are_rejected_typed_without_side_effects() {
     assert!(matches!(
         err,
         RuntimeError::InvalidCalibration {
-            fault: crate::scheduler::CalibrationFault::NonFinite,
+            fault: crate::error::CalibrationFault::NonFinite,
             ..
         }
     ));
@@ -606,7 +606,7 @@ fn invalid_recalibrations_are_rejected_typed_without_side_effects() {
     assert!(matches!(
         service.recalibrate(mel, wrong).unwrap_err(),
         RuntimeError::InvalidCalibration {
-            fault: crate::scheduler::CalibrationFault::QubitCountMismatch { .. },
+            fault: crate::error::CalibrationFault::QubitCountMismatch { .. },
             ..
         }
     ));
@@ -617,7 +617,7 @@ fn invalid_recalibrations_are_rejected_typed_without_side_effects() {
     assert!(matches!(
         service.recalibrate(mel, uncovering).unwrap_err(),
         RuntimeError::InvalidCalibration {
-            fault: crate::scheduler::CalibrationFault::MissingLinks,
+            fault: crate::error::CalibrationFault::MissingLinks,
             ..
         }
     ));

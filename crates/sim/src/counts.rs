@@ -131,6 +131,17 @@ impl Counts {
         v
     }
 
+    /// Number of distinct outcomes recorded — how many pairs
+    /// [`Counts::iter`] yields.
+    pub fn len(&self) -> usize {
+        self.map.len()
+    }
+
+    /// Whether no shot was recorded.
+    pub fn is_empty(&self) -> bool {
+        self.map.is_empty()
+    }
+
     /// Iterates `(outcome, count)` pairs in ascending outcome order.
     pub fn iter(&self) -> impl Iterator<Item = (usize, usize)> + '_ {
         self.map.iter().map(|(&k, &v)| (k, v))

@@ -21,13 +21,14 @@ use qucp_core::queue::QueueStats;
 use qucp_core::{CrosstalkTreatment, PartitionPolicy, ProgramResult, Strategy as ExecStrategy};
 use qucp_daemon::{
     Client, ClientError, Daemon, DaemonConfig, Fault, FrameReader, MockTransport, Request,
-    Response, ServerSession, Transport, WireError, WireRuntimeError, MIN_SUPPORTED_VERSION,
+    Response, ServerSession, Transport, Wire, WireError, WireRuntimeError, MIN_SUPPORTED_VERSION,
     PROTOCOL_VERSION,
 };
 use qucp_device::{ibm, Link, LinkPair};
 use qucp_runtime::{
-    skewed_jobs, BatchReport, DeviceReport, Event, JobRequest, JobResult, JobTicket, RoutingChoice,
-    Service, ServiceReport, ShotParallelism, ShrinkReason, TrajectoryKernel,
+    skewed_jobs, BatchReport, CalibrationFault, DeviceReport, Event, JobRequest, JobResult,
+    JobTicket, RouteCacheStats, RoutingChoice, RuntimeError, Service, ServiceReport,
+    ShotParallelism, ShrinkReason, TrajectoryKernel,
 };
 use qucp_sim::Counts;
 
@@ -427,17 +428,43 @@ fn arb_runtime_error() -> impl Strategy<Value = WireRuntimeError> {
         Just(WireRuntimeError::EmptyCircuit),
         arb_f64().prop_map(|value| WireRuntimeError::NonFiniteTime { value }),
         arb_f64().prop_map(|value| WireRuntimeError::InvalidThreshold { value }),
+        (0usize..99, arb_calibration_fault()).prop_map(|(n, fault)| {
+            WireRuntimeError::InvalidCalibration {
+                device: format!("dev-{n}"),
+                fault,
+            }
+        }),
         (0u64..999, 0u64..999)
             .prop_map(|(steps, max)| WireRuntimeError::DriftHorizonTooFar { steps, max }),
         (0u64..99).prop_map(|job_id| WireRuntimeError::JobUnplaceable {
             job_id,
-            detail: format!("no device admits job {job_id}"),
+            source: format!("no device admits job {job_id}"),
         }),
-        Just(WireRuntimeError::Core {
-            detail: "pipeline exploded".into()
-        }),
-        (0u64..999).prop_map(|seq| WireRuntimeError::QueueCorrupted { seq }),
+        Just(WireRuntimeError::Core("pipeline exploded".into())),
+        (0usize..999).prop_map(|seq| WireRuntimeError::QueueCorrupted { seq }),
     ]
+}
+
+fn arb_calibration_fault() -> impl Strategy<Value = CalibrationFault> {
+    prop_oneof![
+        Just(CalibrationFault::NonFinite),
+        (0usize..99, 0usize..99)
+            .prop_map(|(expected, got)| CalibrationFault::QubitCountMismatch { expected, got }),
+        Just(CalibrationFault::MissingLinks),
+    ]
+}
+
+fn arb_cache_stats() -> impl Strategy<Value = RouteCacheStats> {
+    proptest::collection::vec(0usize..9999, 8).prop_map(|c| RouteCacheStats {
+        hits: c[0],
+        misses: c[1],
+        entries: c[2],
+        invalidated: c[3],
+        plan_hits: c[4],
+        plan_misses: c[5],
+        plan_entries: c[6],
+        plan_invalidated: c[7],
+    })
 }
 
 fn arb_fault() -> impl Strategy<Value = Fault> {
@@ -467,6 +494,7 @@ fn arb_request() -> impl Strategy<Value = Request> {
         Just(Request::Drain),
         Just(Request::Events),
         Just(Request::Shutdown),
+        Just(Request::CacheStats),
     ]
 }
 
@@ -480,6 +508,7 @@ fn arb_response() -> impl Strategy<Value = Response> {
         arb_service_report().prop_map(|report| Response::Report(Box::new(report))),
         proptest::collection::vec(arb_event(), 0usize..4).prop_map(Response::Events),
         arb_fault().prop_map(Response::Error),
+        arb_cache_stats().prop_map(Response::CacheStats),
     ]
 }
 
@@ -607,6 +636,94 @@ fn oversized_sequence_prefix_is_rejected_before_allocation() {
     }
 }
 
+/// A sequence's length prefix is held to what the bytes behind it can
+/// carry *in elements of that type*: a `Report` or `Events` frame
+/// cannot make the decoder reserve more than it brought.
+#[test]
+fn a_forged_report_or_events_length_is_bounded_by_the_smallest_element() {
+    // The smallest event on the wire: tag, an empty device name, an
+    // epoch.
+    let smallest = Event::DeviceRecalibrated {
+        device: String::new(),
+        epoch: 0,
+    };
+    let honest = Response::Events(vec![smallest.clone(); 3]).encode();
+    let per_event = (honest.len() - 1 - 8) / 3;
+    assert_eq!(per_event, <Event as Wire>::MIN_BYTES);
+    // Claim one element more than the bytes behind the prefix could
+    // hold, even at that size.
+    let mut forged = honest.clone();
+    forged[1..9].copy_from_slice(&4u64.to_le_bytes());
+    assert_eq!(
+        Response::decode(&forged),
+        Err(WireError::LengthOverflow { len: 4, max: 3 })
+    );
+
+    // The same through a drained report: forge the `job_results`
+    // prefix of an otherwise empty report. Layout: tag, five 8-byte
+    // stats fields, then four sequence prefixes and `dropped_events`.
+    let empty = Response::Report(Box::new(ServiceReport {
+        stats: QueueStats {
+            mean_waiting: 0.0,
+            mean_turnaround: 0.0,
+            makespan: 0.0,
+            mean_throughput: 0.0,
+            batches: 0,
+        },
+        per_device: Vec::new(),
+        batches: Vec::new(),
+        job_results: Vec::new(),
+        events: Vec::new(),
+        dropped_events: 0,
+    }))
+    .encode();
+    let job_results_prefix = 1 + 5 * 8 + 2 * 8;
+    let mut forged = empty.clone();
+    forged[job_results_prefix..job_results_prefix + 8].copy_from_slice(&1u64.to_le_bytes());
+    // Sixteen bytes follow (the events prefix and the dropped count);
+    // no job result fits in them, so not even one is admitted.
+    assert_eq!(
+        Response::decode(&forged),
+        Err(WireError::LengthOverflow { len: 1, max: 0 })
+    );
+}
+
+/// The v3 stats payload is four probe counters plus four *optional
+/// trailing* plan counters: cut after the four it reads as a peer
+/// without a plan cache, cut anywhere inside the tail it is truncated.
+#[test]
+fn cache_stats_cut_after_the_probe_counters_decode_and_inside_the_tail_do_not() {
+    let stats = RouteCacheStats {
+        hits: 8,
+        misses: 6,
+        entries: 5,
+        invalidated: 1,
+        plan_hits: 70,
+        plan_misses: 3,
+        plan_entries: 2,
+        plan_invalidated: 4,
+    };
+    let bytes = Response::CacheStats(stats).encode();
+    assert_eq!(bytes.len(), 1 + 8 * 8);
+    assert_eq!(
+        Response::decode(&bytes[..1 + 4 * 8]),
+        Ok(Response::CacheStats(RouteCacheStats {
+            plan_hits: 0,
+            plan_misses: 0,
+            plan_entries: 0,
+            plan_invalidated: 0,
+            ..stats
+        }))
+    );
+    assert_eq!(
+        Response::decode(&bytes[..1 + 5 * 8]),
+        Err(WireError::Truncated {
+            needed: 8,
+            remaining: 0
+        })
+    );
+}
+
 #[test]
 fn trailing_bytes_are_rejected() {
     let mut bytes = Request::Drain.encode();
@@ -672,6 +789,62 @@ fn requests_before_handshake_are_refused() {
         Response::Error(Fault::HandshakeRequired) => {}
         other => panic!("expected HandshakeRequired, got {other:?}"),
     }
+}
+
+/// Every runtime error a session can return reads the same over the
+/// socket as in process: the client's fault is `"runtime error: "` plus
+/// the sentence `RuntimeError`'s one `Display` writes.
+#[test]
+fn a_runtime_error_reads_the_same_over_the_wire_as_in_process() {
+    fn same_sentence(in_process: RuntimeError, over_the_wire: ClientError) -> RuntimeError {
+        match over_the_wire {
+            ClientError::Fault(fault @ Fault::Runtime(_)) => {
+                assert_eq!(fault.to_string(), format!("runtime error: {in_process}"));
+            }
+            other => panic!("expected a runtime fault, got {other:?}"),
+        }
+        in_process
+    }
+    let client = || Client::connect(MockTransport::new(fleet())).expect("handshake");
+
+    let job = bell_request(0.0).with_shots(0);
+    let e = same_sentence(
+        fleet().submit(job.clone()).unwrap_err(),
+        client().submit(job).unwrap_err(),
+    );
+    assert_eq!(e, RuntimeError::ZeroShots);
+
+    let job = JobRequest::new(Circuit::new(0), 0.0);
+    let e = same_sentence(
+        fleet().submit(job.clone()).unwrap_err(),
+        client().submit(job).unwrap_err(),
+    );
+    assert_eq!(e, RuntimeError::EmptyCircuit);
+
+    let e = same_sentence(
+        fleet().tick(f64::NAN).unwrap_err(),
+        client().tick(f64::NAN).unwrap_err(),
+    );
+    assert!(matches!(e, RuntimeError::NonFiniteTime { value } if value.is_nan()));
+
+    let job = bell_request(0.0).with_fidelity_threshold(-1.0);
+    let e = same_sentence(
+        fleet().submit(job.clone()).unwrap_err(),
+        client().submit(job).unwrap_err(),
+    );
+    assert_eq!(e, RuntimeError::InvalidThreshold { value: -1.0 });
+
+    // Wider than Melbourne: admitted, then unplaceable at dispatch. The
+    // sentence ends in the planning error's own.
+    let job = JobRequest::new(Circuit::new(64), 0.0);
+    let (mut service, mut client) = (fleet(), client());
+    service.submit(job.clone()).expect("admitted");
+    client.submit(job).expect("admitted");
+    let e = same_sentence(
+        service.run_until_drained().unwrap_err(),
+        client.drain().unwrap_err(),
+    );
+    assert!(matches!(e, RuntimeError::JobUnplaceable { job_id: 0, .. }));
 }
 
 #[test]
