@@ -275,10 +275,10 @@ pub fn exact_probabilities(
     let mut rho = DensityMatrix::zero_state(circuit.width());
     for &ev in &plan.events {
         match ev {
-            Event::Gate { index, .. } => {
+            Event::Gate { index, error_p, .. } => {
                 let gate = &circuit.gates()[index as usize];
                 rho.apply(gate);
-                rho.gate_error_channel(gate, plan.error_p[index as usize]);
+                rho.gate_error_channel(gate, error_p);
             }
             Event::Idle {
                 q,

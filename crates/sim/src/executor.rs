@@ -20,7 +20,7 @@
 //! maps to an outcome: [`Replay`](TrajectoryKernel::Replay) draws one
 //! Bernoulli per event and walks CDFs,
 //! [`SurvivalSkip`](TrajectoryKernel::SurvivalSkip) jumps to the next
-//! error through the plan's prefix survival products and answers clean
+//! error through the event stream's prefix survival products and answers clean
 //! and single-error shots from [`AliasTable`]s. Same distribution,
 //! different RNG stream; evaluation is shared.
 //!
@@ -457,16 +457,20 @@ pub fn run_ideal(circuit: &Circuit, shots: usize, seed: u64) -> Counts {
 /// [`crate::density`], which walks the identical stream so that the two
 /// simulation paths implement the *same* noise model.
 ///
-/// An event carries what the draw pass compares its random word with,
-/// fixed once by [`build_plan`] (see [`gate_threshold`] and
-/// [`idle_thresholds`]). It is the 48 bytes it was when it carried its
-/// sort keys `(time, kind)` instead, which nothing read after the sort.
+/// An event carries its error probabilities and what the draw pass
+/// compares its random word with, fixed once by [`build_plan`] (see
+/// [`gate_threshold`] and [`idle_thresholds`]). It is the 48 bytes it
+/// was when it carried its sort keys `(time, kind)` instead, which
+/// nothing read after the sort.
 #[derive(Debug, Clone, Copy)]
 pub(crate) enum Event {
     /// Apply gate `index`, then (maybe) its error.
     Gate {
         /// Gate position in the circuit.
         index: u32,
+        /// The gate's error probability after crosstalk scaling,
+        /// capped at 0.75.
+        error_p: f64,
         /// The gate errs iff the shot's next `u64` is below this;
         /// `None` for an error probability of zero, which draws nothing.
         threshold: Option<u64>,
@@ -538,31 +542,107 @@ pub(crate) fn readout_threshold(p: f64) -> Option<u64> {
     None
 }
 
+/// The largest word with which `ev` may err, for an event that draws
+/// one: a gate errs iff its word is below its threshold `t`, so on
+/// words up to `t − 1`; an idle window iff the top 53 bits of its word
+/// are below one of its thresholds — below the largest `T`, so on words
+/// up to `T · 2^11 − 1`, or on every word once `T ≥ 2^53`. A threshold
+/// of 0 gives the bound 0, on which nothing errs: a word above its
+/// bound cannot make the event err, a word at or below it may.
+fn strip_bound(ev: &Event) -> Option<u64> {
+    match *ev {
+        Event::Gate { threshold, .. } => threshold.map(|t| t.saturating_sub(1)),
+        Event::Idle { thresholds, .. } => {
+            let top = thresholds.into_iter().max().unwrap_or(0);
+            Some(
+                top.checked_mul(1 << 11)
+                    .map_or(u64::MAX, |t| t.saturating_sub(1)),
+            )
+        }
+    }
+}
+
+/// The readout threshold of a flip that draws no word: above every
+/// [`readout_threshold`], which is at most `2^64 − 2^11`.
+const CERTAIN_FLIP: u64 = u64::MAX;
+
+/// What the draw pass compares a shot's words with, compiled once into
+/// one allocation, in stream order.
+///
+/// The head holds one [`strip_bound`] per event that draws a word (a
+/// noise-free gate draws none): words that all exceed their bounds draw
+/// no error, and only words with one at or below its bound are walked
+/// through the exact per-event test (`draw::screen_events`). The tail
+/// holds each measured qubit's [`readout_threshold`], [`CERTAIN_FLIP`]
+/// for `None`; it is empty with readout noise off.
+#[derive(Debug)]
+struct Strip {
+    words: Vec<u64>,
+    /// How many of `words` are event bounds.
+    events: usize,
+}
+
+impl Strip {
+    /// The strip of `events`, then of the readout errors `readout_p`
+    /// (none with readout noise off).
+    ///
+    /// # Panics
+    ///
+    /// Panics, as [`readout_threshold`] does, if a readout error is
+    /// outside `[0, 1]`.
+    fn compile(events: &[Event], readout_p: &[f64], readout_noise: bool) -> Self {
+        let readout_p = if readout_noise { readout_p } else { &[] };
+        let mut words = Vec::with_capacity(events.len() + readout_p.len());
+        words.extend(events.iter().filter_map(strip_bound));
+        let events = words.len();
+        let readout = readout_p.iter().map(|&p| readout_threshold(p));
+        words.extend(readout.map(|t| t.unwrap_or(CERTAIN_FLIP)));
+        Strip { words, events }
+    }
+
+    /// One bound per event that draws a word, in stream order.
+    fn events(&self) -> &[u64] {
+        &self.words[..self.events]
+    }
+
+    /// Each measured qubit's readout threshold (none with readout noise
+    /// off).
+    fn readout(&self) -> impl Iterator<Item = Option<u64>> + '_ {
+        self.words[self.events..]
+            .iter()
+            .map(|&t| (t != CERTAIN_FLIP).then_some(t))
+    }
+}
+
 /// The deterministic part of a noisy execution: the time-ordered event
-/// stream, the effective (crosstalk-scaled) per-gate error
-/// probabilities, and the prefix survival products the
-/// [`TrajectoryKernel::SurvivalSkip`] kernel binary-searches.
+/// stream, every gate's effective (crosstalk-scaled) error probability
+/// in its event, and the probability a shot stays clean.
 #[derive(Debug, Clone)]
 pub(crate) struct TrajectoryPlan {
-    /// The events in stream order: by time, idles before gates.
+    /// The events in stream order: by time, idles before gates. Every
+    /// gate of the circuit has one.
     pub events: Vec<Event>,
-    /// Per-gate error probabilities after scaling, capped at 0.75.
-    pub error_p: Vec<f64>,
-    /// Prefix survival products over the event stream, length
-    /// `events.len() + 1`: `survival[k] = Π_{j<k} (1 − p_j)` where
-    /// `p_j` is event `j`'s total error probability (the capped gate
-    /// error, or an idle window's summed Pauli probability
-    /// `relax_p/2 + dephase_p/2`). Non-increasing, starts at 1;
-    /// `survival.last()` is the probability a whole shot stays clean.
-    pub survival: Vec<f64>,
+    /// `Π (1 − p_j)` over the events in stream order, where `p_j` is
+    /// event `j`'s total error probability ([`event_error_p`]): the
+    /// probability a whole shot stays clean, and the last of the prefix
+    /// survival products ([`event_survival`]), bit for bit.
+    pub clean: f64,
+}
+
+/// The prefix survival products over `plan`'s event stream that the
+/// [`TrajectoryKernel::SurvivalSkip`] kernel binary-searches, length
+/// `events.len() + 1`: `survival[k] = Π_{j<k} (1 − p_j)`. Non-increasing,
+/// starts at 1, ends at `plan.clean`.
+fn event_survival(plan: &TrajectoryPlan) -> Vec<f64> {
+    prefix_survival(plan.events.iter().map(|&ev| event_error_p(ev)))
 }
 
 /// The total error probability of one scheduled event: the effective
 /// (scaled, capped) gate error, or the summed Pauli-twirl probability
 /// `p_x + p_y + p_z = relax_p/2 + dephase_p/2` of an idle window.
-fn event_error_p(ev: Event, error_p: &[f64]) -> f64 {
+fn event_error_p(ev: Event) -> f64 {
     match ev {
-        Event::Gate { index, .. } => error_p[index as usize],
+        Event::Gate { error_p, .. } => error_p,
         Event::Idle {
             relax_p, dephase_p, ..
         } => relax_p / 2.0 + dephase_p / 2.0,
@@ -599,27 +679,23 @@ pub(crate) fn build_plan(
     // probabilities are computed here: the calibrated base error with
     // crosstalk scaling, capped.
     let durations = gate_durations(circuit, layout, device);
-    let error_p: Vec<f64> = circuit
-        .gates()
-        .iter()
-        .enumerate()
-        .map(|(i, g)| {
-            if !cfg.gate_noise {
-                return 0.0;
+    let gate_error_p = |i: usize| {
+        if !cfg.gate_noise {
+            return 0.0;
+        }
+        let g = &circuit.gates()[i];
+        let qs = g.qubits();
+        let qs = qs.as_slice();
+        let base = match g {
+            Gate::Swap(..) => {
+                let e = cal.cx_error(Link::new(layout[qs[0]], layout[qs[1]]));
+                1.0 - (1.0 - e).powi(3)
             }
-            let qs = g.qubits();
-            let qs = qs.as_slice();
-            let base = match g {
-                Gate::Swap(..) => {
-                    let e = cal.cx_error(Link::new(layout[qs[0]], layout[qs[1]]));
-                    1.0 - (1.0 - e).powi(3)
-                }
-                g if g.is_two_qubit() => cal.cx_error(Link::new(layout[qs[0]], layout[qs[1]])),
-                _ => cal.sq_error(layout[qs[0]]),
-            };
-            (base * scaling.factor(i)).min(0.75)
-        })
-        .collect();
+            g if g.is_two_qubit() => cal.cx_error(Link::new(layout[qs[0]], layout[qs[1]])),
+            _ => cal.sq_error(layout[qs[0]]),
+        };
+        (base * scaling.factor(i)).min(0.75)
+    };
 
     // ALAP schedule (the paper's policy) and its idle windows.
     let sched = schedule::alap_schedule_with(circuit, |i, _| durations[i]);
@@ -667,10 +743,14 @@ pub(crate) fn build_plan(
     slots.sort_by(|x, y| x.time.total_cmp(&y.time).then(x.kind.cmp(&y.kind)));
 
     let events = slots.iter().map(|slot| match slot.kind {
-        1 => Event::Gate {
-            index: slot.which,
-            threshold: gate_threshold(error_p[slot.which as usize]),
-        },
+        1 => {
+            let error_p = gate_error_p(slot.which as usize);
+            Event::Gate {
+                index: slot.which,
+                error_p,
+                threshold: gate_threshold(error_p),
+            }
+        }
         _ => {
             let phys = layout[slot.which as usize];
             let relax_p = 1.0 - (-slot.tau / cal.t1(phys)).exp();
@@ -685,12 +765,11 @@ pub(crate) fn build_plan(
     });
     let events: Vec<Event> = events.collect();
 
-    let survival = prefix_survival(events.iter().map(|&ev| event_error_p(ev, &error_p)));
-    Ok(TrajectoryPlan {
-        events,
-        error_p,
-        survival,
-    })
+    // The products `prefix_survival` takes, in its order.
+    let clean = events
+        .iter()
+        .fold(1.0, |s, &ev| s * (1.0 - event_error_p(ev)));
+    Ok(TrajectoryPlan { events, clean })
 }
 
 /// The evaluator's one width-proportional memory bound: the amplitudes
@@ -739,8 +818,7 @@ pub fn clean_shot_probability(
     tail_idle: &[f64],
     cfg: &ExecutionConfig,
 ) -> Result<f64, SimError> {
-    let plan = build_plan(circuit, layout, device, scaling, tail_idle, cfg)?;
-    Ok(*plan.survival.last().expect("survival is never empty"))
+    Ok(build_plan(circuit, layout, device, scaling, tail_idle, cfg)?.clean)
 }
 
 /// Executes a mapped circuit on the device's noise model.
@@ -795,16 +873,17 @@ pub fn run_noisy_with_idle(
 ///
 /// Everything here is a pure function of the mapped job, the device
 /// calibration and the three noise flags: the validated layout, the
-/// ALAP event stream with its effective error probabilities and
-/// survival products, the mapped ideal state and the per-qubit readout
-/// flip probabilities — and, built lazily the first time a
-/// [`TrajectoryKernel::SurvivalSkip`] run asks, the clean-shot alias
-/// table and the readout survival products.
+/// ALAP event stream with its effective error probabilities, the mapped
+/// ideal state and the per-qubit readout flip probabilities — and,
+/// built lazily the first time a [`TrajectoryKernel::SurvivalSkip`] run
+/// asks, the event and readout survival products and the clean-shot
+/// alias table.
 ///
 /// `prepare` is a compiler: what a run would otherwise derive per shot
 /// or per gate application is fixed here, once. Every event carries the
-/// integer threshold(s) its random word is compared with, every
-/// measured qubit its readout threshold, and every gate is an op — its
+/// integer threshold(s) its random word is compared with, a strip holds
+/// one bound per word-drawing event and every measured qubit's readout
+/// threshold in stream order, and every gate is an op — its
 /// matrix or phase evaluated, its kernel picked from the exact zeros
 /// and ones of that matrix (see the crate docs, "Compiled once"). A run
 /// draws words and runs ops; it evaluates no `sin`, converts no
@@ -851,9 +930,9 @@ pub struct PreparedJob {
     /// Readout flip probability of each local qubit (the calibrated
     /// readout error of the physical qubit carrying it).
     readout_p: Vec<f64>,
-    /// [`readout_threshold`] of each local qubit; empty when the job
-    /// was prepared with readout noise off.
-    readout_draw: Vec<Option<u64>>,
+    /// The draw thresholds of the events that draw a word and of the
+    /// readout flips, in stream order.
+    strip: Strip,
     /// The noise flags the job was prepared under.
     noise: NoiseFlags,
     survival: OnceLock<SurvivalTables>,
@@ -862,6 +941,9 @@ pub struct PreparedJob {
 /// The SurvivalSkip kernel's share of a [`PreparedJob`].
 #[derive(Debug)]
 struct SurvivalTables {
+    /// Prefix survival products over the event stream
+    /// ([`event_survival`]), what the kernel jumps through.
+    events: Vec<f64>,
     /// O(1) clean-shot sampler over the mapped ideal distribution.
     alias: AliasTable,
     /// Prefix survival products over the per-qubit readout errors
@@ -919,18 +1001,14 @@ impl PreparedJob {
         let ops: Vec<Op> = compiled.collect();
         let cal = device.calibration();
         let readout_p: Vec<f64> = layout.iter().map(|&phys| cal.readout_error(phys)).collect();
-        let readout_draw = if cfg.readout_noise {
-            readout_p.iter().map(|&p| readout_threshold(p)).collect()
-        } else {
-            Vec::new()
-        };
+        let strip = Strip::compile(&plan.events, &readout_p, cfg.readout_noise);
         Ok(PreparedJob {
             plan,
             ideal: Statevector::from_ops(circuit.width(), &ops, &mats),
             ops,
             mats,
             readout_p,
-            readout_draw,
+            strip,
             noise: NoiseFlags::of(cfg),
             survival: OnceLock::new(),
         })
@@ -948,19 +1026,18 @@ impl PreparedJob {
     }
 
     /// An upper bound on the heap bytes this job keeps alive: the event
-    /// stream (draw thresholds included) with its error and survival
-    /// products, the compiled gates and their matrices, the readout
-    /// probabilities, thresholds and products, the ideal state and the
-    /// clean-shot alias table — the lazy SurvivalSkip tables included
-    /// whether or not they exist yet.
+    /// stream (error probabilities and draw thresholds included) with
+    /// its survival products and its strip, the compiled gates and
+    /// their matrices, the readout probabilities, thresholds and
+    /// products, the ideal state and the clean-shot alias table — the
+    /// lazy SurvivalSkip tables included whether or not they exist yet.
     pub fn retained_bytes(&self) -> usize {
         use std::mem::size_of;
         let outcomes = self.ideal.amplitudes().len();
-        self.plan.events.len() * (size_of::<Event>() + size_of::<f64>())
-            + self.plan.error_p.len() * size_of::<f64>()
+        self.plan.events.len() * (size_of::<Event>() + size_of::<f64>() + size_of::<u64>())
             + self.ops.len() * size_of::<Op>()
             + self.mats.capacity() * size_of::<Mat2>()
-            + self.width() * (2 * size_of::<f64>() + size_of::<Option<u64>>())
+            + self.width() * (2 * size_of::<f64>() + size_of::<u64>())
             // Ideal state, alias table (threshold + alias per outcome).
             + outcomes * (size_of::<Complex>() + size_of::<f64>() + size_of::<u32>())
     }
@@ -985,7 +1062,7 @@ impl PreparedJob {
     fn run_within(&self, circuit: &Circuit, cfg: &ExecutionConfig, pool_amps: usize) -> Counts {
         assert_eq!(
             (circuit.width(), circuit.gate_count()),
-            (self.width(), self.plan.error_p.len()),
+            (self.width(), self.ops.len()),
             "run with a circuit other than the prepared one"
         );
         assert!(
@@ -1004,7 +1081,7 @@ impl PreparedJob {
             gates: circuit.gates(),
             ops: &self.ops,
             mats: &self.mats,
-            readout_draw: &self.readout_draw,
+            strip: &self.strip,
             plan: &self.plan,
             ideal: &self.ideal,
             tables,
@@ -1023,6 +1100,7 @@ impl PreparedJob {
     /// RNG).
     fn tables(&self) -> &SurvivalTables {
         self.survival.get_or_init(|| SurvivalTables {
+            events: event_survival(&self.plan),
             alias: AliasTable::from_statevector(&self.ideal),
             readout_survival: (self.noise.readout)
                 .then(|| prefix_survival(self.readout_p.iter().copied())),
@@ -1039,13 +1117,14 @@ struct TrajectoryJob<'a> {
     /// `gates`, compiled, and the matrices of the unstructured ones.
     ops: &'a [Op],
     mats: &'a [Mat2],
-    /// Readout draw threshold per local qubit (see [`readout_threshold`]).
-    readout_draw: &'a [Option<u64>],
+    /// The draw thresholds, events then readout (see [`Strip`]).
+    strip: &'a Strip,
     plan: &'a TrajectoryPlan,
     ideal: &'a Statevector,
-    /// The SurvivalSkip kernel's clean-shot and readout samplers;
-    /// `None` under `Replay`, which walks the ideal state's CDF and
-    /// flips readout bits one Bernoulli per qubit.
+    /// The SurvivalSkip kernel's survival products and clean-shot and
+    /// readout samplers; `None` under `Replay`, which screens its event
+    /// words against the strip, walks the ideal state's CDF and flips
+    /// readout bits one Bernoulli per qubit.
     tables: Option<&'a SurvivalTables>,
     /// Whether single-error shots sample their node's alias table
     /// (`SurvivalSkip` under [`single_error_alias`]) or walk its CDF.
@@ -1956,16 +2035,17 @@ mod tests {
         assert!(prepared.survival.get().is_some(), "SurvivalSkip built them");
         assert_eq!(prepared.retained_bytes(), before, "the bound is shape-only");
         // State + alias table dominate: 2^10 * 28 B. The stream: an
-        // event with its draw thresholds is the 48 bytes the event with
-        // its sort keys was, a compiled gate 40, beside 8 of survival
-        // and 8 of error probability; a qubit's readout 8 + 8 + 16.
+        // event with its error probability and draw thresholds is the
+        // 48 bytes the event with its sort keys was, beside 8 of
+        // survival and at most 8 of strip; a compiled gate 40; a
+        // qubit's readout 8 + 8 + 8 (probability, survival, strip).
         use std::mem::size_of;
         assert_eq!((size_of::<Event>(), size_of::<Op>()), (48, 40));
         let (events, gates) = (prepared.plan.events.len(), wide.gate_count());
         assert_eq!((events, gates), (42, 30), "30 gates and 12 idle windows");
         assert_eq!(
             before,
-            (1 << 10) * 28 + events * (48 + 8) + gates * (8 + 40) + 10 * 32
+            (1 << 10) * 28 + events * (48 + 8 + 8) + gates * 40 + 10 * 24
         );
         assert!(before < 64 * 1024, "retains {before} B");
 

@@ -291,7 +291,7 @@ fn identical_patterns_apply_every_gate_once() {
         prepared.plan.events.iter().filter(|e| is_idle(e)).count(),
         1
     );
-    let clean = *prepared.plan.survival.last().unwrap();
+    let clean = prepared.plan.clean;
     assert!(
         (0.3..0.9).contains(&clean),
         "clean-shot probability {clean}"
@@ -314,7 +314,7 @@ fn capped_errors_with_an_underflowing_survival_prefix() {
         case.scaling.amplify(gate, 1e9);
     }
     let prepared = case.prepare();
-    assert_eq!(*prepared.plan.survival.last().unwrap(), 0.0);
+    assert_eq!(prepared.plan.clean, 0.0);
     for kernel in KERNELS {
         case.check(&prepared, kernel, ShotParallelism::Serial);
         case.check(&prepared, kernel, ShotParallelism::sharded(5));
@@ -389,7 +389,7 @@ fn two_levels_give_the_counts_of_an_unbounded_pool() {
         let (bounded, bounded_gates, _) = probe(|| prepared.run_within(&case.circuit, &cfg, 0));
         assert_eq!(free, expected, "{kernel:?}");
         assert_eq!(bounded, expected, "{kernel:?}");
-        let error_shots = (2000.0 * (1.0 - prepared.plan.survival.last().unwrap())) as u64;
+        let error_shots = (2000.0 * (1.0 - prepared.plan.clean)) as u64;
         assert!(
             free_gates < bounded_gates && bounded_gates < error_shots * 20,
             "{kernel:?}: {free_gates} unbounded, {bounded_gates} at two levels, \

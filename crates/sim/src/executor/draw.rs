@@ -7,7 +7,9 @@
 //! `super::idle_thresholds`, `super::readout_threshold`): the words
 //! consumed and the patterns drawn are those of the Bernoulli and
 //! uniform draws of `rand` the thresholds were taken from, and nothing
-//! here converts a probability.
+//! here converts a probability. `Replay` reads a shot's event words in
+//! bulk and screens them against the prepared [`super::Strip`] before
+//! it runs any of those comparisons.
 
 use rand::rngs::StdRng;
 use rand::{Rng, RngCore, SeedableRng};
@@ -17,6 +19,10 @@ use crate::counts::Counts;
 
 #[cfg(test)]
 mod tests;
+
+/// Words the `Replay` draw reads and screens at a time, in a buffer
+/// its stream keeps.
+const SCREEN_WORDS: usize = 64;
 
 /// One error of a shot's pattern, packed `position · 16 + code` so that
 /// patterns compare as plain integer slices: the event position (below
@@ -98,6 +104,92 @@ fn readout_flips(threshold: Option<u64>, rng: &mut impl RngCore) -> bool {
     threshold.is_none_or(|t| rng.next_u64() < t)
 }
 
+/// The readout flips of qubits `from..` as an XOR mask, one
+/// [`readout_flips`] per qubit in order.
+fn per_qubit_flips(
+    thresholds: impl Iterator<Item = Option<u64>>,
+    from: usize,
+    rng: &mut impl RngCore,
+) -> usize {
+    let mut mask = 0;
+    for (q, threshold) in thresholds.enumerate().skip(from) {
+        if readout_flips(threshold, rng) {
+            mask ^= 1 << q;
+        }
+    }
+    mask
+}
+
+/// The exact per-event test: whether `ev` errs on the next word of
+/// `rng` (a gate that cannot err draws none), as an idle window's Pauli
+/// or an [`UNTYPED`] gate error.
+fn event_error(ev: Event, rng: &mut impl RngCore) -> Option<u8> {
+    match ev {
+        Event::Gate { threshold, .. } => gate_errs(threshold, rng).then_some(UNTYPED),
+        Event::Idle { thresholds, .. } => idle_pauli(rng.next_u64() >> 11, thresholds),
+    }
+}
+
+/// Words already read from the generator, handed out again in order:
+/// what [`event_error`] draws from on a screened chunk.
+struct Reread<'a>(std::slice::Iter<'a, u64>);
+
+impl RngCore for Reread<'_> {
+    fn next_u32(&mut self) -> u32 {
+        unreachable!("an event draws whole words")
+    }
+
+    fn next_u64(&mut self) -> u64 {
+        *self
+            .0
+            .next()
+            .expect("a chunk holds a word per word-drawing event")
+    }
+}
+
+/// One shot's event draws under `Replay`: pushes onto `arena` every
+/// error of `events` in stream order, gate errors [`UNTYPED`], from one
+/// word per event that draws one — whose [`super::strip_bound`]s are
+/// `bounds`.
+///
+/// The words are read [`SCREEN_WORDS`] at a time into `words` and
+/// OR-reduced against their bounds: a chunk whose words all exceed
+/// their bounds holds no error and is skipped, and only a chunk with a
+/// word at or below its bound walks its events through [`event_error`]
+/// on the words it read. (When some gate draws no word, a word's index
+/// is not its event's position, and every chunk is walked.) The words
+/// read, the errors and the generator's position are those of one
+/// [`event_error`] per event.
+fn screen_events(
+    events: &[Event],
+    bounds: &[u64],
+    rng: &mut StdRng,
+    words: &mut [u64; SCREEN_WORDS],
+    arena: &mut Vec<ErrorKey>,
+) {
+    let aligned = bounds.len() == events.len();
+    let mut pos = 0;
+    for bounds in bounds.chunks(SCREEN_WORDS) {
+        let words = &mut words[..bounds.len()];
+        rng.fill_u64(words);
+        let hit = words
+            .iter()
+            .zip(bounds)
+            .fold(false, |hit, (w, b)| hit | (w <= b));
+        if hit || !aligned {
+            let mut reread = Reread(words.iter());
+            while !reread.0.as_slice().is_empty() {
+                if let Some(code) = event_error(events[pos], &mut reread) {
+                    arena.push(pack(pos, code));
+                }
+                pos += 1;
+            }
+        } else {
+            pos += words.len();
+        }
+    }
+}
+
 /// Jumps from hit to hit through the prefix survival products `surv`
 /// of `surv.len() - 1` independent chances: one uniform + binary search
 /// per hit, one last uniform to certify the clean tail. With `target`
@@ -141,10 +233,11 @@ impl TrajectoryJob<'_> {
         let mut rng = StdRng::seed_from_u64(seed);
         let mut counts = Counts::new(self.width);
         let (mut errors, mut patterns) = (Vec::new(), Vec::new());
+        let mut words = [0; SCREEN_WORDS];
         for left in (1..=shots).rev() {
             let start = patterns.len();
             match self.cfg.kernel {
-                TrajectoryKernel::Replay => self.draw_replay(&mut rng, &mut patterns),
+                TrajectoryKernel::Replay => self.draw_replay(&mut rng, &mut words, &mut patterns),
                 TrajectoryKernel::SurvivalSkip => self.draw_survival(&mut rng, &mut patterns),
             }
             let u: f64 = rng.gen();
@@ -161,7 +254,7 @@ impl TrajectoryJob<'_> {
             if errors.capacity() == 0 {
                 // Both buffers are sized once, for what the later shots
                 // should draw (a shot's errors ≤ min(Σ −ln(1 − p_e), events)).
-                let clean = *self.plan.survival.last().expect("survival is never empty");
+                let clean = self.plan.clean;
                 let mean = (-clean.ln()).min(self.plan.events.len() as f64);
                 let later = (left - 1) as f64;
                 errors.reserve_exact(1 + (later * (1.0 - clean)).ceil() as usize);
@@ -182,40 +275,34 @@ impl TrajectoryJob<'_> {
         }
     }
 
-    /// One draw per event of `events[from..]` in stream order: a
-    /// Bernoulli per noisy gate (one `u64` below the gate's threshold),
-    /// one uniform per idle window (the top 53 bits of one `u64`; it
-    /// also fixes the Pauli). A gate error is `typed` on the spot or
-    /// [`UNTYPED`].
-    fn draw_per_event(
-        &self,
-        from: usize,
-        typed: bool,
-        rng: &mut StdRng,
-        arena: &mut Vec<ErrorKey>,
-    ) {
-        for (pos, ev) in self.plan.events.iter().enumerate().skip(from) {
-            let code = match *ev {
-                Event::Gate { index, threshold } => gate_errs(threshold, rng).then(|| {
-                    if typed {
-                        self.draw_gate_error_code(index as usize, rng)
-                    } else {
-                        UNTYPED
-                    }
-                }),
-                Event::Idle { thresholds, .. } => idle_pauli(rng.next_u64() >> 11, thresholds),
-            };
+    /// One [`event_error`] per event of `events[from..]` in stream
+    /// order — a Bernoulli per noisy gate (one `u64` below the gate's
+    /// threshold), one uniform per idle window (the top 53 bits of one
+    /// `u64`; it also fixes the Pauli) — each gate error typed on the
+    /// spot.
+    fn draw_per_event(&self, from: usize, rng: &mut StdRng, arena: &mut Vec<ErrorKey>) {
+        for (pos, &ev) in self.plan.events.iter().enumerate().skip(from) {
+            let code = event_error(ev, rng).map(|code| match ev {
+                Event::Gate { index, .. } => self.draw_gate_error_code(index as usize, rng),
+                Event::Idle { .. } => code,
+            });
             if let Some(code) = code {
                 arena.push(pack(pos, code));
             }
         }
     }
 
-    /// `Replay`'s pattern: one draw per event, then one type draw per
-    /// *gate* error in ascending position.
-    fn draw_replay(&self, rng: &mut StdRng, arena: &mut Vec<ErrorKey>) {
+    /// `Replay`'s pattern: one draw per event, screened in bulk
+    /// ([`screen_events`]), then one type draw per *gate* error in
+    /// ascending position.
+    fn draw_replay(
+        &self,
+        rng: &mut StdRng,
+        words: &mut [u64; SCREEN_WORDS],
+        arena: &mut Vec<ErrorKey>,
+    ) {
         let start = arena.len();
-        self.draw_per_event(0, false, rng, arena);
+        screen_events(&self.plan.events, self.strip.events(), rng, words, arena);
         for key in &mut arena[start..] {
             let (pos, code) = unpack(*key);
             if code != UNTYPED {
@@ -239,12 +326,13 @@ impl TrajectoryJob<'_> {
     }
 
     /// `SurvivalSkip`'s pattern: jump from error to error through the
-    /// plan's survival products, drawing each error's Pauli on the spot;
+    /// event survival products, drawing each error's Pauli on the spot;
     /// once the products underflow (pathologically long or noisy streams
     /// only) the rest is drawn per event. [`TrajectoryJob::draw_replay`]'s
     /// distribution, another RNG stream.
     fn draw_survival(&self, rng: &mut StdRng, arena: &mut Vec<ErrorKey>) {
-        let underflow = survival_jumps(&self.plan.survival, rng, |pos, rng| {
+        let tables = self.tables.expect("SurvivalSkip runs with its tables");
+        let underflow = survival_jumps(&tables.events, rng, |pos, rng| {
             let code = match self.plan.events[pos] {
                 Event::Gate { index, .. } => self.draw_gate_error_code(index as usize, rng),
                 Event::Idle {
@@ -260,7 +348,7 @@ impl TrajectoryJob<'_> {
             arena.push(pack(pos, code));
         });
         if let Some(from) = underflow {
-            self.draw_per_event(from, true, rng, arena);
+            self.draw_per_event(from, rng, arena);
         }
     }
 
@@ -291,11 +379,6 @@ impl TrajectoryJob<'_> {
         };
         // Without an underflow the jumps covered every qubit.
         let from = per_qubit_from.unwrap_or(self.width);
-        for (q, draw) in self.readout_draw.iter().enumerate().skip(from) {
-            if readout_flips(*draw, rng) {
-                mask ^= 1 << q;
-            }
-        }
-        mask
+        mask ^ per_qubit_flips(self.strip.readout(), from, rng)
     }
 }

@@ -4,8 +4,13 @@
 use rand::rngs::StdRng;
 use rand::{Rng, RngCore, SeedableRng};
 
-use super::super::{gate_threshold, idle_cumulative, idle_thresholds, readout_threshold};
-use super::{gate_errs, idle_pauli, readout_flips};
+use super::super::{
+    gate_threshold, idle_cumulative, idle_thresholds, readout_threshold, Event, Strip,
+};
+use super::{
+    gate_errs, idle_pauli, pack, per_qubit_flips, readout_flips, screen_events, ErrorKey,
+    SCREEN_WORDS, UNTYPED,
+};
 
 /// A scripted word source that counts what it hands out.
 struct Words {
@@ -155,4 +160,139 @@ fn an_idle_draw_is_the_top_53_bits_of_one_word() {
         assert_eq!(uniform.gen::<f64>(), k as f64 / (1u64 << 53) as f64);
     }
     assert_eq!(uniform.next_u32(), word.next_u32());
+}
+
+/// An event of the kind `build_plan` makes: a gate of error probability
+/// `p`, or an idle window of `(relax_p, dephase_p)`.
+#[derive(Clone, Copy)]
+enum Spec {
+    Gate(f64),
+    Idle(f64, f64),
+}
+
+fn event(spec: Spec) -> Event {
+    match spec {
+        Spec::Gate(p) => Event::Gate {
+            index: 0,
+            error_p: p,
+            threshold: gate_threshold(p),
+        },
+        Spec::Idle(relax_p, dephase_p) => Event::Idle {
+            q: 0,
+            relax_p,
+            dephase_p,
+            thresholds: idle_thresholds(relax_p, dephase_p),
+        },
+    }
+}
+
+/// Draws `shots` shots' event errors and readout masks through the
+/// strip on one generator and through one `rand` draw per event and
+/// per qubit on another — from `skip` words into the same stream — and
+/// asserts the same errors, the same masks and the same position after
+/// every shot. Returns how many shots drew an error.
+fn strip_matches_the_per_event_draw(
+    specs: &[Spec],
+    readout_p: &[f64],
+    shots: usize,
+    skip: usize,
+) -> usize {
+    let events: Vec<Event> = specs.iter().copied().map(event).collect();
+    let strip = Strip::compile(&events, readout_p, true);
+    let mut screened = StdRng::seed_from_u64(0x5781_9000 + skip as u64);
+    for _ in 0..skip {
+        screened.next_u32();
+    }
+    let mut per_event = screened.clone();
+    let mut words = [0; SCREEN_WORDS];
+    let mut with_errors = 0;
+    for shot in 0..shots {
+        let mut errors: Vec<ErrorKey> = Vec::new();
+        screen_events(
+            &events,
+            strip.events(),
+            &mut screened,
+            &mut words,
+            &mut errors,
+        );
+        let mask = per_qubit_flips(strip.readout(), 0, &mut screened);
+
+        let mut expected = Vec::new();
+        for (pos, &spec) in specs.iter().enumerate() {
+            let code = match spec {
+                Spec::Gate(p) => (p > 0.0 && per_event.gen_bool(p)).then_some(UNTYPED),
+                Spec::Idle(relax_p, dephase_p) => {
+                    idle_pauli(per_event.gen::<f64>(), idle_cumulative(relax_p, dephase_p))
+                }
+            };
+            expected.extend(code.map(|code| pack(pos, code)));
+        }
+        let expected_mask = readout_p
+            .iter()
+            .enumerate()
+            .filter(|&(_, &p)| per_event.gen_bool(p))
+            .fold(0, |mask, (q, _)| mask | 1 << q);
+
+        assert_eq!((&errors, mask), (&expected, expected_mask), "shot {shot}");
+        assert_eq!(screened.next_u32(), per_event.next_u32(), "shot {shot}");
+        with_errors += usize::from(!errors.is_empty());
+    }
+    with_errors
+}
+
+#[test]
+fn the_strip_draws_what_one_draw_per_event_draws() {
+    // A noise-free gate draws no word; a gate of threshold 0 draws one
+    // and never errs; an idle window whose largest threshold is 2^53
+    // errs on every word; readout errors of 0 (a word, never a flip)
+    // and 1 (a flip, no word). Each beside quiet events, so that a
+    // chunk without them is screened out.
+    let certain = (1.0, 1.0);
+    assert_eq!(idle_thresholds(certain.0, certain.1)[2], 1 << 53);
+    assert_eq!(gate_threshold(1e-25), Some(0));
+    let quiet = [Spec::Gate(1e-3), Spec::Idle(1e-4, 2e-4)];
+    let cases: [(Spec, &[f64]); 5] = [
+        (Spec::Gate(0.0), &[0.01]),
+        (Spec::Gate(1e-25), &[0.01]),
+        (Spec::Idle(certain.0, certain.1), &[0.01]),
+        (Spec::Gate(1e-3), &[0.0, 1.0, 0.02]),
+        (Spec::Gate(0.3), &[1.0]),
+    ];
+    for (case, (spec, readout_p)) in cases.into_iter().enumerate() {
+        for len in [1, 5, SCREEN_WORDS - 1, SCREEN_WORDS + 3, 3 * SCREEN_WORDS] {
+            let mut specs: Vec<Spec> = quiet.iter().copied().cycle().take(len).collect();
+            specs.insert(len / 2, spec);
+            let errs = strip_matches_the_per_event_draw(&specs, readout_p, 64, case);
+            if matches!(spec, Spec::Idle(..)) {
+                assert_eq!(errs, 64, "the certain window errs in every shot");
+            }
+        }
+    }
+    // Only noise-free gates (no event word at all), and no events.
+    strip_matches_the_per_event_draw(&[Spec::Gate(0.0); 7], &[0.5], 16, 0);
+    strip_matches_the_per_event_draw(&[], &[0.5, 0.0], 16, 0);
+}
+
+#[test]
+fn a_shot_whose_words_straddle_a_refill_draws_what_one_draw_per_event_draws() {
+    // 37 event words and two readout words a shot: shot after shot,
+    // from every offset into the first sixteen-block refill (odd ones
+    // included), the shots cross the end of a refill at every position
+    // inside a shot, screened chunks and walked ones alike.
+    let specs: Vec<Spec> = (0..37)
+        .map(|i| match i % 3 {
+            0 => Spec::Gate(4e-3),
+            1 => Spec::Idle(2e-3, 6e-3),
+            _ => Spec::Gate(1e-3),
+        })
+        .collect();
+    let mut with_errors = 0;
+    for skip in 0..256 {
+        with_errors += strip_matches_the_per_event_draw(&specs, &[0.03, 0.05], 12, skip);
+    }
+    // Both sides of the screen were taken.
+    assert!(
+        (100..256 * 12 - 100).contains(&with_errors),
+        "{with_errors}"
+    );
 }

@@ -50,6 +50,7 @@ pub(super) fn run(prepared: &PreparedJob, circuit: &Circuit, cfg: &ExecutionConf
         plan: &prepared.plan,
         ideal: &prepared.ideal,
         alias: tables.map(|t| &t.alias),
+        survival: tables.map(|t| &t.events[..]),
         snapshots: snapshots.as_ref(),
         readout_survival: tables.and_then(|t| t.readout_survival.as_deref()),
         cfg,
@@ -147,6 +148,9 @@ struct TrajectoryJob<'a> {
     ideal: &'a Statevector,
     /// O(1) clean-shot sampler (`None` under Replay).
     alias: Option<&'a AliasTable>,
+    /// Prefix survival products over the event stream (`None` under
+    /// Replay).
+    survival: Option<&'a [f64]>,
     /// Ideal prefix states for first-error replay resumption (`None`
     /// under Replay or past the snapshot memory gate).
     snapshots: Option<&'a PrefixSnapshots>,
@@ -189,17 +193,14 @@ impl TrajectoryJob<'_> {
     /// replay the event stream on the scratch state, then flip readout
     /// bits.
     fn run_shot(&self, rng: &mut StdRng, scratch: &mut ShotScratch) -> usize {
-        let TrajectoryPlan {
-            events, error_p, ..
-        } = self.plan;
+        let TrajectoryPlan { events, .. } = self.plan;
         let cfg = self.cfg;
         scratch.gate_errors.clear();
         scratch.idle_errors.clear();
         for (pos, &ev) in events.iter().enumerate() {
             match ev {
-                Event::Gate { index, .. } => {
-                    let index = index as usize;
-                    if cfg.gate_noise && error_p[index] > 0.0 && rng.gen_bool(error_p[index]) {
+                Event::Gate { error_p, .. } => {
+                    if cfg.gate_noise && error_p > 0.0 && rng.gen_bool(error_p) {
                         scratch.gate_errors.push(pos);
                     }
                 }
@@ -244,9 +245,8 @@ impl TrajectoryJob<'_> {
     /// stream: the per-event Bernoulli draws collapse into per-error
     /// draws, so the two kernels pin different (equally valid) counts.
     fn run_shot_survival(&self, rng: &mut StdRng, scratch: &mut ShotScratch) -> usize {
-        let TrajectoryPlan {
-            events, survival, ..
-        } = self.plan;
+        let TrajectoryPlan { events, .. } = self.plan;
+        let survival = self.survival.expect("SurvivalSkip runs with its tables");
         scratch.typed_errors.clear();
         let tail = *survival.last().expect("survival is never empty");
         let mut from = 0usize;
@@ -363,15 +363,12 @@ impl TrajectoryJob<'_> {
     /// model, used as the SurvivalSkip fallback once the survival
     /// prefix underflows (pathologically long / noisy streams only).
     fn sample_errors_linear(&self, from: usize, rng: &mut StdRng, scratch: &mut ShotScratch) {
-        let TrajectoryPlan {
-            events, error_p, ..
-        } = self.plan;
+        let TrajectoryPlan { events, .. } = self.plan;
         for (pos, &ev) in events.iter().enumerate().skip(from) {
             match ev {
-                Event::Gate { index, .. } => {
-                    let index = index as usize;
-                    if error_p[index] > 0.0 && rng.gen_bool(error_p[index]) {
-                        let code = self.draw_gate_error_code(index, rng);
+                Event::Gate { index, error_p, .. } => {
+                    if error_p > 0.0 && rng.gen_bool(error_p) {
+                        let code = self.draw_gate_error_code(index as usize, rng);
                         scratch.typed_errors.push((pos, code));
                     }
                 }

@@ -66,8 +66,23 @@
 //!   `2^-53`, so the compare is the `f64` compare; per measured qubit
 //!   the readout threshold (a certain flip consumes no word, an
 //!   impossible one consumes one). Same words, same order, same
-//!   patterns; the thresholds sit where an event's sort keys sat, so a
-//!   prepared job is no bigger.
+//!   patterns; the thresholds sit where an event's sort keys sat, beside
+//!   a gate's error probability, so an event is no bigger.
+//! - **One strip for the `Replay` draw.** The same thresholds once more
+//!   as one `u64` array in stream order: per event that draws a word,
+//!   the largest word with which it may err (a gate's threshold minus
+//!   one; an idle window's largest threshold times `2^11`, minus one,
+//!   or every word for a certain window), then the readout thresholds.
+//!   A shot's event words come out of the generator in bulk
+//!   (`StdRng::fill_u64`, the words of as many `next_u64` calls), 64 at
+//!   a time, and are OR-reduced against the strip: a chunk with no word
+//!   at or below its bound holds no error and costs no per-event test,
+//!   and only a chunk with one walks its events through the exact
+//!   per-event compare above, on the words already read. The strip is a
+//!   superset filter over the same words, so every pattern, type draw,
+//!   outcome uniform and readout mask is the per-event draw's. It lives
+//!   in the allocation that held the readout thresholds; the survival
+//!   products only `SurvivalSkip` reads are built by its first run.
 //! - **Ops.** Each gate's matrix or phase is evaluated once, and the
 //!   kernel is picked from the *stored* entries: which are exactly
 //!   `0.0`, exactly `1.0`, purely real or imaginary. A structured

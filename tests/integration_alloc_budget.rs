@@ -1,15 +1,17 @@
-//! What a plan-cache hit asks of the heap, as a budget: the requests
-//! of one `tick` that stages, runs, scores and finishes cached batches
-//! on a warm two-chip service, counted exactly and held under a
-//! per-job figure written here. Staging copies nothing out of the
-//! pending store (no circuit, no strategy, no pipeline stage; see
-//! `qucp_runtime`'s crate docs, "what a cache hit costs"); a change
-//! that puts one of those copies back lands above the budget.
+//! What a plan-cache hit and a plan-cache miss ask of the heap, as
+//! budgets: the requests of one `tick` that stages, runs, scores and
+//! finishes batches on a warm two-chip service, counted exactly and
+//! held under figures written here. On a hit, staging copies nothing
+//! out of the pending store (no circuit, no strategy, no pipeline
+//! stage; see `qucp_runtime`'s crate docs, "what a cache hit costs");
+//! on a miss, every program is prepared cold. A change that puts one of
+//! those copies back, or gives a prepared job one more allocation,
+//! lands above its budget.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-use qucp_circuit::library;
+use qucp_circuit::{library, Circuit};
 use qucp_device::ibm;
 use qucp_runtime::{JobRequest, Service};
 
@@ -71,13 +73,16 @@ struct Tick {
     requests: u64,
 }
 
-/// Warms a Toronto + Manhattan service on one-shot `bell` / `fredkin`
-/// jobs, `max_parallel` to a batch, until every plan key of the stream
-/// has been planned, replayed and had its prepared slots filled (they
-/// fill on a plan's second execution); then submits `jobs` more and
-/// counts the one `tick` that dispatches them.
-fn steady_state_tick(max_parallel: usize, jobs: usize) -> Tick {
-    let circuits = ["bell", "fredkin"].map(|name| library::by_name(name).unwrap().circuit());
+/// Warms a Toronto + Manhattan service on `warm` one-shot jobs,
+/// `max_parallel` to a batch, then submits `jobs` more and counts the
+/// one `tick` that dispatches them; job `i` runs `circuit(i)`. Returns
+/// that tick and its plan-cache hits and misses.
+fn measured_tick(
+    max_parallel: usize,
+    warm: usize,
+    jobs: usize,
+    circuit: impl Fn(usize) -> Circuit,
+) -> (Tick, (usize, usize)) {
     let mut service = Service::builder()
         .device(ibm::toronto())
         .device(ibm::manhattan())
@@ -88,16 +93,13 @@ fn steady_state_tick(max_parallel: usize, jobs: usize) -> Tick {
     let mut submitted = 0;
     let mut submit = |service: &mut Service, n: usize| {
         for _ in 0..n {
-            // Runs of `max_parallel` equal circuits: two batch shapes,
-            // each seen by both chips.
-            let circuit = circuits[submitted / max_parallel % 2].clone();
             service
-                .submit(JobRequest::new(circuit, submitted as f64))
+                .submit(JobRequest::new(circuit(submitted), submitted as f64))
                 .unwrap();
             submitted += 1;
         }
     };
-    submit(&mut service, 24 * max_parallel);
+    submit(&mut service, warm);
     service.run_until_drained().unwrap();
     let warm = (service.route_cache_stats(), service.batches_run());
 
@@ -108,17 +110,48 @@ fn steady_state_tick(max_parallel: usize, jobs: usize) -> Tick {
 
     assert_eq!(done.len(), jobs);
     let stats = service.route_cache_stats();
-    let batches = service.batches_run() - warm.1;
-    assert_eq!(
-        (stats.plan_misses, stats.plan_hits),
-        (warm.0.plan_misses, warm.0.plan_hits + batches),
-        "every batch of the measured tick replays a cached plan"
-    );
-    Tick {
+    let tick = Tick {
         jobs,
-        batches,
+        batches: service.batches_run() - warm.1,
         requests,
-    }
+    };
+    let plans = (
+        stats.plan_hits - warm.0.plan_hits,
+        stats.plan_misses - warm.0.plan_misses,
+    );
+    (tick, plans)
+}
+
+fn bell_and_fredkin() -> [Circuit; 2] {
+    ["bell", "fredkin"].map(|name| library::by_name(name).unwrap().circuit())
+}
+
+/// Runs of `max_parallel` equal `bell` / `fredkin` jobs — two batch
+/// shapes, each seen by both chips — warmed until every plan key of
+/// the stream has been planned, replayed and had its prepared slots
+/// filled (they fill on a plan's second execution): every batch of the
+/// measured tick replays a cached plan.
+fn steady_state_tick(max_parallel: usize, jobs: usize) -> Tick {
+    let circuits = bell_and_fredkin();
+    let (tick, plans) = measured_tick(max_parallel, 24 * max_parallel, jobs, |i| {
+        circuits[i / max_parallel % 2].clone()
+    });
+    assert_eq!(plans, (tick.batches, 0), "{tick:?}");
+    tick
+}
+
+/// `bell` / `fredkin` jobs each with an `rz` angle no other job has:
+/// every batch of the measured tick is planned afresh, and its programs
+/// are prepared from scratch and run once.
+fn cold_tick(max_parallel: usize, jobs: usize) -> Tick {
+    let circuits = bell_and_fredkin();
+    let (tick, plans) = measured_tick(max_parallel, 8 * max_parallel, jobs, |i| {
+        let mut circuit = circuits[i % 2].clone();
+        circuit.rz(0, 1e-3 * (i + 1) as f64);
+        circuit
+    });
+    assert_eq!(plans, (0, tick.batches), "{tick:?}");
+    tick
 }
 
 /// Heap requests per job of a cached batch, measured when the budget
@@ -145,6 +178,35 @@ fn a_cached_batch_stays_within_its_heap_budget() {
             per_job <= budget,
             "{per_job:.2} heap requests per job over the budget of {budget} \
              at {max_parallel} to a batch: {tick:?}"
+        );
+    }
+}
+
+/// Heap requests of one `tick` of 64 cold jobs (every batch planned,
+/// prepared and run from scratch; the count is exact and the same in
+/// debug and release): 7 337 with one job to a batch, 8 331 with two —
+/// 114.6 and 130.2 per job. The commit before the prepared job's draw
+/// strip counted 7 465 and 8 459: a `Replay` program is now prepared
+/// with two vectors fewer (its gates' error probabilities live in their
+/// events, the survival products are built by `SurvivalSkip` runs
+/// only), and the strip lives in the allocation that held the readout
+/// thresholds. The budgets are the counts.
+///
+/// Mutation check (CHANGES.md): the strip's event bounds in an
+/// exact-size vector of their own cost one request per prepared
+/// program, 7 401 and 8 395, and fail both.
+const COLD_SOLO_REQUESTS: u64 = 7_337;
+const COLD_PAIR_REQUESTS: u64 = 8_331;
+
+#[test]
+fn a_cold_batch_stays_within_its_heap_budget() {
+    for (max_parallel, budget) in [(1, COLD_SOLO_REQUESTS), (2, COLD_PAIR_REQUESTS)] {
+        let tick = cold_tick(max_parallel, 64);
+        assert_eq!(tick.batches * max_parallel, tick.jobs, "{tick:?}");
+        assert!(
+            tick.requests <= budget,
+            "{} heap requests over the budget of {budget} at {max_parallel} to a batch: {tick:?}",
+            tick.requests
         );
     }
 }

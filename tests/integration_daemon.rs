@@ -20,7 +20,7 @@ use qucp_circuit::{Circuit, Gate};
 use qucp_core::queue::QueueStats;
 use qucp_core::{CrosstalkTreatment, PartitionPolicy, ProgramResult, Strategy as ExecStrategy};
 use qucp_daemon::{
-    Client, ClientError, Daemon, DaemonConfig, Fault, FrameReader, MockTransport, Request,
+    Client, ClientError, Daemon, DaemonConfig, Decoder, Fault, FrameReader, MockTransport, Request,
     Response, ServerSession, Transport, Wire, WireError, WireRuntimeError, MIN_SUPPORTED_VERSION,
     PROTOCOL_VERSION,
 };
@@ -747,6 +747,46 @@ fn malformed_domain_values_are_rejected() {
     match Request::decode(&evil) {
         Err(WireError::InvalidValue { context: "Circuit" }) => {}
         other => panic!("expected InvalidValue, got {other:?}"),
+    }
+}
+
+/// `Counts` reads its entries straight into `Counts::from_entries`:
+/// what it accepts is the canonical form, and a forged length, an
+/// outcome outside the register, a repeated outcome, a zero count or a
+/// shot total past `usize::MAX` is refused.
+#[test]
+fn counts_decode_only_their_canonical_form() {
+    let counts = |width: u64, len: u64, entries: &[(u64, u64)]| {
+        let mut bytes = Vec::new();
+        for word in [width, len]
+            .into_iter()
+            .chain(entries.iter().flat_map(|&(o, n)| [o, n]))
+        {
+            bytes.extend_from_slice(&word.to_le_bytes());
+        }
+        let mut d = Decoder::new(&bytes);
+        Counts::get(&mut d).and_then(|counts| d.expect_end().map(|()| counts))
+    };
+    let mut expected = Counts::new(2);
+    expected.record_many(3, 1);
+    expected.record_many(0, 3);
+    assert_eq!(counts(2, 2, &[(3, 1), (0, 3)]), Ok(expected));
+    assert_eq!(counts(2, 0, &[]), Ok(Counts::new(2)));
+    assert_eq!(
+        counts(2, 3, &[(3, 1), (0, 3)]),
+        Err(WireError::LengthOverflow { len: 3, max: 2 })
+    );
+    let invalid = Err(WireError::InvalidValue { context: "Counts" });
+    let max = usize::MAX as u64;
+    for (width, entries) in [
+        (2, &[(4, 1)][..]),
+        (2, &[(1, 2), (1, 2)]),
+        (2, &[(1, 0)]),
+        (2, &[(0, max), (1, 1)]),
+        (64, &[(0, 1)]),
+    ] {
+        let len = entries.len() as u64;
+        assert_eq!(counts(width, len, entries), invalid, "{width} {entries:?}");
     }
 }
 
