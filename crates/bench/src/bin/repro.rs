@@ -10,7 +10,7 @@
 use std::io::{self, Write};
 use std::process::ExitCode;
 
-use qucp_bench::repro::{ledger, ledger_json, SECTIONS};
+use qucp_bench::repro::{ledger, ledger_json, SECTIONS, TABLES};
 use qucp_bench::PAPER_SHOTS;
 
 fn main() -> io::Result<ExitCode> {
@@ -20,17 +20,15 @@ fn main() -> io::Result<ExitCode> {
         write!(out, "{}", ledger_json(&ledger(PAPER_SHOTS)?))?;
         return Ok(ExitCode::SUCCESS);
     }
-    if let Some(unknown) = args
-        .iter()
-        .find(|a| SECTIONS.iter().all(|(name, _)| name != a))
-    {
-        let names: Vec<&str> = SECTIONS.iter().map(|(name, _)| *name).collect();
+    let sections = || SECTIONS.iter().chain(&TABLES);
+    if let Some(unknown) = args.iter().find(|a| sections().all(|(name, _)| name != a)) {
+        let names: Vec<&str> = sections().map(|(name, _)| *name).collect();
         eprintln!("unknown section `{unknown}`; usage: repro [--ledger | section...]");
         eprintln!("sections: {}", names.join(" "));
         return Ok(ExitCode::from(2));
     }
     let mut failed = 0;
-    for (name, section) in SECTIONS {
+    for (name, section) in sections() {
         if args.is_empty() || args.iter().any(|a| a == name) {
             let claims = section(PAPER_SHOTS, &mut out)?;
             writeln!(out)?;

@@ -22,7 +22,6 @@
 
 pub mod repro;
 pub mod runner;
-pub mod srb_campaign;
 
 use qucp_circuit::{library, Circuit};
 

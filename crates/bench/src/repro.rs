@@ -8,7 +8,8 @@
 //! [`runner`](crate::runner); plan-only and below-`Strategy` sections
 //! (Table II, σ tuning, the mapping and routing ablations, Table I /
 //! Fig. 2 over `qucp-srb`) call the stage functions they inspect.
-//! [`ledger`] runs every section and keeps the claims: one row per
+//! [`ledger`] runs every section of [`SECTIONS`] — the ones that check
+//! a claim; [`TABLES`] only print — and keeps the claims: one row per
 //! paper claim — id, the paper's value, ours, the rule that compares
 //! them, a verdict — the committed `REPRO.json`, regenerated and diffed
 //! in CI.
@@ -20,8 +21,8 @@ use qucp_circuit::Circuit;
 use qucp_core::queue::{simulate_queue, synthetic_workload, QueuedJob};
 use qucp_core::report::{fix, pct, Table};
 use qucp_core::{
-    allocate_partitions, efs, efs_difference, initial_mapping, plan_workload, route, route_sabre,
-    strategy, CircuitStats, CrosstalkTreatment, MappedProgram, PartitionPolicy, SabreOptions,
+    allocate_partitions, efs, efs_difference, initial_mapping, route, route_sabre, strategy,
+    CircuitStats, CrosstalkTreatment, MappedProgram, PartitionPolicy, Pipeline, SabreOptions,
     Strategy,
 };
 use qucp_device::{ibm, Device, Link};
@@ -129,17 +130,22 @@ impl Claim {
 /// A section: writes its tables, returns the claims it checked.
 pub type Section = fn(shots: usize, out: &mut dyn Write) -> io::Result<Vec<Claim>>;
 
-/// Every section, in `repro`'s print order.
-pub const SECTIONS: [(&str, Section); 14] = [
+/// The sections that check paper claims, in `repro`'s print order.
+pub const SECTIONS: [(&str, Section); 8] = [
     ("queue", queue),
     ("table1", table1),
-    ("fig2", fig2),
     ("table2", table2),
     ("sigma", sigma),
     ("fig3", fig3),
     ("fig4", fig4),
     ("table3", table3),
     ("fig6", fig6),
+];
+
+/// The sections that only print (they return no claim), after
+/// [`SECTIONS`] in `repro`'s print order; the ledger skips them.
+pub const TABLES: [(&str, Section); 6] = [
+    ("fig2", fig2),
     ("ablation_partition", ablation_partition),
     ("ablation_mapping", ablation_mapping),
     ("ablation_srb_qumc", ablation_srb_qumc),
@@ -147,7 +153,7 @@ pub const SECTIONS: [(&str, Section); 14] = [
     ("ablation_routing", ablation_routing),
 ];
 
-/// Every claim of every section at `shots` per job.
+/// Every claim of every section of [`SECTIONS`] at `shots` per job.
 ///
 /// # Errors
 ///
@@ -347,7 +353,9 @@ fn plan_quality(
     strat: &Strategy,
 ) -> (Vec<Vec<usize>>, f64, usize) {
     let truth = CrosstalkTreatment::Measured(dev.crosstalk().pairs().collect());
-    let (opt, allocs, _) = plan_workload(dev, programs, strat, true).expect("plan");
+    let (opt, allocs, _) = Pipeline::from_strategy(strat)
+        .plan_unmerged(dev, programs, true)
+        .expect("plan");
     let mut total = 0.0;
     for (i, alloc) in allocs.iter().enumerate() {
         let other_links: Vec<Link> = (allocs.iter().enumerate())

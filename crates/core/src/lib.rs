@@ -5,26 +5,24 @@
 //! Useful for NISQ Computing?"* (Niu & Todri-Sanial, DATE 2022),
 //! together with the baselines it is evaluated against.
 //!
-//! ## Architecture: the staged pipeline
+//! ## Architecture: one pipeline
 //!
-//! Execution is organized as four swappable stages behind traits (see
-//! [`pipeline`]):
+//! The method is one fixed sequence of stages, run by a [`Pipeline`]
+//! under one [`Strategy`]'s settings (see [`pipeline`]):
 //!
-//! | stage | trait | paper mechanism | default impl |
-//! |-------|-------|-----------------|--------------|
-//! | 1. partition | [`Partitioner`] | EFS region allocation (Eq. 1) | [`EfsPartitioner`] over any [`PartitionPolicy`] |
-//! | 2. map/route | [`Router`] | HA placement + reliability SWAPs | [`ReliabilityRouter`] (± CNA penalties) |
-//! | 3. merge | [`ScheduleMerger`] | end-aligned ALAP + γ/serialization | [`AlapMerger`] |
-//! | 4. execute | [`Backend`] | noisy execution + PST/JSD scoring | [`SimulatorBackend`] |
+//! | stage | paper mechanism | where |
+//! |-------|-----------------|-------|
+//! | 1. allocate | EFS region allocation (Eq. 1) | [`Pipeline::allocate`] over [`allocate_partitions`] |
+//! | 2. map/route | HA placement + reliability SWAPs (± CNA penalties) | [`Pipeline::complete`] |
+//! | 3. merge | end-aligned ALAP + γ/serialization | [`Pipeline::complete`] over [`context::build_context`] |
+//! | 4. execute | noisy execution + PST/JSD scoring | [`PlannedWorkload::run_program`] |
 //!
-//! A [`Strategy`] (QuCP, QuMC, CNA, MultiQC, QuCloud) names a stage
-//! combination; [`Pipeline::from_strategy`] assembles it, and
-//! [`execute_parallel`]/[`plan_workload`] are thin wrappers kept for
-//! callers. New allocation policies or backends implement one trait and
-//! plug in without touching the driver — the `qucp-runtime` batch
-//! scheduler builds on exactly this seam, executing the programs of a
-//! planned workload concurrently through the `Send + Sync` stage
-//! objects.
+//! A [`Strategy`] (QuCP, QuMC, CNA, MultiQC, QuCloud) is a partition
+//! policy plus two flags; [`Pipeline::from_strategy`] borrows them.
+//! [`Pipeline::plan`] runs stages 1–3 and [`Pipeline::execute`] all
+//! four. The `qucp-runtime` batch scheduler calls the stages one at a
+//! time: its EFS gate loops on allocation alone, and it executes the
+//! programs of a shared [`PlannedWorkload`] concurrently.
 //!
 //! Supporting modules: [`partition`] grows and scores candidate regions
 //! ([`efs()`], Eq. 1 of the paper), with crosstalk entering either through
@@ -39,7 +37,7 @@
 //! ```
 //! use qucp_circuit::library;
 //! use qucp_device::ibm;
-//! use qucp_core::{execute_parallel, strategy, ParallelConfig};
+//! use qucp_core::{strategy, ParallelConfig, Pipeline};
 //! use qucp_sim::ExecutionConfig;
 //!
 //! # fn main() -> Result<(), qucp_core::CoreError> {
@@ -52,7 +50,8 @@
 //!     execution: ExecutionConfig::default().with_shots(1024),
 //!     optimize: true,
 //! };
-//! let outcome = execute_parallel(&device, &programs, &strategy::qucp(4.0), &cfg)?;
+//! let qucp = strategy::qucp(4.0);
+//! let outcome = Pipeline::from_strategy(&qucp).execute(&device, &programs, &cfg)?;
 //! assert_eq!(outcome.programs.len(), 2);
 //! println!("throughput: {:.1}%", 100.0 * outcome.throughput);
 //! # Ok(())
@@ -65,7 +64,6 @@
 pub mod context;
 pub mod efs;
 mod error;
-mod executor;
 pub mod mapping;
 pub mod partition;
 pub mod pipeline;
@@ -75,22 +73,19 @@ pub mod sabre;
 pub mod strategy;
 pub mod threshold;
 
+#[cfg(test)]
+#[path = "pipeline/end_to_end.rs"]
+mod executor;
+
 pub use efs::{efs, CircuitStats, CrosstalkTreatment, EfsBreakdown};
 pub use error::CoreError;
-pub use executor::{
-    execute_parallel, plan_workload, ParallelConfig, ParallelOutcome, ProgramResult,
-};
 pub use mapping::{initial_mapping, local_topology, map_program, route, MappedProgram};
 pub use partition::{
     allocate_partitions, best_partition, candidate_partitions, Allocation, PartitionPolicy,
 };
-pub use pipeline::{
-    AlapMerger, Backend, EfsPartitioner, Partitioner, Pipeline, PlannedWorkload, ReliabilityRouter,
-    Router, ScheduleMerger, SimulatorBackend,
-};
+pub use pipeline::{ParallelConfig, ParallelOutcome, Pipeline, PlannedWorkload, ProgramResult};
 pub use sabre::{route_sabre, SabreOptions};
 pub use strategy::{Strategy, DEFAULT_SIGMA};
 pub use threshold::{
-    batch_efs_difference, batch_efs_excesses, efs_difference, parallel_count_for_threshold,
-    solo_efs_scores,
+    batch_efs_excesses, efs_difference, parallel_count_for_threshold, solo_efs_scores,
 };

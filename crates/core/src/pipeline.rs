@@ -1,118 +1,122 @@
-//! The staged, trait-based execution pipeline.
+//! The paper's method as one fixed pipeline.
 //!
-//! [`execute_parallel`](crate::execute_parallel) used to be a hard-coded
-//! monolith; this module decomposes it into four swappable stages, each
-//! behind a trait:
+//! QuCP, like QuMC before it, is one sequence of four stages, and a
+//! [`Pipeline`] runs them under one [`Strategy`]'s settings:
 //!
-//! 1. [`Partitioner`] — allocate a disjoint reliable region per program
-//!    ([`EfsPartitioner`] wraps the QuMC-style candidate growth of
-//!    [`crate::partition`] under any [`PartitionPolicy`]);
-//! 2. [`Router`] — place and route every program inside its region
-//!    ([`ReliabilityRouter`], optionally with CNA's gate-level
-//!    crosstalk-aware SWAP penalties);
-//! 3. [`ScheduleMerger`] — align the per-program schedules and charge
-//!    cross-program crosstalk or serialization delays
-//!    ([`AlapMerger`] wraps [`crate::context::build_context`]);
-//! 4. [`Backend`] — run one mapped program and score it
-//!    ([`SimulatorBackend`] wraps the `qucp-sim` trajectory simulator).
+//! 1. **allocate** ([`Pipeline::allocate`]) — a disjoint reliable region
+//!    per program: the QuMC-style candidate growth and EFS scoring of
+//!    [`allocate_partitions`] under the strategy's [`PartitionPolicy`];
+//! 2. **map and route** — reliability-weighted placement and SWAP
+//!    routing inside each region, with CNA's crosstalk-aware link
+//!    penalty when the strategy asks for it;
+//! 3. **merge** — end-aligned ALAP schedules, charging cross-program
+//!    crosstalk or serialization delays ([`build_context`]);
+//! 4. **execute** ([`PlannedWorkload::run_program`]) — one mapped
+//!    program on the `qucp-sim` trajectory simulator, scored against
+//!    its noiseless reference.
 //!
-//! A [`Pipeline`] owns one implementation of each stage;
-//! [`Pipeline::from_strategy`] assembles the combination matching a
-//! paper [`Strategy`] (QuCP, QuMC, CNA, MultiQC, QuCloud), and the
-//! original driver entry points are now thin wrappers over it. New
-//! allocation policies or execution backends plug in by implementing a
-//! stage trait — the driver and the `qucp-runtime` batch scheduler do
-//! not change.
-//!
-//! All stage traits require `Send + Sync` so the programs of a planned
-//! workload can be executed concurrently by the runtime crate.
+//! [`Pipeline::complete`] is stages 2–3, [`Pipeline::plan`] stages 1–3
+//! and [`Pipeline::execute`] all four. The `qucp-runtime` batch
+//! scheduler calls them one at a time: its EFS gate loops on stage 1
+//! alone, and it executes the programs of a shared plan concurrently
+//! (a [`PlannedWorkload`] is `Send + Sync`).
 
 use std::sync::{Arc, Mutex};
 
 use qucp_circuit::Circuit;
 use qucp_device::{Calibration, Device, Link, SnapshotToken};
-use qucp_sim::{metrics, ExecutionConfig, PreparedJob, Statevector};
+use qucp_sim::{metrics, Counts, ExecutionConfig, PreparedJob, Statevector};
 
 use crate::context::{build_context, WorkloadContext};
 use crate::error::CoreError;
-use crate::executor::{ParallelConfig, ParallelOutcome, ProgramResult, WorkloadPlan};
 use crate::mapping::{initial_mapping_on, local_topology, route_on, MappedProgram};
 use crate::partition::{allocate_partitions, Allocation, PartitionPolicy};
 use crate::strategy::Strategy;
 
-/// Allocates disjoint device regions to programs.
-pub trait Partitioner: Send + Sync {
-    /// Chooses one [`Allocation`] per program, indexed by caller order.
-    ///
-    /// # Errors
-    ///
-    /// [`CoreError::ProgramTooWide`] or
-    /// [`CoreError::PartitionUnavailable`] when the workload does not
-    /// fit.
-    fn partition(
-        &self,
-        device: &Device,
-        programs: &[&Circuit],
-    ) -> Result<Vec<Allocation>, CoreError>;
+/// Configuration of a parallel execution.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct ParallelConfig {
+    /// Simulator settings (shots, seed, noise channels).
+    pub execution: ExecutionConfig,
+    /// Run the cancellation peephole pass before mapping (stands in for
+    /// the paper's `optimization_level = 3`).
+    pub optimize: bool,
 }
 
-/// Places and routes each program inside its allocated region.
-pub trait Router: Send + Sync {
-    /// Maps `programs[allocations[i].program_index]` onto
-    /// `allocations[i].qubits`, returning mapped programs index-aligned
-    /// with `allocations`.
-    fn route_all(
-        &self,
-        device: &Device,
-        programs: &[Circuit],
-        allocations: &[Allocation],
-    ) -> Vec<MappedProgram>;
+impl Default for ParallelConfig {
+    fn default() -> Self {
+        ParallelConfig {
+            execution: ExecutionConfig::default(),
+            optimize: true,
+        }
+    }
 }
 
-/// Merges per-program schedules into a workload noise context.
-pub trait ScheduleMerger: Send + Sync {
-    /// Aligns schedules and computes crosstalk scalings / serialization
-    /// delays for the whole workload.
-    fn merge(&self, device: &Device, mapped: &[MappedProgram]) -> WorkloadContext;
+/// Per-program outcome of a parallel execution.
+#[derive(Debug, Clone, PartialEq)]
+pub struct ProgramResult {
+    /// Program name.
+    pub name: String,
+    /// Physical qubits of the allocated partition.
+    pub partition: Vec<usize>,
+    /// EFS of the chosen partition at allocation time.
+    pub efs: f64,
+    /// SWAPs inserted by routing.
+    pub swap_count: usize,
+    /// Measured counts, permuted back to logical qubit order.
+    pub counts: Counts,
+    /// PST against the ideal outcome (deterministic circuits only).
+    pub pst: Option<f64>,
+    /// Jensen-Shannon divergence against the noiseless distribution.
+    pub jsd: f64,
 }
 
-/// Executes one planned program and scores its output.
-pub trait Backend: Send + Sync {
-    /// Runs program `index` of `plan` and returns its scored result.
-    ///
-    /// Implementations must be deterministic given `exec.seed` and must
-    /// derive any per-program seed from `(exec.seed, index)` only, so
-    /// that concurrent and serial batch execution agree bit-for-bit.
-    /// The same holds one level down: when `exec.parallelism` shards
-    /// the shot loop ([`qucp_sim::ShotParallelism`]), the result must
-    /// depend on the shard count only, never on how many worker
-    /// threads execute the shards. `exec.kernel`
-    /// ([`qucp_sim::TrajectoryKernel`]) selects the per-shot sampler;
-    /// each kernel pins its own stream, and both obey the same
-    /// `(seed, shards)` purity contract.
-    ///
-    /// A backend may keep state between calls, but only **plan-pure**
-    /// state: a function of the planned program, the device
-    /// calibration and `exec`'s noise flags — never of `exec.seed`,
-    /// `exec.shots`, `exec.parallelism` or `exec.kernel`, and never of
-    /// which call came first. Executing a plan a second time must give
-    /// bit-for-bit what a freshly planned copy would give, under any
-    /// calibration and any flags ([`SimulatorBackend`] keeps such state
-    /// on the [`PlannedWorkload`] itself; see its *Prepared replay*
-    /// section).
-    ///
-    /// # Errors
-    ///
-    /// [`CoreError::Sim`] if the simulator rejects the mapped job
-    /// (which would indicate a mapping bug).
-    fn run_program(
-        &self,
-        device: &Device,
-        plan: &PlannedWorkload,
-        index: usize,
-        exec: &ExecutionConfig,
-    ) -> Result<ProgramResult, CoreError>;
+/// Outcome of a parallel workload execution.
+#[derive(Debug, Clone, PartialEq)]
+pub struct ParallelOutcome {
+    /// Per-program results in the caller's order.
+    pub programs: Vec<ProgramResult>,
+    /// Hardware throughput: used qubits / device qubits (Sec. II-A).
+    pub throughput: f64,
+    /// Cross-program one-hop CNOT overlaps encountered.
+    pub conflict_count: usize,
+    /// Merged-schedule makespan (ns).
+    pub makespan: f64,
+    /// Serial runtime (ns) that independent execution would need.
+    pub serial_runtime: f64,
 }
+
+impl ParallelOutcome {
+    /// Mean PST over the deterministic programs (`None` if there are
+    /// none).
+    pub fn mean_pst(&self) -> Option<f64> {
+        let psts: Vec<f64> = self.programs.iter().filter_map(|p| p.pst).collect();
+        if psts.is_empty() {
+            None
+        } else {
+            Some(psts.iter().sum::<f64>() / psts.len() as f64)
+        }
+    }
+
+    /// Mean JSD over all programs.
+    pub fn mean_jsd(&self) -> f64 {
+        self.programs.iter().map(|p| p.jsd).sum::<f64>() / self.programs.len().max(1) as f64
+    }
+
+    /// Runtime reduction factor of parallel over serial execution.
+    pub fn runtime_reduction(&self) -> f64 {
+        if self.makespan == 0.0 {
+            1.0
+        } else {
+            self.serial_runtime / self.makespan
+        }
+    }
+}
+
+/// A planned workload without its schedule merge: the optimized
+/// circuits, their partition allocations, and the routed mappings,
+/// index-aligned ([`Pipeline::plan_unmerged`]).
+pub type WorkloadPlan = (Vec<Circuit>, Vec<Allocation>, Vec<MappedProgram>);
 
 /// A fully planned (not yet executed) workload.
 ///
@@ -141,11 +145,11 @@ pub trait Backend: Send + Sync {
 /// event stream, error probabilities and ideal states, and the
 /// noiseless reference the result is scored against. All of it is a
 /// pure function of the planned program, the device calibration and
-/// the noise flags, so [`SimulatorBackend`] keeps it **on the plan**,
-/// one slot per program; executing a plan whose slots are filled — the
-/// runtime shares one plan behind an `Arc` across every batch that hits
-/// its plan cache — runs only the shots, the counts and the score. The
-/// slots
+/// the noise flags, so [`PlannedWorkload::run_program`] keeps it **on
+/// the plan**, one slot per program; executing a plan whose slots are
+/// filled — the runtime shares one plan behind an `Arc` across every
+/// batch that hits its plan cache — runs only the shots, the counts and
+/// the score. The slots
 ///
 /// * fill on a program's **second** execution: a plan executed once (a
 ///   plan-cache entry that never hits) retains nothing and copies
@@ -179,15 +183,14 @@ pub struct PlannedWorkload {
     pub mapped: Vec<MappedProgram>,
     /// Merged-schedule noise context of the whole workload.
     pub context: WorkloadContext,
-    /// [`SimulatorBackend`]'s per-program replay state (see *Prepared
-    /// replay* above).
+    /// [`PlannedWorkload::run_program`]'s per-program replay state (see
+    /// *Prepared replay* above).
     prepared: PreparedSlots,
 }
 
-/// Most heap bytes of prepared state [`SimulatorBackend`] keeps per
-/// program of a [`PlannedWorkload`] (128 KiB — a 10-qubit program's
-/// states and tables fit, a 12-qubit one's do not and is prepared per
-/// execution).
+/// Most heap bytes of prepared state [`PlannedWorkload::run_program`]
+/// keeps per program (128 KiB — a 10-qubit program's states and tables
+/// fit, a 12-qubit one's do not and is prepared per execution).
 pub const PREPARED_RETAIN_BYTES: usize = 128 * 1024;
 
 /// Everything about executing one planned program that no seed, shot
@@ -203,6 +206,32 @@ struct PreparedProgram {
 }
 
 impl PreparedProgram {
+    /// Builds program `index`'s prepared state: the mapped job's
+    /// simulator state, and the logical circuit's noiseless
+    /// distribution and deterministic outcome from one statevector.
+    fn build(
+        device: &Device,
+        plan: &PlannedWorkload,
+        index: usize,
+        exec: &ExecutionConfig,
+    ) -> Result<Self, CoreError> {
+        let mp = &plan.mapped[index];
+        let job = PreparedJob::prepare(
+            &mp.circuit,
+            &mp.layout,
+            device,
+            &plan.context.scalings[index],
+            &plan.context.tail_idle[index],
+            exec,
+        )?;
+        let logical = Statevector::from_circuit(&plan.programs[index]);
+        Ok(PreparedProgram {
+            job,
+            ideal: logical.probabilities(),
+            ideal_outcome: logical.deterministic_outcome(),
+        })
+    }
+
     /// An upper bound on the heap bytes keeping this state costs.
     fn retained_bytes(&self) -> usize {
         self.job.retained_bytes() + std::mem::size_of_val(&self.ideal[..])
@@ -328,177 +357,50 @@ impl PlannedWorkload {
     pub fn used_qubits(&self) -> usize {
         self.allocations.iter().map(|a| a.qubits.len()).sum()
     }
-}
 
-/// The QuMC-style EFS partitioner behind QuCP and every baseline
-/// (policies differ only in candidate scoring).
-///
-/// Keeps no state of its own. The candidates of the first program it
-/// places — a pure function of the device's topology, its calibration
-/// and the program's width — come from the device's region atlas
-/// ([`Device::idle_regions`]): grown once per calibration snapshot,
-/// emptied by any mutable borrow of the calibration, at most one region
-/// per qubit per requested width, shared by clones of the device and
-/// ignored by its `PartialEq`/`Debug`. Two calls on equal devices
-/// therefore return equal allocations whatever either device has been
-/// asked before.
-#[derive(Debug, Clone, PartialEq)]
-pub struct EfsPartitioner {
-    /// Candidate-scoring policy.
-    pub policy: PartitionPolicy,
-}
-
-impl Partitioner for EfsPartitioner {
-    fn partition(
+    /// Stage 4: runs program `index` on the `qucp-sim` trajectory
+    /// simulator and scores it against its noiseless reference.
+    ///
+    /// Deterministic given `exec.seed`: the program's own seed derives
+    /// from `(exec.seed, index)` only ([`derive_program_seed`]), so
+    /// concurrent and serial batch execution agree bit for bit. The
+    /// same holds one level down: when `exec.parallelism` shards the
+    /// shot loop ([`qucp_sim::ShotParallelism`]), the result depends on
+    /// the shard count only, never on how many worker threads execute
+    /// the shards. `exec.kernel` ([`qucp_sim::TrajectoryKernel`])
+    /// selects the per-shot sampler; each kernel pins its own stream,
+    /// and both obey the same `(seed, shards)` purity contract.
+    ///
+    /// The state kept between calls is **plan-pure**: a function of the
+    /// planned program, the device calibration and `exec`'s noise flags
+    /// — never of `exec.seed`, `exec.shots`, `exec.parallelism` or
+    /// `exec.kernel`, and never of which call came first. Executing a
+    /// plan a second time gives bit for bit what a freshly planned copy
+    /// gives, under any calibration and any flags (see *Prepared
+    /// replay* above); from its third execution on a program pays for
+    /// neither the simulator set-up nor the noiseless reference.
+    ///
+    /// # Errors
+    ///
+    /// [`CoreError::Sim`] if the simulator rejects the mapped job
+    /// (which would indicate a mapping bug).
+    pub fn run_program(
         &self,
         device: &Device,
-        programs: &[&Circuit],
-    ) -> Result<Vec<Allocation>, CoreError> {
-        allocate_partitions(device, programs, &self.policy)
-    }
-}
-
-/// Reliability-weighted placement and SWAP routing, optionally with
-/// CNA's crosstalk-aware link penalty.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ReliabilityRouter {
-    /// Penalize SWAP links with strong crosstalk partners inside other
-    /// partitions (CNA's gate-level awareness).
-    pub crosstalk_aware: bool,
-}
-
-impl Router for ReliabilityRouter {
-    fn route_all(
-        &self,
-        device: &Device,
-        programs: &[Circuit],
-        allocations: &[Allocation],
-    ) -> Vec<MappedProgram> {
-        // Gate-level crosstalk penalty (CNA): routing avoids links with
-        // strong γ partners inside *other* partitions.
-        let all_links: Vec<Vec<Link>> = if self.crosstalk_aware {
-            allocations
-                .iter()
-                .map(|a| device.topology().links_within(&a.qubits))
-                .collect()
-        } else {
-            Vec::new()
-        };
-
-        allocations
-            .iter()
-            .enumerate()
-            .map(|(i, alloc)| {
-                let circuit = &programs[alloc.program_index];
-                // Placement and routing walk the same partition-local
-                // graph: built (all-pairs distances included) once.
-                let local = local_topology(device, &alloc.qubits);
-                let initial = initial_mapping_on(device, &alloc.qubits, &local, circuit);
-                if self.crosstalk_aware {
-                    let other_links: Vec<Link> = all_links
-                        .iter()
-                        .enumerate()
-                        .filter(|&(j, _)| j != i)
-                        .flat_map(|(_, ls)| ls.iter().copied())
-                        .collect();
-                    let topo = device.topology();
-                    let xtalk = device.crosstalk();
-                    let cal = device.calibration();
-                    route_on(device, &alloc.qubits, &local, circuit, &initial, |l| {
-                        let mut worst = 1.0f64;
-                        for &ol in &other_links {
-                            if !l.shares_qubit(&ol) && topo.link_distance(l, ol) == 1 {
-                                worst = worst.max(xtalk.gamma(l, ol));
-                            }
-                        }
-                        (worst - 1.0) * cal.cx_error(l)
-                    })
-                } else {
-                    route_on(device, &alloc.qubits, &local, circuit, &initial, |_| 0.0)
-                }
-            })
-            .collect()
-    }
-}
-
-/// End-aligned ALAP schedule merging (the paper's policy), charging
-/// either γ crosstalk amplification or CNA-style serialization delay.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct AlapMerger {
-    /// Serialize overlapping one-hop CNOTs instead of letting them
-    /// suffer crosstalk (CNA's scheduling behaviour).
-    pub serialize_conflicts: bool,
-}
-
-impl ScheduleMerger for AlapMerger {
-    fn merge(&self, device: &Device, mapped: &[MappedProgram]) -> WorkloadContext {
-        build_context(device, mapped, self.serialize_conflicts)
-    }
-}
-
-/// Per-program seed derivation shared by every backend: a golden-ratio
-/// stride keeps the trajectory streams of simultaneous programs
-/// independent of each other and of execution order.
-pub fn derive_program_seed(base: u64, index: usize) -> u64 {
-    base.wrapping_add(0x9E37_79B9_7F4A_7C15u64.wrapping_mul(index as u64 + 1))
-}
-
-/// The Monte-Carlo trajectory simulator backend (`qucp-sim`).
-///
-/// Keeps each re-executed program's prepared state on the plan (see
-/// [`PlannedWorkload`]'s *Prepared replay*), so from its third
-/// execution on a program pays for neither the simulator set-up nor
-/// the noiseless reference.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct SimulatorBackend;
-
-impl SimulatorBackend {
-    /// Builds program `index`'s prepared state: the mapped job's
-    /// simulator state, and the logical circuit's noiseless
-    /// distribution and deterministic outcome from one statevector.
-    fn prepare(
-        device: &Device,
-        plan: &PlannedWorkload,
-        index: usize,
-        exec: &ExecutionConfig,
-    ) -> Result<PreparedProgram, CoreError> {
-        let mp = &plan.mapped[index];
-        let job = PreparedJob::prepare(
-            &mp.circuit,
-            &mp.layout,
-            device,
-            &plan.context.scalings[index],
-            &plan.context.tail_idle[index],
-            exec,
-        )?;
-        let logical = Statevector::from_circuit(&plan.programs[index]);
-        Ok(PreparedProgram {
-            job,
-            ideal: logical.probabilities(),
-            ideal_outcome: logical.deterministic_outcome(),
-        })
-    }
-}
-
-impl Backend for SimulatorBackend {
-    fn run_program(
-        &self,
-        device: &Device,
-        plan: &PlannedWorkload,
         index: usize,
         exec: &ExecutionConfig,
     ) -> Result<ProgramResult, CoreError> {
-        let prepared = match plan.prepared.get(index, device, exec) {
+        let prepared = match self.prepared.get(index, device, exec) {
             Some(held) => held,
             None => {
-                let built = Arc::new(Self::prepare(device, plan, index, exec)?);
+                let built = Arc::new(PreparedProgram::build(device, self, index, exec)?);
                 if built.retained_bytes() <= PREPARED_RETAIN_BYTES {
-                    plan.prepared.put(index, device, &built);
+                    self.prepared.put(index, device, &built);
                 }
                 built
             }
         };
-        let mp = &plan.mapped[index];
+        let mp = &self.mapped[index];
         let exec = ExecutionConfig {
             seed: derive_program_seed(exec.seed, index),
             ..*exec
@@ -509,9 +411,9 @@ impl Backend for SimulatorBackend {
             .ideal_outcome
             .map(|target| counts.probability(target));
         Ok(ProgramResult {
-            name: plan.programs[index].name().to_string(),
-            partition: plan.allocations[index].qubits.clone(),
-            efs: plan.allocations[index].efs.score,
+            name: self.programs[index].name().to_string(),
+            partition: self.allocations[index].qubits.clone(),
+            efs: self.allocations[index].efs.score,
             swap_count: mp.swap_count,
             counts,
             pst,
@@ -520,38 +422,90 @@ impl Backend for SimulatorBackend {
     }
 }
 
-/// A staged execution pipeline: one implementation per stage.
-pub struct Pipeline {
-    /// Stage 1: region allocation.
-    pub partitioner: Box<dyn Partitioner>,
-    /// Stage 2: placement and routing.
-    pub router: Box<dyn Router>,
-    /// Stage 3: schedule merging.
-    pub merger: Box<dyn ScheduleMerger>,
-    /// Stage 4: execution and scoring.
-    pub backend: Box<dyn Backend>,
+/// Per-program seed derivation of [`PlannedWorkload::run_program`]: a
+/// golden-ratio stride keeps the trajectory streams of simultaneous
+/// programs independent of each other and of execution order.
+pub fn derive_program_seed(base: u64, index: usize) -> u64 {
+    base.wrapping_add(0x9E37_79B9_7F4A_7C15u64.wrapping_mul(index as u64 + 1))
 }
 
-impl std::fmt::Debug for Pipeline {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Pipeline").finish_non_exhaustive()
-    }
+/// Stage 2: places and routes `programs[allocations[i].program_index]`
+/// onto `allocations[i].qubits`, returning mapped programs
+/// index-aligned with `allocations`. With `crosstalk_aware` (CNA's
+/// gate-level awareness) a SWAP link pays for its strongest γ partner
+/// inside *other* partitions.
+fn route_all(
+    device: &Device,
+    programs: &[Circuit],
+    allocations: &[Allocation],
+    crosstalk_aware: bool,
+) -> Vec<MappedProgram> {
+    let all_links: Vec<Vec<Link>> = if crosstalk_aware {
+        allocations
+            .iter()
+            .map(|a| device.topology().links_within(&a.qubits))
+            .collect()
+    } else {
+        Vec::new()
+    };
+
+    allocations
+        .iter()
+        .enumerate()
+        .map(|(i, alloc)| {
+            let circuit = &programs[alloc.program_index];
+            // Placement and routing walk the same partition-local
+            // graph: built (all-pairs distances included) once.
+            let local = local_topology(device, &alloc.qubits);
+            let initial = initial_mapping_on(device, &alloc.qubits, &local, circuit);
+            if crosstalk_aware {
+                let other_links: Vec<Link> = all_links
+                    .iter()
+                    .enumerate()
+                    .filter(|&(j, _)| j != i)
+                    .flat_map(|(_, ls)| ls.iter().copied())
+                    .collect();
+                let topo = device.topology();
+                let xtalk = device.crosstalk();
+                let cal = device.calibration();
+                route_on(device, &alloc.qubits, &local, circuit, &initial, |l| {
+                    let mut worst = 1.0f64;
+                    for &ol in &other_links {
+                        if !l.shares_qubit(&ol) && topo.link_distance(l, ol) == 1 {
+                            worst = worst.max(xtalk.gamma(l, ol));
+                        }
+                    }
+                    (worst - 1.0) * cal.cx_error(l)
+                })
+            } else {
+                route_on(device, &alloc.qubits, &local, circuit, &initial, |_| 0.0)
+            }
+        })
+        .collect()
 }
 
-impl Pipeline {
-    /// Assembles the stage combination matching a paper [`Strategy`].
-    pub fn from_strategy(strategy: &Strategy) -> Pipeline {
+/// The four stages under one [`Strategy`]'s planning settings, borrowed
+/// from it: building a pipeline copies a reference and two flags.
+#[derive(Debug, Clone, Copy)]
+pub struct Pipeline<'s> {
+    /// Stage 1's candidate scoring.
+    partition: &'s PartitionPolicy,
+    /// Stage 2: penalize SWAP links with strong crosstalk partners
+    /// inside other partitions (CNA's gate-level awareness).
+    crosstalk_aware_routing: bool,
+    /// Stage 3: serialize overlapping one-hop CNOTs instead of letting
+    /// them suffer crosstalk (CNA's scheduling behaviour).
+    serialize_conflicts: bool,
+}
+
+impl<'s> Pipeline<'s> {
+    /// The pipeline of a paper [`Strategy`] (QuCP, QuMC, CNA, MultiQC,
+    /// QuCloud).
+    pub fn from_strategy(strategy: &'s Strategy) -> Self {
         Pipeline {
-            partitioner: Box::new(EfsPartitioner {
-                policy: strategy.partition.clone(),
-            }),
-            router: Box::new(ReliabilityRouter {
-                crosstalk_aware: strategy.crosstalk_aware_routing,
-            }),
-            merger: Box::new(AlapMerger {
-                serialize_conflicts: strategy.serialize_conflicts,
-            }),
-            backend: Box::new(SimulatorBackend),
+            partition: &strategy.partition,
+            crosstalk_aware_routing: strategy.crosstalk_aware_routing,
+            serialize_conflicts: strategy.serialize_conflicts,
         }
     }
 
@@ -560,8 +514,8 @@ impl Pipeline {
     /// score on the chip it would share — is known here, so a caller
     /// that may still drop members decides on allocations and pays for
     /// [`complete`](Pipeline::complete) once, for the set that stays.
-    /// With [`EfsPartitioner`] the first placement and every solo probe
-    /// read the device's region atlas (see [`crate::partition`]).
+    /// The first placement and every solo probe read the device's
+    /// region atlas (see [`crate::partition`]).
     ///
     /// # Errors
     ///
@@ -574,7 +528,7 @@ impl Pipeline {
         programs: &[Circuit],
     ) -> Result<Vec<Allocation>, CoreError> {
         let refs: Vec<&Circuit> = programs.iter().collect();
-        self.partitioner.partition(device, &refs)
+        allocate_partitions(device, &refs, self.partition)
     }
 
     /// Runs stages 2–3 on an allocated workload: routes every program
@@ -587,8 +541,13 @@ impl Pipeline {
         programs: Vec<Circuit>,
         allocations: Vec<Allocation>,
     ) -> PlannedWorkload {
-        let mapped = self.router.route_all(device, &programs, &allocations);
-        let context = self.merger.merge(device, &mapped);
+        let mapped = route_all(
+            device,
+            &programs,
+            &allocations,
+            self.crosstalk_aware_routing,
+        );
+        let context = build_context(device, &mapped, self.serialize_conflicts);
         PlannedWorkload {
             programs,
             allocations,
@@ -599,9 +558,9 @@ impl Pipeline {
     }
 
     /// Runs stages 1–2 only: optimize, partition and route, skipping
-    /// the schedule merge. Plan-only callers (threshold explorers,
-    /// ablation benches) use this to avoid paying the cross-program
-    /// overlap scan for a context they would discard.
+    /// the schedule merge. Plan-only callers (σ tuning, the threshold
+    /// explorer) use this to avoid paying the cross-program overlap
+    /// scan for a context they would discard.
     ///
     /// # Errors
     ///
@@ -616,7 +575,12 @@ impl Pipeline {
     ) -> Result<WorkloadPlan, CoreError> {
         let optimized = optimized(programs, optimize);
         let allocations = self.allocate(device, &optimized)?;
-        let mapped = self.router.route_all(device, &optimized, &allocations);
+        let mapped = route_all(
+            device,
+            &optimized,
+            &allocations,
+            self.crosstalk_aware_routing,
+        );
         Ok((optimized, allocations, mapped))
     }
 
@@ -639,28 +603,36 @@ impl Pipeline {
         Ok(self.complete(device, optimized, allocations))
     }
 
-    /// Executes an already planned workload serially (program order).
+    /// Runs stage 4 on every program of an already planned workload,
+    /// serially in program order.
     ///
     /// # Errors
     ///
-    /// Propagates backend failures.
+    /// Propagates [`PlannedWorkload::run_program`] failures.
     pub fn execute_plan(
         &self,
         device: &Device,
         plan: &PlannedWorkload,
         cfg: &ParallelConfig,
     ) -> Result<ParallelOutcome, CoreError> {
-        let results = (0..plan.programs.len())
-            .map(|i| self.backend.run_program(device, plan, i, &cfg.execution))
+        let programs = (0..plan.programs.len())
+            .map(|i| plan.run_program(device, i, &cfg.execution))
             .collect::<Result<Vec<_>, _>>()?;
-        Ok(assemble_outcome(device, plan, results))
+        Ok(ParallelOutcome {
+            programs,
+            throughput: device.throughput(plan.used_qubits()),
+            conflict_count: plan.context.conflict_count,
+            makespan: plan.context.makespan,
+            serial_runtime: plan.context.serial_runtime,
+        })
     }
 
     /// Plans and executes `programs` end to end.
     ///
     /// # Errors
     ///
-    /// Propagates planning and backend failures.
+    /// Returns a [`CoreError`] if partitioning fails or a mapped job is
+    /// rejected by the simulator (which would indicate a mapping bug).
     pub fn execute(
         &self,
         device: &Device,
@@ -684,22 +656,6 @@ fn optimized(programs: &[Circuit], optimize: bool) -> Vec<Circuit> {
     optimized
 }
 
-/// Builds the workload-level outcome from per-program results (shared
-/// by the serial driver and the concurrent runtime).
-pub fn assemble_outcome(
-    device: &Device,
-    plan: &PlannedWorkload,
-    results: Vec<ProgramResult>,
-) -> ParallelOutcome {
-    ParallelOutcome {
-        programs: results,
-        throughput: device.throughput(plan.used_qubits()),
-        conflict_count: plan.context.conflict_count,
-        makespan: plan.context.makespan,
-        serial_runtime: plan.context.serial_runtime,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -714,6 +670,14 @@ mod tests {
         }
     }
 
+    /// Stage 4 over every program of `plan`.
+    fn execute(device: &Device, plan: &PlannedWorkload, cfg: &ParallelConfig) -> ParallelOutcome {
+        let qucp = strategy::qucp(4.0);
+        Pipeline::from_strategy(&qucp)
+            .execute_plan(device, plan, cfg)
+            .unwrap()
+    }
+
     #[test]
     fn pipeline_stages_compose() {
         let dev = ibm::toronto();
@@ -721,40 +685,17 @@ mod tests {
             library::by_name("fredkin").unwrap().circuit(),
             library::by_name("bell").unwrap().circuit(),
         ];
-        let pipe = Pipeline::from_strategy(&strategy::qucp(4.0));
+        let qucp = strategy::qucp(4.0);
+        let pipe = Pipeline::from_strategy(&qucp);
         let plan = pipe.plan(&dev, &progs, true).unwrap();
         assert_eq!(plan.programs.len(), 2);
         assert_eq!(plan.allocations.len(), 2);
         assert_eq!(plan.mapped.len(), 2);
         let widths: usize = plan.programs.iter().map(Circuit::width).sum();
         assert_eq!(plan.used_qubits(), widths);
-        let out = pipe.execute_plan(&dev, &plan, &quick_cfg()).unwrap();
+        let out = execute(&dev, &plan, &quick_cfg());
         assert_eq!(out.programs.len(), 2);
         assert_eq!(out.programs[0].counts.shots(), 256);
-    }
-
-    #[test]
-    fn custom_stage_swaps_in() {
-        /// A partitioner that delegates but reverses nothing — proves a
-        /// foreign implementation satisfies the driver.
-        struct Recording(EfsPartitioner);
-        impl Partitioner for Recording {
-            fn partition(
-                &self,
-                device: &Device,
-                programs: &[&Circuit],
-            ) -> Result<Vec<Allocation>, CoreError> {
-                self.0.partition(device, programs)
-            }
-        }
-        let dev = ibm::toronto();
-        let progs = vec![library::by_name("fredkin").unwrap().circuit()];
-        let mut pipe = Pipeline::from_strategy(&strategy::qucp(4.0));
-        pipe.partitioner = Box::new(Recording(EfsPartitioner {
-            policy: strategy::qucp(4.0).partition,
-        }));
-        let out = pipe.execute(&dev, &progs, &quick_cfg()).unwrap();
-        assert_eq!(out.programs.len(), 1);
     }
 
     #[test]
@@ -787,13 +728,14 @@ mod tests {
 
     /// A two-program plan on Toronto plus a recalibrated twin of the
     /// chip (every CNOT and readout error moved), for the replay tests.
-    fn replay_fixture() -> (Pipeline, Device, Device, PlannedWorkload) {
+    fn replay_fixture() -> (Device, Device, PlannedWorkload) {
         let dev = ibm::toronto();
         let progs = vec![
             library::by_name("fredkin").unwrap().circuit(),
             library::by_name("bell").unwrap().circuit(),
         ];
-        let pipe = Pipeline::from_strategy(&strategy::qucp(4.0));
+        let qucp = strategy::qucp(4.0);
+        let pipe = Pipeline::from_strategy(&qucp);
         let plan = pipe.plan(&dev, &progs, true).unwrap();
         let mut drifted = dev.clone();
         for (_, e) in drifted.calibration_mut().cx_errors_mut() {
@@ -802,13 +744,13 @@ mod tests {
         for e in drifted.calibration_mut().readout_errors_mut() {
             *e *= 0.5;
         }
-        (pipe, dev, drifted, plan)
+        (dev, drifted, plan)
     }
 
     #[test]
     fn replayed_plan_equals_a_fresh_plan_under_any_calibration_and_flags() {
         use qucp_sim::{ShotParallelism, TrajectoryKernel};
-        let (pipe, dev, drifted, plan) = replay_fixture();
+        let (dev, drifted, plan) = replay_fixture();
         let mut cfgs = Vec::new();
         for kernel in [TrajectoryKernel::Replay, TrajectoryKernel::SurvivalSkip] {
             for parallelism in [
@@ -839,30 +781,27 @@ mod tests {
                 for seed in [7, 8] {
                     let mut cfg = *cfg;
                     cfg.execution.seed = seed;
-                    let replayed = pipe.execute_plan(device, &plan, &cfg).unwrap();
-                    let fresh = pipe.execute_plan(device, &plan.clone(), &cfg).unwrap();
+                    let replayed = execute(device, &plan, &cfg);
+                    let fresh = execute(device, &plan.clone(), &cfg);
                     assert_eq!(replayed, fresh, "{cfg:?}");
                 }
             }
         }
         // The calibrations really do differ in what they produce.
         let cfg = quick_cfg();
-        assert_ne!(
-            pipe.execute_plan(&dev, &plan, &cfg).unwrap(),
-            pipe.execute_plan(&drifted, &plan, &cfg).unwrap()
-        );
+        assert_ne!(execute(&dev, &plan, &cfg), execute(&drifted, &plan, &cfg));
     }
 
     #[test]
     fn prepared_slots_are_not_part_of_the_plans_value() {
-        let (pipe, dev, drifted, plan) = replay_fixture();
+        let (dev, drifted, plan) = replay_fixture();
         let exec = quick_cfg().execution;
         let untouched = plan.clone();
         let debug_before = format!("{plan:?}");
         // The first execution leaves its mark, the second fills.
-        pipe.execute_plan(&dev, &plan, &quick_cfg()).unwrap();
+        execute(&dev, &plan, &quick_cfg());
         assert!(plan.prepared.get(0, &dev, &exec).is_none());
-        pipe.execute_plan(&dev, &plan, &quick_cfg()).unwrap();
+        execute(&dev, &plan, &quick_cfg());
         // Filled for this calibration and these flags only...
         assert!(plan.prepared.get(0, &dev, &exec).is_some());
         assert!(plan
@@ -878,7 +817,7 @@ mod tests {
         assert_eq!(format!("{plan:?}"), debug_before);
         assert!(plan.clone().prepared.get(0, &dev, &exec).is_none());
         // A new calibration empties every slot before refilling.
-        pipe.execute_plan(&drifted, &plan, &quick_cfg()).unwrap();
+        execute(&drifted, &plan, &quick_cfg());
         assert!(plan.prepared.get(0, &drifted, &exec).is_some());
         assert!(plan.prepared.get(0, &dev, &exec).is_none());
     }
@@ -892,17 +831,14 @@ mod tests {
 
     #[test]
     fn prepared_slots_know_their_snapshot_by_identity_and_fall_back_to_its_value() {
-        let (pipe, mut dev, _, plan) = replay_fixture();
+        let (mut dev, _, plan) = replay_fixture();
         let cfg = quick_cfg();
         let exec = cfg.execution;
         // A clone's slots start empty: what a fresh plan produces.
-        let fresh = |device: &Device| pipe.execute_plan(device, &plan.clone(), &cfg).unwrap();
+        let fresh = |device: &Device| execute(device, &plan.clone(), &cfg);
         let replays = |device: &Device| {
             let held = plan.prepared.get(0, device, &exec).is_some();
-            assert_eq!(
-                pipe.execute_plan(device, &plan, &cfg).unwrap(),
-                fresh(device)
-            );
+            assert_eq!(execute(device, &plan, &cfg), fresh(device));
             held
         };
         // Filling (the second execution) compares nothing: there is no
@@ -946,19 +882,20 @@ mod tests {
             library::ghz(14),
             library::by_name("bell").unwrap().circuit(),
         ];
-        let pipe = Pipeline::from_strategy(&strategy::qucp(4.0));
+        let qucp = strategy::qucp(4.0);
+        let pipe = Pipeline::from_strategy(&qucp);
         let plan = pipe.plan(&dev, &progs, true).unwrap();
         let cfg = quick_cfg();
-        let first = pipe.execute_plan(&dev, &plan, &cfg).unwrap();
-        assert_eq!(pipe.execute_plan(&dev, &plan, &cfg).unwrap(), first);
+        let first = execute(&dev, &plan, &cfg);
+        assert_eq!(execute(&dev, &plan, &cfg), first);
         assert!(plan.prepared.get(0, &dev, &cfg.execution).is_none());
         let small = plan
             .prepared
             .get(1, &dev, &cfg.execution)
             .expect("bell fits");
         assert!(small.retained_bytes() <= PREPARED_RETAIN_BYTES);
-        assert_eq!(pipe.execute_plan(&dev, &plan, &cfg).unwrap(), first);
-        assert_eq!(pipe.execute_plan(&dev, &plan.clone(), &cfg).unwrap(), first);
+        assert_eq!(execute(&dev, &plan, &cfg), first);
+        assert_eq!(execute(&dev, &plan.clone(), &cfg), first);
     }
 
     #[test]

@@ -133,33 +133,11 @@ pub fn solo_efs_scores(
         .collect())
 }
 
-/// The mean EFS excess of a heterogeneous batch (the batch-level
-/// analogue of [`efs_difference`]): the average of
-/// [`batch_efs_excesses`]. Zero when every member still gets a
-/// partition as good as its solo best — which, unlike the homogeneous
-/// case, can happen even for multi-member batches whose members prefer
-/// disjoint chip regions.
-///
-/// # Errors
-///
-/// Propagates partition failures.
-pub fn batch_efs_difference(
-    device: &Device,
-    circuits: &[&Circuit],
-    strategy: &Strategy,
-) -> Result<f64, CoreError> {
-    if circuits.is_empty() {
-        return Ok(0.0);
-    }
-    let excesses = batch_efs_excesses(device, circuits, strategy)?;
-    Ok(excesses.iter().sum::<f64>() / circuits.len() as f64)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::executor::{execute_parallel, ParallelConfig};
     use crate::strategy;
+    use crate::{ParallelConfig, Pipeline};
     use qucp_circuit::library;
     use qucp_device::ibm;
     use qucp_sim::ExecutionConfig;
@@ -220,10 +198,10 @@ mod tests {
         assert_eq!(crowded.len(), 4);
         assert!(crowded.iter().all(|&e| e >= 0.0));
         assert!(crowded.iter().sum::<f64>() > 0.0);
-        // Heterogeneous pair: mean tracks the per-member excesses.
+        // Heterogeneous pair: one non-negative excess per member.
         let pair = batch_efs_excesses(&dev, &[&a, &b], &s).unwrap();
-        let mean = batch_efs_difference(&dev, &[&a, &b], &s).unwrap();
-        assert!((mean - pair.iter().sum::<f64>() / 2.0).abs() < 1e-12);
+        assert_eq!(pair.len(), 2);
+        assert!(pair.iter().all(|&e| e >= 0.0));
     }
 
     #[test]
@@ -233,8 +211,8 @@ mod tests {
         let dev = ibm::manhattan();
         let c = library::by_name("4mod5-v1_22").unwrap().circuit();
         let s = strategy::qucp(4.0);
-        let copies = [&c, &c, &c];
-        let batch = batch_efs_difference(&dev, &copies, &s).unwrap();
+        let excesses = batch_efs_excesses(&dev, &[&c, &c, &c], &s).unwrap();
+        let batch = excesses.iter().sum::<f64>() / 3.0;
         let homog = efs_difference(&dev, &c, 3, &s).unwrap();
         assert!((batch - homog).abs() < 1e-12, "batch {batch} vs {homog}");
     }
@@ -255,7 +233,10 @@ mod tests {
             .iter()
             .map(|&threshold| {
                 let k = parallel_count_for_threshold(&dev, &c, threshold, 4, &s).unwrap();
-                let out = execute_parallel(&dev, &vec![c.clone(); k], &s, &cfg).unwrap();
+                let copies = vec![c.clone(); k];
+                let out = Pipeline::from_strategy(&s)
+                    .execute(&dev, &copies, &cfg)
+                    .unwrap();
                 (k, out)
             })
             .collect();

@@ -48,13 +48,16 @@
 //!    interned once at submit: cache keys hold the interned handles,
 //!    and two circuits share a handle only after their gate sequences
 //!    compared equal, so no entry is ever replayed on the strength of
-//!    a hash. The batch then runs through
-//!    the staged [`Pipeline`](qucp_core::pipeline::Pipeline) of the
-//!    head's effective strategy; partition pressure shrinks the batch
-//!    from the tail. Every committed decision is recorded as an
+//!    a hash. The batch is then planned by the
+//!    [`Pipeline`](qucp_core::pipeline::Pipeline) of the head's
+//!    effective strategy: the shrink loop runs on its allocation stage
+//!    alone (partition pressure shrinks the batch from the tail), and
+//!    routing and the schedule merge run once, for the members that
+//!    stayed. Every committed decision is recorded as an
 //!    [`Event::BatchRouted`] carrying the winning score.
-//! 4. **Execute** — the programs of the planned batch run on the
-//!    pipeline backend through the workspace's one fan-out helper
+//! 4. **Execute** — the programs of the planned batch run
+//!    ([`PlannedWorkload::run_program`](qucp_core::pipeline::PlannedWorkload::run_program))
+//!    through the workspace's one fan-out helper
 //!    (`qucp_sim::run_indexed`). **The fan-out rule:** the dispatching
 //!    thread claims programs itself off a shared index; helper threads
 //!    join it only when the process has more than one core to offer
@@ -75,7 +78,7 @@
 //!    what a program needs before its first shot — the simulator's
 //!    event stream, error probabilities and ideal states, and the
 //!    noiseless reference it is scored against — is a pure function of
-//!    the plan, so the backend keeps it on the
+//!    the plan, so execution keeps it on the
 //!    [`PlannedWorkload`](qucp_core::pipeline::PlannedWorkload) the
 //!    plan cache already shares: a plan-cache hit is an execution
 //!    set-up hit too, and replaying a cached plan runs only the shots,
@@ -148,7 +151,7 @@
 //! | dispatch step: admitting devices | O(log D) + A width-bucket suffix |
 //! | routing / head-only gate probes | one partition probe per (device, circuit shape, strategy[, threshold]) per calibration epoch, then a cache hit |
 //! | batch planning | partition + map + merge on a plan-cache miss (the only path that clones the members' circuits); on a hit (repeat member shapes at one calibration epoch) one lookup under the literal key *(device, epoch, gate mode, optimize, strategy key, member shape handles, threshold bits)* — O(members) handle copies — and a borrowed replay of the entry's shrink trace |
-//! | staging and execution | the batch's device is borrowed from the registry, never cloned; the members leave the pending store by value into one record per job, the head's strategy and pipeline are one shared table entry, and ranking, packing and the key lookup run in buffers the service keeps |
+//! | staging and execution | the batch's device is borrowed from the registry, never cloned; the members leave the pending store by value into one record per job, the head's strategy is one shared table entry, and ranking, packing and the key lookup run in buffers the service keeps |
 //! | batch removal | offset bump (front run) or one compaction pass |
 //! | recalibrate / drift epoch bump | one pass over the cache, dropping the bumped device's probes and plans, and one over the shape table, dropping the shapes nothing holds any more |
 //! | execution set-up per program | ALAP schedule + event sort + three statevector passes on the first two executions of a plan (the second fills the slots); a replayed plan then pays a pointer comparison (is this still the calibration snapshot the slots were filled under?) and an `Arc` clone (prepared replay) |

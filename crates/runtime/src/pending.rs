@@ -48,17 +48,15 @@
 //!   batches share a cache entry only if their heads' strategies are
 //!   the same table entry, which is the very equality that lets their
 //!   jobs share a batch.
-//! * **Dispatch.** An entry is the strategy *and* the staged pipeline
-//!   assembled from it, once, behind one [`Arc`]
-//!   ([`StrategyEntry`]): a dispatch step and the batch it stages hold
-//!   the head's entry by reference count, so no dispatch clones a
-//!   strategy or boxes a pipeline stage.
+//! * **Dispatch.** An entry is the strategy, once, behind one [`Arc`]:
+//!   a dispatch step holds the head's entry by reference count, so no
+//!   dispatch clones a strategy, and planning borrows the entry's
+//!   settings ([`qucp_core::Pipeline::from_strategy`]).
 
 use std::collections::HashMap;
 use std::sync::Arc;
 
 use qucp_circuit::Circuit;
-use qucp_core::pipeline::Pipeline;
 use qucp_core::Strategy;
 use qucp_sim::{ShotParallelism, TrajectoryKernel};
 
@@ -66,22 +64,6 @@ use crate::error::RuntimeError;
 use crate::policy::JobView;
 use crate::registry::RoutingChoice;
 use crate::shape::Shape;
-
-/// One interned strategy with the pipeline assembled from it.
-#[derive(Debug)]
-pub(crate) struct StrategyEntry {
-    pub(crate) strategy: Strategy,
-    pub(crate) pipeline: Pipeline,
-}
-
-impl StrategyEntry {
-    fn new(strategy: Strategy) -> Arc<Self> {
-        Arc::new(StrategyEntry {
-            pipeline: Pipeline::from_strategy(&strategy),
-            strategy,
-        })
-    }
-}
 
 /// A pending (admitted but not yet dispatched) job.
 #[derive(Debug, Clone)]
@@ -153,7 +135,7 @@ pub(crate) struct PendingStore {
     /// offset instead of shifting the vector.
     head: usize,
     /// Distinct strategies seen so far; slot 0 holds the default.
-    interned: Vec<Arc<StrategyEntry>>,
+    interned: Vec<Arc<Strategy>>,
     /// Live jobs whose interned key is not 0. While 0, `prepare` skips
     /// joinable-flag maintenance entirely.
     overrides: usize,
@@ -169,7 +151,7 @@ impl PendingStore {
             views: Vec::new(),
             keys: Vec::new(),
             head: 0,
-            interned: vec![StrategyEntry::new(default)],
+            interned: vec![Arc::new(default)],
             overrides: 0,
             flags_dirty: false,
         }
@@ -180,25 +162,20 @@ impl PendingStore {
     pub(crate) fn strategy_key(&mut self, strategy: Option<Strategy>) -> u32 {
         match strategy {
             None => 0,
-            Some(s) => match self.interned.iter().position(|x| x.strategy == s) {
+            Some(s) => match self.interned.iter().position(|x| **x == s) {
                 Some(i) => i as u32,
                 None => {
-                    self.interned.push(StrategyEntry::new(s));
+                    self.interned.push(Arc::new(s));
                     (self.interned.len() - 1) as u32
                 }
             },
         }
     }
 
-    /// The strategy behind a key handed out by
-    /// [`PendingStore::strategy_key`].
-    pub(crate) fn strategy(&self, key: u32) -> &Strategy {
-        &self.interned[key as usize].strategy
-    }
-
-    /// The shared entry behind a key: what a dispatch step holds of its
+    /// The shared strategy behind a key handed out by
+    /// [`PendingStore::strategy_key`]: what a dispatch step holds of its
     /// head's strategy.
-    pub(crate) fn strategy_entry(&self, key: u32) -> &Arc<StrategyEntry> {
+    pub(crate) fn strategy(&self, key: u32) -> &Arc<Strategy> {
         &self.interned[key as usize]
     }
 
@@ -490,7 +467,7 @@ mod tests {
         let mut store = store();
         store.insert(pending(0, 0.0, 0));
         let other_key = store.strategy_key(Some(other.clone()));
-        assert_eq!((other_key, store.strategy(other_key)), (1, &other));
+        assert_eq!((other_key, &**store.strategy(other_key)), (1, &other));
         assert_eq!(store.strategy_key(Some(other)), 1, "interned once");
         store.insert(pending(1, 1.0, other_key));
         // An override equal to the default interns to the default
@@ -632,14 +609,14 @@ mod tests {
         assert!(store.get(0).is_none() && store.get(1).is_none());
     }
 
-    /// One table entry — one pipeline — per distinct strategy, shared by
-    /// reference count; a strategy unequal to itself gets a fresh entry
-    /// per submission, as its key always did.
+    /// One table entry per distinct strategy, shared by reference
+    /// count; a strategy unequal to itself gets a fresh entry per
+    /// submission, as its key always did.
     #[test]
     fn one_strategy_entry_per_distinct_strategy() {
         let mut store = store();
         let cna = store.strategy_key(Some(strategy::cna()));
-        let entry = Arc::clone(store.strategy_entry(cna));
+        let entry = Arc::clone(store.strategy(cna));
         for _ in 0..3 {
             assert_eq!(store.strategy_key(Some(strategy::cna())), cna);
             assert_eq!(
@@ -647,17 +624,14 @@ mod tests {
                 0
             );
         }
-        assert!(Arc::ptr_eq(&entry, store.strategy_entry(cna)));
-        assert_eq!(entry.strategy, strategy::cna());
+        assert!(Arc::ptr_eq(&entry, store.strategy(cna)));
+        assert_eq!(*entry, strategy::cna());
         assert_eq!(store.interned.len(), 2);
         let nan = [
             store.strategy_key(Some(strategy::qucp(f64::NAN))),
             store.strategy_key(Some(strategy::qucp(f64::NAN))),
         ];
         assert_eq!(nan, [2, 3]);
-        assert!(!Arc::ptr_eq(
-            store.strategy_entry(nan[0]),
-            store.strategy_entry(nan[1])
-        ));
+        assert!(!Arc::ptr_eq(store.strategy(nan[0]), store.strategy(nan[1])));
     }
 }

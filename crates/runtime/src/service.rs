@@ -367,7 +367,7 @@ impl Service {
     /// # Errors
     ///
     /// [`RuntimeError::JobUnplaceable`] when a job cannot run alone on
-    /// any registered device; [`RuntimeError::Core`] on backend
+    /// any registered device; [`RuntimeError::Core`] on execution
     /// failures.
     pub fn run_until_drained(&mut self) -> Result<ServiceReport, RuntimeError> {
         self.dispatch_until(f64::INFINITY)?;

@@ -6,7 +6,7 @@
 //!
 //! Until its batch commits a job is one `Pending` record in the store,
 //! and staging reads it there: the head's numbers are copied into a
-//! [`HeadContext`] (no circuit, the strategy entry by reference count),
+//! [`HeadContext`] (no circuit, the strategy by reference count),
 //! ranking, packing and the plan-key lookup fill the buffers of one
 //! [`DispatchScratch`] the service keeps, and a plan-cache hit shares
 //! the cached plan behind its `Arc`. [`Service::commit`] then takes
@@ -21,17 +21,17 @@
 use std::sync::Arc;
 
 use qucp_core::pipeline::PlannedWorkload;
-use qucp_core::{ParallelConfig, ProgramResult};
+use qucp_core::{ParallelConfig, ProgramResult, Strategy};
 use qucp_device::Device;
 use qucp_sim::{run_indexed, ExecutionConfig, ShotParallelism, TrajectoryKernel};
 
-use super::gate::plan_gated_members;
+use super::gate::plan_batch;
 use super::route_cache::{replay_plan, PlanKey};
 use super::{BatchReport, EfsGate, JobTicket, Service};
 use crate::error::RuntimeError;
 use crate::event::Event;
 use crate::job::JobResult;
-use crate::pending::{Pending, StrategyEntry};
+use crate::pending::Pending;
 use crate::policy::BatchBudget;
 use crate::registry::{RouteQuery, RoutingChoice, RoutingPolicy};
 use crate::shape::Shape;
@@ -128,7 +128,7 @@ impl Service {
             width: p.width,
             cx_count: p.cx_count,
             routing: p.routing,
-            entry: Arc::clone(self.pending.strategy_entry(p.strategy_key)),
+            strategy: Arc::clone(self.pending.strategy(p.strategy_key)),
             strategy_key: p.strategy_key,
             threshold: p.fidelity_threshold.or(self.cfg.fidelity_threshold),
             shape: p.shape.clone(),
@@ -357,7 +357,6 @@ impl Service {
         Ok(StagedBatch {
             device_index: d,
             batch_index,
-            entry: head.entry,
             plan,
             start,
             completion,
@@ -485,13 +484,12 @@ impl Service {
         self.route_cache.plan_misses += 1;
         let members = self.plan_members(&scratch.picks_seqs)?;
         let plan_started = std::time::Instant::now();
-        let gated = plan_gated_members(
-            &head.entry.pipeline,
+        let gated = plan_batch(
             device,
             head.batch_index,
             self.efs_gate,
             self.cfg.optimize,
-            &head.entry.strategy,
+            &head.strategy,
             members,
         );
         self.plan_ns = self
@@ -605,10 +603,10 @@ pub(super) struct HeadContext {
     pub(super) cx_count: usize,
     /// The head's routing override (if any) routes this batch.
     pub(super) routing: Option<RoutingChoice>,
-    /// The head's effective strategy and its pipeline, shared with the
-    /// store's table: the strategy decides joinability, plans the batch
-    /// and parameterizes the probes.
-    pub(super) entry: Arc<StrategyEntry>,
+    /// The head's effective strategy, shared with the store's table: it
+    /// decides joinability, plans the batch and parameterizes the
+    /// probes.
+    pub(super) strategy: Arc<Strategy>,
     /// The store's key of that strategy: the strategy component of
     /// every plan and probe cache key, and the joinability filter.
     pub(super) strategy_key: u32,
@@ -644,15 +642,14 @@ struct Member {
 /// One staged batch: every scheduling decision made, every queue/clock
 /// mutation applied, and the batch's full event block buffered — with
 /// execution and the event/statistics fold still pending
-/// ([`Service::finish_batch`]). One self-contained record: the plan and
-/// the strategy entry behind their [`Arc`]s, the members by value — so
-/// the fan-out's threads run its programs from a `&self` reference;
+/// ([`Service::finish_batch`]). One self-contained record: the plan
+/// behind its [`Arc`], the members by value — so the fan-out's threads
+/// run its programs from a `&self` reference;
 /// the device stays in the registry, which nothing touches between
 /// staging and finishing.
 struct StagedBatch {
     device_index: usize,
     batch_index: usize,
-    entry: Arc<StrategyEntry>,
     plan: Arc<PlannedWorkload>,
     start: f64,
     completion: f64,
@@ -664,8 +661,8 @@ struct StagedBatch {
 }
 
 /// Per-batch seed derivation: a distinct odd stride keeps batch streams
-/// disjoint from the per-program golden-ratio stride used inside the
-/// backend.
+/// disjoint from the per-program golden-ratio stride of
+/// [`PlannedWorkload::run_program`].
 pub(crate) fn derive_batch_seed(base: u64, batch_index: usize) -> u64 {
     base.wrapping_add(0xD1B5_4A32_D192_ED03u64.wrapping_mul(batch_index as u64 + 1))
 }
@@ -688,10 +685,8 @@ impl StagedBatch {
                 kernel: member.kernel,
                 ..ParallelConfig::default().execution
             };
-            self.entry
-                .pipeline
-                .backend
-                .run_program(device, &self.plan, pos, &exec)
+            self.plan
+                .run_program(device, pos, &exec)
                 .map_err(RuntimeError::Core)
         })
         .into_iter()

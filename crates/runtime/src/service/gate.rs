@@ -1,11 +1,11 @@
-//! The planning shrink loop: plan a packed batch, evicting members
-//! while the partitioner cannot place it or the EFS gate finds one over
-//! its threshold.
+//! The planning shrink loop: allocate a packed batch, evicting members
+//! while the allocator cannot place it or the EFS gate finds one over
+//! its threshold, then route and merge the members that stayed, once.
 
 use qucp_circuit::Circuit;
 use qucp_core::pipeline::{Pipeline, PlannedWorkload};
 use qucp_core::threshold::solo_efs_scores;
-use qucp_core::Strategy;
+use qucp_core::{Allocation, CoreError, Strategy};
 use qucp_device::Device;
 
 use super::{EfsGate, Service};
@@ -54,76 +54,103 @@ impl Service {
     }
 }
 
-/// A successful gated planning pass: the plan, the surviving members,
-/// the buffered shrink events, and the eviction `trace` that reproduces
+/// A successful gated planning pass: its `plan` — the survivors'
+/// allocations out of [`plan_gated_members`], their [`PlannedWorkload`]
+/// once [completed](Gated::complete) — the surviving members, the
+/// buffered shrink events, and the eviction `trace` that reproduces
 /// them — `(position, reason)` per eviction, in order. The trace is
 /// what the plan cache memoizes: replaying it against a future batch
 /// with the same plan key re-derives the shrink events (bound to the
-/// *current* job ids) without re-running the partitioner.
-pub(super) struct GatedPlan {
-    pub(super) plan: PlannedWorkload,
+/// *current* job ids) without re-running the allocator.
+pub(super) struct Gated<P> {
+    pub(super) plan: P,
     pub(super) members: PlanMembers,
     pub(super) shrinks: Vec<Event>,
     pub(super) trace: Vec<(usize, ShrinkReason)>,
 }
 
-/// Plans `members` on `device`, shrinking while the partitioner cannot
-/// place the batch (tail eviction) and — in [`EfsGate::Batch`] /
-/// [`EfsGate::BatchWorstExcess`] mode — while any member's EFS excess
-/// exceeds its own effective threshold (tail or worst-excess eviction
-/// respectively). Returns the plan, the surviving members, and the
-/// buffered shrink events (recorded by the caller only if the batch
-/// actually commits on `device` — a failed candidate must leave no
-/// trace, or log replays would see phantom shrinks for a batch that was
-/// eventually planned elsewhere).
+/// A gated pass with its members routed and merged.
+pub(super) type GatedPlan = Gated<PlannedWorkload>;
+
+impl Gated<Vec<Allocation>> {
+    /// Routes and merges the surviving members, whose circuits move
+    /// into the plan ([`Pipeline::complete`]).
+    pub(super) fn complete(mut self, pipeline: &Pipeline, device: &Device) -> GatedPlan {
+        let circuits = std::mem::take(&mut self.members.circuits);
+        Gated {
+            plan: pipeline.complete(device, circuits, self.plan),
+            members: self.members,
+            shrinks: self.shrinks,
+            trace: self.trace,
+        }
+    }
+}
+
+/// Plans `members` on `device` under the head's strategy: the shrink
+/// loop on allocations alone ([`plan_gated_members`]), then routing and
+/// the schedule merge once, for the member set that survives.
+pub(super) fn plan_batch(
+    device: &Device,
+    batch_index: usize,
+    gate: EfsGate,
+    optimize: bool,
+    head_strategy: &Strategy,
+    members: PlanMembers,
+) -> Result<GatedPlan, RuntimeError> {
+    let pipeline = Pipeline::from_strategy(head_strategy);
+    let allocate = |circuits: &[Circuit]| pipeline.allocate(device, circuits);
+    let gated = plan_gated_members(
+        allocate,
+        device,
+        batch_index,
+        gate,
+        optimize,
+        head_strategy,
+        members,
+    );
+    Ok(gated?.complete(&pipeline, device))
+}
+
+/// Allocates `members` on `device` with `allocate` (stage 1 of the
+/// head's pipeline), shrinking while it cannot place the batch (tail
+/// eviction) and — in [`EfsGate::Batch`] / [`EfsGate::BatchWorstExcess`]
+/// mode — while any member's EFS excess exceeds its own effective
+/// threshold (tail or worst-excess eviction respectively). Returns the
+/// survivors' allocations, the surviving members (circuits optimized),
+/// and the buffered shrink events (recorded by the caller only if the
+/// batch actually commits on `device` — a failed candidate must leave
+/// no trace, or log replays would see phantom shrinks for a batch that
+/// was eventually planned elsewhere).
 ///
 /// `head_strategy` is the effective strategy of `members.seqs[0]` (the
 /// head, which no eviction rule can remove): it parameterizes the
 /// solo-EFS baselines exactly as the sequential path always has.
 ///
 /// A free function on purpose: its only inputs are the pre-resolved
-/// members and shared device/pipeline state — what the plan key names —
+/// members and shared device/strategy state — what the plan key names —
 /// so its outcome can be memoized and replayed.
 ///
 /// The shrink loop runs on **allocation alone** — the gate reads
 /// nothing but each member's allocated EFS score, and a placement
-/// failure is the allocator's — so routing and the schedule merge run
-/// exactly once, for the member set that survives
-/// ([`Pipeline::allocate`], then [`Pipeline::complete`]). Its
-/// per-member state is cached: the circuits are cloned and
-/// peephole-optimized **once**, the per-member thresholds are resolved
-/// once, and the solo-best EFS baselines are probed once on the first
-/// successful allocation; each shrink step merely removes the evicted
-/// member's entry from every cache. With [`qucp_core::EfsPartitioner`]
-/// the first placement of every allocation and every solo baseline are
-/// read from the device's region atlas
+/// failure is the allocator's — and is handed nothing that routes:
+/// routing and the schedule merge run once, after it, for the member
+/// set that survives ([`Gated::complete`]). Its per-member state is
+/// cached: the circuits are peephole-optimized **once**, the
+/// per-member thresholds are resolved once, and the solo-best EFS
+/// baselines are probed once on the first successful allocation; each
+/// shrink step merely removes the evicted member's entry from every
+/// cache. The first placement of every allocation and every solo
+/// baseline are read from the device's region atlas
 /// ([`Device::idle_regions`]) instead of re-grown.
 pub(super) fn plan_gated_members(
-    pipeline: &Pipeline,
+    mut allocate: impl FnMut(&[Circuit]) -> Result<Vec<Allocation>, CoreError>,
     device: &Device,
     batch_index: usize,
     gate: EfsGate,
     optimize: bool,
     head_strategy: &Strategy,
     mut members: PlanMembers,
-) -> Result<GatedPlan, RuntimeError> {
-    // Solo fast path: a one-job batch can never gate (the head anchors
-    // the batch) and never shrink (a placement failure is terminal), so
-    // it skips the gate machinery entirely. `plan(optimize)` clones and
-    // optimizes internally, which is equivalent to the general path's
-    // pre-optimize-then-allocate sequence.
-    if members.seqs.len() == 1 {
-        let plan = pipeline
-            .plan(device, &members.circuits, optimize)
-            .map_err(|e| RuntimeError::from_planning(members.ids[0], e))?;
-        return Ok(GatedPlan {
-            plan,
-            members,
-            shrinks: Vec::new(),
-            trace: Vec::new(),
-        });
-    }
-    let device_name = device.name().to_string();
+) -> Result<Gated<Vec<Allocation>>, RuntimeError> {
     if optimize {
         // Pre-optimized here exactly once: every allocation below and
         // the final plan see the optimized circuits.
@@ -136,7 +163,7 @@ pub(super) fn plan_gated_members(
     let mut trace: Vec<(usize, ShrinkReason)> = Vec::new();
     let mut solo_cache: Option<Vec<f64>> = None;
     loop {
-        match pipeline.allocate(device, &members.circuits) {
+        match allocate(&members.circuits) {
             Ok(allocations) => {
                 if gated && members.seqs.len() > 1 && members.thresholds.iter().any(Option::is_some)
                 {
@@ -177,7 +204,7 @@ pub(super) fn plan_gated_members(
                         trace.push((evict, ShrinkReason::FidelityGate));
                         shrinks.push(Event::BatchShrunk {
                             batch_index,
-                            device: device_name.clone(),
+                            device: device.name().to_string(),
                             dropped_job_id: dropped_id,
                             remaining: members.seqs.len(),
                             reason: ShrinkReason::FidelityGate,
@@ -185,8 +212,8 @@ pub(super) fn plan_gated_members(
                         continue;
                     }
                 }
-                return Ok(GatedPlan {
-                    plan: pipeline.complete(device, members.circuits.clone(), allocations),
+                return Ok(Gated {
+                    plan: allocations,
                     members,
                     shrinks,
                     trace,
@@ -212,7 +239,7 @@ pub(super) fn plan_gated_members(
                 }
                 shrinks.push(Event::BatchShrunk {
                     batch_index,
-                    device: device_name.clone(),
+                    device: device.name().to_string(),
                     dropped_job_id: dropped_id,
                     remaining: members.seqs.len(),
                     reason: ShrinkReason::PartitionFailure,

@@ -251,7 +251,7 @@ impl Service {
         self.route_cache.misses += 1;
         let device = self.registry.device_at(device_index);
         let circuit = &self.pending_by_seq(head.seq)?.circuit;
-        let score = best_partition(device, circuit, &head.entry.strategy.partition)
+        let score = best_partition(device, circuit, &head.strategy.partition)
             .ok()
             .map(|alloc| alloc.efs.score);
         self.route_cache.solo.insert(key, score);
@@ -289,7 +289,7 @@ impl Service {
             &self.pending_by_seq(head.seq)?.circuit,
             threshold,
             self.cfg.max_parallel,
-            &head.entry.strategy,
+            &head.strategy,
         );
         self.route_cache.head_cap.insert(key, result.clone());
         Ok(result)

@@ -12,7 +12,6 @@ use qucp_core::threshold::solo_efs_scores;
 use qucp_core::{strategy, Strategy};
 use qucp_device::{ibm, Device};
 use qucp_sim::{ShotParallelism, TrajectoryKernel};
-use std::sync::atomic::{AtomicUsize, Ordering};
 
 fn fifo_service(max_parallel: usize) -> Service {
     Service::builder()
@@ -373,7 +372,8 @@ fn colliding_shapes_get_their_own_plans() {
     // job each here, batch `i` serving job `i`) planned from scratch
     // and run under its batch seed.
     let device = ibm::toronto();
-    let pipeline = Pipeline::from_strategy(&strategy::qucp(4.0));
+    let qucp = strategy::qucp(4.0);
+    let pipeline = Pipeline::from_strategy(&qucp);
     for (i, (circuit, served)) in circuits.into_iter().zip(&report.job_results).enumerate() {
         assert_eq!((served.job_id, served.batch_index), (i as u64, i));
         let plan = pipeline
@@ -382,7 +382,7 @@ fn colliding_shapes_get_their_own_plans() {
         let exec = qucp_sim::ExecutionConfig::default()
             .with_shots(256)
             .with_seed(super::dispatch::derive_batch_seed(service.cfg.seed, i));
-        let fresh = pipeline.backend.run_program(&device, &plan, 0, &exec);
+        let fresh = plan.run_program(&device, 0, &exec);
         assert_eq!(served.result, fresh.unwrap(), "job {i}");
     }
     // The two circuits really do measure differently.
@@ -941,35 +941,6 @@ fn recalibration_drops_plan_entries_with_the_probes() {
     assert_eq!(after.plan_invalidated, before.plan_entries);
 }
 
-/// A pipeline whose stage-2 and stage-3 objects count their calls.
-fn counting_pipeline(strategy: &Strategy) -> (Pipeline, std::sync::Arc<[AtomicUsize; 2]>) {
-    use qucp_core::context::WorkloadContext;
-    use qucp_core::{Allocation, MappedProgram, Router, ScheduleMerger};
-    struct Counting<S>(S, std::sync::Arc<[AtomicUsize; 2]>);
-    impl Router for Counting<Box<dyn Router>> {
-        fn route_all(
-            &self,
-            device: &Device,
-            programs: &[Circuit],
-            allocations: &[Allocation],
-        ) -> Vec<MappedProgram> {
-            self.1[0].fetch_add(1, Ordering::Relaxed);
-            self.0.route_all(device, programs, allocations)
-        }
-    }
-    impl ScheduleMerger for Counting<Box<dyn ScheduleMerger>> {
-        fn merge(&self, device: &Device, mapped: &[MappedProgram]) -> WorkloadContext {
-            self.1[1].fetch_add(1, Ordering::Relaxed);
-            self.0.merge(device, mapped)
-        }
-    }
-    let calls = std::sync::Arc::new([AtomicUsize::new(0), AtomicUsize::new(0)]);
-    let mut pipeline = Pipeline::from_strategy(strategy);
-    pipeline.router = Box::new(Counting(pipeline.router, calls.clone()));
-    pipeline.merger = Box::new(Counting(pipeline.merger, calls.clone()));
-    (pipeline, calls)
-}
-
 /// The shrink loop as it was: one full [`Pipeline::plan`] per
 /// attempt, the gate reading the plan's allocations. Returns the
 /// plan, the surviving ids and the eviction trace.
@@ -1042,26 +1013,34 @@ fn a_batch_that_shrinks_k_times_routes_and_merges_once() {
             circuits: circuits.clone(),
             thresholds: vec![None, Some(0.02), Some(1e-4), Some(0.5), None, None],
         };
-        let (reference, reference_calls) = counting_pipeline(&strategy);
-        let (plan, ids, trace) = replanning_gate(&reference, &device, gate, &strategy, members());
+        let pipeline = Pipeline::from_strategy(&strategy);
+        let (plan, ids, trace) = replanning_gate(&pipeline, &device, gate, &strategy, members());
         let reasons: Vec<ShrinkReason> = trace.iter().map(|&(_, r)| r).collect();
         assert!(
             reasons.contains(&ShrinkReason::PartitionFailure),
             "{gate:?}"
         );
         assert!(reasons.contains(&ShrinkReason::FidelityGate), "{gate:?}");
+        // The replanning loop routed and merged once per attempt that
+        // allocated: at least three times here.
         let successful_plans = 1 + reasons
             .iter()
             .filter(|&&r| r == ShrinkReason::FidelityGate)
             .count();
         assert!(successful_plans >= 3, "{gate:?}: {trace:?}");
-        assert_eq!(reference_calls[0].load(Ordering::Relaxed), successful_plans);
 
-        let (pipeline, calls) = counting_pipeline(&strategy);
+        // The shrink loop is handed stage 1 and nothing that routes: it
+        // allocates once per attempt, and the plan is completed once,
+        // after it, for the members that stayed.
+        let mut allocations = 0;
+        let allocate = |circuits: &[Circuit]| {
+            allocations += 1;
+            pipeline.allocate(&device, circuits)
+        };
         let gated =
-            plan_gated_members(&pipeline, &device, 7, gate, false, &strategy, members()).unwrap();
-        assert_eq!(calls[0].load(Ordering::Relaxed), 1, "route_all, {gate:?}");
-        assert_eq!(calls[1].load(Ordering::Relaxed), 1, "merge, {gate:?}");
+            plan_gated_members(allocate, &device, 7, gate, false, &strategy, members()).unwrap();
+        assert_eq!(allocations, trace.len() + 1, "one per attempt, {gate:?}");
+        let gated = gated.complete(&pipeline, &device);
         assert_eq!(gated.plan, plan, "{gate:?}");
         assert_eq!(gated.trace, trace, "{gate:?}");
         assert_eq!(gated.members.ids, ids, "{gate:?}");

@@ -170,8 +170,9 @@ use qucp_device::splitmix64;
 ///
 /// The base seed passes through the mix *before* the shard stride is
 /// added: callers hand this function seeds that are themselves
-/// golden-ratio strides of a common base (the per-program seeds of a
-/// batch, `qucp_core::pipeline::derive_program_seed`), and a linear
+/// golden-ratio strides of a common base (the per-program seeds
+/// `qucp_core::PlannedWorkload::run_program` derives for a batch with
+/// `qucp_core::pipeline::derive_program_seed`), and a linear
 /// stride over the raw seed would make program `i`'s shard `s` collide
 /// with program `i + 1`'s shard `s - 1`. The extra mix breaks that
 /// linearity, so co-scheduled sharded programs never share a stream.

@@ -11,7 +11,7 @@
 //! ```
 
 use qucp_circuit::library;
-use qucp_core::{execute_parallel, strategy, ParallelConfig};
+use qucp_core::{strategy, ParallelConfig, Pipeline};
 use qucp_device::ibm;
 use qucp_sim::{ExecutionConfig, ShotParallelism, TrajectoryKernel};
 
@@ -39,18 +39,15 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // deterministic shards executed on all available cores, and each
     // shot runs on the fast survival-skip kernel (counts stay a pure
     // function of seed, shards, and kernel).
-    let outcome = execute_parallel(
-        &device,
-        &programs,
-        &strategy::qucp(4.0),
-        &ParallelConfig {
-            execution: ExecutionConfig::default()
-                .with_shots(8192)
-                .with_parallelism(ShotParallelism::sharded(8))
-                .with_kernel(TrajectoryKernel::SurvivalSkip),
-            optimize: true,
-        },
-    )?;
+    let qucp = strategy::qucp(4.0);
+    let cfg = ParallelConfig {
+        execution: ExecutionConfig::default()
+            .with_shots(8192)
+            .with_parallelism(ShotParallelism::sharded(8))
+            .with_kernel(TrajectoryKernel::SurvivalSkip),
+        optimize: true,
+    };
+    let outcome = Pipeline::from_strategy(&qucp).execute(&device, &programs, &cfg)?;
 
     println!();
     for r in &outcome.programs {

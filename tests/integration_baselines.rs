@@ -3,7 +3,7 @@
 //! paper's Sec. II-B analysis.
 
 use qucp_bench::{combo_circuits, FIG3A_COMBOS, FIG3B_COMBOS};
-use qucp_core::{execute_parallel, plan_workload, strategy, ParallelConfig, Strategy};
+use qucp_core::{strategy, ParallelConfig, Pipeline, Strategy};
 use qucp_device::ibm;
 use qucp_sim::ExecutionConfig;
 
@@ -24,7 +24,8 @@ fn every_strategy_places_every_fig3_workload() {
     for strat in all_strategies(&device) {
         for combo in FIG3A_COMBOS.iter().chain(FIG3B_COMBOS.iter()) {
             let programs = combo_circuits(combo);
-            let (_, allocs, _) = plan_workload(&device, &programs, &strat, true)
+            let (_, allocs, _) = Pipeline::from_strategy(&strat)
+                .plan_unmerged(&device, &programs, true)
                 .unwrap_or_else(|e| panic!("{} failed on {combo:?}: {e}", strat.name));
             // Disjoint, connected, right-sized.
             let mut all: Vec<usize> = allocs.iter().flat_map(|a| a.qubits.clone()).collect();
@@ -47,8 +48,12 @@ fn noise_aware_partitions_have_lower_efs_than_topology_greedy() {
     let device = ibm::toronto();
     for combo in &FIG3B_COMBOS[..4] {
         let programs = combo_circuits(combo);
-        let (_, aware, _) = plan_workload(&device, &programs, &strategy::multiqc(), true).unwrap();
-        let (_, blind, _) = plan_workload(&device, &programs, &strategy::cna(), true).unwrap();
+        let (_, aware, _) = Pipeline::from_strategy(&strategy::multiqc())
+            .plan_unmerged(&device, &programs, true)
+            .unwrap();
+        let (_, blind, _) = Pipeline::from_strategy(&strategy::cna())
+            .plan_unmerged(&device, &programs, true)
+            .unwrap();
         let aware_total: f64 = aware.iter().map(|a| a.efs.score).sum();
         let blind_total: f64 = blind.iter().map(|a| a.efs.score).sum();
         assert!(
@@ -68,7 +73,9 @@ fn crosstalk_aware_strategies_accept_no_strong_adjacency() {
         strategy::qucp(4.0),
         strategy::qumc_with_ground_truth(&device),
     ] {
-        let (_, allocs, mapped) = plan_workload(&device, &programs, &strat, true).unwrap();
+        let (_, allocs, mapped) = Pipeline::from_strategy(&strat)
+            .plan_unmerged(&device, &programs, true)
+            .unwrap();
         let ctx = qucp_core::context::build_context(&device, &mapped, false);
         // Any surviving conflicts must involve only weak ground-truth
         // gammas for the sigma policy (it already refused adjacency).
@@ -92,9 +99,12 @@ fn serialization_eliminates_crosstalk_scalings() {
         execution: ExecutionConfig::default().with_shots(128).with_seed(1),
         optimize: true,
     };
-    let plain = execute_parallel(&device, &programs, &strategy::cna(), &cfg).unwrap();
-    let serialized =
-        execute_parallel(&device, &programs, &strategy::cna_serialized(), &cfg).unwrap();
+    let plain = Pipeline::from_strategy(&strategy::cna())
+        .execute(&device, &programs, &cfg)
+        .unwrap();
+    let serialized = Pipeline::from_strategy(&strategy::cna_serialized())
+        .execute(&device, &programs, &cfg)
+        .unwrap();
     // Same partitions (same policy), same conflicts detected.
     assert_eq!(plain.conflict_count, serialized.conflict_count);
     for (a, b) in plain.programs.iter().zip(&serialized.programs) {
@@ -110,15 +120,15 @@ fn single_program_equivalence_across_crosstalk_policies() {
     let program = vec![qucp_circuit::library::by_name("alu-v0_27")
         .unwrap()
         .circuit()];
-    let (_, a, _) = plan_workload(&device, &program, &strategy::qucp(4.0), true).unwrap();
-    let (_, b, _) = plan_workload(
-        &device,
-        &program,
-        &strategy::qumc_with_ground_truth(&device),
-        true,
-    )
-    .unwrap();
-    let (_, c, _) = plan_workload(&device, &program, &strategy::multiqc(), true).unwrap();
+    let (_, a, _) = Pipeline::from_strategy(&strategy::qucp(4.0))
+        .plan_unmerged(&device, &program, true)
+        .unwrap();
+    let (_, b, _) = Pipeline::from_strategy(&strategy::qumc_with_ground_truth(&device))
+        .plan_unmerged(&device, &program, true)
+        .unwrap();
+    let (_, c, _) = Pipeline::from_strategy(&strategy::multiqc())
+        .plan_unmerged(&device, &program, true)
+        .unwrap();
     assert_eq!(a[0].qubits, b[0].qubits);
     assert_eq!(a[0].qubits, c[0].qubits);
 }
@@ -134,7 +144,8 @@ fn strategies_work_on_melbourne_and_manhattan() {
             optimize: true,
         };
         for strat in all_strategies(&device) {
-            let out = execute_parallel(&device, &programs, &strat, &cfg)
+            let out = Pipeline::from_strategy(&strat)
+                .execute(&device, &programs, &cfg)
                 .unwrap_or_else(|e| panic!("{} on {}: {e}", strat.name, device.name()));
             assert_eq!(out.programs.len(), 3);
         }

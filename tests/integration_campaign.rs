@@ -236,7 +236,7 @@ fn campaign_loop_is_mode_invariant_and_accounts_correctly() {
 /// takes half the scheduler batches and about half the simulated
 /// makespan of the same campaign on a `max_parallel = 1` service, and
 /// both estimate the same energies as the pre-service baseline — every
-/// measurement circuit through `execute_parallel` one at a time.
+/// measurement circuit through `Pipeline::execute` one at a time.
 /// Everything here is simulated and bit-stable, so the scheduling
 /// numbers are pinned to what the retired `vqe_shootout --smoke` bin
 /// printed at its last commit.
@@ -247,7 +247,7 @@ fn campaign_loop_is_mode_invariant_and_accounts_correctly() {
 /// repeated here.
 #[test]
 fn multiprogrammed_vqe_campaign_halves_batches_and_makespan_at_equal_energies() {
-    use qucp_core::{execute_parallel, strategy, ParallelConfig};
+    use qucp_core::{strategy, ParallelConfig, Pipeline};
     use qucp_device::{Calibration, CrosstalkModel, Device, Topology};
     use qucp_sim::ExecutionConfig;
     use qucp_vqe::{group_energy, h2_hamiltonian, VqeCampaign};
@@ -307,7 +307,8 @@ fn multiprogrammed_vqe_campaign_halves_batches_and_makespan_at_equal_energies() 
                         optimize: false,
                     };
                     let circuits = std::slice::from_ref(&job.circuit);
-                    let out = execute_parallel(&device, circuits, &strategy::qucp(4.0), &cfg)
+                    let out = Pipeline::from_strategy(&strategy::qucp(4.0))
+                        .execute(&device, circuits, &cfg)
                         .expect("direct vqe circuit runs");
                     group_energy(&h, group, &out.programs[0].counts)
                 });

@@ -243,3 +243,16 @@ fn the_committed_ledger_has_every_claim_passing() {
     // The file is the ledger's own rendering: one row a line.
     assert_eq!(text.lines().count(), rows.len() + 2);
 }
+
+#[test]
+fn the_sections_the_ledger_skips_return_no_claim() {
+    // `repro --ledger` walks `SECTIONS` alone; plain `repro` also prints
+    // `TABLES`, whose sections check no claim at any shot budget.
+    for (name, section) in repro::TABLES {
+        let claims = section(64, &mut sink()).unwrap();
+        assert!(claims.is_empty(), "{name} returns {} claims", claims.len());
+        assert!(repro::SECTIONS
+            .iter()
+            .all(|(claiming, _)| *claiming != name));
+    }
+}

@@ -3,7 +3,7 @@
 
 use qucp_bench::{combo_circuits, FIG3B_COMBOS};
 use qucp_circuit::library;
-use qucp_core::{execute_parallel, plan_workload, strategy, ParallelConfig};
+use qucp_core::{strategy, ParallelConfig, Pipeline};
 use qucp_device::ibm;
 use qucp_sim::ExecutionConfig;
 
@@ -18,7 +18,8 @@ fn quick_cfg(shots: usize) -> ParallelConfig {
 fn full_pipeline_on_toronto() {
     let device = ibm::toronto();
     let programs = combo_circuits(&FIG3B_COMBOS[4]); // adder-fred-alu
-    let out = execute_parallel(&device, &programs, &strategy::qucp(4.0), &quick_cfg(512))
+    let out = Pipeline::from_strategy(&strategy::qucp(4.0))
+        .execute(&device, &programs, &quick_cfg(512))
         .expect("pipeline");
     assert_eq!(out.programs.len(), 3);
     // Disjoint partitions covering 4+3+5 qubits.
@@ -55,7 +56,8 @@ fn pipeline_scales_to_manhattan_six_copies() {
             c
         })
         .collect();
-    let out = execute_parallel(&device, &programs, &strategy::qucp(4.0), &quick_cfg(256))
+    let out = Pipeline::from_strategy(&strategy::qucp(4.0))
+        .execute(&device, &programs, &quick_cfg(256))
         .expect("six copies fit on Manhattan");
     assert_eq!(out.programs.len(), 6);
     assert!((out.throughput - 30.0 / 65.0).abs() < 1e-12);
@@ -73,7 +75,9 @@ fn planning_produces_executable_mappings() {
         strategy::multiqc(),
         strategy::qucloud(),
     ] {
-        let (_, allocs, mapped) = plan_workload(&device, &programs, &strat, true).expect("plan");
+        let (_, allocs, mapped) = Pipeline::from_strategy(&strat)
+            .plan_unmerged(&device, &programs, true)
+            .expect("plan");
         for (alloc, mp) in allocs.iter().zip(&mapped) {
             // Every routed 2q gate sits on a physical link.
             for g in mp.circuit.gates() {
@@ -112,7 +116,9 @@ fn logical_counts_match_ideal_distribution_when_noise_free() {
         },
         optimize: true,
     };
-    let out = execute_parallel(&device, &programs, &strategy::qucp(4.0), &cfg).unwrap();
+    let out = Pipeline::from_strategy(&strategy::qucp(4.0))
+        .execute(&device, &programs, &cfg)
+        .unwrap();
     let r = &out.programs[0];
     // adder is deterministic: every noise-free shot must hit the target.
     assert_eq!(r.pst, Some(1.0));
@@ -124,8 +130,9 @@ fn conflict_free_plans_have_unit_scalings() {
     // QuCP with a huge sigma refuses any one-hop adjacency: no conflicts.
     let device = ibm::toronto();
     let programs = combo_circuits(&FIG3B_COMBOS[7]);
-    let out =
-        execute_parallel(&device, &programs, &strategy::qucp(100.0), &quick_cfg(128)).expect("run");
+    let out = Pipeline::from_strategy(&strategy::qucp(100.0))
+        .execute(&device, &programs, &quick_cfg(128))
+        .expect("run");
     assert_eq!(out.conflict_count, 0);
 }
 
@@ -133,7 +140,11 @@ fn conflict_free_plans_have_unit_scalings() {
 fn deterministic_across_runs() {
     let device = ibm::toronto();
     let programs = combo_circuits(&FIG3B_COMBOS[6]);
-    let a = execute_parallel(&device, &programs, &strategy::qucp(4.0), &quick_cfg(256)).unwrap();
-    let b = execute_parallel(&device, &programs, &strategy::qucp(4.0), &quick_cfg(256)).unwrap();
+    let a = Pipeline::from_strategy(&strategy::qucp(4.0))
+        .execute(&device, &programs, &quick_cfg(256))
+        .unwrap();
+    let b = Pipeline::from_strategy(&strategy::qucp(4.0))
+        .execute(&device, &programs, &quick_cfg(256))
+        .unwrap();
     assert_eq!(a, b);
 }

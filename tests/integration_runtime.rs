@@ -1,16 +1,13 @@
-//! Cross-crate integration tests for the staged-pipeline refactor and
-//! the `qucp-runtime` scheduling service.
+//! Cross-crate integration tests for the `qucp-runtime` scheduling
+//! service (the pipeline's outcomes under every paper strategy are
+//! pinned bit for bit by `golden_outcomes.rs`).
 //!
-//! The equivalence suite pins the refactor contract: the trait-based
-//! pipeline must reproduce the original `execute_parallel` outcomes
-//! **bit-for-bit** at a fixed seed, for every paper strategy. The
-//! runtime suite pins the acceptance criteria: a ≥ 12-job workload on
-//! `ibm::toronto()` executes end-to-end with concurrent batches,
+//! The runtime suite pins the acceptance criteria: a ≥ 12-job workload
+//! on `ibm::toronto()` executes end-to-end with concurrent batches,
 //! deterministically, and beats dedicated (1-way) turnaround.
 
-use qucp_bench::combo_circuits;
 use qucp_circuit::library;
-use qucp_core::{execute_parallel, plan_workload, strategy, ParallelConfig, Pipeline, Strategy};
+use qucp_core::{strategy, ParallelConfig, Pipeline, Strategy};
 use qucp_device::ibm;
 use qucp_runtime::{synthetic_jobs, Job, JobRequest, RuntimeConfig, Service, ServiceReport};
 use qucp_sim::ExecutionConfig;
@@ -32,40 +29,8 @@ fn fixed_cfg() -> ParallelConfig {
     }
 }
 
-/// The trait pipeline, composed explicitly stage by stage, reproduces
-/// the driver entry point bit-for-bit for all five strategies.
-#[test]
-fn pipeline_matches_driver_for_all_strategies() {
-    let device = ibm::toronto();
-    let programs = combo_circuits(&["adder", "fred", "alu"]);
-    for strat in all_strategies(&device) {
-        let driver = execute_parallel(&device, &programs, &strat, &fixed_cfg())
-            .unwrap_or_else(|e| panic!("{} driver failed: {e}", strat.name));
-        let pipeline = Pipeline::from_strategy(&strat)
-            .execute(&device, &programs, &fixed_cfg())
-            .unwrap_or_else(|e| panic!("{} pipeline failed: {e}", strat.name));
-        assert_eq!(driver, pipeline, "{} outcomes diverged", strat.name);
-    }
-}
-
-/// Planning through the explicit pipeline matches `plan_workload`.
-#[test]
-fn pipeline_plan_matches_plan_workload() {
-    let device = ibm::toronto();
-    let programs = combo_circuits(&["adder", "fred", "alu"]);
-    for strat in all_strategies(&device) {
-        let (opt, allocs, mapped) = plan_workload(&device, &programs, &strat, true).unwrap();
-        let plan = Pipeline::from_strategy(&strat)
-            .plan(&device, &programs, true)
-            .unwrap();
-        assert_eq!(opt, plan.programs, "{}", strat.name);
-        assert_eq!(allocs, plan.allocations, "{}", strat.name);
-        assert_eq!(mapped, plan.mapped, "{}", strat.name);
-    }
-}
-
-/// Driver outcomes are reproducible run-to-run (the refactor must not
-/// have introduced any order- or time-dependence).
+/// Pipeline outcomes are reproducible run-to-run (no order- or
+/// time-dependence anywhere in planning or execution).
 #[test]
 fn driver_outcome_still_reproducible() {
     let device = ibm::toronto();
@@ -73,9 +38,13 @@ fn driver_outcome_still_reproducible() {
         library::by_name("fredkin").unwrap().circuit(),
         library::by_name("linearsolver").unwrap().circuit(),
     ];
-    let a = execute_parallel(&device, &programs, &strategy::qucp(4.0), &fixed_cfg()).unwrap();
-    let b = execute_parallel(&device, &programs, &strategy::qucp(4.0), &fixed_cfg()).unwrap();
-    assert_eq!(a, b);
+    let qucp = strategy::qucp(4.0);
+    let run = || {
+        Pipeline::from_strategy(&qucp)
+            .execute(&device, &programs, &fixed_cfg())
+            .unwrap()
+    };
+    assert_eq!(run(), run());
 }
 
 fn runtime_cfg(max_parallel: usize) -> RuntimeConfig {

@@ -328,7 +328,7 @@ impl ReferenceScheduler {
                     kernel: kernel.unwrap_or(self.cfg.kernel),
                     ..ParallelConfig::default().execution
                 };
-                let result = pipeline.backend.run_program(&device, &plan, pos, &exec);
+                let result = plan.run_program(&device, pos, &exec);
                 let result = result.map_err(RuntimeError::Core)?;
                 let (waiting, turnaround) = (start - job.req.arrival, completion - job.req.arrival);
                 self.events.push(Event::JobCompleted {
