@@ -1657,9 +1657,12 @@ mod tests {
         let cfg = ExecutionConfig::default()
             .with_shots(300)
             .with_seed(0xC0FFEE);
-        let counts = run_noisy(&bell(), &[0, 1], &dev, &NoiseScaling::uniform(2), &cfg).unwrap();
-        let pairs: Vec<(usize, usize)> = counts.iter().collect();
-        assert_eq!(pairs, vec![(0, 128), (1, 8), (2, 11), (3, 153)]);
+        on_both_bodies(|| {
+            let counts =
+                run_noisy(&bell(), &[0, 1], &dev, &NoiseScaling::uniform(2), &cfg).unwrap();
+            let pairs: Vec<(usize, usize)> = counts.iter().collect();
+            assert_eq!(pairs, vec![(0, 128), (1, 8), (2, 11), (3, 153)]);
+        });
     }
     #[test]
     fn survival_skip_counts_pinned_bit_for_bit() {
@@ -1673,9 +1676,12 @@ mod tests {
             .with_shots(300)
             .with_seed(0xC0FFEE)
             .with_kernel(TrajectoryKernel::SurvivalSkip);
-        let counts = run_noisy(&bell(), &[0, 1], &dev, &NoiseScaling::uniform(2), &cfg).unwrap();
-        let pairs: Vec<(usize, usize)> = counts.iter().collect();
-        assert_eq!(pairs, vec![(0, 124), (1, 11), (2, 11), (3, 154)]);
+        on_both_bodies(|| {
+            let counts =
+                run_noisy(&bell(), &[0, 1], &dev, &NoiseScaling::uniform(2), &cfg).unwrap();
+            let pairs: Vec<(usize, usize)> = counts.iter().collect();
+            assert_eq!(pairs, vec![(0, 124), (1, 11), (2, 11), (3, 154)]);
+        });
     }
 
     /// `ghz(5)` plus a `cp`/`swap` layer on a noisy 5-qubit line at
@@ -1695,52 +1701,67 @@ mod tests {
         (0..32).map(|outcome| counts.count(outcome)).collect()
     }
 
+    /// Runs `pinned` on the gate kernels' body this CPU picks, then
+    /// with the scalar body forced.
+    fn on_both_bodies(pinned: impl Fn()) {
+        pinned();
+        kernel::scalar_only(pinned);
+    }
+
     // The four pins below were generated by the per-shot loop of the
     // revision before the prefix-tree evaluator (every outcome 0..32 in
     // order).
 
     #[test]
     fn wide_replay_serial_counts_pinned_bit_for_bit() {
-        assert_eq!(
-            wide_pin_counts(TrajectoryKernel::Replay, ShotParallelism::Serial),
-            [
-                302, 32, 30, 15, 332, 36, 21, 28, 31, 5, 10, 24, 34, 5, 8, 29, 26, 9, 9, 21, 29, 6,
-                5, 29, 25, 38, 39, 367, 33, 32, 47, 343
-            ]
-        );
+        on_both_bodies(|| {
+            assert_eq!(
+                wide_pin_counts(TrajectoryKernel::Replay, ShotParallelism::Serial),
+                [
+                    302, 32, 30, 15, 332, 36, 21, 28, 31, 5, 10, 24, 34, 5, 8, 29, 26, 9, 9, 21,
+                    29, 6, 5, 29, 25, 38, 39, 367, 33, 32, 47, 343
+                ]
+            );
+        });
     }
 
     #[test]
     fn wide_replay_sharded_counts_pinned_bit_for_bit() {
-        assert_eq!(
-            wide_pin_counts(TrajectoryKernel::Replay, ShotParallelism::sharded(4)),
-            [
-                355, 28, 44, 24, 313, 36, 31, 24, 21, 6, 8, 27, 35, 9, 9, 23, 35, 1, 4, 29, 27, 6,
-                5, 22, 29, 44, 38, 358, 29, 32, 35, 313
-            ]
-        );
+        on_both_bodies(|| {
+            assert_eq!(
+                wide_pin_counts(TrajectoryKernel::Replay, ShotParallelism::sharded(4)),
+                [
+                    355, 28, 44, 24, 313, 36, 31, 24, 21, 6, 8, 27, 35, 9, 9, 23, 35, 1, 4, 29, 27,
+                    6, 5, 22, 29, 44, 38, 358, 29, 32, 35, 313
+                ]
+            );
+        });
     }
 
     #[test]
     fn wide_survival_skip_serial_counts_pinned_bit_for_bit() {
-        assert_eq!(
-            wide_pin_counts(TrajectoryKernel::SurvivalSkip, ShotParallelism::Serial),
-            [
-                339, 37, 45, 27, 308, 38, 44, 30, 27, 7, 8, 34, 22, 8, 6, 32, 29, 6, 6, 20, 27, 4,
-                4, 23, 22, 39, 39, 343, 36, 36, 37, 317
-            ]
-        );
+        on_both_bodies(|| {
+            assert_eq!(
+                wide_pin_counts(TrajectoryKernel::SurvivalSkip, ShotParallelism::Serial),
+                [
+                    339, 37, 45, 27, 308, 38, 44, 30, 27, 7, 8, 34, 22, 8, 6, 32, 29, 6, 6, 20, 27,
+                    4, 4, 23, 22, 39, 39, 343, 36, 36, 37, 317
+                ]
+            );
+        });
     }
 
     #[test]
     fn wide_survival_skip_sharded_counts_pinned_bit_for_bit() {
-        assert_eq!(
-            wide_pin_counts(TrajectoryKernel::SurvivalSkip, ShotParallelism::sharded(4)),
-            [
-                329, 32, 43, 18, 336, 31, 39, 23, 27, 5, 6, 23, 25, 6, 5, 24, 33, 8, 7, 24, 31, 7,
-                6, 30, 23, 44, 37, 350, 25, 32, 39, 332
-            ]
-        );
+        on_both_bodies(|| {
+            assert_eq!(
+                wide_pin_counts(TrajectoryKernel::SurvivalSkip, ShotParallelism::sharded(4)),
+                [
+                    329, 32, 43, 18, 336, 31, 39, 23, 27, 5, 6, 23, 25, 6, 5, 24, 33, 8, 7, 24, 31,
+                    7, 6, 30, 23, 44, 37, 350, 25, 32, 39, 332
+                ]
+            );
+        });
     }
 
     #[test]

@@ -374,6 +374,30 @@ fn both_sides_of_the_single_error_alias_rule() {
 }
 
 #[test]
+fn the_scalar_body_gives_the_counts_of_the_lane_body() {
+    // Every gate kind on a 2x3 grid (64 amplitudes: every kernel class
+    // on qubits below and from 2 up): engine == oracle under the body
+    // this CPU picks, and again with the scalar body forced from
+    // `prepare` on. The oracle's per-shot loop applies its gates
+    // through the scalar kernels' own entry points.
+    let device = chip(4, 27, (0.08, 0.05, 20_000.0));
+    let mut circuit = Circuit::new(device.num_qubits());
+    for at in 0..44 {
+        let angle = 0.3 * at as f64 - 2.0;
+        circuit.push(gate(&device, at % 11, at * 7 + at / 11, angle));
+    }
+    let case = Case {
+        scaling: NoiseScaling::uniform(circuit.gate_count()),
+        tail_idle: vec![900.0; circuit.width()],
+        cfg: ExecutionConfig::default().with_shots(2048).with_seed(27),
+        device,
+        circuit,
+    };
+    engine_matches_the_oracle(&case);
+    crate::state::kernel::scalar_only(|| engine_matches_the_oracle(&case));
+}
+
+#[test]
 fn two_levels_give_the_counts_of_an_unbounded_pool() {
     // A branching tree (2 000 shots, four in ten with errors, many
     // shared prefixes) under the minimum bound, root + one branch:

@@ -25,8 +25,18 @@ impl TrajectoryJob<'_> {
             return counts;
         }
         let pattern = |shot: &ErrorShot| &patterns[shot.start..shot.start + shot.len as usize];
+        // A pattern's first two keys packed, 0 for an absent second one
+        // (no key is 0: codes start at 1), order patterns as the slices
+        // do, so only a tie reads on, from the third key. Branch-free:
+        // whether a shot has a second error is a coin toss.
+        let head = |shot: &ErrorShot| {
+            let second = u64::from(patterns.get(shot.start + 1).copied().unwrap_or(0));
+            let present = u64::from(shot.len > 1).wrapping_neg();
+            u64::from(patterns[shot.start]) << 32 | second & present
+        };
+        let tail = |shot: &ErrorShot| &pattern(shot)[(shot.len as usize).min(2)..];
         // In place; equal patterns may land in any order (counts commute).
-        shots.sort_unstable_by(|a, b| pattern(a).cmp(pattern(b)));
+        shots.sort_unstable_by(|a, b| head(a).cmp(&head(b)).then_with(|| tail(a).cmp(tail(b))));
         let work = run_work(shots.len(), self.plan);
         let workers = workers_for(budget, shots.len(), work);
         if workers == 1 {

@@ -100,7 +100,11 @@ where
     // `Relaxed`: the counter hands out indices and publishes nothing;
     // the results travel through `join`, which synchronizes.
     let next = AtomicUsize::new(0);
+    #[cfg(test)]
+    let scalar_only = crate::state::kernel::SCALAR_ONLY.get();
     let claim = || {
+        #[cfg(test)]
+        crate::state::kernel::SCALAR_ONLY.set(scalar_only);
         let mut done = Vec::new();
         loop {
             let i = next.fetch_add(1, Ordering::Relaxed);

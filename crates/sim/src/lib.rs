@@ -97,6 +97,19 @@
 //!   (`U`, `Sx`, `Sxdg`) and is the per-shot test oracle's only kernel.
 //!   An error's Pauli is struck the same way: a half swap, the cross
 //!   kernel, a sign flip.
+//! - **Lanes.** Every op has a second body at AVX-512F width
+//!   (`state/lanes.rs`, four amplitudes per vector). `kernel::run`, the
+//!   only dispatch, takes it on a register of at least eight amplitudes
+//!   when the CPU has AVX-512F (std's cached run-time detection);
+//!   on other CPUs and architectures, and for one- and two-qubit
+//!   registers, the scalar body runs, and it is the lane body's oracle.
+//!   Every output `f64` is the scalar kernel's expression: the same
+//!   products, in the same order, into the same single add or subtract
+//!   (`x − b·y` is written `x + (−b)·y`: negation does not round). No
+//!   fused multiply-add, no reduction, no reassociation; permutes and
+//!   blends only move data. Each amplitude is therefore the scalar
+//!   body's bit for bit, signs of zeros included, and no count depends
+//!   on the CPU.
 //! - **One CDF per node.** When several shots end at a node of the
 //!   tree, the running sums their CDF walks would each recompute are
 //!   written out once and bisected per shot.

@@ -7,7 +7,8 @@
 use std::fmt;
 use std::ops::{Add, AddAssign, Div, Mul, MulAssign, Neg, Sub, SubAssign};
 
-/// A double-precision complex number.
+/// A double-precision complex number, laid out as its two parts in
+/// order (`#[repr(C)]`), so a slice of them reads as `f64` pairs.
 ///
 /// ```
 /// use qucp_sim::math::Complex;
@@ -16,6 +17,7 @@ use std::ops::{Add, AddAssign, Div, Mul, MulAssign, Neg, Sub, SubAssign};
 /// assert!((z.im - 1.0).abs() < 1e-15);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
+#[repr(C)]
 pub struct Complex {
     /// Real part.
     pub re: f64,

@@ -6,6 +6,19 @@ use rand::Rng;
 use crate::math::{Complex, Mat2};
 use crate::unitaries::single_qubit_matrix;
 
+#[cfg(target_arch = "x86_64")]
+mod lanes;
+
+/// No vector body off x86_64: every op runs the scalar body.
+#[cfg(not(target_arch = "x86_64"))]
+mod lanes {
+    use super::{kernel::Op, Complex, Mat2};
+
+    pub(super) fn run(_: &mut [Complex], _: &Op, _: &[Mat2]) -> bool {
+        false
+    }
+}
+
 /// A dense statevector on `n` qubits.
 ///
 /// Basis-state indices are little-endian: bit `q` of the index is the
@@ -201,7 +214,20 @@ impl Statevector {
 /// sampled outcome bit for bit (the test
 /// `structured_kernels_equal_the_general_kernel` holds that over every
 /// gate kind, qubit and register size).
+///
+/// Every op has two bodies. [`scalar`] is one amplitude at a time, on
+/// every CPU; the lane body (`state/lanes.rs`) is four amplitudes per
+/// AVX-512F vector, and [`run`] takes it on a register of at least
+/// eight amplitudes where the CPU has AVX-512F. Each `f64` the lane
+/// body writes is the scalar expression — the same products, summed by
+/// the same single add, with no fused multiply-add — so the two bodies
+/// agree **bit for bit**, signs of zeros included
+/// (`lane_kernels_equal_the_scalar_kernels_bit_for_bit`), and the
+/// scalar body is the lane body's oracle.
 pub(crate) mod kernel {
+    #[cfg(test)]
+    use std::cell::Cell;
+
     use super::{single_qubit_matrix, Complex, Gate, Mat2};
 
     /// One compiled gate: the kernel its matrix's structure allows,
@@ -265,7 +291,7 @@ pub(crate) mod kernel {
     }
 
     /// Qubits of a `2^n`-amplitude slice.
-    fn width(amps: &[Complex]) -> usize {
+    pub(super) fn width(amps: &[Complex]) -> usize {
         amps.len().trailing_zeros() as usize
     }
 
@@ -344,13 +370,43 @@ pub(crate) mod kernel {
         }
     }
 
+    #[cfg(test)]
+    thread_local! {
+        /// Set while a test forces the scalar body on this thread (and
+        /// on the helpers its fan-outs spawn): nothing outside tests
+        /// reads it.
+        pub(crate) static SCALAR_ONLY: Cell<bool> = const { Cell::new(false) };
+    }
+
+    /// Runs `f` with every op on the scalar body.
+    #[cfg(test)]
+    pub(crate) fn scalar_only<T>(f: impl FnOnce() -> T) -> T {
+        let was = SCALAR_ONLY.replace(true);
+        let out = f();
+        SCALAR_ONLY.set(was);
+        out
+    }
+
     /// Applies `op` to `amps`; `mats` is the side vector `op` was
-    /// compiled into.
+    /// compiled into. The only dispatch: the lane body where the
+    /// register and the CPU allow it, else [`scalar`].
     ///
     /// # Panics
     ///
     /// Panics if a qubit of `op` is out of range.
     pub(crate) fn run(amps: &mut [Complex], op: &Op, mats: &[Mat2]) {
+        #[cfg(test)]
+        if SCALAR_ONLY.get() {
+            return scalar(amps, op, mats);
+        }
+        if !super::lanes::run(amps, op, mats) {
+            scalar(amps, op, mats);
+        }
+    }
+
+    /// [`run`]'s body one amplitude at a time: on every CPU, and the
+    /// oracle of the lane body.
+    pub(super) fn scalar(amps: &mut [Complex], op: &Op, mats: &[Mat2]) {
         match *op {
             Op::Flip { q } => {
                 let bit = pair_bit(amps, q as usize);
@@ -402,7 +458,7 @@ pub(crate) mod kernel {
     }
 
     /// The stride between the two amplitudes of a pair on qubit `q`.
-    fn pair_bit(amps: &[Complex], q: usize) -> usize {
+    pub(super) fn pair_bit(amps: &[Complex], q: usize) -> usize {
         assert!(q < width(amps), "qubit {q} out of range");
         1usize << q
     }
@@ -820,6 +876,60 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn lane_kernels_equal_the_scalar_kernels_bit_for_bit() {
+        // Every one-qubit gate kind on every qubit at two angles, and
+        // every two-qubit kind on every ordered pair, on 3-10 qubits,
+        // dense and with signed zeros: the lane body writes the scalar
+        // body's bits, signs of zeros included.
+        let mut rng = StdRng::seed_from_u64(0x5EED_0027);
+        let bits = |amps: &[Complex]| -> Vec<u64> {
+            let parts = amps.iter().flat_map(|a| [a.re, a.im]);
+            parts.map(f64::to_bits).collect()
+        };
+        // A register of two qubits or fewer stays on the scalar body.
+        let flip = kernel::Op::Flip { q: 0 };
+        assert!(!lanes::run(&mut [Complex::one(); 4], &flip, &[]));
+        let mut cases = 0;
+        for n in 3..=10 {
+            let mut gates = Vec::new();
+            for q in 0..n {
+                for angle in [std::f64::consts::PI, rng.gen_range(-7.0..7.0)] {
+                    gates.extend(one_qubit_gates(q, angle));
+                }
+            }
+            for a in 0..n {
+                for b in (0..n).filter(|&b| b != a) {
+                    let theta = rng.gen_range(-7.0..7.0);
+                    gates.extend([
+                        Gate::Cx(a, b),
+                        Gate::Cz(a, b),
+                        Gate::Cp(a, b, theta),
+                        Gate::Swap(a, b),
+                    ]);
+                }
+            }
+            for gate in gates {
+                let mut mats = Vec::new();
+                let op = kernel::compile(&gate, &mut mats);
+                for dense in [true, false] {
+                    let state = random_state(n, dense, &mut rng);
+                    let mut expected = state.amps.clone();
+                    kernel::scalar(&mut expected, &op, &mats);
+                    let mut got = state.amps;
+                    if !lanes::run(&mut got, &op, &mats) {
+                        eprintln!("skipped: this CPU has no AVX-512F lane body");
+                        return;
+                    }
+                    let what = format!("{gate:?} as {op:?} on {n} qubits, dense: {dense}");
+                    assert_eq!(bits(&got), bits(&expected), "{what}");
+                    cases += 1;
+                }
+            }
+        }
+        assert_eq!(cases, 2 * (32 * 52 + 4 * 328));
     }
 
     /// `gate` compiled, with the matrices it left in the side vector.
