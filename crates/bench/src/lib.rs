@@ -155,7 +155,7 @@ pub struct ShootoutOutcome {
 ///
 /// Panics if the service rejects the fixture workload (a runtime
 /// regression).
-pub fn routing_shootout(routing: impl qucp_runtime::RoutingPolicy + 'static) -> ShootoutOutcome {
+pub fn routing_shootout(routing: qucp_runtime::RoutingChoice) -> ShootoutOutcome {
     use qucp_runtime::{JobRequest, Service};
     let mut service = Service::builder()
         .registry(skewed_fleet())

@@ -5,8 +5,8 @@
 //! online system. Where the analytical model
 //! (`qucp_core::queue::simulate_queue`) abstracts jobs into durations
 //! and the seed runtime served a pre-collected slice FIFO, the
-//! [`Service`] accepts **streaming submissions**, delegates admission
-//! to a pluggable policy, dispatches across a **fleet of devices**, and
+//! [`Service`] accepts **streaming submissions**, admits them by one of
+//! a closed set of policies, dispatches across a **fleet of devices**, and
 //! reports the same [`QueueStats`](qucp_core::queue::QueueStats) as the
 //! model, so all three layers compare head-to-head.
 //!
@@ -21,20 +21,23 @@
 //! 2. **Admit** — whenever a device frees up ([`Service::tick`] in
 //!    online use, [`Service::run_until_drained`] for batch drains), the
 //!    configured [`AdmissionPolicy`] picks the head-of-line job among
-//!    the arrived ones and packs riders around it: [`Fifo`] (strict
-//!    arrival order, the seed behaviour), [`Backfill`] (smaller jobs
-//!    jump a head that does not fit the remaining qubit budget, with a
-//!    bounded-starvation guarantee), or [`ShortestJobFirst`]. The EFS
+//!    the arrived ones and packs riders around it:
+//!    [`AdmissionPolicy::Fifo`] (strict arrival order, the seed
+//!    behaviour), [`AdmissionPolicy::Backfill`] (smaller jobs jump a
+//!    head that does not fit the remaining qubit budget, with a
+//!    bounded-starvation guarantee), or
+//!    [`AdmissionPolicy::ShortestJobFirst`]. The EFS
 //!    fidelity gate sizes the batch: [`EfsGate::HeadOnly`] replays the
 //!    paper's Fig. 4 copy-count probe, [`EfsGate::Batch`] evaluates the
 //!    *actual heterogeneous members* against each job's own threshold
 //!    (tail shrink), and [`EfsGate::BatchWorstExcess`] evicts the
 //!    worst-excess member instead.
-//! 3. **Plan** — a pluggable [`RoutingPolicy`] ranks the
-//!    [`DeviceRegistry`] entries whose topology admits the batch head:
-//!    [`EarliestFree`] (the default) reproduces the pre-seam
-//!    earliest-free rule bit-for-bit, while [`CalibrationAware`] scores
-//!    each candidate chip by the head's solo-best EFS partition score
+//! 3. **Plan** — a [`RoutingChoice`] ranks the [`DeviceRegistry`]
+//!    entries whose topology admits the batch head:
+//!    [`RoutingChoice::EarliestFree`] (the default) reproduces the
+//!    pre-seam earliest-free rule bit-for-bit, while
+//!    [`RoutingChoice::CalibrationAware`] scores each candidate chip
+//!    by the head's solo-best EFS partition score
 //!    (the paper's Eq.-1 metric) blended with queue pressure, so a
 //!    well-calibrated chip wins until its backlog outweighs its quality
 //!    edge. The expensive partition/candidate probes behind routing and
@@ -85,21 +88,19 @@
 //!    the counts and the JSD. The slots fill on a plan's second
 //!    execution, so a plan that never hits the cache retains nothing;
 //!    the prepared state is dropped with its plan entry on an epoch
-//!    bump and is never seed- or shot-dependent. Large jobs additionally
-//!    get *intra-program* shot sharding
-//!    ([`ServiceBuilder::shot_parallelism`], [`ShotParallelism`]):
-//!    each program's trajectory loop splits its shots into shards,
-//!    deterministic in the shard count and independent of the
-//!    thread count. Each job may override the service default
-//!    ([`JobRequest::shot_parallelism`]), and
+//!    bump and is never seed- or shot-dependent. A large job may
+//!    additionally ask for *intra-program* shot sharding
+//!    ([`JobRequest::with_shot_parallelism`], [`ShotParallelism`]):
+//!    its trajectory loop splits its shots into shards, deterministic
+//!    in the shard count and independent of the thread count, and
 //!    [`ShotParallelism::Auto`] picks the shard count from the job's
 //!    shot budget (one shard per 512 shots, capped at 32) so callers
-//!    need not hand-tune the split. Orthogonally, the per-shot
-//!    *trajectory kernel* ([`ServiceBuilder::trajectory_kernel`],
-//!    [`TrajectoryKernel`]) chooses between the bit-pinned replay
-//!    stream and the fast survival-skip sampler, with the same
-//!    per-job override escape hatch
-//!    ([`JobRequest::with_trajectory_kernel`]).
+//!    need not hand-tune the split. Orthogonally, a job may pick its
+//!    per-shot *trajectory kernel*
+//!    ([`JobRequest::with_trajectory_kernel`], [`TrajectoryKernel`]):
+//!    the bit-pinned replay stream or the fast survival-skip sampler.
+//!    A job without either override runs the simulator's defaults,
+//!    serial [`TrajectoryKernel::Replay`].
 //! 5. **Observe** — every transition ([`Event::JobSubmitted`],
 //!    [`Event::BatchPlanned`], [`Event::BatchShrunk`],
 //!    [`Event::JobCompleted`]) lands in the service [`EventLog`] and in
@@ -169,7 +170,7 @@
 //! | phase | before | after | what is left |
 //! |---|---|---|---|
 //! | head and ranking | 4.22 | 0.00 | — (the head's circuit, strategy and four pipeline stages were cloned per dispatch; five vectors per ranking) |
-//! | pack, plan key, replay | 2.34 | 0.82 | the pack the admission policy returns; a shrink-event vector when the cached plan evicts |
+//! | pack, plan key, replay | 2.34 | 0.82 | a shrink-event vector when the cached plan evicts (the admission policy's pack, counted here, has since moved into a buffer the service keeps) |
 //! | planning (the 4 % that miss) | 2.57 | 2.58 | the plan itself, its members' circuits, the key cloned into the cache |
 //! | commit | 6.75 | 2.30 | one member vector, the event block, the device and policy names inside its events (public `String`s) |
 //! | execution | 10.77 | 8.77 | the run's counts and their logical permutation, the result's name and partition; scoring streams over the sparse counts (5.00 → 3.00 of the above) |
@@ -213,10 +214,10 @@
 //!
 //! Per-job **routing overrides** ([`JobRequest::with_routing`],
 //! [`RoutingChoice`]) let a campaign route its measurement circuits by
-//! calibration quality on a service whose default is [`EarliestFree`]
-//! (or vice versa): the batch head's effective policy routes the whole
-//! batch, and an absent (or default-equal) override is bit-for-bit
-//! the service default.
+//! calibration quality on a service whose default is
+//! [`RoutingChoice::EarliestFree`] (or vice versa): the batch head's
+//! effective policy routes the whole batch, and an absent (or
+//! default-equal) override is bit-for-bit the service default.
 //!
 //! **Event-log bounding** ([`ServiceBuilder::event_capacity`]): by
 //! default the [`EventLog`] retains every event forever (bit-for-bit
@@ -258,7 +259,6 @@
 #![warn(missing_debug_implementations)]
 
 mod campaign;
-mod config;
 mod error;
 mod event;
 mod job;
@@ -269,22 +269,19 @@ mod service;
 mod shape;
 
 pub use campaign::{run_campaign, CampaignDriver, CampaignRun, CampaignStats};
-pub use config::RuntimeConfig;
 pub use error::{CalibrationFault, RuntimeError};
 pub use event::{Event, EventLog, EventObserver, ShrinkReason};
 pub use job::{skewed_jobs, synthetic_jobs, Job, JobResult};
-pub use policy::{AdmissionPolicy, Backfill, BatchBudget, Fifo, JobView, ShortestJobFirst};
-pub use registry::{
-    CalibrationAware, DeviceId, DeviceRegistry, EarliestFree, RouteQuery, RoutingChoice,
-    RoutingPolicy,
-};
+pub use policy::{AdmissionPolicy, Backfill, BatchBudget, JobView};
+pub use registry::{CalibrationAware, DeviceId, DeviceRegistry, RouteQuery, RoutingChoice};
 pub use service::{
     BatchReport, DeviceReport, EfsGate, JobRequest, JobTicket, RouteCacheStats, Service,
     ServiceBuilder, ServiceReport, MAX_DRIFT_STEPS_PER_ADVANCE,
 };
 
-// The shot-parallelism mode travels with the runtime config; re-export
-// it so service callers need not depend on `qucp-sim` directly.
+// The shot mode and kernel travel with a `JobRequest`'s overrides;
+// re-export them so service callers need not depend on `qucp-sim`
+// directly.
 pub use qucp_sim::{ShotParallelism, TrajectoryKernel};
 
 // The drift types travel with `ServiceBuilder::drift` /

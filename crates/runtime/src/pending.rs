@@ -73,13 +73,8 @@ pub(crate) struct Pending {
     pub(crate) circuit: Circuit,
     /// Cached `circuit.width()` — immutable once submitted.
     pub(crate) width: usize,
-    /// Cached `circuit.gate_count()`.
-    pub(crate) gates: usize,
     /// Cached `circuit.depth()` (O(gates) to recompute).
     pub(crate) depth: usize,
-    /// Cached `circuit.cx_count()`, what a routing query asks of the
-    /// head.
-    pub(crate) cx_count: usize,
     /// The circuit's interned shape (width + exact gate sequence, name
     /// excluded) — the plan/probe cache key component, interned once at
     /// submit instead of hashed once per dispatch the job is probed.
@@ -100,14 +95,10 @@ pub(crate) struct Pending {
 
 fn view_of(p: &Pending) -> JobView {
     JobView {
-        id: p.id,
         seq: p.seq,
         arrival: p.arrival,
         width: p.width,
-        gates: p.gates,
-        depth: p.depth,
         area: p.width * p.depth,
-        shots: p.shots,
         skips: p.skips,
         joinable: true,
     }
@@ -375,9 +366,7 @@ mod tests {
             seq,
             id: seq as u64,
             width: circuit.width(),
-            gates: circuit.gate_count(),
             depth: circuit.depth(),
-            cx_count: circuit.cx_count(),
             shape: crate::shape::ShapeTable::default().intern(&circuit),
             circuit,
             shots: 64,

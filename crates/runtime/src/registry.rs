@@ -1,4 +1,4 @@
-//! The device registry and the routing-policy seam: which chip of the
+//! The device registry and the routing policies: which chip of the
 //! fleet a batch is dispatched to.
 //!
 //! The paper's queue argument is told for a single device; a cloud
@@ -6,29 +6,26 @@
 //! factors day to day. A [`DeviceRegistry`] holds the static fleet;
 //! per-device *runtime* state (clocks, busy accounting,
 //! [`QueueStats`](qucp_core::queue::QueueStats)) lives inside the
-//! [`Service`](crate::Service), which asks a pluggable
-//! [`RoutingPolicy`] to rank the admitting candidates for every batch:
+//! [`Service`](crate::Service), which ranks the admitting candidates
+//! for every batch by a [`RoutingChoice`], held by value:
 //!
-//! - [`EarliestFree`] (the default) scores a candidate by its clock —
-//!   bit-for-bit the pre-seam dispatch rule (earliest-free device,
-//!   registration order breaks ties), pinned by the service
-//!   equivalence suite.
-//! - [`CalibrationAware`] scores a candidate by the head circuit's
-//!   solo-best EFS partition score on that chip (probed through the
-//!   service's cross-batch cache; a chip with no placement for the
-//!   head ranks last), blended with queue pressure: each nanosecond of
-//!   extra wait over the earliest-free choice costs
+//! - [`RoutingChoice::EarliestFree`] (the default) scores a candidate
+//!   by its clock — bit-for-bit the pre-seam dispatch rule
+//!   (earliest-free device, registration order breaks ties), pinned by
+//!   the service equivalence suite.
+//! - [`RoutingChoice::CalibrationAware`] scores a candidate by the head
+//!   circuit's solo-best EFS partition score on that chip (probed
+//!   through the service's cross-batch cache; a chip with no placement
+//!   for the head ranks last), blended with queue pressure: each
+//!   nanosecond of extra wait over the earliest-free choice costs
 //!   [`CalibrationAware::pressure_per_ns`] EFS units. A well-calibrated
 //!   chip therefore wins until its backlog outweighs its quality edge.
-//!   Probe-free custom policies can rank chips with the cheap
-//!   [`Calibration::error_mass`](qucp_device::Calibration::error_mass)
-//!   × mean-crosstalk aggregates instead.
 //!
 //! Scores are compared with `total_cmp` and ties always fall back to
 //! the earliest-free order (free time, then registration index), so
-//! routing stays deterministic for any policy — even one that returns
-//! NaN: the comparison stays total (positive NaN sorts after `+∞`,
-//! negative before `−∞`) and never panics.
+//! routing stays deterministic for any pressure — even a NaN one:
+//! [`RoutingChoice::score`] returns every NaN as `f64::NAN`, which
+//! sorts after `+∞`, whatever sign the arithmetic left on it.
 //!
 //! ## Calibration epochs and cross-batch caching
 //!
@@ -83,8 +80,6 @@
 //! observable via
 //! [`Service::route_cache_stats`](crate::Service::route_cache_stats)
 //! (`invalidated` / `plan_invalidated`).
-
-use std::fmt;
 
 use qucp_device::{Calibration, CrosstalkModel, Device};
 
@@ -305,14 +300,10 @@ impl DeviceRegistry {
     }
 }
 
-/// What a routing policy may know about one admitting candidate when a
-/// batch is dispatched.
+/// What a routing policy reads of one admitting candidate when a batch
+/// is dispatched.
 #[derive(Debug, Clone, Copy)]
-pub struct RouteQuery<'a> {
-    /// The candidate device.
-    pub device: &'a Device,
-    /// Registration index (the deterministic final tie-breaker).
-    pub device_index: usize,
+pub struct RouteQuery {
     /// When the candidate frees up (its clock, ns).
     pub free_at: f64,
     /// Earliest start of the batch head on this candidate:
@@ -322,74 +313,17 @@ pub struct RouteQuery<'a> {
     /// queue-pressure baseline: `start - best_start` is the extra wait
     /// this candidate costs over the earliest-free choice.
     pub best_start: f64,
-    /// Logical width of the head circuit.
-    pub head_width: usize,
-    /// CNOT count of the head circuit.
-    pub head_cx_count: usize,
     /// Solo-best EFS partition score of the head circuit on this
     /// candidate (lower is better), served from the service's
     /// cross-batch cache. `None` when the policy did not request it
-    /// ([`RoutingPolicy::wants_partition_score`]) or when the probe
+    /// ([`RoutingChoice::wants_partition_score`]) or when the probe
     /// found no placement on this chip.
     pub partition_score: Option<f64>,
 }
 
-/// Ranks the admitting devices of the fleet for one batch dispatch.
-///
-/// Implementations must be deterministic pure functions of the query —
-/// the service's bit-for-bit reproducibility guarantee rests on it.
-/// Scores are compared with `total_cmp`; ties (and NaN, which sorts
-/// last) fall back to earliest-free order.
-pub trait RoutingPolicy: Send + Sync + fmt::Debug {
-    /// Display name (reports, telemetry events, benches).
-    fn name(&self) -> &str;
-
-    /// Whether the service should probe (and cache) the head circuit's
-    /// solo-best partition score on every candidate before scoring.
-    /// Defaults to `false`: the probe costs a candidate growth per
-    /// (device, circuit shape) on first sight.
-    fn wants_partition_score(&self) -> bool {
-        false
-    }
-
-    /// Scores one admitting candidate; **lower is better**.
-    fn score(&self, query: &RouteQuery<'_>) -> f64;
-}
-
-/// The pre-seam dispatch rule: route to the earliest-free admitting
-/// device, registration order breaking ties. Calibration-blind; kept as
-/// the default and pinned bit-for-bit by the service equivalence suite.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct EarliestFree;
-
-impl RoutingPolicy for EarliestFree {
-    fn name(&self) -> &str {
-        "EarliestFree"
-    }
-
-    fn score(&self, query: &RouteQuery<'_>) -> f64 {
-        query.free_at
-    }
-}
-
-/// Calibration-quality routing: prefer the chip where the head circuit
-/// keeps the most fidelity, unless the backlog there outweighs the
-/// quality edge.
-///
-/// The score is `quality + pressure_per_ns · (start − best_start)`,
-/// where `quality` is the head's solo-best EFS partition score on the
-/// candidate (the same Eq.-1 metric that drives partitioning, probed
-/// through the service's cross-batch cache) and the pressure term
-/// converts extra waiting into EFS units. A candidate whose probe found
-/// **no placement** for the head scores `f64::INFINITY`: a planning
-/// attempt there can only refail with the same `PartitionUnavailable`
-/// the probe saw, so every placeable chip is tried first (the
-/// unplaceable ones stay last-resort, preserving the precise
-/// error-surfacing when *nothing* can place the job). Probe-free
-/// custom policies can rank chips with the cheap
-/// [`Calibration::error_mass`](qucp_device::Calibration::error_mass) ×
-/// [`CrosstalkModel::mean_gamma`](qucp_device::CrosstalkModel::mean_gamma)
-/// aggregates instead.
+/// The parameter of [`RoutingChoice::CalibrationAware`]: prefer the
+/// chip where the head circuit keeps the most fidelity, unless the
+/// backlog there outweighs the quality edge.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CalibrationAware {
     /// EFS units one nanosecond of extra wait costs (relative to the
@@ -416,58 +350,39 @@ impl Default for CalibrationAware {
     }
 }
 
-impl RoutingPolicy for CalibrationAware {
-    fn name(&self) -> &str {
-        "CalibrationAware"
-    }
-
-    fn wants_partition_score(&self) -> bool {
-        true
-    }
-
-    fn score(&self, query: &RouteQuery<'_>) -> f64 {
-        // This policy always requests probes, so an absent score means
-        // the probe found no placement for the head on this chip —
-        // rank it behind every placeable candidate (planning there
-        // could only refail with the probe's PartitionUnavailable).
-        let Some(quality) = query.partition_score else {
-            return f64::INFINITY;
-        };
-        let wait = query.start - query.best_start;
-        // Charged only for a strictly positive wait: `pressure_per_ns *
-        // 0.0` would turn an infinite weight into NaN for the very
-        // candidate the degenerate mode is meant to prefer.
-        if wait > 0.0 {
-            quality + self.pressure_per_ns * wait
-        } else {
-            quality
-        }
-    }
-}
-
-/// A per-job routing-policy override, carried on a
-/// [`JobRequest`](crate::JobRequest).
+/// Ranks the admitting devices of the fleet for one batch dispatch: the
+/// service's default ([`ServiceBuilder::routing`](crate::ServiceBuilder::routing))
+/// and a job's override ([`JobRequest::with_routing`](crate::JobRequest::with_routing))
+/// alike.
 ///
-/// The service routes every batch with its configured
-/// [`RoutingPolicy`]; a campaign that wants quality-routed measurement
-/// circuits on a service whose default is [`EarliestFree`] (or vice
-/// versa) can override the policy for the batches *it* heads. The
-/// override is a closed enum of the built-in policies — not a boxed
-/// trait object — so requests stay `Clone + PartialEq` and
-/// wire-encodable through the daemon protocol.
-///
-/// Semantics: the override of the batch **head** routes the whole
-/// batch (riders' overrides are ignored, exactly like the head's
-/// strategy governs batch planning). A request without an override
-/// routes with the service default, bit-for-bit — and an explicit
-/// override equal to the service default is observationally identical
-/// to no override (pinned by the campaign test suite).
-#[derive(Debug, Clone, Copy, PartialEq)]
+/// Semantics of an override: the override of the batch **head** routes
+/// the whole batch (riders' overrides are ignored, exactly like the
+/// head's strategy governs batch planning). A request without an
+/// override routes with the service default, bit-for-bit — and an
+/// explicit override equal to the service default is observationally
+/// identical to no override (pinned by the campaign test suite). The
+/// choice is a closed enum held by value, so requests stay
+/// `Clone + PartialEq` and wire-encodable through the daemon protocol.
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub enum RoutingChoice {
-    /// Route to the earliest-free admitting device ([`EarliestFree`]).
+    /// Route to the earliest-free admitting device, registration order
+    /// breaking ties: the pre-seam dispatch rule. Calibration-blind;
+    /// the default, pinned bit-for-bit by the service equivalence
+    /// suite.
+    #[default]
     EarliestFree,
-    /// Route by calibration quality blended with queue pressure
-    /// ([`CalibrationAware`]).
+    /// Route by calibration quality blended with queue pressure.
+    ///
+    /// The score is `quality + pressure_per_ns · (start − best_start)`,
+    /// where `quality` is the head's solo-best EFS partition score on
+    /// the candidate (the same Eq.-1 metric that drives partitioning,
+    /// probed through the service's cross-batch cache) and the pressure
+    /// term converts extra waiting into EFS units. A candidate whose
+    /// probe found **no placement** for the head scores `f64::INFINITY`:
+    /// a planning attempt there can only refail with the same
+    /// `PartitionUnavailable` the probe saw, so every placeable chip is
+    /// tried first (the unplaceable ones stay last-resort, preserving
+    /// the precise error-surfacing when *nothing* can place the job).
     CalibrationAware {
         /// EFS units one nanosecond of extra wait costs (see
         /// [`CalibrationAware::pressure_per_ns`]).
@@ -475,31 +390,60 @@ pub enum RoutingChoice {
     },
 }
 
-impl RoutingPolicy for RoutingChoice {
-    fn name(&self) -> &str {
+impl From<CalibrationAware> for RoutingChoice {
+    fn from(CalibrationAware { pressure_per_ns }: CalibrationAware) -> Self {
+        RoutingChoice::CalibrationAware { pressure_per_ns }
+    }
+}
+
+impl RoutingChoice {
+    /// Display name (reports, telemetry events, benches).
+    pub fn name(self) -> &'static str {
         match self {
-            RoutingChoice::EarliestFree => EarliestFree.name(),
+            RoutingChoice::EarliestFree => "EarliestFree",
             RoutingChoice::CalibrationAware { .. } => "CalibrationAware",
         }
     }
 
-    fn wants_partition_score(&self) -> bool {
-        match self {
-            RoutingChoice::EarliestFree => EarliestFree.wants_partition_score(),
-            RoutingChoice::CalibrationAware { pressure_per_ns } => CalibrationAware {
-                pressure_per_ns: *pressure_per_ns,
-            }
-            .wants_partition_score(),
-        }
+    /// Whether the service should probe (and cache) the head circuit's
+    /// solo-best partition score on every candidate before scoring: the
+    /// probe costs a candidate growth per (device, circuit shape) on
+    /// first sight, so only calibration-aware routing pays it.
+    pub fn wants_partition_score(self) -> bool {
+        matches!(self, RoutingChoice::CalibrationAware { .. })
     }
 
-    fn score(&self, query: &RouteQuery<'_>) -> f64 {
-        match self {
-            RoutingChoice::EarliestFree => EarliestFree.score(query),
-            RoutingChoice::CalibrationAware { pressure_per_ns } => CalibrationAware {
-                pressure_per_ns: *pressure_per_ns,
+    /// Scores one admitting candidate; **lower is better**. A NaN score
+    /// (a NaN pressure times a positive wait) is returned as
+    /// `f64::NAN`, which `total_cmp` ranks after every number: a NaN
+    /// of either sign ranks the waiting chip last, never first.
+    pub fn score(self, query: &RouteQuery) -> f64 {
+        let score = match self {
+            RoutingChoice::EarliestFree => query.free_at,
+            RoutingChoice::CalibrationAware { pressure_per_ns } => {
+                // Probes were requested, so an absent score means the
+                // probe found no placement for the head on this chip —
+                // rank it behind every placeable candidate (planning
+                // there could only refail with the probe's
+                // PartitionUnavailable).
+                let Some(quality) = query.partition_score else {
+                    return f64::INFINITY;
+                };
+                let wait = query.start - query.best_start;
+                // Charged only for a strictly positive wait: `pressure *
+                // 0.0` would turn an infinite weight into NaN for the
+                // very candidate the degenerate mode is meant to prefer.
+                if wait > 0.0 {
+                    quality + pressure_per_ns * wait
+                } else {
+                    quality
+                }
             }
-            .score(query),
+        };
+        if score.is_nan() {
+            f64::NAN
+        } else {
+            score
         }
     }
 }
@@ -612,40 +556,34 @@ mod tests {
         fleet.recalibrate(tor, wrong);
     }
 
-    fn query(device: &Device, free_at: f64, start: f64, score: Option<f64>) -> RouteQuery<'_> {
+    fn query(free_at: f64, start: f64, score: Option<f64>) -> RouteQuery {
         RouteQuery {
-            device,
-            device_index: 0,
             free_at,
             start,
             best_start: 100.0,
-            head_width: 3,
-            head_cx_count: 10,
             partition_score: score,
         }
     }
 
     #[test]
     fn earliest_free_scores_by_clock_only() {
-        let dev = ibm::toronto();
-        let policy = EarliestFree;
+        let policy = RoutingChoice::EarliestFree;
         assert!(!policy.wants_partition_score());
-        assert_eq!(policy.score(&query(&dev, 7.0, 100.0, Some(0.9))), 7.0);
-        assert_eq!(policy.score(&query(&dev, 0.0, 500.0, None)), 0.0);
+        assert_eq!(policy.score(&query(7.0, 100.0, Some(0.9))), 7.0);
+        assert_eq!(policy.score(&query(0.0, 500.0, None)), 0.0);
     }
 
     #[test]
     fn calibration_aware_blends_quality_and_pressure() {
-        let dev = ibm::toronto();
-        let policy = CalibrationAware {
+        let policy = RoutingChoice::CalibrationAware {
             pressure_per_ns: 1e-3,
         };
         assert!(policy.wants_partition_score());
         // At the earliest-free start, the score is pure quality.
-        let base = policy.score(&query(&dev, 0.0, 100.0, Some(0.25)));
+        let base = policy.score(&query(0.0, 100.0, Some(0.25)));
         assert!((base - 0.25).abs() < 1e-12);
         // Every ns past the best start costs pressure_per_ns.
-        let pressured = policy.score(&query(&dev, 0.0, 300.0, Some(0.25)));
+        let pressured = policy.score(&query(0.0, 300.0, Some(0.25)));
         assert!((pressured - (0.25 + 0.2)).abs() < 1e-12);
     }
 
@@ -653,16 +591,12 @@ mod tests {
     fn infinite_pressure_degenerates_to_earliest_start() {
         // INF · 0 would be NaN: the earliest-start candidate must keep
         // its finite quality score while every later start scores +∞.
-        let dev = ibm::toronto();
-        let policy = CalibrationAware {
+        let policy = RoutingChoice::CalibrationAware {
             pressure_per_ns: f64::INFINITY,
         };
-        let at_best_start = policy.score(&query(&dev, 0.0, 100.0, Some(0.3)));
+        let at_best_start = policy.score(&query(0.0, 100.0, Some(0.3)));
         assert_eq!(at_best_start, 0.3);
-        assert_eq!(
-            policy.score(&query(&dev, 0.0, 100.5, Some(0.3))),
-            f64::INFINITY
-        );
+        assert_eq!(policy.score(&query(0.0, 100.5, Some(0.3))), f64::INFINITY);
     }
 
     #[test]
@@ -670,10 +604,28 @@ mod tests {
         // An absent partition score means "probed, no placement": the
         // chip must lose to any placeable candidate, however bad its
         // calibration — planning there could only refail.
-        let dev = ibm::toronto();
-        let policy = CalibrationAware::default();
-        assert_eq!(policy.score(&query(&dev, 0.0, 100.0, None)), f64::INFINITY);
-        let terrible_but_placeable = policy.score(&query(&dev, 0.0, 100.0, Some(1e6)));
+        let policy = RoutingChoice::from(CalibrationAware::default());
+        assert_eq!(policy.score(&query(0.0, 100.0, None)), f64::INFINITY);
+        let terrible_but_placeable = policy.score(&query(0.0, 100.0, Some(1e6)));
         assert!(terrible_but_placeable < f64::INFINITY);
+    }
+
+    #[test]
+    fn a_nan_score_of_either_sign_ranks_after_infinity() {
+        for pressure_per_ns in [f64::NAN, -f64::NAN] {
+            let policy = RoutingChoice::CalibrationAware { pressure_per_ns };
+            let waiting = policy.score(&query(0.0, 300.0, Some(0.25)));
+            assert_eq!(waiting.to_bits(), f64::NAN.to_bits());
+            assert!(waiting.total_cmp(&f64::INFINITY).is_gt());
+            // No wait, no pressure term: the quality stands.
+            assert_eq!(policy.score(&query(0.0, 100.0, Some(0.25))), 0.25);
+        }
+    }
+
+    #[test]
+    fn names_are_the_event_strings() {
+        let aware = RoutingChoice::from(CalibrationAware::default());
+        assert_eq!(RoutingChoice::default().name(), "EarliestFree");
+        assert_eq!(aware.name(), "CalibrationAware");
     }
 }

@@ -31,13 +31,12 @@ use qucp_device::{Calibration, CrosstalkModel, DriftModel};
 
 use self::dispatch::DispatchScratch;
 use self::route_cache::RouteCache;
-use crate::config::RuntimeConfig;
 use crate::error::RuntimeError;
 use crate::event::{Event, EventLog, EventObserver};
 use crate::job::JobResult;
 use crate::pending::{Pending, PendingStore};
 use crate::policy::AdmissionPolicy;
-use crate::registry::{ClockIndex, DeviceRegistry, RoutingPolicy};
+use crate::registry::{ClockIndex, DeviceRegistry, RoutingChoice};
 use crate::shape::ShapeTable;
 
 /// Per-device runtime state (the registry holds only the static fleet).
@@ -77,9 +76,18 @@ struct DeviceState {
 /// # }
 /// ```
 pub struct Service {
-    policy: Box<dyn AdmissionPolicy>,
-    routing: Box<dyn RoutingPolicy>,
-    cfg: RuntimeConfig,
+    policy: AdmissionPolicy,
+    /// The routing of every batch whose head carries no override.
+    routing: RoutingChoice,
+    /// Hard cap on jobs per batch (1 = dedicated mode).
+    max_parallel: usize,
+    /// Default EFS fidelity-threshold gate (Fig. 4); `None` disables
+    /// the gate for jobs without a per-job override.
+    fidelity_threshold: Option<f64>,
+    /// Base RNG seed of every batch's trajectories.
+    seed: u64,
+    /// Run the cancellation peephole pass before mapping.
+    optimize: bool,
     efs_gate: EfsGate,
     default_shots: usize,
     registry: DeviceRegistry,
@@ -137,7 +145,10 @@ impl std::fmt::Debug for Service {
             .field("strategy", &self.pending.strategy(0).name)
             .field("policy", &self.policy)
             .field("routing", &self.routing)
-            .field("cfg", &self.cfg)
+            .field("max_parallel", &self.max_parallel)
+            .field("fidelity_threshold", &self.fidelity_threshold)
+            .field("seed", &self.seed)
+            .field("optimize", &self.optimize)
             .field("efs_gate", &self.efs_gate)
             .field("pending", &self.pending.len())
             .field("batches", &self.batches.len())
@@ -259,9 +270,7 @@ impl Service {
         // with the same arrival has a smaller seq and stays in front
         // (the store's insert rule).
         let width = request.circuit.width();
-        let gates = request.circuit.gate_count();
         let depth = request.circuit.depth();
-        let cx_count = request.circuit.cx_count();
         // The shape keys every plan/probe cache lookup the job will
         // ever be part of; interning once at submit (O(gates), like the
         // depth above) makes each of those lookups a handle comparison.
@@ -272,9 +281,7 @@ impl Service {
             id,
             circuit: request.circuit,
             width,
-            gates,
             depth,
-            cx_count,
             shape,
             shots,
             arrival: request.arrival,

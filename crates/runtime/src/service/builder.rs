@@ -3,26 +3,27 @@
 
 use qucp_core::{strategy, Strategy};
 use qucp_device::{Device, DriftModel};
-use qucp_sim::{ShotParallelism, TrajectoryKernel};
 
 use super::dispatch::DispatchScratch;
 use super::route_cache::RouteCache;
 use super::{DeviceState, EfsGate, Service};
-use crate::config::RuntimeConfig;
 use crate::error::RuntimeError;
 use crate::event::{EventLog, EventObserver};
 use crate::pending::PendingStore;
-use crate::policy::{AdmissionPolicy, Fifo};
-use crate::registry::{ClockIndex, DeviceRegistry, EarliestFree, RoutingPolicy};
+use crate::policy::AdmissionPolicy;
+use crate::registry::{ClockIndex, DeviceRegistry, RoutingChoice};
 use crate::shape::ShapeTable;
 
 /// Builds a [`Service`]; validation happens in [`ServiceBuilder::build`].
 pub struct ServiceBuilder {
     registry: DeviceRegistry,
     strategy: Strategy,
-    policy: Box<dyn AdmissionPolicy>,
-    routing: Box<dyn RoutingPolicy>,
-    cfg: RuntimeConfig,
+    policy: AdmissionPolicy,
+    routing: RoutingChoice,
+    max_parallel: usize,
+    fidelity_threshold: Option<f64>,
+    seed: u64,
+    optimize: bool,
     efs_gate: EfsGate,
     default_shots: usize,
     observers: Vec<Box<dyn EventObserver>>,
@@ -37,7 +38,10 @@ impl std::fmt::Debug for ServiceBuilder {
             .field("strategy", &self.strategy.name)
             .field("policy", &self.policy)
             .field("routing", &self.routing)
-            .field("cfg", &self.cfg)
+            .field("max_parallel", &self.max_parallel)
+            .field("fidelity_threshold", &self.fidelity_threshold)
+            .field("seed", &self.seed)
+            .field("optimize", &self.optimize)
             .field("efs_gate", &self.efs_gate)
             .field("default_shots", &self.default_shots)
             .field("drift", &self.drift)
@@ -53,15 +57,19 @@ impl Default for ServiceBuilder {
 
 impl ServiceBuilder {
     /// A builder with an empty fleet, QuCP strategy, FIFO admission,
-    /// earliest-free routing, the default [`RuntimeConfig`], the
+    /// earliest-free routing, at most 4 jobs to a batch, no default
+    /// fidelity threshold, seed `0x5EED`, the cancellation pass on, the
     /// head-only EFS gate, and 1024 default shots.
     pub fn new() -> Self {
         ServiceBuilder {
             registry: DeviceRegistry::new(),
             strategy: strategy::qucp(strategy::DEFAULT_SIGMA),
-            policy: Box::new(Fifo),
-            routing: Box::new(EarliestFree),
-            cfg: RuntimeConfig::default(),
+            policy: AdmissionPolicy::Fifo,
+            routing: RoutingChoice::EarliestFree,
+            max_parallel: 4,
+            fidelity_threshold: None,
+            seed: 0x5EED,
+            optimize: true,
             efs_gate: EfsGate::default(),
             default_shots: 1024,
             observers: Vec::new(),
@@ -92,35 +100,30 @@ impl ServiceBuilder {
         self
     }
 
-    /// Sets the admission policy.
+    /// Sets the admission policy (a [`Backfill`](crate::Backfill)
+    /// converts into its variant).
     #[must_use]
-    pub fn policy(mut self, policy: impl AdmissionPolicy + 'static) -> Self {
-        self.policy = Box::new(policy);
+    pub fn policy(mut self, policy: impl Into<AdmissionPolicy>) -> Self {
+        self.policy = policy.into();
         self
     }
 
     /// Sets the routing policy deciding which admitting device each
-    /// batch dispatches to. [`EarliestFree`] (the default) is
-    /// bit-for-bit the pre-seam dispatch rule;
-    /// [`CalibrationAware`](crate::CalibrationAware) routes by the head
-    /// circuit's calibration quality blended with queue pressure.
+    /// batch dispatches to. [`RoutingChoice::EarliestFree`] (the
+    /// default) is bit-for-bit the pre-seam dispatch rule; a
+    /// [`CalibrationAware`](crate::CalibrationAware) (which converts
+    /// into its variant) routes by the head circuit's calibration
+    /// quality blended with queue pressure.
     #[must_use]
-    pub fn routing(mut self, policy: impl RoutingPolicy + 'static) -> Self {
-        self.routing = Box::new(policy);
+    pub fn routing(mut self, routing: impl Into<RoutingChoice>) -> Self {
+        self.routing = routing.into();
         self
     }
 
-    /// Replaces the base runtime configuration wholesale.
-    #[must_use]
-    pub fn config(mut self, cfg: RuntimeConfig) -> Self {
-        self.cfg = cfg;
-        self
-    }
-
-    /// Caps the co-schedule width.
+    /// Caps the co-schedule width (1 = dedicated mode).
     #[must_use]
     pub fn max_parallel(mut self, max_parallel: usize) -> Self {
-        self.cfg.max_parallel = max_parallel;
+        self.max_parallel = max_parallel;
         self
     }
 
@@ -128,7 +131,7 @@ impl ServiceBuilder {
     /// gate for jobs without their own override).
     #[must_use]
     pub fn fidelity_threshold(mut self, threshold: Option<f64>) -> Self {
-        self.cfg.fidelity_threshold = threshold;
+        self.fidelity_threshold = threshold;
         self
     }
 
@@ -139,40 +142,18 @@ impl ServiceBuilder {
         self
     }
 
-    /// Sets the base RNG seed.
+    /// Sets the base RNG seed: batch `b`, program `i` derive their
+    /// trajectory seeds from `(seed, b, i)` only.
     #[must_use]
     pub fn seed(mut self, seed: u64) -> Self {
-        self.cfg.seed = seed;
+        self.seed = seed;
         self
     }
 
     /// Enables or disables the cancellation peephole pass.
     #[must_use]
     pub fn optimize(mut self, optimize: bool) -> Self {
-        self.cfg.optimize = optimize;
-        self
-    }
-
-    /// Intra-program shot parallelism for every executed program (see
-    /// [`ShotParallelism`]); layered under the per-batch fan-out over
-    /// programs. The serial default keeps reports bit-for-bit identical
-    /// to the pre-sharding runtime.
-    #[must_use]
-    pub fn shot_parallelism(mut self, parallelism: ShotParallelism) -> Self {
-        self.cfg.shot_parallelism = parallelism;
-        self
-    }
-
-    /// Trajectory kernel for every executed program (see
-    /// [`TrajectoryKernel`]); individual jobs may override it via
-    /// [`JobRequest::with_trajectory_kernel`](crate::JobRequest::with_trajectory_kernel). The [`Replay`]
-    /// default keeps reports bit-for-bit identical to the
-    /// pre-kernel-selection runtime.
-    ///
-    /// [`Replay`]: TrajectoryKernel::Replay
-    #[must_use]
-    pub fn trajectory_kernel(mut self, kernel: TrajectoryKernel) -> Self {
-        self.cfg.trajectory_kernel = kernel;
+        self.optimize = optimize;
         self
     }
 
@@ -228,13 +209,13 @@ impl ServiceBuilder {
         if self.registry.is_empty() {
             return Err(RuntimeError::NoDevices);
         }
-        if self.cfg.max_parallel == 0 {
+        if self.max_parallel == 0 {
             return Err(RuntimeError::ZeroParallel);
         }
         if self.default_shots == 0 {
             return Err(RuntimeError::ZeroShots);
         }
-        if let Some(t) = self.cfg.fidelity_threshold {
+        if let Some(t) = self.fidelity_threshold {
             if !t.is_finite() || t < 0.0 {
                 return Err(RuntimeError::InvalidThreshold { value: t });
             }
@@ -253,7 +234,10 @@ impl ServiceBuilder {
         Ok(Service {
             policy: self.policy,
             routing: self.routing,
-            cfg: self.cfg,
+            max_parallel: self.max_parallel,
+            fidelity_threshold: self.fidelity_threshold,
+            seed: self.seed,
+            optimize: self.optimize,
             efs_gate: self.efs_gate,
             default_shots: self.default_shots,
             registry: self.registry,

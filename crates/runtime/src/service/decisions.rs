@@ -4,29 +4,25 @@
 
 #[cfg(test)]
 mod tests {
-    use crate::config::RuntimeConfig;
     use crate::error::RuntimeError;
     use crate::job::{synthetic_jobs, Job};
     use crate::service::{JobRequest, Service, ServiceReport};
     use qucp_core::strategy;
     use qucp_device::ibm;
 
-    fn quick_cfg(max_parallel: usize) -> RuntimeConfig {
-        RuntimeConfig {
-            max_parallel,
-            fidelity_threshold: None,
-            seed: 42,
-            optimize: true,
-            ..RuntimeConfig::default()
-        }
-    }
-
-    /// Serves `jobs` FIFO on one Toronto under `cfg`.
-    fn serve(cfg: RuntimeConfig, jobs: &[Job]) -> Result<ServiceReport, RuntimeError> {
+    /// Serves `jobs` FIFO on one Toronto, `max_parallel` to a batch,
+    /// under a default EFS `threshold`.
+    fn serve(
+        max_parallel: usize,
+        threshold: Option<f64>,
+        jobs: &[Job],
+    ) -> Result<ServiceReport, RuntimeError> {
         let mut service = Service::builder()
             .device(ibm::toronto())
             .strategy(strategy::qucp(4.0))
-            .config(cfg)
+            .max_parallel(max_parallel)
+            .fidelity_threshold(threshold)
+            .seed(42)
             .build()?;
         for job in jobs {
             service.submit(JobRequest::from_job(job))?;
@@ -35,7 +31,7 @@ mod tests {
     }
 
     fn run(max_parallel: usize, jobs: &[Job]) -> Result<ServiceReport, RuntimeError> {
-        serve(quick_cfg(max_parallel), jobs)
+        serve(max_parallel, None, jobs)
     }
 
     fn small_jobs(n: usize) -> Vec<Job> {
@@ -110,11 +106,9 @@ mod tests {
     fn oversized_job_is_unplaceable_with_threshold_gate_too() {
         // The threshold probe runs before packing; the error contract
         // must not change when the gate is on.
-        let mut cfg = quick_cfg(4);
-        cfg.fidelity_threshold = Some(0.1);
         let mut jobs = small_jobs(1);
         jobs[0].circuit = qucp_circuit::Circuit::new(64);
-        let err = serve(cfg, &jobs).unwrap_err();
+        let err = serve(4, Some(0.1), &jobs).unwrap_err();
         assert!(matches!(
             err,
             RuntimeError::JobUnplaceable { job_id: 0, .. }
@@ -123,13 +117,11 @@ mod tests {
 
     #[test]
     fn fidelity_threshold_zero_degenerates_to_dedicated() {
-        let mut cfg = quick_cfg(4);
-        cfg.fidelity_threshold = Some(0.0);
         // A homogeneous burst: every batch head admits exactly one copy
         // under a zero threshold (paper: "when the fidelity threshold is
         // zero … only one circuit is executed each time").
         let jobs = small_jobs(4);
-        let report = serve(cfg, &jobs).unwrap();
+        let report = serve(4, Some(0.0), &jobs).unwrap();
         assert_eq!(report.stats.batches, 4);
     }
 

@@ -15,8 +15,8 @@
 //! circuit dropped — which execution reads by reference and
 //! [`Service::finish_batch`] consumes: the name moves once more, into
 //! the job's result. What a steady-state batch still asks the heap for
-//! is what it keeps (its members, its events and their strings, its
-//! results) and the pack the admission policy returns.
+//! is what it keeps: its members, its events and their strings, its
+//! results. The admission policy packs into the scratch too.
 
 use std::sync::Arc;
 
@@ -33,7 +33,7 @@ use crate::event::Event;
 use crate::job::JobResult;
 use crate::pending::Pending;
 use crate::policy::BatchBudget;
-use crate::registry::{RouteQuery, RoutingChoice, RoutingPolicy};
+use crate::registry::{RouteQuery, RoutingChoice};
 use crate::shape::Shape;
 
 impl Service {
@@ -125,12 +125,10 @@ impl Service {
             seq: head_seq,
             id: p.id,
             arrival: head_arrival,
-            width: p.width,
-            cx_count: p.cx_count,
-            routing: p.routing,
+            routing: p.routing.unwrap_or(self.routing),
             strategy: Arc::clone(self.pending.strategy(p.strategy_key)),
             strategy_key: p.strategy_key,
-            threshold: p.fidelity_threshold.or(self.cfg.fidelity_threshold),
+            threshold: p.fidelity_threshold.or(self.fidelity_threshold),
             shape: p.shape.clone(),
             probe_widest: scratch.admitting.is_empty(),
             batch_index: self.batches.len(),
@@ -201,10 +199,7 @@ impl Service {
         // Only a policy that asks pays for the partition probes:
         // the default EarliestFree dispatch never touches the solo
         // cache.
-        let wants_score = match &head.routing {
-            Some(choice) => choice.wants_partition_score(),
-            None => self.routing.wants_partition_score(),
-        };
+        let wants_score = head.routing.wants_partition_score();
         let best_start = admitting
             .iter()
             .map(|&d| self.states[d].clock.max(head.arrival))
@@ -219,20 +214,12 @@ impl Service {
             } else {
                 None
             };
-            let query = RouteQuery {
-                device: self.registry.device_at(d),
-                device_index: d,
+            let score = head.routing.score(&RouteQuery {
                 free_at: self.states[d].clock,
                 start: self.states[d].clock.max(head.arrival),
                 best_start,
-                head_width: head.width,
-                head_cx_count: head.cx_count,
                 partition_score,
-            };
-            let score = match &head.routing {
-                Some(choice) => choice.score(&query),
-                None => self.routing.score(&query),
-            };
+            });
             ranked.push((score, self.states[d].clock, d));
         }
         ranked.sort_by(|a, b| {
@@ -266,7 +253,6 @@ impl Service {
 
         // The one fallible step, first: the store hands each member
         // over and the batch keeps what execution and the report read.
-        let (parallelism, kernel) = (self.cfg.shot_parallelism, self.cfg.trajectory_kernel);
         let members =
             self.pending
                 .take_members(&scratch.member_seqs, &mut scratch.positions, |p| Member {
@@ -274,8 +260,8 @@ impl Service {
                     id: p.id,
                     width: p.width,
                     shots: p.shots,
-                    parallelism: p.shot_parallelism.unwrap_or(parallelism),
-                    kernel: p.trajectory_kernel.unwrap_or(kernel),
+                    parallelism: p.shot_parallelism.unwrap_or_default(),
+                    kernel: p.trajectory_kernel.unwrap_or_default(),
                     wait: start - p.arrival,
                     turnaround: completion - p.arrival,
                     name: p.circuit.into_name(),
@@ -286,17 +272,14 @@ impl Service {
         let device = self.registry.device_at(d);
         // The routing decision is recorded only for the device the
         // batch actually commits on (failed candidates leave no
-        // trace, like their shrink events).
-        // The recorded policy is the *effective* one: the head's
-        // override when present, the service default otherwise.
+        // trace, like their shrink events). The recorded policy is the
+        // *effective* one: the head's override when present, the
+        // service default otherwise.
         let mut events: Vec<Event> = Vec::with_capacity(2 + shrinks.len() + members.len());
         events.push(Event::BatchRouted {
             batch_index,
             device: device.name().to_string(),
-            policy: match &head.routing {
-                Some(choice) => choice.name().to_string(),
-                None => self.routing.name().to_string(),
-            },
+            policy: head.routing.name().to_string(),
             score,
             start,
             candidates: scratch.ranked.len(),
@@ -340,7 +323,7 @@ impl Service {
         // fairness gain. The admitted picks are the members: planning
         // only ever drops picks.
         let admitted = &scratch.member_seqs;
-        let last_admitted_pos = pack
+        let last_admitted_pos = scratch
             .picks
             .iter()
             .zip(&scratch.picks_seqs)
@@ -361,7 +344,7 @@ impl Service {
             start,
             completion,
             makespan,
-            batch_seed: derive_batch_seed(self.cfg.seed, batch_index),
+            batch_seed: derive_batch_seed(self.seed, batch_index),
             members,
             events,
         })
@@ -419,7 +402,7 @@ impl Service {
     }
 
     /// One candidate device, start to finish: the head-only cap probe,
-    /// the pack (left in `scratch.picks_seqs` / `scratch.pool`), and
+    /// the pack (left in `scratch.picks` / `picks_seqs` / `pool`), and
     /// the plan-cache lookup under a key built in the scratch's key
     /// buffers — a hit replays the memoized outcome against the current
     /// members (re-binding shrink events and unplaceable errors to
@@ -442,7 +425,7 @@ impl Service {
             (EfsGate::HeadOnly, Some(threshold)) if !head.probe_widest => {
                 self.cached_head_cap(head, d, threshold)?.map(|c| c.max(1))
             }
-            _ => Ok(self.cfg.max_parallel),
+            _ => Ok(self.max_parallel),
         };
         let cap = cap_probe.map_err(|e| RuntimeError::from_planning(head.id, e))?;
         let pack = self.pack_candidate(scratch, head, d, cap)?;
@@ -488,7 +471,7 @@ impl Service {
             device,
             head.batch_index,
             self.efs_gate,
-            self.cfg.optimize,
+            self.optimize,
             &head.strategy,
             members,
         );
@@ -501,10 +484,10 @@ impl Service {
     }
 
     /// One candidate device's admission pass: bind the arrived window
-    /// at this candidate's start horizon, run the policy's pack, and
-    /// copy into the scratch what the commit path needs of the window
-    /// (bound to this candidate's horizon only until the next
-    /// [`PendingStore::prepare`](crate::pending::PendingStore::prepare)):
+    /// at this candidate's start horizon, run the policy's pack into
+    /// `scratch.picks`, and copy into the scratch what the commit path
+    /// needs of the window (bound to this candidate's horizon only until
+    /// the next [`PendingStore::prepare`](crate::pending::PendingStore::prepare)):
     /// the picks' submission indices (`picks_seqs`) and `(seq, width)`
     /// of the window up to the last pick — the overtake-accounting
     /// `pool`.
@@ -527,11 +510,13 @@ impl Service {
             qubits,
             max_members: cap,
         };
-        let picks = if head.probe_widest {
-            vec![head_pos]
+        let picks = &mut scratch.picks;
+        if head.probe_widest {
+            picks.clear();
+            picks.push(head_pos);
         } else {
-            self.policy.pack(arrived, head_pos, &budget)
-        };
+            self.policy.pack(arrived, head_pos, &budget, picks);
+        }
         debug_assert_eq!(picks.first(), Some(&head_pos), "head must lead the batch");
         scratch.picks_seqs.clear();
         scratch
@@ -542,11 +527,7 @@ impl Service {
         scratch
             .pool
             .extend(arrived[..=max_pick].iter().map(|v| (v.seq, v.width)));
-        Ok(CandidatePack {
-            start,
-            picks,
-            head_pos,
-        })
+        Ok(CandidatePack { start, head_pos })
     }
 }
 
@@ -562,6 +543,9 @@ pub(super) struct DispatchScratch {
     /// The ranked candidates, best first: `(score, free time,
     /// registration index)`.
     ranked: Vec<(f64, f64, usize)>,
+    /// The admission policy's pack for the current candidate: positions
+    /// into its arrived window, head first.
+    picks: Vec<usize>,
     /// Submission indices of the current candidate's picks, head first.
     picks_seqs: Vec<usize>,
     /// `(seq, width)` of the current candidate's arrived window up to
@@ -577,14 +561,11 @@ pub(super) struct DispatchScratch {
 }
 
 /// What the commit path needs from one candidate's admission pass
-/// besides the scratch's `picks_seqs` and `pool`.
+/// besides the scratch's `picks`, `picks_seqs` and `pool`.
 struct CandidatePack {
     /// The batch's start on this candidate (device clock vs head
     /// arrival).
     start: f64,
-    /// The policy's picks: positions into the candidate's arrived
-    /// window, head first.
-    picks: Vec<usize>,
     /// The head's position in the arrived window.
     head_pos: usize,
 }
@@ -598,11 +579,9 @@ pub(super) struct HeadContext {
     pub(super) seq: usize,
     pub(super) id: u64,
     pub(super) arrival: f64,
-    pub(super) width: usize,
-    /// CNOT count of the head circuit (a routing query's input).
-    pub(super) cx_count: usize,
-    /// The head's routing override (if any) routes this batch.
-    pub(super) routing: Option<RoutingChoice>,
+    /// The batch's effective routing: the head's override, else the
+    /// service default.
+    pub(super) routing: RoutingChoice,
     /// The head's effective strategy, shared with the store's table: it
     /// decides joinability, plans the batch and parameterizes the
     /// probes.
@@ -632,7 +611,7 @@ struct Member {
     width: usize,
     shots: usize,
     /// The job's effective shot mode and kernel: its per-request
-    /// override or the service default.
+    /// override or the simulator's default.
     parallelism: ShotParallelism,
     kernel: TrajectoryKernel,
     wait: f64,

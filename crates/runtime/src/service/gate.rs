@@ -42,7 +42,7 @@ impl Service {
             ids.push(p.id);
             circuits.push(p.circuit.clone());
             if gated {
-                thresholds.push(p.fidelity_threshold.or(self.cfg.fidelity_threshold));
+                thresholds.push(p.fidelity_threshold.or(self.fidelity_threshold));
             }
         }
         Ok(PlanMembers {

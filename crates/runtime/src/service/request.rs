@@ -64,21 +64,18 @@ pub struct JobRequest {
     /// Per-job EFS fidelity-threshold override (must be finite and
     /// non-negative); defaults to the service's configured threshold.
     pub fidelity_threshold: Option<f64>,
-    /// Per-job intra-program shot-parallelism override, layered over
-    /// the service default of
-    /// [`ServiceBuilder::shot_parallelism`](crate::ServiceBuilder::shot_parallelism):
-    /// a huge job can shard its trajectory loop while the rest of the
-    /// stream stays serial (or vice versa). Counts stay deterministic
-    /// per the [`ShotParallelism`] contract — a pure function of the
-    /// effective mode and the job, never of the thread count.
+    /// Per-job intra-program shot parallelism; `None` runs the
+    /// simulator's default, [`ShotParallelism::Serial`]. A huge job can
+    /// shard its trajectory loop while the rest of the stream stays
+    /// serial. Counts stay deterministic per the [`ShotParallelism`]
+    /// contract — a pure function of the effective mode and the job,
+    /// never of the thread count.
     pub shot_parallelism: Option<ShotParallelism>,
-    /// Per-job trajectory-kernel override, layered over the service
-    /// default of
-    /// [`ServiceBuilder::trajectory_kernel`](crate::ServiceBuilder::trajectory_kernel):
-    /// a latency-critical probe job can run the cheap
+    /// Per-job trajectory kernel; `None` runs the simulator's default,
+    /// the bit-pinned [`Replay`](TrajectoryKernel::Replay) stream. A
+    /// latency-critical probe job can run the cheap
     /// [`SurvivalSkip`](TrajectoryKernel::SurvivalSkip) kernel while
-    /// the rest of the stream keeps the bit-pinned
-    /// [`Replay`](TrajectoryKernel::Replay) stream (or vice versa).
+    /// the rest of the stream keeps the replay stream.
     pub trajectory_kernel: Option<TrajectoryKernel>,
     /// Per-job routing-policy override, consulted only when this job
     /// heads a batch: the head's effective policy routes the whole

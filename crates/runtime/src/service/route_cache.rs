@@ -182,7 +182,7 @@ impl Service {
             let p = self.pending_by_seq(s)?;
             shapes.push(p.shape.clone());
             if gated {
-                let threshold = p.fidelity_threshold.or(self.cfg.fidelity_threshold);
+                let threshold = p.fidelity_threshold.or(self.fidelity_threshold);
                 thresholds.push(threshold.map(f64::to_bits));
             }
         }
@@ -190,7 +190,7 @@ impl Service {
             device: d,
             epoch: self.registry.epoch(DeviceId::from_index(d)),
             gate: self.efs_gate,
-            optimize: self.cfg.optimize,
+            optimize: self.optimize,
             strategy,
             shapes,
             thresholds,
@@ -288,7 +288,7 @@ impl Service {
             self.registry.device_at(device_index),
             &self.pending_by_seq(head.seq)?.circuit,
             threshold,
-            self.cfg.max_parallel,
+            self.max_parallel,
             &head.strategy,
         );
         self.route_cache.head_cap.insert(key, result.clone());

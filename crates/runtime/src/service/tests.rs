@@ -3,7 +3,7 @@ use super::*;
 use crate::error::CalibrationFault;
 use crate::event::ShrinkReason;
 use crate::job::synthetic_jobs;
-use crate::policy::{Backfill, ShortestJobFirst};
+use crate::policy::{AdmissionPolicy, Backfill};
 use crate::registry::DeviceId;
 use crate::shape::ShapeTable;
 use qucp_circuit::Circuit;
@@ -213,7 +213,7 @@ fn backfill_and_sjf_conserve_jobs() {
             .seed(9);
         builder = match policy {
             "backfill" => builder.policy(Backfill::default()),
-            _ => builder.policy(ShortestJobFirst),
+            _ => builder.policy(AdmissionPolicy::ShortestJobFirst),
         };
         let mut service = builder.build().unwrap();
         let tickets = submit_all(&mut service, 9);
@@ -377,11 +377,11 @@ fn colliding_shapes_get_their_own_plans() {
     for (i, (circuit, served)) in circuits.into_iter().zip(&report.job_results).enumerate() {
         assert_eq!((served.job_id, served.batch_index), (i as u64, i));
         let plan = pipeline
-            .plan(&device, std::slice::from_ref(circuit), service.cfg.optimize)
+            .plan(&device, std::slice::from_ref(circuit), service.optimize)
             .unwrap();
         let exec = qucp_sim::ExecutionConfig::default()
             .with_shots(256)
-            .with_seed(super::dispatch::derive_batch_seed(service.cfg.seed, i));
+            .with_seed(super::dispatch::derive_batch_seed(service.seed, i));
         let fresh = plan.run_program(&device, 0, &exec);
         assert_eq!(served.result, fresh.unwrap(), "job {i}");
     }
@@ -459,9 +459,9 @@ fn the_plan_key_tells_apart_everything_planning_reads() {
     service.efs_gate = EfsGate::BatchWorstExcess;
     assert_ne!(base, key(&service, 0, &[a, b]));
     service.efs_gate = EfsGate::Batch;
-    service.cfg.optimize = !service.cfg.optimize;
+    service.optimize = !service.optimize;
     assert_ne!(base, key(&service, 0, &[a, b]));
-    service.cfg.optimize = !service.cfg.optimize;
+    service.optimize = !service.optimize;
     assert_eq!(base, key(&service, 0, &[a, b]));
     // Outside the batch-gate modes thresholds are no input of planning.
     service.efs_gate = EfsGate::HeadOnly;
@@ -741,31 +741,31 @@ fn runaway_drift_horizons_are_refused_not_truncated() {
 #[test]
 fn per_job_shot_parallelism_override_applies() {
     // Two identical jobs in one service, one overriding to sharded:
-    // the override job's counts must match a service whose *default*
-    // is sharded, the other job must match the serial default.
+    // the override job's counts must match a run where both jobs
+    // override, the other job must match the serial default — which is
+    // what an explicit `Serial` override runs too.
     let bell = qucp_circuit::library::by_name("bell").unwrap().circuit();
-    let run = |default: ShotParallelism, with_override: bool| {
+    let run = |overrides: [Option<ShotParallelism>; 2]| {
         let mut service = Service::builder()
             .device(ibm::toronto())
             .strategy(strategy::qucp(4.0))
-            .shot_parallelism(default)
             .max_parallel(1)
             .default_shots(256)
             .seed(7)
             .build()
             .unwrap();
-        for i in 0..2u64 {
+        for (i, mode) in (0..2u64).zip(overrides) {
             let mut req = JobRequest::new(bell.clone(), 0.0).with_id(i);
-            if with_override && i == 0 {
-                req = req.with_shot_parallelism(ShotParallelism::sharded(4));
-            }
+            req.shot_parallelism = mode;
             service.submit(req).unwrap();
         }
         service.run_until_drained().unwrap()
     };
-    let mixed = run(ShotParallelism::Serial, true);
-    let all_serial = run(ShotParallelism::Serial, false);
-    let all_sharded = run(ShotParallelism::sharded(4), false);
+    let sharded = Some(ShotParallelism::sharded(4));
+    let mixed = run([sharded, None]);
+    let all_serial = run([None, None]);
+    let all_sharded = run([sharded, sharded]);
+    assert_eq!(all_serial, run([Some(ShotParallelism::Serial); 2]));
     assert_eq!(
         mixed.job_results[0].result.counts, all_sharded.job_results[0].result.counts,
         "override job runs sharded"
@@ -783,32 +783,31 @@ fn per_job_shot_parallelism_override_applies() {
 #[test]
 fn per_job_trajectory_kernel_override_applies() {
     // Two identical jobs in one service, one overriding to the
-    // survival-skip kernel: the override job's counts must match a
-    // service whose *default* is survival-skip, the other job must
-    // match the replay default.
+    // survival-skip kernel: the override job's counts must match a run
+    // where both jobs override, the other job must match the replay
+    // default — which is what an explicit `Replay` override runs too.
     let bell = qucp_circuit::library::by_name("bell").unwrap().circuit();
-    let run = |default: TrajectoryKernel, with_override: bool| {
+    let run = |overrides: [Option<TrajectoryKernel>; 2]| {
         let mut service = Service::builder()
             .device(ibm::toronto())
             .strategy(strategy::qucp(4.0))
-            .trajectory_kernel(default)
             .max_parallel(1)
             .default_shots(256)
             .seed(7)
             .build()
             .unwrap();
-        for i in 0..2u64 {
+        for (i, kernel) in (0..2u64).zip(overrides) {
             let mut req = JobRequest::new(bell.clone(), 0.0).with_id(i);
-            if with_override && i == 0 {
-                req = req.with_trajectory_kernel(TrajectoryKernel::SurvivalSkip);
-            }
+            req.trajectory_kernel = kernel;
             service.submit(req).unwrap();
         }
         service.run_until_drained().unwrap()
     };
-    let mixed = run(TrajectoryKernel::Replay, true);
-    let all_replay = run(TrajectoryKernel::Replay, false);
-    let all_survival = run(TrajectoryKernel::SurvivalSkip, false);
+    let survival = Some(TrajectoryKernel::SurvivalSkip);
+    let mixed = run([survival, None]);
+    let all_replay = run([None, None]);
+    let all_survival = run([survival, survival]);
+    assert_eq!(all_replay, run([Some(TrajectoryKernel::Replay); 2]));
     assert_eq!(
         mixed.job_results[0].result.counts, all_survival.job_results[0].result.counts,
         "override job runs the survival-skip kernel"

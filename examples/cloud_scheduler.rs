@@ -22,13 +22,13 @@ use qucp_core::queue::{simulate_queue, synthetic_workload};
 use qucp_core::strategy;
 use qucp_device::ibm;
 use qucp_runtime::{
-    skewed_jobs, synthetic_jobs, AdmissionPolicy, Backfill, CalibrationAware, EarliestFree, Fifo,
-    Job, JobRequest, Service, ServiceReport, ShortestJobFirst,
+    skewed_jobs, synthetic_jobs, AdmissionPolicy, Backfill, CalibrationAware, Job, JobRequest,
+    RoutingChoice, Service, ServiceReport,
 };
 
 fn serve(
     jobs: &[Job],
-    policy: impl AdmissionPolicy + 'static,
+    policy: AdmissionPolicy,
     device: qucp_device::Device,
     max_parallel: usize,
 ) -> Result<(ServiceReport, qucp_runtime::RouteCacheStats), qucp_runtime::RuntimeError> {
@@ -74,7 +74,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
     let mut reports = Vec::new();
     for (label, k) in [("dedicated", 1usize), ("pack 2", 2), ("pack 4", 4)] {
-        let (report, _) = serve(&stream, Fifo, ibm::toronto(), k)?;
+        let (report, _) = serve(&stream, AdmissionPolicy::Fifo, ibm::toronto(), k)?;
         let mean_jsd: f64 = report.job_results.iter().map(|r| r.result.jsd).sum::<f64>()
             / report.job_results.len() as f64;
         println!(
@@ -134,10 +134,15 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "policy", "batches", "mean wait ns", "turnaround ns", "throughput"
     );
     let skewed = skewed_jobs(12, 13, 50.0, 512, 7);
-    let (fifo, fifo_cache) = serve(&skewed, Fifo, ibm::melbourne(), 3)?;
-    let (backfill, backfill_cache) =
-        serve(&skewed, Backfill { max_overtakes: 2 }, ibm::melbourne(), 3)?;
-    let (sjf, sjf_cache) = serve(&skewed, ShortestJobFirst, ibm::melbourne(), 3)?;
+    let backfill = AdmissionPolicy::Backfill(Backfill { max_overtakes: 2 });
+    let (fifo, fifo_cache) = serve(&skewed, AdmissionPolicy::Fifo, ibm::melbourne(), 3)?;
+    let (backfill, backfill_cache) = serve(&skewed, backfill, ibm::melbourne(), 3)?;
+    let (sjf, sjf_cache) = serve(
+        &skewed,
+        AdmissionPolicy::ShortestJobFirst,
+        ibm::melbourne(),
+        3,
+    )?;
     for (label, report) in [("FIFO", &fifo), ("Backfill", &backfill), ("SJF", &sjf)] {
         println!(
             "{label:<14} {:>8} {:>14.0} {:>14.0} {:>10.1}%",
@@ -187,8 +192,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "{:<18} {:>10} {:>10} {:>14} {:>12} {:>12}",
         "routing", "mean EFS", "mean JSD", "turnaround ns", "noisy jobs", "good jobs"
     );
-    let earliest = qucp_bench::routing_shootout(EarliestFree);
-    let aware = qucp_bench::routing_shootout(CalibrationAware::default());
+    let earliest = qucp_bench::routing_shootout(RoutingChoice::EarliestFree);
+    let aware = qucp_bench::routing_shootout(CalibrationAware::default().into());
     for o in [&earliest, &aware] {
         println!(
             "{:<18} {:>10.4} {:>10.4} {:>14.0} {:>12} {:>12}",
@@ -276,9 +281,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     for (i, job) in synthetic_jobs(8, 400.0, 256, 0xC10D).iter().enumerate() {
         let mut request = JobRequest::from_job(job);
         if i % 2 == 1 {
-            request = request.with_routing(qucp_runtime::RoutingChoice::CalibrationAware {
-                pressure_per_ns: CalibrationAware::DEFAULT_PRESSURE_PER_NS,
-            });
+            request = request.with_routing(CalibrationAware::default().into());
         }
         tickets.push(service.submit(request)?);
     }

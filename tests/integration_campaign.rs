@@ -12,8 +12,8 @@ use proptest::prelude::*;
 use qucp_bench::skewed_fleet;
 use qucp_circuit::library;
 use qucp_runtime::{
-    run_campaign, skewed_jobs, Backfill, CalibrationAware, CampaignDriver, Fifo, JobRequest,
-    JobResult, JobTicket, RoutingChoice, Service, ShortestJobFirst,
+    run_campaign, skewed_jobs, AdmissionPolicy, Backfill, CalibrationAware, CampaignDriver,
+    JobRequest, JobResult, JobTicket, RoutingChoice, Service,
 };
 
 // ---------------------------------------------------------------------------
@@ -21,18 +21,19 @@ use qucp_runtime::{
 // ---------------------------------------------------------------------------
 
 fn service_with_policy(policy_tag: u8) -> Service {
-    let builder = Service::builder()
+    let policies = [
+        AdmissionPolicy::Fifo,
+        Backfill::default().into(),
+        AdmissionPolicy::ShortestJobFirst,
+    ];
+    Service::builder()
         .device(qucp_device::ibm::melbourne())
+        .policy(policies[usize::from(policy_tag % 3)])
         .max_parallel(3)
         .default_shots(32)
-        .seed(13);
-    match policy_tag % 3 {
-        0 => builder.policy(Fifo),
-        1 => builder.policy(Backfill::default()),
-        _ => builder.policy(ShortestJobFirst),
-    }
-    .build()
-    .expect("build service")
+        .seed(13)
+        .build()
+        .expect("build service")
 }
 
 fn workload(n: usize) -> Vec<JobRequest> {
@@ -372,10 +373,7 @@ fn no_override_equals_explicit_default_override_bit_for_bit() {
 fn all_jobs_override_equals_service_wide_policy() {
     // Every head carrying the CalibrationAware override is
     // indistinguishable from building the service with that policy.
-    let pressure = CalibrationAware::DEFAULT_PRESSURE_PER_NS;
-    let overridden = drained_with_overrides(Some(RoutingChoice::CalibrationAware {
-        pressure_per_ns: pressure,
-    }));
+    let overridden = drained_with_overrides(Some(CalibrationAware::default().into()));
     let mut service_wide = Service::builder()
         .registry(skewed_fleet())
         .routing(CalibrationAware::default())

@@ -13,11 +13,11 @@ use proptest::prelude::*;
 use qucp_core::strategy;
 use qucp_device::{ibm, DriftModel, GaussianWalk};
 use qucp_runtime::{
-    synthetic_jobs, CalibrationAware, CalibrationFault, JobRequest, RoutingChoice, RuntimeError,
-    Service, ServiceBuilder, ServiceReport, ShotParallelism,
+    synthetic_jobs, AdmissionPolicy, Backfill, CalibrationAware, CalibrationFault, JobRequest,
+    RuntimeError, Service, ServiceBuilder, ServiceReport, ShotParallelism,
 };
 use qucp_sim::auto_shard_count;
-use support::{assert_matches_reference, Config, Drift, Fleet, Op, Policy};
+use support::{assert_matches_reference, Config, Drift, Fleet, Op};
 
 /// A [`GaussianWalk`] confined to the device with the given salt: every
 /// other device's steps report "nothing changed", so only one chip's
@@ -147,10 +147,12 @@ proptest! {
         };
         let cfg = Config {
             fleet: Fleet::Skewed,
-            routing: RoutingChoice::CalibrationAware {
-                pressure_per_ns: CalibrationAware::DEFAULT_PRESSURE_PER_NS,
-            },
-            policy: [Policy::Fifo, Policy::Backfill(4), Policy::ShortestJobFirst][policy as usize],
+            routing: CalibrationAware::default().into(),
+            policy: [
+                AdmissionPolicy::Fifo,
+                Backfill::default().into(),
+                AdmissionPolicy::ShortestJobFirst,
+            ][policy as usize],
             drift: Drift::Walk(GaussianWalk::new(seed ^ 0xCAFE, interval)),
             default_shots: 64,
             seed,

@@ -261,6 +261,35 @@ fn seesaw_drift_flips_the_skewed_fleet_between_two_bursts() {
     assert!(on_noisy_twin(true) > 4, "post-drift, the annealed twin is");
 }
 
+/// A per-job calibration-aware override whose pressure is a NaN —
+/// which `submit` accepts and the wire carries bit for bit — routes the
+/// same whatever the NaN's sign: a waiting chip scores NaN and ranks
+/// last, so a free noisy twin takes the batches a busy Toronto would
+/// have queued. A negative NaN once ranked the waiting chip first.
+#[test]
+fn a_negative_nan_pressure_routes_like_a_positive_one() {
+    let drained = |pressure_per_ns: f64| {
+        let routing = RoutingChoice::CalibrationAware { pressure_per_ns };
+        let jobs = synthetic_jobs(9, 400.0, 8, 0xF1EE7);
+        let ops: Vec<Op> = jobs
+            .iter()
+            .map(|j| Op::Submit(JobRequest::from_job(j).with_routing(routing)))
+            .collect();
+        let cfg = Config {
+            fleet: Fleet::Skewed,
+            ..Config::default()
+        };
+        assert_matches_reference(&ops, &cfg)
+            .report
+            .expect("drained")
+    };
+    let positive = drained(f64::NAN);
+    assert_eq!(drained(-f64::NAN), positive);
+    let devices: Vec<&str> = positive.batches.iter().map(|b| b.device.as_str()).collect();
+    assert!(devices.contains(&"ibmq_toronto"), "{devices:?}");
+    assert!(devices.contains(&"ibmq_toronto_noisy"), "{devices:?}");
+}
+
 /// A bounded event log retains the reference's full log truncated to
 /// its tail, and counts the rest.
 #[test]

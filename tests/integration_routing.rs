@@ -10,14 +10,13 @@ use qucp_bench::routing_shootout;
 use qucp_core::strategy;
 use qucp_device::ibm;
 use qucp_runtime::{
-    synthetic_jobs, CalibrationAware, EarliestFree, Event, JobRequest, RoutingPolicy,
-    RuntimeConfig, Service, ServiceReport,
+    synthetic_jobs, CalibrationAware, Event, JobRequest, RoutingChoice, Service, ServiceReport,
 };
 
 /// Drains `jobs` through a FIFO service with the given routing policy.
 fn drain_with_routing(
     jobs: &[qucp_runtime::Job],
-    routing: impl RoutingPolicy + 'static,
+    routing: impl Into<RoutingChoice>,
     registry: qucp_runtime::DeviceRegistry,
     max_parallel: usize,
     seed: u64,
@@ -45,27 +44,19 @@ fn drain_with_routing(
 fn earliest_free_routing_reproduces_pr2_golden_snapshot() {
     let jobs = synthetic_jobs(12, 300.0, 256, 0xACCE);
     let close = |a: f64, b: f64| (a - b).abs() <= 1e-6 * b.abs().max(1.0);
-    let cfg = RuntimeConfig {
-        max_parallel: 4,
-        fidelity_threshold: None,
-        seed: 77,
-        optimize: true,
-        ..RuntimeConfig::default()
+    let builder = || {
+        Service::builder()
+            .device(ibm::toronto())
+            .strategy(strategy::qucp(4.0))
+            .max_parallel(4)
+            .seed(77)
     };
 
     // Default-built service: the pre-seam dispatch path.
-    let mut default_service = Service::builder()
-        .device(ibm::toronto())
-        .strategy(strategy::qucp(4.0))
-        .config(cfg.clone())
-        .build()
-        .expect("build");
+    let mut default_service = builder().build().expect("build");
     // Explicit EarliestFree through the seam.
-    let mut explicit_service = Service::builder()
-        .device(ibm::toronto())
-        .strategy(strategy::qucp(4.0))
-        .routing(EarliestFree)
-        .config(cfg)
+    let mut explicit_service = builder()
+        .routing(RoutingChoice::EarliestFree)
         .build()
         .expect("build");
     for job in &jobs {
@@ -121,7 +112,7 @@ fn calibration_aware_falls_back_to_earliest_free_on_tied_scores() {
         fleet
     };
     let jobs = synthetic_jobs(10, 250.0, 64, 0x71E5);
-    let (earliest, _) = drain_with_routing(&jobs, EarliestFree, twins(), 3, 11);
+    let (earliest, _) = drain_with_routing(&jobs, RoutingChoice::EarliestFree, twins(), 3, 11);
     let (aware, cache) = drain_with_routing(&jobs, CalibrationAware::default(), twins(), 3, 11);
     assert_eq!(earliest.stats, aware.stats);
     assert_eq!(earliest.batches, aware.batches);
@@ -230,10 +221,10 @@ fn calibration_aware_routing_wins_delivered_fidelity_on_the_skewed_fleet() {
     };
 
     // Both policies route deterministically: two runs agree bit for bit.
-    let earliest = routing_shootout(EarliestFree);
-    let aware = routing_shootout(CalibrationAware::default());
-    assert_eq!(earliest, routing_shootout(EarliestFree));
-    assert_eq!(aware, routing_shootout(CalibrationAware::default()));
+    let earliest = routing_shootout(RoutingChoice::EarliestFree);
+    let aware = routing_shootout(CalibrationAware::default().into());
+    assert_eq!(earliest, routing_shootout(RoutingChoice::EarliestFree));
+    assert_eq!(aware, routing_shootout(CalibrationAware::default().into()));
 
     // Better delivered fidelity (execution-free EFS and sampled JSD)...
     assert!(aware.mean_efs < earliest.mean_efs);
@@ -282,7 +273,7 @@ proptest! {
         let report = if aware {
             drain_with_routing(&jobs, CalibrationAware::default(), fleet, 3, seed).0
         } else {
-            drain_with_routing(&jobs, EarliestFree, fleet, 3, seed).0
+            drain_with_routing(&jobs, RoutingChoice::EarliestFree, fleet, 3, seed).0
         };
         prop_assert_eq!(report.job_results.len(), n);
         let qubits_of = |name: &str| -> usize {

@@ -9,7 +9,7 @@
 use qucp_circuit::library;
 use qucp_core::{strategy, ParallelConfig, Pipeline, Strategy};
 use qucp_device::ibm;
-use qucp_runtime::{synthetic_jobs, Job, JobRequest, RuntimeConfig, Service, ServiceReport};
+use qucp_runtime::{synthetic_jobs, Job, JobRequest, Service, ServiceReport};
 use qucp_sim::ExecutionConfig;
 
 fn all_strategies(device: &qucp_device::Device) -> Vec<Strategy> {
@@ -47,27 +47,20 @@ fn driver_outcome_still_reproducible() {
     assert_eq!(run(), run());
 }
 
-fn runtime_cfg(max_parallel: usize) -> RuntimeConfig {
-    RuntimeConfig {
-        max_parallel,
-        fidelity_threshold: None,
-        seed: 77,
-        optimize: true,
-        ..RuntimeConfig::default()
-    }
-}
-
-/// Serves `jobs` FIFO on one `device` under `strategy` and `cfg`.
+/// Serves `jobs` FIFO on one `device` under `strategy`, `max_parallel`
+/// to a batch under a default EFS `threshold`, seed 77.
 fn serve(
     device: qucp_device::Device,
     strategy: Strategy,
-    cfg: RuntimeConfig,
+    (max_parallel, threshold): (usize, Option<f64>),
     jobs: &[Job],
 ) -> Result<ServiceReport, qucp_runtime::RuntimeError> {
     let mut service = Service::builder()
         .device(device)
         .strategy(strategy)
-        .config(cfg)
+        .max_parallel(max_parallel)
+        .fidelity_threshold(threshold)
+        .seed(77)
         .build()?;
     for job in jobs {
         service.submit(JobRequest::from_job(job))?;
@@ -85,9 +78,8 @@ fn acceptance_workload() -> Vec<Job> {
 fn batch_scheduler_beats_dedicated_on_toronto() {
     let jobs = acceptance_workload();
     let dedicated =
-        serve(ibm::toronto(), strategy::qucp(4.0), runtime_cfg(1), &jobs).expect("dedicated run");
-    let packed =
-        serve(ibm::toronto(), strategy::qucp(4.0), runtime_cfg(4), &jobs).expect("packed run");
+        serve(ibm::toronto(), strategy::qucp(4.0), (1, None), &jobs).expect("dedicated run");
+    let packed = serve(ibm::toronto(), strategy::qucp(4.0), (4, None), &jobs).expect("packed run");
 
     assert_eq!(dedicated.job_results.len(), 12);
     assert_eq!(packed.job_results.len(), 12);
@@ -108,7 +100,7 @@ fn batch_scheduler_beats_dedicated_on_toronto() {
 #[test]
 fn concurrent_batches_are_deterministic() {
     let jobs = acceptance_workload();
-    let make = || serve(ibm::toronto(), strategy::qucp(4.0), runtime_cfg(4), &jobs).expect("run");
+    let make = || serve(ibm::toronto(), strategy::qucp(4.0), (4, None), &jobs).expect("run");
     assert_eq!(make(), make(), "concurrent run not reproducible");
 }
 
@@ -119,7 +111,7 @@ fn runtime_serves_all_strategies() {
     let jobs = synthetic_jobs(6, 300.0, 128, 5);
     for strat in all_strategies(&device) {
         let name = strat.name.clone();
-        let report = serve(device.clone(), strat, runtime_cfg(3), &jobs)
+        let report = serve(device.clone(), strat, (3, None), &jobs)
             .unwrap_or_else(|e| panic!("{name} runtime failed: {e}"));
         assert_eq!(report.job_results.len(), 6, "{name}");
     }
@@ -131,9 +123,13 @@ fn runtime_serves_all_strategies() {
 fn fidelity_threshold_controls_packing() {
     let jobs = acceptance_workload();
     let run = |threshold| {
-        let mut cfg = runtime_cfg(4);
-        cfg.fidelity_threshold = Some(threshold);
-        serve(ibm::toronto(), strategy::qucp(4.0), cfg, &jobs).expect("run")
+        serve(
+            ibm::toronto(),
+            strategy::qucp(4.0),
+            (4, Some(threshold)),
+            &jobs,
+        )
+        .expect("run")
     };
     let strict = run(0.0);
     let loose = run(1e9);

@@ -10,38 +10,30 @@ use proptest::prelude::*;
 use qucp_core::strategy;
 use qucp_device::ibm;
 use qucp_runtime::{
-    skewed_jobs, synthetic_jobs, Backfill, EfsGate, Fifo, Job, JobRequest, RuntimeConfig, Service,
-    ServiceReport, ShortestJobFirst, ShotParallelism, ShrinkReason,
+    skewed_jobs, synthetic_jobs, AdmissionPolicy, Backfill, EfsGate, Job, JobRequest, Service,
+    ServiceReport, ShotParallelism, ShrinkReason,
 };
 
-fn runtime_cfg(max_parallel: usize, fidelity_threshold: Option<f64>) -> RuntimeConfig {
-    RuntimeConfig {
-        max_parallel,
-        fidelity_threshold,
-        seed: 77,
-        optimize: true,
-        ..RuntimeConfig::default()
-    }
-}
+const FIFO: AdmissionPolicy = AdmissionPolicy::Fifo;
+const BACKFILL: AdmissionPolicy = AdmissionPolicy::Backfill(Backfill { max_overtakes: 2 });
+const SJF: AdmissionPolicy = AdmissionPolicy::ShortestJobFirst;
 
-/// Drains `jobs` through a Service built from the given parts.
+/// Drains `jobs` through a seed-77 Service on `device` admitting by
+/// `policy`, `max_parallel` to a batch.
 fn drain(
     jobs: &[Job],
-    cfg: RuntimeConfig,
-    policy_name: &str,
+    max_parallel: usize,
+    policy: AdmissionPolicy,
     device: qucp_device::Device,
 ) -> ServiceReport {
-    let builder = Service::builder()
+    let mut service = Service::builder()
         .device(device)
         .strategy(strategy::qucp(4.0))
-        .config(cfg);
-    let builder = match policy_name {
-        "fifo" => builder.policy(Fifo),
-        "backfill" => builder.policy(Backfill { max_overtakes: 2 }),
-        "sjf" => builder.policy(ShortestJobFirst),
-        other => panic!("unknown policy {other}"),
-    };
-    let mut service = builder.build().expect("build");
+        .policy(policy)
+        .max_parallel(max_parallel)
+        .seed(77)
+        .build()
+        .expect("build");
     for job in jobs {
         service.submit(JobRequest::from_job(job)).expect("submit");
     }
@@ -60,7 +52,7 @@ fn fifo_scheduling_decisions_match_golden_snapshot() {
     let jobs = synthetic_jobs(12, 300.0, 256, 0xACCE);
     let close = |a: f64, b: f64| (a - b).abs() <= 1e-6 * b.abs().max(1.0);
 
-    let dedicated = drain(&jobs, runtime_cfg(1, None), "fifo", ibm::toronto());
+    let dedicated = drain(&jobs, 1, FIFO, ibm::toronto());
     let memberships: Vec<Vec<u64>> = dedicated
         .batches
         .iter()
@@ -73,7 +65,7 @@ fn fifo_scheduling_decisions_match_golden_snapshot() {
     assert!(close(dedicated.stats.makespan, 121657.746283));
     assert!(close(dedicated.stats.mean_throughput, 0.162435));
 
-    let packed = drain(&jobs, runtime_cfg(4, None), "fifo", ibm::toronto());
+    let packed = drain(&jobs, 4, FIFO, ibm::toronto());
     let memberships: Vec<Vec<u64>> = packed.batches.iter().map(|b| b.job_ids.clone()).collect();
     assert_eq!(
         memberships,
@@ -91,9 +83,9 @@ fn fifo_scheduling_decisions_match_golden_snapshot() {
 #[test]
 fn backfill_and_sjf_beat_fifo_on_skewed_arrivals() {
     let jobs = skewed_jobs(12, 13, 50.0, 32, 7);
-    let fifo = drain(&jobs, runtime_cfg(3, None), "fifo", ibm::melbourne());
-    let backfill = drain(&jobs, runtime_cfg(3, None), "backfill", ibm::melbourne());
-    let sjf = drain(&jobs, runtime_cfg(3, None), "sjf", ibm::melbourne());
+    let fifo = drain(&jobs, 3, FIFO, ibm::melbourne());
+    let backfill = drain(&jobs, 3, BACKFILL, ibm::melbourne());
+    let sjf = drain(&jobs, 3, SJF, ibm::melbourne());
     assert!(
         backfill.stats.mean_turnaround < fifo.stats.mean_turnaround,
         "backfill {} !< fifo {}",
@@ -140,7 +132,7 @@ fn overtake_counts(jobs: &[Job], report: &ServiceReport) -> Vec<usize> {
 #[test]
 fn backfill_overtakes_are_bounded_and_fifo_never_overtakes() {
     let jobs = skewed_jobs(10, 13, 50.0, 32, 3);
-    let backfill = drain(&jobs, runtime_cfg(3, None), "backfill", ibm::melbourne());
+    let backfill = drain(&jobs, 3, BACKFILL, ibm::melbourne());
     let counts = overtake_counts(&jobs, &backfill);
     assert!(
         counts.iter().any(|&c| c > 0),
@@ -150,7 +142,7 @@ fn backfill_overtakes_are_bounded_and_fifo_never_overtakes() {
         counts.iter().all(|&c| c <= 2),
         "starvation bound violated: {counts:?}"
     );
-    let fifo = drain(&jobs, runtime_cfg(3, None), "fifo", ibm::melbourne());
+    let fifo = drain(&jobs, 3, FIFO, ibm::melbourne());
     assert!(overtake_counts(&jobs, &fifo).iter().all(|&c| c == 0));
 }
 
@@ -345,38 +337,29 @@ fn worst_excess_gate_matches_batch_gate_when_threshold_is_loose() {
 #[test]
 fn sharded_service_reports_are_thread_count_invariant() {
     let jobs = synthetic_jobs(6, 250.0, 512, 0x51AD);
-    let run = |threads: usize| {
+    let run = |mode: Option<ShotParallelism>| {
         let mut service = Service::builder()
             .device(ibm::toronto())
             .strategy(strategy::qucp(4.0))
             .max_parallel(3)
             .seed(9)
-            .shot_parallelism(ShotParallelism::Sharded { shards: 4, threads })
             .build()
             .expect("build");
         for job in &jobs {
-            service.submit(JobRequest::from_job(job)).expect("submit");
+            let mut request = JobRequest::from_job(job);
+            request.shot_parallelism = mode;
+            service.submit(request).expect("submit");
         }
         service.run_until_drained().expect("drain")
     };
-    let reference = run(1);
+    let sharded = |threads| Some(ShotParallelism::Sharded { shards: 4, threads });
+    let reference = run(sharded(1));
     for threads in [2, 4] {
-        assert_eq!(run(threads), reference);
+        assert_eq!(run(sharded(threads)), reference);
     }
     // Sharded execution actually changes the sampled trajectories
     // relative to the serial stream (different, equally valid sample).
-    let serial = drain(
-        &jobs,
-        RuntimeConfig {
-            max_parallel: 3,
-            fidelity_threshold: None,
-            seed: 9,
-            optimize: true,
-            ..RuntimeConfig::default()
-        },
-        "fifo",
-        ibm::toronto(),
-    );
+    let serial = run(None);
     assert_ne!(serial.job_results, reference.job_results);
     // But the schedule itself (which ignores counts) is unchanged.
     assert_eq!(serial.stats, reference.stats);
@@ -434,8 +417,7 @@ proptest! {
         policy in 0usize..3,
     ) {
         let jobs = synthetic_jobs(n, gap, 16, seed);
-        let policy = ["fifo", "backfill", "sjf"][policy];
-        let report = drain(&jobs, runtime_cfg(3, None), policy, ibm::toronto());
+        let report = drain(&jobs, 3, [FIFO, BACKFILL, SJF][policy], ibm::toronto());
         prop_assert_eq!(report.job_results.len(), n);
         let mut served: Vec<u64> = report
             .batches

@@ -7,9 +7,12 @@ use proptest::collection::vec;
 use proptest::prelude::*;
 use qucp_core::strategy;
 use qucp_device::GaussianWalk;
-use qucp_runtime::{EfsGate, JobRequest, RoutingChoice, ShotParallelism, TrajectoryKernel};
+use qucp_runtime::{
+    AdmissionPolicy, Backfill, EfsGate, JobRequest, RoutingChoice, ShotParallelism,
+    TrajectoryKernel,
+};
 
-use super::{circuit, Config, Drift, Fleet, Op, Policy};
+use super::{circuit, Config, Drift, Fleet, Op};
 
 /// Small library circuits, two wide GHZ chains only the larger chips
 /// admit, and (rarely) one nothing admits — the typed-error path.
@@ -28,18 +31,30 @@ const CIRCUITS: [&str; 10] = [
 
 const PRESSURE: f64 = 2e-6;
 
+/// A service's routing: earliest-free in half the draws, else
+/// calibration-aware at the default pressure or at either degenerate
+/// one — `0.0` (quality alone) and `f64::INFINITY` (the earliest start
+/// alone, quality among ties).
 fn routing() -> impl Strategy<Value = RoutingChoice> {
-    prop_oneof![
-        Just(RoutingChoice::EarliestFree),
-        Just(RoutingChoice::CalibrationAware {
-            pressure_per_ns: PRESSURE
-        }),
-    ]
+    (0u8..8).prop_map(|draw| match draw {
+        0..4 => RoutingChoice::EarliestFree,
+        4 | 5 => RoutingChoice::CalibrationAware {
+            pressure_per_ns: PRESSURE,
+        },
+        6 => RoutingChoice::CalibrationAware {
+            pressure_per_ns: 0.0,
+        },
+        _ => RoutingChoice::CalibrationAware {
+            pressure_per_ns: f64::INFINITY,
+        },
+    })
 }
 
 /// A job of at most `max_shots` shots ([`interleaving`] stamps the
 /// arrival). Most jobs are small and carry few overrides, so batches
-/// form; every override axis still shows up in every few jobs.
+/// form; every override axis still shows up in every few jobs — the
+/// kernel and the shot mode only here, as the service has no default
+/// of its own for either.
 pub fn job(max_shots: usize) -> impl Strategy<Value = JobRequest> {
     let shape = (0usize..256, 0u64..12, 0..=max_shots);
     let planning = (0u8..12, 0u8..12, 0u8..8);
@@ -117,9 +132,9 @@ pub fn config() -> impl Strategy<Value = Config> {
         Just(Fleet::Toronto),
     ];
     let policy = prop_oneof![
-        Just(Policy::Fifo),
-        (0usize..4).prop_map(Policy::Backfill),
-        Just(Policy::ShortestJobFirst),
+        Just(AdmissionPolicy::Fifo),
+        (0usize..4).prop_map(|max_overtakes| Backfill { max_overtakes }.into()),
+        Just(AdmissionPolicy::ShortestJobFirst),
     ];
     let gate = prop_oneof![
         Just(EfsGate::HeadOnly),
@@ -145,11 +160,11 @@ pub fn config() -> impl Strategy<Value = Config> {
     ];
     let capacity = prop_oneof![Just(None), Just(None), (0usize..40).prop_map(Some)];
     let scheduling = (fleet, policy, routing(), gate, threshold);
-    let execution = (0u64..1000, 0u8..2, 0u8..3, 0u8..2);
+    let execution = (0u64..1000, 0u8..2);
     let knobs = (0usize..6, drift, capacity, 0u8..4);
     (scheduling, execution, knobs).prop_map(|(scheduling, execution, knobs)| {
         let (fleet, policy, routing, gate, threshold) = scheduling;
-        let (seed, optimize, sharded, survival) = execution;
+        let (seed, optimize) = execution;
         let (max_parallel, drift, event_capacity, cna) = knobs;
         Config {
             fleet,
@@ -165,14 +180,6 @@ pub fn config() -> impl Strategy<Value = Config> {
             max_parallel: [1, 2, 3, 4, 4, 6][max_parallel],
             seed,
             optimize: optimize == 1,
-            shot_parallelism: match sharded {
-                0 => ShotParallelism::sharded(2),
-                _ => ShotParallelism::Serial,
-            },
-            kernel: match survival {
-                0 => TrajectoryKernel::SurvivalSkip,
-                _ => TrajectoryKernel::Replay,
-            },
             drift,
             event_capacity,
             ..Config::default()

@@ -16,9 +16,8 @@ use qucp_circuit::{library, Circuit};
 use qucp_core::{strategy, Strategy};
 use qucp_device::{ibm, Calibration, CrosstalkModel, Device, DriftModel, GaussianWalk};
 use qucp_runtime::{
-    AdmissionPolicy, Backfill, CalibrationAware, DeviceId, DeviceRegistry, EarliestFree, EfsGate,
-    Fifo, JobRequest, JobTicket, RoutingChoice, Service, ServiceReport, ShortestJobFirst,
-    ShotParallelism, TrajectoryKernel,
+    AdmissionPolicy, DeviceId, DeviceRegistry, EfsGate, JobRequest, JobTicket, RoutingChoice,
+    Service, ServiceReport,
 };
 
 pub use reference::ReferenceScheduler;
@@ -53,24 +52,6 @@ impl Fleet {
             Fleet::MelbourneToronto => of(vec![ibm::melbourne(), ibm::toronto()]),
             Fleet::Skewed => qucp_bench::skewed_fleet(),
             Fleet::Mega(n) => qucp_bench::mega_fleet(n, qucp_bench::EXPERIMENT_SEED),
-        }
-    }
-}
-
-/// The admission policies, as data.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum Policy {
-    Fifo,
-    Backfill(usize),
-    ShortestJobFirst,
-}
-
-impl Policy {
-    pub fn boxed(self) -> Box<dyn AdmissionPolicy> {
-        match self {
-            Policy::Fifo => Box::new(Fifo),
-            Policy::Backfill(max_overtakes) => Box::new(Backfill { max_overtakes }),
-            Policy::ShortestJobFirst => Box::new(ShortestJobFirst),
         }
     }
 }
@@ -174,7 +155,7 @@ impl Drift {
 #[derive(Debug, Clone)]
 pub struct Config {
     pub fleet: Fleet,
-    pub policy: Policy,
+    pub policy: AdmissionPolicy,
     pub routing: RoutingChoice,
     pub gate: EfsGate,
     pub threshold: Option<f64>,
@@ -183,8 +164,6 @@ pub struct Config {
     pub default_shots: usize,
     pub seed: u64,
     pub optimize: bool,
-    pub shot_parallelism: ShotParallelism,
-    pub kernel: TrajectoryKernel,
     pub drift: Drift,
     pub event_capacity: Option<usize>,
 }
@@ -193,7 +172,7 @@ impl Default for Config {
     fn default() -> Self {
         Config {
             fleet: Fleet::Toronto,
-            policy: Policy::Fifo,
+            policy: AdmissionPolicy::Fifo,
             routing: RoutingChoice::EarliestFree,
             gate: EfsGate::HeadOnly,
             threshold: None,
@@ -202,8 +181,6 @@ impl Default for Config {
             default_shots: 8,
             seed: 42,
             optimize: true,
-            shot_parallelism: ShotParallelism::Serial,
-            kernel: TrajectoryKernel::Replay,
             drift: Drift::None,
             event_capacity: None,
         }
@@ -216,26 +193,15 @@ impl Config {
         let builder = Service::builder()
             .registry(self.fleet.build())
             .strategy(self.strategy.clone())
+            .policy(self.policy)
+            .routing(self.routing)
             .efs_gate(self.gate)
             .fidelity_threshold(self.threshold)
             .max_parallel(self.max_parallel)
             .default_shots(self.default_shots)
             .seed(self.seed)
             .optimize(self.optimize)
-            .shot_parallelism(self.shot_parallelism)
-            .trajectory_kernel(self.kernel)
             .event_capacity(self.event_capacity);
-        let builder = match self.policy {
-            Policy::Fifo => builder.policy(Fifo),
-            Policy::Backfill(max_overtakes) => builder.policy(Backfill { max_overtakes }),
-            Policy::ShortestJobFirst => builder.policy(ShortestJobFirst),
-        };
-        let builder = match self.routing {
-            RoutingChoice::EarliestFree => builder.routing(EarliestFree),
-            RoutingChoice::CalibrationAware { pressure_per_ns } => {
-                builder.routing(CalibrationAware { pressure_per_ns })
-            }
-        };
         let builder = match self.drift {
             Drift::None => builder,
             Drift::Walk(m) => builder.drift(m),

@@ -14,9 +14,8 @@ use qucp_core::threshold::{parallel_count_for_threshold, solo_efs_scores};
 use qucp_core::{best_partition, CoreError, ParallelConfig, Strategy};
 use qucp_device::Calibration;
 use qucp_runtime::{
-    AdmissionPolicy, BatchBudget, BatchReport, DeviceId, DeviceRegistry, EfsGate, Event,
-    JobRequest, JobResult, JobTicket, JobView, RouteQuery, RoutingPolicy, RuntimeError,
-    ServiceReport, ShrinkReason,
+    BatchBudget, BatchReport, DeviceId, DeviceRegistry, EfsGate, Event, JobRequest, JobResult,
+    JobTicket, JobView, RouteQuery, RuntimeError, ServiceReport, ShrinkReason,
 };
 use qucp_sim::ExecutionConfig;
 
@@ -34,8 +33,6 @@ struct Queued {
 
 pub struct ReferenceScheduler {
     cfg: Config,
-    policy: Box<dyn AdmissionPolicy>,
-    routing: Box<dyn RoutingPolicy>,
     fleet: LiveFleet,
     /// Per-device clocks and accounting, by registration index.
     ledgers: Vec<Ledger>,
@@ -64,8 +61,6 @@ impl ReferenceScheduler {
     pub fn new(cfg: &Config) -> Self {
         let fleet = LiveFleet::new(cfg.fleet.build(), cfg.drift.boxed());
         ReferenceScheduler {
-            policy: cfg.policy.boxed(),
-            routing: Box::new(cfg.routing),
             ledgers: vec![Ledger::default(); fleet.ids().len()],
             fleet,
             cfg: cfg.clone(),
@@ -166,14 +161,10 @@ impl ReferenceScheduler {
             let (width, depth) = (job.req.circuit.width(), job.req.circuit.depth());
             let strategy = job.req.strategy.as_ref().unwrap_or(&self.cfg.strategy);
             JobView {
-                id: job.ticket.id,
                 seq: job.ticket.seq,
                 arrival: job.req.arrival,
                 width,
-                gates: job.req.circuit.gate_count(),
-                depth,
                 area: width * depth,
-                shots: job.shots,
                 skips: job.skips,
                 joinable: head.is_none_or(|h| strategy == h),
             }
@@ -194,18 +185,14 @@ impl ReferenceScheduler {
         let earliest = ids.min_by(|&a, &b| clock(a).total_cmp(&clock(b)));
         let horizon = clock(earliest.expect("fleet is non-empty")).max(first_arrival);
         let (at, views) = self.arrived(horizon, None);
-        let head_q = at[self.policy.choose_head(&views)];
+        let head_q = at[self.cfg.policy.choose_head(&views)];
         let head = &self.queue[head_q];
         let (head_id, head_arrival) = (head.ticket.id, head.req.arrival);
         let circuit = head.req.circuit.clone();
         let strategy = head.req.strategy.as_ref();
         let strategy = strategy.unwrap_or(&self.cfg.strategy).clone();
         let threshold = head.req.fidelity_threshold.or(self.cfg.threshold);
-        let head_routing = head.req.routing;
-        let route: &dyn RoutingPolicy = match &head_routing {
-            Some(choice) => choice,
-            None => self.routing.as_ref(),
-        };
+        let route = head.req.routing.unwrap_or(self.cfg.routing);
 
         // Rank the admitting chips by (score, free time, registration);
         // with none, probe the widest so the placement error surfaces.
@@ -221,13 +208,9 @@ impl ReferenceScheduler {
                 false => None,
             };
             let score = route.score(&RouteQuery {
-                device,
-                device_index: d.index(),
                 free_at: clock(d),
                 start: clock(d).max(head_arrival),
                 best_start,
-                head_width: circuit.width(),
-                head_cx_count: circuit.cx_count(),
                 partition_score: partition_score.map(|a| a.efs.score),
             });
             ranked.push((score, clock(d), d));
@@ -270,10 +253,10 @@ impl ReferenceScheduler {
                 qubits: device.num_qubits(),
                 max_members: cap,
             };
-            let picks = match probe_widest {
-                true => vec![head_pos],
-                false => self.policy.pack(&views, head_pos, &budget),
-            };
+            let mut picks = vec![head_pos];
+            if !probe_widest {
+                self.cfg.policy.pack(&views, head_pos, &budget, &mut picks);
+            }
             let mut members: Vec<usize> = picks.iter().map(|&p| at[p]).collect();
             let planned = self.plan_gated(&pipeline, d, batch_index, &strategy, &mut members);
             let (plan, shrinks) = match planned {
@@ -320,12 +303,11 @@ impl ReferenceScheduler {
             let ledger = &mut self.ledgers[d.index()];
             for (pos, &q) in members.iter().enumerate() {
                 let job = &self.queue[q];
-                let (parallelism, kernel) = (job.req.shot_parallelism, job.req.trajectory_kernel);
                 let exec = ExecutionConfig {
                     shots: job.shots,
                     seed,
-                    parallelism: parallelism.unwrap_or(self.cfg.shot_parallelism),
-                    kernel: kernel.unwrap_or(self.cfg.kernel),
+                    parallelism: job.req.shot_parallelism.unwrap_or_default(),
+                    kernel: job.req.trajectory_kernel.unwrap_or_default(),
                     ..ParallelConfig::default().execution
                 };
                 let result = plan.run_program(&device, pos, &exec);
