@@ -13,18 +13,18 @@
 //!    crosstalk or serialization delays ([`build_context`]);
 //! 4. **execute** ([`PlannedWorkload::run_program`]) — one mapped
 //!    program on the `qucp-sim` trajectory simulator, scored against
-//!    its noiseless reference.
+//!    its noiseless reference: [`PlannedWorkload::prepare`], then
+//!    [`PlannedWorkload::run_prepared`].
 //!
 //! [`Pipeline::complete`] is stages 2–3, [`Pipeline::plan`] stages 1–3
 //! and [`Pipeline::execute`] all four. The `qucp-runtime` batch
 //! scheduler calls them one at a time: its EFS gate loops on stage 1
-//! alone, and it executes the programs of a shared plan concurrently
-//! (a [`PlannedWorkload`] is `Send + Sync`).
-
-use std::sync::{Arc, Mutex};
+//! alone, it executes the programs of a shared plan concurrently (a
+//! [`PlannedWorkload`] is `Send + Sync`), and its plan cache keeps each
+//! program's [`PreparedProgram`] beside the cached plan.
 
 use qucp_circuit::Circuit;
-use qucp_device::{Calibration, Device, Link, SnapshotToken};
+use qucp_device::{Device, Link};
 use qucp_sim::{metrics, Counts, ExecutionConfig, PreparedJob, Statevector};
 
 use crate::context::{build_context, WorkloadContext};
@@ -139,40 +139,10 @@ pub type WorkloadPlan = (Vec<Circuit>, Vec<Allocation>, Vec<MappedProgram>);
 /// interned shapes, and two circuits share an interned shape only after
 /// a gate-by-gate comparison.
 ///
-/// ## Prepared replay
-///
-/// Executing a program needs more than the plan: the simulator's
-/// event stream, error probabilities and ideal states, and the
-/// noiseless reference the result is scored against. All of it is a
-/// pure function of the planned program, the device calibration and
-/// the noise flags, so [`PlannedWorkload::run_program`] keeps it **on
-/// the plan**, one slot per program; executing a plan whose slots are
-/// filled — the runtime shares one plan behind an `Arc` across every
-/// batch that hits its plan cache — runs only the shots, the counts and
-/// the score. The slots
-///
-/// * fill on a program's **second** execution: a plan executed once (a
-///   plan-cache entry that never hits) retains nothing and copies
-///   nothing, and a plan that is re-executed pays for one extra
-///   set-up;
-/// * are dropped with the plan (a plan-cache entry dies on its
-///   device's epoch bump, and its prepared state with it);
-/// * record the calibration and noise flags they were built under, and
-///   are rebuilt, never replayed, when either differs — executing one
-///   plan under two calibrations or two flag sets equals executing two
-///   fresh plans, bit for bit. The calibration is recognised by
-///   *identity* first ([`Device::snapshot_token`]: the device, or a
-///   clone of it, has not lent its calibration out mutably since), and
-///   compared by value only when that fails, so an equal-valued twin
-///   device still replays;
-/// * hold at most [`PREPARED_RETAIN_BYTES`] per program: a program
-///   whose prepared state would be larger is prepared per execution,
-///   as if the slot did not exist;
-/// * are **not part of the plan's value**: `Clone` yields a plan with
-///   empty slots, `PartialEq` and `Debug` ignore them.
-///
-/// Editing a plan's public fields after it has executed is outside this
-/// contract (the slots cannot see the edit): edit a clone instead.
+/// A plan is a plain value: executing it reads it and keeps nothing on
+/// it. A caller that executes one plan many times may keep each
+/// program's [`PreparedProgram`] itself (the runtime's plan cache does,
+/// beside the cached plan).
 #[derive(Debug, Clone, PartialEq)]
 pub struct PlannedWorkload {
     /// The (optionally optimized) circuits, in caller order.
@@ -183,20 +153,13 @@ pub struct PlannedWorkload {
     pub mapped: Vec<MappedProgram>,
     /// Merged-schedule noise context of the whole workload.
     pub context: WorkloadContext,
-    /// [`PlannedWorkload::run_program`]'s per-program replay state (see
-    /// *Prepared replay* above).
-    prepared: PreparedSlots,
 }
 
-/// Most heap bytes of prepared state [`PlannedWorkload::run_program`]
-/// keeps per program (128 KiB — a 10-qubit program's states and tables
-/// fit, a 12-qubit one's do not and is prepared per execution).
-pub const PREPARED_RETAIN_BYTES: usize = 128 * 1024;
-
 /// Everything about executing one planned program that no seed, shot
-/// count, kernel or shard split can change.
+/// count, kernel or shard split can change
+/// ([`PlannedWorkload::prepare`]).
 #[derive(Debug)]
-struct PreparedProgram {
+pub struct PreparedProgram {
     /// The mapped job's simulator state.
     job: PreparedJob,
     /// Noiseless output distribution of the logical circuit.
@@ -206,149 +169,9 @@ struct PreparedProgram {
 }
 
 impl PreparedProgram {
-    /// Builds program `index`'s prepared state: the mapped job's
-    /// simulator state, and the logical circuit's noiseless
-    /// distribution and deterministic outcome from one statevector.
-    fn build(
-        device: &Device,
-        plan: &PlannedWorkload,
-        index: usize,
-        exec: &ExecutionConfig,
-    ) -> Result<Self, CoreError> {
-        let mp = &plan.mapped[index];
-        let job = PreparedJob::prepare(
-            &mp.circuit,
-            &mp.layout,
-            device,
-            &plan.context.scalings[index],
-            &plan.context.tail_idle[index],
-            exec,
-        )?;
-        let logical = Statevector::from_circuit(&plan.programs[index]);
-        Ok(PreparedProgram {
-            job,
-            ideal: logical.probabilities(),
-            ideal_outcome: logical.deterministic_outcome(),
-        })
-    }
-
     /// An upper bound on the heap bytes keeping this state costs.
-    fn retained_bytes(&self) -> usize {
+    pub fn retained_bytes(&self) -> usize {
         self.job.retained_bytes() + std::mem::size_of_val(&self.ideal[..])
-    }
-}
-
-/// The prepared-replay slots of one [`PlannedWorkload`]: interior
-/// state that is a cache over the plan, not part of its value.
-#[derive(Default)]
-struct PreparedSlots(Mutex<PreparedCache>);
-
-#[derive(Default)]
-struct PreparedCache {
-    /// Programs that have executed at least once (grown on demand).
-    /// Slots fill on the second execution, not the first: most plans
-    /// of a churning cache execute once, and filling then cost the
-    /// benchmark's `plan_churn` +8.5 % `peak_rss_mb` and +3.2 %
-    /// `alloc_kb_per_job` for state nobody replays.
-    executed: Vec<bool>,
-    /// The calibration every filled slot was built under: its value,
-    /// and the identity of the snapshot last seen holding that value.
-    built_under: Option<(SnapshotToken, Calibration)>,
-    /// One slot per program, grown on demand.
-    programs: Vec<Option<Arc<PreparedProgram>>>,
-}
-
-#[cfg(test)]
-thread_local! {
-    /// How often this thread compared two calibrations by value to
-    /// recognise a snapshot.
-    static VALUE_COMPARISONS: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
-}
-
-impl PreparedCache {
-    /// Whether the filled slots were built under `device`'s current
-    /// calibration. The snapshot's identity answers for the device the
-    /// slots last met (every execution of a cached plan, in the
-    /// runtime); any other device — or that one after a mutable borrow
-    /// of its calibration — is compared by value, and on a match
-    /// becomes the snapshot to recognise next time.
-    fn was_built_under(&mut self, device: &Device) -> bool {
-        let Some((token, calibration)) = &mut self.built_under else {
-            return false;
-        };
-        if token.is_current(device) {
-            return true;
-        }
-        #[cfg(test)]
-        VALUE_COMPARISONS.with(|n| n.set(n.get() + 1));
-        let same = calibration == device.calibration();
-        if same {
-            *token = device.snapshot_token();
-        }
-        same
-    }
-}
-
-impl PreparedSlots {
-    fn lock(&self) -> std::sync::MutexGuard<'_, PreparedCache> {
-        // Held for a comparison or a store, none of which can panic.
-        self.0.lock().expect("no holder of the slots lock panics")
-    }
-
-    /// Program `index`'s prepared state, if one built under `device`'s
-    /// calibration and `exec`'s noise flags is held.
-    fn get(
-        &self,
-        index: usize,
-        device: &Device,
-        exec: &ExecutionConfig,
-    ) -> Option<Arc<PreparedProgram>> {
-        let mut cache = self.lock();
-        if !cache.was_built_under(device) {
-            return None;
-        }
-        let slot = cache.programs.get(index)?.as_ref()?;
-        slot.job.matches(exec).then(|| Arc::clone(slot))
-    }
-
-    /// Offers `prepared`, just built for program `index`: kept unless
-    /// this is the program's first execution, which only leaves its
-    /// mark. A calibration other than the held one empties every slot
-    /// first.
-    fn put(&self, index: usize, device: &Device, prepared: &Arc<PreparedProgram>) {
-        let mut cache = self.lock();
-        if cache.executed.len() <= index {
-            cache.executed.resize(index + 1, false);
-        }
-        if !std::mem::replace(&mut cache.executed[index], true) {
-            return;
-        }
-        if !cache.was_built_under(device) {
-            cache.built_under = Some((device.snapshot_token(), device.calibration().clone()));
-            cache.programs.clear();
-        }
-        if cache.programs.len() <= index {
-            cache.programs.resize(index + 1, None);
-        }
-        cache.programs[index] = Some(Arc::clone(prepared));
-    }
-}
-
-impl Clone for PreparedSlots {
-    fn clone(&self) -> Self {
-        PreparedSlots::default()
-    }
-}
-
-impl PartialEq for PreparedSlots {
-    fn eq(&self, _: &Self) -> bool {
-        true
-    }
-}
-
-impl std::fmt::Debug for PreparedSlots {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("PreparedSlots").finish_non_exhaustive()
     }
 }
 
@@ -359,7 +182,9 @@ impl PlannedWorkload {
     }
 
     /// Stage 4: runs program `index` on the `qucp-sim` trajectory
-    /// simulator and scores it against its noiseless reference.
+    /// simulator and scores it against its noiseless reference —
+    /// [`prepare`](PlannedWorkload::prepare), then
+    /// [`run_prepared`](PlannedWorkload::run_prepared).
     ///
     /// Deterministic given `exec.seed`: the program's own seed derives
     /// from `(exec.seed, index)` only ([`derive_program_seed`]), so
@@ -371,15 +196,6 @@ impl PlannedWorkload {
     /// selects the per-shot sampler; each kernel pins its own stream,
     /// and both obey the same `(seed, shards)` purity contract.
     ///
-    /// The state kept between calls is **plan-pure**: a function of the
-    /// planned program, the device calibration and `exec`'s noise flags
-    /// — never of `exec.seed`, `exec.shots`, `exec.parallelism` or
-    /// `exec.kernel`, and never of which call came first. Executing a
-    /// plan a second time gives bit for bit what a freshly planned copy
-    /// gives, under any calibration and any flags (see *Prepared
-    /// replay* above); from its third execution on a program pays for
-    /// neither the simulator set-up nor the noiseless reference.
-    ///
     /// # Errors
     ///
     /// [`CoreError::Sim`] if the simulator rejects the mapped job
@@ -390,16 +206,70 @@ impl PlannedWorkload {
         index: usize,
         exec: &ExecutionConfig,
     ) -> Result<ProgramResult, CoreError> {
-        let prepared = match self.prepared.get(index, device, exec) {
-            Some(held) => held,
-            None => {
-                let built = Arc::new(PreparedProgram::build(device, self, index, exec)?);
-                if built.retained_bytes() <= PREPARED_RETAIN_BYTES {
-                    self.prepared.put(index, device, &built);
-                }
-                built
-            }
-        };
+        let prepared = self.prepare(device, index, exec)?;
+        Ok(self.run_prepared(&prepared, index, exec))
+    }
+
+    /// The first half of [`run_program`](PlannedWorkload::run_program):
+    /// program `index`'s simulator set-up (event stream, error
+    /// probabilities, ideal states) and its noiseless reference (the
+    /// logical circuit's distribution and deterministic outcome, from
+    /// one statevector).
+    ///
+    /// A pure function of the planned program, `device`'s calibration
+    /// and `exec`'s three noise flags — never of `exec.seed`,
+    /// `exec.shots`, `exec.parallelism` or `exec.kernel`. A caller may
+    /// therefore keep the result and hand it to
+    /// [`run_prepared`](PlannedWorkload::run_prepared) as often as the
+    /// calibration and the flags stay the same: every run equals a
+    /// [`run_program`](PlannedWorkload::run_program) call, bit for bit.
+    /// Keeping it valid across calibration changes is the caller's
+    /// business.
+    ///
+    /// # Errors
+    ///
+    /// [`CoreError::Sim`] if the simulator rejects the mapped job
+    /// (which would indicate a mapping bug).
+    pub fn prepare(
+        &self,
+        device: &Device,
+        index: usize,
+        exec: &ExecutionConfig,
+    ) -> Result<PreparedProgram, CoreError> {
+        let mp = &self.mapped[index];
+        let job = PreparedJob::prepare(
+            &mp.circuit,
+            &mp.layout,
+            device,
+            &self.context.scalings[index],
+            &self.context.tail_idle[index],
+            exec,
+        )?;
+        let logical = Statevector::from_circuit(&self.programs[index]);
+        Ok(PreparedProgram {
+            job,
+            ideal: logical.probabilities(),
+            ideal_outcome: logical.deterministic_outcome(),
+        })
+    }
+
+    /// The second half of [`run_program`](PlannedWorkload::run_program):
+    /// program `index`'s shots from `prepared` — what
+    /// [`prepare`](PlannedWorkload::prepare) returned for that program
+    /// under `exec`'s noise flags — their counts and the score; no
+    /// simulator set-up, no noiseless reference.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `prepared` was built under other noise flags than
+    /// `exec`'s, or for a routed circuit of another width or gate count
+    /// than program `index`'s.
+    pub fn run_prepared(
+        &self,
+        prepared: &PreparedProgram,
+        index: usize,
+        exec: &ExecutionConfig,
+    ) -> ProgramResult {
         let mp = &self.mapped[index];
         let exec = ExecutionConfig {
             seed: derive_program_seed(exec.seed, index),
@@ -410,7 +280,7 @@ impl PlannedWorkload {
         let pst = prepared
             .ideal_outcome
             .map(|target| counts.probability(target));
-        Ok(ProgramResult {
+        ProgramResult {
             name: self.programs[index].name().to_string(),
             partition: self.allocations[index].qubits.clone(),
             efs: self.allocations[index].efs.score,
@@ -418,7 +288,7 @@ impl PlannedWorkload {
             counts,
             pst,
             jsd,
-        })
+        }
     }
 }
 
@@ -553,7 +423,6 @@ impl<'s> Pipeline<'s> {
             allocations,
             mapped,
             context,
-            prepared: PreparedSlots::default(),
         }
     }
 
@@ -726,17 +595,20 @@ mod tests {
         }
     }
 
-    /// A two-program plan on Toronto plus a recalibrated twin of the
-    /// chip (every CNOT and readout error moved), for the replay tests.
-    fn replay_fixture() -> (Device, Device, PlannedWorkload) {
+    #[test]
+    fn replayed_plan_equals_a_fresh_plan_under_any_calibration_and_flags() {
+        use qucp_sim::{ShotParallelism, TrajectoryKernel};
+        // A two-program plan on Toronto and a recalibrated twin of the
+        // chip (every CNOT and readout error moved).
         let dev = ibm::toronto();
         let progs = vec![
             library::by_name("fredkin").unwrap().circuit(),
             library::by_name("bell").unwrap().circuit(),
         ];
         let qucp = strategy::qucp(4.0);
-        let pipe = Pipeline::from_strategy(&qucp);
-        let plan = pipe.plan(&dev, &progs, true).unwrap();
+        let plan = Pipeline::from_strategy(&qucp)
+            .plan(&dev, &progs, true)
+            .unwrap();
         let mut drifted = dev.clone();
         for (_, e) in drifted.calibration_mut().cx_errors_mut() {
             *e *= 1.7;
@@ -744,158 +616,47 @@ mod tests {
         for e in drifted.calibration_mut().readout_errors_mut() {
             *e *= 0.5;
         }
-        (dev, drifted, plan)
-    }
-
-    #[test]
-    fn replayed_plan_equals_a_fresh_plan_under_any_calibration_and_flags() {
-        use qucp_sim::{ShotParallelism, TrajectoryKernel};
-        let (dev, drifted, plan) = replay_fixture();
-        let mut cfgs = Vec::new();
-        for kernel in [TrajectoryKernel::Replay, TrajectoryKernel::SurvivalSkip] {
-            for parallelism in [
-                ShotParallelism::Serial,
-                ShotParallelism::Sharded {
-                    shards: 3,
-                    threads: 2,
-                },
-                ShotParallelism::Auto,
-            ] {
-                let mut cfg = quick_cfg();
-                cfg.execution = cfg
-                    .execution
-                    .with_kernel(kernel)
-                    .with_parallelism(parallelism);
-                cfgs.push(cfg);
-                // A second noise-flag set per kernel x mode.
-                cfg.execution.idle_noise = false;
-                cfg.execution.readout_noise = false;
-                cfgs.push(cfg);
-            }
-        }
-        // One plan, executed back and forth across both calibrations
-        // and both flag sets; every execution must equal that of a
-        // clone, whose slots start empty (a freshly planned workload).
-        for device in [&dev, &drifted, &dev] {
-            for cfg in &cfgs {
-                for seed in [7, 8] {
-                    let mut cfg = *cfg;
-                    cfg.execution.seed = seed;
-                    let replayed = execute(device, &plan, &cfg);
-                    let fresh = execute(device, &plan.clone(), &cfg);
-                    assert_eq!(replayed, fresh, "{cfg:?}");
+        let noisy = quick_cfg().execution;
+        let mut quiet = noisy;
+        quiet.idle_noise = false;
+        quiet.readout_noise = false;
+        // One `prepare` per program, calibration and flag set; every run
+        // from it — both kernels, three shot modes, two seeds — equals a
+        // `run_program` call, which prepares afresh.
+        for device in [&dev, &drifted] {
+            for flags in [noisy, quiet] {
+                for index in 0..plan.programs.len() {
+                    let prepared = plan.prepare(device, index, &flags).unwrap();
+                    for kernel in [TrajectoryKernel::Replay, TrajectoryKernel::SurvivalSkip] {
+                        for parallelism in [
+                            ShotParallelism::Serial,
+                            ShotParallelism::Sharded {
+                                shards: 3,
+                                threads: 2,
+                            },
+                            ShotParallelism::Auto,
+                        ] {
+                            for seed in [7, 8] {
+                                let exec = flags
+                                    .with_kernel(kernel)
+                                    .with_parallelism(parallelism)
+                                    .with_seed(seed);
+                                assert_eq!(
+                                    plan.run_prepared(&prepared, index, &exec),
+                                    plan.run_program(device, index, &exec).unwrap(),
+                                    "{exec:?}"
+                                );
+                            }
+                        }
+                    }
                 }
             }
         }
-        // The calibrations really do differ in what they produce.
-        let cfg = quick_cfg();
-        assert_ne!(execute(&dev, &plan, &cfg), execute(&drifted, &plan, &cfg));
-    }
-
-    #[test]
-    fn prepared_slots_are_not_part_of_the_plans_value() {
-        let (dev, drifted, plan) = replay_fixture();
-        let exec = quick_cfg().execution;
-        let untouched = plan.clone();
-        let debug_before = format!("{plan:?}");
-        // The first execution leaves its mark, the second fills.
-        execute(&dev, &plan, &quick_cfg());
-        assert!(plan.prepared.get(0, &dev, &exec).is_none());
-        execute(&dev, &plan, &quick_cfg());
-        // Filled for this calibration and these flags only...
-        assert!(plan.prepared.get(0, &dev, &exec).is_some());
-        assert!(plan
-            .prepared
-            .get(1, &dev, &exec.with_shots(1).with_seed(0))
-            .is_some());
-        assert!(plan.prepared.get(0, &drifted, &exec).is_none());
-        let mut quiet = exec;
-        quiet.gate_noise = false;
-        assert!(plan.prepared.get(0, &dev, &quiet).is_none());
-        // ...and invisible to Clone, PartialEq and Debug.
-        assert_eq!(plan, untouched);
-        assert_eq!(format!("{plan:?}"), debug_before);
-        assert!(plan.clone().prepared.get(0, &dev, &exec).is_none());
-        // A new calibration empties every slot before refilling.
-        execute(&drifted, &plan, &quick_cfg());
-        assert!(plan.prepared.get(0, &drifted, &exec).is_some());
-        assert!(plan.prepared.get(0, &dev, &exec).is_none());
-    }
-
-    /// How many calibration value comparisons `f` makes on this thread.
-    fn value_comparisons(f: impl FnOnce()) -> usize {
-        let before = VALUE_COMPARISONS.with(std::cell::Cell::get);
-        f();
-        VALUE_COMPARISONS.with(std::cell::Cell::get) - before
-    }
-
-    #[test]
-    fn prepared_slots_know_their_snapshot_by_identity_and_fall_back_to_its_value() {
-        let (mut dev, _, plan) = replay_fixture();
-        let cfg = quick_cfg();
-        let exec = cfg.execution;
-        // A clone's slots start empty: what a fresh plan produces.
-        let fresh = |device: &Device| execute(device, &plan.clone(), &cfg);
-        let replays = |device: &Device| {
-            let held = plan.prepared.get(0, device, &exec).is_some();
-            assert_eq!(execute(device, &plan, &cfg), fresh(device));
-            held
-        };
-        // Filling (the second execution) compares nothing: there is no
-        // calibration on record yet.
-        assert_eq!(value_comparisons(|| assert!(!replays(&dev))), 0);
-        assert_eq!(value_comparisons(|| assert!(!replays(&dev))), 0);
-        // The device and a clone of it (one shared atlas) replay on the
-        // snapshot's identity alone.
-        let clone = dev.clone();
-        assert_eq!(value_comparisons(|| assert!(replays(&dev))), 0);
-        assert_eq!(value_comparisons(|| assert!(replays(&clone))), 0);
-        // An equal-valued twin built separately replays through the
-        // value comparison, once: it is then the snapshot on record.
-        let twin = ibm::toronto();
-        assert_eq!(twin, dev);
-        assert!(value_comparisons(|| assert!(replays(&twin))) > 0);
-        assert_eq!(value_comparisons(|| assert!(replays(&twin))), 0);
-        assert!(value_comparisons(|| assert!(replays(&dev))) > 0);
-        // A mutable borrow that writes nothing ends the identity, not
-        // the value: the slots fall back and still replay.
-        dev.calibration_mut();
-        assert!(value_comparisons(|| assert!(replays(&dev))) > 0);
-        assert_eq!(value_comparisons(|| assert!(replays(&dev))), 0);
-        // One that writes never replays what was built before it...
-        dev.calibration_mut().set_readout_error(0, 0.31);
-        assert!(value_comparisons(|| assert!(!replays(&dev))) > 0);
-        assert_ne!(fresh(&dev), fresh(&twin));
-        // ...and once refilled under the edit, the edit is what the
-        // slots know: the clone taken before it compares and rebuilds.
-        assert!(replays(&dev));
-        assert!(value_comparisons(|| assert!(!replays(&clone))) > 0);
-    }
-
-    #[test]
-    fn oversized_prepared_state_is_rebuilt_per_execution() {
-        // A 14-qubit program's states and tables are past
-        // PREPARED_RETAIN_BYTES: its slot stays empty, its neighbour's
-        // fills, and re-execution still equals a fresh plan's.
-        let dev = ibm::toronto();
-        let progs = vec![
-            library::ghz(14),
-            library::by_name("bell").unwrap().circuit(),
-        ];
-        let qucp = strategy::qucp(4.0);
-        let pipe = Pipeline::from_strategy(&qucp);
-        let plan = pipe.plan(&dev, &progs, true).unwrap();
-        let cfg = quick_cfg();
-        let first = execute(&dev, &plan, &cfg);
-        assert_eq!(execute(&dev, &plan, &cfg), first);
-        assert!(plan.prepared.get(0, &dev, &cfg.execution).is_none());
-        let small = plan
-            .prepared
-            .get(1, &dev, &cfg.execution)
-            .expect("bell fits");
-        assert!(small.retained_bytes() <= PREPARED_RETAIN_BYTES);
-        assert_eq!(execute(&dev, &plan, &cfg), first);
-        assert_eq!(execute(&dev, &plan.clone(), &cfg), first);
+        // The calibrations and the flag sets really do differ in what
+        // they produce.
+        let run = |device: &Device, exec: &ExecutionConfig| plan.run_program(device, 0, exec);
+        assert_ne!(run(&dev, &noisy).unwrap(), run(&drifted, &noisy).unwrap());
+        assert_ne!(run(&dev, &noisy).unwrap(), run(&dev, &quiet).unwrap());
     }
 
     #[test]
@@ -903,5 +664,6 @@ mod tests {
         fn assert_send_sync<T: Send + Sync>() {}
         assert_send_sync::<Pipeline>();
         assert_send_sync::<PlannedWorkload>();
+        assert_send_sync::<PreparedProgram>();
     }
 }

@@ -37,5 +37,5 @@ pub use crosstalk::{CrosstalkModel, CrosstalkProfile};
 pub use device::Device;
 pub use drift::{interval_steps, splitmix64, DriftEvent, DriftModel, GaussianWalk};
 pub use link::{Link, LinkPair};
-pub use region::{Region, SnapshotToken};
+pub use region::Region;
 pub use topology::{Topology, UNREACHABLE};

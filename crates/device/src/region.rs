@@ -95,34 +95,6 @@ impl RegionAtlas {
     }
 }
 
-/// The identity of one calibration snapshot of a device: a cheap token
-/// ([`Device::snapshot_token`]) that state derived from a calibration
-/// can keep to recognise, without comparing calibrations by value, that
-/// a device it meets later still holds the snapshot it was derived
-/// from.
-///
-/// The token is the device's region atlas, shared: every `&mut` route
-/// to a calibration installs a fresh atlas *before* handing out the
-/// borrow, so a device whose atlas is still the token's cannot have had
-/// its calibration touched since the token was taken — and because the
-/// token keeps that atlas alive, no later atlas can be mistaken for it.
-/// The converse does not hold: an equal-valued calibration on a device
-/// built separately, or re-installed through `calibration_mut`, is a
-/// different snapshot, so a caller that wants those to match too falls
-/// back to comparing values when [`is_current`](Self::is_current) says
-/// no.
-#[derive(Debug, Clone)]
-pub struct SnapshotToken(RegionAtlas);
-
-impl SnapshotToken {
-    /// Whether `device` still holds the very calibration snapshot this
-    /// token was taken from: the same device or a clone of it, with no
-    /// mutable borrow of the calibration on its side since.
-    pub fn is_current(&self, device: &Device) -> bool {
-        Arc::ptr_eq(&self.0 .0, &device.atlas().0)
-    }
-}
-
 impl PartialEq for RegionAtlas {
     fn eq(&self, _: &Self) -> bool {
         true
@@ -136,12 +108,6 @@ impl std::fmt::Debug for RegionAtlas {
 }
 
 impl Device {
-    /// The identity of the current calibration snapshot (see
-    /// [`SnapshotToken`]).
-    pub fn snapshot_token(&self) -> SnapshotToken {
-        SnapshotToken(self.atlas().clone())
-    }
-
     /// The region induced by `qubits`: its links and error sums under
     /// the current calibration.
     ///
@@ -394,31 +360,6 @@ mod tests {
         // The crosstalk ground truth is no input of the atlas.
         dev.crosstalk_mut();
         assert!(!dev.atlas().is_empty());
-    }
-
-    #[test]
-    fn a_snapshot_token_outlives_no_mutable_borrow_of_the_calibration() {
-        let mut dev = line_device();
-        let token = dev.snapshot_token();
-        assert!(token.is_current(&dev));
-        // Reading, filling the atlas and cloning keep the snapshot...
-        dev.idle_regions(3);
-        let twin = dev.clone();
-        assert!(token.is_current(&dev) && token.is_current(&twin));
-        assert!(twin.snapshot_token().is_current(&dev));
-        // ...the crosstalk ground truth is no part of it...
-        dev.crosstalk_mut();
-        assert!(token.is_current(&dev));
-        // ...any mutable borrow of the calibration ends it, even one
-        // that writes nothing, on the borrowed side only...
-        dev.calibration_mut();
-        assert!(!token.is_current(&dev) && token.is_current(&twin));
-        let mut twin = twin;
-        twin.calibration_state_mut();
-        assert!(!token.is_current(&twin));
-        // ...and an equal device built separately never had it.
-        assert_eq!(dev, line_device());
-        assert!(!token.is_current(&line_device()));
     }
 
     #[test]

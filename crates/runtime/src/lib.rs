@@ -59,7 +59,8 @@
 //!    stayed. Every committed decision is recorded as an
 //!    [`Event::BatchRouted`] carrying the winning score.
 //! 4. **Execute** — the programs of the planned batch run
-//!    ([`PlannedWorkload::run_program`](qucp_core::pipeline::PlannedWorkload::run_program))
+//!    ([`PlannedWorkload::prepare`](qucp_core::pipeline::PlannedWorkload::prepare)
+//!    and [`run_prepared`](qucp_core::pipeline::PlannedWorkload::run_prepared))
 //!    through the workspace's one fan-out helper
 //!    (`qucp_sim::run_indexed`). **The fan-out rule:** the dispatching
 //!    thread claims programs itself off a shared index; helper threads
@@ -80,15 +81,18 @@
 //!    **Replay of prepared state:**
 //!    what a program needs before its first shot — the simulator's
 //!    event stream, error probabilities and ideal states, and the
-//!    noiseless reference it is scored against — is a pure function of
-//!    the plan, so execution keeps it on the
-//!    [`PlannedWorkload`](qucp_core::pipeline::PlannedWorkload) the
-//!    plan cache already shares: a plan-cache hit is an execution
-//!    set-up hit too, and replaying a cached plan runs only the shots,
-//!    the counts and the JSD. The slots fill on a plan's second
-//!    execution, so a plan that never hits the cache retains nothing;
-//!    the prepared state is dropped with its plan entry on an epoch
-//!    bump and is never seed- or shot-dependent. A large job may
+//!    noiseless reference it is scored against
+//!    ([`PreparedProgram`](qucp_core::pipeline::PreparedProgram)) — is
+//!    a pure function of the plan, the device's calibration and the
+//!    noise flags, which every job shares. So the plan-cache entry
+//!    keeps it beside the plan, one slot per program: a plan-cache hit
+//!    is an execution set-up hit too, and replaying a cached plan runs
+//!    only the shots, the counts and the JSD. The slots are allocated
+//!    on the entry's first hit — the plan's second execution — so a
+//!    plan that never hits retains nothing; they are valid by the
+//!    entry's key (device, calibration epoch, …), dropped with the
+//!    entry on an epoch bump, and never seed- or shot-dependent. A
+//!    large job may
 //!    additionally ask for *intra-program* shot sharding
 //!    ([`JobRequest::with_shot_parallelism`], [`ShotParallelism`]):
 //!    its trajectory loop splits its shots into shards, deterministic
@@ -155,7 +159,7 @@
 //! | staging and execution | the batch's device is borrowed from the registry, never cloned; the members leave the pending store by value into one record per job, the head's strategy is one shared table entry, and ranking, packing and the key lookup run in buffers the service keeps |
 //! | batch removal | offset bump (front run) or one compaction pass |
 //! | recalibrate / drift epoch bump | one pass over the cache, dropping the bumped device's probes and plans, and one over the shape table, dropping the shapes nothing holds any more |
-//! | execution set-up per program | ALAP schedule + event sort + three statevector passes on the first two executions of a plan (the second fills the slots); a replayed plan then pays a pointer comparison (is this still the calibration snapshot the slots were filled under?) and an `Arc` clone (prepared replay) |
+//! | execution set-up per program | ALAP schedule + event sort + three statevector passes on the first two executions of a plan (the second, the entry's first hit, fills its slots); a replayed plan then pays an `Arc` clone of the entry's slots per batch and one slot read per program (prepared replay) |
 //! | threads per batch | staging (routing, packing, planning): none, ever — one candidate at a time on the dispatching thread; execution: none under two spawn floors of batch work or on one core, otherwise one worker per floor up to the cores and the programs, the caller being one of them |
 //!
 //! ### What a cache hit costs

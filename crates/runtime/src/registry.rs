@@ -196,12 +196,15 @@ impl DeviceRegistry {
         self.epochs[id.0]
     }
 
-    /// Mutates a device's calibration state in place through `f`,
-    /// bumping the epoch **iff** `f` reports a change; returns the new
-    /// epoch when bumped. Drift models plug in here: a no-op step
-    /// (zero sigmas, or a recalibration reset of an undrifted device)
-    /// must not bump the epoch, or frozen-fleet equivalence would pay
-    /// phantom cache invalidations.
+    /// Changes a device's calibration state if `f` says so: `f` reads
+    /// the current state and returns its replacement, or `None` for no
+    /// change. Only a replacement is installed — through the device's
+    /// one `&mut` route to its calibration, which also empties its
+    /// region atlas — and bumps the epoch; returns the new epoch when
+    /// bumped. Drift models plug in here: a no-op step (zero sigmas, or
+    /// a recalibration reset of an undrifted device) must leave the
+    /// device untouched, or frozen-fleet equivalence would pay phantom
+    /// cache invalidations and a regrown atlas.
     ///
     /// # Panics
     ///
@@ -209,17 +212,14 @@ impl DeviceRegistry {
     pub fn mutate_calibration(
         &mut self,
         id: DeviceId,
-        f: impl FnOnce(&mut Calibration, &mut CrosstalkModel) -> bool,
+        f: impl FnOnce(&Calibration, &CrosstalkModel) -> Option<(Calibration, CrosstalkModel)>,
     ) -> Option<u64> {
         let device = &mut self.devices[id.0];
+        let next = f(device.calibration(), device.crosstalk())?;
         let (cal, xt) = device.calibration_state_mut();
-        let changed = f(cal, xt);
-        if changed {
-            self.epochs[id.0] += 1;
-            Some(self.epochs[id.0])
-        } else {
-            None
-        }
+        (*cal, *xt) = next;
+        self.epochs[id.0] += 1;
+        Some(self.epochs[id.0])
     }
 
     /// Internal positional access for the service dispatch loop, which
@@ -530,12 +530,13 @@ mod tests {
         assert_eq!(fleet.epoch(tor), 0);
         assert_eq!(fleet.epoch(mel), 0);
         // A no-op mutation must not bump.
-        assert_eq!(fleet.mutate_calibration(tor, |_, _| false), None);
+        assert_eq!(fleet.mutate_calibration(tor, |_, _| None), None);
         assert_eq!(fleet.epoch(tor), 0);
         // A changing mutation bumps only the touched device.
-        let bumped = fleet.mutate_calibration(tor, |cal, _| {
+        let bumped = fleet.mutate_calibration(tor, |cal, xt| {
+            let mut cal = cal.clone();
             cal.set_readout_error(0, 0.3);
-            true
+            Some((cal, xt.clone()))
         });
         assert_eq!(bumped, Some(1));
         assert_eq!(fleet.epoch(tor), 1);

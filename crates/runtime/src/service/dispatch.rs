@@ -9,7 +9,8 @@
 //! [`HeadContext`] (no circuit, the strategy by reference count),
 //! ranking, packing and the plan-key lookup fill the buffers of one
 //! [`DispatchScratch`] the service keeps, and a plan-cache hit shares
-//! the cached plan behind its `Arc`. [`Service::commit`] then takes
+//! the cached plan and its prepared-state slots behind their `Arc`s.
+//! [`Service::commit`] then takes
 //! the members out of the store **by value** and turns each into one
 //! [`Member`] of the [`StagedBatch`] — the circuit's name moved, the
 //! circuit dropped — which execution reads by reference and
@@ -18,15 +19,15 @@
 //! is what it keeps: its members, its events and their strings, its
 //! results. The admission policy packs into the scratch too.
 
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use qucp_core::pipeline::PlannedWorkload;
-use qucp_core::{ParallelConfig, ProgramResult, Strategy};
+use qucp_core::{CoreError, ParallelConfig, ProgramResult, Strategy};
 use qucp_device::Device;
 use qucp_sim::{run_indexed, ExecutionConfig, ShotParallelism, TrajectoryKernel};
 
 use super::gate::plan_batch;
-use super::route_cache::{replay_plan, PlanKey};
+use super::route_cache::{replay_plan, PlanKey, ReplaySlots, SharedPlan};
 use super::{BatchReport, EfsGate, JobTicket, Service};
 use crate::error::RuntimeError;
 use crate::event::Event;
@@ -155,7 +156,7 @@ impl Service {
                 // ranking.
                 return Ok(None);
             }
-            let (pack, plan, shrinks) = match self.plan_candidate(scratch, &head, d) {
+            let (pack, shared) = match self.plan_candidate(scratch, &head, d) {
                 Ok(planned) => planned,
                 Err(e @ RuntimeError::JobUnplaceable { .. }) => {
                     failure = e;
@@ -164,9 +165,7 @@ impl Service {
                 Err(e) => return Err(e),
             };
             debug_assert_eq!(pack.start.to_bits(), start.to_bits());
-            return self
-                .commit(scratch, head, rank, pack, plan, shrinks)
-                .map(Some);
+            return self.commit(scratch, head, rank, pack, shared).map(Some);
         }
         Err(failure)
     }
@@ -242,9 +241,13 @@ impl Service {
         head: HeadContext,
         rank: usize,
         pack: CandidatePack,
-        plan: Arc<PlannedWorkload>,
-        shrinks: Vec<Event>,
+        shared: SharedPlan,
     ) -> Result<StagedBatch, RuntimeError> {
+        let SharedPlan {
+            plan,
+            slots,
+            shrinks,
+        } = shared;
         let (score, _, d) = scratch.ranked[rank];
         let batch_index = head.batch_index;
         let start = pack.start;
@@ -341,6 +344,7 @@ impl Service {
             device_index: d,
             batch_index,
             plan,
+            slots,
             start,
             completion,
             makespan,
@@ -417,7 +421,7 @@ impl Service {
         scratch: &mut DispatchScratch,
         head: &HeadContext,
         d: usize,
-    ) -> Result<(CandidatePack, Arc<PlannedWorkload>, Vec<Event>), RuntimeError> {
+    ) -> Result<(CandidatePack, SharedPlan), RuntimeError> {
         // Head-only EFS gate (Fig. 4): probe the admissible copy count
         // of the head circuit before packing, memoized across batches
         // per (device, shape, threshold).
@@ -442,8 +446,7 @@ impl Service {
         key.shapes.clear();
         key.thresholds.clear();
         (scratch.key_shapes, scratch.key_thresholds) = (key.shapes, key.thresholds);
-        let (plan, shrinks) = planned?;
-        Ok((pack, plan, shrinks))
+        Ok((pack, planned?))
     }
 
     /// The plan-cache lookup of the pack in `scratch.picks_seqs` under
@@ -456,9 +459,9 @@ impl Service {
         head: &HeadContext,
         d: usize,
         key: &PlanKey,
-    ) -> Result<(Arc<PlannedWorkload>, Vec<Event>), RuntimeError> {
+    ) -> Result<SharedPlan, RuntimeError> {
         let device = self.registry.device_at(d);
-        if let Some(entry) = self.route_cache.plans.get(key) {
+        if let Some(entry) = self.route_cache.plans.get_mut(key) {
             self.route_cache.plan_hits += 1;
             scratch.member_seqs.clone_from(&scratch.picks_seqs);
             let members = &mut scratch.member_seqs;
@@ -478,9 +481,9 @@ impl Service {
         self.plan_ns = self
             .plan_ns
             .saturating_add(plan_started.elapsed().as_nanos() as u64);
-        let (plan, member_seqs, shrinks) = self.memoize_plan(key.clone(), gated)?;
+        let (shared, member_seqs) = self.memoize_plan(key.clone(), gated)?;
         scratch.member_seqs = member_seqs;
-        Ok((plan, shrinks))
+        Ok(shared)
     }
 
     /// One candidate device's admission pass: bind the arrived window
@@ -622,14 +625,17 @@ struct Member {
 /// mutation applied, and the batch's full event block buffered — with
 /// execution and the event/statistics fold still pending
 /// ([`Service::finish_batch`]). One self-contained record: the plan
-/// behind its [`Arc`], the members by value — so the fan-out's threads
-/// run its programs from a `&self` reference;
-/// the device stays in the registry, which nothing touches between
-/// staging and finishing.
+/// and its cache entry's slots behind their [`Arc`]s, the members by
+/// value — so the fan-out's threads run its programs from a `&self`
+/// reference; the device stays in the registry, which nothing touches
+/// between staging and finishing.
 struct StagedBatch {
     device_index: usize,
     batch_index: usize,
     plan: Arc<PlannedWorkload>,
+    /// The plan-cache entry's prepared-state slots: `None` on the
+    /// plan's first execution (a cache miss).
+    slots: Option<ReplaySlots>,
     start: f64,
     completion: f64,
     makespan: f64,
@@ -638,6 +644,11 @@ struct StagedBatch {
     members: Vec<Member>,
     events: Vec<Event>,
 }
+
+/// Most heap bytes of prepared state a plan-cache entry keeps per
+/// program (128 KiB — a 10-qubit program's states and tables fit, a
+/// 12-qubit one's do not and is prepared per execution).
+pub(super) const PREPARED_RETAIN_BYTES: usize = 128 * 1024;
 
 /// Per-batch seed derivation: a distinct odd stride keeps batch streams
 /// disjoint from the per-program golden-ratio stride of
@@ -654,6 +665,14 @@ impl StagedBatch {
     /// thread scheduling. On failure the error is the first in program
     /// order, and the programs after it still run (their results are
     /// dropped).
+    ///
+    /// Every job runs under the same noise flags
+    /// (`ParallelConfig::default()`'s), so a program's prepared state
+    /// depends on nothing the slots' cache entry does not key: a filled
+    /// slot is replayed, an empty one is filled once with state of at
+    /// most [`PREPARED_RETAIN_BYTES`] (larger state is prepared per
+    /// execution), and without slots — a plan's first execution —
+    /// nothing is kept.
     fn execute(&self, device: &Device) -> Result<Vec<ProgramResult>, RuntimeError> {
         run_indexed(self.members.len(), self.work(), |pos| {
             let member = &self.members[pos];
@@ -664,12 +683,33 @@ impl StagedBatch {
                 kernel: member.kernel,
                 ..ParallelConfig::default().execution
             };
-            self.plan
-                .run_program(device, pos, &exec)
+            self.run_program(device, pos, &exec)
                 .map_err(RuntimeError::Core)
         })
         .into_iter()
         .collect()
+    }
+
+    /// Program `pos` of the batch, from its slot's prepared state (see
+    /// [`StagedBatch::execute`]).
+    fn run_program(
+        &self,
+        device: &Device,
+        pos: usize,
+        exec: &ExecutionConfig,
+    ) -> Result<ProgramResult, CoreError> {
+        let slot = self.slots.as_ref().map(|slots| &slots[pos]);
+        if let Some(prepared) = slot.and_then(OnceLock::get) {
+            return Ok(self.plan.run_prepared(prepared, pos, exec));
+        }
+        let built = self.plan.prepare(device, pos, exec)?;
+        let prepared = match slot {
+            Some(slot) if built.retained_bytes() <= PREPARED_RETAIN_BYTES => {
+                slot.get_or_init(|| built)
+            }
+            _ => &built,
+        };
+        Ok(self.plan.run_prepared(prepared, pos, exec))
     }
 
     /// The batch's execution work in the fan-out helper's unit: shots

@@ -153,16 +153,10 @@ impl Service {
                         let epoch = self.registry.mutate_calibration(id, |cal, xt| {
                             let (mut next_cal, mut next_xt) = (cal.clone(), xt.clone());
                             if !model.apply_step(step, index as u64, &mut next_cal, &mut next_xt) {
-                                return false;
+                                return None;
                             }
-                            if next_cal.all_finite() && next_xt.all_finite() {
-                                *cal = next_cal;
-                                *xt = next_xt;
-                                true
-                            } else {
-                                poisoned = true;
-                                false
-                            }
+                            poisoned = !(next_cal.all_finite() && next_xt.all_finite());
+                            (!poisoned).then_some((next_cal, next_xt))
                         });
                         if poisoned {
                             fault = Some(RuntimeError::InvalidCalibration {
@@ -187,13 +181,8 @@ impl Service {
                             .expect("a drifting service always snapshots baselines at build")
                             [index];
                         self.registry.mutate_calibration(id, |cal, xt| {
-                            if cal == base_cal && xt == base_xt {
-                                false
-                            } else {
-                                *cal = base_cal.clone();
-                                *xt = base_xt.clone();
-                                true
-                            }
+                            (cal != base_cal || xt != base_xt)
+                                .then(|| (base_cal.clone(), base_xt.clone()))
                         })
                     }
                 };

@@ -1,5 +1,6 @@
 //! The cross-batch planning cache: memoized partition probes and whole
-//! committed plans, the typed keys they live under, and plan replay.
+//! committed plans with their prepared simulator state, the typed keys
+//! they live under, and plan replay.
 //!
 //! Every key is the literal tuple of what its entry is a function of —
 //! device index, calibration epoch, gate mode, optimize flag, the
@@ -10,9 +11,9 @@
 //! circuits (see [`crate::shape`]).
 
 use std::collections::HashMap;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
-use qucp_core::pipeline::PlannedWorkload;
+use qucp_core::pipeline::{PlannedWorkload, PreparedProgram};
 use qucp_core::threshold::parallel_count_for_threshold;
 use qucp_core::{best_partition, CoreError};
 
@@ -71,8 +72,9 @@ pub(super) struct RouteCache {
     /// Whole committed plans by [`PlanKey`] — every input
     /// [`plan_gated_members`](super::gate::plan_gated_members)
     /// consults. A hit skips planning entirely: the shrink *trace*
-    /// replays against the current members' ids and the
-    /// [`PlannedWorkload`] is shared clone-free behind its `Arc`.
+    /// replays against the current members' ids, and the
+    /// [`PlannedWorkload`] and the entry's [`ReplaySlots`] are shared
+    /// clone-free behind their `Arc`s.
     /// `JobUnplaceable` outcomes are cached alongside successes
     /// (planning is deterministic either way); hard
     /// [`RuntimeError::Core`] outcomes are not.
@@ -107,7 +109,16 @@ pub(super) struct PlanKey {
     pub(super) thresholds: Vec<Option<u64>>,
 }
 
-/// One memoized planning outcome (see [`RouteCache::plans`]).
+/// One memoized planning outcome (see [`RouteCache::plans`]) and, once
+/// it has been replayed, the prepared simulator state of its programs.
+///
+/// An entry lives for one calibration epoch of its device: its key
+/// holds the epoch and the bump drops it. Everything it holds is
+/// therefore valid by the key — the plan, and the
+/// [`PreparedProgram`]s, which are a pure function of the plan, the
+/// device's calibration and the noise flags, the same for every job
+/// the runtime runs. No calibration is compared: an epoch bump drops
+/// the slots with their entry.
 #[derive(Debug)]
 pub(super) struct PlanEntry {
     /// The eviction trace of the original planning run: `(position,
@@ -120,6 +131,29 @@ pub(super) struct PlanEntry {
     /// still failed (the head is never evicted, so replay re-binds the
     /// error to the current head's id).
     pub(super) outcome: Result<Arc<PlannedWorkload>, CoreError>,
+    /// One prepared-state slot per program of the plan, allocated on
+    /// the entry's first hit. A miss is a plan's first execution and a
+    /// hit its second, so a plan that never hits — most of a churning
+    /// cache — retains nothing; keeping state from the first execution
+    /// cost the benchmark's `plan_churn` +8.5 % `peak_rss_mb` and
+    /// +3.2 % `alloc_kb_per_job` for state nobody replays.
+    pub(super) slots: Option<ReplaySlots>,
+}
+
+/// The prepared-state slots of one cached plan, one per program in
+/// plan order: filled at most once each, by the batch execution that
+/// first finds them empty, and replayed by every later one (see
+/// `StagedBatch::execute`).
+pub(super) type ReplaySlots = Arc<[OnceLock<PreparedProgram>]>;
+
+/// A batch's plan as staging hands it to execution: the (fresh or
+/// replayed) plan behind the `Arc` its cache entry shares, the entry's
+/// slots on a hit (`None` on a miss: a plan's first execution keeps
+/// nothing), and the buffered shrink events.
+pub(super) struct SharedPlan {
+    pub(super) plan: Arc<PlannedWorkload>,
+    pub(super) slots: Option<ReplaySlots>,
+    pub(super) shrinks: Vec<Event>,
 }
 
 impl RouteCache {
@@ -199,28 +233,35 @@ impl Service {
 
     /// Folds a fresh planning outcome into the plan cache under `key`
     /// and converts it to the shared-plan form the commit path
-    /// consumes. `Ok` and `JobUnplaceable` outcomes are memoized —
-    /// planning is deterministic either way — hard `Core` errors are
-    /// not.
+    /// consumes, with the surviving members' submission indices.
+    /// `Ok` and `JobUnplaceable` outcomes are memoized — planning is
+    /// deterministic either way — hard `Core` errors are not.
     pub(super) fn memoize_plan(
         &mut self,
         key: PlanKey,
         fresh: Result<GatedPlan, RuntimeError>,
-    ) -> Result<PlannedParts, RuntimeError> {
+    ) -> Result<(SharedPlan, Vec<usize>), RuntimeError> {
         match fresh {
             Ok(gated) => {
                 let plan = Arc::new(gated.plan);
                 let entry = PlanEntry {
                     trace: gated.trace,
                     outcome: Ok(Arc::clone(&plan)),
+                    slots: None,
                 };
                 self.route_cache.plans.insert(key, entry);
-                Ok((plan, gated.members.seqs, gated.shrinks))
+                let shared = SharedPlan {
+                    plan,
+                    slots: None,
+                    shrinks: gated.shrinks,
+                };
+                Ok((shared, gated.members.seqs))
             }
             Err(RuntimeError::JobUnplaceable { job_id, source }) => {
                 let entry = PlanEntry {
                     trace: Vec::new(),
                     outcome: Err(source.clone()),
+                    slots: None,
                 };
                 self.route_cache.plans.insert(key, entry);
                 Err(RuntimeError::JobUnplaceable { job_id, source })
@@ -296,28 +337,22 @@ impl Service {
     }
 }
 
-/// A committed candidate's plan in shared form: the (fresh or replayed)
-/// workload plan behind an [`Arc`] so cache entries and staged batches
-/// share one allocation, the surviving members' submission indices, and
-/// the buffered shrink events.
-pub(super) type PlannedParts = (Arc<PlannedWorkload>, Vec<usize>, Vec<Event>);
-
 /// Replays a memoized plan entry against the current batch members
 /// `seqs` (head first; the evicted ones are removed in place): a
 /// memoized unplaceable outcome re-binds to the current head's job id,
 /// and a memoized plan re-applies the recorded eviction trace so the
 /// shrink events carry the *current* dropped job ids. The cached
-/// [`PlannedWorkload`] itself is shared untouched — replay is an `Arc`
-/// clone plus O(trace) bookkeeping, never a partitioner call, and it is
-/// the entry's [`PlanKey`] that vouches for the plan fitting these
-/// members.
+/// [`PlannedWorkload`] itself is shared untouched — replay is two `Arc`
+/// clones plus O(trace) bookkeeping, never a partitioner call, and it
+/// is the entry's [`PlanKey`] that vouches for the plan fitting these
+/// members. The entry's slots are allocated here, on its first hit.
 pub(super) fn replay_plan(
-    entry: &PlanEntry,
+    entry: &mut PlanEntry,
     head: &HeadContext,
     device_name: &str,
     pending: &PendingStore,
     seqs: &mut Vec<usize>,
-) -> Result<(Arc<PlannedWorkload>, Vec<Event>), RuntimeError> {
+) -> Result<SharedPlan, RuntimeError> {
     let plan = entry.outcome.as_ref().map_err(|source| {
         // The head is never evicted, so a whole-batch planning failure
         // is always attributed to it.
@@ -340,5 +375,12 @@ pub(super) fn replay_plan(
             reason,
         });
     }
-    Ok((Arc::clone(plan), shrinks))
+    let slots = entry
+        .slots
+        .get_or_insert_with(|| plan.programs.iter().map(|_| OnceLock::new()).collect());
+    Ok(SharedPlan {
+        plan: Arc::clone(plan),
+        slots: Some(Arc::clone(slots)),
+        shrinks,
+    })
 }

@@ -1,4 +1,7 @@
+use std::sync::Arc;
+
 use super::gate::{plan_gated_members, worst_excess_position, PlanMembers};
+use super::route_cache::ReplaySlots;
 use super::*;
 use crate::error::CalibrationFault;
 use crate::event::ShrinkReason;
@@ -868,6 +871,91 @@ fn plan_cache_replays_repeated_batches_and_counts_lookups() {
         "each miss memoizes exactly one entry"
     );
     assert_eq!(stats.plan_invalidated, 0);
+}
+
+#[test]
+fn prepared_slots_fill_on_the_first_hit_and_die_with_their_entry() {
+    use super::dispatch::{derive_batch_seed, PREPARED_RETAIN_BYTES};
+    // One batch shape, `ghz(14)` + `bell`, dispatched five times: twice
+    // more after the first, then twice after an epoch bump.
+    let circuits = [
+        qucp_circuit::library::ghz(14),
+        qucp_circuit::library::by_name("bell").unwrap().circuit(),
+    ];
+    let qucp = strategy::qucp(4.0);
+    let pipeline = Pipeline::from_strategy(&qucp);
+    let mut service = fifo_service(2);
+    let tor = DeviceId::from_index(0);
+    // Dispatches the next batch and holds both results to a freshly
+    // planned batch's on the service's current device; returns the
+    // plan-cache (hits, misses) and the one entry's slots.
+    let dispatch = |service: &mut Service| {
+        let tickets: Vec<JobTicket> = circuits
+            .iter()
+            .map(|c| {
+                let request = JobRequest::new(c.clone(), 0.0).with_shots(64);
+                service.submit(request).unwrap()
+            })
+            .collect();
+        service.run_until_drained().unwrap();
+        let device = service.registry().get(tor);
+        let plan = pipeline.plan(device, &circuits, service.optimize).unwrap();
+        let batch = service.batches_run() - 1;
+        let exec = qucp_sim::ExecutionConfig::default()
+            .with_shots(64)
+            .with_seed(derive_batch_seed(service.seed, batch));
+        for (pos, &ticket) in tickets.iter().enumerate() {
+            let served = service.result(ticket).unwrap();
+            assert_eq!(served.batch_index, batch);
+            let fresh = plan.run_program(device, pos, &exec).unwrap();
+            assert_eq!(served.result, fresh, "batch {batch}, program {pos}");
+        }
+        let stats = service.route_cache_stats();
+        assert_eq!(stats.plan_entries, 1, "{stats:?}");
+        let entry = service.route_cache.plans.values().next().unwrap();
+        ((stats.plan_hits, stats.plan_misses), entry.slots.clone())
+    };
+    let filled = |slots: &ReplaySlots| slots.iter().map(|s| s.get().is_some()).collect::<Vec<_>>();
+
+    // A miss is the plan's first execution: no slot exists.
+    let (lookups, slots) = dispatch(&mut service);
+    assert_eq!((lookups, slots.is_none()), ((0, 1), true));
+    // The first hit allocates the slots and fills them, but `ghz(14)`'s
+    // state is past the cap and is never kept.
+    let (lookups, slots) = dispatch(&mut service);
+    let slots = slots.expect("allocated on the first hit");
+    assert_eq!((lookups, filled(&slots)), ((1, 1), vec![false, true]));
+    let bell: *const _ = slots[1].get().unwrap();
+    // The second hit replays the filled slot and still rebuilds the
+    // oversized one.
+    let (lookups, again) = dispatch(&mut service);
+    let again = again.unwrap();
+    assert!(Arc::ptr_eq(&slots, &again) && std::ptr::eq(bell, again[1].get().unwrap()));
+    assert_eq!((lookups, filled(&again)), ((2, 1), vec![false, true]));
+    let device = service.registry().get(tor);
+    let plan = pipeline.plan(device, &circuits, service.optimize).unwrap();
+    let exec = qucp_core::ParallelConfig::default().execution;
+    let retained = |pos| plan.prepare(device, pos, &exec).unwrap().retained_bytes();
+    assert!(retained(0) > PREPARED_RETAIN_BYTES && retained(1) <= PREPARED_RETAIN_BYTES);
+
+    // An epoch bump drops the slots with their entry.
+    let held = Arc::downgrade(&slots);
+    drop((slots, again));
+    let mut drifted = device.calibration().clone();
+    for e in drifted.readout_errors_mut() {
+        *e *= 0.5;
+    }
+    service.recalibrate(tor, drifted).unwrap();
+    assert_eq!(service.route_cache_stats().plan_entries, 0);
+    assert!(held.upgrade().is_none());
+    // The new epoch's entry starts over, against the new calibration.
+    let (lookups, slots) = dispatch(&mut service);
+    assert_eq!((lookups, slots.is_none()), ((2, 2), true));
+    let (lookups, slots) = dispatch(&mut service);
+    assert_eq!(
+        (lookups, filled(&slots.unwrap())),
+        ((3, 2), vec![false, true])
+    );
 }
 
 #[test]

@@ -128,9 +128,9 @@ fn bell_and_fredkin() -> [Circuit; 2] {
 
 /// Runs of `max_parallel` equal `bell` / `fredkin` jobs — two batch
 /// shapes, each seen by both chips — warmed until every plan key of
-/// the stream has been planned, replayed and had its prepared slots
-/// filled (they fill on a plan's second execution): every batch of the
-/// measured tick replays a cached plan.
+/// the stream has been planned, replayed and had its cache entry's
+/// prepared slots filled (they are allocated on the entry's first hit):
+/// every batch of the measured tick replays a cached plan.
 fn steady_state_tick(max_parallel: usize, jobs: usize) -> Tick {
     let circuits = bell_and_fredkin();
     let (tick, plans) = measured_tick(max_parallel, 24 * max_parallel, jobs, |i| {
@@ -185,22 +185,27 @@ fn a_cached_batch_stays_within_its_heap_budget() {
 
 /// Heap requests of one `tick` of 64 cold jobs (every batch planned,
 /// prepared and run from scratch; the count is exact and the same in
-/// debug and release): 7 081 with one job to a batch, 8 075 with two —
-/// 110.6 and 126.2 per job. When the admission policy returned a fresh
-/// `Vec` per pack, the same tick counted 7 145 and 8 139: one request
-/// per packed candidate, and a second for a pack that grew past its
-/// head. The prepared job's draw strip had taken them from 7 465 and
-/// 8 459 to 7 337 and 8 331 (a `Replay` program is prepared with two
-/// vectors fewer, and the strip lives in the allocation that held the
-/// readout thresholds). The budgets are the counts.
+/// debug and release): 6 953 with one job to a batch, 7 979 with two —
+/// 108.6 and 124.7 per job. While a plan kept its own prepared state,
+/// its first execution also asked for the vector that marked it
+/// executed and for one `Arc` per prepared program: 7 081 and 8 075.
+/// When the admission policy returned a fresh `Vec` per pack, the same
+/// tick counted 64 more: one request per packed candidate, and a second
+/// for a pack that grew past its head. The prepared job's draw strip had
+/// taken them from 7 465 and 8 459 to 7 337 and 8 331 (a `Replay`
+/// program is prepared with two vectors fewer, and the strip lives in
+/// the allocation that held the readout thresholds). The budgets are the
+/// counts.
 ///
 /// Mutation checks (CHANGES.md): a pack that drops the kept buffer and
 /// allocates afresh (`*picks = Vec::new()` at the top of
-/// `AdmissionPolicy::pack`) counts 7 145 and 8 107; the strip's event
-/// bounds in an exact-size vector of their own cost one request per
-/// prepared program. Each fails both.
-const COLD_SOLO_REQUESTS: u64 = 7_081;
-const COLD_PAIR_REQUESTS: u64 = 8_075;
+/// `AdmissionPolicy::pack`) costs one request per packed candidate;
+/// the strip's event bounds in an exact-size vector of their own cost
+/// one request per prepared program; a plan-cache entry whose slots are
+/// allocated on the miss instead of the first hit counts 7 017 solo.
+/// Each fails.
+const COLD_SOLO_REQUESTS: u64 = 6_953;
+const COLD_PAIR_REQUESTS: u64 = 7_979;
 
 #[test]
 fn a_cold_batch_stays_within_its_heap_budget() {

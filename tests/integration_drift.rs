@@ -171,6 +171,60 @@ proptest! {
     }
 }
 
+/// Regression: a drift step that changes nothing leaves the device
+/// untouched, region atlas included — it used to take the calibration
+/// mutably before deciding, which empties the atlas, so a frozen walk
+/// threw away every grown width with no epoch bump. A step that does
+/// change the calibration leaves the atlas of the new one.
+#[test]
+fn a_drift_step_that_changes_nothing_keeps_the_region_atlas() {
+    let widths = [2, 5, 9];
+    let service = |walk: GaussianWalk| {
+        let service = Service::builder()
+            .device(ibm::toronto())
+            .drift(walk)
+            .build()
+            .expect("build");
+        let id = service.registry().iter().next().expect("device").0;
+        (service, id)
+    };
+    // Grows (or reads) the atlas at every width: where each answer lives.
+    let grown = |service: &Service, id| {
+        let device = service.registry().get(id);
+        widths.map(|w| device.idle_regions(w).as_ptr())
+    };
+    let walk = GaussianWalk::new(0xA71A5, 1_000.0);
+    for frozen in [walk.frozen(), walk.frozen().with_recalibration_every(1)] {
+        let (mut service, id) = service(frozen);
+        let before = grown(&service, id);
+        // The clone shares the atlas and keeps it alive, so a replaced
+        // atlas could not regrow its widths at the same addresses.
+        let kept = service.registry().get(id).clone();
+        for step in 1..=40 {
+            let now = f64::from(step) * 1_000.0;
+            assert_eq!(service.advance_drift(now).expect("advance"), 0);
+        }
+        assert_eq!(service.device_epoch(id), 0, "{frozen:?}");
+        assert_eq!(grown(&service, id), before, "{frozen:?}");
+        assert_eq!(kept.idle_regions(widths[0]).as_ptr(), before[0]);
+    }
+
+    let (mut service, id) = service(walk);
+    grown(&service, id);
+    assert_eq!(service.advance_drift(1_000.0).expect("advance"), 1);
+    let device = service.registry().get(id);
+    let fresh = qucp_device::Device::new(
+        device.name(),
+        device.topology().clone(),
+        device.calibration().clone(),
+        device.crosstalk().clone(),
+    );
+    for w in widths {
+        assert_eq!(device.idle_regions(w), fresh.idle_regions(w), "width {w}");
+        assert_ne!(device.idle_regions(w), ibm::toronto().idle_regions(w));
+    }
+}
+
 /// Regression: a drift-driven epoch bump invalidates the whole-plan
 /// cache *per device*. On the skewed fleet every plan lands on the
 /// well-calibrated Toronto (salt 1), so the two sides of "only the

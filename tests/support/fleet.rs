@@ -94,22 +94,16 @@ impl LiveFleet {
                     DriftEvent::Drift => self.registry.mutate_calibration(id, |cal, xt| {
                         let (mut next_cal, mut next_xt) = (cal.clone(), xt.clone());
                         if !model.apply_step(step, index as u64, &mut next_cal, &mut next_xt) {
-                            return false;
+                            return None;
                         }
                         poisoned = !(next_cal.all_finite() && next_xt.all_finite());
-                        if !poisoned {
-                            (*cal, *xt) = (next_cal, next_xt);
-                        }
-                        !poisoned
+                        (!poisoned).then_some((next_cal, next_xt))
                     }),
                     DriftEvent::Recalibrate => {
                         let (base_cal, base_xt) = &self.baselines[index];
                         self.registry.mutate_calibration(id, |cal, xt| {
                             let drifted = cal != base_cal || xt != base_xt;
-                            if drifted {
-                                (*cal, *xt) = (base_cal.clone(), base_xt.clone());
-                            }
-                            drifted
+                            drifted.then(|| (base_cal.clone(), base_xt.clone()))
                         })
                     }
                 };
