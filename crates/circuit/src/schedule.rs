@@ -165,10 +165,27 @@ pub fn alap_schedule(circuit: &Circuit, duration: impl Fn(&Gate) -> f64) -> Sche
 }
 
 /// [`alap_schedule`] with an index-aware duration function.
+///
+/// The makespan is [`asap_schedule_with`]'s, bit for bit: one forward
+/// pass takes the same `max` over the same sums, without building the
+/// ASAP entries, and its per-qubit buffer then holds the deadlines.
 pub fn alap_schedule_with(circuit: &Circuit, duration: impl Fn(usize, &Gate) -> f64) -> Schedule {
-    let asap = asap_schedule_with(circuit, &duration);
-    let makespan = asap.makespan;
-    let mut deadline = vec![makespan; circuit.width()];
+    let mut available = vec![0.0f64; circuit.width()];
+    let mut makespan = 0.0f64;
+    for (i, g) in circuit.gates().iter().enumerate() {
+        let start = g
+            .qubits()
+            .into_iter()
+            .map(|q| available[q])
+            .fold(0.0f64, f64::max);
+        let d = duration(i, g);
+        for q in &g.qubits() {
+            available[q] = start + d;
+        }
+        makespan = makespan.max(start + d);
+    }
+    let mut deadline = available;
+    deadline.fill(makespan);
     let mut entries = vec![
         ScheduledGate {
             gate_index: 0,

@@ -42,6 +42,20 @@ fn arb_circuit(max_gates: usize) -> impl Strategy<Value = Circuit> {
     })
 }
 
+/// A gate duration: calibrated-looking, or one of the values a
+/// schedule must survive.
+fn arb_duration() -> impl Strategy<Value = f64> {
+    prop_oneof![
+        0.0..1000.0f64,
+        Just(0.0),
+        Just(-0.0),
+        Just(-35.0),
+        Just(1e-300),
+        Just(f64::NAN),
+        Just(f64::INFINITY),
+    ]
+}
+
 fn dur(g: &Gate) -> f64 {
     if g.is_two_qubit() {
         300.0
@@ -99,6 +113,19 @@ proptest! {
         let asap = schedule::asap_schedule(&c, dur);
         let alap = schedule::alap_schedule(&c, dur);
         prop_assert!((asap.makespan() - alap.makespan()).abs() < 1e-6);
+    }
+
+    #[test]
+    fn alap_makespan_is_the_asap_makespan_bit_for_bit(
+        c in arb_circuit(60),
+        durations in proptest::collection::vec(arb_duration(), 1..16),
+    ) {
+        // Any duration a calibration can hold, signed zeros, negatives
+        // and NaN included: the forward pass is the ASAP pass's `max`.
+        let duration = |i: usize, _: &Gate| durations[i % durations.len()];
+        let asap = schedule::asap_schedule_with(&c, duration);
+        let alap = schedule::alap_schedule_with(&c, duration);
+        prop_assert_eq!(asap.makespan().to_bits(), alap.makespan().to_bits());
     }
 
     #[test]

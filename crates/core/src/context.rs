@@ -11,7 +11,7 @@
 //!   avoiding the amplification but stretching that program's schedule —
 //!   charged as trailing idle time on its qubits.
 
-use qucp_circuit::schedule::{alap_schedule_with, ScheduledGate};
+use qucp_circuit::schedule::{alap_schedule_with, Schedule, ScheduledGate};
 use qucp_device::{Device, Link};
 use qucp_sim::{gate_durations, NoiseScaling};
 
@@ -36,6 +36,18 @@ pub struct WorkloadContext {
     /// Sum of the programs' individual makespans (ns) — the serial
     /// runtime a non-parallel execution would need.
     pub serial_runtime: f64,
+    /// Each program's own ALAP schedule (unshifted), timed by
+    /// [`gate_durations`] under the calibration the plan was made on:
+    /// the timing stage 4 hands the simulator
+    /// ([`PlannedWorkload::prepare`](crate::PlannedWorkload::prepare)),
+    /// which then looks up no duration and schedules nothing.
+    pub schedules: Vec<Schedule>,
+}
+
+/// A mapped program's ALAP schedule under `device`'s gate durations.
+fn program_schedule(device: &Device, p: &MappedProgram) -> Schedule {
+    let durations = gate_durations(&p.circuit, &p.layout, device);
+    alap_schedule_with(&p.circuit, |i, _| durations[i])
 }
 
 /// Builds the workload context for a set of mapped programs.
@@ -51,14 +63,11 @@ pub fn build_context(
     serialize: bool,
 ) -> WorkloadContext {
     // Per-program schedules, ALAP-aligned to the common end time.
-    let mut schedules = Vec::with_capacity(programs.len());
-    let mut makespans = Vec::with_capacity(programs.len());
-    for p in programs {
-        let durations = gate_durations(&p.circuit, &p.layout, device);
-        let sched = alap_schedule_with(&p.circuit, |i, _| durations[i]);
-        makespans.push(sched.makespan());
-        schedules.push(sched);
-    }
+    let schedules: Vec<Schedule> = programs
+        .iter()
+        .map(|p| program_schedule(device, p))
+        .collect();
+    let makespans: Vec<f64> = schedules.iter().map(Schedule::makespan).collect();
     let makespan = makespans.iter().copied().fold(0.0, f64::max);
     // Only two-qubit gates can conflict: keep those, shifted so all
     // programs finish together, each with the physical link it drives.
@@ -146,6 +155,7 @@ pub fn build_context(
         makespan,
         serial_runtime: makespans.iter().sum(),
         program_makespans: makespans,
+        schedules,
     }
 }
 
@@ -246,11 +256,13 @@ mod tests {
         programs: &[MappedProgram],
         serialize: bool,
     ) -> WorkloadContext {
+        let timed: Vec<Schedule> = programs
+            .iter()
+            .map(|p| program_schedule(device, p))
+            .collect();
         let mut schedules: Vec<Vec<ScheduledGate>> = Vec::with_capacity(programs.len());
         let mut makespans = Vec::with_capacity(programs.len());
-        for p in programs {
-            let durations = gate_durations(&p.circuit, &p.layout, device);
-            let sched = alap_schedule_with(&p.circuit, |i, _| durations[i]);
+        for sched in &timed {
             makespans.push(sched.makespan());
             schedules.push(sched.entries().to_vec());
         }
@@ -317,6 +329,7 @@ mod tests {
             makespan,
             serial_runtime: makespans.iter().sum(),
             program_makespans: makespans,
+            schedules: timed,
         }
     }
 

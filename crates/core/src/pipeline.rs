@@ -226,6 +226,18 @@ impl PlannedWorkload {
     /// Keeping it valid across calibration changes is the caller's
     /// business.
     ///
+    /// **Timing comes from the plan.** The event stream is timed by the
+    /// program's schedule in [`WorkloadContext::schedules`], which the
+    /// merge computed: no gate duration is looked up and nothing is
+    /// scheduled here ([`PreparedJob::prepare_scheduled`]). `device`
+    /// supplies error rates, coherence times and readout errors. That
+    /// is the schedule a fresh lookup would compute, because durations
+    /// do not drift under a plan: a drift model (`GaussianWalk`) moves
+    /// error rates and crosstalk only, and a recalibration bumps the
+    /// device's epoch, which drops every plan made on the old snapshot.
+    /// A caller that hands in a device whose durations differ from the
+    /// planning device's gets the plan's timing.
+    ///
     /// # Errors
     ///
     /// [`CoreError::Sim`] if the simulator rejects the mapped job
@@ -237,12 +249,13 @@ impl PlannedWorkload {
         exec: &ExecutionConfig,
     ) -> Result<PreparedProgram, CoreError> {
         let mp = &self.mapped[index];
-        let job = PreparedJob::prepare(
+        let job = PreparedJob::prepare_scheduled(
             &mp.circuit,
             &mp.layout,
             device,
             &self.context.scalings[index],
             &self.context.tail_idle[index],
+            &self.context.schedules[index],
             exec,
         )?;
         let logical = Statevector::from_circuit(&self.programs[index]);
@@ -657,6 +670,74 @@ mod tests {
         let run = |device: &Device, exec: &ExecutionConfig| plan.run_program(device, 0, exec);
         assert_ne!(run(&dev, &noisy).unwrap(), run(&drifted, &noisy).unwrap());
         assert_ne!(run(&dev, &noisy).unwrap(), run(&dev, &quiet).unwrap());
+    }
+
+    #[test]
+    fn a_plan_fed_build_equals_the_standalone_build_of_the_same_mapped_job() {
+        // Every program of two- and three-program plans under each paper
+        // strategy (CNA's serialization hands over tail idles), built
+        // from the merge's schedule and afresh by `PreparedJob::prepare`
+        // under every noise-flag set, on the planning calibration and on
+        // a drifted one: the same job, every event float included.
+        let dev = ibm::toronto();
+        let mut drifted = dev.clone();
+        for (_, e) in drifted.calibration_mut().cx_errors_mut() {
+            *e *= 1.3;
+        }
+        let names = [["fredkin", "bell", "adder"], ["4mod", "alu", "bell"]];
+        let strategies = [
+            strategy::qucp(4.0),
+            strategy::qumc_with_ground_truth(&dev),
+            strategy::cna(),
+            strategy::cna_serialized(),
+            strategy::multiqc(),
+            strategy::qucloud(),
+        ];
+        let mut tails = 0;
+        for strategy in strategies {
+            for names in names {
+                for n in [2, 3] {
+                    let progs: Vec<Circuit> = names[..n]
+                        .iter()
+                        .map(|name| library::by_name(name).unwrap().circuit())
+                        .collect();
+                    let plan = Pipeline::from_strategy(&strategy)
+                        .plan(&dev, &progs, true)
+                        .unwrap();
+                    for flags in 0..8 {
+                        let exec = ExecutionConfig {
+                            gate_noise: flags & 1 != 0,
+                            readout_noise: flags & 2 != 0,
+                            idle_noise: flags & 4 != 0,
+                            ..quick_cfg().execution
+                        };
+                        for device in [&dev, &drifted] {
+                            for (i, mp) in plan.mapped.iter().enumerate() {
+                                let fed = plan.prepare(device, i, &exec).unwrap().job;
+                                let standalone = PreparedJob::prepare(
+                                    &mp.circuit,
+                                    &mp.layout,
+                                    device,
+                                    &plan.context.scalings[i],
+                                    &plan.context.tail_idle[i],
+                                    &exec,
+                                )
+                                .unwrap();
+                                assert_eq!(format!("{fed:?}"), format!("{standalone:?}"));
+                            }
+                        }
+                    }
+                    tails += plan
+                        .context
+                        .tail_idle
+                        .iter()
+                        .flatten()
+                        .filter(|&&t| t > 0.0)
+                        .count();
+                }
+            }
+        }
+        assert!(tails > 0, "serialization must hand over a tail idle");
     }
 
     #[test]

@@ -324,6 +324,7 @@ wire_enum! {
     0 => NonFinite,
     1 => QubitCountMismatch { expected: usize, got: usize },
     2 => MissingLinks,
+    3 => OutOfRange,
 }
 
 wire_struct!(JobRequest {

@@ -385,6 +385,10 @@ fn runtime_errors() -> Vec<(&'static str, RuntimeError)> {
             "runtime_queue_corrupted",
             RuntimeError::QueueCorrupted { seq: 12 },
         ),
+        (
+            "runtime_invalid_calibration_out_of_range",
+            invalid(CalibrationFault::OutOfRange),
+        ),
     ]
 }
 
@@ -758,4 +762,8 @@ const RESPONSE_FRAMES: &[(&str, &str)] = &[
          746974696f6e206f662073697a65203520666f722070726f6772616d2031",
     ),
     ("runtime_queue_corrupted", "87040a0c00000000000000"),
+    (
+        "runtime_invalid_calibration_out_of_range",
+        "8704060700000000000000746f726f6e746f03",
+    ),
 ];

@@ -285,6 +285,24 @@ impl Calibration {
             && self.readout_duration.is_finite()
     }
 
+    /// Whether every error rate lies in `[0, 1]` and every duration and
+    /// coherence time is at least 0 — the range check a live-fleet
+    /// recalibration and a drift step pass before a snapshot is
+    /// installed. (A NaN is in no range; an infinite time is in range,
+    /// which [`Calibration::all_finite`] checks.)
+    pub fn in_range(&self) -> bool {
+        let rate = |e: &f64| (0.0..=1.0).contains(e);
+        let time = |t: &f64| *t >= 0.0;
+        self.cx_error.values().all(rate)
+            && self.sq_error.iter().all(rate)
+            && self.readout_error.iter().all(rate)
+            && self.cx_duration.values().all(time)
+            && self.t1.iter().all(time)
+            && self.t2.iter().all(time)
+            && time(&self.sq_duration)
+            && time(&self.readout_duration)
+    }
+
     /// Whether this snapshot calibrates every link of `topology` (and
     /// the same qubit count) — required before swapping it into a
     /// device, or the per-link accessors would panic mid-plan.

@@ -23,6 +23,11 @@ pub enum CalibrationFault {
     /// The snapshot is missing entries for links of the device's
     /// coupling topology.
     MissingLinks,
+    /// The snapshot holds an error rate outside `[0, 1]` or a negative
+    /// duration or coherence time (see `Calibration::in_range`): a
+    /// readout error of 1.5 would fail the simulator's readout draw at
+    /// the next batch.
+    OutOfRange,
 }
 
 impl fmt::Display for CalibrationFault {
@@ -34,6 +39,12 @@ impl fmt::Display for CalibrationFault {
             }
             CalibrationFault::MissingLinks => {
                 write!(f, "missing entries for links of the device topology")
+            }
+            CalibrationFault::OutOfRange => {
+                write!(
+                    f,
+                    "an error rate outside [0, 1] or a negative duration or coherence time"
+                )
             }
         }
     }
@@ -75,7 +86,7 @@ pub enum RuntimeError<S = CoreError> {
     },
     /// A recalibration snapshot was rejected before it could reach the
     /// device (and poison the planning caches): it carried non-finite
-    /// entries or did not match the device's topology.
+    /// or out-of-range entries or did not match the device's topology.
     InvalidCalibration {
         /// Name of the device the snapshot was meant for.
         device: String,

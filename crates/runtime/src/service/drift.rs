@@ -29,8 +29,10 @@ impl Service {
     /// fleet's "daily recalibration arrived" entry point.
     ///
     /// The snapshot is **validated before it can touch anything**: a
-    /// snapshot with NaN/infinite entries, the wrong qubit count or
-    /// missing link entries is rejected with a typed error and the
+    /// snapshot with NaN/infinite entries, the wrong qubit count,
+    /// missing link entries or an out-of-range value (an error rate
+    /// outside `[0, 1]`, a negative duration or coherence time) is
+    /// rejected with a typed error and the
     /// device, its epoch and the planning cache are left exactly as
     /// they were. On success the device's calibration epoch bumps, the
     /// device's cached planning probes and plans are dropped, an
@@ -63,6 +65,8 @@ impl Service {
             Some(CalibrationFault::NonFinite)
         } else if !calibration.covers(dev.topology()) {
             Some(CalibrationFault::MissingLinks)
+        } else if !calibration.in_range() {
+            Some(CalibrationFault::OutOfRange)
         } else {
             None
         };
@@ -110,7 +114,8 @@ impl Service {
     /// every step must actually run or the noise trajectory would
     /// fork, so runaway advances are refused, not truncated; state is
     /// untouched). [`RuntimeError::InvalidCalibration`] when a
-    /// misbehaving model produces NaN/infinite values — the same
+    /// misbehaving model produces NaN/infinite or out-of-range values
+    /// — the same
     /// validation gate [`Service::recalibrate`] applies to explicit
     /// snapshots: the offending step is rolled back (no epoch bump, no
     /// cache drop) and that device stops just before it, while earlier
@@ -145,23 +150,30 @@ impl Service {
             for step in applied + 1..=target {
                 let new_epoch = match model.event_at(step) {
                     // Applied against a scratch copy so a model that
-                    // produces NaN/infinity can be rejected with the
-                    // live state untouched — the same gate
-                    // `recalibrate` applies to explicit snapshots.
+                    // produces NaN/infinity or an out-of-range value can
+                    // be rejected with the live state untouched — the
+                    // same gates `recalibrate` applies to explicit
+                    // snapshots.
                     DriftEvent::Drift => {
-                        let mut poisoned = false;
+                        let mut poison = None;
                         let epoch = self.registry.mutate_calibration(id, |cal, xt| {
                             let (mut next_cal, mut next_xt) = (cal.clone(), xt.clone());
                             if !model.apply_step(step, index as u64, &mut next_cal, &mut next_xt) {
                                 return None;
                             }
-                            poisoned = !(next_cal.all_finite() && next_xt.all_finite());
-                            (!poisoned).then_some((next_cal, next_xt))
+                            poison = if !(next_cal.all_finite() && next_xt.all_finite()) {
+                                Some(CalibrationFault::NonFinite)
+                            } else if !next_cal.in_range() {
+                                Some(CalibrationFault::OutOfRange)
+                            } else {
+                                None
+                            };
+                            poison.is_none().then_some((next_cal, next_xt))
                         });
-                        if poisoned {
+                        if let Some(poison) = poison {
                             fault = Some(RuntimeError::InvalidCalibration {
                                 device: self.registry.device_at(index).name().to_string(),
-                                fault: CalibrationFault::NonFinite,
+                                fault: poison,
                             });
                             // Steps up to the poisoned one stand; the
                             // device stays at `step - 1` so a fixed

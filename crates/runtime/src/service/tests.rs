@@ -712,6 +712,73 @@ fn poisoning_drift_steps_are_rolled_back_with_a_typed_error() {
 }
 
 #[test]
+fn a_finite_out_of_range_calibration_is_refused_before_a_tick_can_run_it() {
+    // A readout error of 1.5 or -0.1 is finite. Installed, it failed
+    // the simulator's readout draw inside the next tick; now an
+    // explicit snapshot and a drift step holding one are both refused
+    // with the typed fault, and the next tick runs on the old state.
+    #[derive(Debug)]
+    struct OutOfRangeDrift(f64);
+    impl DriftModel for OutOfRangeDrift {
+        fn steps_at(&self, now: f64) -> u64 {
+            qucp_device::interval_steps(now, 1000.0)
+        }
+        fn apply_step(
+            &self,
+            _step: u64,
+            _salt: u64,
+            calibration: &mut Calibration,
+            _crosstalk: &mut CrosstalkModel,
+        ) -> bool {
+            calibration.set_readout_error(0, self.0);
+            true
+        }
+    }
+    let out_of_range = |fault: &RuntimeError| {
+        matches!(
+            fault,
+            RuntimeError::InvalidCalibration {
+                fault: CalibrationFault::OutOfRange,
+                ..
+            }
+        )
+    };
+    let baseline = ibm::toronto().calibration().clone();
+    let tor = DeviceId::from_index(0);
+    for readout in [1.5, -0.1] {
+        let mut service = Service::builder()
+            .device(ibm::toronto())
+            .strategy(strategy::qucp(4.0))
+            .drift(OutOfRangeDrift(readout))
+            .max_parallel(2)
+            .seed(42)
+            .build()
+            .unwrap();
+        let mut snapshot = baseline.clone();
+        for q in 0..snapshot.num_qubits() {
+            snapshot.set_readout_error(q, readout);
+        }
+        assert!(out_of_range(
+            &service.recalibrate(tor, snapshot).unwrap_err()
+        ));
+        assert!(out_of_range(&service.advance_drift(3000.0).unwrap_err()));
+        assert_eq!(service.device_epoch(tor), 0, "nothing was installed");
+        assert_eq!(service.registry().get(tor).calibration(), &baseline);
+        submit_all(&mut service, 4);
+        assert_eq!(service.tick(f64::INFINITY).unwrap().len(), 4);
+    }
+    // Every bound is inclusive: the rates 0 and 1 and zero times pass.
+    let mut edge = baseline.clone();
+    edge.set_readout_error(0, 1.0);
+    edge.set_readout_error(1, 0.0);
+    assert!(edge.in_range());
+    edge.set_readout_error(1, -0.0);
+    assert!(edge.in_range());
+    edge.set_readout_error(1, f64::NAN);
+    assert!(!edge.in_range());
+}
+
+#[test]
 fn runaway_drift_horizons_are_refused_not_truncated() {
     // A clock-unit mismatch (e.g. seconds against a nanosecond
     // interval) must fail loudly with state untouched, never spin

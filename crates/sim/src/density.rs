@@ -19,7 +19,7 @@
 use qucp_circuit::{Circuit, Gate};
 use qucp_device::Device;
 
-use crate::executor::{build_plan, Event, ExecutionConfig, NoiseScaling, SimError};
+use crate::executor::{plan_standalone, Event, ExecutionConfig, NoiseScaling, SimError};
 use crate::math::{Complex, Mat2};
 use crate::unitaries::single_qubit_matrix;
 
@@ -271,7 +271,7 @@ pub fn exact_probabilities(
     scaling: &NoiseScaling,
     cfg: &ExecutionConfig,
 ) -> Result<Vec<f64>, SimError> {
-    let plan = build_plan(circuit, layout, device, scaling, &[], cfg)?;
+    let plan = plan_standalone(circuit, layout, device, scaling, &[], cfg)?;
     let mut rho = DensityMatrix::zero_state(circuit.width());
     for &ev in &plan.events {
         match ev {

@@ -35,7 +35,8 @@ use std::error::Error;
 use std::fmt;
 use std::sync::OnceLock;
 
-use qucp_circuit::{schedule, Circuit, Gate};
+use qucp_circuit::schedule::{self, Schedule};
+use qucp_circuit::{Circuit, Gate};
 use qucp_device::{Device, Link};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -663,8 +664,17 @@ fn prefix_survival(chances: impl ExactSizeIterator<Item = f64>) -> Vec<f64> {
     survival
 }
 
-/// Builds the shared trajectory plan (see [`TrajectoryPlan`]).
-pub(crate) fn build_plan(
+/// The ALAP schedule of a mapped circuit under the device's durations
+/// ([`gate_durations`]): how a stand-alone entry times a job that no
+/// plan has timed.
+fn alap_timing(circuit: &Circuit, layout: &[usize], device: &Device) -> Schedule {
+    let durations = gate_durations(circuit, layout, device);
+    schedule::alap_schedule_with(circuit, |i, _| durations[i])
+}
+
+/// Validates a mapped job, times it ([`alap_timing`]) and builds its
+/// plan: the way in of every entry that is handed no schedule.
+pub(crate) fn plan_standalone(
     circuit: &Circuit,
     layout: &[usize],
     device: &Device,
@@ -673,18 +683,148 @@ pub(crate) fn build_plan(
     cfg: &ExecutionConfig,
 ) -> Result<TrajectoryPlan, SimError> {
     validate_layout(circuit, layout, device)?;
-    let cal = device.calibration();
+    let sched = alap_timing(circuit, layout, device);
+    Ok(build_plan(
+        circuit, layout, device, scaling, tail_idle, &sched, cfg,
+    ))
+}
 
-    // Durations come from the one shared model (`gate_durations`, also
-    // used by the qucp-core overlap scheduler); only the error
-    // probabilities are computed here: the calibrated base error with
-    // crosstalk scaling, capped.
-    let durations = gate_durations(circuit, layout, device);
+/// `x`'s bits, mapped so that their unsigned order is
+/// [`f64::total_cmp`]'s: a negative's bits flipped (a larger magnitude
+/// sorts first), a positive's sign bit set.
+fn total_order_bits(x: f64) -> u64 {
+    let bits = x.to_bits();
+    if bits >> 63 == 1 {
+        !bits
+    } else {
+        bits | 1 << 63
+    }
+}
+
+/// One event of the stream before it is built, 32 bytes.
+#[derive(Clone, Copy)]
+struct Slot {
+    /// The stream order, unique per slot: the time's
+    /// [`total_order_bits`], then the kind (a window 0, before a gate
+    /// 1), then the slot's rank among its kind — a gate's position in
+    /// the schedule; a window's qubit and index on that qubit, the
+    /// tails after every window — which is the order the slots were
+    /// once pushed in before a stable sort by time and kind.
+    key: u128,
+    /// Length of an idle window.
+    tau: f64,
+    /// The local qubit of a window, the index of a gate.
+    which: u32,
+}
+
+impl Slot {
+    /// The kind bit: a gate.
+    const GATE: u128 = 1 << 63;
+    /// A tail's rank bit: after every window.
+    const TAIL: u64 = 1 << 62;
+
+    fn new(time: f64, kind: u128, rank: u64, tau: f64, which: usize) -> Self {
+        Slot {
+            key: u128::from(total_order_bits(time)) << 64 | kind | u128::from(rank),
+            tau,
+            which: narrow(which),
+        }
+    }
+
+    /// Gate `index`, at position `rank` of its schedule.
+    fn gate(start: f64, rank: usize, index: usize) -> Self {
+        Slot::new(start, Slot::GATE, rank as u64, 0.0, index)
+    }
+
+    /// The `index`-th window `(start, end)` of qubit `q`, at its end.
+    fn window(q: usize, index: u32, start: f64, end: f64) -> Self {
+        Slot::new(end, 0, (q as u64) << 32 | u64::from(index), end - start, q)
+    }
+
+    /// Qubit `q`'s tail idle `tau` after the makespan.
+    fn tail(q: usize, makespan: f64, tau: f64) -> Self {
+        Slot::new(makespan + tau, 0, Slot::TAIL | (q as u64) << 32, tau, q)
+    }
+
+    fn is_gate(&self) -> bool {
+        self.key & Slot::GATE != 0
+    }
+}
+
+/// A span's place among one qubit's busy spans: by start, then end,
+/// both by `total_cmp` — the order `Schedule::idle_windows` sorts them
+/// in.
+fn span_order(a: (f64, f64), b: (f64, f64)) -> std::cmp::Ordering {
+    a.0.total_cmp(&b.0).then(a.1.total_cmp(&b.1))
+}
+
+/// One qubit's walk over its busy spans in [`span_order`]: the gap
+/// before a span, when longer than 1e-9 ns, is an idle window, and so is
+/// the time from the qubit's last span to the makespan — the windows
+/// `Schedule::idle_windows` lists, in its order.
+#[derive(Clone, Copy, Default)]
+struct Lane {
+    /// The span taken last.
+    last: Option<(f64, f64)>,
+    /// Windows found so far.
+    windows: u32,
+    /// A span arrived before one it sorts after (a negative or NaN
+    /// duration can do that): the qubit's spans are sorted instead.
+    unordered: bool,
+}
+
+impl Lane {
+    /// Takes the next span; returns the window it closes, as `(index on
+    /// the qubit, start, end)`.
+    fn next(&mut self, span: (f64, f64)) -> Option<(u32, f64, f64)> {
+        let last = self.last.replace(span);
+        let (_, end) = last?;
+        (span.0 - end > 1e-9).then(|| self.found(end, span.0))
+    }
+
+    /// The trailing window to `makespan` of a qubit that had a span.
+    fn close(&mut self, makespan: f64) -> Option<(u32, f64, f64)> {
+        let (_, end) = self.last?;
+        (makespan - end > 1e-9).then(|| self.found(end, makespan))
+    }
+
+    fn found(&mut self, start: f64, end: f64) -> (u32, f64, f64) {
+        self.windows += 1;
+        (self.windows - 1, start, end)
+    }
+}
+
+/// Builds the shared trajectory plan (see [`TrajectoryPlan`]) of a
+/// validated mapped job timed by `sched`, its ALAP schedule.
+///
+/// One pass over the schedule's entries in source order yields the
+/// gate slots and, per qubit, the idle windows: a qubit's spans arrive
+/// in order whenever durations are not negative, so each window is the
+/// gap to the span before it, with no per-qubit list and no sort. A
+/// qubit whose spans do not arrive in order has them sorted here
+/// instead. The slots are then sorted once, by a packed integer key
+/// that is unique per slot ([`Slot::key`]): the order a stable sort by
+/// `(time, kind)` gave the slots when they were pushed gate by gate,
+/// then qubit by qubit.
+pub(crate) fn build_plan(
+    circuit: &Circuit,
+    layout: &[usize],
+    device: &Device,
+    scaling: &NoiseScaling,
+    tail_idle: &[f64],
+    sched: &Schedule,
+    cfg: &ExecutionConfig,
+) -> TrajectoryPlan {
+    let cal = device.calibration();
+    let gates = circuit.gates();
+
+    // Only the error probabilities are computed here: the calibrated
+    // base error with crosstalk scaling, capped.
     let gate_error_p = |i: usize| {
         if !cfg.gate_noise {
             return 0.0;
         }
-        let g = &circuit.gates()[i];
+        let g = &gates[i];
         let qs = g.qubits();
         let qs = qs.as_slice();
         let base = match g {
@@ -698,70 +838,91 @@ pub(crate) fn build_plan(
         (base * scaling.factor(i)).min(0.75)
     };
 
-    // ALAP schedule (the paper's policy) and its idle windows.
-    let sched = schedule::alap_schedule_with(circuit, |i, _| durations[i]);
-    let windows = if cfg.idle_noise {
-        sched.idle_windows(circuit)
-    } else {
-        Vec::new()
-    };
+    let (entries, makespan) = (sched.entries(), sched.makespan());
+    let idle = cfg.idle_noise;
     let tails = || {
         let tails = tail_idle.iter().take(circuit.width()).enumerate();
-        tails.filter(|&(_, &tau)| cfg.idle_noise && tau > 0.0)
+        tails.filter(|&(_, &tau)| idle && tau > 0.0)
     };
-
-    // The stream is sorted as 24-byte slots — `(time, kind)` and what
-    // the event is built from — and the events, draw thresholds
-    // included, are built once, in stream order.
-    #[derive(Clone, Copy)]
-    struct Slot {
-        time: f64,
-        /// Length of an idle window (kind 0, sorts before a gate).
-        tau: f64,
-        /// The local qubit of a window, the index of a gate (kind 1).
-        which: u32,
-        kind: u8,
-    }
-    let count =
-        sched.entries().len() + windows.iter().map(Vec::len).sum::<usize>() + tails().count();
-    let mut slots: Vec<Slot> = Vec::with_capacity(count);
-    slots.extend(sched.entries().iter().map(|e| Slot {
-        time: e.start,
-        tau: 0.0,
-        which: narrow(e.gate_index),
-        kind: 1,
-    }));
-    let window = |q: usize, time: f64, tau: f64| Slot {
-        time,
-        tau,
-        which: narrow(q),
-        kind: 0,
+    // A gate per entry and, with idle noise, at most a window per busy
+    // span (the gap it ends, or the qubit's trailing one) and a tail
+    // per qubit.
+    let spans: usize = if idle {
+        entries
+            .iter()
+            .map(|e| gates[e.gate_index].qubits().len())
+            .sum()
+    } else {
+        0
     };
-    for (q, windows) in windows.iter().enumerate() {
-        slots.extend(windows.iter().map(|&(a, b)| window(q, b, b - a)));
+    let mut slots: Vec<Slot> = Vec::with_capacity(entries.len() + spans + tails().count());
+    let mut lanes = vec![Lane::default(); if idle { circuit.width() } else { 0 }];
+    for (rank, e) in entries.iter().enumerate() {
+        slots.push(Slot::gate(e.start, rank, e.gate_index));
+        if !idle {
+            continue;
+        }
+        let span = (e.start, e.end());
+        for q in &gates[e.gate_index].qubits() {
+            let lane = &mut lanes[q];
+            if lane.unordered {
+                continue;
+            }
+            if lane.last.is_some_and(|last| span_order(span, last).is_lt()) {
+                lane.unordered = true;
+                continue;
+            }
+            let window = lane.next(span);
+            slots.extend(window.map(|(i, a, b)| Slot::window(q, i, a, b)));
+        }
     }
-    slots.extend(tails().map(|(q, &tau)| window(q, sched.makespan() + tau, tau)));
-    slots.sort_by(|x, y| x.time.total_cmp(&y.time).then(x.kind.cmp(&y.kind)));
+    for (q, lane) in lanes.iter_mut().enumerate() {
+        if !lane.unordered {
+            let window = lane.close(makespan);
+            slots.extend(window.map(|(i, a, b)| Slot::window(q, i, a, b)));
+        }
+    }
+    if lanes.iter().any(|lane| lane.unordered) {
+        // Drop what the walk found before it noticed, sort, walk again.
+        slots.retain(|s| s.is_gate() || !lanes[s.which as usize].unordered);
+        let mut spans: Vec<(f64, f64)> = Vec::new();
+        for (q, _) in lanes.iter().enumerate().filter(|(_, lane)| lane.unordered) {
+            spans.clear();
+            let on_q = entries
+                .iter()
+                .filter(|e| gates[e.gate_index].qubits().contains(q));
+            spans.extend(on_q.map(|e| (e.start, e.end())));
+            spans.sort_by(|&a, &b| span_order(a, b));
+            let mut lane = Lane::default();
+            for &span in &spans {
+                slots.extend(lane.next(span).map(|(i, a, b)| Slot::window(q, i, a, b)));
+            }
+            slots.extend(
+                lane.close(makespan)
+                    .map(|(i, a, b)| Slot::window(q, i, a, b)),
+            );
+        }
+    }
+    slots.extend(tails().map(|(q, &tau)| Slot::tail(q, makespan, tau)));
+    slots.sort_unstable_by_key(|slot| slot.key);
 
-    let events = slots.iter().map(|slot| match slot.kind {
-        1 => {
+    let events = slots.iter().map(|slot| {
+        if slot.is_gate() {
             let error_p = gate_error_p(slot.which as usize);
-            Event::Gate {
+            return Event::Gate {
                 index: slot.which,
                 error_p,
                 threshold: gate_threshold(error_p),
-            }
+            };
         }
-        _ => {
-            let phys = layout[slot.which as usize];
-            let relax_p = 1.0 - (-slot.tau / cal.t1(phys)).exp();
-            let dephase_p = 1.0 - (-slot.tau / cal.t2(phys)).exp();
-            Event::Idle {
-                q: slot.which,
-                relax_p,
-                dephase_p,
-                thresholds: idle_thresholds(relax_p, dephase_p),
-            }
+        let phys = layout[slot.which as usize];
+        let relax_p = 1.0 - (-slot.tau / cal.t1(phys)).exp();
+        let dephase_p = 1.0 - (-slot.tau / cal.t2(phys)).exp();
+        Event::Idle {
+            q: slot.which,
+            relax_p,
+            dephase_p,
+            thresholds: idle_thresholds(relax_p, dephase_p),
         }
     });
     let events: Vec<Event> = events.collect();
@@ -770,7 +931,7 @@ pub(crate) fn build_plan(
     let clean = events
         .iter()
         .fold(1.0, |s, &ev| s * (1.0 - event_error_p(ev)));
-    Ok(TrajectoryPlan { events, clean })
+    TrajectoryPlan { events, clean }
 }
 
 /// The evaluator's one width-proportional memory bound: the amplitudes
@@ -819,7 +980,7 @@ pub fn clean_shot_probability(
     tail_idle: &[f64],
     cfg: &ExecutionConfig,
 ) -> Result<f64, SimError> {
-    Ok(build_plan(circuit, layout, device, scaling, tail_idle, cfg)?.clean)
+    Ok(plan_standalone(circuit, layout, device, scaling, tail_idle, cfg)?.clean)
 }
 
 /// Executes a mapped circuit on the device's noise model.
@@ -993,7 +1154,56 @@ impl PreparedJob {
         tail_idle: &[f64],
         cfg: &ExecutionConfig,
     ) -> Result<Self, SimError> {
-        let plan = build_plan(circuit, layout, device, scaling, tail_idle, cfg)?;
+        let plan = plan_standalone(circuit, layout, device, scaling, tail_idle, cfg)?;
+        Ok(PreparedJob::compile(plan, circuit, layout, device, cfg))
+    }
+
+    /// [`PreparedJob::prepare`] for a job whose ALAP schedule its
+    /// planner already computed: `schedule` times the event stream, and
+    /// no gate duration is looked up here. Given the schedule
+    /// `prepare` would compute — [`gate_durations`] under `device`'s
+    /// calibration, ALAP-scheduled — the two build the same job, bit
+    /// for bit; `qucp-core` hands in the schedule its merge computed for
+    /// the same mapped program.
+    ///
+    /// # Errors
+    ///
+    /// Returns a [`SimError`] if the layout is malformed or a two-qubit
+    /// gate is not executable on the topology.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `schedule` has another gate count than `circuit`, and
+    /// as [`PreparedJob::prepare`] does on a readout error outside
+    /// `[0, 1]`.
+    pub fn prepare_scheduled(
+        circuit: &Circuit,
+        layout: &[usize],
+        device: &Device,
+        scaling: &NoiseScaling,
+        tail_idle: &[f64],
+        schedule: &Schedule,
+        cfg: &ExecutionConfig,
+    ) -> Result<Self, SimError> {
+        validate_layout(circuit, layout, device)?;
+        assert_eq!(
+            schedule.entries().len(),
+            circuit.gate_count(),
+            "the schedule of another circuit"
+        );
+        let plan = build_plan(circuit, layout, device, scaling, tail_idle, schedule, cfg);
+        Ok(PreparedJob::compile(plan, circuit, layout, device, cfg))
+    }
+
+    /// The rest of a prepared job, around its plan: the compiled gates,
+    /// the ideal state, the readout errors and the strip.
+    fn compile(
+        plan: TrajectoryPlan,
+        circuit: &Circuit,
+        layout: &[usize],
+        device: &Device,
+        cfg: &ExecutionConfig,
+    ) -> Self {
         let mut mats = Vec::new();
         let compiled = circuit
             .gates()
@@ -1003,7 +1213,7 @@ impl PreparedJob {
         let cal = device.calibration();
         let readout_p: Vec<f64> = layout.iter().map(|&phys| cal.readout_error(phys)).collect();
         let strip = Strip::compile(&plan.events, &readout_p, cfg.readout_noise);
-        Ok(PreparedJob {
+        PreparedJob {
             plan,
             ideal: Statevector::from_ops(circuit.width(), &ops, &mats),
             ops,
@@ -1012,7 +1222,7 @@ impl PreparedJob {
             strip,
             noise: NoiseFlags::of(cfg),
             survival: OnceLock::new(),
-        })
+        }
     }
 
     /// Qubits of the mapped job.
@@ -1173,6 +1383,9 @@ fn run_work(shots: usize, plan: &TrajectoryPlan) -> u64 {
     (shots as u64).saturating_mul(plan.events.len() as u64)
 }
 
+/// Checks a mapped job against the device, without a heap request: a
+/// layout is as wide as its circuit, so a repeated physical qubit is
+/// found by scanning the entries before it.
 fn validate_layout(circuit: &Circuit, layout: &[usize], device: &Device) -> Result<(), SimError> {
     if layout.len() != circuit.width() {
         return Err(SimError::LayoutMismatch {
@@ -1181,18 +1394,16 @@ fn validate_layout(circuit: &Circuit, layout: &[usize], device: &Device) -> Resu
         });
     }
     let n = device.num_qubits();
-    let mut seen = vec![false; n];
-    for &p in layout {
+    for (i, &p) in layout.iter().enumerate() {
         if p >= n {
             return Err(SimError::PhysicalOutOfRange {
                 physical: p,
                 device: n,
             });
         }
-        if seen[p] {
+        if layout[..i].contains(&p) {
             return Err(SimError::LayoutNotInjective { physical: p });
         }
-        seen[p] = true;
     }
     for (i, g) in circuit.gates().iter().enumerate() {
         if g.is_two_qubit() {
@@ -2163,6 +2374,32 @@ mod tests {
         assert_send_sync::<Circuit>();
         assert_send_sync::<Device>();
         assert_send_sync::<PreparedJob>();
+    }
+
+    #[test]
+    fn total_order_bits_sort_as_total_cmp() {
+        let mut values = vec![
+            f64::NAN,
+            -f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            0.0,
+            -0.0,
+            f64::MIN_POSITIVE,
+            -f64::MIN_POSITIVE,
+            5e-324,
+            -5e-324,
+            1.0,
+            -1.0,
+            1200.0,
+            f64::MAX,
+            f64::MIN,
+        ];
+        let mut by_bits = values.clone();
+        values.sort_by(f64::total_cmp);
+        by_bits.sort_by_key(|&x| total_order_bits(x));
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&by_bits), bits(&values));
     }
 
     #[test]

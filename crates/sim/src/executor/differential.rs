@@ -11,8 +11,8 @@ use qucp_circuit::{Circuit, Gate};
 use qucp_device::{Calibration, CrosstalkModel, Device, NoiseProfile, Topology};
 
 use super::{
-    oracle, single_error_alias, trivial_layout, Event, ExecutionConfig, NoiseScaling, PreparedJob,
-    ShotParallelism, TrajectoryKernel,
+    alap_timing, build_plan, oracle, plan_standalone, single_error_alias, trivial_layout, Event,
+    ExecutionConfig, NoiseScaling, PreparedJob, ShotParallelism, TrajectoryKernel, TrajectoryPlan,
 };
 
 thread_local! {
@@ -420,4 +420,283 @@ fn two_levels_give_the_counts_of_an_unbounded_pool() {
              {error_shots} error shots of 20 gates"
         );
     }
+}
+
+// The event builder: the one-pass `build_plan` == the parent's sorting
+// builder (`oracle::build_plan`), every event by its bits, over mapped
+// jobs on random paths of Toronto and of a line, every noise-flag set,
+// tail idles of zero, NaN and below zero, and calibrations with a zero
+// or negative one-qubit duration or equal CNOT durations.
+
+/// Every gate kind, two-qubit gates on any pair of `width` qubits.
+fn scrambled(width: usize, gates: &[(usize, usize, usize, f64)]) -> Circuit {
+    let mut c = Circuit::new(width);
+    for &(kind, a, b, angle) in gates {
+        let a = a % width;
+        let b = (a + 1 + b % (width - 1)) % width;
+        c.push(match kind {
+            0 => Gate::H(a),
+            1 => Gate::X(a),
+            2 => Gate::Sx(a),
+            3 => Gate::Rz(a, angle),
+            4 => Gate::U(a, angle, 0.3, -angle),
+            5 => Gate::Cx(a, b),
+            6 => Gate::Cz(a, b),
+            7 => Gate::Cp(a, b, angle),
+            _ => Gate::Swap(a, b),
+        });
+    }
+    c
+}
+
+/// `circuit` on a path of its width: a two-qubit gate between qubits
+/// that are not neighbours is preceded by the SWAPs that walk its first
+/// qubit next to its second and followed by the SWAPs back.
+fn routed(circuit: &Circuit) -> Circuit {
+    let mut out = Circuit::new(circuit.width());
+    for g in circuit.gates() {
+        let qs = g.qubits();
+        let (a, b) = match *qs.as_slice() {
+            [a, b] if a.abs_diff(b) > 1 => (a, b),
+            _ => {
+                out.push(*g);
+                continue;
+            }
+        };
+        let step = |q: usize| if a < b { q + 1 } else { q - 1 };
+        let walk: Vec<usize> = std::iter::successors(Some(a), |&q| Some(step(q)))
+            .take_while(|&q| step(q) != b)
+            .collect();
+        for &q in &walk {
+            out.swap(q, step(q));
+        }
+        let next_to_b = step(*walk.last().expect("a is not next to b"));
+        out.push(g.map_qubits(|q| if q == a { next_to_b } else { q }));
+        for &q in walk.iter().rev() {
+            out.swap(q, step(q));
+        }
+    }
+    out
+}
+
+/// A simple path of `len` qubits on `topology`: a random walk
+/// (`choices` picks each step) from the first start after `choices[0]`
+/// where it does not run dry.
+fn path(topology: &Topology, len: usize, choices: &[usize]) -> Vec<usize> {
+    let n = topology.num_qubits();
+    let walk = |start: usize| {
+        let mut path = vec![start];
+        for &choice in &choices[1..len] {
+            let here = path[path.len() - 1];
+            let free: Vec<usize> = (topology.neighbors(here).iter().copied())
+                .filter(|q| !path.contains(q))
+                .collect();
+            path.push(*free.get(choice % free.len().max(1))?);
+        }
+        Some(path)
+    };
+    (0..n)
+        .find_map(|i| walk((choices[0] + i) % n))
+        .expect("a path that long exists")
+}
+
+/// Toronto's coupling map or a line of 12, under a calibration that is
+/// synthesized (uneven CNOT durations), uniform (equal CNOT durations:
+/// windows of different qubits tie), or synthesized with a zero, a
+/// negative or a NaN one-qubit duration.
+fn timed_chip(toronto: bool, calibration: usize, seed: u64) -> Device {
+    let topology = if toronto {
+        qucp_device::ibm::toronto_topology()
+    } else {
+        Topology::line(12)
+    };
+    let profile = |sq_duration| NoiseProfile {
+        sq_duration,
+        ..NoiseProfile::default()
+    };
+    let calibration = match calibration {
+        0 => Calibration::synthesize(&topology, seed, &NoiseProfile::default()),
+        1 => Calibration::uniform(&topology, 0.02, 3e-4, 0.02),
+        2 => Calibration::synthesize(&topology, seed, &profile(0.0)),
+        3 => Calibration::synthesize(&topology, seed, &profile(-35.0)),
+        _ => Calibration::synthesize(&topology, seed, &profile(f64::NAN)),
+    };
+    Device::new("timed", topology, calibration, CrosstalkModel::none())
+}
+
+/// A mapped job for the builders, and the noise flags it is built
+/// under.
+#[derive(Debug)]
+struct Timed {
+    device: Device,
+    circuit: Circuit,
+    layout: Vec<usize>,
+    scaling: NoiseScaling,
+    tail_idle: Vec<f64>,
+    cfg: ExecutionConfig,
+}
+
+impl Timed {
+    /// Asserts that both builders build the same events and the same
+    /// clean-shot probability, bit for bit, and that a plan fed the
+    /// schedule the job's stand-alone entry computes builds them too.
+    fn check(&self) {
+        let (circuit, layout, device) = (&self.circuit, &self.layout[..], &self.device);
+        let (scaling, tail_idle, cfg) = (&self.scaling, &self.tail_idle[..], &self.cfg);
+        let built = plan_standalone(circuit, layout, device, scaling, tail_idle, cfg);
+        let built = built.expect("the job is executable on its chip");
+        let parent = oracle::build_plan(circuit, layout, device, scaling, tail_idle, cfg).unwrap();
+        assert_eq!(plan_bits(&built), plan_bits(&parent), "{self:?}");
+        let sched = alap_timing(circuit, layout, device);
+        let fed = build_plan(circuit, layout, device, scaling, tail_idle, &sched, cfg);
+        assert_eq!(plan_bits(&fed), plan_bits(&parent), "{self:?}");
+    }
+}
+
+/// A plan as bits: each event's kind, index and every `f64` and
+/// threshold, then the clean-shot probability.
+fn plan_bits(plan: &TrajectoryPlan) -> Vec<[u64; 6]> {
+    let mut bits: Vec<[u64; 6]> = plan
+        .events
+        .iter()
+        .map(|ev| match *ev {
+            Event::Gate {
+                index,
+                error_p,
+                threshold,
+            } => [
+                1,
+                index.into(),
+                error_p.to_bits(),
+                threshold.map_or(0, |t| t.wrapping_add(1)),
+                u64::from(threshold.is_some()),
+                0,
+            ],
+            Event::Idle {
+                q,
+                relax_p,
+                dephase_p,
+                thresholds: [x, y, z],
+            } => [
+                2 | u64::from(q) << 8,
+                relax_p.to_bits(),
+                dephase_p.to_bits(),
+                x,
+                y,
+                z,
+            ],
+        })
+        .collect();
+    bits.push([plan.clean.to_bits(); 6]);
+    bits
+}
+
+fn arb_timed() -> impl Strategy<Value = Timed> {
+    let chip = (0usize..2, 0usize..5, 0u64..1 << 20);
+    let shape = (
+        1usize..8,
+        0usize..12,
+        proptest::collection::vec(0usize..64, 8),
+    );
+    let gates = proptest::collection::vec((0usize..9, 0usize..64, 0usize..64, -3.2..3.2f64), 0..40);
+    let run = (0usize..8, 0usize..64, 0usize..6);
+    (chip, shape, gates, run).prop_map(|(chip, shape, gates, run)| {
+        let ((toronto, calibration, seed), (width, pick, choices), (flags, hot, tail)) =
+            (chip, shape, run);
+        let device = timed_chip(toronto == 0, calibration, seed);
+        // A library circuit (routed) in one case of three.
+        let library = qucp_circuit::library::all();
+        let circuit = match pick % 3 {
+            0 => library[pick % library.len()].circuit(),
+            _ => scrambled(width.max(2), &gates),
+        };
+        let circuit = routed(&circuit);
+        let width = circuit.width();
+        let layout = if toronto == 0 {
+            path(device.topology(), width, &choices)
+        } else {
+            // An offset and a direction on the line.
+            let start = choices[0] % (13 - width);
+            let line = (start..start + width).collect::<Vec<_>>();
+            if choices[1] % 2 == 0 {
+                line
+            } else {
+                line.into_iter().rev().collect()
+            }
+        };
+        let mut scaling = NoiseScaling::uniform(circuit.gate_count());
+        if circuit.gate_count() > 0 {
+            scaling.amplify(hot % circuit.gate_count(), 3.0);
+        }
+        let tail = [0.0, f64::NAN, -250.0, 250.0, 1e-300, -0.0][tail];
+        Timed {
+            tail_idle: (0..width).map(|q| tail * (q % 2) as f64).collect(),
+            cfg: ExecutionConfig {
+                gate_noise: flags & 1 != 0,
+                readout_noise: flags & 2 != 0,
+                idle_noise: flags & 4 != 0,
+                ..ExecutionConfig::default()
+            },
+            device,
+            circuit,
+            layout,
+            scaling,
+        }
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn the_one_pass_builder_equals_the_sorting_builder(timed in arb_timed()) {
+        timed.check();
+    }
+}
+
+#[test]
+fn windows_that_end_together_and_spans_out_of_order() {
+    let timed = |device: Device, circuit: Circuit| Timed {
+        layout: trivial_layout(circuit.width()),
+        scaling: NoiseScaling::uniform(circuit.gate_count()),
+        tail_idle: vec![0.0, f64::NAN, -250.0, 1e-300],
+        cfg: ExecutionConfig::default(),
+        device,
+        circuit,
+    };
+    // Equal CNOT durations: the last `cx(0, 1)` ends a window on qubit
+    // 0 and one on qubit 1 at the same time, which is also the start of
+    // the last `cx(2, 3)`.
+    let topology = Topology::line(4);
+    let uniform = Calibration::uniform(&topology, 0.02, 3e-4, 0.02);
+    let device = Device::new("line", topology, uniform, CrosstalkModel::none());
+    let mut circuit = Circuit::new(4);
+    circuit
+        .cx(0, 1)
+        .cx(1, 2)
+        .cx(2, 3)
+        .cx(2, 3)
+        .cx(2, 3)
+        .cx(0, 1);
+    let case = timed(device, circuit);
+    let windows =
+        alap_timing(&case.circuit, &case.layout, &case.device).idle_windows(&case.circuit);
+    assert_eq!((windows[0][0].1, windows[1][0].1), (1200.0, 1200.0));
+    case.check();
+
+    // A negative one-qubit duration: qubit 0's second `h` starts before
+    // its first, so the builder sorts that qubit's spans.
+    let topology = Topology::line(2);
+    let profile = NoiseProfile {
+        sq_duration: -35.0,
+        ..NoiseProfile::default()
+    };
+    let negative = Calibration::synthesize(&topology, 3, &profile);
+    let device = Device::new("line", topology, negative, CrosstalkModel::none());
+    let mut circuit = Circuit::new(2);
+    circuit.h(0).h(0).x(1).cx(0, 1).h(1);
+    let case = timed(device, circuit);
+    let sched = alap_timing(&case.circuit, &case.layout, &case.device);
+    assert!(sched.entries()[1].start < sched.entries()[0].start);
+    case.check();
 }

@@ -152,18 +152,19 @@ impl RngCore for Reread<'_> {
 /// word per event that draws one — whose [`super::strip_bound`]s are
 /// `bounds`.
 ///
-/// The words are read [`SCREEN_WORDS`] at a time into `words` and
-/// OR-reduced against their bounds: a chunk whose words all exceed
-/// their bounds holds no error and is skipped, and only a chunk with a
-/// word at or below its bound walks its events through [`event_error`]
-/// on the words it read. (When some gate draws no word, a word's index
-/// is not its event's position, and every chunk is walked.) The words
-/// read, the errors and the generator's position are those of one
-/// [`event_error`] per event.
+/// The words are read [`SCREEN_WORDS`] at a time into `words` (`fill`
+/// writes as many of the stream's next words as its slice holds) and
+/// compared with their bounds into a mask, bit `k` set iff word `k` is
+/// at or below its bound: only the events at set bits — the candidates —
+/// go through [`event_error`], each on its own word, and a word above
+/// its bound cannot make its event err. (When some gate draws no word,
+/// a word's index is not its event's position, and every event of the
+/// chunk is walked on the words read.) The words read, the errors and
+/// the generator's position are those of one [`event_error`] per event.
 fn screen_events(
     events: &[Event],
     bounds: &[u64],
-    rng: &mut StdRng,
+    mut fill: impl FnMut(&mut [u64]),
     words: &mut [u64; SCREEN_WORDS],
     arena: &mut Vec<ErrorKey>,
 ) {
@@ -171,12 +172,8 @@ fn screen_events(
     let mut pos = 0;
     for bounds in bounds.chunks(SCREEN_WORDS) {
         let words = &mut words[..bounds.len()];
-        rng.fill_u64(words);
-        let hit = words
-            .iter()
-            .zip(bounds)
-            .fold(false, |hit, (w, b)| hit | (w <= b));
-        if hit || !aligned {
+        fill(words);
+        if !aligned {
             let mut reread = Reread(words.iter());
             while !reread.0.as_slice().is_empty() {
                 if let Some(code) = event_error(events[pos], &mut reread) {
@@ -184,9 +181,21 @@ fn screen_events(
                 }
                 pos += 1;
             }
-        } else {
-            pos += words.len();
+            continue;
         }
+        let mut candidates = words
+            .iter()
+            .zip(bounds)
+            .enumerate()
+            .fold(0u64, |mask, (k, (w, b))| mask | u64::from(w <= b) << k);
+        while candidates != 0 {
+            let k = candidates.trailing_zeros() as usize;
+            candidates &= candidates - 1;
+            if let Some(code) = event_error(events[pos + k], &mut Reread(words[k..=k].iter())) {
+                arena.push(pack(pos + k, code));
+            }
+        }
+        pos += words.len();
     }
 }
 
@@ -302,7 +311,8 @@ impl TrajectoryJob<'_> {
         arena: &mut Vec<ErrorKey>,
     ) {
         let start = arena.len();
-        screen_events(&self.plan.events, self.strip.events(), rng, words, arena);
+        let fill = |words: &mut [u64]| rng.fill_u64(words);
+        screen_events(&self.plan.events, self.strip.events(), fill, words, arena);
         for key in &mut arena[start..] {
             let (pos, code) = unpack(*key);
             if code != UNTYPED {

@@ -5,11 +5,11 @@ use rand::rngs::StdRng;
 use rand::{Rng, RngCore, SeedableRng};
 
 use super::super::{
-    gate_threshold, idle_cumulative, idle_thresholds, readout_threshold, Event, Strip,
+    gate_threshold, idle_cumulative, idle_thresholds, readout_threshold, strip_bound, Event, Strip,
 };
 use super::{
-    gate_errs, idle_pauli, pack, per_qubit_flips, readout_flips, screen_events, ErrorKey,
-    SCREEN_WORDS, UNTYPED,
+    event_error, gate_errs, idle_pauli, pack, per_qubit_flips, readout_flips, screen_events,
+    ErrorKey, SCREEN_WORDS, UNTYPED,
 };
 
 /// A scripted word source that counts what it hands out.
@@ -164,7 +164,7 @@ fn an_idle_draw_is_the_top_53_bits_of_one_word() {
 
 /// An event of the kind `build_plan` makes: a gate of error probability
 /// `p`, or an idle window of `(relax_p, dephase_p)`.
-#[derive(Clone, Copy)]
+#[derive(Clone, Copy, Debug)]
 enum Spec {
     Gate(f64),
     Idle(f64, f64),
@@ -208,13 +208,8 @@ fn strip_matches_the_per_event_draw(
     let mut with_errors = 0;
     for shot in 0..shots {
         let mut errors: Vec<ErrorKey> = Vec::new();
-        screen_events(
-            &events,
-            strip.events(),
-            &mut screened,
-            &mut words,
-            &mut errors,
-        );
+        let fill = |words: &mut [u64]| screened.fill_u64(words);
+        screen_events(&events, strip.events(), fill, &mut words, &mut errors);
         let mask = per_qubit_flips(strip.readout(), 0, &mut screened);
 
         let mut expected = Vec::new();
@@ -295,4 +290,121 @@ fn a_shot_whose_words_straddle_a_refill_draws_what_one_draw_per_event_draws() {
         (100..256 * 12 - 100).contains(&with_errors),
         "{with_errors}"
     );
+}
+
+/// Screens one shot's scripted `words` against the strip of `specs` and
+/// asserts the errors and the words consumed of one [`event_error`] per
+/// event on the same script. Returns the errors.
+fn screened_as_per_event(specs: &[Spec], words: &[u64]) -> Vec<ErrorKey> {
+    let events: Vec<Event> = specs.iter().copied().map(event).collect();
+    let strip = Strip::compile(&events, &[], false);
+    assert_eq!(
+        strip.events().len(),
+        words.len(),
+        "one word per drawing event"
+    );
+    let mut script = words.iter();
+    let fill = |dest: &mut [u64]| {
+        for w in dest {
+            *w = *script.next().expect("the script holds the shot's words");
+        }
+    };
+    let (mut buffer, mut screened) = ([0; SCREEN_WORDS], Vec::new());
+    screen_events(&events, strip.events(), fill, &mut buffer, &mut screened);
+    assert_eq!(script.next(), None, "every word read");
+
+    let mut per_event = Words {
+        words: words.to_vec(),
+        taken: 0,
+    };
+    let mut expected = Vec::new();
+    for (pos, &ev) in events.iter().enumerate() {
+        expected.extend(event_error(ev, &mut per_event).map(|code| pack(pos, code)));
+    }
+    assert_eq!(per_event.taken, words.len(), "the same words consumed");
+    assert_eq!(screened, expected, "{specs:?} on {words:x?}");
+    screened
+}
+
+/// The bound of `spec`'s event in the strip.
+fn bound(spec: Spec) -> u64 {
+    strip_bound(&event(spec)).expect("the event draws a word")
+}
+
+#[test]
+fn the_screen_tests_only_candidates_and_finds_every_error() {
+    // Two chunks of quiet gates; every word above its bound except at
+    // positions 0, 17, 63 (first chunk) and 64, 100 (second). Position
+    // 17 holds its bound exactly (inclusive: it errs), 40 the word just
+    // above (no candidate, no error), 0 and 64 the word 0.
+    let quiet = Spec::Gate(1e-3);
+    let specs = vec![quiet; 130];
+    let mut words = vec![u64::MAX; 130];
+    words[0] = 0;
+    words[17] = bound(quiet);
+    words[40] = bound(quiet) + 1;
+    words[63] = bound(quiet) / 2;
+    words[64] = 0;
+    words[100] = bound(quiet);
+    let errs = screened_as_per_event(&specs, &words);
+    let at: Vec<usize> = errs.iter().map(|&key| super::unpack(key).0).collect();
+    assert_eq!(at, [0, 17, 63, 64, 100]);
+}
+
+#[test]
+fn an_idle_word_at_its_inclusive_bound_errs_and_one_above_does_not() {
+    for idle in [
+        Spec::Idle(2e-3, 6e-3),
+        Spec::Idle(0.3, 0.1),
+        Spec::Idle(1.0, 1.0),
+    ] {
+        let specs = [Spec::Gate(1e-3), idle, Spec::Gate(1e-3)];
+        let b = bound(idle);
+        let errs = screened_as_per_event(&specs, &[u64::MAX, b, u64::MAX]);
+        assert_eq!(errs.len(), 1, "{idle:?} at its bound");
+        if let Some(above) = b.checked_add(1) {
+            assert!(screened_as_per_event(&specs, &[u64::MAX, above, u64::MAX]).is_empty());
+        }
+    }
+}
+
+#[test]
+fn a_candidate_that_does_not_err() {
+    // A NaN or negative dephasing zeroes `thresholds[2]`: with no
+    // relaxation every threshold is 0, the bound is 0, and the word 0 is
+    // a candidate on which nothing errs — as a gate of threshold 0. With
+    // relaxation the bound comes from the Y threshold, and the Z slot
+    // that NaN emptied never errs.
+    for dephase in [f64::NAN, -0.9] {
+        let zeroed = Spec::Idle(0.0, dephase);
+        assert_eq!(idle_thresholds(0.0, dephase), [0; 3]);
+        assert_eq!(bound(zeroed), 0);
+        let specs = [zeroed, Spec::Gate(1e-25), zeroed];
+        assert!(screened_as_per_event(&specs, &[0, 0, 0]).is_empty());
+
+        let relaxing = Spec::Idle(0.2, dephase);
+        assert_eq!(idle_thresholds(0.2, dephase)[2], 0);
+        let b = bound(relaxing);
+        let specs = [relaxing; 3];
+        assert_eq!(screened_as_per_event(&specs, &[b, b + 1, 0]).len(), 2);
+    }
+}
+
+#[test]
+fn a_strip_where_a_gate_draws_no_word_walks_every_event() {
+    // The noise-free gates draw nothing, so the words shift against the
+    // events; the screen walks each chunk on the words it read.
+    let quiet = Spec::Gate(1e-3);
+    let mut specs = vec![quiet; 70];
+    specs[3] = Spec::Gate(0.0);
+    specs[66] = Spec::Gate(0.0);
+    specs[10] = Spec::Idle(0.3, f64::NAN);
+    let mut words = vec![u64::MAX; 68];
+    words[0] = 0;
+    words[9] = 0;
+    words[63] = bound(quiet);
+    words[67] = 0;
+    let errs = screened_as_per_event(&specs, &words);
+    let at: Vec<usize> = errs.iter().map(|&key| super::unpack(key).0).collect();
+    assert_eq!(at, [0, 10, 64, 69]);
 }

@@ -5,19 +5,25 @@
 //! circuit — `Replay` from `|0…0⟩`, `SurvivalSkip` from a prefix
 //! snapshot with a per-stream single-error table cache — and every
 //! shard stream is evaluated on its own.
+//!
+//! [`build_plan`] is the event builder of the revision before the
+//! one-pass builder, moved the same way: the one-pass builder is
+//! compared with it event by event.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use super::{
-    derive_shard_seed, Event, ExecutionConfig, PreparedJob, ShotParallelism, TrajectoryKernel,
-    TrajectoryPlan,
+    alap_timing, derive_shard_seed, event_error_p, gate_threshold, idle_thresholds, narrow,
+    validate_layout, Event, ExecutionConfig, NoiseScaling, PreparedJob, ShotParallelism, SimError,
+    TrajectoryKernel, TrajectoryPlan,
 };
 use crate::alias::AliasTable;
 use crate::counts::Counts;
 use crate::state::Statevector;
 use crate::unitaries::single_qubit_matrix;
 use qucp_circuit::{Circuit, Gate};
+use qucp_device::{Device, Link};
 
 /// The parent's gate application: every one-qubit gate through the
 /// general 2×2 kernel, its matrix (and a `Cp`'s phase) evaluated per
@@ -677,4 +683,114 @@ fn apply_typed_gate_error(sv: &mut Statevector, gate: &Gate, code: u8) {
             apply_pauli(sv, qs[1], int_pauli(b));
         }
     }
+}
+
+/// The event builder the one-pass [`super::build_plan`] replaced:
+/// per-qubit window lists from `Schedule::idle_windows`, and a stable
+/// sort of the slots by `(time, kind)` — the parent's body, its
+/// schedule taken from the same [`alap_timing`].
+pub(super) fn build_plan(
+    circuit: &Circuit,
+    layout: &[usize],
+    device: &Device,
+    scaling: &NoiseScaling,
+    tail_idle: &[f64],
+    cfg: &ExecutionConfig,
+) -> Result<TrajectoryPlan, SimError> {
+    validate_layout(circuit, layout, device)?;
+    let cal = device.calibration();
+
+    // Only the error probabilities are computed here: the calibrated
+    // base error with crosstalk scaling, capped.
+    let gate_error_p = |i: usize| {
+        if !cfg.gate_noise {
+            return 0.0;
+        }
+        let g = &circuit.gates()[i];
+        let qs = g.qubits();
+        let qs = qs.as_slice();
+        let base = match g {
+            Gate::Swap(..) => {
+                let e = cal.cx_error(Link::new(layout[qs[0]], layout[qs[1]]));
+                1.0 - (1.0 - e).powi(3)
+            }
+            g if g.is_two_qubit() => cal.cx_error(Link::new(layout[qs[0]], layout[qs[1]])),
+            _ => cal.sq_error(layout[qs[0]]),
+        };
+        (base * scaling.factor(i)).min(0.75)
+    };
+
+    // ALAP schedule (the paper's policy) and its idle windows.
+    let sched = alap_timing(circuit, layout, device);
+    let windows = if cfg.idle_noise {
+        sched.idle_windows(circuit)
+    } else {
+        Vec::new()
+    };
+    let tails = || {
+        let tails = tail_idle.iter().take(circuit.width()).enumerate();
+        tails.filter(|&(_, &tau)| cfg.idle_noise && tau > 0.0)
+    };
+
+    // The stream is sorted as 24-byte slots — `(time, kind)` and what
+    // the event is built from — and the events, draw thresholds
+    // included, are built once, in stream order.
+    #[derive(Clone, Copy)]
+    struct Slot {
+        time: f64,
+        /// Length of an idle window (kind 0, sorts before a gate).
+        tau: f64,
+        /// The local qubit of a window, the index of a gate (kind 1).
+        which: u32,
+        kind: u8,
+    }
+    let count =
+        sched.entries().len() + windows.iter().map(Vec::len).sum::<usize>() + tails().count();
+    let mut slots: Vec<Slot> = Vec::with_capacity(count);
+    slots.extend(sched.entries().iter().map(|e| Slot {
+        time: e.start,
+        tau: 0.0,
+        which: narrow(e.gate_index),
+        kind: 1,
+    }));
+    let window = |q: usize, time: f64, tau: f64| Slot {
+        time,
+        tau,
+        which: narrow(q),
+        kind: 0,
+    };
+    for (q, windows) in windows.iter().enumerate() {
+        slots.extend(windows.iter().map(|&(a, b)| window(q, b, b - a)));
+    }
+    slots.extend(tails().map(|(q, &tau)| window(q, sched.makespan() + tau, tau)));
+    slots.sort_by(|x, y| x.time.total_cmp(&y.time).then(x.kind.cmp(&y.kind)));
+
+    let events = slots.iter().map(|slot| match slot.kind {
+        1 => {
+            let error_p = gate_error_p(slot.which as usize);
+            Event::Gate {
+                index: slot.which,
+                error_p,
+                threshold: gate_threshold(error_p),
+            }
+        }
+        _ => {
+            let phys = layout[slot.which as usize];
+            let relax_p = 1.0 - (-slot.tau / cal.t1(phys)).exp();
+            let dephase_p = 1.0 - (-slot.tau / cal.t2(phys)).exp();
+            Event::Idle {
+                q: slot.which,
+                relax_p,
+                dephase_p,
+                thresholds: idle_thresholds(relax_p, dephase_p),
+            }
+        }
+    });
+    let events: Vec<Event> = events.collect();
+
+    // The products `prefix_survival` takes, in its order.
+    let clean = events
+        .iter()
+        .fold(1.0, |s, &ev| s * (1.0 - event_error_p(ev)));
+    Ok(TrajectoryPlan { events, clean })
 }

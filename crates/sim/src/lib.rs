@@ -56,6 +56,25 @@
 //! [`PreparedJob::prepare`] is a compiler, and a shot costs its random
 //! words, an error branch its arithmetic.
 //!
+//! - **Event stream.** A mapped job is timed by its ALAP schedule, and
+//!   the stream is built from it in one pass. A planned program comes
+//!   with the schedule its planner's merge already computed
+//!   ([`PreparedJob::prepare_scheduled`], which `qucp-core` calls): no
+//!   gate duration is looked up and nothing is scheduled again; the
+//!   stand-alone entries ([`run_noisy`], [`PreparedJob::prepare`],
+//!   [`clean_shot_probability`], [`exact_probabilities`]) compute it and
+//!   call the same builder. One walk over the schedule's entries in
+//!   source order yields the gate slots and each qubit's idle windows —
+//!   the gap to the qubit's previous span, then the trailing one — with
+//!   no per-qubit list, because for durations of at least 0 a qubit's
+//!   spans arrive in order (a qubit whose spans do not is sorted in the
+//!   same builder). The slots are sorted once by a packed integer key,
+//!   unique per slot: the time's `total_cmp`-ordered bits, the kind
+//!   (idle windows first), then the slot's rank in the order the
+//!   windows and gates were once pushed. A unique key needs no stable
+//!   sort, and the order is the stable float sort's, so every event and
+//!   every count is the old builder's bit for bit (the old builder is a
+//!   test oracle).
 //! - **Draw thresholds.** Per event, in stream order, `prepare` stores
 //!   what the draw pass compares a random word with: for a noisy gate
 //!   the 64-bit fixed-point threshold `rand`'s Bernoulli would compute
@@ -75,12 +94,14 @@
 //!   or every word for a certain window), then the readout thresholds.
 //!   A shot's event words come out of the generator in bulk
 //!   (`StdRng::fill_u64`, the words of as many `next_u64` calls), 64 at
-//!   a time, and are OR-reduced against the strip: a chunk with no word
-//!   at or below its bound holds no error and costs no per-event test,
-//!   and only a chunk with one walks its events through the exact
-//!   per-event compare above, on the words already read. The strip is a
-//!   superset filter over the same words, so every pattern, type draw,
-//!   outcome uniform and readout mask is the per-event draw's. It lives
+//!   a time, and are compared with the strip into a 64-bit mask of the
+//!   words at or below their bounds: only the events at its set bits —
+//!   the candidates — run the exact per-event compare above, each on
+//!   the word already read, and a chunk with an empty mask costs no
+//!   per-event test. (Where some gate draws no word, a chunk's events
+//!   are walked in full.) The strip is a superset filter over the same
+//!   words, so every pattern, type draw, outcome uniform and readout
+//!   mask is the per-event draw's. It lives
 //!   in the allocation that held the readout thresholds; the survival
 //!   products only `SurvivalSkip` reads are built by its first run.
 //! - **Ops.** Each gate's matrix or phase is evaluated once, and the

@@ -185,8 +185,12 @@ fn a_cached_batch_stays_within_its_heap_budget() {
 
 /// Heap requests of one `tick` of 64 cold jobs (every batch planned,
 /// prepared and run from scratch; the count is exact and the same in
-/// debug and release): 6 953 with one job to a batch, 7 979 with two —
-/// 108.6 and 124.7 per job. While a plan kept its own prepared state,
+/// debug and release): 5 525 with one job to a batch, 6 543 with two —
+/// 86.3 and 102.2 per job. Before a planned program was timed by the
+/// schedule its merge computed, with its event stream built in one pass
+/// (no duration vector, no second ALAP schedule, no per-qubit window
+/// lists) and its layout checked without a vector, the same tick counted
+/// 6 953 and 7 979. While a plan kept its own prepared state,
 /// its first execution also asked for the vector that marked it
 /// executed and for one `Arc` per prepared program: 7 081 and 8 075.
 /// When the admission policy returned a fresh `Vec` per pack, the same
@@ -202,10 +206,13 @@ fn a_cached_batch_stays_within_its_heap_budget() {
 /// `AdmissionPolicy::pack`) costs one request per packed candidate;
 /// the strip's event bounds in an exact-size vector of their own cost
 /// one request per prepared program; a plan-cache entry whose slots are
-/// allocated on the miss instead of the first hit counts 7 017 solo.
-/// Each fails.
-const COLD_SOLO_REQUESTS: u64 = 6_953;
-const COLD_PAIR_REQUESTS: u64 = 7_979;
+/// allocated on the miss instead of the first hit counts 64 more solo;
+/// the event builder calling `Schedule::idle_windows` again, or
+/// `PlannedWorkload::prepare` scheduling the program afresh
+/// (`PreparedJob::prepare` for `prepare_scheduled`), costs requests per
+/// prepared program. Each fails.
+const COLD_SOLO_REQUESTS: u64 = 5_525;
+const COLD_PAIR_REQUESTS: u64 = 6_543;
 
 #[test]
 fn a_cold_batch_stays_within_its_heap_budget() {

@@ -451,6 +451,7 @@ fn arb_calibration_fault() -> impl Strategy<Value = CalibrationFault> {
         (0usize..99, 0usize..99)
             .prop_map(|(expected, got)| CalibrationFault::QubitCountMismatch { expected, got }),
         Just(CalibrationFault::MissingLinks),
+        Just(CalibrationFault::OutOfRange),
     ]
 }
 

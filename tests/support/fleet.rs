@@ -60,6 +60,8 @@ impl LiveFleet {
             Some(CalibrationFault::NonFinite)
         } else if !cal.covers(device.topology()) {
             Some(CalibrationFault::MissingLinks)
+        } else if !cal.in_range() {
+            Some(CalibrationFault::OutOfRange)
         } else {
             None
         };
@@ -87,17 +89,22 @@ impl LiveFleet {
         'devices: for (index, &id) in self.ids.iter().enumerate() {
             let device = self.registry.get(id).name().to_string();
             for step in self.steps[index] + 1..=target {
-                let mut poisoned = false;
+                let mut poison = None;
                 let epoch = match model.event_at(step) {
                     // Applied to a scratch copy, so a step that writes
-                    // NaN or infinity is rolled back.
+                    // NaN, infinity or an out-of-range value is rolled
+                    // back.
                     DriftEvent::Drift => self.registry.mutate_calibration(id, |cal, xt| {
                         let (mut next_cal, mut next_xt) = (cal.clone(), xt.clone());
                         if !model.apply_step(step, index as u64, &mut next_cal, &mut next_xt) {
                             return None;
                         }
-                        poisoned = !(next_cal.all_finite() && next_xt.all_finite());
-                        (!poisoned).then_some((next_cal, next_xt))
+                        if !(next_cal.all_finite() && next_xt.all_finite()) {
+                            poison = Some(CalibrationFault::NonFinite);
+                        } else if !next_cal.in_range() {
+                            poison = Some(CalibrationFault::OutOfRange);
+                        }
+                        poison.is_none().then_some((next_cal, next_xt))
                     }),
                     DriftEvent::Recalibrate => {
                         let (base_cal, base_xt) = &self.baselines[index];
@@ -107,9 +114,8 @@ impl LiveFleet {
                         })
                     }
                 };
-                if poisoned {
+                if let Some(fault_kind) = poison {
                     // The device stops just before the poisoned step.
-                    let fault_kind = CalibrationFault::NonFinite;
                     fault = Some(RuntimeError::InvalidCalibration {
                         device,
                         fault: fault_kind,
