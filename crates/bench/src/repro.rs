@@ -4,10 +4,11 @@
 //! A section writes its tables to `out` and returns the paper claims
 //! it checked. Sections that execute a parallel workload (Fig. 3,
 //! Fig. 4, Table III, Fig. 6, Sec. II-A, the strategy-comparing
-//! ablations) run it on a [`Service`](qucp_runtime::Service) through
-//! [`runner`](crate::runner); plan-only and below-`Strategy` sections
-//! (Table II, σ tuning, the mapping and routing ablations, Table I /
-//! Fig. 2 over `qucp-srb`) call the stage functions they inspect.
+//! ablations, Fig. 2's QuMC table) run it on a
+//! [`Service`](qucp_runtime::Service) through [`runner`](crate::runner);
+//! plan-only and below-`Strategy` sections (Table II, σ tuning, the
+//! mapping ablation, Table I and Fig. 2's SRB campaign over `qucp-srb`)
+//! call the stage functions they inspect.
 //! [`ledger`] runs every section of [`SECTIONS`] — the ones that check
 //! a claim; [`TABLES`] only print — and keeps the claims: one row per
 //! paper claim — id, the paper's value, ours, the rule that compares
@@ -21,15 +22,14 @@ use qucp_circuit::Circuit;
 use qucp_core::queue::{simulate_queue, synthetic_workload, QueuedJob};
 use qucp_core::report::{fix, pct, Table};
 use qucp_core::{
-    allocate_partitions, efs, efs_difference, initial_mapping, route, route_sabre, strategy,
-    CircuitStats, CrosstalkTreatment, MappedProgram, PartitionPolicy, Pipeline, SabreOptions,
-    Strategy,
+    allocate_partitions, efs, efs_difference, initial_mapping, route, strategy, CircuitStats,
+    CrosstalkTreatment, MappedProgram, PartitionPolicy, Pipeline, Strategy,
 };
-use qucp_device::{ibm, Device, Link};
+use qucp_device::{ibm, Device, Link, LinkPair, SIGNIFICANT_RATIO};
 use qucp_sim::{
     ideal_outcome, metrics, noiseless_probabilities, run_noisy, ExecutionConfig, NoiseScaling,
 };
-use qucp_srb::{run_campaign, srb_overhead, RbConfig, SIGNIFICANT_RATIO};
+use qucp_srb::{run_campaign, srb_overhead, RbConfig};
 use qucp_zne::mitigate_distribution;
 
 use crate::runner::{mean_jsd, mean_pst, threshold_ladder, vqe_h2, zne, Rig, VqeArms, ZneArms};
@@ -144,13 +144,11 @@ pub const SECTIONS: [(&str, Section); 8] = [
 
 /// The sections that only print (they return no claim), after
 /// [`SECTIONS`] in `repro`'s print order; the ledger skips them.
-pub const TABLES: [(&str, Section); 6] = [
+pub const TABLES: [(&str, Section); 4] = [
     ("fig2", fig2),
     ("ablation_partition", ablation_partition),
     ("ablation_mapping", ablation_mapping),
-    ("ablation_srb_qumc", ablation_srb_qumc),
     ("ablation_readout", ablation_readout),
-    ("ablation_routing", ablation_routing),
 ];
 
 /// Every claim of every section of [`SECTIONS`] at `shots` per job.
@@ -290,10 +288,15 @@ fn srb_config(shots: usize) -> RbConfig {
     }
 }
 
-/// Fig. 2: SRB crosstalk characterization of Toronto.
+/// Fig. 2 and Ablation A4 over one SRB campaign of Toronto: the
+/// measured crosstalk map against the injected ground truth, then the
+/// full QuMC pipeline — partitioning driven by the campaign's map
+/// ([`CampaignReport::crosstalk_map`](qucp_srb::CampaignReport::crosstalk_map)),
+/// by the ground truth, and by QuCP's σ.
 pub fn fig2(shots: usize, out: &mut dyn Write) -> io::Result<Vec<Claim>> {
     writeln!(out, "Fig. 2: SRB crosstalk map of IBM Q 27 Toronto\n")?;
-    let report = run_campaign(&ibm::toronto(), &srb_config(shots), usize::MAX);
+    let device = ibm::toronto();
+    let report = run_campaign(&device, &srb_config(shots));
     let mut t = table("pair | eps(gi) | eps(gi|gj) | ratio | true gamma | significant");
     for p in &report.pairs {
         let [alone, together] = [p.isolated.0, p.simultaneous.0].map(|e| fix(e, 4));
@@ -304,9 +307,12 @@ pub fn fig2(shots: usize, out: &mut dyn Write) -> io::Result<Vec<Claim>> {
         );
         t.row_owned(vec![pair, alone, together, ratio, gamma, mark.into()]);
     }
-    // Accuracy of the SRB estimate against the injected ground truth.
+    // Accuracy of the SRB estimate on the ground truth's significant pairs.
+    let strong: Vec<LinkPair> = (device.crosstalk().significant_pairs().into_iter())
+        .map(|(pair, _)| pair)
+        .collect();
     let errors: Vec<f64> = (report.pairs.iter())
-        .filter(|p| p.true_gamma > 1.5)
+        .filter(|p| strong.contains(&p.pair))
         .map(|p| (p.worst_ratio() - p.true_gamma).abs() / p.true_gamma)
         .collect();
     let (significant, pairs) = (report.significant().len(), report.pairs.len());
@@ -314,12 +320,43 @@ pub fn fig2(shots: usize, out: &mut dyn Write) -> io::Result<Vec<Claim>> {
         out,
         "{t}\n{significant} of {pairs} one-hop pairs exceed the {SIGNIFICANT_RATIO}x threshold."
     )?;
-    let error = 100.0 * mean(&errors);
+    let (error, truth_pairs) = (100.0 * mean(&errors), strong.len());
     writeln!(
         out,
-        "SRB ratio vs true gamma on the strong pairs: {error:.1}% mean relative error."
+        "SRB ratio vs true gamma on the {truth_pairs} strong pairs: {error:.1}% mean relative error."
     )?;
-    writeln!(out, "Overhead actually paid: {}", report.overhead)?;
+    writeln!(out, "Overhead actually paid: {}\n\n", report.overhead)?;
+    writeln!(
+        out,
+        "Ablation A4: QuMC from a real SRB campaign (Toronto)\n"
+    )?;
+    let srb_map = report.crosstalk_map();
+    let flagged = srb_map.len();
+    writeln!(
+        out,
+        "the campaign flagged {flagged} significant pairs (ground truth has {truth_pairs}).\n"
+    )?;
+    let strategies = [
+        strategy::qumc(srb_map),
+        strategy::qumc_with_ground_truth(&device),
+        strategy::qucp(4.0),
+    ];
+    let rigs = strategies.map(|strat| Rig::new(device.clone(), strat, shots / 2));
+    let mut t = table("workload | QuMC(SRB) | QuMC(truth) | QuCP(4)");
+    let mut columns = [Vec::new(), Vec::new(), Vec::new()];
+    for combo in &FIG3B_COMBOS[4..] {
+        let programs = combo_circuits(combo);
+        for (rig, column) in rigs.iter().zip(&mut columns) {
+            column.push(mean_pst(&rig.drain(3, &programs).job_results));
+        }
+        let [srb, truth, qucp] = columns.each_ref().map(|c| fix(c[c.len() - 1], 3));
+        t.row_owned(vec![combo_label(combo), srb, truth, qucp]);
+    }
+    let [srb, truth, qucp] = columns.each_ref().map(|c| mean(c));
+    writeln!(
+        out,
+        "{t}\nMean PST: QuMC(SRB) {srb:.3} | QuMC(truth) {truth:.3} | QuCP {qucp:.3}"
+    )?;
     Ok(Vec::new())
 }
 
@@ -677,28 +714,24 @@ fn mapped_fidelity(device: &Device, original: &Circuit, mp: &MappedProgram, shot
     }
 }
 
-/// The body of the two below-`Strategy` ablations: every benchmark
-/// placed alone on Toronto under QuCP(σ = 4) with the noise-aware
-/// initial mapping, routed two ways; SWAPs and fidelity of each, and
-/// the two SWAP totals.
-fn route_two_ways(
-    shots: usize,
-    out: &mut dyn Write,
-    [a, b]: [&str; 2],
-    routes: impl Fn(&Device, &[usize], &Circuit, &[usize]) -> [MappedProgram; 2],
-) -> io::Result<()> {
+/// Ablation A2: the noise-aware HA-style initial mapping against a
+/// trivial (identity) placement. Every benchmark is placed alone on
+/// Toronto under QuCP(σ = 4) and routed from both placements; SWAPs and
+/// fidelity of each, and the two SWAP totals.
+pub fn ablation_mapping(shots: usize, out: &mut dyn Write) -> io::Result<Vec<Claim>> {
+    writeln!(out, "Ablation A2: noise-aware vs trivial initial mapping\n")?;
     let device = ibm::toronto();
-    let mut t = table(&format!(
-        "benchmark | swaps ({a}) | swaps ({b}) | fidelity ({a}) | fidelity ({b})"
-    ));
+    let mut t =
+        table("benchmark | swaps (HA) | swaps (trivial) | fidelity (HA) | fidelity (trivial)");
     let mut totals = [0; 2];
     let policy = PartitionPolicy::NoiseAware(CrosstalkTreatment::Sigma(4.0));
     for bench in library::all() {
         let circuit = bench.circuit();
         let allocs = allocate_partitions(&device, &[&circuit], &policy).expect("allocation");
         let partition = &allocs[0].qubits;
-        let initial = initial_mapping(&device, partition, &circuit);
-        let mapped = routes(&device, partition, &circuit, &initial);
+        let trivial: Vec<usize> = (0..circuit.width()).collect();
+        let mapped = [initial_mapping(&device, partition, &circuit), trivial]
+            .map(|initial| route(&device, partition, &circuit, &initial, |_| 0.0));
         let fidelity = |mp| fix(mapped_fidelity(&device, &circuit, mp, shots / 2), 3);
         let [fa, fb] = mapped.each_ref().map(fidelity);
         let swaps = mapped.each_ref().map(|mp| mp.swap_count);
@@ -708,81 +741,12 @@ fn route_two_ways(
     }
     writeln!(
         out,
-        "{t}\nTotal swaps: {a} {} vs {b} {}",
+        "{t}\nTotal swaps: HA {} vs trivial {}",
         totals[0], totals[1]
     )?;
     writeln!(
         out,
         "(fidelity = PST for deterministic benchmarks, 1 - JSD otherwise)"
-    )
-}
-
-/// Ablation A2: the noise-aware HA-style initial mapping against a
-/// trivial (identity) placement.
-pub fn ablation_mapping(shots: usize, out: &mut dyn Write) -> io::Result<Vec<Claim>> {
-    writeln!(out, "Ablation A2: noise-aware vs trivial initial mapping\n")?;
-    route_two_ways(shots, out, ["HA", "trivial"], |dev, part, c, initial| {
-        let trivial: Vec<usize> = (0..c.width()).collect();
-        [
-            route(dev, part, c, initial, |_| 0.0),
-            route(dev, part, c, &trivial, |_| 0.0),
-        ]
-    })?;
-    Ok(Vec::new())
-}
-
-/// Ablation A6: the greedy reliability-weighted shortest-path router
-/// against the SABRE-style lookahead router (lookahead lets one SWAP
-/// serve several pending gates).
-pub fn ablation_routing(shots: usize, out: &mut dyn Write) -> io::Result<Vec<Claim>> {
-    writeln!(out, "Ablation A6: shortest-path vs SABRE routing\n")?;
-    route_two_ways(shots, out, ["greedy", "SABRE"], |dev, part, c, initial| {
-        let sabre = route_sabre(dev, part, c, initial, &SabreOptions::default());
-        [route(dev, part, c, initial, |_| 0.0), sabre]
-    })?;
-    Ok(Vec::new())
-}
-
-/// Ablation A4: the full QuMC pipeline — an SRB campaign on the
-/// simulated device, the measured crosstalk map built from it, and
-/// partitioning driven by it, by the ground truth, and by QuCP's σ.
-pub fn ablation_srb_qumc(shots: usize, out: &mut dyn Write) -> io::Result<Vec<Claim>> {
-    writeln!(
-        out,
-        "Ablation A4: QuMC from a real SRB campaign (Toronto)\n"
-    )?;
-    let device = ibm::toronto();
-    let campaign = run_campaign(&device, &srb_config(shots), usize::MAX);
-    let srb_map = strategy::crosstalk_map_from_campaign(&campaign);
-    let truth = device
-        .crosstalk()
-        .significant_pairs(SIGNIFICANT_RATIO)
-        .len();
-    let flagged = srb_map.len();
-    writeln!(
-        out,
-        "the campaign flagged {flagged} significant pairs (ground truth has {truth}).\n"
-    )?;
-    let strategies = [
-        strategy::qumc(srb_map),
-        strategy::qumc_with_ground_truth(&device),
-        strategy::qucp(4.0),
-    ];
-    let rigs = strategies.map(|strat| Rig::new(device.clone(), strat, shots / 2));
-    let mut t = table("workload | QuMC(SRB) | QuMC(truth) | QuCP(4)");
-    let mut columns = [Vec::new(), Vec::new(), Vec::new()];
-    for combo in &FIG3B_COMBOS[4..] {
-        let programs = combo_circuits(combo);
-        for (rig, column) in rigs.iter().zip(&mut columns) {
-            column.push(mean_pst(&rig.drain(3, &programs).job_results));
-        }
-        let [srb, truth, qucp] = columns.each_ref().map(|c| fix(c[c.len() - 1], 3));
-        t.row_owned(vec![combo_label(combo), srb, truth, qucp]);
-    }
-    let [srb, truth, qucp] = columns.each_ref().map(|c| mean(c));
-    writeln!(
-        out,
-        "{t}\nMean PST: QuMC(SRB) {srb:.3} | QuMC(truth) {truth:.3} | QuCP {qucp:.3}"
     )?;
     Ok(Vec::new())
 }

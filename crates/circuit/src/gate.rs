@@ -8,9 +8,6 @@
 
 use std::fmt;
 
-/// Machine epsilon-ish tolerance used when comparing gate angles.
-pub const ANGLE_EPS: f64 = 1e-12;
-
 /// A fixed-capacity operand list (quantum gates act on one or two qubits).
 ///
 /// Returned by [`Gate::qubits`]; iterate it or view it with
@@ -236,26 +233,6 @@ impl Gate {
         }
     }
 
-    /// Whether the gate is its own inverse.
-    pub fn is_self_inverse(&self) -> bool {
-        match *self {
-            Gate::I(_)
-            | Gate::X(_)
-            | Gate::Y(_)
-            | Gate::Z(_)
-            | Gate::H(_)
-            | Gate::Cx(..)
-            | Gate::Cz(..)
-            | Gate::Swap(..) => true,
-            Gate::Rx(_, t)
-            | Gate::Ry(_, t)
-            | Gate::Rz(_, t)
-            | Gate::P(_, t)
-            | Gate::Cp(_, _, t) => t.abs() < ANGLE_EPS,
-            _ => false,
-        }
-    }
-
     /// Whether the gate is diagonal in the computational basis.
     pub fn is_diagonal(&self) -> bool {
         matches!(
@@ -312,13 +289,6 @@ impl Gate {
             Gate::Cp(a, b, t) => Gate::Cp(f(a), f(b), t),
             Gate::Swap(a, b) => Gate::Swap(f(a), f(b)),
         }
-    }
-
-    /// Whether two gates act on disjoint qubit sets (and hence may share a
-    /// schedule moment).
-    pub fn commutes_trivially_with(&self, other: &Gate) -> bool {
-        let a = self.qubits();
-        !other.qubits().into_iter().any(|q| a.contains(q))
     }
 }
 
@@ -421,15 +391,6 @@ mod tests {
     }
 
     #[test]
-    fn self_inverse_detection() {
-        assert!(Gate::X(0).is_self_inverse());
-        assert!(Gate::Cx(0, 1).is_self_inverse());
-        assert!(Gate::Rz(0, 0.0).is_self_inverse());
-        assert!(!Gate::T(0).is_self_inverse());
-        assert!(!Gate::Rx(0, 0.1).is_self_inverse());
-    }
-
-    #[test]
     fn basis_preservation() {
         assert!(Gate::X(0).preserves_computational_basis());
         assert!(Gate::Cx(0, 1).preserves_computational_basis());
@@ -446,13 +407,6 @@ mod tests {
         assert_eq!(g, Gate::Cx(10, 11));
         let g = Gate::Ry(2, 0.5).map_qubits(|q| q * 3);
         assert_eq!(g, Gate::Ry(6, 0.5));
-    }
-
-    #[test]
-    fn trivial_commutation() {
-        assert!(Gate::H(0).commutes_trivially_with(&Gate::H(1)));
-        assert!(!Gate::Cx(0, 1).commutes_trivially_with(&Gate::H(1)));
-        assert!(Gate::Cx(0, 1).commutes_trivially_with(&Gate::Cx(2, 3)));
     }
 
     #[test]

@@ -39,6 +39,6 @@ pub mod schedule;
 
 pub use circuit::Circuit;
 pub use error::CircuitError;
-pub use gate::{Gate, Qubits, ANGLE_EPS};
+pub use gate::{Gate, Qubits};
 pub use qasm::{parse_qasm, QasmError};
 pub use schedule::{Schedule, ScheduledGate};

@@ -26,13 +26,16 @@
 //!
 //! Supporting modules: [`partition`] grows and scores candidate regions
 //! ([`efs()`], Eq. 1 of the paper), with crosstalk entering either through
-//! QuCP's σ parameter or QuMC's measured pair ratios; [`mapping`] places
-//! and routes each program inside its region; [`context`] merges the
-//! ALAP-aligned schedules and determines which cross-program CNOTs
-//! suffer crosstalk (or, for CNA, are serialized); [`threshold`]
-//! implements the Fig. 4 throughput/fidelity trade-off; [`queue`] models
-//! the cloud-queue motivation of Sec. I analytically (the `qucp-runtime`
-//! crate realizes the same semantics as an executable system).
+//! QuCP's σ parameter or QuMC's measured pair ratios (a map built from
+//! the device's ground truth or from an SRB campaign in `qucp-srb`,
+//! which this crate does not depend on); [`mapping`] places and routes
+//! each program inside its region with one greedy shortest-path router;
+//! [`context`] merges the ALAP-aligned schedules and determines which
+//! cross-program CNOTs suffer crosstalk (or, for CNA, are serialized);
+//! [`threshold`] implements the Fig. 4 throughput/fidelity trade-off;
+//! [`queue`] models the cloud-queue motivation of Sec. I analytically
+//! (the `qucp-runtime` crate realizes the same semantics as an
+//! executable system).
 //!
 //! ```
 //! use qucp_circuit::library;
@@ -69,7 +72,6 @@ pub mod partition;
 pub mod pipeline;
 pub mod queue;
 pub mod report;
-pub mod sabre;
 pub mod strategy;
 pub mod threshold;
 
@@ -84,7 +86,6 @@ pub use partition::{
     allocate_partitions, best_partition, candidate_partitions, Allocation, PartitionPolicy,
 };
 pub use pipeline::{ParallelConfig, ParallelOutcome, Pipeline, PlannedWorkload, ProgramResult};
-pub use sabre::{route_sabre, SabreOptions};
 pub use strategy::{Strategy, DEFAULT_SIGMA};
 pub use threshold::{
     batch_efs_excesses, efs_difference, parallel_count_for_threshold, solo_efs_scores,

@@ -48,18 +48,6 @@ impl Table {
     pub fn is_empty(&self) -> bool {
         self.rows.is_empty()
     }
-
-    /// Renders as CSV (no quoting — cells are expected to be plain).
-    pub fn to_csv(&self) -> String {
-        let mut out = String::new();
-        out.push_str(&self.headers.join(","));
-        out.push('\n');
-        for r in &self.rows {
-            out.push_str(&r.join(","));
-            out.push('\n');
-        }
-        out
-    }
 }
 
 impl fmt::Display for Table {
@@ -125,13 +113,6 @@ mod tests {
         let off0 = lines[0].find("value").unwrap();
         let off2 = lines[2].find('1').unwrap();
         assert_eq!(off0, off2);
-    }
-
-    #[test]
-    fn csv_rendering() {
-        let mut t = Table::new(&["x", "y"]);
-        t.row(&["1", "2"]);
-        assert_eq!(t.to_csv(), "x,y\n1,2\n");
     }
 
     #[test]

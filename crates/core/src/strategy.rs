@@ -4,7 +4,6 @@
 use std::collections::BTreeMap;
 
 use qucp_device::{Device, LinkPair};
-use qucp_srb::CampaignReport;
 
 use crate::efs::CrosstalkTreatment;
 use crate::partition::PartitionPolicy;
@@ -51,28 +50,13 @@ pub fn qumc(measured: BTreeMap<LinkPair, f64>) -> Strategy {
 }
 
 /// QuMC with the device's ground-truth crosstalk as a stand-in for a
-/// full SRB campaign (SRB estimates exactly this quantity; see
-/// DESIGN.md). Following Murali et al. and QuMC practice, only pairs at
-/// or above the SRB significance threshold (2×) enter the map — weaker
-/// ratios are indistinguishable from 1 under SRB shot noise.
+/// full SRB campaign: SRB estimates exactly this quantity (the SRB
+/// crate's `CampaignReport::crosstalk_map` builds [`qumc`]'s map from a
+/// simulated campaign). Following Murali et al. and QuMC practice, only
+/// the significant pairs ([`qucp_device::SIGNIFICANT_RATIO`]) enter the
+/// map.
 pub fn qumc_with_ground_truth(device: &Device) -> Strategy {
-    let measured: BTreeMap<LinkPair, f64> = device
-        .crosstalk()
-        .pairs()
-        .filter(|(_, g)| *g >= qucp_srb::SIGNIFICANT_RATIO)
-        .collect();
-    qumc(measured)
-}
-
-/// Builds the QuMC measured-crosstalk map from an actual SRB campaign:
-/// the worst observed ratio of every significantly affected pair.
-pub fn crosstalk_map_from_campaign(report: &CampaignReport) -> BTreeMap<LinkPair, f64> {
-    report
-        .pairs
-        .iter()
-        .filter(|p| p.is_significant())
-        .map(|p| (p.pair, p.worst_ratio()))
-        .collect()
+    qumc(device.crosstalk().significant_pairs().into_iter().collect())
 }
 
 /// CNA (Ohkura): no noise-aware partitioning; crosstalk considered at
@@ -140,14 +124,14 @@ mod tests {
     #[test]
     fn qumc_ground_truth_covers_all_pairs() {
         let dev = ibm::toronto();
-        let significant = dev
-            .crosstalk()
-            .significant_pairs(qucp_srb::SIGNIFICANT_RATIO)
-            .len();
         let s = qumc_with_ground_truth(&dev);
         match s.partition {
             PartitionPolicy::NoiseAware(CrosstalkTreatment::Measured(map)) => {
-                assert_eq!(map.len(), significant);
+                // Exactly the significant pairs, each with its
+                // ground-truth factor.
+                let significant: BTreeMap<_, _> =
+                    dev.crosstalk().significant_pairs().into_iter().collect();
+                assert_eq!(map, significant);
                 assert!(map.len() < dev.crosstalk().num_pairs());
                 assert!(!map.is_empty());
             }

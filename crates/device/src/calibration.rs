@@ -242,18 +242,6 @@ impl Calibration {
         self.readout_error.iter().sum::<f64>() / self.readout_error.len() as f64
     }
 
-    /// Cheap calibration-quality prior of a program with `cx_count`
-    /// two-qubit gates measuring `width` qubits: the expected error
-    /// mass under *mean* calibration, `cx_count · mean CNOT error +
-    /// width · mean readout error`. It deliberately ignores *where* on
-    /// the chip the program lands — that is the partition scorer's job
-    /// — which makes it the right fallback for a fleet router that
-    /// needs to rank a chip before (or without) paying a partition
-    /// probe on it.
-    pub fn error_mass(&self, cx_count: usize, width: usize) -> f64 {
-        cx_count as f64 * self.mean_cx_error() + width as f64 * self.mean_readout_error()
-    }
-
     /// Mutable access to every link's CNOT error, in canonical link
     /// order — the iteration a [`DriftModel`](crate::DriftModel)
     /// perturbs, deterministic because the underlying map is ordered.
@@ -405,8 +393,5 @@ mod tests {
         cal.set_cx_error(Link::new(0, 1), 0.04);
         assert!((cal.mean_cx_error() - 0.03).abs() < 1e-12);
         assert!((cal.mean_readout_error() - 0.04).abs() < 1e-12);
-        // error_mass = cx_count·mean_cx + width·mean_readout.
-        assert!((cal.error_mass(10, 3) - (10.0 * 0.03 + 3.0 * 0.04)).abs() < 1e-12);
-        assert_eq!(cal.error_mass(0, 0), 0.0);
     }
 }

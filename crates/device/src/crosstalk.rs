@@ -16,6 +16,13 @@ use rand::{Rng, SeedableRng};
 use crate::link::{Link, LinkPair};
 use crate::topology::Topology;
 
+/// The amplification at or above which a pair counts as significant:
+/// Murali et al. flag pairs whose simultaneous error grows ≥ 2×, and
+/// weaker ratios are indistinguishable from 1 under SRB shot noise. The
+/// ground truth's [`CrosstalkModel::significant_pairs`] and an SRB
+/// measurement's significance both apply it.
+pub const SIGNIFICANT_RATIO: f64 = 2.0;
+
 /// Parameters of the synthetic crosstalk ground truth.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CrosstalkProfile {
@@ -93,27 +100,17 @@ impl CrosstalkModel {
         self.gamma.len()
     }
 
-    /// Pairs whose amplification meets `threshold` — the pairs the paper's
-    /// Fig. 2 highlights with arrows.
-    pub fn significant_pairs(&self, threshold: f64) -> Vec<(LinkPair, f64)> {
+    /// Pairs whose amplification meets [`SIGNIFICANT_RATIO`] — the pairs
+    /// the paper's Fig. 2 highlights with arrows — strongest first.
+    pub fn significant_pairs(&self) -> Vec<(LinkPair, f64)> {
         let mut v: Vec<(LinkPair, f64)> = self
             .gamma
             .iter()
-            .filter(|(_, &g)| g >= threshold)
+            .filter(|(_, &g)| g >= SIGNIFICANT_RATIO)
             .map(|(&p, &g)| (p, g))
             .collect();
         v.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
         v
-    }
-
-    /// Mean amplification over all characterized pairs (1.0 for a
-    /// crosstalk-free model) — the chip-level crosstalk penalty a fleet
-    /// router folds into its calibration-quality prior.
-    pub fn mean_gamma(&self) -> f64 {
-        if self.gamma.is_empty() {
-            return 1.0;
-        }
-        self.gamma.values().sum::<f64>() / self.gamma.len() as f64
     }
 
     /// Mutable access to every characterized pair's factor, in
@@ -126,15 +123,6 @@ impl CrosstalkModel {
     /// Whether every stored factor is finite.
     pub fn all_finite(&self) -> bool {
         self.gamma.values().all(|g| g.is_finite())
-    }
-
-    /// The maximum amplification of any pair involving `link`.
-    pub fn worst_gamma_for(&self, link: Link) -> f64 {
-        self.gamma
-            .iter()
-            .filter(|(p, _)| p.first() == link || p.second() == link)
-            .map(|(_, &g)| g)
-            .fold(1.0, f64::max)
     }
 }
 
@@ -193,29 +181,14 @@ mod tests {
     fn significant_pairs_sorted_descending() {
         let a = LinkPair::new(Link::new(0, 1), Link::new(2, 3));
         let b = LinkPair::new(Link::new(1, 2), Link::new(3, 4));
-        let m = CrosstalkModel::from_pairs([(a, 3.0), (b, 6.0)]);
-        let sig = m.significant_pairs(2.0);
-        assert_eq!(sig.len(), 2);
-        assert_eq!(sig[0].1, 6.0);
-        assert!(m.significant_pairs(10.0).is_empty());
-    }
-
-    #[test]
-    fn mean_gamma_aggregates() {
-        let a = LinkPair::new(Link::new(0, 1), Link::new(2, 3));
-        let b = LinkPair::new(Link::new(1, 2), Link::new(3, 4));
-        let m = CrosstalkModel::from_pairs([(a, 2.0), (b, 6.0)]);
-        assert!((m.mean_gamma() - 4.0).abs() < 1e-12);
-        assert_eq!(CrosstalkModel::none().mean_gamma(), 1.0);
-    }
-
-    #[test]
-    fn worst_gamma_for_link() {
-        let a = LinkPair::new(Link::new(0, 1), Link::new(2, 3));
-        let b = LinkPair::new(Link::new(2, 3), Link::new(4, 5));
-        let m = CrosstalkModel::from_pairs([(a, 3.0), (b, 5.5)]);
-        assert_eq!(m.worst_gamma_for(Link::new(2, 3)), 5.5);
-        assert_eq!(m.worst_gamma_for(Link::new(0, 1)), 3.0);
-        assert_eq!(m.worst_gamma_for(Link::new(7, 8)), 1.0);
+        let c = LinkPair::new(Link::new(2, 3), Link::new(4, 5));
+        let m = CrosstalkModel::from_pairs([(a, 3.0), (b, 6.0), (c, 1.9)]);
+        let sig = m.significant_pairs();
+        assert_eq!(sig, vec![(b, 6.0), (a, 3.0)]);
+        let at_threshold = CrosstalkModel::from_pairs([(a, SIGNIFICANT_RATIO)]);
+        assert_eq!(at_threshold.significant_pairs().len(), 1);
+        assert!(CrosstalkModel::from_pairs([(a, 1.9)])
+            .significant_pairs()
+            .is_empty());
     }
 }

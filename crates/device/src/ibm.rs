@@ -9,8 +9,10 @@
 //!   lattice, the Fig. 4/5/6 experiments).
 //!
 //! Topologies are the published coupling maps; calibrations and crosstalk
-//! factors are synthesized from fixed seeds (real daily snapshots are not
-//! available offline — see DESIGN.md, "Substitutions").
+//! factors are synthesized from fixed seeds: the 2021 daily snapshots the
+//! paper ran on are not shipped with the repository, so these are twins
+//! with the published topologies and error ranges, not those
+//! calibrations.
 
 use crate::calibration::{Calibration, NoiseProfile};
 use crate::crosstalk::{CrosstalkModel, CrosstalkProfile};

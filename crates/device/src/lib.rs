@@ -33,7 +33,7 @@ mod region;
 mod topology;
 
 pub use calibration::{Calibration, NoiseProfile};
-pub use crosstalk::{CrosstalkModel, CrosstalkProfile};
+pub use crosstalk::{CrosstalkModel, CrosstalkProfile, SIGNIFICANT_RATIO};
 pub use device::Device;
 pub use drift::{interval_steps, splitmix64, DriftEvent, DriftModel, GaussianWalk};
 pub use link::{Link, LinkPair};

@@ -147,14 +147,6 @@ impl Counts {
         self.map.iter().map(|(&k, &v)| (k, v))
     }
 
-    /// The most frequent outcome, if any shot was recorded.
-    pub fn most_frequent(&self) -> Option<usize> {
-        self.map
-            .iter()
-            .max_by(|a, b| a.1.cmp(b.1).then(b.0.cmp(a.0)))
-            .map(|(&k, _)| k)
-    }
-
     /// Renders an outcome as a bitstring with **qubit 0 first**.
     pub fn bitstring(&self, index: usize) -> String {
         (0..self.width)
@@ -219,7 +211,6 @@ mod tests {
         assert_eq!(c.count(5), 2);
         assert_eq!(c.count(1), 0);
         assert!((c.probability(5) - 2.0 / 3.0).abs() < 1e-12);
-        assert_eq!(c.most_frequent(), Some(5));
     }
 
     #[test]
@@ -281,7 +272,6 @@ mod tests {
         let c = Counts::new(2);
         assert_eq!(c.shots(), 0);
         assert_eq!(c.probability(0), 0.0);
-        assert_eq!(c.most_frequent(), None);
         assert_eq!(c.expectation_z(0b11), 0.0);
         assert!(c.distribution().iter().all(|&p| p == 0.0));
     }

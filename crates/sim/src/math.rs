@@ -1,8 +1,8 @@
 //! Minimal complex arithmetic and small dense matrices.
 //!
-//! Implemented in-repo to keep the dependency set within the approved
-//! offline list (see DESIGN.md); only what the statevector engine and the
-//! VQE eigensolver need.
+//! Implemented in-repo because the workspace builds offline against its
+//! vendored crates only; only what the statevector engine and the VQE
+//! eigensolver need.
 
 use std::fmt;
 use std::ops::{Add, AddAssign, Div, Mul, MulAssign, Neg, Sub, SubAssign};
@@ -166,9 +166,6 @@ impl fmt::Display for Complex {
 /// A 2×2 complex matrix (row-major).
 pub type Mat2 = [[Complex; 2]; 2];
 
-/// A 4×4 complex matrix (row-major).
-pub type Mat4 = [[Complex; 4]; 4];
-
 /// The 2×2 identity.
 pub fn mat2_identity() -> Mat2 {
     let z = Complex::zero();
@@ -195,22 +192,6 @@ pub fn mat2_dagger(a: &Mat2) -> Mat2 {
         [a[0][0].conj(), a[1][0].conj()],
         [a[0][1].conj(), a[1][1].conj()],
     ]
-}
-
-/// Kronecker product `a ⊗ b` of two 2×2 matrices (a acts on the
-/// higher-order qubit).
-pub fn kron2(a: &Mat2, b: &Mat2) -> Mat4 {
-    let mut out = [[Complex::zero(); 4]; 4];
-    for i in 0..2 {
-        for j in 0..2 {
-            for k in 0..2 {
-                for l in 0..2 {
-                    out[i * 2 + k][j * 2 + l] = a[i][j] * b[k][l];
-                }
-            }
-        }
-    }
-    out
 }
 
 /// Whether `a` is unitary to tolerance `eps`.
@@ -298,21 +279,6 @@ mod tests {
         let sd = mat2_dagger(&s);
         assert_eq!(sd[1][1], Complex::new(0.0, -1.0));
         assert!(mat2_is_unitary(&s, 1e-12));
-    }
-
-    #[test]
-    fn kron_identity_structure() {
-        let id = mat2_identity();
-        let z: Mat2 = [
-            [Complex::one(), Complex::zero()],
-            [Complex::zero(), Complex::new(-1.0, 0.0)],
-        ];
-        let k = kron2(&id, &z);
-        // diag(1,-1,1,-1)
-        assert_eq!(k[0][0], Complex::one());
-        assert_eq!(k[1][1], Complex::new(-1.0, 0.0));
-        assert_eq!(k[2][2], Complex::one());
-        assert_eq!(k[3][3], Complex::new(-1.0, 0.0));
     }
 
     #[test]

@@ -1,16 +1,13 @@
 //! Full SRB characterization campaigns: the overhead accounting of the
 //! paper's Table I and the crosstalk map of its Fig. 2.
 
+use std::collections::BTreeMap;
 use std::fmt;
 
-use qucp_device::{Device, LinkPair};
+use qucp_device::{Device, LinkPair, SIGNIFICANT_RATIO};
 
 use crate::grouping::srb_groups;
 use crate::rb::{rb_on_link, RbConfig};
-
-/// Crosstalk threshold above which a pair is reported as significant
-/// (Murali et al. flag pairs whose simultaneous error grows ≥ 2×).
-pub const SIGNIFICANT_RATIO: f64 = 2.0;
 
 /// Number of job types per group and seed: RB on each member of the pair
 /// plus the simultaneous run (the ×3 of Table I's job formula).
@@ -102,7 +99,8 @@ impl PairCharacterization {
         self.ratio_first().max(self.ratio_second())
     }
 
-    /// Whether the pair is significantly affected by crosstalk.
+    /// Whether the pair is significantly affected by crosstalk: its
+    /// worst ratio meets the device's [`SIGNIFICANT_RATIO`].
     pub fn is_significant(&self) -> bool {
         self.worst_ratio() >= SIGNIFICANT_RATIO
     }
@@ -149,17 +147,25 @@ impl CampaignReport {
         });
         v
     }
+
+    /// QuMC's measured-crosstalk map: the worst observed ratio of every
+    /// significantly affected pair — the input of `qucp_core`'s
+    /// `strategy::qumc`.
+    pub fn crosstalk_map(&self) -> BTreeMap<LinkPair, f64> {
+        (self.pairs.iter())
+            .filter(|p| p.is_significant())
+            .map(|p| (p.pair, p.worst_ratio()))
+            .collect()
+    }
 }
 
-/// Runs the full campaign. `pair_limit` truncates the sweep (useful for
-/// tests and quick demos); pass `usize::MAX` for full coverage.
-pub fn run_campaign(device: &Device, cfg: &RbConfig, pair_limit: usize) -> CampaignReport {
+/// Runs the full campaign: SRB on every one-hop pair of the device.
+pub fn run_campaign(device: &Device, cfg: &RbConfig) -> CampaignReport {
     let overhead = srb_overhead(device, cfg.seeds);
     let pairs: Vec<PairCharacterization> = device
         .topology()
         .one_hop_link_pairs()
         .into_iter()
-        .take(pair_limit)
         .map(|p| characterize_pair(device, p, cfg))
         .collect();
     CampaignReport { overhead, pairs }
@@ -231,17 +237,22 @@ mod tests {
     #[test]
     fn campaign_on_small_device() {
         let dev = small_device(4.0);
-        let report = run_campaign(&dev, &quick_cfg(), usize::MAX);
+        let report = run_campaign(&dev, &quick_cfg());
         assert_eq!(report.pairs.len(), 1);
         assert_eq!(report.significant().len(), 1);
         assert_eq!(report.overhead.one_hop_pairs, 1);
     }
 
     #[test]
-    fn campaign_respects_pair_limit() {
-        let dev = ibm::toronto();
-        let report = run_campaign(&dev, &quick_cfg(), 0);
-        assert!(report.pairs.is_empty());
-        assert_eq!(report.overhead.links, 28);
+    fn crosstalk_map_holds_the_significant_pairs_worst_ratios() {
+        let report = run_campaign(&small_device(4.0), &quick_cfg());
+        let map = report.crosstalk_map();
+        let expected: BTreeMap<LinkPair, f64> = (report.significant().into_iter())
+            .map(|p| (p.pair, p.worst_ratio()))
+            .collect();
+        assert_eq!(map.len(), 1);
+        assert_eq!(map, expected);
+        let quiet = run_campaign(&small_device(1.0), &quick_cfg());
+        assert!(quiet.crosstalk_map().is_empty());
     }
 }

@@ -11,7 +11,11 @@
 //! implements the whole pipeline anyway — Clifford sequence generation,
 //! decay fitting, pair grouping, campaign accounting — both to reproduce
 //! the overhead numbers and to give the QuMC baseline its characterized
-//! crosstalk input.
+//! crosstalk input: [`CampaignReport::crosstalk_map`] is the measured map
+//! `qucp_core::strategy::qumc` takes. A pair is significant when its
+//! worst ratio meets the device crate's
+//! [`SIGNIFICANT_RATIO`](qucp_device::SIGNIFICANT_RATIO), the same
+//! threshold the ground truth's significant pairs use.
 //!
 //! ```
 //! use qucp_device::ibm;
@@ -34,7 +38,7 @@ mod rb;
 
 pub use campaign::{
     characterize_pair, run_campaign, srb_overhead, CampaignReport, PairCharacterization,
-    SrbOverhead, JOBS_PER_GROUP_SEED, SIGNIFICANT_RATIO,
+    SrbOverhead, JOBS_PER_GROUP_SEED,
 };
 pub use fit::{fit_decay, DecayFit};
 pub use grouping::{pairs_conflict, srb_groups};

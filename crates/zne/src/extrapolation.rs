@@ -76,15 +76,6 @@ impl Factory {
             Factory::Richardson => richardson(samples),
         }
     }
-
-    /// Minimum number of samples this factory needs.
-    pub fn min_samples(&self) -> usize {
-        match self {
-            Factory::Linear => 2,
-            Factory::Poly(k) => k + 1,
-            Factory::Richardson => 2,
-        }
-    }
 }
 
 /// All factories evaluated in the paper's Fig. 6 experiment.
@@ -267,9 +258,20 @@ mod tests {
 
     #[test]
     fn min_samples() {
-        assert_eq!(Factory::Linear.min_samples(), 2);
-        assert_eq!(Factory::Poly(3).min_samples(), 4);
-        assert_eq!(Factory::Richardson.min_samples(), 2);
+        // Each factory rejects one sample fewer than it needs and fits
+        // with exactly that many.
+        let line: Vec<(f64, f64)> = (1..=4).map(|x| (x as f64, 1.0 - 0.1 * x as f64)).collect();
+        for (factory, needed) in [
+            (Factory::Linear, 2),
+            (Factory::Poly(3), 4),
+            (Factory::Richardson, 2),
+        ] {
+            let e = factory.extrapolate(&line[..needed - 1]).unwrap_err();
+            assert!(
+                matches!(e, ExtrapolationError::NotEnoughSamples { needed: n, .. } if n == needed)
+            );
+            assert!(factory.extrapolate(&line[..needed]).is_ok());
+        }
     }
 
     #[test]

@@ -256,3 +256,25 @@ fn the_sections_the_ledger_skips_return_no_claim() {
             .all(|(claiming, _)| *claiming != name));
     }
 }
+
+#[test]
+fn fig2_scores_the_srb_estimate_on_the_ground_truths_significant_pairs() {
+    // The ground truth draws weak pairs with γ up to 1.8, so a fixed
+    // γ > 1.5 cut would mix weak pairs into the "strong" average; the
+    // section averages over `significant_pairs()` and says how many.
+    let truth = ibm::toronto().crosstalk().significant_pairs().len();
+    assert!(truth > 0);
+    let mut out = Vec::new();
+    let claims = repro::fig2(64, &mut out).unwrap();
+    assert!(claims.is_empty());
+    let text = String::from_utf8(out).unwrap();
+    assert!(
+        text.contains(&format!("true gamma on the {truth} strong pairs: ")),
+        "{text}"
+    );
+    // The QuMC table that follows reads the same ground truth.
+    assert!(
+        text.contains(&format!("(ground truth has {truth})")),
+        "{text}"
+    );
+}
