@@ -52,9 +52,9 @@ fn program_schedule(device: &Device, p: &MappedProgram) -> Schedule {
 
 /// Builds the workload context for a set of mapped programs.
 ///
-/// With `serialize = false` (QuCP and the partition-level baselines),
-/// overlapping one-hop CNOT pairs have their error probabilities scaled
-/// by the ground-truth γ. With `serialize = true` (CNA), the overlap is
+/// With `serialize = false` (QuCP and the partition-level baseline
+/// strategies), overlapping one-hop CNOT pairs have their error
+/// probabilities scaled by the ground-truth γ. With `serialize = true` (CNA), the overlap is
 /// resolved by delaying the later program's gate; the delay is charged
 /// as trailing idle on every qubit of that program.
 pub fn build_context(

@@ -264,8 +264,10 @@ mod tests {
 
     #[test]
     fn bad_readout_region_scores_worse() {
-        let mut dev = device();
-        dev.calibration_mut().set_readout_error(5, 0.2);
+        let dev = device();
+        let mut cal = dev.calibration().clone();
+        cal.set_readout_error(5, 0.2);
+        let dev = dev.with_state(cal, dev.crosstalk().clone());
         let good = efs(&dev, &[0, 1, 2], &stats(), &[], &CrosstalkTreatment::None);
         let bad = efs(&dev, &[3, 4, 5], &stats(), &[], &CrosstalkTreatment::None);
         assert!(bad.score > good.score);

@@ -3,7 +3,7 @@
 //! QuCP — Quantum Crosstalk-aware Parallel workload execution — the
 //! primary contribution of *"How Parallel Circuit Execution Can Be
 //! Useful for NISQ Computing?"* (Niu & Todri-Sanial, DATE 2022),
-//! together with the baselines it is evaluated against.
+//! together with the baseline strategies it is evaluated against.
 //!
 //! ## Architecture: one pipeline
 //!

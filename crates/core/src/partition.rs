@@ -57,7 +57,7 @@ pub struct Allocation {
     /// Physical qubits of the partition (sorted).
     pub qubits: Vec<usize>,
     /// The EFS breakdown of the chosen candidate (always computed with
-    /// the policy's treatment, `None` treatment for the baselines).
+    /// the policy's treatment, `None` treatment for the baseline policies).
     pub efs: EfsBreakdown,
 }
 
@@ -405,10 +405,11 @@ mod tests {
         // whose EFS turns NaN sort last under `total_cmp`, so the
         // noise-aware allocator deterministically avoids the poisoned
         // region instead of panicking in its comparator.
-        let mut dev = line_device();
-        dev.calibration_mut()
-            .set_cx_error(Link::new(0, 1), f64::NAN);
-        dev.calibration_mut().set_readout_error(1, f64::NAN);
+        let dev = line_device();
+        let mut cal = dev.calibration().clone();
+        cal.set_cx_error(Link::new(0, 1), f64::NAN);
+        cal.set_readout_error(1, f64::NAN);
+        let dev = dev.with_state(cal, dev.crosstalk().clone());
         let p = program(3, 8);
         for policy in [
             PartitionPolicy::NoiseAware(CrosstalkTreatment::Sigma(4.0)),
@@ -762,25 +763,30 @@ mod tests {
         let (a, b) = (program(3, 8), program(3, 5));
         let refs = [&a, &b];
         let policy = PartitionPolicy::NoiseAware(CrosstalkTreatment::Sigma(4.0));
-        let mut dev = line_device();
+        let edit = |dev: &Device, q: usize, readout: f64| {
+            let mut cal = dev.calibration().clone();
+            cal.set_readout_error(q, readout);
+            dev.with_state(cal, dev.crosstalk().clone())
+        };
+        let dev = line_device();
         let warm = bits(&allocate_partitions(&dev, &refs, &policy));
         assert_eq!(warm, fresh_allocation(&dev, &refs, &policy));
 
-        // Spoil the best region's readout on a clone: the clone
-        // re-grows, the original keeps answering from its own atlas.
-        let mut twin = dev.clone();
-        twin.calibration_mut().set_readout_error(6, 0.4);
+        // Spoil the best region's readout in a new state of a clone:
+        // the new device re-grows, the original keeps answering from
+        // its own atlas.
+        let twin = edit(&dev.clone(), 6, 0.4);
         let moved = bits(&allocate_partitions(&twin, &refs, &policy));
         assert_ne!(moved, warm);
         assert_eq!(moved, fresh_allocation(&twin, &refs, &policy));
         assert_eq!(bits(&allocate_partitions(&dev, &refs, &policy)), warm);
 
-        // The same edit on the original, through either mutable route.
-        dev.calibration_mut().set_readout_error(6, 0.4);
+        // The same edit on the original, then back, then a poisoned one.
+        let dev = edit(&dev, 6, 0.4);
         assert_eq!(bits(&allocate_partitions(&dev, &refs, &policy)), moved);
-        dev.calibration_state_mut().0.set_readout_error(6, 0.02);
+        let dev = edit(&dev, 6, 0.02);
         assert_eq!(bits(&allocate_partitions(&dev, &refs, &policy)), warm);
-        dev.calibration_state_mut().0.set_readout_error(5, f64::NAN);
+        let dev = edit(&dev, 5, f64::NAN);
         assert_eq!(
             bits(&allocate_partitions(&dev, &refs, &policy)),
             fresh_allocation(&dev, &refs, &policy)

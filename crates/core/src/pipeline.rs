@@ -622,13 +622,14 @@ mod tests {
         let plan = Pipeline::from_strategy(&qucp)
             .plan(&dev, &progs, true)
             .unwrap();
-        let mut drifted = dev.clone();
-        for (_, e) in drifted.calibration_mut().cx_errors_mut() {
+        let mut cal = dev.calibration().clone();
+        for (_, e) in cal.cx_errors_mut() {
             *e *= 1.7;
         }
-        for e in drifted.calibration_mut().readout_errors_mut() {
+        for e in cal.readout_errors_mut() {
             *e *= 0.5;
         }
+        let drifted = dev.with_state(cal, dev.crosstalk().clone());
         let noisy = quick_cfg().execution;
         let mut quiet = noisy;
         quiet.idle_noise = false;
@@ -680,10 +681,11 @@ mod tests {
         // under every noise-flag set, on the planning calibration and on
         // a drifted one: the same job, every event float included.
         let dev = ibm::toronto();
-        let mut drifted = dev.clone();
-        for (_, e) in drifted.calibration_mut().cx_errors_mut() {
+        let mut cal = dev.calibration().clone();
+        for (_, e) in cal.cx_errors_mut() {
             *e *= 1.3;
         }
+        let drifted = dev.with_state(cal, dev.crosstalk().clone());
         let names = [["fredkin", "bell", "adder"], ["4mod", "alu", "bell"]];
         let strategies = [
             strategy::qucp(4.0),

@@ -1,5 +1,5 @@
-//! Parallel-execution strategies: QuCP and the baselines it is compared
-//! against in the paper (Sec. II-B and IV-A).
+//! Parallel-execution strategies: QuCP and the baseline strategies it is
+//! compared against in the paper (Sec. II-B and IV-A).
 
 use std::collections::BTreeMap;
 

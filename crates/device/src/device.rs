@@ -1,6 +1,8 @@
 //! The [`Device`] aggregate: topology + calibration + crosstalk ground
 //! truth.
 
+use std::sync::Arc;
+
 use crate::calibration::Calibration;
 use crate::crosstalk::CrosstalkModel;
 use crate::link::Link;
@@ -16,23 +18,26 @@ use crate::topology::Topology;
 /// assert_eq!(dev.topology().num_links(), 28);
 /// ```
 ///
+/// A device is a value: nothing borrows its state mutably. A new
+/// calibration snapshot is a new device,
+/// [`with_state`](Device::with_state), which shares the name and the
+/// topology by reference count.
+///
 /// Besides its value — name, topology, calibration, crosstalk — a
-/// device carries the *region atlas* of its current calibration
-/// snapshot: the idle-chip candidate regions partitioners keep asking
-/// for, grown once and shared by clones. The atlas is a pure function
-/// of the topology and the calibration, is replaced by an empty one
-/// whenever the calibration is borrowed mutably, and is ignored by
-/// `PartialEq` and `Debug`; see
+/// device carries the *region atlas* of its calibration snapshot: the
+/// idle-chip candidate regions partitioners keep asking for, grown
+/// once and shared by clones. The atlas is a pure function of the
+/// topology and the calibration, starts empty on every new device, and
+/// is ignored by `PartialEq` and `Debug`; see
 /// [`idle_regions`](Device::idle_regions) for the full contract.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Device {
-    name: String,
-    topology: Topology,
+    name: Arc<str>,
+    topology: Arc<Topology>,
     calibration: Calibration,
     crosstalk: CrosstalkModel,
     /// Idle-chip regions of `calibration` (see
-    /// [`idle_regions`](Device::idle_regions)); every `&mut` route to
-    /// `calibration` must reset it.
+    /// [`idle_regions`](Device::idle_regions)).
     atlas: RegionAtlas,
 }
 
@@ -54,9 +59,43 @@ impl Device {
             "calibration does not match topology"
         );
         Device {
-            name: name.into(),
+            name: name.into().into(),
             atlas: RegionAtlas::empty(topology.num_qubits()),
-            topology,
+            topology: Arc::new(topology),
+            calibration,
+            crosstalk,
+        }
+    }
+
+    /// The same chip under another calibration state: the name and the
+    /// topology are shared, the atlas starts empty. Recalibration and
+    /// drift install such a device; they never edit one in place.
+    ///
+    /// ```
+    /// use qucp_device::ibm;
+    /// let dev = ibm::toronto();
+    /// let mut calibration = dev.calibration().clone();
+    /// calibration.set_readout_error(0, 0.2);
+    /// let next = dev.with_state(calibration, dev.crosstalk().clone());
+    /// assert_eq!(next.calibration().readout_error(0), 0.2);
+    /// assert_ne!(dev.calibration().readout_error(0), 0.2);
+    /// assert_eq!(next.name(), dev.name());
+    /// ```
+    ///
+    /// # Panics
+    ///
+    /// Panics if the calibration was built for a different qubit count.
+    #[must_use]
+    pub fn with_state(&self, calibration: Calibration, crosstalk: CrosstalkModel) -> Device {
+        assert_eq!(
+            self.num_qubits(),
+            calibration.num_qubits(),
+            "calibration does not match topology"
+        );
+        Device {
+            name: Arc::clone(&self.name),
+            atlas: RegionAtlas::empty(self.num_qubits()),
+            topology: Arc::clone(&self.topology),
             calibration,
             crosstalk,
         }
@@ -77,14 +116,6 @@ impl Device {
         &self.calibration
     }
 
-    /// Mutable access to the calibration (recalibration, tests and
-    /// what-if experiments). Empties the region atlas first, whether or
-    /// not the caller goes on to change anything.
-    pub fn calibration_mut(&mut self) -> &mut Calibration {
-        self.atlas = RegionAtlas::empty(self.topology.num_qubits());
-        &mut self.calibration
-    }
-
     /// The region atlas of the current calibration snapshot.
     pub(crate) fn atlas(&self) -> &RegionAtlas {
         &self.atlas
@@ -93,22 +124,6 @@ impl Device {
     /// The crosstalk ground truth.
     pub fn crosstalk(&self) -> &CrosstalkModel {
         &self.crosstalk
-    }
-
-    /// Mutable access to the crosstalk ground truth (drift models and
-    /// what-if experiments).
-    pub fn crosstalk_mut(&mut self) -> &mut CrosstalkModel {
-        &mut self.crosstalk
-    }
-
-    /// Simultaneous mutable access to the calibration and the
-    /// crosstalk ground truth — the borrow a
-    /// [`DriftModel`](crate::DriftModel) step needs, since it perturbs
-    /// both in one pass. Empties the region atlas first, like
-    /// [`calibration_mut`](Device::calibration_mut).
-    pub fn calibration_state_mut(&mut self) -> (&mut Calibration, &mut CrosstalkModel) {
-        self.atlas = RegionAtlas::empty(self.topology.num_qubits());
-        (&mut self.calibration, &mut self.crosstalk)
     }
 
     /// Number of physical qubits.
@@ -195,9 +210,22 @@ mod tests {
     }
 
     #[test]
-    fn calibration_mut_allows_overrides() {
-        let mut d = device();
-        d.calibration_mut().set_readout_error(0, 0.2);
-        assert_eq!(d.calibration().readout_error(0), 0.2);
+    fn with_state_allows_overrides() {
+        let d = device();
+        let mut cal = d.calibration().clone();
+        cal.set_readout_error(0, 0.2);
+        let edited = d.with_state(cal, d.crosstalk().clone());
+        assert_eq!(edited.calibration().readout_error(0), 0.2);
+        assert_eq!(d.calibration().readout_error(0), 0.03);
+        assert!(std::ptr::eq(edited.topology(), d.topology()));
+    }
+
+    #[test]
+    #[should_panic(expected = "calibration does not match topology")]
+    fn mismatched_state_panics() {
+        let d = device();
+        let other = Topology::line(5);
+        let cal = Calibration::uniform(&other, 0.02, 3e-4, 0.03);
+        let _ = d.with_state(cal, CrosstalkModel::none());
     }
 }

@@ -12,13 +12,12 @@
 //! replay the exact same noise trajectory on every run.
 //!
 //! Time is divided into fixed *steps* ([`DriftModel::steps_at`] maps a
-//! simulated timestamp to the number of completed steps); each step is
-//! either a [`DriftEvent::Drift`] (apply [`DriftModel::apply_step`]) or
-//! a [`DriftEvent::Recalibrate`] — the daily reset, on which the
-//! runtime restores the device's baseline snapshot instead of
-//! perturbing further. [`GaussianWalk`] is the reference
-//! implementation: a seeded multiplicative (log-normal) random walk on
-//! CNOT / one-qubit / readout errors and crosstalk gammas.
+//! simulated timestamp to the number of completed steps), and every
+//! step is one [`DriftModel::apply_step`]: drift is a walk, and a fresh
+//! calibration is the runtime's business (`Service::recalibrate`), not
+//! the model's. [`GaussianWalk`] is the reference implementation: a
+//! seeded multiplicative (log-normal) random walk on CNOT / one-qubit /
+//! readout errors and crosstalk gammas.
 
 use std::fmt;
 
@@ -27,17 +26,6 @@ use rand::{Rng, SeedableRng};
 
 use crate::calibration::Calibration;
 use crate::crosstalk::CrosstalkModel;
-
-/// What a drift step does to a device.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum DriftEvent {
-    /// The calibration drifts: the runtime applies
-    /// [`DriftModel::apply_step`].
-    Drift,
-    /// The device is recalibrated: the runtime restores the baseline
-    /// calibration snapshot (the step's `apply_step` is *not* called).
-    Recalibrate,
-}
 
 /// A deterministic calibration-drift process.
 ///
@@ -53,15 +41,10 @@ pub trait DriftModel: Send + Sync + fmt::Debug {
     /// Must be monotone in `now`; non-positive or NaN times map to 0.
     fn steps_at(&self, now: f64) -> u64;
 
-    /// What step `step` (1-based) does. Defaults to plain drift.
-    fn event_at(&self, _step: u64) -> DriftEvent {
-        DriftEvent::Drift
-    }
-
-    /// Applies drift step `step` to one device's calibration state and
-    /// reports whether anything actually changed (a `false` return
-    /// tells the runtime to skip the epoch bump and the cache
-    /// invalidation). `device_salt` distinguishes the devices of a
+    /// Applies drift step `step` (1-based) to one device's calibration
+    /// state and reports whether anything actually changed (a `false`
+    /// return tells the runtime to install nothing: no new device, no
+    /// epoch bump, no cache invalidation). `device_salt` distinguishes the devices of a
     /// fleet sharing one model, so twins drift along independent
     /// trajectories.
     fn apply_step(
@@ -134,11 +117,7 @@ const GAMMA_CAP: f64 = 64.0;
 /// `exp(cx_sigma · z)` with `z ~ N(0, 1)` (and likewise the one-qubit
 /// errors, readout errors and crosstalk gammas with their own sigmas),
 /// clamped to physical ranges — a log-normal walk, so rates stay
-/// positive and relative drift magnitude is scale-free. With
-/// [`recalibrate_every`](GaussianWalk::recalibrate_every)` = Some(n)`,
-/// every `n`-th step is a [`DriftEvent::Recalibrate`] instead: the
-/// runtime resets the device to its baseline snapshot, modeling the
-/// daily recalibration cycle of real chips.
+/// positive and relative drift magnitude is scale-free.
 ///
 /// All sigmas zero makes every step a no-op ([`apply_step`](DriftModel::apply_step)
 /// returns `false` without touching the state), which a frozen-fleet
@@ -160,15 +139,11 @@ pub struct GaussianWalk {
     /// Per-step log-normal sigma on crosstalk gammas (applied to the
     /// excess `γ − 1`, so uncharacterized-equivalent pairs stay at 1).
     pub gamma_sigma: f64,
-    /// Every `n`-th step is a recalibration reset instead of a drift
-    /// perturbation (`None` = never recalibrate).
-    pub recalibrate_every: Option<u64>,
 }
 
 impl GaussianWalk {
     /// A walk with the default drift magnitudes: 8% per-step sigma on
-    /// CNOT/readout errors, 5% on one-qubit errors, 4% on gammas, no
-    /// recalibration resets.
+    /// CNOT/readout errors, 5% on one-qubit errors, 4% on gammas.
     pub fn new(seed: u64, interval_ns: f64) -> Self {
         GaussianWalk {
             seed,
@@ -177,13 +152,11 @@ impl GaussianWalk {
             sq_sigma: 0.05,
             readout_sigma: 0.08,
             gamma_sigma: 0.04,
-            recalibrate_every: None,
         }
     }
 
-    /// The same walk with every sigma zeroed — steps still tick (and
-    /// recalibration resets still fire if configured) but drift never
-    /// changes a value. The frozen-fleet equivalence tests pin that a
+    /// The same walk with every sigma zeroed — steps still tick but
+    /// drift never changes a value. The frozen-fleet equivalence tests pin that a
     /// service driven by this walk is bit-for-bit a frozen service.
     #[must_use]
     pub fn frozen(mut self) -> Self {
@@ -191,14 +164,6 @@ impl GaussianWalk {
         self.sq_sigma = 0.0;
         self.readout_sigma = 0.0;
         self.gamma_sigma = 0.0;
-        self
-    }
-
-    /// Sets the recalibration cycle: every `steps`-th step resets the
-    /// device to its baseline snapshot.
-    #[must_use]
-    pub fn with_recalibration_every(mut self, steps: u64) -> Self {
-        self.recalibrate_every = Some(steps);
         self
     }
 
@@ -213,13 +178,6 @@ impl GaussianWalk {
 impl DriftModel for GaussianWalk {
     fn steps_at(&self, now: f64) -> u64 {
         interval_steps(now, self.interval_ns)
-    }
-
-    fn event_at(&self, step: u64) -> DriftEvent {
-        match self.recalibrate_every {
-            Some(n) if n > 0 && step.is_multiple_of(n) => DriftEvent::Recalibrate,
-            _ => DriftEvent::Drift,
-        }
     }
 
     fn apply_step(
@@ -343,18 +301,6 @@ mod tests {
         assert_eq!(walk.steps_at(f64::NAN), 0);
         let degenerate = GaussianWalk::new(0, 0.0);
         assert_eq!(degenerate.steps_at(1e9), 0, "zero interval never steps");
-    }
-
-    #[test]
-    fn recalibration_cycle_schedule() {
-        let walk = GaussianWalk::new(0, 1000.0).with_recalibration_every(3);
-        let events: Vec<DriftEvent> = (1..=7).map(|s| walk.event_at(s)).collect();
-        use DriftEvent::*;
-        assert_eq!(
-            events,
-            vec![Drift, Drift, Recalibrate, Drift, Drift, Recalibrate, Drift]
-        );
-        assert_eq!(GaussianWalk::new(0, 1.0).event_at(1000), Drift);
     }
 
     #[test]

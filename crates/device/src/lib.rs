@@ -19,6 +19,12 @@
 //! let gamma = dev.crosstalk().gamma(Link::new(0, 1), Link::new(2, 3));
 //! assert!(gamma >= 1.0);
 //! ```
+//!
+//! A [`Device`] is a value: no method borrows its state mutably. A
+//! recalibration or a [`DriftModel`] step produces a new calibration
+//! state, and [`Device::with_state`] builds the device that carries it
+//! — the same name and topology (shared by reference count) with an
+//! empty region atlas, so an atlas always belongs to one calibration.
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
@@ -35,7 +41,7 @@ mod topology;
 pub use calibration::{Calibration, NoiseProfile};
 pub use crosstalk::{CrosstalkModel, CrosstalkProfile, SIGNIFICANT_RATIO};
 pub use device::Device;
-pub use drift::{interval_steps, splitmix64, DriftEvent, DriftModel, GaussianWalk};
+pub use drift::{interval_steps, splitmix64, DriftModel, GaussianWalk};
 pub use link::{Link, LinkPair};
 pub use region::Region;
 pub use topology::{Topology, UNREACHABLE};

@@ -146,18 +146,15 @@ impl Device {
     /// calibration and `size`, so the device keeps it, one slot per
     /// width, filled on first request. The atlas
     ///
-    /// * is emptied by every `&mut` route to the calibration
-    ///   ([`calibration_mut`](Device::calibration_mut) and
-    ///   [`calibration_state_mut`](Device::calibration_state_mut)
-    ///   install a fresh, empty atlas *before* handing out the borrow),
+    /// * belongs to one calibration: a device has no `&mut` route to
+    ///   its state, and a new state is a new device
+    ///   ([`with_state`](Device::with_state)) whose atlas starts empty,
     ///   so no edit can be followed by a stale read — there is no epoch
     ///   to compare and nothing to remember to call;
-    /// * is shared by `Clone`: a clone reads and fills the same slots
-    ///   until either side's calibration is borrowed mutably, which
-    ///   detaches that side only;
+    /// * is shared by `Clone`: a clone reads and fills the same slots;
     /// * retains at most one region per qubit for each width requested
-    ///   since the last edit (at most `num_qubits()` widths), and is
-    ///   dropped with the last device sharing it;
+    ///   (at most `num_qubits()` widths), and is dropped with the last
+    ///   device sharing it;
     /// * is **not part of the device's value**: `PartialEq` and `Debug`
     ///   ignore it, and a device that has answered a thousand requests
     ///   equals one that was just constructed.
@@ -326,7 +323,7 @@ mod tests {
 
     #[test]
     fn no_mutable_route_to_the_calibration_leaves_a_filled_slot() {
-        let mut dev = line_device();
+        let dev = line_device();
         let fresh = |dev: &Device| {
             Device::new(
                 dev.name(),
@@ -335,31 +332,34 @@ mod tests {
                 dev.crosstalk().clone(),
             )
         };
+        let edit = |dev: &Device, readout: f64| {
+            let mut cal = dev.calibration().clone();
+            cal.set_readout_error(6, readout);
+            dev.with_state(cal, dev.crosstalk().clone())
+        };
         let before = dev.idle_regions(3).to_vec();
         assert!(!dev.atlas().is_empty());
 
-        // A clone shares the filled atlas; editing the clone detaches
-        // the clone alone.
-        let mut twin = dev.clone();
+        // A clone shares the filled atlas; a new state of the clone
+        // starts empty and leaves both alone.
+        let twin = dev.clone();
         assert!(!twin.atlas().is_empty());
-        twin.calibration_mut().set_readout_error(6, 0.3);
-        assert!(twin.atlas().is_empty());
-        assert_eq!(twin.idle_regions(3), fresh(&twin).idle_regions(3));
-        assert_ne!(twin.idle_regions(3), &before[..]);
+        let edited = edit(&twin, 0.3);
+        assert!(edited.atlas().is_empty());
+        assert!(!twin.atlas().is_empty());
+        assert_eq!(edited.idle_regions(3), fresh(&edited).idle_regions(3));
+        assert_ne!(edited.idle_regions(3), &before[..]);
         assert_eq!(dev.idle_regions(3), &before[..]);
+        assert_eq!(twin.idle_regions(3), &before[..]);
 
-        dev.calibration_mut().set_readout_error(6, 0.3);
-        assert!(dev.atlas().is_empty());
-        assert_eq!(dev.idle_regions(3), twin.idle_regions(3));
+        let restored = edit(&edited, 0.02);
+        assert!(restored.atlas().is_empty());
+        assert_eq!(restored.idle_regions(3), &before[..]);
 
-        let (cal, _) = dev.calibration_state_mut();
-        cal.set_readout_error(6, 0.02);
-        assert!(dev.atlas().is_empty());
-        assert_eq!(dev.idle_regions(3), &before[..]);
-
-        // The crosstalk ground truth is no input of the atlas.
-        dev.crosstalk_mut();
-        assert!(!dev.atlas().is_empty());
+        // Even a new state equal to the old one starts a new atlas.
+        let same = dev.with_state(dev.calibration().clone(), dev.crosstalk().clone());
+        assert!(same.atlas().is_empty());
+        assert_eq!(same, dev);
     }
 
     #[test]
@@ -371,8 +371,5 @@ mod tests {
         dev.idle_regions(5);
         assert_eq!(dev, untouched);
         assert_eq!(format!("{dev:?}"), debug_before);
-        let mut edited = dev.clone();
-        edited.calibration_mut();
-        assert_eq!(edited, dev);
     }
 }

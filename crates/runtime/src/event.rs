@@ -1,9 +1,10 @@
-//! Telemetry events of the service lifecycle and the observer hook.
+//! Telemetry events of the service lifecycle.
 //!
 //! Every state transition of a [`Service`](crate::Service) — a job
 //! entering the queue, a batch being planned or shrunk, a job
 //! completing — is recorded as an [`Event`] in the service's
-//! [`EventLog`] and fanned out to every registered [`EventObserver`].
+//! [`EventLog`], which [`Service::events`](crate::Service::events), the
+//! drained report and the daemon's event request read.
 //! Timestamps are simulated nanoseconds on the owning device's clock,
 //! so a log can be replayed to reconstruct the exact admission
 //! decisions (the property tests use this to check the backfill
@@ -12,8 +13,7 @@
 //! A batch's event block (`BatchRouted`, any `BatchShrunk`s,
 //! `BatchPlanned`, the `JobCompleted`s) is *buffered at staging time*
 //! and emitted contiguously when the batch finishes, in batch order:
-//! execution threads never interleave into the log, and observers see
-//! every event exactly once, in log order.
+//! execution threads never interleave into the log.
 
 /// Why a planned batch lost its tail member.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -114,29 +114,6 @@ pub enum Event {
     },
 }
 
-/// Receives every [`Event`] as it is recorded.
-///
-/// Closures implement the trait, so wiring telemetry is one line:
-///
-/// ```
-/// use qucp_runtime::{Event, EventObserver};
-/// let mut seen = 0usize;
-/// let mut counter = |_e: &Event| seen += 1;
-/// // `&mut closure` satisfies the bound taken by ServiceBuilder::observer.
-/// fn takes_observer(_o: &mut dyn EventObserver) {}
-/// takes_observer(&mut counter);
-/// ```
-pub trait EventObserver: Send {
-    /// Called once per event, in dispatch order.
-    fn on_event(&mut self, event: &Event);
-}
-
-impl<F: FnMut(&Event) + Send> EventObserver for F {
-    fn on_event(&mut self, event: &Event) {
-        self(event)
-    }
-}
-
 /// An ordered record of every [`Event`] a service emitted.
 ///
 /// ## Capacity contract
@@ -148,11 +125,10 @@ impl<F: FnMut(&Event) + Send> EventObserver for F {
 /// [`ServiceBuilder::event_capacity`](crate::ServiceBuilder::event_capacity))
 /// turns the log into a ring: at most `capacity` **most-recent** events
 /// stay live, older ones are dropped oldest-first and counted in
-/// [`EventLog::dropped`]. Observers are unaffected — they see every
-/// event at emission time regardless of what the log later retains —
-/// and [`EventLog::events`] always returns a contiguous slice in
-/// emission order. Pushes stay amortized O(1): the ring is a vector
-/// with a dead front that compacts once it reaches half the buffer.
+/// [`EventLog::dropped`]. [`EventLog::events`] always returns a
+/// contiguous slice in emission order. Pushes stay amortized O(1): the
+/// ring is a vector with a dead front that compacts once it reaches
+/// half the buffer.
 #[derive(Debug, Clone, Default)]
 pub struct EventLog {
     events: Vec<Event>,
@@ -355,22 +331,5 @@ mod tests {
         assert_eq!(log.planned_batches(), vec![("d", &[3u64][..])]);
         assert_eq!(log.routed(), vec![("d", 0.0)]);
         assert_eq!(log.shrink_count(ShrinkReason::PartitionFailure), 0);
-    }
-
-    #[test]
-    fn closures_observe() {
-        let mut count = 0usize;
-        {
-            let mut obs = |_: &Event| count += 1;
-            let o: &mut dyn EventObserver = &mut obs;
-            o.on_event(&Event::JobCompleted {
-                job_id: 0,
-                seq: 0,
-                batch_index: 0,
-                completion: 1.0,
-                turnaround: 1.0,
-            });
-        }
-        assert_eq!(count, 1);
     }
 }

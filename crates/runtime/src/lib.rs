@@ -107,18 +107,27 @@
 //!    serial [`TrajectoryKernel::Replay`].
 //! 5. **Observe** — every transition ([`Event::JobSubmitted`],
 //!    [`Event::BatchPlanned`], [`Event::BatchShrunk`],
-//!    [`Event::JobCompleted`]) lands in the service [`EventLog`] and in
-//!    every registered [`EventObserver`]; per-device clocks and
-//!    statistics accumulate into the drained [`ServiceReport`].
+//!    [`Event::JobCompleted`]) lands in the service [`EventLog`];
+//!    per-device clocks and statistics accumulate into the drained
+//!    [`ServiceReport`].
 //!
 //! ## The live fleet: calibration drift, epochs, recalibration
 //!
 //! Real chips are recalibrated daily and their error rates drift in
 //! between, so the fleet is **live**, not frozen at build:
 //!
+//! - **One install** — a device is an immutable value behind an `Arc`
+//!   in the [`DeviceRegistry`]. Recalibration and drift both hand a new
+//!   calibration state to the service's one install path: it is
+//!   validated (qubit count, finite entries — crosstalk included —,
+//!   full link coverage, values in range), installed as a new device
+//!   ([`Device::with_state`](qucp_device::Device::with_state)) that
+//!   replaces the old `Arc`, and the device's epoch bumps. A batch
+//!   already staged holds the `Arc` of the device it was planned on,
+//!   and runs on it whatever is installed meanwhile.
 //! - **Epochs** — every device carries a calibration epoch
 //!   ([`DeviceRegistry::epoch`], [`Service::device_epoch`]), bumped on
-//!   each calibration-state change. Cached planning probes are valid
+//!   each install. Cached planning probes are valid
 //!   for exactly one epoch: a bump drops the bumped device's entries
 //!   (only its — invalidation is per device) and emits
 //!   [`Event::DeviceRecalibrated`], so the next dispatch re-probes the
@@ -126,15 +135,13 @@
 //!   under drift, the next burst follows the flip.
 //! - **Recalibration** — [`Service::recalibrate`] installs a fresh
 //!   [`Calibration`](qucp_device::Calibration) snapshot. Snapshots are
-//!   validated first (finite entries, matching qubit count, full link
-//!   coverage); a poisoned snapshot is rejected with
+//!   validated first; a poisoned snapshot is rejected with
 //!   [`RuntimeError::InvalidCalibration`] and touches nothing.
 //! - **Drift** — [`ServiceBuilder::drift`] attaches a deterministic,
 //!   seeded [`DriftModel`] (e.g. [`GaussianWalk`], a log-normal walk on
-//!   gate/readout errors and crosstalk gammas with an optional
-//!   recalibration-reset cycle); [`Service::advance_drift`] ages every
-//!   device to a simulated timestamp, one epoch bump per step that
-//!   actually changes values. A zero-sigma walk never bumps an epoch,
+//!   gate/readout errors and crosstalk gammas); [`Service::advance_drift`]
+//!   ages every device to a simulated timestamp, one install and epoch
+//!   bump per step that actually changes values. A zero-sigma walk never bumps an epoch,
 //!   so a drift-free service stays **bit-for-bit** the frozen-fleet
 //!   runtime (property-tested), and drift itself is a pure function of
 //!   `(model, step, device)` — results stay independent of threading.
@@ -156,9 +163,9 @@
 //! | dispatch step: admitting devices | O(log D) + A width-bucket suffix |
 //! | routing / head-only gate probes | one partition probe per (device, circuit shape, strategy[, threshold]) per calibration epoch, then a cache hit |
 //! | batch planning | partition + map + merge on a plan-cache miss (the only path that clones the members' circuits); on a hit (repeat member shapes at one calibration epoch) one lookup under the literal key *(device, epoch, gate mode, optimize, strategy key, member shape handles, threshold bits)* — O(members) handle copies — and a borrowed replay of the entry's shrink trace |
-//! | staging and execution | the batch's device is borrowed from the registry, never cloned; the members leave the pending store by value into one record per job, the head's strategy is one shared table entry, and ranking, packing and the key lookup run in buffers the service keeps |
+//! | staging and execution | the batch's device is held by `Arc`, never cloned; the members leave the pending store by value into one record per job, the head's strategy is one shared table entry, and ranking, packing and the key lookup run in buffers the service keeps |
 //! | batch removal | offset bump (front run) or one compaction pass |
-//! | recalibrate / drift epoch bump | one pass over the cache, dropping the bumped device's probes and plans, and one over the shape table, dropping the shapes nothing holds any more |
+//! | recalibrate / drift epoch bump | one new device (its calibration state; name and topology shared by `Arc`), one pass over the cache, dropping the bumped device's probes and plans, and one over the shape table, dropping the shapes nothing holds any more |
 //! | execution set-up per program | ALAP schedule + event sort + three statevector passes on the first two executions of a plan (the second, the entry's first hit, fills its slots); a replayed plan then pays an `Arc` clone of the entry's slots per batch and one slot read per program (prepared replay) |
 //! | threads per batch | staging (routing, packing, planning): none, ever — one candidate at a time on the dispatching thread; execution: none under two spawn floors of batch work or on one core, otherwise one worker per floor up to the cores and the programs, the caller being one of them |
 //!
@@ -205,9 +212,11 @@
 //!   store for the drained [`ServiceReport`], so the report is
 //!   **bit-for-bit unchanged** by any claim interleaving (the claim
 //!   flag, not eviction, spends the ticket — proptest-pinned).
-//!   [`Service::result`] stays the non-consuming peek. Claims are
-//!   independent of completion *notifications*: [`Service::tick`]
-//!   still reports every completed ticket exactly once.
+//!   [`Service::result`] stays the non-consuming peek. Both answer
+//!   only a ticket whose id is the job's: a ticket forged from another
+//!   job's `seq` peeks and claims nothing. Claims are independent of
+//!   completion *notifications*: [`Service::tick`] still reports every
+//!   completed ticket exactly once.
 //! - **The campaign loop** — [`CampaignDriver`] models an application
 //!   as a pure function from prior results to the next co-scheduled
 //!   batch of [`JobRequest`]s; [`run_campaign`] owns the
@@ -229,8 +238,6 @@
 //! memory, so a capacity bound turns the log into a ring keeping the
 //! most recent `capacity` events; dropped events are counted in
 //! [`ServiceReport::dropped_events`] and [`EventLog::dropped`].
-//! Observers are unaffected either way — they see every event at
-//! emission time.
 //!
 //! ```
 //! use qucp_circuit::library;
@@ -274,7 +281,7 @@ mod shape;
 
 pub use campaign::{run_campaign, CampaignDriver, CampaignRun, CampaignStats};
 pub use error::{CalibrationFault, RuntimeError};
-pub use event::{Event, EventLog, EventObserver, ShrinkReason};
+pub use event::{Event, EventLog, ShrinkReason};
 pub use job::{skewed_jobs, synthetic_jobs, Job, JobResult};
 pub use policy::{AdmissionPolicy, Backfill, BatchBudget, JobView};
 pub use registry::{CalibrationAware, DeviceId, DeviceRegistry, RouteQuery, RoutingChoice};
@@ -291,7 +298,7 @@ pub use qucp_sim::{ShotParallelism, TrajectoryKernel};
 // The drift types travel with `ServiceBuilder::drift` /
 // `Service::advance_drift`; re-export them so live-fleet callers need
 // not depend on `qucp-device` directly.
-pub use qucp_device::{DriftEvent, DriftModel, GaussianWalk};
+pub use qucp_device::{DriftModel, GaussianWalk};
 
 // The `scheduler::tests::*` ids are part of the regression floor, so
 // the module path outlives the file it once named.

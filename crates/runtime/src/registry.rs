@@ -52,13 +52,16 @@
 //! the service default). No entry is found by a hash of a `Debug`
 //! rendering, and none is replayed because two hashes agreed.
 //!
-//! The fleet is *live*: calibrations mutate after build, through
+//! The fleet is *live*: calibrations change after build, through
 //! [`Service::recalibrate`](crate::Service::recalibrate) (a fresh
 //! snapshot arrives) or
 //! [`Service::advance_drift`](crate::Service::advance_drift) (a
 //! [`DriftModel`](qucp_device::DriftModel) ages them in simulated
-//! time). Every mutation that actually changes a device's calibration
-//! state bumps that device's **calibration epoch** — a monotone
+//! time). A device is never edited in place: the registry holds each
+//! behind an [`Arc`], and a change is one [`DeviceRegistry::install`]
+//! of a new device ([`Device::with_state`]) that replaces the old `Arc`
+//! — a batch staged on the old device keeps running on it. Every
+//! install bumps that device's **calibration epoch** — a monotone
 //! per-device counter readable via [`DeviceRegistry::epoch`].
 //!
 //! **Invalidation rules:** cached entries of *both* kinds are valid
@@ -81,6 +84,8 @@
 //! [`Service::route_cache_stats`](crate::Service::route_cache_stats)
 //! (`invalidated` / `plan_invalidated`).
 
+use std::sync::Arc;
+
 use qucp_device::{Calibration, CrosstalkModel, Device};
 
 /// Opaque handle of a registered device (its registration index).
@@ -100,7 +105,8 @@ impl DeviceId {
     }
 }
 
-/// An ordered fleet of devices.
+/// An ordered fleet of devices. Each device is an immutable value
+/// behind an `Arc`, so a clone of the registry shares them.
 ///
 /// ```
 /// use qucp_device::ibm;
@@ -118,9 +124,11 @@ impl DeviceId {
 /// ```
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct DeviceRegistry {
-    devices: Vec<Device>,
-    /// Per-device calibration epoch: bumped on every calibration-state
-    /// mutation, parallel to `devices`.
+    /// The current device of every registration index, each replaced
+    /// whole by [`DeviceRegistry::install`].
+    devices: Vec<Arc<Device>>,
+    /// Per-device calibration epoch: bumped on every install, parallel
+    /// to `devices`.
     epochs: Vec<u64>,
     /// Width index: `(num_qubits, registration index)` sorted
     /// ascending, so the devices admitting a width are a suffix —
@@ -141,7 +149,7 @@ impl DeviceRegistry {
     pub fn single(device: Device) -> Self {
         let width = device.num_qubits();
         DeviceRegistry {
-            devices: vec![device],
+            devices: vec![Arc::new(device)],
             epochs: vec![0],
             by_width: vec![(width, 0)],
         }
@@ -154,15 +162,14 @@ impl DeviceRegistry {
         let entry = (device.num_qubits(), index);
         let pos = self.by_width.partition_point(|&e| e < entry);
         self.by_width.insert(pos, entry);
-        self.devices.push(device);
+        self.devices.push(Arc::new(device));
         self.epochs.push(0);
         DeviceId(index)
     }
 
     /// The device's calibration epoch: 0 at registration, bumped once
-    /// per calibration-state mutation ([`DeviceRegistry::recalibrate`]
-    /// or a changing [`DeviceRegistry::mutate_calibration`]). Cached
-    /// planning probes are valid for exactly one epoch.
+    /// per [`DeviceRegistry::install`]. Cached planning probes are
+    /// valid for exactly one epoch.
     ///
     /// # Panics
     ///
@@ -172,9 +179,11 @@ impl DeviceRegistry {
         self.epochs[id.0]
     }
 
-    /// Replaces the device's calibration snapshot wholesale, bumps its
-    /// epoch unconditionally (a fresh snapshot is fresh information
-    /// even when numerically identical) and returns the new epoch.
+    /// Replaces the device with the same chip under a new calibration
+    /// state ([`Device::with_state`]), bumps its epoch unconditionally
+    /// (a fresh snapshot is fresh information even when numerically
+    /// identical) and returns the new epoch. Holders of the old device's
+    /// `Arc` keep the old device.
     ///
     /// This is the raw swap: callers wanting validation (finite
     /// entries, topology coverage) and cache invalidation should go
@@ -184,47 +193,21 @@ impl DeviceRegistry {
     ///
     /// Panics if the calibration's qubit count does not match the
     /// device or if `id` is out of range.
-    pub fn recalibrate(&mut self, id: DeviceId, calibration: Calibration) -> u64 {
+    pub fn install(
+        &mut self,
+        id: DeviceId,
+        calibration: Calibration,
+        crosstalk: CrosstalkModel,
+    ) -> u64 {
         let device = &mut self.devices[id.0];
-        assert_eq!(
-            calibration.num_qubits(),
-            device.num_qubits(),
-            "calibration does not match device"
-        );
-        *device.calibration_mut() = calibration;
+        *device = Arc::new(device.with_state(calibration, crosstalk));
         self.epochs[id.0] += 1;
         self.epochs[id.0]
     }
 
-    /// Changes a device's calibration state if `f` says so: `f` reads
-    /// the current state and returns its replacement, or `None` for no
-    /// change. Only a replacement is installed — through the device's
-    /// one `&mut` route to its calibration, which also empties its
-    /// region atlas — and bumps the epoch; returns the new epoch when
-    /// bumped. Drift models plug in here: a no-op step (zero sigmas, or
-    /// a recalibration reset of an undrifted device) must leave the
-    /// device untouched, or frozen-fleet equivalence would pay phantom
-    /// cache invalidations and a regrown atlas.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `id` is out of range.
-    pub fn mutate_calibration(
-        &mut self,
-        id: DeviceId,
-        f: impl FnOnce(&Calibration, &CrosstalkModel) -> Option<(Calibration, CrosstalkModel)>,
-    ) -> Option<u64> {
-        let device = &mut self.devices[id.0];
-        let next = f(device.calibration(), device.crosstalk())?;
-        let (cal, xt) = device.calibration_state_mut();
-        (*cal, *xt) = next;
-        self.epochs[id.0] += 1;
-        Some(self.epochs[id.0])
-    }
-
     /// Internal positional access for the service dispatch loop, which
     /// keys per-device runtime state by registration index.
-    pub(crate) fn device_at(&self, index: usize) -> &Device {
+    pub(crate) fn device_at(&self, index: usize) -> &Arc<Device> {
         &self.devices[index]
     }
 
@@ -253,7 +236,7 @@ impl DeviceRegistry {
         self.devices
             .iter()
             .enumerate()
-            .map(|(i, d)| (DeviceId(i), d))
+            .map(|(i, d)| (DeviceId(i), &**d))
     }
 
     /// Ids of the devices whose topology admits a `width`-qubit
@@ -529,32 +512,30 @@ mod tests {
         let mel = fleet.register(ibm::melbourne());
         assert_eq!(fleet.epoch(tor), 0);
         assert_eq!(fleet.epoch(mel), 0);
-        // A no-op mutation must not bump.
-        assert_eq!(fleet.mutate_calibration(tor, |_, _| None), None);
-        assert_eq!(fleet.epoch(tor), 0);
-        // A changing mutation bumps only the touched device.
-        let bumped = fleet.mutate_calibration(tor, |cal, xt| {
-            let mut cal = cal.clone();
-            cal.set_readout_error(0, 0.3);
-            Some((cal, xt.clone()))
-        });
-        assert_eq!(bumped, Some(1));
+        // An install bumps only the touched device, and replaces it.
+        let before = fleet.get(tor).clone();
+        let mut cal = before.calibration().clone();
+        cal.set_readout_error(0, 0.3);
+        assert_eq!(fleet.install(tor, cal, before.crosstalk().clone()), 1);
         assert_eq!(fleet.epoch(tor), 1);
         assert_eq!(fleet.epoch(mel), 0);
         assert_eq!(fleet.get(tor).calibration().readout_error(0), 0.3);
-        // A wholesale recalibration bumps unconditionally.
-        let fresh = fleet.get(tor).calibration().clone();
-        assert_eq!(fleet.recalibrate(tor, fresh), 2);
+        assert_ne!(before.calibration().readout_error(0), 0.3);
+        assert_eq!(fleet.get(tor).name(), before.name());
+        // An install bumps unconditionally, even of the same state.
+        let same = fleet.get(tor).calibration().clone();
+        let xt = fleet.get(tor).crosstalk().clone();
+        assert_eq!(fleet.install(tor, same, xt), 2);
         assert_eq!(fleet.epoch(tor), 2);
     }
 
     #[test]
-    #[should_panic(expected = "calibration does not match device")]
+    #[should_panic(expected = "calibration does not match topology")]
     fn mismatched_recalibration_panics_at_registry_level() {
         let mut fleet = DeviceRegistry::new();
         let tor = fleet.register(ibm::toronto());
-        let wrong = ibm::melbourne().calibration().clone();
-        fleet.recalibrate(tor, wrong);
+        let wrong = ibm::melbourne();
+        fleet.install(tor, wrong.calibration().clone(), wrong.crosstalk().clone());
     }
 
     fn query(free_at: f64, start: f64, score: Option<f64>) -> RouteQuery {

@@ -27,12 +27,12 @@ pub use self::report::{BatchReport, DeviceReport, ServiceReport};
 pub use self::request::{EfsGate, JobRequest, JobTicket};
 pub use self::route_cache::RouteCacheStats;
 
-use qucp_device::{Calibration, CrosstalkModel, DriftModel};
+use qucp_device::DriftModel;
 
 use self::dispatch::DispatchScratch;
 use self::route_cache::RouteCache;
 use crate::error::RuntimeError;
-use crate::event::{Event, EventLog, EventObserver};
+use crate::event::{Event, EventLog};
 use crate::job::JobResult;
 use crate::pending::{Pending, PendingStore};
 use crate::policy::AdmissionPolicy;
@@ -119,17 +119,11 @@ pub struct Service {
     /// the length of a staging step, put back after it.
     scratch: DispatchScratch,
     log: EventLog,
-    observers: Vec<Box<dyn EventObserver>>,
     /// The fleet-wide calibration drift process (`None` = frozen
     /// fleet). Temporarily `take`n during [`Service::advance_drift`].
     drift: Option<Box<dyn DriftModel>>,
     /// Per-device count of drift steps already applied.
     drift_steps: Vec<u64>,
-    /// Per-device baseline snapshots (reset targets of drift-scheduled
-    /// recalibrations); populated iff a drift model is attached. An
-    /// explicit [`Service::recalibrate`] moves the baseline too — the
-    /// newest official snapshot is what a reset restores.
-    baselines: Option<Vec<(Calibration, CrosstalkModel)>>,
     /// Cumulative wall-clock nanoseconds spent *executing* batches
     /// (trajectory simulation), as opposed to dispatch bookkeeping.
     exec_ns: u64,
@@ -203,9 +197,13 @@ impl Service {
     ///
     /// A non-consuming peek: it ignores the claim state and never
     /// spends the ticket. Use [`Service::take_result`] for the
-    /// exactly-once retrieval campaigns rely on.
+    /// exactly-once retrieval campaigns rely on. A ticket whose id is
+    /// not its job's gets `None`.
     pub fn result(&self, ticket: JobTicket) -> Option<&JobResult> {
-        self.results.get(ticket.seq).and_then(Option::as_ref)
+        self.results
+            .get(ticket.seq)
+            .and_then(Option::as_ref)
+            .filter(|result| result.job_id == ticket.id)
     }
 
     /// Claims a ticket's result: `None` while the batch has not run,
@@ -220,13 +218,14 @@ impl Service {
     /// (bit-for-bit pinned by the campaign proptests). Claiming is
     /// also independent of the completion *notifications*: a ticket
     /// claimed between ticks is still reported exactly once by
-    /// [`Service::tick`].
+    /// [`Service::tick`]. A ticket whose id is not its job's claims
+    /// nothing and spends nothing.
     pub fn take_result(&mut self, ticket: &JobTicket) -> Option<JobResult> {
-        let result = self.results.get(ticket.seq).and_then(Option::as_ref)?;
+        self.result(*ticket)?;
         if std::mem::replace(&mut self.claimed[ticket.seq], true) {
             return None;
         }
-        Some(result.clone())
+        self.results[ticket.seq].clone()
     }
 
     /// Admits a job into the pending queue.
@@ -259,7 +258,7 @@ impl Service {
         let seq = self.next_seq;
         self.next_seq += 1;
         let id = request.id.unwrap_or(seq as u64);
-        self.emit(Event::JobSubmitted {
+        self.log.push(Event::JobSubmitted {
             job_id: id,
             seq,
             arrival: request.arrival,
@@ -380,14 +379,6 @@ impl Service {
         self.dispatch_until(f64::INFINITY)?;
         self.unreported.clear();
         Ok(self.drained_report())
-    }
-
-    /// Emits an event to every observer and the log.
-    fn emit(&mut self, event: Event) {
-        for observer in &mut self.observers {
-            observer.on_event(&event);
-        }
-        self.log.push(event);
     }
 
     /// Cumulative wall-clock nanoseconds this service spent *executing*

@@ -8,7 +8,7 @@ use super::dispatch::DispatchScratch;
 use super::route_cache::RouteCache;
 use super::{DeviceState, EfsGate, Service};
 use crate::error::RuntimeError;
-use crate::event::{EventLog, EventObserver};
+use crate::event::EventLog;
 use crate::pending::PendingStore;
 use crate::policy::AdmissionPolicy;
 use crate::registry::{ClockIndex, DeviceRegistry, RoutingChoice};
@@ -26,7 +26,6 @@ pub struct ServiceBuilder {
     optimize: bool,
     efs_gate: EfsGate,
     default_shots: usize,
-    observers: Vec<Box<dyn EventObserver>>,
     drift: Option<Box<dyn DriftModel>>,
     event_capacity: Option<usize>,
 }
@@ -72,7 +71,6 @@ impl ServiceBuilder {
             optimize: true,
             efs_gate: EfsGate::default(),
             default_shots: 1024,
-            observers: Vec::new(),
             drift: None,
             event_capacity: None,
         }
@@ -164,14 +162,6 @@ impl ServiceBuilder {
         self
     }
 
-    /// Registers a telemetry observer (repeatable); observers see every
-    /// [`Event`](crate::Event) in emission order.
-    #[must_use]
-    pub fn observer(mut self, observer: impl EventObserver + 'static) -> Self {
-        self.observers.push(Box::new(observer));
-        self
-    }
-
     /// Attaches a fleet-wide calibration [`DriftModel`]: every device
     /// ages along its own deterministic trajectory (salted by
     /// registration index) as the caller advances simulated time with
@@ -188,8 +178,7 @@ impl ServiceBuilder {
     /// service's lifetime, bit-for-bit the prior behaviour;
     /// `Some(capacity)` keeps only the `capacity` most-recent events
     /// live and counts the rest in
-    /// [`ServiceReport::dropped_events`](crate::ServiceReport::dropped_events). Observers see every event at
-    /// emission time regardless of the bound.
+    /// [`ServiceReport::dropped_events`](crate::ServiceReport::dropped_events).
     #[must_use]
     pub fn event_capacity(mut self, capacity: Option<usize>) -> Self {
         self.event_capacity = capacity;
@@ -221,14 +210,6 @@ impl ServiceBuilder {
             }
         }
         let states = vec![DeviceState::default(); self.registry.len()];
-        // Baseline snapshots are the reset targets of drift-scheduled
-        // recalibrations; only a drifting fleet pays for the clones.
-        let baselines = self.drift.is_some().then(|| {
-            self.registry
-                .iter()
-                .map(|(_, d)| (d.calibration().clone(), d.crosstalk().clone()))
-                .collect()
-        });
         let drift_steps = vec![0u64; self.registry.len()];
         let clock_index = ClockIndex::new(self.registry.len());
         Ok(Service {
@@ -253,10 +234,8 @@ impl ServiceBuilder {
             route_cache: RouteCache::default(),
             scratch: DispatchScratch::default(),
             log: EventLog::with_capacity_limit(self.event_capacity),
-            observers: self.observers,
             drift: self.drift,
             drift_steps,
-            baselines,
             exec_ns: 0,
             plan_ns: 0,
         })

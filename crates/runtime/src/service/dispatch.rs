@@ -48,9 +48,7 @@ impl Service {
     pub(super) fn dispatch_until(&mut self, limit: f64) -> Result<(), RuntimeError> {
         while let Some(staged) = self.stage_one(limit)? {
             let exec_started = std::time::Instant::now();
-            // Nothing between staging and here can touch the registry,
-            // so this is the device the batch was planned on.
-            let results = staged.execute(self.registry.device_at(staged.device_index));
+            let results = staged.execute();
             self.exec_ns = self
                 .exec_ns
                 .saturating_add(exec_started.elapsed().as_nanos() as u64);
@@ -75,7 +73,7 @@ impl Service {
     /// and the batch's full event block — buffered on the returned
     /// [`StagedBatch`], not yet emitted. Execution and the event/stat
     /// fold happen in [`Service::finish_batch`].
-    fn stage_one(&mut self, limit: f64) -> Result<Option<StagedBatch>, RuntimeError> {
+    pub(super) fn stage_one(&mut self, limit: f64) -> Result<Option<StagedBatch>, RuntimeError> {
         // Taken, not borrowed: staging calls `&mut self` methods
         // while it fills the buffers.
         let mut scratch = std::mem::take(&mut self.scratch);
@@ -270,9 +268,10 @@ impl Service {
                     name: p.circuit.into_name(),
                 })?;
 
-        // Borrowed, not cloned: everything staged below touches the
-        // queue, the clocks and the statistics, never the registry.
-        let device = self.registry.device_at(d);
+        // The device the batch was planned on, held by the batch: an
+        // install before execution replaces the registry's `Arc`, not
+        // this one.
+        let device = Arc::clone(self.registry.device_at(d));
         // The routing decision is recorded only for the device the
         // batch actually commits on (failed candidates leave no
         // trace, like their shrink events). The recorded policy is the
@@ -341,6 +340,7 @@ impl Service {
             }
         }
         Ok(StagedBatch {
+            device,
             device_index: d,
             batch_index,
             plan,
@@ -361,7 +361,7 @@ impl Service {
     /// every floating-point accumulation sequence are deterministic.
     fn finish_batch(&mut self, staged: StagedBatch, results: Vec<ProgramResult>) {
         for event in staged.events {
-            self.emit(event);
+            self.log.push(event);
         }
         let mut job_ids = Vec::with_capacity(staged.members.len());
         let state = &mut self.states[staged.device_index];
@@ -391,11 +391,7 @@ impl Service {
         state.batches += 1;
         self.batches.push(BatchReport {
             batch_index: staged.batch_index,
-            device: self
-                .registry
-                .device_at(staged.device_index)
-                .name()
-                .to_string(),
+            device: staged.device.name().to_string(),
             job_ids,
             start: staged.start,
             completion: staged.completion,
@@ -624,12 +620,13 @@ struct Member {
 /// One staged batch: every scheduling decision made, every queue/clock
 /// mutation applied, and the batch's full event block buffered — with
 /// execution and the event/statistics fold still pending
-/// ([`Service::finish_batch`]). One self-contained record: the plan
-/// and its cache entry's slots behind their [`Arc`]s, the members by
-/// value — so the fan-out's threads run its programs from a `&self`
-/// reference; the device stays in the registry, which nothing touches
-/// between staging and finishing.
-struct StagedBatch {
+/// ([`Service::finish_batch`]). One self-contained record: the device
+/// it was planned on, the plan and its cache entry's slots behind their
+/// [`Arc`]s, the members by value — so the fan-out's threads run its
+/// programs from a `&self` reference.
+pub(super) struct StagedBatch {
+    device: Arc<Device>,
+    /// The device's registration index (its clock and statistics).
     device_index: usize,
     batch_index: usize,
     plan: Arc<PlannedWorkload>,
@@ -673,7 +670,7 @@ impl StagedBatch {
     /// most [`PREPARED_RETAIN_BYTES`] (larger state is prepared per
     /// execution), and without slots — a plan's first execution —
     /// nothing is kept.
-    fn execute(&self, device: &Device) -> Result<Vec<ProgramResult>, RuntimeError> {
+    pub(super) fn execute(&self) -> Result<Vec<ProgramResult>, RuntimeError> {
         run_indexed(self.members.len(), self.work(), |pos| {
             let member = &self.members[pos];
             let exec = ExecutionConfig {
@@ -683,8 +680,7 @@ impl StagedBatch {
                 kernel: member.kernel,
                 ..ParallelConfig::default().execution
             };
-            self.run_program(device, pos, &exec)
-                .map_err(RuntimeError::Core)
+            self.run_program(pos, &exec).map_err(RuntimeError::Core)
         })
         .into_iter()
         .collect()
@@ -692,17 +688,12 @@ impl StagedBatch {
 
     /// Program `pos` of the batch, from its slot's prepared state (see
     /// [`StagedBatch::execute`]).
-    fn run_program(
-        &self,
-        device: &Device,
-        pos: usize,
-        exec: &ExecutionConfig,
-    ) -> Result<ProgramResult, CoreError> {
+    fn run_program(&self, pos: usize, exec: &ExecutionConfig) -> Result<ProgramResult, CoreError> {
         let slot = self.slots.as_ref().map(|slots| &slots[pos]);
         if let Some(prepared) = slot.and_then(OnceLock::get) {
             return Ok(self.plan.run_prepared(prepared, pos, exec));
         }
-        let built = self.plan.prepare(device, pos, exec)?;
+        let built = self.plan.prepare(&self.device, pos, exec)?;
         let prepared = match slot {
             Some(slot) if built.retained_bytes() <= PREPARED_RETAIN_BYTES => {
                 slot.get_or_init(|| built)

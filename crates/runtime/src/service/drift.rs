@@ -1,7 +1,7 @@
-//! The live fleet: explicit recalibrations, drift advances, and the
-//! epoch-bump fanout both share.
+//! The live fleet: explicit recalibrations and drift advances, and the
+//! one validated install both go through.
 
-use qucp_device::{Calibration, DriftEvent};
+use qucp_device::{Calibration, CrosstalkModel};
 
 use super::Service;
 use crate::error::{CalibrationFault, RuntimeError};
@@ -26,20 +26,18 @@ impl Service {
     }
 
     /// Installs a fresh calibration snapshot on a device — the live
-    /// fleet's "daily recalibration arrived" entry point.
+    /// fleet's "daily recalibration arrived" entry point. The device
+    /// keeps its crosstalk ground truth.
     ///
     /// The snapshot is **validated before it can touch anything**: a
     /// snapshot with NaN/infinite entries, the wrong qubit count,
     /// missing link entries or an out-of-range value (an error rate
     /// outside `[0, 1]`, a negative duration or coherence time) is
-    /// rejected with a typed error and the
-    /// device, its epoch and the planning cache are left exactly as
-    /// they were. On success the device's calibration epoch bumps, the
-    /// device's cached planning probes and plans are dropped, an
-    /// [`Event::DeviceRecalibrated`] is emitted, and — when a drift
-    /// model is attached — the new snapshot becomes the baseline that
-    /// drift-scheduled recalibration resets restore. Returns the new
-    /// epoch.
+    /// rejected with a typed error and the device, its epoch and the
+    /// planning cache are left exactly as they were. On success a new
+    /// device replaces the old one, its calibration epoch bumps, its
+    /// cached planning probes and plans are dropped and an
+    /// [`Event::DeviceRecalibrated`] is emitted. Returns the new epoch.
     ///
     /// # Errors
     ///
@@ -55,45 +53,18 @@ impl Service {
         device: DeviceId,
         calibration: Calibration,
     ) -> Result<u64, RuntimeError> {
-        let dev = self.registry.get(device);
-        let fault = if calibration.num_qubits() != dev.num_qubits() {
-            Some(CalibrationFault::QubitCountMismatch {
-                expected: dev.num_qubits(),
-                got: calibration.num_qubits(),
-            })
-        } else if !calibration.all_finite() {
-            Some(CalibrationFault::NonFinite)
-        } else if !calibration.covers(dev.topology()) {
-            Some(CalibrationFault::MissingLinks)
-        } else if !calibration.in_range() {
-            Some(CalibrationFault::OutOfRange)
-        } else {
-            None
-        };
-        if let Some(fault) = fault {
-            return Err(RuntimeError::InvalidCalibration {
-                device: dev.name().to_string(),
-                fault,
-            });
-        }
-        let name = dev.name().to_string();
-        if let Some(baselines) = &mut self.baselines {
-            baselines[device.index()].0 = calibration.clone();
-        }
-        let epoch = self.registry.recalibrate(device, calibration);
-        self.bump_epoch(device.index(), name, epoch);
-        Ok(epoch)
+        let crosstalk = self.registry.get(device).crosstalk().clone();
+        self.install(device, calibration, crosstalk)
     }
 
     /// Advances the fleet's calibration drift to simulated time `now`
     /// (ns): for every device, applies each drift step the attached
-    /// [`DriftModel`](crate::DriftModel) schedules between the last advance and `now` —
-    /// [`DriftEvent::Drift`] steps perturb the calibration state,
-    /// [`DriftEvent::Recalibrate`] steps restore the device's baseline
-    /// snapshot. Each step that actually changes a device bumps its
-    /// calibration epoch, drops its cached planning probes and plans
-    /// and emits an [`Event::DeviceRecalibrated`]; no-op steps (zero-sigma walks, or
-    /// resets of an undrifted device) leave epoch, cache and telemetry
+    /// [`DriftModel`](crate::DriftModel) schedules between the last
+    /// advance and `now`. Each step that actually changes a device is
+    /// installed like a [`Service::recalibrate`] — a new device, an
+    /// epoch bump, its cached planning probes and plans dropped, an
+    /// [`Event::DeviceRecalibrated`]; a no-op step (a zero-sigma walk)
+    /// installs nothing and leaves epoch, cache and telemetry
     /// untouched, so a zero-drift service stays bit-for-bit a frozen
     /// one. Returns the number of epoch bumps.
     ///
@@ -115,18 +86,17 @@ impl Service {
     /// fork, so runaway advances are refused, not truncated; state is
     /// untouched). [`RuntimeError::InvalidCalibration`] when a
     /// misbehaving model produces NaN/infinite or out-of-range values
-    /// — the same
-    /// validation gate [`Service::recalibrate`] applies to explicit
-    /// snapshots: the offending step is rolled back (no epoch bump, no
-    /// cache drop) and that device stops just before it, while earlier
-    /// steps and other devices stand, so a fixed model can resume
-    /// exactly where drift halted.
+    /// — the validation [`Service::recalibrate`] applies, since both
+    /// install through it: the offending step is not installed and
+    /// that device stops just before it, while earlier steps and other
+    /// devices stand, so a fixed model can resume exactly where drift
+    /// halted.
     pub fn advance_drift(&mut self, now: f64) -> Result<usize, RuntimeError> {
         if !now.is_finite() {
             return Err(RuntimeError::NonFiniteTime { value: now });
         }
-        // Taken (not borrowed) so the loop below can mutate registry,
-        // cache and event log while consulting the model.
+        // Taken (not borrowed) so the loop below can install devices,
+        // drop cache entries and log events while consulting the model.
         let Some(model) = self.drift.take() else {
             return Ok(0);
         };
@@ -140,94 +110,78 @@ impl Service {
             });
         }
         let mut bumps = 0usize;
-        let mut fault: Option<RuntimeError> = None;
-        'devices: for index in 0..self.registry.len() {
-            let applied = self.drift_steps[index];
-            if target <= applied {
-                continue;
-            }
+        let mut fault = None;
+        for index in 0..self.registry.len() {
             let id = DeviceId::from_index(index);
-            for step in applied + 1..=target {
-                let new_epoch = match model.event_at(step) {
-                    // Applied against a scratch copy so a model that
-                    // produces NaN/infinity or an out-of-range value can
-                    // be rejected with the live state untouched — the
-                    // same gates `recalibrate` applies to explicit
-                    // snapshots.
-                    DriftEvent::Drift => {
-                        let mut poison = None;
-                        let epoch = self.registry.mutate_calibration(id, |cal, xt| {
-                            let (mut next_cal, mut next_xt) = (cal.clone(), xt.clone());
-                            if !model.apply_step(step, index as u64, &mut next_cal, &mut next_xt) {
-                                return None;
-                            }
-                            poison = if !(next_cal.all_finite() && next_xt.all_finite()) {
-                                Some(CalibrationFault::NonFinite)
-                            } else if !next_cal.in_range() {
-                                Some(CalibrationFault::OutOfRange)
-                            } else {
-                                None
-                            };
-                            poison.is_none().then_some((next_cal, next_xt))
-                        });
-                        if let Some(poison) = poison {
-                            fault = Some(RuntimeError::InvalidCalibration {
-                                device: self.registry.device_at(index).name().to_string(),
-                                fault: poison,
-                            });
-                            // Steps up to the poisoned one stand; the
-                            // device stays at `step - 1` so a fixed
-                            // model could resume exactly there.
-                            self.drift_steps[index] = step - 1;
-                            continue 'devices;
-                        }
-                        epoch
-                    }
-                    // Restore-by-clone only when the device actually
-                    // drifted away from its baseline; the common
-                    // nothing-changed reset costs two comparisons.
-                    DriftEvent::Recalibrate => {
-                        let (base_cal, base_xt) = &self
-                            .baselines
-                            .as_ref()
-                            .expect("a drifting service always snapshots baselines at build")
-                            [index];
-                        self.registry.mutate_calibration(id, |cal, xt| {
-                            (cal != base_cal || xt != base_xt)
-                                .then(|| (base_cal.clone(), base_xt.clone()))
-                        })
-                    }
-                };
-                if let Some(epoch) = new_epoch {
-                    // After a device's first bump of this advance its
-                    // cache entries are gone and no dispatch can bring
-                    // any back mid-advance: later drops find nothing.
-                    let device = self.registry.device_at(index).name().to_string();
-                    self.bump_epoch(index, device, epoch);
-                    bumps += 1;
+            let mut step = self.drift_steps[index];
+            while step < target {
+                step += 1;
+                // Stepped on copies: the installed device is a new
+                // value, and a step that changes nothing installs none.
+                let device = self.registry.get(id);
+                let (mut cal, mut xt) = (device.calibration().clone(), device.crosstalk().clone());
+                if !model.apply_step(step, index as u64, &mut cal, &mut xt) {
+                    continue;
                 }
+                if let Err(err) = self.install(id, cal, xt) {
+                    // The device stays at `step - 1` so a fixed model
+                    // could resume exactly there.
+                    fault = Some(err);
+                    step -= 1;
+                    break;
+                }
+                bumps += 1;
             }
-            self.drift_steps[index] = target;
+            self.drift_steps[index] = step;
         }
         self.drift = Some(model);
-        match fault {
-            Some(err) => Err(err),
-            None => Ok(bumps),
-        }
+        fault.map_or(Ok(bumps), Err)
     }
 
-    /// The epoch-bump fanout, shared by explicit recalibrations and
-    /// drift steps: the device's cached probes and plans are dropped —
-    /// they were computed against a calibration that no longer exists —
-    /// with the shapes only their keys still held, and the bump is
-    /// logged.
-    fn bump_epoch(&mut self, device_index: usize, device_name: String, epoch: u64) {
-        if self.route_cache.invalidate_device(device_index) > 0 {
+    /// The one way calibration state enters the fleet, shared by
+    /// [`Service::recalibrate`] and every drift step: validates the
+    /// state — qubit count, finiteness (crosstalk included), link
+    /// coverage, range, in that order — then installs it as a new
+    /// device, drops the device's cached probes and plans (computed
+    /// against a calibration that no longer exists) with the shapes
+    /// only their keys still held, and logs the bump. A rejected state
+    /// touches nothing.
+    fn install(
+        &mut self,
+        device: DeviceId,
+        calibration: Calibration,
+        crosstalk: CrosstalkModel,
+    ) -> Result<u64, RuntimeError> {
+        let dev = self.registry.get(device);
+        let fault = if calibration.num_qubits() != dev.num_qubits() {
+            Some(CalibrationFault::QubitCountMismatch {
+                expected: dev.num_qubits(),
+                got: calibration.num_qubits(),
+            })
+        } else if !(calibration.all_finite() && crosstalk.all_finite()) {
+            Some(CalibrationFault::NonFinite)
+        } else if !calibration.covers(dev.topology()) {
+            Some(CalibrationFault::MissingLinks)
+        } else if !calibration.in_range() {
+            Some(CalibrationFault::OutOfRange)
+        } else {
+            None
+        };
+        let name = dev.name().to_string();
+        if let Some(fault) = fault {
+            return Err(RuntimeError::InvalidCalibration {
+                device: name,
+                fault,
+            });
+        }
+        let epoch = self.registry.install(device, calibration, crosstalk);
+        if self.route_cache.invalidate_device(device.index()) > 0 {
             self.shapes.sweep();
         }
-        self.emit(Event::DeviceRecalibrated {
-            device: device_name,
+        self.log.push(Event::DeviceRecalibrated {
+            device: name,
             epoch,
         });
+        Ok(epoch)
     }
 }

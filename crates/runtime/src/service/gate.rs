@@ -124,7 +124,7 @@ pub(super) fn plan_batch(
 ///
 /// `head_strategy` is the effective strategy of `members.seqs[0]` (the
 /// head, which no eviction rule can remove): it parameterizes the
-/// solo-EFS baselines exactly as the sequential path always has.
+/// solo-EFS reference scores exactly as the sequential path always has.
 ///
 /// A free function on purpose: its only inputs are the pre-resolved
 /// members and shared device/strategy state — what the plan key names —
@@ -137,7 +137,7 @@ pub(super) fn plan_batch(
 /// set that survives ([`Gated::complete`]). Its per-member state is
 /// cached: the circuits are peephole-optimized **once**, the
 /// per-member thresholds are resolved once, and the solo-best EFS
-/// baselines are probed once on the first successful allocation; each
+/// scores are probed once on the first successful allocation; each
 /// shrink step merely removes the evicted member's entry from every
 /// cache. The first placement of every allocation and every solo
 /// baseline are read from the device's region atlas
@@ -168,7 +168,7 @@ pub(super) fn plan_gated_members(
                 if gated && members.seqs.len() > 1 && members.thresholds.iter().any(Option::is_some)
                 {
                     // The joint partitions are allocated; only the solo
-                    // baselines need probing (deduplicated, cached
+                    // scores need probing (deduplicated, cached
                     // across shrink iterations — evictions remove the
                     // matching cache entry, so indices stay aligned).
                     if solo_cache.is_none() {

@@ -57,8 +57,7 @@ pub struct ServiceReport {
     /// most recent `capacity` under a bound).
     pub events: Vec<Event>,
     /// Events the [`ServiceBuilder::event_capacity`](crate::ServiceBuilder::event_capacity) bound dropped from
-    /// the retained log (always 0 when unbounded). Observers saw every
-    /// event regardless.
+    /// the retained log (always 0 when unbounded).
     pub dropped_events: usize,
 }
 

@@ -13,7 +13,7 @@ use qucp_circuit::Circuit;
 use qucp_core::pipeline::{Pipeline, PlannedWorkload};
 use qucp_core::threshold::solo_efs_scores;
 use qucp_core::{strategy, Strategy};
-use qucp_device::{ibm, Device};
+use qucp_device::{ibm, Calibration, CrosstalkModel, Device};
 use qucp_sim::{ShotParallelism, TrajectoryKernel};
 
 fn fifo_service(max_parallel: usize) -> Service {
@@ -637,7 +637,7 @@ fn drift_steps_bump_epochs_and_recalibration_resets_restore_baseline() {
     let mut service = Service::builder()
         .device(ibm::toronto())
         .strategy(strategy::qucp(4.0))
-        .drift(qucp_device::GaussianWalk::new(3, 1000.0).with_recalibration_every(4))
+        .drift(qucp_device::GaussianWalk::new(3, 1000.0))
         .max_parallel(2)
         .seed(42)
         .build()
@@ -647,13 +647,16 @@ fn drift_steps_bump_epochs_and_recalibration_resets_restore_baseline() {
     assert_eq!(service.advance_drift(3000.0).unwrap(), 3);
     assert_eq!(service.device_epoch(tor), 3);
     assert_ne!(service.registry().get(tor).calibration(), &baseline);
-    // Step 4 is the recalibration reset: back to baseline.
-    assert_eq!(service.advance_drift(4000.0).unwrap(), 1);
-    assert_eq!(service.device_epoch(tor), 4);
+    // A recalibration installs the baseline again; drift walks on
+    // from it.
+    assert_eq!(service.recalibrate(tor, baseline.clone()).unwrap(), 4);
     assert_eq!(service.registry().get(tor).calibration(), &baseline);
     // Time never runs backwards; replaying an old horizon is a noop.
     assert_eq!(service.advance_drift(2000.0).unwrap(), 0);
     assert_eq!(service.device_epoch(tor), 4);
+    assert_eq!(service.registry().get(tor).calibration(), &baseline);
+    assert_eq!(service.advance_drift(4000.0).unwrap(), 1);
+    assert_ne!(service.registry().get(tor).calibration(), &baseline);
     // Telemetry recorded one event per bump, epochs ascending.
     assert_eq!(
         service
@@ -662,7 +665,7 @@ fn drift_steps_bump_epochs_and_recalibration_resets_restore_baseline() {
             .iter()
             .map(|&(_, e)| e)
             .collect::<Vec<_>>(),
-        vec![1, 2, 3, 4]
+        vec![1, 2, 3, 4, 5]
     );
 }
 
@@ -893,20 +896,57 @@ fn per_job_trajectory_kernel_override_applies() {
 }
 
 #[test]
-fn observer_sees_every_logged_event() {
-    use std::sync::{Arc, Mutex};
-    let seen = Arc::new(Mutex::new(0usize));
-    let seen_in = Arc::clone(&seen);
-    let mut service = Service::builder()
-        .device(ibm::toronto())
-        .max_parallel(2)
-        .observer(move |_: &Event| *seen_in.lock().unwrap() += 1)
-        .build()
+fn a_forged_ticket_peeks_and_claims_nothing() {
+    let bell = qucp_circuit::library::by_name("bell").unwrap().circuit();
+    let mut service = fifo_service(2);
+    let owner = service
+        .submit(JobRequest::new(bell, 0.0).with_id(7).with_shots(64))
         .unwrap();
-    submit_all(&mut service, 4);
     service.run_until_drained().unwrap();
-    assert_eq!(*seen.lock().unwrap(), service.events().len());
-    assert!(service.events().len() >= 4 + 4); // submissions + completions
+    let forged = JobTicket {
+        seq: owner.seq,
+        id: 8,
+    };
+    assert!(service.result(forged).is_none());
+    assert!(service.take_result(&forged).is_none());
+    assert!(service.result(owner).is_some());
+    assert_eq!(service.take_result(&owner).unwrap().job_id, 7);
+    assert!(service.take_result(&owner).is_none());
+}
+
+#[test]
+fn a_staged_batch_runs_on_the_device_it_was_planned_on() {
+    // `install_before` / `install_after`: a changed calibration is
+    // installed on the batch's device before staging / between staging
+    // and execution.
+    let run = |install_before: bool, install_after: bool| {
+        let bell = qucp_circuit::library::by_name("bell").unwrap().circuit();
+        let mut service = fifo_service(2);
+        for i in 0..2u64 {
+            let request = JobRequest::new(bell.clone(), 0.0).with_id(i);
+            service.submit(request.with_shots(512)).unwrap();
+        }
+        let tor = DeviceId::from_index(0);
+        let install = |service: &mut Service| {
+            let mut drifted = service.registry().get(tor).calibration().clone();
+            for e in drifted.readout_errors_mut() {
+                *e = (*e * 4.0).min(0.4);
+            }
+            service.recalibrate(tor, drifted).unwrap();
+        };
+        if install_before {
+            install(&mut service);
+        }
+        let staged = service.stage_one(f64::INFINITY).unwrap().unwrap();
+        if install_after {
+            install(&mut service);
+            assert_eq!(service.device_epoch(tor), 1);
+        }
+        staged.execute().unwrap()
+    };
+    let untouched = run(false, false);
+    assert_eq!(run(false, true), untouched);
+    assert_ne!(run(true, false), untouched, "the install must matter");
 }
 
 #[test]

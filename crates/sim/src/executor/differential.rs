@@ -329,9 +329,12 @@ fn certain_and_impossible_readout_flips() {
     // jumps of `SurvivalSkip` (whose products reach 0 at the first).
     let cfg = ExecutionConfig::default().with_shots(400).with_seed(6);
     let mut case = line_case(ladder(4, 9), 0.05, 0.3, cfg);
-    let readout = case.device.calibration_mut();
+    let mut readout = case.device.calibration().clone();
     readout.set_readout_error(1, 1.0);
     readout.set_readout_error(2, 0.0);
+    case.device = case
+        .device
+        .with_state(readout, case.device.crosstalk().clone());
     let prepared = case.prepare();
     for kernel in KERNELS {
         let cfg = cfg.with_kernel(kernel);

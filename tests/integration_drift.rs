@@ -171,11 +171,12 @@ proptest! {
     }
 }
 
-/// Regression: a drift step that changes nothing leaves the device
-/// untouched, region atlas included — it used to take the calibration
-/// mutably before deciding, which empties the atlas, so a frozen walk
-/// threw away every grown width with no epoch bump. A step that does
-/// change the calibration leaves the atlas of the new one.
+/// Regression: a drift step that changes nothing installs nothing, so
+/// the registry keeps the same device, region atlas included — it used
+/// to take the calibration mutably before deciding, which emptied the
+/// atlas, so a frozen walk threw away every grown width with no epoch
+/// bump. A step that does change the calibration installs a new device
+/// whose atlas is the new calibration's.
 #[test]
 fn a_drift_step_that_changes_nothing_keeps_the_region_atlas() {
     let widths = [2, 5, 9];
@@ -194,20 +195,21 @@ fn a_drift_step_that_changes_nothing_keeps_the_region_atlas() {
         widths.map(|w| device.idle_regions(w).as_ptr())
     };
     let walk = GaussianWalk::new(0xA71A5, 1_000.0);
-    for frozen in [walk.frozen(), walk.frozen().with_recalibration_every(1)] {
-        let (mut service, id) = service(frozen);
-        let before = grown(&service, id);
-        // The clone shares the atlas and keeps it alive, so a replaced
-        // atlas could not regrow its widths at the same addresses.
-        let kept = service.registry().get(id).clone();
-        for step in 1..=40 {
-            let now = f64::from(step) * 1_000.0;
-            assert_eq!(service.advance_drift(now).expect("advance"), 0);
-        }
-        assert_eq!(service.device_epoch(id), 0, "{frozen:?}");
-        assert_eq!(grown(&service, id), before, "{frozen:?}");
-        assert_eq!(kept.idle_regions(widths[0]).as_ptr(), before[0]);
+    let (mut frozen, id) = service(walk.frozen());
+    let before = grown(&frozen, id);
+    let installed: *const qucp_device::Device = frozen.registry().get(id);
+    // The clone shares the atlas and keeps it alive, so a replaced
+    // atlas could not regrow its widths at the same addresses.
+    let kept = frozen.registry().get(id).clone();
+    for step in 1..=40 {
+        let now = f64::from(step) * 1_000.0;
+        assert_eq!(frozen.advance_drift(now).expect("advance"), 0);
     }
+    assert_eq!(frozen.device_epoch(id), 0);
+    assert_eq!(grown(&frozen, id), before);
+    assert_eq!(kept.idle_regions(widths[0]).as_ptr(), before[0]);
+    // Nothing was installed: the registry holds the same device.
+    assert!(std::ptr::eq(frozen.registry().get(id), installed));
 
     let (mut service, id) = service(walk);
     grown(&service, id);

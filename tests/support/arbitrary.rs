@@ -150,12 +150,9 @@ pub fn config() -> impl Strategy<Value = Config> {
     ];
     let drift = prop_oneof![
         Just(Drift::None),
-        (0u64..1000, 0u8..2, 0u8..2).prop_map(|(seed, fast, recal)| {
-            let walk = GaussianWalk::new(seed, if fast == 0 { 40_000.0 } else { 250_000.0 });
-            Drift::Walk(match recal {
-                0 => walk,
-                _ => walk.with_recalibration_every(3),
-            })
+        (0u64..1000, 0u8..2).prop_map(|(seed, fast)| {
+            let interval = if fast == 0 { 40_000.0 } else { 250_000.0 };
+            Drift::Walk(GaussianWalk::new(seed, interval))
         }),
     ];
     let capacity = prop_oneof![Just(None), Just(None), (0usize..40).prop_map(Some)];

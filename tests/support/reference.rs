@@ -143,8 +143,12 @@ impl ReferenceScheduler {
         })
     }
 
+    /// A ticket whose id is not its job's claims nothing.
     pub fn take_result(&mut self, ticket: &JobTicket) -> Option<JobResult> {
         let result = self.results.get(ticket.seq)?.clone()?;
+        if result.job_id != ticket.id {
+            return None;
+        }
         (!std::mem::replace(&mut self.claimed[ticket.seq], true)).then_some(result)
     }
 
