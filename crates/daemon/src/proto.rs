@@ -317,6 +317,7 @@ wire_enum! {
     8 => JobUnplaceable { job_id: u64, source: String },
     9 => Core(source: String),
     10 => QueueCorrupted { seq: usize },
+    11 => InvalidStrategy { value: f64 },
 }
 
 wire_enum! {

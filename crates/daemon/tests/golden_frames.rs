@@ -389,6 +389,12 @@ fn runtime_errors() -> Vec<(&'static str, RuntimeError)> {
             "runtime_invalid_calibration_out_of_range",
             invalid(CalibrationFault::OutOfRange),
         ),
+        (
+            "runtime_invalid_strategy",
+            RuntimeError::InvalidStrategy {
+                value: f64::INFINITY,
+            },
+        ),
     ]
 }
 
@@ -766,4 +772,5 @@ const RESPONSE_FRAMES: &[(&str, &str)] = &[
         "runtime_invalid_calibration_out_of_range",
         "8704060700000000000000746f726f6e746f03",
     ),
+    ("runtime_invalid_strategy", "87040b000000000000f07f"),
 ];

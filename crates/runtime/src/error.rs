@@ -123,6 +123,13 @@ pub enum RuntimeError<S = CoreError> {
         /// Submission index of the job that vanished from the store.
         seq: usize,
     },
+    /// A job's strategy override carried a NaN or infinite crosstalk
+    /// factor (QuCP's σ or a measured QuMC ratio): no partition score
+    /// could be trusted, and no plan-memo key could ever be hit again.
+    InvalidStrategy {
+        /// The offending value.
+        value: f64,
+    },
 }
 
 impl RuntimeError {
@@ -163,6 +170,7 @@ impl<S> RuntimeError<S> {
             },
             RuntimeError::Core(source) => RuntimeError::Core(f(source)),
             RuntimeError::QueueCorrupted { seq } => RuntimeError::QueueCorrupted { seq },
+            RuntimeError::InvalidStrategy { value } => RuntimeError::InvalidStrategy { value },
         }
     }
 }
@@ -203,6 +211,9 @@ impl<S: fmt::Display> fmt::Display for RuntimeError<S> {
                     f,
                     "pending queue corrupted: job seq {seq} vanished from the store"
                 )
+            }
+            RuntimeError::InvalidStrategy { value } => {
+                write!(f, "strategy crosstalk factors must be finite, got {value}")
             }
         }
     }

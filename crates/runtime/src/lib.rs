@@ -56,8 +56,18 @@
 //!    effective strategy: the shrink loop runs on its allocation stage
 //!    alone (partition pressure shrinks the batch from the tail), and
 //!    routing and the schedule merge run once, for the members that
-//!    stayed. Every committed decision is recorded as an
-//!    [`Event::BatchRouted`] carrying the winning score.
+//!    stayed. Allocation is **memoized** too, in the *plan memo*: one
+//!    entry per ordered member list per device and epoch, keyed by
+//!    what stage 1 reads — *(device, epoch, optimize flag, head
+//!    strategy, member shapes)*, no threshold — so every joint attempt
+//!    and every member's solo baseline the EFS gate reads is a lookup,
+//!    and only a list not yet seen reaches the allocator. The gate
+//!    itself runs on every batch, with each job's own threshold. A
+//!    list that commits keeps its completed plan in its entry, so a
+//!    survivor set is routed, merged and prepared once per epoch,
+//!    whatever threshold pattern committed it. Every committed
+//!    decision is recorded as an [`Event::BatchRouted`] carrying the
+//!    winning score.
 //! 4. **Execute** — the programs of the planned batch run
 //!    ([`PlannedWorkload::prepare`](qucp_core::pipeline::PlannedWorkload::prepare)
 //!    and [`run_prepared`](qucp_core::pipeline::PlannedWorkload::run_prepared))
@@ -162,7 +172,7 @@
 //! | dispatch step: arrived views | O(log n) prefix bind (O(arrived) flag pass only while per-job strategy overrides are live) |
 //! | dispatch step: admitting devices | O(log D) + A width-bucket suffix |
 //! | routing / head-only gate probes | one partition probe per (device, circuit shape, strategy[, threshold]) per calibration epoch, then a cache hit |
-//! | batch planning | partition + map + merge on a plan-cache miss (the only path that clones the members' circuits); on a hit (repeat member shapes at one calibration epoch) one lookup under the literal key *(device, epoch, gate mode, optimize, strategy key, member shape handles, threshold bits)* — O(members) handle copies — and a borrowed replay of the entry's shrink trace |
+//! | batch planning | the EFS gate on every batch, each allocation it reads — the joint attempts and, under the batch gates, every member's solo baseline — one plan-memo lookup under the literal key *(device, epoch, optimize, strategy key, member shape handles)* (O(members) handle copies), partitioning only for a list not seen at this epoch; map + merge only for a survivor set not committed at this epoch. The members' circuits are cloned only on a memo miss, once per batch |
 //! | staging and execution | the batch's device is held by `Arc`, never cloned; the members leave the pending store by value into one record per job, the head's strategy is one shared table entry, and ranking, packing and the key lookup run in buffers the service keeps |
 //! | batch removal | offset bump (front run) or one compaction pass |
 //! | recalibrate / drift epoch bump | one new device (its calibration state; name and topology shared by `Arc`), one pass over the cache, dropping the bumped device's probes and plans, and one over the shape table, dropping the shapes nothing holds any more |
@@ -181,8 +191,8 @@
 //! | phase | before | after | what is left |
 //! |---|---|---|---|
 //! | head and ranking | 4.22 | 0.00 | — (the head's circuit, strategy and four pipeline stages were cloned per dispatch; five vectors per ranking) |
-//! | pack, plan key, replay | 2.34 | 0.82 | a shrink-event vector when the cached plan evicts (the admission policy's pack, counted here, has since moved into a buffer the service keeps) |
-//! | planning (the 4 % that miss) | 2.57 | 2.58 | the plan itself, its members' circuits, the key cloned into the cache |
+//! | pack, plan key, replay | 2.34 | 0.82 | a shrink-event vector when the cached plan evicts (the admission policy's pack, counted here, has since moved into a buffer the service keeps, and so have the gate's keys, scores and shrink events) |
+//! | planning (the 4 % that miss) | 2.57 | 2.58 | the plan itself, its members' circuits, the key cloned into the memo (since the memo, no separate copy of the members' indices and ids) |
 //! | commit | 6.75 | 2.30 | one member vector, the event block, the device and policy names inside its events (public `String`s) |
 //! | execution | 10.77 | 8.77 | the run's counts and their logical permutation, the result's name and partition; scoring streams over the sparse counts (5.00 → 3.00 of the above) |
 //! | finish | 1.28 | 0.77 | the batch report's job ids and device name; each result's name is moved in, not copied over the replayed plan's |
@@ -190,7 +200,12 @@
 //! | **drain, total** | **33.27** | **20.59** | |
 //!
 //! `tests/integration_alloc_budget.rs` holds a warm two-chip service to
-//! the *after* column as a per-job budget.
+//! the *after* column as a per-job budget. Under the batch EFS gate a
+//! batch is a hit by its survivor set, not by its members' threshold
+//! bits: the same file pins a tick of 48 thresholded jobs whose
+//! survivor sets repeat, every batch shrinking, at 529 requests (11.0
+//! per job); while thresholds were part of the plan key, 8 of its 25
+//! batches missed and it counted 2 848.
 //!
 //! What every one of those mechanisms must *answer* is stated without
 //! them by the reference scheduler of the differential suite

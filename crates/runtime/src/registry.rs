@@ -37,12 +37,15 @@
 //!   *(device, head circuit shape, head strategy[, threshold bits])*.
 //!   A stream of same-shape jobs pays the candidate growth once per
 //!   chip instead of once per batch.
-//! - **Plan entries** — entire committed batch plans (the
-//!   [`PlannedWorkload`](qucp_core::pipeline::PlannedWorkload) plus its
-//!   eviction trace), keyed by *(device, **epoch**, gate mode,
-//!   optimize flag, head strategy, ordered member shapes, member
-//!   threshold bits)*. A hit replays the cached plan clone-free and
-//!   skips partitioning, mapping and merging entirely.
+//! - **Plan entries** — the allocation of every ordered member list
+//!   the EFS gate looked up (joint attempts and one-member solo
+//!   lists) and, for a list that committed as a batch, its
+//!   [`PlannedWorkload`](qucp_core::pipeline::PlannedWorkload), keyed
+//!   by what allocation reads: *(device, **epoch**, optimize flag, head
+//!   strategy, ordered member shapes)*, no threshold. The gate reads
+//!   its allocations there, and a batch whose survivors committed
+//!   before shares their plan clone-free, skipping partitioning,
+//!   mapping and merging entirely.
 //!
 //! The keys are those tuples themselves, compared by equality: a
 //! *shape* is the handle a circuit's width and gate sequence were

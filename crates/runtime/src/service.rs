@@ -7,7 +7,7 @@
 //! and result retrieval — and its parts: the per-job
 //! [`JobRequest`]/[`JobTicket`] types (`request`), the
 //! [`ServiceBuilder`] (`builder`), the cross-batch planning cache
-//! (`route_cache`), the planning shrink loop (`gate`), the dispatch
+//! (`route_cache`), the EFS gate on memoized allocations (`gate`), the dispatch
 //! loop (`dispatch`), the live fleet (`drift`) and the drained
 //! [`ServiceReport`] (`report`).
 
@@ -27,6 +27,7 @@ pub use self::report::{BatchReport, DeviceReport, ServiceReport};
 pub use self::request::{EfsGate, JobRequest, JobTicket};
 pub use self::route_cache::RouteCacheStats;
 
+use qucp_core::{CrosstalkTreatment, PartitionPolicy, Strategy};
 use qucp_device::DriftModel;
 
 use self::dispatch::DispatchScratch;
@@ -128,7 +129,8 @@ pub struct Service {
     /// (trajectory simulation), as opposed to dispatch bookkeeping.
     exec_ns: u64,
     /// Cumulative wall-clock nanoseconds spent *planning* batches
-    /// (mapping/partitioning in [`plan_gated_members`]).
+    /// (every candidate's pass through the EFS gate and the plan memo,
+    /// `service/gate.rs`).
     plan_ns: u64,
 }
 
@@ -236,7 +238,8 @@ impl Service {
     /// [`RuntimeError::EmptyCircuit`] on a zero-width circuit,
     /// [`RuntimeError::ZeroShots`] on a zero effective shot budget,
     /// [`RuntimeError::InvalidThreshold`] on a NaN, infinite or
-    /// negative per-job threshold.
+    /// negative per-job threshold, [`RuntimeError::InvalidStrategy`] on
+    /// a per-job strategy with a NaN or infinite crosstalk factor.
     pub fn submit(&mut self, request: JobRequest) -> Result<JobTicket, RuntimeError> {
         if !request.arrival.is_finite() {
             return Err(RuntimeError::NonFiniteTime {
@@ -254,6 +257,9 @@ impl Service {
             if !t.is_finite() || t < 0.0 {
                 return Err(RuntimeError::InvalidThreshold { value: t });
             }
+        }
+        if let Some(value) = request.strategy.as_ref().and_then(non_finite_factor) {
+            return Err(RuntimeError::InvalidStrategy { value });
         }
         let seq = self.next_seq;
         self.next_seq += 1;
@@ -391,7 +397,9 @@ impl Service {
     }
 
     /// Cumulative wall-clock nanoseconds this service spent *planning*
-    /// batches (mapping/partitioning of the gated batch members) —
+    /// batches (every candidate's planning pass: the EFS gate's memo
+    /// lookups, the allocation of member lists the memo did not hold,
+    /// and the routing and merge of survivor sets not planned before) —
     /// workload cost, like execution, not queue bookkeeping. Planning
     /// runs one candidate at a time on the dispatching thread, so this
     /// is exactly the wall time planning occupied. The benchmark
@@ -400,4 +408,17 @@ impl Service {
     pub fn planning_time_ns(&self) -> u64 {
         self.plan_ns
     }
+}
+
+/// The first NaN or infinite crosstalk factor of `strategy` — QuCP's σ
+/// or a measured QuMC ratio — if it has one.
+fn non_finite_factor(strategy: &Strategy) -> Option<f64> {
+    match &strategy.partition {
+        PartitionPolicy::NoiseAware(CrosstalkTreatment::Sigma(sigma)) => Some(*sigma),
+        PartitionPolicy::NoiseAware(CrosstalkTreatment::Measured(ratios)) => {
+            ratios.values().copied().find(|r| !r.is_finite())
+        }
+        _ => None,
+    }
+    .filter(|value| !value.is_finite())
 }

@@ -7,8 +7,8 @@
 //! Until its batch commits a job is one `Pending` record in the store,
 //! and staging reads it there: the head's numbers are copied into a
 //! [`HeadContext`] (no circuit, the strategy by reference count),
-//! ranking, packing and the plan-key lookup fill the buffers of one
-//! [`DispatchScratch`] the service keeps, and a plan-cache hit shares
+//! ranking, packing and the gate's memo lookups fill the buffers of one
+//! [`DispatchScratch`] the service keeps, and a plan-memo hit shares
 //! the cached plan and its prepared-state slots behind their `Arc`s.
 //! [`Service::commit`] then takes
 //! the members out of the store **by value** and turns each into one
@@ -26,8 +26,8 @@ use qucp_core::{CoreError, ParallelConfig, ProgramResult, Strategy};
 use qucp_device::Device;
 use qucp_sim::{run_indexed, ExecutionConfig, ShotParallelism, TrajectoryKernel};
 
-use super::gate::plan_batch;
-use super::route_cache::{replay_plan, PlanKey, ReplaySlots, SharedPlan};
+use super::gate::GateBuffers;
+use super::route_cache::{ReplaySlots, SharedPlan};
 use super::{BatchReport, EfsGate, JobTicket, Service};
 use crate::error::RuntimeError;
 use crate::event::Event;
@@ -241,11 +241,7 @@ impl Service {
         pack: CandidatePack,
         shared: SharedPlan,
     ) -> Result<StagedBatch, RuntimeError> {
-        let SharedPlan {
-            plan,
-            slots,
-            shrinks,
-        } = shared;
+        let SharedPlan { plan, slots } = shared;
         let (score, _, d) = scratch.ranked[rank];
         let batch_index = head.batch_index;
         let start = pack.start;
@@ -277,6 +273,7 @@ impl Service {
         // trace, like their shrink events). The recorded policy is the
         // *effective* one: the head's override when present, the
         // service default otherwise.
+        let shrinks = &mut scratch.gate.shrinks;
         let mut events: Vec<Event> = Vec::with_capacity(2 + shrinks.len() + members.len());
         events.push(Event::BatchRouted {
             batch_index,
@@ -286,7 +283,7 @@ impl Service {
             start,
             candidates: scratch.ranked.len(),
         });
-        events.extend(shrinks);
+        events.append(shrinks);
         events.push(Event::BatchPlanned {
             batch_index,
             device: device.name().to_string(),
@@ -403,15 +400,14 @@ impl Service {
 
     /// One candidate device, start to finish: the head-only cap probe,
     /// the pack (left in `scratch.picks` / `picks_seqs` / `pool`), and
-    /// the plan-cache lookup under a key built in the scratch's key
-    /// buffers — a hit replays the memoized outcome against the current
-    /// members (re-binding shrink events and unplaceable errors to
-    /// current job ids), a miss plans the members fresh, timed, and
-    /// memoizes the outcome. Either way the committed members end up in
-    /// `scratch.member_seqs`. A candidate the head cannot be placed on
-    /// — by the cap probe or by planning — is a
-    /// [`RuntimeError::JobUnplaceable`], which the ranked walk falls
-    /// past; every other error ends the dispatch.
+    /// the planning pass ([`GatePass::plan`](super::gate::GatePass::plan),
+    /// timed): the EFS gate on memoized allocations, then the
+    /// survivors' plan — reused from the memo when the same member list
+    /// committed before at this epoch, routed and merged otherwise.
+    /// Either way the committed members end up in `scratch.member_seqs`.
+    /// A candidate the head cannot be placed on — by the cap probe or by
+    /// planning — is a [`RuntimeError::JobUnplaceable`], which the
+    /// ranked walk falls past; every other error ends the dispatch.
     fn plan_candidate(
         &mut self,
         scratch: &mut DispatchScratch,
@@ -429,57 +425,21 @@ impl Service {
         };
         let cap = cap_probe.map_err(|e| RuntimeError::from_planning(head.id, e))?;
         let pack = self.pack_candidate(scratch, head, d, cap)?;
-        let mut key = self.plan_key(
-            d,
-            head.strategy_key,
-            &scratch.picks_seqs,
-            std::mem::take(&mut scratch.key_shapes),
-            std::mem::take(&mut scratch.key_thresholds),
-        )?;
-        let planned = self.replay_or_plan(scratch, head, d, &key);
-        // Emptied before they go back: a shape lives as long as a
-        // pending job or a cache key holds it, not a buffer.
-        key.shapes.clear();
-        key.thresholds.clear();
-        (scratch.key_shapes, scratch.key_thresholds) = (key.shapes, key.thresholds);
-        Ok((pack, planned?))
-    }
-
-    /// The plan-cache lookup of the pack in `scratch.picks_seqs` under
-    /// `key`, and the fresh plan on a miss — the only reader of the
-    /// members' circuits and the only place a key is cloned (into the
-    /// cache).
-    fn replay_or_plan(
-        &mut self,
-        scratch: &mut DispatchScratch,
-        head: &HeadContext,
-        d: usize,
-        key: &PlanKey,
-    ) -> Result<SharedPlan, RuntimeError> {
-        let device = self.registry.device_at(d);
-        if let Some(entry) = self.route_cache.plans.get_mut(key) {
-            self.route_cache.plan_hits += 1;
-            scratch.member_seqs.clone_from(&scratch.picks_seqs);
-            let members = &mut scratch.member_seqs;
-            return replay_plan(entry, head, device.name(), &self.pending, members);
-        }
-        self.route_cache.plan_misses += 1;
-        let members = self.plan_members(&scratch.picks_seqs)?;
+        let DispatchScratch {
+            picks_seqs,
+            member_seqs,
+            gate,
+            ..
+        } = scratch;
+        member_seqs.clone_from(picks_seqs);
         let plan_started = std::time::Instant::now();
-        let gated = plan_batch(
-            device,
-            head.batch_index,
-            self.efs_gate,
-            self.optimize,
-            &head.strategy,
-            members,
-        );
+        let planned = self
+            .gate_pass(gate, d, head.strategy_key, head.batch_index, member_seqs)
+            .and_then(|pass| pass.plan(member_seqs, &head.strategy));
         self.plan_ns = self
             .plan_ns
             .saturating_add(plan_started.elapsed().as_nanos() as u64);
-        let (shared, member_seqs) = self.memoize_plan(key.clone(), gated)?;
-        scratch.member_seqs = member_seqs;
-        Ok(shared)
+        Ok((pack, planned?))
     }
 
     /// One candidate device's admission pass: bind the arrived window
@@ -531,7 +491,7 @@ impl Service {
 }
 
 /// The buffers one dispatch step fills and the next reuses, owned by
-/// the [`Service`]: ranking, packing, the plan-cache key and the
+/// the [`Service`]: ranking, packing, the plan-memo keys and the
 /// members' removal run on memory requested once. Nothing in here
 /// outlives a step as a *value* — every buffer is cleared before it is
 /// read — only as capacity.
@@ -550,9 +510,8 @@ pub(super) struct DispatchScratch {
     /// `(seq, width)` of the current candidate's arrived window up to
     /// its last pick.
     pool: Vec<(usize, usize)>,
-    /// The [`PlanKey`]'s two vectors between lookups (empty).
-    key_shapes: Vec<Shape>,
-    key_thresholds: Vec<Option<u64>>,
+    /// The planning pass's buffers (empty between passes).
+    gate: GateBuffers,
     /// The picks that survived planning: the batch's members.
     member_seqs: Vec<usize>,
     /// The members' slots in the pending store's mirror.

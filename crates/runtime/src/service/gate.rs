@@ -1,252 +1,355 @@
-//! The planning shrink loop: allocate a packed batch, evicting members
-//! while the allocator cannot place it or the EFS gate finds one over
-//! its threshold, then route and merge the members that stayed, once.
+//! The EFS gate on memoized allocations: allocate a packed batch,
+//! evicting members while the allocator cannot place it or the gate
+//! finds one over its threshold, then route and merge the members that
+//! stayed.
+//!
+//! Every allocation the gate reads — each attempt's joint allocation
+//! and each member's solo baseline, a one-member list — is a lookup in
+//! the plan memo ([`RouteCache::plans`]) under the list's [`PlanKey`],
+//! so only a list not yet seen on the device at its epoch reaches the
+//! allocator. Thresholds are read from the pending store on every pass
+//! and are no key input: they choose which lists the loop visits, never
+//! what a list allocates. The surviving list's entry then holds its
+//! completed plan and prepared slots, so a survivor set is routed,
+//! merged and prepared once per epoch, whatever thresholds committed
+//! it.
+
+use std::ops::Range;
+use std::sync::{Arc, OnceLock};
 
 use qucp_circuit::Circuit;
-use qucp_core::pipeline::{Pipeline, PlannedWorkload};
-use qucp_core::threshold::solo_efs_scores;
+use qucp_core::pipeline::Pipeline;
 use qucp_core::{Allocation, CoreError, Strategy};
 use qucp_device::Device;
 
+use super::route_cache::{PlanEntry, PlanKey, RouteCache, SharedPlan};
 use super::{EfsGate, Service};
 use crate::error::RuntimeError;
 use crate::event::{Event, ShrinkReason};
+use crate::pending::PendingStore;
+use crate::shape::Shape;
 
-/// Per-member planning inputs, resolved from the pending store on a
-/// plan-cache miss so [`plan_gated_members`] can run without touching
-/// the service. The planning loop mutates its copy in place as members
-/// are evicted, so the returned `seqs`/`ids` are the committed batch.
-pub(super) struct PlanMembers {
-    pub(super) seqs: Vec<usize>,
-    pub(super) ids: Vec<u64>,
-    pub(super) circuits: Vec<Circuit>,
-    /// Effective per-member thresholds; resolved only in the batch-gate
-    /// modes (empty otherwise, matching the sequential path's laziness).
-    pub(super) thresholds: Vec<Option<f64>>,
+/// The buffers of one gated pass, kept by the dispatch scratch and
+/// empty between passes: a shape lives as long as a pending job or a
+/// memo key holds it, not a buffer.
+#[derive(Debug, Default)]
+pub(super) struct GateBuffers {
+    /// The key of the member list, its shapes evicted in step with the
+    /// members.
+    key: PlanKey,
+    /// The list's shapes while the key holds one member's at a time
+    /// (the solo scores); empty otherwise.
+    list: Vec<Shape>,
+    /// The members' effective thresholds, evicted in step; filled only
+    /// in the batch-gate modes.
+    thresholds: Vec<Option<f64>>,
+    /// Per member, its solo score, then its EFS excess.
+    excesses: Vec<f64>,
+    /// The last pass's shrink events, buffered: the commit drains them
+    /// if the batch commits on that candidate — a failed candidate must
+    /// leave no trace — and the next pass starts by clearing them.
+    pub(super) shrinks: Vec<Event>,
+}
+
+/// One candidate's planning pass: the memo it looks allocations up in,
+/// the store it reads the members in, the device, and the gate's
+/// settings.
+pub(super) struct GatePass<'a> {
+    cache: &'a mut RouteCache,
+    pending: &'a PendingStore,
+    device: &'a Device,
+    buffers: &'a mut GateBuffers,
+    gate: EfsGate,
+    batch_index: usize,
 }
 
 impl Service {
-    /// Resolves the per-member planning inputs from the store, so
-    /// planning itself ([`plan_gated_members`]) runs without touching
-    /// the service. This is where a plan-cache miss pays for the
-    /// members' circuits: the plan it builds owns its programs, and the
-    /// jobs stay pending until a candidate commits.
-    pub(super) fn plan_members(&self, seqs: &[usize]) -> Result<PlanMembers, RuntimeError> {
-        let gated = self.efs_gate.reads_member_thresholds();
-        let mut ids = Vec::with_capacity(seqs.len());
-        let mut circuits = Vec::with_capacity(seqs.len());
-        // Resolved only in the batch-gate modes, like the plan key's.
-        let mut thresholds = Vec::with_capacity(if gated { seqs.len() } else { 0 });
-        for &s in seqs {
-            let p = self.pending_by_seq(s)?;
-            ids.push(p.id);
-            circuits.push(p.circuit.clone());
-            if gated {
-                thresholds.push(p.fidelity_threshold.or(self.fidelity_threshold));
+    /// The planning pass of the member list `members` (head first) on
+    /// device `d` under the head's `strategy` key, in `buffers`.
+    pub(super) fn gate_pass<'a>(
+        &'a mut self,
+        buffers: &'a mut GateBuffers,
+        d: usize,
+        strategy: u32,
+        batch_index: usize,
+        members: &[usize],
+    ) -> Result<GatePass<'a>, RuntimeError> {
+        buffers.thresholds.clear();
+        if self.efs_gate.reads_member_thresholds() {
+            for &s in members {
+                let p = self.pending_by_seq(s)?;
+                let threshold = p.fidelity_threshold.or(self.fidelity_threshold);
+                buffers.thresholds.push(threshold);
             }
         }
-        Ok(PlanMembers {
-            seqs: seqs.to_vec(),
-            ids,
-            circuits,
-            thresholds,
+        // Last, so that a failed lookup leaves no shape in a buffer.
+        let shapes = std::mem::take(&mut buffers.key.shapes);
+        buffers.key = self.plan_key(d, strategy, members, shapes)?;
+        Ok(GatePass {
+            cache: &mut self.route_cache,
+            pending: &self.pending,
+            device: self.registry.device_at(d),
+            buffers,
+            gate: self.efs_gate,
+            batch_index,
         })
     }
 }
 
-/// A successful gated planning pass: its `plan` — the survivors'
-/// allocations out of [`plan_gated_members`], their [`PlannedWorkload`]
-/// once [completed](Gated::complete) — the surviving members, the
-/// buffered shrink events, and the eviction `trace` that reproduces
-/// them — `(position, reason)` per eviction, in order. The trace is
-/// what the plan cache memoizes: replaying it against a future batch
-/// with the same plan key re-derives the shrink events (bound to the
-/// *current* job ids) without re-running the allocator.
-pub(super) struct Gated<P> {
-    pub(super) plan: P,
-    pub(super) members: PlanMembers,
-    pub(super) shrinks: Vec<Event>,
-    pub(super) trace: Vec<(usize, ShrinkReason)>,
-}
-
-/// A gated pass with its members routed and merged.
-pub(super) type GatedPlan = Gated<PlannedWorkload>;
-
-impl Gated<Vec<Allocation>> {
-    /// Routes and merges the surviving members, whose circuits move
-    /// into the plan ([`Pipeline::complete`]).
-    pub(super) fn complete(mut self, pipeline: &Pipeline, device: &Device) -> GatedPlan {
-        let circuits = std::mem::take(&mut self.members.circuits);
-        Gated {
-            plan: pipeline.complete(device, circuits, self.plan),
-            members: self.members,
-            shrinks: self.shrinks,
-            trace: self.trace,
-        }
+impl GatePass<'_> {
+    /// The whole pass under the head's strategy: the gate loop on
+    /// allocations ([`GatePass::run`]), then the survivors' plan
+    /// ([`GatePass::complete`]). `members` ends as the survivors, the
+    /// buffers empty but for the shrink events.
+    pub(super) fn plan(
+        mut self,
+        members: &mut Vec<usize>,
+        head_strategy: &Strategy,
+    ) -> Result<SharedPlan, RuntimeError> {
+        let pipeline = Pipeline::from_strategy(head_strategy);
+        let device = self.device;
+        let planned = self
+            .run(members, |circuits| pipeline.allocate(device, circuits))
+            .and_then(|circuits| self.complete(members, circuits, &pipeline));
+        self.buffers.clear();
+        planned
     }
-}
 
-/// Plans `members` on `device` under the head's strategy: the shrink
-/// loop on allocations alone ([`plan_gated_members`]), then routing and
-/// the schedule merge once, for the member set that survives.
-pub(super) fn plan_batch(
-    device: &Device,
-    batch_index: usize,
-    gate: EfsGate,
-    optimize: bool,
-    head_strategy: &Strategy,
-    members: PlanMembers,
-) -> Result<GatedPlan, RuntimeError> {
-    let pipeline = Pipeline::from_strategy(head_strategy);
-    let allocate = |circuits: &[Circuit]| pipeline.allocate(device, circuits);
-    let gated = plan_gated_members(
-        allocate,
-        device,
-        batch_index,
-        gate,
-        optimize,
-        head_strategy,
-        members,
-    );
-    Ok(gated?.complete(&pipeline, device))
-}
-
-/// Allocates `members` on `device` with `allocate` (stage 1 of the
-/// head's pipeline), shrinking while it cannot place the batch (tail
-/// eviction) and — in [`EfsGate::Batch`] / [`EfsGate::BatchWorstExcess`]
-/// mode — while any member's EFS excess exceeds its own effective
-/// threshold (tail or worst-excess eviction respectively). Returns the
-/// survivors' allocations, the surviving members (circuits optimized),
-/// and the buffered shrink events (recorded by the caller only if the
-/// batch actually commits on `device` — a failed candidate must leave
-/// no trace, or log replays would see phantom shrinks for a batch that
-/// was eventually planned elsewhere).
-///
-/// `head_strategy` is the effective strategy of `members.seqs[0]` (the
-/// head, which no eviction rule can remove): it parameterizes the
-/// solo-EFS reference scores exactly as the sequential path always has.
-///
-/// A free function on purpose: its only inputs are the pre-resolved
-/// members and shared device/strategy state — what the plan key names —
-/// so its outcome can be memoized and replayed.
-///
-/// The shrink loop runs on **allocation alone** — the gate reads
-/// nothing but each member's allocated EFS score, and a placement
-/// failure is the allocator's — and is handed nothing that routes:
-/// routing and the schedule merge run once, after it, for the member
-/// set that survives ([`Gated::complete`]). Its per-member state is
-/// cached: the circuits are peephole-optimized **once**, the
-/// per-member thresholds are resolved once, and the solo-best EFS
-/// scores are probed once on the first successful allocation; each
-/// shrink step merely removes the evicted member's entry from every
-/// cache. The first placement of every allocation and every solo
-/// baseline are read from the device's region atlas
-/// ([`Device::idle_regions`]) instead of re-grown.
-pub(super) fn plan_gated_members(
-    mut allocate: impl FnMut(&[Circuit]) -> Result<Vec<Allocation>, CoreError>,
-    device: &Device,
-    batch_index: usize,
-    gate: EfsGate,
-    optimize: bool,
-    head_strategy: &Strategy,
-    mut members: PlanMembers,
-) -> Result<Gated<Vec<Allocation>>, RuntimeError> {
-    if optimize {
-        // Pre-optimized here exactly once: every allocation below and
-        // the final plan see the optimized circuits.
-        for c in &mut members.circuits {
-            c.cancel_adjacent_inverses();
-        }
-    }
-    let gated = gate.reads_member_thresholds();
-    let mut shrinks: Vec<Event> = Vec::new();
-    let mut trace: Vec<(usize, ShrinkReason)> = Vec::new();
-    let mut solo_cache: Option<Vec<f64>> = None;
-    loop {
-        match allocate(&members.circuits) {
-            Ok(allocations) => {
-                if gated && members.seqs.len() > 1 && members.thresholds.iter().any(Option::is_some)
-                {
-                    // The joint partitions are allocated; only the solo
-                    // scores need probing (deduplicated, cached
-                    // across shrink iterations — evictions remove the
-                    // matching cache entry, so indices stay aligned).
-                    if solo_cache.is_none() {
-                        let refs: Vec<&Circuit> = members.circuits.iter().collect();
-                        solo_cache = Some(
-                            solo_efs_scores(device, &refs, head_strategy)
-                                .map_err(RuntimeError::Core)?,
-                        );
-                    }
-                    let solo = solo_cache.as_ref().expect("just filled");
-                    let mut excesses = vec![0.0; members.seqs.len()];
-                    for alloc in &allocations {
-                        excesses[alloc.program_index] =
-                            (alloc.efs.score - solo[alloc.program_index]).max(0.0);
-                    }
-                    let violated = members
-                        .thresholds
-                        .iter()
-                        .zip(&excesses)
-                        .any(|(t, &e)| t.is_some_and(|t| e > t));
-                    if violated {
-                        let evict = match gate {
-                            EfsGate::BatchWorstExcess => worst_excess_position(&excesses),
-                            _ => members.seqs.len() - 1,
-                        };
-                        members.seqs.remove(evict);
-                        let dropped_id = members.ids.remove(evict);
-                        members.circuits.remove(evict);
-                        members.thresholds.remove(evict);
-                        if let Some(cache) = solo_cache.as_mut() {
-                            cache.remove(evict);
+    /// The gate loop: allocates `members` (stage 1 of the head's
+    /// pipeline, through the memo), shrinking while the allocator
+    /// cannot place them (tail eviction) and — in [`EfsGate::Batch`] /
+    /// [`EfsGate::BatchWorstExcess`] mode — while any member's EFS
+    /// excess over its solo baseline exceeds its own effective
+    /// threshold (tail or worst-excess eviction respectively). The head
+    /// is never evicted; a failure with the head alone is its
+    /// [`RuntimeError::JobUnplaceable`].
+    ///
+    /// `allocate` is stage 1, called once per list the memo does not
+    /// hold; the first call clones and optimizes the members' circuits,
+    /// once for the pass, and they are evicted in step with the
+    /// members: the loop returns the survivors' circuits if a miss made
+    /// it clone them. It is handed nothing that routes: routing and the
+    /// schedule merge run once, after it, for the member set that
+    /// survives ([`GatePass::complete`]). Each eviction's event is
+    /// buffered in [`GateBuffers::shrinks`].
+    pub(super) fn run(
+        &mut self,
+        members: &mut Vec<usize>,
+        mut allocate: impl FnMut(&[Circuit]) -> Result<Vec<Allocation>, CoreError>,
+    ) -> Result<Option<Vec<Circuit>>, RuntimeError> {
+        let gated = self.gate.reads_member_thresholds();
+        let mut circuits = None;
+        self.buffers.shrinks.clear();
+        loop {
+            let all = 0..members.len();
+            let failure = |entry: &PlanEntry| entry.allocations().err().cloned();
+            let (found, failure) =
+                self.memoized(members, all, &mut circuits, &mut allocate, failure)?;
+            let (evict, reason) = match failure {
+                Some(e) => {
+                    // A placement failure evicts the tail while there is
+                    // one to evict; with the head alone it is the head's,
+                    // and any other planning error ends the pass.
+                    let head = self.pending_id(members[0])?;
+                    match RuntimeError::from_planning(head, e) {
+                        RuntimeError::JobUnplaceable { .. } if members.len() > 1 => {}
+                        e => {
+                            // The pass ends on the head's outcome: one
+                            // found in the memo is a hit.
+                            if found {
+                                self.cache.plan_hits += 1;
+                            } else {
+                                self.cache.plan_misses += 1;
+                            }
+                            return Err(e);
                         }
-                        trace.push((evict, ShrinkReason::FidelityGate));
-                        shrinks.push(Event::BatchShrunk {
-                            batch_index,
-                            device: device.name().to_string(),
-                            dropped_job_id: dropped_id,
-                            remaining: members.seqs.len(),
-                            reason: ShrinkReason::FidelityGate,
-                        });
-                        continue;
+                    }
+                    (members.len() - 1, ShrinkReason::PartitionFailure)
+                }
+                None if gated
+                    && members.len() > 1
+                    && self.buffers.thresholds.iter().any(Option::is_some) =>
+                {
+                    match self.violation(members, &mut circuits, &mut allocate)? {
+                        Some(evict) => (evict, ShrinkReason::FidelityGate),
+                        None => return Ok(circuits),
                     }
                 }
-                return Ok(Gated {
-                    plan: allocations,
-                    members,
-                    shrinks,
-                    trace,
-                });
+                None => return Ok(circuits),
+            };
+            let seq = members.remove(evict);
+            self.buffers.key.shapes.remove(evict);
+            if gated {
+                self.buffers.thresholds.remove(evict);
             }
-            Err(e) => {
-                // A placement failure evicts the tail while there is one
-                // to evict; with the head alone it is the head's, and any
-                // other planning error ends the pass.
-                match RuntimeError::from_planning(members.ids[0], e) {
-                    RuntimeError::JobUnplaceable { .. } if members.seqs.len() > 1 => {}
-                    e => return Err(e),
-                }
-                trace.push((members.seqs.len() - 1, ShrinkReason::PartitionFailure));
-                members.seqs.pop().expect("len > 1");
-                let dropped_id = members.ids.pop().expect("len > 1");
-                members.circuits.pop();
-                if gated {
-                    members.thresholds.pop();
-                }
-                if let Some(cache) = solo_cache.as_mut() {
-                    cache.pop();
-                }
-                shrinks.push(Event::BatchShrunk {
-                    batch_index,
-                    device: device.name().to_string(),
-                    dropped_job_id: dropped_id,
-                    remaining: members.seqs.len(),
-                    reason: ShrinkReason::PartitionFailure,
-                });
+            if let Some(circuits) = circuits.as_mut() {
+                circuits.remove(evict);
             }
+            let dropped_job_id = self.pending_id(seq)?;
+            self.buffers.shrinks.push(Event::BatchShrunk {
+                batch_index: self.batch_index,
+                device: self.device.name().to_string(),
+                dropped_job_id,
+                remaining: members.len(),
+                reason,
+            });
         }
     }
+
+    /// The gate's verdict on the allocated `members`: the position to
+    /// evict if any member's EFS excess over its solo-best score — the
+    /// allocation of its one-member list, under the head's strategy —
+    /// exceeds its threshold, else `None`.
+    fn violation(
+        &mut self,
+        members: &[usize],
+        circuits: &mut Option<Vec<Circuit>>,
+        allocate: &mut impl FnMut(&[Circuit]) -> Result<Vec<Allocation>, CoreError>,
+    ) -> Result<Option<usize>, RuntimeError> {
+        // The key holds one member's shape at a time, the list aside.
+        let buffers = &mut *self.buffers;
+        std::mem::swap(&mut buffers.key.shapes, &mut buffers.list);
+        buffers.excesses.clear();
+        for i in 0..members.len() {
+            let shape = self.buffers.list[i].clone();
+            self.buffers.key.shapes.clear();
+            self.buffers.key.shapes.push(shape);
+            let score = |entry: &PlanEntry| match entry.allocations() {
+                Ok(solo) => Ok(solo[0].efs.score),
+                Err(e) => Err(RuntimeError::Core(e.clone())),
+            };
+            let (_, score) = self.memoized(members, i..i + 1, circuits, allocate, score)?;
+            self.buffers.excesses.push(score?);
+        }
+        let GateBuffers {
+            key,
+            list,
+            thresholds,
+            excesses,
+            ..
+        } = &mut *self.buffers;
+        key.shapes.clear();
+        std::mem::swap(&mut key.shapes, list);
+        // The joint list is in the memo: this attempt just looked it up.
+        let joint = self.cache.plans[&*key].allocations();
+        let joint = joint.map_err(|e| RuntimeError::Core(e.clone()))?;
+        for alloc in joint {
+            let excess = &mut excesses[alloc.program_index];
+            *excess = (alloc.efs.score - *excess).max(0.0);
+        }
+        let violated = thresholds
+            .iter()
+            .zip(excesses.iter())
+            .any(|(t, &e)| t.is_some_and(|t| e > t));
+        Ok(violated.then(|| match self.gate {
+            EfsGate::BatchWorstExcess => worst_excess_position(excesses),
+            _ => members.len() - 1,
+        }))
+    }
+
+    /// What `read` makes of the memo entry of the list `members[span]`,
+    /// under the buffers' key — that list's — and whether the memo held
+    /// it. A miss allocates the list's circuits, cloning the members' on
+    /// the pass's first miss, and memoizes the outcome.
+    fn memoized<T>(
+        &mut self,
+        members: &[usize],
+        span: Range<usize>,
+        circuits: &mut Option<Vec<Circuit>>,
+        allocate: &mut impl FnMut(&[Circuit]) -> Result<Vec<Allocation>, CoreError>,
+        read: impl FnOnce(&PlanEntry) -> T,
+    ) -> Result<(bool, T), RuntimeError> {
+        let key = &self.buffers.key;
+        if let Some(entry) = self.cache.plans.get(key) {
+            return Ok((true, read(entry)));
+        }
+        if circuits.is_none() {
+            *circuits = Some(member_circuits(self.pending, members, key.optimize)?);
+        }
+        let list = circuits.as_deref().map_or(&[][..], |c| &c[span]);
+        let entry = PlanEntry::Allocated(allocate(list));
+        let value = read(&entry);
+        self.cache.plans.insert(key.clone(), entry);
+        Ok((false, value))
+    }
+
+    /// The survivors' plan: the memo entry's completed plan on a hit
+    /// (its slots allocated on the first), else their allocation —
+    /// moved out of the entry — routed and merged with their circuits
+    /// ([`Pipeline::complete`]) and kept in the entry.
+    pub(super) fn complete(
+        &mut self,
+        members: &[usize],
+        circuits: Option<Vec<Circuit>>,
+        pipeline: &Pipeline,
+    ) -> Result<SharedPlan, RuntimeError> {
+        let entry = self.cache.plans.get_mut(&self.buffers.key);
+        let entry = entry.expect("the gate's last attempt memoized the survivors");
+        let allocations = match entry {
+            PlanEntry::Planned { plan, slots } => {
+                self.cache.plan_hits += 1;
+                let slots = slots
+                    .get_or_insert_with(|| plan.programs.iter().map(|_| OnceLock::new()).collect());
+                return Ok(SharedPlan {
+                    plan: Arc::clone(plan),
+                    slots: Some(Arc::clone(slots)),
+                });
+            }
+            PlanEntry::Allocated(outcome) => match outcome {
+                Ok(allocations) => std::mem::take(allocations),
+                Err(e) => return Err(RuntimeError::Core(e.clone())),
+            },
+        };
+        self.cache.plan_misses += 1;
+        let circuits = match circuits {
+            Some(circuits) => circuits,
+            None => member_circuits(self.pending, members, self.buffers.key.optimize)?,
+        };
+        let plan = Arc::new(pipeline.complete(self.device, circuits, allocations));
+        *entry = PlanEntry::Planned {
+            plan: Arc::clone(&plan),
+            slots: None,
+        };
+        Ok(SharedPlan { plan, slots: None })
+    }
+
+    /// The job id of pending member `seq`.
+    fn pending_id(&self, seq: usize) -> Result<u64, RuntimeError> {
+        let p = self.pending.get(seq);
+        Ok(p.ok_or(RuntimeError::QueueCorrupted { seq })?.id)
+    }
+}
+
+impl GateBuffers {
+    /// Empties every buffer, keeping its capacity.
+    fn clear(&mut self) {
+        self.key.shapes.clear();
+        self.list.clear();
+        self.thresholds.clear();
+        self.excesses.clear();
+    }
+}
+
+/// The circuits of `members` out of the store, peephole-optimized on
+/// request: what a memo miss allocates and a completion routes.
+fn member_circuits(
+    pending: &PendingStore,
+    members: &[usize],
+    optimize: bool,
+) -> Result<Vec<Circuit>, RuntimeError> {
+    members
+        .iter()
+        .map(|&seq| {
+            let p = pending
+                .get(seq)
+                .ok_or(RuntimeError::QueueCorrupted { seq })?;
+            let mut circuit = p.circuit.clone();
+            if optimize {
+                circuit.cancel_adjacent_inverses();
+            }
+            Ok(circuit)
+        })
+        .collect()
 }
 
 /// The position the worst-excess gate evicts: the member with the

@@ -38,8 +38,10 @@ pub enum EfsGate {
 
 impl EfsGate {
     /// Whether the gate evaluates the packed members against their own
-    /// thresholds — the modes in which a member's threshold is an input
-    /// of planning (and so of the plan-cache key).
+    /// thresholds — the modes in which a member's threshold decides
+    /// which member lists planning visits. It is no input of the plan
+    /// memo's key: the gate reads thresholds on every pass, and what a
+    /// list allocates never depends on them.
     pub(super) fn reads_member_thresholds(self) -> bool {
         matches!(self, EfsGate::Batch | EfsGate::BatchWorstExcess)
     }

@@ -1,28 +1,29 @@
-//! The cross-batch planning cache: memoized partition probes and whole
-//! committed plans with their prepared simulator state, the typed keys
-//! they live under, and plan replay.
+//! The cross-batch planning cache: memoized partition probes and the
+//! plan memo — the allocation of every member list the EFS gate looked
+//! up, and the completed plan and prepared simulator state of every
+//! list that committed as a batch — with the typed keys they live
+//! under.
 //!
 //! Every key is the literal tuple of what its entry is a function of —
-//! device index, calibration epoch, gate mode, optimize flag, the
-//! head's interned strategy key, interned [`Shape`] handles, threshold
-//! bit patterns — with derived `Hash + Eq`. The map's hash only finds
-//! the bucket; an entry is replayed because its key *equals* the
-//! batch's, and shape handles are equal only for gate-by-gate equal
-//! circuits (see [`crate::shape`]).
+//! device index, calibration epoch, optimize flag, the head's interned
+//! strategy key, interned [`Shape`] handles (and, for the head-only
+//! gate's probe, the threshold bits) — with derived `Hash + Eq`. The
+//! map's hash only finds the bucket; an entry is used because its key
+//! *equals* the lookup's, and shape handles are equal only for
+//! gate-by-gate equal circuits (see [`crate::shape`]). A member's
+//! threshold is no input of a plan entry: it decides which lists the
+//! gate visits (see [`super::gate`]), never what a list allocates.
 
 use std::collections::HashMap;
 use std::sync::{Arc, OnceLock};
 
 use qucp_core::pipeline::{PlannedWorkload, PreparedProgram};
 use qucp_core::threshold::parallel_count_for_threshold;
-use qucp_core::{best_partition, CoreError};
+use qucp_core::{best_partition, Allocation, CoreError};
 
 use super::dispatch::HeadContext;
-use super::gate::GatedPlan;
-use super::{EfsGate, Service};
+use super::Service;
 use crate::error::RuntimeError;
-use crate::event::{Event, ShrinkReason};
-use crate::pending::PendingStore;
 use crate::registry::DeviceId;
 use crate::shape::Shape;
 
@@ -38,27 +39,31 @@ pub struct RouteCacheStats {
     /// Entries dropped by calibration-epoch invalidations (0 on a
     /// frozen fleet).
     pub invalidated: usize,
-    /// Whole-plan cache hits: batches whose committed plan was replayed
-    /// from memo instead of re-derived.
+    /// Candidate plannings whose outcome came from the memo: the
+    /// surviving members' completed plan was reused, or the head's
+    /// memoized placement failure was re-bound to the current head.
     pub plan_hits: usize,
-    /// Whole-plan cache misses: batches planned fresh and memoized.
+    /// Candidate plannings that routed and merged their surviving
+    /// members (or found the head unplaceable afresh).
     pub plan_misses: usize,
-    /// Whole-plan entries currently cached.
+    /// Member lists currently memoized: every joint attempt and every
+    /// one-member solo baseline the EFS gate allocated at its device's
+    /// current epoch, whether or not the list committed as a batch.
     pub plan_entries: usize,
-    /// Whole-plan entries dropped by calibration-epoch invalidations.
-    /// The epoch is also part of the plan *key*, so a stale-epoch plan
-    /// could not replay even if a drop were missed.
+    /// Memoized member lists dropped by calibration-epoch
+    /// invalidations. The epoch is also part of the plan *key*, so a
+    /// stale-epoch entry could not be used even if a drop were missed.
     pub plan_invalidated: usize,
 }
 
-/// Cross-batch memo of the planning probes the dispatch loop repeats
-/// for similar jobs: the routing policy's solo-partition score and the
-/// head-only EFS gate's copy count. Both are pure functions of
-/// *(device, circuit shape, strategy[, threshold])* **at a fixed
-/// calibration epoch**: an entry is valid for exactly one epoch of its
-/// device, and the service drops a device's entries whenever its epoch
-/// bumps (recalibration or a changing drift step). A frozen fleet never
-/// bumps, so its entries live for the service's lifetime.
+/// Cross-batch memo of the planning work the dispatch loop repeats for
+/// similar jobs: the routing policy's solo-partition score, the
+/// head-only EFS gate's copy count, and the plan memo. All are pure
+/// functions of their keys **at a fixed calibration epoch**: an entry
+/// is valid for exactly one epoch of its device, and the service drops
+/// a device's entries whenever its epoch bumps (recalibration or a
+/// changing drift step). A frozen fleet never bumps, so its entries
+/// live for the service's lifetime.
 #[derive(Debug, Default)]
 pub(super) struct RouteCache {
     /// Solo-best EFS partition score by `(device, head shape, head
@@ -69,15 +74,14 @@ pub(super) struct RouteCache {
     /// threshold bits. Planning errors are cached alongside successes:
     /// the probe is deterministic either way.
     pub(super) head_cap: HashMap<(usize, Shape, u32, u64), Result<usize, CoreError>>,
-    /// Whole committed plans by [`PlanKey`] — every input
-    /// [`plan_gated_members`](super::gate::plan_gated_members)
-    /// consults. A hit skips planning entirely: the shrink *trace*
-    /// replays against the current members' ids, and the
-    /// [`PlannedWorkload`] and the entry's [`ReplaySlots`] are shared
-    /// clone-free behind their `Arc`s.
-    /// `JobUnplaceable` outcomes are cached alongside successes
-    /// (planning is deterministic either way); hard
-    /// [`RuntimeError::Core`] outcomes are not.
+    /// The plan memo by [`PlanKey`]: one entry per ordered member list
+    /// the gate looked up — a joint attempt or a member's one-member
+    /// solo baseline — holding its allocation (placement errors
+    /// included: allocation is deterministic either way) and, once the
+    /// list committed as a batch, its completed plan. The gate reads
+    /// allocations here, so only a list not yet seen at the device's
+    /// epoch reaches the allocator, and a survivor set is routed,
+    /// merged and prepared once per epoch.
     pub(super) plans: HashMap<PlanKey, PlanEntry>,
     pub(super) hits: usize,
     pub(super) misses: usize,
@@ -87,57 +91,60 @@ pub(super) struct RouteCache {
     pub(super) plan_invalidated: usize,
 }
 
-/// What a committed plan is a function of. Job ids, names and the batch
-/// index are deliberately not: replay re-binds all three.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+/// What stage 1 — and so every plan-memo entry — is a function of. Job
+/// ids, names, thresholds and the batch index are deliberately not:
+/// the gate reads thresholds on every pass, and the commit re-binds the
+/// rest.
+#[derive(Debug, Clone, Default, PartialEq, Eq, Hash)]
 pub(super) struct PlanKey {
     pub(super) device: usize,
-    /// The device's calibration epoch, so a stale plan could not replay
-    /// even if the eager drop on the bump were missed.
+    /// The device's calibration epoch, so a stale entry could not be
+    /// used even if the eager drop on the bump were missed.
     pub(super) epoch: u64,
-    /// The gate mode decides the eviction rule baked into the cached
-    /// shrink trace, the optimize flag the planned gate sequences.
-    pub(super) gate: EfsGate,
+    /// The optimize flag decides the planned gate sequences.
     pub(super) optimize: bool,
     /// The head's strategy key (it plans the whole batch).
     pub(super) strategy: u32,
-    /// The members' shapes, in batch order.
+    /// The members' shapes, in list order.
     pub(super) shapes: Vec<Shape>,
-    /// The members' effective thresholds as bit patterns, in the
-    /// batch-gate modes — the only ones whose eviction decisions read
-    /// them; empty otherwise.
-    pub(super) thresholds: Vec<Option<u64>>,
 }
 
-/// One memoized planning outcome (see [`RouteCache::plans`]) and, once
-/// it has been replayed, the prepared simulator state of its programs.
+/// One memoized member list (see [`RouteCache::plans`]).
 ///
 /// An entry lives for one calibration epoch of its device: its key
 /// holds the epoch and the bump drops it. Everything it holds is
-/// therefore valid by the key — the plan, and the
+/// therefore valid by the key — the allocation, the plan, and the
 /// [`PreparedProgram`]s, which are a pure function of the plan, the
 /// device's calibration and the noise flags, the same for every job
 /// the runtime runs. No calibration is compared: an epoch bump drops
 /// the slots with their entry.
 #[derive(Debug)]
-pub(super) struct PlanEntry {
-    /// The eviction trace of the original planning run: `(position,
-    /// reason)` per shrink, in order. Replay applies it to the current
-    /// batch's members to regenerate the surviving member list and the
-    /// [`Event::BatchShrunk`] stream with current job ids.
-    pub(super) trace: Vec<(usize, ShrinkReason)>,
-    /// The plan the surviving members committed with, or the
-    /// `JobUnplaceable` source when the batch shrank to one member and
-    /// still failed (the head is never evicted, so replay re-binds the
-    /// error to the current head's id).
-    pub(super) outcome: Result<Arc<PlannedWorkload>, CoreError>,
-    /// One prepared-state slot per program of the plan, allocated on
-    /// the entry's first hit. A miss is a plan's first execution and a
-    /// hit its second, so a plan that never hits — most of a churning
-    /// cache — retains nothing; keeping state from the first execution
-    /// cost the benchmark's `plan_churn` +8.5 % `peak_rss_mb` and
-    /// +3.2 % `alloc_kb_per_job` for state nobody replays.
-    pub(super) slots: Option<ReplaySlots>,
+pub(super) enum PlanEntry {
+    /// Stage 1's outcome for the list: one allocation per member, or
+    /// the placement error.
+    Allocated(Result<Vec<Allocation>, CoreError>),
+    /// The list committed as a batch: its completed plan, which holds
+    /// the allocation moved out of [`PlanEntry::Allocated`].
+    Planned {
+        plan: Arc<PlannedWorkload>,
+        /// One prepared-state slot per program of the plan, allocated
+        /// on the entry's first hit. A miss is a plan's first execution
+        /// and a hit its second, so a plan that never hits retains
+        /// nothing; keeping state from the first execution cost the
+        /// benchmark's `plan_churn` +8.5 % `peak_rss_mb` and +3.2 %
+        /// `alloc_kb_per_job` for state nobody replays.
+        slots: Option<ReplaySlots>,
+    },
+}
+
+impl PlanEntry {
+    /// The list's allocation, wherever the entry keeps it.
+    pub(super) fn allocations(&self) -> Result<&[Allocation], &CoreError> {
+        match self {
+            PlanEntry::Allocated(outcome) => outcome.as_deref(),
+            PlanEntry::Planned { plan, .. } => Ok(&plan.allocations),
+        }
+    }
 }
 
 /// The prepared-state slots of one cached plan, one per program in
@@ -147,13 +154,12 @@ pub(super) struct PlanEntry {
 pub(super) type ReplaySlots = Arc<[OnceLock<PreparedProgram>]>;
 
 /// A batch's plan as staging hands it to execution: the (fresh or
-/// replayed) plan behind the `Arc` its cache entry shares, the entry's
+/// reused) plan behind the `Arc` its memo entry shares, and the entry's
 /// slots on a hit (`None` on a miss: a plan's first execution keeps
-/// nothing), and the buffered shrink events.
+/// nothing).
 pub(super) struct SharedPlan {
     pub(super) plan: Arc<PlannedWorkload>,
     pub(super) slots: Option<ReplaySlots>,
-    pub(super) shrinks: Vec<Event>,
 }
 
 impl RouteCache {
@@ -177,9 +183,11 @@ impl RouteCache {
 impl Service {
     /// Statistics of the cross-batch planning cache: how many
     /// partition/candidate probes the dispatch loop answered from memo
-    /// instead of recomputing. Entries are keyed by *(device, circuit
-    /// shape, strategy[, threshold])* and are valid for exactly one
-    /// calibration **epoch** of their device: a
+    /// instead of recomputing, and how many candidate plannings reused
+    /// a memoized plan. Probes are keyed by *(device, circuit shape,
+    /// strategy[, threshold])*, plans by *(device, epoch, optimize,
+    /// strategy, member shapes)*; every entry is valid for exactly one
+    /// calibration **epoch** of its device: a
     /// [`Service::recalibrate`] or a changing [`Service::advance_drift`]
     /// step bumps the device's epoch and drops that device's entries,
     /// counted in [`RouteCacheStats::invalidated`] (plans:
@@ -198,76 +206,28 @@ impl Service {
         }
     }
 
-    /// The plan-cache key of the batch `seqs` (head first) on device
-    /// `d` under the head's `strategy` key, built in the two (empty)
-    /// vectors handed in — the dispatch loop lends the same two to
-    /// every lookup and clones a key only into the cache.
+    /// The plan-memo key of the member list `seqs` on device `d` under
+    /// the head's `strategy` key, built in the (empty) vector handed in
+    /// — the dispatch loop lends the same one to every pass and clones
+    /// a key only into the memo.
     pub(super) fn plan_key(
         &self,
         d: usize,
         strategy: u32,
         seqs: &[usize],
         mut shapes: Vec<Shape>,
-        mut thresholds: Vec<Option<u64>>,
     ) -> Result<PlanKey, RuntimeError> {
-        debug_assert!(shapes.is_empty() && thresholds.is_empty());
-        let gated = self.efs_gate.reads_member_thresholds();
+        debug_assert!(shapes.is_empty());
         for &s in seqs {
-            let p = self.pending_by_seq(s)?;
-            shapes.push(p.shape.clone());
-            if gated {
-                let threshold = p.fidelity_threshold.or(self.fidelity_threshold);
-                thresholds.push(threshold.map(f64::to_bits));
-            }
+            shapes.push(self.pending_by_seq(s)?.shape.clone());
         }
         Ok(PlanKey {
             device: d,
             epoch: self.registry.epoch(DeviceId::from_index(d)),
-            gate: self.efs_gate,
             optimize: self.optimize,
             strategy,
             shapes,
-            thresholds,
         })
-    }
-
-    /// Folds a fresh planning outcome into the plan cache under `key`
-    /// and converts it to the shared-plan form the commit path
-    /// consumes, with the surviving members' submission indices.
-    /// `Ok` and `JobUnplaceable` outcomes are memoized — planning is
-    /// deterministic either way — hard `Core` errors are not.
-    pub(super) fn memoize_plan(
-        &mut self,
-        key: PlanKey,
-        fresh: Result<GatedPlan, RuntimeError>,
-    ) -> Result<(SharedPlan, Vec<usize>), RuntimeError> {
-        match fresh {
-            Ok(gated) => {
-                let plan = Arc::new(gated.plan);
-                let entry = PlanEntry {
-                    trace: gated.trace,
-                    outcome: Ok(Arc::clone(&plan)),
-                    slots: None,
-                };
-                self.route_cache.plans.insert(key, entry);
-                let shared = SharedPlan {
-                    plan,
-                    slots: None,
-                    shrinks: gated.shrinks,
-                };
-                Ok((shared, gated.members.seqs))
-            }
-            Err(RuntimeError::JobUnplaceable { job_id, source }) => {
-                let entry = PlanEntry {
-                    trace: Vec::new(),
-                    outcome: Err(source.clone()),
-                    slots: None,
-                };
-                self.route_cache.plans.insert(key, entry);
-                Err(RuntimeError::JobUnplaceable { job_id, source })
-            }
-            Err(e) => Err(e),
-        }
     }
 
     /// The head circuit's solo-best EFS partition score on a device,
@@ -335,52 +295,4 @@ impl Service {
         self.route_cache.head_cap.insert(key, result.clone());
         Ok(result)
     }
-}
-
-/// Replays a memoized plan entry against the current batch members
-/// `seqs` (head first; the evicted ones are removed in place): a
-/// memoized unplaceable outcome re-binds to the current head's job id,
-/// and a memoized plan re-applies the recorded eviction trace so the
-/// shrink events carry the *current* dropped job ids. The cached
-/// [`PlannedWorkload`] itself is shared untouched — replay is two `Arc`
-/// clones plus O(trace) bookkeeping, never a partitioner call, and it
-/// is the entry's [`PlanKey`] that vouches for the plan fitting these
-/// members. The entry's slots are allocated here, on its first hit.
-pub(super) fn replay_plan(
-    entry: &mut PlanEntry,
-    head: &HeadContext,
-    device_name: &str,
-    pending: &PendingStore,
-    seqs: &mut Vec<usize>,
-) -> Result<SharedPlan, RuntimeError> {
-    let plan = entry.outcome.as_ref().map_err(|source| {
-        // The head is never evicted, so a whole-batch planning failure
-        // is always attributed to it.
-        RuntimeError::JobUnplaceable {
-            job_id: head.id,
-            source: source.clone(),
-        }
-    })?;
-    let mut shrinks = Vec::with_capacity(entry.trace.len());
-    for &(evict, reason) in &entry.trace {
-        let seq = seqs.remove(evict);
-        let dropped = pending
-            .get(seq)
-            .ok_or(RuntimeError::QueueCorrupted { seq })?;
-        shrinks.push(Event::BatchShrunk {
-            batch_index: head.batch_index,
-            device: device_name.to_string(),
-            dropped_job_id: dropped.id,
-            remaining: seqs.len(),
-            reason,
-        });
-    }
-    let slots = entry
-        .slots
-        .get_or_insert_with(|| plan.programs.iter().map(|_| OnceLock::new()).collect());
-    Ok(SharedPlan {
-        plan: Arc::clone(plan),
-        slots: Some(Arc::clone(slots)),
-        shrinks,
-    })
 }

@@ -1,7 +1,7 @@
 use std::sync::Arc;
 
-use super::gate::{plan_gated_members, worst_excess_position, PlanMembers};
-use super::route_cache::ReplaySlots;
+use super::gate::{worst_excess_position, GateBuffers};
+use super::route_cache::{PlanEntry, ReplaySlots};
 use super::*;
 use crate::error::CalibrationFault;
 use crate::event::ShrinkReason;
@@ -10,8 +10,8 @@ use crate::policy::{AdmissionPolicy, Backfill};
 use crate::registry::DeviceId;
 use crate::shape::ShapeTable;
 use qucp_circuit::Circuit;
+use qucp_core::best_partition;
 use qucp_core::pipeline::{Pipeline, PlannedWorkload};
-use qucp_core::threshold::solo_efs_scores;
 use qucp_core::{strategy, Strategy};
 use qucp_device::{ibm, Calibration, CrosstalkModel, Device};
 use qucp_sim::{ShotParallelism, TrajectoryKernel};
@@ -167,6 +167,38 @@ fn submit_validation_rejects_bad_requests() {
     // A rejected submission leaves no trace.
     assert_eq!(service.pending_len(), 0);
     assert!(service.event_log().is_empty());
+}
+
+#[test]
+fn a_non_finite_crosstalk_factor_is_refused_at_submit() {
+    use qucp_device::{Link, LinkPair};
+    let mut service = fifo_service(2);
+    let bell = qucp_circuit::library::by_name("bell").unwrap().circuit();
+    let pair = |a, b, c, d| LinkPair::new(Link::new(a, b), Link::new(c, d));
+    let measured =
+        |ratio: f64| strategy::qumc([(pair(0, 1, 2, 3), 2.5), (pair(4, 7, 10, 12), ratio)].into());
+    for value in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+        for strategy in [strategy::qucp(value), measured(value)] {
+            let request = JobRequest::new(bell.clone(), 0.0).with_strategy(strategy);
+            match service.submit(request).unwrap_err() {
+                RuntimeError::InvalidStrategy { value: got } => {
+                    assert_eq!(got.to_bits(), value.to_bits());
+                }
+                e => panic!("{value}: {e:?}"),
+            }
+        }
+    }
+    // Nothing was interned: a NaN σ is unequal to itself, so each one
+    // used to append a strategy-table entry every later submit scans.
+    assert_eq!(service.pending.strategy_key(Some(measured(3.0))), 1);
+    assert_eq!(service.pending_len(), 0);
+    assert!(service.event_log().is_empty());
+    // Finite factors, σ = 0 included, are accepted.
+    for strategy in [strategy::qucp(0.0), measured(3.0)] {
+        let request = JobRequest::new(bell.clone(), 0.0).with_strategy(strategy);
+        service.submit(request).unwrap();
+    }
+    service.run_until_drained().unwrap();
 }
 
 #[test]
@@ -426,9 +458,7 @@ fn the_plan_key_tells_apart_everything_planning_reads() {
     let strategy_key =
         |service: &Service, seq: usize| service.pending.get(seq).unwrap().strategy_key;
     let key = |service: &Service, strategy: u32, seqs: &[usize]| {
-        service
-            .plan_key(0, strategy, seqs, Vec::new(), Vec::new())
-            .unwrap()
+        service.plan_key(0, strategy, seqs, Vec::new()).unwrap()
     };
 
     // Same inputs, same key — a renamed copy included — and the same
@@ -437,10 +467,13 @@ fn the_plan_key_tells_apart_everything_planning_reads() {
     assert_eq!(base, key(&service, 0, &[a_again, b]));
     let held: std::collections::HashSet<_> = [base.clone()].into();
     assert!(held.contains(&key(&service, 0, &[a_again, b])));
-    // Member order, one member's shape, one member's threshold bits.
+    // Member order and one member's shape.
     assert_ne!(base, key(&service, 0, &[b, a]));
     assert_ne!(base, key(&service, 0, &[a, a_again]));
-    assert_ne!(base, key(&service, 0, &[a_looser, b]));
+    // Not a member's threshold bits: stage 1 never reads them, and the
+    // gate reads them on every pass.
+    assert_eq!(base, key(&service, 0, &[a_looser, b]));
+    assert!(held.contains(&key(&service, 0, &[a_looser, b])));
     // The head's strategy: the service default is σ = 4, so that
     // override is the default's key; σ = 8 is not, and a measured map
     // is its own key down to one entry.
@@ -457,19 +490,18 @@ fn the_plan_key_tells_apart_everything_planning_reads() {
         &service.pending.strategy(keys[2]).partition,
         PartitionPolicy::NoiseAware(CrosstalkTreatment::Measured(map)) if map.len() == 2
     ));
-    // Gate mode and optimize flag (fixed per service; flipped in place
-    // here so nothing else differs).
-    service.efs_gate = EfsGate::BatchWorstExcess;
-    assert_ne!(base, key(&service, 0, &[a, b]));
+    // Not the gate mode either (it decides which lists the gate visits,
+    // not what a list allocates); the optimize flag is an input (fixed
+    // per service; flipped in place here so nothing else differs).
+    for gate in [EfsGate::BatchWorstExcess, EfsGate::HeadOnly] {
+        service.efs_gate = gate;
+        assert_eq!(base, key(&service, 0, &[a, b]));
+    }
     service.efs_gate = EfsGate::Batch;
     service.optimize = !service.optimize;
     assert_ne!(base, key(&service, 0, &[a, b]));
     service.optimize = !service.optimize;
     assert_eq!(base, key(&service, 0, &[a, b]));
-    // Outside the batch-gate modes thresholds are no input of planning.
-    service.efs_gate = EfsGate::HeadOnly;
-    assert_eq!(key(&service, 0, &[a, b]), key(&service, 0, &[a_looser, b]));
-    service.efs_gate = EfsGate::Batch;
     // The calibration epoch: a recalibrated device never shares a key
     // with its former self, whether or not the eager drop on the bump
     // ran.
@@ -1020,7 +1052,10 @@ fn prepared_slots_fill_on_the_first_hit_and_die_with_their_entry() {
         let stats = service.route_cache_stats();
         assert_eq!(stats.plan_entries, 1, "{stats:?}");
         let entry = service.route_cache.plans.values().next().unwrap();
-        ((stats.plan_hits, stats.plan_misses), entry.slots.clone())
+        let PlanEntry::Planned { slots, .. } = entry else {
+            panic!("the batch committed: {entry:?}");
+        };
+        ((stats.plan_hits, stats.plan_misses), slots.clone())
     };
     let filled = |slots: &ReplaySlots| slots.iter().map(|s| s.get().is_some()).collect::<Vec<_>>();
 
@@ -1136,51 +1171,53 @@ fn recalibration_drops_plan_entries_with_the_probes() {
 }
 
 /// The shrink loop as it was: one full [`Pipeline::plan`] per
-/// attempt, the gate reading the plan's allocations. Returns the
-/// plan, the surviving ids and the eviction trace.
+/// attempt, the gate reading the plan's allocations against solo scores
+/// probed afresh. `members` are `(id, circuit, threshold)`, head first.
+/// Returns the plan, the surviving ids and the eviction trace.
 fn replanning_gate(
     pipeline: &Pipeline,
     device: &Device,
     gate: EfsGate,
     head_strategy: &Strategy,
-    mut members: PlanMembers,
+    mut members: Vec<(u64, Circuit, Option<f64>)>,
 ) -> (PlannedWorkload, Vec<u64>, Vec<(usize, ShrinkReason)>) {
     let mut trace = Vec::new();
     loop {
-        let evict = match pipeline.plan(device, &members.circuits, false) {
+        let circuits: Vec<Circuit> = members.iter().map(|m| m.1.clone()).collect();
+        let evict = match pipeline.plan(device, &circuits, false) {
             Ok(plan) => {
-                let refs: Vec<&Circuit> = plan.programs.iter().collect();
-                let solo = solo_efs_scores(device, &refs, head_strategy).unwrap();
-                let mut excesses = vec![0.0; members.ids.len()];
+                let solo = |c: &Circuit| {
+                    let alloc = best_partition(device, c, &head_strategy.partition);
+                    alloc.unwrap().efs.score
+                };
+                let mut excesses = vec![0.0; members.len()];
                 for a in &plan.allocations {
-                    excesses[a.program_index] = (a.efs.score - solo[a.program_index]).max(0.0);
+                    let c = &plan.programs[a.program_index];
+                    excesses[a.program_index] = (a.efs.score - solo(c)).max(0.0);
                 }
                 let violated = members
-                    .thresholds
                     .iter()
                     .zip(&excesses)
-                    .any(|(t, &e)| t.is_some_and(|t| e > t));
-                if members.ids.len() == 1 || !violated {
-                    return (plan, members.ids, trace);
+                    .any(|(m, &e)| m.2.is_some_and(|t| e > t));
+                if members.len() == 1 || !violated {
+                    let ids = members.iter().map(|m| m.0).collect();
+                    return (plan, ids, trace);
                 }
                 trace.push((
                     match gate {
                         EfsGate::BatchWorstExcess => worst_excess_position(&excesses),
-                        _ => members.ids.len() - 1,
+                        _ => members.len() - 1,
                     },
                     ShrinkReason::FidelityGate,
                 ));
                 trace.last().expect("just pushed").0
             }
             Err(_) => {
-                trace.push((members.ids.len() - 1, ShrinkReason::PartitionFailure));
-                members.ids.len() - 1
+                trace.push((members.len() - 1, ShrinkReason::PartitionFailure));
+                members.len() - 1
             }
         };
-        members.seqs.remove(evict);
-        members.ids.remove(evict);
-        members.circuits.remove(evict);
-        members.thresholds.remove(evict);
+        members.remove(evict);
     }
 }
 
@@ -1200,15 +1237,14 @@ fn a_batch_that_shrinks_k_times_routes_and_merges_once() {
         lib("variation"),
         lib("qec"),
     ];
+    let thresholds = [None, Some(0.02), Some(1e-4), Some(0.5), None, None];
+    let ids: Vec<u64> = (100..100 + circuits.len() as u64).collect();
     for gate in [EfsGate::Batch, EfsGate::BatchWorstExcess] {
-        let members = || PlanMembers {
-            seqs: (0..circuits.len()).collect(),
-            ids: (100..100 + circuits.len() as u64).collect(),
-            circuits: circuits.clone(),
-            thresholds: vec![None, Some(0.02), Some(1e-4), Some(0.5), None, None],
-        };
         let pipeline = Pipeline::from_strategy(&strategy);
-        let (plan, ids, trace) = replanning_gate(&pipeline, &device, gate, &strategy, members());
+        let members = ids.iter().zip(&circuits).zip(thresholds);
+        let members = members.map(|((&id, c), t)| (id, c.clone(), t)).collect();
+        let (plan, survivors, trace) =
+            replanning_gate(&pipeline, &device, gate, &strategy, members);
         let reasons: Vec<ShrinkReason> = trace.iter().map(|&(_, r)| r).collect();
         assert!(
             reasons.contains(&ShrinkReason::PartitionFailure),
@@ -1222,34 +1258,193 @@ fn a_batch_that_shrinks_k_times_routes_and_merges_once() {
             .filter(|&&r| r == ShrinkReason::FidelityGate)
             .count();
         assert!(successful_plans >= 3, "{gate:?}: {trace:?}");
-
-        // The shrink loop is handed stage 1 and nothing that routes: it
-        // allocates once per attempt, and the plan is completed once,
-        // after it, for the members that stayed.
-        let mut allocations = 0;
-        let allocate = |circuits: &[Circuit]| {
-            allocations += 1;
-            pipeline.allocate(&device, circuits)
-        };
-        let gated =
-            plan_gated_members(allocate, &device, 7, gate, false, &strategy, members()).unwrap();
-        assert_eq!(allocations, trace.len() + 1, "one per attempt, {gate:?}");
-        let gated = gated.complete(&pipeline, &device);
-        assert_eq!(gated.plan, plan, "{gate:?}");
-        assert_eq!(gated.trace, trace, "{gate:?}");
-        assert_eq!(gated.members.ids, ids, "{gate:?}");
-        // The events are the trace bound to the dropped ids.
-        let mut live: Vec<u64> = members().ids;
+        // The events are the trace bound to the dropped ids, and the
+        // lists it tried are the packed list minus each eviction so far.
+        let name_of = |id: u64| circuits[(id - ids[0]) as usize].name().to_string();
+        let mut live = ids.clone();
+        let mut attempts = vec![live.clone()];
         let events: Vec<Event> = trace
             .iter()
-            .map(|&(evict, reason)| Event::BatchShrunk {
-                batch_index: 7,
-                device: device.name().to_string(),
-                dropped_job_id: live.remove(evict),
-                remaining: live.len(),
-                reason,
+            .map(|&(evict, reason)| {
+                let dropped_job_id = live.remove(evict);
+                attempts.push(live.clone());
+                Event::BatchShrunk {
+                    batch_index: 7,
+                    device: device.name().to_string(),
+                    dropped_job_id,
+                    remaining: live.len(),
+                    reason,
+                }
             })
             .collect();
-        assert_eq!(gated.shrinks, events, "{gate:?}");
+
+        // The service's gate on the same six jobs, twice. The loop is
+        // handed stage 1 and nothing that routes, and it reads every
+        // allocation — joint or solo — through the memo: each distinct
+        // list is allocated once, in the first pass, and the plan is
+        // completed once, after it, for the members that stayed.
+        let mut service = Service::builder()
+            .device(ibm::melbourne())
+            .strategy(strategy.clone())
+            .max_parallel(circuits.len())
+            .efs_gate(gate)
+            .optimize(false)
+            .build()
+            .unwrap();
+        let mut seqs = Vec::new();
+        for ((&id, circuit), threshold) in ids.iter().zip(&circuits).zip(thresholds) {
+            let mut request = JobRequest::new(circuit.clone(), 0.0).with_id(id);
+            request.fidelity_threshold = threshold;
+            seqs.push(service.submit(request).unwrap().seq);
+        }
+        // A list allocated, by its circuits' names (equal names, equal
+        // shapes here).
+        let mut allocated: Vec<Vec<String>> = Vec::new();
+        let mut first_pass = 0;
+        let mut plans = Vec::new();
+        for pass in 0..2 {
+            let mut buffers = GateBuffers::default();
+            let mut members = seqs.clone();
+            let mut gate_pass = service.gate_pass(&mut buffers, 0, 0, 7, &members).unwrap();
+            let circuits = gate_pass
+                .run(&mut members, |list| {
+                    allocated.push(list.iter().map(|c| c.name().to_string()).collect());
+                    pipeline.allocate(&device, list)
+                })
+                .unwrap();
+            let shared = gate_pass.complete(&members, circuits, &pipeline).unwrap();
+            assert_eq!(buffers.shrinks, events, "{gate:?}, pass {pass}");
+            assert_eq!(*shared.plan, plan, "{gate:?}, pass {pass}");
+            assert_eq!(shared.slots.is_some(), pass == 1, "a hit the second time");
+            let kept: Vec<u64> = members.iter().map(|&s| ids[s]).collect();
+            assert_eq!(kept, survivors, "{gate:?}, pass {pass}");
+            plans.push(shared.plan);
+            if pass == 0 {
+                // Every joint attempt, in order, and the one-member solo lists
+                // between them, each distinct list once: an attempt of
+                // the head alone is its solo baseline, already held.
+                let distinct: std::collections::HashSet<_> = allocated.iter().collect();
+                assert_eq!(distinct.len(), allocated.len(), "{gate:?}: {allocated:?}");
+                let joint: Vec<_> = allocated.iter().filter(|l| l.len() > 1).collect();
+                let tried: Vec<Vec<String>> = attempts
+                    .iter()
+                    .filter(|ids| ids.len() > 1)
+                    .map(|ids| ids.iter().map(|&id| name_of(id)).collect())
+                    .collect();
+                assert_eq!(joint, tried.iter().collect::<Vec<_>>(), "{gate:?}");
+                first_pass = allocated.len();
+            }
+        }
+        assert_eq!(
+            allocated.len(),
+            first_pass,
+            "{gate:?}: the second pass allocates nothing"
+        );
+        let stats = service.route_cache_stats();
+        assert_eq!((stats.plan_misses, stats.plan_hits), (1, 1), "{gate:?}");
+        assert_eq!(
+            stats.plan_entries, first_pass,
+            "{gate:?}: one entry per list"
+        );
+        assert!(Arc::ptr_eq(&plans[0], &plans[1]), "{gate:?}");
+    }
+}
+
+#[test]
+fn thresholded_batches_that_keep_the_same_survivors_share_one_plan() {
+    // The six jobs of the shrink test, twice on Melbourne under the
+    // batch gate: the second burst's thresholds are the first's one ulp
+    // looser — other bits, the same evictions.
+    let names = [
+        "alu-v0_27",
+        "qec",
+        "fredkin",
+        "alu-v0_27",
+        "variation",
+        "qec",
+    ];
+    let thresholds = [None, Some(0.02), Some(1e-4), Some(0.5), None, None];
+    let qucp = strategy::qucp(4.0);
+    let mut service = Service::builder()
+        .device(ibm::melbourne())
+        .strategy(qucp.clone())
+        .max_parallel(names.len())
+        .efs_gate(EfsGate::Batch)
+        .default_shots(64)
+        .seed(42)
+        .build()
+        .unwrap();
+    let mut circuits = std::collections::HashMap::new();
+    let mut burst = |service: &mut Service, base: u64, arrival: f64, loosen: bool| {
+        for (i, (name, threshold)) in names.iter().zip(thresholds).enumerate() {
+            let id = base + i as u64;
+            let mut circuit = qucp_circuit::library::by_name(name).unwrap().circuit();
+            circuit.set_name(format!("{name}#{id}"));
+            circuits.insert(id, circuit.clone());
+            let mut request = JobRequest::new(circuit, arrival).with_id(id);
+            request.fidelity_threshold =
+                threshold.map(|t: f64| f64::from_bits(t.to_bits() + u64::from(loosen)));
+            service.submit(request).unwrap();
+        }
+    };
+    burst(&mut service, 100, 0.0, false);
+    service.run_until_drained().unwrap();
+    let first = service.route_cache_stats();
+    let first_batches = service.batches_run();
+    burst(&mut service, 200, 1e7, true);
+    let report = service.run_until_drained().unwrap();
+    let second = service.route_cache_stats();
+
+    // Every batch of the second burst is a plan hit, and it allocated
+    // no list at all: its gate found every list it looked up, joint or
+    // solo, in the memo.
+    let batches = service.batches_run() - first_batches;
+    assert_eq!(batches, first_batches);
+    assert_eq!(second.plan_hits - first.plan_hits, batches, "{second:?}");
+    assert_eq!(second.plan_misses, first.plan_misses, "{second:?}");
+    assert_eq!(second.plan_entries, first.plan_entries, "{second:?}");
+
+    // Its shrink events are the first burst's, naming its own jobs.
+    let shrunk = |batch: usize| -> Vec<(u64, ShrinkReason)> {
+        let events = service.events().iter();
+        let shrinks = events.filter_map(|e| match e {
+            Event::BatchShrunk {
+                batch_index,
+                dropped_job_id,
+                reason,
+                ..
+            } if *batch_index == batch => Some((*dropped_job_id, *reason)),
+            _ => None,
+        });
+        shrinks.collect()
+    };
+    let evicted = shrunk(0);
+    assert!(evicted.len() >= 2, "{evicted:?}");
+    let renamed: Vec<_> = evicted.iter().map(|&(id, r)| (id + 100, r)).collect();
+    assert_eq!(shrunk(first_batches), renamed);
+
+    // Every result is a fresh plan of its batch's survivors, run under
+    // the batch seed, bit for bit.
+    let device = service.registry().get(DeviceId::from_index(0));
+    let pipeline = Pipeline::from_strategy(&qucp);
+    for batch in &report.batches {
+        let programs: Vec<Circuit> = batch
+            .job_ids
+            .iter()
+            .map(|id| circuits[id].clone())
+            .collect();
+        let plan = pipeline.plan(device, &programs, service.optimize).unwrap();
+        let exec = qucp_sim::ExecutionConfig::default()
+            .with_shots(64)
+            .with_seed(super::dispatch::derive_batch_seed(
+                service.seed,
+                batch.batch_index,
+            ));
+        for (pos, id) in batch.job_ids.iter().enumerate() {
+            let served = report.job_results.iter().find(|r| r.job_id == *id).unwrap();
+            assert_eq!(served.batch_index, batch.batch_index);
+            let fresh = plan.run_program(device, pos, &exec).unwrap();
+            assert_eq!(served.result, fresh, "job {id}");
+        }
     }
 }

@@ -4,16 +4,18 @@
 //! held under figures written here. On a hit, staging copies nothing
 //! out of the pending store (no circuit, no strategy, no pipeline
 //! stage; see `qucp_runtime`'s crate docs, "what a cache hit costs");
-//! on a miss, every program is prepared cold. A change that puts one of
-//! those copies back, or gives a prepared job one more allocation,
-//! lands above its budget.
+//! on a miss, every program is prepared cold; under the batch EFS gate,
+//! a survivor set committed before is reused whatever its members'
+//! threshold bits. A change that puts one of those copies back, gives a
+//! prepared job one more allocation, or plans a repeated survivor set
+//! again, lands above its budget.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use qucp_circuit::{library, Circuit};
 use qucp_device::ibm;
-use qucp_runtime::{JobRequest, Service};
+use qucp_runtime::{EfsGate, Event, JobRequest, Service};
 
 thread_local! {
     /// Heap requests made by *this* thread. `const`-initialised and
@@ -64,44 +66,50 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static ALLOCATOR: CountingAlloc = CountingAlloc;
 
-/// One steady-state tick: jobs and batches it dispatched, heap requests
-/// it made.
+/// One steady-state tick: jobs and batches it dispatched, members its
+/// batches evicted, heap requests it made.
 #[derive(Debug)]
 struct Tick {
     jobs: usize,
     batches: usize,
+    shrinks: usize,
     requests: u64,
 }
 
-/// Warms a Toronto + Manhattan service on `warm` one-shot jobs,
-/// `max_parallel` to a batch, then submits `jobs` more and counts the
-/// one `tick` that dispatches them; job `i` runs `circuit(i)`. Returns
-/// that tick and its plan-cache hits and misses.
+/// Warms a Toronto + Manhattan service under `gate` on `warm` one-shot
+/// jobs, `max_parallel` to a batch, then submits `jobs` more and counts
+/// the one `tick` that dispatches them; job `i` is `request(i)`, which
+/// arrives at `i`. Returns that tick and its plan-cache hits and
+/// misses.
 fn measured_tick(
+    gate: EfsGate,
     max_parallel: usize,
     warm: usize,
     jobs: usize,
-    circuit: impl Fn(usize) -> Circuit,
+    request: impl Fn(usize) -> JobRequest,
 ) -> (Tick, (usize, usize)) {
     let mut service = Service::builder()
         .device(ibm::toronto())
         .device(ibm::manhattan())
         .max_parallel(max_parallel)
         .default_shots(1)
+        .efs_gate(gate)
         .build()
         .unwrap();
     let mut submitted = 0;
     let mut submit = |service: &mut Service, n: usize| {
         for _ in 0..n {
-            service
-                .submit(JobRequest::new(circuit(submitted), submitted as f64))
-                .unwrap();
+            service.submit(request(submitted)).unwrap();
             submitted += 1;
         }
     };
     submit(&mut service, warm);
     service.run_until_drained().unwrap();
-    let warm = (service.route_cache_stats(), service.batches_run());
+    let warm = (
+        service.route_cache_stats(),
+        service.batches_run(),
+        service.events().len(),
+    );
 
     submit(&mut service, jobs);
     let before = REQUESTS.get();
@@ -110,9 +118,11 @@ fn measured_tick(
 
     assert_eq!(done.len(), jobs);
     let stats = service.route_cache_stats();
+    let shrunk = |e: &&Event| matches!(e, Event::BatchShrunk { .. });
     let tick = Tick {
         jobs,
         batches: service.batches_run() - warm.1,
+        shrinks: service.events()[warm.2..].iter().filter(shrunk).count(),
         requests,
     };
     let plans = (
@@ -133,9 +143,13 @@ fn bell_and_fredkin() -> [Circuit; 2] {
 /// every batch of the measured tick replays a cached plan.
 fn steady_state_tick(max_parallel: usize, jobs: usize) -> Tick {
     let circuits = bell_and_fredkin();
-    let (tick, plans) = measured_tick(max_parallel, 24 * max_parallel, jobs, |i| {
-        circuits[i / max_parallel % 2].clone()
-    });
+    let (tick, plans) = measured_tick(
+        EfsGate::HeadOnly,
+        max_parallel,
+        24 * max_parallel,
+        jobs,
+        |i| JobRequest::new(circuits[i / max_parallel % 2].clone(), i as f64),
+    );
     assert_eq!(plans, (tick.batches, 0), "{tick:?}");
     tick
 }
@@ -145,11 +159,17 @@ fn steady_state_tick(max_parallel: usize, jobs: usize) -> Tick {
 /// are prepared from scratch and run once.
 fn cold_tick(max_parallel: usize, jobs: usize) -> Tick {
     let circuits = bell_and_fredkin();
-    let (tick, plans) = measured_tick(max_parallel, 8 * max_parallel, jobs, |i| {
-        let mut circuit = circuits[i % 2].clone();
-        circuit.rz(0, 1e-3 * (i + 1) as f64);
-        circuit
-    });
+    let (tick, plans) = measured_tick(
+        EfsGate::HeadOnly,
+        max_parallel,
+        8 * max_parallel,
+        jobs,
+        |i| {
+            let mut circuit = circuits[i % 2].clone();
+            circuit.rz(0, 1e-3 * (i + 1) as f64);
+            JobRequest::new(circuit, i as f64)
+        },
+    );
     assert_eq!(plans, (0, tick.batches), "{tick:?}");
     tick
 }
@@ -185,8 +205,11 @@ fn a_cached_batch_stays_within_its_heap_budget() {
 
 /// Heap requests of one `tick` of 64 cold jobs (every batch planned,
 /// prepared and run from scratch; the count is exact and the same in
-/// debug and release): 5 525 with one job to a batch, 6 543 with two —
-/// 86.3 and 102.2 per job. Before a planned program was timed by the
+/// debug and release): 5 397 with one job to a batch, 6 479 with two —
+/// 84.3 and 101.2 per job. While a plan-cache miss copied its members
+/// into a planning record first (their submission indices and job ids
+/// in two vectors of their own), the same tick counted 5 525 and
+/// 6 543. Before a planned program was timed by the
 /// schedule its merge computed, with its event stream built in one pass
 /// (no duration vector, no second ALAP schedule, no per-qubit window
 /// lists) and its layout checked without a vector, the same tick counted
@@ -211,8 +234,8 @@ fn a_cached_batch_stays_within_its_heap_budget() {
 /// `PlannedWorkload::prepare` scheduling the program afresh
 /// (`PreparedJob::prepare` for `prepare_scheduled`), costs requests per
 /// prepared program. Each fails.
-const COLD_SOLO_REQUESTS: u64 = 5_525;
-const COLD_PAIR_REQUESTS: u64 = 6_543;
+const COLD_SOLO_REQUESTS: u64 = 5_397;
+const COLD_PAIR_REQUESTS: u64 = 6_479;
 
 #[test]
 fn a_cold_batch_stays_within_its_heap_budget() {
@@ -225,4 +248,50 @@ fn a_cold_batch_stays_within_its_heap_budget() {
             tick.requests
         );
     }
+}
+
+/// `bell` / `fredkin` jobs under the batch EFS gate, three to a batch,
+/// the second job of every three with a zero threshold the gate evicts
+/// it for: every batch of the measured tick shrinks and commits a
+/// survivor set the warm-up committed, under thresholds one ulp looser
+/// than the warm-up's — the same evictions, different bits.
+fn thresholded_tick(jobs: usize) -> Tick {
+    let circuits = bell_and_fredkin();
+    let warm = 24;
+    let (tick, plans) = measured_tick(EfsGate::Batch, 3, warm, jobs, |i| {
+        let mut request = JobRequest::new(circuits[i % 2].clone(), i as f64);
+        let threshold: f64 = if i % 3 == 1 { 0.0 } else { 0.5 };
+        let loosened = f64::from_bits(threshold.to_bits() + 1);
+        request.fidelity_threshold = Some(if i < warm { threshold } else { loosened });
+        request
+    });
+    assert_eq!(plans, (tick.batches, 0), "{tick:?}");
+    assert!(tick.shrinks >= tick.batches, "{tick:?}");
+    tick
+}
+
+/// Heap requests of one `tick` of 48 thresholded jobs whose survivor
+/// sets repeat (the count is exact and the same in debug and release):
+/// 529, 25 batches and 26 evictions, every batch's allocations and plan
+/// read from the plan memo. While a job's threshold bits were part of
+/// the plan key, 8 of the 25 batches missed (each new threshold pattern
+/// re-allocated, re-routed and re-prepared its batch) and the same tick
+/// counted 2 848. The budget is the count.
+///
+/// Mutation checks (CHANGES.md): the gate buffering its shrink events
+/// in a vector of its own per pass, instead of the one the service
+/// keeps, counts 546; a plan key that holds the head's threshold bits
+/// again misses 8 of the tick's 25 batches and counts 2 603. Each
+/// fails.
+const THRESHOLDED_REQUESTS: u64 = 529;
+
+#[test]
+fn a_thresholded_batch_whose_survivors_repeat_reuses_their_plan() {
+    let tick = thresholded_tick(48);
+    assert_eq!(tick.jobs, 48, "{tick:?}");
+    assert!(
+        tick.requests <= THRESHOLDED_REQUESTS,
+        "{} heap requests over the budget of {THRESHOLDED_REQUESTS}: {tick:?}",
+        tick.requests
+    );
 }

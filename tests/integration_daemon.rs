@@ -442,6 +442,7 @@ fn arb_runtime_error() -> impl Strategy<Value = WireRuntimeError> {
         }),
         Just(WireRuntimeError::Core("pipeline exploded".into())),
         (0usize..999).prop_map(|seq| WireRuntimeError::QueueCorrupted { seq }),
+        arb_f64().prop_map(|value| WireRuntimeError::InvalidStrategy { value }),
     ]
 }
 
