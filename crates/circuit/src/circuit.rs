@@ -271,35 +271,32 @@ impl Circuit {
         })
     }
 
-    /// Removes adjacent self-inverse gate pairs (`h h`, `cx cx`, …) until a
-    /// fixed point; returns the number of gates removed.
+    /// Removes adjacent inverse gate pairs (`h h`, `cx cx`, `s sdg`, …),
+    /// cascades included (`s h h sdg` folds to nothing); returns the
+    /// number of gates removed.
+    ///
+    /// One pass in place: the kept gates are a stack at the front of the
+    /// gate list, and each gate either cancels the top — its partner is
+    /// the gate kept last, so no gate in between touches an operand — or
+    /// is pushed. Every adjacent pair of kept gates was compared when
+    /// the second was pushed, so a second call removes nothing.
     ///
     /// This is the light peephole pass applied before mapping, standing in
     /// for Qiskit's `optimization_level=3` cancellation stage.
     pub fn cancel_adjacent_inverses(&mut self) -> usize {
-        let mut removed = 0;
-        loop {
-            let mut out: Vec<Gate> = Vec::with_capacity(self.gates.len());
-            let mut changed = false;
-            for &g in &self.gates {
-                // The candidate partner is the most recent gate that shares a
-                // qubit with `g`; cancellation is only sound if no gate in
-                // between touches any operand of `g`.
-                if let Some(&last) = out.last() {
-                    if last == g.inverse() && last.qubits() == g.qubits() {
-                        out.pop();
-                        removed += 2;
-                        changed = true;
-                        continue;
-                    }
-                }
-                out.push(g);
-            }
-            self.gates = out;
-            if !changed {
-                break;
+        let mut kept = 0usize;
+        for read in 0..self.gates.len() {
+            let g = self.gates[read];
+            let last = kept.checked_sub(1).map(|top| self.gates[top]);
+            if last.is_some_and(|last| last == g.inverse() && last.qubits() == g.qubits()) {
+                kept -= 1;
+            } else {
+                self.gates[kept] = g;
+                kept += 1;
             }
         }
+        let removed = self.gates.len() - kept;
+        self.gates.truncate(kept);
         removed
     }
 

@@ -56,6 +56,32 @@ fn arb_duration() -> impl Strategy<Value = f64> {
     ]
 }
 
+/// The peephole pass as it was: copying passes over the gate list until
+/// one removes nothing. Returns the kept gates and the number removed.
+fn cancel_until_fixed_point(gates: &[Gate]) -> (Vec<Gate>, usize) {
+    let mut gates = gates.to_vec();
+    let mut removed = 0;
+    loop {
+        let mut out: Vec<Gate> = Vec::with_capacity(gates.len());
+        let mut changed = false;
+        for &g in &gates {
+            if let Some(&last) = out.last() {
+                if last == g.inverse() && last.qubits() == g.qubits() {
+                    out.pop();
+                    removed += 2;
+                    changed = true;
+                    continue;
+                }
+            }
+            out.push(g);
+        }
+        gates = out;
+        if !changed {
+            return (gates, removed);
+        }
+    }
+}
+
 fn dur(g: &Gate) -> f64 {
     if g.is_two_qubit() {
         300.0
@@ -106,6 +132,14 @@ proptest! {
         let mut copy = c.clone();
         let removed = copy.cancel_adjacent_inverses();
         prop_assert_eq!(copy.gate_count() + removed, before);
+        // One pass reaches the fixed point...
+        let folded = copy.clone();
+        prop_assert_eq!(copy.cancel_adjacent_inverses(), 0);
+        prop_assert_eq!(copy.gates(), folded.gates());
+        // ...that the copying loop to a fixed point reached.
+        let (gates, oracle_removed) = cancel_until_fixed_point(c.gates());
+        prop_assert_eq!(folded.gates(), &gates[..]);
+        prop_assert_eq!(removed, oracle_removed);
     }
 
     #[test]

@@ -11,7 +11,7 @@ use qucp_circuit::Circuit;
 use qucp_device::Device;
 
 use crate::error::CoreError;
-use crate::partition::allocate_partitions;
+use crate::partition::{allocate_partitions, Allocation};
 use crate::strategy::Strategy;
 
 /// The EFS-estimated fidelity difference of running `k` copies in
@@ -31,12 +31,7 @@ pub fn efs_difference(
     k: usize,
     strategy: &Strategy,
 ) -> Result<f64, CoreError> {
-    let single = allocate_partitions(device, &[circuit], &strategy.partition)?;
-    let best = single[0].efs.score;
-    let copies: Vec<&Circuit> = std::iter::repeat_n(circuit, k).collect();
-    let parallel = allocate_partitions(device, &copies, &strategy.partition)?;
-    let mean = parallel.iter().map(|a| a.efs.score).sum::<f64>() / k as f64;
-    Ok((mean - best).max(0.0))
+    copies_difference(k, &mut |k| allocated_copies(device, circuit, strategy, k))
 }
 
 /// The largest `k ≤ k_max` whose EFS difference stays within
@@ -54,9 +49,28 @@ pub fn parallel_count_for_threshold(
     k_max: usize,
     strategy: &Strategy,
 ) -> Result<usize, CoreError> {
+    let mean_score = |k| allocated_copies(device, circuit, strategy, k);
+    copies_within_threshold(threshold, k_max, mean_score)
+}
+
+/// The Fig. 4 rule on any source of allocations: from one copy, admits
+/// `k = 2, 3, …, k_max` while the EFS difference of `k` copies stays
+/// within `threshold`; stops at the first `k` over it or whose copies do
+/// not fit. `mean_score(k)` is the [`mean_efs_score`] of `k` copies
+/// allocated together: [`parallel_count_for_threshold`] allocates them,
+/// the runtime's head-only gate reads them from its plan memo.
+///
+/// # Errors
+///
+/// Any planning error but [`CoreError::PartitionUnavailable`].
+pub fn copies_within_threshold(
+    threshold: f64,
+    k_max: usize,
+    mut mean_score: impl FnMut(usize) -> Result<f64, CoreError>,
+) -> Result<usize, CoreError> {
     let mut best_k = 1;
     for k in 2..=k_max {
-        match efs_difference(device, circuit, k, strategy) {
+        match copies_difference(k, &mut mean_score) {
             Ok(diff) if diff <= threshold => best_k = k,
             Ok(_) => break,
             Err(CoreError::PartitionUnavailable { .. }) => break,
@@ -64,6 +78,31 @@ pub fn parallel_count_for_threshold(
         }
     }
     Ok(best_k)
+}
+
+/// The mean EFS score of a joint allocation (`E̅ₖ` of its `k` programs).
+pub fn mean_efs_score(allocations: &[Allocation]) -> f64 {
+    allocations.iter().map(|a| a.efs.score).sum::<f64>() / allocations.len() as f64
+}
+
+/// `E̅ₖ − E₁`, clamped at zero.
+fn copies_difference(
+    k: usize,
+    mean_score: &mut impl FnMut(usize) -> Result<f64, CoreError>,
+) -> Result<f64, CoreError> {
+    let best = mean_score(1)?;
+    Ok((mean_score(k)? - best).max(0.0))
+}
+
+/// The mean EFS score of `k` copies of `circuit`, allocated afresh.
+fn allocated_copies(
+    device: &Device,
+    circuit: &Circuit,
+    strategy: &Strategy,
+    k: usize,
+) -> Result<f64, CoreError> {
+    let allocations = allocate_partitions(device, &vec![circuit; k], &strategy.partition)?;
+    Ok(mean_efs_score(&allocations))
 }
 
 /// Per-member EFS excess of running a **heterogeneous** batch together

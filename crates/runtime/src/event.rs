@@ -168,11 +168,6 @@ impl EventLog {
         }
     }
 
-    /// The retention bound (`None` = unbounded).
-    pub fn capacity_limit(&self) -> Option<usize> {
-        self.capacity
-    }
-
     /// How many events the retention bound has dropped (always 0 on an
     /// unbounded log).
     pub fn dropped(&self) -> usize {

@@ -40,15 +40,18 @@
 //!    by the head's solo-best EFS partition score
 //!    (the paper's Eq.-1 metric) blended with queue pressure, so a
 //!    well-calibrated chip wins until its backlog outweighs its quality
-//!    edge. The expensive partition/candidate probes behind routing and
-//!    the head-only EFS gate are **memoized across batches** per
-//!    *(device, circuit shape, strategy)* — a stream of similar jobs
-//!    pays the candidate growth once per chip; entries are valid for
-//!    one **calibration epoch** of their device and are dropped when
-//!    that epoch bumps (see [`Service::route_cache_stats`] and the
-//!    live-fleet section below). A *shape* is a circuit's width and
-//!    exact gate sequence (angles by bit pattern, name excluded),
-//!    interned once at submit: cache keys hold the interned handles,
+//!    edge. The expensive partition probes behind routing and the
+//!    head-only EFS gate are **memoized across batches** as member
+//!    lists of the head — the solo score is the allocation of `[h]`, the
+//!    Fig. 4 copy count a walk over `[h]` and `[h; k]` — in the plan memo
+//!    below, so a stream of similar jobs pays the candidate growth once
+//!    per chip; entries are valid for one **calibration epoch** of their
+//!    device and are dropped when that epoch bumps (see
+//!    [`Service::route_cache_stats`] and the live-fleet section below).
+//!    A *shape* is a circuit's width and exact gate sequence (angles by
+//!    bit pattern, name excluded), interned once at submit after the
+//!    peephole fold, so probes and plans read the circuit the batch
+//!    runs: cache keys hold the interned handles,
 //!    and two circuits share a handle only after their gate sequences
 //!    compared equal, so no entry is ever replayed on the strength of
 //!    a hash. The batch is then planned by the
@@ -58,8 +61,8 @@
 //!    routing and the schedule merge run once, for the members that
 //!    stayed. Allocation is **memoized** too, in the *plan memo*: one
 //!    entry per ordered member list per device and epoch, keyed by
-//!    what stage 1 reads — *(device, epoch, optimize flag, head
-//!    strategy, member shapes)*, no threshold — so every joint attempt
+//!    what stage 1 reads — *(device, epoch, head strategy, member
+//!    shapes)*, no threshold — so every joint attempt
 //!    and every member's solo baseline the EFS gate reads is a lookup,
 //!    and only a list not yet seen reaches the allocator. The gate
 //!    itself runs on every batch, with each job's own threshold. A
@@ -171,8 +174,8 @@
 //! | dispatch step: earliest-free device | O(log D) clock index |
 //! | dispatch step: arrived views | O(log n) prefix bind (O(arrived) flag pass only while per-job strategy overrides are live) |
 //! | dispatch step: admitting devices | O(log D) + A width-bucket suffix |
-//! | routing / head-only gate probes | one partition probe per (device, circuit shape, strategy[, threshold]) per calibration epoch, then a cache hit |
-//! | batch planning | the EFS gate on every batch, each allocation it reads — the joint attempts and, under the batch gates, every member's solo baseline — one plan-memo lookup under the literal key *(device, epoch, optimize, strategy key, member shape handles)* (O(members) handle copies), partitioning only for a list not seen at this epoch; map + merge only for a survivor set not committed at this epoch. The members' circuits are cloned only on a memo miss, once per batch |
+//! | routing / head-only gate probes | one plan-memo lookup per list read — `[h]` for the routing score, `[h]` and `[h; k]` per copy count `k` walked — in a key buffer the service keeps; partitioning only for a list not seen at this epoch, on the pending circuit, borrowed |
+//! | batch planning | the EFS gate on every batch, each allocation it reads — the joint attempts and, under the batch gates, every member's solo baseline — one plan-memo lookup under the literal key *(device, epoch, strategy key, member shape handles)* (O(members) handle copies), partitioning only for a list not seen at this epoch; map + merge only for a survivor set not committed at this epoch. The members' circuits are cloned only on a memo miss, once per batch |
 //! | staging and execution | the batch's device is held by `Arc`, never cloned; the members leave the pending store by value into one record per job, the head's strategy is one shared table entry, and ranking, packing and the key lookup run in buffers the service keeps |
 //! | batch removal | offset bump (front run) or one compaction pass |
 //! | recalibrate / drift epoch bump | one new device (its calibration state; name and topology shared by `Arc`), one pass over the cache, dropping the bumped device's probes and plans, and one over the shape table, dropping the shapes nothing holds any more |

@@ -43,8 +43,8 @@
 //!   prefix — O(arrived) key comparisons — and a `flags_dirty` bit
 //!   restores the all-true invariant once the last override leaves the
 //!   queue.
-//! * **The planning caches.** The head's key is the strategy component
-//!   of every plan and probe cache key (`service/route_cache.rs`): two
+//! * **The plan memo.** The head's key is the strategy component of
+//!   every plan-memo key (`service/route_cache.rs`): two
 //!   batches share a cache entry only if their heads' strategies are
 //!   the same table entry, which is the very equality that lets their
 //!   jobs share a batch.
@@ -70,13 +70,15 @@ use crate::shape::Shape;
 pub(crate) struct Pending {
     pub(crate) seq: usize,
     pub(crate) id: u64,
+    /// The circuit its batch runs: folded at submit if the service
+    /// optimizes.
     pub(crate) circuit: Circuit,
     /// Cached `circuit.width()` — immutable once submitted.
     pub(crate) width: usize,
-    /// Cached `circuit.depth()` (O(gates) to recompute).
+    /// The submitted circuit's depth (admission reads it before the fold).
     pub(crate) depth: usize,
     /// The circuit's interned shape (width + exact gate sequence, name
-    /// excluded) — the plan/probe cache key component, interned once at
+    /// excluded) — the plan-memo key component, interned once at
     /// submit instead of hashed once per dispatch the job is probed.
     pub(crate) shape: Shape,
     pub(crate) shots: usize,

@@ -29,23 +29,19 @@
 //!
 //! ## Calibration epochs and cross-batch caching
 //!
-//! Two kinds of planning work are memoized across batches, both pure
-//! functions of calibration state:
-//!
-//! - **Probe entries** — the partition probes behind
-//!   [`CalibrationAware`] and the head-only EFS gate, keyed by
-//!   *(device, head circuit shape, head strategy[, threshold bits])*.
-//!   A stream of same-shape jobs pays the candidate growth once per
-//!   chip instead of once per batch.
-//! - **Plan entries** — the allocation of every ordered member list
-//!   the EFS gate looked up (joint attempts and one-member solo
-//!   lists) and, for a list that committed as a batch, its
-//!   [`PlannedWorkload`](qucp_core::pipeline::PlannedWorkload), keyed
-//!   by what allocation reads: *(device, **epoch**, optimize flag, head
-//!   strategy, ordered member shapes)*, no threshold. The gate reads
-//!   its allocations there, and a batch whose survivors committed
-//!   before shares their plan clone-free, skipping partitioning,
-//!   mapping and merging entirely.
+//! Planning work is memoized across batches in one map, the *plan
+//! memo*, a pure function of calibration state: the allocation of
+//! every ordered member list looked up and, for a list that committed
+//! as a batch, its
+//! [`PlannedWorkload`](qucp_core::pipeline::PlannedWorkload), keyed by
+//! what allocation reads: *(device, **epoch**, head strategy, ordered
+//! member shapes)*, no threshold. The EFS gate reads its joint attempts
+//! and solo baselines there, and the partition probes behind
+//! [`CalibrationAware`] and the head-only EFS gate read the lists of
+//! head copies `[h]` and `[h; k]` there, so a stream of same-shape jobs
+//! pays the candidate growth once per chip instead of once per batch. A
+//! batch whose survivors committed before shares their plan
+//! clone-free, skipping partitioning, mapping and merging entirely.
 //!
 //! The keys are those tuples themselves, compared by equality: a
 //! *shape* is the handle a circuit's width and gate sequence were
@@ -67,9 +63,9 @@
 //! install bumps that device's **calibration epoch** — a monotone
 //! per-device counter readable via [`DeviceRegistry::epoch`].
 //!
-//! **Invalidation rules:** cached entries of *both* kinds are valid
-//! for exactly one epoch of their device. On an epoch bump the service
-//! drops every probe *and* plan entry keyed by that device (other
+//! **Invalidation rules:** cached entries are valid for exactly one
+//! epoch of their device. On an epoch bump the service drops every
+//! entry keyed by that device (other
 //! devices' entries survive — invalidation is per device, never
 //! fleet-wide) and emits
 //! [`Event::DeviceRecalibrated`](crate::Event::DeviceRecalibrated), so
@@ -78,14 +74,12 @@
 //! valid indefinitely — a frozen fleet (no drift model, no
 //! recalibration calls) therefore behaves exactly like the
 //! pre-live-fleet runtime: epochs stay 0 and entries never invalidate.
-//! The two kinds differ in one deliberate way: probe entries are keyed
-//! by device *index* and dropped eagerly on the bump, while plan
-//! entries carry the epoch **inside their key** as well, so a stale
-//! plan could not replay even if a drop were missed — for plans the
-//! eager drop is garbage collection. Invalidations of both kinds are
-//! observable via
+//! Entries carry the epoch **inside their key** as well as being
+//! dropped eagerly on the bump, so a stale entry could not be read even
+//! if a drop were missed — the eager drop is garbage collection.
+//! Invalidations are observable via
 //! [`Service::route_cache_stats`](crate::Service::route_cache_stats)
-//! (`invalidated` / `plan_invalidated`).
+//! (`plan_invalidated`, which `invalidated` equals).
 
 use std::sync::Arc;
 

@@ -87,7 +87,7 @@ pub struct Service {
     fidelity_threshold: Option<f64>,
     /// Base RNG seed of every batch's trajectories.
     seed: u64,
-    /// Run the cancellation peephole pass before mapping.
+    /// Fold each circuit with the cancellation peephole pass at submit.
     optimize: bool,
     efs_gate: EfsGate,
     default_shots: usize,
@@ -114,7 +114,8 @@ pub struct Service {
     unreported: Vec<(f64, JobTicket)>,
     /// Keyed priority index over device clocks.
     clock_index: ClockIndex,
-    /// Cross-batch memo of the pure planning probes (see [`RouteCache`]).
+    /// Cross-batch memo of member-list allocations and plans (see
+    /// [`RouteCache`]).
     route_cache: RouteCache,
     /// The dispatch loop's buffers (see [`DispatchScratch`]): taken for
     /// the length of a staging step, put back after it.
@@ -161,11 +162,6 @@ impl Service {
     /// The device fleet.
     pub fn registry(&self) -> &DeviceRegistry {
         &self.registry
-    }
-
-    /// The admission policy's display name.
-    pub fn policy_name(&self) -> &str {
-        self.policy.name()
     }
 
     /// The routing policy's display name.
@@ -273,18 +269,25 @@ impl Service {
         });
         // Ties on arrival keep submission order: every existing job
         // with the same arrival has a smaller seq and stays in front
-        // (the store's insert rule).
+        // (the store's insert rule). Admission reads the circuit as
+        // submitted...
         let width = request.circuit.width();
         let depth = request.circuit.depth();
-        // The shape keys every plan/probe cache lookup the job will
-        // ever be part of; interning once at submit (O(gates), like the
-        // depth above) makes each of those lookups a handle comparison.
-        let shape = self.shapes.intern(&request.circuit);
+        // ...and everything after it the circuit the batch runs: folded
+        // once, here, so no probe or plan-memo miss folds it again.
+        let mut circuit = request.circuit;
+        if self.optimize {
+            circuit.cancel_adjacent_inverses();
+        }
+        // The shape keys every plan-memo lookup the job will ever be
+        // part of; interning once at submit (O(gates), like the depth
+        // above) makes each of those lookups a handle comparison.
+        let shape = self.shapes.intern(&circuit);
         let strategy_key = self.pending.strategy_key(request.strategy);
         self.pending.insert(Pending {
             seq,
             id,
-            circuit: request.circuit,
+            circuit,
             width,
             depth,
             shape,

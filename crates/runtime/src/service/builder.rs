@@ -148,7 +148,8 @@ impl ServiceBuilder {
         self
     }
 
-    /// Enables or disables the cancellation peephole pass.
+    /// Enables or disables the cancellation peephole pass, which folds
+    /// each circuit once, at submit (default: enabled).
     #[must_use]
     pub fn optimize(mut self, optimize: bool) -> Self {
         self.optimize = optimize;

@@ -194,8 +194,8 @@ impl Service {
             return Ok(());
         }
         // Only a policy that asks pays for the partition probes:
-        // the default EarliestFree dispatch never touches the solo
-        // cache.
+        // the default EarliestFree dispatch never touches the memo
+        // here.
         let wants_score = head.routing.wants_partition_score();
         let best_start = admitting
             .iter()
@@ -415,8 +415,8 @@ impl Service {
         d: usize,
     ) -> Result<(CandidatePack, SharedPlan), RuntimeError> {
         // Head-only EFS gate (Fig. 4): probe the admissible copy count
-        // of the head circuit before packing, memoized across batches
-        // per (device, shape, threshold).
+        // of the head circuit before packing, its lists [h; k] read
+        // through the plan memo.
         let cap_probe = match (self.efs_gate, head.threshold) {
             (EfsGate::HeadOnly, Some(threshold)) if !head.probe_widest => {
                 self.cached_head_cap(head, d, threshold)?.map(|c| c.max(1))
@@ -531,8 +531,8 @@ struct CandidatePack {
 /// What one dispatch step knows about the batch head, fixed before any
 /// candidate device is planned: everything
 /// [`Service::plan_candidate`] reads besides the candidate itself.
-/// The head's circuit stays in the pending store — only a probe-cache
-/// miss reads it, there, by `seq`.
+/// The head's circuit stays in the pending store — the probes borrow
+/// it there, by `seq`.
 pub(super) struct HeadContext {
     pub(super) seq: usize,
     pub(super) id: u64,
@@ -545,11 +545,11 @@ pub(super) struct HeadContext {
     /// probes.
     pub(super) strategy: Arc<Strategy>,
     /// The store's key of that strategy: the strategy component of
-    /// every plan and probe cache key, and the joinability filter.
+    /// every plan-memo key, and the joinability filter.
     pub(super) strategy_key: u32,
     /// The head's effective EFS threshold (the head-only gate's input).
     pub(super) threshold: Option<f64>,
-    /// The head circuit's shape (the probe caches' key component).
+    /// The head circuit's shape (the probes' key component).
     pub(super) shape: Shape,
     /// No device admits the head: the widest is probed, head alone, so
     /// the precise placement error surfaces.

@@ -125,10 +125,10 @@ impl GatePass<'_> {
     /// [`RuntimeError::JobUnplaceable`].
     ///
     /// `allocate` is stage 1, called once per list the memo does not
-    /// hold; the first call clones and optimizes the members' circuits,
-    /// once for the pass, and they are evicted in step with the
-    /// members: the loop returns the survivors' circuits if a miss made
-    /// it clone them. It is handed nothing that routes: routing and the
+    /// hold; the first call clones the members' circuits, once for the
+    /// pass, and they are evicted in step with the members: the loop
+    /// returns the survivors' circuits if a miss made it clone them. It
+    /// is handed nothing that routes: routing and the
     /// schedule merge run once, after it, for the member set that
     /// survives ([`GatePass::complete`]). Each eviction's event is
     /// buffered in [`GateBuffers::shrinks`].
@@ -142,7 +142,7 @@ impl GatePass<'_> {
         self.buffers.shrinks.clear();
         loop {
             let all = 0..members.len();
-            let failure = |entry: &PlanEntry| entry.allocations().err().cloned();
+            let failure = |entry: &PlanEntry| entry.allocations().err();
             let (found, failure) =
                 self.memoized(members, all, &mut circuits, &mut allocate, failure)?;
             let (evict, reason) = match failure {
@@ -214,12 +214,11 @@ impl GatePass<'_> {
             let shape = self.buffers.list[i].clone();
             self.buffers.key.shapes.clear();
             self.buffers.key.shapes.push(shape);
-            let score = |entry: &PlanEntry| match entry.allocations() {
-                Ok(solo) => Ok(solo[0].efs.score),
-                Err(e) => Err(RuntimeError::Core(e.clone())),
-            };
+            let score = |entry: &PlanEntry| entry.allocations().map(|solo| solo[0].efs.score);
             let (_, score) = self.memoized(members, i..i + 1, circuits, allocate, score)?;
-            self.buffers.excesses.push(score?);
+            self.buffers
+                .excesses
+                .push(score.map_err(RuntimeError::Core)?);
         }
         let GateBuffers {
             key,
@@ -232,7 +231,7 @@ impl GatePass<'_> {
         std::mem::swap(&mut key.shapes, list);
         // The joint list is in the memo: this attempt just looked it up.
         let joint = self.cache.plans[&*key].allocations();
-        let joint = joint.map_err(|e| RuntimeError::Core(e.clone()))?;
+        let joint = joint.map_err(RuntimeError::Core)?;
         for alloc in joint {
             let excess = &mut excesses[alloc.program_index];
             *excess = (alloc.efs.score - *excess).max(0.0);
@@ -249,8 +248,8 @@ impl GatePass<'_> {
 
     /// What `read` makes of the memo entry of the list `members[span]`,
     /// under the buffers' key — that list's — and whether the memo held
-    /// it. A miss allocates the list's circuits, cloning the members' on
-    /// the pass's first miss, and memoizes the outcome.
+    /// it ([`RouteCache::memoized`]). A miss allocates the list's
+    /// circuits, cloning the members' on the pass's first miss.
     fn memoized<T>(
         &mut self,
         members: &[usize],
@@ -259,18 +258,15 @@ impl GatePass<'_> {
         allocate: &mut impl FnMut(&[Circuit]) -> Result<Vec<Allocation>, CoreError>,
         read: impl FnOnce(&PlanEntry) -> T,
     ) -> Result<(bool, T), RuntimeError> {
-        let key = &self.buffers.key;
-        if let Some(entry) = self.cache.plans.get(key) {
-            return Ok((true, read(entry)));
-        }
-        if circuits.is_none() {
-            *circuits = Some(member_circuits(self.pending, members, key.optimize)?);
-        }
-        let list = circuits.as_deref().map_or(&[][..], |c| &c[span]);
-        let entry = PlanEntry::Allocated(allocate(list));
-        let value = read(&entry);
-        self.cache.plans.insert(key.clone(), entry);
-        Ok((false, value))
+        let pending = self.pending;
+        let allocate_list = || {
+            if circuits.is_none() {
+                *circuits = Some(member_circuits(pending, members)?);
+            }
+            let list = circuits.as_deref().map_or(&[][..], |c| &c[span]);
+            Ok(allocate(list))
+        };
+        self.cache.memoized(&self.buffers.key, allocate_list, read)
     }
 
     /// The survivors' plan: the memo entry's completed plan on a hit
@@ -303,7 +299,7 @@ impl GatePass<'_> {
         self.cache.plan_misses += 1;
         let circuits = match circuits {
             Some(circuits) => circuits,
-            None => member_circuits(self.pending, members, self.buffers.key.optimize)?,
+            None => member_circuits(self.pending, members)?,
         };
         let plan = Arc::new(pipeline.complete(self.device, circuits, allocations));
         *entry = PlanEntry::Planned {
@@ -330,24 +326,18 @@ impl GateBuffers {
     }
 }
 
-/// The circuits of `members` out of the store, peephole-optimized on
-/// request: what a memo miss allocates and a completion routes.
+/// The circuits of `members` out of the store, as their batch runs
+/// them (folded at submit): what a memo miss allocates and a completion
+/// routes.
 fn member_circuits(
     pending: &PendingStore,
     members: &[usize],
-    optimize: bool,
 ) -> Result<Vec<Circuit>, RuntimeError> {
     members
         .iter()
-        .map(|&seq| {
-            let p = pending
-                .get(seq)
-                .ok_or(RuntimeError::QueueCorrupted { seq })?;
-            let mut circuit = p.circuit.clone();
-            if optimize {
-                circuit.cancel_adjacent_inverses();
-            }
-            Ok(circuit)
+        .map(|&seq| match pending.get(seq) {
+            Some(p) => Ok(p.circuit.clone()),
+            None => Err(RuntimeError::QueueCorrupted { seq }),
         })
         .collect()
 }

@@ -1,25 +1,27 @@
-//! The cross-batch planning cache: memoized partition probes and the
-//! plan memo — the allocation of every member list the EFS gate looked
-//! up, and the completed plan and prepared simulator state of every
-//! list that committed as a batch — with the typed keys they live
-//! under.
+//! The cross-batch planning cache: the plan memo — the allocation of
+//! every member list the EFS gate or a probe looked up, and the
+//! completed plan and prepared simulator state of every list that
+//! committed as a batch — with the typed key it lives under, and the
+//! two probes that read it.
 //!
 //! Every key is the literal tuple of what its entry is a function of —
-//! device index, calibration epoch, optimize flag, the head's interned
-//! strategy key, interned [`Shape`] handles (and, for the head-only
-//! gate's probe, the threshold bits) — with derived `Hash + Eq`. The
+//! device index, calibration epoch, the head's interned strategy key and
+//! the interned [`Shape`] handles of the members' circuits as their
+//! batch runs them (folded at submit) — with derived `Hash + Eq`. The
 //! map's hash only finds the bucket; an entry is used because its key
 //! *equals* the lookup's, and shape handles are equal only for
-//! gate-by-gate equal circuits (see [`crate::shape`]). A member's
-//! threshold is no input of a plan entry: it decides which lists the
-//! gate visits (see [`super::gate`]), never what a list allocates.
+//! gate-by-gate equal circuits (see [`crate::shape`]). A threshold is no
+//! input of an entry: it decides which lists the gate and the copy-count
+//! probe visit (see [`super::gate`]), never what a list allocates. The
+//! probes read lists of head copies: `[h]` and, for the Fig. 4 walk, `[h; k]`.
 
 use std::collections::HashMap;
+use std::convert::Infallible;
 use std::sync::{Arc, OnceLock};
 
 use qucp_core::pipeline::{PlannedWorkload, PreparedProgram};
-use qucp_core::threshold::parallel_count_for_threshold;
-use qucp_core::{best_partition, Allocation, CoreError};
+use qucp_core::threshold::{copies_within_threshold, mean_efs_score};
+use qucp_core::{allocate_partitions, Allocation, CoreError};
 
 use super::dispatch::HeadContext;
 use super::Service;
@@ -30,14 +32,17 @@ use crate::shape::Shape;
 /// Observable statistics of the service's cross-batch planning cache.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RouteCacheStats {
-    /// Probes answered from the cache.
+    /// Probes — a routing score or a head-only copy count — that
+    /// allocated no list: every list they read was memoized.
     pub hits: usize,
-    /// Probes computed and inserted.
+    /// Probes that allocated at least one list.
     pub misses: usize,
-    /// Entries currently cached.
+    /// Entries currently cached: the plan memo is the one map, so this
+    /// always equals `plan_entries`. Kept, like `invalidated`, because
+    /// v1/v2 clients decode only the first four fields.
     pub entries: usize,
     /// Entries dropped by calibration-epoch invalidations (0 on a
-    /// frozen fleet).
+    /// frozen fleet): always equal to `plan_invalidated`.
     pub invalidated: usize,
     /// Candidate plannings whose outcome came from the memo: the
     /// surviving members' completed plan was reused, or the head's
@@ -47,8 +52,9 @@ pub struct RouteCacheStats {
     /// members (or found the head unplaceable afresh).
     pub plan_misses: usize,
     /// Member lists currently memoized: every joint attempt and every
-    /// one-member solo baseline the EFS gate allocated at its device's
-    /// current epoch, whether or not the list committed as a batch.
+    /// one-member solo baseline the EFS gate allocated, and every list of
+    /// head copies a probe allocated, at its device's current epoch,
+    /// whether or not the list committed as a batch.
     pub plan_entries: usize,
     /// Memoized member lists dropped by calibration-epoch
     /// invalidations. The epoch is also part of the plan *key*, so a
@@ -57,35 +63,27 @@ pub struct RouteCacheStats {
 }
 
 /// Cross-batch memo of the planning work the dispatch loop repeats for
-/// similar jobs: the routing policy's solo-partition score, the
-/// head-only EFS gate's copy count, and the plan memo. All are pure
-/// functions of their keys **at a fixed calibration epoch**: an entry
-/// is valid for exactly one epoch of its device, and the service drops
-/// a device's entries whenever its epoch bumps (recalibration or a
-/// changing drift step). A frozen fleet never bumps, so its entries
-/// live for the service's lifetime.
+/// similar jobs: one entry per member list — the EFS gate's and the
+/// probes' alike. Every entry is a pure function of its key **at a fixed
+/// calibration epoch**: it is valid for exactly one epoch of its device,
+/// and the service drops a device's entries whenever its epoch bumps
+/// (recalibration or a changing drift step). A frozen fleet never
+/// bumps, so its entries live for the service's lifetime.
 #[derive(Debug, Default)]
 pub(super) struct RouteCache {
-    /// Solo-best EFS partition score by `(device, head shape, head
-    /// strategy key)`; `None` records — and caches — "no placement on
-    /// this chip".
-    pub(super) solo: HashMap<(usize, Shape, u32), Option<f64>>,
-    /// Head-only EFS-gate copy counts, additionally keyed by the
-    /// threshold bits. Planning errors are cached alongside successes:
-    /// the probe is deterministic either way.
-    pub(super) head_cap: HashMap<(usize, Shape, u32, u64), Result<usize, CoreError>>,
     /// The plan memo by [`PlanKey`]: one entry per ordered member list
-    /// the gate looked up — a joint attempt or a member's one-member
-    /// solo baseline — holding its allocation (placement errors
-    /// included: allocation is deterministic either way) and, once the
-    /// list committed as a batch, its completed plan. The gate reads
-    /// allocations here, so only a list not yet seen at the device's
-    /// epoch reaches the allocator, and a survivor set is routed,
-    /// merged and prepared once per epoch.
+    /// looked up — a joint attempt, a member's one-member solo baseline
+    /// or a probe's copies of the head — holding its allocation
+    /// (placement errors included: allocation is deterministic either
+    /// way) and, once the list committed as a batch, its completed plan.
+    /// Only a list not yet seen at the device's epoch reaches the
+    /// allocator, and a survivor set is routed, merged and prepared once
+    /// per epoch.
     pub(super) plans: HashMap<PlanKey, PlanEntry>,
+    /// The probes' key shapes, lent to each probe and left empty.
+    probe: Vec<Shape>,
     pub(super) hits: usize,
     pub(super) misses: usize,
-    pub(super) invalidated: usize,
     pub(super) plan_hits: usize,
     pub(super) plan_misses: usize,
     pub(super) plan_invalidated: usize,
@@ -94,15 +92,14 @@ pub(super) struct RouteCache {
 /// What stage 1 — and so every plan-memo entry — is a function of. Job
 /// ids, names, thresholds and the batch index are deliberately not:
 /// the gate reads thresholds on every pass, and the commit re-binds the
-/// rest.
+/// rest. Nor is the service's optimize flag: it is fixed for the
+/// service's life, and a circuit is folded before its shape is interned.
 #[derive(Debug, Clone, Default, PartialEq, Eq, Hash)]
 pub(super) struct PlanKey {
     pub(super) device: usize,
     /// The device's calibration epoch, so a stale entry could not be
     /// used even if the eager drop on the bump were missed.
     pub(super) epoch: u64,
-    /// The optimize flag decides the planned gate sequences.
-    pub(super) optimize: bool,
     /// The head's strategy key (it plans the whole batch).
     pub(super) strategy: u32,
     /// The members' shapes, in list order.
@@ -138,10 +135,11 @@ pub(super) enum PlanEntry {
 }
 
 impl PlanEntry {
-    /// The list's allocation, wherever the entry keeps it.
-    pub(super) fn allocations(&self) -> Result<&[Allocation], &CoreError> {
+    /// The list's allocation, wherever the entry keeps it, or a copy of
+    /// its placement error.
+    pub(super) fn allocations(&self) -> Result<&[Allocation], CoreError> {
         match self {
-            PlanEntry::Allocated(outcome) => outcome.as_deref(),
+            PlanEntry::Allocated(outcome) => outcome.as_deref().map_err(Clone::clone),
             PlanEntry::Planned { plan, .. } => Ok(&plan.allocations),
         }
     }
@@ -163,46 +161,61 @@ pub(super) struct SharedPlan {
 }
 
 impl RouteCache {
+    /// What `read` makes of the memo entry under `key`, and whether the
+    /// memo held it: the one lookup of every list the gate and the probes
+    /// read. A miss runs stage 1 — `allocate`, which fails only if it
+    /// cannot find its circuits — and memoizes the outcome.
+    pub(super) fn memoized<T, E>(
+        &mut self,
+        key: &PlanKey,
+        allocate: impl FnOnce() -> Result<Result<Vec<Allocation>, CoreError>, E>,
+        read: impl FnOnce(&PlanEntry) -> T,
+    ) -> Result<(bool, T), E> {
+        if let Some(entry) = self.plans.get(key) {
+            return Ok((true, read(entry)));
+        }
+        let entry = PlanEntry::Allocated(allocate()?);
+        let value = read(&entry);
+        self.plans.insert(key.clone(), entry);
+        Ok((false, value))
+    }
+
     /// Drops every entry keyed by `device_index` (one device's epoch
     /// bumped; other devices' entries stay valid) and returns how many
     /// entries were dropped.
     pub(super) fn invalidate_device(&mut self, device_index: usize) -> usize {
-        let before = self.solo.len() + self.head_cap.len();
-        self.solo.retain(|k, _| k.0 != device_index);
-        self.head_cap.retain(|k, _| k.0 != device_index);
-        let dropped = before - (self.solo.len() + self.head_cap.len());
-        self.invalidated += dropped;
-        let plans_before = self.plans.len();
+        let before = self.plans.len();
         self.plans.retain(|k, _| k.device != device_index);
-        let plans_dropped = plans_before - self.plans.len();
-        self.plan_invalidated += plans_dropped;
-        dropped + plans_dropped
+        let dropped = before - self.plans.len();
+        self.plan_invalidated += dropped;
+        dropped
     }
 }
 
 impl Service {
-    /// Statistics of the cross-batch planning cache: how many
-    /// partition/candidate probes the dispatch loop answered from memo
-    /// instead of recomputing, and how many candidate plannings reused
-    /// a memoized plan. Probes are keyed by *(device, circuit shape,
-    /// strategy[, threshold])*, plans by *(device, epoch, optimize,
-    /// strategy, member shapes)*; every entry is valid for exactly one
-    /// calibration **epoch** of its device: a
-    /// [`Service::recalibrate`] or a changing [`Service::advance_drift`]
-    /// step bumps the device's epoch and drops that device's entries,
-    /// counted in [`RouteCacheStats::invalidated`] (plans:
-    /// [`RouteCacheStats::plan_invalidated`]). On a frozen fleet epochs
-    /// never bump and entries live for the service's lifetime.
+    /// Statistics of the cross-batch planning cache: how many probes
+    /// the dispatch loop answered from the memo without allocating, and
+    /// how many candidate plannings reused a memoized plan. Every entry
+    /// is one member list keyed by *(device, epoch, strategy, member
+    /// shapes)* and valid for exactly one calibration **epoch** of its
+    /// device: a [`Service::recalibrate`] or a changing
+    /// [`Service::advance_drift`] step bumps the device's epoch and drops
+    /// that device's entries, counted in
+    /// [`RouteCacheStats::plan_invalidated`]. With one map,
+    /// [`RouteCacheStats::entries`] / [`RouteCacheStats::invalidated`]
+    /// equal `plan_entries` / `plan_invalidated`. On a frozen fleet
+    /// epochs never bump and entries live for the service's lifetime.
     pub fn route_cache_stats(&self) -> RouteCacheStats {
+        let cache = &self.route_cache;
         RouteCacheStats {
-            hits: self.route_cache.hits,
-            misses: self.route_cache.misses,
-            entries: self.route_cache.solo.len() + self.route_cache.head_cap.len(),
-            invalidated: self.route_cache.invalidated,
-            plan_hits: self.route_cache.plan_hits,
-            plan_misses: self.route_cache.plan_misses,
-            plan_entries: self.route_cache.plans.len(),
-            plan_invalidated: self.route_cache.plan_invalidated,
+            hits: cache.hits,
+            misses: cache.misses,
+            entries: cache.plans.len(),
+            invalidated: cache.plan_invalidated,
+            plan_hits: cache.plan_hits,
+            plan_misses: cache.plan_misses,
+            plan_entries: cache.plans.len(),
+            plan_invalidated: cache.plan_invalidated,
         }
     }
 
@@ -224,75 +237,76 @@ impl Service {
         Ok(PlanKey {
             device: d,
             epoch: self.registry.epoch(DeviceId::from_index(d)),
-            optimize: self.optimize,
             strategy,
             shapes,
         })
     }
 
-    /// The head circuit's solo-best EFS partition score on a device,
-    /// memoized across batches by (device, shape, strategy); `None`
-    /// records — and caches — "no placement on this chip". Only a miss
-    /// reads the circuit, in the pending store.
+    /// The head circuit's solo-best EFS partition score on device `d`:
+    /// the entry of its one-member list `[h]`, under the key of the EFS
+    /// gate's solo baseline; `None` if the head has no placement there.
     ///
     /// # Errors
     ///
-    /// [`RuntimeError::QueueCorrupted`] if a miss does not find the
-    /// head in the store.
+    /// [`RuntimeError::QueueCorrupted`] if the head is not in the store.
     pub(super) fn cached_solo_score(
         &mut self,
         head: &HeadContext,
-        device_index: usize,
+        d: usize,
     ) -> Result<Option<f64>, RuntimeError> {
-        let key = (device_index, head.shape.clone(), head.strategy_key);
-        if let Some(&cached) = self.route_cache.solo.get(&key) {
-            self.route_cache.hits += 1;
-            return Ok(cached);
-        }
-        self.route_cache.misses += 1;
-        let device = self.registry.device_at(device_index);
-        let circuit = &self.pending_by_seq(head.seq)?.circuit;
-        let score = best_partition(device, circuit, &head.strategy.partition)
-            .ok()
-            .map(|alloc| alloc.efs.score);
-        self.route_cache.solo.insert(key, score);
-        Ok(score)
+        self.probe_copies(head, d, |mean_score| mean_score(1).ok())
     }
 
-    /// The head-only EFS gate's admissible copy count on a device,
-    /// memoized across batches by (device, shape, strategy, threshold)
-    /// — the inner result, planning errors included. Only a miss reads
-    /// the circuit, in the pending store.
+    /// The head-only EFS gate's admissible copy count on device `d`:
+    /// the Fig. 4 walk over the entries of `[h]` and `[h; k]` — the inner
+    /// result, planning errors included.
     ///
     /// # Errors
     ///
-    /// [`RuntimeError::QueueCorrupted`] if a miss does not find the
-    /// head in the store.
+    /// [`RuntimeError::QueueCorrupted`] if the head is not in the store.
     pub(super) fn cached_head_cap(
         &mut self,
         head: &HeadContext,
-        device_index: usize,
+        d: usize,
         threshold: f64,
     ) -> Result<Result<usize, CoreError>, RuntimeError> {
-        let key = (
-            device_index,
-            head.shape.clone(),
-            head.strategy_key,
-            threshold.to_bits(),
-        );
-        if let Some(cached) = self.route_cache.head_cap.get(&key) {
-            self.route_cache.hits += 1;
-            return Ok(cached.clone());
-        }
-        self.route_cache.misses += 1;
-        let result = parallel_count_for_threshold(
-            self.registry.device_at(device_index),
-            &self.pending_by_seq(head.seq)?.circuit,
-            threshold,
-            self.max_parallel,
-            &head.strategy,
-        );
-        self.route_cache.head_cap.insert(key, result.clone());
-        Ok(result)
+        let k_max = self.max_parallel;
+        self.probe_copies(head, d, |mean_score| {
+            copies_within_threshold(threshold, k_max, mean_score)
+        })
+    }
+
+    /// One probe on device `d`: `walk` reads `mean_score(k)`, the mean
+    /// EFS score of `k` copies of the head allocated together — the memo
+    /// entry of `[h; k]`, allocated on a miss from the pending circuit,
+    /// borrowed `k` times. The probe is a hit if it allocated no list.
+    fn probe_copies<T>(
+        &mut self,
+        head: &HeadContext,
+        d: usize,
+        walk: impl FnOnce(&mut dyn FnMut(usize) -> Result<f64, CoreError>) -> T,
+    ) -> Result<T, RuntimeError> {
+        let shapes = std::mem::take(&mut self.route_cache.probe);
+        let mut key = self.plan_key(d, head.strategy_key, &[], shapes)?;
+        let (seq, pending) = (head.seq, self.pending.get(head.seq));
+        let circuit = &pending.ok_or(RuntimeError::QueueCorrupted { seq })?.circuit;
+        let (device, partition) = (self.registry.device_at(d), &head.strategy.partition);
+        let cache = &mut self.route_cache;
+        let mut allocated = false;
+        let value = walk(&mut |k| {
+            key.shapes.clear();
+            key.shapes.resize(k, head.shape.clone());
+            let copies =
+                || Ok::<_, Infallible>(allocate_partitions(device, &vec![circuit; k], partition));
+            let read = |entry: &PlanEntry| entry.allocations().map(mean_efs_score);
+            let Ok((found, score)) = cache.memoized(&key, copies, read);
+            allocated |= !found;
+            score
+        });
+        key.shapes.clear();
+        cache.probe = key.shapes;
+        cache.misses += usize::from(allocated);
+        cache.hits += usize::from(!allocated);
+        Ok(value)
     }
 }

@@ -290,14 +290,15 @@ fn tick_neg_infinity_is_a_noop_and_only_nan_is_rejected() {
 #[test]
 fn earliest_free_routing_skips_partition_probes() {
     // The default policy never asks for partition scores, so the
-    // routing path must not populate the solo cache — keeping the
+    // routing path must not add a list to the memo — keeping the
     // default dispatch exactly as cheap as before the seam.
     let mut service = fifo_service(2);
     submit_all(&mut service, 4);
     service.run_until_drained().unwrap();
     let stats = service.route_cache_stats();
     assert_eq!(stats.hits + stats.misses, 0);
-    assert_eq!(stats.entries, 0);
+    // Every entry is a list the gate planned.
+    assert_eq!(stats.entries, stats.plan_misses, "{stats:?}");
     assert_eq!(service.routing_name(), "EarliestFree");
     // Every committed batch still records its routing decision.
     assert_eq!(
@@ -371,7 +372,60 @@ fn calibration_aware_caches_solo_scores_per_device_and_shape() {
     // One solo probe per (device, shape): two devices, one shape.
     assert_eq!(stats.misses, 2);
     assert!(stats.hits > 0, "repeat dispatches must hit the memo");
-    assert_eq!(stats.entries, 2);
+    // The two solo lists [h], and the pair every batch committed.
+    assert_eq!(stats.entries, 3, "{stats:?}");
+}
+
+#[test]
+fn a_circuit_and_its_fold_schedule_alike_under_the_head_only_gate() {
+    // `bell` followed by the inverse pair `cx 0 1; cx 0 1` folds to
+    // `bell`. The threshold sits between the two circuits' Fig. 4
+    // differences at two copies, so a probe that read the unfolded
+    // circuit would cap its batches at one copy and the fold's at two.
+    let bell = qucp_circuit::library::by_name("bell").unwrap().circuit();
+    let mut padded = bell.clone();
+    padded.cx(0, 1).cx(0, 1);
+    let mut folded = padded.clone();
+    assert_eq!(folded.cancel_adjacent_inverses(), 2);
+    assert_eq!(folded.gates(), bell.gates());
+    let qucp = strategy::qucp(4.0);
+    let difference =
+        |c: &Circuit| qucp_core::threshold::efs_difference(&ibm::toronto(), c, 2, &qucp).unwrap();
+    let (low, high) = (difference(&folded), difference(&padded));
+    assert!(low < high, "the pair must cost EFS: {low} vs {high}");
+    let service = || {
+        Service::builder()
+            .device(ibm::toronto())
+            .strategy(qucp.clone())
+            .routing(crate::registry::CalibrationAware::default())
+            .efs_gate(EfsGate::HeadOnly)
+            .fidelity_threshold(Some((low + high) / 2.0))
+            .max_parallel(2)
+            .default_shots(16)
+            .seed(5)
+            .build()
+            .unwrap()
+    };
+    let drained = |circuit: &Circuit| {
+        let mut service = service();
+        for i in 0..4u64 {
+            let request = JobRequest::new(circuit.clone(), 0.0).with_id(i);
+            service.submit(request).unwrap();
+        }
+        service.run_until_drained().unwrap()
+    };
+    let report = drained(&padded);
+    assert_eq!(report.stats.batches, 2, "two copies per batch");
+    assert_eq!(report, drained(&folded));
+    // One shape handle for both: the fold runs before interning.
+    let mut service = service();
+    for circuit in [&padded, &folded] {
+        service
+            .submit(JobRequest::new(circuit.clone(), 0.0))
+            .unwrap();
+    }
+    let shape = |seq| service.pending.get(seq).unwrap().shape.clone();
+    assert_eq!(shape(0), shape(1));
 }
 
 #[test]
@@ -491,17 +545,17 @@ fn the_plan_key_tells_apart_everything_planning_reads() {
         PartitionPolicy::NoiseAware(CrosstalkTreatment::Measured(map)) if map.len() == 2
     ));
     // Not the gate mode either (it decides which lists the gate visits,
-    // not what a list allocates); the optimize flag is an input (fixed
-    // per service; flipped in place here so nothing else differs).
+    // not what a list allocates), nor the optimize flag (fixed per
+    // service, and applied at submit, before the shape is interned;
+    // flipped in place here so nothing else differs).
     for gate in [EfsGate::BatchWorstExcess, EfsGate::HeadOnly] {
         service.efs_gate = gate;
         assert_eq!(base, key(&service, 0, &[a, b]));
     }
     service.efs_gate = EfsGate::Batch;
     service.optimize = !service.optimize;
-    assert_ne!(base, key(&service, 0, &[a, b]));
-    service.optimize = !service.optimize;
     assert_eq!(base, key(&service, 0, &[a, b]));
+    service.optimize = !service.optimize;
     // The calibration epoch: a recalibrated device never shares a key
     // with its former self, whether or not the eager drop on the bump
     // ran.
@@ -587,12 +641,17 @@ fn recalibration_bumps_epoch_invalidates_cache_and_emits_event() {
     submit_all(&mut service, 4);
     service.run_until_drained().unwrap();
     let warm = service.route_cache_stats();
-    // Every shape was probed on both chips: half the entries belong
-    // to each device.
-    assert!(
-        warm.entries >= 2 && warm.entries.is_multiple_of(2),
-        "{warm:?}"
-    );
+    // Every shape was probed on both chips: each holds entries.
+    let on = |service: &Service, d| {
+        service
+            .route_cache
+            .plans
+            .keys()
+            .filter(|k| k.device == d)
+            .count()
+    };
+    let on_mel = on(&service, 0);
+    assert!(on_mel > 0 && on(&service, 1) > 0, "{warm:?}");
     assert_eq!(warm.invalidated, 0);
 
     let mel = DeviceId::from_index(0);
@@ -603,8 +662,8 @@ fn recalibration_bumps_epoch_invalidates_cache_and_emits_event() {
     assert_eq!(service.device_epoch(DeviceId::from_index(1)), 0);
     let stats = service.route_cache_stats();
     // Only Melbourne's entries dropped; Toronto's survive.
-    assert_eq!(stats.entries, warm.entries / 2);
-    assert_eq!(stats.invalidated, warm.entries / 2);
+    assert_eq!(stats.entries, warm.entries - on_mel);
+    assert_eq!(stats.invalidated, on_mel);
     assert_eq!(
         service.event_log().recalibrations(),
         vec![(ibm::melbourne().name(), 1)]

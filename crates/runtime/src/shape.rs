@@ -1,8 +1,8 @@
-//! Circuit shapes: the structural identity the planning caches key on,
-//! interned once per submission.
+//! Circuit shapes: the structural identity the plan memo keys on,
+//! interned once per submission (after the peephole fold).
 //!
-//! Planning never reads a circuit's name, so every cache of planning
-//! work — the solo-score and head-cap probes, whole committed plans —
+//! Planning never reads a circuit's name, so the memo of planning
+//! work — the probes' lists of head copies, whole committed plans —
 //! is keyed by what planning does read: the width and the exact gate
 //! sequence. [`ShapeTable::intern`] turns a submitted circuit into a
 //! [`Shape`] handle such that two live handles are the same handle

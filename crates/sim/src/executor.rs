@@ -301,11 +301,6 @@ impl NoiseScaling {
         }
     }
 
-    /// Builds from explicit factors.
-    pub fn from_factors(factors: Vec<f64>) -> Self {
-        NoiseScaling { factors }
-    }
-
     /// The factor for gate `i` (1.0 when out of range).
     pub fn factor(&self, i: usize) -> f64 {
         self.factors.get(i).copied().unwrap_or(1.0)

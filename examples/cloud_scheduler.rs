@@ -252,9 +252,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         jobs.iter().map(|r| r.result.efs).sum::<f64>() / jobs.len() as f64
     };
     println!(
-        "{bumps} epoch bumps dropped {} cached probes and {} cached plans; \
+        "{bumps} epoch bumps dropped {} cached member lists (probes and plans); \
          mean EFS {:.4} before the drift, {:.4} after",
-        aged.invalidated - warm.invalidated,
         aged.plan_invalidated - warm.plan_invalidated,
         mean_efs(&report.job_results[..burst.len()]),
         mean_efs(&report.job_results[burst.len()..]),

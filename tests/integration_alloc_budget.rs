@@ -205,8 +205,11 @@ fn a_cached_batch_stays_within_its_heap_budget() {
 
 /// Heap requests of one `tick` of 64 cold jobs (every batch planned,
 /// prepared and run from scratch; the count is exact and the same in
-/// debug and release): 5 397 with one job to a batch, 6 479 with two —
-/// 84.3 and 101.2 per job. While a plan-cache miss copied its members
+/// debug and release): 5 333 with one job to a batch, 6 415 with two —
+/// 83.3 and 100.2 per job. While a plan-cache miss folded its members'
+/// circuits with the peephole pass (a copying pass, one request per
+/// program) instead of submit folding each once in place, the same tick
+/// counted 5 397 and 6 479. While a plan-cache miss copied its members
 /// into a planning record first (their submission indices and job ids
 /// in two vectors of their own), the same tick counted 5 525 and
 /// 6 543. Before a planned program was timed by the
@@ -234,8 +237,8 @@ fn a_cached_batch_stays_within_its_heap_budget() {
 /// `PlannedWorkload::prepare` scheduling the program afresh
 /// (`PreparedJob::prepare` for `prepare_scheduled`), costs requests per
 /// prepared program. Each fails.
-const COLD_SOLO_REQUESTS: u64 = 5_397;
-const COLD_PAIR_REQUESTS: u64 = 6_479;
+const COLD_SOLO_REQUESTS: u64 = 5_333;
+const COLD_PAIR_REQUESTS: u64 = 6_415;
 
 #[test]
 fn a_cold_batch_stays_within_its_heap_budget() {

@@ -174,10 +174,17 @@ fn measured_crosstalk_strategies_run_through_the_plan_and_probe_caches() {
     let run = assert_matches_reference(&ops, &cfg);
     let stats = run.service.route_cache_stats();
     assert!(stats.plan_hits > 0 && stats.hits > 0, "{stats:?}");
-    // Per (head shape, strategy) pair one solo score on each chip and
-    // one head cap on the chip that took the batch; keyed by shape
-    // alone, the two maps would share half of these.
-    assert_eq!((stats.entries, stats.misses), (4 * 3, 4 * 3), "{stats:?}");
+    // Per (head shape, strategy) pair one solo probe on each chip and
+    // one copy-count probe on the chip that took the batch, holding the
+    // lists [h] on each chip and [h; 2], [h; 3] on that one; beside them
+    // the two pairs the default strategy's heads committed (the other
+    // strategy's heads ride alone, on the probes' [h]). Keyed by shape
+    // alone, the two strategies would share half of these.
+    assert_eq!(
+        (stats.entries, stats.misses),
+        (4 * 4 + 2, 4 * 3),
+        "{stats:?}"
+    );
     assert_eq!((stats.plan_misses, stats.plan_hits), (4, 4), "{stats:?}");
 }
 

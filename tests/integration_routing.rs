@@ -88,8 +88,13 @@ fn earliest_free_routing_reproduces_pr2_golden_snapshot() {
     assert!(close(explicit_report.stats.makespan, 56569.286641));
     assert!(close(explicit_report.stats.mean_throughput, 0.360557));
 
-    // The default path never pays a routing partition probe.
-    assert_eq!(default_service.route_cache_stats().entries, 0);
+    // The default path never pays a routing partition probe: every
+    // memo entry is a list the gate planned.
+    let stats = default_service.route_cache_stats();
+    assert_eq!(
+        (stats.hits + stats.misses, stats.entries),
+        (0, stats.plan_misses)
+    );
     // Every batch carries a BatchRouted record naming the policy.
     let routed = explicit_report
         .events

@@ -14,15 +14,17 @@ use qucp_runtime::{
 
 use super::{circuit, Config, Drift, Fleet, Op};
 
-/// Small library circuits, two wide GHZ chains only the larger chips
-/// admit, and (rarely) one nothing admits — the typed-error path.
-const CIRCUITS: [&str; 10] = [
+/// Small library circuits (`bell+cx_cx` folds to `bell`'s shape at
+/// submit), two wide GHZ chains only the larger chips admit, and
+/// (rarely) one nothing admits — the typed-error path.
+const CIRCUITS: [&str; 11] = [
     "bell",
     "fredkin",
     "linearsolver",
     "variation",
     "alu-v0_27",
     "qec",
+    "bell+cx_cx",
     "ghz9",
     "ghz13",
     "ghz18",
@@ -61,12 +63,12 @@ pub fn job(max_shots: usize) -> impl Strategy<Value = JobRequest> {
     let execution = (0u8..6, 0u8..10);
     (shape, planning, execution).prop_map(|(shape, planning, execution)| {
         let (name, id, shots) = shape;
-        // Three draws in four are the six small circuits; one in 256
+        // Three draws in four are the seven small circuits; one in 256
         // is `ghz30`, which wedges the queue behind a typed error.
         let name = match name {
-            0..192 => CIRCUITS[name % 6],
-            192..255 => CIRCUITS[6 + name % 3],
-            _ => CIRCUITS[9],
+            0..192 => CIRCUITS[name % 7],
+            192..255 => CIRCUITS[7 + name % 3],
+            _ => CIRCUITS[10],
         };
         let mut req = JobRequest::new(circuit(name, format!("job{id}")), 0.0);
         // Ids above 8 stay service-assigned; small ones may collide.

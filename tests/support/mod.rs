@@ -214,20 +214,26 @@ impl Config {
     }
 }
 
-/// A library circuit (or, for names `ghz<N>`, an `N`-qubit GHZ chain)
-/// renamed `label` — names never influence scheduling, only reports.
+/// A library circuit (or, for names `ghz<N>`, an `N`-qubit GHZ chain;
+/// for names `<base>+cx_cx`, the circuit `<base>` followed by the
+/// adjacent inverse pair `cx 0 1; cx 0 1`, which the peephole fold
+/// removes) renamed `label` — names never influence scheduling, only
+/// reports.
 pub fn circuit(name: &str, label: impl Into<String>) -> Circuit {
-    let mut circuit = match name.strip_prefix("ghz") {
-        Some(width) => {
-            let width: usize = width.parse().expect("ghz<N>");
-            let mut c = Circuit::new(width);
-            c.h(0);
-            for q in 1..width {
-                c.cx(q - 1, q);
-            }
-            c
+    let mut circuit = if let Some(width) = name.strip_prefix("ghz") {
+        let width: usize = width.parse().expect("ghz<N>");
+        let mut c = Circuit::new(width);
+        c.h(0);
+        for q in 1..width {
+            c.cx(q - 1, q);
         }
-        None => library::by_name(name).expect("library benchmark").circuit(),
+        c
+    } else if let Some(base) = name.strip_suffix("+cx_cx") {
+        let mut c = circuit(base, "");
+        c.cx(0, 1).cx(0, 1);
+        c
+    } else {
+        library::by_name(name).expect("library benchmark").circuit()
     };
     circuit.set_name(label);
     circuit

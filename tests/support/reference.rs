@@ -192,7 +192,12 @@ impl ReferenceScheduler {
         let head_q = at[self.cfg.policy.choose_head(&views)];
         let head = &self.queue[head_q];
         let (head_id, head_arrival) = (head.ticket.id, head.req.arrival);
-        let circuit = head.req.circuit.clone();
+        // The probes score the circuit the batch runs: folded if the
+        // service optimizes.
+        let mut circuit = head.req.circuit.clone();
+        if self.cfg.optimize {
+            circuit.cancel_adjacent_inverses();
+        }
         let strategy = head.req.strategy.as_ref();
         let strategy = strategy.unwrap_or(&self.cfg.strategy).clone();
         let threshold = head.req.fidelity_threshold.or(self.cfg.threshold);
