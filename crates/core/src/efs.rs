@@ -105,11 +105,46 @@ pub(crate) fn region_efs(
     allocated_links: &[Link],
     treatment: &CrosstalkTreatment,
 ) -> EfsBreakdown {
+    let mut crosstalk_pairs = Vec::new();
+    let avg2q = avg_two_qubit_error(device, region, allocated_links, treatment, |pair| {
+        crosstalk_pairs.push(pair)
+    });
+    let (score, avg1q, readout_sum) = eq1(region, stats, avg2q);
+    EfsBreakdown {
+        score,
+        avg_two_qubit_error: avg2q,
+        avg_single_qubit_error: avg1q,
+        readout_sum,
+        crosstalk_pairs,
+    }
+}
+
+/// [`region_efs`]'s score alone, by the same floating-point operations,
+/// without collecting the crosstalk pairs: what ranking a candidate
+/// needs.
+pub(crate) fn region_efs_score(
+    device: &Device,
+    region: &Region,
+    stats: &CircuitStats,
+    allocated_links: &[Link],
+    treatment: &CrosstalkTreatment,
+) -> f64 {
+    let avg2q = avg_two_qubit_error(device, region, allocated_links, treatment, |_| ());
+    eq1(region, stats, avg2q).0
+}
+
+/// `Avg2q(cross)`, handing every potential crosstalk pair to `pair`.
+fn avg_two_qubit_error(
+    device: &Device,
+    region: &Region,
+    allocated_links: &[Link],
+    treatment: &CrosstalkTreatment,
+    mut pair: impl FnMut(LinkPair),
+) -> f64 {
     let topo = device.topology();
     let cal = device.calibration();
     let links = region.links();
-    let mut crosstalk_pairs = Vec::new();
-    let avg2q = if links.is_empty() {
+    if links.is_empty() {
         0.0
     } else if allocated_links.is_empty() {
         region.cx_error_sum() / links.len() as f64
@@ -120,25 +155,25 @@ pub(crate) fn region_efs(
             let mut worst = 1.0f64;
             for &al in allocated_links {
                 if !l.shares_qubit(&al) && topo.link_distance(l, al) == 1 {
-                    let pair = LinkPair::new(l, al);
-                    crosstalk_pairs.push(pair);
-                    worst = worst.max(treatment.factor(pair));
+                    let p = LinkPair::new(l, al);
+                    pair(p);
+                    worst = worst.max(treatment.factor(p));
                 }
             }
             e *= worst;
             total += e;
         }
         total / links.len() as f64
-    };
+    }
+}
+
+/// Eq. (1) from `Avg2q(cross)` and the region's sums: the score, then
+/// `Avg1q` and the readout sum it used.
+fn eq1(region: &Region, stats: &CircuitStats, avg2q: f64) -> (f64, f64, f64) {
     let avg1q = region.sq_error_sum() / region.qubits().len().max(1) as f64;
     let readout_sum = region.readout_error_sum();
-    EfsBreakdown {
-        score: avg2q * stats.two_qubit as f64 + avg1q * stats.single_qubit as f64 + readout_sum,
-        avg_two_qubit_error: avg2q,
-        avg_single_qubit_error: avg1q,
-        readout_sum,
-        crosstalk_pairs,
-    }
+    let score = avg2q * stats.two_qubit as f64 + avg1q * stats.single_qubit as f64 + readout_sum;
+    (score, avg1q, readout_sum)
 }
 
 #[cfg(test)]

@@ -51,13 +51,18 @@ impl MappedProgram {
 /// Builds the partition-local topology: local index = position of the
 /// physical qubit in the (sorted) partition list.
 pub fn local_topology(device: &Device, partition: &[usize]) -> Topology {
-    let links = device.topology().links_within(partition);
-    let local = |q: usize| partition.iter().position(|&p| p == q).unwrap();
-    let edges: Vec<(usize, usize)> = links
-        .iter()
-        .map(|l| (local(l.low()), local(l.high())))
-        .collect();
-    Topology::new(partition.len(), &edges)
+    let topo = device.topology();
+    let local = |q: usize| partition.iter().position(|&p| p == q);
+    // Each induced link once, from its lower end.
+    let edges = partition.iter().enumerate().flat_map(|(i, &p)| {
+        topo.neighbors(p)
+            .iter()
+            .filter(move |&&nb| nb > p)
+            .filter_map(move |&nb| local(nb).map(|j| (i, j)))
+    });
+    let mut induced = Vec::with_capacity(edges.clone().count());
+    induced.extend(edges);
+    Topology::new(partition.len(), &induced)
 }
 
 /// Noise-aware initial mapping: logical qubit → local wire.
@@ -100,11 +105,14 @@ pub(crate) fn initial_mapping_on(
     let mut logical_order: Vec<usize> = (0..k).collect();
     logical_order.sort_by_key(|&l| (std::cmp::Reverse(total_weight[l]), l));
 
-    // Wire quality: high subgraph degree, low readout error.
+    // Wire quality: high subgraph degree, low readout error, a NaN
+    // readout last (as partition scoring ranks a NaN score).
     let quality = |w: usize| {
+        let readout = cal.readout_error(partition[w]);
         (
             std::cmp::Reverse(topo.degree(w)),
-            (cal.readout_error(partition[w]) * 1e9) as u64,
+            readout.is_nan(),
+            (readout * 1e9) as u64,
             w,
         )
     };
@@ -409,6 +417,27 @@ mod tests {
         let topo = local_topology(&dev, &[0, 1, 2]);
         // The heavy pair (0,1) must be adjacent.
         assert_eq!(topo.distance(m[0], m[1]), 1);
+    }
+
+    /// A NaN readout ranks a wire last among wires of its degree, as
+    /// partition scoring ranks a NaN score; while the quality key cast
+    /// `NaN × 1e9` to the integer 0, it ranked first and logical 1 of
+    /// three idle qubits sat on it (`[1, 0, 2]`).
+    #[test]
+    fn a_nan_readout_ranks_as_the_worst_wire() {
+        let mut c = Circuit::new(3);
+        c.h(0).h(1).h(2);
+        for readout in [f64::NAN, 0.5] {
+            let dev = line_device(3);
+            let mut cal = dev.calibration().clone();
+            cal.set_readout_error(0, readout);
+            let dev = dev.with_state(cal, dev.crosstalk().clone());
+            assert_eq!(
+                initial_mapping(&dev, &[0, 1, 2], &c),
+                [1, 2, 0],
+                "{readout}"
+            );
+        }
     }
 
     #[test]

@@ -11,28 +11,35 @@
 //! ## Where the candidates come from
 //!
 //! The growth itself lives with the chip
-//! ([`Device::grow_regions`]). The first program of every allocation —
-//! and so the only program of every solo probe ([`best_partition`],
-//! [`solo_efs_scores`](crate::solo_efs_scores), the `k = 1` baseline of
-//! [`efs_difference`](crate::efs_difference)) — is placed on an *idle*
-//! chip, whose candidates are a pure function of the topology, the
-//! calibration and the program's width. Those are read from the
-//! device's region atlas ([`Device::idle_regions`]): grown once per
-//! calibration snapshot, with their induced links and EFS error sums,
-//! emptied by any mutable borrow of the calibration, retaining at most
-//! one region per qubit per requested width, and no part of the
-//! device's `PartialEq`/`Debug` value. Scoring an idle candidate is
-//! then a handful of floating-point operations, bit-identical to
-//! summing the calibration entries afresh. Only the later programs of a
-//! multi-program allocation, which must grow around the qubits already
-//! taken, pay for growth per call.
+//! ([`Device::for_each_region`]). The first program of every
+//! allocation — and so the only program of every solo probe
+//! ([`best_partition`], [`solo_efs_scores`](crate::solo_efs_scores),
+//! the `k = 1` baseline of [`efs_difference`](crate::efs_difference)) —
+//! is placed on an *idle* chip, whose candidates are a pure function of
+//! the topology, the calibration and the program's width. Those are
+//! read from the device's region atlas ([`Device::idle_regions`]):
+//! grown once per calibration snapshot, with their induced links and
+//! EFS error sums, retaining at most one region per qubit per requested
+//! width, and no part of the device's `PartialEq`/`Debug` value.
+//! Scoring an idle candidate is then a handful of floating-point
+//! operations, bit-identical to summing the calibration entries afresh.
+//!
+//! The later programs of a multi-program allocation grow around the
+//! qubits already taken, and read the atlas too. When no CNOT or
+//! readout error is NaN, growth ranks frontier qubits in a strict total
+//! order and blocking only removes candidates, so a seed whose idle
+//! region avoids the taken qubits grows exactly that region again: it
+//! is borrowed, and only the other seeds are grown afresh. A NaN makes
+//! the ranking partial and every free seed is grown afresh. Candidates
+//! are scored as the walk visits them, without collecting crosstalk
+//! pairs; only the winner is copied out and broken down.
 
 use std::collections::BTreeSet;
 
 use qucp_circuit::Circuit;
 use qucp_device::{Device, Link, Region};
 
-use crate::efs::{region_efs, CircuitStats, CrosstalkTreatment, EfsBreakdown};
+use crate::efs::{region_efs, region_efs_score, CircuitStats, CrosstalkTreatment, EfsBreakdown};
 use crate::error::CoreError;
 
 /// Candidate-scoring policy of the partitioner.
@@ -70,8 +77,8 @@ impl Allocation {
 
 /// The connected candidate regions of `size` qubits that avoid the
 /// `allocated` qubits: one grown from every free seed
-/// ([`Device::grow_regions`]), read from the device's region atlas when
-/// nothing is allocated.
+/// ([`Device::grow_regions`]), or read from the device's region atlas
+/// wherever that is exact.
 ///
 /// Returns deduplicated candidates (each sorted ascending).
 pub fn candidate_partitions(
@@ -79,19 +86,13 @@ pub fn candidate_partitions(
     size: usize,
     allocated: &BTreeSet<usize>,
 ) -> Vec<Vec<usize>> {
-    let grown;
-    let regions = if allocated.is_empty() {
-        device.idle_regions(size)
-    } else {
-        let mut blocked = vec![false; device.num_qubits()];
-        for &q in allocated {
-            if let Some(flag) = blocked.get_mut(q) {
-                *flag = true;
-            }
+    let mut blocked = vec![false; device.num_qubits()];
+    for &q in allocated {
+        if let Some(flag) = blocked.get_mut(q) {
+            *flag = true;
         }
-        grown = device.grow_regions(size, &blocked);
-        &grown
-    };
+    }
+    let regions = device.grow_regions(size, &blocked);
     regions.iter().map(|r| r.qubits().to_vec()).collect()
 }
 
@@ -127,80 +128,71 @@ pub fn allocate_partitions(
     let mut blocked = vec![false; device.num_qubits()];
     let mut allocated_links: Vec<Link> = Vec::new();
     let mut result: Vec<Option<Allocation>> = vec![None; programs.len()];
+    // The winner of a later program, copied out of the growth walk's
+    // buffers into this one's, which every later program reuses.
+    let mut kept: Option<Region> = None;
 
     for (placed, &pi) in order.iter().enumerate() {
         let program = programs[pi];
         let stats = CircuitStats::of(program);
         let size = program.width();
-        let grown;
-        let candidates: &[Region] = if placed == 0 {
-            device.idle_regions(size)
-        } else {
-            grown = device.grow_regions(size, &blocked);
-            &grown
-        };
-        if candidates.is_empty() {
-            return Err(CoreError::PartitionUnavailable { program: pi, size });
-        }
-        let score = |c: &Region, treatment: &CrosstalkTreatment| {
-            region_efs(device, c, &stats, &allocated_links, treatment)
-        };
-        let (region, breakdown) = match policy {
-            PartitionPolicy::NoiseAware(treatment) => candidates
-                .iter()
-                .map(|c| (c, score(c, treatment)))
-                // `total_cmp` sorts NaN scores last, so a candidate
-                // poisoned by a NaN calibration reading loses to every
-                // finite-scored one instead of panicking the allocator.
-                .min_by(|a, b| {
-                    a.1.score
-                        .total_cmp(&b.1.score)
-                        .then_with(|| a.0.qubits().cmp(b.0.qubits()))
-                })
-                .expect("candidates not empty"),
-            PartitionPolicy::TopologyGreedy => {
-                // First region in qubit-index order, calibration-blind.
-                let c = candidates
-                    .iter()
-                    .min_by(|a, b| a.qubits().cmp(b.qubits()))
-                    .expect("candidates not empty");
-                (c, score(c, &CrosstalkTreatment::None))
+        let rank = |c: &Region| match policy {
+            PartitionPolicy::NoiseAware(treatment) => {
+                region_efs_score(device, c, &stats, &allocated_links, treatment)
             }
+            // First region in qubit-index order, calibration-blind.
+            PartitionPolicy::TopologyGreedy => 0.0,
             PartitionPolicy::FidelityDegree => {
-                let c = candidates
+                let fidelity: f64 = c
+                    .links()
                     .iter()
-                    .map(|c| {
-                        let fidelity: f64 = c
-                            .links()
-                            .iter()
-                            .map(|&l| 1.0 - device.calibration().cx_error(l))
-                            .sum();
-                        // `total_cmp` orders NaN *above* +∞, which would
-                        // make a NaN-poisoned region win this
-                        // maximization; demote it to −∞ so it loses to
-                        // every finite candidate, mirroring the
-                        // NaN-loses behaviour of the NoiseAware
-                        // minimization above.
-                        let fidelity = if fidelity.is_nan() {
-                            f64::NEG_INFINITY
-                        } else {
-                            fidelity
-                        };
-                        (c, fidelity)
-                    })
-                    .max_by(|a, b| {
-                        a.1.total_cmp(&b.1)
-                            .then_with(|| b.0.qubits().cmp(a.0.qubits()))
-                    })
-                    .map(|(c, _)| c)
-                    .expect("candidates not empty");
-                (c, score(c, &CrosstalkTreatment::None))
+                    .map(|&l| 1.0 - device.calibration().cx_error(l))
+                    .sum();
+                // The highest fidelity ranks first. A NaN-poisoned
+                // region's fidelity counts as −∞, so it loses to every
+                // finite candidate, mirroring the NaN-loses behaviour
+                // of the NoiseAware minimization.
+                if fidelity.is_nan() {
+                    f64::INFINITY
+                } else {
+                    -fidelity
+                }
             }
+        };
+        // The first program ranks the atlas's regions in place; a later
+        // one ranks the growth walk's and keeps a copy of its best.
+        let region = if placed == 0 {
+            let mut best = None;
+            for c in device.idle_regions(size) {
+                let key = rank(c);
+                if ranks_first(key, c, best) {
+                    best = Some((key, c));
+                }
+            }
+            best.map(|(_, c)| c)
+        } else {
+            let mut best_key = None;
+            device.for_each_region(size, &blocked, |c| {
+                let key = rank(c);
+                if ranks_first(key, c, best_key.zip(kept.as_ref())) {
+                    best_key = Some(key);
+                    match &mut kept {
+                        Some(kept) => kept.clone_from(c),
+                        None => kept = Some(c.clone()),
+                    }
+                }
+            });
+            best_key.and(kept.as_ref())
+        };
+        let region = region.ok_or(CoreError::PartitionUnavailable { program: pi, size })?;
+        let treatment = match policy {
+            PartitionPolicy::NoiseAware(treatment) => treatment,
+            _ => &CrosstalkTreatment::None,
         };
         let allocation = Allocation {
             program_index: pi,
             qubits: region.qubits().to_vec(),
-            efs: breakdown,
+            efs: region_efs(device, region, &stats, &allocated_links, treatment),
         };
         for &q in region.qubits() {
             blocked[q] = true;
@@ -209,6 +201,19 @@ pub fn allocate_partitions(
         result[pi] = Some(allocation);
     }
     Ok(result.into_iter().map(Option::unwrap).collect())
+}
+
+/// Whether candidate `c`, ranked `key`, goes before the best so far:
+/// the lower rank by `total_cmp` (NaN scores sort last), then the lower
+/// qubit list. That is a total order on distinct regions, so neither
+/// the order candidates arrive in nor a region arriving twice changes
+/// the winner.
+fn ranks_first(key: f64, c: &Region, best: Option<(f64, &Region)>) -> bool {
+    best.is_none_or(|(best_key, best)| {
+        key.total_cmp(&best_key)
+            .then_with(|| c.qubits().cmp(best.qubits()))
+            .is_lt()
+    })
 }
 
 /// The solo-best partition of a single program on an idle chip: the
@@ -715,7 +720,8 @@ mod tests {
             topology in 0usize..3,
             style in 0usize..3,
             seed in 0u64..1_000_000,
-            shapes in proptest::collection::vec((1usize..6, 0usize..12), 1..5),
+            shapes in proptest::collection::vec((1usize..6, 0usize..12), 1..6),
+            masks in proptest::collection::vec((0usize..=27, 0u64..u64::MAX), 1..4),
         ) {
             let dev = arb_device(topology, style, seed);
             let programs: Vec<Circuit> = shapes
@@ -733,13 +739,21 @@ mod tests {
                     );
                 }
             }
-            // Growth around taken qubits, against the oracle's.
-            let taken: BTreeSet<usize> = shapes.iter().map(|&(w, cx)| (w * 7 + cx) % 9).collect();
+            // Growth around taken qubits — none, and random sets of
+            // every density — against the oracle's.
+            let n = dev.num_qubits();
+            let mut taken = vec![BTreeSet::new()];
+            for (count, shuffle) in masks {
+                use rand::{rngs::StdRng, seq::SliceRandom, SeedableRng};
+                let mut order: Vec<usize> = (0..n).collect();
+                order.shuffle(&mut StdRng::seed_from_u64(shuffle));
+                taken.push(order[..count.min(n)].iter().copied().collect());
+            }
             for size in 1..6 {
-                for allocated in [BTreeSet::new(), taken.clone()] {
+                for allocated in &taken {
                     proptest::prop_assert_eq!(
-                        candidate_partitions(&dev, size, &allocated),
-                        oracle::candidate_partitions(&dev, size, &allocated)
+                        candidate_partitions(&dev, size, allocated),
+                        oracle::candidate_partitions(&dev, size, allocated)
                     );
                 }
             }

@@ -3,10 +3,18 @@
 //!
 //! A multiprogramming partitioner asks one question over and over:
 //! *which connected regions of `size` qubits could host a program?*
-//! [`Device::grow_regions`] answers it by growing one region from every
-//! free seed qubit, and [`Device::idle_regions`] keeps the answer for
-//! the chip with nothing placed on it — the first placement of every
-//! allocation, and the whole of every solo probe.
+//! [`Device::for_each_region`] answers it by growing one region from
+//! every free seed qubit, and [`Device::idle_regions`] keeps the answer
+//! for the chip with nothing placed on it — the first placement of
+//! every allocation, and the whole of every solo probe.
+//!
+//! Growth around taken qubits reads the atlas too:
+//! [`Device::for_each_region`] says why a seed whose idle region avoids
+//! the taken qubits may borrow it, and why a NaN CNOT or readout error
+//! turns that off (`a_nan_readout_grows_differently_around_a_taken_qubit`
+//! pins a chip where borrowing would be wrong). Every seed that is
+//! grown — for the atlas or around taken qubits — is grown by the one
+//! kernel, [`Grower::grow`].
 
 use std::cmp::Reverse;
 use std::sync::{Arc, OnceLock};
@@ -25,7 +33,7 @@ use crate::topology::Topology;
 /// readout errors over [`qubits`](Region::qubits) in listed order — so
 /// a scorer that divides them reproduces, bit for bit, what summing the
 /// calibration entries itself would give.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, PartialEq)]
 pub struct Region {
     qubits: Vec<usize>,
     links: Vec<Link>,
@@ -34,19 +42,41 @@ pub struct Region {
     readout_error_sum: f64,
 }
 
-impl Region {
-    fn measure(cal: &Calibration, qubits: Vec<usize>, links: Vec<Link>) -> Region {
-        let mut cx_error_sum = 0.0;
-        for &l in &links {
-            cx_error_sum += cal.cx_error(l);
-        }
+impl Clone for Region {
+    fn clone(&self) -> Self {
         Region {
-            cx_error_sum,
-            sq_error_sum: qubits.iter().map(|&q| cal.sq_error(q)).sum(),
-            readout_error_sum: qubits.iter().map(|&q| cal.readout_error(q)).sum(),
-            qubits,
-            links,
+            qubits: self.qubits.clone(),
+            links: self.links.clone(),
+            ..*self
         }
+    }
+
+    /// Copies into the buffers `self` already holds.
+    fn clone_from(&mut self, source: &Self) {
+        self.qubits.clone_from(&source.qubits);
+        self.links.clone_from(&source.links);
+        self.cx_error_sum = source.cx_error_sum;
+        self.sq_error_sum = source.sq_error_sum;
+        self.readout_error_sum = source.readout_error_sum;
+    }
+}
+
+impl Region {
+    /// `qubits` with no links and zero sums, to be measured.
+    fn unmeasured(qubits: Vec<usize>) -> Region {
+        Region {
+            qubits,
+            links: Vec::new(),
+            cx_error_sum: 0.0,
+            sq_error_sum: 0.0,
+            readout_error_sum: 0.0,
+        }
+    }
+
+    /// Sets the one-qubit and readout sums from the listed qubits.
+    fn sum_qubit_errors(&mut self, cal: &Calibration) {
+        self.sq_error_sum = self.qubits.iter().map(|&q| cal.sq_error(q)).sum();
+        self.readout_error_sum = self.qubits.iter().map(|&q| cal.readout_error(q)).sum();
     }
 
     /// The region's physical qubits (ascending for grown regions).
@@ -76,22 +106,90 @@ impl Region {
     }
 }
 
+/// Appends the links among the qubits `inside` marks to `links` in
+/// canonical order (`ascending` lists those qubits in ascending order)
+/// and returns the sum of their CNOT errors, added from zero in that
+/// order, read from the atlas's table.
+fn induced_links(
+    topo: &Topology,
+    cx: &[f64],
+    ascending: impl Iterator<Item = usize>,
+    inside: &[bool],
+    links: &mut Vec<Link>,
+) -> f64 {
+    let mut sum = 0.0;
+    for q in ascending {
+        let offset = topo.neighbor_offset(q);
+        for (i, &nb) in topo.neighbors(q).iter().enumerate() {
+            if nb > q && inside[nb] {
+                links.push(Link::new(q, nb));
+                sum += cx[offset + i];
+            }
+        }
+    }
+    sum
+}
+
+/// What the atlas knows of one calibration besides its regions.
+struct Errors {
+    /// `cx[topology.neighbor_offset(q) + i]` is the CNOT error of the
+    /// link from `q` to its `i`-th neighbour.
+    cx: Vec<f64>,
+    /// No CNOT or readout error is NaN: growth's ranking is a strict
+    /// total order, and growth around taken qubits may borrow the idle
+    /// regions (see [`Device::for_each_region`]).
+    nan_free: bool,
+}
+
+/// One width of the atlas: the idle chip's distinct regions in order
+/// of their first seed, and which of them each seed grew.
+struct Slot {
+    regions: Vec<Region>,
+    /// `regions[seed_region[s]]` is what seed `s` grows on the idle
+    /// chip; [`NO_REGION`] where its component is smaller than the
+    /// width.
+    seed_region: Vec<u32>,
+}
+
+const NO_REGION: u32 = u32::MAX;
+
+#[cfg(test)]
+thread_local! {
+    /// Seeds grown by this thread's [`Grower`]s, atlas fills included.
+    static SEEDS_GROWN: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+}
+
+impl Slot {
+    /// The idle region of `seed` (`NO_REGION` indexes none).
+    fn of_seed(&self, seed: usize) -> Option<&Region> {
+        self.regions.get(self.seed_region[seed] as usize)
+    }
+}
+
 /// The idle-chip regions of one calibration snapshot, one lazily filled
-/// slot per width (see [`Device::idle_regions`]). A cache over the
-/// device, not part of its value: `Clone` shares it, `PartialEq` and
-/// `Debug` ignore it.
+/// slot per width, and the CNOT-error table every growth reads (see
+/// [`Device::idle_regions`]). A cache over the device, not part of its
+/// value: `Clone` shares it, `PartialEq` and `Debug` ignore it.
 #[derive(Clone)]
-pub(crate) struct RegionAtlas(Arc<[OnceLock<Vec<Region>>]>);
+pub(crate) struct RegionAtlas(Arc<Atlas>);
+
+struct Atlas {
+    errors: OnceLock<Errors>,
+    slots: Box<[OnceLock<Slot>]>,
+}
 
 impl RegionAtlas {
     /// An atlas with every slot empty, for a chip of `num_qubits`.
     pub(crate) fn empty(num_qubits: usize) -> Self {
-        RegionAtlas((0..=num_qubits).map(|_| OnceLock::new()).collect())
+        RegionAtlas(Arc::new(Atlas {
+            errors: OnceLock::new(),
+            slots: (0..=num_qubits).map(|_| OnceLock::new()).collect(),
+        }))
     }
 
     #[cfg(test)]
     pub(crate) fn is_empty(&self) -> bool {
-        self.0.iter().all(|slot| slot.get().is_none())
+        self.0.errors.get().is_none() && self.0.slots.iter().all(|slot| slot.get().is_none())
     }
 }
 
@@ -115,8 +213,21 @@ impl Device {
     ///
     /// Panics if a qubit is out of range.
     pub fn region(&self, qubits: &[usize]) -> Region {
-        let links = self.topology().links_within(qubits);
-        Region::measure(self.calibration(), qubits.to_vec(), links)
+        let mut inside = vec![false; self.num_qubits()];
+        for &q in qubits {
+            inside[q] = true;
+        }
+        let mut region = Region::unmeasured(qubits.to_vec());
+        let ascending = (0..inside.len()).filter(|&q| inside[q]);
+        region.cx_error_sum = induced_links(
+            self.topology(),
+            &self.errors().cx,
+            ascending,
+            &inside,
+            &mut region.links,
+        );
+        region.sum_qubit_errors(self.calibration());
+        region
     }
 
     /// Grows connected candidate regions of `size` qubits, one from
@@ -133,7 +244,65 @@ impl Device {
     ///
     /// Panics if `blocked` does not have one entry per qubit.
     pub fn grow_regions(&self, size: usize, blocked: &[bool]) -> Vec<Region> {
-        grow(self.topology(), self.calibration(), size, blocked)
+        let mut out: Vec<Region> = Vec::new();
+        self.for_each_region(size, blocked, |r| {
+            if !out.iter().any(|o| o.qubits == r.qubits) {
+                out.push(r.clone());
+            }
+        });
+        out
+    }
+
+    /// Visits the region every free seed grows, as
+    /// [`grow_regions`](Device::grow_regions) would list them but
+    /// without collecting them: seeds ascending, a region once per seed
+    /// that grows it (so possibly more than once), and only for as long
+    /// as the call runs — a region regrown around `blocked` lives in a
+    /// buffer the next seed reuses. Any choice that ranks distinct
+    /// regions in a total order picks the same winner from this walk as
+    /// from the deduplicated list, with no heap request per candidate.
+    ///
+    /// The idle chip's regions come from the atlas, and so does every
+    /// free seed's region that avoids `blocked` when the calibration
+    /// holds no NaN CNOT or readout error; only the other seeds are
+    /// grown again. That is exact: without a NaN, growth ranks frontier
+    /// qubits in a strict total order, a qubit's rank depends on the
+    /// region alone, and blocking only removes candidates — so while
+    /// the idle picks stay free, each is still on the frontier and
+    /// still first. A seed that grows nothing on the idle chip sits in
+    /// a component smaller than `size` and grows nothing around
+    /// `blocked` either. A NaN makes the ranking partial, and then
+    /// every free seed with an idle region is grown again.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `blocked` does not have one entry per qubit.
+    pub fn for_each_region(&self, size: usize, blocked: &[bool], mut visit: impl FnMut(&Region)) {
+        let n = self.num_qubits();
+        assert_eq!(blocked.len(), n, "one blocked flag per qubit");
+        let Some(slot) = self.slot(size) else {
+            // Wider than the chip: nothing to grow.
+            return;
+        };
+        if !blocked.contains(&true) {
+            slot.regions.iter().for_each(visit);
+            return;
+        }
+        let errors = self.errors();
+        let mut grower = None;
+        for seed in (0..n).filter(|&q| !blocked[q]) {
+            let Some(idle) = slot.of_seed(seed) else {
+                continue;
+            };
+            if errors.nan_free && idle.qubits.iter().all(|&q| !blocked[q]) {
+                visit(idle);
+            } else {
+                let grower = grower.get_or_insert_with(|| Grower::new(self, &errors.cx, size));
+                if let Some(region) = grower.grow(size, blocked, seed) {
+                    visit(region);
+                }
+            }
+        }
     }
 
     /// The candidate regions of `size` qubits on the **idle** chip:
@@ -144,7 +313,13 @@ impl Device {
     ///
     /// What this returns is a pure function of the topology, the
     /// calibration and `size`, so the device keeps it, one slot per
-    /// width, filled on first request. The atlas
+    /// width, filled on first request. A slot holds the distinct
+    /// regions and, per seed qubit, the index of the region it grew
+    /// (one `u32` each), which growth around taken qubits reads
+    /// ([`for_each_region`](Device::for_each_region)); beside the
+    /// slots, the atlas holds one CNOT error per adjacency slot and
+    /// whether the calibration is NaN-free, computed once for every
+    /// growth and [`region`](Device::region) to read. The atlas
     ///
     /// * belongs to one calibration: a device has no `&mut` route to
     ///   its state, and a new state is a new device
@@ -152,73 +327,125 @@ impl Device {
     ///   so no edit can be followed by a stale read — there is no epoch
     ///   to compare and nothing to remember to call;
     /// * is shared by `Clone`: a clone reads and fills the same slots;
-    /// * retains at most one region per qubit for each width requested
-    ///   (at most `num_qubits()` widths), and is dropped with the last
-    ///   device sharing it;
+    /// * retains at most one region and one index per qubit for each
+    ///   width requested (at most `num_qubits()` widths), plus
+    ///   `2 × num_links()` errors, and is dropped with the last device
+    ///   sharing it;
     /// * is **not part of the device's value**: `PartialEq` and `Debug`
     ///   ignore it, and a device that has answered a thousand requests
     ///   equals one that was just constructed.
     pub fn idle_regions(&self, size: usize) -> &[Region] {
-        match self.atlas().0.get(size) {
-            Some(slot) => slot.get_or_init(|| {
-                let free = vec![false; self.num_qubits()];
-                grow(self.topology(), self.calibration(), size, &free)
-            }),
-            // Wider than the chip: nothing to grow.
-            None => &[],
-        }
+        self.slot(size).map_or(&[], |slot| &slot.regions)
+    }
+
+    /// The atlas slot of `size`, filled by growing every seed on the
+    /// idle chip; `None` wider than the chip.
+    fn slot(&self, size: usize) -> Option<&Slot> {
+        let slot = self.atlas().0.slots.get(size)?;
+        Some(slot.get_or_init(|| {
+            let n = self.num_qubits();
+            let free = vec![false; n];
+            let mut grower = Grower::new(self, &self.errors().cx, size);
+            let mut regions: Vec<Region> = Vec::new();
+            let seed_region = (0..n)
+                .map(|seed| match grower.grow(size, &free, seed) {
+                    None => NO_REGION,
+                    Some(r) => match regions.iter().position(|o| o.qubits == r.qubits) {
+                        Some(i) => i as u32,
+                        None => {
+                            regions.push(r.clone());
+                            (regions.len() - 1) as u32
+                        }
+                    },
+                })
+                .collect();
+            Slot {
+                regions,
+                seed_region,
+            }
+        }))
+    }
+
+    /// The atlas's CNOT-error table and NaN check, filled on first use.
+    fn errors(&self) -> &Errors {
+        self.atlas().0.errors.get_or_init(|| {
+            let topo = self.topology();
+            let cal = self.calibration();
+            let mut cx = Vec::with_capacity(2 * topo.num_links());
+            for q in 0..topo.num_qubits() {
+                cx.extend(
+                    topo.neighbors(q)
+                        .iter()
+                        .map(|&nb| cal.cx_error(Link::new(q, nb))),
+                );
+            }
+            let nan_free = cx.iter().all(|e| !e.is_nan())
+                && (0..topo.num_qubits()).all(|q| !cal.readout_error(q).is_nan());
+            Errors { cx, nan_free }
+        })
     }
 }
 
-/// The growth kernel behind [`Device::grow_regions`].
+/// The growth kernel — one region from one seed — and the buffers it
+/// reuses from seed to seed.
 ///
 /// Membership tests are flat masks; a frontier qubit is scored from its
 /// own side (its neighbours that are already in the region), reading
-/// CNOT errors from a per-adjacency-slot table filled once per call.
-fn grow(topo: &Topology, cal: &Calibration, size: usize, blocked: &[bool]) -> Vec<Region> {
-    let n = topo.num_qubits();
-    assert_eq!(blocked.len(), n, "one blocked flag per qubit");
-    // `link_error[offset[q] + i]` is the CNOT error of the link from
-    // `q` to its `i`-th neighbour.
-    let mut offset = Vec::with_capacity(n);
-    let mut link_error = Vec::with_capacity(2 * topo.num_links());
-    for q in 0..n {
-        offset.push(link_error.len());
-        link_error.extend(
-            topo.neighbors(q)
-                .iter()
-                .map(|&nb| cal.cx_error(Link::new(q, nb))),
-        );
+/// CNOT errors from the atlas's table.
+struct Grower<'d> {
+    topo: &'d Topology,
+    cal: &'d Calibration,
+    cx: &'d [f64],
+    in_region: Vec<bool>,
+    /// The last region completed, measured; while growing, its qubits
+    /// in the order they were added.
+    region: Region,
+}
+
+impl<'d> Grower<'d> {
+    fn new(device: &'d Device, cx: &'d [f64], size: usize) -> Self {
+        Grower {
+            topo: device.topology(),
+            cal: device.calibration(),
+            cx,
+            in_region: vec![false; device.num_qubits()],
+            region: Region::unmeasured(Vec::with_capacity(size)),
+        }
     }
 
-    let mut in_region = vec![false; n];
-    let mut region: Vec<usize> = Vec::with_capacity(size);
-    let mut out: Vec<Region> = Vec::new();
-    for seed in (0..n).filter(|&q| !blocked[q]) {
-        region.clear();
-        region.push(seed);
+    /// Grows the region of `size` qubits seeded at `seed` around the
+    /// `blocked` qubits; `None` if the frontier runs dry first.
+    fn grow(&mut self, size: usize, blocked: &[bool], seed: usize) -> Option<&Region> {
+        #[cfg(test)]
+        SEEDS_GROWN.with(|n| n.set(n.get() + 1));
+        let (topo, cx) = (self.topo, self.cx);
+        let (in_region, region) = (&mut self.in_region, &mut self.region);
+        let grown = &mut region.qubits;
+        grown.clear();
+        grown.push(seed);
         in_region[seed] = true;
-        while region.len() < size {
+        while grown.len() < size {
             // Frontier: free neighbours of the region, scored by
             // (links into region desc, connecting link error asc,
             // readout asc, index asc). The visiting order (region in
             // insertion order, neighbours ascending) is part of the
-            // result: a NaN readout makes the comparison partial.
+            // result: a NaN makes the comparison partial.
             let mut best: Option<(usize, f64, f64, usize)> = None;
-            for &q in &region {
+            for &q in grown.iter() {
                 for &nb in topo.neighbors(q) {
                     if blocked[nb] || in_region[nb] {
                         continue;
                     }
                     let mut into_region = 0usize;
                     let mut link_err = f64::INFINITY;
+                    let offset = topo.neighbor_offset(nb);
                     for (i, &r) in topo.neighbors(nb).iter().enumerate() {
                         if in_region[r] {
                             into_region += 1;
-                            link_err = link_err.min(link_error[offset[nb] + i]);
+                            link_err = link_err.min(cx[offset + i]);
                         }
                     }
-                    let readout = cal.readout_error(nb);
+                    let readout = self.cal.readout_error(nb);
                     let better = match best {
                         None => true,
                         Some((bi, be, bro, bnb)) => {
@@ -233,35 +460,30 @@ fn grow(topo: &Topology, cal: &Calibration, size: usize, blocked: &[bool]) -> Ve
             }
             match best {
                 Some((_, _, _, nb)) => {
-                    region.push(nb);
+                    grown.push(nb);
                     in_region[nb] = true;
                 }
                 None => break,
             }
         }
-        if region.len() == size {
-            region.sort_unstable();
-            if !out.iter().any(|r| r.qubits == region) {
-                // Ascending `q`, then ascending neighbour: canonical
-                // link order.
-                let links = region
-                    .iter()
-                    .flat_map(|&q| {
-                        let inside = &in_region;
-                        topo.neighbors(q)
-                            .iter()
-                            .filter(move |&&nb| nb > q && inside[nb])
-                            .map(move |&nb| Link::new(q, nb))
-                    })
-                    .collect();
-                out.push(Region::measure(cal, region.clone(), links));
-            }
+        let complete = grown.len() == size;
+        if complete {
+            grown.sort_unstable();
+            region.links.clear();
+            region.cx_error_sum = induced_links(
+                topo,
+                cx,
+                region.qubits.iter().copied(),
+                in_region,
+                &mut region.links,
+            );
+            region.sum_qubit_errors(self.cal);
         }
-        for &q in &region {
+        for &q in &region.qubits {
             in_region[q] = false;
         }
+        complete.then_some(&self.region)
     }
-    out
 }
 
 #[cfg(test)]
@@ -276,6 +498,246 @@ mod tests {
         cal.set_cx_error(Link::new(6, 7), 0.008);
         cal.set_readout_error(2, 0.2);
         Device::new("line8", t, cal, CrosstalkModel::none())
+    }
+
+    /// Growth as it was before growth around taken qubits read the
+    /// atlas: every free seed grown afresh on every call, CNOT errors
+    /// read from a table rebuilt per call, every region measured from
+    /// the calibration. Kept as the oracle the atlas-reading growth
+    /// must match bit for bit.
+    fn oracle_grow(dev: &Device, size: usize, blocked: &[bool]) -> Vec<Region> {
+        let (topo, cal) = (dev.topology(), dev.calibration());
+        let n = topo.num_qubits();
+        let mut offset = Vec::with_capacity(n);
+        let mut link_error = Vec::new();
+        for q in 0..n {
+            offset.push(link_error.len());
+            link_error.extend(
+                topo.neighbors(q)
+                    .iter()
+                    .map(|&nb| cal.cx_error(Link::new(q, nb))),
+            );
+        }
+        let mut in_region = vec![false; n];
+        let mut out: Vec<Region> = Vec::new();
+        for seed in (0..n).filter(|&q| !blocked[q]) {
+            let mut region = vec![seed];
+            in_region[seed] = true;
+            while region.len() < size {
+                let mut best: Option<(usize, f64, f64, usize)> = None;
+                for &q in &region {
+                    for &nb in topo.neighbors(q) {
+                        if blocked[nb] || in_region[nb] {
+                            continue;
+                        }
+                        let mut into_region = 0usize;
+                        let mut link_err = f64::INFINITY;
+                        for (i, &r) in topo.neighbors(nb).iter().enumerate() {
+                            if in_region[r] {
+                                into_region += 1;
+                                link_err = link_err.min(link_error[offset[nb] + i]);
+                            }
+                        }
+                        let readout = cal.readout_error(nb);
+                        let better = match best {
+                            None => true,
+                            Some((bi, be, bro, bnb)) => {
+                                (Reverse(into_region), link_err, readout, nb)
+                                    < (Reverse(bi), be, bro, bnb)
+                            }
+                        };
+                        if better {
+                            best = Some((into_region, link_err, readout, nb));
+                        }
+                    }
+                }
+                match best {
+                    Some((_, _, _, nb)) => {
+                        region.push(nb);
+                        in_region[nb] = true;
+                    }
+                    None => break,
+                }
+            }
+            if region.len() == size {
+                region.sort_unstable();
+                if !out.iter().any(|r| r.qubits == region) {
+                    let links = topo.links_within(&region);
+                    let mut cx_error_sum = 0.0;
+                    for &l in &links {
+                        cx_error_sum += cal.cx_error(l);
+                    }
+                    out.push(Region {
+                        cx_error_sum,
+                        sq_error_sum: region.iter().map(|&q| cal.sq_error(q)).sum(),
+                        readout_error_sum: region.iter().map(|&q| cal.readout_error(q)).sum(),
+                        qubits: region.clone(),
+                        links,
+                    });
+                }
+            }
+            for &q in &region {
+                in_region[q] = false;
+            }
+        }
+        out
+    }
+
+    /// Regions with every sum as its bit pattern, so NaN sums and
+    /// signed zeros compare exactly.
+    fn bits(regions: &[Region]) -> Vec<String> {
+        regions
+            .iter()
+            .map(|r| {
+                format!(
+                    "{:?} {:?} {:x} {:x} {:x}",
+                    r.qubits,
+                    r.links,
+                    r.cx_error_sum.to_bits(),
+                    r.sq_error_sum.to_bits(),
+                    r.readout_error_sum.to_bits()
+                )
+            })
+            .collect()
+    }
+
+    /// A chip of one of three topology classes under a seeded
+    /// calibration: `style` 0 draws every error from the continuous
+    /// synthetic profile, 1 from a three-value palette (ties
+    /// everywhere), 2 from the palette plus NaN (growth's ranking turns
+    /// partial).
+    fn arb_device(topology: usize, style: usize, seed: u64) -> Device {
+        use rand::{rngs::StdRng, Rng, SeedableRng};
+        let topo = match topology {
+            0 => Topology::line(9),
+            1 => Topology::grid(3, 4),
+            _ => ibm::toronto_topology(),
+        };
+        let mut cal = Calibration::synthesize(&topo, seed, &crate::NoiseProfile::default());
+        if style > 0 {
+            let palette = [0.01, 0.02, 0.03, f64::NAN];
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut draw = || palette[rng.gen_range(0..2 + style)];
+            for (_, e) in cal.cx_errors_mut() {
+                *e = draw();
+            }
+            for e in cal.readout_errors_mut() {
+                *e = draw();
+            }
+            for e in cal.sq_errors_mut() {
+                *e = draw() / 50.0;
+            }
+        }
+        Device::new("arb", topo, cal, CrosstalkModel::none())
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(96))]
+
+        /// Growth around any blocked set — of every density, on a cold
+        /// atlas, a warm one and a clone sharing it — equals the
+        /// regrowing oracle region by region, every sum by its bits.
+        #[test]
+        fn growth_around_taken_qubits_equals_the_regrowing_oracle(
+            topology in 0usize..3,
+            style in 0usize..3,
+            seed in 0u64..1_000_000,
+            masks in proptest::collection::vec((0usize..=27, 0u64..u64::MAX), 1..6),
+        ) {
+            use rand::{rngs::StdRng, seq::SliceRandom, SeedableRng};
+            let dev = arb_device(topology, style, seed);
+            let n = dev.num_qubits();
+            for (taken, shuffle) in masks {
+                let mut order: Vec<usize> = (0..n).collect();
+                order.shuffle(&mut StdRng::seed_from_u64(shuffle));
+                let mut blocked = vec![false; n];
+                for &q in &order[..taken.min(n)] {
+                    blocked[q] = true;
+                }
+                for size in 1..=6 {
+                    let expected = bits(&oracle_grow(&dev, size, &blocked));
+                    for device in [&dev, &dev, &dev.clone()] {
+                        proptest::prop_assert_eq!(
+                            bits(&device.grow_regions(size, &blocked)),
+                            expected.clone()
+                        );
+                    }
+                    let free = vec![false; n];
+                    proptest::prop_assert_eq!(
+                        bits(dev.idle_regions(size)),
+                        bits(&oracle_grow(&dev, size, &free))
+                    );
+                }
+            }
+        }
+    }
+
+    /// The chip where reusing idle regions under a NaN would be wrong.
+    /// Qubit 0 has neighbours 1, 2 and 3 on equal links, with readouts
+    /// 0.03, NaN and 0.01; 2 and 3 each have a better link elsewhere.
+    /// On the idle chip seed 0 compares 1 with the NaN (no pick) and
+    /// then with 3, and grows {0, 3}. With 1 taken it meets the NaN
+    /// first, which nothing ranks before, and grows {0, 2} — a region
+    /// no other seed grows — although {0, 3} avoids qubit 1.
+    #[test]
+    fn a_nan_readout_grows_differently_around_a_taken_qubit() {
+        let t = Topology::new(6, &[(0, 1), (0, 2), (0, 3), (3, 4), (2, 5)]);
+        let mut cal = Calibration::uniform(&t, 0.02, 3e-4, 0.02);
+        cal.set_cx_error(Link::new(3, 4), 0.01);
+        cal.set_cx_error(Link::new(2, 5), 0.01);
+        cal.set_readout_error(1, 0.03);
+        cal.set_readout_error(2, f64::NAN);
+        cal.set_readout_error(3, 0.01);
+        let dev = Device::new("nan-star", t, cal, CrosstalkModel::none());
+        let qubits = |regions: &[Region]| -> Vec<Vec<usize>> {
+            regions.iter().map(|r| r.qubits().to_vec()).collect()
+        };
+        assert_eq!(
+            qubits(dev.idle_regions(2)),
+            [vec![0, 3], vec![0, 1], vec![2, 5], vec![3, 4]]
+        );
+        let mut blocked = vec![false; 6];
+        blocked[1] = true;
+        let grown = dev.grow_regions(2, &blocked);
+        assert_eq!(qubits(&grown), [vec![0, 2], vec![2, 5], vec![3, 4]]);
+        assert_eq!(bits(&grown), bits(&oracle_grow(&dev, 2, &blocked)));
+    }
+
+    /// Around taken qubits only the seeds whose idle region is taken
+    /// are grown again — unless the calibration holds a NaN, when
+    /// every free seed that grows a region on the idle chip is.
+    #[test]
+    fn growth_around_taken_qubits_regrows_only_seeds_whose_idle_region_is_taken() {
+        let seeds_grown = || SEEDS_GROWN.with(|n| n.get());
+        let toronto = ibm::toronto();
+        let mut cal = toronto.calibration().clone();
+        cal.set_readout_error(26, f64::NAN);
+        let poisoned = toronto.with_state(cal, toronto.crosstalk().clone());
+        let mut blocked = vec![false; toronto.num_qubits()];
+        for q in [1, 2, 3, 4, 7, 12] {
+            blocked[q] = true;
+        }
+        for (dev, nan_free) in [(&toronto, true), (&poisoned, false)] {
+            for size in 1..=6 {
+                let slot = dev.slot(size).unwrap();
+                let regrown = (0..dev.num_qubits())
+                    .filter(|&s| !blocked[s])
+                    .filter_map(|s| slot.of_seed(s))
+                    .filter(|r| !nan_free || r.qubits.iter().any(|&q| blocked[q]))
+                    .count();
+                let before = seeds_grown();
+                let grown = dev.grow_regions(size, &blocked);
+                assert_eq!(
+                    seeds_grown() - before,
+                    regrown,
+                    "size {size}, NaN-free {nan_free}"
+                );
+                assert_eq!(bits(&grown), bits(&oracle_grow(dev, size, &blocked)));
+                if nan_free && size > 1 {
+                    assert!(regrown < blocked.iter().filter(|&&b| !b).count() / 2);
+                }
+            }
+        }
     }
 
     #[test]

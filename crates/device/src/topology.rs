@@ -6,8 +6,12 @@ use crate::link::{Link, LinkPair};
 
 /// The undirected coupling graph of a device.
 ///
-/// Stores adjacency, the link list, and an all-pairs BFS distance matrix
-/// (hop counts), which the mapper and partitioner query heavily.
+/// Stores the canonical link list, the adjacency in compressed rows
+/// (row starts plus one neighbour array, each row ascending) and the
+/// all-pairs BFS hop counts as one `n × n` array, which the mapper and
+/// partitioner query heavily. Everything but the link list is derived
+/// from it, so two topologies are equal exactly when their qubit
+/// counts and links are.
 ///
 /// ```
 /// use qucp_device::Topology;
@@ -20,8 +24,11 @@ use crate::link::{Link, LinkPair};
 pub struct Topology {
     n: usize,
     links: Vec<Link>,
-    adjacency: Vec<Vec<usize>>,
-    distance: Vec<Vec<usize>>,
+    /// `neighbours[row[q]..row[q + 1]]` are the neighbours of `q`.
+    row: Vec<usize>,
+    neighbours: Vec<usize>,
+    /// `distance[a * n + b]`.
+    distance: Vec<usize>,
 }
 
 /// Distance value meaning "unreachable".
@@ -45,20 +52,60 @@ impl Topology {
             .collect();
         links.sort_unstable();
         links.dedup();
-        let mut adjacency = vec![Vec::new(); n];
+        // Degrees, then row starts; `row[q]` is then used as the fill
+        // cursor of row `q` and shifted back one place afterwards.
+        let mut row = vec![0; n + 1];
         for l in &links {
-            adjacency[l.low()].push(l.high());
-            adjacency[l.high()].push(l.low());
+            row[l.low() + 1] += 1;
+            row[l.high() + 1] += 1;
         }
-        for nbrs in &mut adjacency {
-            nbrs.sort_unstable();
+        for q in 0..n {
+            row[q + 1] += row[q];
         }
-        let distance = all_pairs_bfs(n, &adjacency);
-        Topology {
+        // Canonical link order hands every row its lower neighbours
+        // first, then its higher ones, each ascending: rows come out
+        // sorted.
+        let mut neighbours = vec![0; 2 * links.len()];
+        for l in &links {
+            for (q, nb) in [(l.low(), l.high()), (l.high(), l.low())] {
+                neighbours[row[q]] = nb;
+                row[q] += 1;
+            }
+        }
+        for q in (1..=n).rev() {
+            row[q] = row[q - 1];
+        }
+        row[0] = 0;
+        let mut topology = Topology {
             n,
             links,
-            adjacency,
-            distance,
+            row,
+            neighbours,
+            distance: vec![UNREACHABLE; n * n],
+        };
+        topology.fill_distances();
+        topology
+    }
+
+    /// One BFS per start qubit over a single reused queue.
+    fn fill_distances(&mut self) {
+        let n = self.n;
+        let mut queue = Vec::with_capacity(n);
+        for start in 0..n {
+            let dist = &mut self.distance[start * n..(start + 1) * n];
+            dist[start] = 0;
+            queue.clear();
+            queue.push(start);
+            let mut head = 0;
+            while let Some(&q) = queue.get(head) {
+                head += 1;
+                for &nb in &self.neighbours[self.row[q]..self.row[q + 1]] {
+                    if dist[nb] == UNREACHABLE {
+                        dist[nb] = dist[q] + 1;
+                        queue.push(nb);
+                    }
+                }
+            }
         }
     }
 
@@ -123,22 +170,32 @@ impl Topology {
     ///
     /// Panics if `q >= num_qubits()`.
     pub fn neighbors(&self, q: usize) -> &[usize] {
-        &self.adjacency[q]
+        &self.neighbours[self.row[q]..self.row[q + 1]]
+    }
+
+    /// Where the neighbours of `q` start in the concatenation of every
+    /// qubit's [`neighbors`](Topology::neighbors) in qubit order: a
+    /// table with one entry per neighbour slot (`2 × num_links()` in
+    /// all) keeps the entry of `q`'s `i`-th neighbour at
+    /// `neighbor_offset(q) + i`.
+    pub(crate) fn neighbor_offset(&self, q: usize) -> usize {
+        self.row[q]
     }
 
     /// Degree of `q`.
     pub fn degree(&self, q: usize) -> usize {
-        self.adjacency[q].len()
+        self.neighbors(q).len()
     }
 
     /// Whether qubits `a` and `b` are directly coupled.
     pub fn has_link(&self, a: usize, b: usize) -> bool {
-        a != b && self.adjacency[a].binary_search(&b).is_ok()
+        a != b && self.neighbors(a).binary_search(&b).is_ok()
     }
 
     /// Hop distance between two qubits ([`UNREACHABLE`] if disconnected).
     pub fn distance(&self, a: usize, b: usize) -> usize {
-        self.distance[a][b]
+        assert!(a < self.n && b < self.n, "qubit out of range");
+        self.distance[a * self.n + b]
     }
 
     /// Hop distance between two links: the minimum endpoint-to-endpoint
@@ -230,24 +287,6 @@ impl Topology {
             .filter(|l| subset.contains(&l.low()) && subset.contains(&l.high()))
             .collect()
     }
-}
-
-fn all_pairs_bfs(n: usize, adjacency: &[Vec<usize>]) -> Vec<Vec<usize>> {
-    let mut dist = vec![vec![UNREACHABLE; n]; n];
-    for (start, row) in dist.iter_mut().enumerate() {
-        row[start] = 0;
-        let mut queue = VecDeque::new();
-        queue.push_back(start);
-        while let Some(q) = queue.pop_front() {
-            for &nb in &adjacency[q] {
-                if row[nb] == UNREACHABLE {
-                    row[nb] = row[q] + 1;
-                    queue.push_back(nb);
-                }
-            }
-        }
-    }
-    dist
 }
 
 #[cfg(test)]

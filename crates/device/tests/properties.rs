@@ -1,7 +1,9 @@
 //! Property-based tests for topologies, calibrations and crosstalk models.
 
 use proptest::prelude::*;
-use qucp_device::{ibm, Calibration, CrosstalkModel, CrosstalkProfile, NoiseProfile, Topology};
+use qucp_device::{
+    ibm, Calibration, CrosstalkModel, CrosstalkProfile, NoiseProfile, Topology, UNREACHABLE,
+};
 
 /// Strategy producing a random connected topology of 4..12 qubits: a
 /// spanning line plus random chords.
@@ -17,6 +19,72 @@ fn arb_topology() -> impl Strategy<Value = Topology> {
             Topology::new(n, &edges)
         })
     })
+}
+
+/// Adjacency and hop counts as the topology kept them before they were
+/// flat: one sorted vector per qubit, one BFS (with a queue of its own)
+/// per start qubit.
+fn nested(n: usize, edges: &[(usize, usize)]) -> (Vec<Vec<usize>>, Vec<Vec<usize>>) {
+    let mut adjacency = vec![Vec::new(); n];
+    for &(a, b) in edges {
+        if !adjacency[a].contains(&b) {
+            adjacency[a].push(b);
+            adjacency[b].push(a);
+        }
+    }
+    for row in &mut adjacency {
+        row.sort_unstable();
+    }
+    let mut distance = vec![vec![UNREACHABLE; n]; n];
+    for (start, row) in distance.iter_mut().enumerate() {
+        row[start] = 0;
+        let mut queue = std::collections::VecDeque::from([start]);
+        while let Some(q) = queue.pop_front() {
+            for &nb in &adjacency[q] {
+                if row[nb] == UNREACHABLE {
+                    row[nb] = row[q] + 1;
+                    queue.push_back(nb);
+                }
+            }
+        }
+    }
+    (adjacency, distance)
+}
+
+proptest! {
+    /// The flat topology answers every neighbour, degree, link and
+    /// distance query as the nested one did, on graphs that may be
+    /// disconnected, hold duplicate or reversed edges and isolated
+    /// qubits; and equality still means "same qubits, same links".
+    #[test]
+    fn flat_topology_answers_as_the_nested_one(
+        n in 1usize..14,
+        raw in proptest::collection::vec((0usize..14, 0usize..14), 0..30),
+    ) {
+        let edges: Vec<(usize, usize)> = raw
+            .into_iter()
+            .map(|(a, b)| (a % n, b % n))
+            .filter(|&(a, b)| a != b)
+            .collect();
+        let t = Topology::new(n, &edges);
+        let (adjacency, distance) = nested(n, &edges);
+        for (a, (row, hops)) in adjacency.iter().zip(&distance).enumerate() {
+            prop_assert_eq!(t.neighbors(a), &row[..]);
+            prop_assert_eq!(t.degree(a), row.len());
+            for (b, &d) in hops.iter().enumerate() {
+                prop_assert_eq!(t.distance(a, b), d);
+                prop_assert_eq!(t.has_link(a, b), row.contains(&b));
+            }
+        }
+        let reversed: Vec<(usize, usize)> = edges.iter().rev().map(|&(a, b)| (b, a)).collect();
+        prop_assert_eq!(&Topology::new(n, &reversed), &t);
+        if let Some(&(a, b)) = edges.first() {
+            let fewer: Vec<(usize, usize)> =
+                edges.iter().copied().filter(|&e| e != (a, b) && e != (b, a)).collect();
+            prop_assert_ne!(&Topology::new(n, &fewer), &t);
+        }
+    }
+
 }
 
 proptest! {

@@ -6,14 +6,17 @@
 //! stage; see `qucp_runtime`'s crate docs, "what a cache hit costs");
 //! on a miss, every program is prepared cold; under the batch EFS gate,
 //! a survivor set committed before is reused whatever its members'
-//! threshold bits. A change that puts one of those copies back, gives a
-//! prepared job one more allocation, or plans a repeated survivor set
-//! again, lands above its budget.
+//! threshold bits. Stage 1 of a multi-program list, on a chip whose
+//! region atlas is warm, copies out only each program's winner. A
+//! change that puts one of those copies back, gives a prepared job one
+//! more allocation, or plans a repeated survivor set again, lands above
+//! its budget.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use qucp_circuit::{library, Circuit};
+use qucp_core::{allocate_partitions, CrosstalkTreatment, PartitionPolicy, DEFAULT_SIGMA};
 use qucp_device::ibm;
 use qucp_runtime::{EfsGate, Event, JobRequest, Service};
 
@@ -205,9 +208,12 @@ fn a_cached_batch_stays_within_its_heap_budget() {
 
 /// Heap requests of one `tick` of 64 cold jobs (every batch planned,
 /// prepared and run from scratch; the count is exact and the same in
-/// debug and release): 5 333 with one job to a batch, 6 415 with two —
-/// 83.3 and 100.2 per job. While a plan-cache miss folded its members'
-/// circuits with the peephole pass (a copying pass, one request per
+/// debug and release): 4 725 with one job to a batch, 4 121 with two —
+/// 73.8 and 64.4 per job. While a program's partition-local graph was
+/// built from one vector per qubit and one per BFS, and growth around
+/// the first program's qubits regrew every seed and collected every
+/// candidate, the same tick counted 5 333 and 6 415. While a plan-cache
+/// miss folded its members' circuits with the peephole pass (a copying pass, one request per
 /// program) instead of submit folding each once in place, the same tick
 /// counted 5 397 and 6 479. While a plan-cache miss copied its members
 /// into a planning record first (their submission indices and job ids
@@ -237,8 +243,8 @@ fn a_cached_batch_stays_within_its_heap_budget() {
 /// `PlannedWorkload::prepare` scheduling the program afresh
 /// (`PreparedJob::prepare` for `prepare_scheduled`), costs requests per
 /// prepared program. Each fails.
-const COLD_SOLO_REQUESTS: u64 = 5_333;
-const COLD_PAIR_REQUESTS: u64 = 6_415;
+const COLD_SOLO_REQUESTS: u64 = 4_725;
+const COLD_PAIR_REQUESTS: u64 = 4_121;
 
 #[test]
 fn a_cold_batch_stays_within_its_heap_budget() {
@@ -296,5 +302,45 @@ fn a_thresholded_batch_whose_survivors_repeat_reuses_their_plan() {
         tick.requests <= THRESHOLDED_REQUESTS,
         "{} heap requests over the budget of {THRESHOLDED_REQUESTS}: {tick:?}",
         tick.requests
+    );
+}
+
+/// Heap requests of stage 1 — candidate growth and EFS scoring — for
+/// `adder`, `fredkin` and `bell` on Toronto under QuCP's σ, with the
+/// device's region atlas already holding the three widths (the count
+/// is exact and the same in debug and release): 16. The first
+/// program reads the idle chip's regions; the two later ones borrow
+/// every idle region that avoids the qubits already taken, grow the
+/// other seeds in buffers kept for the call, and copy a candidate out
+/// only when it becomes the best so far. While growth around taken
+/// qubits regrew every free seed, rebuilt its CNOT-error table per call
+/// and collected every candidate and crosstalk pair, the same call
+/// counted 73. The budget is the count.
+///
+/// Mutation checks (CHANGES.md): copying every visited candidate out of
+/// the growth walk counts 100; scoring candidates with their crosstalk
+/// pairs collected counts 30. Each fails. (Regrowing every seed instead
+/// of borrowing costs time, not heap requests: the device's
+/// `growth_around_taken_qubits_regrows_only_seeds_whose_idle_region_is_taken`
+/// counts grown seeds.)
+const WARM_STAGE_ONE_REQUESTS: u64 = 16;
+
+#[test]
+fn stage_one_of_three_programs_on_a_warm_atlas_stays_within_its_heap_budget() {
+    let device = ibm::toronto();
+    let programs =
+        ["adder", "fredkin", "bell"].map(|name| library::by_name(name).unwrap().circuit());
+    let programs: Vec<&Circuit> = programs.iter().collect();
+    let policy = PartitionPolicy::NoiseAware(CrosstalkTreatment::Sigma(DEFAULT_SIGMA));
+    let cold = allocate_partitions(&device, &programs, &policy).unwrap();
+
+    let before = REQUESTS.get();
+    let warm = allocate_partitions(&device, &programs, &policy).unwrap();
+    let requests = REQUESTS.get() - before;
+
+    assert_eq!(warm, cold);
+    assert!(
+        requests <= WARM_STAGE_ONE_REQUESTS,
+        "{requests} heap requests over the budget of {WARM_STAGE_ONE_REQUESTS}"
     );
 }
