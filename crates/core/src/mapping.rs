@@ -32,19 +32,27 @@ pub struct MappedProgram {
 impl MappedProgram {
     /// Permutes measured counts (local wire order) back into logical
     /// qubit order so they can be compared with the ideal distribution
-    /// of the unmapped circuit.
+    /// of the unmapped circuit: a copy of `counts`, relabelled by
+    /// [`MappedProgram::into_logical_counts`].
     pub fn to_logical_counts(&self, counts: &Counts) -> Counts {
-        let mut out = Counts::new(counts.width());
-        for (outcome, n) in counts.iter() {
+        self.into_logical_counts(counts.clone())
+    }
+
+    /// [`MappedProgram::to_logical_counts`] in place: `counts`' own
+    /// entries are relabelled ([`Counts::relabel`]), and outcomes that
+    /// meet add up as [`Counts::record_many`] adds them; a permutation
+    /// costs no heap request.
+    pub fn into_logical_counts(&self, mut counts: Counts) -> Counts {
+        counts.relabel(|outcome| {
             let mut logical = 0usize;
             for (lq, &wire) in self.final_mapping.iter().enumerate() {
                 if outcome >> wire & 1 == 1 {
                     logical |= 1 << lq;
                 }
             }
-            out.record_many(logical, n);
-        }
-        out
+            logical
+        });
+        counts
     }
 }
 
@@ -456,8 +464,8 @@ mod tests {
         assert_eq!(logical.count(0b10), 1);
     }
 
-    /// One `record_many` per entry is the shot-by-shot loop it
-    /// replaced, for any wire permutation, and the result keeps the
+    /// The copying and the in-place relabel are the shot-by-shot loop
+    /// they replaced, for any wire permutation, and the result keeps the
     /// canonical form the wire codec rebuilds.
     #[test]
     fn to_logical_counts_equals_recording_shot_by_shot() {
@@ -490,6 +498,7 @@ mod tests {
             }
             let logical = mapped.to_logical_counts(&counts);
             assert_eq!(logical, looped);
+            assert_eq!(mapped.into_logical_counts(counts.clone()), looped);
             assert_eq!(Counts::from_entries(width, logical.iter()), Some(logical));
         }
     }

@@ -283,18 +283,38 @@ impl PlannedWorkload {
         index: usize,
         exec: &ExecutionConfig,
     ) -> ProgramResult {
+        ProgramResult {
+            name: self.programs[index].name().to_string(),
+            ..self.run_prepared_unnamed(prepared, index, exec)
+        }
+    }
+
+    /// [`run_prepared`](PlannedWorkload::run_prepared) with an empty
+    /// [`ProgramResult::name`] (no heap request), for a caller that
+    /// names the result itself — the runtime names it after its job.
+    ///
+    /// # Panics
+    ///
+    /// As [`run_prepared`](PlannedWorkload::run_prepared).
+    pub fn run_prepared_unnamed(
+        &self,
+        prepared: &PreparedProgram,
+        index: usize,
+        exec: &ExecutionConfig,
+    ) -> ProgramResult {
         let mp = &self.mapped[index];
         let exec = ExecutionConfig {
             seed: derive_program_seed(exec.seed, index),
             ..*exec
         };
-        let counts = mp.to_logical_counts(&prepared.job.run(&mp.circuit, &exec));
+        // The run's histogram is relabelled in its own vector.
+        let counts = mp.into_logical_counts(prepared.job.run(&mp.circuit, &exec));
         let jsd = metrics::jsd_counts(&counts, &prepared.ideal);
         let pst = prepared
             .ideal_outcome
             .map(|target| counts.probability(target));
         ProgramResult {
-            name: self.programs[index].name().to_string(),
+            name: String::new(),
             partition: self.allocations[index].qubits.clone(),
             efs: self.allocations[index].efs.score,
             swap_count: mp.swap_count,

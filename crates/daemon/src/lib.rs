@@ -79,7 +79,10 @@
 //!   ([`ServerSession::handle_frame_into`]). A scratch buffer that one
 //!   large message grew past 64 KiB is released after that message.
 //!   What remains is the messages themselves — the circuit a `Submit`
-//!   decodes into, the counts a result carries.
+//!   decodes into, the counts a result carries. A result's counts are
+//!   one request however many outcomes they hold: the decoder reads
+//!   the entries into one vector of the frame's length, which the
+//!   histogram keeps.
 //!
 //! Three properties come with that shape rather than with extra code:
 //!

@@ -573,20 +573,18 @@ impl Wire for Counts {
 
     fn get(d: &mut Decoder<'_>) -> Result<Self, WireError> {
         let width = d.usize()?;
-        // `seq_len` has checked that the bytes hold `len` entries. They
-        // are read straight into `from_entries`, which rejects an
-        // outcome outside the register, a repeated outcome, a zero
-        // count and a shot total that overflows; an entry that does not
-        // fit a `usize` ends the reader and is the error.
+        // `seq_len` has checked that the bytes hold `len` entries, so
+        // they are read into one vector of exactly that length, which
+        // `from_entries` keeps: it rejects an outcome outside the
+        // register, a repeated outcome, a zero count and a shot total
+        // that overflows. An entry that does not fit a `usize` (never
+        // on a 64-bit host) is the error.
         let len = d.seq_len::<(usize, usize)>()?;
-        let mut fault = None;
-        let entries =
-            (0..len).map_while(|_| <(usize, usize)>::get(d).map_err(|e| fault = Some(e)).ok());
-        let counts = Counts::from_entries(width, entries);
-        match fault {
-            Some(fault) => Err(fault),
-            None => counts.ok_or(WireError::InvalidValue { context: "Counts" }),
+        let mut entries = Vec::with_capacity(len);
+        for _ in 0..len {
+            entries.push(<(usize, usize)>::get(d)?);
         }
+        Counts::from_entries(width, entries).ok_or(WireError::InvalidValue { context: "Counts" })
     }
 }
 

@@ -189,7 +189,8 @@
 //! keeps. Heap requests per job by phase on the benchmark's
 //! `sched_flood` workload (8 000 one-shot jobs, 2.6 to a batch, 96 % of
 //! batches cached; seed 1, counted on a scratch copy with a counter
-//! around each phase), before and after staging stopped copying:
+//! around each phase), before staging stopped copying and after it
+//! (the *after* column as of the flat, in-place counts):
 //!
 //! | phase | before | after | what is left |
 //! |---|---|---|---|
@@ -197,16 +198,16 @@
 //! | pack, plan key, replay | 2.34 | 0.82 | a shrink-event vector when the cached plan evicts (the admission policy's pack, counted here, has since moved into a buffer the service keeps, and so have the gate's keys, scores and shrink events) |
 //! | planning (the 4 % that miss) | 2.57 | 2.58 | the plan itself, its members' circuits, the key cloned into the memo (since the memo, no separate copy of the members' indices and ids) |
 //! | commit | 6.75 | 2.30 | one member vector, the event block, the device and policy names inside its events (public `String`s) |
-//! | execution | 10.77 | 8.77 | the run's counts and their logical permutation, the result's name and partition; scoring streams over the sparse counts (5.00 → 3.00 of the above) |
-//! | finish | 1.28 | 0.77 | the batch report's job ids and device name; each result's name is moved in, not copied over the replayed plan's |
-//! | drained report | 5.34 | 5.35 | `run_until_drained` clones every result, batch report and event into the report it returns |
-//! | **drain, total** | **33.27** | **20.59** | |
+//! | execution | 10.77 | 6.77 | the run's counts — one vector, tallied in place and relabelled to logical order in place — and the result's partition; the result's name is left empty for the finish pass to move in, and scoring streams over the sparse counts (8.77 while the counts were a tree copied into a second one in logical order and execution named each result; 5.00 → 3.00 of the above when scoring stopped densifying them) |
+//! | finish | 1.28 | 0.77 | the batch report's job ids and device name; each result's name is moved in, not copied |
+//! | drained report | 5.34 | 5.35 | `run_until_drained` clones every result (three requests: name, partition, counts), batch report and event into the report it returns |
+//! | **drain, total** | **33.27** | **18.59** | |
 //!
 //! `tests/integration_alloc_budget.rs` holds a warm two-chip service to
 //! the *after* column as a per-job budget. Under the batch EFS gate a
 //! batch is a hit by its survivor set, not by its members' threshold
 //! bits: the same file pins a tick of 48 thresholded jobs whose
-//! survivor sets repeat, every batch shrinking, at 529 requests (11.0
+//! survivor sets repeat, every batch shrinking, at 433 requests (9.0
 //! per job); while thresholds were part of the plan key, 8 of its 25
 //! batches missed and it counted 2 848.
 //!

@@ -363,10 +363,9 @@ impl Service {
         let mut job_ids = Vec::with_capacity(staged.members.len());
         let state = &mut self.states[staged.device_index];
         for (pos, (member, mut result)) in staged.members.into_iter().zip(results).enumerate() {
-            // The result is named after the *current* member: a
-            // replayed plan carries the program names of the batch it
-            // was first planned for (the same names on a freshly
-            // planned batch — planning preserves them).
+            // The result is named after the *current* member, moved in:
+            // execution leaves the name empty (a replayed plan carries
+            // the program names of the batch it was first planned for).
             result.name = member.name;
             state.jobs += 1;
             state.total_wait += member.wait;
@@ -646,11 +645,12 @@ impl StagedBatch {
     }
 
     /// Program `pos` of the batch, from its slot's prepared state (see
-    /// [`StagedBatch::execute`]).
+    /// [`StagedBatch::execute`]), unnamed: the finish pass moves the
+    /// member's name in.
     fn run_program(&self, pos: usize, exec: &ExecutionConfig) -> Result<ProgramResult, CoreError> {
         let slot = self.slots.as_ref().map(|slots| &slots[pos]);
         if let Some(prepared) = slot.and_then(OnceLock::get) {
-            return Ok(self.plan.run_prepared(prepared, pos, exec));
+            return Ok(self.plan.run_prepared_unnamed(prepared, pos, exec));
         }
         let built = self.plan.prepare(&self.device, pos, exec)?;
         let prepared = match slot {
@@ -659,7 +659,7 @@ impl StagedBatch {
             }
             _ => &built,
         };
-        Ok(self.plan.run_prepared(prepared, pos, exec))
+        Ok(self.plan.run_prepared_unnamed(prepared, pos, exec))
     }
 
     /// The batch's execution work in the fan-out helper's unit: shots

@@ -31,17 +31,8 @@ use crate::state::Statevector;
 /// RNG, no float comparators beyond the `< 1.0` bucket classification),
 /// sampling is O(1). Outcomes with exactly zero probability are never
 /// returned.
-///
-/// ```
-/// use qucp_sim::AliasTable;
-///
-/// let table = AliasTable::from_probabilities(&[0.0, 1.0]);
-/// // A certain outcome is returned for every uniform draw.
-/// assert_eq!(table.sample(0.0), 1);
-/// assert_eq!(table.sample(0.9999), 1);
-/// ```
 #[derive(Debug, Clone, PartialEq)]
-pub struct AliasTable {
+pub(crate) struct AliasTable {
     /// Per-bucket acceptance threshold for the intra-bucket coin.
     prob: Vec<f64>,
     /// Per-bucket alternative outcome when the coin rejects.
@@ -52,7 +43,7 @@ pub struct AliasTable {
 /// so a caller that builds a table per tree node requests their memory
 /// once.
 #[derive(Debug, Clone, Default)]
-pub struct AliasScratch {
+pub(crate) struct AliasScratch {
     scaled: Vec<f64>,
     small: Vec<u32>,
     large: Vec<u32>,
@@ -137,17 +128,6 @@ impl AliasTable {
     /// Builds the table from a statevector's measurement distribution.
     pub fn from_statevector(sv: &Statevector) -> Self {
         AliasTable::from_probabilities(&sv.probabilities())
-    }
-
-    /// Number of outcomes the table samples over.
-    pub fn len(&self) -> usize {
-        self.prob.len()
-    }
-
-    /// Whether the table is empty (never: construction rejects empty
-    /// weight vectors, so this is always `false`).
-    pub fn is_empty(&self) -> bool {
-        self.prob.is_empty()
     }
 
     /// Maps one uniform draw `u ∈ [0, 1)` to an outcome index: bucket
@@ -301,8 +281,6 @@ mod tests {
     #[test]
     fn single_outcome_table() {
         let table = AliasTable::from_probabilities(&[1.0]);
-        assert_eq!(table.len(), 1);
-        assert!(!table.is_empty());
         assert_eq!(table.sample(0.0), 0);
         assert_eq!(table.sample(0.999_999), 0);
     }

@@ -42,7 +42,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use crate::alias::AliasTable;
-use crate::counts::Counts;
+use crate::counts::{Counts, Tally};
 use crate::fanout::{core_budget, run_indexed_within};
 use crate::math::{Complex, Mat2};
 use crate::state::kernel::{self, narrow, Op};
@@ -211,7 +211,7 @@ pub enum TrajectoryKernel {
     /// next error event — O(#errors · log E) RNG work per shot instead
     /// of O(E) — and a shot whose first draw lands past the last event
     /// is clean without touching the stream. Clean shots sample the
-    /// per-job [`AliasTable`] in O(1), single-error shots the alias
+    /// per-job alias table in O(1), single-error shots the alias
     /// table of their pattern's distribution, shots with more errors
     /// walk the CDF; readout jumps from flipped bit to flipped bit.
     SurvivalSkip,
@@ -390,7 +390,8 @@ impl fmt::Display for SimError {
 impl Error for SimError {}
 
 /// The identity layout `[0, 1, …, width-1]`.
-pub fn trivial_layout(width: usize) -> Vec<usize> {
+#[cfg(test)]
+fn trivial_layout(width: usize) -> Vec<usize> {
     (0..width).collect()
 }
 
@@ -435,17 +436,17 @@ pub fn ideal_outcome(circuit: &Circuit) -> Option<usize> {
 
 /// Samples `shots` outcomes from the noiseless circuit.
 ///
-/// Sampling goes through a Walker/Vose [`AliasTable`] built once from
+/// Sampling goes through a Walker/Vose alias table built once from
 /// the final state — O(1) per shot instead of the O(2^n) linear CDF
 /// walk — and advances the RNG by exactly one `f64` draw per shot.
 pub fn run_ideal(circuit: &Circuit, shots: usize, seed: u64) -> Counts {
     let table = AliasTable::from_statevector(&Statevector::from_circuit(circuit));
     let mut rng = StdRng::seed_from_u64(seed);
-    let mut counts = Counts::new(circuit.width());
+    let mut counts = Tally::new(circuit.width(), shots);
     for _ in 0..shots {
         counts.record(table.sample_with(&mut rng));
     }
-    counts
+    counts.into_counts()
 }
 
 /// One scheduled noise opportunity in the trajectory event stream.
@@ -1367,6 +1368,9 @@ impl TrajectoryJob<'_> {
         let Some(mut drawn) = streams.next() else {
             return Counts::new(self.width);
         };
+        // The later streams' tallies join the first in one merge, into
+        // room reserved once.
+        drawn.counts.reserve(shots - base - usize::from(rem > 0));
         streams.for_each(|later| drawn.append(later));
         self.evaluate(drawn, budget)
     }

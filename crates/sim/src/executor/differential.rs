@@ -235,6 +235,49 @@ fn probe<T>(run: impl FnOnce() -> T) -> (T, u64, u64) {
     )
 }
 
+/// A run tallies its shots densely (4 outcomes, 8 192 shots) and
+/// sparsely (4 096 outcomes, 64 shots): `Serial` and two to four
+/// shards, under both kernels, each equal to the per-shot oracle's
+/// counts, in a vector that keeps at most twice its entries.
+#[test]
+fn both_tally_regimes_give_the_oracle_counts_in_a_tight_vector() {
+    let mut layer = Circuit::new(12);
+    (0..12).for_each(|q| {
+        layer.h(q);
+    });
+    let cases = [
+        line_case(
+            ladder(2, 6),
+            0.05,
+            0.03,
+            ExecutionConfig::default().with_seed(3),
+        ),
+        line_case(layer, 0.05, 0.03, ExecutionConfig::default().with_shots(64)),
+    ];
+    for case in cases {
+        let prepared = case.prepare();
+        let modes = (2..=4).map(|shards| ShotParallelism::Sharded { shards, threads: 2 });
+        for kernel in KERNELS {
+            for mode in [ShotParallelism::Serial].into_iter().chain(modes.clone()) {
+                let cfg = case.cfg.with_kernel(kernel).with_parallelism(mode);
+                let counts = prepared.run(&case.circuit, &cfg);
+                assert_eq!(
+                    counts,
+                    oracle::run(&prepared, &case.circuit, &cfg),
+                    "{cfg:?}"
+                );
+                assert_eq!(counts.shots(), case.cfg.shots);
+                assert!(
+                    counts.capacity() <= 2 * counts.len(),
+                    "{} entries in room for {}: {cfg:?}",
+                    counts.len(),
+                    counts.capacity()
+                );
+            }
+        }
+    }
+}
+
 #[test]
 fn an_all_clean_stream_allocates_no_state() {
     // Every noise channel off: no shot draws an error, under either

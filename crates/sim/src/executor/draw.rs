@@ -15,7 +15,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, RngCore, SeedableRng};
 
 use super::{idle_cumulative, random_pauli, Event, TrajectoryJob, TrajectoryKernel};
-use crate::counts::Counts;
+use crate::counts::Tally;
 
 #[cfg(test)]
 mod tests;
@@ -59,7 +59,7 @@ pub(super) struct ErrorShot {
 /// What the draw pass of one stream leaves behind.
 pub(super) struct Drawn {
     /// The clean shots, resolved on the spot.
-    pub counts: Counts,
+    pub counts: Tally,
     /// The error shots, in draw order.
     pub shots: Vec<ErrorShot>,
     /// The arena the error shots' patterns live in.
@@ -67,10 +67,10 @@ pub(super) struct Drawn {
 }
 
 impl Drawn {
-    /// Appends a later stream's draws: counts merge, the shots move
+    /// Appends a later stream's draws: counts add up, the shots move
     /// behind this stream's with their patterns.
     pub(super) fn append(&mut self, later: Drawn) {
-        self.counts.merge(&later.counts);
+        self.counts.absorb(&later.counts);
         let base = self.patterns.len();
         self.patterns.extend_from_slice(&later.patterns);
         self.shots.extend(later.shots.iter().map(|shot| ErrorShot {
@@ -235,12 +235,13 @@ fn survival_jumps(
 impl TrajectoryJob<'_> {
     /// Draws one sequential stream of `shots` trajectories from `seed`:
     /// per shot the kernel's error pattern, the outcome uniform, the
-    /// readout flips. A clean shot is recorded at once, an error shot
-    /// kept for [`TrajectoryJob::evaluate`]. Patterns are drawn straight
-    /// into the arena; nothing is allocated before the first error.
+    /// readout flips. A clean shot is tallied at once, an error shot
+    /// kept for [`TrajectoryJob::evaluate`], which tallies it into the
+    /// same vector. Patterns are drawn straight into the arena; nothing
+    /// but the tally is allocated before the first error.
     pub(super) fn draw(&self, shots: usize, seed: u64) -> Drawn {
         let mut rng = StdRng::seed_from_u64(seed);
-        let mut counts = Counts::new(self.width);
+        let mut counts = Tally::new(self.width, shots);
         let (mut errors, mut patterns) = (Vec::new(), Vec::new());
         let mut words = [0; SCREEN_WORDS];
         for left in (1..=shots).rev() {

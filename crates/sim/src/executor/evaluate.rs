@@ -8,7 +8,7 @@
 use super::draw::{unpack, Drawn, ErrorKey, ErrorShot};
 use super::{apply_pauli, apply_typed_gate_error, run_work, Event, TrajectoryJob};
 use crate::alias::{AliasScratch, AliasTable};
-use crate::counts::Counts;
+use crate::counts::{Counts, Tally};
 use crate::fanout::{run_indexed_within, workers_for};
 use crate::math::Complex;
 use crate::state::kernel;
@@ -16,13 +16,14 @@ use crate::state::kernel;
 impl TrajectoryJob<'_> {
     /// Resolves the error shots of `drawn` into its counts on at most
     /// `budget` workers: the sorted shots are cut into one contiguous
-    /// run per worker, each walked as a prefix tree of its own (own level
-    /// pool, counts merged). A shot's outcome is a function of its own
-    /// pattern, uniform and mask, so no cut or worker count moves a count.
+    /// run per worker, each walked as a prefix tree of its own (own
+    /// level pool and tally, added into the draw's). A shot's outcome is
+    /// a function of its own pattern, uniform and mask, so no cut or
+    /// worker count moves a count.
     pub(super) fn evaluate(&self, drawn: Drawn, budget: usize) -> Counts {
         let (mut counts, mut shots, patterns) = (drawn.counts, drawn.shots, drawn.patterns);
         if shots.is_empty() {
-            return counts;
+            return counts.into_counts();
         }
         let pattern = |shot: &ErrorShot| &patterns[shot.start..shot.start + shot.len as usize];
         // A pattern's first two keys packed, 0 for an absent second one
@@ -40,21 +41,21 @@ impl TrajectoryJob<'_> {
         let work = run_work(shots.len(), self.plan);
         let workers = workers_for(budget, shots.len(), work);
         if workers == 1 {
-            // Straight into the clean shots' counts: a one-task fan-out
-            // would allocate a result vector and a second histogram.
+            // Straight into the clean shots' tally: a one-task fan-out
+            // would allocate a result vector and a second tally.
             Evaluator::walk(self, &patterns, &shots, &mut counts);
-            return counts;
+            return counts.into_counts();
         }
         let runs: Vec<&[ErrorShot]> = shots.chunks(shots.len().div_ceil(workers)).collect();
         let partials = run_indexed_within(budget, runs.len(), work, |w| {
-            let mut partial = Counts::new(self.width);
+            let mut partial = Tally::new(self.width, runs[w].len());
             Evaluator::walk(self, &patterns, runs[w], &mut partial);
             partial
         });
         for partial in &partials {
-            counts.merge(partial);
+            counts.absorb(partial);
         }
-        counts
+        counts.into_counts()
     }
 }
 
@@ -75,7 +76,7 @@ struct Evaluator<'a> {
     /// `(position, Pauli)` pattern), and its worklists.
     alias: AliasTable,
     alias_scratch: AliasScratch,
-    counts: &'a mut Counts,
+    counts: &'a mut Tally,
 }
 
 impl<'a> Evaluator<'a> {
@@ -84,7 +85,7 @@ impl<'a> Evaluator<'a> {
         job: &'a TrajectoryJob<'a>,
         patterns: &'a [ErrorKey],
         shots: &[ErrorShot],
-        counts: &'a mut Counts,
+        counts: &'a mut Tally,
     ) {
         #[cfg(test)]
         super::differential::POOLS_ALLOCATED.with(|n| n.set(n.get() + 1));

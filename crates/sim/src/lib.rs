@@ -171,7 +171,7 @@
 //! - [`TrajectoryKernel::SurvivalSkip`]: one uniform draw + binary
 //!   search over the plan's prefix survival products jumps straight to
 //!   the next error event, and clean and single-error shots sample
-//!   Walker/Vose [`AliasTable`]s in O(1) — RNG work per shot
+//!   Walker/Vose alias tables in O(1) — RNG work per shot
 //!   proportional to the number of *errors*, not the number of events.
 //!
 //! ## Determinism contract (kernel × parallelism)
@@ -219,14 +219,13 @@ pub mod metrics;
 mod state;
 mod unitaries;
 
-pub use alias::{AliasScratch, AliasTable};
 pub use counts::Counts;
 pub use density::{apply_readout_confusion, exact_probabilities, DensityMatrix};
 pub use executor::{
     auto_shard_count, clean_shot_probability, derive_shard_seed, gate_durations, ideal_outcome,
-    noiseless_probabilities, run_ideal, run_noisy, run_noisy_with_idle, trivial_layout,
-    ExecutionConfig, NoiseScaling, PreparedJob, ShotParallelism, SimError, TrajectoryKernel,
-    AUTO_MAX_SHARDS, AUTO_SHOTS_PER_SHARD,
+    noiseless_probabilities, run_ideal, run_noisy, run_noisy_with_idle, ExecutionConfig,
+    NoiseScaling, PreparedJob, ShotParallelism, SimError, TrajectoryKernel, AUTO_MAX_SHARDS,
+    AUTO_SHOTS_PER_SHARD,
 };
 pub use fanout::{core_budget, run_indexed, run_indexed_within, SPAWN_WORK_FLOOR, WORK_UNIT_NS};
 pub use state::Statevector;

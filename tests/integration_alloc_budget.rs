@@ -16,9 +16,12 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use qucp_circuit::{library, Circuit};
-use qucp_core::{allocate_partitions, CrosstalkTreatment, PartitionPolicy, DEFAULT_SIGMA};
+use qucp_core::{
+    allocate_partitions, strategy, CrosstalkTreatment, PartitionPolicy, Pipeline, DEFAULT_SIGMA,
+};
 use qucp_device::ibm;
 use qucp_runtime::{EfsGate, Event, JobRequest, Service};
+use qucp_sim::{ExecutionConfig, ShotParallelism};
 
 thread_local! {
     /// Heap requests made by *this* thread. `const`-initialised and
@@ -178,18 +181,21 @@ fn cold_tick(max_parallel: usize, jobs: usize) -> Tick {
 }
 
 /// Heap requests per job of a cached batch (the count is exact and the
-/// same in debug and release): 13.73 with one job to a batch (1 758 for
-/// 128 jobs), 9.56 with two (1 224), since the admission policy packs
-/// into a buffer the service keeps; 14.73 and 10.56 when it returned a
-/// fresh `Vec` per pack (1 886 and 1 352), 40.73 and 25.06 before
-/// staging stopped copying jobs. The budgets are the counts plus 10 %.
+/// same in debug and release): 11.73 with one job to a batch (1 502 for
+/// 128 jobs), 7.56 with two (968), since a run's histogram is relabelled
+/// to logical order in its own vector and execution no longer names
+/// the result the finish pass renames; 13.73 and 9.56 before (1 758
+/// and 1 224), since the admission policy packs into a buffer the
+/// service keeps; 14.73 and 10.56 when it returned a fresh `Vec` per
+/// pack (1 886 and 1 352), 40.73 and 25.06 before staging stopped
+/// copying jobs. The budgets are the counts plus 10 %.
 ///
 /// Mutation check (CHANGES.md, PR 22): cloning the head's circuit in
 /// staging again — `let _circuit = p.circuit.clone();` beside the
-/// `HeadContext` — costs two requests a batch, 15.73 a solo job, and
+/// `HeadContext` — costs two requests a batch, 13.73 a solo job, and
 /// fails the first assertion.
-const SOLO_BUDGET: f64 = 15.1;
-const PAIR_BUDGET: f64 = 10.5;
+const SOLO_BUDGET: f64 = 12.9;
+const PAIR_BUDGET: f64 = 8.3;
 
 #[test]
 fn a_cached_batch_stays_within_its_heap_budget() {
@@ -208,8 +214,11 @@ fn a_cached_batch_stays_within_its_heap_budget() {
 
 /// Heap requests of one `tick` of 64 cold jobs (every batch planned,
 /// prepared and run from scratch; the count is exact and the same in
-/// debug and release): 4 725 with one job to a batch, 4 121 with two —
-/// 73.8 and 64.4 per job. While a program's partition-local graph was
+/// debug and release): 4 597 with one job to a batch, 3 993 with two —
+/// 71.8 and 62.4 per job. While a run's histogram was a tree of
+/// outcomes, copied into a second tree in logical order, and execution
+/// named each result, the same tick counted 4 725 and 4 121. While a
+/// program's partition-local graph was
 /// built from one vector per qubit and one per BFS, and growth around
 /// the first program's qubits regrew every seed and collected every
 /// candidate, the same tick counted 5 333 and 6 415. While a plan-cache
@@ -243,8 +252,8 @@ fn a_cached_batch_stays_within_its_heap_budget() {
 /// `PlannedWorkload::prepare` scheduling the program afresh
 /// (`PreparedJob::prepare` for `prepare_scheduled`), costs requests per
 /// prepared program. Each fails.
-const COLD_SOLO_REQUESTS: u64 = 4_725;
-const COLD_PAIR_REQUESTS: u64 = 4_121;
+const COLD_SOLO_REQUESTS: u64 = 4_597;
+const COLD_PAIR_REQUESTS: u64 = 3_993;
 
 #[test]
 fn a_cold_batch_stays_within_its_heap_budget() {
@@ -281,18 +290,21 @@ fn thresholded_tick(jobs: usize) -> Tick {
 
 /// Heap requests of one `tick` of 48 thresholded jobs whose survivor
 /// sets repeat (the count is exact and the same in debug and release):
-/// 529, 25 batches and 26 evictions, every batch's allocations and plan
-/// read from the plan memo. While a job's threshold bits were part of
+/// 433, 25 batches and 26 evictions, every batch's allocations and plan
+/// read from the plan memo; 529 while a run's histogram was a tree,
+/// copied into a second one in logical order, and execution named each
+/// result. While a job's threshold bits were part of
 /// the plan key, 8 of the 25 batches missed (each new threshold pattern
 /// re-allocated, re-routed and re-prepared its batch) and the same tick
 /// counted 2 848. The budget is the count.
 ///
 /// Mutation checks (CHANGES.md): the gate buffering its shrink events
 /// in a vector of its own per pass, instead of the one the service
-/// keeps, counts 546; a plan key that holds the head's threshold bits
-/// again misses 8 of the tick's 25 batches and counts 2 603. Each
-/// fails.
-const THRESHOLDED_REQUESTS: u64 = 529;
+/// keeps, counts 17 more; a plan key that holds the head's threshold
+/// bits again misses 8 of the tick's 25 batches and counts 2 074 more
+/// (546 and 2 603 when they were measured, with the tree histograms).
+/// Each fails.
+const THRESHOLDED_REQUESTS: u64 = 433;
 
 #[test]
 fn a_thresholded_batch_whose_survivors_repeat_reuses_their_plan() {
@@ -342,5 +354,42 @@ fn stage_one_of_three_programs_on_a_warm_atlas_stays_within_its_heap_budget() {
     assert!(
         requests <= WARM_STAGE_ONE_REQUESTS,
         "{requests} heap requests over the budget of {WARM_STAGE_ONE_REQUESTS}"
+    );
+}
+
+/// Heap requests of one 8 192-shot `Serial` run of `ghz(8)` planned on
+/// Toronto, set-up and scoring included (`PlannedWorkload::run_program`;
+/// the count is exact and the same in debug and release): 18. The
+/// run tallies its shots in the one vector its histogram keeps (256
+/// outcomes fit 8 192 shots, so the tally is dense and compacted in
+/// place) and relabels it to logical order in place. While a histogram
+/// was a tree of outcomes, every node of it was a request, and the
+/// logical permutation built a second tree: the same run counted
+/// 78. The budget is the count.
+///
+/// Mutation checks (CHANGES.md): tallying through a per-shot tree
+/// insert again, or pushing every shot into a vector that was not
+/// sized for them, costs requests per run. Each fails.
+const GHZ8_RUN_REQUESTS: u64 = 18;
+
+#[test]
+fn an_8192_shot_run_tallies_in_one_vector() {
+    let device = ibm::toronto();
+    let qucp = strategy::qucp(DEFAULT_SIGMA);
+    let plan = Pipeline::from_strategy(&qucp)
+        .plan(&device, &[library::ghz(8)], true)
+        .unwrap();
+    let exec = ExecutionConfig::default().with_parallelism(ShotParallelism::Serial);
+    assert_eq!(exec.shots, 8192);
+
+    let before = REQUESTS.get();
+    let result = plan.run_program(&device, 0, &exec).unwrap();
+    let requests = REQUESTS.get() - before;
+
+    assert_eq!(result.counts.shots(), 8192);
+    assert!(
+        requests <= GHZ8_RUN_REQUESTS,
+        "{requests} heap requests over the budget of {GHZ8_RUN_REQUESTS}: {} outcomes",
+        result.counts.len()
     );
 }

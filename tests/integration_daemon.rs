@@ -792,6 +792,73 @@ fn counts_decode_only_their_canonical_form() {
     }
 }
 
+/// A whole `Taken` response frame whose result carries forged counts:
+/// the three entries of a width-2 histogram are rewritten in place, so
+/// the frame keeps its length and every other byte. Entries out of
+/// order are the canonical histogram; a repeated outcome, a zero
+/// count, an outcome outside the register and a shot total past
+/// `usize::MAX` refuse the frame.
+#[test]
+fn a_result_frame_with_forged_counts_is_accepted_or_refused_whole() {
+    let entries = |counts: &[(u64, u64)]| -> Vec<u8> {
+        let words = [2, counts.len() as u64].into_iter();
+        words
+            .chain(counts.iter().flat_map(|&(o, n)| [o, n]))
+            .flat_map(u64::to_le_bytes)
+            .collect()
+    };
+    let canonical = [(0, 30), (1, 1), (3, 33)];
+    let counts = Counts::from_entries(2, canonical.map(|(o, n)| (o as usize, n as usize)));
+    let result = JobResult {
+        job_id: 7,
+        batch_index: 1,
+        start: 0.0,
+        completion: 1.0,
+        waiting: 0.0,
+        turnaround: 1.0,
+        result: ProgramResult {
+            name: "bell".into(),
+            partition: vec![4, 7],
+            efs: 0.5,
+            swap_count: 0,
+            counts: counts.expect("valid counts"),
+            pst: Some(0.5),
+            jsd: 0.25,
+        },
+    };
+    let frame = Response::Taken(Some(Box::new(result.clone()))).encode();
+    let original = entries(&canonical);
+    let at = frame
+        .windows(original.len())
+        .position(|w| w == original)
+        .expect("the counts are in the frame");
+    let forged = |counts: &[(u64, u64)]| {
+        let mut frame = frame.clone();
+        frame[at..at + original.len()].copy_from_slice(&entries(counts));
+        Response::decode(&frame)
+    };
+    assert_eq!(
+        forged(&canonical),
+        Ok(Response::Taken(Some(Box::new(result.clone()))))
+    );
+    assert_eq!(
+        forged(&[(3, 33), (1, 1), (0, 30)]),
+        Ok(Response::Taken(Some(Box::new(result))))
+    );
+    let invalid = Err(WireError::InvalidValue { context: "Counts" });
+    let max = usize::MAX as u64;
+    for counts in [
+        [(0, 30), (1, 1), (1, 33)],
+        [(3, 33), (1, 1), (3, 30)],
+        [(0, 30), (1, 0), (3, 33)],
+        [(0, 30), (1, 1), (4, 33)],
+        [(0, max), (1, 1), (3, 33)],
+        [(3, 1), (1, max), (0, 30)],
+    ] {
+        assert_eq!(forged(&counts), invalid, "{counts:?}");
+    }
+}
+
 // ---------------------------------------------------------------------------
 // Satellite 2: mock transport — protocol without sockets or threads.
 // ---------------------------------------------------------------------------
