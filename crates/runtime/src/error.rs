@@ -115,12 +115,13 @@ pub enum RuntimeError<S = CoreError> {
     },
     /// A planning or execution stage failed.
     Core(S),
-    /// Internal invariant violation: the pending store's indexes
-    /// disagree about a job that must exist. Surfacing the typed error
+    /// Internal invariant violation: the job table's slots and queue
+    /// disagree about a job that must exist, or a drained service lacks
+    /// a job's result. Surfacing the typed error
     /// instead of panicking keeps a corrupted queue diagnosable from a
     /// daemon client; it indicates a runtime bug, never caller misuse.
     QueueCorrupted {
-        /// Submission index of the job that vanished from the store.
+        /// Submission index of the job that vanished from the table.
         seq: usize,
     },
     /// A job's strategy override carried a NaN or infinite crosstalk

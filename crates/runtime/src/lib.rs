@@ -170,13 +170,13 @@
 //! | operation | cost |
 //! |---|---|
 //! | submit (queue insert) | O(gates) shape interning (encode, one keyed hash, one word-for-word comparison with the known shape; no allocation unless the shape is new), O(log n) position, amortized append for in-order arrivals |
-//! | seq → job lookup | O(1) hash map |
-//! | dispatch step: earliest-free device | O(log D) clock index |
+//! | seq → job lookup | O(1) slot index: one table slot per submission, queued → running → done |
+//! | dispatch step: earliest-free device | O(D) scan of the device clocks, inside the O(D) candidate ranking |
 //! | dispatch step: arrived views | O(log n) prefix bind (O(arrived) flag pass only while per-job strategy overrides are live) |
 //! | dispatch step: admitting devices | O(log D) + A width-bucket suffix |
 //! | routing / head-only gate probes | one plan-memo lookup per list read — `[h]` for the routing score, `[h]` and `[h; k]` per copy count `k` walked — in a key buffer the service keeps; partitioning only for a list not seen at this epoch, on the pending circuit, borrowed |
 //! | batch planning | the EFS gate on every batch, each allocation it reads — the joint attempts and, under the batch gates, every member's solo baseline — one plan-memo lookup under the literal key *(device, epoch, strategy key, member shape handles)* (O(members) handle copies), partitioning only for a list not seen at this epoch; map + merge only for a survivor set not committed at this epoch. The members' circuits are cloned only on a memo miss, once per batch |
-//! | staging and execution | the batch's device is held by `Arc`, never cloned; the members leave the pending store by value into one record per job, the head's strategy is one shared table entry, and ranking, packing and the key lookup run in buffers the service keeps |
+//! | staging and execution | the batch's device is held by `Arc`, never cloned; the members leave the job table by value into one record per job, the head's strategy is one shared table entry, and ranking, packing and the key lookup run in buffers the service keeps |
 //! | batch removal | offset bump (front run) or one compaction pass |
 //! | recalibrate / drift epoch bump | one new device (its calibration state; name and topology shared by `Arc`), one pass over the cache, dropping the bumped device's probes and plans, and one over the shape table, dropping the shapes nothing holds any more |
 //! | execution set-up per program | ALAP schedule + event sort + three statevector passes on the first two executions of a plan (the second, the entry's first hit, fills its slots); a replayed plan then pays an `Arc` clone of the entry's slots per batch and one slot read per program (prepared replay) |
@@ -227,8 +227,9 @@
 //!   completed result **exactly once** per ticket: `None` before the
 //!   batch runs, the [`JobResult`] on the first call after, `None`
 //!   forever after. The caller owns the claimed copy; the service
-//!   keeps the canonical result in its O(1) seq-indexed completed
-//!   store for the drained [`ServiceReport`], so the report is
+//!   keeps the canonical result in the job's slot of its O(1)
+//!   seq-indexed job table for the drained [`ServiceReport`], so the
+//!   report is
 //!   **bit-for-bit unchanged** by any claim interleaving (the claim
 //!   flag, not eviction, spends the ticket — proptest-pinned).
 //!   [`Service::result`] stays the non-consuming peek. Both answer

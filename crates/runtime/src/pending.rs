@@ -1,45 +1,46 @@
-//! The pending-job store: the service's queue of admitted, not yet
-//! dispatched jobs.
+//! The job table: every job the service admitted, one slot per
+//! submission index, and the queue of those not yet dispatched.
 //!
 //! Under the heavy-traffic regime the paper's cloud argument assumes
 //! (Sec. I: "millions of users") the queue must not be rebuilt or
-//! scanned per dispatch step, so [`PendingStore`] maintains a persistent
-//! FIFO-sorted [`JobView`] mirror incrementally: O(log n) insert
-//! position (amortized-append for in-order arrivals), an O(1) seq→job
-//! map, O(log n) arrived-prefix binding per dispatch step, and
-//! dead-prefix removal so draining the queue front is an offset bump
-//! instead of a memmove. What it must answer — FIFO `(arrival,
-//! submission)` order, the arrived window, joinability — is stated
-//! without any of this by the reference scheduler of the differential
-//! suite (`tests/support/reference.rs`), which re-sorts a `Vec` per
-//! step.
+//! scanned per dispatch step, so [`JobTable`] keeps, beside its slots,
+//! a persistent FIFO-sorted [`JobView`] mirror of the queued jobs,
+//! maintained incrementally: O(log n) insert position (amortized append
+//! for in-order arrivals), O(1) seq → slot indexing, O(log n)
+//! arrived-prefix binding per dispatch step, and dead-prefix removal so
+//! draining the queue front is an offset bump instead of a memmove.
+//! What it must answer — FIFO `(arrival, submission)` order, the
+//! arrived window, joinability — is stated without any of this by the
+//! reference scheduler of the differential suite
+//! (`tests/support/reference.rs`), which re-sorts a `Vec` per step.
 //!
 //! ## Who owns a job, when
 //!
-//! From `submit` until its batch commits a job is one [`Pending`]
-//! record owned by the store, circuit included; dispatch reads it in
-//! place (head choice and packing off the [`JobView`] mirror, cache
-//! keys and probe misses through [`PendingStore::get`]) and copies
-//! nothing out of it — only a plan-cache miss clones the members'
-//! circuits, into the plan it builds. When the batch commits,
-//! [`PendingStore::take_members`] hands the records over **by value**:
-//! the staged batch keeps what execution and the report need (the
-//! circuit's name moved out of it, not copied) and the rest is dropped
-//! there.
+//! A job's life is one [`Slot`] of the table, at its seq (the next seq
+//! is the table's length). Until its batch commits it is one queued
+//! [`Pending`] record, circuit included; dispatch reads it in place
+//! (head choice and packing off the [`JobView`] mirror, cache keys and
+//! probe misses through [`JobTable::get`]) and copies nothing out of it
+//! — only a plan-cache miss clones the members' circuits, into the plan
+//! it builds. [`JobTable::take_members`] hands the records over **by
+//! value** and leaves the slots running: the staged batch keeps what
+//! execution and the report need (the circuit's name moved, not
+//! copied). The finish pass writes each result into its slot, which a
+//! claim copies once and the drained report copies again.
 //!
 //! ## The strategy table and its three readers
 //!
-//! The store interns each distinct effective strategy into a small key
-//! table ([`PendingStore::strategy_key`]: key 0 = the service default,
+//! The table interns each distinct effective strategy into a small key
+//! table ([`JobTable::strategy_key`]: key 0 = the service default,
 //! including overrides that compare equal to it — value equality); a
 //! job carries its key, not a strategy. Three things read the key:
 //!
 //! * **Joinable-flag maintenance.** A [`JobView`]'s `joinable` flag
 //!   depends on the *head strategy* of the dispatch step being
-//!   prepared, so it cannot be precomputed once. The store counts live
-//!   override jobs, and the common no-override case skips flag
+//!   prepared, so it cannot be precomputed once. The table counts
+//!   queued override jobs, and the common no-override case skips flag
 //!   maintenance entirely: every flag is `true` and stays `true`. Only
-//!   while override jobs are live does `prepare` rewrite the arrived
+//!   while override jobs are queued does `prepare` rewrite the arrived
 //!   prefix — O(arrived) key comparisons — and a `flags_dirty` bit
 //!   restores the all-true invariant once the last override leaves the
 //!   queue.
@@ -53,7 +54,6 @@
 //!   dispatch clones a strategy, and planning borrows the entry's
 //!   settings ([`qucp_core::Pipeline::from_strategy`]).
 
-use std::collections::HashMap;
 use std::sync::Arc;
 
 use qucp_circuit::Circuit;
@@ -61,22 +61,20 @@ use qucp_core::Strategy;
 use qucp_sim::{ShotParallelism, TrajectoryKernel};
 
 use crate::error::RuntimeError;
+use crate::job::JobResult;
 use crate::policy::JobView;
 use crate::registry::RoutingChoice;
 use crate::shape::Shape;
 
-/// A pending (admitted but not yet dispatched) job.
+/// A pending (admitted but not yet dispatched) job. Its seq is its
+/// slot's index, its width its circuit's, its overtake count its
+/// view's.
 #[derive(Debug, Clone)]
 pub(crate) struct Pending {
-    pub(crate) seq: usize,
     pub(crate) id: u64,
     /// The circuit its batch runs: folded at submit if the service
     /// optimizes.
     pub(crate) circuit: Circuit,
-    /// Cached `circuit.width()` — immutable once submitted.
-    pub(crate) width: usize,
-    /// The submitted circuit's depth (admission reads it before the fold).
-    pub(crate) depth: usize,
     /// The circuit's interned shape (width + exact gate sequence, name
     /// excluded) — the plan-memo key component, interned once at
     /// submit instead of hashed once per dispatch the job is probed.
@@ -84,7 +82,7 @@ pub(crate) struct Pending {
     pub(crate) shots: usize,
     pub(crate) arrival: f64,
     /// The job's effective strategy, as its
-    /// [`PendingStore::strategy_key`] (0 = the service default).
+    /// [`JobTable::strategy_key`] (0 = the service default).
     pub(crate) strategy_key: u32,
     pub(crate) fidelity_threshold: Option<f64>,
     pub(crate) shot_parallelism: Option<ShotParallelism>,
@@ -92,32 +90,46 @@ pub(crate) struct Pending {
     /// Per-job routing override, consulted only when this job heads a
     /// batch (see [`RoutingChoice`]).
     pub(crate) routing: Option<RoutingChoice>,
-    pub(crate) skips: usize,
 }
 
-fn view_of(p: &Pending) -> JobView {
-    JobView {
-        seq: p.seq,
-        arrival: p.arrival,
-        width: p.width,
-        area: p.width * p.depth,
-        skips: p.skips,
-        joinable: true,
+/// One job's slot, at its submission index.
+#[derive(Debug)]
+enum Slot {
+    /// Admitted, not yet committed to a batch.
+    Queued(Pending),
+    /// Committed to a batch that has not finished.
+    Running,
+    /// Its batch ran; the first claim spends the ticket.
+    Done { result: JobResult, claimed: bool },
+}
+
+impl Slot {
+    /// The queued record, leaving the slot [`Slot::Running`]; any other
+    /// slot stays as it is.
+    fn take_queued(&mut self) -> Option<Pending> {
+        match std::mem::replace(self, Slot::Running) {
+            Slot::Queued(p) => Some(p),
+            other => {
+                *self = other;
+                None
+            }
+        }
     }
 }
 
-/// The service's pending queue: an O(1) seq→job map plus a persistent
-/// FIFO-sorted [`JobView`] mirror maintained incrementally.
+/// Every admitted job, one [`Slot`] per submission index, plus a
+/// persistent FIFO-sorted [`JobView`] mirror of the queued ones
+/// maintained incrementally.
 ///
-/// Call discipline: [`PendingStore::prepare`] binds the arrived window
-/// and joinable flags for a given `now`/head strategy;
-/// [`PendingStore::arrived`] and [`PendingStore::position_of`] must then
-/// be called with that same `now` before the next `prepare`.
+/// Call discipline: [`JobTable::prepare`] binds the arrived window and
+/// joinable flags for a given `now`/head strategy;
+/// [`JobTable::arrived`] and [`JobTable::position_of`] must then be
+/// called with that same `now` before the next `prepare`.
 #[derive(Debug)]
-pub(crate) struct PendingStore {
-    /// O(1) seq → job storage.
-    jobs: HashMap<usize, Pending>,
-    /// FIFO mirror of every pending job, sorted by `(arrival, seq)`
+pub(crate) struct JobTable {
+    /// Slot `seq` is the job submitted `seq`-th.
+    slots: Vec<Slot>,
+    /// FIFO mirror of every queued job, sorted by `(arrival, seq)`
     /// (`total_cmp` order). Indices `..head` are a dead prefix awaiting
     /// compaction.
     views: Vec<JobView>,
@@ -129,18 +141,18 @@ pub(crate) struct PendingStore {
     head: usize,
     /// Distinct strategies seen so far; slot 0 holds the default.
     interned: Vec<Arc<Strategy>>,
-    /// Live jobs whose interned key is not 0. While 0, `prepare` skips
-    /// joinable-flag maintenance entirely.
+    /// Queued jobs whose interned key is not 0. While 0, `prepare`
+    /// skips joinable-flag maintenance entirely.
     overrides: usize,
     /// Whether any live flag may be stale (a strategy-filtered pass
     /// ran); cleared by the next all-true reset once `overrides == 0`.
     flags_dirty: bool,
 }
 
-impl PendingStore {
+impl JobTable {
     pub(crate) fn new(default: Strategy) -> Self {
-        PendingStore {
-            jobs: HashMap::new(),
+        JobTable {
+            slots: Vec::new(),
             views: Vec::new(),
             keys: Vec::new(),
             head: 0,
@@ -166,7 +178,7 @@ impl PendingStore {
     }
 
     /// The shared strategy behind a key handed out by
-    /// [`PendingStore::strategy_key`]: what a dispatch step holds of its
+    /// [`JobTable::strategy_key`]: what a dispatch step holds of its
     /// head's strategy.
     pub(crate) fn strategy(&self, key: u32) -> &Arc<Strategy> {
         &self.interned[key as usize]
@@ -183,13 +195,28 @@ impl PendingStore {
         (live.get(pos)?.seq == seq).then_some(pos)
     }
 
-    /// Admits a job, keeping FIFO `(arrival, submission)` order.
-    pub(crate) fn insert(&mut self, p: Pending) {
+    /// The seq the next admitted job gets: the table's length.
+    pub(crate) fn next_seq(&self) -> usize {
+        self.slots.len()
+    }
+
+    /// Admits a job as seq [`JobTable::next_seq`], keeping FIFO
+    /// `(arrival, submission)` order; `depth` is the submitted
+    /// circuit's, which admission orders by.
+    pub(crate) fn insert(&mut self, p: Pending, depth: usize) {
         let key = p.strategy_key;
         if key != 0 {
             self.overrides += 1;
         }
-        let view = view_of(&p);
+        let width = p.circuit.width();
+        let view = JobView {
+            seq: self.slots.len(),
+            arrival: p.arrival,
+            width,
+            area: width * depth,
+            skips: 0,
+            joinable: true,
+        };
         // The tie rule: after every job with
         // `arrival <= p.arrival` (equal arrivals keep submission order,
         // so the mirror stays `(arrival, seq)`-sorted).
@@ -198,7 +225,7 @@ impl PendingStore {
         let abs = self.head + rel;
         self.views.insert(abs, view);
         self.keys.insert(abs, key);
-        self.jobs.insert(p.seq, p);
+        self.slots.push(Slot::Queued(p));
     }
 
     /// Binds the arrived window for `now`, computing each arrived
@@ -233,41 +260,42 @@ impl PendingStore {
         }
     }
 
-    /// Removes a committed batch's members and hands each stored job,
-    /// by value and in `seqs` order, to `member`, whose outputs it
-    /// returns. `positions` is the caller's buffer for the members'
-    /// mirror slots (cleared here, capacity kept).
+    /// Takes a committed batch's members out of the queue and hands
+    /// each record, by value and in `seqs` order, to `member` with its
+    /// seq, returning the outputs; each slot is left
+    /// [`Slot::Running`]. `positions` is the caller's buffer for the
+    /// members' mirror slots (cleared here, capacity kept).
     ///
     /// # Errors
     ///
-    /// [`RuntimeError::QueueCorrupted`] naming the first `seq` the
-    /// store does not hold; the others are taken all the same (and
-    /// dropped), so map and mirror still agree. Dispatch resolves every
-    /// member through [`PendingStore::get`] for the plan key before it
-    /// commits, so it cannot see this error first.
+    /// [`RuntimeError::QueueCorrupted`] naming the first `seq` that is
+    /// not queued; the others are taken all the same (and dropped), so
+    /// slots and mirror still agree. Dispatch resolves every member
+    /// through [`JobTable::get`] for the plan key before it commits, so
+    /// it cannot see this error first.
     pub(crate) fn take_members<T>(
         &mut self,
         seqs: &[usize],
         positions: &mut Vec<usize>,
-        mut member: impl FnMut(Pending) -> T,
+        mut member: impl FnMut(usize, Pending) -> T,
     ) -> Result<Vec<T>, RuntimeError> {
         positions.clear();
         let mut members = Vec::with_capacity(seqs.len());
         let mut missing = None;
         for &seq in seqs {
-            let Some(p) = self.jobs.remove(&seq) else {
+            let Some(p) = self.slots.get_mut(seq).and_then(Slot::take_queued) else {
                 missing.get_or_insert(seq);
                 continue;
             };
             let rel = self
                 .position_of(p.arrival, seq)
-                .expect("mirror entry exists for every stored job");
+                .expect("mirror entry exists for every queued job");
             let abs = self.head + rel;
             if self.keys[abs] != 0 {
                 self.overrides -= 1;
             }
             positions.push(abs);
-            members.push(member(p));
+            members.push(member(seq, p));
         }
         let taken = match missing {
             None => Ok(members),
@@ -310,46 +338,100 @@ impl PendingStore {
         }
         taken
     }
-}
 
-impl PendingStore {
-    pub(crate) fn len(&self) -> usize {
+    /// Records the result of job `seq`, whose batch ran.
+    pub(crate) fn finish(&mut self, seq: usize, result: JobResult) {
+        debug_assert!(matches!(self.slots[seq], Slot::Running));
+        self.slots[seq] = Slot::Done {
+            result,
+            claimed: false,
+        };
+    }
+
+    /// Jobs queued: admitted, not yet committed to a batch.
+    pub(crate) fn queued(&self) -> usize {
         self.views.len() - self.head
     }
 
-    pub(crate) fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Arrival of the earliest pending job (`None` when empty).
+    /// Arrival of the earliest queued job (`None` when none is).
     pub(crate) fn first_arrival(&self) -> Option<f64> {
         self.views.get(self.head).map(|v| v.arrival)
     }
 
-    /// The stored job with submission index `seq`.
-    pub(crate) fn get(&self, seq: usize) -> Option<&Pending> {
-        self.jobs.get(&seq)
+    /// The queued job with submission index `seq`.
+    ///
+    /// # Errors
+    ///
+    /// [`RuntimeError::QueueCorrupted`] if `seq` is not queued: an
+    /// internal invariant violation surfaced as a typed error instead
+    /// of a panic.
+    pub(crate) fn get(&self, seq: usize) -> Result<&Pending, RuntimeError> {
+        match self.slots.get(seq) {
+            Some(Slot::Queued(p)) => Ok(p),
+            _ => Err(RuntimeError::QueueCorrupted { seq }),
+        }
+    }
+
+    /// The result of job `seq` if its batch ran, whatever its claim.
+    pub(crate) fn result(&self, seq: usize) -> Option<&JobResult> {
+        match self.slots.get(seq)? {
+            Slot::Done { result, .. } => Some(result),
+            _ => None,
+        }
+    }
+
+    /// The first claim of job `seq`'s result, if its batch ran and its
+    /// id is `id`: a copy, the table keeping the result for the
+    /// drained report. Every other call changes nothing and answers
+    /// `None`.
+    pub(crate) fn claim(&mut self, seq: usize, id: u64) -> Option<JobResult> {
+        match self.slots.get_mut(seq)? {
+            Slot::Done { result, claimed } if result.job_id == id && !*claimed => {
+                *claimed = true;
+                Some(result.clone())
+            }
+            _ => None,
+        }
+    }
+
+    /// Every job's result, in submission order: what a drained service
+    /// reports.
+    ///
+    /// # Errors
+    ///
+    /// [`RuntimeError::QueueCorrupted`] naming the first job whose
+    /// batch has not run.
+    pub(crate) fn results(&self) -> Result<Vec<JobResult>, RuntimeError> {
+        // Sized up front: a `collect` into a `Result` cannot size its
+        // vector, which then grows by doubling.
+        let mut results = Vec::with_capacity(self.slots.len());
+        for (seq, slot) in self.slots.iter().enumerate() {
+            let Slot::Done { result, .. } = slot else {
+                return Err(RuntimeError::QueueCorrupted { seq });
+            };
+            results.push(result.clone());
+        }
+        Ok(results)
     }
 
     /// The policy-facing views of all jobs arrived by `now`, in FIFO
-    /// order, with flags from the latest [`PendingStore::prepare`].
+    /// order, with flags from the latest [`JobTable::prepare`].
     pub(crate) fn arrived(&self, now: f64) -> &[JobView] {
         let live = &self.views[self.head..];
         let end = live.partition_point(|v| v.arrival <= now);
         &live[..end]
     }
 
-    /// Bumps a job's overtake counter (backfill starvation accounting).
+    /// Bumps a queued job's overtake counter (backfill starvation
+    /// accounting), which only its view holds.
     pub(crate) fn bump_skip(&mut self, seq: usize) {
-        let Some(p) = self.jobs.get_mut(&seq) else {
-            debug_assert!(false, "bumping job seq {seq} not in the store");
+        let Ok(arrival) = self.get(seq).map(|p| p.arrival) else {
+            debug_assert!(false, "bumping job seq {seq} that is not queued");
             return;
         };
-        p.skips += 1;
-        let arrival = p.arrival;
         let rel = self
             .position_of(arrival, seq)
-            .expect("mirror entry exists for every stored job");
+            .expect("mirror entry exists for every queued job");
         self.views[self.head + rel].skips += 1;
     }
 }
@@ -360,15 +442,16 @@ mod tests {
     use qucp_circuit::Circuit;
     use qucp_core::strategy;
 
-    fn pending(seq: usize, arrival: f64, strategy_key: u32) -> Pending {
+    /// Admits a Bell-pair job that arrives at `arrival` as `seq`, the
+    /// table's next seq; its id is its seq.
+    fn admit(table: &mut JobTable, seq: usize, arrival: f64, strategy_key: u32) {
+        assert_eq!(table.next_seq(), seq);
         let mut circuit = Circuit::new(2);
         circuit.h(0);
         circuit.cx(0, 1);
-        Pending {
-            seq,
+        let depth = circuit.depth();
+        let job = Pending {
             id: seq as u64,
-            width: circuit.width(),
-            depth: circuit.depth(),
             shape: crate::shape::ShapeTable::default().intern(&circuit),
             circuit,
             shots: 64,
@@ -378,12 +461,12 @@ mod tests {
             shot_parallelism: None,
             trajectory_kernel: None,
             routing: None,
-            skips: 0,
-        }
+        };
+        table.insert(job, depth);
     }
 
-    fn store() -> PendingStore {
-        PendingStore::new(strategy::qucp(strategy::DEFAULT_SIGMA))
+    fn store() -> JobTable {
+        JobTable::new(strategy::qucp(strategy::DEFAULT_SIGMA))
     }
 
     /// Both insert paths — the in-order append and the mid-queue
@@ -394,7 +477,7 @@ mod tests {
         let mut store = store();
         // Arrivals 30, 10, 20, 10: ties keep submission order.
         for (seq, arrival) in [(0, 30.0), (1, 10.0), (2, 20.0), (3, 10.0)] {
-            store.insert(pending(seq, arrival, 0));
+            admit(&mut store, seq, arrival, 0);
         }
         store.prepare(f64::INFINITY, None);
         let order: Vec<usize> = store.arrived(f64::INFINITY).iter().map(|v| v.seq).collect();
@@ -406,28 +489,35 @@ mod tests {
         assert_eq!(early, vec![1, 3]);
     }
 
-    /// A job is stored twice, in the seq→job map and in the sorted
-    /// mirror; a skip bump must reach it by both paths.
+    /// A queued job's overtake count lives in its mirror view alone: a
+    /// skip bump finds the view by the job's `(arrival, seq)` key and
+    /// counts there, and the arrived window reads it back at the same
+    /// position.
     #[test]
     fn position_and_skip_bump_agree_between_paths() {
         let mut store = store();
         for (seq, arrival) in [(0, 0.0), (1, 1.0), (2, 2.0)] {
-            store.insert(pending(seq, arrival, 0));
+            admit(&mut store, seq, arrival, 0);
         }
         store.prepare(f64::INFINITY, None);
         assert_eq!(store.position_of(1.0, 1), Some(1));
         store.bump_skip(1);
         store.bump_skip(1);
         store.prepare(f64::INFINITY, None);
-        assert_eq!(store.arrived(f64::INFINITY)[1].skips, 2);
-        assert_eq!(store.get(1).unwrap().skips, 2);
+        let skips: Vec<usize> = store
+            .arrived(f64::INFINITY)
+            .iter()
+            .map(|v| v.skips)
+            .collect();
+        assert_eq!(skips, vec![0, 2, 0]);
+        assert_eq!(store.position_of(1.0, 1), Some(1));
     }
 
     /// Takes `seqs`, returning the taken jobs' seqs in the order handed
     /// over.
-    fn take(store: &mut PendingStore, seqs: &[usize]) -> Vec<usize> {
+    fn take(store: &mut JobTable, seqs: &[usize]) -> Vec<usize> {
         store
-            .take_members(seqs, &mut Vec::new(), |p| p.seq)
+            .take_members(seqs, &mut Vec::new(), |seq, _| seq)
             .unwrap()
     }
 
@@ -435,11 +525,11 @@ mod tests {
     fn removal_compacts_and_preserves_survivors() {
         let mut store = store();
         for seq in 0..6 {
-            store.insert(pending(seq, seq as f64, 0));
+            admit(&mut store, seq, seq as f64, 0);
         }
         // Scattered removal first (mid-queue), then a front drain.
         take(&mut store, &[1, 3]);
-        assert_eq!(store.len(), 4);
+        assert_eq!(store.queued(), 4);
         store.prepare(f64::INFINITY, None);
         let order: Vec<usize> = store.arrived(f64::INFINITY).iter().map(|v| v.seq).collect();
         assert_eq!(order, vec![0, 2, 4, 5]);
@@ -447,8 +537,8 @@ mod tests {
         store.prepare(f64::INFINITY, None);
         let order: Vec<usize> = store.arrived(f64::INFINITY).iter().map(|v| v.seq).collect();
         assert_eq!(order, vec![4, 5]);
-        assert!(store.get(1).is_none());
-        assert!(store.get(4).is_some());
+        assert!(store.get(1).is_err());
+        assert!(store.get(4).is_ok());
     }
 
     #[test]
@@ -456,16 +546,16 @@ mod tests {
         let default = strategy::qucp(strategy::DEFAULT_SIGMA);
         let other = strategy::cna();
         let mut store = store();
-        store.insert(pending(0, 0.0, 0));
+        admit(&mut store, 0, 0.0, 0);
         let other_key = store.strategy_key(Some(other.clone()));
         assert_eq!((other_key, &**store.strategy(other_key)), (1, &other));
         assert_eq!(store.strategy_key(Some(other)), 1, "interned once");
-        store.insert(pending(1, 1.0, other_key));
+        admit(&mut store, 1, 1.0, other_key);
         // An override equal to the default interns to the default
         // key — value equality, like the seed's comparison.
         let default_key = store.strategy_key(Some(default));
         assert_eq!(default_key, store.strategy_key(None));
-        store.insert(pending(2, 2.0, default_key));
+        admit(&mut store, 2, 2.0, default_key);
 
         store.prepare(f64::INFINITY, Some(other_key));
         let flags: Vec<bool> = store
@@ -493,13 +583,13 @@ mod tests {
     }
 
     /// `remove_members` as it was before members were handed over by
-    /// value — the jobs dropped in the map, the same mirror surgery —
-    /// kept as the oracle of what [`PendingStore::take_members`] leaves
+    /// value — the jobs dropped in place, the same mirror surgery —
+    /// kept as the oracle of what [`JobTable::take_members`] leaves
     /// behind.
-    fn remove_members(store: &mut PendingStore, seqs: &[usize]) {
+    fn remove_members(store: &mut JobTable, seqs: &[usize]) {
         let mut positions: Vec<usize> = Vec::with_capacity(seqs.len());
         for &seq in seqs {
-            let p = store.jobs.remove(&seq).unwrap();
+            let p = store.slots[seq].take_queued().unwrap();
             let abs = store.head + store.position_of(p.arrival, seq).unwrap();
             if store.keys[abs] != 0 {
                 store.overrides -= 1;
@@ -533,10 +623,13 @@ mod tests {
         }
     }
 
-    /// Everything a store holds but the jobs' payloads.
-    fn layout(store: &PendingStore) -> impl PartialEq + std::fmt::Debug {
-        let mut seqs: Vec<usize> = store.jobs.keys().copied().collect();
-        seqs.sort_unstable();
+    /// Everything a table holds but the jobs' payloads.
+    fn layout(store: &JobTable) -> impl PartialEq + std::fmt::Debug {
+        let slots = store.slots.iter().enumerate();
+        let seqs: Vec<usize> = slots
+            .filter(|(_, slot)| matches!(slot, Slot::Queued(_)))
+            .map(|(seq, _)| seq)
+            .collect();
         (
             seqs,
             store.views.clone(),
@@ -559,7 +652,7 @@ mod tests {
             for seq in 0..12 {
                 let key = if seq % 5 == 4 { other } else { 0 };
                 // Arrivals run against submission order in pairs.
-                store.insert(pending(seq, (seq ^ 1) as f64, key));
+                admit(&mut store, seq, (seq ^ 1) as f64, key);
             }
             store.prepare(f64::INFINITY, Some(other));
             store
@@ -568,7 +661,7 @@ mod tests {
         let mut positions = vec![usize::MAX; 3];
         for seqs in batches {
             let handed = taken_from
-                .take_members(seqs, &mut positions, |p| (p.seq, p.id, p.arrival))
+                .take_members(seqs, &mut positions, |seq, p| (seq, p.id, p.arrival))
                 .unwrap();
             let expected: Vec<_> = seqs
                 .iter()
@@ -578,18 +671,18 @@ mod tests {
             remove_members(&mut removed_from, seqs);
             assert_eq!(layout(&taken_from), layout(&removed_from), "after {seqs:?}");
         }
-        assert!(taken_from.is_empty());
+        assert_eq!(taken_from.queued(), 0);
     }
 
-    /// A seq the store does not hold is a typed error, and the members
-    /// around it leave map and mirror together.
+    /// A seq the table does not hold is a typed error, and the members
+    /// around it leave slots and mirror together.
     #[test]
     fn take_members_names_a_missing_seq_and_keeps_map_and_mirror_agreed() {
         let mut store = store();
         for seq in 0..4 {
-            store.insert(pending(seq, seq as f64, 0));
+            admit(&mut store, seq, seq as f64, 0);
         }
-        let taken = store.take_members(&[0, 9, 1], &mut Vec::new(), |p| p.seq);
+        let taken = store.take_members(&[0, 9, 1], &mut Vec::new(), |seq, _| seq);
         assert!(matches!(
             taken,
             Err(RuntimeError::QueueCorrupted { seq: 9 })
@@ -597,7 +690,71 @@ mod tests {
         store.prepare(f64::INFINITY, None);
         let order: Vec<usize> = store.arrived(f64::INFINITY).iter().map(|v| v.seq).collect();
         assert_eq!(order, vec![2, 3]);
-        assert!(store.get(0).is_none() && store.get(1).is_none());
+        assert!(store.get(0).is_err() && store.get(1).is_err());
+    }
+
+    /// A result for job `seq`, whose id is its seq.
+    fn result_of(seq: usize) -> JobResult {
+        JobResult {
+            job_id: seq as u64,
+            batch_index: seq,
+            start: 1.0,
+            completion: 2.0,
+            waiting: 1.0,
+            turnaround: 2.0,
+            result: qucp_core::ProgramResult {
+                name: format!("job {seq}"),
+                partition: vec![0, 1],
+                efs: 0.5,
+                swap_count: 0,
+                counts: qucp_sim::Counts::default(),
+                pst: None,
+                jsd: 0.0,
+            },
+        }
+    }
+
+    /// A slot's life: queued until its batch commits, then neither
+    /// queued nor done while the batch runs, done once it finishes, and
+    /// claimed by the first claim, which alone hands out a copy. A
+    /// claim on a queued, running, unknown or already claimed seq, or
+    /// under another id, changes nothing.
+    #[test]
+    fn a_slot_is_queued_then_running_then_done_and_claimed_once() {
+        let mut store = store();
+        for seq in 0..2 {
+            admit(&mut store, seq, seq as f64, 0);
+        }
+        assert!(store.get(0).is_ok() && store.result(0).is_none());
+        assert_eq!(store.claim(0, 0), None);
+        assert!(store.get(0).is_ok(), "a queued claim takes nothing");
+        assert!(matches!(
+            store.results(),
+            Err(RuntimeError::QueueCorrupted { seq: 0 })
+        ));
+
+        take(&mut store, &[0]);
+        assert!(matches!(store.slots[0], Slot::Running));
+        assert!(store.get(0).is_err() && store.result(0).is_none());
+        assert_eq!(store.claim(0, 0), None);
+        assert_eq!(store.next_seq(), 2, "a taken job keeps its slot");
+
+        store.finish(0, result_of(0));
+        assert_eq!(store.result(0), Some(&result_of(0)));
+        for (seq, id) in [(0, 7), (1, 1), (2, 2)] {
+            assert_eq!(store.claim(seq, id), None, "seq {seq} id {id}");
+        }
+        assert!(matches!(store.slots[0], Slot::Done { claimed: false, .. }));
+        assert_eq!(store.claim(0, 0), Some(result_of(0)));
+        assert!(matches!(store.slots[0], Slot::Done { claimed: true, .. }));
+        assert_eq!(store.claim(0, 0), None);
+        assert_eq!(store.result(0), Some(&result_of(0)), "a claim keeps it");
+
+        // The second job was never touched by the claims around it.
+        assert!(store.get(1).is_ok());
+        take(&mut store, &[1]);
+        store.finish(1, result_of(1));
+        assert_eq!(store.results().unwrap(), vec![result_of(0), result_of(1)]);
     }
 
     /// One table entry per distinct strategy, shared by reference

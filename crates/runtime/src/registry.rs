@@ -47,7 +47,7 @@
 //! *shape* is the handle a circuit's width and gate sequence were
 //! interned to at submit (shared only after a gate-for-gate
 //! comparison, dropped with its last pending job and cache key), a
-//! *strategy* is its key in the pending store's strategy table (0 =
+//! *strategy* is its key in the job table's strategy table (0 =
 //! the service default). No entry is found by a hash of a `Debug`
 //! rendering, and none is replayed because two hashes agreed.
 //!
@@ -425,56 +425,6 @@ impl RoutingChoice {
         } else {
             score
         }
-    }
-}
-
-/// A keyed priority index over the fleet's device clocks: answers "the
-/// earliest-free device" in O(log D) instead of the O(D) min scan the
-/// dispatch loop used to run per batch.
-///
-/// Keys are device clocks mapped through the standard total-order bit
-/// trick, so the ordering is exactly `f64::total_cmp` — including the
-/// `-0.0 < +0.0` edge — and ties break on the registration index,
-/// matching a linear scan's first-strict-minimum rule bit-for-bit (the
-/// scan is how the differential suite's reference scheduler answers).
-#[derive(Debug, Clone, Default)]
-pub(crate) struct ClockIndex {
-    /// `(total-order key of clock, device index)`, ascending.
-    set: std::collections::BTreeSet<(u64, usize)>,
-}
-
-/// Maps a float to a `u64` whose unsigned order is `total_cmp` order.
-fn total_order_key(x: f64) -> u64 {
-    let bits = x.to_bits();
-    if bits >> 63 == 1 {
-        !bits
-    } else {
-        bits | (1 << 63)
-    }
-}
-
-impl ClockIndex {
-    /// An index over `devices` clocks, all starting at `0.0`.
-    pub(crate) fn new(devices: usize) -> Self {
-        ClockIndex {
-            set: (0..devices).map(|d| (total_order_key(0.0), d)).collect(),
-        }
-    }
-
-    /// Re-keys `device` from clock `old` to clock `new`.
-    pub(crate) fn update(&mut self, device: usize, old: f64, new: f64) {
-        let removed = self.set.remove(&(total_order_key(old), device));
-        debug_assert!(removed, "clock index lost device {device}");
-        self.set.insert((total_order_key(new), device));
-    }
-
-    /// The device with the smallest clock (smallest registration index
-    /// among ties) — the linear scan's answer.
-    pub(crate) fn min_device(&self) -> usize {
-        self.set
-            .first()
-            .expect("clock index over a non-empty fleet")
-            .1
     }
 }
 

@@ -35,9 +35,9 @@ use self::route_cache::RouteCache;
 use crate::error::RuntimeError;
 use crate::event::{Event, EventLog};
 use crate::job::JobResult;
-use crate::pending::{Pending, PendingStore};
+use crate::pending::{JobTable, Pending};
 use crate::policy::AdmissionPolicy;
-use crate::registry::{ClockIndex, DeviceRegistry, RoutingChoice};
+use crate::registry::{DeviceRegistry, RoutingChoice};
 use crate::shape::ShapeTable;
 
 /// Per-device runtime state (the registry holds only the static fleet).
@@ -93,27 +93,19 @@ pub struct Service {
     default_shots: usize,
     registry: DeviceRegistry,
     states: Vec<DeviceState>,
-    /// FIFO-sorted (arrival, seq) queue of admitted jobs; also the
+    /// Every admitted job, one slot per submission index (the next seq
+    /// is its length): queued, running, or done with its result and
+    /// claim flag. The service keeps each result for the end-of-run
+    /// [`ServiceReport`] even after a claim — eviction would change the
+    /// drained report, which is bit-for-bit pinned. Also the
+    /// FIFO-sorted (arrival, seq) queue of the queued jobs and the
     /// strategy table (key 0 = the service default strategy).
-    pending: PendingStore,
+    jobs: JobTable,
     /// Interner of the submitted circuits' shapes (see [`ShapeTable`]).
     shapes: ShapeTable,
-    next_seq: usize,
     batches: Vec<BatchReport>,
-    /// Results by submission index; `None` until the job's batch ran.
-    /// This is the O(1) seq-indexed completed-results store: the
-    /// service keeps the canonical copy for the end-of-run
-    /// [`ServiceReport`] even after a claim — eviction would change the
-    /// drained report, which is bit-for-bit pinned.
-    results: Vec<Option<JobResult>>,
-    /// Claim flags parallel to `results`: set by the first successful
-    /// [`Service::take_result`], after which the ticket's per-call copy
-    /// is spent (later takes return `None`).
-    claimed: Vec<bool>,
     /// Completed tickets not yet handed out by [`Service::tick`].
     unreported: Vec<(f64, JobTicket)>,
-    /// Keyed priority index over device clocks.
-    clock_index: ClockIndex,
     /// Cross-batch memo of member-list allocations and plans (see
     /// [`RouteCache`]).
     route_cache: RouteCache,
@@ -139,7 +131,7 @@ impl std::fmt::Debug for Service {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Service")
             .field("devices", &self.registry.len())
-            .field("strategy", &self.pending.strategy(0).name)
+            .field("strategy", &self.jobs.strategy(0).name)
             .field("policy", &self.policy)
             .field("routing", &self.routing)
             .field("max_parallel", &self.max_parallel)
@@ -147,7 +139,7 @@ impl std::fmt::Debug for Service {
             .field("seed", &self.seed)
             .field("optimize", &self.optimize)
             .field("efs_gate", &self.efs_gate)
-            .field("pending", &self.pending.len())
+            .field("pending", &self.jobs.queued())
             .field("batches", &self.batches.len())
             .finish_non_exhaustive()
     }
@@ -171,7 +163,7 @@ impl Service {
 
     /// Jobs admitted but not yet dispatched.
     pub fn pending_len(&self) -> usize {
-        self.pending.len()
+        self.jobs.queued()
     }
 
     /// Batches dispatched so far (the drained report's
@@ -198,9 +190,8 @@ impl Service {
     /// exactly-once retrieval campaigns rely on. A ticket whose id is
     /// not its job's gets `None`.
     pub fn result(&self, ticket: JobTicket) -> Option<&JobResult> {
-        self.results
-            .get(ticket.seq)
-            .and_then(Option::as_ref)
+        self.jobs
+            .result(ticket.seq)
             .filter(|result| result.job_id == ticket.id)
     }
 
@@ -209,8 +200,8 @@ impl Service {
     /// again for every later call on the same ticket.
     ///
     /// Ownership contract: the caller owns the returned copy; the
-    /// service retains the canonical result in its seq-indexed
-    /// completed store for the end-of-run [`ServiceReport`], so
+    /// service retains the canonical result in the job's slot of its
+    /// seq-indexed job table for the end-of-run [`ServiceReport`], so
     /// claiming mid-stream never changes the drained report — the
     /// claim flag, not eviction, is what spends the ticket
     /// (bit-for-bit pinned by the campaign proptests). Claiming is
@@ -219,11 +210,7 @@ impl Service {
     /// [`Service::tick`]. A ticket whose id is not its job's claims
     /// nothing and spends nothing.
     pub fn take_result(&mut self, ticket: &JobTicket) -> Option<JobResult> {
-        self.result(*ticket)?;
-        if std::mem::replace(&mut self.claimed[ticket.seq], true) {
-            return None;
-        }
-        self.results[ticket.seq].clone()
+        self.jobs.claim(ticket.seq, ticket.id)
     }
 
     /// Admits a job into the pending queue.
@@ -257,8 +244,7 @@ impl Service {
         if let Some(value) = request.strategy.as_ref().and_then(non_finite_factor) {
             return Err(RuntimeError::InvalidStrategy { value });
         }
-        let seq = self.next_seq;
-        self.next_seq += 1;
+        let seq = self.jobs.next_seq();
         let id = request.id.unwrap_or(seq as u64);
         self.log.push(Event::JobSubmitted {
             job_id: id,
@@ -269,9 +255,8 @@ impl Service {
         });
         // Ties on arrival keep submission order: every existing job
         // with the same arrival has a smaller seq and stays in front
-        // (the store's insert rule). Admission reads the circuit as
+        // (the table's insert rule). Admission reads the circuit as
         // submitted...
-        let width = request.circuit.width();
         let depth = request.circuit.depth();
         // ...and everything after it the circuit the batch runs: folded
         // once, here, so no probe or plan-memo miss folds it again.
@@ -283,13 +268,10 @@ impl Service {
         // part of; interning once at submit (O(gates), like the depth
         // above) makes each of those lookups a handle comparison.
         let shape = self.shapes.intern(&circuit);
-        let strategy_key = self.pending.strategy_key(request.strategy);
-        self.pending.insert(Pending {
-            seq,
+        let strategy_key = self.jobs.strategy_key(request.strategy);
+        let job = Pending {
             id,
             circuit,
-            width,
-            depth,
             shape,
             shots,
             arrival: request.arrival,
@@ -298,10 +280,8 @@ impl Service {
             shot_parallelism: request.shot_parallelism,
             trajectory_kernel: request.trajectory_kernel,
             routing: request.routing,
-            skips: 0,
-        });
-        self.results.push(None);
-        self.claimed.push(false);
+        };
+        self.jobs.insert(job, depth);
         Ok(JobTicket { seq, id })
     }
 
@@ -387,7 +367,7 @@ impl Service {
     pub fn run_until_drained(&mut self) -> Result<ServiceReport, RuntimeError> {
         self.dispatch_until(f64::INFINITY)?;
         self.unreported.clear();
-        Ok(self.drained_report())
+        self.drained_report()
     }
 
     /// Cumulative wall-clock nanoseconds this service spent *executing*

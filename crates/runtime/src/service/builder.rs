@@ -9,9 +9,9 @@ use super::route_cache::RouteCache;
 use super::{DeviceState, EfsGate, Service};
 use crate::error::RuntimeError;
 use crate::event::EventLog;
-use crate::pending::PendingStore;
+use crate::pending::JobTable;
 use crate::policy::AdmissionPolicy;
-use crate::registry::{ClockIndex, DeviceRegistry, RoutingChoice};
+use crate::registry::{DeviceRegistry, RoutingChoice};
 use crate::shape::ShapeTable;
 
 /// Builds a [`Service`]; validation happens in [`ServiceBuilder::build`].
@@ -212,7 +212,6 @@ impl ServiceBuilder {
         }
         let states = vec![DeviceState::default(); self.registry.len()];
         let drift_steps = vec![0u64; self.registry.len()];
-        let clock_index = ClockIndex::new(self.registry.len());
         Ok(Service {
             policy: self.policy,
             routing: self.routing,
@@ -224,14 +223,10 @@ impl ServiceBuilder {
             default_shots: self.default_shots,
             registry: self.registry,
             states,
-            pending: PendingStore::new(self.strategy),
+            jobs: JobTable::new(self.strategy),
             shapes: ShapeTable::default(),
-            next_seq: 0,
             batches: Vec::new(),
-            results: Vec::new(),
-            claimed: Vec::new(),
             unreported: Vec::new(),
-            clock_index,
             route_cache: RouteCache::default(),
             scratch: DispatchScratch::default(),
             log: EventLog::with_capacity_limit(self.event_capacity),

@@ -4,20 +4,21 @@
 //!
 //! ## Who owns a member, when
 //!
-//! Until its batch commits a job is one `Pending` record in the store,
-//! and staging reads it there: the head's numbers are copied into a
-//! [`HeadContext`] (no circuit, the strategy by reference count),
-//! ranking, packing and the gate's memo lookups fill the buffers of one
-//! [`DispatchScratch`] the service keeps, and a plan-memo hit shares
-//! the cached plan and its prepared-state slots behind their `Arc`s.
-//! [`Service::commit`] then takes
-//! the members out of the store **by value** and turns each into one
+//! Until its batch commits a job is one `Pending` record in its slot of
+//! the job table, and staging reads it there: the head's numbers are
+//! copied into a [`HeadContext`] (no circuit, the strategy by reference
+//! count), ranking, packing and the gate's memo lookups fill the
+//! buffers of one [`DispatchScratch`] the service keeps, and a plan-memo
+//! hit shares the cached plan and its prepared-state slots behind their
+//! `Arc`s. [`Service::commit`] then takes the members out of the table
+//! **by value**, leaving their slots running, and turns each into one
 //! [`Member`] of the [`StagedBatch`] — the circuit's name moved, the
 //! circuit dropped — which execution reads by reference and
 //! [`Service::finish_batch`] consumes: the name moves once more, into
-//! the job's result. What a steady-state batch still asks the heap for
-//! is what it keeps: its members, its events and their strings, its
-//! results. The admission policy packs into the scratch too.
+//! the job's result, which goes back into the job's slot. What a
+//! steady-state batch still asks the heap for is what it keeps: its
+//! members, its events and their strings, its results. The admission
+//! policy packs into the scratch too.
 
 use std::sync::{Arc, OnceLock};
 
@@ -32,7 +33,6 @@ use super::{BatchReport, EfsGate, JobTicket, Service};
 use crate::error::RuntimeError;
 use crate::event::Event;
 use crate::job::JobResult;
-use crate::pending::Pending;
 use crate::policy::BatchBudget;
 use crate::registry::{RouteQuery, RoutingChoice};
 use crate::shape::Shape;
@@ -42,8 +42,8 @@ impl Service {
     /// at a time: a **staging** pass ([`Service::stage_one`] — every
     /// scheduling decision and queue/clock mutation, batch events
     /// buffered), execution, and a **finishing** pass
-    /// ([`Service::finish_batch`] — results folded into the result
-    /// store, statistics and the event log). No staging decision reads
+    /// ([`Service::finish_batch`] — results folded into the job table,
+    /// statistics and the event log). No staging decision reads
     /// an execution result (completion times are plan-derived).
     pub(super) fn dispatch_until(&mut self, limit: f64) -> Result<(), RuntimeError> {
         while let Some(staged) = self.stage_one(limit)? {
@@ -55,16 +55,6 @@ impl Service {
             self.finish_batch(staged, results?);
         }
         Ok(())
-    }
-
-    /// The stored pending job with submission index `seq`; a job that
-    /// vanished from the store is an internal invariant violation
-    /// surfaced as a typed [`RuntimeError::QueueCorrupted`] instead of
-    /// a panic.
-    pub(super) fn pending_by_seq(&self, seq: usize) -> Result<&Pending, RuntimeError> {
-        self.pending
-            .get(seq)
-            .ok_or(RuntimeError::QueueCorrupted { seq })
     }
 
     /// Stages the next batch if one can start at or before `limit`:
@@ -88,7 +78,7 @@ impl Service {
         scratch: &mut DispatchScratch,
         limit: f64,
     ) -> Result<Option<StagedBatch>, RuntimeError> {
-        let Some(t_min) = self.pending.first_arrival() else {
+        let Some(t_min) = self.jobs.first_arrival() else {
             return Ok(None);
         };
 
@@ -96,18 +86,20 @@ impl Service {
         // the admission horizon at which the head is selected. Head
         // choice is the *admission* policy's business and always
         // happens at this horizon; the *routing* policy only ranks the
-        // admitting candidates afterwards. The clock index answers in
-        // O(log D): total_cmp order, lowest registration index among
-        // ties.
-        let d0 = self.clock_index.min_device();
-        let now0 = self.states[d0].clock.max(t_min);
-        self.pending.prepare(now0, None);
+        // admitting candidates afterwards. An O(D) scan, as the ranking
+        // below is.
+        let clocks = self.states.iter().map(|s| s.clock);
+        let free_at = clocks
+            .min_by(f64::total_cmp)
+            .ok_or(RuntimeError::NoDevices)?;
+        let now0 = free_at.max(t_min);
+        self.jobs.prepare(now0, None);
         let (head_seq, head_arrival) = {
-            let arrived0 = self.pending.arrived(now0);
+            let arrived0 = self.jobs.arrived(now0);
             let head_pos0 = self.policy.choose_head(arrived0);
             (arrived0[head_pos0].seq, arrived0[head_pos0].arrival)
         };
-        let p = self.pending_by_seq(head_seq)?;
+        let p = self.jobs.get(head_seq)?;
 
         // The width-bucketed index hands back only the admitting
         // devices — in (width, registration) order, which is fine: the
@@ -116,7 +108,7 @@ impl Service {
         scratch.admitting.clear();
         scratch.admitting.extend(
             self.registry
-                .admitting_bucket(p.width)
+                .admitting_bucket(p.circuit.width())
                 .iter()
                 .map(|&(_, d)| d),
         );
@@ -125,7 +117,7 @@ impl Service {
             id: p.id,
             arrival: head_arrival,
             routing: p.routing.unwrap_or(self.routing),
-            strategy: Arc::clone(self.pending.strategy(p.strategy_key)),
+            strategy: Arc::clone(self.jobs.strategy(p.strategy_key)),
             strategy_key: p.strategy_key,
             threshold: p.fidelity_threshold.or(self.fidelity_threshold),
             shape: p.shape.clone(),
@@ -228,7 +220,7 @@ impl Service {
     }
 
     /// Commits the batch planned on candidate `rank`: takes its members
-    /// (`scratch.member_seqs`) out of the pending store, buffers the
+    /// (`scratch.member_seqs`) out of the job table's queue, buffers the
     /// batch's event block and applies every mutation the *next*
     /// staging decision reads — the device clock, the queue, the
     /// overtake counters. Statistics and the event fold wait for the
@@ -248,20 +240,22 @@ impl Service {
         let makespan = plan.context.makespan;
         let completion = start + makespan;
 
-        // The one fallible step, first: the store hands each member
+        // The one fallible step, first: the table hands each member
         // over and the batch keeps what execution and the report read.
         let members =
-            self.pending
-                .take_members(&scratch.member_seqs, &mut scratch.positions, |p| Member {
-                    seq: p.seq,
-                    id: p.id,
-                    width: p.width,
-                    shots: p.shots,
-                    parallelism: p.shot_parallelism.unwrap_or_default(),
-                    kernel: p.trajectory_kernel.unwrap_or_default(),
-                    wait: start - p.arrival,
-                    turnaround: completion - p.arrival,
-                    name: p.circuit.into_name(),
+            self.jobs
+                .take_members(&scratch.member_seqs, &mut scratch.positions, |seq, p| {
+                    Member {
+                        seq,
+                        id: p.id,
+                        width: p.circuit.width(),
+                        shots: p.shots,
+                        parallelism: p.shot_parallelism.unwrap_or_default(),
+                        kernel: p.trajectory_kernel.unwrap_or_default(),
+                        wait: start - p.arrival,
+                        turnaround: completion - p.arrival,
+                        name: p.circuit.into_name(),
+                    }
                 })?;
 
         // The device the batch was planned on, held by the batch: an
@@ -308,10 +302,7 @@ impl Service {
             ));
         }
 
-        let state = &mut self.states[d];
-        let old_clock = state.clock;
-        state.clock = completion;
-        self.clock_index.update(d, old_clock, completion);
+        self.states[d].clock = completion;
 
         // Starvation accounting: every arrived candidate that an
         // admitted later candidate jumped over was overtaken once.
@@ -333,7 +324,7 @@ impl Service {
         let qubits = device.num_qubits();
         for &(seq, width) in scratch.pool.iter().take(last_admitted_pos) {
             if width <= qubits && !admitted.contains(&seq) {
-                self.pending.bump_skip(seq);
+                self.jobs.bump_skip(seq);
             }
         }
         Ok(StagedBatch {
@@ -353,7 +344,8 @@ impl Service {
 
     /// The finish half of one batch dispatch: emits the batch's
     /// buffered event block, folds the execution results into the
-    /// per-job result store and per-device statistics, and records the
+    /// members' slots of the job table and per-device statistics, and
+    /// records the
     /// [`BatchReport`]. Called in batch order, so the event log and
     /// every floating-point accumulation sequence are deterministic.
     fn finish_batch(&mut self, staged: StagedBatch, results: Vec<ProgramResult>) {
@@ -372,15 +364,18 @@ impl Service {
             state.total_turnaround += member.turnaround;
             state.busy_qubit_time +=
                 member.width as f64 * staged.plan.context.program_makespans[pos];
-            self.results[member.seq] = Some(JobResult {
-                job_id: member.id,
-                batch_index: staged.batch_index,
-                start: staged.start,
-                completion: staged.completion,
-                waiting: member.wait,
-                turnaround: member.turnaround,
-                result,
-            });
+            self.jobs.finish(
+                member.seq,
+                JobResult {
+                    job_id: member.id,
+                    batch_index: staged.batch_index,
+                    start: staged.start,
+                    completion: staged.completion,
+                    waiting: member.wait,
+                    turnaround: member.turnaround,
+                    result,
+                },
+            );
             job_ids.push(member.id);
         }
         state.busy_time += staged.makespan;
@@ -445,7 +440,7 @@ impl Service {
     /// at this candidate's start horizon, run the policy's pack into
     /// `scratch.picks`, and copy into the scratch what the commit path
     /// needs of the window (bound to this candidate's horizon only until
-    /// the next [`PendingStore::prepare`](crate::pending::PendingStore::prepare)):
+    /// the next [`JobTable::prepare`](crate::pending::JobTable::prepare)):
     /// the picks' submission indices (`picks_seqs`) and `(seq, width)`
     /// of the window up to the last pick — the overtake-accounting
     /// `pool`.
@@ -458,10 +453,10 @@ impl Service {
     ) -> Result<CandidatePack, RuntimeError> {
         let qubits = self.registry.device_at(d).num_qubits();
         let start = self.states[d].clock.max(head.arrival);
-        self.pending.prepare(start, Some(head.strategy_key));
-        let arrived = self.pending.arrived(start);
+        self.jobs.prepare(start, Some(head.strategy_key));
+        let arrived = self.jobs.arrived(start);
         let head_pos = self
-            .pending
+            .jobs
             .position_of(head.arrival, head.seq)
             .ok_or(RuntimeError::QueueCorrupted { seq: head.seq })?;
         let budget = BatchBudget {
@@ -513,7 +508,7 @@ pub(super) struct DispatchScratch {
     gate: GateBuffers,
     /// The picks that survived planning: the batch's members.
     member_seqs: Vec<usize>,
-    /// The members' slots in the pending store's mirror.
+    /// The members' slots in the job table's queue mirror.
     positions: Vec<usize>,
 }
 
@@ -530,8 +525,8 @@ struct CandidatePack {
 /// What one dispatch step knows about the batch head, fixed before any
 /// candidate device is planned: everything
 /// [`Service::plan_candidate`] reads besides the candidate itself.
-/// The head's circuit stays in the pending store — the probes borrow
-/// it there, by `seq`.
+/// The head's circuit stays in the job table — the probes borrow it
+/// there, by `seq`.
 pub(super) struct HeadContext {
     pub(super) seq: usize,
     pub(super) id: u64,

@@ -7,7 +7,7 @@
 //! and each member's solo baseline, a one-member list — is a lookup in
 //! the plan memo ([`RouteCache::plans`]) under the list's [`PlanKey`],
 //! so only a list not yet seen on the device at its epoch reaches the
-//! allocator. Thresholds are read from the pending store on every pass
+//! allocator. Thresholds are read from the job table on every pass
 //! and are no key input: they choose which lists the loop visits, never
 //! what a list allocates. The surviving list's entry then holds its
 //! completed plan and prepared slots, so a survivor set is routed,
@@ -26,7 +26,7 @@ use super::route_cache::{PlanEntry, PlanKey, RouteCache, SharedPlan};
 use super::{EfsGate, Service};
 use crate::error::RuntimeError;
 use crate::event::{Event, ShrinkReason};
-use crate::pending::PendingStore;
+use crate::pending::JobTable;
 use crate::shape::Shape;
 
 /// The buffers of one gated pass, kept by the dispatch scratch and
@@ -52,11 +52,11 @@ pub(super) struct GateBuffers {
 }
 
 /// One candidate's planning pass: the memo it looks allocations up in,
-/// the store it reads the members in, the device, and the gate's
+/// the table it reads the members in, the device, and the gate's
 /// settings.
 pub(super) struct GatePass<'a> {
     cache: &'a mut RouteCache,
-    pending: &'a PendingStore,
+    jobs: &'a JobTable,
     device: &'a Device,
     buffers: &'a mut GateBuffers,
     gate: EfsGate,
@@ -77,7 +77,7 @@ impl Service {
         buffers.thresholds.clear();
         if self.efs_gate.reads_member_thresholds() {
             for &s in members {
-                let p = self.pending_by_seq(s)?;
+                let p = self.jobs.get(s)?;
                 let threshold = p.fidelity_threshold.or(self.fidelity_threshold);
                 buffers.thresholds.push(threshold);
             }
@@ -87,7 +87,7 @@ impl Service {
         buffers.key = self.plan_key(d, strategy, members, shapes)?;
         Ok(GatePass {
             cache: &mut self.route_cache,
-            pending: &self.pending,
+            jobs: &self.jobs,
             device: self.registry.device_at(d),
             buffers,
             gate: self.efs_gate,
@@ -150,7 +150,7 @@ impl GatePass<'_> {
                     // A placement failure evicts the tail while there is
                     // one to evict; with the head alone it is the head's,
                     // and any other planning error ends the pass.
-                    let head = self.pending_id(members[0])?;
+                    let head = self.jobs.get(members[0])?.id;
                     match RuntimeError::from_planning(head, e) {
                         RuntimeError::JobUnplaceable { .. } if members.len() > 1 => {}
                         e => {
@@ -185,7 +185,7 @@ impl GatePass<'_> {
             if let Some(circuits) = circuits.as_mut() {
                 circuits.remove(evict);
             }
-            let dropped_job_id = self.pending_id(seq)?;
+            let dropped_job_id = self.jobs.get(seq)?.id;
             self.buffers.shrinks.push(Event::BatchShrunk {
                 batch_index: self.batch_index,
                 device: self.device.name().to_string(),
@@ -258,10 +258,10 @@ impl GatePass<'_> {
         allocate: &mut impl FnMut(&[Circuit]) -> Result<Vec<Allocation>, CoreError>,
         read: impl FnOnce(&PlanEntry) -> T,
     ) -> Result<(bool, T), RuntimeError> {
-        let pending = self.pending;
+        let jobs = self.jobs;
         let allocate_list = || {
             if circuits.is_none() {
-                *circuits = Some(member_circuits(pending, members)?);
+                *circuits = Some(member_circuits(jobs, members)?);
             }
             let list = circuits.as_deref().map_or(&[][..], |c| &c[span]);
             Ok(allocate(list))
@@ -299,7 +299,7 @@ impl GatePass<'_> {
         self.cache.plan_misses += 1;
         let circuits = match circuits {
             Some(circuits) => circuits,
-            None => member_circuits(self.pending, members)?,
+            None => member_circuits(self.jobs, members)?,
         };
         let plan = Arc::new(pipeline.complete(self.device, circuits, allocations));
         *entry = PlanEntry::Planned {
@@ -307,12 +307,6 @@ impl GatePass<'_> {
             slots: None,
         };
         Ok(SharedPlan { plan, slots: None })
-    }
-
-    /// The job id of pending member `seq`.
-    fn pending_id(&self, seq: usize) -> Result<u64, RuntimeError> {
-        let p = self.pending.get(seq);
-        Ok(p.ok_or(RuntimeError::QueueCorrupted { seq })?.id)
     }
 }
 
@@ -326,19 +320,13 @@ impl GateBuffers {
     }
 }
 
-/// The circuits of `members` out of the store, as their batch runs
+/// The circuits of `members` out of the table, as their batch runs
 /// them (folded at submit): what a memo miss allocates and a completion
 /// routes.
-fn member_circuits(
-    pending: &PendingStore,
-    members: &[usize],
-) -> Result<Vec<Circuit>, RuntimeError> {
+fn member_circuits(jobs: &JobTable, members: &[usize]) -> Result<Vec<Circuit>, RuntimeError> {
     members
         .iter()
-        .map(|&seq| match pending.get(seq) {
-            Some(p) => Ok(p.circuit.clone()),
-            None => Err(RuntimeError::QueueCorrupted { seq }),
-        })
+        .map(|&seq| Ok(jobs.get(seq)?.circuit.clone()))
         .collect()
 }
 

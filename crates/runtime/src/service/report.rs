@@ -4,6 +4,7 @@
 use qucp_core::queue::QueueStats;
 
 use super::Service;
+use crate::error::RuntimeError;
 use crate::event::Event;
 use crate::job::JobResult;
 
@@ -62,10 +63,15 @@ pub struct ServiceReport {
 }
 
 impl Service {
-    /// The report of a drained service (all results present).
-    pub(super) fn drained_report(&self) -> ServiceReport {
-        debug_assert!(self.pending.is_empty());
-        let n = self.next_seq.max(1) as f64;
+    /// The report of a drained service (every job's slot done).
+    ///
+    /// # Errors
+    ///
+    /// [`RuntimeError::QueueCorrupted`] naming the first job whose
+    /// result is missing.
+    pub(super) fn drained_report(&self) -> Result<ServiceReport, RuntimeError> {
+        let job_results = self.jobs.results()?;
+        let n = job_results.len().max(1) as f64;
         let total_wait: f64 = self.states.iter().map(|s| s.total_wait).sum();
         let total_turnaround: f64 = self.states.iter().map(|s| s.total_turnaround).sum();
         let busy_qubit_time: f64 = self.states.iter().map(|s| s.busy_qubit_time).sum();
@@ -114,17 +120,13 @@ impl Service {
                 }
             })
             .collect();
-        ServiceReport {
+        Ok(ServiceReport {
             stats,
             per_device,
             batches: self.batches.clone(),
-            job_results: self
-                .results
-                .iter()
-                .map(|r| r.clone().expect("drained service has every result"))
-                .collect(),
+            job_results,
             events: self.log.events().to_vec(),
             dropped_events: self.log.dropped(),
-        }
+        })
     }
 }

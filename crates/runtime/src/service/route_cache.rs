@@ -232,7 +232,7 @@ impl Service {
     ) -> Result<PlanKey, RuntimeError> {
         debug_assert!(shapes.is_empty());
         for &s in seqs {
-            shapes.push(self.pending_by_seq(s)?.shape.clone());
+            shapes.push(self.jobs.get(s)?.shape.clone());
         }
         Ok(PlanKey {
             device: d,
@@ -248,7 +248,7 @@ impl Service {
     ///
     /// # Errors
     ///
-    /// [`RuntimeError::QueueCorrupted`] if the head is not in the store.
+    /// [`RuntimeError::QueueCorrupted`] if the head is not queued.
     pub(super) fn cached_solo_score(
         &mut self,
         head: &HeadContext,
@@ -263,7 +263,7 @@ impl Service {
     ///
     /// # Errors
     ///
-    /// [`RuntimeError::QueueCorrupted`] if the head is not in the store.
+    /// [`RuntimeError::QueueCorrupted`] if the head is not queued.
     pub(super) fn cached_head_cap(
         &mut self,
         head: &HeadContext,
@@ -288,8 +288,7 @@ impl Service {
     ) -> Result<T, RuntimeError> {
         let shapes = std::mem::take(&mut self.route_cache.probe);
         let mut key = self.plan_key(d, head.strategy_key, &[], shapes)?;
-        let (seq, pending) = (head.seq, self.pending.get(head.seq));
-        let circuit = &pending.ok_or(RuntimeError::QueueCorrupted { seq })?.circuit;
+        let circuit = &self.jobs.get(head.seq)?.circuit;
         let (device, partition) = (self.registry.device_at(d), &head.strategy.partition);
         let cache = &mut self.route_cache;
         let mut allocated = false;

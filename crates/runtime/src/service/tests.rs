@@ -164,9 +164,17 @@ fn submit_validation_rejects_bad_requests() {
             .unwrap_err(),
         RuntimeError::EmptyCircuit
     ));
-    // A rejected submission leaves no trace.
+    // A rejected submission leaves no trace, and takes no seq.
     assert_eq!(service.pending_len(), 0);
     assert!(service.event_log().is_empty());
+    let ticket = service.submit(JobRequest::new(bell, 0.0)).unwrap();
+    assert_eq!(ticket.seq, 0);
+    // Queued: nothing to peek at or claim, and the claim spends nothing.
+    assert!(service.result(ticket).is_none());
+    assert!(service.take_result(&ticket).is_none());
+    assert_eq!(service.tick(f64::INFINITY).unwrap(), vec![ticket]);
+    assert!(service.take_result(&ticket).is_some());
+    assert!(service.take_result(&ticket).is_none());
 }
 
 #[test]
@@ -190,7 +198,7 @@ fn a_non_finite_crosstalk_factor_is_refused_at_submit() {
     }
     // Nothing was interned: a NaN σ is unequal to itself, so each one
     // used to append a strategy-table entry every later submit scans.
-    assert_eq!(service.pending.strategy_key(Some(measured(3.0))), 1);
+    assert_eq!(service.jobs.strategy_key(Some(measured(3.0))), 1);
     assert_eq!(service.pending_len(), 0);
     assert!(service.event_log().is_empty());
     // Finite factors, σ = 0 included, are accepted.
@@ -424,7 +432,7 @@ fn a_circuit_and_its_fold_schedule_alike_under_the_head_only_gate() {
             .submit(JobRequest::new(circuit.clone(), 0.0))
             .unwrap();
     }
-    let shape = |seq| service.pending.get(seq).unwrap().shape.clone();
+    let shape = |seq| service.jobs.get(seq).unwrap().shape.clone();
     assert_eq!(shape(0), shape(1));
 }
 
@@ -509,8 +517,7 @@ fn the_plan_key_tells_apart_everything_planning_reads() {
     let qumc = submit(&bell, None, Some(measured(3.0)));
     let qumc_again = submit(&bell, None, Some(measured(3.0)));
     let qumc_off_by_one = submit(&bell, None, Some(measured(3.5)));
-    let strategy_key =
-        |service: &Service, seq: usize| service.pending.get(seq).unwrap().strategy_key;
+    let strategy_key = |service: &Service, seq: usize| service.jobs.get(seq).unwrap().strategy_key;
     let key = |service: &Service, strategy: u32, seqs: &[usize]| {
         service.plan_key(0, strategy, seqs, Vec::new()).unwrap()
     };
@@ -541,7 +548,7 @@ fn the_plan_key_tells_apart_everything_planning_reads() {
         key(&service, keys[2], &[a, b])
     );
     assert!(matches!(
-        &service.pending.strategy(keys[2]).partition,
+        &service.jobs.strategy(keys[2]).partition,
         PartitionPolicy::NoiseAware(CrosstalkTreatment::Measured(map)) if map.len() == 2
     ));
     // Not the gate mode either (it decides which lists the gate visits,
