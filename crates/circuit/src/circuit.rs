@@ -98,6 +98,13 @@ impl Circuit {
         self.gates.is_empty()
     }
 
+    /// Makes room for exactly `additional` more gates, in one heap
+    /// request: a builder that knows how many gates it will push sizes
+    /// the circuit once instead of growing it push by push.
+    pub fn reserve(&mut self, additional: usize) {
+        self.gates.reserve_exact(additional);
+    }
+
     /// Appends a gate, validating its operands.
     ///
     /// # Errors

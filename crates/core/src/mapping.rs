@@ -224,6 +224,8 @@ pub(crate) fn route_on(
     let cal = device.calibration();
     let mut pi: Vec<usize> = initial.to_vec(); // logical -> wire
     let mut routed = Circuit::with_name(k, circuit.name());
+    // Every gate of the source, routed; only inserted SWAPs grow it.
+    routed.reserve(circuit.gate_count());
     let mut swap_count = 0usize;
 
     let swap_cost = |a: usize, b: usize| -> f64 {

@@ -355,8 +355,12 @@ impl Wire for Circuit {
     fn get(d: &mut Decoder<'_>) -> Result<Self, WireError> {
         let width = d.usize()?;
         let name = d.str()?;
+        // `seq_len` has bounded the count by the bytes left, so the
+        // circuit is sized once for it.
+        let gates = d.seq_len::<Gate>()?;
         let mut circuit = Circuit::with_name(width, name);
-        for _ in 0..d.seq_len::<Gate>()? {
+        circuit.reserve(gates);
+        for _ in 0..gates {
             // `try_push` re-validates operands against the register, so
             // a forged frame cannot smuggle an out-of-range or
             // self-looped gate past the library invariants.

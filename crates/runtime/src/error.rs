@@ -121,7 +121,8 @@ pub enum RuntimeError<S = CoreError> {
     /// instead of panicking keeps a corrupted queue diagnosable from a
     /// daemon client; it indicates a runtime bug, never caller misuse.
     QueueCorrupted {
-        /// Submission index of the job that vanished from the table.
+        /// Submission index of the job whose slot is not in the state
+        /// the table expects.
         seq: usize,
     },
     /// A job's strategy override carried a NaN or infinite crosstalk
@@ -210,7 +211,7 @@ impl<S: fmt::Display> fmt::Display for RuntimeError<S> {
             RuntimeError::QueueCorrupted { seq } => {
                 write!(
                     f,
-                    "pending queue corrupted: job seq {seq} vanished from the store"
+                    "job table corrupted: the slot of job seq {seq} is not in the state the table expects"
                 )
             }
             RuntimeError::InvalidStrategy { value } => {

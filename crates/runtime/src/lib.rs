@@ -190,24 +190,27 @@
 //! `sched_flood` workload (8 000 one-shot jobs, 2.6 to a batch, 96 % of
 //! batches cached; seed 1, counted on a scratch copy with a counter
 //! around each phase), before staging stopped copying and after it
-//! (the *after* column as of the flat, in-place counts):
+//! (the *after* column as of the flat, in-place counts and the run
+//! buffers each thread keeps, whose execution and planning deltas were
+//! counted around `PreparedJob::run` and the router on copies of both
+//! trees):
 //!
 //! | phase | before | after | what is left |
 //! |---|---|---|---|
 //! | head and ranking | 4.22 | 0.00 | — (the head's circuit, strategy and four pipeline stages were cloned per dispatch; five vectors per ranking) |
 //! | pack, plan key, replay | 2.34 | 0.82 | a shrink-event vector when the cached plan evicts (the admission policy's pack, counted here, has since moved into a buffer the service keeps, and so have the gate's keys, scores and shrink events) |
-//! | planning (the 4 % that miss) | 2.57 | 2.58 | the plan itself, its members' circuits, the key cloned into the memo (since the memo, no separate copy of the members' indices and ids) |
+//! | planning (the 4 % that miss) | 2.57 | 2.48 | the plan itself, its members' circuits, the key cloned into the memo (since the memo, no separate copy of the members' indices and ids); a routed circuit is sized once for its source's gates (2.58 while it grew gate by gate) |
 //! | commit | 6.75 | 2.30 | one member vector, the event block, the device and policy names inside its events (public `String`s) |
-//! | execution | 10.77 | 6.77 | the run's counts — one vector, tallied in place and relabelled to logical order in place — and the result's partition; the result's name is left empty for the finish pass to move in, and scoring streams over the sparse counts (8.77 while the counts were a tree copied into a second one in logical order and execution named each result; 5.00 → 3.00 of the above when scoring stopped densifying them) |
+//! | execution | 10.77 | 4.99 | the run's counts — one vector, tallied in place and relabelled to logical order in place, the run's one request (2.78 while a run allocated its own error shots, arena, level pool and tables instead of taking them from the thread's scratch: 6.77 in all) — and the result's partition; the result's name is left empty for the finish pass to move in, and scoring streams over the sparse counts (8.77 while the counts were a tree copied into a second one in logical order and execution named each result; 5.00 → 3.00 of the above when scoring stopped densifying them) |
 //! | finish | 1.28 | 0.77 | the batch report's job ids and device name; each result's name is moved in, not copied |
 //! | drained report | 5.34 | 5.35 | `run_until_drained` clones every result (three requests: name, partition, counts), batch report and event into the report it returns |
-//! | **drain, total** | **33.27** | **18.59** | |
+//! | **drain, total** | **33.27** | **16.71** | |
 //!
 //! `tests/integration_alloc_budget.rs` holds a warm two-chip service to
 //! the *after* column as a per-job budget. Under the batch EFS gate a
 //! batch is a hit by its survivor set, not by its members' threshold
 //! bits: the same file pins a tick of 48 thresholded jobs whose
-//! survivor sets repeat, every batch shrinking, at 433 requests (9.0
+//! survivor sets repeat, every batch shrinking, at 403 requests (8.4
 //! per job); while thresholds were part of the plan key, 8 of its 25
 //! batches missed and it counted 2 848.
 //!

@@ -21,6 +21,8 @@
 //! [`SurvivalSkip`]: crate::TrajectoryKernel::SurvivalSkip
 //! [`run_ideal`]: crate::run_ideal
 
+use std::mem::size_of;
+
 use rand::Rng;
 
 use crate::state::Statevector;
@@ -31,7 +33,10 @@ use crate::state::Statevector;
 /// RNG, no float comparators beyond the `< 1.0` bucket classification),
 /// sampling is O(1). Outcomes with exactly zero probability are never
 /// returned.
-#[derive(Debug, Clone, PartialEq)]
+///
+/// The default table is over no outcome yet: [`AliasTable::rebuild`] it
+/// before the first sample.
+#[derive(Debug, Clone, PartialEq, Default)]
 pub(crate) struct AliasTable {
     /// Per-bucket acceptance threshold for the intra-bucket coin.
     prob: Vec<f64>,
@@ -60,18 +65,9 @@ impl AliasTable {
     ///
     /// Panics if `weights` is empty (there is no outcome to sample).
     pub fn from_probabilities(weights: &[f64]) -> Self {
-        let mut table = AliasTable::unbuilt();
+        let mut table = AliasTable::default();
         table.rebuild(weights, &mut AliasScratch::default());
         table
-    }
-
-    /// A table over no outcome yet: [`AliasTable::rebuild`] it before
-    /// the first sample.
-    pub(crate) fn unbuilt() -> Self {
-        AliasTable {
-            prob: Vec::new(),
-            alias: Vec::new(),
-        }
     }
 
     /// Makes this the table [`AliasTable::from_probabilities`] builds
@@ -147,6 +143,19 @@ impl AliasTable {
     /// Samples one outcome, advancing `rng` by exactly one `f64` draw.
     pub fn sample_with(&self, rng: &mut impl Rng) -> usize {
         self.sample(rng.gen())
+    }
+
+    /// Heap bytes the table holds.
+    pub(crate) fn heap_bytes(&self) -> usize {
+        self.prob.capacity() * size_of::<f64>() + self.alias.capacity() * size_of::<u32>()
+    }
+}
+
+impl AliasScratch {
+    /// Heap bytes the worklists hold.
+    pub(crate) fn heap_bytes(&self) -> usize {
+        self.scaled.capacity() * size_of::<f64>()
+            + (self.small.capacity() + self.large.capacity()) * size_of::<u32>()
     }
 }
 
@@ -244,7 +253,7 @@ mod tests {
     #[test]
     fn rebuild_equals_a_fresh_build() {
         let mut rng = StdRng::seed_from_u64(11);
-        let mut table = AliasTable::unbuilt();
+        let mut table = AliasTable::default();
         let mut scratch = AliasScratch::default();
         for round in 0..200 {
             let n = 1usize << rng.gen_range(0..6u32);

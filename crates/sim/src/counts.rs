@@ -341,13 +341,6 @@ impl Tally {
         self.shots += n;
     }
 
-    /// Makes room, in one request, for `shots` more sparse entries.
-    pub(crate) fn reserve(&mut self, shots: usize) {
-        if !self.dense {
-            self.entries.reserve_exact(shots);
-        }
-    }
-
     /// Adds the shots of `other`, a tally of the same register.
     pub(crate) fn absorb(&mut self, other: &Tally) {
         debug_assert_eq!(self.width, other.width);
@@ -764,8 +757,9 @@ mod tests {
                 parts.push(part);
                 from = to;
             }
-            let mut joined = parts.remove(0);
-            joined.reserve(parts.iter().map(|p| p.shots).sum());
+            // The join target has room for every shot, as a sharded
+            // run's first stream has.
+            let mut joined = Tally::new(width, outcomes.len());
             parts.iter().for_each(|part| joined.absorb(part));
             assert_matches(&joined.into_counts(), &oracle)?;
         }

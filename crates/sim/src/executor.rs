@@ -24,6 +24,28 @@
 //! and single-error shots from [`AliasTable`]s. Same distribution,
 //! different RNG stream; evaluation is shared.
 //!
+//! ## Where a run's memory lives
+//!
+//! A run on one worker asks the heap for the histogram it returns —
+//! its block, and the shrink of a tally that keeps less than half of
+//! it — and, on a thread that has not run this job before, for room in
+//! its working buffers. Those buffers — the error shots and their
+//! pattern arena of the stream every shard joins, and a walking
+//! worker's level pool, CDF and alias table — are taken from the
+//! running thread's scratch and given back to it
+//! (`executor/scratch.rs`), each in one short borrow, so they outlive
+//! the run on that thread; nothing is borrowed across a draw or a walk,
+//! and a taken buffer is emptied first. On one worker a sharded run
+//! draws every shard on behind the one before it, into the join stream
+//! itself. A run that fans out to helpers gives the shards after the
+//! first, and the evaluation's partial tallies, fresh buffers; helpers
+//! start with an empty scratch and drop theirs when they end. When a
+//! run ends, its thread keeps at most
+//! `SCRATCH_RETAIN_BYTES` (1 MiB) and frees the rest, so a long-lived
+//! thread — a daemon connection's — holds no more than that for as long
+//! as it lives. Only capacity moves: every random word, float, outcome
+//! and count is the one a run into fresh buffers gives.
+//!
 //! Crosstalk enters through a per-gate [`NoiseScaling`]: the parallel
 //! executor in `qucp-core` inspects the *merged* schedule of all
 //! simultaneous programs and scales a CNOT's error probability by the
@@ -43,10 +65,11 @@ use rand::{Rng, SeedableRng};
 
 use crate::alias::AliasTable;
 use crate::counts::{Counts, Tally};
-use crate::fanout::{core_budget, run_indexed_within};
+use crate::fanout::{core_budget, run_indexed_within, workers_for};
 use crate::math::{Complex, Mat2};
 use crate::state::kernel::{self, narrow, Op};
 use crate::state::Statevector;
+use draw::{Drawn, Errors};
 
 #[cfg(test)]
 mod differential;
@@ -54,6 +77,7 @@ mod draw;
 mod evaluate;
 #[cfg(test)]
 mod oracle;
+mod scratch;
 
 /// How a job's shots are cut into RNG streams and spread over worker
 /// threads.
@@ -1053,9 +1077,11 @@ pub fn run_noisy_with_idle(
 /// scratch. The circuit itself is not copied: [`PreparedJob::run`]
 /// takes it again.
 ///
-/// No intermediate state is kept (a run's evaluator walks the event
-/// stream forward from `|0…0⟩` and drops its states with the run);
-/// [`PreparedJob::retained_bytes`] says what keeping the job costs.
+/// No intermediate state is kept with the job (a run's evaluator walks
+/// the event stream forward from `|0…0⟩`, in a level pool its thread
+/// keeps for the next run of any job; see the module docs, "Where a
+/// run's memory lives"); [`PreparedJob::retained_bytes`] says what
+/// keeping the job costs.
 ///
 /// ```
 /// use qucp_circuit::Circuit;
@@ -1251,7 +1277,9 @@ impl PreparedJob {
 
     /// Runs `cfg.shots` trajectories of `circuit` — the circuit the job
     /// was prepared from — from `cfg.seed` under `cfg.kernel` and
-    /// `cfg.parallelism`.
+    /// `cfg.parallelism`. Once this thread has run the job before, the
+    /// returned histogram is all a run on one worker asks the heap for
+    /// (see the module docs, "Where a run's memory lives").
     ///
     /// # Panics
     ///
@@ -1296,11 +1324,19 @@ impl PreparedJob {
             max_levels: (pool_amps >> self.width()).max(2),
             cfg,
         };
-        match cfg.parallelism.resolve(cfg.shots) {
-            ShotParallelism::Serial => job.evaluate(job.draw(cfg.shots, cfg.seed), 1),
+        let counts = match cfg.parallelism.resolve(cfg.shots) {
+            ShotParallelism::Serial => {
+                let into = Drawn {
+                    counts: Tally::new(job.width, cfg.shots),
+                    errors: scratch::take_join(),
+                };
+                job.evaluate(job.draw(cfg.shots, cfg.seed, into, cfg.shots), 1)
+            }
             ShotParallelism::Sharded { shards, threads } => job.run_sharded(shards, threads),
             ShotParallelism::Auto => unreachable!("Auto resolves to Sharded"),
-        }
+        };
+        scratch::trim();
+        counts
     }
 
     /// The SurvivalSkip tables, built on first use (deterministic, no
@@ -1344,12 +1380,14 @@ struct TrajectoryJob<'a> {
 impl TrajectoryJob<'_> {
     /// Sharded execution: the shot budget splits into `shards` streams
     /// (as even as possible, earlier shards take the remainder), shard
-    /// `s` draws from [`derive_shard_seed`]`(seed, s)`, the draws fan
-    /// out through [`run_indexed_within`], join **in shard order** and
-    /// are evaluated once, over all shards — a pure function of `(seed,
-    /// shards)`, independent of `threads` and of scheduling. Shards
-    /// past the shot count carry no shot and are skipped outright: an
-    /// empty shard draws nothing.
+    /// `s` draws from [`derive_shard_seed`]`(seed, s)`, the draws join
+    /// **in shard order** and are evaluated once, over all shards — a
+    /// pure function of `(seed, shards)`, independent of `threads` and
+    /// of scheduling. On one worker each shard draws straight on behind
+    /// the one before it, which is what the join gives; on more they
+    /// fan out through [`run_indexed_within`] and are appended to the
+    /// first. Shards past the shot count carry no shot and are skipped
+    /// outright: an empty shard draws nothing.
     fn run_sharded(&self, shards: usize, threads: usize) -> Counts {
         let shards = shards.max(1);
         let shots = self.cfg.shots;
@@ -1358,19 +1396,43 @@ impl TrajectoryJob<'_> {
         // first `rem` shards got the remainder shot).
         let active = if base == 0 { rem } else { shards };
         let budget = if threads == 0 { core_budget() } else { threads };
-        let streams = run_indexed_within(budget, active, run_work(shots, self.plan), |s| {
-            self.draw(
+        let work = run_work(shots, self.plan);
+        let shard = |s: usize| {
+            (
                 base + usize::from(s < rem),
                 derive_shard_seed(self.cfg.seed, s),
             )
+        };
+        // The stream the others join: the run's histogram and the join
+        // buffers, with room for every shot.
+        let join = || Drawn {
+            counts: Tally::new(self.width, shots),
+            errors: scratch::take_join(),
+        };
+        if workers_for(budget, active, work) == 1 {
+            let drawn = (0..active).fold(join(), |drawn, s| {
+                let (n, seed) = shard(s);
+                self.draw(n, seed, drawn, shots)
+            });
+            return self.evaluate(drawn, budget);
+        }
+        // From here on the fan-out has helpers (two workers or more, so
+        // two streams or more); the fold above is the only inline path.
+        // Shard 0 draws into the join stream, later shards into fresh
+        // buffers: a helper's scratch dies with it.
+        let streams = run_indexed_within(budget, active, work, |s| {
+            let (n, seed) = shard(s);
+            if s == 0 {
+                return self.draw(n, seed, join(), shots);
+            }
+            let fresh = Drawn {
+                counts: Tally::new(self.width, n),
+                errors: Errors::default(),
+            };
+            self.draw(n, seed, fresh, n)
         });
         let mut streams = streams.into_iter();
-        let Some(mut drawn) = streams.next() else {
-            return Counts::new(self.width);
-        };
-        // The later streams' tallies join the first in one merge, into
-        // room reserved once.
-        drawn.counts.reserve(shots - base - usize::from(rem > 0));
+        let mut drawn = streams.next().expect("a fan-out draws every shard");
         streams.for_each(|later| drawn.append(later));
         self.evaluate(drawn, budget)
     }

@@ -10,17 +10,19 @@ use proptest::prelude::*;
 use qucp_circuit::{Circuit, Gate};
 use qucp_device::{Calibration, CrosstalkModel, Device, NoiseProfile, Topology};
 
+use super::scratch::{self, SCRATCH_RETAIN_BYTES};
 use super::{
-    alap_timing, build_plan, oracle, plan_standalone, single_error_alias, trivial_layout, Event,
-    ExecutionConfig, NoiseScaling, PreparedJob, ShotParallelism, TrajectoryKernel, TrajectoryPlan,
+    alap_timing, build_plan, oracle, plan_standalone, single_error_alias, trivial_layout, Counts,
+    Event, ExecutionConfig, NoiseScaling, PreparedJob, ShotParallelism, TrajectoryKernel,
+    TrajectoryPlan,
 };
 
 thread_local! {
-    /// Gates applied and level pools allocated by this thread's
+    /// Gates applied and tree walks started by this thread's
     /// evaluators (bumped by `evaluate.rs` in test builds): work is
     /// counted with them, not with the wall clock.
     pub(super) static GATES_APPLIED: Cell<u64> = const { Cell::new(0) };
-    pub(super) static POOLS_ALLOCATED: Cell<u64> = const { Cell::new(0) };
+    pub(super) static WALKS_STARTED: Cell<u64> = const { Cell::new(0) };
 }
 
 const KERNELS: [TrajectoryKernel; 2] = [TrajectoryKernel::Replay, TrajectoryKernel::SurvivalSkip];
@@ -224,14 +226,14 @@ fn ladder(width: usize, gates: usize) -> Circuit {
 }
 
 /// What this thread's evaluators did while `run` ran: gates applied,
-/// level pools allocated.
+/// walks started.
 fn probe<T>(run: impl FnOnce() -> T) -> (T, u64, u64) {
-    let before = (GATES_APPLIED.get(), POOLS_ALLOCATED.get());
+    let before = (GATES_APPLIED.get(), WALKS_STARTED.get());
     let out = run();
     (
         out,
         GATES_APPLIED.get() - before.0,
-        POOLS_ALLOCATED.get() - before.1,
+        WALKS_STARTED.get() - before.1,
     )
 }
 
@@ -279,25 +281,159 @@ fn both_tally_regimes_give_the_oracle_counts_in_a_tight_vector() {
 }
 
 #[test]
-fn an_all_clean_stream_allocates_no_state() {
+fn an_all_clean_stream_starts_no_walk() {
     // Every noise channel off: no shot draws an error, under either
-    // kernel, so no evaluator is built. The same job with noise on
-    // builds exactly one (Serial runs on the calling thread).
+    // kernel, so no evaluator walks a tree (nor takes a level pool from
+    // the thread's scratch). The same job with noise on starts exactly
+    // one walk (Serial runs on the calling thread).
     let mut cfg = ExecutionConfig::default().with_shots(300).with_seed(9);
     let noisy = line_case(ladder(4, 12), 0.05, 0.02, cfg);
     (cfg.gate_noise, cfg.idle_noise, cfg.readout_noise) = (false, false, false);
     let clean = line_case(ladder(4, 12), 0.05, 0.02, cfg);
     for kernel in KERNELS {
         let prepared = clean.prepare();
-        let (_, gates, pools) = probe(|| clean.check(&prepared, kernel, ShotParallelism::Serial));
-        assert_eq!((gates, pools), (0, 0), "{kernel:?}");
+        let (_, gates, walks) = probe(|| clean.check(&prepared, kernel, ShotParallelism::Serial));
+        assert_eq!((gates, walks), (0, 0), "{kernel:?}");
         let prepared = noisy.prepare();
-        let (_, gates, pools) = probe(|| noisy.check(&prepared, kernel, ShotParallelism::Serial));
+        let (_, gates, walks) = probe(|| noisy.check(&prepared, kernel, ShotParallelism::Serial));
         assert!(
-            gates > 0 && pools == 1,
-            "{kernel:?}: {gates} gates, {pools} pools"
+            gates > 0 && walks == 1,
+            "{kernel:?}: {gates} gates, {walks} walks"
         );
     }
+}
+
+/// Runs `case` under `cfg` on a thread spawned for it, whose scratch
+/// starts empty.
+fn on_a_fresh_thread(case: &Case, prepared: &PreparedJob, cfg: &ExecutionConfig) -> Counts {
+    std::thread::scope(|scope| {
+        scope
+            .spawn(|| prepared.run(&case.circuit, cfg))
+            .join()
+            .expect("the run does not panic")
+    })
+}
+
+/// Buffers a run takes from its thread's scratch are emptied first: on
+/// one thread, after two runs of a noisy 12-qubit job at 8 192 shots
+/// left thousands of error shots and 12-qubit levels behind, smaller
+/// `ladder` jobs under both kernels, `Serial` and two to four shards on
+/// one and two workers, each give the per-shot oracle's counts and the
+/// counts of the same run on a fresh thread. Run again on one worker,
+/// each leaves the scratch as it found it (a buffer that kept what it
+/// held would grow); on two, which worker drew the first shard is up to
+/// the scheduler, and so is whose join buffers the calling thread
+/// keeps.
+#[test]
+fn a_warm_scratch_changes_no_count() {
+    let mut wide = line_case(
+        ladder(12, 14),
+        0.01,
+        0.02,
+        ExecutionConfig::default().with_seed(40),
+    );
+    wide.tail_idle = vec![3_000.0; 12];
+    let prepared = wide.prepare();
+    for mode in [
+        ShotParallelism::Serial,
+        ShotParallelism::Sharded {
+            shards: 4,
+            threads: 2,
+        },
+    ] {
+        let cfg = wide.cfg.with_parallelism(mode);
+        let (counts, _, walks) = probe(|| prepared.run(&wide.circuit, &cfg));
+        assert!(walks > 0, "{mode:?}: the warm-up job draws errors");
+        assert_eq!(
+            counts,
+            on_a_fresh_thread(&wide, &prepared, &cfg),
+            "{mode:?}"
+        );
+    }
+    assert!(scratch::retained_bytes() > 4096 * 16, "the scratch is warm");
+
+    let cases = [
+        line_case(
+            ladder(2, 6),
+            0.05,
+            0.03,
+            ExecutionConfig::default().with_seed(3),
+        ),
+        line_case(
+            ladder(3, 9),
+            0.2,
+            0.05,
+            ExecutionConfig::default().with_shots(10),
+        ),
+        line_case(
+            ladder(4, 12),
+            0.05,
+            0.02,
+            ExecutionConfig::default().with_shots(300),
+        ),
+        line_case(
+            ladder(5, 20),
+            0.03,
+            0.02,
+            ExecutionConfig::default().with_shots(2000),
+        ),
+    ];
+    let sharded = (2..=4)
+        .flat_map(|shards| [1, 2].map(|threads| ShotParallelism::Sharded { shards, threads }));
+    let modes: Vec<ShotParallelism> = [ShotParallelism::Serial]
+        .into_iter()
+        .chain(sharded)
+        .collect();
+    for case in &cases {
+        let prepared = case.prepare();
+        for kernel in KERNELS {
+            for &mode in &modes {
+                let cfg = case.cfg.with_kernel(kernel).with_parallelism(mode);
+                let counts = prepared.run(&case.circuit, &cfg);
+                assert_eq!(
+                    counts,
+                    oracle::run(&prepared, &case.circuit, &cfg),
+                    "{cfg:?}"
+                );
+                assert_eq!(counts, on_a_fresh_thread(case, &prepared, &cfg), "{cfg:?}");
+                let kept = scratch::retained_bytes();
+                assert_eq!(prepared.run(&case.circuit, &cfg), counts, "{cfg:?}");
+                let inline = !matches!(mode, ShotParallelism::Sharded { threads: 2, .. });
+                if inline {
+                    assert_eq!(scratch::retained_bytes(), kept, "{cfg:?}");
+                }
+            }
+        }
+    }
+}
+
+/// What a thread keeps after a run is capped: a 16-qubit job whose
+/// level pool holds more than [`SCRATCH_RETAIN_BYTES`] (two levels of
+/// 2^16 amplitudes, 2 MiB) leaves at most the cap behind, while a small
+/// job's buffers are kept whole.
+#[test]
+fn a_thread_keeps_at_most_the_cap_after_a_run() {
+    let cfg = ExecutionConfig::default().with_shots(16).with_seed(12);
+    let wide = line_case(ladder(16, 16), 0.2, 0.02, cfg);
+    let small = line_case(ladder(4, 12), 0.05, 0.02, cfg.with_shots(300));
+    std::thread::scope(|scope| {
+        scope.spawn(|| {
+            let prepared = small.prepare();
+            prepared.run(&small.circuit, &small.cfg);
+            let kept = scratch::retained_bytes();
+            assert!(kept > 0 && kept <= SCRATCH_RETAIN_BYTES, "{kept} bytes");
+
+            let prepared = wide.prepare();
+            let (_, _, walks) = probe(|| prepared.run(&wide.circuit, &wide.cfg));
+            assert_eq!(walks, 1);
+            assert!(
+                prepared.plan.clean < 0.1,
+                "most of the 16 shots err and fork"
+            );
+            let kept = scratch::retained_bytes();
+            assert!(kept <= SCRATCH_RETAIN_BYTES, "{kept} bytes kept");
+        });
+    });
 }
 
 #[test]

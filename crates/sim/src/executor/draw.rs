@@ -56,14 +56,36 @@ pub(super) struct ErrorShot {
     pub mask: u32,
 }
 
-/// What the draw pass of one stream leaves behind.
-pub(super) struct Drawn {
-    /// The clean shots, resolved on the spot.
-    pub counts: Tally,
+/// A stream's error shots and the arena their patterns live in.
+#[derive(Default)]
+pub(super) struct Errors {
     /// The error shots, in draw order.
     pub shots: Vec<ErrorShot>,
     /// The arena the error shots' patterns live in.
     pub patterns: Vec<ErrorKey>,
+}
+
+impl Errors {
+    /// Empties both, keeping their room.
+    pub(super) fn clear(&mut self) {
+        self.shots.clear();
+        self.patterns.clear();
+    }
+
+    /// Heap bytes the two hold.
+    pub(super) fn heap_bytes(&self) -> usize {
+        use std::mem::size_of;
+        self.shots.capacity() * size_of::<ErrorShot>()
+            + self.patterns.capacity() * size_of::<ErrorKey>()
+    }
+}
+
+/// What the draw pass of one stream leaves behind.
+pub(super) struct Drawn {
+    /// The clean shots, resolved on the spot.
+    pub counts: Tally,
+    /// The error shots, waiting for their states.
+    pub errors: Errors,
 }
 
 impl Drawn {
@@ -71,9 +93,10 @@ impl Drawn {
     /// behind this stream's with their patterns.
     pub(super) fn append(&mut self, later: Drawn) {
         self.counts.absorb(&later.counts);
-        let base = self.patterns.len();
-        self.patterns.extend_from_slice(&later.patterns);
-        self.shots.extend(later.shots.iter().map(|shot| ErrorShot {
+        let base = self.errors.patterns.len();
+        let (shots, patterns) = (&later.errors.shots, &later.errors.patterns);
+        self.errors.patterns.extend_from_slice(patterns);
+        self.errors.shots.extend(shots.iter().map(|shot| ErrorShot {
             start: shot.start + base,
             ..*shot
         }));
@@ -199,6 +222,14 @@ fn screen_events(
     }
 }
 
+/// Room for a count whose expectation is `mean` and whose variance is
+/// at most `mean` (a sum of independent Bernoullis): four standard
+/// deviations above it, so that buffers sized for one run of a job
+/// hold the next one's draws.
+fn headroom(mean: f64) -> usize {
+    (mean + 4.0 * mean.sqrt()).ceil() as usize
+}
+
 /// Jumps from hit to hit through the prefix survival products `surv`
 /// of `surv.len() - 1` independent chances: one uniform + binary search
 /// per hit, one last uniform to certify the clean tail. With `target`
@@ -233,18 +264,28 @@ fn survival_jumps(
 }
 
 impl TrajectoryJob<'_> {
-    /// Draws one sequential stream of `shots` trajectories from `seed`:
-    /// per shot the kernel's error pattern, the outcome uniform, the
-    /// readout flips. A clean shot is tallied at once, an error shot
-    /// kept for [`TrajectoryJob::evaluate`], which tallies it into the
-    /// same vector. Patterns are drawn straight into the arena; nothing
-    /// but the tally is allocated before the first error.
-    pub(super) fn draw(&self, shots: usize, seed: u64) -> Drawn {
+    /// Draws one sequential stream of `shots` trajectories from `seed`
+    /// on behind what `into` holds: per shot the kernel's error
+    /// pattern, the outcome uniform, the readout flips. A clean shot is
+    /// tallied at once, an error shot kept for
+    /// [`TrajectoryJob::evaluate`], which tallies it into the same
+    /// vector. Patterns are drawn straight into the arena. The buffers
+    /// are handed in, and at their first error shot they are given room
+    /// for the error shots of `room` shots (the stream's own, or the
+    /// whole run's for the stream the others join): a draw into buffers
+    /// kept from a run of the same job allocates nothing.
+    pub(super) fn draw(&self, shots: usize, seed: u64, into: Drawn, room: usize) -> Drawn {
         let mut rng = StdRng::seed_from_u64(seed);
-        let mut counts = Tally::new(self.width, shots);
-        let (mut errors, mut patterns) = (Vec::new(), Vec::new());
+        let Drawn {
+            mut counts,
+            errors:
+                Errors {
+                    shots: mut errors,
+                    mut patterns,
+                },
+        } = into;
         let mut words = [0; SCREEN_WORDS];
-        for left in (1..=shots).rev() {
+        for _ in 0..shots {
             let start = patterns.len();
             match self.cfg.kernel {
                 TrajectoryKernel::Replay => self.draw_replay(&mut rng, &mut words, &mut patterns),
@@ -261,14 +302,16 @@ impl TrajectoryJob<'_> {
                 counts.record(ideal ^ mask);
                 continue;
             }
-            if errors.capacity() == 0 {
-                // Both buffers are sized once, for what the later shots
-                // should draw (a shot's errors ≤ min(Σ −ln(1 − p_e), events)).
+            if errors.is_empty() {
+                // Both buffers are sized once, for what `room` shots
+                // should draw (a shot's errors ≤ min(Σ −ln(1 − p_e),
+                // events)) — a size that depends on the job alone, so
+                // room they kept from a run of it is enough as it is.
                 let clean = self.plan.clean;
                 let mean = (-clean.ln()).min(self.plan.events.len() as f64);
-                let later = (left - 1) as f64;
-                errors.reserve_exact(1 + (later * (1.0 - clean)).ceil() as usize);
-                patterns.reserve_exact((later * mean).ceil() as usize);
+                let room = room as f64;
+                errors.reserve_exact(headroom(room * (1.0 - clean)).max(1));
+                patterns.reserve_exact(headroom(room * mean).saturating_sub(len));
             }
             errors.push(ErrorShot {
                 u,
@@ -277,11 +320,12 @@ impl TrajectoryJob<'_> {
                 mask: mask as u32,
             });
         }
-        let shots = errors;
         Drawn {
             counts,
-            shots,
-            patterns,
+            errors: Errors {
+                shots: errors,
+                patterns,
+            },
         }
     }
 

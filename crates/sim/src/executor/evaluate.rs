@@ -5,8 +5,8 @@
 //! simulation", DAC 2020 — exact for this noise model), by the same
 //! gates and Paulis in the same order as a per-shot replay from `|0…0⟩`.
 
-use super::draw::{unpack, Drawn, ErrorKey, ErrorShot};
-use super::{apply_pauli, apply_typed_gate_error, run_work, Event, TrajectoryJob};
+use super::draw::{unpack, Drawn, ErrorKey, ErrorShot, Errors};
+use super::{apply_pauli, apply_typed_gate_error, run_work, scratch, Event, TrajectoryJob};
 use crate::alias::{AliasScratch, AliasTable};
 use crate::counts::{Counts, Tally};
 use crate::fanout::{run_indexed_within, workers_for};
@@ -15,15 +15,27 @@ use crate::state::kernel;
 
 impl TrajectoryJob<'_> {
     /// Resolves the error shots of `drawn` into its counts on at most
-    /// `budget` workers: the sorted shots are cut into one contiguous
-    /// run per worker, each walked as a prefix tree of its own (own
-    /// level pool and tally, added into the draw's). A shot's outcome is
-    /// a function of its own pattern, uniform and mask, so no cut or
-    /// worker count moves a count.
+    /// `budget` workers, and gives its error buffers back to the
+    /// thread's scratch as the join stream's.
     pub(super) fn evaluate(&self, drawn: Drawn, budget: usize) -> Counts {
-        let (mut counts, mut shots, patterns) = (drawn.counts, drawn.shots, drawn.patterns);
+        let Drawn {
+            mut counts,
+            mut errors,
+        } = drawn;
+        self.resolve(&mut counts, &mut errors, budget);
+        scratch::give_join(errors);
+        counts.into_counts()
+    }
+
+    /// The sorted shots are cut into one contiguous run per worker, each
+    /// walked as a prefix tree of its own (own level pool and tally,
+    /// added into `counts`). A shot's outcome is a function of its own
+    /// pattern, uniform and mask, so no cut or worker count moves a
+    /// count.
+    fn resolve(&self, counts: &mut Tally, errors: &mut Errors, budget: usize) {
+        let (shots, patterns) = (&mut errors.shots, &errors.patterns[..]);
         if shots.is_empty() {
-            return counts.into_counts();
+            return;
         }
         let pattern = |shot: &ErrorShot| &patterns[shot.start..shot.start + shot.len as usize];
         // A pattern's first two keys packed, 0 for an absent second one
@@ -38,24 +50,56 @@ impl TrajectoryJob<'_> {
         let tail = |shot: &ErrorShot| &pattern(shot)[(shot.len as usize).min(2)..];
         // In place; equal patterns may land in any order (counts commute).
         shots.sort_unstable_by(|a, b| head(a).cmp(&head(b)).then_with(|| tail(a).cmp(tail(b))));
+        let shots = &shots[..];
         let work = run_work(shots.len(), self.plan);
         let workers = workers_for(budget, shots.len(), work);
         if workers == 1 {
             // Straight into the clean shots' tally: a one-task fan-out
-            // would allocate a result vector and a second tally.
-            Evaluator::walk(self, &patterns, &shots, &mut counts);
-            return counts.into_counts();
+            // would need a second tally.
+            Evaluator::walk(self, patterns, shots, counts);
+            return;
         }
-        let runs: Vec<&[ErrorShot]> = shots.chunks(shots.len().div_ceil(workers)).collect();
-        let partials = run_indexed_within(budget, runs.len(), work, |w| {
-            let mut partial = Tally::new(self.width, runs[w].len());
-            Evaluator::walk(self, &patterns, runs[w], &mut partial);
+        let chunk = shots.len().div_ceil(workers);
+        let runs = shots.len().div_ceil(chunk);
+        let partials = run_indexed_within(budget, runs, work, |w| {
+            let run = &shots[w * chunk..shots.len().min((w + 1) * chunk)];
+            let mut partial = Tally::new(self.width, run.len());
+            Evaluator::walk(self, patterns, run, &mut partial);
             partial
         });
         for partial in &partials {
             counts.absorb(partial);
         }
-        counts.into_counts()
+    }
+}
+
+/// One walking worker's buffers, kept between walks in the thread's
+/// scratch.
+#[derive(Default)]
+pub(super) struct Levels {
+    /// The level stack in one allocation, `2^width` amplitudes a level:
+    /// level 0 is the root, which walks the ideal event stream forward
+    /// once; a deeper level holds the error prefix its subtree shares.
+    pool: Vec<Complex>,
+    /// The running probability sums of the node being sampled, when
+    /// several shots end there — its plain probabilities at a node
+    /// sampled through `alias`.
+    cdf: Vec<f64>,
+    /// The alias table of the single-error node being sampled, rebuilt
+    /// in place per node (a run has one such node per distinct
+    /// `(position, Pauli)` pattern), and its worklists.
+    alias: AliasTable,
+    alias_scratch: AliasScratch,
+}
+
+impl Levels {
+    /// Heap bytes the pool and the tables hold.
+    pub(super) fn heap_bytes(&self) -> usize {
+        use std::mem::size_of;
+        self.pool.capacity() * size_of::<Complex>()
+            + self.cdf.capacity() * size_of::<f64>()
+            + self.alias.heap_bytes()
+            + self.alias_scratch.heap_bytes()
     }
 }
 
@@ -63,24 +107,13 @@ impl TrajectoryJob<'_> {
 struct Evaluator<'a> {
     job: &'a TrajectoryJob<'a>,
     patterns: &'a [ErrorKey],
-    /// The level stack in one allocation, `2^width` amplitudes a level:
-    /// level 0 is the root, which walks the ideal event stream forward
-    /// once; a deeper level holds the error prefix its subtree shares.
-    pool: Vec<Complex>,
-    /// The running probability sums of the node being sampled, when
-    /// several shots end there — its plain probabilities at a node
-    /// sampled through `alias`; requested by the first such node.
-    cdf: Vec<f64>,
-    /// The alias table of the single-error node being sampled, rebuilt
-    /// in place per node (a run has one such node per distinct
-    /// `(position, Pauli)` pattern), and its worklists.
-    alias: AliasTable,
-    alias_scratch: AliasScratch,
+    levels: Levels,
     counts: &'a mut Tally,
 }
 
 impl<'a> Evaluator<'a> {
-    /// Evaluates `shots` (sorted, not empty) from `|0…0⟩` into `counts`.
+    /// Evaluates `shots` (sorted, not empty) from `|0…0⟩` into `counts`,
+    /// on the level pool and tables of the thread's scratch.
     fn walk(
         job: &'a TrajectoryJob<'a>,
         patterns: &'a [ErrorKey],
@@ -88,27 +121,28 @@ impl<'a> Evaluator<'a> {
         counts: &'a mut Tally,
     ) {
         #[cfg(test)]
-        super::differential::POOLS_ALLOCATED.with(|n| n.set(n.get() + 1));
+        super::differential::WALKS_STARTED.with(|n| n.set(n.get() + 1));
         let dim = 1usize << job.width;
+        let mut levels = scratch::take_levels();
+        let pool = &mut levels.pool;
+        pool.clear();
         // One shot stays in the root's buffer, more almost always fork once.
-        let mut pool = Vec::with_capacity(dim * shots.len().min(2));
+        pool.reserve_exact(dim * shots.len().min(2));
         pool.resize(dim, Complex::zero());
         pool[0] = Complex::one();
         let mut evaluator = Evaluator {
             job,
             patterns,
-            pool,
-            cdf: Vec::new(),
-            alias: AliasTable::unbuilt(),
-            alias_scratch: AliasScratch::default(),
+            levels,
             counts,
         };
         evaluator.node(shots, 0, 0, 0);
+        scratch::give_levels(evaluator.levels);
     }
 
     fn level(&mut self, level: usize) -> &mut [Complex] {
         let dim = 1usize << self.job.width;
-        &mut self.pool[level * dim..(level + 1) * dim]
+        &mut self.levels.pool[level * dim..(level + 1) * dim]
     }
 
     /// Walks the subtree of `shots`, which share their first `depth`
@@ -195,10 +229,11 @@ impl<'a> Evaluator<'a> {
     fn fork(&mut self, level: usize, key: ErrorKey) {
         let dim = 1usize << self.job.width;
         let (from, to) = (level * dim, (level + 1) * dim);
-        if self.pool.len() == to {
-            self.pool.extend_from_within(from..to);
+        let pool = &mut self.levels.pool;
+        if pool.len() == to {
+            pool.extend_from_within(from..to);
         } else {
-            self.pool.copy_within(from..to, to);
+            pool.copy_within(from..to, to);
         }
         self.strike(level + 1, key);
     }
@@ -211,22 +246,28 @@ impl<'a> Evaluator<'a> {
     /// when several shots would walk the same sums.
     fn sample(&mut self, level: usize, shots: &[ErrorShot], depth: usize) {
         let dim = 1usize << self.job.width;
-        let amps = &self.pool[level * dim..(level + 1) * dim];
+        let Levels {
+            pool,
+            cdf,
+            alias,
+            alias_scratch,
+        } = &mut self.levels;
+        let amps = &pool[level * dim..(level + 1) * dim];
         let mut record =
             |shot: &ErrorShot, outcome: usize| self.counts.record(outcome ^ shot.mask as usize);
         if depth == 1 && self.job.alias_single_errors {
-            self.cdf.clear();
-            self.cdf.extend(amps.iter().map(|a| a.norm_sqr()));
-            self.alias.rebuild(&self.cdf, &mut self.alias_scratch);
-            let table = &self.alias;
+            cdf.clear();
+            cdf.extend(amps.iter().map(|a| a.norm_sqr()));
+            alias.rebuild(cdf, alias_scratch);
+            let table = &*alias;
             shots
                 .iter()
                 .for_each(|shot| record(shot, table.sample(shot.u)));
         } else if let [shot] = shots {
             record(shot, kernel::sample_at(amps, shot.u));
         } else {
-            kernel::running_sums(amps, &mut self.cdf);
-            let sums = &self.cdf;
+            kernel::running_sums(amps, cdf);
+            let sums = &*cdf;
             shots
                 .iter()
                 .for_each(|shot| record(shot, kernel::sample_sums(sums, shot.u)));

@@ -200,28 +200,28 @@ impl Statevector {
 /// `2^n`: what [`Statevector`] wraps, and what the trajectory evaluator
 /// runs on the levels of its amplitude pool.
 ///
-/// A gate is **compiled once** ([`compile`]: the matrix or phase is
-/// evaluated, and the kernel is picked from the *stored* entries —
-/// which are exactly `0.0`, which exactly `1.0`, which purely real or
-/// imaginary; never from the gate's name) and **run any number of
-/// times** ([`run`], the only dispatch). A structured kernel computes
-/// the general 2×2 product with the terms left out that multiply a
-/// stored `0.0` (or are `1.0 · x`). `Complex`'s product is four plain
-/// multiplies and no fused multiply-add, and adding a product with
-/// `±0.0` returns the other summand, so every amplitude a structured
-/// kernel writes equals the general kernel's **up to the sign of a
-/// zero** — and `norm_sqr`, every running probability sum and every
-/// sampled outcome bit for bit (the test
-/// `structured_kernels_equal_the_general_kernel` holds that over every
-/// gate kind, qubit and register size).
+/// A gate is **compiled once** ([`compile`](kernel::compile): the
+/// matrix or phase is evaluated, and the kernel is picked from the
+/// *stored* entries — which are exactly `0.0`, which exactly `1.0`,
+/// which purely real or imaginary; never from the gate's name) and
+/// **run any number of times** ([`run`](kernel::run), the only
+/// dispatch). A structured kernel computes the general 2×2 product with
+/// the terms left out that multiply a stored `0.0` (or are `1.0 · x`).
+/// `Complex`'s product is four plain multiplies and no fused
+/// multiply-add, and adding a product with `±0.0` returns the other
+/// summand, so every amplitude a structured kernel writes equals the
+/// general kernel's **up to the sign of a zero** — and `norm_sqr`,
+/// every running probability sum and every sampled outcome bit for bit
+/// (the test `structured_kernels_equal_the_general_kernel` holds that
+/// over every gate kind, qubit and register size).
 ///
-/// Every op has two bodies. [`scalar`] is one amplitude at a time, on
-/// every CPU; the lane body (`state/lanes.rs`) is four amplitudes per
-/// AVX-512F vector, and [`run`] takes it on a register of at least
-/// eight amplitudes where the CPU has AVX-512F. Each `f64` the lane
-/// body writes is the scalar expression — the same products, summed by
-/// the same single add, with no fused multiply-add — so the two bodies
-/// agree **bit for bit**, signs of zeros included
+/// Every op has two bodies. [`scalar`](kernel::scalar) is one amplitude
+/// at a time, on every CPU; the lane body (`state/lanes.rs`) is four
+/// amplitudes per AVX-512F vector, and [`run`](kernel::run) takes it on
+/// a register of at least eight amplitudes where the CPU has AVX-512F.
+/// Each `f64` the lane body writes is the scalar expression — the same
+/// products, summed by the same single add, with no fused multiply-add
+/// — so the two bodies agree **bit for bit**, signs of zeros included
 /// (`lane_kernels_equal_the_scalar_kernels_bit_for_bit`), and the
 /// scalar body is the lane body's oracle.
 pub(crate) mod kernel {

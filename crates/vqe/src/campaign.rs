@@ -56,7 +56,7 @@ fn circuits_for_theta(
 ///
 /// The grid is `θ_i = −π + 2π(i + 0.5)/n`, circuits are named
 /// `vqe_t{ti}_g{gi}`, and the energy of a point is folded per group
-/// from raw counts with [`group_energy`](crate::group_energy).
+/// from raw counts with [`group_energy`].
 /// Deterministic by construction — the batches depend only on the
 /// grid, never on the results — so the service's serial == concurrent
 /// guarantee carries to the folded energies.

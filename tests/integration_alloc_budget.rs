@@ -7,10 +7,13 @@
 //! on a miss, every program is prepared cold; under the batch EFS gate,
 //! a survivor set committed before is reused whatever its members'
 //! threshold bits. Stage 1 of a multi-program list, on a chip whose
-//! region atlas is warm, copies out only each program's winner. A
-//! change that puts one of those copies back, gives a prepared job one
-//! more allocation, or plans a repeated survivor set again, lands above
-//! its budget.
+//! region atlas is warm, copies out only each program's winner. A run
+//! of a job its thread has run before asks for its histogram alone, and
+//! a decoded `Submit` frame sizes its circuit once. A change that puts
+//! one of those copies back, gives a prepared job one more allocation,
+//! drops a run's buffers instead of keeping them, grows a decoded
+//! circuit gate by gate, or plans a repeated survivor set again, lands
+//! above its budget.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -19,9 +22,10 @@ use qucp_circuit::{library, Circuit};
 use qucp_core::{
     allocate_partitions, strategy, CrosstalkTreatment, PartitionPolicy, Pipeline, DEFAULT_SIGMA,
 };
+use qucp_daemon::Request;
 use qucp_device::ibm;
 use qucp_runtime::{EfsGate, Event, JobRequest, Service};
-use qucp_sim::{ExecutionConfig, ShotParallelism};
+use qucp_sim::{ExecutionConfig, NoiseScaling, PreparedJob, ShotParallelism, TrajectoryKernel};
 
 thread_local! {
     /// Heap requests made by *this* thread. `const`-initialised and
@@ -181,8 +185,11 @@ fn cold_tick(max_parallel: usize, jobs: usize) -> Tick {
 }
 
 /// Heap requests per job of a cached batch (the count is exact and the
-/// same in debug and release): 11.73 with one job to a batch (1 502 for
-/// 128 jobs), 7.56 with two (968), since a run's histogram is relabelled
+/// same in debug and release): 11.10 with one job to a batch (1 421 for
+/// 128 jobs), 6.58 with two (842), since a run takes its error shots,
+/// arena, level pool and sampling tables from the buffers its thread
+/// kept from the warm-up's runs; 11.73 and 7.56 before (1 502 and 968),
+/// since a run's histogram is relabelled
 /// to logical order in its own vector and execution no longer names
 /// the result the finish pass renames; 13.73 and 9.56 before (1 758
 /// and 1 224), since the admission policy packs into a buffer the
@@ -192,10 +199,10 @@ fn cold_tick(max_parallel: usize, jobs: usize) -> Tick {
 ///
 /// Mutation check (CHANGES.md, PR 22): cloning the head's circuit in
 /// staging again — `let _circuit = p.circuit.clone();` beside the
-/// `HeadContext` — costs two requests a batch, 13.73 a solo job, and
+/// `HeadContext` — costs two requests a batch, 13.10 a solo job, and
 /// fails the first assertion.
-const SOLO_BUDGET: f64 = 12.9;
-const PAIR_BUDGET: f64 = 8.3;
+const SOLO_BUDGET: f64 = 12.2;
+const PAIR_BUDGET: f64 = 7.3;
 
 #[test]
 fn a_cached_batch_stays_within_its_heap_budget() {
@@ -214,8 +221,12 @@ fn a_cached_batch_stays_within_its_heap_budget() {
 
 /// Heap requests of one `tick` of 64 cold jobs (every batch planned,
 /// prepared and run from scratch; the count is exact and the same in
-/// debug and release): 4 597 with one job to a batch, 3 993 with two —
-/// 71.8 and 62.4 per job. While a run's histogram was a tree of
+/// debug and release): 4 401 with one job to a batch, 3 788 with two —
+/// 68.8 and 59.2 per job. While a run allocated its own error shots,
+/// arena, level pool and tables instead of taking those its thread kept
+/// from the warm-up's runs, and the router grew each routed circuit
+/// gate by gate, the same tick counted 4 597 and 3 993. While a run's
+/// histogram was a tree of
 /// outcomes, copied into a second tree in logical order, and execution
 /// named each result, the same tick counted 4 725 and 4 121. While a
 /// program's partition-local graph was
@@ -252,8 +263,8 @@ fn a_cached_batch_stays_within_its_heap_budget() {
 /// `PlannedWorkload::prepare` scheduling the program afresh
 /// (`PreparedJob::prepare` for `prepare_scheduled`), costs requests per
 /// prepared program. Each fails.
-const COLD_SOLO_REQUESTS: u64 = 4_597;
-const COLD_PAIR_REQUESTS: u64 = 3_993;
+const COLD_SOLO_REQUESTS: u64 = 4_401;
+const COLD_PAIR_REQUESTS: u64 = 3_788;
 
 #[test]
 fn a_cold_batch_stays_within_its_heap_budget() {
@@ -290,8 +301,10 @@ fn thresholded_tick(jobs: usize) -> Tick {
 
 /// Heap requests of one `tick` of 48 thresholded jobs whose survivor
 /// sets repeat (the count is exact and the same in debug and release):
-/// 433, 25 batches and 26 evictions, every batch's allocations and plan
-/// read from the plan memo; 529 while a run's histogram was a tree,
+/// 403, 25 batches and 26 evictions, every batch's allocations and plan
+/// read from the plan memo; 433 while a run allocated its own working
+/// buffers instead of taking those its thread kept; 529 while a run's
+/// histogram was a tree,
 /// copied into a second one in logical order, and execution named each
 /// result. While a job's threshold bits were part of
 /// the plan key, 8 of the 25 batches missed (each new threshold pattern
@@ -304,7 +317,7 @@ fn thresholded_tick(jobs: usize) -> Tick {
 /// bits again misses 8 of the tick's 25 batches and counts 2 074 more
 /// (546 and 2 603 when they were measured, with the tree histograms).
 /// Each fails.
-const THRESHOLDED_REQUESTS: u64 = 433;
+const THRESHOLDED_REQUESTS: u64 = 403;
 
 #[test]
 fn a_thresholded_batch_whose_survivors_repeat_reuses_their_plan() {
@@ -359,7 +372,8 @@ fn stage_one_of_three_programs_on_a_warm_atlas_stays_within_its_heap_budget() {
 
 /// Heap requests of one 8 192-shot `Serial` run of `ghz(8)` planned on
 /// Toronto, set-up and scoring included (`PlannedWorkload::run_program`;
-/// the count is exact and the same in debug and release): 18. The
+/// the count is exact and the same in debug and release), the first
+/// run on its thread, whose buffers start empty: 18. The
 /// run tallies its shots in the one vector its histogram keeps (256
 /// outcomes fit 8 192 shots, so the tally is dense and compacted in
 /// place) and relabels it to logical order in place. While a histogram
@@ -392,4 +406,83 @@ fn an_8192_shot_run_tallies_in_one_vector() {
         "{requests} heap requests over the budget of {GHZ8_RUN_REQUESTS}: {} outcomes",
         result.counts.len()
     );
+}
+
+/// Heap requests of a warm 8 192-shot run of `ghz(8)` prepared on
+/// Toronto: after one run of the same job on the same thread, a run
+/// asks the heap for its histogram alone — one block, the dense tally
+/// of 256 outcomes it returns — under `Serial` and 16 shards on one
+/// worker, under both kernels. Its shard streams, error-shot arena,
+/// level pool and sampling tables are the ones the first run left in
+/// the thread's scratch.
+///
+/// Mutation checks (CHANGES.md): evaluation dropping the join stream's
+/// error buffers instead of giving them back to the thread, or a walk
+/// dropping its level pool, asks for them again on every run, under
+/// every mode; each fails.
+#[test]
+fn a_warm_run_requests_only_its_histogram() {
+    let device = ibm::toronto();
+    let qucp = strategy::qucp(DEFAULT_SIGMA);
+    let plan = Pipeline::from_strategy(&qucp)
+        .plan(&device, &[library::ghz(8)], true)
+        .unwrap();
+    let program = &plan.mapped[0];
+    let (circuit, layout) = (&program.circuit, &program.layout);
+    let scaling = NoiseScaling::uniform(circuit.gate_count());
+    let exec = ExecutionConfig::default();
+    assert_eq!(exec.shots, 8192);
+    let prepared = PreparedJob::prepare(circuit, layout, &device, &scaling, &[], &exec).unwrap();
+    let modes = [
+        ShotParallelism::Serial,
+        ShotParallelism::Sharded {
+            shards: 16,
+            threads: 1,
+        },
+    ];
+    for kernel in [TrajectoryKernel::Replay, TrajectoryKernel::SurvivalSkip] {
+        for mode in modes {
+            let cfg = exec.with_kernel(kernel).with_parallelism(mode);
+            let warm = prepared.run(circuit, &cfg.with_seed(1));
+
+            let before = REQUESTS.get();
+            let counts = prepared.run(circuit, &cfg.with_seed(2));
+            let requests = REQUESTS.get() - before;
+
+            assert_eq!((warm.shots(), counts.shots()), (8192, 8192));
+            assert_eq!(
+                requests,
+                1,
+                "{kernel:?} {mode:?}: {} outcomes",
+                counts.len()
+            );
+        }
+    }
+}
+
+/// Heap requests of decoding one `Submit` frame (exact, the same in
+/// debug and release): 3 — the boxed job, the circuit's name and its
+/// gate vector, which is sized once for the gate count the frame
+/// declares, so a circuit of 1 000 gates costs what one of 1 does.
+///
+/// Mutation check (CHANGES.md): decoding without `Circuit::reserve`
+/// grows the vector push by push — 4 requests at 5 gates, 7 at 64, 11
+/// at 1 000 — and fails.
+#[test]
+fn a_decoded_circuit_is_sized_once() {
+    for gates in [1, 64, 1_000] {
+        let mut circuit = Circuit::with_name(3, "ladder");
+        (0..gates).for_each(|g| {
+            circuit.cx(g % 2, g % 2 + 1);
+        });
+        let frame = Request::Submit(Box::new(JobRequest::new(circuit, 1.0))).encode();
+        let before = REQUESTS.get();
+        let decoded = Request::decode(&frame);
+        let requests = REQUESTS.get() - before;
+        let Ok(Request::Submit(job)) = decoded else {
+            panic!("an honest Submit frame decodes");
+        };
+        assert_eq!(job.circuit.gate_count(), gates);
+        assert_eq!(requests, 3, "{gates} gates");
+    }
 }

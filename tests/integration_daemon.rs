@@ -638,6 +638,40 @@ fn oversized_sequence_prefix_is_rejected_before_allocation() {
     }
 }
 
+/// A `Submit` frame's circuit is decoded into a gate vector sized for
+/// the gate count the frame declares (`integration_alloc_budget` counts
+/// its one request); a count forged past what the bytes behind it can
+/// carry is refused before anything is reserved.
+#[test]
+fn a_submit_frame_with_a_forged_gate_count_is_refused() {
+    let mut circuit = Circuit::with_name(3, "ghz");
+    circuit.h(0).cx(0, 1).cx(1, 2).rz(2, 0.25).x(0);
+    let honest = Request::Submit(Box::new(JobRequest::new(circuit.clone(), 1.0))).encode();
+    let Ok(Request::Submit(job)) = Request::decode(&honest) else {
+        panic!("an honest Submit frame decodes");
+    };
+    assert_eq!(job.circuit, circuit);
+
+    // Layout: tag, the circuit's width, its name (length and bytes),
+    // then the gate count.
+    let count_at = 1 + 8 + 8 + "ghz".len();
+    assert_eq!(
+        honest[count_at..count_at + 8],
+        (circuit.gate_count() as u64).to_le_bytes()
+    );
+    // One gate per byte behind the prefix: more than they can carry.
+    let behind = (honest.len() - count_at - 8) as u64;
+    let mut forged = honest.clone();
+    forged[count_at..count_at + 8].copy_from_slice(&behind.to_le_bytes());
+    match Request::decode(&forged) {
+        Err(WireError::LengthOverflow { len, max }) => {
+            assert_eq!(len, behind);
+            assert!(max < len, "{max} gates admitted of {len}");
+        }
+        other => panic!("expected LengthOverflow, got {other:?}"),
+    }
+}
+
 /// A sequence's length prefix is held to what the bytes behind it can
 /// carry *in elements of that type*: a `Report` or `Events` frame
 /// cannot make the decoder reserve more than it brought.
