@@ -165,15 +165,15 @@
 //! (O(100) devices, O(100k) queued jobs), not just the two-chip
 //! experiments. There is one path — no mode, queue implementation or
 //! cache policy to select — and these are its per-operation costs, with
-//! `n` pending jobs, `A` admitting devices and `D` fleet devices:
+//! `n` pending jobs and `D` fleet devices:
 //!
 //! | operation | cost |
 //! |---|---|
 //! | submit (queue insert) | O(gates) shape interning (encode, one keyed hash, one word-for-word comparison with the known shape; no allocation unless the shape is new), O(log n) position, amortized append for in-order arrivals |
 //! | seq → job lookup | O(1) slot index: one table slot per submission, queued → running → done |
 //! | dispatch step: earliest-free device | O(D) scan of the device clocks, inside the O(D) candidate ranking |
-//! | dispatch step: arrived views | O(log n) prefix bind (O(arrived) flag pass only while per-job strategy overrides are live) |
-//! | dispatch step: admitting devices | O(log D) + A width-bucket suffix |
+//! | dispatch step: arrived views | O(log n) prefix bind; a rider's strategy is one key compare with the head's inside the pack |
+//! | dispatch step: admitting devices | O(D) filter by `Device::admits`, beside the O(D) clock scan |
 //! | routing / head-only gate probes | one plan-memo lookup per list read — `[h]` for the routing score, `[h]` and `[h; k]` per copy count `k` walked — in a key buffer the service keeps; partitioning only for a list not seen at this epoch, on the pending circuit, borrowed |
 //! | batch planning | the EFS gate on every batch, each allocation it reads — the joint attempts and, under the batch gates, every member's solo baseline — one plan-memo lookup under the literal key *(device, epoch, strategy key, member shape handles)* (O(members) handle copies), partitioning only for a list not seen at this epoch; map + merge only for a survivor set not committed at this epoch. The members' circuits are cloned only on a memo miss, once per batch |
 //! | staging and execution | the batch's device is held by `Arc`, never cloned; the members leave the job table by value into one record per job, the head's strategy is one shared table entry, and ranking, packing and the key lookup run in buffers the service keeps |

@@ -10,8 +10,8 @@
 //! arrived-prefix binding per dispatch step, and dead-prefix removal so
 //! draining the queue front is an offset bump instead of a memmove.
 //! What it must answer — FIFO `(arrival, submission)` order, the
-//! arrived window, joinability — is stated without any of this by the
-//! reference scheduler of the differential suite
+//! arrived window, each job's strategy key — is stated without any of
+//! this by the reference scheduler of the differential suite
 //! (`tests/support/reference.rs`), which re-sorts a `Vec` per step.
 //!
 //! ## Who owns a job, when
@@ -28,22 +28,15 @@
 //! copied). The finish pass writes each result into its slot, which a
 //! claim copies once and the drained report copies again.
 //!
-//! ## The strategy table and its three readers
+//! ## The strategy table and its two readers
 //!
 //! The table interns each distinct effective strategy into a small key
 //! table ([`JobTable::strategy_key`]: key 0 = the service default,
 //! including overrides that compare equal to it — value equality); a
-//! job carries its key, not a strategy. Three things read the key:
+//! job carries its key, not a strategy, and so does its [`JobView`],
+//! where the admission policy's pack compares it with the head's. Two
+//! things read the table behind the key:
 //!
-//! * **Joinable-flag maintenance.** A [`JobView`]'s `joinable` flag
-//!   depends on the *head strategy* of the dispatch step being
-//!   prepared, so it cannot be precomputed once. The table counts
-//!   queued override jobs, and the common no-override case skips flag
-//!   maintenance entirely: every flag is `true` and stays `true`. Only
-//!   while override jobs are queued does `prepare` rewrite the arrived
-//!   prefix — O(arrived) key comparisons — and a `flags_dirty` bit
-//!   restores the all-true invariant once the last override leaves the
-//!   queue.
 //! * **The plan memo.** The head's key is the strategy component of
 //!   every plan-memo key (`service/route_cache.rs`): two
 //!   batches share a cache entry only if their heads' strategies are
@@ -67,8 +60,8 @@ use crate::registry::RoutingChoice;
 use crate::shape::Shape;
 
 /// A pending (admitted but not yet dispatched) job. Its seq is its
-/// slot's index, its width its circuit's, its overtake count its
-/// view's.
+/// slot's index, its width its circuit's, its overtake count and
+/// strategy key its view's.
 #[derive(Debug, Clone)]
 pub(crate) struct Pending {
     pub(crate) id: u64,
@@ -81,9 +74,6 @@ pub(crate) struct Pending {
     pub(crate) shape: Shape,
     pub(crate) shots: usize,
     pub(crate) arrival: f64,
-    /// The job's effective strategy, as its
-    /// [`JobTable::strategy_key`] (0 = the service default).
-    pub(crate) strategy_key: u32,
     pub(crate) fidelity_threshold: Option<f64>,
     pub(crate) shot_parallelism: Option<ShotParallelism>,
     pub(crate) trajectory_kernel: Option<TrajectoryKernel>,
@@ -120,11 +110,6 @@ impl Slot {
 /// Every admitted job, one [`Slot`] per submission index, plus a
 /// persistent FIFO-sorted [`JobView`] mirror of the queued ones
 /// maintained incrementally.
-///
-/// Call discipline: [`JobTable::prepare`] binds the arrived window and
-/// joinable flags for a given `now`/head strategy;
-/// [`JobTable::arrived`] and [`JobTable::position_of`] must then be
-/// called with that same `now` before the next `prepare`.
 #[derive(Debug)]
 pub(crate) struct JobTable {
     /// Slot `seq` is the job submitted `seq`-th.
@@ -133,20 +118,11 @@ pub(crate) struct JobTable {
     /// (`total_cmp` order). Indices `..head` are a dead prefix awaiting
     /// compaction.
     views: Vec<JobView>,
-    /// Interned strategy key per mirror slot, parallel to `views`
-    /// (key 0 = the service default).
-    keys: Vec<u32>,
     /// First live mirror index: front-contiguous removals bump this
     /// offset instead of shifting the vector.
     head: usize,
     /// Distinct strategies seen so far; slot 0 holds the default.
     interned: Vec<Arc<Strategy>>,
-    /// Queued jobs whose interned key is not 0. While 0, `prepare`
-    /// skips joinable-flag maintenance entirely.
-    overrides: usize,
-    /// Whether any live flag may be stale (a strategy-filtered pass
-    /// ran); cleared by the next all-true reset once `overrides == 0`.
-    flags_dirty: bool,
 }
 
 impl JobTable {
@@ -154,11 +130,8 @@ impl JobTable {
         JobTable {
             slots: Vec::new(),
             views: Vec::new(),
-            keys: Vec::new(),
             head: 0,
             interned: vec![Arc::new(default)],
-            overrides: 0,
-            flags_dirty: false,
         }
     }
 
@@ -202,12 +175,9 @@ impl JobTable {
 
     /// Admits a job as seq [`JobTable::next_seq`], keeping FIFO
     /// `(arrival, submission)` order; `depth` is the submitted
-    /// circuit's, which admission orders by.
-    pub(crate) fn insert(&mut self, p: Pending, depth: usize) {
-        let key = p.strategy_key;
-        if key != 0 {
-            self.overrides += 1;
-        }
+    /// circuit's, which admission orders by, and `strategy_key` its
+    /// effective strategy's [`JobTable::strategy_key`].
+    pub(crate) fn insert(&mut self, p: Pending, depth: usize, strategy_key: u32) {
         let width = p.circuit.width();
         let view = JobView {
             seq: self.slots.len(),
@@ -215,7 +185,7 @@ impl JobTable {
             width,
             area: width * depth,
             skips: 0,
-            joinable: true,
+            strategy_key,
         };
         // The tie rule: after every job with
         // `arrival <= p.arrival` (equal arrivals keep submission order,
@@ -224,40 +194,7 @@ impl JobTable {
             .partition_point(|v| v.arrival.total_cmp(&p.arrival) != std::cmp::Ordering::Greater);
         let abs = self.head + rel;
         self.views.insert(abs, view);
-        self.keys.insert(abs, key);
         self.slots.push(Slot::Queued(p));
-    }
-
-    /// Binds the arrived window for `now`, computing each arrived
-    /// view's `joinable` flag against the head's strategy key (`None` =
-    /// every arrived job is joinable, the head-selection pass).
-    pub(crate) fn prepare(&mut self, now: f64, head_key: Option<u32>) {
-        if self.overrides > 0 {
-            let end = self.views[self.head..].partition_point(|v| v.arrival <= now);
-            match head_key {
-                Some(hk) => {
-                    let keys = &self.keys[self.head..];
-                    for (i, v) in self.views[self.head..][..end].iter_mut().enumerate() {
-                        v.joinable = keys[i] == hk;
-                    }
-                }
-                None => {
-                    for v in &mut self.views[self.head..][..end] {
-                        v.joinable = true;
-                    }
-                }
-            }
-            self.flags_dirty = true;
-        } else if self.flags_dirty {
-            // The last override job left the queue: restore the
-            // all-true invariant over the whole live window once (later
-            // arrivals included — they may hold stale flags from a
-            // filtered pass), then go back to skipping maintenance.
-            for v in &mut self.views[self.head..] {
-                v.joinable = true;
-            }
-            self.flags_dirty = false;
-        }
     }
 
     /// Takes a committed batch's members out of the queue and hands
@@ -290,11 +227,7 @@ impl JobTable {
             let rel = self
                 .position_of(p.arrival, seq)
                 .expect("mirror entry exists for every queued job");
-            let abs = self.head + rel;
-            if self.keys[abs] != 0 {
-                self.overrides -= 1;
-            }
-            positions.push(abs);
+            positions.push(self.head + rel);
             members.push(member(seq, p));
         }
         let taken = match missing {
@@ -322,18 +255,15 @@ impl JobTable {
                     continue;
                 }
                 self.views[write] = self.views[read];
-                self.keys[write] = self.keys[read];
                 write += 1;
             }
             self.views.truncate(write);
-            self.keys.truncate(write);
         }
         // Compact once the dead prefix reaches half the buffer: each
         // slot is drained at most once, so removals stay amortized O(1)
         // per removed job and memory stays within 2× the live queue.
         if self.head > 0 && self.head * 2 >= self.views.len() {
             self.views.drain(..self.head);
-            self.keys.drain(..self.head);
             self.head = 0;
         }
         taken
@@ -415,7 +345,7 @@ impl JobTable {
     }
 
     /// The policy-facing views of all jobs arrived by `now`, in FIFO
-    /// order, with flags from the latest [`JobTable::prepare`].
+    /// order.
     pub(crate) fn arrived(&self, now: f64) -> &[JobView] {
         let live = &self.views[self.head..];
         let end = live.partition_point(|v| v.arrival <= now);
@@ -456,13 +386,12 @@ mod tests {
             circuit,
             shots: 64,
             arrival,
-            strategy_key,
             fidelity_threshold: None,
             shot_parallelism: None,
             trajectory_kernel: None,
             routing: None,
         };
-        table.insert(job, depth);
+        table.insert(job, depth, strategy_key);
     }
 
     fn store() -> JobTable {
@@ -479,12 +408,10 @@ mod tests {
         for (seq, arrival) in [(0, 30.0), (1, 10.0), (2, 20.0), (3, 10.0)] {
             admit(&mut store, seq, arrival, 0);
         }
-        store.prepare(f64::INFINITY, None);
         let order: Vec<usize> = store.arrived(f64::INFINITY).iter().map(|v| v.seq).collect();
         assert_eq!(order, vec![1, 3, 2, 0]);
         assert_eq!(store.first_arrival(), Some(10.0));
         // The arrived window respects `now`.
-        store.prepare(15.0, None);
         let early: Vec<usize> = store.arrived(15.0).iter().map(|v| v.seq).collect();
         assert_eq!(early, vec![1, 3]);
     }
@@ -499,11 +426,9 @@ mod tests {
         for (seq, arrival) in [(0, 0.0), (1, 1.0), (2, 2.0)] {
             admit(&mut store, seq, arrival, 0);
         }
-        store.prepare(f64::INFINITY, None);
         assert_eq!(store.position_of(1.0, 1), Some(1));
         store.bump_skip(1);
         store.bump_skip(1);
-        store.prepare(f64::INFINITY, None);
         let skips: Vec<usize> = store
             .arrived(f64::INFINITY)
             .iter()
@@ -530,56 +455,13 @@ mod tests {
         // Scattered removal first (mid-queue), then a front drain.
         take(&mut store, &[1, 3]);
         assert_eq!(store.queued(), 4);
-        store.prepare(f64::INFINITY, None);
         let order: Vec<usize> = store.arrived(f64::INFINITY).iter().map(|v| v.seq).collect();
         assert_eq!(order, vec![0, 2, 4, 5]);
         take(&mut store, &[0, 2]);
-        store.prepare(f64::INFINITY, None);
         let order: Vec<usize> = store.arrived(f64::INFINITY).iter().map(|v| v.seq).collect();
         assert_eq!(order, vec![4, 5]);
         assert!(store.get(1).is_err());
         assert!(store.get(4).is_ok());
-    }
-
-    #[test]
-    fn joinable_flags_follow_head_strategy_and_recover() {
-        let default = strategy::qucp(strategy::DEFAULT_SIGMA);
-        let other = strategy::cna();
-        let mut store = store();
-        admit(&mut store, 0, 0.0, 0);
-        let other_key = store.strategy_key(Some(other.clone()));
-        assert_eq!((other_key, &**store.strategy(other_key)), (1, &other));
-        assert_eq!(store.strategy_key(Some(other)), 1, "interned once");
-        admit(&mut store, 1, 1.0, other_key);
-        // An override equal to the default interns to the default
-        // key — value equality, like the seed's comparison.
-        let default_key = store.strategy_key(Some(default));
-        assert_eq!(default_key, store.strategy_key(None));
-        admit(&mut store, 2, 2.0, default_key);
-
-        store.prepare(f64::INFINITY, Some(other_key));
-        let flags: Vec<bool> = store
-            .arrived(f64::INFINITY)
-            .iter()
-            .map(|v| v.joinable)
-            .collect();
-        assert_eq!(flags, vec![false, true, false]);
-
-        store.prepare(f64::INFINITY, Some(0));
-        let flags: Vec<bool> = store
-            .arrived(f64::INFINITY)
-            .iter()
-            .map(|v| v.joinable)
-            .collect();
-        assert_eq!(flags, vec![true, false, true]);
-
-        // Once the only true-override job leaves, the all-true
-        // invariant recovers even on the fast path.
-        take(&mut store, &[1]);
-        store.prepare(f64::INFINITY, None);
-        assert!(store.arrived(f64::INFINITY).iter().all(|v| v.joinable));
-        store.prepare(f64::INFINITY, Some(0));
-        assert!(store.arrived(f64::INFINITY).iter().all(|v| v.joinable));
     }
 
     /// `remove_members` as it was before members were handed over by
@@ -590,11 +472,7 @@ mod tests {
         let mut positions: Vec<usize> = Vec::with_capacity(seqs.len());
         for &seq in seqs {
             let p = store.slots[seq].take_queued().unwrap();
-            let abs = store.head + store.position_of(p.arrival, seq).unwrap();
-            if store.keys[abs] != 0 {
-                store.overrides -= 1;
-            }
-            positions.push(abs);
+            positions.push(store.head + store.position_of(p.arrival, seq).unwrap());
         }
         positions.sort_unstable();
         let n = positions.len();
@@ -610,15 +488,12 @@ mod tests {
                     continue;
                 }
                 store.views[write] = store.views[read];
-                store.keys[write] = store.keys[read];
                 write += 1;
             }
             store.views.truncate(write);
-            store.keys.truncate(write);
         }
         if store.head > 0 && store.head * 2 >= store.views.len() {
             store.views.drain(..store.head);
-            store.keys.drain(..store.head);
             store.head = 0;
         }
     }
@@ -630,14 +505,7 @@ mod tests {
             .filter(|(_, slot)| matches!(slot, Slot::Queued(_)))
             .map(|(seq, _)| seq)
             .collect();
-        (
-            seqs,
-            store.views.clone(),
-            store.keys.clone(),
-            store.head,
-            store.overrides,
-            store.flags_dirty,
-        )
+        (seqs, store.views.clone(), store.head)
     }
 
     #[test]
@@ -654,7 +522,10 @@ mod tests {
                 // Arrivals run against submission order in pairs.
                 admit(&mut store, seq, (seq ^ 1) as f64, key);
             }
-            store.prepare(f64::INFINITY, Some(other));
+            // Every view carries its job's strategy key.
+            for v in store.arrived(f64::INFINITY) {
+                assert_eq!(v.strategy_key, if v.seq % 5 == 4 { other } else { 0 });
+            }
             store
         };
         let (mut taken_from, mut removed_from) = (fill(), fill());
@@ -687,7 +558,6 @@ mod tests {
             taken,
             Err(RuntimeError::QueueCorrupted { seq: 9 })
         ));
-        store.prepare(f64::INFINITY, None);
         let order: Vec<usize> = store.arrived(f64::INFINITY).iter().map(|v| v.seq).collect();
         assert_eq!(order, vec![2, 3]);
         assert!(store.get(0).is_err() && store.get(1).is_err());

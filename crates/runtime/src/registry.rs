@@ -81,6 +81,7 @@
 //! [`Service::route_cache_stats`](crate::Service::route_cache_stats)
 //! (`plan_invalidated`, which `invalidated` equals).
 
+use std::cmp::Reverse;
 use std::sync::Arc;
 
 use qucp_device::{Calibration, CrosstalkModel, Device};
@@ -127,13 +128,6 @@ pub struct DeviceRegistry {
     /// Per-device calibration epoch: bumped on every install, parallel
     /// to `devices`.
     epochs: Vec<u64>,
-    /// Width index: `(num_qubits, registration index)` sorted
-    /// ascending, so the devices admitting a width are a suffix —
-    /// [`DeviceRegistry::admitting`] and the dispatch loop stop
-    /// scanning non-candidates. Qubit counts are fixed at registration
-    /// (recalibration never resizes a chip), so the index never goes
-    /// stale.
-    by_width: Vec<(usize, usize)>,
 }
 
 impl DeviceRegistry {
@@ -144,11 +138,9 @@ impl DeviceRegistry {
 
     /// A registry holding a single device.
     pub fn single(device: Device) -> Self {
-        let width = device.num_qubits();
         DeviceRegistry {
             devices: vec![Arc::new(device)],
             epochs: vec![0],
-            by_width: vec![(width, 0)],
         }
     }
 
@@ -156,9 +148,6 @@ impl DeviceRegistry {
     /// device starts at calibration epoch 0.
     pub fn register(&mut self, device: Device) -> DeviceId {
         let index = self.devices.len();
-        let entry = (device.num_qubits(), index);
-        let pos = self.by_width.partition_point(|&e| e < entry);
-        self.by_width.insert(pos, entry);
         self.devices.push(Arc::new(device));
         self.epochs.push(0);
         DeviceId(index)
@@ -237,34 +226,11 @@ impl DeviceRegistry {
     }
 
     /// Ids of the devices whose topology admits a `width`-qubit
-    /// program, in registration order. Served from the width index —
-    /// one binary search plus the candidates themselves, never a scan
-    /// over non-admitting devices.
+    /// program ([`Device::admits`]), in registration order.
     pub fn admitting(&self, width: usize) -> impl Iterator<Item = DeviceId> + '_ {
-        let mut ids: Vec<usize> = self
-            .admitting_bucket(width)
-            .iter()
-            .map(|&(_, index)| index)
-            .collect();
-        ids.sort_unstable();
-        ids.into_iter().map(DeviceId)
-    }
-
-    /// The width-index suffix of `(num_qubits, registration index)`
-    /// entries admitting a `width`-qubit program, sorted by qubit count
-    /// then registration index — **not** registration order. The
-    /// dispatch loop consumes this raw bucket because it re-ranks
-    /// candidates by `(score, free time, registration index)` anyway;
-    /// order-sensitive callers go through
-    /// [`DeviceRegistry::admitting`].
-    pub(crate) fn admitting_bucket(&self, width: usize) -> &[(usize, usize)] {
-        if width == 0 {
-            // `Device::admits` rejects zero-width programs; the index
-            // suffix for width 0 would be every device.
-            return &[];
-        }
-        let start = self.by_width.partition_point(|&(q, _)| q < width);
-        &self.by_width[start..]
+        self.iter()
+            .filter(move |(_, device)| device.admits(width))
+            .map(|(id, _)| id)
     }
 
     /// The registered device with the most qubits (`None` when empty) —
@@ -272,11 +238,10 @@ impl DeviceRegistry {
     /// error. Ties keep the earliest registration, consistent with the
     /// routing rule.
     pub fn widest(&self) -> Option<DeviceId> {
-        let &(max_qubits, _) = self.by_width.last()?;
-        let start = self.by_width.partition_point(|&(q, _)| q < max_qubits);
-        // The max-qubit run is sorted by registration index; its first
-        // entry is the earliest registration.
-        Some(DeviceId(self.by_width[start].1))
+        let ids = self
+            .iter()
+            .map(|(id, device)| (Reverse(device.num_qubits()), id));
+        ids.min().map(|(_, id)| id)
     }
 }
 
@@ -450,6 +415,26 @@ mod tests {
         assert_eq!(fleet.admitting(99).count(), 0);
         assert_eq!(fleet.get(tor).name(), ibm::toronto().name());
         assert_eq!(fleet.iter().count(), 3);
+    }
+
+    /// Registered out of width order, two of them tied for widest: the
+    /// admitting devices come in registration order, and the widest is
+    /// the earliest registration among the tied.
+    #[test]
+    fn admitting_is_in_registration_order_and_widest_is_the_earliest_tie() {
+        let mut fleet = DeviceRegistry::new();
+        let tor = fleet.register(ibm::toronto());
+        let man = fleet.register(ibm::manhattan());
+        let mel = fleet.register(ibm::melbourne());
+        let man2 = fleet.register(ibm::manhattan());
+        assert_eq!(fleet.widest(), Some(man));
+        let admitting = |width| fleet.admitting(width).collect::<Vec<_>>();
+        assert_eq!(admitting(15), vec![tor, man, mel, man2]);
+        assert_eq!(admitting(16), vec![tor, man, man2]);
+        assert_eq!(admitting(28), vec![man, man2]);
+        assert_eq!(admitting(0), vec![], "no device admits width 0");
+        let single = DeviceRegistry::single(ibm::melbourne());
+        assert_eq!(single.widest(), Some(DeviceId(0)));
     }
 
     #[test]

@@ -275,13 +275,12 @@ impl Service {
             shape,
             shots,
             arrival: request.arrival,
-            strategy_key,
             fidelity_threshold: request.fidelity_threshold,
             shot_parallelism: request.shot_parallelism,
             trajectory_kernel: request.trajectory_kernel,
             routing: request.routing,
         };
-        self.jobs.insert(job, depth);
+        self.jobs.insert(job, depth, strategy_key);
         Ok(JobTicket { seq, id })
     }
 

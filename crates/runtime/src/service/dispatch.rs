@@ -34,7 +34,7 @@ use crate::error::RuntimeError;
 use crate::event::Event;
 use crate::job::JobResult;
 use crate::policy::BatchBudget;
-use crate::registry::{RouteQuery, RoutingChoice};
+use crate::registry::{DeviceId, RouteQuery, RoutingChoice};
 use crate::shape::Shape;
 
 impl Service {
@@ -93,32 +93,27 @@ impl Service {
             .min_by(f64::total_cmp)
             .ok_or(RuntimeError::NoDevices)?;
         let now0 = free_at.max(t_min);
-        self.jobs.prepare(now0, None);
-        let (head_seq, head_arrival) = {
+        let head_view = {
             let arrived0 = self.jobs.arrived(now0);
-            let head_pos0 = self.policy.choose_head(arrived0);
-            (arrived0[head_pos0].seq, arrived0[head_pos0].arrival)
+            arrived0[self.policy.choose_head(arrived0)]
         };
-        let p = self.jobs.get(head_seq)?;
+        let p = self.jobs.get(head_view.seq)?;
 
-        // The width-bucketed index hands back only the admitting
-        // devices — in (width, registration) order, which is fine: the
-        // ranked sort uses the total key (score, free time,
+        // The admitting devices, an O(D) filter like the clock scan
+        // above: the ranked sort uses the total key (score, free time,
         // registration), so candidate input order never matters.
         scratch.admitting.clear();
-        scratch.admitting.extend(
-            self.registry
-                .admitting_bucket(p.circuit.width())
-                .iter()
-                .map(|&(_, d)| d),
-        );
+        let width = p.circuit.width();
+        scratch
+            .admitting
+            .extend(self.registry.admitting(width).map(DeviceId::index));
         let head = HeadContext {
-            seq: head_seq,
+            seq: head_view.seq,
             id: p.id,
-            arrival: head_arrival,
+            arrival: head_view.arrival,
             routing: p.routing.unwrap_or(self.routing),
-            strategy: Arc::clone(self.jobs.strategy(p.strategy_key)),
-            strategy_key: p.strategy_key,
+            strategy: Arc::clone(self.jobs.strategy(head_view.strategy_key)),
+            strategy_key: head_view.strategy_key,
             threshold: p.fidelity_threshold.or(self.fidelity_threshold),
             shape: p.shape.clone(),
             probe_widest: scratch.admitting.is_empty(),
@@ -439,11 +434,9 @@ impl Service {
     /// One candidate device's admission pass: bind the arrived window
     /// at this candidate's start horizon, run the policy's pack into
     /// `scratch.picks`, and copy into the scratch what the commit path
-    /// needs of the window (bound to this candidate's horizon only until
-    /// the next [`JobTable::prepare`](crate::pending::JobTable::prepare)):
-    /// the picks' submission indices (`picks_seqs`) and `(seq, width)`
-    /// of the window up to the last pick — the overtake-accounting
-    /// `pool`.
+    /// needs of the window: the picks' submission indices
+    /// (`picks_seqs`) and `(seq, width)` of the window up to the last
+    /// pick — the overtake-accounting `pool`.
     fn pack_candidate(
         &mut self,
         scratch: &mut DispatchScratch,
@@ -453,7 +446,6 @@ impl Service {
     ) -> Result<CandidatePack, RuntimeError> {
         let qubits = self.registry.device_at(d).num_qubits();
         let start = self.states[d].clock.max(head.arrival);
-        self.jobs.prepare(start, Some(head.strategy_key));
         let arrived = self.jobs.arrived(start);
         let head_pos = self
             .jobs
@@ -535,11 +527,10 @@ pub(super) struct HeadContext {
     /// service default.
     pub(super) routing: RoutingChoice,
     /// The head's effective strategy, shared with the store's table: it
-    /// decides joinability, plans the batch and parameterizes the
-    /// probes.
+    /// plans the batch and parameterizes the probes.
     pub(super) strategy: Arc<Strategy>,
     /// The store's key of that strategy: the strategy component of
-    /// every plan-memo key, and the joinability filter.
+    /// every plan-memo key.
     pub(super) strategy_key: u32,
     /// The head's effective EFS threshold (the head-only gate's input).
     pub(super) threshold: Option<f64>,

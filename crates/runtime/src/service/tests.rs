@@ -517,7 +517,10 @@ fn the_plan_key_tells_apart_everything_planning_reads() {
     let qumc = submit(&bell, None, Some(measured(3.0)));
     let qumc_again = submit(&bell, None, Some(measured(3.0)));
     let qumc_off_by_one = submit(&bell, None, Some(measured(3.5)));
-    let strategy_key = |service: &Service, seq: usize| service.jobs.get(seq).unwrap().strategy_key;
+    let strategy_key = |service: &Service, seq: usize| {
+        let views = service.jobs.arrived(f64::INFINITY);
+        views.iter().find(|v| v.seq == seq).unwrap().strategy_key
+    };
     let key = |service: &Service, strategy: u32, seqs: &[usize]| {
         service.plan_key(0, strategy, seqs, Vec::new()).unwrap()
     };

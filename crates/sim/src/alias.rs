@@ -4,10 +4,10 @@
 //! probability CDF linearly — O(2^n) per shot. That walk is pinned
 //! bit-for-bit by every tuned-seed test, so it cannot change; but the
 //! paths that are *not* bit-pinned to it (the [`SurvivalSkip`] clean and
-//! single-error shots and [`run_ideal`]) sample one distribution many
-//! times per job, and for those an [`AliasTable`] answers each draw in
-//! constant time. The clean-shot table is built once per prepared job;
-//! a single-error table is built by the trajectory evaluator, once per
+//! single-error shots) sample one distribution many times per job,
+//! and for those an [`AliasTable`] answers each draw in constant time.
+//! The clean-shot table is built once per prepared job; a
+//! single-error table is built by the trajectory evaluator, once per
 //! distinct `(position, Pauli)` pattern of a run, at the tree node
 //! whose final state it samples — no stream keeps a table cache, and
 //! the evaluator rebuilds its one table in place
@@ -19,11 +19,8 @@
 //! stream advance per outcome, same as the linear walk it replaces.
 //!
 //! [`SurvivalSkip`]: crate::TrajectoryKernel::SurvivalSkip
-//! [`run_ideal`]: crate::run_ideal
 
 use std::mem::size_of;
-
-use rand::Rng;
 
 use crate::state::Statevector;
 
@@ -141,7 +138,8 @@ impl AliasTable {
     }
 
     /// Samples one outcome, advancing `rng` by exactly one `f64` draw.
-    pub fn sample_with(&self, rng: &mut impl Rng) -> usize {
+    #[cfg(test)]
+    pub fn sample_with(&self, rng: &mut impl rand::Rng) -> usize {
         self.sample(rng.gen())
     }
 
@@ -163,7 +161,7 @@ impl AliasScratch {
 mod tests {
     use super::*;
     use rand::rngs::StdRng;
-    use rand::SeedableRng;
+    use rand::{Rng, SeedableRng};
 
     #[test]
     fn deterministic_distribution_always_returns_the_outcome() {

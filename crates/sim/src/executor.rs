@@ -60,8 +60,7 @@ use std::sync::OnceLock;
 use qucp_circuit::schedule::{self, Schedule};
 use qucp_circuit::{Circuit, Gate};
 use qucp_device::{Device, Link};
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::Rng;
 
 use crate::alias::AliasTable;
 use crate::counts::{Counts, Tally};
@@ -117,9 +116,8 @@ pub enum ShotParallelism {
         threads: usize,
     },
     /// Adaptive sharding: pick the shard count from the job's shot
-    /// budget via [`auto_shard_count`] (one shard per
-    /// [`AUTO_SHOTS_PER_SHARD`] shots, at least 1, at most
-    /// [`AUTO_MAX_SHARDS`]) and run on all available cores. The counts
+    /// budget via [`auto_shard_count`] (one shard per 512 shots, at
+    /// least 1, at most 32) and run on all available cores. The counts
     /// stay a pure function of `(seed, shots)` — the shot budget
     /// *determines* the shard split, so two runs of the same job agree
     /// bit-for-bit on any machine, and `Auto` on an `n`-shot job equals
@@ -162,21 +160,21 @@ impl ShotParallelism {
 }
 
 /// Shot budget one auto-picked shard covers (see [`auto_shard_count`]).
-pub const AUTO_SHOTS_PER_SHARD: usize = 512;
+pub(crate) const AUTO_SHOTS_PER_SHARD: usize = 512;
 
 /// Upper bound on auto-picked shard counts (see [`auto_shard_count`]).
-pub const AUTO_MAX_SHARDS: usize = 32;
+pub(crate) const AUTO_MAX_SHARDS: usize = 32;
 
 /// The shard count [`ShotParallelism::Auto`] picks for a job of
-/// `shots`: `clamp(shots / AUTO_SHOTS_PER_SHARD, 1, AUTO_MAX_SHARDS)`.
+/// `shots`: `clamp(shots / 512, 1, 32)`.
 ///
 /// The heuristic keeps every shard busy enough to amortize its stream
-/// setup (at least [`AUTO_SHOTS_PER_SHARD`] = 512 shots per shard, so
-/// small jobs run 1 shard ≈ serially) while bounding the split (at most
-/// [`AUTO_MAX_SHARDS`] = 32 shards, past which join overhead and
-/// diminishing stream lengths dominate). It deliberately ignores the
-/// machine's core count: shards determine the counts, so they must be
-/// a pure function of the job, never of the host.
+/// setup (at least 512 shots per shard, so small jobs run 1 shard ≈
+/// serially) while bounding the split (at most 32 shards, past which
+/// join overhead and diminishing stream lengths dominate). It
+/// deliberately ignores the machine's core count: shards determine the
+/// counts, so they must be a pure function of the job, never of the
+/// host.
 pub fn auto_shard_count(shots: usize) -> usize {
     (shots / AUTO_SHOTS_PER_SHARD).clamp(1, AUTO_MAX_SHARDS)
 }
@@ -456,21 +454,6 @@ pub fn noiseless_probabilities(circuit: &Circuit) -> Vec<f64> {
 /// (probability above 0.999).
 pub fn ideal_outcome(circuit: &Circuit) -> Option<usize> {
     Statevector::from_circuit(circuit).deterministic_outcome()
-}
-
-/// Samples `shots` outcomes from the noiseless circuit.
-///
-/// Sampling goes through a Walker/Vose alias table built once from
-/// the final state — O(1) per shot instead of the O(2^n) linear CDF
-/// walk — and advances the RNG by exactly one `f64` draw per shot.
-pub fn run_ideal(circuit: &Circuit, shots: usize, seed: u64) -> Counts {
-    let table = AliasTable::from_statevector(&Statevector::from_circuit(circuit));
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut counts = Tally::new(circuit.width(), shots);
-    for _ in 0..shots {
-        counts.record(table.sample_with(&mut rng));
-    }
-    counts.into_counts()
 }
 
 /// One scheduled noise opportunity in the trajectory event stream.
@@ -1020,34 +1003,7 @@ pub fn run_noisy(
     scaling: &NoiseScaling,
     cfg: &ExecutionConfig,
 ) -> Result<Counts, SimError> {
-    run_noisy_with_idle(circuit, layout, device, scaling, &[], cfg)
-}
-
-/// [`run_noisy`] with additional trailing idle time per local qubit.
-///
-/// `tail_idle[q]` nanoseconds of extra waiting are appended to qubit `q`
-/// before readout (missing entries mean zero). The parallel executor uses
-/// this to charge the decoherence cost of gate-level crosstalk
-/// *serialization* (the CNA baseline delays conflicting CNOTs, which
-/// stretches the schedule).
-///
-/// Exactly [`PreparedJob::prepare`] followed by one
-/// [`PreparedJob::run`]; callers that execute the same mapped job more
-/// than once keep the [`PreparedJob`] instead.
-///
-/// # Errors
-///
-/// Returns a [`SimError`] if the layout is malformed or a two-qubit gate
-/// is not executable on the topology.
-pub fn run_noisy_with_idle(
-    circuit: &Circuit,
-    layout: &[usize],
-    device: &Device,
-    scaling: &NoiseScaling,
-    tail_idle: &[f64],
-    cfg: &ExecutionConfig,
-) -> Result<Counts, SimError> {
-    Ok(PreparedJob::prepare(circuit, layout, device, scaling, tail_idle, cfg)?.run(circuit, cfg))
+    Ok(PreparedJob::prepare(circuit, layout, device, scaling, &[], cfg)?.run(circuit, cfg))
 }
 
 /// The seed- and shot-independent part of a noisy execution, built
@@ -1073,9 +1029,8 @@ pub fn run_noisy_with_idle(
 /// nothing for them. Nothing depends on `seed`,
 /// `shots`, `parallelism` or `kernel`, so one prepared job serves every
 /// run of the same mapped job under the same calibration and noise
-/// flags, bit-for-bit what [`run_noisy_with_idle`] computes from
-/// scratch. The circuit itself is not copied: [`PreparedJob::run`]
-/// takes it again.
+/// flags, bit-for-bit what [`run_noisy`] computes from scratch. The
+/// circuit itself is not copied: [`PreparedJob::run`] takes it again.
 ///
 /// No intermediate state is kept with the job (a run's evaluator walks
 /// the event stream forward from `|0…0⟩`, in a level pool its thread
@@ -1533,6 +1488,8 @@ fn apply_typed_gate_error(amps: &mut [Complex], gate: &Gate, code: u8) {
 mod tests {
     use super::*;
     use qucp_device::{Calibration, CrosstalkModel, Topology};
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
 
     fn line_device(n: usize, cx_err: f64, ro_err: f64) -> Device {
         let t = Topology::line(n);
@@ -1550,8 +1507,7 @@ mod tests {
     fn ideal_run_of_deterministic_circuit() {
         let mut c = Circuit::new(2);
         c.x(0).cx(0, 1);
-        let counts = run_ideal(&c, 100, 7);
-        assert_eq!(counts.count(0b11), 100);
+        assert_eq!(noiseless_probabilities(&c)[0b11], 1.0);
         assert_eq!(ideal_outcome(&c), Some(0b11));
     }
 
@@ -2227,9 +2183,10 @@ mod tests {
                         .with_seed(seed)
                         .with_kernel(kernel)
                         .with_parallelism(mode);
-                    let fresh = run_noisy_with_idle(&c, &layout, &dev, &scaling, &tail, &cfg);
+                    let fresh = PreparedJob::prepare(&c, &layout, &dev, &scaling, &tail, &cfg);
                     let replayed = prepared.run(&c, &cfg);
-                    assert_eq!(replayed, fresh.unwrap(), "{kernel:?} {mode:?} {shots}");
+                    let fresh = fresh.unwrap().run(&c, &cfg);
+                    assert_eq!(replayed, fresh, "{kernel:?} {mode:?} {shots}");
                     assert_eq!(replayed, prepared.run(&c, &cfg), "replay is repeatable");
                     if matches!(mode, ShotParallelism::Sharded { .. }) {
                         sharded.push(replayed);

@@ -31,29 +31,44 @@ use std::sync::OnceLock;
 /// worker** before it adds one: `w` workers need `w` floors of total
 /// work, so anything under two floors runs inline.
 ///
-/// The unit is [`WORK_UNIT_NS`] nanoseconds, the low end of what one
-/// scheduled event of one trajectory shot costs — a simulated run
-/// estimates `shots × events`, a caller that has a measured duration
-/// divides it by the unit. Measured on a two-core host: a scoped
+/// The unit is 10 nanoseconds, the low end of what one scheduled event
+/// of one trajectory shot costs — a simulated run estimates `shots ×
+/// events`, a caller that has a measured duration divides it by the
+/// unit. Measured on a two-core host: a scoped
 /// spawn + join costs ~25 µs and a shot-event 17 ns (SurvivalSkip) to
 /// 47 ns (Replay), so a floor is a share of 80–400 µs per worker,
 /// three to fifteen times the thread it pays for.
-pub const SPAWN_WORK_FLOOR: u64 = 1 << 13;
-
-/// Nanoseconds per unit of a [`run_indexed`] work estimate.
-pub const WORK_UNIT_NS: u64 = 10;
+pub(crate) const SPAWN_WORK_FLOOR: u64 = 1 << 13;
 
 /// The number of threads this process may keep busy: what
 /// `std::thread::available_parallelism` reported the first time anyone
 /// asked (1 if it could not say). Later changes to the affinity mask
 /// are deliberately not seen — a budget that moves mid-run would make
 /// wall-clock numbers incomparable, and it can never change a result.
-pub fn core_budget() -> usize {
+pub(crate) fn core_budget() -> usize {
     static BUDGET: OnceLock<usize> = OnceLock::new();
     *BUDGET.get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
 }
 
-/// [`run_indexed_within`] under the process-wide [`core_budget`].
+/// Runs `task(0)`, …, `task(n − 1)` on at most as many workers as the
+/// process has cores — the calling thread plus scoped helpers — and
+/// returns the results in index order. The core count is what
+/// `std::thread::available_parallelism` reported the first time the
+/// process asked.
+///
+/// `work_hint` is the caller's estimate of the work of **all `n`
+/// tasks together** in units of 10 ns; the fan-out uses one worker per
+/// 8 192 units of it, so what decides a spawn is what the threads save,
+/// not how finely the work is cut. Under two such floors, or on one
+/// core, every task runs inline on the caller in index order. The
+/// tasks must be independent: which worker runs which index, and in
+/// what order, is unspecified.
+///
+/// # Panics
+///
+/// If a task panics, the panic resumes on the calling thread after
+/// every worker has stopped (the remaining tasks may or may not have
+/// run). When several tasks panic, one of the panics is propagated.
 pub fn run_indexed<T, F>(n: usize, work_hint: u64, task: F) -> Vec<T>
 where
     T: Send,
@@ -71,24 +86,10 @@ pub(crate) fn workers_for(budget: usize, n: usize, work_hint: u64) -> usize {
     budget.min(n).min(paid_for).max(1)
 }
 
-/// Runs `task(0)`, …, `task(n − 1)` on at most `budget` workers — the
-/// calling thread plus up to `budget − 1` scoped helpers — and returns
-/// the results in index order.
-///
-/// `work_hint` is the caller's estimate of the work of **all `n`
-/// tasks together** in units of [`WORK_UNIT_NS`]; the fan-out uses one
-/// worker per [`SPAWN_WORK_FLOOR`] of it, so what decides a spawn is
-/// what the threads save, not how finely the work is cut. Under two
-/// floors, or with a budget of one, every task runs inline on the
-/// caller in index order. The tasks must be independent: which worker
-/// runs which index, and in what order, is unspecified.
-///
-/// # Panics
-///
-/// If a task panics, the panic resumes on the calling thread after
-/// every worker has stopped (the remaining tasks may or may not have
-/// run). When several tasks panic, one of the panics is propagated.
-pub fn run_indexed_within<T, F>(budget: usize, n: usize, work_hint: u64, task: F) -> Vec<T>
+/// [`run_indexed`] on at most `budget` workers — the calling thread
+/// plus up to `budget − 1` scoped helpers — one per
+/// [`SPAWN_WORK_FLOOR`] of `work_hint`.
+pub(crate) fn run_indexed_within<T, F>(budget: usize, n: usize, work_hint: u64, task: F) -> Vec<T>
 where
     T: Send,
     F: Fn(usize) -> T + Sync,

@@ -17,14 +17,14 @@
 //!
 //! ## Thread safety
 //!
-//! Every execution entry point ([`run_noisy`], [`run_noisy_with_idle`],
-//! [`run_ideal`], …) is a free function over `Send + Sync` inputs
-//! ([`ExecutionConfig`] is `Copy`; circuits, devices and
+//! Every execution entry point ([`run_noisy`],
+//! [`clean_shot_probability`], …) is a free function over `Send + Sync`
+//! inputs ([`ExecutionConfig`] is `Copy`; circuits, devices and
 //! [`NoiseScaling`] are plain data) with no interior mutability or
 //! global state — each call owns its RNG, seeded from the config. A
 //! [`PreparedJob`] — the seed- and shot-independent half of
-//! [`run_noisy_with_idle`], kept by callers that run one mapped job
-//! many times — is `Send + Sync` too and shared by reference. The
+//! [`run_noisy`], kept by callers that run one mapped job many times —
+//! is `Send + Sync` too and shared by reference. The
 //! `qucp-runtime` batch scheduler relies on this to execute the
 //! programs of a batch concurrently; a compile-time assertion in this
 //! crate's tests pins the guarantee.
@@ -34,10 +34,9 @@
 //! Every parallel loop of the workspace is one call to
 //! [`run_indexed`]: the caller claims tasks off an atomic index
 //! itself, helper threads join only when the process's core budget
-//! ([`core_budget`], read once) exceeds one and the fan-out's
-//! estimated total work gives each worker a [`SPAWN_WORK_FLOOR`] of
-//! it, results return in index order and a task panic resumes on the
-//! caller.
+//! (read once) exceeds one and the fan-out's estimated total work
+//! gives each worker a floor of it (8 192 units of 10 ns), results
+//! return in index order and a task panic resumes on the caller.
 //!
 //! ## Draw, then evaluate
 //!
@@ -223,10 +222,9 @@ pub use counts::Counts;
 pub use density::{apply_readout_confusion, exact_probabilities, DensityMatrix};
 pub use executor::{
     auto_shard_count, clean_shot_probability, derive_shard_seed, gate_durations, ideal_outcome,
-    noiseless_probabilities, run_ideal, run_noisy, run_noisy_with_idle, ExecutionConfig,
-    NoiseScaling, PreparedJob, ShotParallelism, SimError, TrajectoryKernel, AUTO_MAX_SHARDS,
-    AUTO_SHOTS_PER_SHARD,
+    noiseless_probabilities, run_noisy, ExecutionConfig, NoiseScaling, PreparedJob,
+    ShotParallelism, SimError, TrajectoryKernel,
 };
-pub use fanout::{core_budget, run_indexed, run_indexed_within, SPAWN_WORK_FLOOR, WORK_UNIT_NS};
+pub use fanout::run_indexed;
 pub use state::Statevector;
 pub use unitaries::single_qubit_matrix;

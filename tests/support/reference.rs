@@ -28,6 +28,8 @@ struct Queued {
     ticket: JobTicket,
     shots: usize,
     skips: usize,
+    /// The effective strategy's index in `strategies`.
+    strategy_key: u32,
     req: JobRequest,
 }
 
@@ -38,6 +40,10 @@ pub struct ReferenceScheduler {
     ledgers: Vec<Ledger>,
     /// Pending jobs in submission order.
     queue: Vec<Queued>,
+    /// Every effective strategy submitted, by value, in first-seen
+    /// order: a job's key is its index, and jobs of equal keys may
+    /// share a batch.
+    strategies: Vec<Strategy>,
     batches: Vec<BatchReport>,
     results: Vec<Option<JobResult>>,
     claimed: Vec<bool>,
@@ -65,6 +71,7 @@ impl ReferenceScheduler {
             fleet,
             cfg: cfg.clone(),
             queue: Vec::new(),
+            strategies: Vec::new(),
             batches: Vec::new(),
             results: Vec::new(),
             claimed: Vec::new(),
@@ -101,10 +108,19 @@ impl ReferenceScheduler {
             shots,
         });
         let ticket = JobTicket { seq, id };
+        let strategy = req.strategy.as_ref().unwrap_or(&self.cfg.strategy);
+        let strategy_key = match self.strategies.iter().position(|s| s == strategy) {
+            Some(key) => key,
+            None => {
+                self.strategies.push(strategy.clone());
+                self.strategies.len() - 1
+            }
+        } as u32;
         self.queue.push(Queued {
             ticket,
             shots,
             skips: 0,
+            strategy_key,
             req,
         });
         self.results.push(None);
@@ -153,8 +169,8 @@ impl ReferenceScheduler {
     }
 
     /// The jobs arrived by `now` in FIFO `(arrival, submission)` order: queue
-    /// positions and the policy's views; `head` decides joinability.
-    fn arrived(&self, now: f64, head: Option<&Strategy>) -> (Vec<usize>, Vec<JobView>) {
+    /// positions and the policy's views.
+    fn arrived(&self, now: f64) -> (Vec<usize>, Vec<JobView>) {
         let arrival = |q: usize| self.queue[q].req.arrival;
         let mut at: Vec<usize> = (0..self.queue.len()).collect();
         at.retain(|&q| arrival(q) <= now);
@@ -163,14 +179,13 @@ impl ReferenceScheduler {
         let view = |&q: &usize| {
             let job = &self.queue[q];
             let (width, depth) = (job.req.circuit.width(), job.req.circuit.depth());
-            let strategy = job.req.strategy.as_ref().unwrap_or(&self.cfg.strategy);
             JobView {
                 seq: job.ticket.seq,
                 arrival: job.req.arrival,
                 width,
                 area: width * depth,
                 skips: job.skips,
-                joinable: head.is_none_or(|h| strategy == h),
+                strategy_key: job.strategy_key,
             }
         };
         let views = at.iter().map(view).collect();
@@ -188,7 +203,7 @@ impl ReferenceScheduler {
         let ids = self.fleet.ids().iter().copied();
         let earliest = ids.min_by(|&a, &b| clock(a).total_cmp(&clock(b)));
         let horizon = clock(earliest.expect("fleet is non-empty")).max(first_arrival);
-        let (at, views) = self.arrived(horizon, None);
+        let (at, views) = self.arrived(horizon);
         let head_q = at[self.cfg.policy.choose_head(&views)];
         let head = &self.queue[head_q];
         let (head_id, head_arrival) = (head.ticket.id, head.req.arrival);
@@ -205,7 +220,11 @@ impl ReferenceScheduler {
 
         // Rank the admitting chips by (score, free time, registration);
         // with none, probe the widest so the placement error surfaces.
-        let admitting: Vec<DeviceId> = self.fleet.registry().admitting(circuit.width()).collect();
+        // Both are stated here, not asked of the registry.
+        let qubits = |d: DeviceId| self.fleet.get(d).num_qubits();
+        let width = circuit.width();
+        let ids = self.fleet.ids().iter().copied();
+        let admitting: Vec<DeviceId> = ids.filter(|&d| (1..=qubits(d)).contains(&width)).collect();
         let probe_widest = admitting.is_empty();
         let mut ranked: Vec<(f64, f64, DeviceId)> = Vec::new();
         let starts = admitting.iter().map(|&d| clock(d).max(head_arrival));
@@ -226,7 +245,11 @@ impl ReferenceScheduler {
         }
         ranked.sort_by(|a, b| (a.0.total_cmp(&b.0).then(a.1.total_cmp(&b.1))).then(a.2.cmp(&b.2)));
         if probe_widest {
-            let widest = self.fleet.registry().widest().expect("fleet is non-empty");
+            // The first registered of the chips with the most qubits.
+            let most = self.fleet.ids().iter().map(|&d| qubits(d)).max();
+            let mut ids = self.fleet.ids().iter().copied();
+            let widest = ids.find(|&d| Some(qubits(d)) == most);
+            let widest = widest.expect("fleet is non-empty");
             ranked.push((f64::INFINITY, clock(widest), widest));
         }
 
@@ -255,7 +278,7 @@ impl ReferenceScheduler {
                     continue;
                 }
             };
-            let (at, views) = self.arrived(start, Some(&strategy));
+            let (at, views) = self.arrived(start);
             let head_pos = at.iter().position(|&q| q == head_q);
             let head_pos = head_pos.expect("the head has arrived");
             let budget = BatchBudget {
