@@ -23,7 +23,8 @@
 //! assert_eq!(adder.gate_count(), 23);
 //! assert_eq!(adder.cx_count(), 10);
 //!
-//! let timing = schedule::alap_schedule(&adder, |g| if g.is_two_qubit() { 300.0 } else { 35.0 });
+//! let duration = |_, g: &qucp_circuit::Gate| if g.is_two_qubit() { 300.0 } else { 35.0 };
+//! let timing = schedule::alap_schedule_with(&adder, duration);
 //! assert!(timing.makespan() > 0.0);
 //! ```
 

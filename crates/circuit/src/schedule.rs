@@ -123,14 +123,9 @@ pub fn moments(circuit: &Circuit) -> Vec<Vec<usize>> {
     layers
 }
 
-/// Schedules the circuit as soon as possible with per-gate durations.
-pub fn asap_schedule(circuit: &Circuit, duration: impl Fn(&Gate) -> f64) -> Schedule {
-    asap_schedule_with(circuit, |_, g| duration(g))
-}
-
-/// [`asap_schedule`] with an index-aware duration function, for callers
-/// whose durations depend on gate position (e.g. link-specific CNOT
-/// durations after mapping).
+/// Schedules the circuit as soon as possible with per-gate durations:
+/// `duration(i, gate)` is gate `i`'s, so durations may depend on gate
+/// position (e.g. link-specific CNOT durations after mapping).
 pub fn asap_schedule_with(circuit: &Circuit, duration: impl Fn(usize, &Gate) -> f64) -> Schedule {
     let mut available = vec![0.0f64; circuit.width()];
     let mut entries = Vec::with_capacity(circuit.gate_count());
@@ -155,16 +150,12 @@ pub fn asap_schedule_with(circuit: &Circuit, duration: impl Fn(usize, &Gate) -> 
     Schedule { entries, makespan }
 }
 
-/// Schedules the circuit as late as possible within the ASAP makespan.
+/// Schedules the circuit as late as possible within the ASAP makespan,
+/// with [`asap_schedule_with`]'s index-aware durations.
 ///
 /// The relative order of gates on each qubit is preserved; every gate is
 /// pushed toward the end of the schedule so that qubits leave the ground
 /// state as late as possible (the paper's default policy).
-pub fn alap_schedule(circuit: &Circuit, duration: impl Fn(&Gate) -> f64) -> Schedule {
-    alap_schedule_with(circuit, |_, g| duration(g))
-}
-
-/// [`alap_schedule`] with an index-aware duration function.
 ///
 /// The makespan is [`asap_schedule_with`]'s, bit for bit: one forward
 /// pass takes the same `max` over the same sums, without building the
@@ -254,7 +245,7 @@ impl UniformDurations {
 mod tests {
     use super::*;
 
-    fn dur(g: &Gate) -> f64 {
+    fn dur(_: usize, g: &Gate) -> f64 {
         if g.is_two_qubit() {
             300.0
         } else {
@@ -266,7 +257,7 @@ mod tests {
     fn asap_timings() {
         let mut c = Circuit::new(2);
         c.h(0).cx(0, 1).h(1);
-        let s = asap_schedule(&c, dur);
+        let s = asap_schedule_with(&c, dur);
         assert_eq!(s.entries()[0].start, 0.0);
         assert_eq!(s.entries()[1].start, 35.0);
         assert_eq!(s.entries()[2].start, 335.0);
@@ -278,8 +269,8 @@ mod tests {
         // q0: h then nothing; q1: long chain. ALAP should delay the h.
         let mut c = Circuit::new(2);
         c.h(0).h(1).h(1).h(1).cx(0, 1);
-        let asap = asap_schedule(&c, dur);
-        let alap = alap_schedule(&c, dur);
+        let asap = asap_schedule_with(&c, dur);
+        let alap = alap_schedule_with(&c, dur);
         assert_eq!(asap.makespan(), alap.makespan());
         // Under ASAP the single h on q0 starts at t=0; under ALAP it abuts
         // the cx.
@@ -294,7 +285,7 @@ mod tests {
     fn alap_reduces_idle_before_first_gate() {
         let mut c = Circuit::new(2);
         c.h(0).h(1).h(1).h(1).cx(0, 1);
-        let alap = alap_schedule(&c, dur);
+        let alap = alap_schedule_with(&c, dur);
         let idle = alap.idle_windows(&c);
         // Under ALAP, qubit 0's h abuts the cx, so no internal gap exists.
         assert!(idle[0].is_empty());
@@ -306,7 +297,7 @@ mod tests {
         // q1 finishes well before q0 under ASAP.
         let mut c = Circuit::new(2);
         c.h(1).h(0).h(0).h(0).h(0);
-        let s = asap_schedule(&c, dur);
+        let s = asap_schedule_with(&c, dur);
         let idle = s.idle_windows(&c);
         assert_eq!(idle[1].len(), 1);
         let (a, b) = idle[1][0];
@@ -318,7 +309,7 @@ mod tests {
     fn idle_windows_internal_gap() {
         let mut c = Circuit::new(2);
         c.h(0).cx(0, 1).h(0).h(0).cx(0, 1);
-        let s = asap_schedule(&c, dur);
+        let s = asap_schedule_with(&c, dur);
         let idle = s.idle_windows(&c);
         // q1 idles between the two cx gates.
         assert_eq!(idle[1].len(), 1);
@@ -330,7 +321,7 @@ mod tests {
     fn unused_qubits_have_no_idle_windows() {
         let mut c = Circuit::new(3);
         c.h(0).cx(0, 1);
-        let s = alap_schedule(&c, dur);
+        let s = alap_schedule_with(&c, dur);
         assert!(s.idle_windows(&c)[2].is_empty());
     }
 
@@ -378,7 +369,7 @@ mod tests {
     #[test]
     fn empty_circuit_schedule() {
         let c = Circuit::new(3);
-        let s = alap_schedule(&c, dur);
+        let s = alap_schedule_with(&c, dur);
         assert_eq!(s.makespan(), 0.0);
         assert!(s.entries().is_empty());
     }
@@ -387,7 +378,7 @@ mod tests {
     fn schedule_entry_lookup() {
         let mut c = Circuit::new(2);
         c.h(0).cx(0, 1);
-        let s = asap_schedule(&c, dur);
+        let s = asap_schedule_with(&c, dur);
         assert!(s.entry(1).is_some());
         assert!(s.entry(7).is_none());
     }

@@ -82,7 +82,7 @@ fn cancel_until_fixed_point(gates: &[Gate]) -> (Vec<Gate>, usize) {
     }
 }
 
-fn dur(g: &Gate) -> f64 {
+fn dur(_: usize, g: &Gate) -> f64 {
     if g.is_two_qubit() {
         300.0
     } else {
@@ -144,8 +144,8 @@ proptest! {
 
     #[test]
     fn asap_alap_same_makespan(c in arb_circuit(60)) {
-        let asap = schedule::asap_schedule(&c, dur);
-        let alap = schedule::alap_schedule(&c, dur);
+        let asap = schedule::asap_schedule_with(&c, dur);
+        let alap = schedule::alap_schedule_with(&c, dur);
         prop_assert!((asap.makespan() - alap.makespan()).abs() < 1e-6);
     }
 
@@ -164,7 +164,7 @@ proptest! {
 
     #[test]
     fn alap_entries_within_makespan(c in arb_circuit(60)) {
-        let alap = schedule::alap_schedule(&c, dur);
+        let alap = schedule::alap_schedule_with(&c, dur);
         for e in alap.entries() {
             prop_assert!(e.start >= -1e-9);
             prop_assert!(e.end() <= alap.makespan() + 1e-9);
@@ -173,7 +173,7 @@ proptest! {
 
     #[test]
     fn alap_preserves_per_qubit_order(c in arb_circuit(60)) {
-        let alap = schedule::alap_schedule(&c, dur);
+        let alap = schedule::alap_schedule_with(&c, dur);
         for q in 0..c.width() {
             let mut last_end = -1e18;
             for (i, g) in c.gates().iter().enumerate() {
@@ -217,7 +217,7 @@ proptest! {
 
     #[test]
     fn idle_windows_are_ordered_and_positive(c in arb_circuit(60)) {
-        let s = schedule::alap_schedule(&c, dur);
+        let s = schedule::alap_schedule_with(&c, dur);
         for windows in s.idle_windows(&c) {
             let mut prev_end = -1e18;
             for (a, b) in windows {

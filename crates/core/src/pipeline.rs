@@ -184,7 +184,8 @@ impl PlannedWorkload {
     /// Stage 4: runs program `index` on the `qucp-sim` trajectory
     /// simulator and scores it against its noiseless reference —
     /// [`prepare`](PlannedWorkload::prepare), then
-    /// [`run_prepared`](PlannedWorkload::run_prepared).
+    /// [`run_prepared`](PlannedWorkload::run_prepared), the result named
+    /// after the program.
     ///
     /// Deterministic given `exec.seed`: the program's own seed derives
     /// from `(exec.seed, index)` only ([`derive_program_seed`]), so
@@ -207,7 +208,10 @@ impl PlannedWorkload {
         exec: &ExecutionConfig,
     ) -> Result<ProgramResult, CoreError> {
         let prepared = self.prepare(device, index, exec)?;
-        Ok(self.run_prepared(&prepared, index, exec))
+        Ok(ProgramResult {
+            name: self.programs[index].name().to_string(),
+            ..self.run_prepared(&prepared, index, exec)
+        })
     }
 
     /// The first half of [`run_program`](PlannedWorkload::run_program):
@@ -270,7 +274,10 @@ impl PlannedWorkload {
     /// program `index`'s shots from `prepared` — what
     /// [`prepare`](PlannedWorkload::prepare) returned for that program
     /// under `exec`'s noise flags — their counts and the score; no
-    /// simulator set-up, no noiseless reference.
+    /// simulator set-up, no noiseless reference. The result's
+    /// [`ProgramResult::name`] is left empty (no heap request) for the
+    /// caller to set: `run_program` names it after the program, the
+    /// runtime after its job.
     ///
     /// # Panics
     ///
@@ -278,25 +285,6 @@ impl PlannedWorkload {
     /// `exec`'s, or for a routed circuit of another width or gate count
     /// than program `index`'s.
     pub fn run_prepared(
-        &self,
-        prepared: &PreparedProgram,
-        index: usize,
-        exec: &ExecutionConfig,
-    ) -> ProgramResult {
-        ProgramResult {
-            name: self.programs[index].name().to_string(),
-            ..self.run_prepared_unnamed(prepared, index, exec)
-        }
-    }
-
-    /// [`run_prepared`](PlannedWorkload::run_prepared) with an empty
-    /// [`ProgramResult::name`] (no heap request), for a caller that
-    /// names the result itself — the runtime names it after its job.
-    ///
-    /// # Panics
-    ///
-    /// As [`run_prepared`](PlannedWorkload::run_prepared).
-    pub fn run_prepared_unnamed(
         &self,
         prepared: &PreparedProgram,
         index: usize,
@@ -675,8 +663,13 @@ mod tests {
                                     .with_kernel(kernel)
                                     .with_parallelism(parallelism)
                                     .with_seed(seed);
+                                // Named after the program, as `run_program` names it.
+                                let named = ProgramResult {
+                                    name: plan.programs[index].name().to_string(),
+                                    ..plan.run_prepared(&prepared, index, &exec)
+                                };
                                 assert_eq!(
-                                    plan.run_prepared(&prepared, index, &exec),
+                                    named,
                                     plan.run_program(device, index, &exec).unwrap(),
                                     "{exec:?}"
                                 );

@@ -455,7 +455,7 @@ fn connection_loop<C: Connection>(conn: &mut C, mut session: ServerSession, shut
     let mut frames = FrameReader::new();
     let mut response = Vec::new();
     loop {
-        match frames.poll_borrowed(conn) {
+        match frames.poll(conn) {
             Ok(FrameProgress::Frame(request)) => {
                 session.handle_frame_into(&request, &mut response);
                 if write_response(conn, &response, shutdown).is_err() {

@@ -32,7 +32,7 @@
 //! announced size, made only after the [`MAX_FRAME_LEN`] check; the
 //! buffer never grows, so one big report leaves nothing pinned. The
 //! server borrows each request out of the buffer
-//! ([`FrameReader::poll_borrowed`]) and decodes it there;
+//! ([`FrameReader::poll`]) and decodes it there;
 //! [`StreamTransport`] owns a reader too and copies each response out
 //! once, into the `Vec` that [`Transport::call`] returns.
 //!
@@ -115,13 +115,13 @@ pub(crate) fn write_frame_with(
     Ok(())
 }
 
-/// What one [`FrameReader::poll`] produced. `F` is how the payload is
-/// held: owned by default, borrowed from the reader's buffer for
-/// [`FrameReader::poll_borrowed`].
+/// What one [`FrameReader::poll`] produced.
 #[derive(Debug, PartialEq, Eq)]
-pub enum FrameProgress<F = Vec<u8>> {
-    /// A complete frame's payload.
-    Frame(F),
+pub enum FrameProgress<'a> {
+    /// A complete frame's payload: borrowed from the reader's buffer
+    /// until the next call, or owned for a frame that took the
+    /// large-frame path.
+    Frame(Cow<'a, [u8]>),
     /// Clean EOF at a frame boundary — the peer hung up between
     /// messages. (EOF *inside* a frame is a [`WireError`] instead.)
     Eof,
@@ -200,24 +200,12 @@ impl FrameReader {
     }
 
     /// Reads as much of the current frame as the stream will give and
-    /// hands its payload out owned. Never loses bytes: `Pending`
+    /// hands its payload out without a copy: borrowed from the reader's
+    /// buffer until the next call (a large frame comes owned, in the
+    /// allocation it was read into). Never loses bytes: `Pending`
     /// preserves all progress for the next call. Issues no `read`
     /// while a whole frame is already buffered.
-    pub fn poll(&mut self, r: &mut impl Read) -> Result<FrameProgress, WireError> {
-        Ok(match self.poll_borrowed(r)? {
-            FrameProgress::Frame(payload) => FrameProgress::Frame(payload.into_owned()),
-            FrameProgress::Eof => FrameProgress::Eof,
-            FrameProgress::Pending => FrameProgress::Pending,
-        })
-    }
-
-    /// [`poll`](Self::poll) without the copy: the payload is borrowed
-    /// from the reader's buffer until the next call (a large frame
-    /// comes owned, in the allocation it was read into).
-    pub fn poll_borrowed(
-        &mut self,
-        r: &mut impl Read,
-    ) -> Result<FrameProgress<Cow<'_, [u8]>>, WireError> {
+    pub fn poll(&mut self, r: &mut impl Read) -> Result<FrameProgress<'_>, WireError> {
         Ok(match self.advance(r)? {
             Advance::Buffered(range) => FrameProgress::Frame(Cow::Borrowed(&self.buf[range])),
             Advance::Large(payload) => FrameProgress::Frame(Cow::Owned(payload)),
@@ -544,7 +532,7 @@ mod tests {
         let mut stalls = 0;
         loop {
             match reader.poll(&mut stream).expect("no framing error") {
-                FrameProgress::Frame(payload) => frames.push(payload),
+                FrameProgress::Frame(payload) => frames.push(payload.into_owned()),
                 FrameProgress::Pending => stalls += 1,
                 FrameProgress::Eof => break,
             }
@@ -576,11 +564,11 @@ mod tests {
         let mut reader = FrameReader::new();
         assert_eq!(
             reader.poll(&mut r).unwrap(),
-            FrameProgress::Frame(b"hello".to_vec())
+            FrameProgress::Frame(Cow::Borrowed(b"hello"))
         );
         assert_eq!(
             reader.poll(&mut r).unwrap(),
-            FrameProgress::Frame(Vec::new())
+            FrameProgress::Frame(Cow::Borrowed(b""))
         );
         assert_eq!(reader.poll(&mut r).unwrap(), FrameProgress::Eof);
     }
@@ -751,7 +739,7 @@ mod tests {
             let (mut frames, mut pendings) = (Vec::new(), 0);
             loop {
                 match reader.poll(&mut stream).expect("no framing error") {
-                    FrameProgress::Frame(payload) => frames.push(payload),
+                    FrameProgress::Frame(payload) => frames.push(payload.into_owned()),
                     FrameProgress::Pending => pendings += 1,
                     FrameProgress::Eof => break,
                 }

@@ -106,7 +106,12 @@ pub enum RuntimeError<S = CoreError> {
         max: u64,
     },
     /// A single job cannot be placed on any registered device even
-    /// alone.
+    /// alone. [`Service::submit`](crate::Service::submit) returns it for
+    /// a circuit wider than every chip (the job is refused, its source
+    /// `ProgramTooWide` against the widest chip); a dispatch returns it
+    /// for a batch head that every chip admitting it by qubit count
+    /// failed to place — a topology with no connected region of the
+    /// head's width — and the head stays queued.
     JobUnplaceable {
         /// The job's identifier.
         job_id: u64,

@@ -214,17 +214,6 @@ impl EventLog {
         self.len() == 0
     }
 
-    /// Ids of all submitted jobs, in submission order.
-    pub fn submitted_ids(&self) -> Vec<u64> {
-        self.events()
-            .iter()
-            .filter_map(|e| match e {
-                Event::JobSubmitted { job_id, .. } => Some(*job_id),
-                _ => None,
-            })
-            .collect()
-    }
-
     /// Ids of all completed jobs, in completion order.
     pub fn completed_ids(&self) -> Vec<u64> {
         self.events()
@@ -321,7 +310,6 @@ mod tests {
             turnaround: 10.0,
         });
         assert_eq!(log.len(), 4);
-        assert_eq!(log.submitted_ids(), vec![3]);
         assert_eq!(log.completed_ids(), vec![3]);
         assert_eq!(log.planned_batches(), vec![("d", &[3u64][..])]);
         assert_eq!(log.routed(), vec![("d", 0.0)]);

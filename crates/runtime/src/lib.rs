@@ -14,8 +14,11 @@
 //!
 //! 1. **Submit** — [`Service::submit`] validates a [`JobRequest`]
 //!    (finite arrival, positive shots, non-empty circuit, sane
-//!    threshold) and returns a [`JobTicket`]. Each request may override
-//!    the service defaults per job: execution
+//!    threshold, a chip that admits the circuit) and returns a
+//!    [`JobTicket`]. A circuit wider than every chip is refused there
+//!    ([`RuntimeError::JobUnplaceable`]), so every queued job fits some
+//!    chip and none can hold the queue behind an error. Each request
+//!    may override the service defaults per job: execution
 //!    [`Strategy`](qucp_core::Strategy), shot budget, EFS fidelity
 //!    threshold.
 //! 2. **Admit** — whenever a device frees up ([`Service::tick`] in
@@ -169,7 +172,7 @@
 //!
 //! | operation | cost |
 //! |---|---|
-//! | submit (queue insert) | O(gates) shape interning (encode, one keyed hash, one word-for-word comparison with the known shape; no allocation unless the shape is new), O(log n) position, amortized append for in-order arrivals |
+//! | submit (queue insert) | O(D) scan for a chip that admits the circuit, O(gates) shape interning (encode, one keyed hash into a std `HashSet`, one word-for-word comparison with the known shape; no allocation unless the shape is new), O(log n) position, amortized append for in-order arrivals |
 //! | seq → job lookup | O(1) slot index: one table slot per submission, queued → running → done |
 //! | dispatch step: earliest-free device | O(D) scan of the device clocks, inside the O(D) candidate ranking |
 //! | dispatch step: arrived views | O(log n) prefix bind; a rider's strategy is one key compare with the head's inside the pack |

@@ -148,10 +148,9 @@ impl AdmissionPolicy {
     /// `picks`, replacing its contents: member indices with the head
     /// first. A job under another strategy key than the head's never
     /// rides along: FIFO stops at it, Backfill and SJF pass it over as
-    /// they pass over a job that does not fit. The service enforces the
-    /// budget again afterwards; the head is admitted even when wider
-    /// than the budget so that planning can surface the precise
-    /// placement error.
+    /// they pass over a job that does not fit. The head leads the pack
+    /// whatever its width; the service packs only for a chip that
+    /// admits the head, and enforces the budget again afterwards.
     pub fn pack(
         self,
         arrived: &[JobView],

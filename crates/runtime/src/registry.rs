@@ -36,7 +36,7 @@
 //! [`PlannedWorkload`](qucp_core::pipeline::PlannedWorkload), keyed by
 //! what allocation reads: *(device, **epoch**, head strategy, ordered
 //! member shapes)*, no threshold. The EFS gate reads its joint attempts
-//! and solo baselines there, and the partition probes behind
+//! and each member's solo baseline there, and the partition probes behind
 //! [`CalibrationAware`] and the head-only EFS gate read the lists of
 //! head copies `[h]` and `[h; k]` there, so a stream of same-shape jobs
 //! pays the candidate growth once per chip instead of once per batch. A
@@ -81,7 +81,6 @@
 //! [`Service::route_cache_stats`](crate::Service::route_cache_stats)
 //! (`plan_invalidated`, which `invalidated` equals).
 
-use std::cmp::Reverse;
 use std::sync::Arc;
 
 use qucp_device::{Calibration, CrosstalkModel, Device};
@@ -231,17 +230,6 @@ impl DeviceRegistry {
         self.iter()
             .filter(move |(_, device)| device.admits(width))
             .map(|(id, _)| id)
-    }
-
-    /// The registered device with the most qubits (`None` when empty) —
-    /// the honest place to surface a "does not fit anywhere" planning
-    /// error. Ties keep the earliest registration, consistent with the
-    /// routing rule.
-    pub fn widest(&self) -> Option<DeviceId> {
-        let ids = self
-            .iter()
-            .map(|(id, device)| (Reverse(device.num_qubits()), id));
-        ids.min().map(|(_, id)| id)
     }
 }
 
@@ -402,12 +390,10 @@ mod tests {
     fn routing_queries_are_deterministic() {
         let mut fleet = DeviceRegistry::new();
         assert!(fleet.is_empty());
-        assert_eq!(fleet.widest(), None);
         let mel = fleet.register(ibm::melbourne());
         let tor = fleet.register(ibm::toronto());
         let man = fleet.register(ibm::manhattan());
         assert_eq!(fleet.len(), 3);
-        assert_eq!(fleet.widest(), Some(man));
         // A 14-qubit job fits everything, in registration order.
         assert_eq!(fleet.admitting(14).collect::<Vec<_>>(), vec![mel, tor, man]);
         // A 40-qubit job only fits Manhattan (65q).
@@ -417,24 +403,22 @@ mod tests {
         assert_eq!(fleet.iter().count(), 3);
     }
 
-    /// Registered out of width order, two of them tied for widest: the
-    /// admitting devices come in registration order, and the widest is
-    /// the earliest registration among the tied.
+    /// Registered out of width order, two of them of equal width: the
+    /// admitting devices come in registration order.
     #[test]
-    fn admitting_is_in_registration_order_and_widest_is_the_earliest_tie() {
+    fn admitting_is_in_registration_order() {
         let mut fleet = DeviceRegistry::new();
         let tor = fleet.register(ibm::toronto());
         let man = fleet.register(ibm::manhattan());
         let mel = fleet.register(ibm::melbourne());
         let man2 = fleet.register(ibm::manhattan());
-        assert_eq!(fleet.widest(), Some(man));
         let admitting = |width| fleet.admitting(width).collect::<Vec<_>>();
         assert_eq!(admitting(15), vec![tor, man, mel, man2]);
         assert_eq!(admitting(16), vec![tor, man, man2]);
         assert_eq!(admitting(28), vec![man, man2]);
         assert_eq!(admitting(0), vec![], "no device admits width 0");
         let single = DeviceRegistry::single(ibm::melbourne());
-        assert_eq!(single.widest(), Some(DeviceId(0)));
+        assert_eq!(single.admitting(15).collect::<Vec<_>>(), [DeviceId(0)]);
     }
 
     #[test]

@@ -27,7 +27,7 @@ pub use self::report::{BatchReport, DeviceReport, ServiceReport};
 pub use self::request::{EfsGate, JobRequest, JobTicket};
 pub use self::route_cache::RouteCacheStats;
 
-use qucp_core::{CrosstalkTreatment, PartitionPolicy, Strategy};
+use qucp_core::{CoreError, CrosstalkTreatment, PartitionPolicy, Strategy};
 use qucp_device::DriftModel;
 
 use self::dispatch::DispatchScratch;
@@ -222,7 +222,12 @@ impl Service {
     /// [`RuntimeError::ZeroShots`] on a zero effective shot budget,
     /// [`RuntimeError::InvalidThreshold`] on a NaN, infinite or
     /// negative per-job threshold, [`RuntimeError::InvalidStrategy`] on
-    /// a per-job strategy with a NaN or infinite crosstalk factor.
+    /// a per-job strategy with a NaN or infinite crosstalk factor,
+    /// [`RuntimeError::JobUnplaceable`] on a circuit wider than every
+    /// registered chip (the planning error is `ProgramTooWide` against
+    /// the widest chip, as a dispatch would have reported it). A
+    /// refused job takes no seq and logs no event, so every queued job
+    /// fits some chip and cannot hold the queue behind it.
     pub fn submit(&mut self, request: JobRequest) -> Result<JobTicket, RuntimeError> {
         if !request.arrival.is_finite() {
             return Err(RuntimeError::NonFiniteTime {
@@ -246,11 +251,24 @@ impl Service {
         }
         let seq = self.jobs.next_seq();
         let id = request.id.unwrap_or(seq as u64);
+        let width = request.circuit.width();
+        if self.registry.admitting(width).next().is_none() {
+            let qubits = self.registry.iter().map(|(_, d)| d.num_qubits());
+            let device = qubits.max().ok_or(RuntimeError::NoDevices)?;
+            return Err(RuntimeError::JobUnplaceable {
+                job_id: id,
+                source: CoreError::ProgramTooWide {
+                    program: 0,
+                    width,
+                    device,
+                },
+            });
+        }
         self.log.push(Event::JobSubmitted {
             job_id: id,
             seq,
             arrival: request.arrival,
-            width: request.circuit.width(),
+            width,
             shots,
         });
         // Ties on arrival keep submission order: every existing job
@@ -360,9 +378,12 @@ impl Service {
     ///
     /// # Errors
     ///
-    /// [`RuntimeError::JobUnplaceable`] when a job cannot run alone on
-    /// any registered device; [`RuntimeError::Core`] on execution
-    /// failures.
+    /// [`RuntimeError::JobUnplaceable`] when a batch head cannot be
+    /// placed alone on any chip that admits it by qubit count — a chip
+    /// whose topology has no connected region of the head's width (a
+    /// circuit wider than every chip is refused at
+    /// [`Service::submit`]); the head stays queued. [`RuntimeError::Core`]
+    /// on execution failures.
     pub fn run_until_drained(&mut self) -> Result<ServiceReport, RuntimeError> {
         self.dispatch_until(f64::INFINITY)?;
         self.unreported.clear();

@@ -116,16 +116,17 @@ impl Service {
             strategy_key: head_view.strategy_key,
             threshold: p.fidelity_threshold.or(self.fidelity_threshold),
             shape: p.shape.clone(),
-            probe_widest: scratch.admitting.is_empty(),
             batch_index: self.batches.len(),
         };
         self.rank_candidates(scratch, &head)?;
 
         // The ranked walk: the committed winner is the first ranked
         // candidate whose plan succeeds. Every candidate that does not
-        // commit leaves its error here, and there is a candidate: the
-        // initial value is what an empty ranking — an empty fleet,
-        // which `rank_candidates` has refused — would mean.
+        // commit — a chip that admits the head by count but has no
+        // connected region for it — leaves its error here. Submit
+        // refused every head no chip admits, so the ranking is empty
+        // only for a fleet emptied under the service, which the initial
+        // value reports.
         let mut failure = RuntimeError::NoDevices;
         for rank in 0..scratch.ranked.len() {
             let d = scratch.ranked[rank].2;
@@ -156,15 +157,11 @@ impl Service {
     }
 
     /// Ranks the admitting candidates of `scratch.admitting` with the
-    /// routing policy into `scratch.ranked`; if none admits the head,
-    /// the widest chip is the one candidate, so the precise placement
-    /// error surfaces (matching the seed scheduler).
+    /// routing policy into `scratch.ranked`.
     ///
     /// # Errors
     ///
-    /// [`RuntimeError::NoDevices`] for a head nothing admits on an
-    /// empty fleet — which [`ServiceBuilder::build`](super::ServiceBuilder::build)
-    /// refuses to build and nothing can empty afterwards.
+    /// The planning errors of a partition-score probe.
     fn rank_candidates(
         &mut self,
         scratch: &mut DispatchScratch,
@@ -174,12 +171,6 @@ impl Service {
             admitting, ranked, ..
         } = scratch;
         ranked.clear();
-        if head.probe_widest {
-            let widest = self.registry.widest().ok_or(RuntimeError::NoDevices)?;
-            let d = widest.index();
-            ranked.push((f64::INFINITY, self.states[d].clock, d));
-            return Ok(());
-        }
         // Only a policy that asks pays for the partition probes:
         // the default EarliestFree dispatch never touches the memo
         // here.
@@ -407,7 +398,7 @@ impl Service {
         // of the head circuit before packing, its lists [h; k] read
         // through the plan memo.
         let cap_probe = match (self.efs_gate, head.threshold) {
-            (EfsGate::HeadOnly, Some(threshold)) if !head.probe_widest => {
+            (EfsGate::HeadOnly, Some(threshold)) => {
                 self.cached_head_cap(head, d, threshold)?.map(|c| c.max(1))
             }
             _ => Ok(self.max_parallel),
@@ -456,12 +447,7 @@ impl Service {
             max_members: cap,
         };
         let picks = &mut scratch.picks;
-        if head.probe_widest {
-            picks.clear();
-            picks.push(head_pos);
-        } else {
-            self.policy.pack(arrived, head_pos, &budget, picks);
-        }
+        self.policy.pack(arrived, head_pos, &budget, picks);
         debug_assert_eq!(picks.first(), Some(&head_pos), "head must lead the batch");
         scratch.picks_seqs.clear();
         scratch
@@ -536,9 +522,6 @@ pub(super) struct HeadContext {
     pub(super) threshold: Option<f64>,
     /// The head circuit's shape (the probes' key component).
     pub(super) shape: Shape,
-    /// No device admits the head: the widest is probed, head alone, so
-    /// the precise placement error surfaces.
-    pub(super) probe_widest: bool,
     pub(super) batch_index: usize,
 }
 
@@ -636,7 +619,7 @@ impl StagedBatch {
     fn run_program(&self, pos: usize, exec: &ExecutionConfig) -> Result<ProgramResult, CoreError> {
         let slot = self.slots.as_ref().map(|slots| &slots[pos]);
         if let Some(prepared) = slot.and_then(OnceLock::get) {
-            return Ok(self.plan.run_prepared_unnamed(prepared, pos, exec));
+            return Ok(self.plan.run_prepared(prepared, pos, exec));
         }
         let built = self.plan.prepare(&self.device, pos, exec)?;
         let prepared = match slot {
@@ -645,7 +628,7 @@ impl StagedBatch {
             }
             _ => &built,
         };
-        Ok(self.plan.run_prepared_unnamed(prepared, pos, exec))
+        Ok(self.plan.run_prepared(prepared, pos, exec))
     }
 
     /// The batch's execution work in the fan-out helper's unit: shots

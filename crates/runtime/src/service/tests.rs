@@ -8,7 +8,6 @@ use crate::event::ShrinkReason;
 use crate::job::synthetic_jobs;
 use crate::policy::{AdmissionPolicy, Backfill};
 use crate::registry::DeviceId;
-use crate::shape::ShapeTable;
 use qucp_circuit::Circuit;
 use qucp_core::best_partition;
 use qucp_core::pipeline::{Pipeline, PlannedWorkload};
@@ -175,6 +174,56 @@ fn submit_validation_rejects_bad_requests() {
     assert_eq!(service.tick(f64::INFINITY).unwrap(), vec![ticket]);
     assert!(service.take_result(&ticket).is_some());
     assert!(service.take_result(&ticket).is_none());
+}
+
+/// A job wider than every chip is refused at submit with the sentence
+/// a drain used to return for it, takes no seq and logs nothing, so the
+/// job behind it runs on the next tick instead of waiting behind an
+/// error forever.
+#[test]
+fn a_job_no_chip_admits_is_refused_at_submit_and_holds_up_nothing() {
+    let mut service = fifo_service(2);
+    let err = service
+        .submit(JobRequest::new(Circuit::new(64), 0.0))
+        .unwrap_err();
+    assert_eq!(
+        err.to_string(),
+        "job 0 cannot be placed: program 0 needs 64 qubits but the device has 27"
+    );
+    assert!(matches!(
+        err,
+        RuntimeError::JobUnplaceable {
+            job_id: 0,
+            source: qucp_core::CoreError::ProgramTooWide {
+                program: 0,
+                width: 64,
+                device: 27
+            }
+        }
+    ));
+    assert!(service.event_log().is_empty());
+    let bell = qucp_circuit::library::by_name("bell").unwrap().circuit();
+    let ticket = service.submit(JobRequest::new(bell, 10.0)).unwrap();
+    assert_eq!(ticket.seq, 0);
+    assert_eq!(service.tick(f64::INFINITY).unwrap(), vec![ticket]);
+    assert!(service.result(ticket).is_some());
+    assert_eq!(service.pending_len(), 0);
+    // On a fleet the error names the widest chip, and a job that chip
+    // alone admits is queued.
+    let mut fleet = Service::builder()
+        .device(ibm::melbourne())
+        .device(ibm::toronto())
+        .build()
+        .unwrap();
+    let err = fleet.submit(JobRequest::new(Circuit::new(28), 0.0).with_id(5));
+    assert_eq!(
+        err.unwrap_err().to_string(),
+        "job 5 cannot be placed: program 0 needs 28 qubits but the device has 27"
+    );
+    fleet
+        .submit(JobRequest::new(Circuit::new(27), 0.0))
+        .unwrap();
+    assert_eq!(fleet.pending_len(), 1);
 }
 
 #[test]
@@ -438,34 +487,25 @@ fn a_circuit_and_its_fold_schedule_alike_under_the_head_only_gate() {
 
 #[test]
 fn colliding_shapes_get_their_own_plans() {
-    // Two different circuits of one width, back to back on one chip,
-    // in a service whose structural hash is constant: the hash
-    // nominates the first circuit's shape for the second, and only the
-    // gate-by-gate comparison keeps the second batch off the first
-    // batch's plan.
+    // Two different circuits of one width, back to back on one chip:
+    // their codes open with the same width word, and the shape set's
+    // word-by-word equality — never the hash alone — keeps the second
+    // batch off the first batch's plan.
     let bell = qucp_circuit::library::by_name("bell").unwrap().circuit();
     let mut flipped = Circuit::new(bell.width());
     flipped.x(0).x(1).cx(1, 0);
     let circuits = [&bell, &flipped, &bell, &flipped];
-    let run = |colliding: bool| {
-        let mut service = fifo_service(1);
-        if colliding {
-            service.shapes = ShapeTable::colliding();
-        }
-        for (id, circuit) in circuits.into_iter().enumerate() {
-            let request = JobRequest::new(circuit.clone(), id as f64).with_id(id as u64);
-            service.submit(request.with_shots(256)).unwrap();
-        }
-        (service.run_until_drained().unwrap(), service)
-    };
-    let (report, service) = run(true);
+    let mut service = fifo_service(1);
+    for (id, circuit) in circuits.into_iter().enumerate() {
+        let request = JobRequest::new(circuit.clone(), id as f64).with_id(id as u64);
+        service.submit(request.with_shots(256)).unwrap();
+    }
+    let report = service.run_until_drained().unwrap();
     // Each shape planned once — both misses — and replayed once.
     let stats = service.route_cache_stats();
     assert_eq!((stats.plan_misses, stats.plan_hits), (2, 2), "{stats:?}");
     assert_eq!(stats.plan_entries, 2);
-    // What an honest hash schedules and measures, bit for bit...
-    assert_eq!(report, run(false).0);
-    // ...which is what the uncached reference does: every batch (one
+    // What the uncached reference does, bit for bit: every batch (one
     // job each here, batch `i` serving job `i`) planned from scratch
     // and run under its batch seed.
     let device = ibm::toronto();
@@ -1169,19 +1209,36 @@ fn prepared_slots_fill_on_the_first_hit_and_die_with_their_entry() {
     );
 }
 
+/// Eight qubits in two disconnected lines of four: a job of five fits
+/// by count, but no connected region holds it.
+fn split_chip() -> Device {
+    let lines = [(0, 1), (1, 2), (2, 3), (4, 5), (5, 6), (6, 7)];
+    let topology = qucp_device::Topology::new(8, &lines);
+    let calibration = Calibration::uniform(&topology, 0.01, 0.001, 0.02);
+    Device::new("split", topology, calibration, CrosstalkModel::none())
+}
+
 #[test]
 fn memoized_unplaceable_outcome_replays_from_the_cache() {
-    let mut service = fifo_service(2);
-    // 64 qubits cannot run alone on the 27-qubit Toronto; the
-    // failed plan is memoized like a committed one.
-    let wide = qucp_circuit::Circuit::new(64);
+    let mut service = Service::builder()
+        .device(split_chip())
+        .max_parallel(2)
+        .build()
+        .unwrap();
+    // The split chip admits a five-qubit GHZ chain by count but cannot
+    // place it; the failed plan is memoized like a committed one.
+    let mut ghz = Circuit::new(5);
+    ghz.h(0).cx(0, 1).cx(1, 2).cx(2, 3).cx(3, 4);
     service
-        .submit(JobRequest::new(wide, 0.0).with_id(7))
+        .submit(JobRequest::new(ghz, 0.0).with_id(7))
         .unwrap();
     let err = service.run_until_drained().unwrap_err();
     assert!(matches!(
         err,
-        RuntimeError::JobUnplaceable { job_id: 7, .. }
+        RuntimeError::JobUnplaceable {
+            job_id: 7,
+            source: qucp_core::CoreError::PartitionUnavailable { .. }
+        }
     ));
     let stats = service.route_cache_stats();
     assert_eq!((stats.plan_hits, stats.plan_misses), (0, 1));
@@ -1199,8 +1256,8 @@ fn memoized_unplaceable_outcome_replays_from_the_cache() {
 /// Staging never assumes a fleet it cannot see: with the registry
 /// emptied by hand (no public route does it — `build` refuses an empty
 /// fleet and nothing unregisters a chip) the head is admitted nowhere,
-/// the widest-chip probe finds no chip, and the dispatch ends in the
-/// typed error `build` would have given, where it used to `expect`.
+/// the ranking is empty, and the dispatch ends in the typed error
+/// `build` would have given, where it used to `expect`.
 #[test]
 fn a_fleet_emptied_under_the_service_is_a_typed_error_not_a_panic() {
     let mut service = fifo_service(2);

@@ -5,22 +5,22 @@
 //! work — the probes' lists of head copies, whole committed plans —
 //! is keyed by what planning does read: the width and the exact gate
 //! sequence. [`ShapeTable::intern`] turns a submitted circuit into a
-//! [`Shape`] handle such that two live handles are the same handle
-//! exactly when their circuits have the same shape. A structural hash
-//! only *nominates* candidates; the encoded gate sequences are compared
-//! word for word before a handle is shared, so a hash collision costs a
-//! second comparison, never a wrong cache entry. Cache keys hold the
-//! handles themselves and compare them by identity: nothing is replayed
-//! on the strength of a hash.
+//! [`Shape`] handle such that two handles are the same handle exactly
+//! when their circuits have the same shape. The table is a std
+//! `HashSet` of the encoded gate sequences: the hash only narrows the
+//! search and the set decides by `[u64]` equality, word for word, so a
+//! hash collision costs a second comparison, never a wrong cache entry.
+//! Cache keys hold the handles themselves and compare them by identity:
+//! nothing is replayed on the strength of a hash.
 //!
-//! The table holds its shapes weakly: a shape lives exactly as long as
-//! a pending job or a cache key holds its handle, so the table adds no
-//! state that outlives the queue and the caches (see
-//! [`ShapeTable::sweep`]).
+//! The set holds each of its shapes strongly; a sweep
+//! ([`ShapeTable::sweep`]) keeps only the ones something besides the
+//! table holds — a pending job or a cache key — so the table adds no
+//! state that outlives the queue and the caches past the next sweep.
 
-use std::collections::HashMap;
-use std::hash::{BuildHasher, Hash, Hasher, RandomState};
-use std::sync::{Arc, Weak};
+use std::collections::HashSet;
+use std::hash::{Hash, Hasher};
+use std::sync::Arc;
 
 use qucp_circuit::{Circuit, Gate};
 
@@ -114,93 +114,51 @@ impl Hash for Shape {
 /// The service's shape interner (see the module docs).
 #[derive(Debug, Default)]
 pub(crate) struct ShapeTable {
-    /// Structural hash → the codes of the shapes with that hash; almost
-    /// always one.
-    chains: HashMap<u64, Vec<Weak<[u64]>>>,
-    /// Randomly keyed per table: submitted circuits come from outside
-    /// the process, and a crafted pile-up on one chain would make every
-    /// submit walk it.
-    keys: RandomState,
+    /// Every shape handed out since the last sweep dropped it. The
+    /// set's `RandomState` is keyed per table: submitted circuits come
+    /// from outside the process, and a crafted pile-up on one bucket
+    /// would make every submit walk it.
+    shapes: HashSet<Arc<[u64]>>,
     /// The code of the circuit being interned (kept for its capacity).
     code: Vec<u64>,
-    /// Weak entries held, dead ones included.
-    entries: usize,
-    /// The entry count at which the next miss sweeps first.
+    /// The set's size at which the next miss sweeps first.
     sweep_at: usize,
-    /// Test-only: every circuit hashes to one value, so every pair of
-    /// distinct shapes is a forced collision.
-    #[cfg(test)]
-    one_chain: bool,
 }
 
 impl ShapeTable {
-    /// A table whose structural hash is constant: every shape lands on
-    /// one chain and only the comparison of the codes tells them apart.
-    #[cfg(test)]
-    pub(crate) fn colliding() -> Self {
-        ShapeTable {
-            one_chain: true,
-            ..ShapeTable::default()
-        }
-    }
-
-    /// The structural hash of the circuit whose code is `self.code`.
-    fn hash_of_code(&self) -> u64 {
-        #[cfg(test)]
-        if self.one_chain {
-            return 0;
-        }
-        let mut h = self.keys.build_hasher();
-        u64::hash_slice(&self.code, &mut h);
-        h.finish()
-    }
-
     /// The handle of `circuit`'s shape: the one every live job and
     /// cache key of that shape already holds, or a new one. A known
     /// shape allocates nothing.
     pub(crate) fn intern(&mut self, circuit: &Circuit) -> Shape {
         encode(circuit, &mut self.code);
-        let hash = self.hash_of_code();
-        let chain = self.chains.get(&hash).map_or(&[][..], Vec::as_slice);
-        // The hash nominated these shapes; the codes decide.
-        let mut live = chain.iter().filter_map(Weak::upgrade);
-        if let Some(known) = live.find(|known| **known == *self.code) {
-            return Shape(known);
+        if let Some(known) = self.shapes.get(self.code.as_slice()) {
+            return Shape(Arc::clone(known));
         }
-        // Swept before the dead entries could outnumber the shapes
-        // that were live at the last sweep: amortized O(1) per new
-        // shape, and the table is bounded by the live shapes, not by
-        // the shapes ever seen.
-        if self.entries >= self.sweep_at {
+        // Swept before the shapes nothing holds could outnumber the
+        // ones held at the last sweep: amortized O(1) per new shape,
+        // and the table is bounded by the held shapes, not by the
+        // shapes ever seen.
+        if self.shapes.len() >= self.sweep_at {
             self.sweep();
         }
         let shape: Arc<[u64]> = self.code.as_slice().into();
-        self.chains
-            .entry(hash)
-            .or_default()
-            .push(Arc::downgrade(&shape));
-        self.entries += 1;
+        self.shapes.insert(Arc::clone(&shape));
         Shape(shape)
     }
 
-    /// Drops the entries of shapes nothing holds any more. The service
-    /// calls this after a cache invalidation — the one place cache keys
-    /// die in bulk — so a drained, invalidated service holds no shape.
+    /// Drops the shapes nothing but the table holds. The service calls
+    /// this after a cache invalidation — the one place cache keys die
+    /// in bulk — so a drained, invalidated service holds no shape.
     pub(crate) fn sweep(&mut self) {
-        let mut live = 0;
-        self.chains.retain(|_, chain| {
-            chain.retain(|shape| shape.strong_count() > 0);
-            live += chain.len();
-            !chain.is_empty()
-        });
-        self.entries = live;
-        self.sweep_at = 2 * live + 1;
+        self.shapes.retain(|shape| Arc::strong_count(shape) > 1);
+        self.sweep_at = 2 * self.shapes.len() + 1;
     }
 
-    /// Entries held (dead ones included until the next sweep).
+    /// Shapes held (ones nothing else holds included until the next
+    /// sweep).
     #[cfg(test)]
     pub(crate) fn len(&self) -> usize {
-        self.entries
+        self.shapes.len()
     }
 }
 
@@ -293,22 +251,21 @@ mod tests {
     /// The port of `shape_fingerprint_ignores_names_but_not_gates`.
     #[test]
     fn a_renamed_copy_shares_its_shape_one_more_gate_does_not() {
-        for mut table in [ShapeTable::default(), ShapeTable::colliding()] {
-            let shape = table.intern(&bell());
-            let mut renamed = bell();
-            renamed.set_name("other");
-            assert_eq!(table.intern(&renamed), shape);
-            let mut grown = bell();
-            grown.h(0);
-            let grown = table.intern(&grown);
-            assert_ne!(grown, shape);
-            // The same gates on a wider register are another shape.
-            let mut wider = Circuit::new(bell().width() + 1);
-            wider.try_extend_from(&bell()).unwrap();
-            let wider = table.intern(&wider);
-            assert!(wider != shape && wider != grown);
-            assert_eq!(table.len(), 3);
-        }
+        let mut table = ShapeTable::default();
+        let shape = table.intern(&bell());
+        let mut renamed = bell();
+        renamed.set_name("other");
+        assert_eq!(table.intern(&renamed), shape);
+        let mut grown = bell();
+        grown.h(0);
+        let grown = table.intern(&grown);
+        assert_ne!(grown, shape);
+        // The same gates on a wider register are another shape.
+        let mut wider = Circuit::new(bell().width() + 1);
+        wider.try_extend_from(&bell()).unwrap();
+        let wider = table.intern(&wider);
+        assert!(wider != shape && wider != grown);
+        assert_eq!(table.len(), 3);
     }
 
     #[test]
@@ -321,21 +278,20 @@ mod tests {
         let quiet = f64::NAN;
         let payload = f64::from_bits(quiet.to_bits() ^ 1);
         assert!(payload.is_nan());
-        for mut table in [ShapeTable::default(), ShapeTable::colliding()] {
-            let zero = table.intern(&rz(0.0));
-            assert_ne!(table.intern(&rz(-0.0)), zero, "0.0 == -0.0, bits differ");
-            let nan = table.intern(&rz(quiet));
-            assert_eq!(table.intern(&rz(quiet)), nan, "NaN != NaN, bits agree");
-            assert_ne!(table.intern(&rz(payload)), nan);
-            // The variant and the angle's slot are part of the gate.
-            let mut rx = Circuit::new(1);
-            rx.rx(0, 0.0);
-            assert_ne!(table.intern(&rx), zero);
-            let (mut u1, mut u2) = (Circuit::new(1), Circuit::new(1));
-            u1.u(0, 0.5, 0.0, 0.0);
-            u2.u(0, 0.0, 0.5, 0.0);
-            assert_ne!(table.intern(&u1), table.intern(&u2));
-        }
+        let mut table = ShapeTable::default();
+        let zero = table.intern(&rz(0.0));
+        assert_ne!(table.intern(&rz(-0.0)), zero, "0.0 == -0.0, bits differ");
+        let nan = table.intern(&rz(quiet));
+        assert_eq!(table.intern(&rz(quiet)), nan, "NaN != NaN, bits agree");
+        assert_ne!(table.intern(&rz(payload)), nan);
+        // The variant and the angle's slot are part of the gate.
+        let mut rx = Circuit::new(1);
+        rx.rx(0, 0.0);
+        assert_ne!(table.intern(&rx), zero);
+        let (mut u1, mut u2) = (Circuit::new(1), Circuit::new(1));
+        u1.u(0, 0.5, 0.0, 0.0);
+        u2.u(0, 0.0, 0.5, 0.0);
+        assert_ne!(table.intern(&u1), table.intern(&u2));
     }
 
     #[test]
@@ -353,7 +309,7 @@ mod tests {
         assert_eq!(table.len(), 101);
         drop(sweep);
         // Shapes that come and go never pile up: a miss sweeps before
-        // the dead could outnumber what was live at the last sweep.
+        // the unheld could outnumber what was held at the last sweep.
         for i in 100..2000 {
             table.intern(&angled(f64::from(i)));
             assert!(table.len() <= 2 * 101 + 1, "{} at {i}", table.len());
@@ -366,6 +322,5 @@ mod tests {
         drop(held);
         table.sweep();
         assert_eq!(table.len(), 0);
-        assert!(table.chains.is_empty());
     }
 }

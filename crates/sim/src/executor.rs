@@ -131,19 +131,6 @@ impl ShotParallelism {
         ShotParallelism::Sharded { shards, threads: 0 }
     }
 
-    /// The same shard split with an explicit worker cap. `Serial` and
-    /// `Auto` are unaffected: the former has no workers, the latter
-    /// always uses all available cores (cap the workers by resolving
-    /// the split yourself with [`auto_shard_count`] and `Sharded`).
-    #[must_use]
-    pub fn with_threads(self, threads: usize) -> Self {
-        match self {
-            ShotParallelism::Serial => ShotParallelism::Serial,
-            ShotParallelism::Sharded { shards, .. } => ShotParallelism::Sharded { shards, threads },
-            ShotParallelism::Auto => ShotParallelism::Auto,
-        }
-    }
-
     /// The concrete mode a job of `shots` runs under: `Auto` resolves
     /// to its budget-derived shard split, everything else is returned
     /// unchanged.
@@ -1803,23 +1790,11 @@ mod tests {
                 threads: 0
             }
         );
-        assert_eq!(
-            ShotParallelism::sharded(8).with_threads(4),
-            ShotParallelism::Sharded {
-                shards: 8,
-                threads: 4
-            }
-        );
-        assert_eq!(
-            ShotParallelism::Serial.with_threads(4),
-            ShotParallelism::Serial
-        );
         assert_eq!(ShotParallelism::default(), ShotParallelism::Serial);
         assert_eq!(
             ExecutionConfig::default().parallelism,
             ShotParallelism::Serial
         );
-        assert_eq!(ShotParallelism::Auto.with_threads(4), ShotParallelism::Auto);
     }
 
     #[test]
@@ -1871,7 +1846,10 @@ mod tests {
         // so Auto (threads = all cores) is thread-count invariant too.
         assert_eq!(
             auto,
-            run_with(ShotParallelism::sharded(auto_shard_count(2048)).with_threads(1))
+            run_with(ShotParallelism::Sharded {
+                shards: auto_shard_count(2048),
+                threads: 1
+            })
         );
     }
 

@@ -977,17 +977,17 @@ fn a_runtime_error_reads_the_same_over_the_wire_as_in_process() {
     );
     assert_eq!(e, RuntimeError::InvalidThreshold { value: -1.0 });
 
-    // Wider than Melbourne: admitted, then unplaceable at dispatch. The
-    // sentence ends in the planning error's own.
+    // Wider than Melbourne: refused at submit. The sentence ends in the
+    // planning error's own.
     let job = JobRequest::new(Circuit::new(64), 0.0);
-    let (mut service, mut client) = (fleet(), client());
-    service.submit(job.clone()).expect("admitted");
-    client.submit(job).expect("admitted");
     let e = same_sentence(
-        service.run_until_drained().unwrap_err(),
-        client.drain().unwrap_err(),
+        fleet().submit(job.clone()).unwrap_err(),
+        client().submit(job).unwrap_err(),
     );
-    assert!(matches!(e, RuntimeError::JobUnplaceable { job_id: 0, .. }));
+    assert_eq!(
+        e.to_string(),
+        "job 0 cannot be placed: program 0 needs 64 qubits but the device has 15"
+    );
 }
 
 #[test]

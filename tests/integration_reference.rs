@@ -17,7 +17,8 @@ use qucp_core::efs::CrosstalkTreatment;
 use qucp_core::{strategy, PartitionPolicy};
 use qucp_device::{ibm, GaussianWalk};
 use qucp_runtime::{
-    synthetic_jobs, EfsGate, Event, JobRequest, RoutingChoice, RuntimeError, ShrinkReason,
+    synthetic_jobs, AdmissionPolicy, Backfill, EfsGate, Event, JobRequest, RoutingChoice,
+    RuntimeError, ShrinkReason,
 };
 use support::arbitrary::{config, interleaving};
 use support::{assert_matches_reference, circuit, Config, Drift, Fleet, Op, PoisonAt, SeesawDrift};
@@ -47,18 +48,22 @@ fn submit(name: &str, id: u64, arrival: f64) -> Op {
     Op::Submit(JobRequest::new(circuit(name, format!("{name}#{id}")), arrival).with_id(id))
 }
 
-/// A job no chip admits fails on the widest one, and the failure is
-/// memoized; a same-shape job that later takes the queue front replays
-/// it under its own id.
+/// A head the split chip admits by count but cannot place fails there,
+/// and the failure is memoized; a same-shape job that later takes the
+/// queue front replays it under its own id.
 #[test]
 fn memoized_unplaceable_replays_under_the_later_heads_id() {
     let ops = [
-        submit("ghz30", 7, 100.0),
+        submit("ghz5", 7, 100.0),
         Op::Tick(200.0),
-        submit("ghz30", 9, 50.0),
+        submit("ghz5", 9, 50.0),
         Op::Tick(200.0),
     ];
-    let mut run = assert_matches_reference(&ops, &Config::default());
+    let cfg = Config {
+        fleet: Fleet::Split,
+        ..Config::default()
+    };
+    let mut run = assert_matches_reference(&ops, &cfg);
     assert!(run.report.is_none());
     let stats = run.service.route_cache_stats();
     assert_eq!((stats.plan_misses, stats.plan_hits), (1, 2));
@@ -66,6 +71,60 @@ fn memoized_unplaceable_replays_under_the_later_heads_id() {
         run.service.tick(200.0),
         Err(RuntimeError::JobUnplaceable { job_id: 9, .. })
     ));
+}
+
+/// Jobs under three strategies, interleaved, queue for one Toronto
+/// under each admission policy: only jobs under the head's strategy
+/// ride along, and the reference's own FIFO, Backfill and SJF pick the
+/// same batches as production's.
+#[test]
+fn only_jobs_under_the_heads_strategy_ride_along_under_every_policy() {
+    let names = [
+        "bell",
+        "fredkin",
+        "qec",
+        "bell",
+        "variation",
+        "alu-v0_27",
+        "bell",
+        "qec",
+    ];
+    // Job `i` plans under `strategies[keys[i]]`.
+    let keys = [0, 0, 1, 0, 2, 2, 1, 0];
+    let strategies = [None, Some(strategy::cna()), Some(strategy::multiqc())];
+    let ops: Vec<Op> = (names.iter().zip(keys).enumerate())
+        .map(|(i, (name, key))| {
+            let id = i as u64;
+            let mut req = JobRequest::new(circuit(name, format!("{name}#{id}")), 0.0);
+            req.strategy = strategies[key].clone();
+            Op::Submit(req.with_id(id))
+        })
+        .collect();
+    let backfill = AdmissionPolicy::from(Backfill { max_overtakes: 1 });
+    for policy in [
+        AdmissionPolicy::Fifo,
+        backfill,
+        AdmissionPolicy::ShortestJobFirst,
+    ] {
+        let cfg = Config {
+            policy,
+            max_parallel: 4,
+            ..Config::default()
+        };
+        let report = assert_matches_reference(&ops, &cfg)
+            .report
+            .expect("drained");
+        for batch in &report.batches {
+            let key = |id: &u64| keys[*id as usize];
+            let head = key(&batch.job_ids[0]);
+            assert!(
+                batch.job_ids.iter().all(|id| key(id) == head),
+                "{policy:?}: {batch:?}"
+            );
+        }
+        let shared = report.batches.iter().filter(|b| b.job_ids.len() > 1);
+        assert!(shared.count() > 0, "{policy:?}: no batch formed");
+    }
 }
 
 /// Six programs queue for Melbourne's 15 qubits under per-member

@@ -64,7 +64,7 @@ pub fn job(max_shots: usize) -> impl Strategy<Value = JobRequest> {
     (shape, planning, execution).prop_map(|(shape, planning, execution)| {
         let (name, id, shots) = shape;
         // Three draws in four are the seven small circuits; one in 256
-        // is `ghz30`, which wedges the queue behind a typed error.
+        // is `ghz30`, which no fleet admits: submit refuses it, typed.
         let name = match name {
             0..192 => CIRCUITS[name % 7],
             192..255 => CIRCUITS[7 + name % 3],

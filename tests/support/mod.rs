@@ -14,7 +14,7 @@ pub mod reference;
 
 use qucp_circuit::{library, Circuit};
 use qucp_core::{strategy, Strategy};
-use qucp_device::{ibm, Calibration, CrosstalkModel, Device, DriftModel, GaussianWalk};
+use qucp_device::{ibm, Calibration, CrosstalkModel, Device, DriftModel, GaussianWalk, Topology};
 use qucp_runtime::{
     AdmissionPolicy, DeviceId, DeviceRegistry, EfsGate, JobRequest, JobTicket, RoutingChoice,
     Service, ServiceReport,
@@ -35,6 +35,10 @@ pub enum Fleet {
     Skewed,
     /// `qucp_bench::mega_fleet` of this many chips (8/12/16/27 qubits).
     Mega(usize),
+    /// One chip of eight qubits in two disconnected lines of four: a
+    /// job of five to eight qubits fits it by count, but no connected
+    /// region holds it.
+    Split,
 }
 
 impl Fleet {
@@ -52,6 +56,13 @@ impl Fleet {
             Fleet::MelbourneToronto => of(vec![ibm::melbourne(), ibm::toronto()]),
             Fleet::Skewed => qucp_bench::skewed_fleet(),
             Fleet::Mega(n) => qucp_bench::mega_fleet(n, qucp_bench::EXPERIMENT_SEED),
+            Fleet::Split => {
+                let lines = [(0, 1), (1, 2), (2, 3), (4, 5), (5, 6), (6, 7)];
+                let topology = Topology::new(8, &lines);
+                let calibration = Calibration::uniform(&topology, 0.01, 0.001, 0.02);
+                let chip = Device::new("split", topology, calibration, CrosstalkModel::none());
+                of(vec![chip])
+            }
         }
     }
 }

@@ -1,21 +1,27 @@
 //! A deliberately naive model of `qucp_runtime::Service`: the oracle of
 //! the differential suite (`tests/integration_reference.rs`).
 //!
-//! It states the scheduler's *decisions* — which job heads a batch, how
-//! the EFS threshold sizes it, which member a shrink drops, who waits —
-//! with none of production's mechanisms: the queue is a `Vec` re-sorted
-//! per step, the earliest-free device an O(D) scan, every probe and plan
-//! computed from scratch (the shrink loop re-runs `Pipeline::plan`), one
-//! batch at a time, programs inline in program order, public API only.
-//! Calibration ageing is [`LiveFleet`]'s part, accounting [`Ledger`]'s.
+//! It states the scheduler's *decisions* — which job is refused at
+//! submit, which job heads a batch and who rides along, how the EFS
+//! threshold sizes it, which member a shrink drops, who waits — with
+//! none of production's mechanisms: the queue is a `Vec` re-sorted per
+//! step, the earliest-free device an O(D) scan, the admission policies
+//! a re-sort and a scan written here (production's
+//! `AdmissionPolicy::choose_head` and `pack` are never called), every
+//! probe and plan computed from scratch (the shrink loop re-runs
+//! `Pipeline::plan`), one batch at a time, programs inline in program
+//! order, public API only. Calibration ageing is [`LiveFleet`]'s part,
+//! accounting [`Ledger`]'s.
+
+use std::cmp::Ordering;
 
 use qucp_core::pipeline::{Pipeline, PlannedWorkload};
 use qucp_core::threshold::{parallel_count_for_threshold, solo_efs_scores};
 use qucp_core::{best_partition, CoreError, ParallelConfig, Strategy};
 use qucp_device::Calibration;
 use qucp_runtime::{
-    BatchBudget, BatchReport, DeviceId, DeviceRegistry, EfsGate, Event, JobRequest, JobResult,
-    JobTicket, JobView, RouteQuery, RuntimeError, ServiceReport, ShrinkReason,
+    AdmissionPolicy, Backfill, BatchReport, DeviceId, DeviceRegistry, EfsGate, Event, JobRequest,
+    JobResult, JobTicket, RouteQuery, RuntimeError, ServiceReport, ShrinkReason,
 };
 use qucp_sim::ExecutionConfig;
 
@@ -94,17 +100,36 @@ impl ReferenceScheduler {
         &self.events[self.events.len().saturating_sub(keep)..]
     }
 
-    /// Admits a job, taken as valid: input validation is no scheduling
-    /// decision and is unit-tested where it lives.
+    /// Admits a job, taken as valid — input validation is no scheduling
+    /// decision and is unit-tested where it lives — unless no chip has
+    /// its width in qubits: that job is refused, against the widest
+    /// chip, before it takes a seq or logs an event.
     pub fn submit(&mut self, req: JobRequest) -> Result<JobTicket, RuntimeError> {
         let seq = self.results.len();
         let id = req.id.unwrap_or(seq as u64);
+        let width = req.circuit.width();
+        let qubits = self
+            .fleet
+            .ids()
+            .iter()
+            .map(|&d| self.fleet.get(d).num_qubits());
+        let widest = qubits.max().expect("fleet is non-empty");
+        if width > widest {
+            return Err(RuntimeError::JobUnplaceable {
+                job_id: id,
+                source: CoreError::ProgramTooWide {
+                    program: 0,
+                    width,
+                    device: widest,
+                },
+            });
+        }
         let shots = req.shots.unwrap_or(self.cfg.default_shots);
         self.events.push(Event::JobSubmitted {
             job_id: id,
             seq,
             arrival: req.arrival,
-            width: req.circuit.width(),
+            width,
             shots,
         });
         let ticket = JobTicket { seq, id };
@@ -168,28 +193,84 @@ impl ReferenceScheduler {
         (!std::mem::replace(&mut self.claimed[ticket.seq], true)).then_some(result)
     }
 
-    /// The jobs arrived by `now` in FIFO `(arrival, submission)` order: queue
-    /// positions and the policy's views.
-    fn arrived(&self, now: f64) -> (Vec<usize>, Vec<JobView>) {
+    /// The queue positions of the jobs arrived by `now`, in FIFO
+    /// `(arrival, submission)` order.
+    fn arrived(&self, now: f64) -> Vec<usize> {
         let arrival = |q: usize| self.queue[q].req.arrival;
         let mut at: Vec<usize> = (0..self.queue.len()).collect();
         at.retain(|&q| arrival(q) <= now);
         // Stable, and the queue is in submission order: ties keep it.
         at.sort_by(|&a, &b| arrival(a).total_cmp(&arrival(b)));
-        let view = |&q: &usize| {
+        at
+    }
+
+    /// The SJF order of two queued jobs: circuit area (width × depth of
+    /// the circuit as submitted), then arrival, then submission.
+    fn sjf_cmp(&self, a: usize, b: usize) -> Ordering {
+        let key = |q: usize| {
             let job = &self.queue[q];
-            let (width, depth) = (job.req.circuit.width(), job.req.circuit.depth());
-            JobView {
-                seq: job.ticket.seq,
-                arrival: job.req.arrival,
-                width,
-                area: width * depth,
-                skips: job.skips,
-                strategy_key: job.strategy_key,
-            }
+            let circuit = &job.req.circuit;
+            (
+                circuit.width() * circuit.depth(),
+                job.req.arrival,
+                job.ticket.seq,
+            )
         };
-        let views = at.iter().map(view).collect();
-        (at, views)
+        let ((area_a, arrival_a, seq_a), (area_b, arrival_b, seq_b)) = (key(a), key(b));
+        let by_area = area_a.cmp(&area_b).then(arrival_a.total_cmp(&arrival_b));
+        by_area.then(seq_a.cmp(&seq_b))
+    }
+
+    /// The batch head among the arrived `at`: the first arrived under
+    /// FIFO and Backfill, the least in SJF order under SJF.
+    fn choose_head(&self, at: &[usize]) -> usize {
+        match self.cfg.policy {
+            AdmissionPolicy::Fifo | AdmissionPolicy::Backfill(_) => at[0],
+            AdmissionPolicy::ShortestJobFirst => {
+                let least = at.iter().copied().min_by(|&a, &b| self.sjf_cmp(a, b));
+                least.expect("a job arrived")
+            }
+        }
+    }
+
+    /// The batch around `head` among the arrived `at` on a chip of
+    /// `qubits` qubits, at most `cap` members: queue positions, head
+    /// first. A rider shares the head's strategy key and the qubits
+    /// left. The others are walked in FIFO order, or in SJF order under
+    /// SJF: FIFO stops at the first that cannot ride; Backfill passes
+    /// such a job over unless it fits the chip alone and has been
+    /// overtaken `max_overtakes` times; SJF passes over every such job.
+    fn pack(&self, at: &[usize], head: usize, qubits: usize, cap: usize) -> Vec<usize> {
+        let job = |q: usize| &self.queue[q];
+        let width = |q: usize| job(q).req.circuit.width();
+        // Under FIFO and Backfill the head is the window's first job,
+        // so the others are the jobs behind it.
+        let mut order: Vec<usize> = at.iter().copied().filter(|&q| q != head).collect();
+        if self.cfg.policy == AdmissionPolicy::ShortestJobFirst {
+            order.sort_by(|&a, &b| self.sjf_cmp(a, b));
+        }
+        let mut picks = vec![head];
+        let mut used = width(head);
+        for q in order {
+            if picks.len() >= cap {
+                break;
+            }
+            if job(q).strategy_key == job(head).strategy_key && used + width(q) <= qubits {
+                used += width(q);
+                picks.push(q);
+                continue;
+            }
+            match self.cfg.policy {
+                AdmissionPolicy::Fifo => break,
+                AdmissionPolicy::Backfill(Backfill { max_overtakes })
+                    if width(q) <= qubits && job(q).skips >= max_overtakes =>
+                {
+                    break
+                }
+                _ => {}
+            }
+        }
+        picks
     }
 
     /// Dispatches the next batch if it can start by `limit`.
@@ -203,8 +284,7 @@ impl ReferenceScheduler {
         let ids = self.fleet.ids().iter().copied();
         let earliest = ids.min_by(|&a, &b| clock(a).total_cmp(&clock(b)));
         let horizon = clock(earliest.expect("fleet is non-empty")).max(first_arrival);
-        let (at, views) = self.arrived(horizon);
-        let head_q = at[self.cfg.policy.choose_head(&views)];
+        let head_q = self.choose_head(&self.arrived(horizon));
         let head = &self.queue[head_q];
         let (head_id, head_arrival) = (head.ticket.id, head.req.arrival);
         // The probes score the circuit the batch runs: folded if the
@@ -218,14 +298,13 @@ impl ReferenceScheduler {
         let threshold = head.req.fidelity_threshold.or(self.cfg.threshold);
         let route = head.req.routing.unwrap_or(self.cfg.routing);
 
-        // Rank the admitting chips by (score, free time, registration);
-        // with none, probe the widest so the placement error surfaces.
-        // Both are stated here, not asked of the registry.
+        // Rank the admitting chips by (score, free time, registration),
+        // stated here, not asked of the registry. Submit refused every
+        // job no chip admits, so there is one.
         let qubits = |d: DeviceId| self.fleet.get(d).num_qubits();
         let width = circuit.width();
         let ids = self.fleet.ids().iter().copied();
         let admitting: Vec<DeviceId> = ids.filter(|&d| (1..=qubits(d)).contains(&width)).collect();
-        let probe_widest = admitting.is_empty();
         let mut ranked: Vec<(f64, f64, DeviceId)> = Vec::new();
         let starts = admitting.iter().map(|&d| clock(d).max(head_arrival));
         let best_start = starts.fold(f64::INFINITY, f64::min);
@@ -244,14 +323,6 @@ impl ReferenceScheduler {
             ranked.push((score, clock(d), d));
         }
         ranked.sort_by(|a, b| (a.0.total_cmp(&b.0).then(a.1.total_cmp(&b.1))).then(a.2.cmp(&b.2)));
-        if probe_widest {
-            // The first registered of the chips with the most qubits.
-            let most = self.fleet.ids().iter().map(|&d| qubits(d)).max();
-            let mut ids = self.fleet.ids().iter().copied();
-            let widest = ids.find(|&d| Some(qubits(d)) == most);
-            let widest = widest.expect("fleet is non-empty");
-            ranked.push((f64::INFINITY, clock(widest), widest));
-        }
 
         let (pipeline, batch_index) = (Pipeline::from_strategy(&strategy), self.batches.len());
         let mut last_rejection = None;
@@ -266,7 +337,7 @@ impl ReferenceScheduler {
             // The head-only gate caps the batch at the copies of the
             // head circuit that stay within its threshold (Fig. 4).
             let max = self.cfg.max_parallel;
-            let head_only = self.cfg.gate == EfsGate::HeadOnly && !probe_widest;
+            let head_only = self.cfg.gate == EfsGate::HeadOnly;
             let cap = match threshold.filter(|_| head_only) {
                 Some(t) => parallel_count_for_threshold(&device, &circuit, t, max, &strategy),
                 None => Ok(max),
@@ -278,18 +349,9 @@ impl ReferenceScheduler {
                     continue;
                 }
             };
-            let (at, views) = self.arrived(start);
-            let head_pos = at.iter().position(|&q| q == head_q);
-            let head_pos = head_pos.expect("the head has arrived");
-            let budget = BatchBudget {
-                qubits: device.num_qubits(),
-                max_members: cap,
-            };
-            let mut picks = vec![head_pos];
-            if !probe_widest {
-                self.cfg.policy.pack(&views, head_pos, &budget, &mut picks);
-            }
-            let mut members: Vec<usize> = picks.iter().map(|&p| at[p]).collect();
+            let at = self.arrived(start);
+            let picks = self.pack(&at, head_q, device.num_qubits(), cap);
+            let mut members = picks.clone();
             let planned = self.plan_gated(&pipeline, d, batch_index, &strategy, &mut members);
             let (plan, shrinks) = match planned {
                 Ok(planned) => planned,
@@ -320,12 +382,16 @@ impl ReferenceScheduler {
                 start,
                 makespan,
             });
-            // Every arrived job a committed later pick jumped over was
-            // overtaken once (jobs wider than this chip are exempt).
-            let committed = picks.iter().filter(|&&p| members.contains(&at[p]));
-            let last_pick = committed.copied().max().unwrap_or(head_pos);
-            for (&q, view) in at.iter().zip(&views).take(last_pick) {
-                if view.width <= device.num_qubits() && !members.contains(&q) {
+            // Every arrived job in FIFO order before the last committed
+            // pick was overtaken once, unless it rode along or is wider
+            // than this chip.
+            let position = |q: &usize| at.iter().position(|p| p == q);
+            let committed = picks.iter().filter(|q| members.contains(q));
+            let last_pick = committed.filter_map(position).max();
+            let last_pick = last_pick.expect("the head is committed");
+            for &q in &at[..last_pick] {
+                let width = self.queue[q].req.circuit.width();
+                if width <= device.num_qubits() && !members.contains(&q) {
                     self.queue[q].skips += 1;
                 }
             }
@@ -381,7 +447,7 @@ impl ReferenceScheduler {
             self.queue.retain(|job| !served.contains(&job.ticket));
             return Ok(true);
         }
-        Err(last_rejection.expect("every candidate was rejected as unplaceable"))
+        Err(last_rejection.expect("a chip admits the head, and every one rejected it"))
     }
 
     /// Plans `members` (queue positions, head first) on device `d`,
