@@ -22,8 +22,6 @@
 
 use std::mem::size_of;
 
-use crate::state::Statevector;
-
 /// A Walker/Vose alias table over a finite outcome distribution.
 ///
 /// Construction is O(n) and deterministic (index-ordered worklists, no
@@ -118,11 +116,6 @@ impl AliasTable {
         }
     }
 
-    /// Builds the table from a statevector's measurement distribution.
-    pub fn from_statevector(sv: &Statevector) -> Self {
-        AliasTable::from_probabilities(&sv.probabilities())
-    }
-
     /// Maps one uniform draw `u ∈ [0, 1)` to an outcome index: bucket
     /// `⌊u·n⌋`, accepted against the fractional part.
     pub fn sample(&self, u: f64) -> usize {
@@ -160,6 +153,7 @@ impl AliasScratch {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::state::Statevector;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
@@ -303,7 +297,7 @@ mod tests {
         let mut c = qucp_circuit::Circuit::new(2);
         c.h(0).cx(0, 1);
         let sv = Statevector::from_circuit(&c);
-        let table = AliasTable::from_statevector(&sv);
+        let table = AliasTable::from_probabilities(&sv.probabilities());
         let mut rng = StdRng::seed_from_u64(7);
         let shots = 40_000;
         let mut hits = [0usize; 4];

@@ -18,7 +18,7 @@
 //!
 //! A [`TrajectoryKernel`] is how the pattern is drawn plus how a uniform
 //! maps to an outcome: [`Replay`](TrajectoryKernel::Replay) draws one
-//! Bernoulli per event and walks CDFs,
+//! Bernoulli per event and picks outcomes from running sums,
 //! [`SurvivalSkip`](TrajectoryKernel::SurvivalSkip) jumps to the next
 //! error through the event stream's prefix survival products and answers clean
 //! and single-error shots from [`AliasTable`]s. Same distribution,
@@ -68,6 +68,8 @@ use crate::fanout::{core_budget, run_indexed_within, workers_for};
 use crate::math::{Complex, Mat2};
 use crate::state::kernel::{self, narrow, Op};
 use crate::state::Statevector;
+#[cfg(test)]
+pub(crate) use draw::SCALAR_SCREEN;
 use draw::{Drawn, Errors};
 
 #[cfg(test)]
@@ -210,8 +212,9 @@ pub fn derive_shard_seed(seed: u64, shard: usize) -> u64 {
 pub enum TrajectoryKernel {
     /// The historical stream (the default): one Bernoulli draw per
     /// scheduled event decides whether that event errors, then one type
-    /// draw per gate error; every outcome is picked by the linear CDF
-    /// walk, readout draws one Bernoulli per measured qubit. Bit-for-bit
+    /// draw per gate error; every outcome is the one the linear CDF walk
+    /// picks (found by bisecting the running sums where they are kept),
+    /// readout draws one Bernoulli per measured qubit. Bit-for-bit
     /// identical to every release before kernels existed.
     #[default]
     Replay,
@@ -572,6 +575,8 @@ struct Strip {
     words: Vec<u64>,
     /// How many of `words` are event bounds.
     events: usize,
+    /// Whether a readout is a certain flip, which draws no word.
+    certain_flip: bool,
 }
 
 impl Strip {
@@ -589,12 +594,24 @@ impl Strip {
         let events = words.len();
         let readout = readout_p.iter().map(|&p| readout_threshold(p));
         words.extend(readout.map(|t| t.unwrap_or(CERTAIN_FLIP)));
-        Strip { words, events }
+        let certain_flip = words[events..].contains(&CERTAIN_FLIP);
+        Strip {
+            words,
+            events,
+            certain_flip,
+        }
     }
 
     /// One bound per event that draws a word, in stream order.
     fn events(&self) -> &[u64] {
         &self.words[..self.events]
+    }
+
+    /// Each measured qubit's readout threshold, when every one of them
+    /// draws a word (no readout is a certain flip): one word per
+    /// qubit, compared with its threshold (none with readout noise off).
+    fn bulk_readout(&self) -> Option<&[u64]> {
+        (!self.certain_flip).then(|| &self.words[self.events..])
     }
 
     /// Each measured qubit's readout threshold (none with readout noise
@@ -955,7 +972,7 @@ fn single_error_alias(events: usize, width: usize) -> bool {
 /// idle error — the full survival product `Π (1 − p_e)` over the
 /// job's scheduled event stream, i.e. the fraction of trajectories the
 /// [`TrajectoryKernel::SurvivalSkip`] kernel answers straight from the
-/// cached ideal state without replaying any events. (Readout flips are
+/// cached ideal distribution without replaying any events. (Readout flips are
 /// applied to the sampled outcome either way and do not enter here.)
 ///
 /// # Errors
@@ -999,10 +1016,11 @@ pub fn run_noisy(
 /// Everything here is a pure function of the mapped job, the device
 /// calibration and the three noise flags: the validated layout, the
 /// ALAP event stream with its effective error probabilities, the mapped
-/// ideal state and the per-qubit readout flip probabilities — and,
-/// built lazily the first time a [`TrajectoryKernel::SurvivalSkip`] run
-/// asks, the event and readout survival products and the clean-shot
-/// alias table.
+/// ideal distribution (running sums and probabilities, in place of the
+/// ideal state it is computed from) and the per-qubit readout flip
+/// probabilities — and, built lazily the first time a
+/// [`TrajectoryKernel::SurvivalSkip`] run asks, the event and readout
+/// survival products and the clean-shot alias table.
 ///
 /// `prepare` is a compiler: what a run would otherwise derive per shot
 /// or per gate application is fixed here, once. Every event carries the
@@ -1052,7 +1070,7 @@ pub struct PreparedJob {
     /// of the gates that have no exact structure in `mats`.
     ops: Vec<Op>,
     mats: Vec<Mat2>,
-    ideal: Statevector,
+    ideal: Ideal,
     /// Readout flip probability of each local qubit (the calibrated
     /// readout error of the physical qubit carrying it).
     readout_p: Vec<f64>,
@@ -1062,6 +1080,64 @@ pub struct PreparedJob {
     /// The noise flags the job was prepared under.
     noise: NoiseFlags,
     survival: OnceLock<SurvivalTables>,
+}
+
+/// The mapped job's ideal outcome distribution, in the block its state
+/// was computed in: `2^width` running probability sums, what a clean
+/// `Replay` shot bisects, then the `2^width` probabilities the
+/// SurvivalSkip alias table is built from — 16 B an outcome, an
+/// amplitude's size.
+#[derive(Debug)]
+struct Ideal {
+    dist: Vec<f64>,
+}
+
+impl Ideal {
+    /// The distribution of `state`, written over its amplitudes: each
+    /// probability is its amplitude's `norm_sqr`, the sums are
+    /// [`kernel::running_sums`]'s additions in its order, so
+    /// [`Ideal::sample`] is the state's `sample_at`. The same-layout map
+    /// and the flatten keep the amplitudes' block (std collects a
+    /// `Vec`'s own iterator in place), so this asks the heap for
+    /// nothing.
+    fn of(state: Statevector) -> Self {
+        let amps = state.into_amplitudes().into_iter();
+        let pairs: Vec<[f64; 2]> = amps.map(|a| [a.re, a.im]).collect();
+        let mut dist = pairs.into_flattened();
+        let n = dist.len() / 2;
+        // Probability `k` lands on an `f64` of amplitude `k / 2`, which
+        // has been read already.
+        for k in 0..n {
+            dist[k] = Complex::new(dist[2 * k], dist[2 * k + 1]).norm_sqr();
+        }
+        dist.copy_within(..n, n);
+        let mut acc = 0.0;
+        for sum in &mut dist[..n] {
+            acc += *sum;
+            *sum = acc;
+        }
+        Ideal { dist }
+    }
+
+    fn outcomes(&self) -> usize {
+        self.dist.len() / 2
+    }
+
+    /// The running probability sums, one an outcome.
+    fn sums(&self) -> &[f64] {
+        &self.dist[..self.outcomes()]
+    }
+
+    /// The probabilities, one an outcome.
+    fn probabilities(&self) -> &[f64] {
+        &self.dist[self.outcomes()..]
+    }
+
+    /// The outcome the uniform `u` picks: the ideal state's `sample_at`,
+    /// by bisection ([`kernel::sample_sums`]).
+    fn sample(&self, u: f64) -> usize {
+        kernel::sample_sums(self.sums(), u)
+    }
 }
 
 /// The SurvivalSkip kernel's share of a [`PreparedJob`].
@@ -1160,7 +1236,7 @@ impl PreparedJob {
     }
 
     /// The rest of a prepared job, around its plan: the compiled gates,
-    /// the ideal state, the readout errors and the strip.
+    /// the ideal distribution, the readout errors and the strip.
     fn compile(
         plan: TrajectoryPlan,
         circuit: &Circuit,
@@ -1179,7 +1255,7 @@ impl PreparedJob {
         let strip = Strip::compile(&plan.events, &readout_p, cfg.readout_noise);
         PreparedJob {
             plan,
-            ideal: Statevector::from_ops(circuit.width(), &ops, &mats),
+            ideal: Ideal::of(Statevector::from_ops(circuit.width(), &ops, &mats)),
             ops,
             mats,
             readout_p,
@@ -1204,17 +1280,19 @@ impl PreparedJob {
     /// stream (error probabilities and draw thresholds included) with
     /// its survival products and its strip, the compiled gates and
     /// their matrices, the readout probabilities, thresholds and
-    /// products, the ideal state and the clean-shot alias table — the
-    /// lazy SurvivalSkip tables included whether or not they exist yet.
+    /// products, the ideal distribution (which replaces the ideal
+    /// state, at its size) and the clean-shot alias table — the lazy
+    /// SurvivalSkip tables included whether or not they exist yet.
     pub fn retained_bytes(&self) -> usize {
         use std::mem::size_of;
-        let outcomes = self.ideal.amplitudes().len();
+        let outcomes = self.ideal.outcomes();
         self.plan.events.len() * (size_of::<Event>() + size_of::<f64>() + size_of::<u64>())
             + self.ops.len() * size_of::<Op>()
             + self.mats.capacity() * size_of::<Mat2>()
             + self.width() * (2 * size_of::<f64>() + size_of::<u64>())
-            // Ideal state, alias table (threshold + alias per outcome).
-            + outcomes * (size_of::<Complex>() + size_of::<f64>() + size_of::<u32>())
+            // Ideal distribution (running sum + probability per
+            // outcome), alias table (threshold + alias per outcome).
+            + outcomes * (2 * size_of::<f64>() + size_of::<f64>() + size_of::<u32>())
     }
 
     /// Runs `cfg.shots` trajectories of `circuit` — the circuit the job
@@ -1286,7 +1364,7 @@ impl PreparedJob {
     fn tables(&self) -> &SurvivalTables {
         self.survival.get_or_init(|| SurvivalTables {
             events: event_survival(&self.plan),
-            alias: AliasTable::from_statevector(&self.ideal),
+            alias: AliasTable::from_probabilities(self.ideal.probabilities()),
             readout_survival: (self.noise.readout)
                 .then(|| prefix_survival(self.readout_p.iter().copied())),
         })
@@ -1305,11 +1383,11 @@ struct TrajectoryJob<'a> {
     /// The draw thresholds, events then readout (see [`Strip`]).
     strip: &'a Strip,
     plan: &'a TrajectoryPlan,
-    ideal: &'a Statevector,
+    ideal: &'a Ideal,
     /// The SurvivalSkip kernel's survival products and clean-shot and
     /// readout samplers; `None` under `Replay`, which screens its event
-    /// words against the strip, walks the ideal state's CDF and flips
-    /// readout bits one Bernoulli per qubit.
+    /// words against the strip, bisects the ideal distribution's
+    /// running sums and compares its readout words with the strip.
     tables: Option<&'a SurvivalTables>,
     /// Whether single-error shots sample their node's alias table
     /// (`SurvivalSkip` under [`single_error_alias`]) or walk its CDF.
@@ -1911,7 +1989,8 @@ mod tests {
     /// with the scalar body forced.
     fn on_both_bodies(pinned: impl Fn()) {
         pinned();
-        kernel::scalar_only(pinned);
+        kernel::scalar_only(&pinned);
+        draw::scalar_screen(pinned);
     }
 
     // The four pins below were generated by the per-shot loop of the
@@ -2236,6 +2315,49 @@ mod tests {
         let refused =
             std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| prepared.run(&longer, &cfg)));
         assert!(refused.is_err());
+    }
+
+    #[test]
+    fn the_ideal_distribution_is_the_states_sums_and_probabilities() {
+        // Dense and sparse states of 1-10 qubits: the running sums and
+        // probabilities bit for bit, a sample equal to the state's walk
+        // on, beside and between the sums, and the distribution in the
+        // block the amplitudes were computed in.
+        use rand::Rng;
+        let mut rng = StdRng::seed_from_u64(0x1DEA_1D15);
+        let mut sums = Vec::new();
+        for n in 1..=10 {
+            for dense in [true, false] {
+                let mut c = Circuit::new(n);
+                for _ in 0..3 {
+                    for q in 0..n {
+                        if dense {
+                            c.ry(q, rng.gen_range(-3.0..3.0));
+                        } else if q == 0 {
+                            c.h(q);
+                        }
+                    }
+                    for q in 1..n {
+                        c.cx(q - 1, q);
+                    }
+                }
+                let state = Statevector::from_circuit(&c);
+                let amps = state.amplitudes().to_vec();
+                let block = state.amplitudes().as_ptr() as usize;
+                let ideal = Ideal::of(state);
+                assert_eq!(ideal.dist.as_ptr() as usize, block, "the amplitudes' block");
+                kernel::running_sums(&amps, &mut sums);
+                let bits = |xs: &[f64]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(ideal.sums()), bits(&sums), "{n} qubits");
+                let probabilities: Vec<f64> = amps.iter().map(|a| a.norm_sqr()).collect();
+                assert_eq!(bits(ideal.probabilities()), bits(&probabilities));
+                let edges = sums.iter().flat_map(|&s| [s, s.next_down(), s.next_up()]);
+                let inside = (0..100).map(|_| rng.gen::<f64>());
+                for u in edges.chain(inside).chain([0.0, 1.0 - f64::EPSILON]) {
+                    assert_eq!(ideal.sample(u), kernel::sample_at(&amps, u), "u = {u}");
+                }
+            }
+        }
     }
 
     #[test]

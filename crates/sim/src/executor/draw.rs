@@ -7,22 +7,153 @@
 //! `super::idle_thresholds`, `super::readout_threshold`): the words
 //! consumed and the patterns drawn are those of the Bernoulli and
 //! uniform draws of `rand` the thresholds were taken from, and nothing
-//! here converts a probability. `Replay` reads a shot's event words in
-//! bulk and screens them against the prepared [`super::Strip`] before
-//! it runs any of those comparisons.
+//! here converts a probability. `Replay` reads its stream ahead in
+//! bulk ([`Ahead`]) and compares a shot's words where they lie: its
+//! event words are screened against the prepared [`super::Strip`] in
+//! lanes ([`Screen`]) before any exact per-event test runs, and its
+//! outcome uniform and readout words are read together, the readout
+//! words screened against the strip's readout tail.
+
+#[cfg(test)]
+use std::cell::Cell;
 
 use rand::rngs::StdRng;
 use rand::{Rng, RngCore, SeedableRng};
 
-use super::{idle_cumulative, random_pauli, Event, TrajectoryJob, TrajectoryKernel};
+use super::{idle_cumulative, random_pauli, Event, Strip, TrajectoryJob, TrajectoryKernel};
 use crate::counts::Tally;
+use crate::state::ScreenLanes;
 
 #[cfg(test)]
 mod tests;
 
-/// Words the `Replay` draw reads and screens at a time, in a buffer
-/// its stream keeps.
+/// Words the `Replay` draw screens at a time: one mask bit a word.
 const SCREEN_WORDS: usize = 64;
+
+/// The 32-bit halves a `Replay` stream reads ahead: one sixteen-block
+/// refill of the generator, and room for two screened chunks.
+const AHEAD_HALVES: usize = 4 * SCREEN_WORDS;
+
+#[cfg(test)]
+thread_local! {
+    /// Set while a test forces the scalar screen on this thread (and on
+    /// the helpers its fan-outs spawn): nothing outside tests reads it.
+    pub(crate) static SCALAR_SCREEN: Cell<bool> = const { Cell::new(false) };
+}
+
+/// Runs `f` with every screen on the scalar fold.
+#[cfg(test)]
+pub(super) fn scalar_screen<T>(f: impl FnOnce() -> T) -> T {
+    let was = SCALAR_SCREEN.replace(true);
+    let out = f();
+    SCALAR_SCREEN.set(was);
+    out
+}
+
+/// Word `k` of `halves`: halves `2k` (low) and `2k + 1` (high), as the
+/// generator's `next_u64` pairs its 32-bit outputs.
+fn word(halves: &[u32], k: usize) -> u64 {
+    u64::from(halves[2 * k]) | u64::from(halves[2 * k + 1]) << 32
+}
+
+/// The body a stream screens its words with: AVX-512F lanes where the
+/// CPU has them, else [`screen_scalar`], their oracle.
+#[derive(Clone, Copy)]
+struct Screen(Option<ScreenLanes>);
+
+impl Screen {
+    /// The one place the screen's body is chosen, once a stream.
+    fn chosen() -> Self {
+        #[cfg(test)]
+        if SCALAR_SCREEN.get() {
+            return Screen(None);
+        }
+        Screen(ScreenLanes::detect())
+    }
+
+    /// Bit `k` set iff [`word`] `k` of `halves` is below `bounds[k]`
+    /// (`BELOW`) or at most it, for `k < bounds.len()` (at most 64).
+    fn mask<const BELOW: bool>(self, halves: &[u32], bounds: &[u64]) -> u64 {
+        match self.0 {
+            Some(lanes) => lanes.screen::<BELOW>(halves, bounds),
+            None => screen_scalar::<BELOW>(halves, bounds),
+        }
+    }
+}
+
+/// [`Screen::mask`] one word at a time, on every CPU.
+fn screen_scalar<const BELOW: bool>(halves: &[u32], bounds: &[u64]) -> u64 {
+    bounds.iter().enumerate().fold(0, |mask, (k, &bound)| {
+        let w = word(halves, k);
+        mask | u64::from(if BELOW { w < bound } else { w <= bound }) << k
+    })
+}
+
+/// The uniform `Rng::gen::<f64>()` makes of `word`: its top 53 bits,
+/// scaled by `2^-53`.
+fn uniform(word: u64) -> f64 {
+    (word >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
+}
+
+/// A `Replay` stream's generator read ahead: its 32-bit outputs in
+/// order, up to [`AHEAD_HALVES`] of them buffered through `fill`
+/// (`StdRng::fill_u32`). It hands out the halves and words the
+/// generator's own `next_u32` and `next_u64` would — a word is two
+/// halves, the first low, across a refill too — and a shot's words are
+/// compared where they lie. What it reads past a stream's last shot is
+/// never handed out.
+struct Ahead<F> {
+    fill: F,
+    /// The body the stream's words are screened with.
+    screen: Screen,
+    halves: [u32; AHEAD_HALVES],
+    /// The next half to hand out: `halves[at..]` are read, not yet
+    /// handed out.
+    at: usize,
+}
+
+impl<F: FnMut(&mut [u32])> Ahead<F> {
+    fn new(fill: F) -> Self {
+        Ahead {
+            fill,
+            screen: Screen::chosen(),
+            halves: [0; AHEAD_HALVES],
+            at: AHEAD_HALVES,
+        }
+    }
+
+    /// The next `n` halves (at most [`AHEAD_HALVES`]), still to be
+    /// handed out: when fewer are left, they move to the front and the
+    /// generator fills in behind them.
+    fn peek(&mut self, n: usize) -> &[u32] {
+        let left = AHEAD_HALVES - self.at;
+        if left < n {
+            self.halves.copy_within(self.at.., 0);
+            (self.fill)(&mut self.halves[left..]);
+            self.at = 0;
+        }
+        &self.halves[self.at..self.at + n]
+    }
+
+    /// Hands out `n` halves.
+    fn skip(&mut self, n: usize) {
+        self.at += n;
+    }
+}
+
+impl<F: FnMut(&mut [u32])> RngCore for Ahead<F> {
+    fn next_u32(&mut self) -> u32 {
+        let half = self.peek(1)[0];
+        self.skip(1);
+        half
+    }
+
+    fn next_u64(&mut self) -> u64 {
+        let word = word(self.peek(2), 0);
+        self.skip(2);
+        word
+    }
+}
 
 /// One error of a shot's pattern, packed `position · 16 + code` so that
 /// patterns compare as plain integer slices: the event position (below
@@ -43,11 +174,23 @@ pub(super) fn unpack(key: ErrorKey) -> (usize, u8) {
 /// error carries it: Pauli codes start at 1).
 const UNTYPED: u8 = 0;
 
+/// A pattern's first two keys packed, `first << 32 | second`, 0 for an
+/// absent second one (no key is 0: codes start at 1): patterns ordered
+/// by it are ordered as their slices are, up to a tie, which only the
+/// keys from the third on settle.
+pub(super) fn sort_key(pattern: &[ErrorKey]) -> u64 {
+    let second = pattern.get(1).copied().unwrap_or(0);
+    u64::from(pattern[0]) << 32 | u64::from(second)
+}
+
 /// A shot that drew at least one error, waiting for its state.
 #[derive(Clone, Copy)]
 pub(super) struct ErrorShot {
     /// The uniform that picks the outcome from the shot's final state.
     pub u: f64,
+    /// The pattern's [`sort_key`], written by the draw so that the
+    /// evaluator's sort compares integers.
+    pub key: u64,
     /// Where the shot's pattern starts in the stream's arena.
     pub start: usize,
     /// Errors in the pattern (at least one), ascending by position.
@@ -149,77 +292,81 @@ fn per_qubit_flips(
 fn event_error(ev: Event, rng: &mut impl RngCore) -> Option<u8> {
     match ev {
         Event::Gate { threshold, .. } => gate_errs(threshold, rng).then_some(UNTYPED),
-        Event::Idle { thresholds, .. } => idle_pauli(rng.next_u64() >> 11, thresholds),
+        Event::Idle { .. } => errs_on(ev, rng.next_u64()),
     }
 }
 
-/// Words already read from the generator, handed out again in order:
-/// what [`event_error`] draws from on a screened chunk.
-struct Reread<'a>(std::slice::Iter<'a, u64>);
-
-impl RngCore for Reread<'_> {
-    fn next_u32(&mut self) -> u32 {
-        unreachable!("an event draws whole words")
-    }
-
-    fn next_u64(&mut self) -> u64 {
-        *self
-            .0
-            .next()
-            .expect("a chunk holds a word per word-drawing event")
+/// [`event_error`] on its word, for an event that draws one.
+fn errs_on(ev: Event, word: u64) -> Option<u8> {
+    match ev {
+        Event::Gate { threshold, .. } => threshold.is_some_and(|t| word < t).then_some(UNTYPED),
+        Event::Idle { thresholds, .. } => idle_pauli(word >> 11, thresholds),
     }
 }
 
 /// One shot's event draws under `Replay`: pushes onto `arena` every
 /// error of `events` in stream order, gate errors [`UNTYPED`], from one
-/// word per event that draws one — whose [`super::strip_bound`]s are
-/// `bounds`.
+/// word of `ahead` per event that draws one — whose
+/// [`super::strip_bound`]s are `bounds`.
 ///
-/// The words are read [`SCREEN_WORDS`] at a time into `words` (`fill`
-/// writes as many of the stream's next words as its slice holds) and
-/// compared with their bounds into a mask, bit `k` set iff word `k` is
-/// at or below its bound: only the events at set bits — the candidates —
-/// go through [`event_error`], each on its own word, and a word above
-/// its bound cannot make its event err. (When some gate draws no word,
-/// a word's index is not its event's position, and every event of the
-/// chunk is walked on the words read.) The words read, the errors and
-/// the generator's position are those of one [`event_error`] per event.
-fn screen_events(
+/// The words are screened [`SCREEN_WORDS`] at a time where they lie in
+/// `ahead`: [`Screen::mask`] sets bit `k` iff word `k` is at or below its
+/// bound, and only the events at set bits — the candidates — go through
+/// the exact test ([`errs_on`]) on their word; a word above its bound
+/// cannot make its event err. When some gate draws no word, a word's
+/// index is not its event's position, and every event goes through
+/// [`event_error`] on the words in order. The words read, the errors
+/// and the stream's position are those of one [`event_error`] per
+/// event.
+fn screen_events<F: FnMut(&mut [u32])>(
     events: &[Event],
     bounds: &[u64],
-    mut fill: impl FnMut(&mut [u64]),
-    words: &mut [u64; SCREEN_WORDS],
+    ahead: &mut Ahead<F>,
     arena: &mut Vec<ErrorKey>,
 ) {
-    let aligned = bounds.len() == events.len();
-    let mut pos = 0;
-    for bounds in bounds.chunks(SCREEN_WORDS) {
-        let words = &mut words[..bounds.len()];
-        fill(words);
-        if !aligned {
-            let mut reread = Reread(words.iter());
-            while !reread.0.as_slice().is_empty() {
-                if let Some(code) = event_error(events[pos], &mut reread) {
-                    arena.push(pack(pos, code));
-                }
-                pos += 1;
+    if bounds.len() != events.len() {
+        for (pos, &ev) in events.iter().enumerate() {
+            if let Some(code) = event_error(ev, ahead) {
+                arena.push(pack(pos, code));
             }
-            continue;
         }
-        let mut candidates = words
-            .iter()
-            .zip(bounds)
-            .enumerate()
-            .fold(0u64, |mask, (k, (w, b))| mask | u64::from(w <= b) << k);
+        return;
+    }
+    let screen = ahead.screen;
+    for (chunk, bounds) in bounds.chunks(SCREEN_WORDS).enumerate() {
+        let halves = ahead.peek(2 * bounds.len());
+        let mut candidates = screen.mask::<false>(halves, bounds);
         while candidates != 0 {
             let k = candidates.trailing_zeros() as usize;
             candidates &= candidates - 1;
-            if let Some(code) = event_error(events[pos + k], &mut Reread(words[k..=k].iter())) {
-                arena.push(pack(pos + k, code));
+            let pos = chunk * SCREEN_WORDS + k;
+            if let Some(code) = errs_on(events[pos], word(halves, k)) {
+                arena.push(pack(pos, code));
             }
         }
-        pos += words.len();
+        ahead.skip(2 * bounds.len());
     }
+}
+
+/// A `Replay` shot's outcome uniform and readout flips (an XOR mask
+/// over the measured bits): one `Rng::gen::<f64>()`, then one
+/// [`readout_flips`] per measured qubit. Where no readout is a certain
+/// flip each of those draws one word, so the words are read together
+/// and the readout words screened against the strip's readout tail: a
+/// bit flips iff its word is below its threshold.
+fn replay_outcome<F: FnMut(&mut [u32])>(strip: &Strip, ahead: &mut Ahead<F>) -> (f64, usize) {
+    let Some(thresholds) = strip.bulk_readout() else {
+        let u = ahead.gen();
+        return (u, per_qubit_flips(strip.readout(), 0, ahead));
+    };
+    let (screen, halves) = (ahead.screen, 2 * (1 + thresholds.len()));
+    let words = ahead.peek(halves);
+    let (u, flips) = (
+        uniform(word(words, 0)),
+        screen.mask::<true>(&words[2..], thresholds),
+    );
+    ahead.skip(halves);
+    (u, flips as usize)
 }
 
 /// Room for a count whose expectation is `mean` and whose variance is
@@ -276,6 +423,30 @@ impl TrajectoryJob<'_> {
     /// kept from a run of the same job allocates nothing.
     pub(super) fn draw(&self, shots: usize, seed: u64, into: Drawn, room: usize) -> Drawn {
         let mut rng = StdRng::seed_from_u64(seed);
+        match self.cfg.kernel {
+            TrajectoryKernel::Replay => {
+                let mut ahead = Ahead::new(|halves: &mut [u32]| rng.fill_u32(halves));
+                self.draw_shots(shots, into, room, |arena| {
+                    self.draw_replay(&mut ahead, arena);
+                    replay_outcome(self.strip, &mut ahead)
+                })
+            }
+            TrajectoryKernel::SurvivalSkip => self.draw_shots(shots, into, room, |arena| {
+                self.draw_survival(&mut rng, arena);
+                (rng.gen(), self.readout_mask(&mut rng))
+            }),
+        }
+    }
+
+    /// [`TrajectoryJob::draw`]'s loop: `shot` pushes one shot's pattern
+    /// onto the arena and returns its outcome uniform and readout mask.
+    fn draw_shots(
+        &self,
+        shots: usize,
+        into: Drawn,
+        room: usize,
+        mut shot: impl FnMut(&mut Vec<ErrorKey>) -> (f64, usize),
+    ) -> Drawn {
         let Drawn {
             mut counts,
             errors:
@@ -284,20 +455,14 @@ impl TrajectoryJob<'_> {
                     mut patterns,
                 },
         } = into;
-        let mut words = [0; SCREEN_WORDS];
         for _ in 0..shots {
             let start = patterns.len();
-            match self.cfg.kernel {
-                TrajectoryKernel::Replay => self.draw_replay(&mut rng, &mut words, &mut patterns),
-                TrajectoryKernel::SurvivalSkip => self.draw_survival(&mut rng, &mut patterns),
-            }
-            let u: f64 = rng.gen();
-            let mask = self.readout_mask(&mut rng);
+            let (u, mask) = shot(&mut patterns);
             let len = patterns.len() - start;
             if len == 0 {
                 let ideal = match self.tables {
                     Some(tables) => tables.alias.sample(u),
-                    None => self.ideal.sample_at(u),
+                    None => self.ideal.sample(u),
                 };
                 counts.record(ideal ^ mask);
                 continue;
@@ -315,6 +480,7 @@ impl TrajectoryJob<'_> {
             }
             errors.push(ErrorShot {
                 u,
+                key: sort_key(&patterns[start..]),
                 start,
                 len: len as u32,
                 mask: mask as u32,
@@ -349,15 +515,9 @@ impl TrajectoryJob<'_> {
     /// `Replay`'s pattern: one draw per event, screened in bulk
     /// ([`screen_events`]), then one type draw per *gate* error in
     /// ascending position.
-    fn draw_replay(
-        &self,
-        rng: &mut StdRng,
-        words: &mut [u64; SCREEN_WORDS],
-        arena: &mut Vec<ErrorKey>,
-    ) {
+    fn draw_replay<F: FnMut(&mut [u32])>(&self, ahead: &mut Ahead<F>, arena: &mut Vec<ErrorKey>) {
         let start = arena.len();
-        let fill = |words: &mut [u64]| rng.fill_u64(words);
-        screen_events(&self.plan.events, self.strip.events(), fill, words, arena);
+        screen_events(&self.plan.events, self.strip.events(), ahead, arena);
         for key in &mut arena[start..] {
             let (pos, code) = unpack(*key);
             if code != UNTYPED {
@@ -372,9 +532,9 @@ impl TrajectoryJob<'_> {
                 // stream differently per integer width, and this is the
                 // width the pinned Replay stream has always drawn
                 // (SurvivalSkip's is `i32`, see `draw_gate_error_code`).
-                rng.gen_range(1..16usize) as u8
+                ahead.gen_range(1..16usize) as u8
             } else {
-                random_pauli(rng)
+                random_pauli(ahead)
             };
             *key = pack(pos, code);
         }
@@ -418,22 +578,19 @@ impl TrajectoryJob<'_> {
         }
     }
 
-    /// The readout flips of one shot as an XOR mask over the measured
-    /// bits: `SurvivalSkip` jumps from flipped bit to flipped bit through
+    /// The readout flips of one `SurvivalSkip` shot as an XOR mask over
+    /// the measured bits: a jump from flipped bit to flipped bit through
     /// its readout survival products — typically one uniform per shot;
-    /// `Replay`, and both past an underflow, draw a Bernoulli per qubit
-    /// (a certain flip draws nothing).
+    /// past an underflow, a Bernoulli per qubit (a certain flip draws
+    /// nothing).
     fn readout_mask(&self, rng: &mut StdRng) -> usize {
         let mut mask = 0usize;
-        if !self.cfg.readout_noise {
+        let tables = self.tables.expect("SurvivalSkip runs with its tables");
+        let Some(surv) = tables.readout_survival.as_deref() else {
             return mask;
-        }
-        let per_qubit_from = match self.tables.and_then(|t| t.readout_survival.as_deref()) {
-            Some(surv) => survival_jumps(surv, rng, |q, _| mask ^= 1 << q),
-            None => Some(0),
         };
         // Without an underflow the jumps covered every qubit.
-        let from = per_qubit_from.unwrap_or(self.width);
+        let from = survival_jumps(surv, rng, |q, _| mask ^= 1 << q).unwrap_or(self.width);
         mask ^ per_qubit_flips(self.strip.readout(), from, rng)
     }
 }

@@ -1,16 +1,32 @@
 //! The draw tables against the `rand` draws they were taken from:
-//! same outcome, same words consumed, on both sides of every threshold.
+//! same outcome, same words consumed, on both sides of every threshold;
+//! the lane screen against the scalar fold; the carried sort key
+//! against the slice order.
 
+use std::cmp::Ordering;
+
+use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, RngCore, SeedableRng};
 
+use super::super::evaluate::sort_by_pattern;
 use super::super::{
     gate_threshold, idle_cumulative, idle_thresholds, readout_threshold, strip_bound, Event, Strip,
 };
 use super::{
-    event_error, gate_errs, idle_pauli, pack, per_qubit_flips, readout_flips, screen_events,
-    ErrorKey, SCREEN_WORDS, UNTYPED,
+    event_error, gate_errs, idle_pauli, pack, readout_flips, replay_outcome, scalar_screen,
+    screen_events, screen_scalar, sort_key, unpack, Ahead, ErrorKey, ErrorShot, ScreenLanes,
+    AHEAD_HALVES, SCREEN_WORDS, UNTYPED,
 };
+
+/// Runs `check` on the screen body this CPU picks, then on the scalar
+/// fold, and asserts that both return the same.
+fn on_both_screens<T: PartialEq + std::fmt::Debug>(check: impl Fn() -> T) -> T {
+    let picked = check();
+    let scalar = scalar_screen(check);
+    assert_eq!(picked, scalar, "both screen bodies");
+    scalar
+}
 
 /// A scripted word source that counts what it hands out.
 struct Words {
@@ -186,11 +202,12 @@ fn event(spec: Spec) -> Event {
     }
 }
 
-/// Draws `shots` shots' event errors and readout masks through the
-/// strip on one generator and through one `rand` draw per event and
-/// per qubit on another — from `skip` words into the same stream — and
-/// asserts the same errors, the same masks and the same position after
-/// every shot. Returns how many shots drew an error.
+/// Draws `shots` shots' event errors, outcome uniforms and readout
+/// masks through the strip, read ahead from one generator, and through
+/// one `rand` draw per event and per qubit from another — from `skip`
+/// halves into the same stream — and asserts the same errors, uniforms
+/// and masks and the same position after every shot. Returns how many
+/// shots drew an error.
 fn strip_matches_the_per_event_draw(
     specs: &[Spec],
     readout_p: &[f64],
@@ -204,13 +221,12 @@ fn strip_matches_the_per_event_draw(
         screened.next_u32();
     }
     let mut per_event = screened.clone();
-    let mut words = [0; SCREEN_WORDS];
+    let mut ahead = Ahead::new(|halves: &mut [u32]| screened.fill_u32(halves));
     let mut with_errors = 0;
     for shot in 0..shots {
         let mut errors: Vec<ErrorKey> = Vec::new();
-        let fill = |words: &mut [u64]| screened.fill_u64(words);
-        screen_events(&events, strip.events(), fill, &mut words, &mut errors);
-        let mask = per_qubit_flips(strip.readout(), 0, &mut screened);
+        screen_events(&events, strip.events(), &mut ahead, &mut errors);
+        let (u, mask) = replay_outcome(&strip, &mut ahead);
 
         let mut expected = Vec::new();
         for (pos, &spec) in specs.iter().enumerate() {
@@ -222,14 +238,19 @@ fn strip_matches_the_per_event_draw(
             };
             expected.extend(code.map(|code| pack(pos, code)));
         }
+        let expected_u: f64 = per_event.gen();
         let expected_mask = readout_p
             .iter()
             .enumerate()
             .filter(|&(_, &p)| per_event.gen_bool(p))
             .fold(0, |mask, (q, _)| mask | 1 << q);
 
-        assert_eq!((&errors, mask), (&expected, expected_mask), "shot {shot}");
-        assert_eq!(screened.next_u32(), per_event.next_u32(), "shot {shot}");
+        assert_eq!(
+            (&errors, u.to_bits(), mask),
+            (&expected, expected_u.to_bits(), expected_mask),
+            "shot {shot}"
+        );
+        assert_eq!(ahead.next_u32(), per_event.next_u32(), "shot {shot}");
         with_errors += usize::from(!errors.is_empty());
     }
     with_errors
@@ -253,19 +274,21 @@ fn the_strip_draws_what_one_draw_per_event_draws() {
         (Spec::Gate(1e-3), &[0.0, 1.0, 0.02]),
         (Spec::Gate(0.3), &[1.0]),
     ];
-    for (case, (spec, readout_p)) in cases.into_iter().enumerate() {
-        for len in [1, 5, SCREEN_WORDS - 1, SCREEN_WORDS + 3, 3 * SCREEN_WORDS] {
-            let mut specs: Vec<Spec> = quiet.iter().copied().cycle().take(len).collect();
-            specs.insert(len / 2, spec);
-            let errs = strip_matches_the_per_event_draw(&specs, readout_p, 64, case);
-            if matches!(spec, Spec::Idle(..)) {
-                assert_eq!(errs, 64, "the certain window errs in every shot");
+    on_both_screens(|| {
+        for (case, &(spec, readout_p)) in cases.iter().enumerate() {
+            for len in [1, 5, SCREEN_WORDS - 1, SCREEN_WORDS + 3, 3 * SCREEN_WORDS] {
+                let mut specs: Vec<Spec> = quiet.iter().copied().cycle().take(len).collect();
+                specs.insert(len / 2, spec);
+                let errs = strip_matches_the_per_event_draw(&specs, readout_p, 64, case);
+                if matches!(spec, Spec::Idle(..)) {
+                    assert_eq!(errs, 64, "the certain window errs in every shot");
+                }
             }
         }
-    }
-    // Only noise-free gates (no event word at all), and no events.
-    strip_matches_the_per_event_draw(&[Spec::Gate(0.0); 7], &[0.5], 16, 0);
-    strip_matches_the_per_event_draw(&[], &[0.5, 0.0], 16, 0);
+        // Only noise-free gates (no event word at all), and no events.
+        strip_matches_the_per_event_draw(&[Spec::Gate(0.0); 7], &[0.5], 16, 0);
+        strip_matches_the_per_event_draw(&[], &[0.5, 0.0], 16, 0);
+    });
 }
 
 #[test]
@@ -281,10 +304,11 @@ fn a_shot_whose_words_straddle_a_refill_draws_what_one_draw_per_event_draws() {
             _ => Spec::Gate(1e-3),
         })
         .collect();
-    let mut with_errors = 0;
-    for skip in 0..256 {
-        with_errors += strip_matches_the_per_event_draw(&specs, &[0.03, 0.05], 12, skip);
-    }
+    let with_errors = on_both_screens(|| {
+        (0..256)
+            .map(|skip| strip_matches_the_per_event_draw(&specs, &[0.03, 0.05], 12, skip))
+            .sum::<usize>()
+    });
     // Both sides of the screen were taken.
     assert!(
         (100..256 * 12 - 100).contains(&with_errors),
@@ -292,9 +316,19 @@ fn a_shot_whose_words_straddle_a_refill_draws_what_one_draw_per_event_draws() {
     );
 }
 
-/// Screens one shot's scripted `words` against the strip of `specs` and
-/// asserts the errors and the words consumed of one [`event_error`] per
-/// event on the same script. Returns the errors.
+/// The halves of `words`, each low half first, as the generator hands
+/// them out.
+fn halves_of(words: &[u64]) -> Vec<u32> {
+    words
+        .iter()
+        .flat_map(|&w| [w as u32, (w >> 32) as u32])
+        .collect()
+}
+
+/// Screens one shot's scripted `words` against the strip of `specs`,
+/// on the lane screen and on the scalar fold, and asserts the errors
+/// and the words consumed of one [`event_error`] per event on the same
+/// script. Returns the errors.
 fn screened_as_per_event(specs: &[Spec], words: &[u64]) -> Vec<ErrorKey> {
     let events: Vec<Event> = specs.iter().copied().map(event).collect();
     let strip = Strip::compile(&events, &[], false);
@@ -303,15 +337,25 @@ fn screened_as_per_event(specs: &[Spec], words: &[u64]) -> Vec<ErrorKey> {
         words.len(),
         "one word per drawing event"
     );
-    let mut script = words.iter();
-    let fill = |dest: &mut [u64]| {
-        for w in dest {
-            *w = *script.next().expect("the script holds the shot's words");
-        }
+    let screen_once = || {
+        // The script runs on past the shot's words: the stream is read
+        // ahead.
+        let mut script = halves_of(words)
+            .into_iter()
+            .chain(std::iter::repeat(0x5A5A_5A5A));
+        let mut read = 0;
+        let mut ahead = Ahead::new(|dest: &mut [u32]| {
+            dest.iter_mut()
+                .for_each(|h| *h = script.next().expect("endless"));
+            read += dest.len();
+        });
+        let mut screened = Vec::new();
+        screen_events(&events, strip.events(), &mut ahead, &mut screened);
+        let unread = AHEAD_HALVES - ahead.at;
+        assert_eq!(read - unread, 2 * words.len(), "every word handed out");
+        screened
     };
-    let (mut buffer, mut screened) = ([0; SCREEN_WORDS], Vec::new());
-    screen_events(&events, strip.events(), fill, &mut buffer, &mut screened);
-    assert_eq!(script.next(), None, "every word read");
+    let screened = on_both_screens(screen_once);
 
     let mut per_event = Words {
         words: words.to_vec(),
@@ -347,7 +391,7 @@ fn the_screen_tests_only_candidates_and_finds_every_error() {
     words[64] = 0;
     words[100] = bound(quiet);
     let errs = screened_as_per_event(&specs, &words);
-    let at: Vec<usize> = errs.iter().map(|&key| super::unpack(key).0).collect();
+    let at: Vec<usize> = errs.iter().map(|&key| unpack(key).0).collect();
     assert_eq!(at, [0, 17, 63, 64, 100]);
 }
 
@@ -405,6 +449,202 @@ fn a_strip_where_a_gate_draws_no_word_walks_every_event() {
     words[63] = bound(quiet);
     words[67] = 0;
     let errs = screened_as_per_event(&specs, &words);
-    let at: Vec<usize> = errs.iter().map(|&key| super::unpack(key).0).collect();
+    let at: Vec<usize> = errs.iter().map(|&key| unpack(key).0).collect();
     assert_eq!(at, [0, 10, 64, 69]);
+}
+
+/// A bound worth screening against: the ends of the range, their
+/// neighbours, the middle, and random ones of every magnitude.
+fn boundary_bound(rng: &mut StdRng) -> u64 {
+    match rng.gen_range(0..8u32) {
+        0 => 0,
+        1 => 1,
+        2 => u64::MAX,
+        3 => u64::MAX - 1,
+        4 => 1 << 63,
+        5 => rng.next_u64() >> rng.gen_range(0..64u32),
+        _ => rng.next_u64(),
+    }
+}
+
+/// A word beside `bound`: on it, on either side, at the ends, or
+/// anywhere.
+fn word_near(bound: u64, rng: &mut StdRng) -> u64 {
+    match rng.gen_range(0..7u32) {
+        0 | 1 => bound,
+        2 => bound.wrapping_sub(1),
+        3 => bound.wrapping_add(1),
+        4 => 0,
+        5 => u64::MAX,
+        _ => rng.next_u64(),
+    }
+}
+
+#[test]
+fn the_lane_screen_equals_the_scalar_fold() {
+    // Every chunk length 0..=64, each word starting on an even half and
+    // on an odd one (as after a `next_u32`), on words at, beside and
+    // away from bounds that include 0 and u64::MAX: both masks of both
+    // bodies are the plain per-word comparisons.
+    let lanes = ScreenLanes::detect();
+    if lanes.is_none() {
+        eprintln!("skipped the lanes: this CPU has no AVX-512F lane body");
+    }
+    let mut rng = StdRng::seed_from_u64(0x05C4_EE17);
+    for len in 0..=SCREEN_WORDS {
+        for offset in [0, 1] {
+            for _ in 0..24 {
+                let bounds: Vec<u64> = (0..len).map(|_| boundary_bound(&mut rng)).collect();
+                let words: Vec<u64> = bounds.iter().map(|&b| word_near(b, &mut rng)).collect();
+                let mut halves = vec![0xDEAD_BEEF; offset];
+                halves.extend(halves_of(&words));
+                halves.push(0xFEED_F00D);
+                let halves = &halves[offset..];
+                let bits = |hit: fn(u64, u64) -> bool| {
+                    let each = words.iter().zip(&bounds).enumerate();
+                    each.fold(0u64, |mask, (k, (&w, &b))| mask | u64::from(hit(w, b)) << k)
+                };
+                let (at_most, below) = (bits(|w, b| w <= b), bits(|w, b| w < b));
+                let what = format!("{len} words from half {offset}");
+                assert_eq!(screen_scalar::<false>(halves, &bounds), at_most, "{what}");
+                assert_eq!(screen_scalar::<true>(halves, &bounds), below, "{what}");
+                if let Some(lanes) = lanes {
+                    assert_eq!(lanes.screen::<false>(halves, &bounds), at_most, "{what}");
+                    assert_eq!(lanes.screen::<true>(halves, &bounds), below, "{what}");
+                }
+            }
+        }
+    }
+}
+
+/// Draws `shots` outcome uniforms and readout masks of `strip` through
+/// the bulk read, read ahead from one generator, and through
+/// `gen::<f64>()` and one `gen_bool` per qubit (none with readout noise
+/// off) from another — from `skip` halves into the same stream — and
+/// asserts the same uniforms, masks and positions after every shot.
+fn outcome_matches_the_per_qubit_draw(readout_p: &[f64], noise: bool, shots: usize, skip: usize) {
+    let strip = Strip::compile(&[], readout_p, noise);
+    let mut bulk = StdRng::seed_from_u64(0x0B1C_0000 + skip as u64);
+    for _ in 0..skip {
+        bulk.next_u32();
+    }
+    let mut per_qubit = bulk.clone();
+    let mut ahead = Ahead::new(|halves: &mut [u32]| bulk.fill_u32(halves));
+    for shot in 0..shots {
+        let (u, mask) = replay_outcome(&strip, &mut ahead);
+        let expected_u: f64 = per_qubit.gen();
+        let mut expected_mask = 0;
+        for (q, &p) in readout_p.iter().enumerate().filter(|_| noise) {
+            expected_mask |= usize::from(per_qubit.gen_bool(p)) << q;
+        }
+        let what = format!("shot {shot} of {readout_p:?}, noise {noise}, skip {skip}");
+        assert_eq!(
+            (u.to_bits(), mask),
+            (expected_u.to_bits(), expected_mask),
+            "{what}"
+        );
+        assert_eq!(ahead.next_u32(), per_qubit.next_u32(), "{what}");
+    }
+}
+
+#[test]
+fn the_bulk_outcome_read_draws_what_the_per_qubit_draw_draws() {
+    // Readout noise off, readouts of 0 (a word, never a flip) and 1 (a
+    // flip, no word: the per-qubit path), mixed, and 1-32 random
+    // qubits; from every offset into a refill, odd ones included, so
+    // that shots straddle the read-ahead's refills.
+    let mut rng = StdRng::seed_from_u64(0x0B1C);
+    let mut cases: Vec<Vec<f64>> = vec![vec![], vec![0.0], vec![1.0], vec![0.03, 1.0, 0.0]];
+    cases.extend((1..=32).map(|width| (0..width).map(|_| rng.gen::<f64>() * 0.2).collect()));
+    on_both_screens(|| {
+        for readout_p in &cases {
+            for noise in [true, false] {
+                for skip in [0, 1, 2, 7, 100, 255, 256, 257] {
+                    outcome_matches_the_per_qubit_draw(readout_p, noise, 40, skip);
+                }
+            }
+        }
+    });
+    // On both sides of every readout threshold, scripted: a bit flips
+    // iff its word is below its threshold, as `gen_bool` says.
+    for (p, threshold) in BELOW_ONE {
+        let strip = Strip::compile(&[], &[p, 0.5], true);
+        for word in around(threshold) {
+            let (u, mask) = on_both_screens(|| {
+                let script = halves_of(&[7 << 11, word, u64::MAX]);
+                let mut script = script.into_iter().chain(std::iter::repeat(0));
+                let mut ahead = Ahead::new(|dest: &mut [u32]| {
+                    dest.iter_mut()
+                        .for_each(|h| *h = script.next().expect("endless"));
+                });
+                let (u, mask) = replay_outcome(&strip, &mut ahead);
+                (u.to_bits(), mask)
+            });
+            let expected = on_word(word, |rng| rng.gen_bool(p)).0;
+            assert_eq!(u, (7.0 / (1u64 << 53) as f64).to_bits());
+            assert_eq!(mask, usize::from(expected), "p = {p:e}, word {word:#x}");
+        }
+    }
+}
+
+#[test]
+fn an_error_shot_is_four_words() {
+    // The carried key took the shot from 24 to 32 bytes: the join
+    // buffers of an 8 192-shot run on eight qubits whose every shot
+    // errs, with room for their patterns, stay well inside the bytes a
+    // thread keeps (`a_warm_run_requests_only_its_histogram` holds a
+    // warm GHZ-8 run to its histogram).
+    assert_eq!(std::mem::size_of::<ErrorShot>(), 32);
+}
+
+/// The comparator the evaluator sorted with before the draw carried
+/// each shot's key: the first two keys packed from the arena, then the
+/// keys from the third on.
+fn arena_order(patterns: &[ErrorKey], a: &ErrorShot, b: &ErrorShot) -> Ordering {
+    let pattern = |shot: &ErrorShot| &patterns[shot.start..shot.start + shot.len as usize];
+    let head = |shot: &ErrorShot| {
+        let second = u64::from(patterns.get(shot.start + 1).copied().unwrap_or(0));
+        let present = u64::from(shot.len > 1).wrapping_neg();
+        u64::from(patterns[shot.start]) << 32 | second & present
+    };
+    let tail = |shot: &ErrorShot| &pattern(shot)[(shot.len as usize).min(2)..];
+    head(a).cmp(&head(b)).then_with(|| tail(a).cmp(tail(b)))
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    #[test]
+    fn the_carried_key_orders_patterns_as_the_slices_do(
+        drawn in proptest::collection::vec(
+            proptest::collection::vec((0usize..3, 1u8..=3), 1..=4),
+            1..48,
+        ),
+    ) {
+        // Keys from an alphabet of nine, lengths 1-4: ties in the first
+        // two keys, in whole patterns and across lengths are common.
+        let mut arena: Vec<ErrorKey> = Vec::new();
+        let mut shots = Vec::new();
+        for (i, pattern) in drawn.iter().enumerate() {
+            let start = arena.len();
+            arena.extend(pattern.iter().map(|&(pos, code)| pack(pos, code)));
+            shots.push(ErrorShot {
+                u: i as f64,
+                key: sort_key(&arena[start..]),
+                start,
+                len: pattern.len() as u32,
+                mask: i as u32,
+            });
+        }
+        let patterns_of = |shots: &[ErrorShot]| -> Vec<Vec<ErrorKey>> {
+            shots.iter().map(|s| arena[s.start..s.start + s.len as usize].to_vec()).collect()
+        };
+        let mut sorted = patterns_of(&shots);
+        sorted.sort();
+        let mut before = shots.clone();
+        before.sort_unstable_by(|a, b| arena_order(&arena, a, b));
+        sort_by_pattern(&mut shots, &arena);
+        prop_assert_eq!(patterns_of(&shots), sorted.clone());
+        prop_assert_eq!(patterns_of(&before), sorted);
+    }
 }

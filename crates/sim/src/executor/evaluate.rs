@@ -37,19 +37,7 @@ impl TrajectoryJob<'_> {
         if shots.is_empty() {
             return;
         }
-        let pattern = |shot: &ErrorShot| &patterns[shot.start..shot.start + shot.len as usize];
-        // A pattern's first two keys packed, 0 for an absent second one
-        // (no key is 0: codes start at 1), order patterns as the slices
-        // do, so only a tie reads on, from the third key. Branch-free:
-        // whether a shot has a second error is a coin toss.
-        let head = |shot: &ErrorShot| {
-            let second = u64::from(patterns.get(shot.start + 1).copied().unwrap_or(0));
-            let present = u64::from(shot.len > 1).wrapping_neg();
-            u64::from(patterns[shot.start]) << 32 | second & present
-        };
-        let tail = |shot: &ErrorShot| &pattern(shot)[(shot.len as usize).min(2)..];
-        // In place; equal patterns may land in any order (counts commute).
-        shots.sort_unstable_by(|a, b| head(a).cmp(&head(b)).then_with(|| tail(a).cmp(tail(b))));
+        sort_by_pattern(shots, patterns);
         let shots = &shots[..];
         let work = run_work(shots.len(), self.plan);
         let workers = workers_for(budget, shots.len(), work);
@@ -71,6 +59,20 @@ impl TrajectoryJob<'_> {
             counts.absorb(partial);
         }
     }
+}
+
+/// Sorts `shots` by pattern, in place: by the carried [`sort_key`]
+/// (the first two keys), and where two keys tie by the keys from the
+/// third on — the arena is read only when both patterns have some.
+/// Equal patterns may land in any order (counts commute).
+///
+/// [`sort_key`]: super::draw::sort_key
+pub(super) fn sort_by_pattern(shots: &mut [ErrorShot], patterns: &[ErrorKey]) {
+    let tail = |shot: &ErrorShot| match shot.len {
+        0..=2 => &[],
+        len => &patterns[shot.start + 2..shot.start + len as usize],
+    };
+    shots.sort_unstable_by(|a, b| a.key.cmp(&b.key).then_with(|| tail(a).cmp(tail(b))));
 }
 
 /// One walking worker's buffers, kept between walks in the thread's

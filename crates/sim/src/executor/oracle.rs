@@ -49,12 +49,16 @@ pub(super) fn run(prepared: &PreparedJob, circuit: &Circuit, cfg: &ExecutionConf
     let snapshots = tables.and_then(|_| {
         PrefixSnapshots::build(prepared.width(), gates, &prepared.plan, SNAPSHOT_AMP_LIMIT)
     });
+    // The prepared job keeps a distribution, not the state: the state
+    // clean shots walk is computed here, through the general kernels.
+    let mut ideal = Statevector::zero_state(prepared.width());
+    gates.iter().for_each(|g| apply_gate(&mut ideal, g));
     let job = TrajectoryJob {
         width: prepared.width(),
         gates,
         readout_p: &prepared.readout_p,
         plan: &prepared.plan,
-        ideal: &prepared.ideal,
+        ideal: &ideal,
         alias: tables.map(|t| &t.alias),
         survival: tables.map(|t| &t.events[..]),
         snapshots: snapshots.as_ref(),

@@ -102,10 +102,16 @@ where
     // the results travel through `join`, which synchronizes.
     let next = AtomicUsize::new(0);
     #[cfg(test)]
-    let scalar_only = crate::state::kernel::SCALAR_ONLY.get();
+    let scalar = (
+        crate::state::kernel::SCALAR_ONLY.get(),
+        crate::executor::SCALAR_SCREEN.get(),
+    );
     let claim = || {
         #[cfg(test)]
-        crate::state::kernel::SCALAR_ONLY.set(scalar_only);
+        {
+            crate::state::kernel::SCALAR_ONLY.set(scalar.0);
+            crate::executor::SCALAR_SCREEN.set(scalar.1);
+        }
         let mut done = Vec::new();
         loop {
             let i = next.fetch_add(1, Ordering::Relaxed);

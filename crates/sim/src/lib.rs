@@ -91,18 +91,33 @@
 //!   the largest word with which it may err (a gate's threshold minus
 //!   one; an idle window's largest threshold times `2^11`, minus one,
 //!   or every word for a certain window), then the readout thresholds.
-//!   A shot's event words come out of the generator in bulk
-//!   (`StdRng::fill_u64`, the words of as many `next_u64` calls), 64 at
-//!   a time, and are compared with the strip into a 64-bit mask of the
-//!   words at or below their bounds: only the events at its set bits —
-//!   the candidates — run the exact per-event compare above, each on
-//!   the word already read, and a chunk with an empty mask costs no
-//!   per-event test. (Where some gate draws no word, a chunk's events
-//!   are walked in full.) The strip is a superset filter over the same
-//!   words, so every pattern, type draw, outcome uniform and readout
-//!   mask is the per-event draw's. It lives
-//!   in the allocation that held the readout thresholds; the survival
-//!   products only `SurvivalSkip` reads are built by its first run.
+//!   The stream is read ahead in bulk (`StdRng::fill_u32`: the 32-bit
+//!   outputs of as many `next_u32` calls, two of which are a
+//!   `next_u64` word), and a shot's words are compared where they lie.
+//!   Its event words are **screened in lanes**, 64 at a time: eight
+//!   words a vector against their bounds (AVX-512F `cmple` into a mask,
+//!   `state/lanes.rs`, detected once a stream; the scalar fold is the
+//!   other body and its oracle), bit `k` set iff word `k` is at or
+//!   below its bound. Only the events at set bits — the candidates —
+//!   run the exact per-event compare above, each on its word, and a
+//!   chunk with an empty mask costs no per-event test. (Where some
+//!   gate draws no word, every event is tested on the words in order.)
+//!   The **readout tail is read in bulk** too: the outcome uniform's
+//!   word and one word per measured qubit are compared at once with
+//!   the readout thresholds (`cmplt`: a bit flips iff its word is below
+//!   its threshold); only a job with a certain flip, which draws no
+//!   word, reads them qubit by qubit. The strip is a superset filter
+//!   over the same words, so every pattern, type draw, outcome uniform
+//!   and readout mask is the per-event draw's. It lives in the
+//!   allocation that held the readout thresholds; the survival products
+//!   only `SurvivalSkip` reads are built by its first run.
+//! - **The ideal distribution.** A clean shot's outcome needs the
+//!   ideal state only through its distribution, so `prepare` keeps
+//!   that instead, in the state's own block (16 B an outcome): the
+//!   running probability sums, which a **clean `Replay` shot bisects**
+//!   (the first sum above its uniform, the outcome the CDF walk finds),
+//!   then the probabilities the `SurvivalSkip` alias table is built
+//!   from.
 //! - **Ops.** Each gate's matrix or phase is evaluated once, and the
 //!   kernel is picked from the *stored* entries: which are exactly
 //!   `0.0`, exactly `1.0`, purely real or imaginary. A structured
@@ -133,6 +148,10 @@
 //! - **One CDF per node.** When several shots end at a node of the
 //!   tree, the running sums their CDF walks would each recompute are
 //!   written out once and bisected per shot.
+//! - **A carried sort key.** The draw writes each error shot's first
+//!   two error keys into it as one integer, so the evaluator's sort
+//!   compares integers and reads the pattern arena only where two
+//!   patterns longer than two errors tie on it.
 //!
 //! ## Shot-sharded parallelism
 //!

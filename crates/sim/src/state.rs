@@ -9,7 +9,8 @@ use crate::unitaries::single_qubit_matrix;
 #[cfg(target_arch = "x86_64")]
 mod lanes;
 
-/// No vector body off x86_64: every op runs the scalar body.
+/// No vector body off x86_64: every op and every screen runs the scalar
+/// body.
 #[cfg(not(target_arch = "x86_64"))]
 mod lanes {
     use super::{kernel::Op, Complex, Mat2};
@@ -17,7 +18,23 @@ mod lanes {
     pub(super) fn run(_: &mut [Complex], _: &Op, _: &[Mat2]) -> bool {
         false
     }
+
+    /// No CPU off x86_64 has the lanes: never made.
+    #[derive(Clone, Copy)]
+    pub(crate) enum ScreenLanes {}
+
+    impl ScreenLanes {
+        pub(crate) fn detect() -> Option<Self> {
+            None
+        }
+
+        pub(crate) fn screen<const BELOW: bool>(self, _: &[u32], _: &[u64]) -> u64 {
+            match self {}
+        }
+    }
 }
+
+pub(crate) use lanes::ScreenLanes;
 
 /// A dense statevector on `n` qubits.
 ///
@@ -89,6 +106,11 @@ impl Statevector {
             kernel::run(&mut sv.amps, op, mats);
         }
         sv
+    }
+
+    /// The amplitudes, given up.
+    pub(crate) fn into_amplitudes(self) -> Vec<Complex> {
+        self.amps
     }
 
     /// Number of qubits.

@@ -24,14 +24,19 @@
 //! `lane_kernels_equal_the_scalar_kernels_bit_for_bit` compares the two
 //! bodies by `to_bits`.
 //!
-//! The `unsafe` here is the call of the `#[target_feature]` body from
-//! plain code and the vector load and store.
+//! The trajectory draw's word screen ([`ScreenLanes`]) shares the file
+//! and its one CPU detection: eight `u64` compares a vector, one mask
+//! bit a word, the mask the scalar fold in `executor/draw.rs` builds.
+//!
+//! The `unsafe` here is the call of the `#[target_feature]` bodies from
+//! plain code and the vector loads and store.
 
 use core::arch::x86_64::{
     __m512d, __m512i, __mmask8, _mm512_add_pd, _mm512_castpd_si512, _mm512_castsi512_pd,
-    _mm512_loadu_pd, _mm512_mask_blend_pd, _mm512_mul_pd, _mm512_permute_pd, _mm512_permutexvar_pd,
-    _mm512_set1_epi64, _mm512_set1_pd, _mm512_setr_epi64, _mm512_setr_pd, _mm512_storeu_pd,
-    _mm512_xor_si512,
+    _mm512_loadu_epi64, _mm512_loadu_pd, _mm512_mask_blend_pd, _mm512_mask_cmple_epu64_mask,
+    _mm512_mask_cmplt_epu64_mask, _mm512_maskz_loadu_epi64, _mm512_mul_pd, _mm512_permute_pd,
+    _mm512_permutexvar_pd, _mm512_set1_epi64, _mm512_set1_pd, _mm512_setr_epi64, _mm512_setr_pd,
+    _mm512_storeu_pd, _mm512_xor_si512,
 };
 
 use super::kernel::{pair_bit, width, Op};
@@ -40,17 +45,103 @@ use crate::math::{Complex, Mat2};
 /// One vector: four consecutive amplitudes.
 type Quad = [Complex; 4];
 
+/// Whether this CPU has AVX-512F: the one detection of the gate
+/// kernels and the word screen (std caches it after the first call).
+fn avx512f() -> bool {
+    is_x86_feature_detected!("avx512f")
+}
+
 /// Runs `op` on `amps` in AVX-512F lanes if the register has at least
 /// eight amplitudes and this CPU has AVX-512F, and says whether it did.
-/// The one place the body is chosen; std caches the detection after
-/// the first call.
+/// The one place the body is chosen.
 pub(super) fn run(amps: &mut [Complex], op: &Op, mats: &[Mat2]) -> bool {
-    if amps.len() < 8 || !is_x86_feature_detected!("avx512f") {
+    if amps.len() < 8 || !avx512f() {
         return false;
     }
     // SAFETY: the CPU has AVX-512F, detected just above.
     unsafe { run_avx512(amps, op, mats) };
     true
+}
+
+/// Proof that this CPU has AVX-512F, for the trajectory draw's word
+/// screen: only [`ScreenLanes::detect`] makes one, so a stream detects
+/// once and screens every chunk on the lanes it was handed.
+#[derive(Clone, Copy)]
+pub(crate) struct ScreenLanes(());
+
+impl ScreenLanes {
+    /// The lanes, where this CPU has AVX-512F.
+    pub(crate) fn detect() -> Option<Self> {
+        avx512f().then_some(ScreenLanes(()))
+    }
+
+    /// Bit `k` set iff word `k` of `halves` — halves `2k` (low) and
+    /// `2k + 1` (high), as the generator's `next_u64` pairs them — is
+    /// below `bounds[k]` (`BELOW`) or at most it, for
+    /// `k < bounds.len()`; compared eight words a vector, each vector
+    /// masked to the words there are.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `bounds` holds more than 64 words or `halves` fewer
+    /// than two per bound.
+    pub(crate) fn screen<const BELOW: bool>(self, halves: &[u32], bounds: &[u64]) -> u64 {
+        let words = bounds.len();
+        assert!(
+            words <= 64 && halves.len() >= 2 * words,
+            "a mask is 64 words"
+        );
+        // SAFETY: `self` exists, so the CPU has AVX-512F (`detect`).
+        unsafe { screen_avx512::<BELOW>(&halves[..2 * words], bounds) }
+    }
+}
+
+#[target_feature(enable = "avx512f")]
+fn screen_avx512<const BELOW: bool>(halves: &[u32], bounds: &[u64]) -> u64 {
+    // `halves` holds two halves a bound, so its whole vectors pair with
+    // those of `bounds` and its tail with theirs.
+    let (whole, tail) = bounds.as_chunks::<8>();
+    let (words, tail_halves) = halves.as_chunks::<16>();
+    let mut mask = 0u64;
+    for (v, (words, bounds)) in words.iter().zip(whole).enumerate() {
+        // SAFETY: `words` is sixteen halves (eight words) and `bounds`
+        // eight bounds, what an unaligned load reads; a word of two
+        // halves loads as `next_u64` pairs them, since x86 is
+        // little-endian.
+        let (words, bounds) = unsafe {
+            (
+                _mm512_loadu_epi64(words.as_ptr().cast()),
+                _mm512_loadu_epi64(bounds.as_ptr().cast()),
+            )
+        };
+        mask |= u64::from(hits::<BELOW>(0xFF, words, bounds)) << (8 * v);
+    }
+    if !tail.is_empty() {
+        let on: __mmask8 = (1 << tail.len()) - 1;
+        // SAFETY: a masked load reads the words its mask keeps — the
+        // `tail.len()` bounds and `2 · tail.len()` halves left, inside
+        // their slices — and no memory past them.
+        let (words, bounds) = unsafe {
+            (
+                _mm512_maskz_loadu_epi64(on, tail_halves.as_ptr().cast()),
+                _mm512_maskz_loadu_epi64(on, tail.as_ptr().cast()),
+            )
+        };
+        mask |= u64::from(hits::<BELOW>(on, words, bounds)) << (8 * whole.len());
+    }
+    mask
+}
+
+/// The lanes of `on` where `words` is below `bounds` (`BELOW`) or at
+/// most it.
+#[target_feature(enable = "avx512f")]
+#[inline]
+fn hits<const BELOW: bool>(on: __mmask8, words: __m512i, bounds: __m512i) -> __mmask8 {
+    if BELOW {
+        _mm512_mask_cmplt_epu64_mask(on, words, bounds)
+    } else {
+        _mm512_mask_cmple_epu64_mask(on, words, bounds)
+    }
 }
 
 #[target_feature(enable = "avx512f")]
