@@ -26,9 +26,7 @@ use qucp_core::{
     CrosstalkTreatment, MappedProgram, PartitionPolicy, Pipeline, Strategy,
 };
 use qucp_device::{ibm, Device, Link, LinkPair, SIGNIFICANT_RATIO};
-use qucp_sim::{
-    ideal_outcome, metrics, noiseless_probabilities, run_noisy, ExecutionConfig, NoiseScaling,
-};
+use qucp_sim::{ideal_outcome, ExecutionConfig, NoiseScaling, PreparedJob};
 use qucp_srb::{run_campaign, srb_overhead, RbConfig};
 use qucp_zne::mitigate_distribution;
 
@@ -700,18 +698,18 @@ pub fn ablation_partition(shots: usize, out: &mut dyn Write) -> io::Result<Vec<C
 }
 
 /// Measured fidelity of one mapped program: PST for a deterministic
-/// benchmark, 1 − JSD otherwise.
+/// benchmark, 1 − JSD otherwise, scored as the pipeline scores a run
+/// ([`MappedProgram::score`]).
 fn mapped_fidelity(device: &Device, original: &Circuit, mp: &MappedProgram, shots: usize) -> f64 {
     let cfg = ExecutionConfig::default()
         .with_shots(shots)
         .with_seed(EXPERIMENT_SEED ^ original.name().len() as u64);
     let scaling = NoiseScaling::uniform(mp.circuit.gate_count());
-    let counts = run_noisy(&mp.circuit, &mp.layout, device, &scaling, &cfg).expect("mapped job");
-    let logical = mp.to_logical_counts(&counts);
-    match ideal_outcome(original) {
-        Some(target) => logical.probability(target),
-        None => 1.0 - metrics::jsd(&logical.distribution(), &noiseless_probabilities(original)),
-    }
+    let job = PreparedJob::prepare(&mp.circuit, &mp.layout, device, &scaling, &[], &cfg)
+        .expect("mapped job");
+    let logical = mp.into_logical_counts(job.run(&mp.circuit, &cfg));
+    let (pst, jsd) = mp.score(job.ideal_probabilities(), &logical);
+    pst.unwrap_or(1.0 - jsd)
 }
 
 /// Ablation A2: the noise-aware HA-style initial mapping against a

@@ -12,7 +12,7 @@ use std::collections::BTreeSet;
 
 use qucp_circuit::{Circuit, Gate};
 use qucp_device::{Device, Link, Topology};
-use qucp_sim::Counts;
+use qucp_sim::{metrics, Counts};
 
 /// A program mapped and routed onto a partition.
 #[derive(Debug, Clone, PartialEq)]
@@ -30,29 +30,39 @@ pub struct MappedProgram {
 }
 
 impl MappedProgram {
-    /// Permutes measured counts (local wire order) back into logical
-    /// qubit order so they can be compared with the ideal distribution
-    /// of the unmapped circuit: a copy of `counts`, relabelled by
-    /// [`MappedProgram::into_logical_counts`].
-    pub fn to_logical_counts(&self, counts: &Counts) -> Counts {
-        self.into_logical_counts(counts.clone())
+    /// The logical outcome a local (measured) outcome reads as: logical
+    /// qubit `q` reads wire `final_mapping[q]`.
+    pub fn logical_outcome(&self, local: usize) -> usize {
+        (self.final_mapping.iter().enumerate())
+            .fold(0, |acc, (lq, &wire)| acc | (local >> wire & 1) << lq)
     }
 
-    /// [`MappedProgram::to_logical_counts`] in place: `counts`' own
-    /// entries are relabelled ([`Counts::relabel`]), and outcomes that
-    /// meet add up as [`Counts::record_many`] adds them; a permutation
-    /// costs no heap request.
+    /// The inverse of [`MappedProgram::logical_outcome`].
+    pub fn local_outcome(&self, logical: usize) -> usize {
+        (self.final_mapping.iter().enumerate())
+            .fold(0, |acc, (lq, &wire)| acc | (logical >> lq & 1) << wire)
+    }
+
+    /// Permutes measured counts (local wire order) into logical qubit
+    /// order in place, by [`MappedProgram::logical_outcome`]
+    /// ([`Counts::relabel`]): outcomes that meet add up as
+    /// [`Counts::record_many`] adds them, and a permutation costs no
+    /// heap request.
     pub fn into_logical_counts(&self, mut counts: Counts) -> Counts {
-        counts.relabel(|outcome| {
-            let mut logical = 0usize;
-            for (lq, &wire) in self.final_mapping.iter().enumerate() {
-                if outcome >> wire & 1 == 1 {
-                    logical |= 1 << lq;
-                }
-            }
-            logical
-        });
+        counts.relabel(|outcome| self.logical_outcome(outcome));
         counts
+    }
+
+    /// PST (Eq. 2) and JSD (Eq. 3) of logical `counts` against `ideal`,
+    /// the routed circuit's noiseless distribution in local wire order
+    /// ([`qucp_sim::PreparedJob::ideal_probabilities`]). PST's target is
+    /// the outcome above probability 0.999, if one is; JSD reads
+    /// `ideal[local_outcome(o)]` in ascending logical order `o`.
+    pub fn score(&self, ideal: &[f64], counts: &Counts) -> (Option<f64>, f64) {
+        let pst = (ideal.iter().position(|&p| p > 0.999))
+            .map(|local| metrics::pst(counts, self.logical_outcome(local)));
+        let jsd = metrics::jsd_counts(counts, |logical| ideal[self.local_outcome(logical)]);
+        (pst, jsd)
     }
 }
 
@@ -294,6 +304,7 @@ pub fn map_program(device: &Device, partition: &[usize], circuit: &Circuit) -> M
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use qucp_circuit::library;
     use qucp_device::{ibm, Calibration, CrosstalkModel};
     use qucp_sim::noiseless_probabilities;
@@ -461,14 +472,14 @@ mod tests {
         };
         let mut counts = Counts::new(2);
         counts.record(0b01); // wire0 = 1, wire1 = 0
-        let logical = mapped.to_logical_counts(&counts);
+        let logical = mapped.into_logical_counts(counts);
         // Logical 0 reads wire 1 (=0), logical 1 reads wire 0 (=1).
         assert_eq!(logical.count(0b10), 1);
     }
 
-    /// The copying and the in-place relabel are the shot-by-shot loop
-    /// they replaced, for any wire permutation, and the result keeps the
-    /// canonical form the wire codec rebuilds.
+    /// The in-place relabel is the shot-by-shot loop it replaced, for
+    /// any wire permutation, and the result keeps the canonical form the
+    /// wire codec rebuilds.
     #[test]
     fn to_logical_counts_equals_recording_shot_by_shot() {
         use rand::{rngs::StdRng, seq::SliceRandom, Rng, SeedableRng};
@@ -498,10 +509,42 @@ mod tests {
                     .fold(0usize, |acc, lq| acc | 1 << lq);
                 (0..n).for_each(|_| looped.record(logical));
             }
-            let logical = mapped.to_logical_counts(&counts);
+            let logical = mapped.into_logical_counts(counts);
             assert_eq!(logical, looped);
-            assert_eq!(mapped.into_logical_counts(counts.clone()), looped);
             assert_eq!(Counts::from_entries(width, logical.iter()), Some(logical));
+        }
+    }
+
+    /// A final mapping of 1–10 wires and an outcome of its width.
+    fn arb_mapping_and_outcome() -> impl Strategy<Value = (Vec<usize>, usize)> {
+        (1..=10usize).prop_flat_map(|width| {
+            // The wires in the order of random keys: a random permutation.
+            let wires = proptest::collection::vec(0.0..1.0f64, width).prop_map(|keys| {
+                let mut wires: Vec<usize> = (0..keys.len()).collect();
+                wires.sort_by(|&a, &b| keys[a].total_cmp(&keys[b]));
+                wires
+            });
+            (wires, 0..1usize << width)
+        })
+    }
+
+    proptest! {
+        // The two relabels are each other's inverse under any final
+        // mapping: the score reads the ideal at the local outcome of
+        // the logical outcome its counts were relabelled to.
+        #[test]
+        fn local_outcome_inverts_logical_outcome(case in arb_mapping_and_outcome()) {
+            let (final_mapping, outcome) = case;
+            let width = final_mapping.len();
+            let mapped = MappedProgram {
+                circuit: Circuit::new(width),
+                layout: (0..width).collect(),
+                initial_mapping: (0..width).collect(),
+                final_mapping,
+                swap_count: 0,
+            };
+            prop_assert_eq!(mapped.logical_outcome(mapped.local_outcome(outcome)), outcome);
+            prop_assert_eq!(mapped.local_outcome(mapped.logical_outcome(outcome)), outcome);
         }
     }
 

@@ -13,19 +13,19 @@
 //!    crosstalk or serialization delays ([`build_context`]);
 //! 4. **execute** ([`PlannedWorkload::run_program`]) — one mapped
 //!    program on the `qucp-sim` trajectory simulator, scored against
-//!    its noiseless reference: [`PlannedWorkload::prepare`], then
-//!    [`PlannedWorkload::run_prepared`].
+//!    the routed circuit's one evolution: [`PlannedWorkload::prepare`],
+//!    then [`PlannedWorkload::run_prepared`].
 //!
 //! [`Pipeline::complete`] is stages 2–3, [`Pipeline::plan`] stages 1–3
 //! and [`Pipeline::execute`] all four. The `qucp-runtime` batch
 //! scheduler calls them one at a time: its EFS gate loops on stage 1
 //! alone, it executes the programs of a shared plan concurrently (a
 //! [`PlannedWorkload`] is `Send + Sync`), and its plan cache keeps each
-//! program's [`PreparedProgram`] beside the cached plan.
+//! program's [`PreparedJob`] beside the cached plan.
 
 use qucp_circuit::Circuit;
 use qucp_device::{Device, Link};
-use qucp_sim::{metrics, Counts, ExecutionConfig, PreparedJob, Statevector};
+use qucp_sim::{Counts, ExecutionConfig, PreparedJob};
 
 use crate::context::{build_context, WorkloadContext};
 use crate::error::CoreError;
@@ -141,7 +141,7 @@ pub type WorkloadPlan = (Vec<Circuit>, Vec<Allocation>, Vec<MappedProgram>);
 ///
 /// A plan is a plain value: executing it reads it and keeps nothing on
 /// it. A caller that executes one plan many times may keep each
-/// program's [`PreparedProgram`] itself (the runtime's plan cache does,
+/// program's [`PreparedJob`] itself (the runtime's plan cache does,
 /// beside the cached plan).
 #[derive(Debug, Clone, PartialEq)]
 pub struct PlannedWorkload {
@@ -153,26 +153,6 @@ pub struct PlannedWorkload {
     pub mapped: Vec<MappedProgram>,
     /// Merged-schedule noise context of the whole workload.
     pub context: WorkloadContext,
-}
-
-/// Everything about executing one planned program that no seed, shot
-/// count, kernel or shard split can change
-/// ([`PlannedWorkload::prepare`]).
-#[derive(Debug)]
-pub struct PreparedProgram {
-    /// The mapped job's simulator state.
-    job: PreparedJob,
-    /// Noiseless output distribution of the logical circuit.
-    ideal: Vec<f64>,
-    /// The logical circuit's deterministic outcome, if it has one.
-    ideal_outcome: Option<usize>,
-}
-
-impl PreparedProgram {
-    /// An upper bound on the heap bytes keeping this state costs.
-    pub fn retained_bytes(&self) -> usize {
-        self.job.retained_bytes() + std::mem::size_of_val(&self.ideal[..])
-    }
 }
 
 impl PlannedWorkload {
@@ -216,9 +196,9 @@ impl PlannedWorkload {
 
     /// The first half of [`run_program`](PlannedWorkload::run_program):
     /// program `index`'s simulator set-up (event stream, error
-    /// probabilities, ideal states) and its noiseless reference (the
-    /// logical circuit's distribution and deterministic outcome, from
-    /// one statevector).
+    /// probabilities, compiled gates, ideal distribution), the routed
+    /// circuit's one evolution: its ideal distribution is also the
+    /// score's noiseless reference.
     ///
     /// A pure function of the planned program, `device`'s calibration
     /// and `exec`'s three noise flags — never of `exec.seed`,
@@ -251,9 +231,9 @@ impl PlannedWorkload {
         device: &Device,
         index: usize,
         exec: &ExecutionConfig,
-    ) -> Result<PreparedProgram, CoreError> {
+    ) -> Result<PreparedJob, CoreError> {
         let mp = &self.mapped[index];
-        let job = PreparedJob::prepare_scheduled(
+        Ok(PreparedJob::prepare_scheduled(
             &mp.circuit,
             &mp.layout,
             device,
@@ -261,20 +241,15 @@ impl PlannedWorkload {
             &self.context.tail_idle[index],
             &self.context.schedules[index],
             exec,
-        )?;
-        let logical = Statevector::from_circuit(&self.programs[index]);
-        Ok(PreparedProgram {
-            job,
-            ideal: logical.probabilities(),
-            ideal_outcome: logical.deterministic_outcome(),
-        })
+        )?)
     }
 
     /// The second half of [`run_program`](PlannedWorkload::run_program):
     /// program `index`'s shots from `prepared` — what
     /// [`prepare`](PlannedWorkload::prepare) returned for that program
-    /// under `exec`'s noise flags — their counts and the score; no
-    /// simulator set-up, no noiseless reference. The result's
+    /// under `exec`'s noise flags — their counts and the score
+    /// ([`MappedProgram::score`] against the prepared job's ideal
+    /// distribution); no simulator set-up. The result's
     /// [`ProgramResult::name`] is left empty (no heap request) for the
     /// caller to set: `run_program` names it after the program, the
     /// runtime after its job.
@@ -286,7 +261,7 @@ impl PlannedWorkload {
     /// than program `index`'s.
     pub fn run_prepared(
         &self,
-        prepared: &PreparedProgram,
+        prepared: &PreparedJob,
         index: usize,
         exec: &ExecutionConfig,
     ) -> ProgramResult {
@@ -296,11 +271,8 @@ impl PlannedWorkload {
             ..*exec
         };
         // The run's histogram is relabelled in its own vector.
-        let counts = mp.into_logical_counts(prepared.job.run(&mp.circuit, &exec));
-        let jsd = metrics::jsd_counts(&counts, &prepared.ideal);
-        let pst = prepared
-            .ideal_outcome
-            .map(|target| counts.probability(target));
+        let counts = mp.into_logical_counts(prepared.run(&mp.circuit, &exec));
+        let (pst, jsd) = mp.score(prepared.ideal_probabilities(), &counts);
         ProgramResult {
             name: String::new(),
             partition: self.allocations[index].qubits.clone(),
@@ -552,6 +524,7 @@ mod tests {
     use crate::strategy;
     use qucp_circuit::library;
     use qucp_device::ibm;
+    use qucp_sim::{metrics, Statevector};
 
     fn quick_cfg() -> ParallelConfig {
         ParallelConfig {
@@ -728,7 +701,7 @@ mod tests {
                         };
                         for device in [&dev, &drifted] {
                             for (i, mp) in plan.mapped.iter().enumerate() {
-                                let fed = plan.prepare(device, i, &exec).unwrap().job;
+                                let fed = plan.prepare(device, i, &exec).unwrap();
                                 let standalone = PreparedJob::prepare(
                                     &mp.circuit,
                                     &mp.layout,
@@ -755,11 +728,140 @@ mod tests {
         assert!(tails > 0, "serialization must hand over a tail idle");
     }
 
+    /// The score `run_prepared` computed before it read the prepared
+    /// job's distribution: the logical circuit evolved a second time,
+    /// PST at its deterministic outcome and the streaming JSD over its
+    /// probability slice.
+    fn logical_score(logical: &Circuit, counts: &Counts) -> (Option<f64>, f64) {
+        let state = Statevector::from_circuit(logical);
+        let ideal = state.probabilities();
+        let pst = (state.deterministic_outcome()).map(|target| counts.probability(target));
+        (pst, metrics::jsd_counts(counts, |outcome| ideal[outcome]))
+    }
+
+    /// Holds the prepared job of `mp` to the second evolution it
+    /// replaces: its ideal distribution read through
+    /// [`MappedProgram::local_outcome`] is `logical`'s, bit for bit.
+    fn assert_one_evolution(logical: &Circuit, mp: &MappedProgram, prepared: &PreparedJob) {
+        let bits = |p: &[f64]| p.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let relabelled: Vec<f64> = (0..1usize << logical.width())
+            .map(|o| prepared.ideal_probabilities()[mp.local_outcome(o)])
+            .collect();
+        let expected = Statevector::from_circuit(logical).probabilities();
+        assert_eq!(bits(&relabelled), bits(&expected), "{}", logical.name());
+    }
+
+    /// Every paper strategy × Table II program × Toronto, Manhattan and
+    /// Melbourne: the prepared job's distribution is the logical
+    /// circuit's, and `run_prepared` scores as the second evolution
+    /// did.
+    #[test]
+    fn a_planned_program_is_scored_against_its_one_evolution() {
+        let exec = quick_cfg().execution;
+        let mut scored = 0;
+        for dev in [ibm::toronto(), ibm::manhattan(), ibm::melbourne()] {
+            let strategies = [
+                strategy::qucp(4.0),
+                strategy::qumc_with_ground_truth(&dev),
+                strategy::cna(),
+                strategy::cna_serialized(),
+                strategy::multiqc(),
+                strategy::qucloud(),
+            ];
+            for strategy in &strategies {
+                for bench in library::all() {
+                    let plan = Pipeline::from_strategy(strategy)
+                        .plan(&dev, &[bench.circuit()], true)
+                        .unwrap();
+                    let prepared = plan.prepare(&dev, 0, &exec).unwrap();
+                    assert_one_evolution(&plan.programs[0], &plan.mapped[0], &prepared);
+                    let run = plan.run_prepared(&prepared, 0, &exec);
+                    let (pst, jsd) = logical_score(&plan.programs[0], &run.counts);
+                    assert_eq!(run.pst.map(f64::to_bits), pst.map(f64::to_bits));
+                    assert_eq!(run.jsd.to_bits(), jsd.to_bits(), "{}", bench.name);
+                    scored += usize::from(run.pst.is_some());
+                }
+            }
+        }
+        assert!(scored > 0, "a deterministic benchmark is scored by PST");
+    }
+
+    /// Seeded random 2–8-qubit circuits routed onto random connected
+    /// Toronto partitions, SWAPs and all: the prepared job's
+    /// distribution is the logical circuit's, and the one scorer scores
+    /// as the second evolution did.
+    #[test]
+    fn a_routed_random_circuit_is_scored_against_its_one_evolution() {
+        use crate::mapping::map_program;
+        use qucp_sim::NoiseScaling;
+        use rand::{rngs::StdRng, seq::SliceRandom, Rng, SeedableRng};
+        let dev = ibm::toronto();
+        let topo = dev.topology();
+        let mut rng = StdRng::seed_from_u64(0x0e_e01e);
+        let exec = ExecutionConfig::default().with_shots(64);
+        let (mut swaps, mut deterministic) = (0, 0);
+        for case in 0..400 {
+            let width = rng.gen_range(2..=8usize);
+            // A connected partition, grown from a random qubit.
+            let mut partition = vec![rng.gen_range(0..topo.num_qubits())];
+            while partition.len() < width {
+                let frontier: Vec<usize> = (partition.iter())
+                    .flat_map(|&q| topo.neighbors(q).iter().copied())
+                    .filter(|q| !partition.contains(q))
+                    .collect();
+                partition.push(*frontier.choose(&mut rng).unwrap());
+            }
+            partition.sort_unstable();
+            let mut circuit = Circuit::new(width);
+            // Every fourth circuit is classical (a basis state out).
+            let classical = case % 4 == 0;
+            for _ in 0..rng.gen_range(1..=6 * width) {
+                let a = rng.gen_range(0..width);
+                let b = (a + rng.gen_range(1..width)) % width;
+                let angle = rng.gen_range(-3.2..3.2);
+                match rng.gen_range(if classical { 0..3 } else { 0..10 }) {
+                    0 => circuit.cx(a, b),
+                    1 => circuit.swap(a, b),
+                    2 => circuit.x(a),
+                    3 => circuit.rx(a, angle),
+                    4 => circuit.ry(a, angle),
+                    5 => circuit.rz(a, angle),
+                    6 => circuit.u(a, angle, 0.5 * angle, -angle),
+                    7 => circuit.sx(a),
+                    8 => circuit.t(a).cz(a, b),
+                    _ => circuit.cp(a, b, angle),
+                };
+            }
+            let mp = map_program(&dev, &partition, &circuit);
+            swaps += mp.swap_count;
+            let scaling = NoiseScaling::uniform(mp.circuit.gate_count());
+            let exec = exec.with_seed(case);
+            let prepared =
+                PreparedJob::prepare(&mp.circuit, &mp.layout, &dev, &scaling, &[], &exec).unwrap();
+            assert_one_evolution(&circuit, &mp, &prepared);
+            let counts = mp.into_logical_counts(prepared.run(&mp.circuit, &exec));
+            let (pst, jsd) = mp.score(prepared.ideal_probabilities(), &counts);
+            let expected = logical_score(&circuit, &counts);
+            assert_eq!(
+                pst.map(f64::to_bits),
+                expected.0.map(f64::to_bits),
+                "case {case}"
+            );
+            assert_eq!(jsd.to_bits(), expected.1.to_bits(), "case {case}");
+            deterministic += usize::from(pst.is_some());
+        }
+        // 2 146 SWAPs routed, 127 circuits scored by PST.
+        assert!(
+            swaps > 2000 && deterministic > 100,
+            "{swaps} swaps, {deterministic} PSTs"
+        );
+    }
+
     #[test]
     fn pipeline_is_send_and_sync() {
         fn assert_send_sync<T: Send + Sync>() {}
         assert_send_sync::<Pipeline>();
         assert_send_sync::<PlannedWorkload>();
-        assert_send_sync::<PreparedProgram>();
+        assert_send_sync::<PreparedJob>();
     }
 }

@@ -96,11 +96,11 @@
 //!    them.
 //!    **Replay of prepared state:**
 //!    what a program needs before its first shot — the simulator's
-//!    event stream, error probabilities and ideal states, and the
-//!    noiseless reference it is scored against
-//!    ([`PreparedProgram`](qucp_core::pipeline::PreparedProgram)) — is
-//!    a pure function of the plan, the device's calibration and the
-//!    noise flags, which every job shares. So the plan-cache entry
+//!    event stream, error probabilities, compiled gates and ideal
+//!    distribution, which is also the noiseless reference the program
+//!    is scored against ([`qucp_sim::PreparedJob`]) — is a pure
+//!    function of the plan, the device's calibration and the noise
+//!    flags, which every job shares. So the plan-cache entry
 //!    keeps it beside the plan, one slot per program: a plan-cache hit
 //!    is an execution set-up hit too, and replaying a cached plan runs
 //!    only the shots, the counts and the JSD. The slots are allocated

@@ -570,8 +570,9 @@ pub(super) struct StagedBatch {
 }
 
 /// Most heap bytes of prepared state a plan-cache entry keeps per
-/// program (128 KiB — a 10-qubit program's states and tables fit, a
-/// 12-qubit one's do not and is prepared per execution).
+/// program (128 KiB): 28 B an outcome besides the events and gates, so
+/// at 12 qubits the event stream decides (`ghz(12)` fits, `qft(12)` is
+/// prepared per execution) and no 13-qubit program fits.
 pub(super) const PREPARED_RETAIN_BYTES: usize = 128 * 1024;
 
 /// Per-batch seed derivation: a distinct odd stride keeps batch streams

@@ -19,9 +19,10 @@ use std::collections::HashMap;
 use std::convert::Infallible;
 use std::sync::{Arc, OnceLock};
 
-use qucp_core::pipeline::{PlannedWorkload, PreparedProgram};
+use qucp_core::pipeline::PlannedWorkload;
 use qucp_core::threshold::{copies_within_threshold, mean_efs_score};
 use qucp_core::{allocate_partitions, Allocation, CoreError};
+use qucp_sim::PreparedJob;
 
 use super::dispatch::HeadContext;
 use super::Service;
@@ -111,7 +112,7 @@ pub(super) struct PlanKey {
 /// An entry lives for one calibration epoch of its device: its key
 /// holds the epoch and the bump drops it. Everything it holds is
 /// therefore valid by the key — the allocation, the plan, and the
-/// [`PreparedProgram`]s, which are a pure function of the plan, the
+/// [`PreparedJob`]s, which are a pure function of the plan, the
 /// device's calibration and the noise flags, the same for every job
 /// the runtime runs. No calibration is compared: an epoch bump drops
 /// the slots with their entry.
@@ -149,7 +150,7 @@ impl PlanEntry {
 /// plan order: filled at most once each, by the batch execution that
 /// first finds them empty, and replayed by every later one (see
 /// `StagedBatch::execute`).
-pub(super) type ReplaySlots = Arc<[OnceLock<PreparedProgram>]>;
+pub(super) type ReplaySlots = Arc<[OnceLock<PreparedJob>]>;
 
 /// A batch's plan as staging hands it to execution: the (fresh or
 /// reused) plan behind the `Arc` its memo entry shares, and the entry's

@@ -1188,6 +1188,17 @@ fn prepared_slots_fill_on_the_first_hit_and_die_with_their_entry() {
     let exec = qucp_core::ParallelConfig::default().execution;
     let retained = |pos| plan.prepare(device, pos, &exec).unwrap().retained_bytes();
     assert!(retained(0) > PREPARED_RETAIN_BYTES && retained(1) <= PREPARED_RETAIN_BYTES);
+    // The cap falls among 12-qubit programs planned alone: `ghz(12)`'s
+    // prepared state (118 480 B) and `w_state(12)`'s (125 000 B) fit,
+    // `qft(12)`'s (167 960 B), with its denser event stream, does not.
+    use qucp_circuit::library::{ghz, qft, w_state};
+    let solo = |circuit: Circuit| {
+        let plan = pipeline.plan(device, &[circuit], true).unwrap();
+        plan.prepare(device, 0, &exec).unwrap().retained_bytes()
+    };
+    let [fits, fits_too, past] = [ghz(12), w_state(12), qft(12)].map(solo);
+    assert!(fits <= PREPARED_RETAIN_BYTES && fits_too <= PREPARED_RETAIN_BYTES);
+    assert!(past > PREPARED_RETAIN_BYTES);
 
     // An epoch bump drops the slots with their entry.
     let held = Arc::downgrade(&slots);

@@ -24,10 +24,10 @@ use crate::math::{Complex, Mat2};
 use crate::unitaries::single_qubit_matrix;
 
 /// A dense density matrix on `n` qubits (row-major `dim × dim`,
-/// little-endian basis indexing like [`crate::Statevector`]).
-#[derive(Debug, Clone, PartialEq)]
-pub struct DensityMatrix {
-    n: usize,
+/// little-endian basis indexing like [`crate::Statevector`]): the state
+/// [`exact_probabilities`] evolves.
+#[derive(Debug, Clone)]
+pub(crate) struct DensityMatrix {
     dim: usize,
     rho: Vec<Complex>,
 }
@@ -38,51 +38,28 @@ impl DensityMatrix {
     /// # Panics
     ///
     /// Panics if `n > 12` (memory grows as `4^n`).
-    pub fn zero_state(n: usize) -> Self {
+    fn zero_state(n: usize) -> Self {
         assert!(n <= 12, "density matrix limited to 12 qubits, got {n}");
         let dim = 1usize << n;
         let mut rho = vec![Complex::zero(); dim * dim];
         rho[0] = Complex::one();
-        DensityMatrix { n, dim, rho }
-    }
-
-    /// Number of qubits.
-    pub fn num_qubits(&self) -> usize {
-        self.n
+        DensityMatrix { dim, rho }
     }
 
     /// The matrix entry `ρ[r][c]`.
-    pub fn entry(&self, r: usize, c: usize) -> Complex {
+    fn entry(&self, r: usize, c: usize) -> Complex {
         self.rho[r * self.dim + c]
     }
 
-    /// Trace (should be 1).
-    pub fn trace(&self) -> Complex {
-        (0..self.dim)
-            .map(|i| self.entry(i, i))
-            .fold(Complex::zero(), |a, b| a + b)
-    }
-
-    /// Purity `Tr(ρ²)` — 1 for pure states, `1/dim` when fully mixed.
-    pub fn purity(&self) -> f64 {
-        let mut acc = 0.0;
-        for r in 0..self.dim {
-            for c in 0..self.dim {
-                acc += (self.entry(r, c) * self.entry(c, r)).re;
-            }
-        }
-        acc
-    }
-
     /// Measurement probabilities (the diagonal).
-    pub fn probabilities(&self) -> Vec<f64> {
+    fn probabilities(&self) -> Vec<f64> {
         (0..self.dim)
             .map(|i| self.entry(i, i).re.max(0.0))
             .collect()
     }
 
     /// Applies a gate unitarily: `ρ ← UρU†`.
-    pub fn apply(&mut self, gate: &Gate) {
+    fn apply(&mut self, gate: &Gate) {
         match *gate {
             Gate::Cx(c, t) => self.conjugate_permutation(|idx| {
                 if idx >> c & 1 == 1 {
@@ -122,7 +99,7 @@ impl DensityMatrix {
     }
 
     /// `ρ ← UρU†` for a one-qubit unitary on `q`.
-    pub fn conjugate_single(&mut self, q: usize, u: &Mat2) {
+    fn conjugate_single(&mut self, q: usize, u: &Mat2) {
         let bit = 1usize << q;
         // Left: ρ ← Uρ (columns are statevectors over the row index).
         for c in 0..self.dim {
@@ -173,7 +150,7 @@ impl DensityMatrix {
 
     /// The Pauli-twirled channel
     /// `ρ ← (1−px−py−pz)ρ + px·XρX + py·YρY + pz·ZρZ` on qubit `q`.
-    pub fn pauli_channel(&mut self, q: usize, px: f64, py: f64, pz: f64) {
+    fn pauli_channel(&mut self, q: usize, px: f64, py: f64, pz: f64) {
         let keep = 1.0 - px - py - pz;
         let mut acc: Vec<Complex> = self.rho.iter().map(|&z| z.scale(keep)).collect();
         for (p, gate) in [(px, Gate::X(q)), (py, Gate::Y(q)), (pz, Gate::Z(q))] {
@@ -192,7 +169,7 @@ impl DensityMatrix {
     /// uniformly random non-identity Pauli on the gate's operands (3
     /// choices for one qubit, 15 for two) — exactly the channel the
     /// trajectory sampler draws from.
-    pub fn gate_error_channel(&mut self, gate: &Gate, p: f64) {
+    fn gate_error_channel(&mut self, gate: &Gate, p: f64) {
         if p <= 0.0 {
             return;
         }
@@ -304,6 +281,26 @@ mod tests {
     use super::*;
     use crate::state::Statevector;
     use qucp_device::{Calibration, CrosstalkModel, Topology};
+
+    impl DensityMatrix {
+        /// Trace (should be 1).
+        fn trace(&self) -> Complex {
+            (0..self.dim)
+                .map(|i| self.entry(i, i))
+                .fold(Complex::zero(), |a, b| a + b)
+        }
+
+        /// Purity `Tr(ρ²)` — 1 for pure states, `1/dim` when fully mixed.
+        fn purity(&self) -> f64 {
+            let mut acc = 0.0;
+            for r in 0..self.dim {
+                for c in 0..self.dim {
+                    acc += (self.entry(r, c) * self.entry(c, r)).re;
+                }
+            }
+            acc
+        }
+    }
 
     fn line_device(n: usize, cx: f64, ro: f64) -> Device {
         let t = Topology::line(n);

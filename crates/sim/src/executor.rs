@@ -1017,7 +1017,8 @@ pub fn run_noisy(
 /// calibration and the three noise flags: the validated layout, the
 /// ALAP event stream with its effective error probabilities, the mapped
 /// ideal distribution (running sums and probabilities, in place of the
-/// ideal state it is computed from) and the per-qubit readout flip
+/// ideal state it is computed from; also a run's scoring reference,
+/// [`PreparedJob::ideal_probabilities`]) and the per-qubit readout flip
 /// probabilities — and, built lazily the first time a
 /// [`TrajectoryKernel::SurvivalSkip`] run asks, the event and readout
 /// survival products and the clean-shot alias table.
@@ -1274,6 +1275,13 @@ impl PreparedJob {
     /// only part of a config a prepared job depends on.
     pub fn matches(&self, cfg: &ExecutionConfig) -> bool {
         self.noise == NoiseFlags::of(cfg)
+    }
+
+    /// The mapped job's noiseless outcome distribution in local wire
+    /// order, the one a clean shot samples: `qucp-core` scores a run
+    /// against it, read through the routing's final mapping.
+    pub fn ideal_probabilities(&self) -> &[f64] {
+        self.ideal.probabilities()
     }
 
     /// An upper bound on the heap bytes this job keeps alive: the event

@@ -117,7 +117,8 @@
 //!   running probability sums, which a **clean `Replay` shot bisects**
 //!   (the first sum above its uniform, the outcome the CDF walk finds),
 //!   then the probabilities the `SurvivalSkip` alias table is built
-//!   from.
+//!   from, and which `qucp-core` scores a run against
+//!   ([`PreparedJob::ideal_probabilities`]).
 //! - **Ops.** Each gate's matrix or phase is evaluated once, and the
 //!   kernel is picked from the *stored* entries: which are exactly
 //!   `0.0`, exactly `1.0`, purely real or imaginary. A structured
@@ -238,7 +239,7 @@ mod state;
 mod unitaries;
 
 pub use counts::Counts;
-pub use density::{apply_readout_confusion, exact_probabilities, DensityMatrix};
+pub use density::{apply_readout_confusion, exact_probabilities};
 pub use executor::{
     auto_shard_count, clean_shot_probability, derive_shard_seed, gate_durations, ideal_outcome,
     noiseless_probabilities, run_noisy, ExecutionConfig, NoiseScaling, PreparedJob,

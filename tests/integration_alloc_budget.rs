@@ -221,8 +221,12 @@ fn a_cached_batch_stays_within_its_heap_budget() {
 
 /// Heap requests of one `tick` of 64 cold jobs (every batch planned,
 /// prepared and run from scratch; the count is exact and the same in
-/// debug and release): 4 401 with one job to a batch, 3 788 with two —
-/// 68.8 and 59.2 per job. While a run allocated its own error shots,
+/// debug and release): 4 273 with one job to a batch, 3 660 with two —
+/// 66.8 and 57.2 per job. While a program was also scored against a
+/// second evolution of its logical circuit (a statevector and a
+/// probability vector, two requests per prepared program) instead of
+/// the prepared job's ideal distribution, the same tick counted 4 401
+/// and 3 788. While a run allocated its own error shots,
 /// arena, level pool and tables instead of taking those its thread kept
 /// from the warm-up's runs, and the router grew each routed circuit
 /// gate by gate, the same tick counted 4 597 and 3 993. While a run's
@@ -262,9 +266,11 @@ fn a_cached_batch_stays_within_its_heap_budget() {
 /// the event builder calling `Schedule::idle_windows` again, or
 /// `PlannedWorkload::prepare` scheduling the program afresh
 /// (`PreparedJob::prepare` for `prepare_scheduled`), costs requests per
-/// prepared program. Each fails.
-const COLD_SOLO_REQUESTS: u64 = 4_401;
-const COLD_PAIR_REQUESTS: u64 = 3_788;
+/// prepared program; `prepare` evolving the logical circuit again
+/// (`Statevector::from_circuit` and its `probabilities()`) costs two
+/// per prepared program. Each fails.
+const COLD_SOLO_REQUESTS: u64 = 4_273;
+const COLD_PAIR_REQUESTS: u64 = 3_660;
 
 #[test]
 fn a_cold_batch_stays_within_its_heap_budget() {
