@@ -244,7 +244,7 @@ pub fn mega_fleet(devices: usize, seed: u64) -> qucp_runtime::DeviceRegistry {
 /// Generates a deterministic heavy-traffic job stream: `n` small
 /// library circuits with **exponential** inter-arrival gaps of mean
 /// `mean_gap_ns` — a Poisson arrival process, the open-system traffic
-/// of the paper's Sec. II-A queue model — cycling the same six
+/// of the paper's Sec. II-A cloud queue — cycling the same six
 /// benchmarks as [`qucp_runtime::synthetic_jobs`].
 pub fn poisson_jobs(n: usize, mean_gap_ns: f64, shots: usize, seed: u64) -> Vec<qucp_runtime::Job> {
     use rand::rngs::StdRng;

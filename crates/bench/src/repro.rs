@@ -19,7 +19,6 @@ use std::io::{self, Write};
 
 use qucp_circuit::library::{self, ResultKind};
 use qucp_circuit::Circuit;
-use qucp_core::queue::{simulate_queue, synthetic_workload, QueuedJob};
 use qucp_core::report::{fix, pct, Table};
 use qucp_core::{
     allocate_partitions, efs, efs_difference, initial_mapping, route, strategy, CircuitStats,
@@ -189,38 +188,19 @@ fn table(headers: &str) -> Table {
     Table::new(&headers.split(" | ").collect::<Vec<_>>())
 }
 
-/// Sec. I / II-A: the cloud-queue motivation, served and modelled.
+/// Sec. I / II-A: the cloud-queue motivation, served.
 pub fn queue(shots: usize, out: &mut dyn Write) -> io::Result<Vec<Claim>> {
     writeln!(out, "Sec. II-A: two 4-qubit adders on IBM Q 16 Melbourne\n")?;
     let adder = library::by_name("adder").expect("library").circuit();
     let rig = Rig::new(ibm::melbourne(), strategy::qucp(4.0), shots);
-    let model_job = QueuedJob {
-        arrival: 0.0,
-        qubits: adder.width(),
-        duration: 1.0,
-    };
-    let mut t = table("max parallel | throughput | busy-time utilization | runtime (ns) | model");
+    let mut t = table("max parallel | throughput | busy-time utilization | runtime (ns)");
     let mut served = Vec::new();
     for k in [1, 2] {
         let report = rig.drain(k, &[adder.clone(), adder.clone()]);
-        let model = simulate_queue(&[model_job, model_job], 15, k).expect("queue");
         let (rate, runtime) = (rig.throughput(&report.batches[0]), report.stats.makespan);
         served.push((rate, runtime));
-        let [rate, busy, modelled] =
-            [rate, report.stats.mean_throughput, model.mean_throughput].map(pct);
-        let model = format!("{modelled} in {:.1}", model.makespan);
-        t.row_owned(vec![k.to_string(), rate, busy, fix(runtime, 0), model]);
-    }
-    writeln!(out, "{t}\nThe queue model, 200 small jobs on 27 qubits:\n")?;
-    let jobs = synthetic_workload(200, 0xC10D);
-    let mut t =
-        table("max parallel | mean waiting | mean turnaround | makespan | throughput | batches");
-    for k in [1usize, 2, 3, 4, 6] {
-        let s = simulate_queue(&jobs, 27, k).expect("queue");
-        let times = [s.mean_waiting, s.mean_turnaround, s.makespan];
-        let [wait, turnaround, makespan] = times.map(|x| fix(x, 1));
-        let (k, rate, batches) = (k.to_string(), pct(s.mean_throughput), s.batches.to_string());
-        t.row_owned(vec![k, wait, turnaround, makespan, rate, batches]);
+        let [rate, busy] = [rate, report.stats.mean_throughput].map(pct);
+        t.row_owned(vec![k.to_string(), rate, busy, fix(runtime, 0)]);
     }
     write!(out, "{t}")?;
     let [one, two] = [served[0].0, served[1].0].map(|t| 100.0 * t);

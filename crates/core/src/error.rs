@@ -3,7 +3,6 @@
 use std::error::Error;
 use std::fmt;
 
-use qucp_circuit::CircuitError;
 use qucp_sim::SimError;
 
 /// Errors produced by partitioning, mapping and parallel execution.
@@ -25,21 +24,8 @@ pub enum CoreError {
         /// Device size.
         device: usize,
     },
-    /// A queued job requires more qubits than the device has.
-    OversizedJob {
-        /// Index of the offending job.
-        job: usize,
-        /// Qubits the job requires.
-        qubits: usize,
-        /// Device size.
-        device: usize,
-    },
-    /// A queue or batch was configured with `max_parallel == 0`.
-    ZeroParallel,
     /// The simulator rejected a mapped job (indicates a mapping bug).
     Sim(SimError),
-    /// A circuit transformation failed.
-    Circuit(CircuitError),
 }
 
 impl fmt::Display for CoreError {
@@ -61,16 +47,7 @@ impl fmt::Display for CoreError {
                     "program {program} needs {width} qubits but the device has {device}"
                 )
             }
-            CoreError::OversizedJob {
-                job,
-                qubits,
-                device,
-            } => {
-                write!(f, "job {job} needs {qubits} qubits, device has {device}")
-            }
-            CoreError::ZeroParallel => write!(f, "max_parallel must be positive"),
             CoreError::Sim(e) => write!(f, "simulation failed: {e}"),
-            CoreError::Circuit(e) => write!(f, "circuit transformation failed: {e}"),
         }
     }
 }
@@ -79,7 +56,6 @@ impl Error for CoreError {
     fn source(&self) -> Option<&(dyn Error + 'static)> {
         match self {
             CoreError::Sim(e) => Some(e),
-            CoreError::Circuit(e) => Some(e),
             _ => None,
         }
     }
@@ -88,12 +64,6 @@ impl Error for CoreError {
 impl From<SimError> for CoreError {
     fn from(e: SimError) -> Self {
         CoreError::Sim(e)
-    }
-}
-
-impl From<CircuitError> for CoreError {
-    fn from(e: CircuitError) -> Self {
-        CoreError::Circuit(e)
     }
 }
 
@@ -134,7 +104,5 @@ mod tests {
     fn conversions() {
         let s: CoreError = SimError::LayoutNotInjective { physical: 3 }.into();
         assert!(matches!(s, CoreError::Sim(_)));
-        let c: CoreError = CircuitError::DuplicateQubit { qubit: 1 }.into();
-        assert!(matches!(c, CoreError::Circuit(_)));
     }
 }

@@ -32,10 +32,10 @@
 //! each program inside its region with one greedy shortest-path router;
 //! [`context`] merges the ALAP-aligned schedules and determines which
 //! cross-program CNOTs suffer crosstalk (or, for CNA, are serialized);
-//! [`threshold`] implements the Fig. 4 throughput/fidelity trade-off;
-//! [`queue`] models the cloud-queue motivation of Sec. I analytically
-//! (the `qucp-runtime` crate realizes the same semantics as an
-//! executable system).
+//! [`threshold`] implements the Fig. 4 throughput/fidelity trade-off.
+//! The cloud-queue motivation of Sec. I/II-A lives in the
+//! `qucp-runtime` crate, whose batch scheduler queues, packs and runs
+//! jobs through this pipeline and reports their queue statistics.
 //!
 //! ```
 //! use qucp_circuit::library;
@@ -70,7 +70,6 @@ mod error;
 pub mod mapping;
 pub mod partition;
 pub mod pipeline;
-pub mod queue;
 pub mod report;
 pub mod strategy;
 pub mod threshold;

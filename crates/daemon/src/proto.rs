@@ -18,13 +18,12 @@
 use std::collections::BTreeMap;
 
 use qucp_circuit::{Circuit, Gate};
-use qucp_core::queue::QueueStats;
 use qucp_core::{CrosstalkTreatment, PartitionPolicy, ProgramResult, Strategy};
 use qucp_device::{Link, LinkPair};
 use qucp_runtime::{
     BatchReport, CalibrationFault, DeviceReport, Event, JobRequest, JobResult, JobTicket,
-    RouteCacheStats, RoutingChoice, RuntimeError, ServiceReport, ShotParallelism, ShrinkReason,
-    TrajectoryKernel,
+    QueueStats, RouteCacheStats, RoutingChoice, RuntimeError, ServiceReport, ShotParallelism,
+    ShrinkReason, TrajectoryKernel,
 };
 use qucp_sim::Counts;
 

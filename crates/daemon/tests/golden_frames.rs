@@ -13,14 +13,13 @@
 use std::collections::BTreeMap;
 
 use qucp_circuit::{Circuit, Gate};
-use qucp_core::queue::QueueStats;
 use qucp_core::{CoreError, CrosstalkTreatment, PartitionPolicy, ProgramResult, Strategy};
 use qucp_daemon::{Fault, Request, Response, PROTOCOL_VERSION};
 use qucp_device::{Link, LinkPair};
 use qucp_runtime::{
     BatchReport, CalibrationFault, DeviceReport, Event, JobRequest, JobResult, JobTicket,
-    RouteCacheStats, RoutingChoice, RuntimeError, ServiceReport, ShotParallelism, ShrinkReason,
-    TrajectoryKernel,
+    QueueStats, RouteCacheStats, RoutingChoice, RuntimeError, ServiceReport, ShotParallelism,
+    ShrinkReason, TrajectoryKernel,
 };
 use qucp_sim::Counts;
 

@@ -1,14 +1,12 @@
 //! # qucp-runtime
 //!
-//! An **event-driven scheduling service** that turns the paper's
-//! analytical cloud-queue argument (Sec. I/II-A) into an executable
-//! online system. Where the analytical model
-//! (`qucp_core::queue::simulate_queue`) abstracts jobs into durations
-//! and the seed runtime served a pre-collected slice FIFO, the
-//! [`Service`] accepts **streaming submissions**, admits them by one of
-//! a closed set of policies, dispatches across a **fleet of devices**, and
-//! reports the same [`QueueStats`](qucp_core::queue::QueueStats) as the
-//! model, so all three layers compare head-to-head.
+//! An **event-driven scheduling service** that serves the paper's
+//! cloud-queue argument (Sec. I/II-A) as an executable online system.
+//! The [`Service`] accepts **streaming submissions**, admits them by
+//! one of a closed set of policies, dispatches across a **fleet of
+//! devices**, plans and runs each batch through the QuCP pipeline, and
+//! reports the [`QueueStats`] of what it served: dedicated (`k = 1`)
+//! and multi-programmed runs compare head-to-head on the same jobs.
 //!
 //! ## Service lifecycle: submit → admit → plan → execute → observe
 //!
@@ -312,8 +310,8 @@ pub use job::{skewed_jobs, synthetic_jobs, Job, JobResult};
 pub use policy::{AdmissionPolicy, Backfill, BatchBudget, JobView};
 pub use registry::{CalibrationAware, DeviceId, DeviceRegistry, RouteQuery, RoutingChoice};
 pub use service::{
-    BatchReport, DeviceReport, EfsGate, JobRequest, JobTicket, RouteCacheStats, Service,
-    ServiceBuilder, ServiceReport, MAX_DRIFT_STEPS_PER_ADVANCE,
+    BatchReport, DeviceReport, EfsGate, JobRequest, JobTicket, QueueStats, RouteCacheStats,
+    Service, ServiceBuilder, ServiceReport, MAX_DRIFT_STEPS_PER_ADVANCE,
 };
 
 // The shot mode and kernel travel with a `JobRequest`'s overrides;

@@ -5,7 +5,7 @@
 //! provider runs many — and their calibrations differ by integer
 //! factors day to day. A [`DeviceRegistry`] holds the static fleet;
 //! per-device *runtime* state (clocks, busy accounting,
-//! [`QueueStats`](qucp_core::queue::QueueStats)) lives inside the
+//! [`QueueStats`](crate::QueueStats)) lives inside the
 //! [`Service`](crate::Service), which ranks the admitting candidates
 //! for every batch by a [`RoutingChoice`], held by value:
 //!

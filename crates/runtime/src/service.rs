@@ -23,7 +23,7 @@ mod tests;
 
 pub use self::builder::ServiceBuilder;
 pub use self::drift::MAX_DRIFT_STEPS_PER_ADVANCE;
-pub use self::report::{BatchReport, DeviceReport, ServiceReport};
+pub use self::report::{BatchReport, DeviceReport, QueueStats, ServiceReport};
 pub use self::request::{EfsGate, JobRequest, JobTicket};
 pub use self::route_cache::RouteCacheStats;
 

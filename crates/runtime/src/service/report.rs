@@ -1,12 +1,27 @@
 //! The drained [`ServiceReport`] and how it is folded from the
 //! per-device accounting.
 
-use qucp_core::queue::QueueStats;
-
 use super::Service;
 use crate::error::RuntimeError;
 use crate::event::Event;
 use crate::job::JobResult;
+
+/// Queue statistics of a drained service, fleet-wide or for one
+/// device.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct QueueStats {
+    /// Mean waiting time (start − arrival).
+    pub mean_waiting: f64,
+    /// Mean turnaround (completion − arrival).
+    pub mean_turnaround: f64,
+    /// Time the last job completes.
+    pub makespan: f64,
+    /// Mean hardware throughput while the device was busy (used qubits /
+    /// device qubits, time-averaged over busy periods).
+    pub mean_throughput: f64,
+    /// Number of execution batches dispatched.
+    pub batches: usize,
+}
 
 /// One dispatched batch of a run.
 #[derive(Debug, Clone, PartialEq)]
@@ -44,8 +59,8 @@ pub struct DeviceReport {
 /// The complete outcome of a drained service.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ServiceReport {
-    /// Fleet-wide queue statistics, comparable with the analytical
-    /// model ([`simulate_queue`](qucp_core::queue::simulate_queue)).
+    /// Fleet-wide queue statistics (waiting/turnaround means, fleet
+    /// makespan, qubit-weighted throughput over every busy period).
     pub stats: QueueStats,
     /// Per-device breakdown, in registration order.
     pub per_device: Vec<DeviceReport>,

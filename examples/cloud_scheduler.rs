@@ -1,8 +1,8 @@
-//! Cloud-queue scenario, five times over: the *analytical* model of
-//! Sec. I/II-A (abstract durations), the **event-driven service**
-//! runtime serving the same kind of burst through the staged QuCP
-//! pipeline (dedicated vs. multi-programmed, same `QueueStats`
-//! head-to-head), an **admission-policy shoot-out** on a skewed
+//! Cloud-queue scenario of Sec. I/II-A, four times over: the
+//! **event-driven service** runtime serving a burst of library
+//! circuits through the staged QuCP pipeline (dedicated vs.
+//! multi-programmed, same `QueueStats` head-to-head), an
+//! **admission-policy shoot-out** on a skewed
 //! workload where wide GHZ jobs block the FIFO head of line — the
 //! situation `Backfill` and `ShortestJobFirst` exist for — and a
 //! **routing shoot-out** on a two-chip fleet whose calibrations differ
@@ -18,7 +18,6 @@
 //! cargo run --release -p qucp-bench --example cloud_scheduler
 //! ```
 
-use qucp_core::queue::{simulate_queue, synthetic_workload};
 use qucp_core::strategy;
 use qucp_device::ibm;
 use qucp_runtime::{
@@ -48,25 +47,8 @@ fn serve(
 }
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    // --- analytical queue model -------------------------------------------
-    let jobs = synthetic_workload(100, 7);
-    println!("Analytical model: 100 queued jobs (2-6 qubits) on a 27-qubit device\n");
-    println!(
-        "{:<14} {:>12} {:>12} {:>12}",
-        "mode", "mean wait", "makespan", "throughput"
-    );
-    for (label, k) in [("dedicated", 1usize), ("pack 2", 2), ("pack 4", 4)] {
-        let s = simulate_queue(&jobs, 27, k)?;
-        println!(
-            "{label:<14} {:>12.1} {:>12.1} {:>11.1}%",
-            s.mean_waiting,
-            s.makespan,
-            100.0 * s.mean_throughput
-        );
-    }
-
-    // --- the real runtime: same story, actually executed -------------------
-    println!("\nService runtime (FIFO): 18 library circuits on ibm::toronto()\n");
+    // --- the runtime: dedicated vs. multi-programmed -----------------------
+    println!("Service runtime (FIFO): 18 library circuits on ibm::toronto()\n");
     let stream = synthetic_jobs(18, 400.0, 1024, 0xC10D);
     println!(
         "{:<14} {:>8} {:>14} {:>14} {:>11} {:>10}",

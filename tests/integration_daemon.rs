@@ -17,7 +17,6 @@ use std::time::{Duration, Instant};
 
 use proptest::prelude::*;
 use qucp_circuit::{Circuit, Gate};
-use qucp_core::queue::QueueStats;
 use qucp_core::{CrosstalkTreatment, PartitionPolicy, ProgramResult, Strategy as ExecStrategy};
 use qucp_daemon::{
     Client, ClientError, Daemon, DaemonConfig, Decoder, Fault, FrameReader, MockTransport, Request,
@@ -27,7 +26,7 @@ use qucp_daemon::{
 use qucp_device::{ibm, Link, LinkPair};
 use qucp_runtime::{
     skewed_jobs, BatchReport, CalibrationFault, DeviceReport, Event, JobRequest, JobResult,
-    JobTicket, RouteCacheStats, RoutingChoice, RuntimeError, Service, ServiceReport,
+    JobTicket, QueueStats, RouteCacheStats, RoutingChoice, RuntimeError, Service, ServiceReport,
     ShotParallelism, ShrinkReason, TrajectoryKernel,
 };
 use qucp_sim::Counts;

@@ -162,15 +162,8 @@ fn fig6_shape_zne() {
 
 #[test]
 fn queue_motivation_shape() {
-    use qucp_core::queue::{simulate_queue, synthetic_workload};
-    let jobs = synthetic_workload(60, 3);
-    let solo = simulate_queue(&jobs, 27, 1).unwrap();
-    let packed = simulate_queue(&jobs, 27, 4).unwrap();
-    assert!(packed.mean_waiting < solo.mean_waiting);
-    assert!(packed.makespan < solo.makespan);
-    assert!(packed.mean_throughput > solo.mean_throughput);
-    // The same motivation served: Melbourne at 26.7 % and 53.3 %, the
-    // pair's runtime halved.
+    // The motivation served: Melbourne at 26.7 % and 53.3 %, the pair's
+    // runtime halved.
     let claims = repro::queue(64, &mut sink()).unwrap();
     assert!(claims.iter().all(Claim::passes), "{claims:?}");
 }

@@ -94,6 +94,37 @@ fn batch_scheduler_beats_dedicated_on_toronto() {
     assert!(packed.stats.mean_throughput > dedicated.stats.mean_throughput);
 }
 
+/// Section II-A on a staggered synthetic load: serving 4-way
+/// multiprogrammed batches beats dedicated (1-way) service on mean
+/// waiting, makespan and mean throughput.
+#[test]
+fn multiprogramming_beats_dedicated_on_synthetic_load() {
+    let jobs = synthetic_jobs(24, 150.0, 128, 123);
+    let solo = serve(ibm::toronto(), strategy::qucp(4.0), (1, None), &jobs).expect("dedicated run");
+    let multi = serve(ibm::toronto(), strategy::qucp(4.0), (4, None), &jobs).expect("packed run");
+
+    assert_eq!(solo.job_results.len(), 24);
+    assert_eq!(multi.job_results.len(), 24);
+    assert!(
+        multi.stats.mean_waiting < solo.stats.mean_waiting,
+        "packed wait {} should beat dedicated {}",
+        multi.stats.mean_waiting,
+        solo.stats.mean_waiting
+    );
+    assert!(
+        multi.stats.makespan < solo.stats.makespan,
+        "packed makespan {} should beat dedicated {}",
+        multi.stats.makespan,
+        solo.stats.makespan
+    );
+    assert!(
+        multi.stats.mean_throughput > solo.stats.mean_throughput,
+        "packed throughput {} should beat dedicated {}",
+        multi.stats.mean_throughput,
+        solo.stats.mean_throughput
+    );
+}
+
 /// Concurrent batch execution is deterministic: reproducible
 /// run-to-run (and equal to the reference scheduler's inline loop —
 /// `integration_reference.rs`).

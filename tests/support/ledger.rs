@@ -2,9 +2,8 @@
 //! every served job and every closed batch is booked in dispatch order,
 //! and the queue statistics a drained scheduler reports from them.
 
-use qucp_core::queue::QueueStats;
 use qucp_device::Device;
-use qucp_runtime::DeviceReport;
+use qucp_runtime::{DeviceReport, QueueStats};
 
 /// A device's clock and what it has served so far.
 #[derive(Clone, Default)]
