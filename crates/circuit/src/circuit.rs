@@ -196,8 +196,20 @@ impl Circuit {
 
     /// Circuit depth: the number of moments under greedy as-soon-as-possible
     /// layering (each gate occupies one moment on each of its qubits).
+    ///
+    /// A register of up to 128 qubits keeps its per-qubit levels on the
+    /// stack, so asking (as a job submission does) costs no heap
+    /// request; a wider one sizes one vector.
     pub fn depth(&self) -> usize {
-        let mut level = vec![0usize; self.width];
+        const INLINE: usize = 128;
+        let mut inline = [0usize; INLINE];
+        let mut wide = Vec::new();
+        let level: &mut [usize] = if self.width <= INLINE {
+            &mut inline[..self.width]
+        } else {
+            wide.resize(self.width, 0);
+            &mut wide
+        };
         let mut depth = 0;
         for g in &self.gates {
             let start = g.qubits().into_iter().map(|q| level[q]).max().unwrap_or(0);
@@ -219,7 +231,9 @@ impl Circuit {
     }
 
     /// The logical interaction graph: two-qubit gate multiplicity per
-    /// unordered qubit pair. Used by the noise-aware initial mapper.
+    /// unordered qubit pair, ascending by pair. (The noise-aware initial
+    /// mapper builds the same weights as a sorted vector in the buffers
+    /// its caller lends.)
     pub fn interaction_graph(&self) -> BTreeMap<(usize, usize), usize> {
         let mut map = BTreeMap::new();
         for g in &self.gates {

@@ -90,10 +90,46 @@ fn dur(_: usize, g: &Gate) -> f64 {
     }
 }
 
+/// `Circuit::depth` as it was, one fresh vector of levels per call: the
+/// oracle the stack-backed levels must answer as.
+fn oracle_depth(c: &Circuit) -> usize {
+    let mut level = vec![0usize; c.width()];
+    let mut depth = 0;
+    for g in c.gates() {
+        let start = g.qubits().into_iter().map(|q| level[q]).max().unwrap_or(0);
+        for q in &g.qubits() {
+            level[q] = start + 1;
+        }
+        depth = depth.max(start + 1);
+    }
+    depth
+}
+
 proptest! {
     #[test]
     fn depth_never_exceeds_gate_count(c in arb_circuit(60)) {
         prop_assert!(c.depth() <= c.gate_count());
+    }
+
+    /// Registers on both sides of the 128 qubits kept on the stack, with
+    /// gates crowded onto a few qubits or spread over all of them.
+    #[test]
+    fn depth_answers_as_the_vector_of_levels_did(
+        width in prop_oneof![1usize..=8, 120usize..=140],
+        crowd in 1usize..=4,
+        picks in proptest::collection::vec((0usize..1_000, 0usize..1_000, 0u8..3), 0..80),
+    ) {
+        let span = if crowd == 4 { width } else { width.min(crowd + 1) };
+        let mut c = Circuit::new(width);
+        for (a, b, kind) in picks {
+            let (a, b) = (a % span, b % span);
+            if kind == 0 || a == b {
+                c.h(a);
+            } else {
+                c.cx(a, b);
+            }
+        }
+        prop_assert_eq!(c.depth(), oracle_depth(&c));
     }
 
     #[test]

@@ -13,9 +13,10 @@
 
 use qucp_circuit::schedule::{alap_schedule_with, Schedule, ScheduledGate};
 use qucp_device::{Device, Link};
-use qucp_sim::{gate_durations, NoiseScaling};
+use qucp_sim::{gate_durations_into, NoiseScaling};
 
 use crate::mapping::MappedProgram;
+use crate::scratch::PlanScratch;
 
 /// The computed noise context of a merged workload.
 #[derive(Debug, Clone, PartialEq)]
@@ -37,16 +38,31 @@ pub struct WorkloadContext {
     /// runtime a non-parallel execution would need.
     pub serial_runtime: f64,
     /// Each program's own ALAP schedule (unshifted), timed by
-    /// [`gate_durations`] under the calibration the plan was made on:
+    /// [`gate_durations`](qucp_sim::gate_durations) under the calibration the plan was made on:
     /// the timing stage 4 hands the simulator
     /// ([`PlannedWorkload::prepare`](crate::PlannedWorkload::prepare)),
     /// which then looks up no duration and schedules nothing.
     pub schedules: Vec<Schedule>,
 }
 
-/// A mapped program's ALAP schedule under `device`'s gate durations.
-fn program_schedule(device: &Device, p: &MappedProgram) -> Schedule {
-    let durations = gate_durations(&p.circuit, &p.layout, device);
+/// What the merge fills and drops, in a [`PlanScratch`]: one program's
+/// gate durations, every program's aligned two-qubit entries and driven
+/// links (one flat list each, cut by end offsets), and the
+/// serialization delays.
+#[derive(Debug, Default)]
+pub(crate) struct ContextBuffers {
+    durations: Vec<f64>,
+    two_qubit: Vec<(ScheduledGate, Link)>,
+    two_qubit_ends: Vec<usize>,
+    driven: Vec<Link>,
+    driven_ends: Vec<usize>,
+    extra_delay: Vec<f64>,
+}
+
+/// A mapped program's ALAP schedule under `device`'s gate durations,
+/// looked up into `durations`.
+fn program_schedule(device: &Device, p: &MappedProgram, durations: &mut Vec<f64>) -> Schedule {
+    gate_durations_into(&p.circuit, &p.layout, device, durations);
     alap_schedule_with(&p.circuit, |i, _| durations[i])
 }
 
@@ -62,24 +78,41 @@ pub fn build_context(
     programs: &[MappedProgram],
     serialize: bool,
 ) -> WorkloadContext {
+    build_context_in(&mut PlanScratch::default(), device, programs, serialize)
+}
+
+/// [`build_context`] on the buffers of `scratch`.
+pub(crate) fn build_context_in(
+    scratch: &mut PlanScratch,
+    device: &Device,
+    programs: &[MappedProgram],
+    serialize: bool,
+) -> WorkloadContext {
+    let ContextBuffers {
+        durations,
+        two_qubit,
+        two_qubit_ends,
+        driven,
+        driven_ends,
+        extra_delay,
+    } = &mut scratch.context;
     // Per-program schedules, ALAP-aligned to the common end time.
     let schedules: Vec<Schedule> = programs
         .iter()
-        .map(|p| program_schedule(device, p))
+        .map(|p| program_schedule(device, p, durations))
         .collect();
     let makespans: Vec<f64> = schedules.iter().map(Schedule::makespan).collect();
     let makespan = makespans.iter().copied().fold(0.0, f64::max);
     // Only two-qubit gates can conflict: keep those, shifted so all
     // programs finish together, each with the physical link it drives.
-    let two_qubit: Vec<Vec<(ScheduledGate, Link)>> = programs
-        .iter()
-        .zip(&schedules)
-        .map(|(p, sched)| {
-            let shift = makespan - sched.makespan();
-            let gates = p.circuit.gates();
-            sched
-                .entries()
-                .iter()
+    two_qubit.clear();
+    two_qubit_ends.clear();
+    for (p, sched) in programs.iter().zip(&schedules) {
+        let shift = makespan - sched.makespan();
+        let gates = p.circuit.gates();
+        let entries = sched.entries().iter();
+        two_qubit.extend(
+            entries
                 .filter(|e| gates[e.gate_index].is_two_qubit())
                 .map(|e| {
                     let qs = gates[e.gate_index].qubits();
@@ -87,43 +120,48 @@ pub fn build_context(
                     let mut aligned = *e;
                     aligned.start += shift;
                     (aligned, Link::new(p.layout[qs[0]], p.layout[qs[1]]))
-                })
-                .collect()
-        })
-        .collect();
+                }),
+        );
+        two_qubit_ends.push(two_qubit.len());
+    }
     // The distinct links each program drives: a program pair with no
     // one-hop pair among them has nothing to scan.
-    let driven: Vec<Vec<Link>> = two_qubit
-        .iter()
-        .map(|entries| {
-            let mut links: Vec<Link> = entries.iter().map(|&(_, l)| l).collect();
-            links.sort_unstable();
-            links.dedup();
-            links
-        })
-        .collect();
+    driven.clear();
+    driven_ends.clear();
+    for i in 0..programs.len() {
+        let start = driven.len();
+        for &(_, l) in span(two_qubit, two_qubit_ends, i) {
+            if !driven[start..].contains(&l) {
+                driven.push(l);
+            }
+        }
+        driven[start..].sort_unstable();
+        driven_ends.push(driven.len());
+    }
+    // Disjoint partitions never share a qubit; the relation says so
+    // all the same.
     let topo = device.topology();
-    // Disjoint partitions never share a qubit; checked all the same.
-    let one_hop = |a: Link, b: Link| !a.shares_qubit(&b) && topo.link_distance(a, b) == 1;
 
     let mut scalings: Vec<NoiseScaling> = programs
         .iter()
         .map(|p| NoiseScaling::uniform(p.circuit.gate_count()))
         .collect();
-    let mut extra_delay = vec![0.0f64; programs.len()];
+    extra_delay.clear();
+    extra_delay.resize(programs.len(), 0.0);
     let mut conflict_count = 0usize;
 
     for i in 0..programs.len() {
         for j in i + 1..programs.len() {
-            let adjacent = driven[i]
+            let (driven_i, driven_j) = (span(driven, driven_ends, i), span(driven, driven_ends, j));
+            let adjacent = driven_i
                 .iter()
-                .any(|&li| driven[j].iter().any(|&lj| one_hop(li, lj)));
+                .any(|&li| driven_j.iter().any(|&lj| topo.is_one_hop(li, lj)));
             if !adjacent {
                 continue;
             }
-            for &(ei, li) in &two_qubit[i] {
-                for &(ej, lj) in &two_qubit[j] {
-                    if !ei.overlaps(&ej) || !one_hop(li, lj) {
+            for &(ei, li) in span(two_qubit, two_qubit_ends, i) {
+                for &(ej, lj) in span(two_qubit, two_qubit_ends, j) {
+                    if !ei.overlaps(&ej) || !topo.is_one_hop(li, lj) {
                         continue;
                     }
                     conflict_count += 1;
@@ -144,7 +182,7 @@ pub fn build_context(
 
     let tail_idle: Vec<Vec<f64>> = programs
         .iter()
-        .zip(&extra_delay)
+        .zip(extra_delay.iter())
         .map(|(p, &d)| vec![d; p.circuit.width()])
         .collect();
 
@@ -157,6 +195,12 @@ pub fn build_context(
         program_makespans: makespans,
         schedules,
     }
+}
+
+/// Part `i` of a flat list cut by end offsets.
+fn span<'a, T>(flat: &'a [T], ends: &[usize], i: usize) -> &'a [T] {
+    let start = if i == 0 { 0 } else { ends[i - 1] };
+    &flat[start..ends[i]]
 }
 
 #[cfg(test)]
@@ -258,7 +302,7 @@ mod tests {
     ) -> WorkloadContext {
         let timed: Vec<Schedule> = programs
             .iter()
-            .map(|p| program_schedule(device, p))
+            .map(|p| program_schedule(device, p, &mut Vec::new()))
             .collect();
         let mut schedules: Vec<Vec<ScheduledGate>> = Vec::with_capacity(programs.len());
         let mut makespans = Vec::with_capacity(programs.len());

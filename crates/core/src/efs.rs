@@ -133,7 +133,9 @@ pub(crate) fn region_efs_score(
     eq1(region, stats, avg2q).0
 }
 
-/// `Avg2q(cross)`, handing every potential crosstalk pair to `pair`.
+/// `Avg2q(cross)`, handing every potential crosstalk pair to `pair`:
+/// per region link, the allocated links in their order that the
+/// topology's one-hop relation pairs it with.
 fn avg_two_qubit_error(
     device: &Device,
     region: &Region,
@@ -153,8 +155,9 @@ fn avg_two_qubit_error(
         for &l in links {
             let mut e = cal.cx_error(l);
             let mut worst = 1.0f64;
+            let one_hop = topo.one_hop_links(l);
             for &al in allocated_links {
-                if !l.shares_qubit(&al) && topo.link_distance(l, al) == 1 {
+                if one_hop.binary_search(&al).is_ok() {
                     let p = LinkPair::new(l, al);
                     pair(p);
                     worst = worst.max(treatment.factor(p));

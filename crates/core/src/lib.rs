@@ -71,6 +71,7 @@ pub mod mapping;
 pub mod partition;
 pub mod pipeline;
 pub mod report;
+pub mod scratch;
 pub mod strategy;
 pub mod threshold;
 
@@ -80,11 +81,13 @@ mod executor;
 
 pub use efs::{efs, CircuitStats, CrosstalkTreatment, EfsBreakdown};
 pub use error::CoreError;
-pub use mapping::{initial_mapping, local_topology, map_program, route, MappedProgram};
+pub use mapping::{initial_mapping, map_program, route, MappedProgram};
 pub use partition::{
-    allocate_partitions, best_partition, candidate_partitions, Allocation, PartitionPolicy,
+    allocate_partitions, allocate_partitions_in, best_partition, candidate_partitions, Allocation,
+    PartitionPolicy,
 };
 pub use pipeline::{ParallelConfig, ParallelOutcome, Pipeline, PlannedWorkload, ProgramResult};
+pub use scratch::PlanScratch;
 pub use strategy::{Strategy, DEFAULT_SIGMA};
 pub use threshold::{
     batch_efs_excesses, efs_difference, parallel_count_for_threshold, solo_efs_scores,

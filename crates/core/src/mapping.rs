@@ -8,10 +8,8 @@
 //! mapping is recorded so measured counts can be permuted back to
 //! logical order.
 
-use std::collections::BTreeSet;
-
 use qucp_circuit::{Circuit, Gate};
-use qucp_device::{Device, Link, Topology};
+use qucp_device::{Device, Link, UNREACHABLE};
 use qucp_sim::{metrics, Counts};
 
 /// A program mapped and routed onto a partition.
@@ -66,21 +64,97 @@ impl MappedProgram {
     }
 }
 
-/// Builds the partition-local topology: local index = position of the
-/// physical qubit in the (sorted) partition list.
-pub fn local_topology(device: &Device, partition: &[usize]) -> Topology {
-    let topo = device.topology();
-    let local = |q: usize| partition.iter().position(|&p| p == q);
-    // Each induced link once, from its lower end.
-    let edges = partition.iter().enumerate().flat_map(|(i, &p)| {
-        topo.neighbors(p)
-            .iter()
-            .filter(move |&&nb| nb > p)
-            .filter_map(move |&nb| local(nb).map(|j| (i, j)))
-    });
-    let mut induced = Vec::with_capacity(edges.clone().count());
-    induced.extend(edges);
-    Topology::new(partition.len(), &induced)
+/// What routing fills and drops, in a [`PlanScratch`](crate::PlanScratch): the
+/// partition-local graph, the interaction weights and the placement's
+/// working lists, kept from program to program.
+#[derive(Debug, Default)]
+pub(crate) struct RouteBuffers {
+    graph: LocalGraph,
+    /// The program's interaction graph: two-qubit gate multiplicity per
+    /// unordered logical pair, ascending by pair.
+    weights: Vec<((usize, usize), usize)>,
+    total_weight: Vec<usize>,
+    logical_order: Vec<usize>,
+    free: Vec<bool>,
+    /// `(wire, weight)` of the current logical qubit's placed partners.
+    partners: Vec<(usize, usize)>,
+    /// The initial mapping, logical qubit → local wire.
+    initial: Vec<usize>,
+    /// The links of the other partitions, for a crosstalk-aware router.
+    pub(crate) other_links: Vec<Link>,
+}
+
+/// The partition-local coupling graph placement and routing walk: local
+/// index = position of the physical qubit in the partition list, each
+/// row of neighbours ascending, the induced links in canonical order and
+/// the hop counts inside the partition as one `k × k` table.
+#[derive(Debug, Default)]
+struct LocalGraph {
+    k: usize,
+    row: Vec<usize>,
+    neighbours: Vec<usize>,
+    links: Vec<(usize, usize)>,
+    distance: Vec<usize>,
+    queue: Vec<usize>,
+}
+
+impl LocalGraph {
+    /// Rebuilds the graph of `partition` on `device`.
+    fn build(&mut self, device: &Device, partition: &[usize]) {
+        let topo = device.topology();
+        let k = partition.len();
+        self.k = k;
+        self.row.clear();
+        self.neighbours.clear();
+        self.row.push(0);
+        for &p in partition {
+            let start = self.neighbours.len();
+            for &nb in topo.neighbors(p) {
+                self.neighbours
+                    .extend(partition.iter().position(|&q| q == nb));
+            }
+            self.neighbours[start..].sort_unstable();
+            self.row.push(self.neighbours.len());
+        }
+        self.links.clear();
+        for i in 0..k {
+            let row = &self.neighbours[self.row[i]..self.row[i + 1]];
+            self.links
+                .extend(row.iter().filter(|&&j| j > i).map(|&j| (i, j)));
+        }
+        // One BFS per start wire over the reused queue.
+        self.distance.clear();
+        self.distance.resize(k * k, UNREACHABLE);
+        for start in 0..k {
+            self.distance[start * k + start] = 0;
+            self.queue.clear();
+            self.queue.push(start);
+            let mut head = 0;
+            while let Some(&w) = self.queue.get(head) {
+                head += 1;
+                let next = self.distance[start * k + w] + 1;
+                for &nb in &self.neighbours[self.row[w]..self.row[w + 1]] {
+                    if self.distance[start * k + nb] == UNREACHABLE {
+                        self.distance[start * k + nb] = next;
+                        self.queue.push(nb);
+                    }
+                }
+            }
+        }
+    }
+
+    fn neighbors(&self, w: usize) -> &[usize] {
+        &self.neighbours[self.row[w]..self.row[w + 1]]
+    }
+
+    fn degree(&self, w: usize) -> usize {
+        self.row[w + 1] - self.row[w]
+    }
+
+    fn distance(&self, a: usize, b: usize) -> usize {
+        assert!(a < self.k && b < self.k, "wire out of range");
+        self.distance[a * self.k + b]
+    }
 }
 
 /// Noise-aware initial mapping: logical qubit → local wire.
@@ -91,22 +165,20 @@ pub fn local_topology(device: &Device, partition: &[usize]) -> Topology {
 /// wire quality — subgraph degree, then readout error — when it has no
 /// placed partner yet).
 pub fn initial_mapping(device: &Device, partition: &[usize], circuit: &Circuit) -> Vec<usize> {
-    initial_mapping_on(
-        device,
-        partition,
-        &local_topology(device, partition),
-        circuit,
-    )
+    let mut buffers = RouteBuffers::default();
+    buffers.graph.build(device, partition);
+    initial_mapping_on(&mut buffers, device, partition, circuit);
+    buffers.initial
 }
 
-/// [`initial_mapping`] on an already built partition-local topology
-/// (`topo` must be `local_topology(device, partition)`).
-pub(crate) fn initial_mapping_on(
+/// [`initial_mapping`] into `buffers.initial`, on the partition-local
+/// graph `buffers.graph` holds (built for `partition`).
+fn initial_mapping_on(
+    buffers: &mut RouteBuffers,
     device: &Device,
     partition: &[usize],
-    topo: &Topology,
     circuit: &Circuit,
-) -> Vec<usize> {
+) {
     let k = partition.len();
     assert_eq!(
         circuit.width(),
@@ -114,13 +186,35 @@ pub(crate) fn initial_mapping_on(
         "partition size must equal program width"
     );
     let cal = device.calibration();
-    let weights = circuit.interaction_graph();
-    let mut total_weight = vec![0usize; k];
-    for (&(a, b), &w) in &weights {
+    let RouteBuffers {
+        graph: topo,
+        weights,
+        total_weight,
+        logical_order,
+        free,
+        partners,
+        initial: mapping,
+        ..
+    } = buffers;
+    weights.clear();
+    for g in circuit.gates().iter().filter(|g| g.is_two_qubit()) {
+        let s = g.qubits();
+        let s = s.as_slice();
+        let pair = (s[0].min(s[1]), s[0].max(s[1]));
+        match weights.iter_mut().find(|(p, _)| *p == pair) {
+            Some((_, w)) => *w += 1,
+            None => weights.push((pair, 1)),
+        }
+    }
+    weights.sort_unstable();
+    total_weight.clear();
+    total_weight.resize(k, 0);
+    for &((a, b), w) in weights.iter() {
         total_weight[a] += w;
         total_weight[b] += w;
     }
-    let mut logical_order: Vec<usize> = (0..k).collect();
+    logical_order.clear();
+    logical_order.extend(0..k);
     logical_order.sort_by_key(|&l| (std::cmp::Reverse(total_weight[l]), l));
 
     // Wire quality: high subgraph degree, low readout error, a NaN
@@ -135,41 +229,41 @@ pub(crate) fn initial_mapping_on(
         )
     };
     let mean_err = {
-        let links = topo.links();
+        let links = &topo.links;
         if links.is_empty() {
             0.02
         } else {
             links
                 .iter()
-                .map(|l| cal.cx_error(Link::new(partition[l.low()], partition[l.high()])))
+                .map(|&(a, b)| cal.cx_error(Link::new(partition[a], partition[b])))
                 .sum::<f64>()
                 / links.len() as f64
         }
     };
 
-    let mut mapping = vec![usize::MAX; k];
-    let mut free: BTreeSet<usize> = (0..k).collect();
-    for &l in &logical_order {
-        let placed_partners: Vec<(usize, usize)> = weights
-            .iter()
-            .filter_map(|(&(a, b), &w)| {
-                if a == l && mapping[b] != usize::MAX {
-                    Some((mapping[b], w))
-                } else if b == l && mapping[a] != usize::MAX {
-                    Some((mapping[a], w))
-                } else {
-                    None
-                }
-            })
-            .collect();
-        let wire = if placed_partners.is_empty() {
-            *free.iter().min_by_key(|&&w| quality(w)).expect("free wire")
+    mapping.clear();
+    mapping.resize(k, usize::MAX);
+    free.clear();
+    free.resize(k, true);
+    for &l in logical_order.iter() {
+        partners.clear();
+        partners.extend(weights.iter().filter_map(|&((a, b), w)| {
+            if a == l && mapping[b] != usize::MAX {
+                Some((mapping[b], w))
+            } else if b == l && mapping[a] != usize::MAX {
+                Some((mapping[a], w))
+            } else {
+                None
+            }
+        }));
+        let free_wires = (0..k).filter(|&w| free[w]);
+        let wire = if partners.is_empty() {
+            free_wires.min_by_key(|&w| quality(w)).expect("free wire")
         } else {
-            *free
-                .iter()
-                .min_by(|&&a, &&b| {
+            free_wires
+                .min_by(|&a, &b| {
                     let cost = |w: usize| -> f64 {
-                        placed_partners
+                        partners
                             .iter()
                             .map(|&(pw, weight)| {
                                 let d = topo.distance(w, pw);
@@ -187,9 +281,8 @@ pub(crate) fn initial_mapping_on(
                 .expect("free wire")
         };
         mapping[l] = wire;
-        free.remove(&wire);
+        free[wire] = false;
     }
-    mapping
 }
 
 /// Routes a program onto its partition, inserting reliability-weighted
@@ -210,22 +303,17 @@ pub fn route(
     initial: &[usize],
     link_penalty: impl Fn(Link) -> f64,
 ) -> MappedProgram {
-    route_on(
-        device,
-        partition,
-        &local_topology(device, partition),
-        circuit,
-        initial,
-        link_penalty,
-    )
+    let mut graph = LocalGraph::default();
+    graph.build(device, partition);
+    route_on(device, partition, &graph, circuit, initial, link_penalty)
 }
 
-/// [`route`] on an already built partition-local topology (`topo` must
-/// be `local_topology(device, partition)`).
-pub(crate) fn route_on(
+/// [`route`] on an already built partition-local graph (`topo` must be
+/// built for `partition`).
+fn route_on(
     device: &Device,
     partition: &[usize],
-    topo: &Topology,
+    topo: &LocalGraph,
     circuit: &Circuit,
     initial: &[usize],
     link_penalty: impl Fn(Link) -> f64,
@@ -294,11 +382,38 @@ pub(crate) fn route_on(
     }
 }
 
+/// Places and routes `circuit` on `partition` in `buffers`: the
+/// partition-local graph is built once for both, and the initial
+/// mapping lives in the buffers until the mapped program copies it.
+pub(crate) fn map_in(
+    buffers: &mut RouteBuffers,
+    device: &Device,
+    partition: &[usize],
+    circuit: &Circuit,
+    link_penalty: impl Fn(Link) -> f64,
+) -> MappedProgram {
+    buffers.graph.build(device, partition);
+    initial_mapping_on(buffers, device, partition, circuit);
+    let initial = &buffers.initial;
+    route_on(
+        device,
+        partition,
+        &buffers.graph,
+        circuit,
+        initial,
+        link_penalty,
+    )
+}
+
 /// Convenience: initial mapping + routing with no link penalty.
 pub fn map_program(device: &Device, partition: &[usize], circuit: &Circuit) -> MappedProgram {
-    let topo = local_topology(device, partition);
-    let initial = initial_mapping_on(device, partition, &topo, circuit);
-    route_on(device, partition, &topo, circuit, &initial, |_| 0.0)
+    map_in(
+        &mut RouteBuffers::default(),
+        device,
+        partition,
+        circuit,
+        |_| 0.0,
+    )
 }
 
 #[cfg(test)]
@@ -306,8 +421,64 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
     use qucp_circuit::library;
-    use qucp_device::{ibm, Calibration, CrosstalkModel};
+    use qucp_device::{ibm, Calibration, CrosstalkModel, Topology};
     use qucp_sim::noiseless_probabilities;
+
+    /// The partition-local topology routing walked before it read a
+    /// [`LocalGraph`]: a fresh [`Topology`] per partition, local index =
+    /// position of the physical qubit in the partition list. Kept as the
+    /// oracle the graph answers as.
+    fn local_topology(device: &Device, partition: &[usize]) -> Topology {
+        let topo = device.topology();
+        let local = |q: usize| partition.iter().position(|&p| p == q);
+        let edges: Vec<(usize, usize)> = partition
+            .iter()
+            .enumerate()
+            .flat_map(|(i, &p)| {
+                topo.neighbors(p)
+                    .iter()
+                    .filter(move |&&nb| nb > p)
+                    .filter_map(move |&nb| local(nb).map(|j| (i, j)))
+            })
+            .collect();
+        Topology::new(partition.len(), &edges)
+    }
+
+    proptest! {
+        /// Random connected and disconnected subsets of Toronto and
+        /// Manhattan, in shuffled order: the reused graph answers every
+        /// neighbour row, degree, link and distance as the fresh
+        /// topology did, however large the partition built before it.
+        #[test]
+        fn the_local_graph_answers_as_the_partition_local_topology(
+            picks in proptest::collection::vec((0usize..65, 0usize..1000), 1..14),
+            chip in 0u8..2,
+        ) {
+            let dev = if chip == 1 { ibm::manhattan() } else { ibm::toronto() };
+            let n = dev.num_qubits();
+            let mut partition: Vec<(usize, usize)> = Vec::new();
+            for (q, key) in picks {
+                if !partition.iter().any(|&(p, _)| p == q % n) {
+                    partition.push((q % n, key));
+                }
+            }
+            partition.sort_by_key(|&(_, key)| key);
+            let partition: Vec<usize> = partition.into_iter().map(|(q, _)| q).collect();
+            let mut graph = LocalGraph::default();
+            graph.build(&dev, &(0..n).collect::<Vec<_>>());
+            graph.build(&dev, &partition);
+            let oracle = local_topology(&dev, &partition);
+            let links: Vec<(usize, usize)> = oracle.links().iter().map(|l| l.endpoints()).collect();
+            prop_assert_eq!(&graph.links, &links);
+            for a in 0..partition.len() {
+                prop_assert_eq!(graph.neighbors(a), oracle.neighbors(a));
+                prop_assert_eq!(graph.degree(a), oracle.degree(a));
+                for b in 0..partition.len() {
+                    prop_assert_eq!(graph.distance(a, b), oracle.distance(a, b));
+                }
+            }
+        }
+    }
 
     fn line_device(n: usize) -> Device {
         let t = Topology::line(n);

@@ -34,13 +34,15 @@
 //! are scored as the walk visits them, without collecting crosstalk
 //! pairs; only the winner is copied out and broken down.
 
+use std::borrow::Borrow;
 use std::collections::BTreeSet;
 
 use qucp_circuit::Circuit;
-use qucp_device::{Device, Link, Region};
+use qucp_device::{Device, GrowthScratch, Link, Region};
 
 use crate::efs::{region_efs, region_efs_score, CircuitStats, CrosstalkTreatment, EfsBreakdown};
 use crate::error::CoreError;
+use crate::scratch::PlanScratch;
 
 /// Candidate-scoring policy of the partitioner.
 #[derive(Debug, Clone, PartialEq)]
@@ -96,11 +98,27 @@ pub fn candidate_partitions(
     regions.iter().map(|r| r.qubits().to_vec()).collect()
 }
 
+/// Stage 1's buffers in a [`PlanScratch`]: the growth walk's, the
+/// placement order, the taken-qubit mask, the links already claimed and
+/// the best candidate so far of a later program.
+#[derive(Debug, Default)]
+pub(crate) struct AllocationBuffers {
+    growth: GrowthScratch,
+    order: Vec<usize>,
+    blocked: Vec<bool>,
+    allocated_links: Vec<Link>,
+    /// The winner of a later program, copied out of the growth walk's
+    /// buffers into this one's, which every later program reuses.
+    kept: Option<Region>,
+}
+
 /// Allocates disjoint partitions for `programs` under `policy`.
 ///
 /// Programs are placed in descending (width, CNOT count) order — densest
 /// first, as in QuMC — but the returned allocations are indexed by the
 /// caller's original order.
+///
+/// [`allocate_partitions_in`] on a fresh [`PlanScratch`].
 ///
 /// # Errors
 ///
@@ -111,7 +129,24 @@ pub fn allocate_partitions(
     programs: &[&Circuit],
     policy: &PartitionPolicy,
 ) -> Result<Vec<Allocation>, CoreError> {
+    allocate_partitions_in(&mut PlanScratch::default(), device, programs, policy)
+}
+
+/// [`allocate_partitions`] on the buffers of `scratch`: the same
+/// allocations, bit for bit, asking the heap only for what they keep
+/// once `scratch` has grown to the chip and the programs.
+///
+/// # Errors
+///
+/// As [`allocate_partitions`].
+pub fn allocate_partitions_in<C: Borrow<Circuit>>(
+    scratch: &mut PlanScratch,
+    device: &Device,
+    programs: &[C],
+    policy: &PartitionPolicy,
+) -> Result<Vec<Allocation>, CoreError> {
     for (i, p) in programs.iter().enumerate() {
+        let p = p.borrow();
         if p.width() > device.num_qubits() {
             return Err(CoreError::ProgramTooWide {
                 program: i,
@@ -120,25 +155,32 @@ pub fn allocate_partitions(
             });
         }
     }
-    let mut order: Vec<usize> = (0..programs.len()).collect();
+    let AllocationBuffers {
+        growth,
+        order,
+        blocked,
+        allocated_links,
+        kept,
+    } = &mut scratch.allocation;
+    let program = |i: usize| programs[i].borrow();
+    order.clear();
+    order.extend(0..programs.len());
     order.sort_by_key(|&i| {
-        std::cmp::Reverse((programs[i].width(), programs[i].cx_count(), usize::MAX - i))
+        std::cmp::Reverse((program(i).width(), program(i).cx_count(), usize::MAX - i))
     });
 
-    let mut blocked = vec![false; device.num_qubits()];
-    let mut allocated_links: Vec<Link> = Vec::new();
+    blocked.clear();
+    blocked.resize(device.num_qubits(), false);
+    allocated_links.clear();
     let mut result: Vec<Option<Allocation>> = vec![None; programs.len()];
-    // The winner of a later program, copied out of the growth walk's
-    // buffers into this one's, which every later program reuses.
-    let mut kept: Option<Region> = None;
 
     for (placed, &pi) in order.iter().enumerate() {
-        let program = programs[pi];
+        let program = program(pi);
         let stats = CircuitStats::of(program);
         let size = program.width();
         let rank = |c: &Region| match policy {
             PartitionPolicy::NoiseAware(treatment) => {
-                region_efs_score(device, c, &stats, &allocated_links, treatment)
+                region_efs_score(device, c, &stats, allocated_links, treatment)
             }
             // First region in qubit-index order, calibration-blind.
             PartitionPolicy::TopologyGreedy => 0.0,
@@ -172,13 +214,13 @@ pub fn allocate_partitions(
             best.map(|(_, c)| c)
         } else {
             let mut best_key = None;
-            device.for_each_region(size, &blocked, |c| {
+            device.for_each_region(size, blocked, growth, |c| {
                 let key = rank(c);
                 if ranks_first(key, c, best_key.zip(kept.as_ref())) {
                     best_key = Some(key);
-                    match &mut kept {
+                    match kept {
                         Some(kept) => kept.clone_from(c),
-                        None => kept = Some(c.clone()),
+                        None => *kept = Some(c.clone()),
                     }
                 }
             });
@@ -192,7 +234,7 @@ pub fn allocate_partitions(
         let allocation = Allocation {
             program_index: pi,
             qubits: region.qubits().to_vec(),
-            efs: region_efs(device, region, &stats, &allocated_links, treatment),
+            efs: region_efs(device, region, &stats, allocated_links, treatment),
         };
         for &q in region.qubits() {
             blocked[q] = true;

@@ -5,12 +5,12 @@
 //!
 //! 1. **allocate** ([`Pipeline::allocate`]) — a disjoint reliable region
 //!    per program: the QuMC-style candidate growth and EFS scoring of
-//!    [`allocate_partitions`] under the strategy's [`PartitionPolicy`];
+//!    [`allocate_partitions`](crate::allocate_partitions) under the strategy's [`PartitionPolicy`];
 //! 2. **map and route** — reliability-weighted placement and SWAP
 //!    routing inside each region, with CNA's crosstalk-aware link
 //!    penalty when the strategy asks for it;
 //! 3. **merge** — end-aligned ALAP schedules, charging cross-program
-//!    crosstalk or serialization delays ([`build_context`]);
+//!    crosstalk or serialization delays ([`build_context`](crate::context::build_context));
 //! 4. **execute** ([`PlannedWorkload::run_program`]) — one mapped
 //!    program on the `qucp-sim` trajectory simulator, scored against
 //!    the routed circuit's one evolution: [`PlannedWorkload::prepare`],
@@ -27,10 +27,11 @@ use qucp_circuit::Circuit;
 use qucp_device::{Device, Link};
 use qucp_sim::{Counts, ExecutionConfig, PreparedJob};
 
-use crate::context::{build_context, WorkloadContext};
+use crate::context::{build_context_in, WorkloadContext};
 use crate::error::CoreError;
-use crate::mapping::{initial_mapping_on, local_topology, route_on, MappedProgram};
-use crate::partition::{allocate_partitions, Allocation, PartitionPolicy};
+use crate::mapping::{map_in, MappedProgram};
+use crate::partition::{allocate_partitions_in, Allocation, PartitionPolicy};
+use crate::scratch::PlanScratch;
 use crate::strategy::Strategy;
 
 /// Configuration of a parallel execution.
@@ -298,51 +299,44 @@ pub fn derive_program_seed(base: u64, index: usize) -> u64 {
 /// gate-level awareness) a SWAP link pays for its strongest γ partner
 /// inside *other* partitions.
 fn route_all(
+    scratch: &mut PlanScratch,
     device: &Device,
     programs: &[Circuit],
     allocations: &[Allocation],
     crosstalk_aware: bool,
 ) -> Vec<MappedProgram> {
-    let all_links: Vec<Vec<Link>> = if crosstalk_aware {
-        allocations
-            .iter()
-            .map(|a| device.topology().links_within(&a.qubits))
-            .collect()
-    } else {
-        Vec::new()
-    };
-
+    let buffers = &mut scratch.routing;
+    let topo = device.topology();
     allocations
         .iter()
         .enumerate()
         .map(|(i, alloc)| {
             let circuit = &programs[alloc.program_index];
-            // Placement and routing walk the same partition-local
-            // graph: built (all-pairs distances included) once.
-            let local = local_topology(device, &alloc.qubits);
-            let initial = initial_mapping_on(device, &alloc.qubits, &local, circuit);
-            if crosstalk_aware {
-                let other_links: Vec<Link> = all_links
-                    .iter()
-                    .enumerate()
-                    .filter(|&(j, _)| j != i)
-                    .flat_map(|(_, ls)| ls.iter().copied())
-                    .collect();
-                let topo = device.topology();
-                let xtalk = device.crosstalk();
-                let cal = device.calibration();
-                route_on(device, &alloc.qubits, &local, circuit, &initial, |l| {
-                    let mut worst = 1.0f64;
-                    for &ol in &other_links {
-                        if !l.shares_qubit(&ol) && topo.link_distance(l, ol) == 1 {
-                            worst = worst.max(xtalk.gamma(l, ol));
-                        }
-                    }
-                    (worst - 1.0) * cal.cx_error(l)
-                })
-            } else {
-                route_on(device, &alloc.qubits, &local, circuit, &initial, |_| 0.0)
+            if !crosstalk_aware {
+                return map_in(buffers, device, &alloc.qubits, circuit, |_| 0.0);
             }
+            // The links inside every other partition, partition by
+            // partition, each in canonical order.
+            let mut other_links = std::mem::take(&mut buffers.other_links);
+            other_links.clear();
+            for (_, other) in allocations.iter().enumerate().filter(|&(j, _)| j != i) {
+                let inside =
+                    |l: &&Link| other.qubits.contains(&l.low()) && other.qubits.contains(&l.high());
+                other_links.extend(topo.links().iter().filter(inside));
+            }
+            let xtalk = device.crosstalk();
+            let cal = device.calibration();
+            let mapped = map_in(buffers, device, &alloc.qubits, circuit, |l| {
+                let mut worst = 1.0f64;
+                for &ol in &other_links {
+                    if topo.is_one_hop(l, ol) {
+                        worst = worst.max(xtalk.gamma(l, ol));
+                    }
+                }
+                (worst - 1.0) * cal.cx_error(l)
+            });
+            buffers.other_links = other_links;
+            mapped
         })
         .collect()
 }
@@ -378,7 +372,8 @@ impl<'s> Pipeline<'s> {
     /// that may still drop members decides on allocations and pays for
     /// [`complete`](Pipeline::complete) once, for the set that stays.
     /// The first placement and every solo probe read the device's
-    /// region atlas (see [`crate::partition`]).
+    /// region atlas (see [`crate::partition`]). Stage 1's working
+    /// buffers are `scratch`'s ([`crate::scratch`]).
     ///
     /// # Errors
     ///
@@ -387,30 +382,33 @@ impl<'s> Pipeline<'s> {
     /// [`CoreError::ProgramTooWide`]).
     pub fn allocate(
         &self,
+        scratch: &mut PlanScratch,
         device: &Device,
         programs: &[Circuit],
     ) -> Result<Vec<Allocation>, CoreError> {
-        let refs: Vec<&Circuit> = programs.iter().collect();
-        allocate_partitions(device, &refs, self.partition)
+        allocate_partitions_in(scratch, device, programs, self.partition)
     }
 
     /// Runs stages 2–3 on an allocated workload: routes every program
-    /// inside its region and merges the schedules.
-    /// `plan(device, programs, false)` is
-    /// `complete(device, programs, allocate(device, &programs)?)`.
+    /// inside its region and merges the schedules, on `scratch`'s
+    /// working buffers. `plan(device, programs, false)` is
+    /// `complete(scratch, device, programs, allocate(scratch, device,
+    /// &programs)?)`.
     pub fn complete(
         &self,
+        scratch: &mut PlanScratch,
         device: &Device,
         programs: Vec<Circuit>,
         allocations: Vec<Allocation>,
     ) -> PlannedWorkload {
         let mapped = route_all(
+            scratch,
             device,
             &programs,
             &allocations,
             self.crosstalk_aware_routing,
         );
-        let context = build_context(device, &mapped, self.serialize_conflicts);
+        let context = build_context_in(scratch, device, &mapped, self.serialize_conflicts);
         PlannedWorkload {
             programs,
             allocations,
@@ -435,9 +433,11 @@ impl<'s> Pipeline<'s> {
         programs: &[Circuit],
         optimize: bool,
     ) -> Result<WorkloadPlan, CoreError> {
+        let scratch = &mut PlanScratch::default();
         let optimized = optimized(programs, optimize);
-        let allocations = self.allocate(device, &optimized)?;
+        let allocations = self.allocate(scratch, device, &optimized)?;
         let mapped = route_all(
+            scratch,
             device,
             &optimized,
             &allocations,
@@ -460,9 +460,10 @@ impl<'s> Pipeline<'s> {
         programs: &[Circuit],
         optimize: bool,
     ) -> Result<PlannedWorkload, CoreError> {
+        let scratch = &mut PlanScratch::default();
         let optimized = optimized(programs, optimize);
-        let allocations = self.allocate(device, &optimized)?;
-        Ok(self.complete(device, optimized, allocations))
+        let allocations = self.allocate(scratch, device, &optimized)?;
+        Ok(self.complete(scratch, device, optimized, allocations))
     }
 
     /// Runs stage 4 on every program of an already planned workload,

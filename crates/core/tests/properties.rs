@@ -4,7 +4,7 @@
 use proptest::prelude::*;
 use qucp_circuit::Circuit;
 use qucp_core::{
-    allocate_partitions, candidate_partitions, context::build_context, local_topology, map_program,
+    allocate_partitions, candidate_partitions, context::build_context, map_program,
     CrosstalkTreatment, PartitionPolicy,
 };
 use qucp_device::ibm;
@@ -91,12 +91,13 @@ proptest! {
             &PartitionPolicy::NoiseAware(CrosstalkTreatment::None),
         ).unwrap();
         let mapped = map_program(&dev, &allocs[0].qubits, &program);
-        let local = local_topology(&dev, &allocs[0].qubits);
+        // Both wires are partition qubits: an induced link is a link.
+        let layout = &mapped.layout;
         for g in mapped.circuit.gates() {
             if g.is_two_qubit() {
                 let qs = g.qubits();
                 let qs = qs.as_slice();
-                prop_assert!(local.has_link(qs[0], qs[1]));
+                prop_assert!(dev.topology().has_link(layout[qs[0]], layout[qs[1]]));
             }
         }
         // Mappings are permutations.

@@ -8,13 +8,13 @@
 //! are synthesized from a seeded RNG with magnitudes matched to the
 //! figures in the paper; see [`NoiseProfile`].
 
-use std::collections::BTreeMap;
+use std::sync::Arc;
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use crate::link::Link;
-use crate::topology::Topology;
+use crate::topology::{LinkIndex, Topology};
 
 /// Magnitude ranges used when synthesizing a calibration.
 ///
@@ -68,10 +68,18 @@ impl Default for NoiseProfile {
 }
 
 /// A calibration snapshot for a device.
+///
+/// The per-link entries are a table: one CNOT error and one CNOT
+/// duration per link of the topology the snapshot was made for, in that
+/// topology's canonical link order, found through the topology's link
+/// index (shared by reference count with the topology and every
+/// clone). Two
+/// snapshots are equal when their links and every entry are.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Calibration {
-    cx_error: BTreeMap<Link, f64>,
-    cx_duration: BTreeMap<Link, f64>,
+    links: Arc<LinkIndex>,
+    cx_error: Vec<f64>,
+    cx_duration: Vec<f64>,
     sq_error: Vec<f64>,
     readout_error: Vec<f64>,
     t1: Vec<f64>,
@@ -86,18 +94,15 @@ impl Calibration {
     pub fn synthesize(topology: &Topology, seed: u64, profile: &NoiseProfile) -> Self {
         let mut rng = StdRng::seed_from_u64(seed);
         let n = topology.num_qubits();
-        let mut cx_error = BTreeMap::new();
-        let mut cx_duration = BTreeMap::new();
-        for &link in topology.links() {
+        let mut cx_error = Vec::with_capacity(topology.num_links());
+        let mut cx_duration = Vec::with_capacity(topology.num_links());
+        for _ in topology.links() {
             let mut e = rng.gen_range(profile.cx_error.0..profile.cx_error.1);
             if rng.gen_bool(profile.bad_link_fraction) {
                 e *= rng.gen_range(profile.bad_link_factor.0..profile.bad_link_factor.1);
             }
-            cx_error.insert(link, e.min(0.45));
-            cx_duration.insert(
-                link,
-                rng.gen_range(profile.cx_duration.0..profile.cx_duration.1),
-            );
+            cx_error.push(e.min(0.45));
+            cx_duration.push(rng.gen_range(profile.cx_duration.0..profile.cx_duration.1));
         }
         let sq_error: Vec<f64> = (0..n)
             .map(|_| rng.gen_range(profile.sq_error.0..profile.sq_error.1))
@@ -119,6 +124,7 @@ impl Calibration {
             .map(|&t1q| rng.gen_range(profile.t2.0..profile.t2.1).min(2.0 * t1q))
             .collect();
         Calibration {
+            links: Arc::clone(topology.link_index()),
             cx_error,
             cx_duration,
             sq_error,
@@ -136,8 +142,9 @@ impl Calibration {
         let n = topology.num_qubits();
         let profile = NoiseProfile::default();
         Calibration {
-            cx_error: topology.links().iter().map(|&l| (l, cx_error)).collect(),
-            cx_duration: topology.links().iter().map(|&l| (l, 300.0)).collect(),
+            links: Arc::clone(topology.link_index()),
+            cx_error: vec![cx_error; topology.num_links()],
+            cx_duration: vec![300.0; topology.num_links()],
             sq_error: vec![sq_error; n],
             readout_error: vec![readout_error; n],
             t1: vec![90_000.0; n],
@@ -154,11 +161,19 @@ impl Calibration {
     ///
     /// Panics if the link is not part of the calibration.
     pub fn set_cx_error(&mut self, link: Link, error: f64) {
-        let slot = self
-            .cx_error
-            .get_mut(&link)
-            .unwrap_or_else(|| panic!("link {link} not in calibration"));
-        *slot = error;
+        let i = self.entry(link);
+        self.cx_error[i] = error;
+    }
+
+    /// The table entry of `link`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the link is not part of the calibration.
+    fn entry(&self, link: Link) -> usize {
+        self.links
+            .position(link)
+            .unwrap_or_else(|| panic!("link {link} not in calibration"))
     }
 
     /// Overrides the readout error of one qubit.
@@ -176,10 +191,7 @@ impl Calibration {
     ///
     /// Panics if the link is not part of the topology's link set.
     pub fn cx_error(&self, link: Link) -> f64 {
-        *self
-            .cx_error
-            .get(&link)
-            .unwrap_or_else(|| panic!("link {link} not in calibration"))
+        self.cx_error[self.entry(link)]
     }
 
     /// CNOT duration on a link in nanoseconds.
@@ -188,10 +200,7 @@ impl Calibration {
     ///
     /// Panics if the link is not part of the topology's link set.
     pub fn cx_duration(&self, link: Link) -> f64 {
-        *self
-            .cx_duration
-            .get(&link)
-            .unwrap_or_else(|| panic!("link {link} not in calibration"))
+        self.cx_duration[self.entry(link)]
     }
 
     /// One-qubit gate error rate of qubit `q`.
@@ -234,7 +243,7 @@ impl Calibration {
         if self.cx_error.is_empty() {
             return 0.0;
         }
-        self.cx_error.values().sum::<f64>() / self.cx_error.len() as f64
+        self.cx_error.iter().sum::<f64>() / self.cx_error.len() as f64
     }
 
     /// Mean readout error over all qubits.
@@ -244,9 +253,10 @@ impl Calibration {
 
     /// Mutable access to every link's CNOT error, in canonical link
     /// order — the iteration a [`DriftModel`](crate::DriftModel)
-    /// perturbs, deterministic because the underlying map is ordered.
+    /// perturbs, deterministic because the table is kept in the
+    /// topology's canonical link order.
     pub fn cx_errors_mut(&mut self) -> impl Iterator<Item = (Link, &mut f64)> {
-        self.cx_error.iter_mut().map(|(&l, e)| (l, e))
+        self.links.links().iter().copied().zip(&mut self.cx_error)
     }
 
     /// Mutable access to the one-qubit gate errors, indexed by qubit.
@@ -263,8 +273,8 @@ impl Calibration {
     /// is finite — the validity gate a live-fleet recalibration API
     /// checks before letting a snapshot near the planning caches.
     pub fn all_finite(&self) -> bool {
-        self.cx_error.values().all(|e| e.is_finite())
-            && self.cx_duration.values().all(|d| d.is_finite())
+        self.cx_error.iter().all(|e| e.is_finite())
+            && self.cx_duration.iter().all(|d| d.is_finite())
             && self.sq_error.iter().all(|e| e.is_finite())
             && self.readout_error.iter().all(|e| e.is_finite())
             && self.t1.iter().all(|t| t.is_finite())
@@ -281,10 +291,10 @@ impl Calibration {
     pub fn in_range(&self) -> bool {
         let rate = |e: &f64| (0.0..=1.0).contains(e);
         let time = |t: &f64| *t >= 0.0;
-        self.cx_error.values().all(rate)
+        self.cx_error.iter().all(rate)
             && self.sq_error.iter().all(rate)
             && self.readout_error.iter().all(rate)
-            && self.cx_duration.values().all(time)
+            && self.cx_duration.iter().all(time)
             && self.t1.iter().all(time)
             && self.t2.iter().all(time)
             && time(&self.sq_duration)
@@ -296,15 +306,14 @@ impl Calibration {
     /// device, or the per-link accessors would panic mid-plan.
     pub fn covers(&self, topology: &Topology) -> bool {
         self.num_qubits() == topology.num_qubits()
-            && topology
-                .links()
-                .iter()
-                .all(|l| self.cx_error.contains_key(l) && self.cx_duration.contains_key(l))
+            && (Arc::ptr_eq(&self.links, topology.link_index())
+                || (topology.links().iter()).all(|&l| self.links.position(l).is_some()))
     }
 
     /// Links sorted by ascending CNOT error (most reliable first).
     pub fn links_by_reliability(&self) -> Vec<(Link, f64)> {
-        let mut v: Vec<(Link, f64)> = self.cx_error.iter().map(|(&l, &e)| (l, e)).collect();
+        let links = self.links.links().iter().copied();
+        let mut v: Vec<(Link, f64)> = links.zip(self.cx_error.iter().copied()).collect();
         v.sort_by(|a, b| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0)));
         v
     }
@@ -384,6 +393,29 @@ mod tests {
         let order = cal.links_by_reliability();
         assert_eq!(order[0].0, Link::new(1, 2));
         assert_eq!(order[1].0, Link::new(0, 1));
+    }
+
+    #[test]
+    fn a_link_reads_the_entry_the_table_iterates_it_with() {
+        let t = crate::ibm::toronto_topology();
+        let mut cal = Calibration::synthesize(&t, 5, &NoiseProfile::default());
+        let listed: Vec<(Link, f64)> = cal.cx_errors_mut().map(|(l, e)| (l, *e)).collect();
+        assert_eq!(
+            listed.iter().map(|&(l, _)| l).collect::<Vec<_>>(),
+            t.links()
+        );
+        for (l, e) in listed {
+            assert_eq!(cal.cx_error(l).to_bits(), e.to_bits(), "{l}");
+        }
+        assert!(cal.covers(&t));
+        // A snapshot of a wider link set covers a topology of its links'
+        // subset on as many qubits; one that misses a link does not.
+        let ring = Topology::ring(6);
+        let line = Topology::line(6);
+        let ring_cal = Calibration::uniform(&ring, 0.02, 3e-4, 0.03);
+        assert!(ring_cal.covers(&line));
+        assert!(!Calibration::uniform(&line, 0.02, 3e-4, 0.03).covers(&ring));
+        assert_eq!(ring_cal.cx_error(Link::new(0, 5)), 0.02);
     }
 
     #[test]

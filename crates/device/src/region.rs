@@ -245,7 +245,8 @@ impl Device {
     /// Panics if `blocked` does not have one entry per qubit.
     pub fn grow_regions(&self, size: usize, blocked: &[bool]) -> Vec<Region> {
         let mut out: Vec<Region> = Vec::new();
-        self.for_each_region(size, blocked, |r| {
+        let mut scratch = GrowthScratch::default();
+        self.for_each_region(size, blocked, &mut scratch, |r| {
             if !out.iter().any(|o| o.qubits == r.qubits) {
                 out.push(r.clone());
             }
@@ -277,7 +278,13 @@ impl Device {
     /// # Panics
     ///
     /// Panics if `blocked` does not have one entry per qubit.
-    pub fn for_each_region(&self, size: usize, blocked: &[bool], mut visit: impl FnMut(&Region)) {
+    pub fn for_each_region(
+        &self,
+        size: usize,
+        blocked: &[bool],
+        scratch: &mut GrowthScratch,
+        mut visit: impl FnMut(&Region),
+    ) {
         let n = self.num_qubits();
         assert_eq!(blocked.len(), n, "one blocked flag per qubit");
         let Some(slot) = self.slot(size) else {
@@ -289,18 +296,15 @@ impl Device {
             return;
         }
         let errors = self.errors();
-        let mut grower = None;
+        let mut grower = Grower::new(self, &errors.cx, scratch);
         for seed in (0..n).filter(|&q| !blocked[q]) {
             let Some(idle) = slot.of_seed(seed) else {
                 continue;
             };
             if errors.nan_free && idle.qubits.iter().all(|&q| !blocked[q]) {
                 visit(idle);
-            } else {
-                let grower = grower.get_or_insert_with(|| Grower::new(self, &errors.cx, size));
-                if let Some(region) = grower.grow(size, blocked, seed) {
-                    visit(region);
-                }
+            } else if let Some(region) = grower.grow(size, blocked, seed) {
+                visit(region);
             }
         }
     }
@@ -345,7 +349,8 @@ impl Device {
         Some(slot.get_or_init(|| {
             let n = self.num_qubits();
             let free = vec![false; n];
-            let mut grower = Grower::new(self, &self.errors().cx, size);
+            let mut scratch = GrowthScratch::default();
+            let mut grower = Grower::new(self, &self.errors().cx, &mut scratch);
             let mut regions: Vec<Region> = Vec::new();
             let seed_region = (0..n)
                 .map(|seed| match grower.grow(size, &free, seed) {
@@ -386,30 +391,53 @@ impl Device {
     }
 }
 
-/// The growth kernel — one region from one seed — and the buffers it
-/// reuses from seed to seed.
-///
-/// Membership tests are flat masks; a frontier qubit is scored from its
-/// own side (its neighbours that are already in the region), reading
-/// CNOT errors from the atlas's table.
-struct Grower<'d> {
-    topo: &'d Topology,
-    cal: &'d Calibration,
-    cx: &'d [f64],
+/// The buffers growth fills and drops — a membership mask and the
+/// region one seed grows — lent to
+/// [`for_each_region`](Device::for_each_region) by its caller, which
+/// keeps them from call to call: growth around taken qubits asks the
+/// heap for nothing once they have grown to the largest chip and region
+/// it has met. Empty between calls as a value, never as capacity.
+#[derive(Debug)]
+pub struct GrowthScratch {
     in_region: Vec<bool>,
     /// The last region completed, measured; while growing, its qubits
     /// in the order they were added.
     region: Region,
 }
 
-impl<'d> Grower<'d> {
-    fn new(device: &'d Device, cx: &'d [f64], size: usize) -> Self {
+impl Default for GrowthScratch {
+    fn default() -> Self {
+        GrowthScratch {
+            in_region: Vec::new(),
+            region: Region::unmeasured(Vec::new()),
+        }
+    }
+}
+
+/// The growth kernel — one region from one seed — on the buffers of a
+/// [`GrowthScratch`], reused from seed to seed.
+///
+/// Membership tests are flat masks; a frontier qubit is scored from its
+/// own side (its neighbours that are already in the region), reading
+/// CNOT errors from the atlas's table.
+struct Grower<'d, 's> {
+    topo: &'d Topology,
+    cal: &'d Calibration,
+    cx: &'d [f64],
+    in_region: &'s mut Vec<bool>,
+    region: &'s mut Region,
+}
+
+impl<'d, 's> Grower<'d, 's> {
+    fn new(device: &'d Device, cx: &'d [f64], scratch: &'s mut GrowthScratch) -> Self {
+        scratch.in_region.clear();
+        scratch.in_region.resize(device.num_qubits(), false);
         Grower {
             topo: device.topology(),
             cal: device.calibration(),
             cx,
-            in_region: vec![false; device.num_qubits()],
-            region: Region::unmeasured(Vec::with_capacity(size)),
+            in_region: &mut scratch.in_region,
+            region: &mut scratch.region,
         }
     }
 
@@ -419,7 +447,7 @@ impl<'d> Grower<'d> {
         #[cfg(test)]
         SEEDS_GROWN.with(|n| n.set(n.get() + 1));
         let (topo, cx) = (self.topo, self.cx);
-        let (in_region, region) = (&mut self.in_region, &mut self.region);
+        let (in_region, region) = (&mut *self.in_region, &mut *self.region);
         let grown = &mut region.qubits;
         grown.clear();
         grown.push(seed);
@@ -482,7 +510,7 @@ impl<'d> Grower<'d> {
         for &q in &region.qubits {
             in_region[q] = false;
         }
-        complete.then_some(&self.region)
+        complete.then_some(&*self.region)
     }
 }
 

@@ -1,17 +1,20 @@
 //! Coupling-graph topology of a quantum chip.
 
 use std::collections::VecDeque;
+use std::sync::Arc;
 
 use crate::link::{Link, LinkPair};
 
 /// The undirected coupling graph of a device.
 ///
-/// Stores the canonical link list, the adjacency in compressed rows
-/// (row starts plus one neighbour array, each row ascending) and the
-/// all-pairs BFS hop counts as one `n × n` array, which the mapper and
-/// partitioner query heavily. Everything but the link list is derived
-/// from it, so two topologies are equal exactly when their qubit
-/// counts and links are.
+/// Stores the canonical link list with its position index (shared by
+/// reference count with every [`Calibration`](crate::Calibration) made
+/// for the topology), the adjacency in compressed rows (row starts plus
+/// one neighbour array, each row ascending), the all-pairs BFS hop
+/// counts as one `n × n` array, and the one-hop link relation in
+/// compressed rows, which the mapper, partitioner and merge query
+/// heavily. Everything but the link list is derived from it, so two
+/// topologies are equal exactly when their qubit counts and links are.
 ///
 /// ```
 /// use qucp_device::Topology;
@@ -23,12 +26,54 @@ use crate::link::{Link, LinkPair};
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Topology {
     n: usize,
-    links: Vec<Link>,
+    links: Arc<LinkIndex>,
     /// `neighbours[row[q]..row[q + 1]]` are the neighbours of `q`.
     row: Vec<usize>,
     neighbours: Vec<usize>,
     /// `distance[a * n + b]`.
     distance: Vec<usize>,
+    /// `one_hop[hop_row[i]..hop_row[i + 1]]` are the links one hop from
+    /// link `i` that share no qubit with it, ascending.
+    hop_row: Vec<usize>,
+    one_hop: Vec<Link>,
+}
+
+/// A topology's canonical link list and where each link sits in it: the
+/// links of lower endpoint `q` are `links[first[q]..first[q + 1]]`,
+/// ascending by higher endpoint. A per-link table (a calibration's CNOT
+/// errors and durations) stores its entries in this order and finds a
+/// link's entry with [`LinkIndex::position`], a scan of one short run.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub(crate) struct LinkIndex {
+    links: Vec<Link>,
+    first: Vec<usize>,
+}
+
+impl LinkIndex {
+    /// The index of `links`, canonical (sorted, no duplicates), on `n`
+    /// qubits.
+    fn new(n: usize, links: Vec<Link>) -> Self {
+        let mut first = vec![0; n + 1];
+        for l in &links {
+            first[l.low() + 1] += 1;
+        }
+        for q in 0..n {
+            first[q + 1] += first[q];
+        }
+        LinkIndex { links, first }
+    }
+
+    /// The links, in canonical order.
+    pub(crate) fn links(&self) -> &[Link] {
+        &self.links
+    }
+
+    /// Where `link` sits in [`links`](LinkIndex::links), if it is one.
+    pub(crate) fn position(&self, link: Link) -> Option<usize> {
+        let low = link.low();
+        let (&start, &end) = (self.first.get(low)?, self.first.get(low + 1)?);
+        (start..end).find(|&i| self.links[i].high() == link.high())
+    }
 }
 
 /// Distance value meaning "unreachable".
@@ -78,13 +123,41 @@ impl Topology {
         row[0] = 0;
         let mut topology = Topology {
             n,
-            links,
+            links: Arc::new(LinkIndex::new(n, links)),
             row,
             neighbours,
             distance: vec![UNREACHABLE; n * n],
+            hop_row: Vec::new(),
+            one_hop: Vec::new(),
         };
         topology.fill_distances();
+        topology.fill_one_hop();
         topology
+    }
+
+    /// Per link, the links one hop from it that share no qubit with it,
+    /// ascending: the links with an endpoint adjacent to one of its
+    /// endpoints, less those that touch it.
+    fn fill_one_hop(&mut self) {
+        let links = self.links.links();
+        let mut hop_row = Vec::with_capacity(links.len() + 1);
+        let mut one_hop = Vec::new();
+        hop_row.push(0);
+        for &a in links {
+            let mut row = Vec::new();
+            for x in [a.low(), a.high()] {
+                for &y in self.neighbors(x) {
+                    let touching = self.neighbors(y).iter().map(|&z| Link::new(y, z));
+                    row.extend(touching.filter(|b| !a.shares_qubit(b)));
+                }
+            }
+            row.sort_unstable();
+            row.dedup();
+            one_hop.extend(row);
+            hop_row.push(one_hop.len());
+        }
+        self.hop_row = hop_row;
+        self.one_hop = one_hop;
     }
 
     /// One BFS per start qubit over a single reused queue.
@@ -156,12 +229,18 @@ impl Topology {
 
     /// All coupling links, sorted canonically.
     pub fn links(&self) -> &[Link] {
+        self.links.links()
+    }
+
+    /// The link list's position index, shared by every calibration made
+    /// for this topology.
+    pub(crate) fn link_index(&self) -> &Arc<LinkIndex> {
         &self.links
     }
 
     /// Number of coupling links.
     pub fn num_links(&self) -> usize {
-        self.links.len()
+        self.links.links().len()
     }
 
     /// Neighbors of `q`, ascending.
@@ -211,16 +290,32 @@ impl Topology {
         best
     }
 
+    /// The links one hop from `link` that share no qubit with it
+    /// (`!link.shares_qubit(&b) && link_distance(link, b) == 1`),
+    /// ascending; none if `link` is not a coupling link.
+    pub fn one_hop_links(&self, link: Link) -> &[Link] {
+        match self.links.position(link) {
+            Some(i) => &self.one_hop[self.hop_row[i]..self.hop_row[i + 1]],
+            None => &[],
+        }
+    }
+
+    /// Whether coupling link `a` and link `b` share no qubit and sit one
+    /// hop apart — the pairs that may suffer crosstalk — read from the
+    /// relation the topology holds. `false` if `a` is not a coupling
+    /// link.
+    pub fn is_one_hop(&self, a: Link, b: Link) -> bool {
+        self.one_hop_links(a).binary_search(&b).is_ok()
+    }
+
     /// All unordered pairs of disjoint links at one-hop distance — the
     /// pairs whose simultaneous operation may suffer crosstalk and that SRB
     /// must characterize (Sec. III of the paper).
     pub fn one_hop_link_pairs(&self) -> Vec<LinkPair> {
         let mut out = Vec::new();
-        for (i, &a) in self.links.iter().enumerate() {
-            for &b in &self.links[i + 1..] {
-                if !a.shares_qubit(&b) && self.link_distance(a, b) == 1 {
-                    out.push(LinkPair::new(a, b));
-                }
+        for &a in self.links() {
+            for &b in self.one_hop_links(a).iter().filter(|&&b| b > a) {
+                out.push(LinkPair::new(a, b));
             }
         }
         out
@@ -281,7 +376,7 @@ impl Topology {
 
     /// The links within a qubit subset (induced edges).
     pub fn links_within(&self, subset: &[usize]) -> Vec<Link> {
-        self.links
+        self.links()
             .iter()
             .copied()
             .filter(|l| subset.contains(&l.low()) && subset.contains(&l.high()))
@@ -381,6 +476,45 @@ mod tests {
         let pairs = t.one_hop_link_pairs();
         assert_eq!(pairs.len(), 2);
         assert!(pairs.iter().all(|p| p.is_disjoint()));
+    }
+
+    #[test]
+    fn the_one_hop_relation_is_disjoint_links_at_distance_one() {
+        let topologies = [
+            Topology::line(6),
+            Topology::ring(7),
+            Topology::grid(3, 4),
+            Topology::new(5, &[(0, 1), (2, 3)]),
+            crate::ibm::toronto_topology(),
+            crate::ibm::manhattan_topology(),
+            crate::ibm::melbourne_topology(),
+        ];
+        for t in &topologies {
+            for &a in t.links() {
+                for &b in t.links() {
+                    let expected = !a.shares_qubit(&b) && t.link_distance(a, b) == 1;
+                    assert_eq!(t.is_one_hop(a, b), expected, "{a} {b}");
+                }
+                let row = t.one_hop_links(a);
+                assert!(row.windows(2).all(|w| w[0] < w[1]), "{a}: {row:?}");
+            }
+            assert!(t.one_hop_links(Link::new(0, t.num_qubits())).is_empty());
+        }
+    }
+
+    #[test]
+    fn the_link_index_finds_every_link_and_nothing_else() {
+        let t = crate::ibm::toronto_topology();
+        let index = t.link_index();
+        for (i, &l) in t.links().iter().enumerate() {
+            assert_eq!(index.position(l), Some(i));
+        }
+        for a in 0..t.num_qubits() + 2 {
+            for b in a + 1..t.num_qubits() + 2 {
+                let l = Link::new(a, b);
+                assert_eq!(index.position(l).is_some(), t.links().contains(&l), "{l}");
+            }
+        }
     }
 
     #[test]

@@ -176,11 +176,11 @@
 //! | dispatch step: arrived views | O(log n) prefix bind; a rider's strategy is one key compare with the head's inside the pack |
 //! | dispatch step: admitting devices | O(D) filter by `Device::admits`, beside the O(D) clock scan |
 //! | routing / head-only gate probes | one plan-memo lookup per list read — `[h]` for the routing score, `[h]` and `[h; k]` per copy count `k` walked — in a key buffer the service keeps; partitioning only for a list not seen at this epoch, on the pending circuit, borrowed |
-//! | batch planning | the EFS gate on every batch, each allocation it reads — the joint attempts and, under the batch gates, every member's solo baseline — one plan-memo lookup under the literal key *(device, epoch, strategy key, member shape handles)* (O(members) handle copies), partitioning only for a list not seen at this epoch; map + merge only for a survivor set not committed at this epoch. The members' circuits are cloned only on a memo miss, once per batch |
+//! | batch planning | the EFS gate on every batch, each allocation it reads — the joint attempts and, under the batch gates, every member's solo baseline — one plan-memo lookup under the literal key *(device, epoch, strategy key, member shape handles)* (O(members) handle copies), partitioning only for a list not seen at this epoch; map + merge only for a survivor set not committed at this epoch. The members' circuits are cloned only on a memo miss, once per batch, and a miss plans on the buffers of the service's dispatch scratch (one `qucp_core::PlanScratch`, lent by `&mut`), reading calibration entries through the topology's link index: on `plan_churn` (seed 1, counted around the gate pass on copies of both trees) the gate pass asks the heap 16.3 times a job, 39.8 while every miss requested its working buffers afresh and searched ordered maps |
 //! | staging and execution | the batch's device is held by `Arc`, never cloned; the members leave the job table by value into one record per job, the head's strategy is one shared table entry, and ranking, packing and the key lookup run in buffers the service keeps |
 //! | batch removal | offset bump (front run) or one compaction pass |
 //! | recalibrate / drift epoch bump | one new device (its calibration state; name and topology shared by `Arc`), one pass over the cache, dropping the bumped device's probes and plans, and one over the shape table, dropping the shapes nothing holds any more |
-//! | execution set-up per program | ALAP schedule + event sort + three statevector passes on the first two executions of a plan (the second, the entry's first hit, fills its slots); a replayed plan then pays an `Arc` clone of the entry's slots per batch and one slot read per program (prepared replay) |
+//! | execution set-up per program | ALAP schedule + event sort + three statevector passes on the first two executions of a plan (the second, the entry's first hit, fills its slots), five heap requests (`PlannedWorkload::prepare`; the event builder's slot and lane vectors are its thread's, seven while they were its own); a replayed plan then pays an `Arc` clone of the entry's slots per batch and one slot read per program (prepared replay) |
 //! | threads per batch | staging (routing, packing, planning): none, ever — one candidate at a time on the dispatching thread; execution: none under two spawn floors of batch work or on one core, otherwise one worker per floor up to the cores and the programs, the caller being one of them |
 //!
 //! ### What a cache hit costs
@@ -200,18 +200,18 @@
 //! |---|---|---|---|
 //! | head and ranking | 4.22 | 0.00 | — (the head's circuit, strategy and four pipeline stages were cloned per dispatch; five vectors per ranking) |
 //! | pack, plan key, replay | 2.34 | 0.82 | a shrink-event vector when the cached plan evicts (the admission policy's pack, counted here, has since moved into a buffer the service keeps, and so have the gate's keys, scores and shrink events) |
-//! | planning (the 4 % that miss) | 2.57 | 2.48 | the plan itself, its members' circuits, the key cloned into the memo (since the memo, no separate copy of the members' indices and ids); a routed circuit is sized once for its source's gates (2.58 while it grew gate by gate) |
+//! | planning (the 4 % that miss) | 2.57 | 1.56 | the plan itself, its members' circuits, the key cloned into the memo (since the memo, no separate copy of the members' indices and ids); a routed circuit is sized once for its source's gates (2.58 while it grew gate by gate); stage 1, routing and the merge work in the dispatch scratch's `PlanScratch` (2.48 while they requested their buffers per miss: counted around the gate pass alone on copies of both trees, 1.74 then and 0.82 now) |
 //! | commit | 6.75 | 2.30 | one member vector, the event block, the device and policy names inside its events (public `String`s) |
 //! | execution | 10.77 | 4.99 | the run's counts — one vector, tallied in place and relabelled to logical order in place, the run's one request (2.78 while a run allocated its own error shots, arena, level pool and tables instead of taking them from the thread's scratch: 6.77 in all) — and the result's partition; the result's name is left empty for the finish pass to move in, and scoring streams over the sparse counts (8.77 while the counts were a tree copied into a second one in logical order and execution named each result; 5.00 → 3.00 of the above when scoring stopped densifying them) |
 //! | finish | 1.28 | 0.77 | the batch report's job ids and device name; each result's name is moved in, not copied |
 //! | drained report | 5.34 | 5.35 | `run_until_drained` clones every result (three requests: name, partition, counts), batch report and event into the report it returns |
-//! | **drain, total** | **33.27** | **16.71** | |
+//! | **drain, total** | **33.27** | **15.79** | |
 //!
 //! `tests/integration_alloc_budget.rs` holds a warm two-chip service to
 //! the *after* column as a per-job budget. Under the batch EFS gate a
 //! batch is a hit by its survivor set, not by its members' threshold
 //! bits: the same file pins a tick of 48 thresholded jobs whose
-//! survivor sets repeat, every batch shrinking, at 403 requests (8.4
+//! survivor sets repeat, every batch shrinking, at 383 requests (8.0
 //! per job); while thresholds were part of the plan key, 8 of its 25
 //! batches missed and it counted 2 848.
 //!

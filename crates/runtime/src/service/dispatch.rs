@@ -23,7 +23,7 @@
 use std::sync::{Arc, OnceLock};
 
 use qucp_core::pipeline::PlannedWorkload;
-use qucp_core::{CoreError, ParallelConfig, ProgramResult, Strategy};
+use qucp_core::{CoreError, ParallelConfig, PlanScratch, ProgramResult, Strategy};
 use qucp_device::Device;
 use qucp_sim::{run_indexed, ExecutionConfig, ShotParallelism, TrajectoryKernel};
 
@@ -168,7 +168,10 @@ impl Service {
         head: &HeadContext,
     ) -> Result<(), RuntimeError> {
         let DispatchScratch {
-            admitting, ranked, ..
+            admitting,
+            ranked,
+            planning,
+            ..
         } = scratch;
         ranked.clear();
         // Only a policy that asks pays for the partition probes:
@@ -185,7 +188,7 @@ impl Service {
         // deterministically.
         for &d in admitting.iter() {
             let partition_score = if wants_score {
-                self.cached_solo_score(head, d)?
+                self.cached_solo_score(planning, head, d)?
             } else {
                 None
             };
@@ -398,9 +401,9 @@ impl Service {
         // of the head circuit before packing, its lists [h; k] read
         // through the plan memo.
         let cap_probe = match (self.efs_gate, head.threshold) {
-            (EfsGate::HeadOnly, Some(threshold)) => {
-                self.cached_head_cap(head, d, threshold)?.map(|c| c.max(1))
-            }
+            (EfsGate::HeadOnly, Some(threshold)) => self
+                .cached_head_cap(&mut scratch.planning, head, d, threshold)?
+                .map(|c| c.max(1)),
             _ => Ok(self.max_parallel),
         };
         let cap = cap_probe.map_err(|e| RuntimeError::from_planning(head.id, e))?;
@@ -409,12 +412,20 @@ impl Service {
             picks_seqs,
             member_seqs,
             gate,
+            planning,
             ..
         } = scratch;
         member_seqs.clone_from(picks_seqs);
         let plan_started = std::time::Instant::now();
         let planned = self
-            .gate_pass(gate, d, head.strategy_key, head.batch_index, member_seqs)
+            .gate_pass(
+                gate,
+                planning,
+                d,
+                head.strategy_key,
+                head.batch_index,
+                member_seqs,
+            )
             .and_then(|pass| pass.plan(member_seqs, &head.strategy));
         self.plan_ns = self
             .plan_ns
@@ -484,6 +495,9 @@ pub(super) struct DispatchScratch {
     pool: Vec<(usize, usize)>,
     /// The planning pass's buffers (empty between passes).
     gate: GateBuffers,
+    /// Stages 1–3's working buffers, lent to every allocation, route
+    /// and merge a plan-memo miss runs (`qucp_core::scratch`).
+    planning: PlanScratch,
     /// The picks that survived planning: the batch's members.
     member_seqs: Vec<usize>,
     /// The members' slots in the job table's queue mirror.

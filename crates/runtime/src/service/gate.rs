@@ -19,7 +19,7 @@ use std::sync::{Arc, OnceLock};
 
 use qucp_circuit::Circuit;
 use qucp_core::pipeline::Pipeline;
-use qucp_core::{Allocation, CoreError, Strategy};
+use qucp_core::{Allocation, CoreError, PlanScratch, Strategy};
 use qucp_device::Device;
 
 use super::route_cache::{PlanEntry, PlanKey, RouteCache, SharedPlan};
@@ -52,13 +52,14 @@ pub(super) struct GateBuffers {
 }
 
 /// One candidate's planning pass: the memo it looks allocations up in,
-/// the table it reads the members in, the device, and the gate's
-/// settings.
+/// the table it reads the members in, the device, the gate's settings,
+/// and the working buffers planning borrows on a miss.
 pub(super) struct GatePass<'a> {
     cache: &'a mut RouteCache,
     jobs: &'a JobTable,
     device: &'a Device,
     buffers: &'a mut GateBuffers,
+    planning: &'a mut PlanScratch,
     gate: EfsGate,
     batch_index: usize,
 }
@@ -69,6 +70,7 @@ impl Service {
     pub(super) fn gate_pass<'a>(
         &'a mut self,
         buffers: &'a mut GateBuffers,
+        planning: &'a mut PlanScratch,
         d: usize,
         strategy: u32,
         batch_index: usize,
@@ -90,6 +92,7 @@ impl Service {
             jobs: &self.jobs,
             device: self.registry.device_at(d),
             buffers,
+            planning,
             gate: self.efs_gate,
             batch_index,
         })
@@ -109,7 +112,9 @@ impl GatePass<'_> {
         let pipeline = Pipeline::from_strategy(head_strategy);
         let device = self.device;
         let planned = self
-            .run(members, |circuits| pipeline.allocate(device, circuits))
+            .run(members, |planning, circuits| {
+                pipeline.allocate(planning, device, circuits)
+            })
             .and_then(|circuits| self.complete(members, circuits, &pipeline));
         self.buffers.clear();
         planned
@@ -135,7 +140,7 @@ impl GatePass<'_> {
     pub(super) fn run(
         &mut self,
         members: &mut Vec<usize>,
-        mut allocate: impl FnMut(&[Circuit]) -> Result<Vec<Allocation>, CoreError>,
+        mut allocate: impl FnMut(&mut PlanScratch, &[Circuit]) -> Result<Vec<Allocation>, CoreError>,
     ) -> Result<Option<Vec<Circuit>>, RuntimeError> {
         let gated = self.gate.reads_member_thresholds();
         let mut circuits = None;
@@ -204,7 +209,7 @@ impl GatePass<'_> {
         &mut self,
         members: &[usize],
         circuits: &mut Option<Vec<Circuit>>,
-        allocate: &mut impl FnMut(&[Circuit]) -> Result<Vec<Allocation>, CoreError>,
+        allocate: &mut impl FnMut(&mut PlanScratch, &[Circuit]) -> Result<Vec<Allocation>, CoreError>,
     ) -> Result<Option<usize>, RuntimeError> {
         // The key holds one member's shape at a time, the list aside.
         let buffers = &mut *self.buffers;
@@ -255,16 +260,16 @@ impl GatePass<'_> {
         members: &[usize],
         span: Range<usize>,
         circuits: &mut Option<Vec<Circuit>>,
-        allocate: &mut impl FnMut(&[Circuit]) -> Result<Vec<Allocation>, CoreError>,
+        allocate: &mut impl FnMut(&mut PlanScratch, &[Circuit]) -> Result<Vec<Allocation>, CoreError>,
         read: impl FnOnce(&PlanEntry) -> T,
     ) -> Result<(bool, T), RuntimeError> {
-        let jobs = self.jobs;
+        let (jobs, planning) = (self.jobs, &mut *self.planning);
         let allocate_list = || {
             if circuits.is_none() {
                 *circuits = Some(member_circuits(jobs, members)?);
             }
             let list = circuits.as_deref().map_or(&[][..], |c| &c[span]);
-            Ok(allocate(list))
+            Ok(allocate(planning, list))
         };
         self.cache.memoized(&self.buffers.key, allocate_list, read)
     }
@@ -301,7 +306,8 @@ impl GatePass<'_> {
             Some(circuits) => circuits,
             None => member_circuits(self.jobs, members)?,
         };
-        let plan = Arc::new(pipeline.complete(self.device, circuits, allocations));
+        let plan = pipeline.complete(self.planning, self.device, circuits, allocations);
+        let plan = Arc::new(plan);
         *entry = PlanEntry::Planned {
             plan: Arc::clone(&plan),
             slots: None,

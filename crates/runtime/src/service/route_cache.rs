@@ -21,7 +21,7 @@ use std::sync::{Arc, OnceLock};
 
 use qucp_core::pipeline::PlannedWorkload;
 use qucp_core::threshold::{copies_within_threshold, mean_efs_score};
-use qucp_core::{allocate_partitions, Allocation, CoreError};
+use qucp_core::{allocate_partitions_in, Allocation, CoreError, PlanScratch};
 use qucp_sim::PreparedJob;
 
 use super::dispatch::HeadContext;
@@ -246,16 +246,18 @@ impl Service {
     /// The head circuit's solo-best EFS partition score on device `d`:
     /// the entry of its one-member list `[h]`, under the key of the EFS
     /// gate's solo baseline; `None` if the head has no placement there.
+    /// A miss allocates on `planning`'s buffers.
     ///
     /// # Errors
     ///
     /// [`RuntimeError::QueueCorrupted`] if the head is not queued.
     pub(super) fn cached_solo_score(
         &mut self,
+        planning: &mut PlanScratch,
         head: &HeadContext,
         d: usize,
     ) -> Result<Option<f64>, RuntimeError> {
-        self.probe_copies(head, d, |mean_score| mean_score(1).ok())
+        self.probe_copies(planning, head, d, |mean_score| mean_score(1).ok())
     }
 
     /// The head-only EFS gate's admissible copy count on device `d`:
@@ -267,12 +269,13 @@ impl Service {
     /// [`RuntimeError::QueueCorrupted`] if the head is not queued.
     pub(super) fn cached_head_cap(
         &mut self,
+        planning: &mut PlanScratch,
         head: &HeadContext,
         d: usize,
         threshold: f64,
     ) -> Result<Result<usize, CoreError>, RuntimeError> {
         let k_max = self.max_parallel;
-        self.probe_copies(head, d, |mean_score| {
+        self.probe_copies(planning, head, d, |mean_score| {
             copies_within_threshold(threshold, k_max, mean_score)
         })
     }
@@ -283,6 +286,7 @@ impl Service {
     /// borrowed `k` times. The probe is a hit if it allocated no list.
     fn probe_copies<T>(
         &mut self,
+        planning: &mut PlanScratch,
         head: &HeadContext,
         d: usize,
         walk: impl FnOnce(&mut dyn FnMut(usize) -> Result<f64, CoreError>) -> T,
@@ -296,8 +300,10 @@ impl Service {
         let value = walk(&mut |k| {
             key.shapes.clear();
             key.shapes.resize(k, head.shape.clone());
-            let copies =
-                || Ok::<_, Infallible>(allocate_partitions(device, &vec![circuit; k], partition));
+            let copies = || {
+                let list = vec![circuit; k];
+                Ok::<_, Infallible>(allocate_partitions_in(planning, device, &list, partition))
+            };
             let read = |entry: &PlanEntry| entry.allocations().map(mean_efs_score);
             let Ok((found, score)) = cache.memoized(&key, copies, read);
             allocated |= !found;

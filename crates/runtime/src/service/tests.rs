@@ -11,7 +11,7 @@ use crate::registry::DeviceId;
 use qucp_circuit::Circuit;
 use qucp_core::best_partition;
 use qucp_core::pipeline::{Pipeline, PlannedWorkload};
-use qucp_core::{strategy, Strategy};
+use qucp_core::{strategy, PlanScratch, Strategy};
 use qucp_device::{ibm, Calibration, CrosstalkModel, Device};
 use qucp_sim::{ShotParallelism, TrajectoryKernel};
 
@@ -1442,11 +1442,14 @@ fn a_batch_that_shrinks_k_times_routes_and_merges_once() {
         for pass in 0..2 {
             let mut buffers = GateBuffers::default();
             let mut members = seqs.clone();
-            let mut gate_pass = service.gate_pass(&mut buffers, 0, 0, 7, &members).unwrap();
+            let mut planning = PlanScratch::default();
+            let mut gate_pass = service
+                .gate_pass(&mut buffers, &mut planning, 0, 0, 7, &members)
+                .unwrap();
             let circuits = gate_pass
-                .run(&mut members, |list| {
+                .run(&mut members, |planning, list| {
                     allocated.push(list.iter().map(|c| c.name().to_string()).collect());
-                    pipeline.allocate(&device, list)
+                    pipeline.allocate(planning, &device, list)
                 })
                 .unwrap();
             let shared = gate_pass.complete(&members, circuits, &pipeline).unwrap();

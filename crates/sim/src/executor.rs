@@ -419,20 +419,34 @@ fn trivial_layout(width: usize) -> Vec<usize> {
 ///
 /// Panics if a two-qubit gate does not land on a coupling link.
 pub fn gate_durations(circuit: &Circuit, layout: &[usize], device: &Device) -> Vec<f64> {
+    let mut durations = Vec::new();
+    gate_durations_into(circuit, layout, device, &mut durations);
+    durations
+}
+
+/// [`gate_durations`] into `durations`, emptied first: a caller timing
+/// program after program (the merge in `qucp-core`) reuses one vector.
+///
+/// # Panics
+///
+/// Panics if a two-qubit gate does not land on a coupling link.
+pub fn gate_durations_into(
+    circuit: &Circuit,
+    layout: &[usize],
+    device: &Device,
+    durations: &mut Vec<f64>,
+) {
     let cal = device.calibration();
-    circuit
-        .gates()
-        .iter()
-        .map(|g| {
-            let qs = g.qubits();
-            let qs = qs.as_slice();
-            match g {
-                Gate::Swap(..) => 3.0 * cal.cx_duration(Link::new(layout[qs[0]], layout[qs[1]])),
-                g if g.is_two_qubit() => cal.cx_duration(Link::new(layout[qs[0]], layout[qs[1]])),
-                _ => cal.sq_duration(),
-            }
-        })
-        .collect()
+    durations.clear();
+    durations.extend(circuit.gates().iter().map(|g| {
+        let qs = g.qubits();
+        let qs = qs.as_slice();
+        match g {
+            Gate::Swap(..) => 3.0 * cal.cx_duration(Link::new(layout[qs[0]], layout[qs[1]])),
+            g if g.is_two_qubit() => cal.cx_duration(Link::new(layout[qs[0]], layout[qs[1]])),
+            _ => cal.sq_duration(),
+        }
+    }));
 }
 
 /// Noiseless output probabilities of a circuit (dense, little-endian).
@@ -801,6 +815,29 @@ impl Lane {
     }
 }
 
+/// [`build_plan`]'s working vectors, kept by the thread between builds
+/// ([`scratch::take_plan`]): the slots before they become events, and
+/// one lane per qubit.
+#[derive(Default)]
+struct PlanBuffers {
+    slots: Vec<Slot>,
+    lanes: Vec<Lane>,
+}
+
+impl PlanBuffers {
+    /// Empties both vectors, keeping their capacity.
+    fn clear(&mut self) {
+        self.slots.clear();
+        self.lanes.clear();
+    }
+
+    /// The heap bytes the two vectors hold.
+    fn heap_bytes(&self) -> usize {
+        self.slots.capacity() * std::mem::size_of::<Slot>()
+            + self.lanes.capacity() * std::mem::size_of::<Lane>()
+    }
+}
+
 /// Builds the shared trajectory plan (see [`TrajectoryPlan`]) of a
 /// validated mapped job timed by `sched`, its ALAP schedule.
 ///
@@ -862,8 +899,14 @@ pub(crate) fn build_plan(
     } else {
         0
     };
-    let mut slots: Vec<Slot> = Vec::with_capacity(entries.len() + spans + tails().count());
-    let mut lanes = vec![Lane::default(); if idle { circuit.width() } else { 0 }];
+    // The slot and lane vectors are the thread's, taken empty and given
+    // back: only the event stream is the plan's.
+    let PlanBuffers {
+        mut slots,
+        mut lanes,
+    } = scratch::take_plan();
+    slots.reserve(entries.len() + spans + tails().count());
+    lanes.resize(if idle { circuit.width() } else { 0 }, Lane::default());
     for (rank, e) in entries.iter().enumerate() {
         slots.push(Slot::gate(e.start, rank, e.gate_index));
         if !idle {
@@ -933,6 +976,7 @@ pub(crate) fn build_plan(
         }
     });
     let events: Vec<Event> = events.collect();
+    scratch::give_plan(PlanBuffers { slots, lanes });
 
     // The products `prefix_survival` takes, in its order.
     let clean = events

@@ -34,6 +34,10 @@ const SCREEN_WORDS: usize = 64;
 /// refill of the generator, and room for two screened chunks.
 const AHEAD_HALVES: usize = 4 * SCREEN_WORDS;
 
+/// The words of one lane vector: a shorter strip is screened by the
+/// scalar fold, where the lane body's call costs what it saves.
+const LANE_WORDS: usize = 8;
+
 #[cfg(test)]
 thread_local! {
     /// Set while a test forces the scalar screen on this thread (and on
@@ -73,10 +77,12 @@ impl Screen {
 
     /// Bit `k` set iff [`word`] `k` of `halves` is below `bounds[k]`
     /// (`BELOW`) or at most it, for `k < bounds.len()` (at most 64).
+    /// Fewer than [`LANE_WORDS`] words are screened by the scalar fold
+    /// whatever the body.
     fn mask<const BELOW: bool>(self, halves: &[u32], bounds: &[u64]) -> u64 {
         match self.0 {
-            Some(lanes) => lanes.screen::<BELOW>(halves, bounds),
-            None => screen_scalar::<BELOW>(halves, bounds),
+            Some(lanes) if bounds.len() >= LANE_WORDS => lanes.screen::<BELOW>(halves, bounds),
+            _ => screen_scalar::<BELOW>(halves, bounds),
         }
     }
 }

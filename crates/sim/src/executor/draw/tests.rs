@@ -15,8 +15,8 @@ use super::super::{
 };
 use super::{
     event_error, gate_errs, idle_pauli, pack, readout_flips, replay_outcome, scalar_screen,
-    screen_events, screen_scalar, sort_key, unpack, Ahead, ErrorKey, ErrorShot, ScreenLanes,
-    AHEAD_HALVES, SCREEN_WORDS, UNTYPED,
+    screen_events, screen_scalar, sort_key, unpack, Ahead, ErrorKey, ErrorShot, Screen,
+    ScreenLanes, AHEAD_HALVES, LANE_WORDS, SCREEN_WORDS, UNTYPED,
 };
 
 /// Runs `check` on the screen body this CPU picks, then on the scalar
@@ -512,9 +512,20 @@ fn the_lane_screen_equals_the_scalar_fold() {
                     assert_eq!(lanes.screen::<false>(halves, &bounds), at_most, "{what}");
                     assert_eq!(lanes.screen::<true>(halves, &bounds), below, "{what}");
                 }
+                // The dispatch, on both sides of the short-strip cut.
+                for screen in [Screen(None), Screen(lanes)] {
+                    assert_eq!(screen.mask::<false>(halves, &bounds), at_most, "{what}");
+                    assert_eq!(screen.mask::<true>(halves, &bounds), below, "{what}");
+                }
             }
         }
     }
+    const {
+        assert!(
+            LANE_WORDS > 0 && LANE_WORDS < SCREEN_WORDS,
+            "lengths 0..=64 cross the cut"
+        )
+    };
 }
 
 /// Draws `shots` outcome uniforms and readout masks of `strip` through

@@ -1,6 +1,7 @@
 //! What a run fills and drops, kept by the thread that ran it: the
 //! error buffers of the stream its histogram is joined in, and one
-//! walking worker's level pool and sampling tables.
+//! walking worker's level pool and sampling tables; and what building a
+//! job's event stream fills and drops, its slot and lane vectors.
 //!
 //! Buffers are taken out of the thread's [`RunScratch`] and given back
 //! to it, each in one short borrow: no borrow is held across a draw or
@@ -14,6 +15,7 @@ use std::cell::RefCell;
 
 use super::draw::Errors;
 use super::evaluate::Levels;
+use super::PlanBuffers;
 
 /// The heap bytes a thread keeps between runs, at most (1 MiB): room
 /// for every run of the paper's 8 192-shot jobs on registers of up to
@@ -29,6 +31,8 @@ struct RunScratch {
     join: Option<Errors>,
     /// One walking worker's level pool and sampling tables.
     levels: Option<Levels>,
+    /// The event builder's slot and lane vectors.
+    plan: Option<PlanBuffers>,
 }
 
 thread_local! {
@@ -36,6 +40,7 @@ thread_local! {
         RefCell::new(RunScratch {
             join: None,
             levels: None,
+            plan: None,
         })
     };
 }
@@ -70,20 +75,37 @@ pub(super) fn give_levels(levels: Levels) {
     with(|s| s.levels = Some(levels));
 }
 
+/// The event builder's slot and lane vectors, empty.
+pub(super) fn take_plan() -> PlanBuffers {
+    let mut plan = with(|s| s.plan.take()).unwrap_or_default();
+    plan.clear();
+    plan
+}
+
+pub(super) fn give_plan(plan: PlanBuffers) {
+    with(|s| s.plan = Some(plan));
+}
+
 /// Frees what would keep this thread's scratch above
 /// [`SCRATCH_RETAIN_BYTES`]: the join buffers are kept first, then the
-/// level pool and tables if they fit in what is left.
+/// level pool and tables if they fit in what is left, then the event
+/// builder's vectors if they fit in what is left after those.
 pub(super) fn trim() {
     with(|s| {
         let join = s.join.as_ref().map_or(0, Errors::heap_bytes);
         if join > SCRATCH_RETAIN_BYTES {
             s.join = None;
         }
-        let left = SCRATCH_RETAIN_BYTES
+        let mut left = SCRATCH_RETAIN_BYTES
             .checked_sub(join)
             .unwrap_or(SCRATCH_RETAIN_BYTES);
-        if s.levels.as_ref().is_some_and(|l| l.heap_bytes() > left) {
-            s.levels = None;
+        match s.levels.as_ref().map(Levels::heap_bytes) {
+            Some(levels) if levels > left => s.levels = None,
+            Some(levels) => left -= levels,
+            None => {}
+        }
+        if s.plan.as_ref().is_some_and(|p| p.heap_bytes() > left) {
+            s.plan = None;
         }
     });
 }
@@ -93,6 +115,7 @@ pub(super) fn trim() {
 pub(super) fn retained_bytes() -> usize {
     with(|s| {
         let join = s.join.as_ref().map_or(0, Errors::heap_bytes);
-        join + s.levels.as_ref().map_or(0, Levels::heap_bytes)
+        let plan = s.plan.as_ref().map_or(0, PlanBuffers::heap_bytes);
+        join + s.levels.as_ref().map_or(0, Levels::heap_bytes) + plan
     })
 }

@@ -241,9 +241,9 @@ mod unitaries;
 pub use counts::Counts;
 pub use density::{apply_readout_confusion, exact_probabilities};
 pub use executor::{
-    auto_shard_count, clean_shot_probability, derive_shard_seed, gate_durations, ideal_outcome,
-    noiseless_probabilities, run_noisy, ExecutionConfig, NoiseScaling, PreparedJob,
-    ShotParallelism, SimError, TrajectoryKernel,
+    auto_shard_count, clean_shot_probability, derive_shard_seed, gate_durations,
+    gate_durations_into, ideal_outcome, noiseless_probabilities, run_noisy, ExecutionConfig,
+    NoiseScaling, PreparedJob, ShotParallelism, SimError, TrajectoryKernel,
 };
 pub use fanout::run_indexed;
 pub use state::Statevector;

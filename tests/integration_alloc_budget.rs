@@ -221,8 +221,16 @@ fn a_cached_batch_stays_within_its_heap_budget() {
 
 /// Heap requests of one `tick` of 64 cold jobs (every batch planned,
 /// prepared and run from scratch; the count is exact and the same in
-/// debug and release): 4 273 with one job to a batch, 3 660 with two —
-/// 66.8 and 57.2 per job. While a program was also scored against a
+/// debug and release): 2 449 with one job to a batch, 1 868 with two —
+/// 38.3 and 29.2 per job. A plan-memo miss plans on the buffers the
+/// service's dispatch scratch lends it (stage 1's growth mask, region,
+/// order and masks; routing's partition-local graph, distance table and
+/// interaction weights; the merge's durations and overlap tables) and
+/// finds calibration entries through the topology's link index, and the
+/// event builder takes its slot and lane vectors from the thread's
+/// scratch: a miss asks the heap for what the plan keeps. While each of
+/// those was requested afresh per program, the same tick counted 4 273
+/// and 3 660. While a program was also scored against a
 /// second evolution of its logical circuit (a statevector and a
 /// probability vector, two requests per prepared program) instead of
 /// the prepared job's ideal distribution, the same tick counted 4 401
@@ -268,9 +276,11 @@ fn a_cached_batch_stays_within_its_heap_budget() {
 /// (`PreparedJob::prepare` for `prepare_scheduled`), costs requests per
 /// prepared program; `prepare` evolving the logical circuit again
 /// (`Statevector::from_circuit` and its `probabilities()`) costs two
-/// per prepared program. Each fails.
-const COLD_SOLO_REQUESTS: u64 = 4_273;
-const COLD_PAIR_REQUESTS: u64 = 3_660;
+/// per prepared program; routing building a fresh partition-local graph
+/// per program again (`LocalGraph::default()` in `map_in`) costs six
+/// per routed program. Each fails.
+const COLD_SOLO_REQUESTS: u64 = 2_449;
+const COLD_PAIR_REQUESTS: u64 = 1_868;
 
 #[test]
 fn a_cold_batch_stays_within_its_heap_budget() {
@@ -307,8 +317,9 @@ fn thresholded_tick(jobs: usize) -> Tick {
 
 /// Heap requests of one `tick` of 48 thresholded jobs whose survivor
 /// sets repeat (the count is exact and the same in debug and release):
-/// 403, 25 batches and 26 evictions, every batch's allocations and plan
-/// read from the plan memo; 433 while a run allocated its own working
+/// 383, 25 batches and 26 evictions, every batch's allocations and plan
+/// read from the plan memo; 403 while the event builder requested its
+/// slot and lane vectors per prepared program; 433 while a run allocated its own working
 /// buffers instead of taking those its thread kept; 529 while a run's
 /// histogram was a tree,
 /// copied into a second one in logical order, and execution named each
@@ -323,7 +334,7 @@ fn thresholded_tick(jobs: usize) -> Tick {
 /// bits again misses 8 of the tick's 25 batches and counts 2 074 more
 /// (546 and 2 603 when they were measured, with the tree histograms).
 /// Each fails.
-const THRESHOLDED_REQUESTS: u64 = 403;
+const THRESHOLDED_REQUESTS: u64 = 383;
 
 #[test]
 fn a_thresholded_batch_whose_survivors_repeat_reuses_their_plan() {
@@ -339,11 +350,13 @@ fn a_thresholded_batch_whose_survivors_repeat_reuses_their_plan() {
 /// Heap requests of stage 1 — candidate growth and EFS scoring — for
 /// `adder`, `fredkin` and `bell` on Toronto under QuCP's σ, with the
 /// device's region atlas already holding the three widths (the count
-/// is exact and the same in debug and release): 16. The first
+/// is exact and the same in debug and release): 13. The first
 /// program reads the idle chip's regions; the two later ones borrow
 /// every idle region that avoids the qubits already taken, grow the
 /// other seeds in buffers kept for the call, and copy a candidate out
-/// only when it becomes the best so far. While growth around taken
+/// only when it becomes the best so far. While the call's buffers were
+/// not one lent scratch (the placement order, the taken-qubit mask and
+/// the claimed links each their own vector), it counted 16. While growth around taken
 /// qubits regrew every free seed, rebuilt its CNOT-error table per call
 /// and collected every candidate and crosstalk pair, the same call
 /// counted 73. The budget is the count.
@@ -354,7 +367,7 @@ fn a_thresholded_batch_whose_survivors_repeat_reuses_their_plan() {
 /// of borrowing costs time, not heap requests: the device's
 /// `growth_around_taken_qubits_regrows_only_seeds_whose_idle_region_is_taken`
 /// counts grown seeds.)
-const WARM_STAGE_ONE_REQUESTS: u64 = 16;
+const WARM_STAGE_ONE_REQUESTS: u64 = 13;
 
 #[test]
 fn stage_one_of_three_programs_on_a_warm_atlas_stays_within_its_heap_budget() {

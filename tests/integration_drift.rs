@@ -505,3 +505,83 @@ fn auto_override_matches_its_documented_resolution() {
         "a 2048-shot Auto job must actually shard"
     );
 }
+
+/// FNV-1a over every link of `device` in canonical order: both
+/// endpoints, then the bits of its CNOT error and duration as
+/// `Calibration::cx_error` / `cx_duration` read them.
+fn link_table_digest(device: &qucp_device::Device) -> u64 {
+    let cal = device.calibration();
+    let mut hash = 0xCBF2_9CE4_8422_2325u64;
+    for &l in device.topology().links() {
+        for word in [
+            l.low() as u64,
+            l.high() as u64,
+            cal.cx_error(l).to_bits(),
+            cal.cx_duration(l).to_bits(),
+        ] {
+            for byte in word.to_le_bytes() {
+                hash = (hash ^ u64::from(byte)).wrapping_mul(0x0100_0000_01B3);
+            }
+        }
+    }
+    hash
+}
+
+/// Per device of the three IBM twins and `mega_fleet(16)`: the digest
+/// of its link table fresh, and after 50 steps of a `GaussianWalk`
+/// salted by its position in this list.
+fn link_table_digests() -> Vec<(String, u64, u64)> {
+    let fleet = qucp_bench::mega_fleet(16, qucp_bench::EXPERIMENT_SEED);
+    let mut devices = vec![ibm::toronto(), ibm::manhattan(), ibm::melbourne()];
+    devices.extend(fleet.iter().map(|(_, d)| d.clone()));
+    let walk = GaussianWalk::new(0x7AB1E, 1.0);
+    (devices.iter().enumerate())
+        .map(|(salt, device)| {
+            let (mut cal, mut xt) = (device.calibration().clone(), device.crosstalk().clone());
+            for step in 1..=50 {
+                walk.apply_step(step, salt as u64, &mut cal, &mut xt);
+            }
+            let drifted = device.with_state(cal, xt);
+            let name = device.name().to_string();
+            (name, link_table_digest(device), link_table_digest(&drifted))
+        })
+        .collect()
+}
+
+/// The digests [`link_table_digests`] printed while a calibration kept
+/// its CNOT errors and durations in ordered maps keyed by link.
+const MAP_ERA_DIGESTS: &[(&str, u64, u64)] = &[
+    ("ibmq_toronto", 0xE5749EEC12B3A237, 0xDBADE19546E08C9B),
+    ("ibmq_manhattan", 0xA269ED9CCA402F0E, 0xC8D687DF43CB5CA2),
+    ("ibmq_16_melbourne", 0x6C9C5CCE7A51D20D, 0xD8B8F89C6CEE7C31),
+    ("mega-000-w8", 0xD882937FEFEB65C1, 0xD92F7235ACFA24FD),
+    ("mega-001-w12", 0xB40C799071528D8A, 0x83A63EE6C059983E),
+    ("mega-002-w16", 0xD3351E8467CDE3CE, 0x68D0BAE77D43C754),
+    ("mega-003-w27", 0x86781EA765022E19, 0x31C8A28CAD989651),
+    ("mega-004-w8", 0xFD6A3DA563706C97, 0xC4AD84E67A22047C),
+    ("mega-005-w12", 0xFBEB1BE8B63C2E27, 0xF0154BAEF265BF1F),
+    ("mega-006-w16", 0x22FEA05218378561, 0x28409A73293DFC3A),
+    ("mega-007-w27", 0xE392AA9C1DFE6995, 0x602A30EA78111486),
+    ("mega-008-w8", 0xB73086D2F58EF33C, 0x5BB696C1F661C09E),
+    ("mega-009-w12", 0x3EC1425AD5DEAADC, 0x7B444579C37CD432),
+    ("mega-010-w16", 0x1306ED16F944800A, 0xC62CA9CCE0EE41DB),
+    ("mega-011-w27", 0xF2A36F54417F5E29, 0xBE63868AD2C7D662),
+    ("mega-012-w8", 0x7EABDBC685752AA2, 0x903AB95D9DCEC3A9),
+    ("mega-013-w12", 0x8F06702813E35BD9, 0x40E436A5A0648F1F),
+    ("mega-014-w16", 0xE7D50E3533FA50D5, 0xB84A59060F551052),
+    ("mega-015-w27", 0xA5C126D5FD0EDE43, 0xCBC53111C2BB2939),
+];
+
+/// A calibration's link table reads, on every link of every chip, the
+/// values its ordered maps held, fresh and after 50 drift steps: the
+/// table keeps the maps' iteration order, so synthesis and every drift
+/// step draw the same words for the same links.
+#[test]
+fn the_link_table_reads_what_the_ordered_maps_held() {
+    let digests = link_table_digests();
+    let expected: Vec<(String, u64, u64)> = MAP_ERA_DIGESTS
+        .iter()
+        .map(|&(name, fresh, drifted)| (name.to_string(), fresh, drifted))
+        .collect();
+    assert_eq!(digests, expected);
+}
