@@ -16,6 +16,7 @@
 //! property).
 
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 use qucp_circuit::{Circuit, Gate};
 use qucp_core::{CrosstalkTreatment, PartitionPolicy, ProgramResult, Strategy};
@@ -533,7 +534,7 @@ wire_struct!(DeviceReport {
 wire_struct!(BatchReport {
     batch_index: usize,
     device: String,
-    job_ids: Vec<u64>,
+    job_ids: Arc<[u64]>,
     start: f64,
     completion: f64,
     makespan: f64,
@@ -548,7 +549,7 @@ wire_struct!(JobResult {
     completion: f64,
     waiting: f64,
     turnaround: f64,
-    result: ProgramResult,
+    result: Arc<ProgramResult>,
 });
 
 wire_struct!(ProgramResult {
@@ -596,27 +597,27 @@ wire_enum! {
     0 => JobSubmitted { job_id: u64, seq: usize, arrival: f64, width: usize, shots: usize },
     1 => BatchRouted {
         batch_index: usize,
-        device: String,
-        policy: String,
+        device: Arc<str>,
+        policy: Arc<str>,
         score: f64,
         start: f64,
         candidates: usize
     },
     2 => BatchPlanned {
         batch_index: usize,
-        device: String,
-        job_ids: Vec<u64>,
+        device: Arc<str>,
+        job_ids: Arc<[u64]>,
         start: f64,
         makespan: f64
     },
     3 => BatchShrunk {
         batch_index: usize,
-        device: String,
+        device: Arc<str>,
         dropped_job_id: u64,
         remaining: usize,
         reason: ShrinkReason
     },
-    4 => DeviceRecalibrated { device: String, epoch: u64 },
+    4 => DeviceRecalibrated { device: Arc<str>, epoch: u64 },
     5 => JobCompleted {
         job_id: u64,
         seq: usize,

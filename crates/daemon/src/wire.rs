@@ -21,6 +21,7 @@
 //! length guard divides by) is derived from the same list.
 
 use std::fmt;
+use std::sync::Arc;
 
 /// Hard cap on one frame's payload (16 MiB). A drained
 /// [`ServiceReport`](qucp_runtime::ServiceReport) of thousands of jobs
@@ -307,9 +308,15 @@ impl<'a> Decoder<'a> {
 
     /// Reads a length-prefixed UTF-8 string.
     pub fn str(&mut self) -> Result<String, WireError> {
+        self.str_ref().map(String::from)
+    }
+
+    /// Reads a length-prefixed UTF-8 string in place: the slice of the
+    /// buffer that holds it.
+    pub fn str_ref(&mut self) -> Result<&'a str, WireError> {
         let len = self.seq_len::<u8>()?;
         let bytes = self.take(len)?;
-        String::from_utf8(bytes.to_vec()).map_err(|_| WireError::InvalidUtf8)
+        std::str::from_utf8(bytes).map_err(|_| WireError::InvalidUtf8)
     }
 }
 
@@ -369,6 +376,51 @@ impl Wire for String {
     }
     fn get(d: &mut Decoder<'_>) -> Result<Self, WireError> {
         d.str()
+    }
+}
+
+/// [`String`]'s layout, read into one allocation.
+impl Wire for Arc<str> {
+    const MIN_BYTES: usize = String::MIN_BYTES;
+    fn put(&self, e: &mut Encoder) {
+        e.str(self);
+    }
+    fn get(d: &mut Decoder<'_>) -> Result<Self, WireError> {
+        d.str_ref().map(Arc::from)
+    }
+}
+
+/// `Vec<u64>`'s layout, read into one allocation sized from the
+/// declared length.
+impl Wire for Arc<[u64]> {
+    const MIN_BYTES: usize = Vec::<u64>::MIN_BYTES;
+    fn put(&self, e: &mut Encoder) {
+        e.usize(self.len());
+        for &word in self.iter() {
+            e.u64(word);
+        }
+    }
+    fn get(d: &mut Decoder<'_>) -> Result<Self, WireError> {
+        // `seq_len` has checked that the bytes hold `len` words; their
+        // exact-size chunks collect into one allocation, where pushing
+        // them into a `Vec` first would take two.
+        let len = d.seq_len::<u64>()?;
+        let words = d.take(len * u64::MIN_BYTES)?;
+        Ok(words
+            .chunks_exact(u64::MIN_BYTES)
+            .map(|word| u64::from_le_bytes(word.try_into().expect("len 8")))
+            .collect())
+    }
+}
+
+/// The shared value's own layout.
+impl<T: Wire> Wire for Arc<T> {
+    const MIN_BYTES: usize = T::MIN_BYTES;
+    fn put(&self, e: &mut Encoder) {
+        (**self).put(e);
+    }
+    fn get(d: &mut Decoder<'_>) -> Result<Self, WireError> {
+        T::get(d).map(Arc::new)
     }
 }
 
@@ -676,6 +728,46 @@ mod tests {
             decode::<Vec<Mark>>(&bytes),
             Err(WireError::LengthOverflow { len: 3, max: 2 })
         );
+    }
+
+    fn bytes_of<T: Wire>(value: &T) -> Vec<u8> {
+        let mut bytes = Vec::new();
+        encode_into(value, &mut bytes);
+        bytes
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
+
+        /// A shared value travels as its owned twin — `Arc<str>` as
+        /// `String`, `Arc<[u64]>` as `Vec<u64>`, `Arc<T>` as `T`: the
+        /// same bytes, the same fewest bytes, and the twin's bytes
+        /// decode to the shared value.
+        #[test]
+        fn a_shared_value_encodes_the_bytes_of_its_owned_twin(
+            chars in proptest::collection::vec(0u32..0x11_0000, 0usize..12),
+            words in proptest::collection::vec(0u64..u64::MAX, 0usize..12),
+            fields in (0u16..u16::MAX, 0u64..4),
+        ) {
+            let (from, to) = fields;
+            let text: String = chars.iter().filter_map(|&c| char::from_u32(c)).collect();
+            let shared: Arc<str> = Arc::from(text.as_str());
+            proptest::prop_assert_eq!(bytes_of(&shared), bytes_of(&text));
+            proptest::prop_assert_eq!(decode::<Arc<str>>(&bytes_of(&text)), Ok(shared));
+
+            let shared: Arc<[u64]> = Arc::from(words.as_slice());
+            proptest::prop_assert_eq!(bytes_of(&shared), bytes_of(&words));
+            proptest::prop_assert_eq!(decode::<Arc<[u64]>>(&bytes_of(&words)), Ok(shared));
+
+            let span = Span { from, to: to.checked_sub(1) };
+            let shared = Arc::new(Span { from, to: span.to });
+            proptest::prop_assert_eq!(bytes_of(&shared), bytes_of(&span));
+            proptest::prop_assert_eq!(decode::<Arc<Span>>(&bytes_of(&span)), Ok(shared));
+
+            proptest::prop_assert_eq!(Arc::<str>::MIN_BYTES, String::MIN_BYTES);
+            proptest::prop_assert_eq!(Arc::<[u64]>::MIN_BYTES, Vec::<u64>::MIN_BYTES);
+            proptest::prop_assert_eq!(Arc::<Span>::MIN_BYTES, Span::MIN_BYTES);
+        }
     }
 
     #[test]

@@ -11,6 +11,7 @@
 //! trailing field gets a new frame beside the old ones.
 
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 use qucp_circuit::{Circuit, Gate};
 use qucp_core::{CoreError, CrosstalkTreatment, PartitionPolicy, ProgramResult, Strategy};
@@ -223,7 +224,7 @@ fn job_result(job_id: u64, pst: Option<f64>) -> JobResult {
         completion: 460.0,
         waiting: 90.0,
         turnaround: 450.0,
-        result: ProgramResult {
+        result: Arc::new(ProgramResult {
             name: "bell".into(),
             partition: vec![4, 7],
             efs: 0.03125,
@@ -231,7 +232,7 @@ fn job_result(job_id: u64, pst: Option<f64>) -> JobResult {
             counts: Counts::from_entries(2, [(0, 30), (3, 33), (1, 1)]).expect("valid counts"),
             pst,
             jsd: 0.015625,
-        },
+        }),
     }
 }
 
@@ -273,7 +274,7 @@ fn events() -> Vec<(&'static str, Event)> {
             Event::BatchPlanned {
                 batch_index: 2,
                 device: "toronto".into(),
-                job_ids: vec![41, 42],
+                job_ids: Arc::from([41, 42]),
                 start: 100.0,
                 makespan: 360.0,
             },
@@ -435,7 +436,7 @@ fn responses() -> Vec<(&'static str, Response)> {
                 batches: vec![BatchReport {
                     batch_index: 2,
                     device: "toronto".into(),
-                    job_ids: vec![41, 42],
+                    job_ids: Arc::from([41, 42]),
                     start: 100.0,
                     completion: 460.0,
                     makespan: 360.0,

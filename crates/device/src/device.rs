@@ -106,6 +106,13 @@ impl Device {
         &self.name
     }
 
+    /// The device name as the reference-counted string every device of
+    /// this chip shares ([`with_state`](Device::with_state) keeps it):
+    /// a holder that clones it copies no byte of the name.
+    pub fn shared_name(&self) -> &Arc<str> {
+        &self.name
+    }
+
     /// The coupling topology.
     pub fn topology(&self) -> &Topology {
         &self.topology
@@ -218,6 +225,7 @@ mod tests {
         assert_eq!(edited.calibration().readout_error(0), 0.2);
         assert_eq!(d.calibration().readout_error(0), 0.03);
         assert!(std::ptr::eq(edited.topology(), d.topology()));
+        assert!(Arc::ptr_eq(edited.shared_name(), d.shared_name()));
     }
 
     #[test]

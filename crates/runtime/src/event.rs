@@ -14,6 +14,15 @@
 //! `BatchPlanned`, the `JobCompleted`s) is *buffered at staging time*
 //! and emitted contiguously when the batch finishes, in batch order:
 //! execution threads never interleave into the log.
+//!
+//! An event shares what the service already keeps instead of copying
+//! it: a device's name is the `Arc<str>` every device of the chip
+//! holds, a routing policy's name is interned once per service, and a
+//! planned batch's member ids are the one `Arc<[u64]>` its
+//! [`BatchReport`](crate::BatchReport) also holds. Cloning an event —
+//! the drained report clones the log — copies no string and no id list.
+
+use std::sync::Arc;
 
 /// Why a planned batch lost its tail member.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -49,9 +58,9 @@ pub enum Event {
         /// Batch position in global dispatch order.
         batch_index: usize,
         /// Name of the winning device.
-        device: String,
+        device: Arc<str>,
         /// Display name of the routing policy that decided.
-        policy: String,
+        policy: Arc<str>,
         /// The winning candidate's routing score (lower is better: the
         /// device clock under `EarliestFree`, blended
         /// quality-plus-pressure under `CalibrationAware`).
@@ -66,9 +75,10 @@ pub enum Event {
         /// Batch position in global dispatch order.
         batch_index: usize,
         /// Name of the device the batch was routed to.
-        device: String,
-        /// Ids of the members, in program order.
-        job_ids: Vec<u64>,
+        device: Arc<str>,
+        /// Ids of the members, in program order (shared with the
+        /// batch's [`BatchReport`](crate::BatchReport)).
+        job_ids: Arc<[u64]>,
         /// Simulated start time (ns).
         start: f64,
         /// Merged-schedule makespan (ns).
@@ -79,7 +89,7 @@ pub enum Event {
         /// Batch position in global dispatch order.
         batch_index: usize,
         /// Name of the device the batch was being planned for.
-        device: String,
+        device: Arc<str>,
         /// Id of the member dropped back into the queue consideration.
         dropped_job_id: u64,
         /// Members remaining after the drop.
@@ -95,7 +105,7 @@ pub enum Event {
     /// cross-batch planning cache).
     DeviceRecalibrated {
         /// Name of the device whose calibration changed.
-        device: String,
+        device: Arc<str>,
         /// The device's new calibration epoch.
         epoch: u64,
     },
@@ -233,7 +243,7 @@ impl EventLog {
             .filter_map(|e| match e {
                 Event::BatchPlanned {
                     device, job_ids, ..
-                } => Some((device.as_str(), job_ids.as_slice())),
+                } => Some((&**device, &**job_ids)),
                 _ => None,
             })
             .collect()
@@ -245,7 +255,7 @@ impl EventLog {
         self.events()
             .iter()
             .filter_map(|e| match e {
-                Event::BatchRouted { device, score, .. } => Some((device.as_str(), *score)),
+                Event::BatchRouted { device, score, .. } => Some((&**device, *score)),
                 _ => None,
             })
             .collect()
@@ -257,7 +267,7 @@ impl EventLog {
         self.events()
             .iter()
             .filter_map(|e| match e {
-                Event::DeviceRecalibrated { device, epoch } => Some((device.as_str(), *epoch)),
+                Event::DeviceRecalibrated { device, epoch } => Some((&**device, *epoch)),
                 _ => None,
             })
             .collect()
@@ -298,7 +308,7 @@ mod tests {
         log.push(Event::BatchPlanned {
             batch_index: 0,
             device: "d".into(),
-            job_ids: vec![3],
+            job_ids: Arc::from([3]),
             start: 0.0,
             makespan: 10.0,
         });

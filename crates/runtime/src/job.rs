@@ -1,5 +1,7 @@
 //! Jobs entering the batch scheduler and their per-job outcomes.
 
+use std::sync::Arc;
+
 use qucp_circuit::{library, Circuit};
 use qucp_core::ProgramResult;
 use rand::rngs::StdRng;
@@ -20,6 +22,11 @@ pub struct Job {
 }
 
 /// The outcome of one job after its batch executed.
+///
+/// Its scored result is immutable and shared: the service keeps one
+/// copy per job, and a claim, a peek's clone, the drained report and
+/// the daemon's answers all hold it behind the same [`Arc`], so
+/// cloning a `JobResult` copies its numbers and bumps one count.
 #[derive(Debug, Clone, PartialEq)]
 pub struct JobResult {
     /// The job's identifier.
@@ -34,8 +41,9 @@ pub struct JobResult {
     pub waiting: f64,
     /// Turnaround: completion − arrival (ns).
     pub turnaround: f64,
-    /// The scored execution result (counts, PST, JSD, partition, EFS).
-    pub result: ProgramResult,
+    /// The scored execution result (counts, PST, JSD, partition, EFS),
+    /// shared with the service's copy.
+    pub result: Arc<ProgramResult>,
 }
 
 /// Generates a deterministic synthetic job stream from the paper's

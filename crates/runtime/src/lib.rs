@@ -186,29 +186,35 @@
 //! ### What a cache hit costs
 //!
 //! A batch whose plan is cached is staged, run, scored and finished
-//! without copying a job: what it still asks of the heap is what it
-//! keeps. Heap requests per job by phase on the benchmark's
-//! `sched_flood` workload (8 000 one-shot jobs, 2.6 to a batch, 96 % of
-//! batches cached; seed 1, counted on a scratch copy with a counter
-//! around each phase), before staging stopped copying and after it
-//! (the *after* column as of the flat, in-place counts and the run
-//! buffers each thread keeps, whose execution and planning deltas were
-//! counted around `PreparedJob::run` and the router on copies of both
-//! trees):
+//! without copying a job, and a claim or a drained report copies no
+//! result: what a job still asks of the heap is what the service keeps.
+//! Heap requests per job by phase on the benchmark's `sched_flood`
+//! workload (8 000 one-shot jobs, 2.6 to a batch, 96 % of batches
+//! cached, every ticket claimed after the drain; seeds 1 and 2 agree to
+//! the second decimal, counted on copies of both trees with the
+//! allocator attributing each request to the phase that made it), while
+//! the drained report and every claim copied what they returned and
+//! since they share it:
 //!
-//! | phase | before | after | what is left |
+//! | phase | copied | shared | what is left |
 //! |---|---|---|---|
-//! | head and ranking | 4.22 | 0.00 | — (the head's circuit, strategy and four pipeline stages were cloned per dispatch; five vectors per ranking) |
-//! | pack, plan key, replay | 2.34 | 0.82 | a shrink-event vector when the cached plan evicts (the admission policy's pack, counted here, has since moved into a buffer the service keeps, and so have the gate's keys, scores and shrink events) |
-//! | planning (the 4 % that miss) | 2.57 | 1.56 | the plan itself, its members' circuits, the key cloned into the memo (since the memo, no separate copy of the members' indices and ids); a routed circuit is sized once for its source's gates (2.58 while it grew gate by gate); stage 1, routing and the merge work in the dispatch scratch's `PlanScratch` (2.48 while they requested their buffers per miss: counted around the gate pass alone on copies of both trees, 1.74 then and 0.82 now) |
-//! | commit | 6.75 | 2.30 | one member vector, the event block, the device and policy names inside its events (public `String`s) |
-//! | execution | 10.77 | 4.99 | the run's counts — one vector, tallied in place and relabelled to logical order in place, the run's one request (2.78 while a run allocated its own error shots, arena, level pool and tables instead of taking them from the thread's scratch: 6.77 in all) — and the result's partition; the result's name is left empty for the finish pass to move in, and scoring streams over the sparse counts (8.77 while the counts were a tree copied into a second one in logical order and execution named each result; 5.00 → 3.00 of the above when scoring stopped densifying them) |
-//! | finish | 1.28 | 0.77 | the batch report's job ids and device name; each result's name is moved in, not copied |
-//! | drained report | 5.34 | 5.35 | `run_until_drained` clones every result (three requests: name, partition, counts), batch report and event into the report it returns |
-//! | **drain, total** | **33.27** | **15.79** | |
+//! | head, ranking and pack | 0.00 | 0.00 | — (4.22 and 2.34 while staging cloned the head's circuit, strategy and pipeline stages and the policy packed into fresh vectors) |
+//! | planning pass (hits and the 4 % that miss) | 0.82 | 0.76 | a miss's plan, its members' circuits and the key cloned into the memo; stage 1, routing and the merge work in the dispatch scratch's `PlanScratch`. A shrink event shares the device's name (it copied it) |
+//! | commit | 2.30 | 1.15 | one member vector, the event block and the one member-id list its `BatchPlanned` event and its report share; the events share the device's name and the service's interned routing name (three name copies and a second id list before) |
+//! | execution | 2.73 | 2.73 | the run's counts — one vector, tallied and relabelled in place, the run's one request — and the result's partition |
+//! | finish | 0.77 | 1.38 | each result wrapped once in the `Arc` every claim and report shares (1.00), and the report's device name, a public `String` |
+//! | drained report | 5.36 | 0.39 | its vectors and one device name per batch record; results, events and id lists are the service's, shared (it copied every result — name, partition, counts — every event's strings and id list, and every batch's) |
+//! | **drain, total** | **11.98** | **6.41** | |
+//! | claims (`take_result`) | 3.00 | 0.00 | — (a claim copied the result's name, partition and counts) |
 //!
-//! `tests/integration_alloc_budget.rs` holds a warm two-chip service to
-//! the *after* column as a per-job budget. Under the batch EFS gate a
+//! Before staging stopped copying jobs the drain asked 33.27 requests a
+//! job. The benchmark reports the whole pass as `allocs_per_job`: 14.85
+//! while reports and claims copied, 6.28 since (seed 1).
+//!
+//! `tests/integration_alloc_budget.rs` pins the exact requests of a
+//! cached tick on a warm two-chip service (1 037 for 128 solo jobs, 714
+//! for 64 pairs), holds a claim to none and a drained report to one
+//! device name per batch record. Under the batch EFS gate a
 //! batch is a hit by its survivor set, not by its members' threshold
 //! bits: the same file pins a tick of 48 thresholded jobs whose
 //! survivor sets repeat, every batch shrinking, at 383 requests (8.0
@@ -230,10 +236,10 @@
 //! - **Per-ticket retrieval** — [`Service::take_result`] claims a
 //!   completed result **exactly once** per ticket: `None` before the
 //!   batch runs, the [`JobResult`] on the first call after, `None`
-//!   forever after. The caller owns the claimed copy; the service
-//!   keeps the canonical result in the job's slot of its O(1)
-//!   seq-indexed job table for the drained [`ServiceReport`], so the
-//!   report is
+//!   forever after. The claim shares the service's immutable result:
+//!   the service keeps it in the job's slot of its O(1) seq-indexed job
+//!   table for the drained [`ServiceReport`], which shares it too, so
+//!   the report is
 //!   **bit-for-bit unchanged** by any claim interleaving (the claim
 //!   flag, not eviction, spends the ticket — proptest-pinned).
 //!   [`Service::result`] stays the non-consuming peek. Both answer

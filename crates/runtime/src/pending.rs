@@ -311,9 +311,9 @@ impl JobTable {
     }
 
     /// The first claim of job `seq`'s result, if its batch ran and its
-    /// id is `id`: a copy, the table keeping the result for the
-    /// drained report. Every other call changes nothing and answers
-    /// `None`.
+    /// id is `id`: a clone that shares the scored result with the one
+    /// the table keeps for the drained report (no heap request). Every
+    /// other call changes nothing and answers `None`.
     pub(crate) fn claim(&mut self, seq: usize, id: u64) -> Option<JobResult> {
         match self.slots.get_mut(seq)? {
             Slot::Done { result, claimed } if result.job_id == id && !*claimed => {
@@ -325,7 +325,8 @@ impl JobTable {
     }
 
     /// Every job's result, in submission order: what a drained service
-    /// reports.
+    /// reports, sharing each scored result with the table (one heap
+    /// request, the vector).
     ///
     /// # Errors
     ///
@@ -572,7 +573,7 @@ mod tests {
             completion: 2.0,
             waiting: 1.0,
             turnaround: 2.0,
-            result: qucp_core::ProgramResult {
+            result: Arc::new(qucp_core::ProgramResult {
                 name: format!("job {seq}"),
                 partition: vec![0, 1],
                 efs: 0.5,
@@ -580,15 +581,16 @@ mod tests {
                 counts: qucp_sim::Counts::default(),
                 pst: None,
                 jsd: 0.0,
-            },
+            }),
         }
     }
 
     /// A slot's life: queued until its batch commits, then neither
     /// queued nor done while the batch runs, done once it finishes, and
-    /// claimed by the first claim, which alone hands out a copy. A
-    /// claim on a queued, running, unknown or already claimed seq, or
-    /// under another id, changes nothing.
+    /// claimed by the first claim, which alone hands out a clone — one
+    /// that shares the kept result, as the report's does. A claim on a
+    /// queued, running, unknown or already claimed seq, or under
+    /// another id, changes nothing.
     #[test]
     fn a_slot_is_queued_then_running_then_done_and_claimed_once() {
         let mut store = store();
@@ -615,7 +617,8 @@ mod tests {
             assert_eq!(store.claim(seq, id), None, "seq {seq} id {id}");
         }
         assert!(matches!(store.slots[0], Slot::Done { claimed: false, .. }));
-        assert_eq!(store.claim(0, 0), Some(result_of(0)));
+        let claimed = store.claim(0, 0).expect("the first claim");
+        assert_eq!(claimed, result_of(0));
         assert!(matches!(store.slots[0], Slot::Done { claimed: true, .. }));
         assert_eq!(store.claim(0, 0), None);
         assert_eq!(store.result(0), Some(&result_of(0)), "a claim keeps it");
@@ -624,7 +627,11 @@ mod tests {
         assert!(store.get(1).is_ok());
         take(&mut store, &[1]);
         store.finish(1, result_of(1));
-        assert_eq!(store.results().unwrap(), vec![result_of(0), result_of(1)]);
+        let results = store.results().unwrap();
+        assert_eq!(results, vec![result_of(0), result_of(1)]);
+        let kept = &store.result(0).unwrap().result;
+        assert!(Arc::ptr_eq(&claimed.result, kept), "the claim shares it");
+        assert!(Arc::ptr_eq(&results[0].result, kept), "so does the report");
     }
 
     /// One table entry per distinct strategy, shared by reference

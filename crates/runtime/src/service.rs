@@ -30,7 +30,7 @@ pub use self::route_cache::RouteCacheStats;
 use qucp_core::{CoreError, CrosstalkTreatment, PartitionPolicy, Strategy};
 use qucp_device::DriftModel;
 
-use self::dispatch::DispatchScratch;
+use self::dispatch::{DispatchScratch, RoutingNames};
 use self::route_cache::RouteCache;
 use crate::error::RuntimeError;
 use crate::event::{Event, EventLog};
@@ -80,6 +80,8 @@ pub struct Service {
     policy: AdmissionPolicy,
     /// The routing of every batch whose head carries no override.
     routing: RoutingChoice,
+    /// The routing policies' names, interned for the events.
+    routing_names: RoutingNames,
     /// Hard cap on jobs per batch (1 = dedicated mode).
     max_parallel: usize,
     /// Default EFS fidelity-threshold gate (Fig. 4); `None` disables
@@ -199,11 +201,13 @@ impl Service {
     /// the [`JobResult`] **exactly once** after it has, and `None`
     /// again for every later call on the same ticket.
     ///
-    /// Ownership contract: the caller owns the returned copy; the
-    /// service retains the canonical result in the job's slot of its
-    /// seq-indexed job table for the end-of-run [`ServiceReport`], so
-    /// claiming mid-stream never changes the drained report — the
-    /// claim flag, not eviction, is what spends the ticket
+    /// Sharing contract: the returned [`JobResult`] shares the
+    /// service's immutable result (its `result` is the same `Arc`, so a
+    /// claim asks the heap for nothing); the service retains it in the
+    /// job's slot of its seq-indexed job table for the end-of-run
+    /// [`ServiceReport`], so claiming mid-stream never changes the
+    /// drained report — the claim flag, not eviction, is what spends
+    /// the ticket
     /// (bit-for-bit pinned by the campaign proptests). Claiming is
     /// also independent of the completion *notifications*: a ticket
     /// claimed between ticks is still reported exactly once by

@@ -4,7 +4,7 @@
 use qucp_core::{strategy, Strategy};
 use qucp_device::{Device, DriftModel};
 
-use super::dispatch::DispatchScratch;
+use super::dispatch::{DispatchScratch, RoutingNames};
 use super::route_cache::RouteCache;
 use super::{DeviceState, EfsGate, Service};
 use crate::error::RuntimeError;
@@ -215,6 +215,7 @@ impl ServiceBuilder {
         Ok(Service {
             policy: self.policy,
             routing: self.routing,
+            routing_names: RoutingNames::default(),
             max_parallel: self.max_parallel,
             fidelity_threshold: self.fidelity_threshold,
             seed: self.seed,

@@ -15,10 +15,13 @@
 //! [`Member`] of the [`StagedBatch`] — the circuit's name moved, the
 //! circuit dropped — which execution reads by reference and
 //! [`Service::finish_batch`] consumes: the name moves once more, into
-//! the job's result, which goes back into the job's slot. What a
-//! steady-state batch still asks the heap for is what it keeps: its
-//! members, its events and their strings, its results. The admission
-//! policy packs into the scratch too.
+//! the job's result, which goes back into the job's slot, shared from
+//! then on behind one `Arc`. The batch's events share the device's
+//! name, the service's interned routing name and one member-id list
+//! with its [`BatchReport`]. What a steady-state batch still asks the
+//! heap for is what it keeps: its members, its event block and id
+//! list, its results, the report's device name. The admission policy
+//! packs into the scratch too.
 
 use std::sync::{Arc, OnceLock};
 
@@ -260,17 +263,19 @@ impl Service {
         let mut events: Vec<Event> = Vec::with_capacity(2 + shrinks.len() + members.len());
         events.push(Event::BatchRouted {
             batch_index,
-            device: device.name().to_string(),
-            policy: head.routing.name().to_string(),
+            device: Arc::clone(device.shared_name()),
+            policy: Arc::clone(self.routing_names.of(head.routing)),
             score,
             start,
             candidates: scratch.ranked.len(),
         });
         events.append(shrinks);
+        // Built once, shared by the event and the batch's report.
+        let job_ids: Arc<[u64]> = members.iter().map(|m| m.id).collect();
         events.push(Event::BatchPlanned {
             batch_index,
-            device: device.name().to_string(),
-            job_ids: members.iter().map(|m| m.id).collect(),
+            device: Arc::clone(device.shared_name()),
+            job_ids: Arc::clone(&job_ids),
             start,
             makespan,
         });
@@ -327,21 +332,22 @@ impl Service {
             makespan,
             batch_seed: derive_batch_seed(self.seed, batch_index),
             members,
+            job_ids,
             events,
         })
     }
 
     /// The finish half of one batch dispatch: emits the batch's
     /// buffered event block, folds the execution results into the
-    /// members' slots of the job table and per-device statistics, and
-    /// records the
-    /// [`BatchReport`]. Called in batch order, so the event log and
-    /// every floating-point accumulation sequence are deterministic.
+    /// members' slots of the job table — each behind the one `Arc`
+    /// every later claim and report shares — and per-device statistics,
+    /// and records the [`BatchReport`]. Called in batch order, so the
+    /// event log and every floating-point accumulation sequence are
+    /// deterministic.
     fn finish_batch(&mut self, staged: StagedBatch, results: Vec<ProgramResult>) {
         for event in staged.events {
             self.log.push(event);
         }
-        let mut job_ids = Vec::with_capacity(staged.members.len());
         let state = &mut self.states[staged.device_index];
         for (pos, (member, mut result)) in staged.members.into_iter().zip(results).enumerate() {
             // The result is named after the *current* member, moved in:
@@ -362,17 +368,18 @@ impl Service {
                     completion: staged.completion,
                     waiting: member.wait,
                     turnaround: member.turnaround,
-                    result,
+                    result: Arc::new(result),
                 },
             );
-            job_ids.push(member.id);
         }
         state.busy_time += staged.makespan;
         state.batches += 1;
         self.batches.push(BatchReport {
             batch_index: staged.batch_index,
-            device: staged.device.name().to_string(),
-            job_ids,
+            // The report's one copy of the name: its public field is a
+            // `String`, compared with `&str` by callers.
+            device: String::from(staged.device.name()),
+            job_ids: staged.job_ids,
             start: staged.start,
             completion: staged.completion,
             makespan: staged.makespan,
@@ -504,6 +511,36 @@ pub(super) struct DispatchScratch {
     positions: Vec<usize>,
 }
 
+/// The display names of the two routing policies, interned once per
+/// service: every [`Event::BatchRouted`] shares one of them.
+#[derive(Debug)]
+pub(super) struct RoutingNames {
+    earliest_free: Arc<str>,
+    calibration_aware: Arc<str>,
+}
+
+impl Default for RoutingNames {
+    fn default() -> Self {
+        let aware = RoutingChoice::CalibrationAware {
+            pressure_per_ns: 0.0,
+        };
+        RoutingNames {
+            earliest_free: Arc::from(RoutingChoice::EarliestFree.name()),
+            calibration_aware: Arc::from(aware.name()),
+        }
+    }
+}
+
+impl RoutingNames {
+    /// The interned display name of `routing`.
+    fn of(&self, routing: RoutingChoice) -> &Arc<str> {
+        match routing {
+            RoutingChoice::EarliestFree => &self.earliest_free,
+            RoutingChoice::CalibrationAware { .. } => &self.calibration_aware,
+        }
+    }
+}
+
 /// What the commit path needs from one candidate's admission pass
 /// besides the scratch's `picks`, `picks_seqs` and `pool`.
 struct CandidatePack {
@@ -580,6 +617,9 @@ pub(super) struct StagedBatch {
     batch_seed: u64,
     /// In program order of `plan`.
     members: Vec<Member>,
+    /// The members' ids, in program order: shared by the batch's
+    /// [`Event::BatchPlanned`] and its [`BatchReport`].
+    job_ids: Arc<[u64]>,
     events: Vec<Event>,
 }
 

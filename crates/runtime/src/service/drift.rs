@@ -1,6 +1,8 @@
 //! The live fleet: explicit recalibrations and drift advances, and the
 //! one validated install both go through.
 
+use std::sync::Arc;
+
 use qucp_device::{Calibration, CrosstalkModel};
 
 use super::Service;
@@ -167,10 +169,10 @@ impl Service {
         } else {
             None
         };
-        let name = dev.name().to_string();
+        let name = Arc::clone(dev.shared_name());
         if let Some(fault) = fault {
             return Err(RuntimeError::InvalidCalibration {
-                device: name,
+                device: name.to_string(),
                 fault,
             });
         }

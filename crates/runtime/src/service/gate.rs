@@ -193,7 +193,7 @@ impl GatePass<'_> {
             let dropped_job_id = self.jobs.get(seq)?.id;
             self.buffers.shrinks.push(Event::BatchShrunk {
                 batch_index: self.batch_index,
-                device: self.device.name().to_string(),
+                device: Arc::clone(self.device.shared_name()),
                 dropped_job_id,
                 remaining: members.len(),
                 reason,

@@ -1,6 +1,8 @@
 //! The drained [`ServiceReport`] and how it is folded from the
 //! per-device accounting.
 
+use std::sync::Arc;
+
 use super::Service;
 use crate::error::RuntimeError;
 use crate::event::Event;
@@ -30,8 +32,9 @@ pub struct BatchReport {
     pub batch_index: usize,
     /// Name of the device that executed the batch.
     pub device: String,
-    /// Ids of the jobs the batch carried, in program order.
-    pub job_ids: Vec<u64>,
+    /// Ids of the jobs the batch carried, in program order (shared
+    /// with the batch's [`Event::BatchPlanned`]).
+    pub job_ids: Arc<[u64]>,
     /// Simulated start time (ns).
     pub start: f64,
     /// Simulated completion time (ns): start + merged makespan.
@@ -57,6 +60,11 @@ pub struct DeviceReport {
 }
 
 /// The complete outcome of a drained service.
+///
+/// The report shares the service's immutable results, events and batch
+/// member lists behind their `Arc`s, so taking one copies no job's
+/// result: what it asks the heap for is its vectors and one device
+/// name per batch and per device record.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ServiceReport {
     /// Fleet-wide queue statistics (waiting/turnaround means, fleet
@@ -66,7 +74,8 @@ pub struct ServiceReport {
     pub per_device: Vec<DeviceReport>,
     /// Every dispatched batch, in dispatch order.
     pub batches: Vec<BatchReport>,
-    /// Per-job results, in submission order.
+    /// Per-job results, in submission order, sharing the service's
+    /// results (and every claim's).
     pub job_results: Vec<JobResult>,
     /// The retained telemetry log (every event ever emitted under the
     /// default unbounded [`ServiceBuilder::event_capacity`](crate::ServiceBuilder::event_capacity); only the

@@ -288,7 +288,7 @@ fn per_job_strategy_split_batches() {
     assert_eq!(report.job_results.len(), 4);
     for batch in &report.batches {
         assert!(
-            batch.job_ids == vec![1] || !batch.job_ids.contains(&1),
+            *batch.job_ids == [1] || !batch.job_ids.contains(&1),
             "strategy-override job shared batch {:?}",
             batch.job_ids
         );
@@ -520,7 +520,7 @@ fn colliding_shapes_get_their_own_plans() {
             .with_shots(256)
             .with_seed(super::dispatch::derive_batch_seed(service.seed, i));
         let fresh = plan.run_program(&device, 0, &exec);
-        assert_eq!(served.result, fresh.unwrap(), "job {i}");
+        assert_eq!(*served.result, fresh.unwrap(), "job {i}");
     }
     // The two circuits really do measure differently.
     assert_ne!(
@@ -1156,7 +1156,7 @@ fn prepared_slots_fill_on_the_first_hit_and_die_with_their_entry() {
             let served = service.result(ticket).unwrap();
             assert_eq!(served.batch_index, batch);
             let fresh = plan.run_program(device, pos, &exec).unwrap();
-            assert_eq!(served.result, fresh, "batch {batch}, program {pos}");
+            assert_eq!(*served.result, fresh, "batch {batch}, program {pos}");
         }
         let stats = service.route_cache_stats();
         assert_eq!(stats.plan_entries, 1, "{stats:?}");
@@ -1407,7 +1407,7 @@ fn a_batch_that_shrinks_k_times_routes_and_merges_once() {
                 attempts.push(live.clone());
                 Event::BatchShrunk {
                     batch_index: 7,
-                    device: device.name().to_string(),
+                    device: device.name().into(),
                     dropped_job_id,
                     remaining: live.len(),
                     reason,
@@ -1584,7 +1584,7 @@ fn thresholded_batches_that_keep_the_same_survivors_share_one_plan() {
             let served = report.job_results.iter().find(|r| r.job_id == *id).unwrap();
             assert_eq!(served.batch_index, batch.batch_index);
             let fresh = plan.run_program(device, pos, &exec).unwrap();
-            assert_eq!(served.result, fresh, "job {id}");
+            assert_eq!(*served.result, fresh, "job {id}");
         }
     }
 }

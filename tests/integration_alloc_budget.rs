@@ -9,22 +9,25 @@
 //! threshold bits. Stage 1 of a multi-program list, on a chip whose
 //! region atlas is warm, copies out only each program's winner. A run
 //! of a job its thread has run before asks for its histogram alone, and
-//! a decoded `Submit` frame sizes its circuit once. A change that puts
-//! one of those copies back, gives a prepared job one more allocation,
-//! drops a run's buffers instead of keeping them, grows a decoded
-//! circuit gate by gate, or plans a repeated survivor set again, lands
-//! above its budget.
+//! a decoded `Submit` frame sizes its circuit once, as a decoded event
+//! sizes its member-id list. A claim and a drained report share the
+//! service's results instead of copying them. A change that puts one of
+//! those copies back, gives a prepared job one more allocation, drops a
+//! run's buffers instead of keeping them, grows a decoded circuit gate
+//! by gate, or plans a repeated survivor set again, lands above its
+//! budget.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+use std::sync::Arc;
 
 use qucp_circuit::{library, Circuit};
 use qucp_core::{
     allocate_partitions, strategy, CrosstalkTreatment, PartitionPolicy, Pipeline, DEFAULT_SIGMA,
 };
-use qucp_daemon::Request;
+use qucp_daemon::{Request, Response};
 use qucp_device::ibm;
-use qucp_runtime::{EfsGate, Event, JobRequest, Service};
+use qucp_runtime::{EfsGate, Event, JobRequest, JobTicket, Service, ServiceReport};
 use qucp_sim::{ExecutionConfig, NoiseScaling, PreparedJob, ShotParallelism, TrajectoryKernel};
 
 thread_local! {
@@ -184,9 +187,14 @@ fn cold_tick(max_parallel: usize, jobs: usize) -> Tick {
     tick
 }
 
-/// Heap requests per job of a cached batch (the count is exact and the
-/// same in debug and release): 11.10 with one job to a batch (1 421 for
-/// 128 jobs), 6.58 with two (842), since a run takes its error shots,
+/// Heap requests of one `tick` of 128 cached jobs (the count is exact
+/// and the same in debug and release): 1 037 with one job to a batch
+/// (8.10 per job), 714 with two (5.58), since a batch's events share the
+/// device's name, the service's interned routing name and the one
+/// member-id list its report also holds, and a result is wrapped once
+/// in the `Arc` every claim and report shares (three requests a batch
+/// fewer, one a job more); 11.10 and 6.58 per job before (1 421 and
+/// 842), since a run takes its error shots,
 /// arena, level pool and sampling tables from the buffers its thread
 /// kept from the warm-up's runs; 11.73 and 7.56 before (1 502 and 968),
 /// since a run's histogram is relabelled
@@ -195,26 +203,27 @@ fn cold_tick(max_parallel: usize, jobs: usize) -> Tick {
 /// and 1 224), since the admission policy packs into a buffer the
 /// service keeps; 14.73 and 10.56 when it returned a fresh `Vec` per
 /// pack (1 886 and 1 352), 40.73 and 25.06 before staging stopped
-/// copying jobs. The budgets are the counts plus 10 %.
+/// copying jobs. The budgets are the counts (they were the counts plus
+/// 10 % while they were held per job).
 ///
-/// Mutation check (CHANGES.md, PR 22): cloning the head's circuit in
-/// staging again — `let _circuit = p.circuit.clone();` beside the
-/// `HeadContext` — costs two requests a batch, 13.10 a solo job, and
-/// fails the first assertion.
-const SOLO_BUDGET: f64 = 12.2;
-const PAIR_BUDGET: f64 = 7.3;
+/// Mutation checks (CHANGES.md): cloning the head's circuit in staging
+/// again — `let _circuit = p.circuit.clone();` beside the
+/// `HeadContext` — costs two requests a batch; copying the device's
+/// name into each of the batch's events again costs two. Each fails
+/// the first assertion.
+const CACHED_SOLO_REQUESTS: u64 = 1_037;
+const CACHED_PAIR_REQUESTS: u64 = 714;
 
 #[test]
 fn a_cached_batch_stays_within_its_heap_budget() {
-    for (max_parallel, budget) in [(1, SOLO_BUDGET), (2, PAIR_BUDGET)] {
+    for (max_parallel, budget) in [(1, CACHED_SOLO_REQUESTS), (2, CACHED_PAIR_REQUESTS)] {
         let tick = steady_state_tick(max_parallel, 128);
         assert!(tick.batches >= 50, "{tick:?}");
         assert_eq!(tick.batches * max_parallel, tick.jobs, "{tick:?}");
-        let per_job = tick.requests as f64 / tick.jobs as f64;
         assert!(
-            per_job <= budget,
-            "{per_job:.2} heap requests per job over the budget of {budget} \
-             at {max_parallel} to a batch: {tick:?}"
+            tick.requests <= budget,
+            "{} heap requests over the budget of {budget} at {max_parallel} to a batch: {tick:?}",
+            tick.requests
         );
     }
 }
@@ -392,18 +401,19 @@ fn stage_one_of_three_programs_on_a_warm_atlas_stays_within_its_heap_budget() {
 /// Heap requests of one 8 192-shot `Serial` run of `ghz(8)` planned on
 /// Toronto, set-up and scoring included (`PlannedWorkload::run_program`;
 /// the count is exact and the same in debug and release), the first
-/// run on its thread, whose buffers start empty: 18. The
+/// run on its thread, whose buffers start empty: 16. The
 /// run tallies its shots in the one vector its histogram keeps (256
 /// outcomes fit 8 192 shots, so the tally is dense and compacted in
 /// place) and relabels it to logical order in place. While a histogram
 /// was a tree of outcomes, every node of it was a request, and the
 /// logical permutation built a second tree: the same run counted
-/// 78. The budget is the count.
+/// 78. The budget is the count (it read 18, two over the count, until
+/// it was pinned to it).
 ///
 /// Mutation checks (CHANGES.md): tallying through a per-shot tree
 /// insert again, or pushing every shot into a vector that was not
 /// sized for them, costs requests per run. Each fails.
-const GHZ8_RUN_REQUESTS: u64 = 18;
+const GHZ8_RUN_REQUESTS: u64 = 16;
 
 #[test]
 fn an_8192_shot_run_tallies_in_one_vector() {
@@ -504,4 +514,106 @@ fn a_decoded_circuit_is_sized_once() {
         assert_eq!(job.circuit.gate_count(), gates);
         assert_eq!(requests, 3, "{gates} gates");
     }
+}
+
+/// Heap requests of decoding one `Events` frame that carries one
+/// `BatchPlanned` event (exact, the same in debug and release): 3 — the
+/// event vector, the device's name and the member-id list, which is
+/// read into one allocation sized for the length the frame declares,
+/// so a batch of 1 000 ids costs what one of 1 does.
+///
+/// Mutation check (CHANGES.md): decoding the ids into a `Vec` and
+/// converting it (`Vec::<u64>::get(d).map(Arc::from)`) costs 4 requests
+/// and fails.
+#[test]
+fn a_decoded_id_list_is_sized_once() {
+    for ids in [1, 64, 1_000] {
+        let event = Event::BatchPlanned {
+            batch_index: 3,
+            device: "toronto".into(),
+            job_ids: (0..ids).collect(),
+            start: 1.0,
+            makespan: 2.0,
+        };
+        let frame = Response::Events(vec![event.clone()]).encode();
+        let before = REQUESTS.get();
+        let decoded = Response::decode(&frame);
+        let requests = REQUESTS.get() - before;
+        assert_eq!(decoded, Ok(Response::Events(vec![event])));
+        assert_eq!(requests, 3, "{ids} ids");
+    }
+}
+
+/// A Toronto + Manhattan service, two `bell` / `fredkin` jobs to a
+/// batch, that has drained `jobs` one-shot jobs: its tickets, in
+/// submission order, and the report the drain returned.
+fn drained_service(jobs: usize) -> (Service, Vec<JobTicket>, ServiceReport) {
+    let circuits = bell_and_fredkin();
+    let mut service = Service::builder()
+        .device(ibm::toronto())
+        .device(ibm::manhattan())
+        .max_parallel(2)
+        .default_shots(1)
+        .build()
+        .unwrap();
+    let tickets = (0..jobs)
+        .map(|i| {
+            let request = JobRequest::new(circuits[i / 2 % 2].clone(), i as f64);
+            service.submit(request).unwrap()
+        })
+        .collect();
+    let report = service.run_until_drained().unwrap();
+    (service, tickets, report)
+}
+
+/// Heap requests of `run_until_drained` on a service that has nothing
+/// left to run, at 32 and at 64 drained jobs (exact, the same in debug
+/// and release): 23 and 39 — the report's four vectors, the name of
+/// each of its two device records and one name per batch record (17
+/// and 33), the public `String` of `BatchReport::device`. Its results, events and member-id lists are
+/// the service's, shared. Claiming every ticket first asks the heap
+/// for nothing: a claim shares the result the report holds. While a
+/// claim and a report each copied every result (its name, partition
+/// and counts) and a report copied every event's strings and id list,
+/// both grew with every job.
+///
+/// Mutation check (CHANGES.md): a claim that copies the scored result
+/// (`Arc::new((*result.result).clone())` in `JobTable::claim`) asks for
+/// four requests a claim (the `Arc`, its name, partition and counts: 128
+/// for 32 claims) and fails the first assertion.
+const DRAINED_REPORT_REQUESTS: [(usize, u64); 2] = [(32, 23), (64, 39)];
+
+#[test]
+fn a_drained_report_and_a_claim_copy_no_result() {
+    let mut counted = Vec::new();
+    for (jobs, pinned) in DRAINED_REPORT_REQUESTS {
+        let (mut service, tickets, report) = drained_service(jobs);
+
+        let mut claimed = Vec::with_capacity(tickets.len());
+        let before = REQUESTS.get();
+        claimed.extend(tickets.iter().map(|t| service.take_result(t)));
+        let claims = REQUESTS.get() - before;
+        assert_eq!(claims, 0, "claiming {jobs} tickets");
+        for (claim, reported) in claimed.iter().zip(&report.job_results) {
+            let claim = claim.as_ref().expect("every batch ran");
+            assert!(Arc::ptr_eq(&claim.result, &reported.result));
+        }
+
+        let before = REQUESTS.get();
+        let again = service.run_until_drained().unwrap();
+        let requests = REQUESTS.get() - before;
+        assert_eq!(again, report);
+        assert_eq!(
+            requests,
+            pinned,
+            "a drained report of {jobs} jobs in {} batches",
+            report.batches.len()
+        );
+        counted.push((report.batches.len() as u64, requests));
+    }
+    // The only growth is the one device name per batch record.
+    let [(batches_a, a), (batches_b, b)] = counted[..] else {
+        unreachable!("two job counts")
+    };
+    assert_eq!(b - a, batches_b - batches_a);
 }

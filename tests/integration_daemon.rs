@@ -297,7 +297,7 @@ fn arb_job_result() -> impl Strategy<Value = JobResult> {
                     completion,
                     waiting,
                     turnaround,
-                    result,
+                    result: Arc::new(result),
                 }
             },
         )
@@ -314,7 +314,7 @@ fn arb_batch_report() -> impl Strategy<Value = BatchReport> {
                 BatchReport {
                     batch_index,
                     device: format!("dev-{batch_index}"),
-                    job_ids,
+                    job_ids: job_ids.into(),
                     start,
                     completion,
                     makespan,
@@ -338,7 +338,7 @@ fn arb_event() -> impl Strategy<Value = Event> {
     let routed = ((0usize..99, arb_f64()), (arb_f64(), 1usize..5)).prop_map(
         |((batch_index, score), (start, candidates))| Event::BatchRouted {
             batch_index,
-            device: format!("dev-{candidates}"),
+            device: format!("dev-{candidates}").into(),
             policy: "earliest-free".into(),
             score,
             start,
@@ -353,7 +353,7 @@ fn arb_event() -> impl Strategy<Value = Event> {
             |((batch_index, job_ids), (start, makespan))| Event::BatchPlanned {
                 batch_index,
                 device: "melbourne".into(),
-                job_ids,
+                job_ids: job_ids.into(),
                 start,
                 makespan,
             },
@@ -679,7 +679,7 @@ fn a_forged_report_or_events_length_is_bounded_by_the_smallest_element() {
     // The smallest event on the wire: tag, an empty device name, an
     // epoch.
     let smallest = Event::DeviceRecalibrated {
-        device: String::new(),
+        device: "".into(),
         epoch: 0,
     };
     let honest = Response::Events(vec![smallest.clone(); 3]).encode();
@@ -849,7 +849,7 @@ fn a_result_frame_with_forged_counts_is_accepted_or_refused_whole() {
         completion: 1.0,
         waiting: 0.0,
         turnaround: 1.0,
-        result: ProgramResult {
+        result: Arc::new(ProgramResult {
             name: "bell".into(),
             partition: vec![4, 7],
             efs: 0.5,
@@ -857,7 +857,7 @@ fn a_result_frame_with_forged_counts_is_accepted_or_refused_whole() {
             counts: counts.expect("valid counts"),
             pst: Some(0.5),
             jsd: 0.25,
-        },
+        }),
     };
     let frame = Response::Taken(Some(Box::new(result.clone()))).encode();
     let original = entries(&canonical);

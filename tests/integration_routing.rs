@@ -77,7 +77,7 @@ fn earliest_free_routing_reproduces_pr2_golden_snapshot() {
     let memberships: Vec<Vec<u64>> = explicit_report
         .batches
         .iter()
-        .map(|b| b.job_ids.clone())
+        .map(|b| b.job_ids.to_vec())
         .collect();
     assert_eq!(
         memberships,
@@ -99,7 +99,7 @@ fn earliest_free_routing_reproduces_pr2_golden_snapshot() {
     let routed = explicit_report
         .events
         .iter()
-        .filter(|e| matches!(e, Event::BatchRouted { policy, .. } if policy == "EarliestFree"))
+        .filter(|e| matches!(e, Event::BatchRouted { policy, .. } if &**policy == "EarliestFree"))
         .count();
     assert_eq!(routed, explicit_report.stats.batches);
 }
@@ -199,7 +199,7 @@ fn cached_probes_do_not_change_routing_decisions() {
     for (a, b) in report.batches[..n / 2].iter().zip(&report.batches[n / 2..]) {
         assert_eq!(a.device, b.device);
         let shifted: Vec<u64> = a.job_ids.iter().map(|id| id + 100).collect();
-        assert_eq!(shifted, b.job_ids);
+        assert_eq!(shifted, *b.job_ids);
         assert_eq!(a.used_qubits, b.used_qubits);
     }
 }
@@ -292,7 +292,7 @@ proptest! {
                 batch.device,
                 batch.used_qubits
             );
-            for &id in &batch.job_ids {
+            for &id in batch.job_ids.iter() {
                 let width = jobs[id as usize].circuit.width();
                 prop_assert!(
                     width <= device_qubits,

@@ -56,7 +56,7 @@ fn fifo_scheduling_decisions_match_golden_snapshot() {
     let memberships: Vec<Vec<u64>> = dedicated
         .batches
         .iter()
-        .map(|b| b.job_ids.clone())
+        .map(|b| b.job_ids.to_vec())
         .collect();
     let expected: Vec<Vec<u64>> = (0..12u64).map(|i| vec![i]).collect();
     assert_eq!(memberships, expected);
@@ -66,7 +66,7 @@ fn fifo_scheduling_decisions_match_golden_snapshot() {
     assert!(close(dedicated.stats.mean_throughput, 0.162435));
 
     let packed = drain(&jobs, 4, FIFO, ibm::toronto());
-    let memberships: Vec<Vec<u64>> = packed.batches.iter().map(|b| b.job_ids.clone()).collect();
+    let memberships: Vec<Vec<u64>> = packed.batches.iter().map(|b| b.job_ids.to_vec()).collect();
     assert_eq!(
         memberships,
         vec![vec![0], vec![1, 2, 3, 4], vec![5, 6, 7, 8], vec![9, 10, 11]]

@@ -113,5 +113,6 @@ fn install(
         return Err(RuntimeError::InvalidCalibration { device, fault });
     }
     let epoch = registry.install(d, cal, xt);
+    let device = device.as_str().into();
     Ok((epoch, Event::DeviceRecalibrated { device, epoch }))
 }

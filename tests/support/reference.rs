@@ -14,6 +14,7 @@
 //! accounting [`Ledger`]'s.
 
 use std::cmp::Ordering;
+use std::sync::Arc;
 
 use qucp_core::pipeline::{Pipeline, PlannedWorkload};
 use qucp_core::threshold::{parallel_count_for_threshold, solo_efs_scores};
@@ -368,8 +369,8 @@ impl ReferenceScheduler {
             let job_ids: Vec<u64> = members.iter().map(|&q| self.queue[q].ticket.id).collect();
             self.events.push(Event::BatchRouted {
                 batch_index,
-                device: name.clone(),
-                policy: route.name().to_string(),
+                device: name.as_str().into(),
+                policy: route.name().into(),
                 score,
                 start,
                 candidates: ranked.len(),
@@ -377,8 +378,8 @@ impl ReferenceScheduler {
             self.events.extend(shrinks);
             self.events.push(Event::BatchPlanned {
                 batch_index,
-                device: name.clone(),
-                job_ids: job_ids.clone(),
+                device: name.as_str().into(),
+                job_ids: job_ids.as_slice().into(),
                 start,
                 makespan,
             });
@@ -429,14 +430,14 @@ impl ReferenceScheduler {
                     completion,
                     waiting,
                     turnaround,
-                    result,
+                    result: Arc::new(result),
                 });
             }
             ledger.close_batch(completion, makespan);
             self.batches.push(BatchReport {
                 batch_index,
                 device: name,
-                job_ids,
+                job_ids: job_ids.into(),
                 start,
                 completion,
                 makespan,
@@ -508,7 +509,7 @@ impl ReferenceScheduler {
             let dropped = members.remove(evict);
             shrinks.push(Event::BatchShrunk {
                 batch_index,
-                device: device.name().to_string(),
+                device: device.name().into(),
                 dropped_job_id: job(&dropped).ticket.id,
                 remaining: members.len(),
                 reason,
