@@ -15,12 +15,10 @@
 //! value it was encoded from (the daemon's headline acceptance
 //! property).
 
-use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use qucp_circuit::{Circuit, Gate};
-use qucp_core::{CrosstalkTreatment, PartitionPolicy, ProgramResult, Strategy};
-use qucp_device::{Link, LinkPair};
+use qucp_core::ProgramResult;
 use qucp_runtime::{
     BatchReport, CalibrationFault, DeviceReport, Event, JobRequest, JobResult, JobTicket,
     QueueStats, RouteCacheStats, RoutingChoice, RuntimeError, ServiceReport, ShotParallelism,
@@ -328,17 +326,65 @@ wire_enum! {
     3 => OutOfRange,
 }
 
-wire_struct!(JobRequest {
-    circuit: Circuit,
-    arrival: f64,
-    id: Option<u64>,
-    shots: Option<usize>,
-    strategy: Option<Strategy>,
-    fidelity_threshold: Option<f64>,
-    shot_parallelism: Option<ShotParallelism>,
-    trajectory_kernel: Option<TrajectoryKernel>,
-    routing: Option<RoutingChoice>,
-});
+/// The fields in order, with a one-byte slot after the shot budget,
+/// the retired per-job strategy's, kept so that every frame keeps its
+/// bytes: always sent empty (`0`). A request that fills it (`1`) names
+/// a strategy other than the service's, which no service runs: it is
+/// refused as an invalid value, before anything after it is read.
+impl Wire for JobRequest {
+    const MIN_BYTES: usize = Circuit::MIN_BYTES
+        + f64::MIN_BYTES
+        + Option::<u64>::MIN_BYTES
+        + Option::<usize>::MIN_BYTES
+        + 1
+        + Option::<f64>::MIN_BYTES
+        + Option::<ShotParallelism>::MIN_BYTES
+        + Option::<TrajectoryKernel>::MIN_BYTES
+        + Option::<RoutingChoice>::MIN_BYTES;
+
+    #[inline]
+    fn put(&self, e: &mut Encoder) {
+        self.circuit.put(e);
+        self.arrival.put(e);
+        self.id.put(e);
+        self.shots.put(e);
+        e.u8(0);
+        self.fidelity_threshold.put(e);
+        self.shot_parallelism.put(e);
+        self.trajectory_kernel.put(e);
+        self.routing.put(e);
+    }
+
+    #[inline]
+    fn get(d: &mut Decoder<'_>) -> Result<Self, WireError> {
+        let (circuit, arrival) = (Wire::get(d)?, Wire::get(d)?);
+        let (id, shots) = (Wire::get(d)?, Wire::get(d)?);
+        match d.u8()? {
+            0 => {}
+            1 => {
+                return Err(WireError::InvalidValue {
+                    context: "JobRequest::strategy",
+                })
+            }
+            tag => {
+                return Err(WireError::UnknownTag {
+                    context: "option",
+                    tag,
+                })
+            }
+        }
+        Ok(JobRequest {
+            circuit,
+            arrival,
+            id,
+            shots,
+            fidelity_threshold: Wire::get(d)?,
+            shot_parallelism: Wire::get(d)?,
+            trajectory_kernel: Wire::get(d)?,
+            routing: Wire::get(d)?,
+        })
+    }
+}
 
 impl Wire for Circuit {
     const MIN_BYTES: usize = usize::MIN_BYTES + String::MIN_BYTES + Vec::<Gate>::MIN_BYTES;
@@ -394,94 +440,6 @@ wire_enum! {
     17 => Cz(a: usize, b: usize),
     18 => Cp(a: usize, b: usize, angle: f64),
     19 => Swap(a: usize, b: usize),
-}
-
-wire_struct!(Strategy {
-    name: String,
-    partition: PartitionPolicy,
-    crosstalk_aware_routing: bool,
-    serialize_conflicts: bool,
-});
-
-wire_enum! {
-    PartitionPolicy: "PartitionPolicy",
-    0 => NoiseAware(treatment: CrosstalkTreatment),
-    1 => TopologyGreedy,
-    2 => FidelityDegree,
-}
-
-impl Wire for CrosstalkTreatment {
-    const MIN_BYTES: usize = 1;
-
-    fn put(&self, e: &mut Encoder) {
-        match self {
-            CrosstalkTreatment::None => e.u8(0),
-            CrosstalkTreatment::Sigma(sigma) => {
-                e.u8(1);
-                sigma.put(e);
-            }
-            CrosstalkTreatment::Measured(map) => {
-                e.u8(2);
-                e.usize(map.len());
-                for (pair, ratio) in map {
-                    pair.put(e);
-                    ratio.put(e);
-                }
-            }
-        }
-    }
-
-    fn get(d: &mut Decoder<'_>) -> Result<Self, WireError> {
-        Ok(match d.u8()? {
-            0 => CrosstalkTreatment::None,
-            1 => CrosstalkTreatment::Sigma(f64::get(d)?),
-            2 => {
-                let mut map = BTreeMap::new();
-                for _ in 0..d.seq_len::<(LinkPair, f64)>()? {
-                    let (pair, ratio) = Wire::get(d)?;
-                    // A map has each key once; so must its frame.
-                    if map.insert(pair, ratio).is_some() {
-                        return Err(WireError::InvalidValue {
-                            context: "CrosstalkTreatment::Measured",
-                        });
-                    }
-                }
-                CrosstalkTreatment::Measured(map)
-            }
-            tag => {
-                return Err(WireError::UnknownTag {
-                    context: "CrosstalkTreatment",
-                    tag,
-                })
-            }
-        })
-    }
-}
-
-impl Wire for LinkPair {
-    const MIN_BYTES: usize = 4 * usize::MIN_BYTES;
-
-    fn put(&self, e: &mut Encoder) {
-        for link in [self.first(), self.second()] {
-            e.usize(link.low());
-            e.usize(link.high());
-        }
-    }
-
-    fn get(d: &mut Decoder<'_>) -> Result<Self, WireError> {
-        let (a_low, a_high) = (d.usize()?, d.usize()?);
-        let (b_low, b_high) = (d.usize()?, d.usize()?);
-        // `Link::new` panics on a self-loop.
-        if a_low == a_high || b_low == b_high {
-            return Err(WireError::InvalidValue {
-                context: "LinkPair",
-            });
-        }
-        Ok(LinkPair::new(
-            Link::new(a_low, a_high),
-            Link::new(b_low, b_high),
-        ))
-    }
 }
 
 wire_enum! {

@@ -1,5 +1,6 @@
 //! Golden wire frames: every message, enum variant and field order of
-//! protocol version 3 as committed bytes.
+//! protocol version 3 as committed bytes, and the retired `Submit`
+//! frames that carried a per-job strategy, which are now refused.
 //!
 //! The round-trip proptests (`tests/integration_daemon.rs`) hold a
 //! type's encoder and decoder to *each other*; a change that moves both
@@ -10,17 +11,17 @@
 //! [`PROTOCOL_VERSION`] and append, do not edit), and a new tag or
 //! trailing field gets a new frame beside the old ones.
 
-use std::collections::BTreeMap;
-use std::sync::Arc;
+use std::sync::atomic::AtomicBool;
+use std::sync::{Arc, Mutex};
 
 use qucp_circuit::{Circuit, Gate};
-use qucp_core::{CoreError, CrosstalkTreatment, PartitionPolicy, ProgramResult, Strategy};
-use qucp_daemon::{Fault, Request, Response, PROTOCOL_VERSION};
-use qucp_device::{Link, LinkPair};
+use qucp_core::{CoreError, ProgramResult};
+use qucp_daemon::{Fault, Request, Response, ServerSession, WireError, PROTOCOL_VERSION};
+use qucp_device::ibm;
 use qucp_runtime::{
     BatchReport, CalibrationFault, DeviceReport, Event, JobRequest, JobResult, JobTicket,
-    QueueStats, RouteCacheStats, RoutingChoice, RuntimeError, ServiceReport, ShotParallelism,
-    ShrinkReason, TrajectoryKernel,
+    QueueStats, RouteCacheStats, RoutingChoice, RuntimeError, Service, ServiceReport,
+    ShotParallelism, ShrinkReason, TrajectoryKernel,
 };
 use qucp_sim::Counts;
 
@@ -78,35 +79,13 @@ fn bell() -> Circuit {
     c
 }
 
-fn strategy(name: &str, partition: PartitionPolicy, routing: bool, serialize: bool) -> Strategy {
-    Strategy {
-        name: name.into(),
-        partition,
-        crosstalk_aware_routing: routing,
-        serialize_conflicts: serialize,
-    }
-}
-
-/// A job request with every override set; the strategy carries a
-/// two-entry measured crosstalk map.
+/// A job request with every override set.
 fn full_request() -> JobRequest {
-    let measured: BTreeMap<LinkPair, f64> = [
-        (LinkPair::new(Link::new(0, 1), Link::new(2, 3)), 3.5),
-        (LinkPair::new(Link::new(4, 7), Link::new(10, 12)), 1.25),
-    ]
-    .into_iter()
-    .collect();
     JobRequest {
         circuit: every_gate(),
         arrival: 125.5,
         id: Some(77),
         shots: Some(4096),
-        strategy: Some(strategy(
-            "measured",
-            PartitionPolicy::NoiseAware(CrosstalkTreatment::Measured(measured)),
-            true,
-            false,
-        )),
         fidelity_threshold: Some(0.125),
         shot_parallelism: Some(ShotParallelism::Sharded {
             shards: 8,
@@ -119,16 +98,14 @@ fn full_request() -> JobRequest {
     }
 }
 
-/// A bell job carrying `strategy` and the given enum overrides — the
-/// variants [`full_request`] does not reach.
+/// A bell job carrying the given enum overrides — the variants
+/// [`full_request`] does not reach.
 fn bell_with(
-    strategy: Strategy,
     parallelism: ShotParallelism,
     kernel: TrajectoryKernel,
     routing: RoutingChoice,
 ) -> JobRequest {
     JobRequest {
-        strategy: Some(strategy),
         shot_parallelism: Some(parallelism),
         trajectory_kernel: Some(kernel),
         routing: Some(routing),
@@ -146,59 +123,6 @@ fn requests() -> Vec<(&'static str, Request)> {
             },
         ),
         ("submit_plain", submit(JobRequest::new(bell(), 10.0))),
-        ("submit_every_override", submit(full_request())),
-        (
-            "submit_sigma_auto_replay_earliest",
-            submit(bell_with(
-                strategy(
-                    "sigma",
-                    PartitionPolicy::NoiseAware(CrosstalkTreatment::Sigma(4.0)),
-                    false,
-                    true,
-                ),
-                ShotParallelism::Auto,
-                TrajectoryKernel::Replay,
-                RoutingChoice::EarliestFree,
-            )),
-        ),
-        (
-            "submit_no_crosstalk_serial",
-            submit(bell_with(
-                strategy(
-                    "plain",
-                    PartitionPolicy::NoiseAware(CrosstalkTreatment::None),
-                    false,
-                    false,
-                ),
-                ShotParallelism::Serial,
-                TrajectoryKernel::Replay,
-                RoutingChoice::EarliestFree,
-            )),
-        ),
-        (
-            "submit_topology_greedy",
-            submit(JobRequest {
-                strategy: Some(strategy(
-                    "greedy",
-                    PartitionPolicy::TopologyGreedy,
-                    true,
-                    true,
-                )),
-                ..JobRequest::new(bell(), 0.0)
-            }),
-        ),
-        (
-            "submit_fidelity_degree",
-            submit(JobRequest {
-                strategy: Some(strategy(
-                    "degree",
-                    PartitionPolicy::FidelityDegree,
-                    false,
-                    false,
-                )),
-                ..JobRequest::new(bell(), 0.0)
-            }),
-        ),
         ("tick", Request::Tick { now: 1500.0 }),
         ("tick_drain", Request::Tick { now: f64::INFINITY }),
         (
@@ -213,6 +137,23 @@ fn requests() -> Vec<(&'static str, Request)> {
         ("events", Request::Events),
         ("shutdown", Request::Shutdown),
         ("cache_stats", Request::CacheStats),
+        ("submit_every_other_override", submit(full_request())),
+        (
+            "submit_auto_replay_earliest",
+            submit(bell_with(
+                ShotParallelism::Auto,
+                TrajectoryKernel::Replay,
+                RoutingChoice::EarliestFree,
+            )),
+        ),
+        (
+            "submit_serial_replay_earliest",
+            submit(bell_with(
+                ShotParallelism::Serial,
+                TrajectoryKernel::Replay,
+                RoutingChoice::EarliestFree,
+            )),
+        ),
     ]
 }
 
@@ -554,6 +495,45 @@ fn the_short_cache_stats_frame_of_an_older_peer_still_decodes() {
     );
 }
 
+/// A `Submit` whose strategy slot is filled names a strategy the
+/// service does not run: each retired frame decodes to the typed
+/// refusal, a session answers it as a malformed request, and the
+/// refusal consumes nothing — the next plain `Submit` on the same
+/// session still gets seq 0.
+#[test]
+fn a_retired_strategy_frame_is_refused_and_consumes_nothing() {
+    let service = Service::builder().device(ibm::toronto()).build().unwrap();
+    let mut session = ServerSession::new(
+        Arc::new(Mutex::new(service)),
+        Arc::new(AtomicBool::new(false)),
+    );
+    let call = |session: &mut ServerSession, request: &[u8]| {
+        Response::decode(&session.handle_frame(request)).expect("the reply decodes")
+    };
+    let hello = Request::Hello {
+        version: PROTOCOL_VERSION,
+    };
+    assert!(matches!(
+        call(&mut session, &hello.encode()),
+        Response::HelloAck { .. }
+    ));
+    let refusal = WireError::InvalidValue {
+        context: "JobRequest::strategy",
+    };
+    for (name, hex) in RETIRED_STRATEGY_FRAMES {
+        let bytes = bytes_of(hex);
+        assert_eq!(Request::decode(&bytes), Err(refusal.clone()), "{name}");
+        let detail = refusal.to_string();
+        let fault = Response::Error(Fault::MalformedRequest { detail });
+        assert_eq!(call(&mut session, &bytes), fault, "{name}");
+    }
+    let plain = Request::Submit(Box::new(JobRequest::new(bell(), 0.0)));
+    assert_eq!(
+        call(&mut session, &plain.encode()),
+        Response::Ticket(JobTicket { seq: 0, id: 0 })
+    );
+}
+
 const REQUEST_FRAMES: &[(&str, &str)] = &[
     ("hello", "01514350440300"),
     (
@@ -561,50 +541,6 @@ const REQUEST_FRAMES: &[(&str, &str)] = &[
         "020200000000000000040000000000000062656c6c0200000000000000040000\
          0000000000001000000000000000000100000000000000000000000000244000\
          000000000000",
-    ),
-    (
-        "submit_every_override",
-        "0203000000000000000a0000000000000065766572792d676174651400000000\
-         0000000000000000000000000101000000000000000202000000000000000300\
-         0000000000000004010000000000000005020000000000000006000000000000\
-         00000701000000000000000802000000000000000900000000000000000a0100\
-         0000000000000b0200000000000000000000000000d03f0c0000000000000000\
-         000000000000e0bf0d0100000000000000000000000000fc3f0e020000000000\
-         000000000000000000800f0000000000000000000000000000c03f0000000000\
-         00044000000000000008c0100000000000000000010000000000000011010000\
-         0000000000020000000000000012020000000000000000000000000000000000\
-         00000000e83f13000000000000000002000000000000000000000000605f4001\
-         4d000000000000000100100000000000000108000000000000006d6561737572\
-         6564000202000000000000000000000000000000010000000000000002000000\
-         0000000003000000000000000000000000000c40040000000000000007000000\
-         000000000a000000000000000c00000000000000000000000000f43f01000100\
-         0000000000c03f010108000000000000000200000000000000010101018dedb5\
-         a0f7c6903e",
-    ),
-    (
-        "submit_sigma_auto_replay_earliest",
-        "020200000000000000040000000000000062656c6c0200000000000000040000\
-         0000000000001000000000000000000100000000000000000000000000000000\
-         000105000000000000007369676d610001000000000000104000010001020100\
-         0100",
-    ),
-    (
-        "submit_no_crosstalk_serial",
-        "020200000000000000040000000000000062656c6c0200000000000000040000\
-         0000000000001000000000000000000100000000000000000000000000000000\
-         00010500000000000000706c61696e0000000000010001000100",
-    ),
-    (
-        "submit_topology_greedy",
-        "020200000000000000040000000000000062656c6c0200000000000000040000\
-         0000000000001000000000000000000100000000000000000000000000000000\
-         0001060000000000000067726565647901010100000000",
-    ),
-    (
-        "submit_fidelity_degree",
-        "020200000000000000040000000000000062656c6c0200000000000000040000\
-         0000000000001000000000000000000100000000000000000000000000000000\
-         0001060000000000000064656772656502000000000000",
     ),
     ("tick", "030000000000709740"),
     ("tick_drain", "03000000000000f07f"),
@@ -615,6 +551,33 @@ const REQUEST_FRAMES: &[(&str, &str)] = &[
     ("events", "06"),
     ("shutdown", "07"),
     ("cache_stats", "09"),
+    (
+        "submit_every_other_override",
+        "0203000000000000000a0000000000000065766572792d676174651400000000\
+         0000000000000000000000000101000000000000000202000000000000000300\
+         0000000000000004010000000000000005020000000000000006000000000000\
+         00000701000000000000000802000000000000000900000000000000000a0100\
+         0000000000000b0200000000000000000000000000d03f0c0000000000000000\
+         000000000000e0bf0d0100000000000000000000000000fc3f0e020000000000\
+         000000000000000000800f0000000000000000000000000000c03f0000000000\
+         00044000000000000008c0100000000000000000010000000000000011010000\
+         0000000000020000000000000012020000000000000000000000000000000000\
+         00000000e83f13000000000000000002000000000000000000000000605f4001\
+         4d000000000000000100100000000000000001000000000000c03f0101080000\
+         00000000000200000000000000010101018dedb5a0f7c6903e",
+    ),
+    (
+        "submit_auto_replay_earliest",
+        "020200000000000000040000000000000062656c6c0200000000000000040000\
+         0000000000001000000000000000000100000000000000000000000000000000\
+         000000010201000100",
+    ),
+    (
+        "submit_serial_replay_earliest",
+        "020200000000000000040000000000000062656c6c0200000000000000040000\
+         0000000000001000000000000000000100000000000000000000000000000000\
+         000000010001000100",
+    ),
 ];
 
 const RESPONSE_FRAMES: &[(&str, &str)] = &[
@@ -773,4 +736,53 @@ const RESPONSE_FRAMES: &[(&str, &str)] = &[
         "8704060700000000000000746f726f6e746f03",
     ),
     ("runtime_invalid_strategy", "87040b000000000000f07f"),
+];
+
+/// The `Submit` frames of the protocol's per-job strategy, which the
+/// service no longer takes: their strategy slot is filled.
+const RETIRED_STRATEGY_FRAMES: &[(&str, &str)] = &[
+    (
+        "submit_every_override",
+        "0203000000000000000a0000000000000065766572792d676174651400000000\
+         0000000000000000000000000101000000000000000202000000000000000300\
+         0000000000000004010000000000000005020000000000000006000000000000\
+         00000701000000000000000802000000000000000900000000000000000a0100\
+         0000000000000b0200000000000000000000000000d03f0c0000000000000000\
+         000000000000e0bf0d0100000000000000000000000000fc3f0e020000000000\
+         000000000000000000800f0000000000000000000000000000c03f0000000000\
+         00044000000000000008c0100000000000000000010000000000000011010000\
+         0000000000020000000000000012020000000000000000000000000000000000\
+         00000000e83f13000000000000000002000000000000000000000000605f4001\
+         4d000000000000000100100000000000000108000000000000006d6561737572\
+         6564000202000000000000000000000000000000010000000000000002000000\
+         0000000003000000000000000000000000000c40040000000000000007000000\
+         000000000a000000000000000c00000000000000000000000000f43f01000100\
+         0000000000c03f010108000000000000000200000000000000010101018dedb5\
+         a0f7c6903e",
+    ),
+    (
+        "submit_sigma_auto_replay_earliest",
+        "020200000000000000040000000000000062656c6c0200000000000000040000\
+         0000000000001000000000000000000100000000000000000000000000000000\
+         000105000000000000007369676d610001000000000000104000010001020100\
+         0100",
+    ),
+    (
+        "submit_no_crosstalk_serial",
+        "020200000000000000040000000000000062656c6c0200000000000000040000\
+         0000000000001000000000000000000100000000000000000000000000000000\
+         00010500000000000000706c61696e0000000000010001000100",
+    ),
+    (
+        "submit_topology_greedy",
+        "020200000000000000040000000000000062656c6c0200000000000000040000\
+         0000000000001000000000000000000100000000000000000000000000000000\
+         0001060000000000000067726565647901010100000000",
+    ),
+    (
+        "submit_fidelity_degree",
+        "020200000000000000040000000000000062656c6c0200000000000000040000\
+         0000000000001000000000000000000100000000000000000000000000000000\
+         0001060000000000000064656772656502000000000000",
+    ),
 ];

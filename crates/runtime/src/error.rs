@@ -130,9 +130,10 @@ pub enum RuntimeError<S = CoreError> {
         /// the table expects.
         seq: usize,
     },
-    /// A job's strategy override carried a NaN or infinite crosstalk
+    /// The service's strategy carried a NaN or infinite crosstalk
     /// factor (QuCP's σ or a measured QuMC ratio): no partition score
-    /// could be trusted, and no plan-memo key could ever be hit again.
+    /// could be trusted. Refused by
+    /// [`ServiceBuilder::build`](crate::ServiceBuilder::build).
     InvalidStrategy {
         /// The offending value.
         value: f64,

@@ -16,9 +16,10 @@
 //!    [`JobTicket`]. A circuit wider than every chip is refused there
 //!    ([`RuntimeError::JobUnplaceable`]), so every queued job fits some
 //!    chip and none can hold the queue behind an error. Each request
-//!    may override the service defaults per job: execution
-//!    [`Strategy`](qucp_core::Strategy), shot budget, EFS fidelity
-//!    threshold.
+//!    may override the service defaults per job: shot budget, EFS
+//!    fidelity threshold, routing. The service's one execution
+//!    [`Strategy`](qucp_core::Strategy) plans every batch, as the
+//!    paper runs a workload once per strategy.
 //! 2. **Admit** — whenever a device frees up ([`Service::tick`] in
 //!    online use, [`Service::run_until_drained`] for batch drains), the
 //!    configured [`AdmissionPolicy`] picks the head-of-line job among
@@ -56,14 +57,14 @@
 //!    and two circuits share a handle only after their gate sequences
 //!    compared equal, so no entry is ever replayed on the strength of
 //!    a hash. The batch is then planned by the
-//!    [`Pipeline`](qucp_core::pipeline::Pipeline) of the head's
-//!    effective strategy: the shrink loop runs on its allocation stage
+//!    [`Pipeline`](qucp_core::pipeline::Pipeline) of the service's
+//!    strategy: the shrink loop runs on its allocation stage
 //!    alone (partition pressure shrinks the batch from the tail), and
 //!    routing and the schedule merge run once, for the members that
 //!    stayed. Allocation is **memoized** too, in the *plan memo*: one
 //!    entry per ordered member list per device and epoch, keyed by
-//!    what stage 1 reads — *(device, epoch, head strategy, member
-//!    shapes)*, no threshold — so every joint attempt
+//!    what stage 1 reads — *(device, epoch, member shapes)*, no
+//!    threshold — so every joint attempt
 //!    and every member's solo baseline the EFS gate reads is a lookup,
 //!    and only a list not yet seen reaches the allocator. The gate
 //!    itself runs on every batch, with each job's own threshold. A
@@ -173,11 +174,11 @@
 //! | submit (queue insert) | O(D) scan for a chip that admits the circuit, O(gates) shape interning (encode, one keyed hash into a std `HashSet`, one word-for-word comparison with the known shape; no allocation unless the shape is new), O(log n) position, amortized append for in-order arrivals |
 //! | seq → job lookup | O(1) slot index: one table slot per submission, queued → running → done |
 //! | dispatch step: earliest-free device | O(D) scan of the device clocks, inside the O(D) candidate ranking |
-//! | dispatch step: arrived views | O(log n) prefix bind; a rider's strategy is one key compare with the head's inside the pack |
+//! | dispatch step: arrived views | O(log n) prefix bind |
 //! | dispatch step: admitting devices | O(D) filter by `Device::admits`, beside the O(D) clock scan |
 //! | routing / head-only gate probes | one plan-memo lookup per list read — `[h]` for the routing score, `[h]` and `[h; k]` per copy count `k` walked — in a key buffer the service keeps; partitioning only for a list not seen at this epoch, on the pending circuit, borrowed |
-//! | batch planning | the EFS gate on every batch, each allocation it reads — the joint attempts and, under the batch gates, every member's solo baseline — one plan-memo lookup under the literal key *(device, epoch, strategy key, member shape handles)* (O(members) handle copies), partitioning only for a list not seen at this epoch; map + merge only for a survivor set not committed at this epoch. The members' circuits are cloned only on a memo miss, once per batch, and a miss plans on the buffers of the service's dispatch scratch (one `qucp_core::PlanScratch`, lent by `&mut`), reading calibration entries through the topology's link index: on `plan_churn` (seed 1, counted around the gate pass on copies of both trees) the gate pass asks the heap 16.3 times a job, 39.8 while every miss requested its working buffers afresh and searched ordered maps |
-//! | staging and execution | the batch's device is held by `Arc`, never cloned; the members leave the job table by value into one record per job, the head's strategy is one shared table entry, and ranking, packing and the key lookup run in buffers the service keeps |
+//! | batch planning | the EFS gate on every batch, each allocation it reads — the joint attempts and, under the batch gates, every member's solo baseline — one plan-memo lookup under the literal key *(device, epoch, member shape handles)* (O(members) handle copies), partitioning only for a list not seen at this epoch; map + merge only for a survivor set not committed at this epoch. The members' circuits are cloned only on a memo miss, once per batch, and a miss plans on the buffers of the service's dispatch scratch (one `qucp_core::PlanScratch`, lent by `&mut`), reading calibration entries through the topology's link index: on `plan_churn` (seed 1, counted around the gate pass on copies of both trees) the gate pass asks the heap 16.3 times a job, 39.8 while every miss requested its working buffers afresh and searched ordered maps |
+//! | staging and execution | the batch's device is held by `Arc`, never cloned; the members leave the job table by value into one record per job, planning borrows the service's one strategy, and ranking, packing and the key lookup run in buffers the service keeps |
 //! | batch removal | offset bump (front run) or one compaction pass |
 //! | recalibrate / drift epoch bump | one new device (its calibration state; name and topology shared by `Arc`), one pass over the cache, dropping the bumped device's probes and plans, and one over the shape table, dropping the shapes nothing holds any more |
 //! | execution set-up per program | ALAP schedule + event sort + three statevector passes on the first two executions of a plan (the second, the entry's first hit, fills its slots), five heap requests (`PlannedWorkload::prepare`; the event builder's slot and lane vectors are its thread's, seven while they were its own); a replayed plan then pays an `Arc` clone of the entry's slots per batch and one slot read per program (prepared replay) |

@@ -9,10 +9,10 @@
 //! for in-order arrivals), O(1) seq → slot indexing, O(log n)
 //! arrived-prefix binding per dispatch step, and dead-prefix removal so
 //! draining the queue front is an offset bump instead of a memmove.
-//! What it must answer — FIFO `(arrival, submission)` order, the
-//! arrived window, each job's strategy key — is stated without any of
-//! this by the reference scheduler of the differential suite
-//! (`tests/support/reference.rs`), which re-sorts a `Vec` per step.
+//! What it must answer — FIFO `(arrival, submission)` order and the
+//! arrived window — is stated without any of this by the reference
+//! scheduler of the differential suite (`tests/support/reference.rs`),
+//! which re-sorts a `Vec` per step.
 //!
 //! ## Who owns a job, when
 //!
@@ -25,32 +25,10 @@
 //! it builds. [`JobTable::take_members`] hands the records over **by
 //! value** and leaves the slots running: the staged batch keeps what
 //! execution and the report need (the circuit's name moved, not
-//! copied). The finish pass writes each result into its slot, which a
-//! claim copies once and the drained report copies again.
-//!
-//! ## The strategy table and its two readers
-//!
-//! The table interns each distinct effective strategy into a small key
-//! table ([`JobTable::strategy_key`]: key 0 = the service default,
-//! including overrides that compare equal to it — value equality); a
-//! job carries its key, not a strategy, and so does its [`JobView`],
-//! where the admission policy's pack compares it with the head's. Two
-//! things read the table behind the key:
-//!
-//! * **The plan memo.** The head's key is the strategy component of
-//!   every plan-memo key (`service/route_cache.rs`): two
-//!   batches share a cache entry only if their heads' strategies are
-//!   the same table entry, which is the very equality that lets their
-//!   jobs share a batch.
-//! * **Dispatch.** An entry is the strategy, once, behind one [`Arc`]:
-//!   a dispatch step holds the head's entry by reference count, so no
-//!   dispatch clones a strategy, and planning borrows the entry's
-//!   settings ([`qucp_core::Pipeline::from_strategy`]).
-
-use std::sync::Arc;
+//! copied). The finish pass writes each result into its slot behind
+//! one `Arc`, which every claim and the drained report share.
 
 use qucp_circuit::Circuit;
-use qucp_core::Strategy;
 use qucp_sim::{ShotParallelism, TrajectoryKernel};
 
 use crate::error::RuntimeError;
@@ -60,8 +38,8 @@ use crate::registry::RoutingChoice;
 use crate::shape::Shape;
 
 /// A pending (admitted but not yet dispatched) job. Its seq is its
-/// slot's index, its width its circuit's, its overtake count and
-/// strategy key its view's.
+/// slot's index, its width its circuit's, its overtake count its
+/// view's.
 #[derive(Debug, Clone)]
 pub(crate) struct Pending {
     pub(crate) id: u64,
@@ -110,7 +88,7 @@ impl Slot {
 /// Every admitted job, one [`Slot`] per submission index, plus a
 /// persistent FIFO-sorted [`JobView`] mirror of the queued ones
 /// maintained incrementally.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub(crate) struct JobTable {
     /// Slot `seq` is the job submitted `seq`-th.
     slots: Vec<Slot>,
@@ -121,42 +99,9 @@ pub(crate) struct JobTable {
     /// First live mirror index: front-contiguous removals bump this
     /// offset instead of shifting the vector.
     head: usize,
-    /// Distinct strategies seen so far; slot 0 holds the default.
-    interned: Vec<Arc<Strategy>>,
 }
 
 impl JobTable {
-    pub(crate) fn new(default: Strategy) -> Self {
-        JobTable {
-            slots: Vec::new(),
-            views: Vec::new(),
-            head: 0,
-            interned: vec![Arc::new(default)],
-        }
-    }
-
-    /// The table key of a job's strategy override, interning it on
-    /// first sight (`None` and overrides equal to the default are 0).
-    pub(crate) fn strategy_key(&mut self, strategy: Option<Strategy>) -> u32 {
-        match strategy {
-            None => 0,
-            Some(s) => match self.interned.iter().position(|x| **x == s) {
-                Some(i) => i as u32,
-                None => {
-                    self.interned.push(Arc::new(s));
-                    (self.interned.len() - 1) as u32
-                }
-            },
-        }
-    }
-
-    /// The shared strategy behind a key handed out by
-    /// [`JobTable::strategy_key`]: what a dispatch step holds of its
-    /// head's strategy.
-    pub(crate) fn strategy(&self, key: u32) -> &Arc<Strategy> {
-        &self.interned[key as usize]
-    }
-
     /// Index of job `seq` in the live (and so in any arrived) window:
     /// its `(arrival, seq)` key locates it in O(log n) by binary search
     /// over the sorted mirror.
@@ -175,9 +120,8 @@ impl JobTable {
 
     /// Admits a job as seq [`JobTable::next_seq`], keeping FIFO
     /// `(arrival, submission)` order; `depth` is the submitted
-    /// circuit's, which admission orders by, and `strategy_key` its
-    /// effective strategy's [`JobTable::strategy_key`].
-    pub(crate) fn insert(&mut self, p: Pending, depth: usize, strategy_key: u32) {
+    /// circuit's, which admission orders by.
+    pub(crate) fn insert(&mut self, p: Pending, depth: usize) {
         let width = p.circuit.width();
         let view = JobView {
             seq: self.slots.len(),
@@ -185,7 +129,6 @@ impl JobTable {
             width,
             area: width * depth,
             skips: 0,
-            strategy_key,
         };
         // The tie rule: after every job with
         // `arrival <= p.arrival` (equal arrivals keep submission order,
@@ -369,13 +312,14 @@ impl JobTable {
 
 #[cfg(test)]
 mod tests {
+    use std::sync::Arc;
+
     use super::*;
     use qucp_circuit::Circuit;
-    use qucp_core::strategy;
 
     /// Admits a Bell-pair job that arrives at `arrival` as `seq`, the
     /// table's next seq; its id is its seq.
-    fn admit(table: &mut JobTable, seq: usize, arrival: f64, strategy_key: u32) {
+    fn admit(table: &mut JobTable, seq: usize, arrival: f64) {
         assert_eq!(table.next_seq(), seq);
         let mut circuit = Circuit::new(2);
         circuit.h(0);
@@ -392,11 +336,7 @@ mod tests {
             trajectory_kernel: None,
             routing: None,
         };
-        table.insert(job, depth, strategy_key);
-    }
-
-    fn store() -> JobTable {
-        JobTable::new(strategy::qucp(strategy::DEFAULT_SIGMA))
+        table.insert(job, depth);
     }
 
     /// Both insert paths — the in-order append and the mid-queue
@@ -404,10 +344,10 @@ mod tests {
     /// mirror FIFO-sorted.
     #[test]
     fn both_paths_keep_fifo_order_under_out_of_order_arrivals() {
-        let mut store = store();
+        let mut store = JobTable::default();
         // Arrivals 30, 10, 20, 10: ties keep submission order.
         for (seq, arrival) in [(0, 30.0), (1, 10.0), (2, 20.0), (3, 10.0)] {
-            admit(&mut store, seq, arrival, 0);
+            admit(&mut store, seq, arrival);
         }
         let order: Vec<usize> = store.arrived(f64::INFINITY).iter().map(|v| v.seq).collect();
         assert_eq!(order, vec![1, 3, 2, 0]);
@@ -423,9 +363,9 @@ mod tests {
     /// position.
     #[test]
     fn position_and_skip_bump_agree_between_paths() {
-        let mut store = store();
+        let mut store = JobTable::default();
         for (seq, arrival) in [(0, 0.0), (1, 1.0), (2, 2.0)] {
-            admit(&mut store, seq, arrival, 0);
+            admit(&mut store, seq, arrival);
         }
         assert_eq!(store.position_of(1.0, 1), Some(1));
         store.bump_skip(1);
@@ -449,9 +389,9 @@ mod tests {
 
     #[test]
     fn removal_compacts_and_preserves_survivors() {
-        let mut store = store();
+        let mut store = JobTable::default();
         for seq in 0..6 {
-            admit(&mut store, seq, seq as f64, 0);
+            admit(&mut store, seq, seq as f64);
         }
         // Scattered removal first (mid-queue), then a front drain.
         take(&mut store, &[1, 3]);
@@ -513,19 +453,13 @@ mod tests {
     fn take_members_hands_over_in_seqs_order_and_leaves_what_removal_left() {
         // Front drains (the offset bump, twice, then the compaction at
         // half the buffer), a middle removal, a removal in neither
-        // queue nor seq order, override members, the last jobs.
+        // queue nor seq order, the last jobs.
         let batches: [&[usize]; 6] = [&[0, 1], &[2], &[5, 7], &[9, 4, 6], &[3], &[8, 10, 11]];
         let fill = || {
-            let mut store = store();
-            let other = store.strategy_key(Some(strategy::cna()));
+            let mut store = JobTable::default();
             for seq in 0..12 {
-                let key = if seq % 5 == 4 { other } else { 0 };
                 // Arrivals run against submission order in pairs.
-                admit(&mut store, seq, (seq ^ 1) as f64, key);
-            }
-            // Every view carries its job's strategy key.
-            for v in store.arrived(f64::INFINITY) {
-                assert_eq!(v.strategy_key, if v.seq % 5 == 4 { other } else { 0 });
+                admit(&mut store, seq, (seq ^ 1) as f64);
             }
             store
         };
@@ -550,9 +484,9 @@ mod tests {
     /// around it leave slots and mirror together.
     #[test]
     fn take_members_names_a_missing_seq_and_keeps_map_and_mirror_agreed() {
-        let mut store = store();
+        let mut store = JobTable::default();
         for seq in 0..4 {
-            admit(&mut store, seq, seq as f64, 0);
+            admit(&mut store, seq, seq as f64);
         }
         let taken = store.take_members(&[0, 9, 1], &mut Vec::new(), |seq, _| seq);
         assert!(matches!(
@@ -593,9 +527,9 @@ mod tests {
     /// another id, changes nothing.
     #[test]
     fn a_slot_is_queued_then_running_then_done_and_claimed_once() {
-        let mut store = store();
+        let mut store = JobTable::default();
         for seq in 0..2 {
-            admit(&mut store, seq, seq as f64, 0);
+            admit(&mut store, seq, seq as f64);
         }
         assert!(store.get(0).is_ok() && store.result(0).is_none());
         assert_eq!(store.claim(0, 0), None);
@@ -632,31 +566,5 @@ mod tests {
         let kept = &store.result(0).unwrap().result;
         assert!(Arc::ptr_eq(&claimed.result, kept), "the claim shares it");
         assert!(Arc::ptr_eq(&results[0].result, kept), "so does the report");
-    }
-
-    /// One table entry per distinct strategy, shared by reference
-    /// count; a strategy unequal to itself gets a fresh entry per
-    /// submission, as its key always did.
-    #[test]
-    fn one_strategy_entry_per_distinct_strategy() {
-        let mut store = store();
-        let cna = store.strategy_key(Some(strategy::cna()));
-        let entry = Arc::clone(store.strategy(cna));
-        for _ in 0..3 {
-            assert_eq!(store.strategy_key(Some(strategy::cna())), cna);
-            assert_eq!(
-                store.strategy_key(Some(strategy::qucp(strategy::DEFAULT_SIGMA))),
-                0
-            );
-        }
-        assert!(Arc::ptr_eq(&entry, store.strategy(cna)));
-        assert_eq!(*entry, strategy::cna());
-        assert_eq!(store.interned.len(), 2);
-        let nan = [
-            store.strategy_key(Some(strategy::qucp(f64::NAN))),
-            store.strategy_key(Some(strategy::qucp(f64::NAN))),
-        ];
-        assert_eq!(nan, [2, 3]);
-        assert!(!Arc::ptr_eq(store.strategy(nan[0]), store.strategy(nan[1])));
     }
 }

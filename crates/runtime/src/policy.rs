@@ -43,10 +43,6 @@ pub struct JobView {
     /// How many batches have already overtaken this job (the backfill
     /// starvation counter).
     pub skips: usize,
-    /// The job's effective strategy as the service's interned key:
-    /// equal keys are equal strategies, and a job shares a batch only
-    /// with a head of its own key.
-    pub strategy_key: u32,
 }
 
 /// The resource envelope of the batch being formed.
@@ -146,9 +142,7 @@ impl AdmissionPolicy {
 
     /// Packs the batch around `head` (an index into `arrived`) into
     /// `picks`, replacing its contents: member indices with the head
-    /// first. A job under another strategy key than the head's never
-    /// rides along: FIFO stops at it, Backfill and SJF pass it over as
-    /// they pass over a job that does not fit. The head leads the pack
+    /// first. The head leads the pack
     /// whatever its width; the service packs only for a chip that
     /// admits the head, and enforces the budget again afterwards.
     pub fn pack(
@@ -161,14 +155,10 @@ impl AdmissionPolicy {
         picks.clear();
         picks.push(head);
         let mut used = arrived[head].width;
-        let key = arrived[head].strategy_key;
         match self {
             AdmissionPolicy::Fifo => {
                 for (i, job) in arrived.iter().enumerate().skip(head + 1) {
-                    if picks.len() >= budget.max_members
-                        || job.strategy_key != key
-                        || used + job.width > budget.qubits
-                    {
+                    if picks.len() >= budget.max_members || used + job.width > budget.qubits {
                         break;
                     }
                     used += job.width;
@@ -180,7 +170,7 @@ impl AdmissionPolicy {
                     if picks.len() >= budget.max_members {
                         break;
                     }
-                    if job.strategy_key == key && used + job.width <= budget.qubits {
+                    if used + job.width <= budget.qubits {
                         used += job.width;
                         picks.push(i);
                     } else if job.width <= budget.qubits && job.skips >= max_overtakes {
@@ -207,7 +197,7 @@ impl AdmissionPolicy {
                         break;
                     }
                     let job = &arrived[picks[read]];
-                    if job.strategy_key == key && used + job.width <= budget.qubits {
+                    if used + job.width <= budget.qubits {
                         used += job.width;
                         picks[kept] = picks[read];
                         kept += 1;
@@ -231,7 +221,6 @@ mod tests {
             width,
             area: width * depth,
             skips: 0,
-            strategy_key: 0,
         }
     }
 
@@ -268,28 +257,6 @@ mod tests {
             view(4, 4.0, 1, 1),
         ];
         assert_eq!(pack(Fifo, &arrived, 0), vec![0, 1, 2, 3]);
-    }
-
-    /// A job under another strategy key than the head's, between two
-    /// jobs under the head's: FIFO stops at it, Backfill passes it over
-    /// until its overtakes reach the bound, SJF passes it over. Under
-    /// the head's key it rides along with every policy.
-    #[test]
-    fn a_job_under_another_strategy_key_never_rides_along() {
-        let mut arrived = vec![view(0, 0.0, 1, 1), view(1, 1.0, 1, 1), view(2, 2.0, 1, 1)];
-        let backfill = AdmissionPolicy::from(Backfill { max_overtakes: 2 });
-        for policy in [Fifo, backfill, ShortestJobFirst] {
-            assert_eq!(pack(policy, &arrived, 0), vec![0, 1, 2], "{policy:?}");
-        }
-        arrived[1].strategy_key = 1;
-        assert_eq!(pack(Fifo, &arrived, 0), vec![0]);
-        assert_eq!(pack(backfill, &arrived, 0), vec![0, 2]);
-        assert_eq!(pack(ShortestJobFirst, &arrived, 0), vec![0, 2]);
-        arrived[1].skips = 1;
-        assert_eq!(pack(backfill, &arrived, 0), vec![0, 2]);
-        arrived[1].skips = 2;
-        assert_eq!(pack(backfill, &arrived, 0), vec![0]);
-        assert_eq!(pack(ShortestJobFirst, &arrived, 0), vec![0, 2]);
     }
 
     #[test]

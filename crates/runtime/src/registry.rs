@@ -34,8 +34,8 @@
 //! every ordered member list looked up and, for a list that committed
 //! as a batch, its
 //! [`PlannedWorkload`](qucp_core::pipeline::PlannedWorkload), keyed by
-//! what allocation reads: *(device, **epoch**, head strategy, ordered
-//! member shapes)*, no threshold. The EFS gate reads its joint attempts
+//! what allocation reads: *(device, **epoch**, ordered member
+//! shapes)*, no threshold (the strategy is the service's one). The EFS gate reads its joint attempts
 //! and each member's solo baseline there, and the partition probes behind
 //! [`CalibrationAware`] and the head-only EFS gate read the lists of
 //! head copies `[h]` and `[h; k]` there, so a stream of same-shape jobs
@@ -46,10 +46,9 @@
 //! The keys are those tuples themselves, compared by equality: a
 //! *shape* is the handle a circuit's width and gate sequence were
 //! interned to at submit (shared only after a gate-for-gate
-//! comparison, dropped with its last pending job and cache key), a
-//! *strategy* is its key in the job table's strategy table (0 =
-//! the service default). No entry is found by a hash of a `Debug`
-//! rendering, and none is replayed because two hashes agreed.
+//! comparison, dropped with its last pending job and cache key). No
+//! entry is found by a hash of a `Debug` rendering, and none is
+//! replayed because two hashes agreed.
 //!
 //! The fleet is *live*: calibrations change after build, through
 //! [`Service::recalibrate`](crate::Service::recalibrate) (a fresh
@@ -289,8 +288,7 @@ impl Default for CalibrationAware {
 /// alike.
 ///
 /// Semantics of an override: the override of the batch **head** routes
-/// the whole batch (riders' overrides are ignored, exactly like the
-/// head's strategy governs batch planning). A request without an
+/// the whole batch (riders' overrides are ignored). A request without an
 /// override routes with the service default, bit-for-bit — and an
 /// explicit override equal to the service default is observationally
 /// identical to no override (pinned by the campaign test suite). The

@@ -27,7 +27,7 @@ pub use self::report::{BatchReport, DeviceReport, QueueStats, ServiceReport};
 pub use self::request::{EfsGate, JobRequest, JobTicket};
 pub use self::route_cache::RouteCacheStats;
 
-use qucp_core::{CoreError, CrosstalkTreatment, PartitionPolicy, Strategy};
+use qucp_core::{CoreError, Strategy};
 use qucp_device::DriftModel;
 
 use self::dispatch::{DispatchScratch, RoutingNames};
@@ -77,6 +77,8 @@ struct DeviceState {
 /// # }
 /// ```
 pub struct Service {
+    /// The strategy that plans every batch.
+    strategy: Strategy,
     policy: AdmissionPolicy,
     /// The routing of every batch whose head carries no override.
     routing: RoutingChoice,
@@ -100,8 +102,7 @@ pub struct Service {
     /// claim flag. The service keeps each result for the end-of-run
     /// [`ServiceReport`] even after a claim — eviction would change the
     /// drained report, which is bit-for-bit pinned. Also the
-    /// FIFO-sorted (arrival, seq) queue of the queued jobs and the
-    /// strategy table (key 0 = the service default strategy).
+    /// FIFO-sorted (arrival, seq) queue of the queued jobs.
     jobs: JobTable,
     /// Interner of the submitted circuits' shapes (see [`ShapeTable`]).
     shapes: ShapeTable,
@@ -133,7 +134,7 @@ impl std::fmt::Debug for Service {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Service")
             .field("devices", &self.registry.len())
-            .field("strategy", &self.jobs.strategy(0).name)
+            .field("strategy", &self.strategy.name)
             .field("policy", &self.policy)
             .field("routing", &self.routing)
             .field("max_parallel", &self.max_parallel)
@@ -225,9 +226,7 @@ impl Service {
     /// [`RuntimeError::EmptyCircuit`] on a zero-width circuit,
     /// [`RuntimeError::ZeroShots`] on a zero effective shot budget,
     /// [`RuntimeError::InvalidThreshold`] on a NaN, infinite or
-    /// negative per-job threshold, [`RuntimeError::InvalidStrategy`] on
-    /// a per-job strategy with a NaN or infinite crosstalk factor,
-    /// [`RuntimeError::JobUnplaceable`] on a circuit wider than every
+    /// negative per-job threshold, [`RuntimeError::JobUnplaceable`] on a circuit wider than every
     /// registered chip (the planning error is `ProgramTooWide` against
     /// the widest chip, as a dispatch would have reported it). A
     /// refused job takes no seq and logs no event, so every queued job
@@ -249,9 +248,6 @@ impl Service {
             if !t.is_finite() || t < 0.0 {
                 return Err(RuntimeError::InvalidThreshold { value: t });
             }
-        }
-        if let Some(value) = request.strategy.as_ref().and_then(non_finite_factor) {
-            return Err(RuntimeError::InvalidStrategy { value });
         }
         let seq = self.jobs.next_seq();
         let id = request.id.unwrap_or(seq as u64);
@@ -290,7 +286,6 @@ impl Service {
         // part of; interning once at submit (O(gates), like the depth
         // above) makes each of those lookups a handle comparison.
         let shape = self.shapes.intern(&circuit);
-        let strategy_key = self.jobs.strategy_key(request.strategy);
         let job = Pending {
             id,
             circuit,
@@ -302,7 +297,7 @@ impl Service {
             trajectory_kernel: request.trajectory_kernel,
             routing: request.routing,
         };
-        self.jobs.insert(job, depth, strategy_key);
+        self.jobs.insert(job, depth);
         Ok(JobTicket { seq, id })
     }
 
@@ -415,17 +410,4 @@ impl Service {
     pub fn planning_time_ns(&self) -> u64 {
         self.plan_ns
     }
-}
-
-/// The first NaN or infinite crosstalk factor of `strategy` — QuCP's σ
-/// or a measured QuMC ratio — if it has one.
-fn non_finite_factor(strategy: &Strategy) -> Option<f64> {
-    match &strategy.partition {
-        PartitionPolicy::NoiseAware(CrosstalkTreatment::Sigma(sigma)) => Some(*sigma),
-        PartitionPolicy::NoiseAware(CrosstalkTreatment::Measured(ratios)) => {
-            ratios.values().copied().find(|r| !r.is_finite())
-        }
-        _ => None,
-    }
-    .filter(|value| !value.is_finite())
 }

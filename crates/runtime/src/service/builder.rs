@@ -1,7 +1,7 @@
 //! [`ServiceBuilder`]: the service's configuration surface and its
 //! validation.
 
-use qucp_core::{strategy, Strategy};
+use qucp_core::{strategy, CrosstalkTreatment, PartitionPolicy, Strategy};
 use qucp_device::{Device, DriftModel};
 
 use super::dispatch::{DispatchScratch, RoutingNames};
@@ -91,7 +91,7 @@ impl ServiceBuilder {
         self
     }
 
-    /// Sets the default execution strategy.
+    /// Sets the execution strategy: it plans every batch.
     #[must_use]
     pub fn strategy(mut self, strategy: Strategy) -> Self {
         self.strategy = strategy;
@@ -194,7 +194,8 @@ impl ServiceBuilder {
     /// [`RuntimeError::ZeroParallel`] on a zero batch cap,
     /// [`RuntimeError::ZeroShots`] on a zero default shot budget,
     /// [`RuntimeError::InvalidThreshold`] on a NaN, infinite or
-    /// negative default threshold.
+    /// negative default threshold, [`RuntimeError::InvalidStrategy`] on
+    /// a strategy with a NaN or infinite crosstalk factor.
     pub fn build(self) -> Result<Service, RuntimeError> {
         if self.registry.is_empty() {
             return Err(RuntimeError::NoDevices);
@@ -210,9 +211,13 @@ impl ServiceBuilder {
                 return Err(RuntimeError::InvalidThreshold { value: t });
             }
         }
+        if let Some(value) = non_finite_factor(&self.strategy) {
+            return Err(RuntimeError::InvalidStrategy { value });
+        }
         let states = vec![DeviceState::default(); self.registry.len()];
         let drift_steps = vec![0u64; self.registry.len()];
         Ok(Service {
+            strategy: self.strategy,
             policy: self.policy,
             routing: self.routing,
             routing_names: RoutingNames::default(),
@@ -224,7 +229,7 @@ impl ServiceBuilder {
             default_shots: self.default_shots,
             registry: self.registry,
             states,
-            jobs: JobTable::new(self.strategy),
+            jobs: JobTable::default(),
             shapes: ShapeTable::default(),
             batches: Vec::new(),
             unreported: Vec::new(),
@@ -237,4 +242,17 @@ impl ServiceBuilder {
             plan_ns: 0,
         })
     }
+}
+
+/// The first NaN or infinite crosstalk factor of `strategy` — QuCP's σ
+/// or a measured QuMC ratio — if it has one.
+fn non_finite_factor(strategy: &Strategy) -> Option<f64> {
+    match &strategy.partition {
+        PartitionPolicy::NoiseAware(CrosstalkTreatment::Sigma(sigma)) => Some(*sigma),
+        PartitionPolicy::NoiseAware(CrosstalkTreatment::Measured(ratios)) => {
+            ratios.values().copied().find(|r| !r.is_finite())
+        }
+        _ => None,
+    }
+    .filter(|value| !value.is_finite())
 }

@@ -6,9 +6,9 @@
 //!
 //! Until its batch commits a job is one `Pending` record in its slot of
 //! the job table, and staging reads it there: the head's numbers are
-//! copied into a [`HeadContext`] (no circuit, the strategy by reference
-//! count), ranking, packing and the gate's memo lookups fill the
-//! buffers of one [`DispatchScratch`] the service keeps, and a plan-memo
+//! copied into a [`HeadContext`] (no circuit), ranking, packing and the
+//! gate's memo lookups fill the buffers of one [`DispatchScratch`] the
+//! service keeps, and a plan-memo
 //! hit shares the cached plan and its prepared-state slots behind their
 //! `Arc`s. [`Service::commit`] then takes the members out of the table
 //! **by value**, leaving their slots running, and turns each into one
@@ -26,7 +26,7 @@
 use std::sync::{Arc, OnceLock};
 
 use qucp_core::pipeline::PlannedWorkload;
-use qucp_core::{CoreError, ParallelConfig, PlanScratch, ProgramResult, Strategy};
+use qucp_core::{CoreError, ParallelConfig, PlanScratch, ProgramResult};
 use qucp_device::Device;
 use qucp_sim::{run_indexed, ExecutionConfig, ShotParallelism, TrajectoryKernel};
 
@@ -115,8 +115,6 @@ impl Service {
             id: p.id,
             arrival: head_view.arrival,
             routing: p.routing.unwrap_or(self.routing),
-            strategy: Arc::clone(self.jobs.strategy(head_view.strategy_key)),
-            strategy_key: head_view.strategy_key,
             threshold: p.fidelity_threshold.or(self.fidelity_threshold),
             shape: p.shape.clone(),
             batch_index: self.batches.len(),
@@ -425,15 +423,8 @@ impl Service {
         member_seqs.clone_from(picks_seqs);
         let plan_started = std::time::Instant::now();
         let planned = self
-            .gate_pass(
-                gate,
-                planning,
-                d,
-                head.strategy_key,
-                head.batch_index,
-                member_seqs,
-            )
-            .and_then(|pass| pass.plan(member_seqs, &head.strategy));
+            .gate_pass(gate, planning, d, head.batch_index, member_seqs)
+            .and_then(|pass| pass.plan(member_seqs));
         self.plan_ns = self
             .plan_ns
             .saturating_add(plan_started.elapsed().as_nanos() as u64);
@@ -563,12 +554,6 @@ pub(super) struct HeadContext {
     /// The batch's effective routing: the head's override, else the
     /// service default.
     pub(super) routing: RoutingChoice,
-    /// The head's effective strategy, shared with the store's table: it
-    /// plans the batch and parameterizes the probes.
-    pub(super) strategy: Arc<Strategy>,
-    /// The store's key of that strategy: the strategy component of
-    /// every plan-memo key.
-    pub(super) strategy_key: u32,
     /// The head's effective EFS threshold (the head-only gate's input).
     pub(super) threshold: Option<f64>,
     /// The head circuit's shape (the probes' key component).

@@ -52,12 +52,14 @@ pub(super) struct GateBuffers {
 }
 
 /// One candidate's planning pass: the memo it looks allocations up in,
-/// the table it reads the members in, the device, the gate's settings,
-/// and the working buffers planning borrows on a miss.
+/// the table it reads the members in, the device, the service's
+/// strategy, the gate's settings, and the working buffers planning
+/// borrows on a miss.
 pub(super) struct GatePass<'a> {
     cache: &'a mut RouteCache,
     jobs: &'a JobTable,
     device: &'a Device,
+    strategy: &'a Strategy,
     buffers: &'a mut GateBuffers,
     planning: &'a mut PlanScratch,
     gate: EfsGate,
@@ -66,13 +68,12 @@ pub(super) struct GatePass<'a> {
 
 impl Service {
     /// The planning pass of the member list `members` (head first) on
-    /// device `d` under the head's `strategy` key, in `buffers`.
+    /// device `d`, in `buffers`.
     pub(super) fn gate_pass<'a>(
         &'a mut self,
         buffers: &'a mut GateBuffers,
         planning: &'a mut PlanScratch,
         d: usize,
-        strategy: u32,
         batch_index: usize,
         members: &[usize],
     ) -> Result<GatePass<'a>, RuntimeError> {
@@ -86,11 +87,12 @@ impl Service {
         }
         // Last, so that a failed lookup leaves no shape in a buffer.
         let shapes = std::mem::take(&mut buffers.key.shapes);
-        buffers.key = self.plan_key(d, strategy, members, shapes)?;
+        buffers.key = self.plan_key(d, members, shapes)?;
         Ok(GatePass {
             cache: &mut self.route_cache,
             jobs: &self.jobs,
             device: self.registry.device_at(d),
+            strategy: &self.strategy,
             buffers,
             planning,
             gate: self.efs_gate,
@@ -100,16 +102,12 @@ impl Service {
 }
 
 impl GatePass<'_> {
-    /// The whole pass under the head's strategy: the gate loop on
+    /// The whole pass under the service's strategy: the gate loop on
     /// allocations ([`GatePass::run`]), then the survivors' plan
     /// ([`GatePass::complete`]). `members` ends as the survivors, the
     /// buffers empty but for the shrink events.
-    pub(super) fn plan(
-        mut self,
-        members: &mut Vec<usize>,
-        head_strategy: &Strategy,
-    ) -> Result<SharedPlan, RuntimeError> {
-        let pipeline = Pipeline::from_strategy(head_strategy);
+    pub(super) fn plan(mut self, members: &mut Vec<usize>) -> Result<SharedPlan, RuntimeError> {
+        let pipeline = Pipeline::from_strategy(self.strategy);
         let device = self.device;
         let planned = self
             .run(members, |planning, circuits| {
@@ -120,7 +118,7 @@ impl GatePass<'_> {
         planned
     }
 
-    /// The gate loop: allocates `members` (stage 1 of the head's
+    /// The gate loop: allocates `members` (stage 1 of the service's
     /// pipeline, through the memo), shrinking while the allocator
     /// cannot place them (tail eviction) and — in [`EfsGate::Batch`] /
     /// [`EfsGate::BatchWorstExcess`] mode — while any member's EFS
@@ -203,8 +201,8 @@ impl GatePass<'_> {
 
     /// The gate's verdict on the allocated `members`: the position to
     /// evict if any member's EFS excess over its solo-best score — the
-    /// allocation of its one-member list, under the head's strategy —
-    /// exceeds its threshold, else `None`.
+    /// allocation of its one-member list — exceeds its threshold, else
+    /// `None`.
     fn violation(
         &mut self,
         members: &[usize],

@@ -4,7 +4,6 @@
 //! sizes its batch.
 
 use qucp_circuit::Circuit;
-use qucp_core::Strategy;
 use qucp_sim::{ShotParallelism, TrajectoryKernel};
 
 use crate::job::Job;
@@ -48,7 +47,8 @@ impl EfsGate {
 }
 
 /// A streaming job submission: the circuit plus optional per-job
-/// overrides of the service defaults.
+/// overrides of the service defaults. The strategy is not one of them:
+/// the service's own strategy plans every batch.
 #[derive(Debug, Clone, PartialEq)]
 pub struct JobRequest {
     /// The logical circuit to run.
@@ -59,10 +59,6 @@ pub struct JobRequest {
     pub id: Option<u64>,
     /// Shot budget; defaults to the service's `default_shots`.
     pub shots: Option<usize>,
-    /// Per-job strategy override. Jobs only share a batch with jobs of
-    /// the same effective strategy, and the batch is planned through a
-    /// pipeline assembled from it.
-    pub strategy: Option<Strategy>,
     /// Per-job EFS fidelity-threshold override (must be finite and
     /// non-negative); defaults to the service's configured threshold.
     pub fidelity_threshold: Option<f64>,
@@ -81,7 +77,7 @@ pub struct JobRequest {
     pub trajectory_kernel: Option<TrajectoryKernel>,
     /// Per-job routing-policy override, consulted only when this job
     /// heads a batch: the head's effective policy routes the whole
-    /// batch, exactly as the head's strategy plans it. `None` routes
+    /// batch. `None` routes
     /// with the service default, bit-for-bit — and an explicit override
     /// equal to the default is observationally identical to no override
     /// (pinned by the campaign test suite). See [`RoutingChoice`].
@@ -96,7 +92,6 @@ impl JobRequest {
             arrival,
             id: None,
             shots: None,
-            strategy: None,
             fidelity_threshold: None,
             shot_parallelism: None,
             trajectory_kernel: None,
@@ -115,13 +110,6 @@ impl JobRequest {
     #[must_use]
     pub fn with_shots(mut self, shots: usize) -> Self {
         self.shots = Some(shots);
-        self
-    }
-
-    /// Overrides the execution strategy.
-    #[must_use]
-    pub fn with_strategy(mut self, strategy: Strategy) -> Self {
-        self.strategy = Some(strategy);
         self
     }
 

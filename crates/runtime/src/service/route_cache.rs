@@ -5,10 +5,11 @@
 //! two probes that read it.
 //!
 //! Every key is the literal tuple of what its entry is a function of —
-//! device index, calibration epoch, the head's interned strategy key and
-//! the interned [`Shape`] handles of the members' circuits as their
-//! batch runs them (folded at submit) — with derived `Hash + Eq`. The
-//! map's hash only finds the bucket; an entry is used because its key
+//! device index, calibration epoch and the interned [`Shape`] handles
+//! of the members' circuits as their batch runs them (folded at
+//! submit) — with derived `Hash + Eq`; the strategy is the service's
+//! one, fixed for the memo's life. The map's hash only finds the
+//! bucket; an entry is used because its key
 //! *equals* the lookup's, and shape handles are equal only for
 //! gate-by-gate equal circuits (see [`crate::shape`]). A threshold is no
 //! input of an entry: it decides which lists the gate and the copy-count
@@ -93,16 +94,15 @@ pub(super) struct RouteCache {
 /// What stage 1 — and so every plan-memo entry — is a function of. Job
 /// ids, names, thresholds and the batch index are deliberately not:
 /// the gate reads thresholds on every pass, and the commit re-binds the
-/// rest. Nor is the service's optimize flag: it is fixed for the
-/// service's life, and a circuit is folded before its shape is interned.
+/// rest. Nor are the service's strategy and optimize flag: both are
+/// fixed for the service's life (and so for its memo's), and a circuit
+/// is folded before its shape is interned.
 #[derive(Debug, Clone, Default, PartialEq, Eq, Hash)]
 pub(super) struct PlanKey {
     pub(super) device: usize,
     /// The device's calibration epoch, so a stale entry could not be
     /// used even if the eager drop on the bump were missed.
     pub(super) epoch: u64,
-    /// The head's strategy key (it plans the whole batch).
-    pub(super) strategy: u32,
     /// The members' shapes, in list order.
     pub(super) shapes: Vec<Shape>,
 }
@@ -197,9 +197,9 @@ impl Service {
     /// Statistics of the cross-batch planning cache: how many probes
     /// the dispatch loop answered from the memo without allocating, and
     /// how many candidate plannings reused a memoized plan. Every entry
-    /// is one member list keyed by *(device, epoch, strategy, member
-    /// shapes)* and valid for exactly one calibration **epoch** of its
-    /// device: a [`Service::recalibrate`] or a changing
+    /// is one member list keyed by *(device, epoch, member shapes)* and
+    /// valid for exactly one calibration **epoch** of its device: a
+    /// [`Service::recalibrate`] or a changing
     /// [`Service::advance_drift`] step bumps the device's epoch and drops
     /// that device's entries, counted in
     /// [`RouteCacheStats::plan_invalidated`]. With one map,
@@ -220,14 +220,12 @@ impl Service {
         }
     }
 
-    /// The plan-memo key of the member list `seqs` on device `d` under
-    /// the head's `strategy` key, built in the (empty) vector handed in
-    /// — the dispatch loop lends the same one to every pass and clones
-    /// a key only into the memo.
+    /// The plan-memo key of the member list `seqs` on device `d`, built
+    /// in the (empty) vector handed in — the dispatch loop lends the
+    /// same one to every pass and clones a key only into the memo.
     pub(super) fn plan_key(
         &self,
         d: usize,
-        strategy: u32,
         seqs: &[usize],
         mut shapes: Vec<Shape>,
     ) -> Result<PlanKey, RuntimeError> {
@@ -238,7 +236,6 @@ impl Service {
         Ok(PlanKey {
             device: d,
             epoch: self.registry.epoch(DeviceId::from_index(d)),
-            strategy,
             shapes,
         })
     }
@@ -292,9 +289,9 @@ impl Service {
         walk: impl FnOnce(&mut dyn FnMut(usize) -> Result<f64, CoreError>) -> T,
     ) -> Result<T, RuntimeError> {
         let shapes = std::mem::take(&mut self.route_cache.probe);
-        let mut key = self.plan_key(d, head.strategy_key, &[], shapes)?;
+        let mut key = self.plan_key(d, &[], shapes)?;
         let circuit = &self.jobs.get(head.seq)?.circuit;
-        let (device, partition) = (self.registry.device_at(d), &head.strategy.partition);
+        let (device, partition) = (self.registry.device_at(d), &self.strategy.partition);
         let cache = &mut self.route_cache;
         let mut allocated = false;
         let value = walk(&mut |k| {

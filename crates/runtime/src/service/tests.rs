@@ -226,18 +226,26 @@ fn a_job_no_chip_admits_is_refused_at_submit_and_holds_up_nothing() {
     assert_eq!(fleet.pending_len(), 1);
 }
 
+/// A strategy with a NaN or infinite crosstalk factor — as σ or as a
+/// measured QuMC ratio — is refused when the service is built, with
+/// the offending value; finite factors, σ = 0 included, build and
+/// drain.
 #[test]
-fn a_non_finite_crosstalk_factor_is_refused_at_submit() {
+fn a_non_finite_crosstalk_factor_is_refused_at_build() {
     use qucp_device::{Link, LinkPair};
-    let mut service = fifo_service(2);
-    let bell = qucp_circuit::library::by_name("bell").unwrap().circuit();
     let pair = |a, b, c, d| LinkPair::new(Link::new(a, b), Link::new(c, d));
     let measured =
         |ratio: f64| strategy::qumc([(pair(0, 1, 2, 3), 2.5), (pair(4, 7, 10, 12), ratio)].into());
+    let build = |strategy: Strategy| {
+        Service::builder()
+            .device(ibm::toronto())
+            .strategy(strategy)
+            .max_parallel(2)
+            .build()
+    };
     for value in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
         for strategy in [strategy::qucp(value), measured(value)] {
-            let request = JobRequest::new(bell.clone(), 0.0).with_strategy(strategy);
-            match service.submit(request).unwrap_err() {
+            match build(strategy).unwrap_err() {
                 RuntimeError::InvalidStrategy { value: got } => {
                     assert_eq!(got.to_bits(), value.to_bits());
                 }
@@ -245,17 +253,14 @@ fn a_non_finite_crosstalk_factor_is_refused_at_submit() {
             }
         }
     }
-    // Nothing was interned: a NaN σ is unequal to itself, so each one
-    // used to append a strategy-table entry every later submit scans.
-    assert_eq!(service.jobs.strategy_key(Some(measured(3.0))), 1);
-    assert_eq!(service.pending_len(), 0);
-    assert!(service.event_log().is_empty());
-    // Finite factors, σ = 0 included, are accepted.
+    let bell = qucp_circuit::library::by_name("bell").unwrap().circuit();
     for strategy in [strategy::qucp(0.0), measured(3.0)] {
-        let request = JobRequest::new(bell.clone(), 0.0).with_strategy(strategy);
-        service.submit(request).unwrap();
+        let mut service = build(strategy).unwrap();
+        service.submit(JobRequest::new(bell.clone(), 0.0)).unwrap();
+        service.submit(JobRequest::new(bell.clone(), 0.0)).unwrap();
+        let report = service.run_until_drained().unwrap();
+        assert_eq!(report.job_results.len(), 2);
     }
-    service.run_until_drained().unwrap();
 }
 
 #[test]
@@ -269,31 +274,6 @@ fn per_job_shots_override_applies() {
     let report = service.run_until_drained().unwrap();
     assert_eq!(report.job_results[0].result.counts.shots(), 64);
     assert_eq!(report.job_results[1].result.counts.shots(), 1024);
-}
-
-#[test]
-fn per_job_strategy_split_batches() {
-    let mut service = fifo_service(4);
-    let bell = qucp_circuit::library::by_name("bell").unwrap().circuit();
-    // Four simultaneous arrivals, the second under a different
-    // strategy: it cannot share the head's batch.
-    for i in 0..4 {
-        let mut req = JobRequest::new(bell.clone(), 0.0).with_id(i);
-        if i == 1 {
-            req = req.with_strategy(strategy::multiqc());
-        }
-        service.submit(req).unwrap();
-    }
-    let report = service.run_until_drained().unwrap();
-    assert_eq!(report.job_results.len(), 4);
-    for batch in &report.batches {
-        assert!(
-            *batch.job_ids == [1] || !batch.job_ids.contains(&1),
-            "strategy-override job shared batch {:?}",
-            batch.job_ids
-        );
-    }
-    assert!(report.stats.batches >= 2);
 }
 
 #[test]
@@ -531,80 +511,45 @@ fn colliding_shapes_get_their_own_plans() {
 
 #[test]
 fn the_plan_key_tells_apart_everything_planning_reads() {
-    use qucp_core::efs::CrosstalkTreatment;
-    use qucp_core::PartitionPolicy;
-    use qucp_device::{Link, LinkPair};
     let bell = qucp_circuit::library::by_name("bell").unwrap().circuit();
     let fredkin = qucp_circuit::library::by_name("fredkin").unwrap().circuit();
-    let measured = |gamma: f64| {
-        let near = LinkPair::new(Link::new(0, 1), Link::new(2, 3));
-        let far = LinkPair::new(Link::new(4, 7), Link::new(10, 12));
-        strategy::qumc([(near, 2.5), (far, gamma)].into_iter().collect())
-    };
     let mut service = fifo_service(2);
     service.efs_gate = EfsGate::Batch;
-    let mut submit = |circuit: &Circuit, threshold: Option<f64>, strategy: Option<Strategy>| {
+    let mut submit = |circuit: &Circuit, threshold: Option<f64>| {
         let mut request = JobRequest::new(circuit.clone(), 0.0);
-        (request.fidelity_threshold, request.strategy) = (threshold, strategy);
+        request.fidelity_threshold = threshold;
         service.submit(request).unwrap().seq
     };
-    let a = submit(&bell, Some(0.1), None);
-    let b = submit(&fredkin, None, None);
-    let a_again = submit(&bell, Some(0.1), None);
-    let a_looser = submit(&bell, Some(f64::from_bits(0.1f64.to_bits() + 1)), None);
-    let sigma4 = submit(&bell, None, Some(strategy::qucp(4.0)));
-    let sigma8 = submit(&bell, None, Some(strategy::qucp(8.0)));
-    let qumc = submit(&bell, None, Some(measured(3.0)));
-    let qumc_again = submit(&bell, None, Some(measured(3.0)));
-    let qumc_off_by_one = submit(&bell, None, Some(measured(3.5)));
-    let strategy_key = |service: &Service, seq: usize| {
-        let views = service.jobs.arrived(f64::INFINITY);
-        views.iter().find(|v| v.seq == seq).unwrap().strategy_key
-    };
-    let key = |service: &Service, strategy: u32, seqs: &[usize]| {
-        service.plan_key(0, strategy, seqs, Vec::new()).unwrap()
-    };
+    let a = submit(&bell, Some(0.1));
+    let b = submit(&fredkin, None);
+    let a_again = submit(&bell, Some(0.1));
+    let a_looser = submit(&bell, Some(f64::from_bits(0.1f64.to_bits() + 1)));
+    let key = |service: &Service, seqs: &[usize]| service.plan_key(0, seqs, Vec::new()).unwrap();
 
     // Same inputs, same key — a renamed copy included — and the same
     // bucket of the map.
-    let base = key(&service, 0, &[a, b]);
-    assert_eq!(base, key(&service, 0, &[a_again, b]));
+    let base = key(&service, &[a, b]);
+    assert_eq!(base, key(&service, &[a_again, b]));
     let held: std::collections::HashSet<_> = [base.clone()].into();
-    assert!(held.contains(&key(&service, 0, &[a_again, b])));
+    assert!(held.contains(&key(&service, &[a_again, b])));
     // Member order and one member's shape.
-    assert_ne!(base, key(&service, 0, &[b, a]));
-    assert_ne!(base, key(&service, 0, &[a, a_again]));
+    assert_ne!(base, key(&service, &[b, a]));
+    assert_ne!(base, key(&service, &[a, a_again]));
     // Not a member's threshold bits: stage 1 never reads them, and the
     // gate reads them on every pass.
-    assert_eq!(base, key(&service, 0, &[a_looser, b]));
-    assert!(held.contains(&key(&service, 0, &[a_looser, b])));
-    // The head's strategy: the service default is σ = 4, so that
-    // override is the default's key; σ = 8 is not, and a measured map
-    // is its own key down to one entry.
-    assert_eq!(strategy_key(&service, sigma4), 0);
-    let keys = [sigma8, qumc, qumc_off_by_one].map(|seq| strategy_key(&service, seq));
-    assert_eq!(strategy_key(&service, qumc_again), keys[1]);
-    assert!(keys.iter().all(|&k| k != 0) && keys[0] != keys[1] && keys[1] != keys[2]);
-    assert_ne!(base, key(&service, keys[0], &[a, b]));
-    assert_ne!(
-        key(&service, keys[1], &[a, b]),
-        key(&service, keys[2], &[a, b])
-    );
-    assert!(matches!(
-        &service.jobs.strategy(keys[2]).partition,
-        PartitionPolicy::NoiseAware(CrosstalkTreatment::Measured(map)) if map.len() == 2
-    ));
+    assert_eq!(base, key(&service, &[a_looser, b]));
+    assert!(held.contains(&key(&service, &[a_looser, b])));
     // Not the gate mode either (it decides which lists the gate visits,
     // not what a list allocates), nor the optimize flag (fixed per
     // service, and applied at submit, before the shape is interned;
     // flipped in place here so nothing else differs).
     for gate in [EfsGate::BatchWorstExcess, EfsGate::HeadOnly] {
         service.efs_gate = gate;
-        assert_eq!(base, key(&service, 0, &[a, b]));
+        assert_eq!(base, key(&service, &[a, b]));
     }
     service.efs_gate = EfsGate::Batch;
     service.optimize = !service.optimize;
-    assert_eq!(base, key(&service, 0, &[a, b]));
+    assert_eq!(base, key(&service, &[a, b]));
     service.optimize = !service.optimize;
     // The calibration epoch: a recalibrated device never shares a key
     // with its former self, whether or not the eager drop on the bump
@@ -613,7 +558,7 @@ fn the_plan_key_tells_apart_everything_planning_reads() {
     service
         .recalibrate(DeviceId::from_index(0), snapshot)
         .unwrap();
-    assert_ne!(base, key(&service, 0, &[a, b]));
+    assert_ne!(base, key(&service, &[a, b]));
 }
 
 #[test]
@@ -1444,7 +1389,7 @@ fn a_batch_that_shrinks_k_times_routes_and_merges_once() {
             let mut members = seqs.clone();
             let mut planning = PlanScratch::default();
             let mut gate_pass = service
-                .gate_pass(&mut buffers, &mut planning, 0, 0, 7, &members)
+                .gate_pass(&mut buffers, &mut planning, 0, 7, &members)
                 .unwrap();
             let circuits = gate_pass
                 .run(&mut members, |planning, list| {

@@ -17,13 +17,13 @@ use std::time::{Duration, Instant};
 
 use proptest::prelude::*;
 use qucp_circuit::{Circuit, Gate};
-use qucp_core::{CrosstalkTreatment, PartitionPolicy, ProgramResult, Strategy as ExecStrategy};
+use qucp_core::ProgramResult;
 use qucp_daemon::{
     Client, ClientError, Daemon, DaemonConfig, Decoder, Fault, FrameReader, MockTransport, Request,
     Response, ServerSession, Transport, Wire, WireError, WireRuntimeError, MIN_SUPPORTED_VERSION,
     PROTOCOL_VERSION,
 };
-use qucp_device::{ibm, Link, LinkPair};
+use qucp_device::ibm;
 use qucp_runtime::{
     skewed_jobs, BatchReport, CalibrationFault, DeviceReport, Event, JobRequest, JobResult,
     JobTicket, QueueStats, RouteCacheStats, RoutingChoice, RuntimeError, Service, ServiceReport,
@@ -133,46 +133,6 @@ fn arb_circuit() -> impl Strategy<Value = Circuit> {
     })
 }
 
-fn arb_treatment() -> impl Strategy<Value = CrosstalkTreatment> {
-    prop_oneof![
-        Just(CrosstalkTreatment::None),
-        arb_f64().prop_map(CrosstalkTreatment::Sigma),
-        proptest::collection::vec(
-            ((0usize..8, 1usize..4), (0usize..8, 1usize..4), arb_f64()),
-            0usize..4
-        )
-        .prop_map(|entries| {
-            let map = entries
-                .into_iter()
-                .map(|((a, da), (b, db), ratio)| {
-                    let pair = LinkPair::new(Link::new(a, a + da), Link::new(b, b + db));
-                    (pair, ratio)
-                })
-                .collect();
-            CrosstalkTreatment::Measured(map)
-        }),
-    ]
-}
-
-fn arb_strategy() -> impl Strategy<Value = ExecStrategy> {
-    (
-        prop_oneof![
-            arb_treatment()
-                .prop_map(PartitionPolicy::NoiseAware)
-                .boxed(),
-            Just(PartitionPolicy::TopologyGreedy).boxed(),
-            Just(PartitionPolicy::FidelityDegree).boxed(),
-        ],
-        0u8..4,
-    )
-        .prop_map(|(partition, flags)| ExecStrategy {
-            name: format!("strat-{flags}"),
-            partition,
-            crosstalk_aware_routing: flags & 1 != 0,
-            serialize_conflicts: flags & 2 != 0,
-        })
-}
-
 fn arb_shot_parallelism() -> impl Strategy<Value = ShotParallelism> {
     prop_oneof![
         Just(ShotParallelism::Serial),
@@ -203,11 +163,7 @@ fn arb_routing_choice() -> impl Strategy<Value = RoutingChoice> {
 fn arb_job_request() -> impl Strategy<Value = JobRequest> {
     (
         (arb_circuit(), arb_f64(), arb_option(0u64..999)),
-        (
-            arb_option(1usize..4096),
-            arb_option(arb_strategy()),
-            arb_option(arb_f64()),
-        ),
+        (arb_option(1usize..4096), arb_option(arb_f64())),
         (
             arb_option(arb_shot_parallelism()),
             arb_option(prop_oneof![
@@ -218,17 +174,12 @@ fn arb_job_request() -> impl Strategy<Value = JobRequest> {
         ),
     )
         .prop_map(
-            |(
-                (circuit, arrival, id),
-                (shots, strategy, threshold),
-                (parallelism, kernel, routing),
-            )| {
+            |((circuit, arrival, id), (shots, threshold), (parallelism, kernel, routing))| {
                 JobRequest {
                     circuit,
                     arrival,
                     id,
                     shots,
-                    strategy,
                     fidelity_threshold: threshold,
                     shot_parallelism: parallelism,
                     trajectory_kernel: kernel,
@@ -602,6 +553,41 @@ proptest! {
         let reply = session.handle_frame(&bytes);
         // The reply itself must be well-formed.
         let _ = Response::decode(&reply).expect("server reply decodes");
+    }
+
+    /// A `Submit` whose strategy slot is filled — a per-job strategy,
+    /// which the service does not take — is refused at that byte,
+    /// whatever follows it: the decoder answers the typed refusal, a
+    /// session answers a malformed request and admits nothing.
+    #[test]
+    fn a_submit_that_fills_the_strategy_slot_is_refused(
+        request in arb_job_request(),
+        tail in proptest::collection::vec(0u8..=255, 0usize..64),
+    ) {
+        // The slot and the four empty overrides behind it are the
+        // frame's last five bytes.
+        let plain = JobRequest {
+            fidelity_threshold: None,
+            shot_parallelism: None,
+            trajectory_kernel: None,
+            routing: None,
+            ..request
+        };
+        let mut bytes = Request::Submit(Box::new(plain)).encode();
+        bytes.truncate(bytes.len() - 5);
+        bytes.push(1);
+        bytes.extend(tail);
+        let refusal = WireError::InvalidValue { context: "JobRequest::strategy" };
+        prop_assert_eq!(Request::decode(&bytes), Err(refusal.clone()));
+
+        let service = Arc::new(Mutex::new(fleet()));
+        let mut session = ServerSession::new(Arc::clone(&service), Arc::new(AtomicBool::new(false)));
+        let hello = Request::Hello { version: PROTOCOL_VERSION };
+        session.handle_frame(&hello.encode());
+        let reply = Response::decode(&session.handle_frame(&bytes)).expect("server reply decodes");
+        let detail = refusal.to_string();
+        prop_assert_eq!(reply, Response::Error(Fault::MalformedRequest { detail }));
+        prop_assert_eq!(service.lock().unwrap().events().len(), 0);
     }
 }
 

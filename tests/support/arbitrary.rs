@@ -59,7 +59,7 @@ fn routing() -> impl Strategy<Value = RoutingChoice> {
 /// of its own for either.
 pub fn job(max_shots: usize) -> impl Strategy<Value = JobRequest> {
     let shape = (0usize..256, 0u64..12, 0..=max_shots);
-    let planning = (0u8..12, 0u8..12, 0u8..8);
+    let planning = (0u8..12, 0u8..8);
     let execution = (0u8..6, 0u8..10);
     (shape, planning, execution).prop_map(|(shape, planning, execution)| {
         let (name, id, shots) = shape;
@@ -79,14 +79,7 @@ pub fn job(max_shots: usize) -> impl Strategy<Value = JobRequest> {
         if shots > 0 {
             req = req.with_shots(shots);
         }
-        let (strat, threshold, route) = planning;
-        req.strategy = match strat {
-            0 => Some(strategy::cna()),
-            1 => Some(strategy::multiqc()),
-            // An explicit override equal to the suite's usual default.
-            2 => Some(strategy::qucp(4.0)),
-            _ => None,
-        };
+        let (threshold, route) = planning;
         req.fidelity_threshold = match threshold {
             0 => Some(0.0),
             1 => Some(0.1),
@@ -164,15 +157,17 @@ pub fn config() -> impl Strategy<Value = Config> {
     (scheduling, execution, knobs).prop_map(|(scheduling, execution, knobs)| {
         let (fleet, policy, routing, gate, threshold) = scheduling;
         let (seed, optimize) = execution;
-        let (max_parallel, drift, event_capacity, cna) = knobs;
+        let (max_parallel, drift, event_capacity, strategy) = knobs;
         Config {
             fleet,
             policy,
             routing,
             gate,
             threshold,
-            strategy: match cna {
+            // The paper's σ = 4 in half the draws, else a baseline.
+            strategy: match strategy {
                 0 => strategy::cna(),
+                1 => strategy::multiqc(),
                 _ => strategy::qucp(4.0),
             },
             // 1 (dedicated), 2, 3, 4, 4 or 6.
@@ -222,7 +217,7 @@ pub fn interleaving(max_ops: usize, max_shots: usize) -> impl Strategy<Value = V
     // the case's `pace` scale it and the running clock replaces it. A
     // slow pace keeps the chips busy past most ticks, so the queue runs
     // deep and the final drain packs it; a `plain` case also drops the
-    // overrides that keep jobs out of each other's batches and never
+    // thresholds that keep jobs out of each other's batches and never
     // drains mid-run.
     let pace = prop_oneof![Just(1.0), Just(0.1), Just(0.0)];
     let steps = vec((0.0..1.0f64, 0usize..4, op), 1..=max_ops);
@@ -239,7 +234,7 @@ pub fn interleaving(max_ops: usize, max_shots: usize) -> impl Strategy<Value = V
                     let ahead = [0.0, 0.0, 5_000.0, 40_000.0][ahead] * pace;
                     req.arrival = step(0.0, 0.0) + frac * ahead;
                     if plain == 1 {
-                        (req.strategy, req.fidelity_threshold) = (None, None);
+                        req.fidelity_threshold = None;
                     }
                     Op::Submit(req)
                 }

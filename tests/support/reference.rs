@@ -18,7 +18,7 @@ use std::sync::Arc;
 
 use qucp_core::pipeline::{Pipeline, PlannedWorkload};
 use qucp_core::threshold::{parallel_count_for_threshold, solo_efs_scores};
-use qucp_core::{best_partition, CoreError, ParallelConfig, Strategy};
+use qucp_core::{best_partition, CoreError, ParallelConfig};
 use qucp_device::Calibration;
 use qucp_runtime::{
     AdmissionPolicy, Backfill, BatchReport, DeviceId, DeviceRegistry, EfsGate, Event, JobRequest,
@@ -35,8 +35,6 @@ struct Queued {
     ticket: JobTicket,
     shots: usize,
     skips: usize,
-    /// The effective strategy's index in `strategies`.
-    strategy_key: u32,
     req: JobRequest,
 }
 
@@ -47,10 +45,6 @@ pub struct ReferenceScheduler {
     ledgers: Vec<Ledger>,
     /// Pending jobs in submission order.
     queue: Vec<Queued>,
-    /// Every effective strategy submitted, by value, in first-seen
-    /// order: a job's key is its index, and jobs of equal keys may
-    /// share a batch.
-    strategies: Vec<Strategy>,
     batches: Vec<BatchReport>,
     results: Vec<Option<JobResult>>,
     claimed: Vec<bool>,
@@ -78,7 +72,6 @@ impl ReferenceScheduler {
             fleet,
             cfg: cfg.clone(),
             queue: Vec::new(),
-            strategies: Vec::new(),
             batches: Vec::new(),
             results: Vec::new(),
             claimed: Vec::new(),
@@ -134,19 +127,10 @@ impl ReferenceScheduler {
             shots,
         });
         let ticket = JobTicket { seq, id };
-        let strategy = req.strategy.as_ref().unwrap_or(&self.cfg.strategy);
-        let strategy_key = match self.strategies.iter().position(|s| s == strategy) {
-            Some(key) => key,
-            None => {
-                self.strategies.push(strategy.clone());
-                self.strategies.len() - 1
-            }
-        } as u32;
         self.queue.push(Queued {
             ticket,
             shots,
             skips: 0,
-            strategy_key,
             req,
         });
         self.results.push(None);
@@ -236,8 +220,7 @@ impl ReferenceScheduler {
 
     /// The batch around `head` among the arrived `at` on a chip of
     /// `qubits` qubits, at most `cap` members: queue positions, head
-    /// first. A rider shares the head's strategy key and the qubits
-    /// left. The others are walked in FIFO order, or in SJF order under
+    /// first. A rider fits the qubits left. The others are walked in FIFO order, or in SJF order under
     /// SJF: FIFO stops at the first that cannot ride; Backfill passes
     /// such a job over unless it fits the chip alone and has been
     /// overtaken `max_overtakes` times; SJF passes over every such job.
@@ -256,7 +239,7 @@ impl ReferenceScheduler {
             if picks.len() >= cap {
                 break;
             }
-            if job(q).strategy_key == job(head).strategy_key && used + width(q) <= qubits {
+            if used + width(q) <= qubits {
                 used += width(q);
                 picks.push(q);
                 continue;
@@ -294,8 +277,7 @@ impl ReferenceScheduler {
         if self.cfg.optimize {
             circuit.cancel_adjacent_inverses();
         }
-        let strategy = head.req.strategy.as_ref();
-        let strategy = strategy.unwrap_or(&self.cfg.strategy).clone();
+        let strategy = &self.cfg.strategy;
         let threshold = head.req.fidelity_threshold.or(self.cfg.threshold);
         let route = head.req.routing.unwrap_or(self.cfg.routing);
 
@@ -325,7 +307,7 @@ impl ReferenceScheduler {
         }
         ranked.sort_by(|a, b| (a.0.total_cmp(&b.0).then(a.1.total_cmp(&b.1))).then(a.2.cmp(&b.2)));
 
-        let (pipeline, batch_index) = (Pipeline::from_strategy(&strategy), self.batches.len());
+        let (pipeline, batch_index) = (Pipeline::from_strategy(strategy), self.batches.len());
         let mut last_rejection = None;
         for &(score, _, d) in &ranked {
             let start = self.ledgers[d.index()].clock.max(head_arrival);
@@ -340,7 +322,7 @@ impl ReferenceScheduler {
             let max = self.cfg.max_parallel;
             let head_only = self.cfg.gate == EfsGate::HeadOnly;
             let cap = match threshold.filter(|_| head_only) {
-                Some(t) => parallel_count_for_threshold(&device, &circuit, t, max, &strategy),
+                Some(t) => parallel_count_for_threshold(&device, &circuit, t, max, strategy),
                 None => Ok(max),
             };
             let cap = match cap {
@@ -353,7 +335,7 @@ impl ReferenceScheduler {
             let at = self.arrived(start);
             let picks = self.pack(&at, head_q, device.num_qubits(), cap);
             let mut members = picks.clone();
-            let planned = self.plan_gated(&pipeline, d, batch_index, &strategy, &mut members);
+            let planned = self.plan_gated(&pipeline, d, batch_index, &mut members);
             let (plan, shrinks) = match planned {
                 Ok(planned) => planned,
                 Err(e @ RuntimeError::JobUnplaceable { .. }) => {
@@ -460,7 +442,6 @@ impl ReferenceScheduler {
         pipeline: &Pipeline,
         d: DeviceId,
         batch_index: usize,
-        head_strategy: &Strategy,
         members: &mut Vec<usize>,
     ) -> Result<(PlannedWorkload, Vec<Event>), RuntimeError> {
         let device = self.fleet.get(d);
@@ -477,7 +458,7 @@ impl ReferenceScheduler {
                     let mut excess = vec![0.0; members.len()];
                     if gated && members.len() > 1 && thresholds.iter().any(Option::is_some) {
                         let programs: Vec<_> = plan.programs.iter().collect();
-                        let solo = solo_efs_scores(device, &programs, head_strategy)
+                        let solo = solo_efs_scores(device, &programs, &self.cfg.strategy)
                             .map_err(RuntimeError::Core)?;
                         for a in &plan.allocations {
                             let i = a.program_index;
