@@ -161,7 +161,20 @@ pub fn asap_schedule_with(circuit: &Circuit, duration: impl Fn(usize, &Gate) -> 
 /// pass takes the same `max` over the same sums, without building the
 /// ASAP entries, and its per-qubit buffer then holds the deadlines.
 pub fn alap_schedule_with(circuit: &Circuit, duration: impl Fn(usize, &Gate) -> f64) -> Schedule {
-    let mut available = vec![0.0f64; circuit.width()];
+    alap_schedule_in(&mut Vec::new(), circuit, duration)
+}
+
+/// [`alap_schedule_with`] with its per-qubit buffer lent by the caller:
+/// the same schedule, bit for bit, asking the heap only for the entries
+/// it returns once `available` has grown to the widest circuit. Whatever
+/// `available` holds is overwritten.
+pub fn alap_schedule_in(
+    available: &mut Vec<f64>,
+    circuit: &Circuit,
+    duration: impl Fn(usize, &Gate) -> f64,
+) -> Schedule {
+    available.clear();
+    available.resize(circuit.width(), 0.0);
     let mut makespan = 0.0f64;
     for (i, g) in circuit.gates().iter().enumerate() {
         let start = g
@@ -175,7 +188,7 @@ pub fn alap_schedule_with(circuit: &Circuit, duration: impl Fn(usize, &Gate) -> 
         }
         makespan = makespan.max(start + d);
     }
-    let mut deadline = available;
+    let deadline = available;
     deadline.fill(makespan);
     let mut entries = vec![
         ScheduledGate {

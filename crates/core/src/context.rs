@@ -11,7 +11,7 @@
 //!   avoiding the amplification but stretching that program's schedule —
 //!   charged as trailing idle time on its qubits.
 
-use qucp_circuit::schedule::{alap_schedule_with, Schedule, ScheduledGate};
+use qucp_circuit::schedule::{alap_schedule_in, Schedule, ScheduledGate};
 use qucp_device::{Device, Link};
 use qucp_sim::{gate_durations_into, NoiseScaling};
 
@@ -46,12 +46,13 @@ pub struct WorkloadContext {
 }
 
 /// What the merge fills and drops, in a [`PlanScratch`]: one program's
-/// gate durations, every program's aligned two-qubit entries and driven
-/// links (one flat list each, cut by end offsets), and the
-/// serialization delays.
+/// gate durations and its ALAP pass's per-qubit times, every program's
+/// aligned two-qubit entries and driven links (one flat list each, cut
+/// by end offsets), and the serialization delays.
 #[derive(Debug, Default)]
 pub(crate) struct ContextBuffers {
     durations: Vec<f64>,
+    deadlines: Vec<f64>,
     two_qubit: Vec<(ScheduledGate, Link)>,
     two_qubit_ends: Vec<usize>,
     driven: Vec<Link>,
@@ -60,10 +61,15 @@ pub(crate) struct ContextBuffers {
 }
 
 /// A mapped program's ALAP schedule under `device`'s gate durations,
-/// looked up into `durations`.
-fn program_schedule(device: &Device, p: &MappedProgram, durations: &mut Vec<f64>) -> Schedule {
+/// looked up into `durations`, its per-qubit pass in `deadlines`.
+fn program_schedule(
+    device: &Device,
+    p: &MappedProgram,
+    durations: &mut Vec<f64>,
+    deadlines: &mut Vec<f64>,
+) -> Schedule {
     gate_durations_into(&p.circuit, &p.layout, device, durations);
-    alap_schedule_with(&p.circuit, |i, _| durations[i])
+    alap_schedule_in(deadlines, &p.circuit, |i, _| durations[i])
 }
 
 /// Builds the workload context for a set of mapped programs.
@@ -90,6 +96,7 @@ pub(crate) fn build_context_in(
 ) -> WorkloadContext {
     let ContextBuffers {
         durations,
+        deadlines,
         two_qubit,
         two_qubit_ends,
         driven,
@@ -99,7 +106,7 @@ pub(crate) fn build_context_in(
     // Per-program schedules, ALAP-aligned to the common end time.
     let schedules: Vec<Schedule> = programs
         .iter()
-        .map(|p| program_schedule(device, p, durations))
+        .map(|p| program_schedule(device, p, durations, deadlines))
         .collect();
     let makespans: Vec<f64> = schedules.iter().map(Schedule::makespan).collect();
     let makespan = makespans.iter().copied().fold(0.0, f64::max);
@@ -302,7 +309,7 @@ mod tests {
     ) -> WorkloadContext {
         let timed: Vec<Schedule> = programs
             .iter()
-            .map(|p| program_schedule(device, p, &mut Vec::new()))
+            .map(|p| program_schedule(device, p, &mut Vec::new(), &mut Vec::new()))
             .collect();
         let mut schedules: Vec<Vec<ScheduledGate>> = Vec::with_capacity(programs.len());
         let mut makespans = Vec::with_capacity(programs.len());

@@ -13,7 +13,7 @@
 use std::collections::BTreeMap;
 
 use qucp_circuit::Circuit;
-use qucp_device::{Device, Link, LinkPair, Region};
+use qucp_device::{Device, Link, LinkPair, RegionView};
 
 /// Gate-count statistics of a program, the `#2q`/`#1q` of Eq. (1).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -87,20 +87,20 @@ pub fn efs(
 ) -> EfsBreakdown {
     region_efs(
         device,
-        &device.region(partition),
+        device.region(partition).view(),
         stats,
         allocated_links,
         treatment,
     )
 }
 
-/// [`efs`] of an already measured [`Region`]: with nothing allocated
+/// [`efs`] of an already measured region: with nothing allocated
 /// the score is a few operations on the region's error sums; otherwise
 /// only the CNOT term is recomputed, link by link, with its crosstalk
 /// inflation.
 pub(crate) fn region_efs(
     device: &Device,
-    region: &Region,
+    region: RegionView<'_>,
     stats: &CircuitStats,
     allocated_links: &[Link],
     treatment: &CrosstalkTreatment,
@@ -124,7 +124,7 @@ pub(crate) fn region_efs(
 /// needs.
 pub(crate) fn region_efs_score(
     device: &Device,
-    region: &Region,
+    region: RegionView<'_>,
     stats: &CircuitStats,
     allocated_links: &[Link],
     treatment: &CrosstalkTreatment,
@@ -138,7 +138,7 @@ pub(crate) fn region_efs_score(
 /// topology's one-hop relation pairs it with.
 fn avg_two_qubit_error(
     device: &Device,
-    region: &Region,
+    region: RegionView<'_>,
     allocated_links: &[Link],
     treatment: &CrosstalkTreatment,
     mut pair: impl FnMut(LinkPair),
@@ -172,7 +172,7 @@ fn avg_two_qubit_error(
 
 /// Eq. (1) from `Avg2q(cross)` and the region's sums: the score, then
 /// `Avg1q` and the readout sum it used.
-fn eq1(region: &Region, stats: &CircuitStats, avg2q: f64) -> (f64, f64, f64) {
+fn eq1(region: RegionView<'_>, stats: &CircuitStats, avg2q: f64) -> (f64, f64, f64) {
     let avg1q = region.sq_error_sum() / region.qubits().len().max(1) as f64;
     let readout_sum = region.readout_error_sum();
     let score = avg2q * stats.two_qubit as f64 + avg1q * stats.single_qubit as f64 + readout_sum;

@@ -65,11 +65,15 @@ impl MappedProgram {
 }
 
 /// What routing fills and drops, in a [`PlanScratch`](crate::PlanScratch): the
-/// partition-local graph, the interaction weights and the placement's
-/// working lists, kept from program to program.
+/// partition-local graph, the interaction weights, the placement's
+/// working lists and the routed gate list, kept from program to
+/// program.
 #[derive(Debug, Default)]
 pub(crate) struct RouteBuffers {
     graph: LocalGraph,
+    /// The routed gates, SWAPs included, before the routed circuit is
+    /// built at its final size.
+    routed: Vec<Gate>,
     /// The program's interaction graph: two-qubit gate multiplicity per
     /// unordered logical pair, ascending by pair.
     weights: Vec<((usize, usize), usize)>,
@@ -305,15 +309,26 @@ pub fn route(
 ) -> MappedProgram {
     let mut graph = LocalGraph::default();
     graph.build(device, partition);
-    route_on(device, partition, &graph, circuit, initial, link_penalty)
+    let mut routed = Vec::new();
+    route_on(
+        device,
+        partition,
+        &graph,
+        &mut routed,
+        circuit,
+        initial,
+        link_penalty,
+    )
 }
 
 /// [`route`] on an already built partition-local graph (`topo` must be
-/// built for `partition`).
+/// built for `partition`), listing the routed gates in `routed` before
+/// the routed circuit is built once, at its final size.
 fn route_on(
     device: &Device,
     partition: &[usize],
     topo: &LocalGraph,
+    routed: &mut Vec<Gate>,
     circuit: &Circuit,
     initial: &[usize],
     link_penalty: impl Fn(Link) -> f64,
@@ -321,9 +336,7 @@ fn route_on(
     let k = partition.len();
     let cal = device.calibration();
     let mut pi: Vec<usize> = initial.to_vec(); // logical -> wire
-    let mut routed = Circuit::with_name(k, circuit.name());
-    // Every gate of the source, routed; only inserted SWAPs grow it.
-    routed.reserve(circuit.gate_count());
+    routed.clear();
     let mut swap_count = 0usize;
 
     let swap_cost = |a: usize, b: usize| -> f64 {
@@ -373,8 +386,13 @@ fn route_on(
         routed.push(gate.map_qubits(|q| pi[q]));
     }
 
+    let mut circuit = Circuit::with_name(k, circuit.name());
+    circuit.reserve(routed.len());
+    for &gate in routed.iter() {
+        circuit.push(gate);
+    }
     MappedProgram {
-        circuit: routed,
+        circuit,
         layout: partition.to_vec(),
         initial_mapping: initial.to_vec(),
         final_mapping: pi,
@@ -394,13 +412,13 @@ pub(crate) fn map_in(
 ) -> MappedProgram {
     buffers.graph.build(device, partition);
     initial_mapping_on(buffers, device, partition, circuit);
-    let initial = &buffers.initial;
     route_on(
         device,
         partition,
         &buffers.graph,
+        &mut buffers.routed,
         circuit,
-        initial,
+        &buffers.initial,
         link_penalty,
     )
 }

@@ -18,27 +18,33 @@
 //! is placed on an *idle* chip, whose candidates are a pure function of
 //! the topology, the calibration and the program's width. Those are
 //! read from the device's region atlas ([`Device::idle_regions`]):
-//! grown once per calibration snapshot, with their induced links and
-//! EFS error sums, retaining at most one region per qubit per requested
-//! width, and no part of the device's `PartialEq`/`Debug` value.
-//! Scoring an idle candidate is then a handful of floating-point
-//! operations, bit-identical to summing the calibration entries afresh.
+//! grown once per calibration snapshot into one arena per width (the
+//! regions' qubits, their induced links, and one record of EFS error
+//! sums per region), and no part of the device's `PartialEq`/`Debug`
+//! value. Each candidate is a borrowed [`RegionView`], so ranking the
+//! idle chip copies nothing, and scoring one is a handful of
+//! floating-point operations, bit-identical to summing the calibration
+//! entries afresh.
 //!
 //! The later programs of a multi-program allocation grow around the
 //! qubits already taken, and read the atlas too. When no CNOT or
 //! readout error is NaN, growth ranks frontier qubits in a strict total
 //! order and blocking only removes candidates, so a seed whose idle
-//! region avoids the taken qubits grows exactly that region again: it
-//! is borrowed, and only the other seeds are grown afresh. A NaN makes
-//! the ranking partial and every free seed is grown afresh. Candidates
-//! are scored as the walk visits them, without collecting crosstalk
-//! pairs; only the winner is copied out and broken down.
+//! region avoids the taken qubits grows exactly that region again: its
+//! view is borrowed, and only the other seeds are grown afresh, in the
+//! lent [`GrowthScratch`]. A NaN makes the ranking partial and every
+//! free seed is grown afresh. Candidates are scored as the walk visits
+//! them, without collecting crosstalk pairs; only each later program's
+//! winner is copied out, into the one [`Region`] stage 1's buffers
+//! keep, and broken down. Stage 1 reads the programs where the caller
+//! keeps them ([`allocate_partitions_in`] takes anything that borrows
+//! as a [`Circuit`]).
 
 use std::borrow::Borrow;
 use std::collections::BTreeSet;
 
 use qucp_circuit::Circuit;
-use qucp_device::{Device, GrowthScratch, Link, Region};
+use qucp_device::{Device, GrowthScratch, Link, Region, RegionView};
 
 use crate::efs::{region_efs, region_efs_score, CircuitStats, CrosstalkTreatment, EfsBreakdown};
 use crate::error::CoreError;
@@ -178,7 +184,7 @@ pub fn allocate_partitions_in<C: Borrow<Circuit>>(
         let program = program(pi);
         let stats = CircuitStats::of(program);
         let size = program.width();
-        let rank = |c: &Region| match policy {
+        let rank = |c: RegionView<'_>| match policy {
             PartitionPolicy::NoiseAware(treatment) => {
                 region_efs_score(device, c, &stats, allocated_links, treatment)
             }
@@ -205,7 +211,7 @@ pub fn allocate_partitions_in<C: Borrow<Circuit>>(
         // one ranks the growth walk's and keeps a copy of its best.
         let region = if placed == 0 {
             let mut best = None;
-            for c in device.idle_regions(size) {
+            for c in device.idle_regions(size).iter() {
                 let key = rank(c);
                 if ranks_first(key, c, best) {
                     best = Some((key, c));
@@ -216,15 +222,15 @@ pub fn allocate_partitions_in<C: Borrow<Circuit>>(
             let mut best_key = None;
             device.for_each_region(size, blocked, growth, |c| {
                 let key = rank(c);
-                if ranks_first(key, c, best_key.zip(kept.as_ref())) {
+                if ranks_first(key, c, best_key.zip(kept.as_ref().map(Region::view))) {
                     best_key = Some(key);
                     match kept {
-                        Some(kept) => kept.clone_from(c),
-                        None => *kept = Some(c.clone()),
+                        Some(kept) => kept.copy_from(c),
+                        None => *kept = Some(c.to_region()),
                     }
                 }
             });
-            best_key.and(kept.as_ref())
+            best_key.and(kept.as_ref().map(Region::view))
         };
         let region = region.ok_or(CoreError::PartitionUnavailable { program: pi, size })?;
         let treatment = match policy {
@@ -250,7 +256,7 @@ pub fn allocate_partitions_in<C: Borrow<Circuit>>(
 /// qubit list. That is a total order on distinct regions, so neither
 /// the order candidates arrive in nor a region arriving twice changes
 /// the winner.
-fn ranks_first(key: f64, c: &Region, best: Option<(f64, &Region)>) -> bool {
+fn ranks_first(key: f64, c: RegionView<'_>, best: Option<(f64, RegionView<'_>)>) -> bool {
     best.is_none_or(|(best_key, best)| {
         key.total_cmp(&best_key)
             .then_with(|| c.qubits().cmp(best.qubits()))

@@ -23,6 +23,8 @@
 //! [`PlannedWorkload`] is `Send + Sync`), and its plan cache keeps each
 //! program's [`PreparedJob`] beside the cached plan.
 
+use std::borrow::Borrow;
+
 use qucp_circuit::Circuit;
 use qucp_device::{Device, Link};
 use qucp_sim::{Counts, ExecutionConfig, PreparedJob};
@@ -373,7 +375,9 @@ impl<'s> Pipeline<'s> {
     /// [`complete`](Pipeline::complete) once, for the set that stays.
     /// The first placement and every solo probe read the device's
     /// region atlas (see [`crate::partition`]). Stage 1's working
-    /// buffers are `scratch`'s ([`crate::scratch`]).
+    /// buffers are `scratch`'s ([`crate::scratch`]), and it reads the
+    /// programs where they are: a caller may hand in circuits or
+    /// references to them, and nothing is copied.
     ///
     /// # Errors
     ///
@@ -384,7 +388,7 @@ impl<'s> Pipeline<'s> {
         &self,
         scratch: &mut PlanScratch,
         device: &Device,
-        programs: &[Circuit],
+        programs: &[impl Borrow<Circuit>],
     ) -> Result<Vec<Allocation>, CoreError> {
         allocate_partitions_in(scratch, device, programs, self.partition)
     }

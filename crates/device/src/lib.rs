@@ -43,5 +43,5 @@ pub use crosstalk::{CrosstalkModel, CrosstalkProfile, SIGNIFICANT_RATIO};
 pub use device::Device;
 pub use drift::{interval_steps, splitmix64, DriftModel, GaussianWalk};
 pub use link::{Link, LinkPair};
-pub use region::{GrowthScratch, Region};
+pub use region::{GrowthScratch, Region, RegionView, Regions};
 pub use topology::{Topology, UNREACHABLE};

@@ -14,7 +14,14 @@
 //! turns that off (`a_nan_readout_grows_differently_around_a_taken_qubit`
 //! pins a chip where borrowing would be wrong). Every seed that is
 //! grown — for the atlas or around taken qubits — is grown by the one
-//! kernel, [`Grower::grow`].
+//! kernel, [`Grower::grow_marked`].
+//!
+//! Both hand out [`RegionView`]s, borrowed and `Copy`: an atlas slot
+//! keeps its regions in one arena per width, and a region regrown
+//! around taken qubits lives in the caller's [`GrowthScratch`]. An
+//! owned [`Region`] is made only where a caller keeps one
+//! ([`Device::grow_regions`], [`Device::region`],
+//! [`RegionView::to_region`]).
 
 use std::cmp::Reverse;
 use std::sync::{Arc, OnceLock};
@@ -26,39 +33,21 @@ use crate::topology::Topology;
 
 /// A set of physical qubits with what a partition scorer reads off it:
 /// the induced coupling links and the three error sums of the EFS
-/// metric.
+/// metric, owned. [`RegionView`] is the borrowed form the atlas and
+/// growth hand out; [`view`](Region::view) lends one of an owned region.
 ///
 /// The sums are accumulated from zero in a fixed order — CNOT errors
 /// over [`links`](Region::links) in canonical link order, one-qubit and
 /// readout errors over [`qubits`](Region::qubits) in listed order — so
 /// a scorer that divides them reproduces, bit for bit, what summing the
 /// calibration entries itself would give.
-#[derive(Debug, PartialEq)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Region {
     qubits: Vec<usize>,
     links: Vec<Link>,
     cx_error_sum: f64,
     sq_error_sum: f64,
     readout_error_sum: f64,
-}
-
-impl Clone for Region {
-    fn clone(&self) -> Self {
-        Region {
-            qubits: self.qubits.clone(),
-            links: self.links.clone(),
-            ..*self
-        }
-    }
-
-    /// Copies into the buffers `self` already holds.
-    fn clone_from(&mut self, source: &Self) {
-        self.qubits.clone_from(&source.qubits);
-        self.links.clone_from(&source.links);
-        self.cx_error_sum = source.cx_error_sum;
-        self.sq_error_sum = source.sq_error_sum;
-        self.readout_error_sum = source.readout_error_sum;
-    }
 }
 
 impl Region {
@@ -71,12 +60,6 @@ impl Region {
             sq_error_sum: 0.0,
             readout_error_sum: 0.0,
         }
-    }
-
-    /// Sets the one-qubit and readout sums from the listed qubits.
-    fn sum_qubit_errors(&mut self, cal: &Calibration) {
-        self.sq_error_sum = self.qubits.iter().map(|&q| cal.sq_error(q)).sum();
-        self.readout_error_sum = self.qubits.iter().map(|&q| cal.readout_error(q)).sum();
     }
 
     /// The region's physical qubits (ascending for grown regions).
@@ -104,6 +87,153 @@ impl Region {
     pub fn readout_error_sum(&self) -> f64 {
         self.readout_error_sum
     }
+
+    /// The region as a borrowed view.
+    pub fn view(&self) -> RegionView<'_> {
+        RegionView {
+            qubits: &self.qubits,
+            links: &self.links,
+            cx_error_sum: self.cx_error_sum,
+            sq_error_sum: self.sq_error_sum,
+            readout_error_sum: self.readout_error_sum,
+        }
+    }
+
+    /// Makes `self` a copy of `view` in the buffers it already holds.
+    pub fn copy_from(&mut self, view: RegionView<'_>) {
+        self.qubits.clear();
+        self.qubits.extend_from_slice(view.qubits);
+        self.links.clear();
+        self.links.extend_from_slice(view.links);
+        self.cx_error_sum = view.cx_error_sum;
+        self.sq_error_sum = view.sq_error_sum;
+        self.readout_error_sum = view.readout_error_sum;
+    }
+}
+
+/// A region borrowed from where it lives — an atlas slot's arena or a
+/// [`GrowthScratch`] — with [`Region`]'s accessors and the same bits.
+/// It is `Copy` and asks the heap for nothing;
+/// [`to_region`](RegionView::to_region) copies it out where a caller
+/// keeps it.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct RegionView<'a> {
+    qubits: &'a [usize],
+    links: &'a [Link],
+    cx_error_sum: f64,
+    sq_error_sum: f64,
+    readout_error_sum: f64,
+}
+
+impl<'a> RegionView<'a> {
+    /// The region's physical qubits (ascending for grown regions).
+    pub fn qubits(&self) -> &'a [usize] {
+        self.qubits
+    }
+
+    /// The coupling links with both endpoints in the region, in the
+    /// topology's canonical order.
+    pub fn links(&self) -> &'a [Link] {
+        self.links
+    }
+
+    /// Sum of the CNOT errors of [`links`](RegionView::links).
+    pub fn cx_error_sum(&self) -> f64 {
+        self.cx_error_sum
+    }
+
+    /// Sum of the one-qubit gate errors of the region's qubits.
+    pub fn sq_error_sum(&self) -> f64 {
+        self.sq_error_sum
+    }
+
+    /// Sum of the readout errors of the region's qubits.
+    pub fn readout_error_sum(&self) -> f64 {
+        self.readout_error_sum
+    }
+
+    /// An owned copy: two exact-size vectors.
+    pub fn to_region(&self) -> Region {
+        Region {
+            qubits: self.qubits.to_vec(),
+            links: self.links.to_vec(),
+            cx_error_sum: self.cx_error_sum,
+            sq_error_sum: self.sq_error_sum,
+            readout_error_sum: self.readout_error_sum,
+        }
+    }
+}
+
+/// The regions of one atlas slot ([`Device::idle_regions`]), in order
+/// of their first seed: a borrowed, `Copy` listing of the slot's arena
+/// that hands out each region as a [`RegionView`]. Two listings of one
+/// width are equal when their regions are, region by region.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Regions<'a> {
+    width: usize,
+    qubits: &'a [usize],
+    links: &'a [Link],
+    records: &'a [Record],
+}
+
+impl<'a> Regions<'a> {
+    /// No region.
+    const NONE: Regions<'static> = Regions {
+        width: 0,
+        qubits: &[],
+        links: &[],
+        records: &[],
+    };
+
+    /// The number of regions.
+    pub fn len(&self) -> usize {
+        self.records.len()
+    }
+
+    /// Whether there is no region.
+    pub fn is_empty(&self) -> bool {
+        self.records.is_empty()
+    }
+
+    /// Region `i`, if there are more than `i`.
+    pub fn get(&self, i: usize) -> Option<RegionView<'a>> {
+        self.records.get(i).map(|record| self.view(i, record))
+    }
+
+    /// The regions in order.
+    pub fn iter(self) -> impl ExactSizeIterator<Item = RegionView<'a>> {
+        let records = self.records.iter().enumerate();
+        records.map(move |(i, record)| self.view(i, record))
+    }
+
+    /// Region `i`, whose record is `record`.
+    fn view(&self, i: usize, record: &Record) -> RegionView<'a> {
+        RegionView {
+            qubits: &self.qubits[i * self.width..(i + 1) * self.width],
+            links: &self.links[record.links_start as usize..record.links_end as usize],
+            cx_error_sum: record.cx_error_sum,
+            sq_error_sum: record.sq_error_sum,
+            readout_error_sum: record.readout_error_sum,
+        }
+    }
+
+    /// The address of the slot's qubit arena: the same for every
+    /// listing of one slot, so it tells whether two listings read one
+    /// atlas fill.
+    pub fn as_ptr(&self) -> *const usize {
+        self.qubits.as_ptr()
+    }
+}
+
+/// What an atlas slot keeps per region besides its qubits: its span of
+/// the slot's links and its three error sums.
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct Record {
+    links_start: u32,
+    links_end: u32,
+    cx_error_sum: f64,
+    sq_error_sum: f64,
+    readout_error_sum: f64,
 }
 
 /// Appends the links among the qubits `inside` marks to `links` in
@@ -130,6 +260,25 @@ fn induced_links(
     sum
 }
 
+/// The number of links [`induced_links`] appends for the same qubits.
+fn induced_link_count(topo: &Topology, ascending: &[usize], inside: &[bool]) -> usize {
+    let inner = |&q: &usize| {
+        topo.neighbors(q)
+            .iter()
+            .filter(|&&nb| nb > q && inside[nb])
+            .count()
+    };
+    ascending.iter().map(inner).sum()
+}
+
+/// The one-qubit and readout error sums of `qubits`, in listed order.
+fn qubit_error_sums(cal: &Calibration, qubits: &[usize]) -> (f64, f64) {
+    (
+        qubits.iter().map(|&q| cal.sq_error(q)).sum(),
+        qubits.iter().map(|&q| cal.readout_error(q)).sum(),
+    )
+}
+
 /// What the atlas knows of one calibration besides its regions.
 struct Errors {
     /// `cx[topology.neighbor_offset(q) + i]` is the CNOT error of the
@@ -141,13 +290,21 @@ struct Errors {
     nan_free: bool,
 }
 
-/// One width of the atlas: the idle chip's distinct regions in order
-/// of their first seed, and which of them each seed grew.
+/// One width of the atlas, as one arena: the idle chip's distinct
+/// regions in order of their first seed, and which of them each seed
+/// grew.
 struct Slot {
-    regions: Vec<Region>,
-    /// `regions[seed_region[s]]` is what seed `s` grows on the idle
-    /// chip; [`NO_REGION`] where its component is smaller than the
-    /// width.
+    width: usize,
+    /// Region `r`'s qubits, ascending, are
+    /// `qubits[r * width..(r + 1) * width]`.
+    qubits: Vec<usize>,
+    /// Every region's induced links, region after region, each region's
+    /// in canonical order.
+    links: Vec<Link>,
+    /// One per region: its span of `links` and its error sums.
+    records: Vec<Record>,
+    /// Region `seed_region[s]` is what seed `s` grows on the idle chip;
+    /// [`NO_REGION`] where its component is smaller than the width.
     seed_region: Vec<u32>,
 }
 
@@ -160,9 +317,19 @@ thread_local! {
 }
 
 impl Slot {
+    /// The slot's regions.
+    fn regions(&self) -> Regions<'_> {
+        Regions {
+            width: self.width,
+            qubits: &self.qubits,
+            links: &self.links,
+            records: &self.records,
+        }
+    }
+
     /// The idle region of `seed` (`NO_REGION` indexes none).
-    fn of_seed(&self, seed: usize) -> Option<&Region> {
-        self.regions.get(self.seed_region[seed] as usize)
+    fn of_seed(&self, seed: usize) -> Option<RegionView<'_>> {
+        self.regions().get(self.seed_region[seed] as usize)
     }
 }
 
@@ -226,7 +393,8 @@ impl Device {
             &inside,
             &mut region.links,
         );
-        region.sum_qubit_errors(self.calibration());
+        (region.sq_error_sum, region.readout_error_sum) =
+            qubit_error_sums(self.calibration(), qubits);
         region
     }
 
@@ -247,8 +415,8 @@ impl Device {
         let mut out: Vec<Region> = Vec::new();
         let mut scratch = GrowthScratch::default();
         self.for_each_region(size, blocked, &mut scratch, |r| {
-            if !out.iter().any(|o| o.qubits == r.qubits) {
-                out.push(r.clone());
+            if !out.iter().any(|o| o.qubits() == r.qubits()) {
+                out.push(r.to_region());
             }
         });
         out
@@ -283,7 +451,7 @@ impl Device {
         size: usize,
         blocked: &[bool],
         scratch: &mut GrowthScratch,
-        mut visit: impl FnMut(&Region),
+        mut visit: impl FnMut(RegionView<'_>),
     ) {
         let n = self.num_qubits();
         assert_eq!(blocked.len(), n, "one blocked flag per qubit");
@@ -292,7 +460,7 @@ impl Device {
             return;
         };
         if !blocked.contains(&true) {
-            slot.regions.iter().for_each(visit);
+            slot.regions().iter().for_each(visit);
             return;
         }
         let errors = self.errors();
@@ -301,29 +469,34 @@ impl Device {
             let Some(idle) = slot.of_seed(seed) else {
                 continue;
             };
-            if errors.nan_free && idle.qubits.iter().all(|&q| !blocked[q]) {
+            if errors.nan_free && idle.qubits().iter().all(|&q| !blocked[q]) {
                 visit(idle);
             } else if let Some(region) = grower.grow(size, blocked, seed) {
-                visit(region);
+                visit(region.view());
             }
         }
     }
 
     /// The candidate regions of `size` qubits on the **idle** chip:
     /// [`grow_regions`](Device::grow_regions) with nothing blocked,
-    /// grown once per calibration snapshot.
+    /// grown once per calibration snapshot and lent as views.
     ///
     /// ## The region atlas
     ///
     /// What this returns is a pure function of the topology, the
     /// calibration and `size`, so the device keeps it, one slot per
-    /// width, filled on first request. A slot holds the distinct
-    /// regions and, per seed qubit, the index of the region it grew
+    /// width, filled on first request. A slot is one arena: the qubits
+    /// of `size` × regions in one vector, their induced links in one
+    /// more, one record per region (its span of the links and its three
+    /// error sums) and, per seed qubit, the index of the region it grew
     /// (one `u32` each), which growth around taken qubits reads
-    /// ([`for_each_region`](Device::for_each_region)); beside the
-    /// slots, the atlas holds one CNOT error per adjacency slot and
-    /// whether the calibration is NaN-free, computed once for every
-    /// growth and [`region`](Device::region) to read. The atlas
+    /// ([`for_each_region`](Device::for_each_region)). A fill grows every
+    /// seed once, then sizes each vector for exactly what it keeps: it
+    /// asks the heap for a fixed number of blocks, whatever the number
+    /// of regions. Beside the slots, the atlas holds one CNOT error per
+    /// adjacency slot and whether the calibration is NaN-free, computed
+    /// once for every growth and [`region`](Device::region) to read.
+    /// The atlas
     ///
     /// * belongs to one calibration: a device has no `&mut` route to
     ///   its state, and a new state is a new device
@@ -331,44 +504,86 @@ impl Device {
     ///   so no edit can be followed by a stale read — there is no epoch
     ///   to compare and nothing to remember to call;
     /// * is shared by `Clone`: a clone reads and fills the same slots;
-    /// * retains at most one region and one index per qubit for each
-    ///   width requested (at most `num_qubits()` widths), plus
+    /// * retains, for each width requested (at most `num_qubits()`
+    ///   widths), at most `size` qubits, one record and the induced
+    ///   links of one region per qubit, plus one index per seed, and
     ///   `2 × num_links()` errors, and is dropped with the last device
     ///   sharing it;
     /// * is **not part of the device's value**: `PartialEq` and `Debug`
     ///   ignore it, and a device that has answered a thousand requests
     ///   equals one that was just constructed.
-    pub fn idle_regions(&self, size: usize) -> &[Region] {
-        self.slot(size).map_or(&[], |slot| &slot.regions)
+    pub fn idle_regions(&self, size: usize) -> Regions<'_> {
+        self.slot(size).map_or(Regions::NONE, Slot::regions)
     }
 
     /// The atlas slot of `size`, filled by growing every seed on the
     /// idle chip; `None` wider than the chip.
     fn slot(&self, size: usize) -> Option<&Slot> {
         let slot = self.atlas().0.slots.get(size)?;
-        Some(slot.get_or_init(|| {
-            let n = self.num_qubits();
-            let free = vec![false; n];
-            let mut scratch = GrowthScratch::default();
-            let mut grower = Grower::new(self, &self.errors().cx, &mut scratch);
-            let mut regions: Vec<Region> = Vec::new();
-            let seed_region = (0..n)
-                .map(|seed| match grower.grow(size, &free, seed) {
-                    None => NO_REGION,
-                    Some(r) => match regions.iter().position(|o| o.qubits == r.qubits) {
-                        Some(i) => i as u32,
-                        None => {
-                            regions.push(r.clone());
-                            (regions.len() - 1) as u32
-                        }
-                    },
-                })
-                .collect();
-            Slot {
-                regions,
-                seed_region,
-            }
-        }))
+        Some(slot.get_or_init(|| self.fill_slot(size)))
+    }
+
+    /// Grows every seed of the idle chip once, keeping each distinct
+    /// region's qubits and counting its links, then measures the
+    /// distinct regions into vectors sized for them.
+    fn fill_slot(&self, size: usize) -> Slot {
+        let n = self.num_qubits();
+        let (topo, errors) = (self.topology(), self.errors());
+        let free = vec![false; n];
+        let mut scratch = GrowthScratch::default();
+        scratch.region.qubits.reserve_exact(size);
+        let mut grower = Grower::new(self, &errors.cx, &mut scratch);
+        // The distinct regions' qubits, region after region.
+        let mut found: Vec<usize> = Vec::with_capacity(n * size);
+        let mut link_count = 0;
+        let seed_region = (0..n)
+            .map(|seed| {
+                if !grower.grow_marked(size, &free, seed) {
+                    grower.unmark();
+                    return NO_REGION;
+                }
+                let grown = &grower.region.qubits;
+                let index = match found.chunks_exact(size).position(|o| o == grown) {
+                    Some(i) => i,
+                    None => {
+                        found.extend_from_slice(grown);
+                        link_count += induced_link_count(topo, grown, grower.in_region);
+                        found.len() / size - 1
+                    }
+                };
+                grower.unmark();
+                index as u32
+            })
+            .collect();
+        let qubits = found.to_vec();
+        let mut links = Vec::with_capacity(link_count);
+        let inside = &mut scratch.in_region;
+        let records = qubits
+            .chunks_exact(size.max(1))
+            .map(|region| {
+                region.iter().for_each(|&q| inside[q] = true);
+                let links_start = links.len() as u32;
+                let cx_error_sum =
+                    induced_links(topo, &errors.cx, region.iter().copied(), inside, &mut links);
+                region.iter().for_each(|&q| inside[q] = false);
+                let (sq_error_sum, readout_error_sum) =
+                    qubit_error_sums(self.calibration(), region);
+                Record {
+                    links_start,
+                    links_end: links.len() as u32,
+                    cx_error_sum,
+                    sq_error_sum,
+                    readout_error_sum,
+                }
+            })
+            .collect();
+        Slot {
+            width: size,
+            qubits,
+            links,
+            records,
+            seed_region,
+        }
     }
 
     /// The atlas's CNOT-error table and NaN check, filled on first use.
@@ -442,13 +657,38 @@ impl<'d, 's> Grower<'d, 's> {
     }
 
     /// Grows the region of `size` qubits seeded at `seed` around the
-    /// `blocked` qubits; `None` if the frontier runs dry first.
+    /// `blocked` qubits, measured; `None` if the frontier runs dry
+    /// first.
     fn grow(&mut self, size: usize, blocked: &[bool], seed: usize) -> Option<&Region> {
+        let complete = self.grow_marked(size, blocked, seed);
+        if complete {
+            let region = &mut *self.region;
+            region.links.clear();
+            region.cx_error_sum = induced_links(
+                self.topo,
+                self.cx,
+                region.qubits.iter().copied(),
+                self.in_region,
+                &mut region.links,
+            );
+            (region.sq_error_sum, region.readout_error_sum) =
+                qubit_error_sums(self.cal, &region.qubits);
+        }
+        self.unmark();
+        complete.then_some(&*self.region)
+    }
+
+    /// Grows the qubits of the region of `size` qubits seeded at `seed`
+    /// around the `blocked` qubits into the scratch region, sorted if it
+    /// is complete, and leaves them marked in the mask
+    /// ([`unmark`](Grower::unmark) clears them); `false` if the
+    /// frontier runs dry first.
+    fn grow_marked(&mut self, size: usize, blocked: &[bool], seed: usize) -> bool {
         #[cfg(test)]
         SEEDS_GROWN.with(|n| n.set(n.get() + 1));
         let (topo, cx) = (self.topo, self.cx);
-        let (in_region, region) = (&mut *self.in_region, &mut *self.region);
-        let grown = &mut region.qubits;
+        let in_region = &mut *self.in_region;
+        let grown = &mut self.region.qubits;
         grown.clear();
         grown.push(seed);
         in_region[seed] = true;
@@ -497,20 +737,15 @@ impl<'d, 's> Grower<'d, 's> {
         let complete = grown.len() == size;
         if complete {
             grown.sort_unstable();
-            region.links.clear();
-            region.cx_error_sum = induced_links(
-                topo,
-                cx,
-                region.qubits.iter().copied(),
-                in_region,
-                &mut region.links,
-            );
-            region.sum_qubit_errors(self.cal);
         }
-        for &q in &region.qubits {
-            in_region[q] = false;
+        complete
+    }
+
+    /// Clears the mask of the qubits the last growth marked.
+    fn unmark(&mut self) {
+        for &q in &self.region.qubits {
+            self.in_region[q] = false;
         }
-        complete.then_some(&*self.region)
     }
 }
 
@@ -611,11 +846,11 @@ mod tests {
         out
     }
 
-    /// Regions with every sum as its bit pattern, so NaN sums and
+    /// Region views with every sum as its bit pattern, so NaN sums and
     /// signed zeros compare exactly.
-    fn bits(regions: &[Region]) -> Vec<String> {
+    fn bits<'a>(regions: impl IntoIterator<Item = RegionView<'a>>) -> Vec<String> {
         regions
-            .iter()
+            .into_iter()
             .map(|r| {
                 format!(
                     "{:?} {:?} {:x} {:x} {:x}",
@@ -627,6 +862,16 @@ mod tests {
                 )
             })
             .collect()
+    }
+
+    /// [`bits`] of owned regions.
+    fn owned_bits(regions: &[Region]) -> Vec<String> {
+        bits(regions.iter().map(Region::view))
+    }
+
+    /// Owned copies of a slot's regions.
+    fn owned(regions: Regions<'_>) -> Vec<Region> {
+        regions.iter().map(|r| r.to_region()).collect()
     }
 
     /// A chip of one of three topology classes under a seeded
@@ -683,17 +928,17 @@ mod tests {
                     blocked[q] = true;
                 }
                 for size in 1..=6 {
-                    let expected = bits(&oracle_grow(&dev, size, &blocked));
+                    let expected = owned_bits(&oracle_grow(&dev, size, &blocked));
                     for device in [&dev, &dev, &dev.clone()] {
                         proptest::prop_assert_eq!(
-                            bits(&device.grow_regions(size, &blocked)),
+                            owned_bits(&device.grow_regions(size, &blocked)),
                             expected.clone()
                         );
                     }
                     let free = vec![false; n];
                     proptest::prop_assert_eq!(
-                        bits(dev.idle_regions(size)),
-                        bits(&oracle_grow(&dev, size, &free))
+                        bits(dev.idle_regions(size).iter()),
+                        owned_bits(&oracle_grow(&dev, size, &free))
                     );
                 }
             }
@@ -721,14 +966,17 @@ mod tests {
             regions.iter().map(|r| r.qubits().to_vec()).collect()
         };
         assert_eq!(
-            qubits(dev.idle_regions(2)),
+            qubits(&owned(dev.idle_regions(2))),
             [vec![0, 3], vec![0, 1], vec![2, 5], vec![3, 4]]
         );
         let mut blocked = vec![false; 6];
         blocked[1] = true;
         let grown = dev.grow_regions(2, &blocked);
         assert_eq!(qubits(&grown), [vec![0, 2], vec![2, 5], vec![3, 4]]);
-        assert_eq!(bits(&grown), bits(&oracle_grow(&dev, 2, &blocked)));
+        assert_eq!(
+            owned_bits(&grown),
+            owned_bits(&oracle_grow(&dev, 2, &blocked))
+        );
     }
 
     /// Around taken qubits only the seeds whose idle region is taken
@@ -751,7 +999,7 @@ mod tests {
                 let regrown = (0..dev.num_qubits())
                     .filter(|&s| !blocked[s])
                     .filter_map(|s| slot.of_seed(s))
-                    .filter(|r| !nan_free || r.qubits.iter().any(|&q| blocked[q]))
+                    .filter(|r| !nan_free || r.qubits().iter().any(|&q| blocked[q]))
                     .count();
                 let before = seeds_grown();
                 let grown = dev.grow_regions(size, &blocked);
@@ -760,7 +1008,10 @@ mod tests {
                     regrown,
                     "size {size}, NaN-free {nan_free}"
                 );
-                assert_eq!(bits(&grown), bits(&oracle_grow(dev, size, &blocked)));
+                assert_eq!(
+                    owned_bits(&grown),
+                    owned_bits(&oracle_grow(dev, size, &blocked))
+                );
                 if nan_free && size > 1 {
                     assert!(regrown < blocked.iter().filter(|&&b| !b).count() / 2);
                 }
@@ -768,18 +1019,31 @@ mod tests {
         }
     }
 
+    /// On the three IBM twins and a drifted Toronto, every region of
+    /// the atlas is connected, distinct and, bit for bit, the region
+    /// its qubits induce.
     #[test]
     fn grown_regions_are_connected_distinct_and_measured() {
-        let dev = ibm::toronto();
-        for size in 1..=6 {
-            let regions = dev.idle_regions(size);
-            assert!(!regions.is_empty() && regions.len() <= dev.num_qubits());
-            for (i, r) in regions.iter().enumerate() {
-                assert_eq!(r.qubits().len(), size);
-                assert!(r.qubits().windows(2).all(|w| w[0] < w[1]));
-                assert!(dev.topology().is_connected_subset(r.qubits()));
-                assert_eq!(r, &dev.region(r.qubits()));
-                assert!(regions[..i].iter().all(|o| o.qubits() != r.qubits()));
+        use crate::drift::{DriftModel, GaussianWalk};
+        let toronto = ibm::toronto();
+        let (mut cal, mut crosstalk) = (toronto.calibration().clone(), toronto.crosstalk().clone());
+        let walk = GaussianWalk::new(0xD81F7, 1_000.0);
+        for step in 1..=20 {
+            walk.apply_step(step, 0, &mut cal, &mut crosstalk);
+        }
+        let drifted = toronto.with_state(cal, crosstalk);
+        assert_ne!(drifted, toronto);
+        for dev in [toronto, ibm::manhattan(), ibm::melbourne(), drifted] {
+            for size in 1..=6 {
+                let regions = dev.idle_regions(size);
+                assert!(!regions.is_empty() && regions.len() <= dev.num_qubits());
+                for (i, r) in regions.iter().enumerate() {
+                    assert_eq!(r.qubits().len(), size);
+                    assert!(r.qubits().windows(2).all(|w| w[0] < w[1]));
+                    assert!(dev.topology().is_connected_subset(r.qubits()));
+                    assert_eq!(bits([r]), bits([dev.region(r.qubits()).view()]));
+                    assert!(regions.iter().take(i).all(|o| o.qubits() != r.qubits()));
+                }
             }
         }
     }
@@ -827,7 +1091,7 @@ mod tests {
             cal.set_readout_error(6, readout);
             dev.with_state(cal, dev.crosstalk().clone())
         };
-        let before = dev.idle_regions(3).to_vec();
+        let before = owned(dev.idle_regions(3));
         assert!(!dev.atlas().is_empty());
 
         // A clone shares the filled atlas; a new state of the clone
@@ -838,13 +1102,13 @@ mod tests {
         assert!(edited.atlas().is_empty());
         assert!(!twin.atlas().is_empty());
         assert_eq!(edited.idle_regions(3), fresh(&edited).idle_regions(3));
-        assert_ne!(edited.idle_regions(3), &before[..]);
-        assert_eq!(dev.idle_regions(3), &before[..]);
-        assert_eq!(twin.idle_regions(3), &before[..]);
+        assert_ne!(owned(edited.idle_regions(3)), before);
+        assert_eq!(owned(dev.idle_regions(3)), before);
+        assert_eq!(owned(twin.idle_regions(3)), before);
 
         let restored = edit(&edited, 0.02);
         assert!(restored.atlas().is_empty());
-        assert_eq!(restored.idle_regions(3), &before[..]);
+        assert_eq!(owned(restored.idle_regions(3)), before);
 
         // Even a new state equal to the old one starts a new atlas.
         let same = dev.with_state(dev.calibration().clone(), dev.crosstalk().clone());

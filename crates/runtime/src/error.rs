@@ -121,13 +121,16 @@ pub enum RuntimeError<S = CoreError> {
     /// A planning or execution stage failed.
     Core(S),
     /// Internal invariant violation: the job table's slots and queue
-    /// disagree about a job that must exist, or a drained service lacks
-    /// a job's result. Surfacing the typed error
-    /// instead of panicking keeps a corrupted queue diagnosable from a
-    /// daemon client; it indicates a runtime bug, never caller misuse.
+    /// disagree about a job that must exist, a drained service lacks a
+    /// job's result, or the plan memo lacks the member list the EFS
+    /// gate's last attempt looked up for a batch. Surfacing the typed
+    /// error instead of panicking keeps a corrupted queue diagnosable
+    /// from a daemon client; it indicates a runtime bug, never caller
+    /// misuse.
     QueueCorrupted {
         /// Submission index of the job whose slot is not in the state
-        /// the table expects.
+        /// the table expects, or of the head of the batch whose list
+        /// the memo lacks.
         seq: usize,
     },
     /// The service's strategy carried a NaN or infinite crosstalk
@@ -217,7 +220,7 @@ impl<S: fmt::Display> fmt::Display for RuntimeError<S> {
             RuntimeError::QueueCorrupted { seq } => {
                 write!(
                     f,
-                    "job table corrupted: the slot of job seq {seq} is not in the state the table expects"
+                    "runtime state corrupted: job seq {seq} is not where the job table or the plan memo expects it"
                 )
             }
             RuntimeError::InvalidStrategy { value } => {

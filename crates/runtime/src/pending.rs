@@ -21,8 +21,8 @@
 //! [`Pending`] record, circuit included; dispatch reads it in place
 //! (head choice and packing off the [`JobView`] mirror, cache keys and
 //! probe misses through [`JobTable::get`]) and copies nothing out of it
-//! — only a plan-cache miss clones the members' circuits, into the plan
-//! it builds. [`JobTable::take_members`] hands the records over **by
+//! — stage 1 borrows the members' circuits here, and only a plan-cache
+//! miss copies them, into the plan it completes. [`JobTable::take_members`] hands the records over **by
 //! value** and leaves the slots running: the staged batch keeps what
 //! execution and the report need (the circuit's name moved, not
 //! copied). The finish pass writes each result into its slot behind

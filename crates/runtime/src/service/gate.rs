@@ -113,7 +113,7 @@ impl GatePass<'_> {
             .run(members, |planning, circuits| {
                 pipeline.allocate(planning, device, circuits)
             })
-            .and_then(|circuits| self.complete(members, circuits, &pipeline));
+            .and_then(|()| self.complete(members, &pipeline));
         self.buffers.clear();
         planned
     }
@@ -128,26 +128,22 @@ impl GatePass<'_> {
     /// [`RuntimeError::JobUnplaceable`].
     ///
     /// `allocate` is stage 1, called once per list the memo does not
-    /// hold; the first call clones the members' circuits, once for the
-    /// pass, and they are evicted in step with the members: the loop
-    /// returns the survivors' circuits if a miss made it clone them. It
-    /// is handed nothing that routes: routing and the
-    /// schedule merge run once, after it, for the member set that
-    /// survives ([`GatePass::complete`]). Each eviction's event is
-    /// buffered in [`GateBuffers::shrinks`].
+    /// hold, on the members' circuits borrowed from the job table:
+    /// nothing is copied. It is handed nothing that
+    /// routes: routing and the schedule merge run once, after it, for
+    /// the member set that survives ([`GatePass::complete`]). Each
+    /// eviction's event is buffered in [`GateBuffers::shrinks`].
     pub(super) fn run(
         &mut self,
         members: &mut Vec<usize>,
-        mut allocate: impl FnMut(&mut PlanScratch, &[Circuit]) -> Result<Vec<Allocation>, CoreError>,
-    ) -> Result<Option<Vec<Circuit>>, RuntimeError> {
+        mut allocate: impl FnMut(&mut PlanScratch, &[&Circuit]) -> Result<Vec<Allocation>, CoreError>,
+    ) -> Result<(), RuntimeError> {
         let gated = self.gate.reads_member_thresholds();
-        let mut circuits = None;
         self.buffers.shrinks.clear();
         loop {
             let all = 0..members.len();
             let failure = |entry: &PlanEntry| entry.allocations().err();
-            let (found, failure) =
-                self.memoized(members, all, &mut circuits, &mut allocate, failure)?;
+            let (found, failure) = self.memoized(members, all, &mut allocate, failure)?;
             let (evict, reason) = match failure {
                 Some(e) => {
                     // A placement failure evicts the tail while there is
@@ -173,20 +169,17 @@ impl GatePass<'_> {
                     && members.len() > 1
                     && self.buffers.thresholds.iter().any(Option::is_some) =>
                 {
-                    match self.violation(members, &mut circuits, &mut allocate)? {
+                    match self.violation(members, &mut allocate)? {
                         Some(evict) => (evict, ShrinkReason::FidelityGate),
-                        None => return Ok(circuits),
+                        None => return Ok(()),
                     }
                 }
-                None => return Ok(circuits),
+                None => return Ok(()),
             };
             let seq = members.remove(evict);
             self.buffers.key.shapes.remove(evict);
             if gated {
                 self.buffers.thresholds.remove(evict);
-            }
-            if let Some(circuits) = circuits.as_mut() {
-                circuits.remove(evict);
             }
             let dropped_job_id = self.jobs.get(seq)?.id;
             self.buffers.shrinks.push(Event::BatchShrunk {
@@ -206,8 +199,7 @@ impl GatePass<'_> {
     fn violation(
         &mut self,
         members: &[usize],
-        circuits: &mut Option<Vec<Circuit>>,
-        allocate: &mut impl FnMut(&mut PlanScratch, &[Circuit]) -> Result<Vec<Allocation>, CoreError>,
+        allocate: &mut impl FnMut(&mut PlanScratch, &[&Circuit]) -> Result<Vec<Allocation>, CoreError>,
     ) -> Result<Option<usize>, RuntimeError> {
         // The key holds one member's shape at a time, the list aside.
         let buffers = &mut *self.buffers;
@@ -218,7 +210,7 @@ impl GatePass<'_> {
             self.buffers.key.shapes.clear();
             self.buffers.key.shapes.push(shape);
             let score = |entry: &PlanEntry| entry.allocations().map(|solo| solo[0].efs.score);
-            let (_, score) = self.memoized(members, i..i + 1, circuits, allocate, score)?;
+            let (_, score) = self.memoized(members, i..i + 1, allocate, score)?;
             self.buffers
                 .excesses
                 .push(score.map_err(RuntimeError::Core)?);
@@ -252,38 +244,51 @@ impl GatePass<'_> {
     /// What `read` makes of the memo entry of the list `members[span]`,
     /// under the buffers' key — that list's — and whether the memo held
     /// it ([`RouteCache::memoized`]). A miss allocates the list's
-    /// circuits, cloning the members' on the pass's first miss.
+    /// circuits where the job table keeps them, through a list of
+    /// references on the stack (on the heap past [`STACK_LIST`]
+    /// members).
     fn memoized<T>(
         &mut self,
         members: &[usize],
         span: Range<usize>,
-        circuits: &mut Option<Vec<Circuit>>,
-        allocate: &mut impl FnMut(&mut PlanScratch, &[Circuit]) -> Result<Vec<Allocation>, CoreError>,
+        allocate: &mut impl FnMut(&mut PlanScratch, &[&Circuit]) -> Result<Vec<Allocation>, CoreError>,
         read: impl FnOnce(&PlanEntry) -> T,
     ) -> Result<(bool, T), RuntimeError> {
         let (jobs, planning) = (self.jobs, &mut *self.planning);
         let allocate_list = || {
-            if circuits.is_none() {
-                *circuits = Some(member_circuits(jobs, members)?);
+            let list = &members[span];
+            let circuit = |seq: usize| Ok::<_, RuntimeError>(&jobs.get(seq)?.circuit);
+            if list.len() > STACK_LIST {
+                let circuits = list.iter().map(|&seq| circuit(seq));
+                return Ok(allocate(
+                    planning,
+                    &circuits.collect::<Result<Vec<_>, _>>()?,
+                ));
             }
-            let list = circuits.as_deref().map_or(&[][..], |c| &c[span]);
-            Ok(allocate(planning, list))
+            let mut circuits = [circuit(list[0])?; STACK_LIST];
+            for (slot, &seq) in circuits.iter_mut().zip(list).skip(1) {
+                *slot = circuit(seq)?;
+            }
+            Ok(allocate(planning, &circuits[..list.len()]))
         };
         self.cache.memoized(&self.buffers.key, allocate_list, read)
     }
 
     /// The survivors' plan: the memo entry's completed plan on a hit
     /// (its slots allocated on the first), else their allocation —
-    /// moved out of the entry — routed and merged with their circuits
-    /// ([`Pipeline::complete`]) and kept in the entry.
+    /// moved out of the entry — routed and merged with copies of their
+    /// circuits, which the plan keeps ([`Pipeline::complete`]), and kept
+    /// in the entry. The gate's last attempt memoized the survivors'
+    /// list; a memo without it is [`RuntimeError::QueueCorrupted`] of
+    /// the head.
     pub(super) fn complete(
         &mut self,
         members: &[usize],
-        circuits: Option<Vec<Circuit>>,
         pipeline: &Pipeline,
     ) -> Result<SharedPlan, RuntimeError> {
-        let entry = self.cache.plans.get_mut(&self.buffers.key);
-        let entry = entry.expect("the gate's last attempt memoized the survivors");
+        let Some(entry) = self.cache.plans.get_mut(&self.buffers.key) else {
+            return Err(RuntimeError::QueueCorrupted { seq: members[0] });
+        };
         let allocations = match entry {
             PlanEntry::Planned { plan, slots } => {
                 self.cache.plan_hits += 1;
@@ -294,16 +299,14 @@ impl GatePass<'_> {
                     slots: Some(Arc::clone(slots)),
                 });
             }
-            PlanEntry::Allocated(outcome) => match outcome {
-                Ok(allocations) => std::mem::take(allocations),
-                Err(e) => return Err(RuntimeError::Core(e.clone())),
-            },
+            PlanEntry::Allocated(Err(e)) => return Err(RuntimeError::Core(e.clone())),
+            PlanEntry::Allocated(Ok(allocations)) => allocations,
         };
         self.cache.plan_misses += 1;
-        let circuits = match circuits {
-            Some(circuits) => circuits,
-            None => member_circuits(self.jobs, members)?,
-        };
+        let circuits = (members.iter())
+            .map(|&seq| Ok(self.jobs.get(seq)?.circuit.clone()))
+            .collect::<Result<_, RuntimeError>>()?;
+        let allocations = std::mem::take(allocations);
         let plan = pipeline.complete(self.planning, self.device, circuits, allocations);
         let plan = Arc::new(plan);
         *entry = PlanEntry::Planned {
@@ -314,6 +317,10 @@ impl GatePass<'_> {
     }
 }
 
+/// The longest member list whose circuit references a memo miss keeps
+/// on the stack.
+const STACK_LIST: usize = 8;
+
 impl GateBuffers {
     /// Empties every buffer, keeping its capacity.
     fn clear(&mut self) {
@@ -322,16 +329,6 @@ impl GateBuffers {
         self.thresholds.clear();
         self.excesses.clear();
     }
-}
-
-/// The circuits of `members` out of the table, as their batch runs
-/// them (folded at submit): what a memo miss allocates and a completion
-/// routes.
-fn member_circuits(jobs: &JobTable, members: &[usize]) -> Result<Vec<Circuit>, RuntimeError> {
-    members
-        .iter()
-        .map(|&seq| Ok(jobs.get(seq)?.circuit.clone()))
-        .collect()
 }
 
 /// The position the worst-excess gate evicts: the member with the

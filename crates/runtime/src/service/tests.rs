@@ -1303,13 +1303,44 @@ fn replanning_gate(
     }
 }
 
+/// The survivors' plan is completed from the memo entry the gate's
+/// last attempt looked up; a memo without that list is a typed error
+/// naming the head, not a panic, and counts neither a hit nor a miss.
+#[test]
+fn completing_a_list_the_memo_lacks_is_a_typed_error() {
+    let qucp = strategy::qucp(4.0);
+    let mut service = fifo_service(2);
+    let bell = qucp_circuit::library::by_name("bell").unwrap().circuit();
+    let seqs: Vec<usize> = (0..2)
+        .map(|i| {
+            service
+                .submit(JobRequest::new(bell.clone(), f64::from(i)))
+                .unwrap()
+                .seq
+        })
+        .collect();
+    let (mut buffers, mut planning) = (GateBuffers::default(), PlanScratch::default());
+    let mut pass = service
+        .gate_pass(&mut buffers, &mut planning, 0, 0, &seqs)
+        .unwrap();
+    let completed = pass.complete(&seqs, &Pipeline::from_strategy(&qucp));
+    assert_eq!(
+        completed.err(),
+        Some(RuntimeError::QueueCorrupted { seq: seqs[0] })
+    );
+    let stats = service.route_cache_stats();
+    assert_eq!((stats.plan_hits, stats.plan_misses), (0, 0));
+}
+
 #[test]
 fn a_batch_that_shrinks_k_times_routes_and_merges_once() {
     let lib = |name: &str| qucp_circuit::library::by_name(name).unwrap().circuit();
     let strategy = strategy::qucp(4.0);
     // Melbourne's 15 qubits cannot host four 5-qubit programs (two
-    // placement failures), and the tolerances below cannot all be
-    // met by what fits (fidelity evictions).
+    // placement failures after the three `bell`s at the tail), and the
+    // tolerances below cannot all be met by what fits (fidelity
+    // evictions). The first attempts, of nine and more members, list
+    // more circuits than the gate keeps on the stack.
     let device = ibm::melbourne();
     let circuits = vec![
         lib("alu-v0_27"),
@@ -1318,8 +1349,21 @@ fn a_batch_that_shrinks_k_times_routes_and_merges_once() {
         lib("alu-v0_27"),
         lib("variation"),
         lib("qec"),
+        lib("bell"),
+        lib("bell"),
+        lib("bell"),
     ];
-    let thresholds = [None, Some(0.02), Some(1e-4), Some(0.5), None, None];
+    let thresholds = [
+        None,
+        Some(0.02),
+        Some(1e-4),
+        Some(0.5),
+        None,
+        None,
+        None,
+        None,
+        None,
+    ];
     let ids: Vec<u64> = (100..100 + circuits.len() as u64).collect();
     for gate in [EfsGate::Batch, EfsGate::BatchWorstExcess] {
         let pipeline = Pipeline::from_strategy(&strategy);
@@ -1360,7 +1404,7 @@ fn a_batch_that_shrinks_k_times_routes_and_merges_once() {
             })
             .collect();
 
-        // The service's gate on the same six jobs, twice. The loop is
+        // The service's gate on the same nine jobs, twice. The loop is
         // handed stage 1 and nothing that routes, and it reads every
         // allocation — joint or solo — through the memo: each distinct
         // list is allocated once, in the first pass, and the plan is
@@ -1391,13 +1435,13 @@ fn a_batch_that_shrinks_k_times_routes_and_merges_once() {
             let mut gate_pass = service
                 .gate_pass(&mut buffers, &mut planning, 0, 7, &members)
                 .unwrap();
-            let circuits = gate_pass
+            gate_pass
                 .run(&mut members, |planning, list| {
                     allocated.push(list.iter().map(|c| c.name().to_string()).collect());
                     pipeline.allocate(planning, &device, list)
                 })
                 .unwrap();
-            let shared = gate_pass.complete(&members, circuits, &pipeline).unwrap();
+            let shared = gate_pass.complete(&members, &pipeline).unwrap();
             assert_eq!(buffers.shrinks, events, "{gate:?}, pass {pass}");
             assert_eq!(*shared.plan, plan, "{gate:?}, pass {pass}");
             assert_eq!(shared.slots.is_some(), pass == 1, "a hit the second time");
@@ -1437,7 +1481,7 @@ fn a_batch_that_shrinks_k_times_routes_and_merges_once() {
 
 #[test]
 fn thresholded_batches_that_keep_the_same_survivors_share_one_plan() {
-    // The six jobs of the shrink test, twice on Melbourne under the
+    // The first six jobs of the shrink test, twice on Melbourne under the
     // batch gate: the second burst's thresholds are the first's one ulp
     // looser — other bits, the same evictions.
     let names = [

@@ -7,7 +7,8 @@
 //! on a miss, every program is prepared cold; under the batch EFS gate,
 //! a survivor set committed before is reused whatever its members'
 //! threshold bits. Stage 1 of a multi-program list, on a chip whose
-//! region atlas is warm, copies out only each program's winner. A run
+//! region atlas is warm, copies out only each program's winner, and an
+//! atlas slot fills its one arena in a fixed number of requests. A run
 //! of a job its thread has run before asks for its histogram alone, and
 //! a decoded `Submit` frame sizes its circuit once, as a decoded event
 //! sizes its member-id list. A claim and a drained report share the
@@ -230,8 +231,16 @@ fn a_cached_batch_stays_within_its_heap_budget() {
 
 /// Heap requests of one `tick` of 64 cold jobs (every batch planned,
 /// prepared and run from scratch; the count is exact and the same in
-/// debug and release): 2 449 with one job to a batch, 1 868 with two —
-/// 38.3 and 29.2 per job. A plan-memo miss plans on the buffers the
+/// debug and release): 2 129 with one job to a batch, 1 676 with two —
+/// 33.3 and 26.2 per job. Stage 1 reads the members' circuits where the
+/// job table keeps them, and only the plan the memo keeps copies the
+/// survivors'; routing lists the routed gates in a lent buffer and
+/// builds the routed circuit once, at its final size (one request per
+/// program fewer); the merge's ALAP pass times each program in a lent
+/// per-qubit buffer (one fewer again). While the router grew each routed
+/// circuit by its SWAPs and each ALAP pass asked for its own per-qubit
+/// vector, the same tick counted 2 257 and 1 804 (the constants still
+/// read 2 449 and 1 868, the counts of two changes before). A plan-memo miss plans on the buffers the
 /// service's dispatch scratch lends it (stage 1's growth mask, region,
 /// order and masks; routing's partition-local graph, distance table and
 /// interaction weights; the merge's durations and overlap tables) and
@@ -274,7 +283,9 @@ fn a_cached_batch_stays_within_its_heap_budget() {
 /// the allocation that held the readout thresholds). The budgets are the
 /// counts.
 ///
-/// Mutation checks (CHANGES.md): a pack that drops the kept buffer and
+/// Mutation checks (CHANGES.md): a gate that clones the members'
+/// circuits into its stage-1 list again (`.circuit.clone()` of each
+/// member in `GatePass::memoized`) counts 2 321 and 1 836; a pack that drops the kept buffer and
 /// allocates afresh (`*picks = Vec::new()` at the top of
 /// `AdmissionPolicy::pack`) costs one request per packed candidate;
 /// the strip's event bounds in an exact-size vector of their own cost
@@ -288,8 +299,8 @@ fn a_cached_batch_stays_within_its_heap_budget() {
 /// per prepared program; routing building a fresh partition-local graph
 /// per program again (`LocalGraph::default()` in `map_in`) costs six
 /// per routed program. Each fails.
-const COLD_SOLO_REQUESTS: u64 = 2_449;
-const COLD_PAIR_REQUESTS: u64 = 1_868;
+const COLD_SOLO_REQUESTS: u64 = 2_129;
+const COLD_PAIR_REQUESTS: u64 = 1_676;
 
 #[test]
 fn a_cold_batch_stays_within_its_heap_budget() {
@@ -326,8 +337,10 @@ fn thresholded_tick(jobs: usize) -> Tick {
 
 /// Heap requests of one `tick` of 48 thresholded jobs whose survivor
 /// sets repeat (the count is exact and the same in debug and release):
-/// 383, 25 batches and 26 evictions, every batch's allocations and plan
-/// read from the plan memo; 403 while the event builder requested its
+/// 305, 25 batches and 26 evictions, every batch's allocations and plan
+/// read from the plan memo; 383 two changes before, which the constant
+/// kept until it was pinned to the count again; 403 while the event
+/// builder requested its
 /// slot and lane vectors per prepared program; 433 while a run allocated its own working
 /// buffers instead of taking those its thread kept; 529 while a run's
 /// histogram was a tree,
@@ -343,7 +356,7 @@ fn thresholded_tick(jobs: usize) -> Tick {
 /// bits again misses 8 of the tick's 25 batches and counts 2 074 more
 /// (546 and 2 603 when they were measured, with the tree histograms).
 /// Each fails.
-const THRESHOLDED_REQUESTS: u64 = 383;
+const THRESHOLDED_REQUESTS: u64 = 305;
 
 #[test]
 fn a_thresholded_batch_whose_survivors_repeat_reuses_their_plan() {
@@ -396,6 +409,53 @@ fn stage_one_of_three_programs_on_a_warm_atlas_stays_within_its_heap_budget() {
         requests <= WARM_STAGE_ONE_REQUESTS,
         "{requests} heap requests over the budget of {WARM_STAGE_ONE_REQUESTS}"
     );
+}
+
+/// Heap requests of filling one region-atlas slot — growing every seed
+/// of an idle chip at one width and keeping the distinct regions — on a
+/// fresh state of Toronto and of Manhattan at widths 1 to 6, whose
+/// slots hold 11 to 65 regions (exact, the same in debug and release):
+/// 8 whatever the number of regions — the idle mask, the growth mask and
+/// region, the distinct regions' qubits while they are found, the seed
+/// index, then the slot's qubit arena, link arena and records, each
+/// sized for what it keeps — and 7 at width 1, whose regions have no
+/// link (an empty vector asks for nothing). The CNOT-error table the
+/// atlas fills once, on its first use, is filled before the count.
+/// While a slot kept each region as two vectors of its own, collected
+/// into a growing vector of regions, a fill counted 32 to 51 on Toronto
+/// and 69 to 104 on Manhattan.
+///
+/// Mutation check (CHANGES.md): copying each distinct region's qubits
+/// into a vector of its own again before the arena is built counts one
+/// request more per region, and one for their list (35 at width 1 on
+/// Toronto), and fails.
+const SLOT_FILL_REQUESTS: u64 = 8;
+
+#[test]
+fn an_atlas_slot_fills_in_a_fixed_number_of_requests() {
+    for base in [ibm::toronto(), ibm::manhattan()] {
+        let mut region_counts = Vec::new();
+        for width in 1..=6 {
+            let device = base.with_state(base.calibration().clone(), base.crosstalk().clone());
+            device.region(&[]);
+
+            let before = REQUESTS.get();
+            let regions = device.idle_regions(width);
+            let requests = REQUESTS.get() - before;
+
+            let linkless = u64::from(width == 1);
+            assert_eq!(
+                requests,
+                SLOT_FILL_REQUESTS - linkless,
+                "{} at width {width}: {} regions",
+                base.name(),
+                regions.len()
+            );
+            region_counts.push(regions.len());
+        }
+        region_counts.dedup();
+        assert_eq!(region_counts.len(), 6, "{}: {region_counts:?}", base.name());
+    }
 }
 
 /// Heap requests of one 8 192-shot `Serial` run of `ghz(8)` planned on
