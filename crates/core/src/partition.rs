@@ -37,10 +37,9 @@
 //! them, without collecting crosstalk pairs; only each later program's
 //! winner is copied out, into the one [`Region`] stage 1's buffers
 //! keep, and broken down. Stage 1 reads the programs where the caller
-//! keeps them ([`allocate_partitions_in`] takes anything that borrows
-//! as a [`Circuit`]).
+//! keeps them ([`allocate_partitions_in`] reads each through an
+//! accessor by program index).
 
-use std::borrow::Borrow;
 use std::collections::BTreeSet;
 
 use qucp_circuit::Circuit;
@@ -135,24 +134,28 @@ pub fn allocate_partitions(
     programs: &[&Circuit],
     policy: &PartitionPolicy,
 ) -> Result<Vec<Allocation>, CoreError> {
-    allocate_partitions_in(&mut PlanScratch::default(), device, programs, policy)
+    let scratch = &mut PlanScratch::default();
+    allocate_partitions_in(scratch, device, programs.len(), |i| programs[i], policy)
 }
 
-/// [`allocate_partitions`] on the buffers of `scratch`: the same
+/// [`allocate_partitions`] on the buffers of `scratch`, of the `count`
+/// programs `program(0)`, …, `program(count - 1)`: the same
 /// allocations, bit for bit, asking the heap only for what they keep
-/// once `scratch` has grown to the chip and the programs.
+/// once `scratch` has grown to the chip and the programs. The programs
+/// are read where the caller keeps them, and nothing is copied.
 ///
 /// # Errors
 ///
 /// As [`allocate_partitions`].
-pub fn allocate_partitions_in<C: Borrow<Circuit>>(
+pub fn allocate_partitions_in<'c>(
     scratch: &mut PlanScratch,
     device: &Device,
-    programs: &[C],
+    count: usize,
+    program: impl Fn(usize) -> &'c Circuit,
     policy: &PartitionPolicy,
 ) -> Result<Vec<Allocation>, CoreError> {
-    for (i, p) in programs.iter().enumerate() {
-        let p = p.borrow();
+    for i in 0..count {
+        let p = program(i);
         if p.width() > device.num_qubits() {
             return Err(CoreError::ProgramTooWide {
                 program: i,
@@ -168,9 +171,8 @@ pub fn allocate_partitions_in<C: Borrow<Circuit>>(
         allocated_links,
         kept,
     } = &mut scratch.allocation;
-    let program = |i: usize| programs[i].borrow();
     order.clear();
-    order.extend(0..programs.len());
+    order.extend(0..count);
     order.sort_by_key(|&i| {
         std::cmp::Reverse((program(i).width(), program(i).cx_count(), usize::MAX - i))
     });
@@ -178,7 +180,7 @@ pub fn allocate_partitions_in<C: Borrow<Circuit>>(
     blocked.clear();
     blocked.resize(device.num_qubits(), false);
     allocated_links.clear();
-    let mut result: Vec<Option<Allocation>> = vec![None; programs.len()];
+    let mut result: Vec<Option<Allocation>> = vec![None; count];
 
     for (placed, &pi) in order.iter().enumerate() {
         let program = program(pi);

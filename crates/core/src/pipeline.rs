@@ -23,8 +23,6 @@
 //! [`PlannedWorkload`] is `Send + Sync`), and its plan cache keeps each
 //! program's [`PreparedJob`] beside the cached plan.
 
-use std::borrow::Borrow;
-
 use qucp_circuit::Circuit;
 use qucp_device::{Device, Link};
 use qucp_sim::{Counts, ExecutionConfig, PreparedJob};
@@ -376,28 +374,29 @@ impl<'s> Pipeline<'s> {
     /// The first placement and every solo probe read the device's
     /// region atlas (see [`crate::partition`]). Stage 1's working
     /// buffers are `scratch`'s ([`crate::scratch`]), and it reads the
-    /// programs where they are: a caller may hand in circuits or
-    /// references to them, and nothing is copied.
+    /// `count` programs where the caller keeps them, through `program`
+    /// by index: nothing is copied.
     ///
     /// # Errors
     ///
     /// Propagates partitioning failures
     /// ([`CoreError::PartitionUnavailable`],
     /// [`CoreError::ProgramTooWide`]).
-    pub fn allocate(
+    pub fn allocate<'c>(
         &self,
         scratch: &mut PlanScratch,
         device: &Device,
-        programs: &[impl Borrow<Circuit>],
+        count: usize,
+        program: impl Fn(usize) -> &'c Circuit,
     ) -> Result<Vec<Allocation>, CoreError> {
-        allocate_partitions_in(scratch, device, programs, self.partition)
+        allocate_partitions_in(scratch, device, count, program, self.partition)
     }
 
     /// Runs stages 2–3 on an allocated workload: routes every program
     /// inside its region and merges the schedules, on `scratch`'s
     /// working buffers. `plan(device, programs, false)` is
     /// `complete(scratch, device, programs, allocate(scratch, device,
-    /// &programs)?)`.
+    /// programs.len(), |i| &programs[i])?)`.
     pub fn complete(
         &self,
         scratch: &mut PlanScratch,
@@ -439,7 +438,7 @@ impl<'s> Pipeline<'s> {
     ) -> Result<WorkloadPlan, CoreError> {
         let scratch = &mut PlanScratch::default();
         let optimized = optimized(programs, optimize);
-        let allocations = self.allocate(scratch, device, &optimized)?;
+        let allocations = self.allocate(scratch, device, optimized.len(), |i| &optimized[i])?;
         let mapped = route_all(
             scratch,
             device,
@@ -466,7 +465,7 @@ impl<'s> Pipeline<'s> {
     ) -> Result<PlannedWorkload, CoreError> {
         let scratch = &mut PlanScratch::default();
         let optimized = optimized(programs, optimize);
-        let allocations = self.allocate(scratch, device, &optimized)?;
+        let allocations = self.allocate(scratch, device, optimized.len(), |i| &optimized[i])?;
         Ok(self.complete(scratch, device, optimized, allocations))
     }
 

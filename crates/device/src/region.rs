@@ -236,44 +236,32 @@ struct Record {
     readout_error_sum: f64,
 }
 
-/// Appends the links among the qubits `inside` marks to `links` in
-/// canonical order (`ascending` lists those qubits in ascending order)
-/// and returns the sum of their CNOT errors, added from zero in that
-/// order, read from the atlas's table.
-fn induced_links(
+/// Measures the region of `qubits` — the qubits `inside` marks, which
+/// `ascending` lists in ascending order: appends its induced links to
+/// `links` in canonical order and returns its CNOT, one-qubit and
+/// readout error sums. The CNOT errors are read from the atlas's table
+/// and added from zero in link order, the others in `qubits`' order.
+fn measure(
     topo: &Topology,
     cx: &[f64],
+    cal: &Calibration,
+    qubits: &[usize],
     ascending: impl Iterator<Item = usize>,
     inside: &[bool],
     links: &mut Vec<Link>,
-) -> f64 {
-    let mut sum = 0.0;
+) -> (f64, f64, f64) {
+    let mut cx_sum = 0.0;
     for q in ascending {
         let offset = topo.neighbor_offset(q);
         for (i, &nb) in topo.neighbors(q).iter().enumerate() {
             if nb > q && inside[nb] {
                 links.push(Link::new(q, nb));
-                sum += cx[offset + i];
+                cx_sum += cx[offset + i];
             }
         }
     }
-    sum
-}
-
-/// The number of links [`induced_links`] appends for the same qubits.
-fn induced_link_count(topo: &Topology, ascending: &[usize], inside: &[bool]) -> usize {
-    let inner = |&q: &usize| {
-        topo.neighbors(q)
-            .iter()
-            .filter(|&&nb| nb > q && inside[nb])
-            .count()
-    };
-    ascending.iter().map(inner).sum()
-}
-
-/// The one-qubit and readout error sums of `qubits`, in listed order.
-fn qubit_error_sums(cal: &Calibration, qubits: &[usize]) -> (f64, f64) {
     (
+        cx_sum,
         qubits.iter().map(|&q| cal.sq_error(q)).sum(),
         qubits.iter().map(|&q| cal.readout_error(q)).sum(),
     )
@@ -384,18 +372,18 @@ impl Device {
         for &q in qubits {
             inside[q] = true;
         }
-        let mut region = Region::unmeasured(qubits.to_vec());
         let ascending = (0..inside.len()).filter(|&q| inside[q]);
-        region.cx_error_sum = induced_links(
-            self.topology(),
-            &self.errors().cx,
-            ascending,
-            &inside,
-            &mut region.links,
-        );
-        (region.sq_error_sum, region.readout_error_sum) =
-            qubit_error_sums(self.calibration(), qubits);
-        region
+        let (topo, cx, cal) = (self.topology(), &self.errors().cx, self.calibration());
+        let mut links = Vec::new();
+        let (cx_error_sum, sq_error_sum, readout_error_sum) =
+            measure(topo, cx, cal, qubits, ascending, &inside, &mut links);
+        Region {
+            qubits: qubits.to_vec(),
+            links,
+            cx_error_sum,
+            sq_error_sum,
+            readout_error_sum,
+        }
     }
 
     /// Grows connected candidate regions of `size` qubits, one from
@@ -490,12 +478,14 @@ impl Device {
     /// more, one record per region (its span of the links and its three
     /// error sums) and, per seed qubit, the index of the region it grew
     /// (one `u32` each), which growth around taken qubits reads
-    /// ([`for_each_region`](Device::for_each_region)). A fill grows every
-    /// seed once, then sizes each vector for exactly what it keeps: it
-    /// asks the heap for a fixed number of blocks, whatever the number
-    /// of regions. Beside the slots, the atlas holds one CNOT error per
-    /// adjacency slot and whether the calibration is NaN-free, computed
-    /// once for every growth and [`region`](Device::region) to read.
+    /// ([`for_each_region`](Device::for_each_region)). A fill reserves
+    /// each vector once, with room for one region per seed, and grows
+    /// every seed once, measuring each distinct region straight into
+    /// them: it asks the heap for a fixed number of blocks, whatever the
+    /// number of regions. Beside the slots, the atlas holds one CNOT
+    /// error per adjacency slot and whether the calibration is NaN-free,
+    /// computed once for every growth and [`region`](Device::region) to
+    /// read.
     /// The atlas
     ///
     /// * belongs to one calibration: a device has no `&mut` route to
@@ -505,10 +495,11 @@ impl Device {
     ///   to compare and nothing to remember to call;
     /// * is shared by `Clone`: a clone reads and fills the same slots;
     /// * retains, for each width requested (at most `num_qubits()`
-    ///   widths), at most `size` qubits, one record and the induced
-    ///   links of one region per qubit, plus one index per seed, and
-    ///   `2 × num_links()` errors, and is dropped with the last device
-    ///   sharing it;
+    ///   widths), room for one region per qubit — `size` qubits, one
+    ///   record, and as many links as a connected region of `size`
+    ///   qubits can induce (at most `size × max degree / 2`) — plus one
+    ///   index per seed, and `2 × num_links()` errors, and is dropped
+    ///   with the last device sharing it;
     /// * is **not part of the device's value**: `PartialEq` and `Debug`
     ///   ignore it, and a device that has answered a thousand requests
     ///   equals one that was just constructed.
@@ -523,19 +514,25 @@ impl Device {
         Some(slot.get_or_init(|| self.fill_slot(size)))
     }
 
-    /// Grows every seed of the idle chip once, keeping each distinct
-    /// region's qubits and counting its links, then measures the
-    /// distinct regions into vectors sized for them.
+    /// Grows every seed of the idle chip once, measuring each distinct
+    /// region into the slot's vectors as it is found. Each vector is
+    /// reserved once, for one region per seed: that is what a fill asks
+    /// the heap for, whatever the number of distinct regions.
     fn fill_slot(&self, size: usize) -> Slot {
         let n = self.num_qubits();
-        let (topo, errors) = (self.topology(), self.errors());
+        let (topo, cal, errors) = (self.topology(), self.calibration(), self.errors());
+        // The most links a connected region of `size` qubits induces.
+        let max_degree = (0..n).map(|q| topo.degree(q)).max().unwrap_or(0);
+        let link_room = (size * max_degree / 2)
+            .min(size * size.saturating_sub(1) / 2)
+            .min(topo.num_links());
+        let mut qubits: Vec<usize> = Vec::with_capacity(n * size);
+        let mut links = Vec::with_capacity(n * link_room);
+        let mut records = Vec::with_capacity(n);
         let free = vec![false; n];
         let mut scratch = GrowthScratch::default();
         scratch.region.qubits.reserve_exact(size);
         let mut grower = Grower::new(self, &errors.cx, &mut scratch);
-        // The distinct regions' qubits, region after region.
-        let mut found: Vec<usize> = Vec::with_capacity(n * size);
-        let mut link_count = 0;
         let seed_region = (0..n)
             .map(|seed| {
                 if !grower.grow_marked(size, &free, seed) {
@@ -543,38 +540,33 @@ impl Device {
                     return NO_REGION;
                 }
                 let grown = &grower.region.qubits;
-                let index = match found.chunks_exact(size).position(|o| o == grown) {
+                let index = match qubits.chunks_exact(size).position(|o| o == grown) {
                     Some(i) => i,
                     None => {
-                        found.extend_from_slice(grown);
-                        link_count += induced_link_count(topo, grown, grower.in_region);
-                        found.len() / size - 1
+                        qubits.extend_from_slice(grown);
+                        let links_start = links.len() as u32;
+                        let ascending = grown.iter().copied();
+                        let (cx_error_sum, sq_error_sum, readout_error_sum) = measure(
+                            topo,
+                            &errors.cx,
+                            cal,
+                            grown,
+                            ascending,
+                            grower.in_region,
+                            &mut links,
+                        );
+                        records.push(Record {
+                            links_start,
+                            links_end: links.len() as u32,
+                            cx_error_sum,
+                            sq_error_sum,
+                            readout_error_sum,
+                        });
+                        records.len() - 1
                     }
                 };
                 grower.unmark();
                 index as u32
-            })
-            .collect();
-        let qubits = found.to_vec();
-        let mut links = Vec::with_capacity(link_count);
-        let inside = &mut scratch.in_region;
-        let records = qubits
-            .chunks_exact(size.max(1))
-            .map(|region| {
-                region.iter().for_each(|&q| inside[q] = true);
-                let links_start = links.len() as u32;
-                let cx_error_sum =
-                    induced_links(topo, &errors.cx, region.iter().copied(), inside, &mut links);
-                region.iter().for_each(|&q| inside[q] = false);
-                let (sq_error_sum, readout_error_sum) =
-                    qubit_error_sums(self.calibration(), region);
-                Record {
-                    links_start,
-                    links_end: links.len() as u32,
-                    cx_error_sum,
-                    sq_error_sum,
-                    readout_error_sum,
-                }
             })
             .collect();
         Slot {
@@ -664,15 +656,19 @@ impl<'d, 's> Grower<'d, 's> {
         if complete {
             let region = &mut *self.region;
             region.links.clear();
-            region.cx_error_sum = induced_links(
+            (
+                region.cx_error_sum,
+                region.sq_error_sum,
+                region.readout_error_sum,
+            ) = measure(
                 self.topo,
                 self.cx,
+                self.cal,
+                &region.qubits,
                 region.qubits.iter().copied(),
                 self.in_region,
                 &mut region.links,
             );
-            (region.sq_error_sum, region.readout_error_sum) =
-                qubit_error_sums(self.cal, &region.qubits);
         }
         self.unmark();
         complete.then_some(&*self.region)

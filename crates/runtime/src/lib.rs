@@ -177,7 +177,7 @@
 //! | dispatch step: arrived views | O(log n) prefix bind |
 //! | dispatch step: admitting devices | O(D) filter by `Device::admits`, beside the O(D) clock scan |
 //! | routing / head-only gate probes | one plan-memo lookup per list read — `[h]` for the routing score, `[h]` and `[h; k]` per copy count `k` walked — in a key buffer the service keeps; partitioning only for a list not seen at this epoch, on the pending circuit, borrowed |
-//! | batch planning | the EFS gate on every batch, each allocation it reads — the joint attempts and, under the batch gates, every member's solo baseline — one plan-memo lookup under the literal key *(device, epoch, member shape handles)* (O(members) handle copies), partitioning only for a list not seen at this epoch; map + merge only for a survivor set not committed at this epoch. Stage 1 borrows the members' circuits from the job table, and only a survivor set completed on a miss copies them, into the plan it keeps; a miss plans on the buffers of the service's dispatch scratch (one `qucp_core::PlanScratch`, lent by `&mut`: stage 1's growth buffers, routing's gate list, the merge's ALAP buffer), reading calibration entries through the topology's link index and idle regions as views of the device's atlas, one arena per width. On `plan_churn` (seed 1, requests counted around the gate pass and the probes on copies of both trees and scaled to `allocs_per_job`) the gate pass asks the heap 11.5 times a job and the probes 2.6 (on the tree before: 14.3 and 4.8, while stage 1 cloned the members' circuits, an atlas slot kept each region as two vectors, routing grew the routed circuit and the ALAP pass asked for its own buffer); the gate pass asked 39.8 while every miss requested its working buffers afresh and searched ordered maps |
+//! | batch planning | the EFS gate on every batch, each allocation it reads — the joint attempts and, under the batch gates, every member's solo baseline — one plan-memo lookup under the literal key *(device, epoch, member shape handles)* (O(members) handle copies), partitioning only for a list not seen at this epoch; map + merge only for a survivor set not committed at this epoch. Stage 1 borrows the members' circuits from the job table, and only a survivor set completed on a miss copies them, into the plan it keeps; a miss plans on the buffers of the service's dispatch scratch (one `qucp_core::PlanScratch`, lent by `&mut`: stage 1's growth buffers, routing's gate list, the merge's ALAP buffer), reading calibration entries through the topology's link index and idle regions as views of the device's atlas, one arena per width. On `plan_churn` (seed 1, requests counted around the gate pass and the probes on copies of both trees and scaled to `allocs_per_job`) the gate pass asks the heap 11.7 times a job and the probes 2.2 (on the tree before: 14.5 and 4.9, while stage 1 cloned the members' circuits, an atlas slot kept each region as two vectors, routing grew the routed circuit and the ALAP pass asked for its own buffer); the gate pass asked 39.8 while every miss requested its working buffers afresh and searched ordered maps |
 //! | staging and execution | the batch's device is held by `Arc`, never cloned; the members leave the job table by value into one record per job, planning borrows the service's one strategy, and ranking, packing and the key lookup run in buffers the service keeps |
 //! | batch removal | offset bump (front run) or one compaction pass |
 //! | recalibrate / drift epoch bump | one new device (its calibration state; name and topology shared by `Arc`), one pass over the cache, dropping the bumped device's probes and plans, and one over the shape table, dropping the shapes nothing holds any more |

@@ -101,7 +101,7 @@ impl Service {
     }
 }
 
-impl GatePass<'_> {
+impl<'a> GatePass<'a> {
     /// The whole pass under the service's strategy: the gate loop on
     /// allocations ([`GatePass::run`]), then the survivors' plan
     /// ([`GatePass::complete`]). `members` ends as the survivors, the
@@ -110,8 +110,8 @@ impl GatePass<'_> {
         let pipeline = Pipeline::from_strategy(self.strategy);
         let device = self.device;
         let planned = self
-            .run(members, |planning, circuits| {
-                pipeline.allocate(planning, device, circuits)
+            .run(members, |planning, count, circuit| {
+                pipeline.allocate(planning, device, count, circuit)
             })
             .and_then(|()| self.complete(members, &pipeline));
         self.buffers.clear();
@@ -128,15 +128,15 @@ impl GatePass<'_> {
     /// [`RuntimeError::JobUnplaceable`].
     ///
     /// `allocate` is stage 1, called once per list the memo does not
-    /// hold, on the members' circuits borrowed from the job table:
-    /// nothing is copied. It is handed nothing that
-    /// routes: routing and the schedule merge run once, after it, for
-    /// the member set that survives ([`GatePass::complete`]). Each
+    /// hold, on the list's length and its members' circuits by
+    /// position, borrowed from the job table: nothing is copied.
+    /// It is handed nothing that routes: routing and the schedule merge
+    /// run once, after it, for the member set that survives ([`GatePass::complete`]). Each
     /// eviction's event is buffered in [`GateBuffers::shrinks`].
     pub(super) fn run(
         &mut self,
         members: &mut Vec<usize>,
-        mut allocate: impl FnMut(&mut PlanScratch, &[&Circuit]) -> Result<Vec<Allocation>, CoreError>,
+        mut allocate: impl FnMut(&mut PlanScratch, usize, &dyn Fn(usize) -> &'a Circuit) -> Allocated,
     ) -> Result<(), RuntimeError> {
         let gated = self.gate.reads_member_thresholds();
         self.buffers.shrinks.clear();
@@ -199,7 +199,7 @@ impl GatePass<'_> {
     fn violation(
         &mut self,
         members: &[usize],
-        allocate: &mut impl FnMut(&mut PlanScratch, &[&Circuit]) -> Result<Vec<Allocation>, CoreError>,
+        allocate: &mut impl FnMut(&mut PlanScratch, usize, &dyn Fn(usize) -> &'a Circuit) -> Allocated,
     ) -> Result<Option<usize>, RuntimeError> {
         // The key holds one member's shape at a time, the list aside.
         let buffers = &mut *self.buffers;
@@ -244,32 +244,27 @@ impl GatePass<'_> {
     /// What `read` makes of the memo entry of the list `members[span]`,
     /// under the buffers' key — that list's — and whether the memo held
     /// it ([`RouteCache::memoized`]). A miss allocates the list's
-    /// circuits where the job table keeps them, through a list of
-    /// references on the stack (on the heap past [`STACK_LIST`]
-    /// members).
+    /// circuits where the job table keeps them, each looked up by its
+    /// position in the list.
     fn memoized<T>(
         &mut self,
         members: &[usize],
         span: Range<usize>,
-        allocate: &mut impl FnMut(&mut PlanScratch, &[&Circuit]) -> Result<Vec<Allocation>, CoreError>,
+        allocate: &mut impl FnMut(&mut PlanScratch, usize, &dyn Fn(usize) -> &'a Circuit) -> Allocated,
         read: impl FnOnce(&PlanEntry) -> T,
     ) -> Result<(bool, T), RuntimeError> {
         let (jobs, planning) = (self.jobs, &mut *self.planning);
         let allocate_list = || {
             let list = &members[span];
-            let circuit = |seq: usize| Ok::<_, RuntimeError>(&jobs.get(seq)?.circuit);
-            if list.len() > STACK_LIST {
-                let circuits = list.iter().map(|&seq| circuit(seq));
-                return Ok(allocate(
-                    planning,
-                    &circuits.collect::<Result<Vec<_>, _>>()?,
-                ));
+            // Every member is looked up once here; the table is borrowed
+            // for the whole pass, so the accessor's lookups find them
+            // too, and the head only stands in to keep it total.
+            let head = &jobs.get(list[0])?.circuit;
+            for &seq in &list[1..] {
+                jobs.get(seq)?;
             }
-            let mut circuits = [circuit(list[0])?; STACK_LIST];
-            for (slot, &seq) in circuits.iter_mut().zip(list).skip(1) {
-                *slot = circuit(seq)?;
-            }
-            Ok(allocate(planning, &circuits[..list.len()]))
+            let circuit = |i: usize| jobs.get(list[i]).map_or(head, |p| &p.circuit);
+            Ok::<_, RuntimeError>(allocate(planning, list.len(), &circuit))
         };
         self.cache.memoized(&self.buffers.key, allocate_list, read)
     }
@@ -317,9 +312,8 @@ impl GatePass<'_> {
     }
 }
 
-/// The longest member list whose circuit references a memo miss keeps
-/// on the stack.
-const STACK_LIST: usize = 8;
+/// Stage 1's answer for one member list.
+type Allocated = Result<Vec<Allocation>, CoreError>;
 
 impl GateBuffers {
     /// Empties every buffer, keeping its capacity.

@@ -298,8 +298,8 @@ impl Service {
             key.shapes.clear();
             key.shapes.resize(k, head.shape.clone());
             let copies = || {
-                let list = vec![circuit; k];
-                Ok::<_, Infallible>(allocate_partitions_in(planning, device, &list, partition))
+                let copy = |_| circuit;
+                Ok::<_, Infallible>(allocate_partitions_in(planning, device, k, copy, partition))
             };
             let read = |entry: &PlanEntry| entry.allocations().map(mean_efs_score);
             let Ok((found, score)) = cache.memoized(&key, copies, read);

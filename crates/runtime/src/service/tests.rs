@@ -1337,10 +1337,8 @@ fn a_batch_that_shrinks_k_times_routes_and_merges_once() {
     let lib = |name: &str| qucp_circuit::library::by_name(name).unwrap().circuit();
     let strategy = strategy::qucp(4.0);
     // Melbourne's 15 qubits cannot host four 5-qubit programs (two
-    // placement failures after the three `bell`s at the tail), and the
-    // tolerances below cannot all be met by what fits (fidelity
-    // evictions). The first attempts, of nine and more members, list
-    // more circuits than the gate keeps on the stack.
+    // placement failures), and the tolerances below cannot all be
+    // met by what fits (fidelity evictions).
     let device = ibm::melbourne();
     let circuits = vec![
         lib("alu-v0_27"),
@@ -1349,21 +1347,8 @@ fn a_batch_that_shrinks_k_times_routes_and_merges_once() {
         lib("alu-v0_27"),
         lib("variation"),
         lib("qec"),
-        lib("bell"),
-        lib("bell"),
-        lib("bell"),
     ];
-    let thresholds = [
-        None,
-        Some(0.02),
-        Some(1e-4),
-        Some(0.5),
-        None,
-        None,
-        None,
-        None,
-        None,
-    ];
+    let thresholds = [None, Some(0.02), Some(1e-4), Some(0.5), None, None];
     let ids: Vec<u64> = (100..100 + circuits.len() as u64).collect();
     for gate in [EfsGate::Batch, EfsGate::BatchWorstExcess] {
         let pipeline = Pipeline::from_strategy(&strategy);
@@ -1404,7 +1389,7 @@ fn a_batch_that_shrinks_k_times_routes_and_merges_once() {
             })
             .collect();
 
-        // The service's gate on the same nine jobs, twice. The loop is
+        // The service's gate on the same six jobs, twice. The loop is
         // handed stage 1 and nothing that routes, and it reads every
         // allocation — joint or solo — through the memo: each distinct
         // list is allocated once, in the first pass, and the plan is
@@ -1436,9 +1421,9 @@ fn a_batch_that_shrinks_k_times_routes_and_merges_once() {
                 .gate_pass(&mut buffers, &mut planning, 0, 7, &members)
                 .unwrap();
             gate_pass
-                .run(&mut members, |planning, list| {
-                    allocated.push(list.iter().map(|c| c.name().to_string()).collect());
-                    pipeline.allocate(planning, &device, list)
+                .run(&mut members, |planning, count, circuit| {
+                    allocated.push((0..count).map(|i| circuit(i).name().to_string()).collect());
+                    pipeline.allocate(planning, &device, count, circuit)
                 })
                 .unwrap();
             let shared = gate_pass.complete(&members, &pipeline).unwrap();
@@ -1481,7 +1466,7 @@ fn a_batch_that_shrinks_k_times_routes_and_merges_once() {
 
 #[test]
 fn thresholded_batches_that_keep_the_same_survivors_share_one_plan() {
-    // The first six jobs of the shrink test, twice on Melbourne under the
+    // The six jobs of the shrink test, twice on Melbourne under the
     // batch gate: the second burst's thresholds are the first's one ulp
     // looser — other bits, the same evictions.
     let names = [
